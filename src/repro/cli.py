@@ -128,13 +128,11 @@ def _parser() -> argparse.ArgumentParser:
                             "backends so reads survive a backend crash "
                             "(default: 1 = no replication)")
     run_p.add_argument("--streams", type=int, default=1,
-                       help="parallel proxy-to-proxy sub-channels per "
-                            "upstream leg; bulk block traffic round-robins "
-                            "across them (default: 1 = single channel)")
-    run_p.add_argument("--pipeline-depth", type=int, default=None,
-                       help="cap on the RTT-sized read-ahead/write-behind "
-                            "window of in-flight blocks (default: engine "
-                            "default when --streams > 1, else off)")
+                       help="parallel proxy-to-proxy channels per upstream "
+                            "leg; bulk block traffic round-robins across "
+                            "them and the read-ahead/write-behind window "
+                            "grows to the RTT (default: 1 = one channel, "
+                            "one block per round trip)")
     run_p.add_argument("--stats-json", default=None, metavar="FILE",
                        help="write the cross-layer metrics snapshot to "
                             "FILE as JSON")
@@ -303,7 +301,6 @@ def _cmd_run_fleet(args, kwargs, out) -> int:
             servers=args.servers,
             replicas=args.replicas,
             streams=args.streams,
-            pipeline_depth=args.pipeline_depth,
             delegation_lifetime=(args.delegation_ms / 1000.0
                                  if args.delegation_ms else None),
         )
@@ -336,11 +333,10 @@ def _cmd_run(args, out) -> int:
             print("error: --disk-cache applies only to proxied setups", file=out)
             return 2
         kwargs["disk_cache"] = True
-    if args.streams > 1 or args.pipeline_depth is not None:
-        if args.setup in ("nfs-v3", "nfs-v4", "gfs-ssh", "sfs"):
-            print("error: --streams/--pipeline-depth apply only to "
-                  "proxied gfs/sgfs setups", file=out)
-            return 2
+    if args.streams > 1 and args.setup in ("nfs-v3", "nfs-v4", "gfs-ssh", "sfs"):
+        print("error: --streams applies only to proxied gfs/sgfs setups",
+              file=out)
+        return 2
     if args.clients < 1:
         print("error: --clients must be >= 1", file=out)
         return 2
@@ -365,8 +361,6 @@ def _cmd_run(args, out) -> int:
             return 2
     if args.streams > 1:
         kwargs["streams"] = args.streams
-    if args.pipeline_depth is not None:
-        kwargs["pipeline_depth"] = args.pipeline_depth
     runner = WORKLOAD_RUNNERS[args.workload]
     result = runner(args.setup, rtt=args.rtt_ms / 1000.0, setup_kwargs=kwargs or None,
                     faults=args.faults, fault_seed=args.fault_seed)

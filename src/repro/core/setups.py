@@ -40,7 +40,8 @@ from repro.nfs import protocol as pr
 from repro.nfs.client import NfsClient
 from repro.nfs.v4 import NFS_V4
 from repro.proxy.accounts import Account
-from repro.proxy.client_proxy import ProxyCacheConfig, SgfsClientProxy
+from repro.proxy.block_cache import ProxyCacheConfig
+from repro.proxy.client_proxy import SgfsClientProxy
 from repro.proxy.server_proxy import SgfsServerProxy
 from repro.rpc.auth import AuthSys
 from repro.rpc.client import RpcClient
@@ -224,7 +225,6 @@ def _proxied_mount(tb: Testbed, label: str, upstream_factory,
                    blocking: bool = True, write_back: bool = True,
                    acl_cache_enabled: bool = True, cryptor=None,
                    streams: int = 1,
-                   pipeline_depth: Optional[int] = None,
                    cache_capacity: Optional[int] = None) -> Mount:
     """Build server proxy + client proxy + kernel client."""
     _ensure_accounts(tb)
@@ -248,7 +248,6 @@ def _proxied_mount(tb: Testbed, label: str, upstream_factory,
         blocking=blocking,
         cryptor=cryptor,
         streams=streams,
-        pipeline_depth=pipeline_depth,
     )
 
     cred = AuthSys(uid=JOB_ACCOUNT.uid, gid=JOB_ACCOUNT.gid, machinename="client")
@@ -268,7 +267,6 @@ def _proxied_mount(tb: Testbed, label: str, upstream_factory,
 def setup_gfs(tb: Testbed, disk_cache: bool = False,
               cache_bytes: Optional[int] = None,
               streams: int = 1,
-              pipeline_depth: Optional[int] = None,
               cache_capacity: Optional[int] = None) -> Mount:
     """The basic (insecure) grid file system [16]: user-level proxies
     with credential mapping, no channel protection."""
@@ -279,8 +277,7 @@ def setup_gfs(tb: Testbed, disk_cache: bool = False,
 
     return _proxied_mount(tb, "gfs", upstream_factory, server_security=None,
                           disk_cache=disk_cache, cache_bytes=cache_bytes,
-                          streams=streams, pipeline_depth=pipeline_depth,
-                          cache_capacity=cache_capacity)
+                          streams=streams, cache_capacity=cache_capacity)
 
 
 def setup_sgfs(tb: Testbed, suite: str = "aes-256-cbc-sha1",
@@ -289,8 +286,7 @@ def setup_sgfs(tb: Testbed, suite: str = "aes-256-cbc-sha1",
                renegotiate_interval: Optional[float] = None,
                blocking: bool = True, write_back: bool = True,
                acl_cache_enabled: bool = True, at_rest: bool = False,
-               streams: int = 1, pipeline_depth: Optional[int] = None,
-               session_tickets: bool = False,
+               streams: int = 1, session_tickets: bool = False,
                cache_capacity: Optional[int] = None) -> Mount:
     """SGFS: the paper's contribution.  ``suite`` picks the per-session
     security configuration — "null-sha1" (sgfs-sha), "rc4-128-sha1"
@@ -330,7 +326,6 @@ def setup_sgfs(tb: Testbed, suite: str = "aes-256-cbc-sha1",
                            blocking=blocking, write_back=write_back,
                            acl_cache_enabled=acl_cache_enabled,
                            cryptor=cryptor, streams=streams,
-                           pipeline_depth=pipeline_depth,
                            cache_capacity=cache_capacity)
     mount.extras["client_security"] = client_cfg
     mount.extras["server_security"] = server_cfg

@@ -42,10 +42,10 @@ Correctness details worth knowing:
   on.
 
 Multi-stream legs: the router itself is stream-agnostic — each
-:class:`~repro.proxy.client_proxy.UpstreamSession` leg may be built
+:class:`~repro.proxy.upstream.UpstreamSession` leg may be built
 with ``streams=N`` and round-robins the bulk calls the router forwards
-across its own sub-channels; determinism is preserved because the
-router joins fan-outs in spawn order regardless of which sub-channel
+across its own channels; determinism is preserved because the
+router joins fan-outs in spawn order regardless of which channel
 carried each call.
 """
 
@@ -74,7 +74,7 @@ class GridRouter:
         if len(legs) != width:
             raise ValueError(f"need one leg per backend: {len(legs)} != {width}")
         self.sim = sim
-        #: per-backend :class:`repro.proxy.client_proxy.UpstreamSession`;
+        #: per-backend :class:`repro.proxy.upstream.UpstreamSession`;
         #: leg 0 is the home (namespace) leg
         self.legs = legs
         self.meta = meta
@@ -289,6 +289,15 @@ class GridRouter:
         return results
 
     # -- dispatch ------------------------------------------------------------
+
+    def burst(self, calls: List[CallMessage]):
+        """Process generator: a burst of bulk calls from the proxy's
+        read window or write-behind, one reply per call in issue order.
+        Each call is routed on its own (it may stripe over several
+        backends); the legs' channels round-robin what reaches them."""
+        return (yield from self._fan_out(
+            (f"bulk{i}", self.forward(call)) for i, call in enumerate(calls)
+        ))
 
     def forward(self, call: CallMessage):
         """Process generator: route one upstream call; returns the reply."""

@@ -73,8 +73,9 @@ from repro.nfs import protocol as pr
 from repro.nfs.protocol import FileHandle
 from repro.nfs.v4 import NFS_V4
 from repro.proxy.accounts import Account
-from repro.proxy.client_proxy import SgfsClientProxy, UpstreamSession
+from repro.proxy.client_proxy import SgfsClientProxy
 from repro.proxy.server_proxy import SgfsServerProxy
+from repro.proxy.upstream import UpstreamSession
 from repro.rpc.auth import AuthSys
 from repro.rpc.server import RpcServer
 from repro.rpc.transport import StreamTransport
@@ -224,7 +225,6 @@ def run_fleet(
     replicas: int = 1,
     grid_block_size: int = DEFAULT_BLOCK_SIZE,
     streams: int = 1,
-    pipeline_depth: Optional[int] = None,
     delegation_lifetime: Optional[float] = None,
 ) -> FleetResult:
     """Run ``clients`` concurrent workload instances against one server.
@@ -271,13 +271,14 @@ def run_fleet(
     ``servers=1`` takes the exact single-server code path — results are
     bit-identical to a build without the knob.
 
-    ``streams=N`` (with N > 1) opens N parallel proxy-to-proxy
-    sub-channels per upstream leg (bulk block traffic round-robins
-    across them) and ``pipeline_depth`` caps the RTT-sized read-ahead/
-    write-behind windows — the WAN transfer engine.  Secure setups
-    force session tickets on so sub-channels resume rather than repeat
-    the full handshake.  ``streams=1`` with no pipeline depth is the
-    exact historical code path.
+    ``streams=N`` opens N parallel proxy-to-proxy channels per upstream
+    leg: bulk block traffic round-robins across them and the proxy
+    cache's read-ahead/write-behind windows grow to the measured RTT
+    (at most 64 blocks).  Secure setups with N > 1 force session
+    tickets on so channels resume rather than repeat the full
+    handshake.  ``streams=1`` is the degenerate configuration of the
+    same code — one channel, a window of one block: the paper's
+    stop-and-wait proxy.
 
     ``delegation_lifetime=T`` (secure setups only) switches every client
     to SSO-style **delegated credentials**: each session authenticates
@@ -590,7 +591,6 @@ def run_fleet(
                     disk=_cache_disk(tb, disk_cache),
                     blocking=True,
                     streams=streams,
-                    pipeline_depth=pipeline_depth,
                     grid=router,
                 )
                 yield from proxy.start()

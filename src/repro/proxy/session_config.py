@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
-from repro.proxy.client_proxy import ProxyCacheConfig
+from repro.proxy.block_cache import ProxyCacheConfig
 
 
 class ConfigError(Exception):

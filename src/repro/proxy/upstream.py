@@ -1,0 +1,447 @@
+"""The client proxy's upstream leg: channels, retry ladder, striping.
+
+One :class:`UpstreamSession` is one recoverable proxy-to-server leg —
+the only leg of an ordinary mount, or one of the per-backend legs a
+:class:`repro.grid.GridRouter` fans out over.  It owns *how* a call
+crosses the WAN (xids, connections and their replacement, backoff, the
+RTT-sized window, burst placement on channels);
+:class:`repro.proxy.client_proxy.SgfsClientProxy` decides *what* to send.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from typing import Callable, Dict, List, Optional
+
+from repro.nfs import protocol as pr
+from repro.rpc.compound import (
+    COMPOUND_EXEC, COMPOUND_PROGRAM, COMPOUND_VERSION, pack_members, unpack_members,
+)
+from repro.rpc.errors import RpcError, RpcTimeout, RpcTransportError
+from repro.rpc.messages import CallMessage, ReplyMessage
+from repro.rpc.transport import Transport
+from repro.sim.core import Event, Simulator
+from repro.sim.process import all_of, any_of
+
+#: bulk data procedures — the traffic round-robined across channels
+_BULK_PROCS = frozenset((int(pr.Proc.READ), int(pr.Proc.WRITE)))
+
+#: EWMA gain for the per-session RTT estimators (RFC 6298's 1/8)
+_RTT_ALPHA = 0.125
+#: floor on the bulk-minus-small service-time estimate (virtual seconds)
+#: so a leg whose bulk calls are barely slower than its control calls
+#: cannot demand an unbounded window
+_RTT_FLOOR = 1e-4
+#: ceiling on the RTT-sized pipeline window of a multi-stream leg
+MAX_WINDOW = 64
+
+
+class _CallRouter:
+    """Matches forwarded calls to upstream replies by our own xids.
+
+    The xids come from the owning session (one stream shared across
+    router generations and channels), so a call retried on a
+    replacement router keeps its original rewritten xid — which is what
+    lets the server-side proxy's duplicate-request cache recognize the
+    retry."""
+
+    def __init__(self, sim: Simulator, transport: Transport):
+        self.sim = sim
+        self.transport = transport
+        self._pending: Dict[int, Event] = {}
+        #: set when the pump dies; new forwards fail fast so the
+        #: recovery loop replaces the router instead of sending into a
+        #: connection nobody reads from anymore
+        self._dead: Optional[RpcError] = None
+        #: armed by quiesce(): fires when the pending table empties
+        self._drain_ev: Optional[Event] = None
+        sim.spawn(self._pump(), name="cproxy-pump")
+
+    def forward_record(self, xid: int, record: bytes,
+                       timeout: Optional[float] = None, retrans: int = 0):
+        """Send an already-encoded call and await the matching reply.
+
+        With ``timeout`` set, the identical record is retransmitted up
+        to ``retrans`` times on a doubling timer before
+        :class:`RpcTimeout` is raised."""
+        if self._dead is not None:
+            raise RpcTransportError(f"upstream is dead: {self._dead}")
+        ev = self.sim.event(name=f"fw:{xid}")
+        self._pending[xid] = ev
+        t = timeout
+        sent = 0
+        while True:
+            try:
+                if hasattr(self.transport, "charge"):
+                    yield from self.transport.charge(len(record))
+                self.transport.send_record(record)
+            except RpcError:
+                self._pending.pop(xid, None)
+                raise
+            except Exception as exc:
+                self._pending.pop(xid, None)
+                raise RpcTransportError(f"upstream send failed: {exc}") from exc
+            if t is None:
+                reply: ReplyMessage = yield ev
+                return reply
+            idx, value = yield any_of(self.sim, [ev, self.sim.timeout(t)])
+            if idx == 0:
+                return value
+            if sent >= retrans:
+                self._pending.pop(xid, None)
+                raise RpcTimeout(
+                    f"no upstream reply for xid={xid:#x} "
+                    f"after {sent + 1} transmissions"
+                )
+            sent += 1
+            t *= 2.0
+
+    def _pump(self):
+        try:
+            while True:
+                record = yield from self.transport.recv_record()
+                if record is None:
+                    break
+                try:
+                    reply = ReplyMessage.decode(record)
+                except RpcError:
+                    continue
+                ev = self._pending.pop(reply.xid, None)
+                if ev is not None:
+                    ev.succeed(reply)
+                if not self._pending and self._drain_ev is not None:
+                    self._drain_ev.succeed(None)
+        except Exception as exc:
+            self._fail_all(RpcError(f"upstream transport failed: {exc}"))
+            return
+        self._fail_all(RpcError("upstream closed"))
+
+    def _fail_all(self, err: RpcError) -> None:
+        self._dead = err
+        pending, self._pending = self._pending, {}
+        for ev in pending.values():
+            ev.fail(err)
+        if self._drain_ev is not None:
+            self._drain_ev.succeed(None)
+            self._drain_ev = None
+
+    def quiesce(self, timeout: float):
+        """Process generator: wait for in-flight calls to finish (bounded).
+
+        Used by graceful session replacement: the retiring connection
+        stays open until its outstanding replies arrive, so cycling a
+        healthy session does not turn live calls into retry storms."""
+        if not self._pending:
+            return
+        self._drain_ev = self.sim.event(name="rt-drain")
+        yield any_of(self.sim, [self._drain_ev, self.sim.timeout(timeout)])
+        self._drain_ev = None
+
+
+class _Channel:
+    """One connection of a leg, with its own reconnect gate so a dead
+    channel is replaced independently of its siblings."""
+
+    __slots__ = ("router", "reconnecting")
+
+    def __init__(self) -> None:
+        self.router: Optional[_CallRouter] = None  # holds the transport
+        #: in-progress replacement dial (Event), if any
+        self.reconnecting: Optional[Event] = None
+
+
+def _close_quietly(router: Optional[_CallRouter]) -> None:
+    if router is not None:
+        try:
+            router.transport.close()
+        except Exception:
+            pass
+
+
+class UpstreamSession:
+    """One recoverable proxy-to-server leg: channels + xids + retry.
+
+    The leg is a DotDFS-style parallel transfer pipe of ``streams``
+    channels (each its own TCP socket + TLS record stream, dialed
+    sequentially so ticket resumption chains the session keys).  Bulk
+    READ/WRITE traffic round-robins across the channels, everything
+    else is pinned to channel 0, and all channels draw xids from the
+    one shared stream — so the server-side DRC recognizes a retry no
+    matter which channel or connection generation carries it.
+
+    ``streams=1`` is the paper's proxy: one connection, and a pipeline
+    window of one block (stop-and-wait) — the same code, run at N = 1.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        upstream_factory: Callable[[], "object"],
+        timeo: Optional[float] = None,
+        retry_max: int = 5,
+        retry_base: float = 0.5,
+        retry_cap: float = 10.0,
+        streams: int = 1,
+        name: str = "up",
+    ):
+        self.sim = sim
+        self.upstream_factory = upstream_factory
+        #: counter sink — the owning proxy swaps in its stats dict so
+        #: ``upstream_retries`` lands in the proxy.client collector
+        self.stats: dict = {}
+        #: reply timeout / same-record retransmission budget per attempt
+        #: (None = wait forever, the historical mode)
+        self.timeo = timeo
+        self.retrans = 2
+        #: reconnect-and-retry budget when the leg fails
+        self.retry_max = retry_max
+        self.retry_base = retry_base
+        self.retry_cap = retry_cap
+        #: rewritten-xid source, shared across channels and router
+        #: generations so a retried call keeps its xid (the upstream DRC
+        #: keys on it)
+        self._next_xid = itertools.count(0x7000_0001).__next__
+        self.streams = max(1, int(streams))
+        self.name = name
+        self._channels = [_Channel() for _ in range(self.streams)]
+        #: a lone leg is its own leg list (a grid router has several)
+        self.legs: List["UpstreamSession"] = [self]
+        #: round-robin cursor for bulk READ/WRITE traffic
+        self._rr_bulk = 0
+        #: smoothed RTT estimators (virtual seconds, deterministic):
+        #: small control RPCs approximate the raw round trip, bulk block
+        #: RPCs add the per-block service time — their gap sizes the
+        #: pipeline window (see :meth:`window`)
+        self.srtt_small: Optional[float] = None
+        self.srtt_bulk: Optional[float] = None
+
+    @property
+    def transport(self) -> Optional[Transport]:
+        """Channel 0's current connection — the control channel."""
+        router = self._channels[0].router
+        return router.transport if router is not None else None
+
+    def _count(self, key: str, n: int = 1) -> None:
+        self.stats[key] = self.stats.get(key, 0) + n
+
+    def connect(self):
+        """Process generator: establish the channel(s), start the pumps.
+
+        Channels dial strictly one after another: each handshake
+        deposits a fresh session ticket in the client's single-slot
+        store, so channel k+1 resumes the keys channel k negotiated and
+        the dial order — hence the whole run — stays deterministic."""
+        for ch in self._channels:
+            ch.router = _CallRouter(self.sim, (yield from self.upstream_factory()))
+        return self
+
+    def close(self) -> None:
+        for ch in self._channels:
+            _close_quietly(ch.router)
+
+    def _observe_rtt(self, bulk: bool, sample: float) -> None:
+        prev = self.srtt_bulk if bulk else self.srtt_small
+        srtt = sample if prev is None else prev + _RTT_ALPHA * (sample - prev)
+        if bulk:
+            self.srtt_bulk = srtt
+        else:
+            self.srtt_small = srtt
+
+    def window(self) -> int:
+        """How many bulk blocks this leg should keep in flight.
+
+        A single-stream leg is the paper's proxy: one block per round
+        trip.  A multi-stream leg hides one round trip (GridFTP-style
+        pipelining, window = RTT / per-block service time, at most
+        :data:`MAX_WINDOW`).  Both estimators are virtual-time EWMAs fed
+        by the leg's own forwarded calls, so the same seed always sizes
+        the same windows; until both have a sample the window is 1."""
+        if self.streams == 1:
+            return 1
+        if self.srtt_small is None or self.srtt_bulk is None:
+            return 1
+        service = max(self.srtt_bulk - self.srtt_small, _RTT_FLOOR)
+        return max(1, min(MAX_WINDOW, math.ceil(self.srtt_small / service)))
+
+    def _note_stream(self, channel: int, nbytes: int) -> None:
+        self._count(f"stream_calls{{leg={self.name},ch={channel}}}")
+        self._count(f"stream_bytes{{leg={self.name},ch={channel}}}", nbytes)
+
+    def _send(self, xid: int, record: bytes, channel: int):
+        """Process generator: the leg's one send-with-retry ladder.
+
+        ``record`` was encoded once by the caller, so every
+        retransmission — including those sent over a *replacement*
+        connection after the server-side proxy restarts — is the same
+        request to the upstream DRC, which replays rather than
+        re-executes non-idempotent procedures."""
+        failures = 0
+        while True:
+            router = self._channels[channel].router
+            try:
+                return (yield from router.forward_record(
+                    xid, record, timeout=self.timeo, retrans=self.retrans,
+                ))
+            except RpcError:
+                failures += 1
+                if failures > self.retry_max:
+                    raise
+                self._count("upstream_retries")
+                backoff = self.retry_base * 2.0 ** (failures - 1)
+                yield self.sim.timeout(min(self.retry_cap, backoff))
+                yield from self.ensure(channel, router)
+
+    def forward(self, call: CallMessage, channel: Optional[int] = None):
+        """Forward upstream, surviving timeouts and transport death
+        (see :meth:`_send`).  ``channel`` pins the call to a specific
+        channel; by default bulk READ/WRITE round-robins across the
+        channels in issue order and everything else (the metadata
+        stream, whose ordering matters) stays on channel 0."""
+        bulk = call.prog == pr.NFS_PROGRAM and call.proc in _BULK_PROCS
+        if channel is None:
+            channel = 0
+            if bulk and self.streams > 1:
+                channel = self._rr_bulk % self.streams
+                self._rr_bulk += 1
+        xid = self._next_xid()
+        record = CallMessage(
+            xid, call.prog, call.vers, call.proc, call.cred, call.verf, call.args
+        ).encode()
+        started = self.sim.now
+        reply = yield from self._send(xid, record, channel)
+        self._observe_rtt(bulk, self.sim.now - started)
+        if self.streams > 1:
+            self._note_stream(channel, len(record))
+        return reply
+
+    def forward_batch(self, calls: List[CallMessage], channel: int = 0):
+        """Process generator: many calls, one compound round trip
+        (:mod:`repro.rpc.compound`).  Member xids and records are fixed
+        *before* the envelope first goes out, so a retransmitted
+        envelope replays byte-identical members to the server-side DRC.
+        Returns one ``Optional[ReplyMessage]`` per member, in call order
+        (``None`` when the server could not decode or answer it)."""
+        if len(calls) == 1:
+            # a single call needs no envelope (and single calls are what
+            # feeds the bulk RTT estimator)
+            return [(yield from self.forward(calls[0], channel=channel))]
+        members = [
+            CallMessage(
+                self._next_xid(), call.prog, call.vers, call.proc,
+                call.cred, call.verf, call.args,
+            ).encode()
+            for call in calls
+        ]
+        env_xid = self._next_xid()
+        envelope = CallMessage(
+            env_xid, COMPOUND_PROGRAM, COMPOUND_VERSION, COMPOUND_EXEC,
+            args=pack_members(members),
+        ).encode()
+        reply = yield from self._send(env_xid, envelope, channel)
+        if self.streams > 1:
+            self._note_stream(channel, len(envelope))
+        self._count("compound_envelopes")
+        self._count("compound_members", len(calls))
+        reply.raise_for_status()
+        out: List[Optional[ReplyMessage]] = []
+        for record in unpack_members(reply.results):
+            if not record:
+                out.append(None)
+                continue
+            try:
+                out.append(ReplyMessage.decode(record))
+            except RpcError:
+                out.append(None)
+        return out
+
+    def burst(self, calls: List[CallMessage]):
+        """Process generator: issue a burst of bulk calls, return one
+        ``Optional[ReplyMessage]`` per call in issue order.
+
+        The striping policy: call ``i`` rides channel ``i % streams``,
+        each channel's share as one :meth:`forward_batch`, spawned in
+        channel order and joined in spawn order — completion order
+        never leaks into the result."""
+        n = self.streams
+        procs = [
+            self.sim.spawn(self.forward_batch(calls[ch::n], channel=ch),
+                           name=f"bulk-ch{ch}")
+            for ch in range(min(n, len(calls)))
+        ]
+        results = yield all_of(self.sim, procs)
+        replies: List[Optional[ReplyMessage]] = [None] * len(calls)
+        for ch, share in enumerate(results):
+            for i, reply in zip(range(ch, len(calls), n), share):
+                replies[i] = reply
+        return replies
+
+    def _replace(self, ch: _Channel, drain: bool):
+        """Process generator: dial a fresh connection, make it ``ch``'s
+        current one, retire the old.  Returns False — ``ch`` untouched —
+        when the server proxy is unreachable.
+
+        ``drain`` is for replacing a *healthy* connection: the new one
+        handshakes before the old one closes, in-flight replies get a
+        bounded chance to land on the old one, and whatever is still
+        unanswered then fails over through its normal retry path."""
+        try:
+            upstream = yield from self.upstream_factory()
+        except Exception:
+            return False
+        old, ch.router = ch.router, _CallRouter(self.sim, upstream)
+        if drain:
+            yield from old.quiesce(timeout=1.0)
+        _close_quietly(old)
+        if drain:
+            # A locally-closed socket never wakes its own reader, so
+            # the old pump can't fail the leftovers itself.
+            old._fail_all(RpcError("upstream session cycled"))
+        return True
+
+    def ensure(self, channel: int, failed_router: _CallRouter):
+        """Process generator: replace a dead channel's connection, at
+        most one dial at a time per channel across all concurrent
+        callers.
+
+        A failed attempt returns (the caller's backoff loop retries
+        within its own budget) rather than looping here, so total
+        patience is governed by ``retry_max``."""
+        ch = self._channels[channel]
+        if ch.router is not failed_router:
+            return  # another caller already replaced it
+        if ch.reconnecting is not None:
+            yield ch.reconnecting
+            return
+        gate = ch.reconnecting = self.sim.event(
+            name=f"cproxy-reconnect-ch{channel}"
+        )
+        try:
+            yield from self._replace(ch, drain=False)
+        finally:
+            ch.reconnecting = None
+            gate.succeed(None)
+
+    def cycle(self):
+        """Process generator: proactively tear down and re-establish the
+        upstream session (operator-driven reconnects: proxy restarts,
+        credential rollover, periodic session refresh).
+
+        Channels cycle strictly in index order (sequential dials keep
+        ticket chaining deterministic); with session tickets enabled
+        the replacement handshakes resume abbreviated.  A failed dial
+        ends the cycle: the server proxy is down, keep the sessions we
+        have.  Channel 0's gate is held throughout, so a second cycle
+        waits instead of dialing alongside."""
+        first = self._channels[0]
+        if first.reconnecting is not None:
+            yield first.reconnecting
+            return
+        gate = first.reconnecting = self.sim.event(name="cproxy-cycle")
+        try:
+            for ch in self._channels:
+                if not (yield from self._replace(ch, drain=True)):
+                    return
+        finally:
+            first.reconnecting = None
+            gate.succeed(None)

@@ -21,7 +21,8 @@ from repro.gsi.certs import Certificate, Credential
 from repro.gsi.gridmap import Gridmap
 from repro.gsi.proxy import is_limited_proxy
 from repro.proxy.accounts import AccountsDb
-from repro.proxy.client_proxy import ProxyCacheConfig, SgfsClientProxy
+from repro.proxy.block_cache import ProxyCacheConfig
+from repro.proxy.client_proxy import SgfsClientProxy
 from repro.proxy.server_proxy import SgfsServerProxy
 from repro.rpc.transport import StreamTransport
 from repro.services.endpoint import ServiceEndpoint

@@ -19,7 +19,8 @@ from typing import Set
 
 from repro.crypto.drbg import Drbg
 from repro.crypto.rsa import RsaKeyPair
-from repro.proxy.client_proxy import ProxyCacheConfig, SgfsClientProxy
+from repro.proxy.block_cache import ProxyCacheConfig
+from repro.proxy.client_proxy import SgfsClientProxy
 from repro.proxy.server_proxy import SgfsServerProxy
 from repro.rpc.costs import CostProfile
 from repro.sfs.channel import sfs_client_channel, sfs_server_channel

@@ -11,10 +11,48 @@ import hashlib
 import json
 
 from repro.core.setups import SETUP_BUILDERS
-from repro.harness import run_iozone
+from repro.harness import run_iozone, run_postmark
+from repro.harness.runner import run_iozone_wr
+from repro.workloads.postmark import PostMarkConfig
 
 FILE_SIZE = 256 * 1024
 CACHE_BYTES = 128 * 1024
+WAN_RTT = 0.080
+#: proxy disk cache small enough that every case below evicts
+SMALL_PROXY_CACHE = 256 * 1024
+
+
+def run_s1_cache_case(label: str):
+    """One ``streams=1`` cached WAN run (the paper's stop-and-wait
+    proxy) whose proxy cache is smaller than its working set — shared
+    with ``tests/test_golden_runtimes.py`` so capture and check can
+    never run different scenarios."""
+    kw = {"disk_cache": True, "cache_capacity": SMALL_PROXY_CACHE}
+    if label == "postmark-evict":
+        # many small files: dirty evictions interleaved with read misses
+        cfg = PostMarkConfig(directories=5, files=60, transactions=100)
+        return run_postmark("sgfs", rtt=WAN_RTT, config=cfg, setup_kwargs=kw)
+    if label == "iozone-wr-evict-teardown":
+        # 512 KB written through a 256 KB cache: half the blocks leave by
+        # eviction mid-run, the rest in the teardown flush
+        return run_iozone_wr("sgfs", rtt=WAN_RTT, file_size=512 * 1024,
+                             setup_kwargs=kw)
+    if label == "iozone-wr-evict-refetch":
+        # a kernel cache too small to absorb the read passes, so evicted
+        # blocks are fetched back and evict the remaining dirty ones
+        return run_iozone_wr("sgfs", rtt=WAN_RTT, file_size=512 * 1024,
+                             setup_kwargs=dict(kw, cache_bytes=64 * 1024))
+    raise KeyError(label)
+
+
+S1_CACHE_CASES = ("postmark-evict", "iozone-wr-evict-teardown",
+                  "iozone-wr-evict-refetch")
+
+
+def s1_cache_row(result):
+    pc = result.stats["proxy.client"]
+    return (result.total.hex(), result.writeback_seconds.hex(),
+            pc["writeback_blocks"], pc["writeback_bytes"], pc["forwarded"])
 
 
 def capture():
@@ -38,5 +76,11 @@ def capture():
     return out
 
 
+def capture_s1_cache():
+    return {label: s1_cache_row(run_s1_cache_case(label))
+            for label in S1_CACHE_CASES}
+
+
 if __name__ == "__main__":
     print(json.dumps(capture(), indent=2, sort_keys=True))
+    print(json.dumps(capture_s1_cache(), indent=2, sort_keys=True))

@@ -48,8 +48,8 @@ def test_read_back_decrypts_transparently():
     tb.run(mount.finish())
     # drop every client-side copy so reads come back from the server
     mount.client.pages.clear()
-    mount.client_proxy._blocks.clear()
-    mount.client_proxy._cache_bytes = 0
+    mount.client_proxy._blocks.drop_file(
+        tb.fs.resolve("/vault.bin", ROOT).fileid)
 
     def job2():
         return (yield from mount.client.read_file("/vault.bin"))
@@ -70,8 +70,8 @@ def test_tampering_on_server_detected_as_io_error():
     node = tb.fs.resolve("/vault.bin", ROOT)
     node.data[100] ^= 0x5A
     mount.client.pages.clear()
-    mount.client_proxy._blocks.clear()
-    mount.client_proxy._cache_bytes = 0
+    mount.client_proxy._blocks.drop_file(
+        tb.fs.resolve("/vault.bin", ROOT).fileid)
 
     def job2():
         with pytest.raises(NfsClientError) as e:

@@ -21,7 +21,8 @@ from repro.core.setups import (
 from repro.core.topology import NFS_PORT, Testbed
 from repro.crypto.drbg import Drbg
 from repro.gsi import CertificateAuthority
-from repro.proxy.client_proxy import ProxyCacheConfig, SgfsClientProxy
+from repro.proxy.block_cache import ProxyCacheConfig
+from repro.proxy.client_proxy import SgfsClientProxy
 from repro.proxy.server_proxy import SgfsServerProxy
 from repro.rpc.auth import AuthSys
 from repro.tls import SecurityConfig

@@ -207,31 +207,37 @@ def test_heavy_loss_recovers_via_retransmission():
 
 
 def test_evicted_dirty_block_redirtied_during_writeback_not_lost():
-    """Regression: _block_put must clear a victim's dirty mark *before*
-    yielding to the write-back.  The old order wiped the mark after the
-    yield, so a writer re-dirtying the block mid-flight lost its data."""
+    """Regression: eviction must clear a victim's dirty mark *before*
+    _block_put yields to the write-back.  The old order wiped the mark
+    after the yield, so a writer re-dirtying the block mid-flight lost
+    its data."""
     tb = Testbed.build(rtt=0.08)
     mount = setup_sgfs(tb, disk_cache=True)
     cp = mount.client_proxy
     cl = mount.client
+    dirty = cp._blocks.dirty
+    flushed = []
 
     def job():
         yield from cl.write_file("/t.bin", b"A" * 100)  # dirty block (fid, 0)
-        fid = next(iter(cp._dirty))
-        assert 0 in cp._dirty[fid]
-        orig_wb = cp._writeback_block
+        fid = next(iter(dirty))
+        assert 0 in dirty[fid]
+        orig_wb = cp._writeback_window
 
-        def racing_wb(fileid, block, data):
+        def racing_wb(items):
             # a writer re-dirties the very block being evicted, mid-flight
-            cp._dirty.setdefault(fileid, set()).add(block)
-            yield from orig_wb(fileid, block, data)
+            for fileid, block, _data in items:
+                dirty.setdefault(fileid, set()).add(block)
+            flushed.extend((f, b) for f, b, _data in items)
+            yield from orig_wb(items)
 
-        cp._writeback_block = racing_wb
+        cp._writeback_window = racing_wb
         cp.cache.capacity_bytes = 1  # next insert evicts the dirty block
         yield from cp._block_put(fid + 777, 0, b"B" * 100, dirty=False)
-        cp._writeback_block = orig_wb
+        cp._writeback_window = orig_wb
         return fid
 
     fid = tb.run(job())
+    assert flushed == [(fid, 0)]  # the hook saw the eviction write-back
     # the mid-flight re-dirty survives the eviction
-    assert 0 in cp._dirty.get(fid, set())
+    assert 0 in dirty.get(fid, set())

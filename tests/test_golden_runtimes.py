@@ -36,6 +36,7 @@ import pytest
 from repro.core.setups import SETUP_BUILDERS
 from repro.harness import run_iozone, run_mab, run_postmark
 from repro.workloads.postmark import PostMarkConfig
+from tests._capture_goldens import run_s1_cache_case, s1_cache_row
 
 FILE_SIZE = 256 * 1024
 CACHE_BYTES = 128 * 1024
@@ -82,6 +83,23 @@ GOLDEN = {
 }
 
 
+#: ``streams=1`` cached WAN runs through a proxy cache smaller than the
+#: working set — label -> (total.hex(), writeback_seconds.hex(),
+#: writeback_blocks, writeback_bytes, forwarded).  Captured with
+#: ``tests/_capture_goldens.py`` at the last commit that still had a
+#: separate stop-and-wait code path beside the windowed one; they pin
+#: that running the one remaining path at window 1 *is* that proxy:
+#: same dirty evictions mid-run, same refetches, same teardown flush.
+S1_CACHE_GOLDEN = {
+    "postmark-evict": ("0x1.4aa58866a95dep+5", "0x0.0p+0",
+                       89, 795074, 402),
+    "iozone-wr-evict-teardown": ("0x1.ed54644669096p-1",
+                                 "0x1.67d64c2a6d900p-1", 16, 524288, 3),
+    "iozone-wr-evict-refetch": ("0x1.18763656b1ea9p+2", "0x0.0p+0",
+                                16, 524288, 35),
+}
+
+
 def _snapshot_sha256(result) -> str:
     stats = {k: v for k, v in result.stats.items() if k != "sim"}
     return hashlib.sha256(
@@ -106,6 +124,11 @@ def test_iozone_golden_runtime(label):
     assert r.writeback_seconds == float.fromhex(writeback_hex)
     assert _snapshot_sha256(r) == snap, (
         f"{label}: telemetry snapshot (sans 'sim') changed")
+
+
+@pytest.mark.parametrize("label", sorted(S1_CACHE_GOLDEN))
+def test_streams_one_cached_wan_golden(label):
+    assert s1_cache_row(run_s1_cache_case(label)) == S1_CACHE_GOLDEN[label]
 
 
 def test_golden_trace_export_identical():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import Testbed, setup_sgfs
-from repro.proxy.client_proxy import ProxyCacheConfig
+from repro.proxy.block_cache import ProxyCacheConfig
 from repro.vfs.fs import Credentials
 
 ROOT = Credentials(0, 0)

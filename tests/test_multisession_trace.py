@@ -16,7 +16,8 @@ from repro.gsi import CertificateAuthority, DistinguishedName, Gridmap
 from repro.harness.trace import RpcTracer
 from repro.nfs.client import NfsClientError
 from repro.proxy.accounts import Account
-from repro.proxy.client_proxy import ProxyCacheConfig, SgfsClientProxy
+from repro.proxy.block_cache import ProxyCacheConfig
+from repro.proxy.client_proxy import SgfsClientProxy
 from repro.proxy.server_proxy import SgfsServerProxy
 from repro.rpc.auth import AuthSys
 from repro.rpc.transport import StreamTransport

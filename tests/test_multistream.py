@@ -1,14 +1,15 @@
 """Multi-stream WAN transfer engine: determinism, exactly-once, speedup.
 
-The engine (``streams > 1`` or an explicit ``pipeline_depth``) adds
-parallel proxy-to-proxy sub-channels, RTT-sized read-ahead/write-behind
-windows, and compound RPC envelopes.  These tests pin:
+``streams > 1`` gives each upstream leg parallel proxy-to-proxy
+channels, RTT-sized read-ahead/write-behind windows, and compound RPC
+envelopes; ``streams=1`` runs the same code at one channel and a window
+of one block (its exact virtual times are pinned by the ``S1_CACHE``
+goldens in ``test_golden_runtimes.py``).  These tests pin:
 
 - the compound envelope codec,
-- byte-identity of ``streams=1`` with the engine absent (the default
-  path must not move),
-- same-seed bit-identity for streams in {1, 2, 4} on both the legacy
-  single-server path and a 2-backend grid fleet,
+- window sizing (1 on a single-stream leg, RTT-sized otherwise),
+- same-seed bit-identity for streams in {1, 2, 4} on both a
+  single-server mount and a 2-backend grid fleet,
 - exactly-once server-side application when sub-channel traffic is
   dropped mid-READ / mid-WRITE (retry ladder + duplicate request cache),
 - the WAN throughput win the engine exists for.
@@ -21,7 +22,7 @@ from repro.core.setups import setup_sgfs
 from repro.faults import FAULT_PRESETS, FaultPlan
 from repro.harness import run_fleet
 from repro.harness.runner import run_iozone
-from repro.proxy.client_proxy import UpstreamSession
+from repro.proxy.upstream import MAX_WINDOW, UpstreamSession
 from repro.rpc.compound import MAX_MEMBERS, pack_members, unpack_members
 from repro.sim import Simulator
 from repro.vfs.fs import Credentials
@@ -107,22 +108,25 @@ def test_compound_member_cap():
 
 
 def test_window_is_one_until_both_estimators_sampled():
-    up = UpstreamSession(Simulator(), None)
-    assert up.window(64) == 1
+    up = UpstreamSession(Simulator(), None, streams=2)
+    assert up.window() == 1
     up._observe_rtt(bulk=False, sample=0.080)
-    assert up.window(64) == 1
+    assert up.window() == 1
     up._observe_rtt(bulk=True, sample=0.085)
     # 0.080 / (0.085 - 0.080) = 16 in-flight blocks cover the RTT
-    assert up.window(64) == 16
-    assert up.window(8) == 8  # pipeline-depth cap applies
-    assert up.window(1) == 1
+    assert up.window() == 16
+    # the same estimates on a single-stream leg: the paper's proxy moves
+    # one block per round trip, whatever the RTT
+    s1 = UpstreamSession(Simulator(), None)
+    s1.srtt_small, s1.srtt_bulk = up.srtt_small, up.srtt_bulk
+    assert s1.window() == 1
 
 
 def test_window_floor_when_bulk_equals_small():
-    up = UpstreamSession(Simulator(), None)
+    up = UpstreamSession(Simulator(), None, streams=2)
     up._observe_rtt(bulk=False, sample=0.080)
     up._observe_rtt(bulk=True, sample=0.080)  # no measurable transfer cost
-    assert up.window(64) == 64  # floored divisor -> capped
+    assert up.window() == MAX_WINDOW  # floored divisor -> capped
 
 
 # -- satellite: writeback_errors is pre-seeded -------------------------------
@@ -134,23 +138,6 @@ def test_clean_run_reports_zero_writeback_errors():
     # the key must exist (pre-seeded at init), not appear lazily on the
     # first error
     assert r.stats["proxy.client"]["writeback_errors"] == 0
-
-
-# -- streams=1 is byte-identical to the legacy path --------------------------
-
-
-def test_streams_one_matches_legacy_single_run():
-    base = run_iozone("sgfs-aes", rtt=0.04, file_size=FS,
-                      setup_kwargs={"disk_cache": True})
-    s1 = run_iozone("sgfs-aes", rtt=0.04, file_size=FS,
-                    setup_kwargs={"disk_cache": True, "streams": 1})
-    assert _fp(base) == _fp(s1)
-
-
-def test_streams_one_matches_legacy_fleet():
-    base = run_fleet("sgfs-aes", _iozone, clients=2, rtt=0.04)
-    s1 = run_fleet("sgfs-aes", _iozone, clients=2, rtt=0.04, streams=1)
-    assert _fleet_fp(base) == _fleet_fp(s1)
 
 
 # -- same-seed bit-identity across stream counts -----------------------------
@@ -192,6 +179,27 @@ def test_drop_mid_read_exact_content_and_settled_drc():
     assert plan.stats["dropped"] > 0  # the adversary actually bit
     assert mount.client_proxy.stats["writeback_errors"] == 0
     assert _drc_settled(mount.server_proxy)
+
+
+@pytest.mark.parametrize("blocking", [True, False])
+def test_every_cached_read_counted_exactly_once(blocking):
+    """A READ that lands on a block another reader's window already has
+    in flight (only possible when the proxy serves calls concurrently)
+    is a miss that coalesces — not a miss *and* a hit."""
+    tb = Testbed.build(rtt=0.04)
+    mount = setup_sgfs(tb, disk_cache=True, streams=4, blocking=blocking)
+    payload = _pattern(16 * BS)
+    _seed_server_file(tb, "r.bin", payload)
+    cl = mount.client
+
+    def job():
+        return (yield from cl.read_file("/r.bin"))
+
+    assert tb.run(job()) == payload
+    stats = mount.client_proxy.stats
+    assert stats["data_hits"] + stats["data_misses"] == len(payload) // BS
+    if not blocking:
+        assert stats["data_misses"] > 2  # some READs did coalesce
 
 
 def test_drop_mid_write_exactly_once_server_side():

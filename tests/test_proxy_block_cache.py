@@ -1,0 +1,108 @@
+"""BlockCache on its own: LRU order, the low-water mark, dirty marks.
+
+No Testbed and no disk model — eviction and flush choices are pure
+functions of the put/get history, so the tests state that history and
+read the choice back.
+"""
+
+import pytest
+
+from repro.proxy.block_cache import BlockCache, ProxyCacheConfig
+from repro.sim import Simulator
+
+BS = 100
+
+
+def _cache(blocks: int):
+    sim = Simulator()
+    cache = BlockCache(sim, ProxyCacheConfig(enabled=True, block_size=BS,
+                                             capacity_bytes=blocks * BS))
+
+    def do(gen):
+        return sim.run_until_complete(sim.spawn(gen))
+
+    return cache, do
+
+
+def _fill(cache, do, fileid: int, blocks, dirty: bool):
+    for b in blocks:
+        do(cache.put(fileid, b, bytes([b]) * BS, dirty))
+
+
+def test_victims_leave_in_lru_order_and_reads_refresh_it():
+    cache, do = _cache(blocks=4)
+    _fill(cache, do, 1, range(4), dirty=True)
+    assert cache.evict((1, 3), window=1) == []  # at capacity, not over it
+    assert do(cache.get(1, 0)) == bytes([0]) * BS  # block 0 is now newest
+    do(cache.put(1, 4, b"x" * BS, False))
+    do(cache.put(1, 5, b"y" * BS, False))
+    victims = cache.evict((1, 5), window=1)
+    assert [(f, b) for f, b, _data in victims] == [(1, 1), (1, 2)]
+    assert victims[0][2] == bytes([1]) * BS
+    assert (1, 0) in cache and (1, 1) not in cache and (1, 2) not in cache
+    assert cache.bytes == 4 * BS
+    # the victims' dirty marks are already gone when evict() returns
+    assert cache.dirty[1] == {0, 3}
+
+
+def test_clean_victims_are_dropped_silently():
+    cache, do = _cache(blocks=2)
+    _fill(cache, do, 1, range(2), dirty=False)
+    do(cache.put(1, 2, b"z" * BS, True))
+    assert cache.evict((1, 2), window=1) == []
+    assert (1, 0) not in cache and cache.bytes == 2 * BS
+
+
+def test_just_inserted_block_is_never_its_own_victim():
+    cache, do = _cache(blocks=1)
+    do(cache.put(1, 0, b"a" * (3 * BS), True))  # alone and over capacity
+    assert cache.evict((1, 0), window=1) == []
+    assert (1, 0) in cache
+
+
+@pytest.mark.parametrize("window, blocks_left", [
+    (1, 16),   # capacity itself: plain LRU, one victim per insert
+    (5, 12),   # capacity - (5-1) blocks
+    (9, 8),    # capacity - 8 blocks == the capacity/2 floor
+    (64, 8),   # floored: a wide window never empties the cache
+])
+def test_low_water_target(window, blocks_left):
+    cache, do = _cache(blocks=16)
+    assert cache.low_water(window) == blocks_left * BS
+    _fill(cache, do, 1, range(17), dirty=True)
+    victims = cache.evict((1, 16), window)
+    assert cache.bytes == blocks_left * BS
+    # one eviction pass hands back the whole burst, oldest first
+    assert [b for _f, b, _d in victims] == list(range(17 - blocks_left))
+
+
+def test_clean_reput_over_dirty_block_keeps_it_dirty():
+    cache, do = _cache(blocks=4)
+    do(cache.put(1, 0, b"new" * 10, True))
+    do(cache.put(1, 0, b"refetched" * 10, False))  # e.g. a read-ahead
+    assert 0 in cache.dirty[1]
+    assert cache.dirty_bytes == 90
+    items = do(cache.gather_dirty([1]))
+    assert items == [(1, 0, b"refetched" * 10)]
+    assert cache.dirty_bytes == 0 and (1, 0) in cache  # flushed, still cached
+
+
+def test_gather_dirty_takes_named_files_blocks_ascending():
+    cache, do = _cache(blocks=16)
+    _fill(cache, do, 2, (3, 1), dirty=True)
+    _fill(cache, do, 1, (2, 0), dirty=True)
+    _fill(cache, do, 3, (5,), dirty=True)
+    items = do(cache.gather_dirty([2, 1]))
+    assert [(f, b) for f, b, _d in items] == [(2, 1), (2, 3), (1, 0), (1, 2)]
+    assert set(cache.dirty) == {3}  # file 3 was not asked for
+    assert do(cache.gather_dirty([2, 1])) == []
+
+
+def test_drop_file_keep_dirty_spares_unflushed_blocks():
+    cache, do = _cache(blocks=16)
+    _fill(cache, do, 1, (0, 1), dirty=False)
+    _fill(cache, do, 1, (2,), dirty=True)
+    cache.drop_file(1, keep_dirty=True)
+    assert (1, 0) not in cache and (1, 2) in cache and cache.dirty[1] == {2}
+    cache.drop_file(1)
+    assert (1, 2) not in cache and 1 not in cache.dirty and cache.bytes == 0

@@ -1,0 +1,199 @@
+"""UpstreamSession on its own: channels, reconnect gate, retry ladder.
+
+No Testbed, network or TLS — a scripted transport stands in for the
+connection to the server-side proxy, so each test states exactly which
+connection died when and reads back exactly what was sent on which.
+"""
+
+import pytest
+
+from repro.nfs import protocol as pr
+from repro.proxy.upstream import UpstreamSession
+from repro.rpc.compound import COMPOUND_PROGRAM, pack_members, unpack_members
+from repro.rpc.messages import CallMessage, ReplyMessage
+from repro.sim import Simulator
+
+DIAL_SECONDS = 1.0
+
+
+class ScriptedTransport:
+    """One fake connection.  ``answers`` decides whether the far end
+    replies; :meth:`die` makes the reader see the peer close."""
+
+    def __init__(self, sim, answers=True):
+        self.sim = sim
+        self.answers = answers
+        self.sent = []
+        self.closed = False
+        self._inbox = []
+        self._waiter = None
+
+    def send_record(self, record):
+        self.sent.append(record)
+        if self.answers:
+            self._deliver(_reply_to(record))
+
+    def recv_record(self):
+        while not self._inbox:
+            self._waiter = self.sim.event(name="fake-recv")
+            yield self._waiter
+        return self._inbox.pop(0)
+
+    def die(self):
+        self._deliver(None)
+
+    def close(self):
+        self.closed = True
+
+    def _deliver(self, item):
+        self._inbox.append(item)
+        if self._waiter is not None and not self._waiter.triggered:
+            self._waiter.succeed(None)
+
+
+def _reply_to(record: bytes) -> bytes:
+    call = CallMessage.decode(record)
+    if call.prog != COMPOUND_PROGRAM:
+        return ReplyMessage(xid=call.xid, results=b"ok").encode()
+    members = [CallMessage.decode(m) for m in unpack_members(call.args)]
+    return ReplyMessage(xid=call.xid, results=pack_members(
+        [ReplyMessage(xid=m.xid, results=b"ok").encode() for m in members]
+    )).encode()
+
+
+class Dialer:
+    """An ``upstream_factory`` that takes DIAL_SECONDS per connection
+    and logs (start, end) of every dial; ``script`` lists, per dial,
+    whether that connection's far end answers."""
+
+    def __init__(self, sim, script=()):
+        self.sim = sim
+        self.script = list(script)
+        self.dials = []
+        self.transports = []
+
+    def __call__(self):
+        start = self.sim.now
+        yield self.sim.timeout(DIAL_SECONDS)
+        answers = self.script.pop(0) if self.script else True
+        self.dials.append((start, self.sim.now))
+        self.transports.append(ScriptedTransport(self.sim, answers))
+        return self.transports[-1]
+
+
+def _session(streams=1, script=()):
+    sim = Simulator()
+    dialer = Dialer(sim, script)
+    up = UpstreamSession(sim, dialer, streams=streams, retry_base=0.25)
+    sim.run_until_complete(sim.spawn(up.connect()))
+    return sim, dialer, up
+
+
+def _read_call(offset=0):
+    fh = pr.FileHandle(fsid=1, fileid=7, generation=0)
+    return CallMessage(0x99, pr.NFS_PROGRAM, pr.NFS_V3, int(pr.Proc.READ),
+                       args=pr.pack_read_args(fh, offset, 32768))
+
+
+def _transports(up):
+    return [ch.router.transport for ch in up._channels]
+
+
+@pytest.mark.parametrize("channel", [0, 2])
+def test_dead_channel_replaced_once_whatever_its_index(channel):
+    sim, dialer, up = _session(streams=3)
+    before = _transports(up)
+    dead = up._channels[channel].router
+    before[channel].die()
+    sim.run()  # the pump sees the close and marks the router dead
+    assert dead._dead is not None
+    # three callers notice at once: one dial, the others wait on its gate
+    procs = [sim.spawn(up.ensure(channel, dead)) for _ in range(3)]
+    for p in procs:
+        sim.run_until_complete(p)
+    assert len(dialer.dials) == 3 + 1
+    assert sim.now == pytest.approx(3 * DIAL_SECONDS + DIAL_SECONDS)
+    after = _transports(up)
+    assert after[channel] is dialer.transports[-1]
+    assert before[channel].closed
+    assert up._channels[channel].reconnecting is None
+    for k in range(3):
+        if k != channel:
+            assert after[k] is before[k] and not before[k].closed
+    # a late caller holding the stale router is a no-op
+    sim.run_until_complete(sim.spawn(up.ensure(channel, dead)))
+    assert len(dialer.dials) == 4
+
+
+def test_cycle_dials_channels_strictly_in_index_order():
+    sim, dialer, up = _session(streams=3)
+    old = _transports(up)
+    sim.run_until_complete(sim.spawn(up.cycle()))
+    new_dials = dialer.dials[3:]
+    assert len(new_dials) == 3
+    # sequential: dial k+1 starts only when dial k has finished
+    for (_s0, e0), (s1, _e1) in zip(new_dials, new_dials[1:]):
+        assert s1 >= e0
+    # the k-th replacement connection lands on channel k
+    assert _transports(up) == dialer.transports[3:]
+    assert all(t.closed for t in old)
+    assert up._channels[0].reconnecting is None
+
+
+def test_cycle_while_cycling_waits_instead_of_dialing():
+    sim, dialer, up = _session(streams=2)
+    a = sim.spawn(up.cycle())
+    b = sim.spawn(up.cycle())
+    sim.run_until_complete(a)
+    sim.run_until_complete(b)
+    assert len(dialer.dials) == 2 + 2
+
+
+def test_retried_call_keeps_xid_and_record_across_connections():
+    # connection 1 swallows the call and then dies; connection 2 answers
+    sim, dialer, up = _session(script=[False, True])
+    first = dialer.transports[0]
+    proc = sim.spawn(up.forward(_read_call()))
+    sim.run(until=sim.now + 0.5)
+    assert len(first.sent) == 1 and proc.alive
+    first.die()
+    reply = sim.run_until_complete(proc)
+    second = dialer.transports[1]
+    assert second.sent == first.sent  # byte-identical, hence same xid
+    assert reply.xid == CallMessage.decode(first.sent[0]).xid
+    assert up.stats["upstream_retries"] == 1
+
+
+def test_retried_compound_burst_replays_identical_members():
+    sim, dialer, up = _session(script=[False, True])
+    first = dialer.transports[0]
+    calls = [_read_call(i * 32768) for i in range(3)]
+    proc = sim.spawn(up.burst(calls))
+    sim.run(until=sim.now + 0.5)
+    assert len(first.sent) == 1  # one envelope for the three calls
+    first.die()
+    replies = sim.run_until_complete(proc)
+    second = dialer.transports[1]
+    assert second.sent == first.sent
+    envelope = CallMessage.decode(first.sent[0])
+    assert envelope.prog == COMPOUND_PROGRAM
+    members = [CallMessage.decode(m) for m in unpack_members(envelope.args)]
+    assert [m.args for m in members] == [c.args for c in calls]
+    # replies come back in call order, matched to the member xids
+    assert [r.xid for r in replies] == [m.xid for m in members]
+    assert len({m.xid for m in members} | {envelope.xid}) == 4
+
+
+def test_burst_places_call_i_on_channel_i_mod_streams():
+    sim, dialer, up = _session(streams=2)
+    calls = [_read_call(i * 32768) for i in range(5)]
+    replies = sim.run_until_complete(sim.spawn(up.burst(calls)))
+    assert len(replies) == 5 and all(r is not None for r in replies)
+    shares = []
+    for t in dialer.transports:
+        (record,) = t.sent
+        envelope = CallMessage.decode(record)
+        shares.append([CallMessage.decode(m).args
+                       for m in unpack_members(envelope.args)])
+    assert shares == [[c.args for c in calls[0::2]],
+                      [c.args for c in calls[1::2]]]
