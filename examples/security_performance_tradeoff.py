@@ -8,13 +8,14 @@ that "an application-tailored security configuration is very important":
 sessions moving non-confidential data can skip encryption and keep
 integrity, paying ~9 % instead of ~50 %.
 
-Also demonstrates the RPC tracer: per-procedure latency percentiles for
-one of the runs.
+Also prints per-procedure latency percentiles for one of the runs, read
+from the telemetry registry's ``nfs.client`` ``latency{proc=...}``
+histograms.
 
 Run:  python examples/security_performance_tradeoff.py
 """
 
-from repro.harness import RpcTracer, run_iozone
+from repro.harness import run_iozone
 from repro.core import Testbed, setup_sgfs
 from repro.workloads import IOzoneReadReread
 
@@ -41,14 +42,22 @@ def ladder() -> None:
 
 
 def trace_one() -> None:
-    print("\nper-procedure latency for one sgfs-aes run (RPC tracer):")
-    tb = Testbed.build()
+    print("\nper-procedure latency for one sgfs-aes run (nfs.client histograms):")
+    tb = Testbed.build(telemetry=True)
     mount = setup_sgfs(tb, suite="aes-256-cbc-sha1")
-    tracer = RpcTracer.install(mount.client)
     wl = IOzoneReadReread(file_size=1 * MB)
     wl.prepare(tb)
     tb.run(wl.run(mount))
-    print(tracer.format())
+    prefix = "latency{proc="
+    rows = {k[len(prefix):-1]: h
+            for k, h in tb.obs.snapshot()["nfs.client"].items()
+            if k.startswith(prefix)}
+    print(f"{'proc':12s} {'count':>6s} {'mean':>9s} {'p50':>9s} "
+          f"{'p95':>9s} {'max':>9s}")
+    for proc, h in sorted(rows.items(), key=lambda kv: -kv[1]["sum"]):
+        print(f"{proc:12s} {h['count']:6d} {h['mean'] * 1000:8.2f}m "
+              f"{h['p50'] * 1000:8.2f}m {h['p95'] * 1000:8.2f}m "
+              f"{h['max'] * 1000:8.2f}m")
 
 
 if __name__ == "__main__":

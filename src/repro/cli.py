@@ -116,9 +116,6 @@ def _parser() -> argparse.ArgumentParser:
                             "virtual milliseconds; expiry forces "
                             "re-delegation on the next reconnect (secure "
                             "sgfs* setups only)")
-    run_p.add_argument("--batch-records", type=int, default=1,
-                       help="coalesce up to N queued server replies per "
-                            "session into one sealing pass (default: 1)")
     run_p.add_argument("--servers", type=int, default=1,
                        help="shard the data plane across N backend NFS "
                             "servers; grid-created files stripe their "
@@ -297,7 +294,6 @@ def _cmd_run_fleet(args, kwargs, out) -> int:
             session_tickets=args.session_tickets,
             reconnect_interval=(args.reconnect_ms / 1000.0
                                 if args.reconnect_ms else None),
-            batch_records=args.batch_records,
             servers=args.servers,
             replicas=args.replicas,
             streams=args.streams,
@@ -350,7 +346,6 @@ def _cmd_run(args, out) -> int:
         ("--server-cores", args.server_cores > 1),
         ("--session-tickets", args.session_tickets),
         ("--reconnect-ms", args.reconnect_ms is not None),
-        ("--batch-records", args.batch_records > 1),
         ("--servers", args.servers > 1),
         ("--replicas", args.replicas > 1),
         ("--delegation-ms", args.delegation_ms is not None),

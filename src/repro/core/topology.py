@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.net import DelayRouter, Host, Network
@@ -88,8 +87,6 @@ class Testbed:
         export_uid: int = 901,
         telemetry: bool = False,
         tracing: bool = False,
-        server_workers: Optional[int] = None,
-        vfs_locking: bool = False,
         profile: bool = False,
         server_cores: int = 1,
         servers: int = 1,
@@ -106,14 +103,10 @@ class Testbed:
         per instrumented call site when off.  Neither consumes virtual
         time, so enabling them never changes simulated results.
 
-        ``server_workers=N`` runs the kernel NFS server in worker-pool
-        mode (per-session request queues drained round-robin by N
-        workers — the nfsd thread-pool model); the default ``None``
-        keeps spawn-per-call dispatch.  ``vfs_locking=True`` turns on
-        per-fileid reader/writer locks in the NFS program so concurrent
-        fleet clients serialize correctly.  Both knobs are no-ops for
-        single-client runs (uncontended acquisitions cost zero virtual
-        time), so the eight golden setups are unaffected.
+        Every kernel NFS server dispatches through the
+        :class:`~repro.rpc.server.RpcServer` worker pool and takes
+        per-fileid reader/writer locks, whether one client mounts it or
+        a fleet does.
 
         ``server_cores=N`` gives the server host a deterministic
         N-core CPU (:class:`repro.sim.cpu.CPU`): independent sessions'
@@ -163,10 +156,10 @@ class Testbed:
             read_bandwidth=cal.server_disk_read_bw,
             write_bandwidth=cal.server_disk_write_bw,
         )
-        nfs_program = NfsServerProgram(sim, fs, server_disk, locking=vfs_locking)
+        nfs_program = NfsServerProgram(sim, fs, server_disk)
         nfs_rpc_server = RpcServer(
             sim, cpu=server.cpu, cost=cal.kernel_server_cost, account="kernel-nfs",
-            name="nfsd", workers=server_workers,
+            name="nfsd",
         )
         nfs_rpc_server.register(nfs_program)
         from repro.nfs.v4 import NfsV4ServerProgram
@@ -204,11 +197,10 @@ class Testbed:
                 read_bandwidth=cal.server_disk_read_bw,
                 write_bandwidth=cal.server_disk_write_bw,
             )
-            bprog = NfsServerProgram(sim, bfs, bdisk, locking=vfs_locking)
+            bprog = NfsServerProgram(sim, bfs, bdisk)
             brpc = RpcServer(
                 sim, cpu=bhost.cpu, cost=cal.kernel_server_cost,
                 account="kernel-nfs", name=f"nfsd-{bname}",
-                workers=server_workers,
             )
             brpc.register(bprog)
             blistener = bhost.listen(NFS_PORT)

@@ -122,19 +122,12 @@ class FastXorState(CipherStateBase):
 
 @dataclass(frozen=True)
 class CipherSpec:
-    """Names a bulk cipher and its cost/keying parameters.
-
-    ``setup_cycles`` is the fixed per-record cost of starting one seal
-    or open with this cipher (IV handling, padding, block pipeline
-    warm-up) — amortized away when records are coalesced into one
-    batched seal; see :func:`repro.rpc.costs.batched_seal_cycles`.
-    """
+    """Names a bulk cipher and its cost/keying parameters."""
 
     name: str
     key_len: int
     iv_len: int
     cycles_per_byte: float
-    setup_cycles: float = 0.0
 
     def new_state(self, key: bytes, iv: bytes, fast: bool) -> CipherStateBase:
         if len(key) != self.key_len:
@@ -152,13 +145,10 @@ class CipherSpec:
 
 @dataclass(frozen=True)
 class MacSpec:
-    #: ``setup_cycles``: per-record HMAC overhead (ipad/opad compression
-    #: rounds + finalization) independent of payload length.
     name: str
     key_len: int
     digest_len: int
     cycles_per_byte: float
-    setup_cycles: float = 0.0
 
     def compute(self, key: bytes, message: bytes) -> bytes:
         if self.name == "none":
@@ -167,17 +157,13 @@ class MacSpec:
         return hmac_digest(key, message, algo)
 
 
-# Per-record setup costs are 2007-class software numbers: HMAC pays two
-# extra compression-function rounds (~64 bytes each) plus buffer
-# handling; CBC pays IV chaining and padding; RC4 keeps its stream
-# running between records and pays almost nothing.
-NULL_CIPHER = CipherSpec("null", 0, 0, 0.0, setup_cycles=0.0)
-RC4_128 = CipherSpec("rc4-128", 16, 0, 7.0, setup_cycles=120.0)
-AES_256_CBC = CipherSpec("aes-256-cbc", 32, 16, 46.0, setup_cycles=320.0)
+NULL_CIPHER = CipherSpec("null", 0, 0, 0.0)
+RC4_128 = CipherSpec("rc4-128", 16, 0, 7.0)
+AES_256_CBC = CipherSpec("aes-256-cbc", 32, 16, 46.0)
 
-NO_MAC = MacSpec("none", 0, 0, 0.0, setup_cycles=0.0)
-HMAC_SHA1 = MacSpec("hmac-sha1", 20, 20, 8.0, setup_cycles=1800.0)
-HMAC_SHA256 = MacSpec("hmac-sha256", 32, 32, 14.0, setup_cycles=2400.0)
+NO_MAC = MacSpec("none", 0, 0, 0.0)
+HMAC_SHA1 = MacSpec("hmac-sha1", 20, 20, 8.0)
+HMAC_SHA256 = MacSpec("hmac-sha256", 32, 32, 14.0)
 
 
 @dataclass(frozen=True)
@@ -191,12 +177,6 @@ class CipherSuite:
     @property
     def cycles_per_byte(self) -> float:
         return self.cipher.cycles_per_byte + self.mac.cycles_per_byte
-
-    @property
-    def record_setup_cycles(self) -> float:
-        """Fixed cycles to start one record's seal/open (MAC + cipher
-        setup) — the term batched sealing amortizes across a batch."""
-        return self.cipher.setup_cycles + self.mac.setup_cycles
 
     @property
     def key_material_len(self) -> int:

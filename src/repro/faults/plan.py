@@ -17,8 +17,8 @@ Determinism rules:
 - link **flaps** are pure virtual-time window checks (no entropy);
 - **crash/restart** events fire at fixed virtual times via the plan's
   scheduler;
-- corruption bytes and delay jitter come from independently forked
-  streams so enabling one fault class never shifts another's sequence.
+- a corrupted segment fails its checksum and is discarded — the same
+  outcome as a drop, with no entropy of its own.
 
 Loopback traffic (single-node paths) is exempt: faults model the WAN,
 not the host's own kernel.
@@ -104,7 +104,6 @@ class FaultPlan:
         self.spec = spec
         root = Drbg(seed) if not isinstance(seed, Drbg) else seed
         self._rng = root.fork("packets")
-        self._corrupt_rng = root.fork("corrupt")
         self._flaps = spec.all_flaps()
         self._net = None
         self.stats: Dict[str, int] = {
@@ -201,16 +200,6 @@ class FaultPlan:
 
     def note_retransmit(self) -> None:
         self._count("retransmits")
-
-    def corrupt_payload(self, payload: bytes) -> bytes:
-        """Flip one byte at a deterministic position."""
-        if not payload:
-            return payload
-        pos = self._corrupt_rng.randrange(0, len(payload))
-        flip = self._corrupt_rng.randrange(1, 256)
-        out = bytearray(payload)
-        out[pos] ^= flip
-        return bytes(out)
 
     # -- accounting ------------------------------------------------------
 

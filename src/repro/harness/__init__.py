@@ -18,7 +18,6 @@ from repro.harness.runner import (
     run_seismic,
 )
 from repro.harness.tables import format_table, format_series, speedup
-from repro.harness.trace import RpcTracer, TraceSummary
 
 __all__ = [
     "ExperimentResult",
@@ -34,6 +33,4 @@ __all__ = [
     "format_table",
     "format_series",
     "speedup",
-    "RpcTracer",
-    "TraceSummary",
 ]

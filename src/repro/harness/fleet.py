@@ -6,9 +6,8 @@ per-user secured sessions.  :func:`run_fleet` builds that scenario on a
 single deterministic simulation:
 
 - one server (kernel NFS + one shared server-side proxy for the proxied
-  setups), running the worker-pool RPC discipline
-  (:class:`repro.rpc.server.RpcServer` with ``workers=N``) and
-  per-fileid reader/writer locking in the NFS program;
+  setups) — the same :class:`~repro.core.topology.Testbed` server every
+  single-client run builds;
 - N client *hosts* (``c0`` … ``cN-1``), each with its own kernel-like
   NFS client, client proxy, TLS session, proxy cache, and DRBG stream
   — per-client certificates are issued by one CA and mapped through the
@@ -215,12 +214,10 @@ def run_fleet(
     profile: bool = False,
     faults=None,
     fault_seed: str = "faults",
-    server_workers: Optional[int] = 8,
     session_seed: str = "fleet",
     server_cores: int = 1,
     session_tickets: bool = False,
     reconnect_interval: Optional[float] = None,
-    batch_records: int = 1,
     servers: int = 1,
     replicas: int = 1,
     grid_block_size: int = DEFAULT_BLOCK_SIZE,
@@ -240,8 +237,7 @@ def run_fleet(
     ``workload_factory`` builds one workload per client; it may take
     zero arguments or the client index (for per-client workload mixes).
     ``stagger`` spaces client starts that many virtual seconds apart
-    (0 = synchronized start).  ``server_workers`` sizes the server-side
-    RPC worker pool (``None`` = legacy spawn-per-call dispatch).
+    (0 = synchronized start).
 
     Returns a :class:`FleetResult`; all reported times are virtual
     seconds.  Two calls with identical arguments produce bit-identical
@@ -257,9 +253,7 @@ def run_fleet(
     each secure session's record crypto pinned to one of them;
     ``session_tickets=True`` turns on TLS session resumption between the
     proxies; ``reconnect_interval=T`` makes every client cycle its
-    upstream session every T virtual seconds (exercising resumption);
-    ``batch_records=K`` coalesces up to K outbound server-proxy records
-    into one amortized sealing operation.
+    upstream session every T virtual seconds (exercising resumption).
 
     ``servers=N`` (with N > 1) shards the data plane: N backend NFS
     servers each behind their own server-side proxy, one metadata
@@ -321,8 +315,7 @@ def run_fleet(
         telemetry = tracing = True
     tb = Testbed.build(
         rtt=rtt, cal=cal, telemetry=telemetry, tracing=tracing,
-        server_workers=server_workers, vfs_locking=True, profile=profile,
-        server_cores=server_cores, servers=servers,
+        profile=profile, server_cores=server_cores, servers=servers,
     )
     sim = tb.sim
     proxied = setup not in ("nfs-v3", "nfs-v4")
@@ -370,7 +363,6 @@ def run_fleet(
                 host_id, [ca.certificate], suite, fast_ciphers=True,
                 rng=rng.fork("server-tls"),
                 session_tickets=session_tickets,
-                batch_records=batch_records,
             )
             for i in range(clients):
                 dn = _client_dn(i)
@@ -421,7 +413,6 @@ def run_fleet(
                     host_id, [ca.certificate], suite, fast_ciphers=True,
                     rng=rng.fork(f"server-tls-s{b}"),
                     session_tickets=session_tickets,
-                    batch_records=batch_records,
                 )
             bproxy = SgfsServerProxy(
                 sim, backend.host, SERVER_PROXY_PORT, NFS_PORT,

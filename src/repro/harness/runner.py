@@ -42,8 +42,7 @@ class ExperimentResult:
     writeback_bytes: int = 0
     client_cpu: Dict[str, List[Tuple[float, float]]] = field(default_factory=dict)
     server_cpu: Dict[str, List[Tuple[float, float]]] = field(default_factory=dict)
-    #: registry snapshot (component -> metric -> value) plus the legacy
-    #: "nfs_client" / "client_proxy" / "server_proxy" aliases
+    #: registry snapshot (component -> metric -> value)
     stats: Dict[str, object] = field(default_factory=dict)
     #: the testbed's span tracer when the run was traced (tracing=True)
     tracer: Optional[object] = None
@@ -185,24 +184,9 @@ def run_workload(
             result.client_cpu[account] = cl
         if any(pct for _t, pct in sv):
             result.server_cpu[account] = sv
-    # The registry snapshot is the canonical stats export; the legacy
-    # top-level aliases stay for callers that predate repro.obs.
     result.stats.update(tb.obs.snapshot())
     if plan is not None:
         result.stats["faults"] = dict(plan.stats)
-    result.stats["nfs_client"] = mount.client.cache_stats()
-    if mount.client_proxy is not None and hasattr(mount.client_proxy, "stats"):
-        cp_stats = mount.client_proxy.stats
-        if isinstance(cp_stats, dict):
-            result.stats["client_proxy"] = dict(cp_stats)
-    if mount.server_proxy is not None:
-        sp_stats = getattr(mount.server_proxy, "stats", None)
-        if hasattr(sp_stats, "granted"):
-            result.stats["server_proxy"] = {
-                "granted": sp_stats.granted,
-                "denied": sp_stats.denied,
-                "acl_answers": sp_stats.acl_answers,
-            }
     if tracing:
         result.tracer = tb.tracer
     if profile:

@@ -19,7 +19,6 @@ from repro.net.network import Network, Link
 from repro.net.host import Host
 from repro.net.router import DelayRouter
 from repro.net.socket import SimSocket, Listener
-from repro.net.datagram import DatagramEndpoint, DropPolicy, bind_datagram
 
 __all__ = [
     "NetError",
@@ -31,7 +30,4 @@ __all__ = [
     "DelayRouter",
     "SimSocket",
     "Listener",
-    "DatagramEndpoint",
-    "DropPolicy",
-    "bind_datagram",
 ]

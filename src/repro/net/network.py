@@ -45,10 +45,6 @@ from repro.net.errors import NetError, NoRoute
 LOOPBACK_LATENCY = 15e-6
 
 
-def _bind_payload(on_payload, payload) -> Callable[[], None]:
-    return lambda: on_payload(payload)
-
-
 class Link:
     """A duplex point-to-point link.
 
@@ -201,10 +197,8 @@ class Network:
         src: str,
         dst: str,
         nbytes: int,
-        on_arrival: Optional[Callable[[], None]] = None,
+        on_arrival: Callable[[], None],
         kind: str = "ctrl",
-        payload: Optional[bytes] = None,
-        on_payload: Optional[Callable] = None,
     ) -> None:
         """Carry a segment of ``nbytes`` from src to dst; call ``on_arrival``.
 
@@ -217,66 +211,49 @@ class Network:
         ``kind`` classifies the packet for fault injection: ``"stream"``
         segments belong to a reliable transport (loss is recovered by RTO
         redelivery, duplicates deduplicated by sequence number at the
-        socket), ``"dgram"`` packets are genuinely lossy, and ``"ctrl"``
-        packets (SYN/FIN-ack-class handshake closures) are retransmitted
-        on loss but never duplicated — their closures fire exactly once.
-
-        Datagram senders pass ``payload``/``on_payload`` instead of a
-        baked closure so an injected corruption can rewrite the bytes;
-        ``on_payload(payload)`` runs at arrival.
+        socket) and ``"ctrl"`` packets (SYN/FIN-ack-class handshake
+        closures) are retransmitted on loss but never duplicated — their
+        closures fire exactly once.
         """
         path = self.route(src, dst)
         plan = self.fault_plan
         if plan is not None and len(path) > 1:
-            self._deliver_faulted(path, nbytes, on_arrival, kind,
-                                  payload, on_payload, 0)
+            self._deliver_faulted(path, nbytes, on_arrival, kind, 0)
             return
-        if on_arrival is None:
-            on_arrival = _bind_payload(on_payload, payload)
         self.sim._schedule_now(_Delivery(self, path, nbytes, on_arrival))
 
-    def _launch(self, path, nbytes, on_arrival, payload, on_payload) -> None:
-        if on_arrival is None:
-            on_arrival = _bind_payload(on_payload, payload)
+    def _launch(self, path, nbytes, on_arrival) -> None:
         self.sim._schedule_now(_Delivery(self, path, nbytes, on_arrival))
 
-    def _deliver_faulted(
-        self, path, nbytes, on_arrival, kind, payload, on_payload, attempt
-    ) -> None:
+    def _deliver_faulted(self, path, nbytes, on_arrival, kind, attempt) -> None:
         """Consult the fault plan for one packet and act on the verdict."""
         plan = self.fault_plan
         if plan is None:  # uninstalled while a redelivery was pending
-            self._launch(path, nbytes, on_arrival, payload, on_payload)
+            self._launch(path, nbytes, on_arrival)
             return
         verdict, extra = plan.verdict(path, nbytes, kind)
-        if verdict == "drop" or (verdict == "corrupt" and kind != "dgram"):
-            # A corrupted reliable-transport segment fails its checksum
-            # and is discarded — same outcome as a drop.  The sender's
-            # modeled RTO redelivers it; datagrams are simply lost.
-            if kind == "dgram":
-                return
+        if verdict in ("drop", "corrupt"):
+            # A corrupted segment fails its checksum and is discarded —
+            # same outcome as a drop.  The sender's modeled RTO
+            # redelivers it.
             plan.note_retransmit()
             delay = plan.rto(attempt)
             self.sim.call_later(
                 delay,
                 lambda: self._deliver_faulted(
-                    path, nbytes, on_arrival, kind, payload, on_payload,
-                    attempt + 1,
+                    path, nbytes, on_arrival, kind, attempt + 1
                 ),
             )
             return
-        if verdict == "corrupt":  # dgram: deliver with flipped bits
-            payload = plan.corrupt_payload(payload)
-        elif verdict == "duplicate" and kind != "ctrl":
-            # Extra copy; receivers dedup by seq (stream) or DRC (dgram).
-            self._launch(path, nbytes, on_arrival, payload, on_payload)
+        if verdict == "duplicate" and kind != "ctrl":
+            # Extra copy; the receiving socket dedups by sequence number.
+            self._launch(path, nbytes, on_arrival)
         elif verdict == "delay":
             self.sim.call_later(
-                extra,
-                lambda: self._launch(path, nbytes, on_arrival, payload, on_payload),
+                extra, lambda: self._launch(path, nbytes, on_arrival)
             )
             return
-        self._launch(path, nbytes, on_arrival, payload, on_payload)
+        self._launch(path, nbytes, on_arrival)
 
     def _carry_rest(self, d: "_Delivery", acquire_ev):
         """Generator fallback: finish a delivery whose hop ``d.i`` found

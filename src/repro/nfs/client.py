@@ -119,11 +119,6 @@ class NfsClient:
         self.retransmissions = 0
         self.obs = sim.obs
         self.tracer = sim.tracer
-        #: per-operation listeners, called as fn(proc_name, start, latency,
-        #: args_bytes, result_bytes) after every successful RPC.  Living on
-        #: the client (not the RpcClient) they survive reconnects, which
-        #: replace ``self.rpc`` wholesale.  RpcTracer rides this hook.
-        self.rpc_listeners: List = []
         self.root_fh = root_fh
         self.cred = cred
         self.block_size = block_size
@@ -207,12 +202,10 @@ class NfsClient:
                     # call on the dead client fails fast and we retry
                     # within the same attempt budget.
                     continue
-        if self.obs.enabled or self.rpc_listeners:
-            latency = self.sim.now - start
-            if self.obs.enabled:
-                self.obs.histogram("nfs.client", "latency", proc=name).observe(latency)
-            for listener in self.rpc_listeners:
-                listener(name, start, latency, len(args), len(res))
+        if self.obs.enabled:
+            self.obs.histogram("nfs.client", "latency", proc=name).observe(
+                self.sim.now - start
+            )
         return res
 
     def _remember(self, fh: FileHandle, attr: Optional[Fattr3]) -> None:

@@ -46,30 +46,24 @@ class NfsServerProgram(RpcProgram):
         fs: VirtualFS,
         disk: Optional[DiskModel] = None,
         write_verf: bytes = b"reprosrv",
-        locking: bool = False,
     ):
-        """``locking=True`` turns on per-fileid reader/writer locking:
-        reads take a shared hold, mutations an exclusive one, so
-        concurrent fleet clients hitting the same inode serialize in
-        deterministic FIFO order.  The default (``False``) preserves the
-        single-client fast path — no locks are even allocated — and an
-        *uncontended* acquisition costs zero virtual time either way
-        (see :class:`repro.sim.sync.RwLock`), so single-client runs are
-        bit-identical with locking on or off."""
+        """Per-fileid reader/writer locking: reads take a shared hold,
+        mutations an exclusive one, so concurrent clients hitting the
+        same inode serialize in deterministic FIFO order.  An
+        *uncontended* acquisition costs zero virtual time and schedules
+        no event (see :class:`repro.sim.sync.RwLock`)."""
         self.sim = sim
         self.fs = fs
         self.disk = disk
         self.write_verf = write_verf
-        self.locking = locking
         self.ops = {p: 0 for p in Proc}
         #: fileids with uncommitted (UNSTABLE) data awaiting COMMIT.
         self._dirty: dict[int, int] = {}
         #: fileids whose data is resident in the page cache.
         self._resident: set[int] = set()
-        #: per-fileid reader/writer locks (allocated lazily, locking mode)
+        #: per-fileid reader/writer locks (allocated lazily)
         self._locks: Dict[int, RwLock] = {}
-        if locking:
-            self._c_lock_waits = sim.obs.counter("nfs.server", "lock_waits")
+        self._c_lock_waits = sim.obs.counter("nfs.server", "lock_waits")
 
     # -- helpers -----------------------------------------------------------
 
@@ -116,12 +110,10 @@ class NfsServerProgram(RpcProgram):
 
     def _acquire(self, fileid: int, write: bool):
         """Take the per-fileid lock (shared or exclusive); returns the
-        lock held, or ``None`` when locking is off.  Uncontended
-        acquisitions use the synchronous fast path (zero virtual time);
-        contended ones queue FIFO and report their wait through
-        ``nfs.server/lock_waits`` and the ``lock_wait`` histogram."""
-        if not self.locking:
-            return None
+        lock held.  Uncontended acquisitions use the synchronous fast
+        path (zero virtual time); contended ones queue FIFO and report
+        their wait through ``nfs.server/lock_waits`` and the
+        ``lock_wait`` histogram."""
         lock = self._locks.get(fileid)
         if lock is None:
             lock = self._locks[fileid] = RwLock(self.sim, name=f"ino{fileid}")

@@ -365,13 +365,7 @@ class SgfsServerProxy:
         yield from self._send_reply(transport, encoded)
 
     def _send_reply(self, transport, encoded: bytes):
-        """Outbound path: batched channels queue the record for the
-        coalescing sealer (which charges the amortized seal cost and
-        frees this process immediately); otherwise charge the per-record
-        seal here and send synchronously, as always."""
-        if getattr(transport, "batched", False):
-            transport.queue_record(encoded)
-            return
+        """Outbound path: charge the per-record seal, then send."""
         if hasattr(transport, "charge"):
             yield from transport.charge(len(encoded))
         try:

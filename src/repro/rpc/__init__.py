@@ -25,7 +25,6 @@ from repro.rpc.auth import OpaqueAuth, AuthSys, AUTH_NONE, AUTH_SYS
 from repro.rpc.messages import CallMessage, ReplyMessage, MSG_ACCEPTED, MSG_DENIED, SUCCESS
 from repro.rpc.client import RpcClient
 from repro.rpc.server import RpcServer, RpcProgram
-from repro.rpc.udp import UdpRpcClient, UdpRpcServer
 
 __all__ = [
     "RpcError",
@@ -49,6 +48,4 @@ __all__ = [
     "RpcClient",
     "RpcServer",
     "RpcProgram",
-    "UdpRpcClient",
-    "UdpRpcServer",
 ]

@@ -62,19 +62,3 @@ def charge_profile(sim, cpu, profile: CostProfile, nbytes: int, account: str,
     if c > 0 and cpu is not None:
         yield from cpu.consume(c, account, affinity=affinity)
 
-
-def batched_seal_cycles(suite, nbytes: int, nrecords: int) -> float:
-    """Cycles to seal ``nrecords`` coalesced into one batch.
-
-    The per-byte bulk work is irreducible, but the fixed per-record
-    setup (MAC ipad/opad rounds, cipher IV/padding handling — the
-    suite's ``record_setup_cycles``) is paid **once per batch** instead
-    of once per record.  The unbatched legacy path charges no explicit
-    setup — its per-record overhead is folded into the calibrated
-    per-message proxy cost — so this model only applies when a channel
-    runs with ``batch_records > 1``, keeping historic schedules
-    byte-identical.
-    """
-    if nrecords < 1:
-        return 0.0
-    return suite.cycles_per_byte * nbytes + suite.record_setup_cycles

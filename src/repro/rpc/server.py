@@ -2,22 +2,19 @@
 
 Accepts transports (plain sockets, TLS channels, SSH-tunnel exits — the
 acceptor is pluggable), reads CALL records, dispatches to registered
-programs, and writes replies.  Two dispatch disciplines:
+programs, and writes replies.
 
-- **spawn-per-call** (default, ``workers=None``): each call is served in
-  its own process so multiple outstanding requests from a pipelining
-  client genuinely overlap, bounded by a per-server concurrency cap
-  (the analog of the number of nfsd threads);
-- **worker pool** (``workers=N``): every connection (session) gets its
-  own FIFO request queue and a fixed pool of N worker processes drains
-  the queues round-robin across sessions — the service model of a real
-  multi-client nfsd, where fleet clients contend for a finite thread
-  pool and queueing becomes visible.  Queue depth and queue wait are
-  exported through :mod:`repro.obs` (``rpc.server/queue_depth``,
-  ``queue_wait``).
+Dispatch is a worker pool: every connection (session) gets its own FIFO
+request queue and a fixed pool of :data:`WORKERS` worker processes
+drains the queues round-robin across sessions — the service model of a
+real nfsd, where clients contend for a finite thread pool and queueing
+becomes visible.  Up to :data:`WORKERS` outstanding requests of a
+pipelining client genuinely overlap.  Queue depth and queue wait are
+exported through :mod:`repro.obs` (``rpc.server/queue_depth``,
+``queue_wait``).
 
-Both disciplines are deterministic: queues are strictly FIFO, the
-round-robin order is the session-arrival order, and all state lives in
+Dispatch is deterministic: queues are strictly FIFO, the round-robin
+order is the session-arrival order, and all state lives in
 insertion-ordered containers.
 """
 
@@ -44,7 +41,10 @@ from repro.rpc.messages import (
 from repro.rpc.transport import Transport
 from repro.sim.core import Simulator
 from repro.sim.cpu import CPU
-from repro.sim.sync import Channel, Semaphore
+from repro.sim.sync import Channel
+
+#: Size of every server's worker pool (the nfsd thread count).
+WORKERS = 8
 
 
 class RpcProgram:
@@ -87,7 +87,13 @@ class ProcUnavailable(RpcError):
 
 
 class RpcServer:
-    """Dispatches calls arriving on accepted transports."""
+    """Dispatches calls arriving on accepted transports.
+
+    Incoming calls queue per session (per accepted transport) and
+    :data:`WORKERS` worker processes drain the session queues
+    round-robin — one request from the session at the head of the
+    rotation, which then moves to the back.
+    """
 
     def __init__(
         self,
@@ -95,21 +101,9 @@ class RpcServer:
         cpu: Optional[CPU] = None,
         cost: EndpointCost = FREE,
         account: str = "rpc-server",
-        max_inflight: int = 64,
         name: str = "rpc-server",
         drc: Optional[DuplicateRequestCache] = None,
-        workers: Optional[int] = None,
     ):
-        """``workers=None`` (default) serves each call in its own
-        process, capped at ``max_inflight`` concurrent calls.
-
-        ``workers=N`` switches to the worker-pool discipline: incoming
-        calls queue per session (per accepted transport) and N worker
-        processes drain the session queues round-robin — one request
-        from the session at the head of the rotation, which then moves
-        to the back.  ``max_inflight`` is ignored in this mode (the pool
-        size is the concurrency cap).
-        """
         self.sim = sim
         self.cpu = cpu
         self.cost = cost
@@ -123,11 +117,8 @@ class RpcServer:
         self._c_bytes_out = self.obs.counter("rpc.server", "bytes_out", server=name)
         self._programs: Dict[Tuple[int, int], RpcProgram] = {}
         self._versions: Dict[int, Tuple[int, int]] = {}
-        self._inflight = Semaphore(sim, max_inflight, name=f"{name}.inflight")
         self.drc = drc if drc is not None else DuplicateRequestCache(sim, name=name)
         self._transports: list = []
-        # -- worker-pool state (workers=N mode only) -----------------------
-        self.workers = workers
         #: per-session FIFO of (record, enqueued_at); insertion-ordered
         self._session_q: Dict[Transport, Deque[Tuple[bytes, float]]] = {}
         #: round-robin rotation of sessions with pending requests
@@ -194,12 +185,7 @@ class RpcServer:
                     return
                 if record is None:
                     return
-                if self.workers is None:
-                    self.sim.spawn(
-                        self._serve_call(transport, record), name=f"{self.name}.call"
-                    )
-                else:
-                    self._enqueue(transport, record)
+                self._enqueue(transport, record)
         finally:
             if transport in self._transports:
                 self._transports.remove(transport)
@@ -209,12 +195,12 @@ class RpcServer:
             if q is not None and not q:
                 del self._session_q[transport]
 
-    # -- worker-pool discipline --------------------------------------------
+    # -- worker pool ---------------------------------------------------------
 
     def _enqueue(self, transport: Transport, record: bytes) -> None:
         """Queue one request on its session and post a work token."""
         if not self._workers_started:
-            for i in range(self.workers):
+            for i in range(WORKERS):
                 self.sim.spawn(self._worker(), name=f"{self.name}.worker{i}")
             self._workers_started = True
         q = self._session_q.get(transport)
@@ -260,13 +246,6 @@ class RpcServer:
             yield from self._handle_record(transport, record)
 
     # -- per-call ----------------------------------------------------------
-
-    def _serve_call(self, transport: Transport, record: bytes):
-        yield self._inflight.acquire()
-        try:
-            yield from self._handle_record(transport, record)
-        finally:
-            self._inflight.release()
 
     def _handle_record(self, transport: Transport, record: bytes):
         if self.obs.enabled:

@@ -11,10 +11,10 @@ records the busy interval under the given account name in a
 The ledger can then answer "what fraction of the window [t, t+5) was
 spent in account 'proxy'?" — exactly the series the paper plots.
 
-Multi-core (``CPU(cores=N)``): the paper's testbed is 1-vCPU VMs, so
-``cores=1`` is the default and reproduces the single-semaphore schedule
-bit-for-bit.  With ``cores=N`` the CPU becomes a deterministic run
-queue served by N cores:
+The CPU is a deterministic run queue served by ``cores`` cores.  The
+paper's testbed is 1-vCPU VMs, so ``cores=1`` is the default; there the
+rules below reduce to one strict-arrival-order FIFO (every waiter, pinned
+or not, contends for core 0):
 
 - un-pinned work takes the lowest-numbered idle core, or joins a global
   FIFO when all cores are busy;
@@ -38,7 +38,7 @@ from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.sim.core import Event, SimError, Simulator
-from repro.sim.sync import Semaphore, lock_group
+from repro.sim.sync import lock_group
 
 
 class CpuLedger:
@@ -203,9 +203,7 @@ class CPU:
     calibration layer expresses different machine classes without
     touching call sites.
 
-    ``cores=1`` (the default) keeps the original single-semaphore
-    discipline and is bit-identical to the historic schedules; see the
-    module docstring for the multi-core dispatch rules.
+    See the module docstring for the dispatch rules.
     """
 
     def __init__(self, sim: Simulator, name: str = "cpu", speed: float = 1.0,
@@ -221,42 +219,30 @@ class CPU:
         self.ledger = CpuLedger()
         #: queued acquisitions (contention indicator, mirrors Semaphore)
         self.wait_count = 0
-        if cores == 1:
-            self._core = Semaphore(sim, capacity=1, name=f"{name}.core")
-        else:
-            self._acq_name = f"acq:{name}.core"
-            self._busy = [False] * cores
-            #: global FIFO of un-pinned waiters: (event, enqueued_at, seq)
-            self._run_queue: Deque[Tuple[Event, float, int]] = deque()
-            #: per-core FIFO lanes for affinity-pinned waiters
-            self._lanes: List[Deque[Tuple[Event, float, int]]] = [
-                deque() for _ in range(cores)
-            ]
-            #: arrival ticket; with nondecreasing enqueue times this
-            #: totally orders waiters by (ready-time, seq)
-            self._ticket = itertools.count()
-            self._h_wait = None  # sync/sem_wait histogram, resolved lazily
+        self._acq_name = f"acq:{name}.core"
+        self._busy = [False] * cores
+        #: global FIFO of un-pinned waiters: (event, enqueued_at, seq)
+        self._run_queue: Deque[Tuple[Event, float, int]] = deque()
+        #: per-core FIFO lanes for affinity-pinned waiters
+        self._lanes: List[Deque[Tuple[Event, float, int]]] = [
+            deque() for _ in range(cores)
+        ]
+        #: arrival ticket; with nondecreasing enqueue times this
+        #: totally orders waiters by (ready-time, seq)
+        self._ticket = itertools.count()
+        self._h_wait = None  # sync/sem_wait histogram, resolved lazily
 
     def consume(self, seconds: float, account: str = "other",
                 affinity: Optional[int] = None):
         """Generator: occupy a core for ``seconds / speed`` virtual time.
 
-        ``affinity`` pins the work to core ``affinity % cores`` (multi-
-        core CPUs only; ignored on a single core), so a session's cipher
-        stream stays on one core while other sessions' work overlaps.
+        ``affinity`` pins the work to core ``affinity % cores``, so a
+        session's cipher stream stays on one core while other sessions'
+        work overlaps.
         """
         if seconds < 0:
             raise SimError(f"negative CPU time: {seconds}")
         scaled = seconds / self.speed
-        if self.cores == 1:
-            yield self._core.acquire()
-            start = self.sim.now
-            try:
-                yield self.sim.timeout(scaled)
-                self.ledger.record(account, start, self.sim.now)
-            finally:
-                self._core.release()
-            return
         core = yield self._acquire(affinity)
         start = self.sim.now
         try:
@@ -265,7 +251,7 @@ class CPU:
         finally:
             self._release(core)
 
-    # -- multi-core dispatch ------------------------------------------------
+    # -- dispatch -----------------------------------------------------------
 
     def _acquire(self, affinity: Optional[int]) -> Event:
         """An event that fires with the granted core's index."""
@@ -278,16 +264,13 @@ class CPU:
             else:
                 self._note_wait()
                 self._lanes[core].append((ev, self.sim.now, next(self._ticket)))
+        elif False in self._busy:
+            core = self._busy.index(False)  # lowest-numbered idle core
+            self._busy[core] = True
+            ev.succeed(core)
         else:
-            core = next(
-                (i for i in range(self.cores) if not self._busy[i]), None
-            )
-            if core is not None:
-                self._busy[core] = True
-                ev.succeed(core)
-            else:
-                self._note_wait()
-                self._run_queue.append((ev, self.sim.now, next(self._ticket)))
+            self._note_wait()
+            self._run_queue.append((ev, self.sim.now, next(self._ticket)))
         return ev
 
     def _release(self, core: int) -> None:

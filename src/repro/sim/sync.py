@@ -6,8 +6,8 @@ These are the building blocks the network and RPC layers are made of:
   the basic mailbox between simulated processes.
 - :class:`Store` — a bounded buffer with blocking ``put`` and ``get``
   (used to model bounded socket buffers / flow control).
-- :class:`Semaphore` — counted resource with FIFO queuing (CPU cores,
-  connection limits, request-concurrency caps).
+- :class:`Semaphore` — counted resource with FIFO queuing (link
+  directions, disk spindles, the NFS client's async-I/O slots).
 - :class:`RwLock` — shared/exclusive lock with strict arrival-order
   queuing (the NFS server's per-inode serialization under concurrent
   multi-client fleets).
@@ -249,7 +249,7 @@ class RwLock:
     The ``try_acquire_*`` fast paths take the lock synchronously when it
     is free, with no event round trip, so an uncontended critical
     section costs **zero virtual time** and schedules no extra events —
-    single-client runs are bit-identical with or without locking.
+    a single client pays nothing for the NFS server's per-fileid locks.
 
     Usage inside a process::
 

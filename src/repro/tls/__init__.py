@@ -15,7 +15,6 @@ exactly the drop-in property of the paper's ``clnt_tli_ssl_create``.
 """
 
 from repro.tls.config import SecurityConfig
-from repro.tls.dtls import DatagramProtector, DtlsError, protector_pair
 from repro.tls.channel import (
     SecureChannel,
     SessionTicketCache,
@@ -35,7 +34,4 @@ __all__ = [
     "IntegrityError",
     "client_handshake",
     "server_handshake",
-    "DatagramProtector",
-    "DtlsError",
-    "protector_pair",
 ]

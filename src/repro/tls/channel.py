@@ -39,12 +39,10 @@ from repro.crypto.suites import derive_key_block
 from repro.gsi.certs import Certificate, ValidationError, validate_chain
 from repro.gsi.names import DistinguishedName
 from repro.net.socket import SimSocket
-from repro.rpc.costs import batched_seal_cycles
 from repro.rpc.record import RecordReader, RecordWriter
 from repro.rpc.transport import Transport
 from repro.sim.core import Simulator
 from repro.sim.cpu import CPU
-from repro.sim.sync import Channel, ChannelClosed
 from repro.tls.config import SecurityConfig
 from repro.xdr import Packer, Unpacker
 
@@ -246,8 +244,6 @@ class SecureChannel(Transport):
         self._writer = RecordWriter(sock)
         self._reader = RecordReader()
         self._eof = False
-        self._out_queue: Optional[Channel] = None
-        self._sealer_proc = None
         self.renegotiations = 0
         self.bytes_protected = 0
         self.obs = sim.obs
@@ -339,63 +335,6 @@ class SecureChannel(Transport):
             self._c_bytes_sealed.inc(len(record))
         self._writer.write(self._protect(DATA, record))
 
-    # -- batched sealing -----------------------------------------------------
-
-    @property
-    def batched(self) -> bool:
-        """True when outbound records go through the batch sealer."""
-        return self.config.batch_records > 1
-
-    def queue_record(self, record: bytes) -> None:
-        """Hand one application record to the batch sealer (async send).
-
-        The sealer process drains the queue in batches of up to
-        ``config.batch_records`` same-session records, charges one
-        coalesced seal (:func:`repro.rpc.costs.batched_seal_cycles` —
-        per-record setup paid once per batch), then transmits each
-        record.  Wire format is unchanged: every record is still sealed
-        and framed individually, only the *cost* is amortized.  As a
-        side effect the caller no longer blocks on outbound crypto,
-        which pipelines request handling against sealing.
-        """
-        if self._out_queue is None:
-            self._out_queue = Channel(self.sim, name=f"tls-sealq:{self.account}")
-            self._sealer_proc = self.sim.spawn(
-                self._sealer(), name=f"tls-sealer:{self.account}"
-            )
-        self._out_queue.put(record)
-
-    def _sealer(self):
-        q = self._out_queue
-        limit = max(1, self.config.batch_records)
-        suite = self.config.suite
-        while True:
-            try:
-                first = yield q.get()
-            except ChannelClosed:
-                return
-            batch = [first]
-            while len(batch) < limit:
-                ok, item = q.try_get()
-                if not ok:
-                    break
-                batch.append(item)
-            nbytes = sum(len(r) for r in batch)
-            cost = batched_seal_cycles(suite, nbytes, len(batch)) / CPU_HZ
-            if cost > 0:
-                if self.cpu is not None:
-                    account = f"{self.account}/seal:{suite.name}"
-                    yield from self.cpu.consume(cost * CRYPTO_CPU_FRACTION,
-                                                account, affinity=self.affinity)
-                    yield self.sim.timeout(cost * (1.0 - CRYPTO_CPU_FRACTION))
-                else:
-                    yield self.sim.timeout(cost)
-            for rec in batch:
-                try:
-                    self.send_record(rec)
-                except Exception:
-                    return  # peer gone mid-batch; session teardown handles it
-
     def recv_record(self):
         """Process generator: next application record or None on EOF.
 
@@ -439,8 +378,6 @@ class SecureChannel(Transport):
                 self._reader.feed(chunk)
 
     def close(self) -> None:
-        if self._out_queue is not None and not self._out_queue.closed:
-            self._out_queue.close()  # sealer drains what's queued, then exits
         if not self.sock.closed:
             try:
                 self._writer.write(self._protect(CLOSE_NOTIFY, b""))

@@ -39,10 +39,6 @@ class SecurityConfig:
     #: Ticket validity in virtual seconds; expired tickets silently fall
     #: back to a full handshake.
     ticket_lifetime: float = 3600.0
-    #: Coalesce up to this many queued outbound records into one sealing
-    #: operation (amortizing per-record MAC/cipher setup).  ``1`` keeps
-    #: the legacy one-charge-per-record path and historic schedules.
-    batch_records: int = 1
     #: Client-side slot for the most recent (ticket, master, cert);
     #: created lazily on the first full handshake that yields a ticket.
     session_store: Optional[object] = None

@@ -18,7 +18,7 @@ def test_iozone_run_is_bit_identical():
     assert a.total == b.total
     assert a.phases == b.phases
     assert a.client_cpu == b.client_cpu
-    assert a.stats["nfs_client"] == b.stats["nfs_client"]
+    assert a.stats["nfs.cache"] == b.stats["nfs.cache"]
 
 
 def test_postmark_wan_run_is_bit_identical():

@@ -64,7 +64,7 @@ def test_flap_window_drops_everything():
         assert plan.verdict(PATH, 1, "stream")[0] == "pass"
         yield sim.timeout(10.5)  # inside the window
         assert plan.verdict(PATH, 1, "stream")[0] == "drop"
-        assert plan.verdict(PATH, 1, "dgram")[0] == "drop"
+        assert plan.verdict(PATH, 1, "ctrl")[0] == "drop"
         yield sim.timeout(1.0)  # past it
         assert plan.verdict(PATH, 1, "stream")[0] == "pass"
         return True
@@ -80,13 +80,29 @@ def test_periodic_flaps_expand():
     assert [f.start for f in flaps] == [1.0, 5.0, 10.0, 15.0]
 
 
-def test_corrupt_payload_flips_exactly_one_byte():
-    plan = FaultPlan(Simulator(), FaultSpec(corrupt_rate=0.1))
-    payload = bytes(range(256))
-    mangled = plan.corrupt_payload(payload)
-    assert len(mangled) == len(payload)
-    assert sum(1 for x, y in zip(payload, mangled) if x != y) == 1
-    assert plan.corrupt_payload(b"") == b""
+def test_corrupt_segment_is_discarded_and_redelivered_after_rto():
+    from repro.net import Host, Network
+
+    sim = Simulator()
+    net = Network(sim)
+    Host(sim, net, "a")
+    Host(sim, net, "b")
+    net.connect("a", "b", latency=0.001)
+    plan = FaultPlan(sim, FaultSpec(corrupt_rate=0.5, rto_base=0.2)).install(net)
+
+    class _Draws:
+        seq = iter([0.1, 0.9])  # first copy corrupted, the redelivery passes
+
+        def random(self):
+            return next(self.seq)
+
+    plan._rng = _Draws()
+    arrived = []
+    net.deliver("a", "b", 100, lambda: arrived.append(sim.now), kind="stream")
+    sim.run()
+    assert len(arrived) == 1 and arrived[0] > 0.2  # checksum failure == loss
+    assert plan.stats["corrupted"] == 1
+    assert plan.stats["retransmits"] == 1
 
 
 def test_rto_doubles_and_caps():

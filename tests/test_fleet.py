@@ -86,16 +86,7 @@ def test_fleet_rejects_single_session_designs():
         run_fleet("nfs-v3", _iozone, clients=0)
 
 
-def test_fleet_single_client_matches_spawn_per_call_dispatch():
-    """The worker-pool discipline must not change single-session
-    virtual-time results (queueing only matters under contention)."""
-    pooled = run_fleet("nfs-v3", _iozone, clients=1, server_workers=8)
-    legacy = run_fleet("nfs-v3", _iozone, clients=1, server_workers=None)
-    assert pooled.makespan == legacy.makespan
-    assert pooled.per_client[0].phases == legacy.per_client[0].phases
-
-
-# -- multi-core server, session tickets, batched sealing ----------------------
+# -- multi-core server, session tickets ---------------------------------------
 
 
 def test_multicore_fleet_bit_identical():
@@ -177,13 +168,6 @@ def test_server_crash_flushes_tickets():
     # in between.
     assert full > 4
     assert tls[f"resumptions{{role=server,suite={suite}}}"] > 0
-
-
-def test_batched_sealing_bit_identical_and_counted():
-    kw = dict(clients=8, server_cores=2, batch_records=4)
-    a = run_fleet("sgfs-aes", _iozone, **kw)
-    b = run_fleet("sgfs-aes", _iozone, **kw)
-    assert _fingerprint(a) == _fingerprint(b)
 
 
 def test_ticketless_fleet_stats_unchanged():

@@ -18,12 +18,15 @@ were captured from the pre-fast-path tree with
 If one of these fails after a scheduler change, the change altered
 event *ordering*, not just dispatch cost — that is a correctness bug.
 
-Snapshot hashes were last re-captured when the server proxy's versioned
-authz cache added ``authz_cache_{hits,misses,stale}`` to the
-``proxy.server`` collector (before that: when ``writeback_errors``
-joined the client proxy's pre-seeded schema, and when the ``sync``
-component joined the registry).  The ``total`` / ``writeback`` bit
-patterns have never moved — the authz cache consumes no virtual time.
+Snapshot hashes were last re-captured when every run began building the
+fleet's server: the nfsd worker pool's ``rpc.server``
+``queue_depth`` / ``queue_wait`` / ``sessions_queued`` and the NFS
+program's ``nfs.server`` ``lock_waits`` now appear in single-client
+snapshots, and the legacy ``nfs_client`` / ``client_proxy`` /
+``server_proxy`` aliases left ``ExperimentResult.stats`` (before that:
+the server proxy's ``authz_cache_*`` keys, the client proxy's
+``writeback_errors``, the ``sync`` component).  The ``total`` /
+``writeback`` bit patterns have never moved.
 """
 
 from __future__ import annotations
@@ -45,41 +48,41 @@ WAN_RTT = 0.080
 #: label -> (total.hex(), writeback.hex(), snapshot sha256 sans "sim").
 GOLDEN = {
     "lan-gfs": ("0x1.587f0540471d1p-5", "0x0.0p+0",
-                "26999b4f520d5cb51a76893d4aaa4a901bd1509d278e0758a7cd1363cd64a9a9"),
+                "5e21036323bde4e1c541220ee883883518390ef1bdce0dad285021388dc35dd6"),
     "lan-gfs-ssh": ("0x1.ebf6972ae74dap-3", "0x0.0p+0",
-                    "a610becfa66000a66a1b93ca9fbdc6eaf8846dcd60a7667b69ef12caf453e193"),
+                    "8e0fc7f10a880b002294bda9745190cc6ef38195b224bc0372eaed56bcb4cc0b"),
     "lan-nfs-v3": ("0x1.3b3084cf7f7c0p-6", "0x0.0p+0",
-                   "b671a8b011e50414fbcc65ae0f5138f42d460851a224212acea74f9f0815cbdb"),
+                   "8c367006c30b1420dda2204d32b4d79bb2fbea1b064ee0d4bb5e534b9c6493db"),
     "lan-nfs-v4": ("0x1.767a1650648d6p-6", "0x0.0p+0",
-                   "c74200bf791f2ddb5d12e97fdbe10b412b9318df067a63a59087157794a44782"),
+                   "234a3047ec8986b89e9f4a201c5157fba03e66aab2ca3d824e5b3a1b0adce097"),
     "lan-sfs": ("0x1.d0d9137b33b14p-5", "0x0.0p+0",
-                "71bcc5d0d48e402ff37151f9a909fca0b102c3098c7055ca8ec178f5a98862ec"),
+                "bc8d7233a59168a960a3bad463f563686a3901264182efc90ce03bfaf723a0c6"),
     "lan-sgfs": ("0x1.ef9223b1f5828p-5", "0x0.0p+0",
-                 "e012530435c15974f8b4a914b5ce52552f10e1a76c8bd13f2958ded9a81fead8"),
+                 "246162d77da2bbe65e97a90923b6c001d3ea3714ce6cd05aed78c2398f41d1f6"),
     "lan-sgfs-aes": ("0x1.ef9223b1f5828p-5", "0x0.0p+0",
-                     "e012530435c15974f8b4a914b5ce52552f10e1a76c8bd13f2958ded9a81fead8"),
+                     "246162d77da2bbe65e97a90923b6c001d3ea3714ce6cd05aed78c2398f41d1f6"),
     "lan-sgfs-rc": ("0x1.85f7038585342p-5", "0x0.0p+0",
-                    "203a16a575b56bb0cb6d592f2d4de6d3504b95a1ae88421d502eb441265abe98"),
+                    "3ce4d78a137ed4f47a87e92786db5bbb5884ffc3bea287efdd692dae88766ab6"),
     "lan-sgfs-sha": ("0x1.73028e2835f84p-5", "0x0.0p+0",
-                     "6b6cb45e6eead15859d295faa1c1078c13bba85519c644d049db9f1f9e0b8b60"),
+                     "9fc9a3336c708d6f0e93ad467f25eb6e3fbe8d36aaa088f6752965c9094656d4"),
     "wan-gfs": ("0x1.a45d91c39bd36p+0", "0x0.0p+0",
-                "695b3b18fbf0b473aea07b95a924fb7996fb5c3a8147d1718f4ba8f568ed9cfe"),
+                "0bd0dfe4f3e26f16242a255af3d4aac5e1a77d5b0ff6dd3d4f0cdd49a48222ae"),
     "wan-gfs-ssh": ("0x1.000717872956ep+1", "0x0.0p+0",
-                    "dbe3948e111144d7c27c529559b546a8f8c41f70b15f430d884c434b935d452c"),
+                    "12da5adb3797d9f45173f80f4b0fb21be12743c6483a05c92d158090244ed9b3"),
     "wan-nfs-v3": ("0x1.f417d00c6496ap-1", "0x0.0p+0",
-                   "977a1553d7f2fc9099f4956bffce13bd4a2bf1bf877980668b6873b44d1cc8ce"),
+                   "d440dbe9035729a83e171c2eb726e5f4aec00576540e4481969cfd3cabc76eaf"),
     "wan-nfs-v4": ("0x1.f5fde87e88beep-1", "0x0.0p+0",
-                   "c317e19ca35373c40c99baed50aebc8a675cd54e5b15ddb4f453270ec79e3490"),
+                   "a6cbbeef78a808ec8719e81acd397f5b0e80ce3cf5af58891d353ee870d204da"),
     "wan-sfs": ("0x1.044957f80294ap+0", "0x0.0p+0",
-                "49c387cce4992b42a098c697ab7718387774af856221a2cb2353418f18861332"),
+                "ef7e1fb4e7f372322698ddcd296b7ac55b507b9b4081f19ee13ae2e0ab8d86e4"),
     "wan-sgfs": ("0x1.a9162ab729484p+0", "0x0.0p+0",
-                 "ad223ad0d18c8259ed79a4ffb966372de3214331da519ef5a8b5333188a27287"),
+                 "8cbafc50d0b9b27f7250c20b96fb05c25321c24509c53ab23d74eba6626e641d"),
     "wan-sgfs-aes": ("0x1.a9162ab729484p+0", "0x0.0p+0",
-                     "ad223ad0d18c8259ed79a4ffb966372de3214331da519ef5a8b5333188a27287"),
+                     "8cbafc50d0b9b27f7250c20b96fb05c25321c24509c53ab23d74eba6626e641d"),
     "wan-sgfs-rc": ("0x1.a5c951b5c5c52p+0", "0x0.0p+0",
-                    "643f08c44315bc701812e258a54d8306b5a936812e1ea225d0e2cf61a65c06ce"),
+                    "d9b87cfb1f8659112ba87808275b5d7886272b76132af0773073eebb5ed96f27"),
     "wan-sgfs-sha": ("0x1.a531ae0adb48cp+0", "0x0.0p+0",
-                     "39564c4c5121a21a51f63f9b4156153b0b301b8a700cc92bb02b947fed696ac2"),
+                     "806f8c22325236c08dc95432a1d0ca8f340364d0b99d2285d4f6a73534db5095"),
 }
 
 
@@ -139,8 +142,8 @@ def test_golden_trace_export_identical():
                    telemetry=True, tracing=True)
     assert r.total == float.fromhex("0x1.b697846f8c496p-4")
     trace_sha = hashlib.sha256(r.trace_json().encode()).hexdigest()
-    assert trace_sha == ("882113c25629abe180f702b15a52a2fd2"
-                         "fa5e231d828defefc810edbb817142b")
+    assert trace_sha == ("d41ba04e87699b170e34f7c20e2cc913a"
+                         "1062db9e1ce043ebeb6446ba071e8bf")
 
 
 def test_golden_postmark_wan_cache():

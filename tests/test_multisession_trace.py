@@ -1,4 +1,4 @@
-"""Multiple concurrent sessions (paper Figure 2) and the RPC tracer."""
+"""Multiple concurrent sessions (paper Figure 2) and per-procedure RPC latency."""
 
 import pytest
 
@@ -13,7 +13,6 @@ from repro.core.setups import (
 from repro.core.topology import NFS_PORT, Testbed
 from repro.crypto.drbg import Drbg
 from repro.gsi import CertificateAuthority, DistinguishedName, Gridmap
-from repro.harness.trace import RpcTracer
 from repro.nfs.client import NfsClientError
 from repro.proxy.accounts import Account
 from repro.proxy.block_cache import ProxyCacheConfig
@@ -144,15 +143,21 @@ def test_sessions_run_concurrently():
     assert max(t_alice, t_bob) < 1.9 * min(t_alice, t_bob)
 
 
-# -- tracer ---------------------------------------------------------------------------
+# -- per-procedure latency (rpc.client latency{proc=N} histograms) -------------
+
+
+def _rpc_client_stats(tb):
+    """The kernel client is nfs-v3's only RpcClient, so ``rpc.client``
+    is exactly its per-procedure view."""
+    return tb.obs.snapshot()["rpc.client"]
 
 
 def test_tracer_records_and_summarizes():
     from repro.core import setup_nfs_v3
+    from repro.nfs.protocol import Proc
 
-    tb = Testbed.build()
+    tb = Testbed.build(telemetry=True)
     mount = setup_nfs_v3(tb)
-    tracer = RpcTracer.install(mount.client)
 
     def job():
         yield from mount.client.mkdir("/t")
@@ -162,27 +167,32 @@ def test_tracer_records_and_summarizes():
         yield from mount.client.drain()
 
     tb.run(job())
-    procs = {r.proc for r in tracer.records}
-    assert {"MKDIR", "CREATE", "WRITE", "READ", "COMMIT"} <= procs
-    summary = tracer.summarize()
-    assert summary["WRITE"].count >= 3
-    assert summary["WRITE"].mean > 0
-    assert summary["WRITE"].p50 <= summary["WRITE"].p95 <= summary["WRITE"].max_latency
-    assert tracer.total_bytes() > 140000  # writes + reads both directions
-    table = tracer.format()
-    assert "WRITE" in table and "p95" in table
+    stats = _rpc_client_stats(tb)
+    for proc in (Proc.MKDIR, Proc.CREATE, Proc.WRITE, Proc.READ, Proc.COMMIT):
+        assert stats[f"latency{{proc={int(proc)}}}"]["count"] >= 1
+    write = stats[f"latency{{proc={int(Proc.WRITE)}}}"]
+    assert write["count"] >= 3
+    assert write["mean"] > 0
+    assert write["min"] <= write["p50"] <= write["p95"] <= write["max"]
+    # writes + reads, both directions
+    sent = stats["bytes_out{account=kernel-nfs}"]
+    received = stats["bytes_in{account=kernel-nfs}"]
+    assert sent + received > 140000
+    # the same observations, by procedure name, on the NFS client's series
+    by_name = tb.obs.snapshot()["nfs.client"]
+    assert by_name["latency{proc=WRITE}"]["count"] == write["count"]
 
 
 def test_tracer_latencies_reflect_rtt():
     from repro.core import setup_nfs_v3
+    from repro.nfs.protocol import Proc
 
-    tb = Testbed.build(rtt=0.050)
+    tb = Testbed.build(rtt=0.050, telemetry=True)
     mount = setup_nfs_v3(tb)
-    tracer = RpcTracer.install(mount.client)
 
     def job():
         yield from mount.client.mkdir("/far")
 
     tb.run(job())
-    mkdirs = [r for r in tracer.records if r.proc == "MKDIR"]
-    assert mkdirs and mkdirs[0].latency > 0.050
+    mkdir = _rpc_client_stats(tb)[f"latency{{proc={int(Proc.MKDIR)}}}"]
+    assert mkdir["count"] == 1 and mkdir["min"] > 0.050

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main, resolve_preset
 from repro.core.topology import Testbed
-from repro.harness import RpcTracer, run_iozone
+from repro.harness import run_iozone
 from repro.nfs.cache import CacheStats
 from repro.obs import (
     Histogram,
@@ -20,7 +20,7 @@ from repro.obs import (
 from repro.obs.metrics import NULL_INSTRUMENT
 
 
-# -- percentile (the shared definition fixing trace.py's off-by-one) ----------
+# -- percentile (the one shared definition) ----------------------------------
 
 
 def test_percentile_even_length_median_is_midpoint():
@@ -299,50 +299,6 @@ def test_nfs_client_cache_stats_keys_are_uniform():
     stats = mount.client.cache_stats()
     for cache in ("attr", "name", "access", "page"):
         assert set(stats[cache]) == {"hits", "misses", "evictions"}
-
-
-# -- RpcTracer on the listener hook -------------------------------------------
-
-
-def test_rpc_tracer_install_is_idempotent():
-    from repro.core import setup_nfs_v3
-
-    tb = Testbed.build()
-    mount = setup_nfs_v3(tb)
-    t1 = RpcTracer.install(mount.client)
-    t2 = RpcTracer.install(mount.client)
-    assert t1 is t2
-    assert len(mount.client.rpc_listeners) == 1
-
-
-def test_rpc_tracer_uninstall_detaches():
-    from repro.core import setup_nfs_v3
-
-    tb = Testbed.build()
-    mount = setup_nfs_v3(tb)
-    tracer = RpcTracer.install(mount.client)
-    tb.run(mount.client.mkdir("/d"))
-    n = len(tracer.records)
-    assert n > 0
-    tracer.uninstall()
-    assert mount.client.rpc_listeners == []
-    tb.run(mount.client.mkdir("/d2"))
-    assert len(tracer.records) == n  # no new records after uninstall
-    tracer.uninstall()  # second uninstall is a no-op
-    # a fresh install after uninstall attaches a new tracer
-    assert RpcTracer.install(mount.client) is not tracer
-
-
-def test_rpc_tracer_survives_rpc_replacement():
-    from repro.core import setup_nfs_v3
-
-    tb = Testbed.build()
-    mount = setup_nfs_v3(tb)
-    tracer = RpcTracer.install(mount.client)
-    # a hard-mount reconnect swaps client.rpc wholesale; the hook lives
-    # on the NfsClient, so it must remain attached
-    mount.client.rpc = mount.client.rpc
-    assert tracer._on_rpc in mount.client.rpc_listeners
 
 
 # -- end-to-end determinism + layer coverage ----------------------------------

@@ -15,8 +15,11 @@ from repro.rpc.errors import (
     RpcSystemError,
 )
 from repro.net.errors import ConnectionReset
-from repro.rpc.server import ProcUnavailable
+from repro.rpc.messages import CallMessage
+from repro.rpc.server import WORKERS, ProcUnavailable
+from repro.rpc.transport import Transport
 from repro.sim import Simulator
+from repro.sim.sync import Channel, ChannelClosed
 from repro.xdr import Packer, Unpacker, XdrError
 
 PROG = 300_000
@@ -45,14 +48,14 @@ class Echo(RpcProgram):
         return p.get_bytes()
 
 
-def stack(max_inflight=64):
+def stack():
     sim = Simulator()
     net = Network(sim)
     c = Host(sim, net, "c")
     s = Host(sim, net, "s")
     net.connect("c", "s", latency=0.001)
     program = Echo(sim)
-    server = RpcServer(sim, cpu=s.cpu, max_inflight=max_inflight)
+    server = RpcServer(sim, cpu=s.cpu)
     server.register(program)
     server.serve_listener(s.listen(111))
     return sim, c, s, program, server
@@ -120,23 +123,99 @@ def test_concurrent_calls_pipeline():
     assert elapsed < 0.020
 
 
-def test_max_inflight_serializes():
-    sim, c, _s, _program, _server = stack(max_inflight=1)
-    client = connect_client(sim, c)
-    from repro.sim.process import all_of
+# -- the worker pool, on a bare RpcServer over in-memory transports ---------
 
-    def one(i):
-        p = Packer()
-        p.pack_string("x")
-        yield from client.call(0, p.get_bytes())
 
-    def main():
-        t0 = sim.now
-        yield all_of(sim, [sim.spawn(one(i)) for i in range(5)])
-        return sim.now - t0
+class QueueTransport(Transport):
+    """The test feeds CALL records in; replies pile up in ``sent``."""
 
-    elapsed = sim.run_until_complete(sim.spawn(main()))
-    assert elapsed >= 5 * 0.001  # handler time serialized
+    def __init__(self, sim):
+        self._rx = Channel(sim)
+        self.sent = []
+
+    def feed(self, tag: bytes) -> None:
+        self._rx.put(CallMessage(len(self.sent), PROG, 1, 0, args=tag).encode())
+
+    def recv_record(self):
+        try:
+            return (yield self._rx.get())
+        except ChannelClosed:
+            return None
+
+    def send_record(self, record):
+        self.sent.append(record)
+
+    def close(self):
+        self._rx.close()  # already-fed records stay deliverable
+
+
+class Slow(RpcProgram):
+    """Holds each call 1 ms; logs pickup order and peak overlap."""
+
+    prog, vers = PROG, 1
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.order = []
+        self.active = self.peak = 0
+
+    def handle(self, proc, args, call, ctx):
+        self.order.append(args)
+        self.active += 1
+        self.peak = max(self.peak, self.active)
+        yield self.sim.timeout(0.001)
+        self.active -= 1
+        return args
+
+
+def pool(sessions):
+    sim = Simulator()
+    program = Slow(sim)
+    server = RpcServer(sim)
+    server.register(program)
+    transports = [QueueTransport(sim) for _ in range(sessions)]
+    for t in transports:
+        server.serve_transport(t)
+    return sim, server, program, transports
+
+
+def test_pool_serves_one_session_fifo_with_at_most_eight_overlapping():
+    sim, server, program, (t,) = pool(1)
+    tags = [b"a%02d" % i for i in range(2 * WORKERS + 4)]
+    for tag in tags:
+        t.feed(tag)
+    sim.run()
+    assert program.order == tags
+    assert program.peak == WORKERS == 8
+    assert sim.now == pytest.approx(0.003)  # three waves of <= 8
+    assert server.calls_served == len(tags) == len(t.sent)
+
+
+def test_pool_alternates_two_backlogged_sessions_round_robin():
+    sim, _server, program, (a, b) = pool(2)
+    a_tags = [b"a%02d" % i for i in range(WORKERS + 4)]
+    b_tags = [b"b%02d" % i for i in range(6)]
+    for tag in a_tags:
+        a.feed(tag)
+    for tag in b_tags:
+        b.feed(tag)
+    sim.run()
+    # One call per session per rotation turn while both have work, even
+    # though a's whole backlog was queued ahead of b's; then a alone.
+    turns = [tag for pair in zip(a_tags, b_tags) for tag in pair]
+    assert program.order == turns + a_tags[len(b_tags):]
+
+
+def test_pool_drains_the_queue_of_a_closed_session():
+    sim, server, program, (t,) = pool(1)
+    tags = [b"c%02d" % i for i in range(WORKERS + 5)]
+    for tag in tags:
+        t.feed(tag)
+    t.close()  # EOF behind a backlog deeper than the pool
+    sim.run()
+    assert program.order == tags  # every queued call still executed
+    assert len(t.sent) == len(tags)
+    assert server._session_q == {} and not server._rr and server._pending == 0
 
 
 def test_unknown_program():

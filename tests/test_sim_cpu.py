@@ -224,6 +224,26 @@ def test_release_prefers_earliest_ticket_across_lanes():
     assert sim.now == 2.0
 
 
+def test_single_core_serves_pinned_and_unpinned_in_arrival_order():
+    sim = Simulator()
+    cpu = CPU(sim)
+    done = []
+
+    def worker(tag, aff):
+        yield from cpu.consume(1.0, tag, affinity=aff)
+        done.append((tag, sim.now))
+
+    # Every pin lands on core 0, whose lane and the shared queue are
+    # merged by ticket: one strict-arrival FIFO, whatever the affinity.
+    affs = [None, 3, None, 0, 7, None]
+    for i, aff in enumerate(affs):
+        sim.spawn(worker(f"t{i}", aff))
+    sim.run()
+    assert done == [(f"t{i}", i + 1.0) for i in range(len(affs))]
+    assert cpu.wait_count == len(affs) - 1
+    assert cpu.ledger.busy_by_core(0.0, 6.0) == {0: 6.0}
+
+
 def test_single_core_schedule_matches_legacy():
     def run(cores):
         sim = Simulator()

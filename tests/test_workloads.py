@@ -133,8 +133,8 @@ def test_harness_run_collects_cpu_and_stats():
                    setup_kwargs={"cache_bytes": 1 << 19})
     assert r.total > 0
     assert r.cpu_mean("client", "proxy") > 0
-    assert "nfs_client" in r.stats and "client_proxy" in r.stats
-    assert r.stats["server_proxy"]["granted"] > 0
+    assert "nfs.cache" in r.stats and "proxy.client" in r.stats
+    assert r.stats["proxy.server"]["granted"] > 0
 
 
 def test_harness_unknown_setup_rejected():
