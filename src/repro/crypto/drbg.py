@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from typing import Tuple
 
 
 class Drbg:
@@ -29,6 +30,15 @@ class Drbg:
     def fork(self, label: str) -> "Drbg":
         """An independent stream derived from this one (stable per label)."""
         return Drbg(self._key + b"/" + label.encode("utf-8"))
+
+    def snapshot(self) -> Tuple[bytes, int, bytes]:
+        """The whole generator state, hashable: two generators with equal
+        snapshots produce equal streams from here on."""
+        return self._key, self._counter, self._pool
+
+    def restore(self, state: Tuple[bytes, int, bytes]) -> None:
+        """Resume from a state captured by :meth:`snapshot`."""
+        self._key, self._counter, self._pool = state
 
     def randbytes(self, n: int) -> bytes:
         while len(self._pool) < n:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, Optional, Tuple
 
-from repro.obs import NULL_SPAN
+from repro.obs import NULL_SPAN, Histogram
 from repro.rpc.costs import EndpointCost, FREE
 from repro.rpc.drc import DuplicateRequestCache, REPLAY, WAIT, drc_key
 from repro.rpc.errors import RpcError
@@ -115,6 +115,10 @@ class RpcServer:
         self._c_calls = self.obs.counter("rpc.server", "calls", server=name)
         self._c_bytes_in = self.obs.counter("rpc.server", "bytes_in", server=name)
         self._c_bytes_out = self.obs.counter("rpc.server", "bytes_out", server=name)
+        self._h_queue_depth = self.obs.histogram("rpc.server", "queue_depth", server=name)
+        self._h_queue_wait = self.obs.histogram("rpc.server", "queue_wait", server=name)
+        self._g_sessions_queued = self.obs.gauge("rpc.server", "sessions_queued", server=name)
+        self._h_service_time: Dict[int, Histogram] = {}  # by proc
         self._programs: Dict[Tuple[int, int], RpcProgram] = {}
         self._versions: Dict[int, Tuple[int, int]] = {}
         self.drc = drc if drc is not None else DuplicateRequestCache(sim, name=name)
@@ -214,12 +218,8 @@ class RpcServer:
         if self.sim.profile:
             self.queue_timeline.append((self.sim.now, self._pending))
         if self.obs.enabled:
-            self.obs.histogram(
-                "rpc.server", "queue_depth", server=self.name
-            ).observe(self._pending)
-            self.obs.gauge(
-                "rpc.server", "sessions_queued", server=self.name
-            ).set(len(self._rr))
+            self._h_queue_depth.observe(self._pending)
+            self._g_sessions_queued.set(len(self._rr))
         self._work.put(None)
 
     def _worker(self):
@@ -240,9 +240,7 @@ class RpcServer:
             if self.sim.profile:
                 self.queue_timeline.append((self.sim.now, self._pending))
             if self.obs.enabled:
-                self.obs.histogram(
-                    "rpc.server", "queue_wait", server=self.name
-                ).observe(self.sim.now - enqueued_at)
+                self._h_queue_wait.observe(self.sim.now - enqueued_at)
             yield from self._handle_record(transport, record)
 
     # -- per-call ----------------------------------------------------------
@@ -289,9 +287,12 @@ class RpcServer:
                 )
         if self.obs.enabled:
             self._c_bytes_out.inc(len(reply.results))
-            self.obs.histogram(
-                "rpc.server", "service_time", server=self.name, proc=call.proc
-            ).observe(self.sim.now - start)
+            hist = self._h_service_time.get(call.proc)
+            if hist is None:
+                hist = self._h_service_time[call.proc] = self.obs.histogram(
+                    "rpc.server", "service_time", server=self.name, proc=call.proc
+                )
+            hist.observe(self.sim.now - start)
         encoded = reply.encode()
         if key is not None:
             self.drc.complete(key, encoded)

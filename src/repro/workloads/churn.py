@@ -20,6 +20,8 @@ from typing import Dict
 
 from repro.core.setups import Mount
 
+_RAMP = bytes(range(256))
+
 
 @dataclass
 class SessionChurn:
@@ -40,7 +42,9 @@ class SessionChurn:
     bytes_moved: int = 0
 
     def _pattern(self, burst: int) -> bytes:
-        return bytes((burst + j) % 256 for j in range(self.io_size))
+        """``io_size`` bytes counting up (mod 256) from ``burst``."""
+        start = burst % 256
+        return (_RAMP * ((start + self.io_size) // 256 + 1))[start : start + self.io_size]
 
     def run(self, mount: Mount):
         """Process generator: the think/burst loop."""

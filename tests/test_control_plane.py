@@ -447,6 +447,27 @@ def test_delegated_fleet_bit_identical_same_seed():
     assert _fingerprint(a) == _fingerprint(b)
 
 
+def test_delegated_fleet_identical_with_cold_and_warm_key_memo(monkeypatch):
+    from repro.crypto import rsa
+
+    monkeypatch.setattr(rsa, "_KEYPAIR_MEMO", {})
+    cold = run_fleet("sgfs-aes", _churn, **DELEGATED_KW)  # every key searched
+    searched = len(rsa._KEYPAIR_MEMO)
+    # CA + server + 4 users + one proxy key per delegation, none shared
+    assert searched == 6 + cold.stats["gsi"]["delegations"]
+    assert len({k.public.n for k, _ in rsa._KEYPAIR_MEMO.values()}) == searched
+    warm = run_fleet("sgfs-aes", _churn, **DELEGATED_KW)  # every key a memo hit
+    assert len(rsa._KEYPAIR_MEMO) == searched
+    assert _fingerprint(warm) == _fingerprint(cold)  # makespan, per-client, stats
+
+
+@pytest.mark.parametrize("io_size", [8192, 4097, 255, 1])
+def test_churn_pattern_is_the_byte_ramp(io_size):
+    wl = SessionChurn(io_size=io_size)
+    for burst in (0, 255, 256, 1000):
+        assert wl._pattern(burst) == bytes((burst + j) % 256 for j in range(io_size))
+
+
 def test_delegated_fleet_expiry_forces_renewal():
     r = run_fleet("sgfs-aes", _churn, **DELEGATED_KW)
     gsi = r.stats["gsi"]

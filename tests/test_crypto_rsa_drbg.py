@@ -1,10 +1,13 @@
 """RSA, DRBG, hybrid encryption, cipher suites."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import Drbg, CryptoError, generate_keypair
 from repro.crypto.hybrid import open_sealed, seal
+from repro.crypto import rsa
 from repro.crypto.rsa import RsaPublicKey, generate_prime, is_probable_prime
 from repro.crypto.suites import (
     SUITE_AES_SHA,
@@ -34,6 +37,22 @@ def test_drbg_fork_independent_streams():
     assert a.randbytes(32) != b.randbytes(32)
     # fork labels are stable regardless of consumption order
     assert Drbg("root").fork("a").randbytes(32) == Drbg("root").fork("a").randbytes(32)
+
+
+def test_drbg_snapshot_restore_roundtrip():
+    rng = Drbg("snap")
+    rng.randbytes(5)  # leaves 27 bytes in the pool
+    state = rng.snapshot()
+    hash(state)
+    first = rng.randbytes(100)
+    assert rng.snapshot() != state
+    rng.restore(state)
+    assert rng.snapshot() == state
+    assert rng.randbytes(100) == first
+    other = Drbg("unrelated")
+    other.restore(state)
+    assert other.randbytes(100) == first
+    assert Drbg("snap").snapshot() == Drbg("snap").snapshot() != state
 
 
 def test_drbg_accepts_int_and_bytes_seeds():
@@ -111,6 +130,92 @@ def test_keygen_deterministic_from_seed():
 def test_keygen_rejects_tiny_modulus():
     with pytest.raises(CryptoError):
         generate_keypair(128, Drbg("tiny"))
+
+
+def _partly_consumed(label, skip):
+    rng = Drbg("memo").fork(label)
+    if skip:
+        rng.randbytes(skip)
+    return rng
+
+
+@pytest.mark.parametrize("label,bits,skip", [
+    ("ca", 512, 0), ("user3", 512, 7), ("delegate5:2", 768, 0),
+    ("delegate5:3", 768, 33), ("server", 1024, 13),
+])
+def test_memoised_keygen_equals_the_search(monkeypatch, label, bits, skip):
+    monkeypatch.setattr(rsa, "_KEYPAIR_MEMO", {})
+    twin = _partly_consumed(label, skip)
+    reference = rsa._search_keypair(bits, twin, 65537)
+    after = twin.randbytes(64)
+    for _ in range(2):  # a miss, then a hit
+        rng = _partly_consumed(label, skip)
+        assert bool(rng.snapshot()[2]) == bool(skip % 32)  # pool non-empty
+        assert generate_keypair(bits, rng) == reference
+        assert rng.randbytes(64) == after
+        assert len(rsa._KEYPAIR_MEMO) == 1
+    assert generate_keypair(bits, _partly_consumed(label, skip)) is \
+        generate_keypair(bits, _partly_consumed(label, skip))
+
+
+def test_memo_keyed_on_state_bits_and_exponent(monkeypatch):
+    monkeypatch.setattr(rsa, "_KEYPAIR_MEMO", {})
+    base = generate_keypair(512, Drbg("k"))
+    moved = Drbg("k")
+    moved.randbytes(1)
+    others = [
+        generate_keypair(512, Drbg("k2")),
+        generate_keypair(512, moved),
+        generate_keypair(520, Drbg("k")),
+        generate_keypair(512, Drbg("k"), e=3),
+    ]
+    assert len(rsa._KEYPAIR_MEMO) == 5
+    assert len({k.public.n for k in [base] + others}) == 5
+    assert others[2].public.n.bit_length() == 520 and others[3].public.e == 3
+    with pytest.raises(CryptoError):  # a failed search stores nothing
+        generate_keypair(128, Drbg("k"))
+    assert len(rsa._KEYPAIR_MEMO) == 5
+
+
+def test_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(rsa, "_KEYPAIR_MEMO", {})
+    monkeypatch.setattr(rsa, "_KEYPAIR_MEMO_MAX", 3)
+    keys = [generate_keypair(256, Drbg(f"bound{i}")) for i in range(5)]
+    assert len(rsa._KEYPAIR_MEMO) == 3
+    # oldest went first; an evicted label is searched again, same key
+    assert generate_keypair(256, Drbg("bound4")) is keys[4]
+    again = generate_keypair(256, Drbg("bound0"))
+    assert again == keys[0] and again is not keys[0]
+    assert len(rsa._KEYPAIR_MEMO) == 3
+
+
+def test_modinv_large_operands_and_non_invertible():
+    # 2048-bit operands: deep enough to overflow a recursive egcd
+    rng = Drbg("modinv")
+    for _ in range(20):
+        m = rng.getrandbits(2048) | (1 << 2047)
+        a = rng.getrandbits(2048) | (1 << 2047)
+        if math.gcd(a, m) == 1:
+            inv = rsa._modinv(a, m)
+            assert 0 <= inv < m and (a * inv) % m == 1
+        else:
+            with pytest.raises(CryptoError, match="no modular inverse"):
+                rsa._modinv(a, m)
+    mersenne = (1 << 2203) - 1
+    assert (rsa._modinv(65537, mersenne) * 65537) % mersenne == 1
+    with pytest.raises(CryptoError, match="no modular inverse"):
+        rsa._modinv(6, 9)
+    with pytest.raises(CryptoError, match="no modular inverse"):
+        rsa._modinv(2 * mersenne, 4 * mersenne)
+
+
+def test_private_op_matches_plain_exponentiation():
+    m = int.from_bytes(Drbg("crt").randbytes(90), "big")
+    assert KEYS._private_op(m) == pow(m, KEYS.d, KEYS.public.n)
+    dp, dq, qinv = KEYS._crt
+    assert (dp, dq) == (KEYS.d % (KEYS.p - 1), KEYS.d % (KEYS.q - 1))
+    assert (qinv * KEYS.q) % KEYS.p == 1
+    assert KEYS == rsa.RsaKeyPair(KEYS.public, KEYS.d, KEYS.p, KEYS.q)  # cache is not a field
 
 
 # -- sign / verify --------------------------------------------------------------------
