@@ -106,8 +106,18 @@ class FastXorState(CipherStateBase):
     def _xor(self, data: bytes, off: int) -> tuple[bytes, int]:
         n = len(data)
         start = off % self.PAD_LEN
-        reps = (start + n + self.PAD_LEN - 1) // self.PAD_LEN
-        keystream = np.tile(self._pad, reps)[start : start + n]
+        end = start + n
+        if end <= self.PAD_LEN:
+            keystream = self._pad[start:end]  # a view: nothing is copied
+        else:
+            # The record runs past the end of the pad: its tail, as many
+            # whole pads as fit, then its head.  Built per record — a
+            # doubled pad would avoid this, but a fleet holds hundreds
+            # of cipher states and each would carry the extra 64 KiB.
+            whole, head = divmod(end - self.PAD_LEN, self.PAD_LEN)
+            keystream = np.concatenate(
+                [self._pad[start:], *[self._pad] * whole, self._pad[:head]]
+            )
         out = np.bitwise_xor(np.frombuffer(data, dtype=np.uint8), keystream)
         return out.tobytes(), off + n
 

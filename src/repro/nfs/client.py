@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.nfs import protocol as pr
 from repro.nfs.cache import AccessCache, AttrCache, NameCache, Page, PageCache
 from repro.nfs.protocol import Fattr3, FileHandle, NfsStatus, Proc, Sattr3
-from repro.obs import NULL_SPAN
+from repro.obs import NULL_SPAN, Histogram
 from repro.rpc.auth import AuthSys
 from repro.rpc.client import RpcClient
 from repro.rpc.errors import RpcTransportError
@@ -119,6 +119,7 @@ class NfsClient:
         self.retransmissions = 0
         self.obs = sim.obs
         self.tracer = sim.tracer
+        self._h_latency: Dict[str, Histogram] = {}  # by proc name, bound on first use
         self.root_fh = root_fh
         self.cred = cred
         self.block_size = block_size
@@ -203,9 +204,12 @@ class NfsClient:
                     # within the same attempt budget.
                     continue
         if self.obs.enabled:
-            self.obs.histogram("nfs.client", "latency", proc=name).observe(
-                self.sim.now - start
-            )
+            hist = self._h_latency.get(name)
+            if hist is None:
+                hist = self._h_latency[name] = self.obs.histogram(
+                    "nfs.client", "latency", proc=name
+                )
+            hist.observe(self.sim.now - start)
         return res
 
     def _remember(self, fh: FileHandle, attr: Optional[Fattr3]) -> None:

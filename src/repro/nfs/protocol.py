@@ -15,6 +15,7 @@ from typing import List, Optional, Tuple
 
 from repro.vfs.fs import Ftype, Status
 from repro.xdr import Packer, Unpacker, XdrError
+from repro.xdr.codec import check_bool
 
 NFS_PROGRAM = 100003
 NFS_V3 = 3
@@ -98,6 +99,10 @@ class FileHandle:
     generation: int
 
     _STRUCT = struct.Struct(">IQI")
+    #: on the wire the handle is a variable-length opaque that is always
+    #: 16 bytes long: the length word and the handle are one layout
+    _LAYOUT = "IIQI"
+    _WIRE = struct.Struct(">" + _LAYOUT)
 
     def to_bytes(self) -> bytes:
         return self._STRUCT.pack(self.fsid, self.fileid, self.generation)
@@ -108,27 +113,42 @@ class FileHandle:
             raise XdrError(f"bad filehandle length {len(data)}")
         return cls(*cls._STRUCT.unpack(data))
 
+    def _words(self) -> tuple:
+        """The four wire values, in ``_LAYOUT`` order."""
+        return (self._STRUCT.size, self.fsid, self.fileid, self.generation)
+
+    @classmethod
+    def _from_words(cls, n: int, fsid: int, fileid: int, generation: int) -> "FileHandle":
+        if n != cls._STRUCT.size:
+            raise XdrError(f"bad filehandle length {n}")
+        return cls(fsid, fileid, generation)
+
     def pack(self, p: Packer) -> None:
-        p.pack_opaque(self.to_bytes())
+        p.pack_struct(self._WIRE, *self._words())
 
     @classmethod
     def unpack(cls, u: Unpacker) -> "FileHandle":
-        return cls.from_bytes(u.unpack_opaque(max_len=FHSIZE3))
+        return cls._from_words(*u.unpack_struct(cls._WIRE))
 
 
-def _pack_time(p: Packer, t: float) -> None:
+_NFSTIME = struct.Struct(">II")  # seconds, nanoseconds
+
+
+def _time_words(t: float) -> Tuple[int, int]:
     sec = int(t)
     nsec = int(round((t - sec) * 1e9))
     if nsec >= 1_000_000_000:
         sec += 1
         nsec -= 1_000_000_000
-    p.pack_uint(sec & 0xFFFFFFFF)
-    p.pack_uint(nsec)
+    return sec & 0xFFFFFFFF, nsec
+
+
+def _pack_time(p: Packer, t: float) -> None:
+    p.pack_struct(_NFSTIME, *_time_words(t))
 
 
 def _unpack_time(u: Unpacker) -> float:
-    sec = u.unpack_uint()
-    nsec = u.unpack_uint()
+    sec, nsec = u.unpack_struct(_NFSTIME)
     return sec + nsec / 1e9
 
 
@@ -149,39 +169,35 @@ class Fattr3:
     mtime: float
     ctime: float
 
+    #: ftype mode nlink uid gid | size used | rdev major, minor |
+    #: fsid fileid | atime mtime ctime as (seconds, nanoseconds): 84 bytes
+    _LAYOUT = "iIIIIQQIIQQIIIIII"
+    _WIRE = struct.Struct(">" + _LAYOUT)
+
+    def _words(self) -> tuple:
+        """The 17 wire values, in ``_LAYOUT`` order."""
+        return (
+            self.ftype, self.mode, self.nlink, self.uid, self.gid,
+            self.size, self.used, 0, 0, self.fsid, self.fileid,
+            *_time_words(self.atime), *_time_words(self.mtime),
+            *_time_words(self.ctime),
+        )
+
     def pack(self, p: Packer) -> None:
-        p.pack_enum(self.ftype)
-        p.pack_uint(self.mode)
-        p.pack_uint(self.nlink)
-        p.pack_uint(self.uid)
-        p.pack_uint(self.gid)
-        p.pack_uhyper(self.size)
-        p.pack_uhyper(self.used)
-        p.pack_uint(0)  # rdev major
-        p.pack_uint(0)  # rdev minor
-        p.pack_uhyper(self.fsid)
-        p.pack_uhyper(self.fileid)
-        _pack_time(p, self.atime)
-        _pack_time(p, self.mtime)
-        _pack_time(p, self.ctime)
+        p.pack_struct(self._WIRE, *self._words())
 
     @classmethod
     def unpack(cls, u: Unpacker) -> "Fattr3":
-        ftype = u.unpack_enum()
-        mode = u.unpack_uint()
-        nlink = u.unpack_uint()
-        uid = u.unpack_uint()
-        gid = u.unpack_uint()
-        size = u.unpack_uhyper()
-        used = u.unpack_uhyper()
-        u.unpack_uint()
-        u.unpack_uint()
-        fsid = u.unpack_uhyper()
-        fileid = u.unpack_uhyper()
-        atime = _unpack_time(u)
-        mtime = _unpack_time(u)
-        ctime = _unpack_time(u)
-        return cls(ftype, mode, nlink, uid, gid, size, used, fsid, fileid, atime, mtime, ctime)
+        return cls._from_words(u.unpack_struct(cls._WIRE))
+
+    @classmethod
+    def _from_words(cls, words: tuple) -> "Fattr3":
+        (ftype, mode, nlink, uid, gid, size, used, _major, _minor, fsid, fileid,
+         asec, ansec, msec, mnsec, csec, cnsec) = words
+        return cls(
+            ftype, mode, nlink, uid, gid, size, used, fsid, fileid,
+            asec + ansec / 1e9, msec + mnsec / 1e9, csec + cnsec / 1e9,
+        )
 
     @property
     def is_dir(self) -> bool:
@@ -231,12 +247,19 @@ class Sattr3:
         return cls(mode, uid, gid, size, atime, mtime)
 
 
+_ATTR_FOLLOWS = struct.Struct(">I" + Fattr3._LAYOUT)  # TRUE, then the attributes
+_PRE_OP_ATTR = struct.Struct(">QIIII")  # size, mtime, ctime
+
+
 def pack_post_op_attr(p: Packer, attr: Optional[Fattr3]) -> None:
-    p.pack_optional(attr, lambda a: a.pack(p))
+    if attr is None:
+        p.pack_bool(False)
+    else:
+        p.pack_struct(_ATTR_FOLLOWS, 1, *attr._words())
 
 
 def unpack_post_op_attr(u: Unpacker) -> Optional[Fattr3]:
-    return u.unpack_optional(lambda: Fattr3.unpack(u))
+    return Fattr3.unpack(u) if u.unpack_bool() else None
 
 
 def pack_wcc_data(p: Packer, after: Optional[Fattr3]) -> None:
@@ -246,10 +269,8 @@ def pack_wcc_data(p: Packer, after: Optional[Fattr3]) -> None:
 
 
 def unpack_wcc_data(u: Unpacker) -> Optional[Fattr3]:
-    if u.unpack_bool():  # pre_op_attr present: size, mtime, ctime
-        u.unpack_uhyper()
-        _unpack_time(u)
-        _unpack_time(u)
+    if u.unpack_bool():  # pre_op_attr present: skipped
+        u.unpack_struct(_PRE_OP_ATTR)
     return unpack_post_op_attr(u)
 
 
@@ -266,6 +287,15 @@ class DirEntry:
 # Argument/result codecs.  Names follow <PROC>_args / <PROC>_res.
 # Results decode into (status, payload...) tuples.
 # ---------------------------------------------------------------------------
+
+# Runs of fixed-size fields that travel together, one struct call each.
+_FH_WORD = struct.Struct(">" + FileHandle._LAYOUT + "I")  # ACCESS args
+_FH_OFFSET_COUNT = struct.Struct(">" + FileHandle._LAYOUT + "QI")  # READ, COMMIT args
+_WRITE_ARGS = struct.Struct(">" + FileHandle._LAYOUT + "QIiI")  # ..., stable, data length
+_STATUS_ATTR = struct.Struct(">i" + Fattr3._LAYOUT)  # GETATTR OK
+_STATUS_FH = struct.Struct(">i" + FileHandle._LAYOUT)  # LOOKUP OK, up to the attrs
+_READ_OK_TAIL = struct.Struct(">III")  # count, eof, data length
+_WRITE_OK_TAIL = struct.Struct(">Ii")  # count, committed (the verifier follows)
 
 
 def pack_diropargs(p: Packer, dir_fh: FileHandle, name: str) -> None:
@@ -304,10 +334,11 @@ def unpack_getattr_args(data: bytes) -> FileHandle:
 
 def pack_getattr_res(status: int, attr: Optional[Fattr3]) -> bytes:
     p = Packer()
-    p.pack_enum(status)
     if status == NfsStatus.OK:
         assert attr is not None
-        attr.pack(p)
+        p.pack_struct(_STATUS_ATTR, status, *attr._words())
+    else:
+        p.pack_enum(status)
     return p.get_bytes()
 
 
@@ -371,14 +402,13 @@ def pack_lookup_res(
     dir_attr: Optional[Fattr3],
 ) -> bytes:
     p = Packer()
-    p.pack_enum(status)
     if status == NfsStatus.OK:
         assert fh is not None
-        fh.pack(p)
+        p.pack_struct(_STATUS_FH, status, *fh._words())
         pack_post_op_attr(p, attr)
-        pack_post_op_attr(p, dir_attr)
     else:
-        pack_post_op_attr(p, dir_attr)
+        p.pack_enum(status)
+    pack_post_op_attr(p, dir_attr)
     return p.get_bytes()
 
 
@@ -399,17 +429,15 @@ def unpack_lookup_res(
 
 def pack_access_args(fh: FileHandle, access: int) -> bytes:
     p = Packer()
-    fh.pack(p)
-    p.pack_uint(access)
+    p.pack_struct(_FH_WORD, *fh._words(), access)
     return p.get_bytes()
 
 
 def unpack_access_args(data: bytes) -> Tuple[FileHandle, int]:
     u = Unpacker(data)
-    fh = FileHandle.unpack(u)
-    access = u.unpack_uint()
+    *handle, access = u.unpack_struct(_FH_WORD)
     u.assert_done()
-    return fh, access
+    return FileHandle._from_words(*handle), access
 
 
 def pack_access_res(status: int, attr: Optional[Fattr3], access: int) -> bytes:
@@ -460,19 +488,15 @@ def unpack_readlink_res(data: bytes) -> Tuple[int, Optional[Fattr3], str]:
 
 def pack_read_args(fh: FileHandle, offset: int, count: int) -> bytes:
     p = Packer()
-    fh.pack(p)
-    p.pack_uhyper(offset)
-    p.pack_uint(count)
+    p.pack_struct(_FH_OFFSET_COUNT, *fh._words(), offset, count)
     return p.get_bytes()
 
 
 def unpack_read_args(data: bytes) -> Tuple[FileHandle, int, int]:
     u = Unpacker(data)
-    fh = FileHandle.unpack(u)
-    offset = u.unpack_uhyper()
-    count = u.unpack_uint()
+    *handle, offset, count = u.unpack_struct(_FH_OFFSET_COUNT)
     u.assert_done()
-    return fh, offset, count
+    return FileHandle._from_words(*handle), offset, count
 
 
 def pack_read_res(
@@ -482,9 +506,8 @@ def pack_read_res(
     p.pack_enum(status)
     pack_post_op_attr(p, attr)
     if status == NfsStatus.OK:
-        p.pack_uint(len(data))
-        p.pack_bool(eof)
-        p.pack_opaque(data)
+        p.pack_struct(_READ_OK_TAIL, len(data), bool(eof), len(data))
+        p.pack_fopaque(len(data), data)
     return p.get_bytes()
 
 
@@ -494,10 +517,10 @@ def unpack_read_res(data: bytes) -> Tuple[int, Optional[Fattr3], bytes, bool]:
     attr = unpack_post_op_attr(u)
     if status != NfsStatus.OK:
         return status, attr, b"", False
-    count = u.unpack_uint()
-    eof = u.unpack_bool()
-    payload = u.unpack_opaque()
-    if len(payload) != count:
+    count, eof, n = u.unpack_struct(_READ_OK_TAIL)
+    eof = check_bool(eof)
+    payload = u.unpack_fopaque(n)
+    if n != count:
         raise XdrError("READ reply count mismatch")
     return status, attr, payload, eof
 
@@ -508,22 +531,17 @@ def pack_write_args(
     fh: FileHandle, offset: int, data: bytes, stable: int = FILE_SYNC
 ) -> bytes:
     p = Packer()
-    fh.pack(p)
-    p.pack_uhyper(offset)
-    p.pack_uint(len(data))
-    p.pack_enum(stable)
-    p.pack_opaque(data)
+    p.pack_struct(_WRITE_ARGS, *fh._words(), offset, len(data), stable, len(data))
+    p.pack_fopaque(len(data), data)
     return p.get_bytes()
 
 
 def unpack_write_args(data: bytes) -> Tuple[FileHandle, int, int, bytes]:
     u = Unpacker(data)
-    fh = FileHandle.unpack(u)
-    offset = u.unpack_uhyper()
-    count = u.unpack_uint()
-    stable = u.unpack_enum()
-    payload = u.unpack_opaque()
-    if len(payload) != count:
+    *handle, offset, count, stable, n = u.unpack_struct(_WRITE_ARGS)
+    fh = FileHandle._from_words(*handle)
+    payload = u.unpack_fopaque(n)
+    if n != count:
         raise XdrError("WRITE args count mismatch")
     u.assert_done()
     return fh, offset, stable, payload
@@ -537,8 +555,7 @@ def pack_write_res(
     p.pack_enum(status)
     pack_wcc_data(p, after)
     if status == NfsStatus.OK:
-        p.pack_uint(count)
-        p.pack_enum(committed)
+        p.pack_struct(_WRITE_OK_TAIL, count, committed)
         p.pack_fopaque(8, verf)
     return p.get_bytes()
 
@@ -549,8 +566,7 @@ def unpack_write_res(data: bytes) -> Tuple[int, Optional[Fattr3], int, int, byte
     after = unpack_wcc_data(u)
     if status != NfsStatus.OK:
         return status, after, 0, 0, b""
-    count = u.unpack_uint()
-    committed = u.unpack_enum()
+    count, committed = u.unpack_struct(_WRITE_OK_TAIL)
     verf = u.unpack_fopaque(8)
     return status, after, count, committed, verf
 
@@ -879,20 +895,11 @@ def unpack_fsinfo_res(data: bytes) -> Tuple[int, int, int]:
 
 
 def pack_commit_args(fh: FileHandle, offset: int = 0, count: int = 0) -> bytes:
-    p = Packer()
-    fh.pack(p)
-    p.pack_uhyper(offset)
-    p.pack_uint(count)
-    return p.get_bytes()
+    return pack_read_args(fh, offset, count)  # the same layout
 
 
 def unpack_commit_args(data: bytes) -> Tuple[FileHandle, int, int]:
-    u = Unpacker(data)
-    fh = FileHandle.unpack(u)
-    offset = u.unpack_uhyper()
-    count = u.unpack_uint()
-    u.assert_done()
-    return fh, offset, count
+    return unpack_read_args(data)
 
 
 def pack_commit_res(status: int, after: Optional[Fattr3], verf: bytes = b"\x00" * 8) -> bytes:

@@ -105,7 +105,7 @@ class NfsServerProgram(RpcProgram):
     def _cred(call: CallMessage) -> Credentials:
         if call.cred.flavor == AUTH_SYS:
             a = AuthSys.from_opaque(call.cred)
-            return Credentials(a.uid, a.gid, tuple(a.gids))
+            return Credentials(a.uid, a.gid, a.gids)
         return Credentials(65534, 65534)  # nobody
 
     def _acquire(self, fileid: int, write: bool):

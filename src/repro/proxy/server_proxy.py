@@ -23,6 +23,7 @@ exports only to localhost.  For every session it:
 from __future__ import annotations
 
 import itertools
+import weakref
 from typing import Callable, Optional
 
 from repro.gsi.gridmap import Gridmap
@@ -30,11 +31,11 @@ from repro.gsi.names import DistinguishedName
 from repro.gsi.proxy import effective_identity
 from repro.nfs import protocol as pr
 from repro.obs import NULL_SPAN
-from repro.nfs.protocol import FileHandle, Fattr3, NfsStatus, Proc
+from repro.nfs.protocol import Fattr3, NfsStatus, Proc
 from repro.proxy.accounts import Account, AccountsDb
 from repro.proxy.acl import AclStore, is_acl_name
 from repro.proxy.authz import AuthzCache
-from repro.rpc.auth import AUTH_SYS, AuthSys
+from repro.rpc.auth import AUTH_SYS, AuthSys, OpaqueAuth
 from repro.rpc.client import RpcClient
 from repro.rpc.compound import COMPOUND_PROGRAM, pack_members, unpack_members
 from repro.rpc.costs import CostProfile, FREE_PROFILE, charge_profile
@@ -58,6 +59,14 @@ from repro.vfs.fs import VirtualFS
 
 #: NFS procedures that must not re-execute on a duplicate request.
 _NFS_NON_IDEMPOTENT = frozenset(int(p) for p in pr.NON_IDEMPOTENT_PROCS)
+
+#: procedures whose arguments start with (directory handle, name)
+_NAME_PROCS = frozenset({
+    Proc.LOOKUP, Proc.CREATE, Proc.MKDIR, Proc.SYMLINK, Proc.REMOVE, Proc.RMDIR,
+})
+
+#: distinct inbound credentials one session may keep a remapping for
+_REMAP_MEMO_MAX = 64
 
 
 class AuthzDecision:
@@ -129,6 +138,10 @@ class SgfsServerProxy:
         #: pinned to core k % N of a multi-core host, spreading distinct
         #: sessions' cipher streams across the pool deterministically.
         self._session_seq = itertools.count()
+        #: per-session memo of remapped credentials, held weakly under
+        #: the session's upstream client so it dies with the session:
+        #: {upstream: {(mapped account, inbound cred body): outbound cred}}
+        self._remapped = weakref.WeakKeyDictionary()
         #: TLS session-ticket cache (resumption); in-memory only — a
         #: crash flushes it and reconnects fall back to full handshakes.
         self.tickets: Optional[SessionTicketCache] = None
@@ -407,50 +420,55 @@ class SgfsServerProxy:
             self.stats.unix_fallbacks += 1
 
         # -- identity mapping + forward ---------------------------------------
-        out_call = self._remap_credentials(call, mapped)
+        cred = self._remap_credentials(upstream, call.cred, mapped)
         self.stats.granted += 1
         self.calls_forwarded += 1
-        reply = yield from upstream.call_detailed(
-            int(proc), out_call.args, out_call.cred
-        )
+        reply = yield from upstream.call_detailed(int(proc), call.args, cred)
         reply.xid = call.xid
         # -- screen directory listings -----------------------------------------
         if self.enable_acls and proc in (Proc.READDIR, Proc.READDIRPLUS):
             reply = self._filter_readdir(reply, plus=(proc == Proc.READDIRPLUS))
         return reply
 
-    def _remap_credentials(self, call: CallMessage, mapped: Optional[Account]) -> CallMessage:
-        if mapped is None or call.cred.flavor != AUTH_SYS:
-            return call
-        try:
-            auth = AuthSys.from_opaque(call.cred)
-        except Exception:
-            return call
-        remapped = AuthSys(
-            stamp=auth.stamp,
-            machinename="localhost",
-            uid=mapped.uid,
-            gid=mapped.gid,
-            gids=list(mapped.groups),
-        )
-        return call.with_cred(remapped.to_opaque())
+    def _remap_credentials(self, upstream: RpcClient, cred: OpaqueAuth,
+                           mapped: Optional[Account]) -> OpaqueAuth:
+        """The credential to forward: the caller's AUTH_SYS stamp under
+        the mapped account's uid/gid/groups.
+
+        The result is a pure function of the inbound credential bytes
+        and the mapped account, so it is built once per such pair and
+        session, not once per call; another session, or another account
+        after a gridmap change, is another key."""
+        if mapped is None or cred.flavor != AUTH_SYS:
+            return cred
+        memo = self._remapped.setdefault(upstream, {})
+        key = (mapped, cred.body)
+        remapped = memo.get(key)
+        if remapped is None:
+            try:
+                auth = AuthSys.from_opaque(cred)
+            except Exception:
+                return cred
+            remapped = AuthSys(
+                stamp=auth.stamp,
+                machinename="localhost",
+                uid=mapped.uid,
+                gid=mapped.gid,
+                gids=mapped.groups,
+            ).to_opaque()
+            if len(memo) >= _REMAP_MEMO_MAX:
+                memo.clear()
+            memo[key] = remapped
+        return remapped
 
     # -- ACL machinery -------------------------------------------------------------
 
     def _screen_acl_names(self, call: CallMessage) -> Optional[ReplyMessage]:
         """Hide and protect ``.name.acl`` files from remote sessions."""
         proc = call.proc
-        name_procs = {
-            Proc.LOOKUP, Proc.CREATE, Proc.MKDIR, Proc.SYMLINK,
-            Proc.REMOVE, Proc.RMDIR,
-        }
         try:
-            if proc in name_procs:
-                from repro.xdr import Unpacker
-
-                u = Unpacker(call.args)
-                _fh = FileHandle.unpack(u)
-                name = u.unpack_string(max_len=255)
+            if proc in _NAME_PROCS:
+                _fh, name = pr.unpack_diropargs_prefix(call.args)
                 if is_acl_name(name):
                     status = (
                         NfsStatus.NOENT if proc == Proc.LOOKUP else NfsStatus.ACCES

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Optional
 
-from repro.obs import NULL_SPAN
+from repro.obs import NULL_SPAN, Histogram
 from repro.rpc.auth import NULL_AUTH, OpaqueAuth
 from repro.rpc.costs import EndpointCost, FREE
 from repro.rpc.errors import RpcError, RpcTimeout, RpcTransportError
@@ -52,6 +52,7 @@ class RpcClient:
         self._c_calls = self.obs.counter("rpc.client", "calls", account=account)
         self._c_bytes_out = self.obs.counter("rpc.client", "bytes_out", account=account)
         self._c_bytes_in = self.obs.counter("rpc.client", "bytes_in", account=account)
+        self._h_latency: Dict[int, Histogram] = {}  # by proc, bound on first use
         self._pending: Dict[int, Event] = {}
         #: set when the reply pump dies; new calls fail fast instead of
         #: sending into a connection nobody reads from anymore
@@ -138,9 +139,12 @@ class RpcClient:
                 )
         if observing:
             self._c_bytes_in.inc(len(reply.results))
-            self.obs.histogram("rpc.client", "latency", proc=proc).observe(
-                self.sim.now - start
-            )
+            hist = self._h_latency.get(proc)
+            if hist is None:
+                hist = self._h_latency[proc] = self.obs.histogram(
+                    "rpc.client", "latency", proc=proc
+                )
+            hist.observe(self.sim.now - start)
         return reply
 
     def _await_with_retrans(

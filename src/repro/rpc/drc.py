@@ -25,8 +25,8 @@ own its own instance.
 from __future__ import annotations
 
 import zlib
-from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from collections import OrderedDict, deque
+from typing import Deque, Optional, Tuple
 
 from repro.rpc.auth import AUTH_SYS, AuthSys
 from repro.rpc.messages import CallMessage
@@ -89,6 +89,10 @@ class DuplicateRequestCache:
         self.evictions = 0
         self.expirations = 0
         self._entries: "OrderedDict[Tuple, _Entry]" = OrderedDict()
+        #: (key, done_at) in completion order.  ``sim.now`` never goes
+        #: back, so stale entries are a prefix of this queue; the LRU
+        #: dict above is reordered by replays and cannot serve as one.
+        self._completed: Deque[Tuple[Tuple, float]] = deque()
         self._c_replays = None
         self._c_parks = None
 
@@ -145,11 +149,16 @@ class DuplicateRequestCache:
             self._entries[key] = entry
         entry.reply = encoded
         entry.done_at = self.sim.now
+        self._completed.append((key, entry.done_at))
         self._entries.move_to_end(key)
         waiters, entry.waiters = entry.waiters, []
         for ev in waiters:
             ev.succeed(encoded)
         self._trim()
+        if len(self._completed) > 2 * self.capacity:  # evictions leave dead records
+            self._completed = deque(
+                rec for rec in self._completed if self._is_current(*rec)
+            )
 
     def abort(self, key: Tuple) -> None:
         """The MISS execution failed before producing a reply.
@@ -181,13 +190,21 @@ class DuplicateRequestCache:
             del self._entries[victim]
             self.evictions += 1
 
+    def _is_current(self, key: Tuple, done_at: float) -> bool:
+        """Does this completion record still describe a cached reply?  Not
+        if the entry was evicted, or evicted and then executed again (in
+        progress, or completed later — under a record of its own)."""
+        entry = self._entries.get(key)
+        return (
+            entry is not None and entry.reply is not None
+            and entry.done_at == done_at
+        )
+
     def _expire(self) -> None:
         now = self.sim.now
-        stale = [
-            key
-            for key, entry in self._entries.items()
-            if entry.reply is not None and now - entry.done_at > self.max_age
-        ]
-        for key in stale:
-            del self._entries[key]
-            self.expirations += 1
+        completed = self._completed
+        while completed and now - completed[0][1] > self.max_age:
+            key, done_at = completed.popleft()
+            if self._is_current(key, done_at):
+                del self._entries[key]
+                self.expirations += 1

@@ -9,8 +9,8 @@ mapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import struct
+from dataclasses import dataclass
 
 from repro.rpc.auth import OpaqueAuth, NULL_AUTH
 from repro.rpc.errors import (
@@ -53,6 +53,14 @@ AUTH_REJECTEDCRED = 2
 AUTH_BADVERF = 3
 AUTH_TOOWEAK = 5
 
+# Fixed layouts, one struct call each.
+_CALL_HEADER = struct.Struct(">IiIIII")  # xid, CALL, rpcvers, prog, vers, proc
+_REPLY_HEADER = struct.Struct(">Iii")  # xid, REPLY, reply_stat
+#: the whole header of the common reply: accepted, empty verifier body
+_ACCEPTED = struct.Struct(">IiiiIi")  # ..., verf flavor, verf length 0, accept_stat
+_ENUM_RANGE = struct.Struct(">iII")  # PROG_MISMATCH / RPC_MISMATCH + low, high
+_ENUM_ENUM = struct.Struct(">ii")  # AUTH_ERROR, auth_stat
+
 
 @dataclass
 class CallMessage:
@@ -66,34 +74,38 @@ class CallMessage:
 
     def encode(self) -> bytes:
         p = Packer()
-        p.pack_uint(self.xid)
-        p.pack_enum(CALL)
-        p.pack_uint(RPC_VERSION)
-        p.pack_uint(self.prog)
-        p.pack_uint(self.vers)
-        p.pack_uint(self.proc)
+        p.pack_struct(
+            _CALL_HEADER, self.xid, CALL, RPC_VERSION, self.prog, self.vers, self.proc
+        )
         self.cred.pack(p)
         self.verf.pack(p)
-        out = p.get_bytes() + self.args
-        return out
+        p.pack_encoded(self.args)
+        return p.get_bytes()
 
     @classmethod
     def decode(cls, record: bytes) -> "CallMessage":
         u = Unpacker(record)
-        xid = u.unpack_uint()
-        mtype = u.unpack_enum()
-        if mtype != CALL:
-            raise RpcError(f"expected CALL, got msg_type={mtype}")
-        rpcvers = u.unpack_uint()
-        if rpcvers != RPC_VERSION:
-            raise RpcError(f"unsupported RPC version {rpcvers}")
-        prog = u.unpack_uint()
-        vers = u.unpack_uint()
-        proc = u.unpack_uint()
+        try:
+            xid, mtype, rpcvers, prog, vers, proc = u.unpack_struct(_CALL_HEADER)
+        except XdrError:
+            mtype = rpcvers = None
+        if mtype != CALL or rpcvers != RPC_VERSION:
+            # Malformed header: read it again a field at a time, so the
+            # first bad field picks the error (RpcError for a wrong
+            # msg_type or version even on a short record, else underrun).
+            u = Unpacker(record)
+            xid = u.unpack_uint()
+            mtype = u.unpack_enum()
+            if mtype != CALL:
+                raise RpcError(f"expected CALL, got msg_type={mtype}")
+            rpcvers = u.unpack_uint()
+            if rpcvers != RPC_VERSION:
+                raise RpcError(f"unsupported RPC version {rpcvers}")
+            prog, vers, proc = u.unpack_uint(), u.unpack_uint(), u.unpack_uint()
         cred = OpaqueAuth.unpack(u)
         verf = OpaqueAuth.unpack(u)
-        args = bytes(record[u.position :])
-        return cls(xid, prog, vers, proc, cred, verf, args)
+        # the one copy of the arguments at this hop
+        return cls(xid, prog, vers, proc, cred, verf, bytes(record[u.position :]))
 
     def with_cred(self, cred: OpaqueAuth) -> "CallMessage":
         """A copy with a replaced credential — used by identity mapping."""
@@ -114,27 +126,42 @@ class ReplyMessage:
 
     def encode(self) -> bytes:
         p = Packer()
-        p.pack_uint(self.xid)
-        p.pack_enum(REPLY)
-        p.pack_enum(self.reply_stat)
+        p.pack_struct(_REPLY_HEADER, self.xid, REPLY, self.reply_stat)
         if self.reply_stat == MSG_ACCEPTED:
             self.verf.pack(p)
-            p.pack_enum(self.accept_stat)
             if self.accept_stat == PROG_MISMATCH:
-                p.pack_uint(self.mismatch_low)
-                p.pack_uint(self.mismatch_high)
-            return p.get_bytes() + (self.results if self.accept_stat == SUCCESS else b"")
-        # MSG_DENIED
-        p.pack_enum(self.reject_stat)
-        if self.reject_stat == RPC_MISMATCH:
-            p.pack_uint(self.mismatch_low)
-            p.pack_uint(self.mismatch_high)
+                p.pack_struct(
+                    _ENUM_RANGE, self.accept_stat, self.mismatch_low, self.mismatch_high
+                )
+            else:
+                p.pack_enum(self.accept_stat)
+                if self.accept_stat == SUCCESS:
+                    p.pack_encoded(self.results)
+        elif self.reject_stat == RPC_MISMATCH:  # MSG_DENIED
+            p.pack_struct(
+                _ENUM_RANGE, self.reject_stat, self.mismatch_low, self.mismatch_high
+            )
         else:  # AUTH_ERROR
-            p.pack_enum(self.auth_stat)
+            p.pack_struct(_ENUM_ENUM, self.reject_stat, self.auth_stat)
         return p.get_bytes()
 
     @classmethod
     def decode(cls, record: bytes) -> "ReplyMessage":
+        try:
+            xid, mtype, reply_stat, flavor, verf_len, accept_stat = (
+                _ACCEPTED.unpack_from(record)
+            )
+        except struct.error:
+            mtype = None  # shorter than the common header: a denial, or garbage
+        if (
+            mtype == REPLY and reply_stat == MSG_ACCEPTED
+            and verf_len == 0 and accept_stat == SUCCESS
+        ):
+            verf = OpaqueAuth(flavor) if flavor else NULL_AUTH
+            # the one copy of the results at this hop
+            return cls(xid, verf=verf, results=bytes(record[_ACCEPTED.size :]))
+        # Every other arm of the union, and every malformed header, a
+        # field at a time: the first bad field picks the error.
         u = Unpacker(record)
         xid = u.unpack_uint()
         mtype = u.unpack_enum()

@@ -28,12 +28,13 @@ def frame_record(record: bytes, fragment_size: int = DEFAULT_FRAGMENT_SIZE) -> b
     """Encode one record into its on-the-wire framed form."""
     if fragment_size < 1 or fragment_size > MAX_FRAGMENT:
         raise RpcError(f"bad fragment size {fragment_size}")
-    if len(record) == 0:
-        return _HDR.pack(LAST_FRAGMENT)
+    n = len(record)
+    if n <= fragment_size:  # one fragment (or the empty record): one join
+        return b"".join((_HDR.pack(LAST_FRAGMENT | n), record))
     parts: List[bytes] = []
-    for off in range(0, len(record), fragment_size):
+    for off in range(0, n, fragment_size):
         chunk = record[off : off + fragment_size]
-        last = off + fragment_size >= len(record)
+        last = off + fragment_size >= n
         parts.append(_HDR.pack((LAST_FRAGMENT if last else 0) | len(chunk)))
         parts.append(chunk)
     return b"".join(parts)
@@ -67,7 +68,24 @@ class RecordReader:
         self.max_record = max_record
 
     def feed(self, data: bytes) -> None:
-        self._buf.extend(data)
+        # Common case: nothing staged and ``data`` starts with whole
+        # single-fragment records (the simulated socket delivers one
+        # ``send`` as one chunk).  Peel them straight off the chunk —
+        # one copy per record — and stage only what is left.
+        pos = 0
+        if self._need is None and not self._buf and not self._current:
+            end = len(data)
+            while end - pos >= 4:
+                hdr = _HDR.unpack_from(data, pos)[0]
+                size = hdr & MAX_FRAGMENT
+                nxt = pos + 4 + size
+                if not hdr & LAST_FRAGMENT or size > self.max_record or nxt > end:
+                    break  # multi-fragment, oversized or partial: stage it
+                self._records.append(bytes(data[pos + 4 : nxt]))
+                pos = nxt
+            if pos == end:
+                return
+        self._buf.extend(data[pos:] if pos else data)
         self._drain()
 
     def _drain(self) -> None:

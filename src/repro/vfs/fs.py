@@ -85,6 +85,9 @@ ROOT_CRED = Credentials(0, 0)
 
 NAME_MAX = 255
 
+#: what one directory entry adds to its directory's ``used_bytes()``
+DIRENT_BYTES = 32
+
 
 @dataclass
 class Inode:
@@ -117,7 +120,7 @@ class Inode:
         if self.is_reg:
             return len(self.data)
         if self.is_dir:
-            return 512 + 32 * len(self.entries)
+            return 512 + DIRENT_BYTES * len(self.entries)
         return 64
 
 
@@ -150,6 +153,10 @@ class VirtualFS:
         )
         self._inodes[1] = root
         self.root = root
+        #: running sum of every inode's ``used_bytes()``, adjusted wherever
+        #: one changes (data growth/shrink, inode birth/death, directory
+        #: entries) so space checks do not walk the inode table
+        self._used = root.used_bytes()
         self.write_ops = 0
         self.read_ops = 0
 
@@ -162,7 +169,20 @@ class VirtualFS:
         return node
 
     def used_bytes(self) -> int:
-        return sum(n.used_bytes() for n in self._inodes.values())
+        return self._used
+
+    def _link_entry(self, d: Inode, name: str, fileid: int) -> None:
+        if name not in d.entries:
+            self._used += DIRENT_BYTES
+        d.entries[name] = fileid
+
+    def _unlink_entry(self, d: Inode, name: str) -> None:
+        del d.entries[name]
+        self._used -= DIRENT_BYTES
+
+    def _drop_inode(self, node: Inode) -> None:
+        del self._inodes[node.fileid]
+        self._used -= node.used_bytes()
 
     def inode_count(self) -> int:
         return len(self._inodes)
@@ -273,13 +293,14 @@ class VirtualFS:
     def _resize(self, node: Inode, size: int) -> None:
         if size < 0:
             raise VfsError(Status.INVAL, "negative size")
-        if size > len(node.data):
-            grow = size - len(node.data)
+        grow = size - len(node.data)
+        if grow > 0:
             if self.used_bytes() + grow > self.capacity_bytes:
                 raise VfsError(Status.NOSPC)
             node.data.extend(b"\x00" * grow)
         else:
             del node.data[size:]
+        self._used += grow
         node.size = size
 
     # -- creation -------------------------------------------------------------
@@ -293,6 +314,7 @@ class VirtualFS:
             generation=next(self._generation),
         )
         self._inodes[node.fileid] = node
+        self._used += node.used_bytes()
         return node
 
     def create(
@@ -313,7 +335,7 @@ class VirtualFS:
             return node
         self._require(d, cred, 3)  # write + search
         node = self._new_inode(Ftype.REG, mode, cred)
-        d.entries[name] = node.fileid
+        self._link_entry(d, name, node.fileid)
         self._touch(d, m=True, c=True)
         self.write_ops += 1
         return node
@@ -327,7 +349,7 @@ class VirtualFS:
         self._require(d, cred, 3)
         node = self._new_inode(Ftype.DIR, mode, cred)
         node.nlink = 2
-        d.entries[name] = node.fileid
+        self._link_entry(d, name, node.fileid)
         d.nlink += 1
         self._touch(d, m=True, c=True)
         self.write_ops += 1
@@ -343,7 +365,7 @@ class VirtualFS:
         node = self._new_inode(Ftype.LNK, 0o777, cred)
         node.symlink_target = target
         node.size = len(target)
-        d.entries[name] = node.fileid
+        self._link_entry(d, name, node.fileid)
         self._touch(d, m=True, c=True)
         self.write_ops += 1
         return node
@@ -364,7 +386,7 @@ class VirtualFS:
         if name in d.entries:
             raise VfsError(Status.EXIST, name)
         self._require(d, cred, 3)
-        d.entries[name] = node.fileid
+        self._link_entry(d, name, node.fileid)
         node.nlink += 1
         self._touch(node, c=True)
         self._touch(d, m=True, c=True)
@@ -384,10 +406,10 @@ class VirtualFS:
         child = self.inode(child_id)
         if child.is_dir:
             raise VfsError(Status.ISDIR, name)
-        del d.entries[name]
+        self._unlink_entry(d, name)
         child.nlink -= 1
         if child.nlink <= 0:
-            del self._inodes[child_id]
+            self._drop_inode(child)
         else:
             self._touch(child, c=True)
         self._touch(d, m=True, c=True)
@@ -406,8 +428,8 @@ class VirtualFS:
             raise VfsError(Status.NOTDIR, name)
         if child.entries:
             raise VfsError(Status.NOTEMPTY, name)
-        del d.entries[name]
-        del self._inodes[child_id]
+        self._unlink_entry(d, name)
+        self._drop_inode(child)
         d.nlink -= 1
         self._touch(d, m=True, c=True)
         self.write_ops += 1
@@ -439,16 +461,16 @@ class VirtualFS:
                     raise VfsError(Status.ISDIR, to_name)
                 if existing.entries:
                     raise VfsError(Status.NOTEMPTY, to_name)
-                del self._inodes[existing_id]
+                self._drop_inode(existing)
                 dst.nlink -= 1
             else:
                 if moving.is_dir:
                     raise VfsError(Status.NOTDIR, to_name)
                 existing.nlink -= 1
                 if existing.nlink <= 0:
-                    del self._inodes[existing_id]
-        del src.entries[from_name]
-        dst.entries[to_name] = moving_id
+                    self._drop_inode(existing)
+        self._unlink_entry(src, from_name)
+        self._link_entry(dst, to_name, moving_id)
         if moving.is_dir and src is not dst:
             src.nlink -= 1
             dst.nlink += 1
@@ -487,10 +509,7 @@ class VirtualFS:
             raise VfsError(Status.INVAL)
         end = offset + len(data)
         if end > len(node.data):
-            grow = end - len(node.data)
-            if self.used_bytes() + grow > self.capacity_bytes:
-                raise VfsError(Status.NOSPC)
-            node.data.extend(b"\x00" * (end - len(node.data)))
+            self._resize(node, end)  # zero-fills, or refuses with NOSPC
         node.data[offset:end] = data
         node.size = len(node.data)
         self._touch(node, m=True, c=True)

@@ -27,8 +27,18 @@ _F32 = struct.Struct(">f")
 _F64 = struct.Struct(">d")
 
 
+_ZEROS = b"\x00\x00\x00"
+
+
 def _pad(n: int) -> int:
     return (4 - (n & 3)) & 3
+
+
+def check_bool(v: int) -> bool:
+    """The XDR bool rule, for a word read as part of a larger layout."""
+    if v not in (0, 1):
+        raise XdrError(f"bool must be 0 or 1, got {v}")
+    return bool(v)
 
 
 class Packer:
@@ -77,21 +87,38 @@ class Packer:
     def pack_double(self, v: float) -> None:
         self._parts.append(_F64.pack(v))
 
+    def pack_struct(self, layout: struct.Struct, *values) -> None:
+        """A precompiled fixed layout (big-endian, word-aligned) in one
+        call; ``struct``'s own range checks refuse what the per-field
+        packers would."""
+        try:
+            self._parts.append(layout.pack(*values))
+        except struct.error as exc:
+            raise XdrError(f"value out of range: {exc}") from None
+
     # -- opaques and strings ----------------------------------------------
 
     def pack_fopaque(self, n: int, data: bytes) -> None:
         """Fixed-length opaque: exactly n bytes plus padding."""
         if len(data) != n:
             raise XdrError(f"fixed opaque wants {n} bytes, got {len(data)}")
-        self._parts.append(bytes(data) + b"\x00" * _pad(n))
+        # bytes() hands an immutable input back as it is and snapshots a
+        # mutable one: the payload's one copy is the join in get_bytes().
+        self._parts.append(bytes(data))
+        if n & 3:
+            self._parts.append(_ZEROS[: _pad(n)])
 
     def pack_opaque(self, data: bytes) -> None:
         """Variable-length opaque: length word, bytes, padding."""
         self.pack_uint(len(data))
-        self._parts.append(bytes(data) + b"\x00" * _pad(len(data)))
+        self.pack_fopaque(len(data), data)
 
     def pack_string(self, s: str) -> None:
         self.pack_opaque(s.encode("utf-8"))
+
+    def pack_encoded(self, data: bytes) -> None:
+        """Bytes that are XDR already (RPC arguments, results), verbatim."""
+        self._parts.append(bytes(data))
 
     # -- composites --------------------------------------------------------
 
@@ -118,10 +145,11 @@ class Packer:
 
 
 class Unpacker:
-    """Consumes XDR-encoded bytes."""
+    """Consumes XDR-encoded bytes at a cursor, without slicing per field."""
 
     def __init__(self, data: bytes):
-        self._data = memoryview(bytes(data))
+        # bytes input is read in place; a mutable buffer is snapshotted
+        self._data = bytes(data)
         self._pos = 0
 
     @property
@@ -138,53 +166,59 @@ class Unpacker:
         if not self.done():
             raise XdrError(f"{self.remaining()} trailing bytes after decode")
 
-    def _take(self, n: int) -> memoryview:
-        if self._pos + n > len(self._data):
-            raise XdrError(
-                f"buffer underrun: need {n} bytes at offset {self._pos}, "
-                f"have {len(self._data) - self._pos}"
-            )
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
+    def _underrun(self, n: int) -> XdrError:
+        return XdrError(
+            f"buffer underrun: need {n} bytes at offset {self._pos}, "
+            f"have {len(self._data) - self._pos}"
+        )
+
+    def unpack_struct(self, layout: struct.Struct) -> tuple:
+        """A precompiled fixed layout read at the cursor in one call."""
+        try:
+            out = layout.unpack_from(self._data, self._pos)
+        except struct.error:
+            raise self._underrun(layout.size) from None
+        self._pos += layout.size
         return out
 
     # -- integers --------------------------------------------------------
 
     def unpack_uint(self) -> int:
-        return _U32.unpack(self._take(4))[0]
+        return self.unpack_struct(_U32)[0]
 
     def unpack_int(self) -> int:
-        return _I32.unpack(self._take(4))[0]
+        return self.unpack_struct(_I32)[0]
 
     def unpack_uhyper(self) -> int:
-        return _U64.unpack(self._take(8))[0]
+        return self.unpack_struct(_U64)[0]
 
     def unpack_hyper(self) -> int:
-        return _I64.unpack(self._take(8))[0]
+        return self.unpack_struct(_I64)[0]
 
     def unpack_bool(self) -> bool:
-        v = self.unpack_uint()
-        if v not in (0, 1):
-            raise XdrError(f"bool must be 0 or 1, got {v}")
-        return bool(v)
+        return check_bool(self.unpack_uint())
 
     def unpack_enum(self) -> int:
         return self.unpack_int()
 
     def unpack_float(self) -> float:
-        return _F32.unpack(self._take(4))[0]
+        return self.unpack_struct(_F32)[0]
 
     def unpack_double(self) -> float:
-        return _F64.unpack(self._take(8))[0]
+        return self.unpack_struct(_F64)[0]
 
     # -- opaques and strings -----------------------------------------------
 
     def unpack_fopaque(self, n: int) -> bytes:
-        data = bytes(self._take(n))
-        pad = bytes(self._take(_pad(n)))
-        if pad.strip(b"\x00"):
+        start = self._pos
+        end = start + n
+        stop = end + _pad(n)
+        if stop > len(self._data):
+            raise self._underrun(stop - start)
+        if stop != end and self._data[end:stop] != _ZEROS[: stop - end]:
             raise XdrError("nonzero padding bytes")
-        return data
+        self._pos = stop
+        return self._data[start:end]  # the one copy of a payload per decode
 
     def unpack_opaque(self, max_len: Optional[int] = None) -> bytes:
         n = self.unpack_uint()

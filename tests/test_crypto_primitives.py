@@ -1,10 +1,14 @@
 """Crypto primitives against published vectors plus property tests."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto import AES, RC4, PaddingError, hmac_sha1, hmac_sha256, pkcs7_pad, pkcs7_unpad
 from repro.crypto.hmac import constant_time_equal, hmac_digest
+from repro.crypto.suites import FastXorState
 
 
 # -- AES (FIPS-197 appendix C vectors) ------------------------------------------
@@ -179,3 +183,44 @@ def test_pkcs7_roundtrip_property(data, block):
     assert len(padded) % block == 0
     assert len(padded) > len(data)
     assert pkcs7_unpad(padded, block) == data
+
+
+# -- FastXorState: the benchmark stand-in's keystream -----------------------------
+
+
+def _tiled_xor(pad, data, off):
+    """The reference: the whole pad tiled over the record, then sliced."""
+    n = len(data)
+    start = off % len(pad)
+    reps = (start + n + len(pad) - 1) // len(pad)
+    keystream = np.tile(pad, reps)[start : start + n]
+    return np.bitwise_xor(np.frombuffer(data, dtype=np.uint8), keystream).tobytes()
+
+
+def test_fast_xor_keystream_equals_tiled_pad_at_every_wrap():
+    state = FastXorState(b"k" * 32, b"i" * 16)
+    pad_len = FastXorState.PAD_LEN
+    lengths = [0, 1, pad_len - 1, pad_len, pad_len + 1, 3 * pad_len + 7]
+    offsets = [0, 1, pad_len - 1, pad_len, pad_len + 1, 5 * pad_len - 3, 7 * pad_len + 12345]
+    for n in lengths:
+        data = bytes(i * 31 % 251 for i in range(n))
+        for off in offsets:  # every pairing: ends before, at, and past the pad's end
+            out, new_off = state._xor(data, off)
+            assert out == _tiled_xor(state._pad, data, off), (n, off)
+            assert new_off == off + n
+    assert len(state._pad) == pad_len  # no second copy of the pad kept per state
+
+
+def test_fast_xor_streams_stay_in_step_over_mixed_records():
+    sender = FastXorState(b"k" * 32, b"i" * 16)
+    receiver = FastXorState(b"k" * 32, b"i" * 16)
+    rng = random.Random(17)
+    sizes = [0, 1, 100, 4096, 32 * 1024 + 20, FastXorState.PAD_LEN, 3 * FastXorState.PAD_LEN + 7]
+    off = 0
+    for _ in range(1000):
+        record = rng.randbytes(rng.choice(sizes) if rng.random() < 0.3 else rng.randrange(300))
+        sealed = sender.encrypt(record)
+        assert sealed == _tiled_xor(sender._pad, record, off)
+        assert receiver.decrypt(sealed) == record
+        off += len(record)
+    assert sender._enc_off == receiver._dec_off == off

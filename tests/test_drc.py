@@ -10,6 +10,7 @@ NFS program — for the plain NFS path and for both SGFS proxy hops.
 """
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core import Testbed, setup_nfs_v3
 from repro.core.setups import setup_gfs, setup_sgfs
@@ -129,6 +130,100 @@ def test_drc_key_separates_client_identities():
     assert drc_key(call(1)) != drc_key(call(1, xid=78))
     # same xid reused for a different payload (paranoia guard)
     assert drc_key(call(1)) != drc_key(call(1, args=b"different"))
+
+
+# -- expiry: O(expired) bookkeeping against the full scan it replaced -----------
+
+
+class _ScanningDrc(DuplicateRequestCache):
+    """The reference: every ``check()`` scans the whole table for stale
+    replies, as the cache did before it kept a completion-ordered queue."""
+
+    def _expire(self):
+        now = self.sim.now
+        stale = [
+            key
+            for key, entry in self._entries.items()
+            if entry.reply is not None and now - entry.done_at > self.max_age
+        ]
+        for key in stale:
+            del self._entries[key]
+            self.expirations += 1
+
+
+def _counters(drc):
+    return (drc.misses, drc.replays, drc.parks, drc.evictions, drc.expirations,
+            list(drc._entries))
+
+
+@given(st.lists(
+    st.one_of(
+        st.tuples(st.just("advance"), st.sampled_from([0.0, 1.0, 4.0, 10.0, 10.5, 25.0])),
+        st.tuples(st.sampled_from(["check", "complete", "abort"]), st.integers(0, 5)),
+    ),
+    max_size=60,
+))
+def test_expiry_matches_the_full_scan(ops):
+    """Same expiry instants, evictions, replays and LRU order as the
+    scan, for any interleaving — including replays that reorder the LRU
+    dict without refreshing an entry's age, and keys evicted and then
+    executed again."""
+    new_sim, ref_sim = Simulator(), Simulator()
+    new = DuplicateRequestCache(new_sim, capacity=3, max_age=10.0)
+    ref = _ScanningDrc(ref_sim, capacity=3, max_age=10.0)
+    for op, arg in ops:
+        if op == "advance":
+            new_sim.now += arg
+            ref_sim.now += arg
+        elif op == "check":
+            assert new.check(arg)[0] == ref.check(arg)[0]
+        elif op == "complete":
+            new.complete(arg, b"reply")
+            ref.complete(arg, b"reply")
+        else:
+            new.abort(arg)
+            ref.abort(arg)
+        assert _counters(new) == _counters(ref)
+        assert len(new._completed) <= 2 * new.capacity + 1
+
+
+def test_replayed_entry_expires_by_completion_time_not_last_use():
+    """A replay moves the entry to the young end of the LRU order but
+    does not refresh its age: it still expires max_age after it
+    *completed*, on the first check() past that instant — even with
+    younger, unexpired entries ahead of it in the table."""
+    sim = Simulator()
+    drc = DuplicateRequestCache(sim, max_age=10.0)
+    drc.check("old")
+    drc.complete("old", b"r-old")
+    sim.now = 6.0
+    drc.check("young")
+    drc.complete("young", b"r-young")
+    sim.now = 9.0
+    assert drc.check("old") == (REPLAY, b"r-old")  # now last in LRU order
+    sim.now = 10.0
+    assert drc.check("other")[0] == MISS and drc.expirations == 0  # 10 is not > 10
+    sim.now = 10.5
+    assert drc.check("young") == (REPLAY, b"r-young")
+    assert drc.expirations == 1 and len(drc) == 2  # "old" went, on this check
+    assert drc.check("old")[0] == MISS
+
+
+def test_in_progress_entries_never_expire():
+    sim = Simulator()
+    drc = DuplicateRequestCache(sim, max_age=10.0)
+    assert drc.check("slow")[0] == MISS
+    drc.check("done")
+    drc.complete("done", b"r")
+    sim.now = 1000.0
+    state, _event = drc.check("slow")  # still the original execution's
+    assert state == WAIT
+    assert drc.expirations == 1 and len(drc) == 1
+    drc.complete("slow", b"late")
+    sim.now = 1010.0
+    assert drc.check("slow") == (REPLAY, b"late")  # aged from completion
+    sim.now = 1010.5
+    assert drc.check("slow")[0] == MISS
 
 
 # -- end-to-end: retransmitted non-idempotent calls execute once --------------

@@ -1,6 +1,8 @@
 """Server-side proxy: authentication, authorization, identity mapping,
 ACL interception, ACL-file protection."""
 
+import gc
+
 import pytest
 
 from repro.core.setups import (
@@ -14,7 +16,9 @@ from repro.core.topology import Testbed
 from repro.gsi import DistinguishedName
 from repro.gsi.gridmap import Gridmap, UnmappedPolicy
 from repro.nfs.client import NfsClientError
+from repro.proxy.accounts import Account
 from repro.proxy.acl import AclEntry
+from repro.rpc.auth import AuthSys, OpaqueAuth
 from repro.vfs.fs import Credentials
 
 
@@ -190,3 +194,73 @@ def test_dynamic_gridmap_reload_applies_to_new_sessions():
     mount.server_proxy.reload(gridmap=new_map)
     assert mount.server_proxy.gridmap is new_map
     assert mount.server_proxy._map_identity(USER_DN) is None
+
+
+def test_remapped_credentials_follow_the_session_not_the_credential_bytes():
+    """The proxy builds the outbound credential once per (inbound bytes,
+    mapped account) and session.  The kernel client stamps the same
+    bytes on every call, so a memo keyed on the bytes alone, or shared
+    across sessions, would keep forwarding the first account's uid after
+    the gridmap maps the user elsewhere."""
+    tb = Testbed.build(rtt=0.02)
+    mount = setup_sgfs(tb)
+    cl, sp = mount.client, mount.server_proxy
+    guest = tb.server_accounts.add(Account("guest", 950, 950, groups=(77,)))
+    root = Credentials(0, 0)
+
+    def job():
+        yield from cl.mkdir("/shared")
+        tb.fs.setattr(tb.fs.resolve("/shared", root).fileid, root, mode=0o777)
+        yield from cl.write_file("/shared/one", b"1")
+        # remapped between two calls: authorization is per session, so
+        # the live session keeps its account ...
+        sp.gridmap.add(USER_DN, guest.name)
+        yield from cl.write_file("/shared/two", b"2")
+        # ... and the next session, same credential bytes, gets the new one
+        sp.crash()
+        yield tb.sim.timeout(0.5)
+        sp.restart()
+        yield from cl.write_file("/shared/three", b"3")
+        sp.gridmap.add(USER_DN, FILE_ACCOUNT.name)
+        sp.crash()
+        yield tb.sim.timeout(0.5)
+        sp.restart()
+        yield from cl.write_file("/shared/four", b"4")
+
+    tb.run(job())
+    owners = [tb.fs.resolve(f"/shared/{n}", root).uid for n in ("one", "two", "three", "four")]
+    assert owners == [FILE_ACCOUNT.uid, FILE_ACCOUNT.uid, guest.uid, FILE_ACCOUNT.uid]
+
+
+def test_remap_memo_is_per_session_and_per_account():
+    tb = Testbed.build()
+    sp = setup_sgfs(tb).server_proxy
+    ming, guest = FILE_ACCOUNT, Account("guest", 950, 950, groups=(77, 78))
+    cred = AuthSys(stamp=9, machinename="client", uid=5001, gid=5001, gids=[5]).to_opaque()
+
+    class Session:  # stands in for a session's upstream client (the memo's owner)
+        pass
+
+    s1, s2 = Session(), Session()
+    first = sp._remap_credentials(s1, cred, ming)
+    assert AuthSys.from_opaque(first) == AuthSys(9, "localhost", 901, 901, ())
+    assert sp._remap_credentials(s1, OpaqueAuth(1, cred.body), ming) is first  # built once
+    other = sp._remap_credentials(s2, cred, guest)
+    assert AuthSys.from_opaque(other) == AuthSys(9, "localhost", 950, 950, (77, 78))
+    assert sp._remap_credentials(s1, cred, ming) is first
+    # the same session asked for another account (no caller does this
+    # today): the account is part of the key, so still no sharing
+    assert sp._remap_credentials(s1, cred, guest) == other
+    assert sp._remap_credentials(s1, cred, ming) is first
+    # unmapped sessions, other flavors and unparseable bodies pass through
+    assert sp._remap_credentials(s1, cred, None) is cred
+    junk = OpaqueAuth(1, b"\x00\x00\x00")
+    assert sp._remap_credentials(s1, junk, ming) is junk
+    assert sp._remap_credentials(s1, OpaqueAuth(0, b""), ming) == OpaqueAuth(0, b"")
+    # bounded per session, and gone with the session
+    for stamp in range(200):
+        sp._remap_credentials(s1, AuthSys(stamp=stamp).to_opaque(), ming)
+    assert len(sp._remapped[s1]) <= 64
+    del s1
+    gc.collect()
+    assert list(sp._remapped) == [s2]

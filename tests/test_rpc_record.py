@@ -107,3 +107,79 @@ def test_property_stream_reassembly(records, fragment_size, chunk_size):
                 break
             out.append(rec)
     assert out == records
+
+
+# -- whole records peeled off the arriving chunk vs. the staging buffers ----------
+
+
+def _drain(reader):
+    out = []
+    while (rec := reader.next_record()) is not None:
+        out.append(rec)
+    return out
+
+
+def test_every_split_of_a_mixed_stream_reassembles():
+    """Single-fragment records take the direct path when they arrive
+    whole, multi-fragment and partial ones the staging buffers; every
+    1-, 2- and 3-way cut of the stream must hand back the same records
+    in the same order whichever path each piece took."""
+    records = [b"", b"abc", b"0123456789", b"", b"z" * 15, b"tail"]
+    sizes = [1 << 20, 7, 1 << 20, 1, 1, 7]  # 1 << 20: one fragment each
+    stream = b"".join(frame_record(r, fragment_size=s) for r, s in zip(records, sizes))
+    n = len(stream)
+    cuts = [()] + [(i,) for i in range(n + 1)] + [
+        (i, j) for i in range(n + 1) for j in range(i, n + 1)
+    ]
+    for cut in cuts:
+        reader = RecordReader()
+        out = []
+        for lo, hi in zip((0,) + cut, cut + (n,)):
+            reader.feed(stream[lo:hi])
+            out.extend(_drain(reader))
+        assert out == records, cut
+        assert reader.pending == 0
+
+
+def test_whole_records_are_ready_without_staging():
+    reader = RecordReader()
+    reader.feed(frame_record(b"one") + frame_record(b"") + frame_record(b"three")[:5])
+    assert reader.pending == 2
+    assert _drain(reader) == [b"one", b""]
+    reader.feed(frame_record(b"three")[5:] + frame_record(b"four"))
+    assert _drain(reader) == [b"three", b"four"]
+
+
+@pytest.mark.parametrize("before,ready", [
+    (b"", []),
+    (frame_record(b"ok"), [b"ok"]),  # met on the direct path
+    (frame_record(b"ab", fragment_size=1), [b"ab"]),  # met while staging
+])
+def test_oversized_header_rejected_on_either_path(before, ready):
+    """max_record is enforced on the header alone, before any payload
+    arrives; records completed before it stay readable."""
+    reader = RecordReader(max_record=100)
+    with pytest.raises(RpcError, match="exceeds"):
+        reader.feed(before + struct.pack(">I", LAST_FRAGMENT | 101))
+    assert _drain(reader) == ready
+    exact = RecordReader(max_record=100)
+    exact.feed(frame_record(b"x" * 100))
+    assert exact.next_record() == b"x" * 100
+
+
+def test_fragments_summing_past_the_limit_rejected():
+    reader = RecordReader(max_record=100)
+    with pytest.raises(RpcError, match="exceeds"):
+        reader.feed(frame_record(b"x" * 101, fragment_size=60))
+
+
+def test_framing_is_one_header_per_fragment_whatever_the_input_type():
+    for record in (b"", b"a", b"abcdefgh"):
+        for size in (1, 3, 8, 1 << 20):
+            framed = frame_record(record, fragment_size=size)
+            pieces = [record[i : i + size] for i in range(0, len(record), size)] or [b""]
+            want = b"".join(
+                struct.pack(">I", (LAST_FRAGMENT if i == len(pieces) - 1 else 0) | len(p)) + p
+                for i, p in enumerate(pieces)
+            )
+            assert framed == want == frame_record(bytearray(record), fragment_size=size)

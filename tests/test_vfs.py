@@ -278,6 +278,54 @@ def test_capacity_enforced():
     assert e.value.status == Status.NOSPC
 
 
+def test_used_bytes_running_total_tracks_every_kind_of_change():
+    """The total is adjusted in place, never recomputed: after each
+    operation that can move it — hard links, symlinks, renames over
+    files and directories, shrinking, failed writes — it must equal the
+    sum over the inode table."""
+    fs = VirtualFS(root_uid=1000, capacity_bytes=4096)
+
+    def check():
+        assert fs.used_bytes() == sum(n.used_bytes() for n in fs._inodes.values())
+        return fs.used_bytes()
+
+    assert check() == 512  # the empty root
+    a = fs.create(1, "a", ALICE)
+    fs.write(a.fileid, 10, b"x" * 90, ALICE)  # sparse start counts too
+    assert check() == 512 + 32 + 100
+    fs.create(1, "a", ALICE)  # open-existing adds no entry
+    fs.link(a.fileid, 1, "a2", ALICE)
+    fs.symlink(1, "s", "a", ALICE)
+    d = fs.mkdir(1, "d", ALICE)
+    fs.mkdir(1, "e", ALICE)
+    assert check() == 512 + 5 * 32 + 100 + 64 + 2 * 512
+    b = fs.create(d.fileid, "b", ALICE)
+    fs.write(b.fileid, 0, b"y" * 50, ALICE)
+    fs.write(b.fileid, 10, b"z" * 10, ALICE)  # overwrite in place: no growth
+    check()
+    with pytest.raises(VfsError) as e:  # refused: nothing may be charged
+        fs.write(b.fileid, 0, b"w" * 4000, ALICE)
+    assert e.value.status == Status.NOSPC
+    with pytest.raises(VfsError):
+        fs.setattr(b.fileid, ALICE, size=4000)
+    before = check()
+    fs.setattr(a.fileid, ALICE, size=40)
+    fs.setattr(b.fileid, ALICE, size=60)
+    assert check() == before - 60 + 10
+    fs.remove(1, "a", ALICE)  # still linked as a2: only the entry goes
+    assert check() == before - 50 - 32
+    fs.rename(d.fileid, "b", 1, "a2", ALICE)  # over the last link: inode dies
+    assert check() == before - 50 - 32 - 32 - 40
+    fs.rename(1, "d", 1, "e", ALICE)  # directory over an empty directory
+    fs.rename(1, "a2", 1, "a3", ALICE)  # plain rename: a wash
+    fs.rename(1, "a3", 1, "a3", ALICE)  # onto itself: no-op
+    check()
+    fs.remove(1, "s", ALICE)
+    fs.remove(1, "a3", ALICE)
+    fs.rmdir(1, "e", ALICE)
+    assert check() == 512
+
+
 def test_readdir_sorted_with_dot_entries(fs):
     fs.create(1, "zeta", ALICE)
     fs.create(1, "alpha", ALICE)

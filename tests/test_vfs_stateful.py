@@ -134,6 +134,14 @@ class VfsModel(RuleBasedStateMachine):
     def nlink_consistent(self):
         assert self.fs.root.nlink == 2 + len(self.dirs)
 
+    @invariant()
+    def running_total_is_the_sum_over_inodes(self):
+        """used_bytes() is kept incrementally; it must always equal the
+        walk over the inode table it replaced."""
+        assert self.fs.used_bytes() == sum(
+            node.used_bytes() for node in self.fs._inodes.values()
+        )
+
 
 TestVfsStateful = VfsModel.TestCase
 TestVfsStateful.settings = __import__("hypothesis").settings(

@@ -1,9 +1,12 @@
 """XDR codec: RFC 4506 semantics, strictness, property-based roundtrips."""
 
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.xdr import Packer, Unpacker, XdrError
+from tests._reference_codec import RefPacker, RefUnpacker, outcome
 
 
 def roundtrip(pack, unpack):
@@ -202,3 +205,106 @@ def test_concatenated_fields_roundtrip(blob, n):
         return u.unpack_uint(), u.unpack_opaque(), u.unpack_bool()
 
     assert roundtrip(pack, unpack) == (n, blob, bool(n % 2))
+
+
+# -- differential: the cursor codec against the field-at-a-time reference -----------
+
+UNPACK_OPS = [
+    ("unpack_uint",), ("unpack_int",), ("unpack_uhyper",), ("unpack_bool",),
+    ("unpack_enum",), ("unpack_opaque",), ("unpack_opaque", 5), ("unpack_string",),
+    ("unpack_string", 3), ("unpack_fopaque", 0), ("unpack_fopaque", 1),
+    ("unpack_fopaque", 6), ("unpack_fopaque", 8),
+]
+
+
+@given(st.binary(max_size=48), st.lists(st.sampled_from(UNPACK_OPS), max_size=8))
+def test_unpacker_matches_reference_on_any_bytes(data, ops):
+    """Same value, same cursor, same exception class, whatever the bytes."""
+    new, ref = Unpacker(data), RefUnpacker(data)
+    for name, *args in ops:
+        got = outcome(getattr(new, name), *args)
+        assert got == outcome(getattr(ref, name), *args)
+        if got[0] == "error":
+            return
+        assert new.position == ref.position
+    assert outcome(new.assert_done) == outcome(ref.assert_done)
+
+
+INTS = st.one_of(
+    st.integers(min_value=-(2**64) - 1, max_value=2**64 + 1),
+    st.sampled_from([-1, 0, 2**31 - 1, 2**31, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64,
+                     -(2**31), -(2**31) - 1]),
+)
+PACK_OPS = st.one_of(
+    st.tuples(st.sampled_from(["pack_uint", "pack_int", "pack_uhyper", "pack_enum"]), INTS),
+    st.tuples(st.just("pack_bool"), st.booleans()),
+    st.tuples(st.just("pack_opaque"), st.binary(max_size=9)),
+    st.tuples(st.just("pack_string"), st.text(max_size=5)),
+)
+
+
+@given(st.lists(PACK_OPS, max_size=8))
+def test_packer_matches_reference_bytes_and_range_errors(ops):
+    new, ref = Packer(), RefPacker()
+    for name, value in ops:
+        got = outcome(getattr(new, name), value)
+        assert got == outcome(getattr(ref, name), value)
+        if got[0] == "error":
+            assert got[1] is XdrError
+            return
+    assert new.get_bytes() == ref.get_bytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7])
+def test_each_nonzero_pad_byte_rejected(n):
+    good = RefPacker()
+    good.pack_opaque(b"x" * n)
+    good = good.get_bytes()
+    assert Unpacker(good).unpack_opaque() == b"x" * n
+    for i in range(4 + n, len(good)):
+        bad = bytearray(good)
+        bad[i] = 1
+        with pytest.raises(XdrError, match="padding"):
+            Unpacker(bytes(bad)).unpack_opaque()
+
+
+def test_struct_layouts_read_and_write_in_one_call():
+    layout = struct.Struct(">IiQ")
+    p = Packer()
+    p.pack_struct(layout, 7, -2, 2**40)
+    ref = RefPacker()
+    ref.pack_uint(7)
+    ref.pack_int(-2)
+    ref.pack_uhyper(2**40)
+    assert p.get_bytes() == ref.get_bytes()
+    u = Unpacker(p.get_bytes() + b"\x00\x00\x00\x09")
+    assert u.unpack_struct(layout) == (7, -2, 2**40)
+    assert u.position == layout.size and u.unpack_uint() == 9
+
+
+@pytest.mark.parametrize("values", [(-1, 0, 0), (2**32, 0, 0), (0, 2**31, 0), (0, 0, 2**64)])
+def test_struct_layout_out_of_range_is_an_xdr_error(values):
+    with pytest.raises(XdrError):
+        Packer().pack_struct(struct.Struct(">IiQ"), *values)
+
+
+def test_struct_layout_short_buffer_is_an_underrun():
+    u = Unpacker(b"\x00" * 15)
+    with pytest.raises(XdrError, match="underrun"):
+        u.unpack_struct(struct.Struct(">IiQ"))
+    assert u.position == 0
+
+
+def test_mutable_buffers_are_snapshotted():
+    """A bytes input is read in place, so a mutable one must be copied
+    once up front: later writes to it may not show through."""
+    buf = bytearray(b"\x00\x00\x00\x01\x00\x00\x00\x02")
+    u = Unpacker(buf)
+    buf[3] = 0xFF
+    assert (u.unpack_uint(), u.unpack_uint()) == (1, 2)
+    payload = bytearray(b"abcd")
+    p = Packer()
+    p.pack_opaque(payload)
+    p.pack_encoded(payload)
+    payload[0] = 0
+    assert p.get_bytes() == b"\x00\x00\x00\x04abcdabcd"
