@@ -31,6 +31,9 @@ preset: an optional ``lan-``/``wan-`` prefix (LAN = 0 RTT, WAN = 40 ms)
 and an optional ``-cache`` suffix enabling the proxy disk cache, e.g.
 ``wan-sgfs-cache`` or ``lan-nfs`` (``nfs`` aliases ``nfs-v3``).
 
+All five running commands build their workload from :data:`WORKLOADS`
+and go through :func:`_run` — one session or, with ``--clients N``, a fleet.
+
 Everything prints virtual-time seconds from the deterministic simulation.
 """
 
@@ -46,21 +49,44 @@ from repro.core.setups import SETUP_BUILDERS
 from repro.crypto.suites import SUITES
 from repro.faults import FAULT_PRESETS
 from repro.harness import (
+    run_fleet,
     run_iozone,
-    run_iozone_wr,
     run_mab,
     run_postmark,
     run_seismic,
+    run_workload,
 )
 from repro.harness.presets import WAN_RTT, resolve_preset  # noqa: F401 (re-export)
+from repro.workloads.churn import SessionChurn
+from repro.workloads.iozone import IOzoneReadReread, IOzoneWriteRead
+from repro.workloads.mab import ModifiedAndrewBenchmark
+from repro.workloads.postmark import PostMark
+from repro.workloads.seismic import Seismic
 
-WORKLOAD_RUNNERS = {
-    "iozone": run_iozone,
-    "iozone-wr": run_iozone_wr,
-    "postmark": run_postmark,
-    "mab": run_mab,
-    "seismic": run_seismic,
+#: name -> workload class: the one table every command runs from
+WORKLOADS = {
+    "iozone": IOzoneReadReread,
+    "iozone-wr": IOzoneWriteRead,
+    "postmark": PostMark,
+    "mab": ModifiedAndrewBenchmark,
+    "seismic": Seismic,
+    "churn": SessionChurn,
 }
+#: workloads that make sense for one client (churn needs a fleet)
+SINGLE_WORKLOADS = sorted(set(WORKLOADS) - {"churn"})
+
+#: options that configure a fleet and are an error without one
+#: (``--clients 1``): flag, args attribute, its "not given" value, and
+#: the run_fleet keyword it feeds (``*_ms`` ones as virtual seconds)
+_FLEET_OPTIONS = (
+    ("--stagger-ms", "stagger_ms", 0.0, "stagger"),
+    ("--server-cores", "server_cores", 1, "server_cores"),
+    ("--session-tickets", "session_tickets", False, "session_tickets"),
+    ("--reconnect-ms", "reconnect_ms", None, "reconnect_interval"),
+    ("--servers", "servers", 1, "servers"),
+    ("--replicas", "replicas", 1, "replicas"),
+    ("--delegation-ms", "delegation_ms", None, "delegation_lifetime"),
+)
 
 FIGURES = ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10")
 
@@ -76,8 +102,7 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_parser("info", help="show the calibration constants")
 
     run_p = sub.add_parser("run", help="run one workload on one setup")
-    run_p.add_argument("--workload",
-                       choices=sorted([*WORKLOAD_RUNNERS, "churn"]),
+    run_p.add_argument("--workload", choices=sorted(WORKLOADS),
                        required=True,
                        help="benchmark to run; 'churn' (long-lived "
                             "light-I/O sessions) requires --clients >= 2")
@@ -138,7 +163,7 @@ def _parser() -> argparse.ArgumentParser:
     fig_p.add_argument("name", choices=FIGURES)
 
     sweep_p = sub.add_parser("sweep", help="one workload across RTTs, two setups")
-    sweep_p.add_argument("--workload", choices=sorted(WORKLOAD_RUNNERS),
+    sweep_p.add_argument("--workload", choices=SINGLE_WORKLOADS,
                          default="postmark")
     sweep_p.add_argument("--baseline", choices=sorted(SETUP_BUILDERS),
                          default="nfs-v3")
@@ -153,7 +178,7 @@ def _parser() -> argparse.ArgumentParser:
     stats_p.add_argument("setup",
                          help="setup or preset, e.g. sgfs, lan-nfs, "
                               "wan-sgfs-cache")
-    stats_p.add_argument("workload", choices=sorted(WORKLOAD_RUNNERS))
+    stats_p.add_argument("workload", choices=SINGLE_WORKLOADS)
     stats_p.add_argument("--rtt-ms", type=float, default=None,
                          help="override the preset's RTT (milliseconds)")
     stats_p.add_argument("--json", action="store_true",
@@ -167,7 +192,7 @@ def _parser() -> argparse.ArgumentParser:
     trace_p.add_argument("setup",
                          help="setup or preset, e.g. sgfs, lan-nfs, "
                               "wan-sgfs-cache")
-    trace_p.add_argument("workload", choices=sorted(WORKLOAD_RUNNERS))
+    trace_p.add_argument("workload", choices=SINGLE_WORKLOADS)
     trace_p.add_argument("--rtt-ms", type=float, default=None,
                          help="override the preset's RTT (milliseconds)")
     trace_p.add_argument("--out", default="trace.json",
@@ -182,7 +207,7 @@ def _parser() -> argparse.ArgumentParser:
     prof_p.add_argument("setup",
                         help="setup or preset, e.g. sgfs-aes, lan-nfs, "
                              "wan-sgfs-cache")
-    prof_p.add_argument("workload", choices=sorted(WORKLOAD_RUNNERS))
+    prof_p.add_argument("workload", choices=SINGLE_WORKLOADS)
     prof_p.add_argument("--rtt-ms", type=float, default=None,
                         help="override the preset's RTT (milliseconds)")
     prof_p.add_argument("--clients", type=int, default=1,
@@ -235,7 +260,7 @@ def _parser() -> argparse.ArgumentParser:
 def _cmd_list(out) -> int:
     print("setups: ", ", ".join(sorted(SETUP_BUILDERS)), file=out)
     print("suites: ", ", ".join(sorted(SUITES)), file=out)
-    print("workloads: ", ", ".join(sorted([*WORKLOAD_RUNNERS, "churn"])), file=out)
+    print("workloads: ", ", ".join(sorted(WORKLOADS)), file=out)
     print("figures: ", ", ".join(FIGURES), file=out)
     print("fault presets: ", ", ".join(sorted(FAULT_PRESETS)), file=out)
     return 0
@@ -267,59 +292,48 @@ def _write_stats_json(path: str, stats: dict, out) -> int:
     return 0
 
 
-def _cmd_run_fleet(args, kwargs, out) -> int:
-    """The ``run --clients N`` path: one N-client concurrent fleet."""
-    from repro.harness import run_fleet
-    from repro.workloads.churn import SessionChurn
-    from repro.workloads.iozone import IOzoneReadReread, IOzoneWriteRead
-    from repro.workloads.mab import ModifiedAndrewBenchmark
-    from repro.workloads.postmark import PostMark
-    from repro.workloads.seismic import Seismic
-
-    factories = {
-        "iozone": lambda: IOzoneReadReread(),
-        "iozone-wr": lambda: IOzoneWriteRead(),
-        "postmark": lambda: PostMark(None),
-        "mab": ModifiedAndrewBenchmark,
-        "seismic": lambda: Seismic(None),
-        "churn": lambda: SessionChurn(),
-    }
+def _run(args, out, setup: str, rtt: float, setup_kwargs=None, **obs):
+    """The one run path of ``run``, ``sweep``, ``stats``, ``trace`` and
+    ``profile``: ``args.workload`` on ``setup`` — one session, or a fleet
+    when the command has ``--clients`` and it is above 1.  Returns the
+    harness result, or None after printing why the run is impossible."""
+    opt = lambda name, default: getattr(args, name, default)
+    clients = opt("clients", 1)
+    if clients < 1:
+        print("error: --clients must be >= 1", file=out)
+        return None
+    if clients == 1 and args.workload == "churn":
+        print("error: the churn workload requires a fleet run "
+              "(--clients >= 2)", file=out)
+        return None
+    fleet = {}
+    for flag, attr, unset, keyword in _FLEET_OPTIONS:
+        value = opt(attr, unset)
+        if clients == 1 and value != unset:
+            print(f"error: {flag} requires a fleet run (--clients >= 2)",
+                  file=out)
+            return None
+        if attr.endswith("_ms"):
+            value = value / 1000.0 if value else unset
+        fleet[keyword] = value
+    workload_kw = {}
+    if opt("file_size", None) is not None and args.workload.startswith("iozone"):
+        workload_kw["file_size"] = args.file_size
+    # zero-argument on purpose: run_fleet passes the client index to a
+    # factory that takes a parameter
+    factory = lambda: WORKLOADS[args.workload](**workload_kw)
+    common = dict(rtt=rtt, faults=opt("faults", None),
+                  fault_seed=opt("fault_seed", "faults"), **obs)
+    if clients == 1:
+        return run_workload(setup, factory, setup_kwargs=setup_kwargs, **common)
+    kw = dict(setup_kwargs or {})
     try:
-        result = run_fleet(
-            args.setup, factories[args.workload], clients=args.clients,
-            rtt=args.rtt_ms / 1000.0, stagger=args.stagger_ms / 1000.0,
-            setup_kwargs=kwargs or None,
-            faults=args.faults, fault_seed=args.fault_seed,
-            server_cores=args.server_cores,
-            session_tickets=args.session_tickets,
-            reconnect_interval=(args.reconnect_ms / 1000.0
-                                if args.reconnect_ms else None),
-            servers=args.servers,
-            replicas=args.replicas,
-            streams=args.streams,
-            delegation_lifetime=(args.delegation_ms / 1000.0
-                                 if args.delegation_ms else None),
-        )
+        return run_fleet(setup, factory, clients=clients,
+                         streams=kw.pop("streams", 1),
+                         setup_kwargs=kw or None, **fleet, **common)
     except ValueError as exc:
         print(f"error: {exc}", file=out)
-        return 2
-    rtt_label = "LAN" if args.rtt_ms == 0 else f"{args.rtt_ms:g}ms RTT"
-    print(f"{args.workload} on {args.setup} ({rtt_label}), "
-          f"{args.clients}-client fleet", file=out)
-    print(f"  {'makespan':12s} {result.makespan:10.3f}s", file=out)
-    print(f"  {'mean/client':12s} {result.mean_client_seconds:10.3f}s", file=out)
-    for c in result.per_client:
-        print(f"  {c.name:12s} {c.total:10.3f}s "
-              f"(start {c.start:.3f}s)", file=out)
-    if args.faults:
-        fstats = result.stats.get("faults", {})
-        shown = {k: v for k, v in fstats.items() if v}
-        print(f"  faults[{args.faults}]: "
-              + (", ".join(f"{k}={v}" for k, v in sorted(shown.items()))
-                 or "no packets perturbed"), file=out)
-    if args.stats_json:
-        return _write_stats_json(args.stats_json, result.stats, out)
-    return 0
+        return None
 
 
 def _cmd_run(args, out) -> int:
@@ -329,55 +343,45 @@ def _cmd_run(args, out) -> int:
             print("error: --disk-cache applies only to proxied setups", file=out)
             return 2
         kwargs["disk_cache"] = True
-    if args.streams > 1 and args.setup in ("nfs-v3", "nfs-v4", "gfs-ssh", "sfs"):
-        print("error: --streams applies only to proxied gfs/sgfs setups",
-              file=out)
+    if args.streams < 1:
+        print("error: --streams must be >= 1", file=out)
         return 2
-    if args.clients < 1:
-        print("error: --clients must be >= 1", file=out)
-        return 2
-    if args.clients > 1:
-        return _cmd_run_fleet(args, kwargs, out)
-    if args.workload == "churn":
-        print("error: the churn workload requires a fleet run "
-              "(--clients >= 2)", file=out)
-        return 2
-    for flag, active in (
-        ("--server-cores", args.server_cores > 1),
-        ("--session-tickets", args.session_tickets),
-        ("--reconnect-ms", args.reconnect_ms is not None),
-        ("--servers", args.servers > 1),
-        ("--replicas", args.replicas > 1),
-        ("--delegation-ms", args.delegation_ms is not None),
-    ):
-        if active:
-            print(f"error: {flag} requires a fleet run (--clients >= 2)",
+    if args.streams > 1:
+        if args.setup in ("nfs-v3", "nfs-v4", "gfs-ssh", "sfs"):
+            print("error: --streams applies only to proxied gfs/sgfs setups",
                   file=out)
             return 2
-    if args.streams > 1:
         kwargs["streams"] = args.streams
-    runner = WORKLOAD_RUNNERS[args.workload]
-    result = runner(args.setup, rtt=args.rtt_ms / 1000.0, setup_kwargs=kwargs or None,
-                    faults=args.faults, fault_seed=args.fault_seed)
+    result = _run(args, out, args.setup, args.rtt_ms / 1000.0, kwargs or None)
+    if result is None:
+        return 2
     rtt_label = "LAN" if args.rtt_ms == 0 else f"{args.rtt_ms:g}ms RTT"
-    print(f"{args.workload} on {args.setup} ({rtt_label})", file=out)
+    fleet = f", {args.clients}-client fleet" if args.clients > 1 else ""
+    print(f"{args.workload} on {args.setup} ({rtt_label}){fleet}", file=out)
+    if args.clients > 1:
+        print(f"  {'makespan':12s} {result.makespan:10.3f}s", file=out)
+        print(f"  {'mean/client':12s} {result.mean_client_seconds:10.3f}s", file=out)
+        for c in result.per_client:
+            print(f"  {c.name:12s} {c.total:10.3f}s "
+                  f"(start {c.start:.3f}s)", file=out)
     if args.faults:
         fstats = result.stats.get("faults", {})
         shown = {k: v for k, v in fstats.items() if v}
         print(f"  faults[{args.faults}]: "
               + (", ".join(f"{k}={v}" for k, v in sorted(shown.items()))
                  or "no packets perturbed"), file=out)
-    for phase, seconds in result.phases.items():
-        print(f"  {phase:12s} {seconds:10.3f}s", file=out)
-    if result.writeback_seconds:
-        print(f"  {'write-back':12s} {result.writeback_seconds:10.3f}s "
-              f"({result.writeback_bytes} bytes)", file=out)
-    if args.cpu:
-        for side in ("client", "server"):
-            for account in ("proxy", "sfsd", "sfssd", "ssh", "sshd"):
-                pct = result.cpu_mean(side, account)
-                if pct > 0:
-                    print(f"  cpu[{side}:{account}] = {pct:.1f}%", file=out)
+    if args.clients == 1:
+        for phase, seconds in result.phases.items():
+            print(f"  {phase:12s} {seconds:10.3f}s", file=out)
+        if result.writeback_seconds:
+            print(f"  {'write-back':12s} {result.writeback_seconds:10.3f}s "
+                  f"({result.writeback_bytes} bytes)", file=out)
+        if args.cpu:
+            for side in ("client", "server"):
+                for account in ("proxy", "sfsd", "sfssd", "ssh", "sshd"):
+                    pct = result.cpu_mean(side, account)
+                    if pct > 0:
+                        print(f"  cpu[{side}:{account}] = {pct:.1f}%", file=out)
     if args.stats_json:
         return _write_stats_json(args.stats_json, result.stats, out)
     return 0
@@ -443,7 +447,6 @@ def _cmd_figure(name: str, out) -> int:
 
 
 def _cmd_sweep(args, out) -> int:
-    runner = WORKLOAD_RUNNERS[args.workload]
     try:
         rtts = [float(x) for x in args.rtts_ms.split(",") if x.strip()]
     except ValueError:
@@ -452,15 +455,15 @@ def _cmd_sweep(args, out) -> int:
     print(f"{args.workload}: {args.baseline} vs {args.setup}", file=out)
     for rtt_ms in rtts:
         rtt = rtt_ms / 1000.0
-        base = runner(args.baseline, rtt=rtt)
+        base = _run(args, out, args.baseline, rtt)
         kw = {"disk_cache": True} if args.setup not in ("nfs-v3", "nfs-v4") else None
-        other = runner(args.setup, rtt=rtt, setup_kwargs=kw)
+        other = _run(args, out, args.setup, rtt, kw)
         print(f"  {rtt_ms:6.1f}ms  {base.total:10.2f}s  {other.total:10.2f}s  "
               f"{base.total / other.total:6.2f}x", file=out)
     return 0
 
 
-def _run_preset(args, out, tracing: bool):
+def _run_preset(args, out, **obs):
     """Resolve the preset + run the workload; returns result or None."""
     try:
         setup, rtt, setup_kwargs = resolve_preset(args.setup)
@@ -469,13 +472,11 @@ def _run_preset(args, out, tracing: bool):
         return None
     if args.rtt_ms is not None:
         rtt = args.rtt_ms / 1000.0
-    runner = WORKLOAD_RUNNERS[args.workload]
-    return runner(setup, rtt=rtt, setup_kwargs=setup_kwargs,
-                  telemetry=True, tracing=tracing)
+    return _run(args, out, setup, rtt, setup_kwargs, **obs)
 
 
 def _cmd_stats(args, out) -> int:
-    result = _run_preset(args, out, tracing=False)
+    result = _run_preset(args, out, telemetry=True)
     if result is None:
         return 2
     if args.json:
@@ -508,7 +509,7 @@ def _cmd_trace(args, out) -> int:
         print(f"error: cannot write {args.out}: {exc}", file=out)
         return 2
     with fh:
-        result = _run_preset(args, out, tracing=True)
+        result = _run_preset(args, out, telemetry=True, tracing=True)
         if result is None:
             return 2
         fh.write(result.trace_json(indent=None))
@@ -523,54 +524,12 @@ def _cmd_trace(args, out) -> int:
 def _cmd_profile(args, out) -> int:
     from repro.obs.profile import collapsed_stacks, format_report, report_json
 
-    try:
-        setup, rtt, setup_kwargs = resolve_preset(args.setup)
-    except ValueError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-    if args.rtt_ms is not None:
-        rtt = args.rtt_ms / 1000.0
     profile_opts = {"top": args.top}
     if args.window is not None:
         profile_opts["window"] = args.window
-
-    if args.clients > 1:
-        from repro.harness import run_fleet
-        from repro.workloads.iozone import IOzoneReadReread
-        from repro.workloads.mab import ModifiedAndrewBenchmark
-        from repro.workloads.postmark import PostMark
-        from repro.workloads.seismic import Seismic
-
-        iozone_kw = {}
-        if args.file_size is not None:
-            iozone_kw["file_size"] = args.file_size
-        factories = {
-            "iozone": lambda: IOzoneReadReread(**iozone_kw),
-            "postmark": lambda: PostMark(None),
-            "mab": ModifiedAndrewBenchmark,
-            "seismic": lambda: Seismic(None),
-        }
-        try:
-            result = run_fleet(
-                setup, factories[args.workload], clients=args.clients,
-                rtt=rtt, setup_kwargs=setup_kwargs, profile=profile_opts,
-                server_cores=args.server_cores,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=out)
-            return 2
-    else:
-        if args.server_cores > 1:
-            print("error: --server-cores requires a fleet profile "
-                  "(--clients >= 2)", file=out)
-            return 2
-        runner = WORKLOAD_RUNNERS[args.workload]
-        run_kw = {}
-        if args.workload == "iozone" and args.file_size is not None:
-            run_kw["file_size"] = args.file_size
-        result = runner(setup, rtt=rtt, setup_kwargs=setup_kwargs,
-                        profile=profile_opts, **run_kw)
-
+    result = _run_preset(args, out, profile=profile_opts)
+    if result is None:
+        return 2
     report = result.profile
     print(format_report(report), file=out)
     if args.flame:

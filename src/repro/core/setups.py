@@ -16,6 +16,12 @@ gfs-ssh gfs, with the proxy-to-proxy leg through an SSH tunnel
 sfs     kernel client ─ SFS client daemon ─(RC4ish)─ SFS server
         daemon ─ kernel server, self-certifying pathname
 ====== ==============================================================
+
+The proxied stacks are the paper's **session** (§3.2: server-side
+proxy, client-side proxy, per-session security configuration, gridmap),
+assembled from the parts below for one :class:`Seat`.  The ``setup_*``
+functions compose them for the paper's one user (:func:`paper_seat`);
+:func:`repro.harness.fleet.run_fleet` composes the same parts over N.
 """
 
 from __future__ import annotations
@@ -23,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-from repro.core.calibration import Calibration
 from repro.core.topology import (
     CLIENT_PROXY_PORT,
+    EXPORT_OWNER,
     NFS_PORT,
     SERVER_PROXY_PORT,
     SFS_PORT,
@@ -36,20 +42,22 @@ from repro.core.topology import (
 from repro.crypto.drbg import Drbg
 from repro.gsi import CertificateAuthority, DistinguishedName, Gridmap
 from repro.gsi.gridmap import UnmappedPolicy
+from repro.net import Host
 from repro.nfs import protocol as pr
 from repro.nfs.client import NfsClient
+from repro.nfs.protocol import FileHandle
 from repro.nfs.v4 import NFS_V4
 from repro.proxy.accounts import Account
 from repro.proxy.block_cache import ProxyCacheConfig
 from repro.proxy.client_proxy import SgfsClientProxy
 from repro.proxy.server_proxy import SgfsServerProxy
+from repro.proxy.upstream import dialer
 from repro.rpc.auth import AuthSys
 from repro.rpc.client import RpcClient
 from repro.rpc.transport import StreamTransport
 from repro.sfs import SelfCertifyingPath, SfsClientDaemon, SfsServerDaemon
 from repro.sshtun import SshTunnelClient, SshTunnelServer
 from repro.tls import SecurityConfig
-from repro.tls.channel import client_handshake
 from repro.vfs import DiskModel
 
 #: The canonical grid identities of the examples and experiments.
@@ -57,8 +65,16 @@ USER_DN = DistinguishedName.parse("/C=US/O=UFL/OU=ACIS/CN=Ming Zhao")
 SERVER_DN = DistinguishedName.parse("/C=US/O=UFL/OU=ACIS/CN=fileserver.acis.ufl.edu")
 CA_DN = DistinguishedName.parse("/C=US/O=GridCA/CN=Certification Authority")
 
-FILE_ACCOUNT = Account("ming", 901, 901)
+FILE_ACCOUNT = EXPORT_OWNER
 JOB_ACCOUNT = Account("job7", 5001, 5001)
+
+#: setup name -> the cipher suite its sessions negotiate
+SUITES = {
+    "sgfs-sha": "null-sha1",
+    "sgfs-rc": "rc4-128-sha1",
+    "sgfs-aes": "aes-256-cbc-sha1",
+    "sgfs": "aes-256-cbc-sha1",
+}
 
 
 @dataclass
@@ -86,15 +102,148 @@ class Mount:
         return self.tb.sim.now - t0, blocks, nbytes
 
 
+# ---------------------------------------------------------------------------
+# the session's parts
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Seat:
+    """Where a session's client side sits and whom it runs as."""
+
+    #: the machine the job, its kernel client and its client proxy run on
+    host: Host
+    #: the grid identity the session authenticates as …
+    dn: DistinguishedName
+    #: … and the file-server account the gridmap maps it to
+    account: Account
+    #: backend index -> the handle this seat mounts as its root there
+    roots: Dict[int, FileHandle]
+    #: what tells this seat's DRBG fork labels from its neighbours'
+    suffix: str = ""
+
+    @property
+    def name(self) -> str:
+        return self.host.name
+
+
+def paper_seat(tb: Testbed) -> Seat:
+    """The paper's one user: on host ``client``, at the export root."""
+    return Seat(tb.client, USER_DN, FILE_ACCOUNT,
+                {0: tb.nfs_program.root_handle()})
+
+
+class SessionPki:
+    """One CA, the file server's host identity, and a
+    :class:`SecurityConfig` per party.
+
+    Every key and every TLS random is drawn from a stream forked off
+    ``seed`` by label.  The seed and the labels are the wire: change one
+    and every handshake byte — and each pinned result — changes."""
+
+    def __init__(self, tb: Testbed, seed: str, suite: str,
+                 session_tickets: bool = False, fast_ciphers: bool = True):
+        self.rng = Drbg(seed)
+        self._sim = tb.sim
+        self.ca = CertificateAuthority(
+            CA_DN, rng=self.rng.fork("ca"), key_bits=1024, now=tb.sim.now
+        )
+        self.host = self.ca.issue_identity(
+            SERVER_DN, rng=self.rng.fork("host"), key_bits=1024, now=tb.sim.now
+        )
+        self._session = dict(suite_name=suite, fast_ciphers=fast_ciphers,
+                             session_tickets=session_tickets)
+
+    def client_config(self, seat: Seat, **kw) -> SecurityConfig:
+        """What the seat's client proxy presents: a fresh long-term user
+        credential for ``seat.dn`` (a delegating harness swaps a proxy
+        certificate derived from it onto ``.credential``)."""
+        user = self.ca.issue_identity(
+            seat.dn, rng=self.rng.fork(f"user{seat.suffix}"), key_bits=1024,
+            now=self._sim.now,
+        )
+        return SecurityConfig.for_session(
+            user, [self.ca.certificate],
+            rng=self.rng.fork(f"client-tls{seat.suffix}"), **self._session, **kw,
+        )
+
+    def server_config(self, backend: int = 0) -> SecurityConfig:
+        """What backend ``backend``'s server proxy presents."""
+        label = f"server-tls-s{backend}" if backend else "server-tls"
+        return SecurityConfig.for_session(
+            self.host, [self.ca.certificate], rng=self.rng.fork(label),
+            **self._session,
+        )
+
+
+def admit(tb: Testbed, gridmap: Gridmap, seat: Seat) -> None:
+    """Enter the seat in the session's gridmap, and its account in the
+    file servers' account database if it is new there."""
+    gridmap.add(seat.dn, seat.account.name)
+    if seat.account.name not in tb.server_accounts:
+        tb.server_accounts.add(seat.account)
+
+
+def _session_gridmap() -> Gridmap:
+    gm = Gridmap(unmapped=UnmappedPolicy.DENY)
+    gm.add(USER_DN, FILE_ACCOUNT.name)
+    return gm
+
+
+def serve_proxy(tb: Testbed, gridmap: Gridmap,
+                security: Optional[SecurityConfig] = None, backend: int = 0,
+                blocking: bool = True,
+                acl_cache_enabled: bool = True) -> SgfsServerProxy:
+    """Start the server-side proxy in front of backend ``backend``'s
+    kernel NFS server.  Without ``security`` the channel is plain and
+    every session is taken to be the management user's (gfs)."""
+    b = tb.backends[backend]
+    proxy = SgfsServerProxy(
+        tb.sim, b.host, SERVER_PROXY_PORT, NFS_PORT,
+        accounts=tb.server_accounts, gridmap=gridmap, fs=b.fs,
+        security=security, cost=tb.cal.proxy_cost, account="proxy",
+        blocking=blocking,
+        session_identity=USER_DN if security is None else None,
+        acl_cache_enabled=acl_cache_enabled, acl_disk=b.disk,
+    )
+    proxy.start()
+    return proxy
+
+
+def client_proxy(tb: Testbed, seat: Seat, dial=None, grid=None,
+                 streams: int = 1, disk_cache: bool = False,
+                 write_back: bool = True,
+                 cache_capacity: Optional[int] = None, blocking: bool = True,
+                 cryptor=None) -> SgfsClientProxy:
+    """The seat's client-side proxy, not yet started.  Its upstream is
+    one leg made by ``dial`` (see :func:`repro.proxy.upstream.dialer`)
+    or a :class:`repro.grid.GridRouter` over several."""
+    cal = tb.cal
+    capacity = {} if cache_capacity is None else {"capacity_bytes": cache_capacity}
+    disk = None
+    if disk_cache:
+        disk = DiskModel(
+            tb.sim, name="proxy-cache-disk",
+            access_latency=cal.cache_disk_access,
+            read_bandwidth=cal.cache_disk_read_bw,
+            write_bandwidth=cal.cache_disk_write_bw,
+        )
+    return SgfsClientProxy(
+        tb.sim, seat.host, CLIENT_PROXY_PORT, upstream_factory=dial,
+        cost=cal.proxy_cost, account="proxy",
+        cache=ProxyCacheConfig(enabled=disk_cache, write_back=write_back,
+                               block_size=cal.block_size, **capacity),
+        disk=disk, blocking=blocking, cryptor=cryptor, streams=streams,
+        grid=grid,
+    )
+
+
 def _kernel_client(tb: Testbed, connect_host: str, port: int, cred: AuthSys,
                    cache_bytes: Optional[int], vers: int = pr.NFS_V3,
                    host=None, root_fh=None) -> "object":
-    """Process generator: build the kernel-like NFS client.
-
-    ``host`` is the simulated machine the client runs on (defaults to
-    the testbed's primary ``client``; fleets pass their own per-client
-    hosts).  ``root_fh`` overrides the mount root (defaults to the
-    export root; fleets mount per-client subdirectories)."""
+    """Process generator: build the kernel-like NFS client on ``host``
+    (default: the testbed's primary ``client``), mounted at ``root_fh``
+    (default: the export root)."""
     cal = tb.cal
     if host is None:
         host = tb.client
@@ -122,145 +271,70 @@ def _kernel_client(tb: Testbed, connect_host: str, port: int, cred: AuthSys,
     return client
 
 
+def mount_through_proxy(tb: Testbed, seat: Seat,
+                        cache_bytes: Optional[int] = None):
+    """Process generator: the seat's kernel client, mounted through the
+    client-side proxy (or daemon) already started on its host.  The job
+    runs under its local account; the server side maps the session."""
+    cred = AuthSys(uid=JOB_ACCOUNT.uid, gid=JOB_ACCOUNT.gid, machinename=seat.name)
+    return (yield from _kernel_client(
+        tb, seat.name, CLIENT_PROXY_PORT, cred, cache_bytes,
+        host=seat.host, root_fh=seat.roots[0],
+    ))
+
+
+def mount_kernel_server(tb: Testbed, seat: Seat,
+                        cache_bytes: Optional[int] = None,
+                        vers: int = pr.NFS_V3):
+    """Process generator: the seat's kernel client, mounted straight at
+    the home kernel NFS server under the seat's file account."""
+    cred = AuthSys(uid=seat.account.uid, gid=seat.account.gid,
+                   machinename=seat.name)
+    return (yield from _kernel_client(
+        tb, "server", NFS_PORT, cred, cache_bytes, vers=vers,
+        host=seat.host, root_fh=seat.roots[0],
+    ))
+
+
 # ---------------------------------------------------------------------------
-# native kernel NFS
+# the parts composed for the paper's seat: the setups of §6.1
 # ---------------------------------------------------------------------------
 
 
 def setup_nfs_v3(tb: Testbed, cache_bytes: Optional[int] = None) -> Mount:
     """Native NFSv3: the kernel client talks straight to the server."""
-    cred = AuthSys(uid=FILE_ACCOUNT.uid, gid=FILE_ACCOUNT.gid, machinename="client")
-
-    def build():
-        client = yield from _kernel_client(tb, "server", NFS_PORT, cred, cache_bytes)
-        return client
-
-    client = tb.run(build(), name="mount-nfs3")
+    client = tb.run(mount_kernel_server(tb, paper_seat(tb), cache_bytes),
+                    name="mount-nfs3")
     return Mount("nfs-v3", tb, client)
 
 
 def setup_nfs_v4(tb: Testbed, cache_bytes: Optional[int] = None) -> Mount:
     """Native NFSv4 (COMPOUND shim; no delegation — §6.2.2)."""
-    cred = AuthSys(uid=FILE_ACCOUNT.uid, gid=FILE_ACCOUNT.gid, machinename="client")
-
-    def build():
-        client = yield from _kernel_client(
-            tb, "server", NFS_PORT, cred, cache_bytes, vers=NFS_V4
-        )
-        return client
-
-    client = tb.run(build(), name="mount-nfs4")
+    client = tb.run(
+        mount_kernel_server(tb, paper_seat(tb), cache_bytes, vers=NFS_V4),
+        name="mount-nfs4",
+    )
     return Mount("nfs-v4", tb, client)
 
 
-# ---------------------------------------------------------------------------
-# proxy plumbing shared by gfs / sgfs / gfs-ssh
-# ---------------------------------------------------------------------------
-
-
-def _make_session_pki(tb: Testbed, suite: str, fast_ciphers: bool = True,
-                      renegotiate_interval: Optional[float] = None,
-                      session_tickets: bool = False):
-    """CA + user & server credentials + the two SecurityConfigs."""
-    rng = Drbg("sgfs-session")
-    ca = CertificateAuthority(CA_DN, rng=rng.fork("ca"), key_bits=1024, now=tb.sim.now)
-    user = ca.issue_identity(USER_DN, rng=rng.fork("user"), key_bits=1024, now=tb.sim.now)
-    host = ca.issue_identity(SERVER_DN, rng=rng.fork("host"), key_bits=1024, now=tb.sim.now)
-    client_cfg = SecurityConfig.for_session(
-        user, [ca.certificate], suite, fast_ciphers=fast_ciphers,
-        rng=rng.fork("client-tls"), renegotiate_interval=renegotiate_interval,
-        session_tickets=session_tickets,
-    )
-    server_cfg = SecurityConfig.for_session(
-        host, [ca.certificate], suite, fast_ciphers=fast_ciphers,
-        rng=rng.fork("server-tls"), session_tickets=session_tickets,
-    )
-    return ca, user, host, client_cfg, server_cfg
-
-
-def _session_gridmap() -> Gridmap:
-    gm = Gridmap(unmapped=UnmappedPolicy.DENY)
-    gm.add(USER_DN, FILE_ACCOUNT.name)
-    return gm
-
-
-def _ensure_accounts(tb: Testbed) -> None:
-    if FILE_ACCOUNT.name not in tb.server_accounts:
-        tb.server_accounts.add(FILE_ACCOUNT)
-    if JOB_ACCOUNT.name not in tb.client_accounts:
-        tb.client_accounts.add(JOB_ACCOUNT)
-
-
-def _cache_config(tb: Testbed, disk_cache: bool, write_back: bool = True,
-                  cache_capacity: Optional[int] = None) -> ProxyCacheConfig:
-    kw = {}
-    if cache_capacity is not None:
-        kw["capacity_bytes"] = cache_capacity
-    return ProxyCacheConfig(
-        enabled=disk_cache,
-        cache_data=True,
-        cache_attrs=True,
-        cache_access=True,
-        write_back=write_back,
-        block_size=tb.cal.block_size,
-        **kw,
-    )
-
-
-def _cache_disk(tb: Testbed, disk_cache: bool) -> Optional[DiskModel]:
-    if not disk_cache:
-        return None
-    cal = tb.cal
-    return DiskModel(
-        tb.sim, name="proxy-cache-disk",
-        access_latency=cal.cache_disk_access,
-        read_bandwidth=cal.cache_disk_read_bw,
-        write_bandwidth=cal.cache_disk_write_bw,
-    )
-
-
-def _proxied_mount(tb: Testbed, label: str, upstream_factory,
-                   server_security, disk_cache: bool,
-                   cache_bytes: Optional[int], enable_acls: bool = True,
-                   blocking: bool = True, write_back: bool = True,
-                   acl_cache_enabled: bool = True, cryptor=None,
-                   streams: int = 1,
-                   cache_capacity: Optional[int] = None) -> Mount:
-    """Build server proxy + client proxy + kernel client."""
-    _ensure_accounts(tb)
-    server_proxy = SgfsServerProxy(
-        tb.sim, tb.server, SERVER_PROXY_PORT, NFS_PORT,
-        accounts=tb.server_accounts, gridmap=_session_gridmap(), fs=tb.fs,
-        security=server_security, cost=tb.cal.proxy_cost, account="proxy",
-        blocking=blocking, enable_acls=enable_acls,
-        session_identity=USER_DN if server_security is None else None,
-        acl_cache_enabled=acl_cache_enabled, acl_disk=tb.server_disk,
-    )
-    server_proxy.start()
-
-    client_proxy = SgfsClientProxy(
-        tb.sim, tb.client, CLIENT_PROXY_PORT,
-        upstream_factory=upstream_factory,
-        cost=tb.cal.proxy_cost, account="proxy",
-        cache=_cache_config(tb, disk_cache, write_back=write_back,
-                            cache_capacity=cache_capacity),
-        disk=_cache_disk(tb, disk_cache),
-        blocking=blocking,
-        cryptor=cryptor,
-        streams=streams,
-    )
-
-    cred = AuthSys(uid=JOB_ACCOUNT.uid, gid=JOB_ACCOUNT.gid, machinename="client")
+def _paper_session(tb: Testbed, label: str, dial,
+                   server_security: Optional[SecurityConfig] = None,
+                   cache_bytes: Optional[int] = None, blocking: bool = True,
+                   acl_cache_enabled: bool = True, **proxy_kw) -> Mount:
+    """One session for the paper's seat: server proxy on the home
+    server, client proxy dialing it through ``dial``, kernel mount."""
+    seat = paper_seat(tb)
+    server_proxy = serve_proxy(tb, _session_gridmap(), server_security,
+                               blocking=blocking,
+                               acl_cache_enabled=acl_cache_enabled)
+    proxy = client_proxy(tb, seat, dial, blocking=blocking, **proxy_kw)
 
     def build():
-        yield from client_proxy.start()
-        client = yield from _kernel_client(
-            tb, tb.client.name, CLIENT_PROXY_PORT, cred, cache_bytes
-        )
-        return client
+        yield from proxy.start()
+        return (yield from mount_through_proxy(tb, seat, cache_bytes))
 
     client = tb.run(build(), name=f"mount-{label}")
-    return Mount(label, tb, client, client_proxy=client_proxy,
+    return Mount(label, tb, client, client_proxy=proxy,
                  server_proxy=server_proxy)
 
 
@@ -270,14 +344,11 @@ def setup_gfs(tb: Testbed, disk_cache: bool = False,
               cache_capacity: Optional[int] = None) -> Mount:
     """The basic (insecure) grid file system [16]: user-level proxies
     with credential mapping, no channel protection."""
-
-    def upstream_factory():
-        sock = yield from tb.client.connect("server", SERVER_PROXY_PORT)
-        return StreamTransport(sock)
-
-    return _proxied_mount(tb, "gfs", upstream_factory, server_security=None,
-                          disk_cache=disk_cache, cache_bytes=cache_bytes,
-                          streams=streams, cache_capacity=cache_capacity)
+    return _paper_session(
+        tb, "gfs", dialer(tb.sim, tb.client, "server", SERVER_PROXY_PORT),
+        disk_cache=disk_cache, cache_bytes=cache_bytes, streams=streams,
+        cache_capacity=cache_capacity,
+    )
 
 
 def setup_sgfs(tb: Testbed, suite: str = "aes-256-cbc-sha1",
@@ -296,11 +367,11 @@ def setup_sgfs(tb: Testbed, suite: str = "aes-256-cbc-sha1",
     sub-channels; session tickets are forced on so channels 1..N-1
     resume the keys channel 0 negotiated instead of paying N full RSA
     handshakes."""
-    _ca, _user, _host, client_cfg, server_cfg = _make_session_pki(
-        tb, suite, fast_ciphers=fast_ciphers,
-        renegotiate_interval=renegotiate_interval,
-        session_tickets=session_tickets or streams > 1,
-    )
+    pki = SessionPki(tb, "sgfs-session", suite, fast_ciphers=fast_ciphers,
+                     session_tickets=session_tickets or streams > 1)
+    client_cfg = pki.client_config(
+        paper_seat(tb), renegotiate_interval=renegotiate_interval)
+    server_cfg = pki.server_config()
     cryptor = None
     if at_rest:
         from repro.proxy.cryptofs import BlockCryptor
@@ -308,25 +379,18 @@ def setup_sgfs(tb: Testbed, suite: str = "aes-256-cbc-sha1",
         # the at-rest key never leaves the user's session
         cryptor = BlockCryptor(Drbg("sgfs-at-rest-key").randbytes(32))
 
-    def upstream_factory():
-        sock = yield from tb.client.connect("server", SERVER_PROXY_PORT)
-        channel = yield from client_handshake(
-            tb.sim, sock, client_cfg, cpu=tb.client.cpu, account="proxy"
-        )
-        return channel
-
-    label = {
-        "null-sha1": "sgfs-sha",
-        "rc4-128-sha1": "sgfs-rc",
-        "aes-256-cbc-sha1": "sgfs-aes",
-    }.get(suite, f"sgfs-{suite}")
-    mount = _proxied_mount(tb, label, upstream_factory,
-                           server_security=server_cfg,
-                           disk_cache=disk_cache, cache_bytes=cache_bytes,
-                           blocking=blocking, write_back=write_back,
-                           acl_cache_enabled=acl_cache_enabled,
-                           cryptor=cryptor, streams=streams,
-                           cache_capacity=cache_capacity)
+    label = next((name for name, s in SUITES.items() if s == suite),
+                 f"sgfs-{suite}")
+    mount = _paper_session(
+        tb, label,
+        dialer(tb.sim, tb.client, "server", SERVER_PROXY_PORT, client_cfg),
+        server_security=server_cfg,
+        disk_cache=disk_cache, cache_bytes=cache_bytes,
+        blocking=blocking, write_back=write_back,
+        acl_cache_enabled=acl_cache_enabled,
+        cryptor=cryptor, streams=streams,
+        cache_capacity=cache_capacity,
+    )
     mount.extras["client_security"] = client_cfg
     mount.extras["server_security"] = server_cfg
     if cryptor is not None:
@@ -351,13 +415,12 @@ def setup_gfs_ssh(tb: Testbed, disk_cache: bool = False,
     )
     tunnel_client.start()
 
-    def upstream_factory():
-        # The client proxy connects to the local tunnel entrance.
-        sock = yield from tb.client.connect(tb.client.name, SSH_LOCAL_PORT)
-        return StreamTransport(sock)
-
-    mount = _proxied_mount(tb, "gfs-ssh", upstream_factory, server_security=None,
-                           disk_cache=disk_cache, cache_bytes=cache_bytes)
+    # The client proxy dials the local tunnel entrance.
+    mount = _paper_session(
+        tb, "gfs-ssh",
+        dialer(tb.sim, tb.client, tb.client.name, SSH_LOCAL_PORT),
+        disk_cache=disk_cache, cache_bytes=cache_bytes,
+    )
     mount.extras["tunnel_client"] = tunnel_client
     mount.extras["tunnel_server"] = tunnel_server
     return mount
@@ -366,7 +429,6 @@ def setup_gfs_ssh(tb: Testbed, disk_cache: bool = False,
 def setup_sfs(tb: Testbed, cache_bytes: Optional[int] = None,
               fast_ciphers: bool = True) -> Mount:
     """SFS [34]: self-certifying pathname, async daemons, metadata caching."""
-    _ensure_accounts(tb)
     rng = Drbg("sfs-session")
     from repro.crypto.rsa import generate_keypair
 
@@ -390,14 +452,9 @@ def setup_sfs(tb: Testbed, cache_bytes: Optional[int] = None,
         fast_ciphers=fast_ciphers,
     )
 
-    cred = AuthSys(uid=JOB_ACCOUNT.uid, gid=JOB_ACCOUNT.gid, machinename="client")
-
     def build():
         yield from client_daemon.start()
-        client = yield from _kernel_client(
-            tb, tb.client.name, CLIENT_PROXY_PORT, cred, cache_bytes
-        )
-        return client
+        return (yield from mount_through_proxy(tb, paper_seat(tb), cache_bytes))
 
     client = tb.run(build(), name="mount-sfs")
     mount = Mount("sfs", tb, client, client_proxy=client_daemon,
@@ -411,10 +468,8 @@ SETUP_BUILDERS: Dict[str, Callable[..., Mount]] = {
     "nfs-v3": setup_nfs_v3,
     "nfs-v4": setup_nfs_v4,
     "gfs": setup_gfs,
-    "sgfs-sha": lambda tb, **kw: setup_sgfs(tb, suite="null-sha1", **kw),
-    "sgfs-rc": lambda tb, **kw: setup_sgfs(tb, suite="rc4-128-sha1", **kw),
-    "sgfs-aes": lambda tb, **kw: setup_sgfs(tb, suite="aes-256-cbc-sha1", **kw),
-    "sgfs": lambda tb, **kw: setup_sgfs(tb, suite="aes-256-cbc-sha1", **kw),
+    **{name: (lambda tb, _suite=suite, **kw: setup_sgfs(tb, suite=_suite, **kw))
+       for name, suite in SUITES.items()},
     "gfs-ssh": setup_gfs_ssh,
     "sfs": setup_sfs,
 }

@@ -8,12 +8,12 @@ databases — everything the eight setups build on.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.net import DelayRouter, Host, Network
 from repro.nfs.server import NfsServerProgram
+from repro.nfs.v4 import NfsV4ServerProgram
 from repro.obs import NULL_REGISTRY, NULL_TRACER, Registry, SpanTracer
 from repro.proxy.accounts import Account, AccountsDb
 from repro.rpc.server import RpcServer
@@ -29,14 +29,19 @@ SSH_LOCAL_PORT = 4423
 SFS_PORT = 4446
 GRID_META_PORT = 4447
 
+#: The exported filesystem /GFS belongs to the management account.
+EXPORT_OWNER = Account("ming", 901, 901)
+
 
 @dataclass
 class Backend:
-    """One data-plane NFS server of a sharded (``servers > 1``) testbed.
+    """One file server: a host, its exported VirtualFS and disk, and the
+    kernel NFS server in front of them.
 
-    Backend 0 aliases the home server — the same host/fs/program the
-    single-server topology builds — so ``servers=1`` runs are untouched;
-    backends 1..N-1 are additional hosts hanging off the same router.
+    Backend 0 is the home server ``server`` (the paper's one file
+    server; it alone also speaks NFSv4); backends 1..N-1 are the extra
+    data-plane hosts ``s1``… of a sharded (``servers > 1``) testbed,
+    hanging off the same router.
     """
 
     index: int
@@ -46,6 +51,7 @@ class Backend:
     disk: DiskModel
     nfs_program: NfsServerProgram
     rpc_server: RpcServer
+    #: the kernel NFS server's listener; None while crashed
     listener: object = None
 
 
@@ -58,33 +64,29 @@ class Testbed:
     sim: Simulator
     net: Network
     client: Host
-    server: Host
     router: DelayRouter
-    fs: VirtualFS
-    server_disk: DiskModel
-    nfs_program: NfsServerProgram
-    nfs_rpc_server: RpcServer
     server_accounts: AccountsDb
-    client_accounts: AccountsDb
     cal: Calibration
+    #: every file server; entry 0 is the home server, so
+    #: ``len(backends)`` is the grid width (1 = unsharded)
+    backends: list
     #: telemetry (repro.obs): the registry/tracer every layer hooks into.
     #: The null singletons when the testbed was built without telemetry.
     obs: "Registry" = NULL_REGISTRY
     tracer: "SpanTracer" = NULL_TRACER
-    #: the kernel NFS server's listener, kept so crash injection can close it
-    nfs_listener: object = None
-    #: data-plane servers of a sharded testbed; entry 0 aliases the home
-    #: server, so ``len(backends)`` is the grid width (1 = unsharded)
-    backends: list = field(default_factory=list)
-    _port_alloc: "itertools.count" = field(default_factory=lambda: itertools.count(20000))
+
+    # The home server's parts, by their historical names.
+    server = property(lambda self: self.backends[0].host)
+    fs = property(lambda self: self.backends[0].fs)
+    server_disk = property(lambda self: self.backends[0].disk)
+    nfs_program = property(lambda self: self.backends[0].nfs_program)
+    nfs_rpc_server = property(lambda self: self.backends[0].rpc_server)
 
     @classmethod
     def build(
         cls,
         rtt: float = 0.0,
         cal: Calibration = DEFAULT_CALIBRATION,
-        export_owner: str = "ming",
-        export_uid: int = 901,
         telemetry: bool = False,
         tracing: bool = False,
         profile: bool = False,
@@ -108,19 +110,16 @@ class Testbed:
         per-fileid reader/writer locks, whether one client mounts it or
         a fleet does.
 
-        ``server_cores=N`` gives the server host a deterministic
+        ``server_cores=N`` gives every server host a deterministic
         N-core CPU (:class:`repro.sim.cpu.CPU`): independent sessions'
         crypto and request processing overlap across cores instead of
-        serializing.  The default ``1`` reproduces the paper's 1-vCPU
-        server bit-for-bit.
+        serializing.  The default ``1`` is the paper's 1-vCPU server.
 
         ``servers=N`` builds a sharded data plane: N-1 extra backend
         hosts ``s1..s{N-1}`` hang off the same router, each with its own
         VirtualFS, disk, and kernel NFS server (the home server is
         backend 0).  The grid layer (:mod:`repro.grid`) stripes file
-        blocks across them.  ``servers=1`` (the default) builds exactly
-        the single-server topology — bit-identical to before the knob
-        existed.
+        blocks across them.
 
         ``profile=True`` arms the bottleneck-attribution layer
         (:mod:`repro.obs.profile`): it forces telemetry *and* tracing on
@@ -128,6 +127,8 @@ class Testbed:
         and RPC worker-queue depth timelines.  Like the other
         observability knobs it consumes no virtual time.
         """
+        if servers < 1:
+            raise ValueError("servers must be >= 1")
         if profile:
             telemetry = tracing = True
         obs = Registry() if telemetry or tracing else NULL_REGISTRY
@@ -140,83 +141,53 @@ class Testbed:
         net = Network(sim)
         net.record_occupancy = profile
         client = Host(sim, net, "client")
-        server = Host(sim, net, "server", cpu_cores=server_cores)
         router = DelayRouter(sim, net, "router", one_way_delay=rtt / 2.0)
         net.connect("client", "router", latency=cal.lan_link_latency,
                     bandwidth=cal.lan_bandwidth)
-        net.connect("router", "server", latency=cal.lan_link_latency,
-                    bandwidth=cal.lan_bandwidth)
 
-        # The exported filesystem /GFS, owned by the management account.
-        fs = VirtualFS(clock=lambda: sim.now, root_uid=export_uid,
-                       root_gid=export_uid, root_mode=0o755)
-        server_disk = DiskModel(
-            sim, name="server-disk",
-            access_latency=cal.server_disk_access,
-            read_bandwidth=cal.server_disk_read_bw,
-            write_bandwidth=cal.server_disk_write_bw,
-        )
-        nfs_program = NfsServerProgram(sim, fs, server_disk)
-        nfs_rpc_server = RpcServer(
-            sim, cpu=server.cpu, cost=cal.kernel_server_cost, account="kernel-nfs",
-            name="nfsd",
-        )
-        nfs_rpc_server.register(nfs_program)
-        from repro.nfs.v4 import NfsV4ServerProgram
-
-        nfs_rpc_server.register(
-            NfsV4ServerProgram(sim, fs, server_disk,
-                               compound_overhead=cal.v4_compound_overhead)
-        )
-        nfs_listener = server.listen(NFS_PORT)
-        nfs_rpc_server.serve_listener(nfs_listener)
-
-        server_accounts = AccountsDb()
-        server_accounts.add(Account(export_owner, export_uid, export_uid))
-        client_accounts = AccountsDb()
-
-        if servers < 1:
-            raise ValueError("servers must be >= 1")
-        backends = [
-            Backend(
-                index=0, name="server", host=server, fs=fs, disk=server_disk,
-                nfs_program=nfs_program, rpc_server=nfs_rpc_server,
-                listener=nfs_listener,
-            )
-        ]
-        for i in range(1, servers):
-            bname = f"s{i}"
-            bhost = Host(sim, net, bname, cpu_cores=server_cores)
-            net.connect(bname, "router", latency=cal.lan_link_latency,
+        backends = []
+        for i in range(servers):
+            name = "server" if i == 0 else f"s{i}"
+            host = Host(sim, net, name, cpu_cores=server_cores)
+            # A link is named after its endpoints in connect() order and
+            # the name labels its stats: the home link stays
+            # "router<->server", as the pinned snapshots spell it.
+            ends = ("router", name) if i == 0 else (name, "router")
+            net.connect(*ends, latency=cal.lan_link_latency,
                         bandwidth=cal.lan_bandwidth)
-            bfs = VirtualFS(clock=lambda: sim.now, root_uid=export_uid,
-                            root_gid=export_uid, root_mode=0o755)
-            bdisk = DiskModel(
-                sim, name=f"{bname}-disk",
+            fs = VirtualFS(clock=lambda: sim.now, root_uid=EXPORT_OWNER.uid,
+                           root_gid=EXPORT_OWNER.gid, root_mode=0o755)
+            disk = DiskModel(
+                sim, name=f"{name}-disk",
                 access_latency=cal.server_disk_access,
                 read_bandwidth=cal.server_disk_read_bw,
                 write_bandwidth=cal.server_disk_write_bw,
             )
-            bprog = NfsServerProgram(sim, bfs, bdisk)
-            brpc = RpcServer(
-                sim, cpu=bhost.cpu, cost=cal.kernel_server_cost,
-                account="kernel-nfs", name=f"nfsd-{bname}",
+            nfs_program = NfsServerProgram(sim, fs, disk)
+            rpc_server = RpcServer(
+                sim, cpu=host.cpu, cost=cal.kernel_server_cost,
+                account="kernel-nfs", name="nfsd" if i == 0 else f"nfsd-{name}",
             )
-            brpc.register(bprog)
-            blistener = bhost.listen(NFS_PORT)
-            brpc.serve_listener(blistener)
+            rpc_server.register(nfs_program)
+            if i == 0:
+                rpc_server.register(
+                    NfsV4ServerProgram(sim, fs, disk,
+                                       compound_overhead=cal.v4_compound_overhead)
+                )
+            listener = host.listen(NFS_PORT)
+            rpc_server.serve_listener(listener)
             backends.append(Backend(
-                index=i, name=bname, host=bhost, fs=bfs, disk=bdisk,
-                nfs_program=bprog, rpc_server=brpc, listener=blistener,
+                index=i, name=name, host=host, fs=fs, disk=disk,
+                nfs_program=nfs_program, rpc_server=rpc_server,
+                listener=listener,
             ))
 
+        server_accounts = AccountsDb()
+        server_accounts.add(EXPORT_OWNER)
         return cls(
-            sim=sim, net=net, client=client, server=server, router=router,
-            fs=fs, server_disk=server_disk, nfs_program=nfs_program,
-            nfs_rpc_server=nfs_rpc_server,
-            server_accounts=server_accounts, client_accounts=client_accounts,
-            cal=cal, obs=sim.obs, tracer=sim.tracer, nfs_listener=nfs_listener,
-            backends=backends,
+            sim=sim, net=net, client=client, router=router,
+            server_accounts=server_accounts, cal=cal, backends=backends,
+            obs=sim.obs, tracer=sim.tracer,
         )
 
     # -- conveniences ------------------------------------------------------------
@@ -235,9 +206,6 @@ class Testbed:
                          bandwidth=self.cal.lan_bandwidth)
         return host
 
-    def alloc_port(self) -> int:
-        return next(self._port_alloc)
-
     def set_rtt(self, rtt: float) -> None:
         """Reconfigure the emulated WAN RTT (re-running NIST Net)."""
         self.router.set_rtt(rtt)
@@ -246,28 +214,10 @@ class Testbed:
     def measured_rtt(self) -> float:
         return self.net.rtt("client", "server")
 
-    def crash_nfs_server(self) -> None:
-        """Crash injection: the kernel NFS server stops listening and
-        severs all connections.  Its DRC survives, modeling the stable
-        reply cache of a restarting nfsd."""
-        if self.nfs_listener is not None:
-            self.nfs_listener.close()
-            self.nfs_listener = None
-        self.nfs_rpc_server.disconnect_all()
-
-    def restart_nfs_server(self) -> None:
-        """Come back up after :meth:`crash_nfs_server`."""
-        if self.nfs_listener is None:
-            self.nfs_listener = self.server.listen(NFS_PORT)
-            self.nfs_rpc_server.serve_listener(self.nfs_listener)
-
     def crash_backend(self, index: int) -> None:
-        """Crash one data-plane backend's kernel NFS server (see
-        :meth:`crash_nfs_server`; index 0 is the home server)."""
-        if index == 0:
-            self.crash_nfs_server()
-            self.backends[0].listener = None
-            return
+        """Crash injection: backend ``index``'s kernel NFS server stops
+        listening and severs all connections.  Its DRC survives,
+        modeling the stable reply cache of a restarting nfsd."""
         backend = self.backends[index]
         if backend.listener is not None:
             backend.listener.close()
@@ -276,20 +226,20 @@ class Testbed:
 
     def restart_backend(self, index: int) -> None:
         """Come back up after :meth:`crash_backend`."""
-        if index == 0:
-            self.restart_nfs_server()
-            self.backends[0].listener = self.nfs_listener
-            return
         backend = self.backends[index]
         if backend.listener is None:
             backend.listener = backend.host.listen(NFS_PORT)
             backend.rpc_server.serve_listener(backend.listener)
 
+    def crash_nfs_server(self) -> None:
+        """Crash the home server's kernel NFS server."""
+        self.crash_backend(0)
+
+    def restart_nfs_server(self) -> None:
+        """Come back up after :meth:`crash_nfs_server`."""
+        self.restart_backend(0)
+
     def run(self, generator, name: str = "workload"):
         """Spawn a process and run the simulation until it completes."""
         proc = self.sim.spawn(generator, name=name)
         return self.sim.run_until_complete(proc)
-
-    def run_all(self) -> float:
-        """Drain every pending event; returns the final virtual time."""
-        return self.sim.run()

@@ -29,30 +29,25 @@ All times are **virtual seconds**; all sizes are **bytes**.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
 from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.core.setups import (
-    CA_DN,
     FILE_ACCOUNT,
-    JOB_ACCOUNT,
-    SERVER_DN,
+    SUITES,
     USER_DN,
     Mount,
-    _cache_config,
-    _cache_disk,
-    _kernel_client,
+    Seat,
+    SessionPki,
+    admit,
+    client_proxy,
+    mount_kernel_server,
+    mount_through_proxy,
+    serve_proxy,
 )
-from repro.core.topology import (
-    CLIENT_PROXY_PORT,
-    GRID_META_PORT,
-    NFS_PORT,
-    SERVER_PROXY_PORT,
-    Testbed,
-)
-from repro.crypto.drbg import Drbg
-from repro.faults import FaultPlan, resolve_fault_preset
+from repro.core.topology import GRID_META_PORT, SERVER_PROXY_PORT, Testbed
 from repro.grid import (
     GridMetadataClient,
     GridMetadataProgram,
@@ -61,39 +56,25 @@ from repro.grid import (
 )
 from repro.grid.layout import DEFAULT_BLOCK_SIZE
 from repro.gsi import (
-    CertificateAuthority,
     DELEGATION_CPU_SECONDS,
     DistinguishedName,
     Gridmap,
     issue_proxy_certificate,
 )
 from repro.gsi.gridmap import UnmappedPolicy
+from repro.harness.runner import apply_fault_timeouts, collect, install_faults
 from repro.nfs import protocol as pr
 from repro.nfs.protocol import FileHandle
 from repro.nfs.v4 import NFS_V4
 from repro.proxy.accounts import Account
-from repro.proxy.client_proxy import SgfsClientProxy
-from repro.proxy.server_proxy import SgfsServerProxy
-from repro.proxy.upstream import UpstreamSession
-from repro.rpc.auth import AuthSys
+from repro.proxy.upstream import UpstreamSession, dialer
 from repro.rpc.server import RpcServer
-from repro.rpc.transport import StreamTransport
 from repro.sim import Interrupt
 from repro.sim.sync import Channel
-from repro.tls import SecurityConfig
-from repro.tls.channel import client_handshake
-from repro.vfs.fs import ROOT_CRED, Credentials
+from repro.vfs.fs import ROOT_CRED
 
 #: first uid of the per-client grid accounts (``grid00`` = 9100, …)
 FLEET_UID_BASE = 9100
-
-_SUITES = {
-    "sgfs-sha": "null-sha1",
-    "sgfs-rc": "rc4-128-sha1",
-    "sgfs-aes": "aes-256-cbc-sha1",
-    "sgfs": "aes-256-cbc-sha1",
-}
-
 
 @dataclass
 class FleetClientResult:
@@ -186,19 +167,75 @@ class _ScopedFs:
         return getattr(self._fs, name)
 
 
-class _ScopedTestbed:
-    """Testbed facade whose ``fs`` is a :class:`_ScopedFs`."""
+def _fleet_seat(tb: Testbed, i: int, secure: bool) -> Seat:
+    """Fleet member ``i``: its own host ``c{i}`` and its own subdirectory
+    ``/c{i}`` of every backend's export.  Secure setups give each member
+    a grid identity and a file account of its own; plain gfs and native
+    NFS run every member as the management user.
 
-    def __init__(self, tb: Testbed, scoped_fs: _ScopedFs):
-        self._tb = tb
-        self.fs = scoped_fs
+    The subdirectories are made out of band (setup scripts run as root
+    server-side), then chowned to the seat's account, so every client's
+    dataset is isolated while living in one shared export."""
+    name = f"c{i}"
+    dn, account = USER_DN, FILE_ACCOUNT
+    if secure:
+        dn = DistinguishedName.parse(f"/C=US/O=UFL/OU=ACIS/CN=Grid User {i:02d}")
+        account = Account(f"grid{i:02d}", FLEET_UID_BASE + i, FLEET_UID_BASE + i)
+    roots = {}
+    for b in tb.backends:
+        node = b.fs.mkdir(b.fs.root.fileid, name, ROOT_CRED)
+        b.fs.setattr(node.fileid, ROOT_CRED, uid=account.uid, gid=account.gid)
+        roots[b.index] = FileHandle(b.fs.fsid, node.fileid, node.generation)
+    return Seat(tb.add_client(name), dn, account, roots, suffix=str(i))
 
-    def __getattr__(self, name):
-        return getattr(self._tb, name)
+
+def _delegating(tb: Testbed, pki: SessionPki, gridmap: Gridmap, seat: Seat,
+                cfg, lifetime: float):
+    """SSO: make ``cfg`` present a short-lived *limited* proxy delegated
+    from its long-term identity (the "login") instead of the identity
+    itself.  Returns the wrapper that makes a dial renew it when due."""
+    sim, base = tb.sim, cfg.credential
+    delegations = tb.obs.counter("gsi", "delegations")
+    renewals = tb.obs.counter("gsi", "renewals")
+    issued = itertools.count()
+
+    def delegate(n: int) -> None:
+        delegations.inc()
+        cfg.credential = issue_proxy_certificate(
+            base, now=sim.now, lifetime=lifetime, key_bits=1024, limited=True,
+            rng=pki.rng.fork(f"delegate{seat.suffix}:{n}"),
+        )
+
+    delegate(next(issued))
+
+    def renewing(dial):
+        def dial_renewed():
+            if cfg.credential.certificate.not_after <= sim.now:
+                # Delegation expired: re-delegate before the handshake
+                # (the server would reject the stale chain).  The fresh
+                # gridmap add bumps the epoch, so the server proxy's
+                # authz cache revalidates this DN under churn.
+                n = next(issued)  # numbered in dial order, before the wait
+                yield from seat.host.cpu.consume(DELEGATION_CPU_SECONDS, "proxy")
+                delegate(n)
+                admit(tb, gridmap, seat)
+                renewals.inc()
+            return (yield from dial())
+
+        return dial_renewed
+
+    return renewing
 
 
-def _client_dn(i: int) -> DistinguishedName:
-    return DistinguishedName.parse(f"/C=US/O=UFL/OU=ACIS/CN=Grid User {i:02d}")
+def _session_cycler(sim, proxy, interval: float):
+    """Periodic session refresh: tears the upstream TLS session down and
+    re-handshakes (abbreviated, when tickets are on) until interrupted."""
+    try:
+        while True:
+            yield sim.timeout(interval)
+            yield from proxy.cycle_upstream()
+    except Interrupt:
+        return
 
 
 def run_fleet(
@@ -262,8 +299,6 @@ def run_fleet(
     client striping block I/O over N upstream sessions
     (:mod:`repro.grid`).  ``replicas=K`` writes each block to K
     consecutive backends, so a crashed backend's blocks stay readable.
-    ``servers=1`` takes the exact single-server code path — results are
-    bit-identical to a build without the knob.
 
     ``streams=N`` opens N parallel proxy-to-proxy channels per upstream
     leg: bulk block traffic round-robins across them and the proxy
@@ -284,24 +319,27 @@ def run_fleet(
     authz cache revalidates) — then handshakes; with session tickets on,
     that handshake still resumes abbreviated, so renewal costs one
     delegation rather than a full RSA exchange.  Counters
-    ``gsi.delegations`` / ``gsi.renewals`` record the churn.  ``None``
-    is the exact historical code path.
+    ``gsi.delegations`` / ``gsi.renewals`` record the churn.
     """
     if clients < 1:
         raise ValueError("fleet needs at least one client")
     if setup in ("sfs", "gfs-ssh"):
         raise ValueError(f"{setup} is a single-session design; fleets unsupported")
-    if setup not in ("nfs-v3", "nfs-v4", "gfs") and setup not in _SUITES:
+    secure = setup in SUITES
+    proxied = secure or setup == "gfs"
+    if not proxied and setup not in ("nfs-v3", "nfs-v4"):
         raise ValueError(f"unknown fleet setup {setup!r}")
     if servers < 1:
         raise ValueError("servers must be >= 1")
     if not 1 <= replicas <= servers:
         raise ValueError(f"replicas must be in [1, servers]; got {replicas}")
+    if streams < 1:
+        raise ValueError("streams must be >= 1")
     grid = servers > 1
-    if grid and setup in ("nfs-v3", "nfs-v4"):
+    if grid and not proxied:
         raise ValueError("sharded data plane (servers > 1) requires a proxied setup")
     if delegation_lifetime is not None:
-        if setup not in _SUITES:
+        if not secure:
             raise ValueError("delegation_lifetime requires a secure (sgfs*) setup")
         if delegation_lifetime <= 0:
             raise ValueError("delegation_lifetime must be positive")
@@ -318,112 +356,51 @@ def run_fleet(
         profile=profile, server_cores=server_cores, servers=servers,
     )
     sim = tb.sim
-    proxied = setup not in ("nfs-v3", "nfs-v4")
-    secure = setup in _SUITES
-    streams = max(1, int(streams))
-    if streams > 1 and secure:
-        # sub-channels 1..N-1 resume channel 0's session keys
-        session_tickets = True
 
-    # -- per-client identities, accounts, and the shared policy ------------
-    rng = Drbg(session_seed)
-    names = [f"c{i}" for i in range(clients)]
-    hosts = [tb.add_client(n) for n in names]
-    if secure:
-        owners = [
-            Account(f"grid{i:02d}", FLEET_UID_BASE + i, FLEET_UID_BASE + i)
-            for i in range(clients)
-        ]
-    else:
-        owners = [FILE_ACCOUNT] * clients
+    # -- seats, and each one's workload prepared inside its namespace ------
+    seats: List[Seat] = []
+    workloads = []
+    takes_index = bool(inspect.signature(workload_factory).parameters)
+    for i in range(clients):
+        seat = _fleet_seat(tb, i, secure)
+        workload = workload_factory(i) if takes_index else workload_factory()
+        if hasattr(workload, "prepare"):
+            home = tb.backends[0]
+            scoped = _ScopedFs(home.fs, home.fs.inode(seat.roots[0].fileid))
+            workload.prepare(replace(tb, backends=[replace(home, fs=scoped)]))
+        seats.append(seat)
+        workloads.append(workload)
 
-    # SSO delegation state (populated only for delegation_lifetime runs;
-    # the counters are registered lazily so legacy runs' stat schemas are
-    # untouched).
-    base_identities: List[Optional[object]] = [None] * clients
-    delegation_counts = [0] * clients
-    if delegation_lifetime is not None:
-        c_delegations = tb.obs.counter("gsi", "delegations")
-        c_renewals = tb.obs.counter("gsi", "renewals")
-
-    server_proxy = None
-    client_cfgs: List[Optional[SecurityConfig]] = [None] * clients
+    # -- the sessions' server side: policy, PKI, one proxy per backend ------
+    # Spawn order decides ties: server proxies, then the grid metadata
+    # service, then the client processes in index order.
+    server_proxies: list = []
+    dials: List[Callable] = []
     if proxied:
         gridmap = Gridmap(unmapped=UnmappedPolicy.DENY)
-        server_cfg = None
+        pki = None
         if secure:
-            suite = _SUITES[setup]
-            ca = CertificateAuthority(
-                CA_DN, rng=rng.fork("ca"), key_bits=1024, now=sim.now
-            )
-            host_id = ca.issue_identity(
-                SERVER_DN, rng=rng.fork("host"), key_bits=1024, now=sim.now
-            )
-            server_cfg = SecurityConfig.for_session(
-                host_id, [ca.certificate], suite, fast_ciphers=True,
-                rng=rng.fork("server-tls"),
-                session_tickets=session_tickets,
-            )
-            for i in range(clients):
-                dn = _client_dn(i)
-                user = ca.issue_identity(
-                    dn, rng=rng.fork(f"user{i}"), key_bits=1024, now=sim.now
-                )
-                session_cred = user
-                if delegation_lifetime is not None:
-                    # SSO: the session holds a short-lived limited proxy,
-                    # never the long-term key (the "login").
-                    base_identities[i] = user
-                    session_cred = issue_proxy_certificate(
-                        user, now=sim.now, lifetime=delegation_lifetime,
-                        rng=rng.fork(f"delegate{i}:0"), key_bits=1024,
-                        limited=True,
-                    )
-                    delegation_counts[i] = 1
-                    c_delegations.inc()
-                client_cfgs[i] = SecurityConfig.for_session(
-                    session_cred, [ca.certificate], suite, fast_ciphers=True,
-                    rng=rng.fork(f"client-tls{i}"),
-                    session_tickets=session_tickets,
-                )
-                gridmap.add(dn, owners[i].name)
-                tb.server_accounts.add(owners[i])
-        else:
-            gridmap.add(USER_DN, FILE_ACCOUNT.name)
-        if FILE_ACCOUNT.name not in tb.server_accounts:
-            tb.server_accounts.add(FILE_ACCOUNT)
-        server_proxy = SgfsServerProxy(
-            sim, tb.server, SERVER_PROXY_PORT, NFS_PORT,
-            accounts=tb.server_accounts, gridmap=gridmap, fs=tb.fs,
-            security=server_cfg, cost=cal.proxy_cost, account="proxy",
-            blocking=True, enable_acls=True,
-            session_identity=None if secure else USER_DN,
-            acl_disk=tb.server_disk,
-        )
-        server_proxy.start()
+            # sub-channels 1..N-1 of a leg resume channel 0's session keys
+            pki = SessionPki(tb, session_seed, SUITES[setup],
+                             session_tickets=session_tickets or streams > 1)
+        for seat in seats:
+            admit(tb, gridmap, seat)
+            cfg = pki.client_config(seat) if secure else None
+            renewing = None
+            if delegation_lifetime is not None:
+                renewing = _delegating(tb, pki, gridmap, seat, cfg,
+                                       delegation_lifetime)
 
-    # -- sharded data plane: backend proxies + the metadata service --------
-    backend_proxies: List[Optional[SgfsServerProxy]] = [server_proxy]
+            def dial(target, seat=seat, cfg=cfg, renewing=renewing):
+                d = dialer(sim, seat.host, target, SERVER_PROXY_PORT, cfg)
+                return renewing(d) if renewing else d
+
+            dials.append(dial)
+        server_proxies = [
+            serve_proxy(tb, gridmap, pki.server_config(b) if secure else None, b)
+            for b in range(servers)
+        ]
     if grid:
-        for b in range(1, servers):
-            backend = tb.backends[b]
-            bcfg = None
-            if secure:
-                bcfg = SecurityConfig.for_session(
-                    host_id, [ca.certificate], suite, fast_ciphers=True,
-                    rng=rng.fork(f"server-tls-s{b}"),
-                    session_tickets=session_tickets,
-                )
-            bproxy = SgfsServerProxy(
-                sim, backend.host, SERVER_PROXY_PORT, NFS_PORT,
-                accounts=tb.server_accounts, gridmap=gridmap, fs=backend.fs,
-                security=bcfg, cost=cal.proxy_cost, account="proxy",
-                blocking=True, enable_acls=True,
-                session_identity=None if secure else USER_DN,
-                acl_disk=backend.disk,
-            )
-            bproxy.start()
-            backend_proxies.append(bproxy)
         grid_service = GridMetadataService(
             width=servers, replicas=replicas, block_size=grid_block_size,
             obs=tb.obs,
@@ -435,199 +412,69 @@ def run_fleet(
         meta_rpc.register(GridMetadataProgram(grid_service))
         meta_rpc.serve_listener(tb.server.listen(GRID_META_PORT))
 
-    # -- per-client namespaces and workload preparation --------------------
-    # Subdirectories are created out of band (setup scripts run as root
-    # server-side), then chowned to the session owner, so every client's
-    # dataset is isolated while living in one shared export.
-    workloads = []
-    takes_index = bool(inspect.signature(workload_factory).parameters)
-    root_fid = tb.fs.root.fileid
-    for i, name in enumerate(names):
-        node = tb.fs.mkdir(root_fid, name, ROOT_CRED)
-        tb.fs.setattr(node.fileid, ROOT_CRED, uid=owners[i].uid, gid=owners[i].gid)
-        workload = workload_factory(i) if takes_index else workload_factory()
-        scoped = _ScopedTestbed(tb, _ScopedFs(tb.fs, node))
-        if hasattr(workload, "prepare"):
-            workload.prepare(scoped)
-        workloads.append((workload, node))
-
-    # Mirror the per-client subdirectories onto every extra backend (out
-    # of band, like the home-side mkdirs above) and record each client's
-    # per-backend root handles for the stripe router.
-    grid_roots: List[Dict[int, FileHandle]] = []
-    if grid:
-        for i, name in enumerate(names):
-            node = workloads[i][1]
-            handles = {0: FileHandle(tb.fs.fsid, node.fileid, node.generation)}
-            for b in range(1, servers):
-                bfs = tb.backends[b].fs
-                bnode = bfs.mkdir(bfs.root.fileid, name, ROOT_CRED)
-                bfs.setattr(bnode.fileid, ROOT_CRED,
-                            uid=owners[i].uid, gid=owners[i].gid)
-                handles[b] = FileHandle(bfs.fsid, bnode.fileid, bnode.generation)
-            grid_roots.append(handles)
-
-    # -- faults -------------------------------------------------------------
-    plan = None
-    fault_spec = resolve_fault_preset(faults)
-    if fault_spec is not None:
-        plan = FaultPlan(sim, fault_spec, seed=fault_seed)
-        plan.install(tb.net)
-        handlers = {"server": (tb.crash_nfs_server, tb.restart_nfs_server)}
-        if server_proxy is not None and hasattr(server_proxy, "crash"):
-            handlers["server-proxy"] = (server_proxy.crash, server_proxy.restart)
-        if grid:
-            # "backendN" crashes backend N's whole stack: its kernel NFS
-            # server and its server-side proxy go down together
-            for b in range(1, servers):
-                def _crash(b=b, p=backend_proxies[b]):
-                    tb.crash_backend(b)
-                    if p is not None:
-                        p.crash()
-
-                def _restart(b=b, p=backend_proxies[b]):
-                    tb.restart_backend(b)
-                    if p is not None:
-                        p.restart()
-
-                handlers[f"backend{b}"] = (_crash, _restart)
-        plan.schedule(handlers)
-
-    # -- client processes ---------------------------------------------------
+    # Faults are armed and the clock starts *before* any session opens:
+    # a fleet's makespan includes its mounts and handshakes.
+    plan = install_faults(tb, faults, fault_seed, server_proxies)
     t0 = sim.now
     results: List[Optional[FleetClientResult]] = [None] * clients
     errors: List[BaseException] = []
     done = Channel(sim, name="fleet-done")
 
+    def grid_router(seat: Seat, dial) -> GridRouter:
+        # Leg 0 (home/namespace) keeps the patient hard-mount retry
+        # budget; data legs fail fast so a crashed backend surfaces as
+        # an RpcError the router can fail over from, instead of minutes
+        # of backoff.
+        fail_fast = dict(retry_max=2, retry_base=0.25, retry_cap=2.0)
+        legs = [
+            UpstreamSession(sim, dial(b.name), streams=streams,
+                            name=f"leg{b.index}", **(fail_fast if b.index else {}))
+            for b in tb.backends
+        ]
+        meta = GridMetadataClient(sim, seat.host, "server", GRID_META_PORT)
+        router = GridRouter(
+            sim, legs, meta, width=servers, replicas=replicas,
+            block_size=grid_block_size, obs=tb.obs,
+        )
+        router.add_root(seat.roots[0].fileid, seat.roots)
+        return router
+
     def client_proc(i: int):
-        host, name = hosts[i], names[i]
-        workload, node = workloads[i]
-        cycler_proc = None
+        seat, workload = seats[i], workloads[i]
+        cycler = None
         try:
             if stagger and i:
                 yield sim.timeout(stagger * i)
             start = sim.now
-            root_fh = FileHandle(tb.fs.fsid, node.fileid, node.generation)
+            proxy = None
             if proxied:
-                cfg = client_cfgs[i]
-
-                def make_factory(target, cfg=cfg, host=host, i=i):
-                    def upstream_factory():
-                        if (
-                            cfg is not None
-                            and delegation_lifetime is not None
-                            and cfg.credential.certificate.not_after <= sim.now
-                        ):
-                            # Delegation expired: re-delegate before the
-                            # handshake (the server would reject the stale
-                            # chain).  The fresh gridmap add bumps the
-                            # epoch, so the server proxy's authz cache
-                            # revalidates this DN under churn.
-                            n = delegation_counts[i]
-                            delegation_counts[i] = n + 1
-                            yield from host.cpu.consume(
-                                DELEGATION_CPU_SECONDS, "proxy"
-                            )
-                            cfg.credential = issue_proxy_certificate(
-                                base_identities[i], now=sim.now,
-                                lifetime=delegation_lifetime,
-                                rng=rng.fork(f"delegate{i}:{n}"),
-                                key_bits=1024, limited=True,
-                            )
-                            gridmap.add(_client_dn(i), owners[i].name)
-                            c_delegations.inc()
-                            c_renewals.inc()
-                        sock = yield from host.connect(target, SERVER_PROXY_PORT)
-                        if cfg is None:
-                            return StreamTransport(sock)
-                        channel = yield from client_handshake(
-                            sim, sock, cfg, cpu=host.cpu, account="proxy"
-                        )
-                        return channel
-
-                    return upstream_factory
-
-                router = None
-                if grid:
-                    # Leg 0 (home/namespace) keeps the patient hard-mount
-                    # retry budget; data legs fail fast so a crashed
-                    # backend surfaces as an RpcError the router can
-                    # fail over from, instead of minutes of backoff.
-                    legs = [
-                        UpstreamSession(
-                            sim, make_factory(tb.backends[b].name),
-                            streams=streams, name=f"leg{b}",
-                        )
-                        if b == 0 else
-                        UpstreamSession(
-                            sim, make_factory(tb.backends[b].name),
-                            retry_max=2, retry_base=0.25, retry_cap=2.0,
-                            streams=streams, name=f"leg{b}",
-                        )
-                        for b in range(servers)
-                    ]
-                    meta = GridMetadataClient(
-                        sim, host, "server", GRID_META_PORT
-                    )
-                    router = GridRouter(
-                        sim, legs, meta, width=servers, replicas=replicas,
-                        block_size=grid_block_size, obs=tb.obs,
-                    )
-                    router.add_root(node.fileid, grid_roots[i])
-                proxy = SgfsClientProxy(
-                    sim, host, CLIENT_PROXY_PORT,
-                    upstream_factory=None if grid else make_factory("server"),
-                    cost=cal.proxy_cost, account="proxy",
-                    cache=_cache_config(tb, disk_cache),
-                    disk=_cache_disk(tb, disk_cache),
-                    blocking=True,
-                    streams=streams,
-                    grid=router,
+                router = grid_router(seat, dials[i]) if grid else None
+                proxy = client_proxy(
+                    tb, seat, None if grid else dials[i]("server"), grid=router,
+                    streams=streams, disk_cache=disk_cache,
                 )
                 yield from proxy.start()
                 if reconnect_interval:
-                    # Periodic session refresh: tears the upstream TLS
-                    # session down and re-handshakes (abbreviated, when
-                    # tickets are on) until this client's workload ends,
-                    # at which point the finally below interrupts it —
-                    # no cycle may fire after the workload completes.
-                    def cycler(proxy=proxy):
-                        try:
-                            while True:
-                                yield sim.timeout(reconnect_interval)
-                                yield from proxy.cycle_upstream()
-                        except Interrupt:
-                            return
-
-                    cycler_proc = sim.spawn(
-                        cycler(), name=f"session-cycler:{name}"
+                    # Spawned between the proxy's start and the kernel
+                    # client's dial (the order is pinned), and stopped by
+                    # the finally below when this client's workload ends.
+                    cycler = sim.spawn(
+                        _session_cycler(sim, proxy, reconnect_interval),
+                        name=f"session-cycler:{seat.name}",
                     )
-                cred = AuthSys(uid=JOB_ACCOUNT.uid, gid=JOB_ACCOUNT.gid,
-                               machinename=name)
-                client = yield from _kernel_client(
-                    tb, name, CLIENT_PROXY_PORT, cred, cache_bytes,
-                    host=host, root_fh=root_fh,
-                )
+                client = yield from mount_through_proxy(tb, seat, cache_bytes)
             else:
-                proxy = None
-                cred = AuthSys(uid=owners[i].uid, gid=owners[i].gid,
-                               machinename=name)
-                client = yield from _kernel_client(
-                    tb, "server", NFS_PORT, cred, cache_bytes,
-                    host=host, root_fh=root_fh,
+                client = yield from mount_kernel_server(
+                    tb, seat, cache_bytes,
                     vers=NFS_V4 if setup == "nfs-v4" else pr.NFS_V3,
                 )
-            if fault_spec is not None:
-                if fault_spec.client_timeo is not None and hasattr(client, "timeo"):
-                    client.timeo = fault_spec.client_timeo
-                if fault_spec.proxy_timeo is not None and proxy is not None:
-                    proxy.upstream_timeo = fault_spec.proxy_timeo
-            mount = Mount(f"{setup}:{name}", tb, client, client_proxy=proxy,
-                          server_proxy=server_proxy)
+            mount = Mount(f"{setup}:{seat.name}", tb, client, client_proxy=proxy,
+                          server_proxy=server_proxies[0] if proxied else None)
+            apply_fault_timeouts(plan, mount)
             yield from workload.run(mount)
             yield from mount.finish()
             results[i] = FleetClientResult(
-                name=name, start=start, end=sim.now,
+                name=seat.name, start=start, end=sim.now,
                 phases=dict(getattr(workload, "results", {})),
                 bytes_moved=getattr(workload, "bytes_moved", None),
             )
@@ -637,15 +484,15 @@ def run_fleet(
             # Tear the session cycler down *before* signaling completion:
             # a cycle firing after the workload finished would quiesce a
             # session nothing will use again and perturb shutdown order.
-            if cycler_proc is not None and cycler_proc.alive:
-                cycler_proc.interrupt("client workload complete")
+            if cycler is not None and cycler.alive:
+                cycler.interrupt("client workload complete")
             done.put(i)
 
-    for i in range(clients):
-        proc = sim.spawn(client_proc(i), name=f"fleet-{names[i]}")
+    for i, seat in enumerate(seats):
+        proc = sim.spawn(client_proc(i), name=f"fleet-{seat.name}")
         # Namespace the client's span tracks: every process spawned
         # inside the subtree inherits this via sim.current.
-        proc.trace_ns = names[i]
+        proc.trace_ns = seat.name
 
     def supervisor():
         for _ in range(clients):
@@ -657,21 +504,7 @@ def run_fleet(
     if errors:
         raise errors[0]
 
-    result = FleetResult(
-        setup=setup, clients=clients,
-        makespan=max(r.end for r in results) - t0,
-        per_client=list(results),
-    )
-    result.stats.update(tb.obs.snapshot())
-    if plan is not None:
-        result.stats["faults"] = dict(plan.stats)
-    if tracing:
-        result.tracer = tb.tracer
-    if profile:
-        from repro.obs.profile import build_report
-
-        kwargs = profile if isinstance(profile, dict) else {}
-        result.profile = build_report(
-            tb, t0=t0, t_end=max(r.end for r in results), **kwargs
-        )
-    return result
+    t_end = max(r.end for r in results)
+    result = FleetResult(setup=setup, clients=clients, makespan=t_end - t0,
+                         per_client=list(results))
+    return collect(result, tb, plan, tracing, profile, t0, t_end)

@@ -70,6 +70,70 @@ class ExperimentResult:
 #: accounts whose utilization we sample (proxy == SGFS/GFS proxies and
 #: their crypto; sfsd/sfssd == SFS daemons; ssh == tunnel endpoints).
 _CPU_ACCOUNTS = ("proxy", "sfsd", "sfssd", "ssh", "sshd", "kernel-nfs", "app")
+#: width of one utilization sample, in virtual seconds
+_CPU_WINDOW = 5.0
+
+
+def install_faults(tb: Testbed, faults, fault_seed: str,
+                   server_proxies) -> Optional[FaultPlan]:
+    """Arm ``faults`` (preset name, spec or None) on a built testbed and
+    return the plan, if any.  Its crash events may name ``server`` (the
+    home nfsd), ``server-proxy`` (``server_proxies[0]``) or ``backendN``
+    (backend N's nfsd and ``server_proxies[N]``, down together)."""
+    spec = resolve_fault_preset(faults)
+    if spec is None:
+        return None
+    plan = FaultPlan(tb.sim, spec, seed=fault_seed)
+    plan.install(tb.net)
+    handlers = {"server": (tb.crash_nfs_server, tb.restart_nfs_server)}
+    for b, proxy in enumerate(server_proxies):
+        if b == 0:
+            if hasattr(proxy, "crash"):  # the SFS server daemon has none
+                handlers["server-proxy"] = (proxy.crash, proxy.restart)
+            continue
+
+        def crash(b=b, proxy=proxy):
+            tb.crash_backend(b)
+            proxy.crash()
+
+        def restart(b=b, proxy=proxy):
+            tb.restart_backend(b)
+            proxy.restart()
+
+        handlers[f"backend{b}"] = (crash, restart)
+    plan.schedule(handlers)
+    return plan
+
+
+def apply_fault_timeouts(plan: Optional[FaultPlan], mount: Mount) -> None:
+    """Give a mount's retransmission timers teeth under ``plan``: silent
+    loss must trigger same-xid retries rather than waiting on the stream
+    RTO chain."""
+    if plan is None:
+        return
+    spec = plan.spec
+    if spec.client_timeo is not None and hasattr(mount.client, "timeo"):
+        mount.client.timeo = spec.client_timeo
+    if spec.proxy_timeo is not None and hasattr(mount.client_proxy, "upstream_timeo"):
+        mount.client_proxy.upstream_timeo = spec.proxy_timeo
+
+
+def collect(result, tb: Testbed, plan: Optional[FaultPlan], tracing, profile,
+            t0: float, t_end: float):
+    """Fill a run's result with what the testbed observed: the registry
+    snapshot, the fault plan's packet statistics, the tracer, and the
+    bottleneck-attribution report over ``[t0, t_end]``."""
+    result.stats.update(tb.obs.snapshot())
+    if plan is not None:
+        result.stats["faults"] = dict(plan.stats)
+    if tracing:
+        result.tracer = tb.tracer
+    if profile:
+        from repro.obs.profile import build_report
+
+        kwargs = profile if isinstance(profile, dict) else {}
+        result.profile = build_report(tb, t0=t0, t_end=t_end, **kwargs)
+    return result
 
 
 def run_workload(
@@ -78,8 +142,6 @@ def run_workload(
     rtt: float = 0.0,
     cal: Calibration = DEFAULT_CALIBRATION,
     setup_kwargs: Optional[dict] = None,
-    prepare: Optional[Callable[[Testbed], None]] = None,
-    cpu_window: float = 5.0,
     telemetry: bool = True,
     tracing: bool = False,
     profile: bool = False,
@@ -137,30 +199,14 @@ def run_workload(
     tb = Testbed.build(rtt=rtt, cal=cal, telemetry=telemetry, tracing=tracing,
                        profile=profile)
     workload = workload_factory()
-    if prepare is not None:
-        prepare(tb)
-    elif hasattr(workload, "prepare"):
+    if hasattr(workload, "prepare"):
         workload.prepare(tb)
     mount: Mount = SETUP_BUILDERS[setup](tb, **(setup_kwargs or {}))
 
-    plan = None
-    fault_spec = resolve_fault_preset(faults)
-    if fault_spec is not None:
-        plan = FaultPlan(tb.sim, fault_spec, seed=fault_seed)
-        plan.install(tb.net)
-        handlers = {"server": (tb.crash_nfs_server, tb.restart_nfs_server)}
-        sp = mount.server_proxy
-        if sp is not None and hasattr(sp, "crash"):
-            handlers["server-proxy"] = (sp.crash, sp.restart)
-        plan.schedule(handlers)
-        # give the retransmission timers teeth: silent loss must trigger
-        # same-xid retries rather than waiting on the stream RTO chain
-        if fault_spec.client_timeo is not None and hasattr(mount.client, "timeo"):
-            mount.client.timeo = fault_spec.client_timeo
-        if fault_spec.proxy_timeo is not None and mount.client_proxy is not None \
-                and hasattr(mount.client_proxy, "upstream_timeo"):
-            mount.client_proxy.upstream_timeo = fault_spec.proxy_timeo
-
+    # The mount comes first: faults are armed and the clock starts on a
+    # mounted session (the paper reports runtimes without the mount).
+    plan = install_faults(tb, faults, fault_seed, [mount.server_proxy])
+    apply_fault_timeouts(plan, mount)
     t0 = tb.sim.now
     tb.run(workload.run(mount), name=f"{setup}-workload")
     total = tb.sim.now - t0
@@ -178,23 +224,13 @@ def run_workload(
         writeback_bytes=wb_bytes,
     )
     for account in _CPU_ACCOUNTS:
-        cl = tb.client.cpu.ledger.utilization_series(account, t_end, cpu_window)
-        sv = tb.server.cpu.ledger.utilization_series(account, t_end, cpu_window)
+        cl = tb.client.cpu.ledger.utilization_series(account, t_end, _CPU_WINDOW)
+        sv = tb.server.cpu.ledger.utilization_series(account, t_end, _CPU_WINDOW)
         if any(pct for _t, pct in cl):
             result.client_cpu[account] = cl
         if any(pct for _t, pct in sv):
             result.server_cpu[account] = sv
-    result.stats.update(tb.obs.snapshot())
-    if plan is not None:
-        result.stats["faults"] = dict(plan.stats)
-    if tracing:
-        result.tracer = tb.tracer
-    if profile:
-        from repro.obs.profile import build_report
-
-        kwargs = profile if isinstance(profile, dict) else {}
-        result.profile = build_report(tb, t0=0.0, t_end=t_end, **kwargs)
-    return result
+    return collect(result, tb, plan, tracing, profile, 0.0, t_end)
 
 
 # -- canned experiments ------------------------------------------------------

@@ -58,7 +58,6 @@ class SgfsClientProxy:
         disk: Optional[DiskModel] = None,
         blocking: bool = True,
         cryptor=None,
-        upstream_timeo: Optional[float] = None,
         streams: int = 1,
         grid=None,
     ):
@@ -101,7 +100,7 @@ class SgfsClientProxy:
         #: the one upstream object: a lone leg, or the grid router over
         #: its per-backend legs — same forward/burst/connect/legs surface
         self._up = grid if grid is not None else UpstreamSession(
-            sim, upstream_factory, timeo=upstream_timeo, streams=streams,
+            sim, upstream_factory, streams=streams,
         )
         #: blocks currently being fetched by a read window, so a second
         #: reader coalesces onto the in-flight fetch instead of

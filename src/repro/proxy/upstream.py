@@ -20,9 +20,10 @@ from repro.rpc.compound import (
 )
 from repro.rpc.errors import RpcError, RpcTimeout, RpcTransportError
 from repro.rpc.messages import CallMessage, ReplyMessage
-from repro.rpc.transport import Transport
+from repro.rpc.transport import StreamTransport, Transport
 from repro.sim.core import Event, Simulator
 from repro.sim.process import all_of, any_of
+from repro.tls.channel import client_handshake
 
 #: bulk data procedures — the traffic round-robined across channels
 _BULK_PROCS = frozenset((int(pr.Proc.READ), int(pr.Proc.WRITE)))
@@ -35,6 +36,26 @@ _RTT_ALPHA = 0.125
 _RTT_FLOOR = 1e-4
 #: ceiling on the RTT-sized pipeline window of a multi-stream leg
 MAX_WINDOW = 64
+
+
+def dialer(sim: Simulator, host, target: str, port: int, security=None):
+    """The session's dial, as an :class:`UpstreamSession`'s
+    ``upstream_factory``: a process generator that connects ``host`` to
+    ``target:port`` and returns the transport — the bare stream, or the
+    secure channel a handshake under ``security`` (a
+    :class:`repro.tls.SecurityConfig`) yields.  gfs, sgfs and gfs-ssh
+    differ only here.  ``security`` is read when a dial runs: a
+    credential renewed on it since is what the next handshake presents."""
+
+    def dial():
+        sock = yield from host.connect(target, port)
+        if security is None:
+            return StreamTransport(sock)
+        return (yield from client_handshake(
+            sim, sock, security, cpu=host.cpu, account="proxy"
+        ))
+
+    return dial
 
 
 class _CallRouter:

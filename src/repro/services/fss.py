@@ -24,13 +24,11 @@ from repro.proxy.accounts import AccountsDb
 from repro.proxy.block_cache import ProxyCacheConfig
 from repro.proxy.client_proxy import SgfsClientProxy
 from repro.proxy.server_proxy import SgfsServerProxy
-from repro.rpc.transport import StreamTransport
+from repro.proxy.upstream import dialer
 from repro.services.endpoint import ServiceEndpoint
 from repro.services.soap import SoapFault
 from repro.sim.core import Simulator
 from repro.tls import SecurityConfig
-from repro.tls.channel import client_handshake
-from repro.vfs.disk import DiskModel
 from repro.vfs.fs import VirtualFS
 
 _session_ids = itertools.count(100)
@@ -184,20 +182,12 @@ class FileSystemService(ServiceEndpoint):
             rng=Drbg(f"fss-client-session-{port}"),
         )
         sim, host = self.sim, self.host
-
-        def upstream_factory():
-            sock = yield from host.connect(server_host, server_port)
-            channel = yield from client_handshake(
-                sim, sock, client_cfg, cpu=host.cpu, account="proxy"
-            )
-            return channel
-
         disk = None
         if disk_cache and self.cache_disk_factory is not None:
             disk = self.cache_disk_factory()
         proxy = SgfsClientProxy(
             sim, host, port,
-            upstream_factory=upstream_factory,
+            upstream_factory=dialer(sim, host, server_host, server_port, client_cfg),
             cost=self.proxy_cost if self.proxy_cost is not None else _default_cost(),
             cache=ProxyCacheConfig(enabled=disk_cache),
             disk=disk,

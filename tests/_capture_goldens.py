@@ -11,8 +11,9 @@ import hashlib
 import json
 
 from repro.core.setups import SETUP_BUILDERS
-from repro.harness import run_iozone, run_postmark
+from repro.harness import run_fleet, run_iozone, run_postmark
 from repro.harness.runner import run_iozone_wr
+from repro.workloads.iozone import IOzoneReadReread, IOzoneWriteRead
 from repro.workloads.postmark import PostMarkConfig
 
 FILE_SIZE = 256 * 1024
@@ -55,6 +56,45 @@ def s1_cache_row(result):
             pc["writeback_blocks"], pc["writeback_bytes"], pc["forwarded"])
 
 
+def run_fault_case(label: str):
+    """One run under a seeded fault plan — single session and fleet,
+    plain and grid — shared with ``tests/test_golden_runtimes.py`` like
+    the cases above.  These pin the *values* of a fault run (the
+    determinism gates only compare a seed with itself)."""
+    if label == "single-lossy-wan":
+        return run_iozone("sgfs-aes", rtt=0.08, file_size=1 << 20,
+                          setup_kwargs={"cache_bytes": 512 * 1024},
+                          faults="lossy-wan", fault_seed="ci")
+    if label == "single-chaos-wan-4-streams":
+        return run_iozone("sgfs-aes", rtt=0.08, file_size=4 << 20,
+                          setup_kwargs={"disk_cache": True, "streams": 4},
+                          faults="chaos-wan", fault_seed="ci-chaos")
+    if label == "fleet-lossy-wan":
+        return run_fleet("sgfs-aes",
+                         lambda: IOzoneReadReread(file_size=128 * 1024),
+                         clients=4, rtt=0.04,
+                         faults="lossy-wan", fault_seed="fleet-ci")
+    if label == "grid-fleet-lossy-wan":
+        return run_fleet("sgfs-sha",
+                         lambda: IOzoneWriteRead(file_size=256 * 1024),
+                         clients=4, servers=3, replicas=2, streams=2, rtt=0.02,
+                         faults="lossy-wan", fault_seed="g")
+    raise KeyError(label)
+
+
+FAULT_CASES = ("single-lossy-wan", "single-chaos-wan-4-streams",
+               "fleet-lossy-wan", "grid-fleet-lossy-wan")
+
+
+def fault_row(result):
+    """(total or makespan hex, the whole ``stats["faults"]`` dict, grid
+    failovers + degraded writes)."""
+    span = result.makespan if hasattr(result, "makespan") else result.total
+    grid = result.stats.get("grid", {})
+    return (span.hex(), dict(result.stats["faults"]),
+            grid.get("read_failovers", 0) + grid.get("degraded_writes", 0))
+
+
 def capture():
     out = {}
     for setup in sorted(SETUP_BUILDERS):
@@ -81,6 +121,11 @@ def capture_s1_cache():
             for label in S1_CACHE_CASES}
 
 
+def capture_faults():
+    return {label: fault_row(run_fault_case(label)) for label in FAULT_CASES}
+
+
 if __name__ == "__main__":
     print(json.dumps(capture(), indent=2, sort_keys=True))
     print(json.dumps(capture_s1_cache(), indent=2, sort_keys=True))
+    print(json.dumps(capture_faults(), indent=2, sort_keys=True))

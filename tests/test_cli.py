@@ -108,3 +108,61 @@ def test_run_fleet_rejects_single_session_setup():
     )
     assert code == 2
     assert "single-session" in text
+
+
+# -- one workload table, one run path ------------------------------------------
+
+
+def test_profile_fleet_offers_every_workload_the_parser_does():
+    """``profile ... --clients 2`` used a private factory table that
+    lacked iozone-wr (KeyError) while argparse offered it."""
+    code, text = run_cli("profile", "sgfs", "iozone-wr", "--clients", "2")
+    assert code == 0
+    assert "makespan" in text and "cpu c1" in text
+
+
+def test_fleet_factories_take_no_arguments(monkeypatch):
+    """run_fleet passes the client index to a factory that takes a
+    parameter — ``--workload mab --clients 2`` once handed it the bare
+    class, which took the index for its source tree."""
+    import inspect
+
+    from repro.cli import WORKLOADS
+
+    seen = []
+
+    def recording_run_fleet(setup, factory, **kw):
+        seen.append(factory)
+        raise ValueError("recorded")
+
+    monkeypatch.setattr("repro.cli.run_fleet", recording_run_fleet)
+    for name, cls in WORKLOADS.items():
+        code, text = run_cli("run", "--workload", name, "--setup", "gfs",
+                             "--clients", "2")
+        assert (code, text) == (2, "error: recorded\n")
+        assert not inspect.signature(seen[-1]).parameters
+        assert isinstance(seen[-1](), cls)
+
+
+@pytest.mark.parametrize("flag", [
+    ("--stagger-ms", "5"), ("--server-cores", "2"), ("--session-tickets",),
+    ("--reconnect-ms", "5"), ("--delegation-ms", "5"), ("--servers", "2"),
+    ("--replicas", "2"),
+])
+def test_fleet_only_flags_are_refused_for_one_client(flag):
+    code, text = run_cli("run", "--workload", "iozone", "--setup", "sgfs", *flag)
+    assert code == 2
+    assert text == f"error: {flag[0]} requires a fleet run (--clients >= 2)\n"
+
+
+def test_profile_refuses_server_cores_for_one_client_like_run():
+    code, text = run_cli("profile", "sgfs", "iozone", "--server-cores", "2")
+    assert code == 2
+    assert text == "error: --server-cores requires a fleet run (--clients >= 2)\n"
+
+
+def test_run_rejects_nonpositive_streams():
+    for extra in ((), ("--clients", "2")):
+        code, text = run_cli("run", "--workload", "iozone", "--setup", "sgfs",
+                             "--streams", "-3", *extra)
+        assert code == 2 and "streams must be >= 1" in text

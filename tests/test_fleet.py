@@ -86,6 +86,14 @@ def test_fleet_rejects_single_session_designs():
         run_fleet("nfs-v3", _iozone, clients=0)
 
 
+@pytest.mark.parametrize("streams", [0, -3])
+def test_fleet_rejects_nonpositive_streams(streams):
+    """Like ``servers=0`` and ``replicas=0``: an error, not a silent
+    run with one stream."""
+    with pytest.raises(ValueError, match="streams must be >= 1"):
+        run_fleet("sgfs-sha", _iozone, clients=2, streams=streams)
+
+
 # -- multi-core server, session tickets ---------------------------------------
 
 

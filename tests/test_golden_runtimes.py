@@ -39,7 +39,9 @@ import pytest
 from repro.core.setups import SETUP_BUILDERS
 from repro.harness import run_iozone, run_mab, run_postmark
 from repro.workloads.postmark import PostMarkConfig
-from tests._capture_goldens import run_s1_cache_case, s1_cache_row
+from tests._capture_goldens import (
+    fault_row, run_fault_case, run_s1_cache_case, s1_cache_row,
+)
 
 FILE_SIZE = 256 * 1024
 CACHE_BYTES = 128 * 1024
@@ -103,6 +105,30 @@ S1_CACHE_GOLDEN = {
 }
 
 
+def _faults(packets, dropped, delayed=0):
+    return {"packets": packets, "dropped": dropped, "retransmits": dropped,
+            "delayed": delayed, "corrupted": 0, "duplicated": 0,
+            "flap_drops": 0, "crashes": 0}
+
+
+#: Runs under a seeded fault plan — label -> (total or makespan hex, the
+#: whole ``stats["faults"]`` dict, grid read failovers + degraded
+#: writes).  The determinism gates only compare a fault seed with
+#: itself; these pin the *values*, so a change to how faults are armed
+#: (before or after the mount, which timers get teeth, which packets the
+#: plan sees) cannot pass by being wrong twice.  A pinned value is also
+#: a repeatable one, and ``dropped > 0`` is pinned with it.  Captured
+#: with ``tests/_capture_goldens.py`` at the last commit where
+#: ``run_workload`` and ``run_fleet`` each wired faults by hand.
+FAULT_GOLDEN = {
+    "single-lossy-wan": ("0x1.9d6f11484e616p+3", _faults(184, 6), 0),
+    "single-chaos-wan-4-streams": ("0x1.053075f6f4865p+1",
+                                   _faults(27, 1, delayed=2), 0),
+    "fleet-lossy-wan": ("0x1.7aac811cb304dp+0", _faults(97, 3), 0),
+    "grid-fleet-lossy-wan": ("0x1.7e62b436902eep+2", _faults(474, 15), 0),
+}
+
+
 def _snapshot_sha256(result) -> str:
     stats = {k: v for k, v in result.stats.items() if k != "sim"}
     return hashlib.sha256(
@@ -132,6 +158,11 @@ def test_iozone_golden_runtime(label):
 @pytest.mark.parametrize("label", sorted(S1_CACHE_GOLDEN))
 def test_streams_one_cached_wan_golden(label):
     assert s1_cache_row(run_s1_cache_case(label)) == S1_CACHE_GOLDEN[label]
+
+
+@pytest.mark.parametrize("label", sorted(FAULT_GOLDEN))
+def test_fault_run_golden(label):
+    assert fault_row(run_fault_case(label)) == FAULT_GOLDEN[label]
 
 
 def test_golden_trace_export_identical():

@@ -8,7 +8,6 @@ from repro.core.setups import (
     JOB_ACCOUNT,
     SERVER_DN,
     _kernel_client,
-    _make_session_pki,
 )
 from repro.core.topology import NFS_PORT, Testbed
 from repro.crypto.drbg import Drbg

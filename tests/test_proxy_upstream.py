@@ -197,3 +197,74 @@ def test_burst_places_call_i_on_channel_i_mod_streams():
                        for m in unpack_members(envelope.args)])
     assert shares == [[c.args for c in calls[0::2]],
                       [c.args for c in calls[1::2]]]
+
+
+# -- dialer(): the one connect-then-handshake, on a real two-host network ------
+
+
+def _dial_twice(security, server_security=None, between=lambda: None):
+    """Dial c -> s:4444 twice through one ``dialer``; return what the
+    client got and what the accepting side saw, per dial."""
+    from repro.net import Host, Network
+    from repro.proxy.upstream import dialer
+    from repro.tls import server_handshake
+
+    sim = Simulator()
+    net = Network(sim)
+    c, s = Host(sim, net, "c"), Host(sim, net, "s")
+    net.connect("c", "s", latency=0.001)
+    accepted = []
+
+    def server_side():
+        listener = s.listen(4444)
+        while True:
+            sock = yield listener.accept()
+            if server_security is not None:
+                sock = yield from server_handshake(sim, sock, server_security)
+            accepted.append(sock)
+
+    sim.spawn(server_side())
+    dial = dialer(sim, c, "s", 4444, security)
+    got = [sim.run_until_complete(sim.spawn(dial()))]
+    between()
+    got.append(sim.run_until_complete(sim.spawn(dial())))
+    sim.run(until=sim.now + 1.0)
+    return got, accepted
+
+
+def test_dialer_without_security_returns_the_bare_stream():
+    from repro.rpc.transport import StreamTransport
+
+    got, accepted = _dial_twice(None)
+    assert all(type(t) is StreamTransport for t in got)
+    assert len(accepted) == 2
+
+
+def test_dialer_handshakes_with_the_credential_current_at_dial_time():
+    """Delegation renewal swaps ``cfg.credential`` between dials and
+    relies on the next handshake presenting the new one."""
+    from repro.crypto.drbg import Drbg
+    from repro.gsi import CertificateAuthority, DistinguishedName
+    from repro.gsi.proxy import issue_proxy_certificate
+    from repro.tls import SecurityConfig
+    from repro.tls.channel import SecureChannel
+
+    dn = DistinguishedName.parse
+    ca = CertificateAuthority(dn("/O=TestCA/CN=Root"), rng=Drbg("d-ca"), key_bits=768)
+    user = ca.issue_identity(dn("/O=Lab/CN=user"), rng=Drbg("d-user"), key_bits=768)
+    host = ca.issue_identity(dn("/O=Lab/CN=server"), rng=Drbg("d-host"), key_bits=768)
+    cfg = SecurityConfig.for_session(user, [ca.certificate], rng=Drbg("d-c"))
+    server_cfg = SecurityConfig.for_session(host, [ca.certificate], rng=Drbg("d-s"))
+    delegated = issue_proxy_certificate(user, now=0.0, lifetime=60.0,
+                                        rng=Drbg("d-proxy"), key_bits=768,
+                                        limited=True)
+
+    def renew():
+        cfg.credential = delegated
+
+    got, accepted = _dial_twice(cfg, server_cfg, between=renew)
+    assert all(isinstance(ch, SecureChannel) for ch in got)
+    assert [ch.peer_certificate for ch in accepted] == [
+        user.certificate, delegated.certificate]
+    # both chains collapse to the same grid identity
+    assert {str(ch.peer_identity) for ch in accepted} == {"/O=Lab/CN=user"}

@@ -136,3 +136,106 @@ def test_plain_gfs_leaks_plaintext_on_wire():
 
     tb.run(job())
     assert secret[:20] in bytes(captured)
+
+
+# -- one server loop: every backend is the same kind of thing ------------------
+
+
+def test_every_backend_has_its_own_server_and_only_home_speaks_v4():
+    from repro.core.setups import _kernel_client
+    from repro.core.topology import NFS_PORT
+    from repro.nfs.v4 import NFS_V4
+    from repro.rpc.auth import AuthSys
+    from repro.rpc.errors import RpcProgMismatch
+
+    tb = Testbed.build(servers=3)
+    assert [b.name for b in tb.backends] == ["server", "s1", "s2"]
+    for part in ("host", "fs", "disk", "nfs_program", "rpc_server", "listener"):
+        assert len({id(getattr(b, part)) for b in tb.backends}) == 3, part
+    # the historical names are views of backend 0, not copies
+    home = tb.backends[0]
+    assert tb.server is home.host and tb.fs is home.fs
+    assert tb.server_disk is home.disk and tb.nfs_program is home.nfs_program
+    assert tb.nfs_rpc_server is home.rpc_server
+
+    cred = AuthSys(uid=FILE_ACCOUNT.uid, gid=FILE_ACCOUNT.gid, machinename="client")
+
+    def v4_write(backend):
+        cl = yield from _kernel_client(
+            tb, backend.name, NFS_PORT, cred, None, vers=NFS_V4,
+            root_fh=backend.nfs_program.root_handle(),
+        )
+        yield from cl.write_file("/v4.txt", b"compound")
+
+    tb.run(v4_write(home))
+    assert bytes(home.fs.resolve("/v4.txt", ROOT).data) == b"compound"
+    for backend in tb.backends[1:]:
+        with pytest.raises(RpcProgMismatch):
+            tb.run(v4_write(backend))
+
+
+def test_home_server_crash_and_restart_are_backend_zero():
+    tb = Testbed.build()
+    mount = SETUP_BUILDERS["nfs-v3"](tb)
+    tb.run(mount.client.write_file("/before.txt", b"1"))
+    for crash, restart in (
+        (tb.crash_nfs_server, lambda: tb.restart_backend(0)),
+        (lambda: tb.crash_backend(0), tb.restart_nfs_server),
+    ):
+        crash()
+        assert tb.backends[0].listener is None
+        restart()
+        assert tb.backends[0].listener is not None
+        restart()  # idempotent: the port is bound once
+        # the hard-mounted client reconnects to the restarted server
+        tb.run(mount.client.write_file("/after.txt", b"2"))
+    assert bytes(tb.fs.resolve("/after.txt", ROOT).data) == b"2"
+
+
+def test_two_hand_built_seats_share_one_server_proxy():
+    """The public session parts, composed by hand for two users on one
+    testbed: one gridmap, one server proxy, each seat mapped to its own
+    account — what ``run_fleet`` does for N."""
+    from repro.core.setups import (
+        Seat, SessionPki, admit, client_proxy, mount_through_proxy, serve_proxy,
+    )
+    from repro.core.topology import SERVER_PROXY_PORT
+    from repro.gsi import DistinguishedName, Gridmap
+    from repro.gsi.gridmap import UnmappedPolicy
+    from repro.nfs.protocol import FileHandle
+    from repro.proxy.accounts import Account
+    from repro.proxy.upstream import dialer
+
+    tb = Testbed.build()
+    pki = SessionPki(tb, "two-seats", "null-sha1")
+    gridmap = Gridmap(unmapped=UnmappedPolicy.DENY)
+    seats = []
+    for i, user in enumerate(("alice", "bob")):
+        account = Account(user, 7000 + i, 7000 + i)
+        home = tb.fs.mkdir(tb.fs.root.fileid, user, ROOT)
+        tb.fs.setattr(home.fileid, ROOT, uid=account.uid, gid=account.gid)
+        seat = Seat(
+            tb.add_client(f"pc-{user}"),
+            DistinguishedName.parse(f"/O=Lab/CN={user}"), account,
+            {0: FileHandle(tb.fs.fsid, home.fileid, home.generation)},
+            suffix=f"-{user}",
+        )
+        admit(tb, gridmap, seat)
+        seats.append(seat)
+    server_proxy = serve_proxy(tb, gridmap, pki.server_config())
+
+    def session(seat):
+        proxy = client_proxy(tb, seat, dialer(
+            tb.sim, seat.host, "server", SERVER_PROXY_PORT, pki.client_config(seat)))
+        yield from proxy.start()
+        client = yield from mount_through_proxy(tb, seat)
+        yield from client.write_file("/mine.txt", seat.name.encode())
+
+    for seat in seats:
+        tb.run(session(seat))
+    for seat in seats:
+        node = tb.fs.resolve(f"/{seat.account.name}/mine.txt", ROOT)
+        assert (node.uid, node.gid) == (seat.account.uid, seat.account.gid)
+        assert bytes(node.data) == seat.name.encode()
+    assert server_proxy.stats.granted > 0 and server_proxy.stats.denied == 0
+    assert len(server_proxy.authz) == 2  # two identities, one proxy
