@@ -122,7 +122,7 @@ CHURN_RECONNECT = 1.5
 CHURN_DELEGATION = 4.0
 
 
-def _fleet(clients: int, cores: int, **kw):
+def aes_fleet(clients: int, cores: int = 1, **kw):
     return run_fleet(
         "sgfs-aes", lambda: IOzoneReadReread(file_size=FILE_SIZE),
         clients=clients, cal=FAT_LAN, server_cores=cores, **kw,
@@ -326,11 +326,11 @@ def run_benchmarks() -> dict:
         "lan_bandwidth_multiplier": 8,
         "scenarios": {},
     }
-    base = _fleet(8, 1)
+    base = aes_fleet(8, 1)
     out["scenarios"]["base-8c-1core"] = _measure(base, 8, 1)
-    wide = _fleet(16, 4)
+    wide = aes_fleet(16, 4)
     out["scenarios"]["wide-16c-4core"] = _measure(wide, 16, 4)
-    resume = _fleet(8, 4, session_tickets=True, reconnect_interval=0.01)
+    resume = aes_fleet(8, 4, session_tickets=True, reconnect_interval=0.01)
     out["scenarios"]["resume-8c-4core"] = _measure(resume, 8, 4)
     out["scenarios"]["resume-8c-4core"]["session_tickets"] = True
     out["scenarios"]["resume-8c-4core"]["reconnect_interval"] = 0.01

@@ -1,33 +1,15 @@
 """Shared benchmark helpers.
 
 Each benchmark regenerates one figure of the paper's evaluation: it runs
-the same workload on the same setups, prints the figure's rows/series
-(virtual-time seconds), attaches them to pytest-benchmark's
-``extra_info``, and asserts the paper's *shape* claims — who wins, by
-roughly what factor, where crossovers fall.  Absolute virtual times are
-calibration-dependent and are not asserted beyond coarse sanity.
+the figure's experiments (``repro.harness.run_figure``, the table that
+``repro figure NAME`` prints too), prints its rows (virtual-time
+seconds), attaches them to pytest-benchmark's ``extra_info``, and
+asserts the paper's *shape* claims — who wins, by roughly what factor,
+where crossovers fall.  Absolute virtual times are calibration-dependent
+and are not asserted beyond coarse sanity.
 """
 
 from __future__ import annotations
-
-from typing import Dict
-
-#: IOzone scale used throughout: the paper's 512 MB file / 256 MB client
-#: at 1:32 — the defining ratio (file = 2 × cache) is preserved.
-IOZONE_FILE = 4 * 1024 * 1024
-IOZONE_CACHE = 2 * 1024 * 1024
-
-
-def print_table(title: str, rows: Dict[str, Dict[str, float]], columns) -> None:
-    print(f"\n=== {title} ===")
-    header = f"{'setup':12s}" + "".join(f"{c:>14s}" for c in columns)
-    print(header)
-    print("-" * len(header))
-    for name, values in rows.items():
-        cells = "".join(
-            f"{values.get(c, float('nan')):>13.2f}s" for c in columns
-        )
-        print(f"{name:12s}{cells}")
 
 
 def within_factor(value: float, target: float, tolerance: float) -> bool:

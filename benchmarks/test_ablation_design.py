@@ -13,11 +13,10 @@ Not figures from the paper — these isolate the mechanisms behind them:
    little.
 """
 
-from conftest import IOZONE_CACHE, IOZONE_FILE
-
 from repro.core import Testbed, setup_sgfs
 from repro.core.setups import USER_DN
 from repro.harness import run_iozone, run_postmark, run_seismic
+from repro.harness.tables import IOZONE_CACHE, IOZONE_FILE
 from repro.proxy.acl import AclEntry
 from repro.workloads.iozone import IOzoneReadReread
 

@@ -12,39 +12,23 @@ Paper's shape claims (§6.3.2):
 - the end-of-run write-back is reported separately (paper: 14.2 s).
 """
 
-from conftest import print_table
-
-from repro.harness import run_seismic
-
-PHASES = ["phase1", "phase2", "phase3", "phase4"]
-
-
-def run_figure10():
-    return {
-        ("nfs-v3", "lan"): run_seismic("nfs-v3", rtt=0.0),
-        ("sgfs", "lan"): run_seismic("sgfs", rtt=0.0),
-        ("nfs-v3", "wan"): run_seismic("nfs-v3", rtt=0.040),
-        ("sgfs", "wan"): run_seismic(
-            "sgfs", rtt=0.040, setup_kwargs={"disk_cache": True}
-        ),
-    }
+from repro.harness import figure_table, run_figure
 
 
 def test_fig10_seismic(benchmark):
-    results = benchmark.pedantic(run_figure10, rounds=1, iterations=1)
-    rows = {f"{s} ({env})": dict(r.phases) for (s, env), r in results.items()}
-    print_table("Figure 10: Seismic phases, LAN + 40ms WAN", rows, PHASES + ["total"])
-    wan_sgfs = results[("sgfs", "wan")]
+    results = benchmark.pedantic(run_figure, args=("fig10",), rounds=1, iterations=1)
+    print("\n" + figure_table("fig10", results))
+    wan_sgfs = results["sgfs-wan"]
     print(f"write-back at end of WAN run: {wan_sgfs.writeback_seconds:.1f}s")
     benchmark.extra_info["phases_s"] = {
-        f"{s}-{env}": {k: round(v, 2) for k, v in r.phases.items()}
-        for (s, env), r in results.items()
+        label: {k: round(v, 2) for k, v in r.phases.items()}
+        for label, r in results.items()
     }
 
-    lan_n = results[("nfs-v3", "lan")].phases
-    lan_s = results[("sgfs", "lan")].phases
-    wan_n = results[("nfs-v3", "wan")].phases
-    wan_s = results[("sgfs", "wan")].phases
+    lan_n = results["nfs-v3-lan"].phases
+    lan_s = results["sgfs-lan"].phases
+    wan_n = results["nfs-v3-wan"].phases
+    wan_s = results["sgfs-wan"].phases
 
     # LAN: sgfs close to native overall
     assert lan_s["total"] < 1.35 * lan_n["total"]
@@ -60,8 +44,8 @@ def test_fig10_seismic(benchmark):
     assert wan_n["phase2"] / wan_s["phase2"] > 10.0
     # the compute-bound final phase is flat across all four runs
     ref = lan_n["phase4"]
-    for (s, env), r in results.items():
-        assert abs(r.phases["phase4"] - ref) / ref < 0.15, (s, env)
+    for label, r in results.items():
+        assert abs(r.phases["phase4"] - ref) / ref < 0.15, label
     # write-back only carries the preserved results, not the temporaries
     assert wan_sgfs.writeback_seconds > 0
     assert wan_sgfs.writeback_bytes <= 8 * 1024 * 1024

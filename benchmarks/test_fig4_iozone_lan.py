@@ -12,32 +12,15 @@ Paper's shape claims (§6.2.1):
 - nfs-v4 shows no advantage over nfs-v3.
 """
 
-from conftest import IOZONE_CACHE, IOZONE_FILE, print_table, within_factor
+from conftest import within_factor
 
-from repro.harness import run_iozone
-
-SETUPS = ["nfs-v3", "nfs-v4", "sfs", "gfs", "sgfs-sha", "sgfs-rc", "sgfs-aes", "gfs-ssh"]
-
-
-def run_figure4():
-    results = {}
-    for setup in SETUPS:
-        r = run_iozone(
-            setup, rtt=0.0, file_size=IOZONE_FILE,
-            setup_kwargs={"cache_bytes": IOZONE_CACHE},
-        )
-        results[setup] = r
-    return results
+from repro.harness import figure_table, run_figure
 
 
 def test_fig4_iozone_lan(benchmark):
-    results = benchmark.pedantic(run_figure4, rounds=1, iterations=1)
+    results = benchmark.pedantic(run_figure, args=("fig4",), rounds=1, iterations=1)
     totals = {name: r.total for name, r in results.items()}
-    print_table(
-        "Figure 4: IOzone runtime, LAN",
-        {name: {"runtime": t} for name, t in totals.items()},
-        ["runtime"],
-    )
+    print("\n" + figure_table("fig4", results))
     benchmark.extra_info["runtimes_s"] = {k: round(v, 3) for k, v in totals.items()}
 
     gfs = totals["gfs"]

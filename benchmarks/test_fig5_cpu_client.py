@@ -10,40 +10,15 @@ Paper's shape claims (§6.2.1):
   configuration.
 """
 
-from conftest import IOZONE_CACHE, IOZONE_FILE
-
-from repro.harness import run_iozone
-
-SETUPS = ["gfs", "sgfs-sha", "sgfs-rc", "sgfs-aes", "sfs"]
-ACCOUNT = {"sfs": "sfsd"}
-
-
-def run_figure5():
-    out = {}
-    for setup in SETUPS:
-        r = run_iozone(
-            setup, rtt=0.0, file_size=IOZONE_FILE,
-            setup_kwargs={"cache_bytes": IOZONE_CACHE},
-        )
-        account = ACCOUNT.get(setup, "proxy")
-        out[setup] = {
-            "mean": r.cpu_mean("client", account),
-            "series": r.client_cpu.get(account, []),
-        }
-    return out
+from repro.harness import figure_rows, figure_table, run_figure
 
 
 def test_fig5_cpu_client(benchmark):
-    results = benchmark.pedantic(run_figure5, rounds=1, iterations=1)
-    print("\n=== Figure 5: client-side user-level CPU (mean %, 5s windows) ===")
-    for setup, data in results.items():
-        series = "  ".join(f"{t:.0f}s:{pct:.1f}" for t, pct in data["series"][:10])
-        print(f"{setup:10s} mean={data['mean']:5.1f}%   {series}")
-    benchmark.extra_info["cpu_mean_pct"] = {
-        k: round(v["mean"], 2) for k, v in results.items()
-    }
+    results = benchmark.pedantic(run_figure, args=("fig5",), rounds=1, iterations=1)
+    print("\n" + figure_table("fig5", results))
+    means = {setup: row["client-cpu"] for setup, row in figure_rows(results)}
+    benchmark.extra_info["cpu_mean_pct"] = {k: round(v, 2) for k, v in means.items()}
 
-    means = {k: v["mean"] for k, v in results.items()}
     assert means["gfs"] < 2.0, "plain proxy must be near-idle"
     # HMAC adds a few percent; encryption adds more
     assert means["gfs"] < means["sgfs-sha"] < means["sgfs-rc"] <= means["sgfs-aes"]

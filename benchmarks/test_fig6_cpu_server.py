@@ -6,40 +6,15 @@ client's for gfs / sgfs-sha / sgfs-rc (0.3 %, 1.5 %, 3.6 % average),
 and SFS again exceeds 30 % — more than every SGFS configuration.
 """
 
-from conftest import IOZONE_CACHE, IOZONE_FILE
-
-from repro.harness import run_iozone
-
-SETUPS = ["gfs", "sgfs-sha", "sgfs-rc", "sgfs-aes", "sfs"]
-ACCOUNT = {"sfs": "sfssd"}
-
-
-def run_figure6():
-    out = {}
-    for setup in SETUPS:
-        r = run_iozone(
-            setup, rtt=0.0, file_size=IOZONE_FILE,
-            setup_kwargs={"cache_bytes": IOZONE_CACHE},
-        )
-        account = ACCOUNT.get(setup, "proxy")
-        out[setup] = {
-            "mean": r.cpu_mean("server", account),
-            "series": r.server_cpu.get(account, []),
-        }
-    return out
+from repro.harness import figure_rows, figure_table, run_figure
 
 
 def test_fig6_cpu_server(benchmark):
-    results = benchmark.pedantic(run_figure6, rounds=1, iterations=1)
-    print("\n=== Figure 6: server-side user-level CPU (mean %, 5s windows) ===")
-    for setup, data in results.items():
-        series = "  ".join(f"{t:.0f}s:{pct:.1f}" for t, pct in data["series"][:10])
-        print(f"{setup:10s} mean={data['mean']:5.1f}%   {series}")
-    benchmark.extra_info["cpu_mean_pct"] = {
-        k: round(v["mean"], 2) for k, v in results.items()
-    }
+    results = benchmark.pedantic(run_figure, args=("fig6",), rounds=1, iterations=1)
+    print("\n" + figure_table("fig6", results))
+    means = {setup: row["server-cpu"] for setup, row in figure_rows(results)}
+    benchmark.extra_info["cpu_mean_pct"] = {k: round(v, 2) for k, v in means.items()}
 
-    means = {k: v["mean"] for k, v in results.items()}
     assert means["gfs"] < 2.0
     assert means["gfs"] < means["sgfs-sha"] < means["sgfs-rc"] <= means["sgfs-aes"]
     assert means["sfs"] > 30.0

@@ -11,22 +11,12 @@ file sizes 512 B – 16 KB.  Shape claims (§6.2.2):
 - nfs-v4 shows no advantage.
 """
 
-from conftest import print_table
-
-from repro.harness import run_postmark
-
-SETUPS = ["nfs-v3", "nfs-v4", "sfs", "sgfs", "gfs-ssh"]
-PHASES = ["creation", "transaction", "deletion"]
-
-
-def run_figure7():
-    return {setup: run_postmark(setup, rtt=0.0) for setup in SETUPS}
+from repro.harness import figure_table, run_figure
 
 
 def test_fig7_postmark_lan(benchmark):
-    results = benchmark.pedantic(run_figure7, rounds=1, iterations=1)
-    rows = {name: dict(r.phases) for name, r in results.items()}
-    print_table("Figure 7: PostMark phases, LAN", rows, PHASES + ["total"])
+    results = benchmark.pedantic(run_figure, args=("fig7",), rounds=1, iterations=1)
+    print("\n" + figure_table("fig7", results))
     benchmark.extra_info["phases_s"] = {
         name: {k: round(v, 2) for k, v in r.phases.items()}
         for name, r in results.items()

@@ -8,29 +8,15 @@ Paper's shape claims (§6.2.2):
 - at 80 ms RTT SGFS is about two-fold faster than native NFS.
 """
 
-from repro.harness import run_postmark
-
-RTTS_MS = [5, 10, 20, 40, 80]
-
-
-def run_figure8():
-    series = {"nfs-v3": {}, "sgfs": {}}
-    for rtt_ms in RTTS_MS:
-        rtt = rtt_ms / 1000.0
-        series["nfs-v3"][rtt_ms] = run_postmark("nfs-v3", rtt=rtt).total
-        series["sgfs"][rtt_ms] = run_postmark(
-            "sgfs", rtt=rtt, setup_kwargs={"disk_cache": True}
-        ).total
-    return series
+from repro.harness import figure_table, run_figure
 
 
 def test_fig8_postmark_wan(benchmark):
-    series = benchmark.pedantic(run_figure8, rounds=1, iterations=1)
-    print("\n=== Figure 8: PostMark total runtime vs RTT ===")
-    print(f"{'RTT':>6}  {'nfs-v3':>10}  {'sgfs':>10}  {'speedup':>8}")
-    for rtt_ms in RTTS_MS:
-        n, s = series["nfs-v3"][rtt_ms], series["sgfs"][rtt_ms]
-        print(f"{rtt_ms:>4}ms  {n:>9.1f}s  {s:>9.1f}s  {n / s:>7.2f}x")
+    results = benchmark.pedantic(run_figure, args=("fig8",), rounds=1, iterations=1)
+    print("\n" + figure_table("fig8", results))
+    series = {"nfs-v3": {}, "sgfs": {}}
+    for r in results.values():
+        series[r.setup][round(r.rtt * 1000)] = r.total
     benchmark.extra_info["series_s"] = {
         k: {str(r): round(v, 1) for r, v in vals.items()} for k, vals in series.items()
     }
@@ -40,7 +26,7 @@ def test_fig8_postmark_wan(benchmark):
     # sgfs grows distinctly more slowly with RTT than nfs does
     assert sgfs[80] / sgfs[5] < 0.75 * (nfs[80] / nfs[5])
     # sgfs wins at every WAN latency, by >= ~2x at 80ms
-    for rtt_ms in RTTS_MS:
+    for rtt_ms in nfs:
         assert sgfs[rtt_ms] < nfs[rtt_ms], f"sgfs must win at {rtt_ms}ms"
     assert nfs[80] / sgfs[80] > 1.8
     # the gap widens with latency (crossover direction)

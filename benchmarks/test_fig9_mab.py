@@ -12,38 +12,24 @@ Paper's shape claims (§6.3.1):
 - the end-of-run write-back is reported separately (paper: 51.2 s).
 """
 
-from conftest import print_table
-
-from repro.harness import run_mab
-
-PHASES = ["copy", "stat", "search", "compile"]
-
-
-def run_figure9():
-    return {
-        ("nfs-v3", "lan"): run_mab("nfs-v3", rtt=0.0),
-        ("sgfs", "lan"): run_mab("sgfs", rtt=0.0),
-        ("nfs-v3", "wan"): run_mab("nfs-v3", rtt=0.040),
-        ("sgfs", "wan"): run_mab("sgfs", rtt=0.040, setup_kwargs={"disk_cache": True}),
-    }
+from repro.harness import figure_table, run_figure
 
 
 def test_fig9_mab(benchmark):
-    results = benchmark.pedantic(run_figure9, rounds=1, iterations=1)
-    rows = {f"{s} ({env})": dict(r.phases) for (s, env), r in results.items()}
-    print_table("Figure 9: MAB phases, LAN + 40ms WAN", rows, PHASES + ["total"])
-    wan_sgfs = results[("sgfs", "wan")]
+    results = benchmark.pedantic(run_figure, args=("fig9",), rounds=1, iterations=1)
+    print("\n" + figure_table("fig9", results))
+    wan_sgfs = results["sgfs-wan"]
     print(f"write-back at end of WAN run: {wan_sgfs.writeback_seconds:.1f}s "
           f"({wan_sgfs.writeback_bytes} bytes)")
     benchmark.extra_info["phases_s"] = {
-        f"{s}-{env}": {k: round(v, 2) for k, v in r.phases.items()}
-        for (s, env), r in results.items()
+        label: {k: round(v, 2) for k, v in r.phases.items()}
+        for label, r in results.items()
     }
 
-    lan_n = results[("nfs-v3", "lan")].phases
-    lan_s = results[("sgfs", "lan")].phases
-    wan_n = results[("nfs-v3", "wan")].phases
-    wan_s = results[("sgfs", "wan")].phases
+    lan_n = results["nfs-v3-lan"].phases
+    lan_s = results["sgfs-lan"].phases
+    wan_n = results["nfs-v3-wan"].phases
+    wan_s = results["sgfs-wan"].phases
 
     # LAN: first three phases close to native; compile overhead bounded
     for phase in ("copy", "stat", "search"):

@@ -22,20 +22,14 @@ what we are after, and it is CPU-, not network-, bound.
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
+from bench_scaleout import FAT_LAN, FILE_SIZE, aes_fleet
 
-from repro.core.calibration import DEFAULT_CALIBRATION
 from repro.harness import run_fleet
 from repro.workloads.iozone import IOzoneReadReread
 
 SETUPS = ("nfs-v3", "gfs", "sgfs-aes")
 CLIENT_COUNTS = (1, 2, 4, 8, 16, 32)
-FILE_SIZE = 128 * 1024  # per client; ratios are size-independent
-FAT_LAN = dataclasses.replace(
-    DEFAULT_CALIBRATION, lan_bandwidth=DEFAULT_CALIBRATION.lan_bandwidth * 8
-)
 
 
 def _throughput_curve(setup: str) -> dict:
@@ -112,11 +106,7 @@ def test_profile_attributes_flattening_to_crypto():
     the profiler must attribute the majority of server-side CPU to
     crypto, with concrete percentages — the computed explanation for
     why the AES curve flattens in the table above."""
-    r = run_fleet(
-        "sgfs-aes", lambda: IOzoneReadReread(file_size=FILE_SIZE),
-        clients=8, cal=FAT_LAN, profile=True,
-    )
-    report = r.profile
+    report = aes_fleet(8, profile=True).profile
     server = report["cpu"]["server"]
     print("\n=== 8-client sgfs-aes server CPU attribution ===")
     print(f"busy {server['busy_pct_of_makespan']:.1f}% of makespan; "
@@ -137,9 +127,8 @@ def test_profile_attributes_flattening_to_crypto():
 def test_profile_report_byte_identical_same_seed():
     from repro.obs.profile import report_json
 
-    kw = dict(clients=8, cal=FAT_LAN, profile=True)
-    a = run_fleet("sgfs-aes", lambda: IOzoneReadReread(file_size=FILE_SIZE), **kw)
-    b = run_fleet("sgfs-aes", lambda: IOzoneReadReread(file_size=FILE_SIZE), **kw)
+    a = aes_fleet(8, profile=True)
+    b = aes_fleet(8, profile=True)
     assert report_json(a.profile) == report_json(b.profile)
     from repro.obs.profile import collapsed_stacks
 
@@ -147,9 +136,8 @@ def test_profile_report_byte_identical_same_seed():
 
 
 def test_fleet_bit_identical_same_seed():
-    kw = dict(clients=8, cal=FAT_LAN)
-    a = run_fleet("sgfs-aes", lambda: IOzoneReadReread(file_size=FILE_SIZE), **kw)
-    b = run_fleet("sgfs-aes", lambda: IOzoneReadReread(file_size=FILE_SIZE), **kw)
+    a = aes_fleet(8)
+    b = aes_fleet(8)
     assert a.makespan == b.makespan
     for ca, cb in zip(a.per_client, b.per_client):
         assert (ca.name, ca.start, ca.end, ca.phases) == (
@@ -159,13 +147,9 @@ def test_fleet_bit_identical_same_seed():
 
 
 # -- multi-core server: breaking the crypto ceiling ---------------------------
-
-
-def _aes_fleet(clients, cores, **kw):
-    return run_fleet(
-        "sgfs-aes", lambda: IOzoneReadReread(file_size=FILE_SIZE),
-        clients=clients, cal=FAT_LAN, server_cores=cores, **kw,
-    )
+# The acceptance floors themselves (16c/4core >= 3x 8c/1core; a reconnecting
+# fleet resumes after exactly 8 full handshakes) are ``bench_scaleout.py
+# --check``'s, on the same fleets; here: the table, the profile, determinism.
 
 
 def test_multicore_table():
@@ -178,31 +162,13 @@ def test_multicore_table():
     for cores in cores_list:
         row = []
         for n in counts:
-            r = _aes_fleet(n, cores)
+            r = aes_fleet(n, cores)
             row.append(r.aggregate_throughput(2 * FILE_SIZE) / 1e6)
         print(f"{cores:<8d}" + "".join(f"{v:>9.1f}" for v in row))
 
 
-def test_four_cores_triple_the_crypto_ceiling():
-    """ISSUE 7 acceptance: a 16-client fleet on a 4-core server must
-    push at least 3x the aggregate throughput of the saturated 8-client
-    single-core baseline -- the crypto ceiling was the serialized server
-    CPU, and multi-core dispatch with per-session affinity breaks it."""
-    base = _aes_fleet(8, 1)
-    wide = _aes_fleet(16, 4)
-    t_base = base.aggregate_throughput(2 * FILE_SIZE)
-    t_wide = wide.aggregate_throughput(2 * FILE_SIZE)
-    print(f"\n8c/1core {t_base / 1e6:.1f} MB/s -> "
-          f"16c/4core {t_wide / 1e6:.1f} MB/s ({t_wide / t_base:.2f}x)")
-    assert t_wide >= 3.0 * t_base
-
-
 def test_multicore_profile_reports_per_core_rows():
-    r = run_fleet(
-        "sgfs-aes", lambda: IOzoneReadReread(file_size=FILE_SIZE),
-        clients=16, cal=FAT_LAN, server_cores=4, profile=True,
-    )
-    server = r.profile["cpu"]["server"]
+    server = aes_fleet(16, 4, profile=True).profile["cpu"]["server"]
     assert server["cores"] == 4
     assert set(server["per_core"]) == {"0", "1", "2", "3"}
     # Affinity spreads 16 sessions over 4 cores: every core does real
@@ -215,24 +181,8 @@ def test_multicore_profile_reports_per_core_rows():
 
 
 def test_multicore_scaleout_bit_identical():
-    a = _aes_fleet(16, 4)
-    b = _aes_fleet(16, 4)
+    a = aes_fleet(16, 4)
+    b = aes_fleet(16, 4)
     assert a.makespan == b.makespan
     assert a.stats == b.stats
 
-
-def test_resumption_under_reconnect_churn():
-    """ISSUE 7 acceptance: a reconnect-heavy fleet with session tickets
-    resumes sessions instead of repeating the RSA handshake."""
-    r = run_fleet(
-        "sgfs-aes", lambda: IOzoneReadReread(file_size=FILE_SIZE),
-        clients=8, cal=FAT_LAN, server_cores=4,
-        session_tickets=True, reconnect_interval=0.01,
-    )
-    tls = r.stats["tls"]
-    suite = "aes-256-cbc-sha1"
-    resumed = tls[f"resumptions{{role=server,suite={suite}}}"]
-    full = tls[f"full_handshakes{{role=server,suite={suite}}}"]
-    print(f"\nreconnect churn: {resumed} resumptions, {full} full handshakes")
-    assert resumed > 0
-    assert full == 8  # only the initial connections pay for RSA

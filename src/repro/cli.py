@@ -21,18 +21,18 @@ Commands:
   profiles an N-client fleet; ``--flame FILE`` writes a collapsed-stack
   flame graph (flamegraph.pl / speedscope compatible); ``--json FILE``
   writes the full report as JSON,
-- ``bench-diff`` — compare two stats/perf JSON snapshots (e.g. a fresh
-  ``BENCH_PERF.json`` against the committed one) and report per-metric
-  regression verdicts; exits non-zero only if something regressed.
+- ``bench-diff`` — compare two stats/bench JSON snapshots (e.g. a fresh
+  ``BENCH_SCALEOUT.json`` against the committed one) and report
+  per-metric regression verdicts; exits non-zero only if something
+  regressed.
 
-``stats``, ``trace`` and ``profile`` accept either a bare setup name
-(``sgfs``) or a
-preset: an optional ``lan-``/``wan-`` prefix (LAN = 0 RTT, WAN = 40 ms)
-and an optional ``-cache`` suffix enabling the proxy disk cache, e.g.
-``wan-sgfs-cache`` or ``lan-nfs`` (``nfs`` aliases ``nfs-v3``).
-
-All five running commands build their workload from :data:`WORKLOADS`
-and go through :func:`_run` — one session or, with ``--clients N``, a fleet.
+``run``, ``stats``, ``trace`` and ``profile`` spell their scenario with
+the same flags (one parent parser): ``--setup``, ``--workload``,
+``--rtt-ms``, ``--disk-cache``, ``--streams``, ``--clients`` and the fleet
+options, ``--faults``.  They build their workload from :data:`WORKLOADS`
+and go through :func:`_run` — one session or, with ``--clients N``, a
+fleet.  Which setup supports which option is the harness's decision
+(:func:`repro.harness.runner.check_scenario`); the CLI prints its refusal.
 
 Everything prints virtual-time seconds from the deterministic simulation.
 """
@@ -45,18 +45,11 @@ import sys
 from typing import List, Optional
 
 from repro.core.calibration import DEFAULT_CALIBRATION
-from repro.core.setups import SETUP_BUILDERS
+from repro.core.setups import PROXY_CACHE_SETUPS, SETUP_BUILDERS
 from repro.crypto.suites import SUITES
 from repro.faults import FAULT_PRESETS
-from repro.harness import (
-    run_fleet,
-    run_iozone,
-    run_mab,
-    run_postmark,
-    run_seismic,
-    run_workload,
-)
-from repro.harness.presets import WAN_RTT, resolve_preset  # noqa: F401 (re-export)
+from repro.harness import figure_table, run_figure, run_fleet, run_workload
+from repro.harness.tables import figures
 from repro.workloads.churn import SessionChurn
 from repro.workloads.iozone import IOzoneReadReread, IOzoneWriteRead
 from repro.workloads.mab import ModifiedAndrewBenchmark
@@ -88,8 +81,6 @@ _FLEET_OPTIONS = (
     ("--delegation-ms", "delegation_ms", None, "delegation_lifetime"),
 )
 
-FIGURES = ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10")
-
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -101,66 +92,75 @@ def _parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list setups, suites, workloads, figures")
     sub.add_parser("info", help="show the calibration constants")
 
-    run_p = sub.add_parser("run", help="run one workload on one setup")
-    run_p.add_argument("--workload", choices=sorted(WORKLOADS),
-                       required=True,
-                       help="benchmark to run; 'churn' (long-lived "
-                            "light-I/O sessions) requires --clients >= 2")
-    run_p.add_argument("--setup", choices=sorted(SETUP_BUILDERS), required=True)
-    run_p.add_argument("--rtt-ms", type=float, default=0.0,
-                       help="emulated WAN round-trip time (default: LAN)")
-    run_p.add_argument("--disk-cache", action="store_true",
-                       help="enable the proxy disk cache (proxied setups)")
+    # The scenario, spelled once: run, stats, trace and profile inherit it.
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--workload", choices=sorted(WORKLOADS),
+                          required=True,
+                          help="benchmark to run; 'churn' (long-lived "
+                               "light-I/O sessions) requires --clients >= 2")
+    scenario.add_argument("--setup", choices=sorted(SETUP_BUILDERS),
+                          required=True)
+    scenario.add_argument("--rtt-ms", type=float, default=0.0,
+                          help="emulated WAN round-trip time (default: LAN)")
+    scenario.add_argument("--file-size", type=int, default=None,
+                          help="iozone file size in bytes (default: the "
+                               "workload's own default)")
+    scenario.add_argument("--disk-cache", action="store_true",
+                          help="enable the proxy disk cache (proxied setups)")
+    scenario.add_argument("--streams", type=int, default=1,
+                          help="parallel proxy-to-proxy channels per upstream "
+                               "leg; bulk block traffic round-robins across "
+                               "them and the read-ahead/write-behind window "
+                               "grows to the RTT (default: 1 = one channel, "
+                               "one block per round trip)")
+    scenario.add_argument("--faults", choices=sorted(FAULT_PRESETS), default=None,
+                          help="run under a deterministic adversarial network "
+                               "(packet loss, duplication, flaps, crashes)")
+    scenario.add_argument("--fault-seed", default="faults",
+                          help="seed for the fault schedule; same seed => "
+                               "identical drop schedule (default: 'faults')")
+    scenario.add_argument("--clients", type=int, default=1,
+                          help="fleet size: run N concurrent clients against "
+                               "one server (default: 1 = classic single run)")
+    scenario.add_argument("--stagger-ms", type=float, default=0.0,
+                          help="virtual milliseconds between fleet client "
+                               "starts (default: 0 = synchronized)")
+    scenario.add_argument("--server-cores", type=int, default=1,
+                          help="server CPU cores for fleet runs; distinct "
+                               "sessions pin to distinct cores and profile "
+                               "reports gain per-core rows (default: 1)")
+    scenario.add_argument("--session-tickets", action="store_true",
+                          help="enable TLS session tickets so reconnecting "
+                               "fleet clients use abbreviated handshakes")
+    scenario.add_argument("--reconnect-ms", type=float, default=None,
+                          help="cycle each fleet client's upstream session "
+                               "every N virtual milliseconds (exercises "
+                               "resumption)")
+    scenario.add_argument("--delegation-ms", type=float, default=None,
+                          help="SSO mode: fleet clients authenticate with "
+                               "short-lived limited proxy credentials valid N "
+                               "virtual milliseconds; expiry forces "
+                               "re-delegation on the next reconnect (secure "
+                               "sgfs* setups only)")
+    scenario.add_argument("--servers", type=int, default=1,
+                          help="shard the data plane across N backend NFS "
+                               "servers; grid-created files stripe their "
+                               "blocks round-robin (default: 1 = unsharded)")
+    scenario.add_argument("--replicas", type=int, default=1,
+                          help="write each grid block to N consecutive "
+                               "backends so reads survive a backend crash "
+                               "(default: 1 = no replication)")
+
+    run_p = sub.add_parser("run", parents=[scenario],
+                           help="run one workload on one setup")
     run_p.add_argument("--cpu", action="store_true",
                        help="also print proxy/daemon CPU utilization")
-    run_p.add_argument("--faults", choices=sorted(FAULT_PRESETS), default=None,
-                       help="run under a deterministic adversarial network "
-                            "(packet loss, duplication, flaps, crashes)")
-    run_p.add_argument("--fault-seed", default="faults",
-                       help="seed for the fault schedule; same seed => "
-                            "identical drop schedule (default: 'faults')")
-    run_p.add_argument("--clients", type=int, default=1,
-                       help="fleet size: run N concurrent clients against "
-                            "one server (default: 1 = classic single run)")
-    run_p.add_argument("--stagger-ms", type=float, default=0.0,
-                       help="virtual milliseconds between fleet client "
-                            "starts (default: 0 = synchronized)")
-    run_p.add_argument("--server-cores", type=int, default=1,
-                       help="server CPU cores for fleet runs; distinct "
-                            "sessions pin to distinct cores (default: 1)")
-    run_p.add_argument("--session-tickets", action="store_true",
-                       help="enable TLS session tickets so reconnecting "
-                            "fleet clients use abbreviated handshakes")
-    run_p.add_argument("--reconnect-ms", type=float, default=None,
-                       help="cycle each fleet client's upstream session "
-                            "every N virtual milliseconds (exercises "
-                            "resumption)")
-    run_p.add_argument("--delegation-ms", type=float, default=None,
-                       help="SSO mode: fleet clients authenticate with "
-                            "short-lived limited proxy credentials valid N "
-                            "virtual milliseconds; expiry forces "
-                            "re-delegation on the next reconnect (secure "
-                            "sgfs* setups only)")
-    run_p.add_argument("--servers", type=int, default=1,
-                       help="shard the data plane across N backend NFS "
-                            "servers; grid-created files stripe their "
-                            "blocks round-robin (default: 1 = unsharded)")
-    run_p.add_argument("--replicas", type=int, default=1,
-                       help="write each grid block to N consecutive "
-                            "backends so reads survive a backend crash "
-                            "(default: 1 = no replication)")
-    run_p.add_argument("--streams", type=int, default=1,
-                       help="parallel proxy-to-proxy channels per upstream "
-                            "leg; bulk block traffic round-robins across "
-                            "them and the read-ahead/write-behind window "
-                            "grows to the RTT (default: 1 = one channel, "
-                            "one block per round trip)")
     run_p.add_argument("--stats-json", default=None, metavar="FILE",
                        help="write the cross-layer metrics snapshot to "
                             "FILE as JSON")
 
     fig_p = sub.add_parser("figure", help="regenerate a figure of the paper")
-    fig_p.add_argument("name", choices=FIGURES)
+    fig_p.add_argument("name", choices=list(figures()))
 
     sweep_p = sub.add_parser("sweep", help="one workload across RTTs, two setups")
     sweep_p.add_argument("--workload", choices=SINGLE_WORKLOADS,
@@ -172,54 +172,26 @@ def _parser() -> argparse.ArgumentParser:
                          help="comma-separated RTT list in milliseconds")
 
     stats_p = sub.add_parser(
-        "stats",
+        "stats", parents=[scenario],
         help="run with telemetry and print the metrics-registry snapshot",
     )
-    stats_p.add_argument("setup",
-                         help="setup or preset, e.g. sgfs, lan-nfs, "
-                              "wan-sgfs-cache")
-    stats_p.add_argument("workload", choices=SINGLE_WORKLOADS)
-    stats_p.add_argument("--rtt-ms", type=float, default=None,
-                         help="override the preset's RTT (milliseconds)")
     stats_p.add_argument("--json", action="store_true",
                          help="emit the snapshot as JSON (machine-readable)")
 
     trace_p = sub.add_parser(
-        "trace",
+        "trace", parents=[scenario],
         help="run with span tracing and write Chrome-trace JSON "
              "(load in Perfetto or chrome://tracing)",
     )
-    trace_p.add_argument("setup",
-                         help="setup or preset, e.g. sgfs, lan-nfs, "
-                              "wan-sgfs-cache")
-    trace_p.add_argument("workload", choices=SINGLE_WORKLOADS)
-    trace_p.add_argument("--rtt-ms", type=float, default=None,
-                         help="override the preset's RTT (milliseconds)")
     trace_p.add_argument("--out", default="trace.json",
                          help="output file (default: trace.json)")
 
     prof_p = sub.add_parser(
-        "profile",
+        "profile", parents=[scenario],
         help="run with full profiling and print the bottleneck-"
              "attribution report (virtual-time critical path, CPU/link/"
              "lock/queue utilization)",
     )
-    prof_p.add_argument("setup",
-                        help="setup or preset, e.g. sgfs-aes, lan-nfs, "
-                             "wan-sgfs-cache")
-    prof_p.add_argument("workload", choices=SINGLE_WORKLOADS)
-    prof_p.add_argument("--rtt-ms", type=float, default=None,
-                        help="override the preset's RTT (milliseconds)")
-    prof_p.add_argument("--clients", type=int, default=1,
-                        help="profile an N-client concurrent fleet "
-                             "(default: 1 = single session)")
-    prof_p.add_argument("--server-cores", type=int, default=1,
-                        help="server CPU cores for fleet profiles; the "
-                             "report gains per-core utilization rows "
-                             "(default: 1)")
-    prof_p.add_argument("--file-size", type=int, default=None,
-                        help="iozone file size in bytes (default: the "
-                             "workload's own default)")
     prof_p.add_argument("--window", type=float, default=None,
                         help="utilization-timeline bucket width in virtual "
                              "seconds (default: makespan/20)")
@@ -261,7 +233,7 @@ def _cmd_list(out) -> int:
     print("setups: ", ", ".join(sorted(SETUP_BUILDERS)), file=out)
     print("suites: ", ", ".join(sorted(SUITES)), file=out)
     print("workloads: ", ", ".join(sorted(WORKLOADS)), file=out)
-    print("figures: ", ", ".join(FIGURES), file=out)
+    print("figures: ", ", ".join(figures()), file=out)
     print("fault presets: ", ", ".join(sorted(FAULT_PRESETS)), file=out)
     return 0
 
@@ -292,67 +264,57 @@ def _write_stats_json(path: str, stats: dict, out) -> int:
     return 0
 
 
-def _run(args, out, setup: str, rtt: float, setup_kwargs=None, **obs):
-    """The one run path of ``run``, ``sweep``, ``stats``, ``trace`` and
-    ``profile``: ``args.workload`` on ``setup`` — one session, or a fleet
-    when the command has ``--clients`` and it is above 1.  Returns the
-    harness result, or None after printing why the run is impossible."""
-    opt = lambda name, default: getattr(args, name, default)
-    clients = opt("clients", 1)
-    if clients < 1:
-        print("error: --clients must be >= 1", file=out)
-        return None
-    if clients == 1 and args.workload == "churn":
+def _run(args, out, **obs):
+    """The one run path of ``run``, ``stats``, ``trace`` and ``profile``:
+    the scenario in ``args`` — one session, or a fleet when ``--clients``
+    is above 1.  Returns the harness result, or None after printing why
+    the run is impossible."""
+    if args.clients == 1 and args.workload == "churn":
         print("error: the churn workload requires a fleet run "
               "(--clients >= 2)", file=out)
         return None
     fleet = {}
     for flag, attr, unset, keyword in _FLEET_OPTIONS:
-        value = opt(attr, unset)
-        if clients == 1 and value != unset:
+        value = getattr(args, attr)
+        if args.clients == 1 and value != unset:
             print(f"error: {flag} requires a fleet run (--clients >= 2)",
                   file=out)
             return None
-        if attr.endswith("_ms"):
-            value = value / 1000.0 if value else unset
+        if attr.endswith("_ms") and value is not None:
+            value /= 1000.0
         fleet[keyword] = value
     workload_kw = {}
-    if opt("file_size", None) is not None and args.workload.startswith("iozone"):
+    if args.file_size is not None and args.workload.startswith("iozone"):
         workload_kw["file_size"] = args.file_size
     # zero-argument on purpose: run_fleet passes the client index to a
     # factory that takes a parameter
     factory = lambda: WORKLOADS[args.workload](**workload_kw)
-    common = dict(rtt=rtt, faults=opt("faults", None),
-                  fault_seed=opt("fault_seed", "faults"), **obs)
-    if clients == 1:
-        return run_workload(setup, factory, setup_kwargs=setup_kwargs, **common)
-    kw = dict(setup_kwargs or {})
+    setup_kwargs = {"disk_cache": True} if args.disk_cache else {}
+    if args.clients == 1 and args.streams != 1:
+        # for a single run streams is a builder keyword, which not
+        # every builder has
+        setup_kwargs["streams"] = args.streams
+    common = dict(rtt=args.rtt_ms / 1000.0, faults=args.faults,
+                  fault_seed=args.fault_seed,
+                  setup_kwargs=setup_kwargs or None, **obs)
     try:
-        return run_fleet(setup, factory, clients=clients,
-                         streams=kw.pop("streams", 1),
-                         setup_kwargs=kw or None, **fleet, **common)
-    except ValueError as exc:
+        if args.clients == 1:
+            return run_workload(args.setup, factory, **common)
+        return run_fleet(args.setup, factory, clients=args.clients,
+                         streams=args.streams, **fleet, **common)
+    except ValueError as exc:  # the harness refused the scenario
         print(f"error: {exc}", file=out)
         return None
 
 
+def _seconds(args, result) -> float:
+    """The virtual duration of what :func:`_run` returned: one session's
+    total, or a fleet's launch-to-last-finish makespan."""
+    return result.total if args.clients == 1 else result.makespan
+
+
 def _cmd_run(args, out) -> int:
-    kwargs = {}
-    if args.disk_cache:
-        if args.setup in ("nfs-v3", "nfs-v4"):
-            print("error: --disk-cache applies only to proxied setups", file=out)
-            return 2
-        kwargs["disk_cache"] = True
-    if args.streams < 1:
-        print("error: --streams must be >= 1", file=out)
-        return 2
-    if args.streams > 1:
-        if args.setup in ("nfs-v3", "nfs-v4", "gfs-ssh", "sfs"):
-            print("error: --streams applies only to proxied gfs/sgfs setups",
-                  file=out)
-            return 2
-        kwargs["streams"] = args.streams
-    result = _run(args, out, args.setup, args.rtt_ms / 1000.0, kwargs or None)
+    result = _run(args, out)
     if result is None:
         return 2
     rtt_label = "LAN" if args.rtt_ms == 0 else f"{args.rtt_ms:g}ms RTT"
@@ -388,61 +350,7 @@ def _cmd_run(args, out) -> int:
 
 
 def _cmd_figure(name: str, out) -> int:
-    MB = 1024 * 1024
-    iozone_kw = dict(file_size=4 * MB, setup_kwargs={"cache_bytes": 2 * MB})
-    if name == "fig4":
-        print("Figure 4: IOzone runtime, LAN", file=out)
-        for setup in ("nfs-v3", "nfs-v4", "sfs", "gfs", "sgfs-sha",
-                      "sgfs-rc", "sgfs-aes", "gfs-ssh"):
-            r = run_iozone(setup, rtt=0.0, **iozone_kw)
-            print(f"  {setup:10s} {r.total:8.3f}s", file=out)
-    elif name in ("fig5", "fig6"):
-        side = "client" if name == "fig5" else "server"
-        print(f"Figure {name[-1]}: IOzone {side}-side user-level CPU", file=out)
-        for setup in ("gfs", "sgfs-sha", "sgfs-rc", "sgfs-aes", "sfs"):
-            r = run_iozone(setup, rtt=0.0, **iozone_kw)
-            account = ("sfsd" if side == "client" else "sfssd") if setup == "sfs" else "proxy"
-            print(f"  {setup:10s} {r.cpu_mean(side, account):6.1f}%", file=out)
-    elif name == "fig7":
-        print("Figure 7: PostMark phases, LAN", file=out)
-        for setup in ("nfs-v3", "nfs-v4", "sfs", "sgfs", "gfs-ssh"):
-            r = run_postmark(setup, rtt=0.0)
-            ph = r.phases
-            print(f"  {setup:10s} creation={ph['creation']:7.2f}s "
-                  f"transaction={ph['transaction']:7.2f}s "
-                  f"deletion={ph['deletion']:6.2f}s", file=out)
-    elif name == "fig8":
-        print("Figure 8: PostMark total vs RTT", file=out)
-        for rtt_ms in (5, 10, 20, 40, 80):
-            n = run_postmark("nfs-v3", rtt=rtt_ms / 1000.0)
-            s = run_postmark("sgfs", rtt=rtt_ms / 1000.0,
-                             setup_kwargs={"disk_cache": True})
-            print(f"  {rtt_ms:3d}ms  nfs-v3={n.total:8.1f}s  sgfs={s.total:8.1f}s "
-                  f"({n.total / s.total:.2f}x)", file=out)
-    elif name == "fig9":
-        print("Figure 9: MAB phases, LAN + 40ms WAN", file=out)
-        for setup, rtt, kw in (
-            ("nfs-v3", 0.0, None), ("sgfs", 0.0, None),
-            ("nfs-v3", 0.040, None), ("sgfs", 0.040, {"disk_cache": True}),
-        ):
-            r = run_mab(setup, rtt=rtt, setup_kwargs=kw)
-            env = "LAN" if rtt == 0 else "WAN"
-            ph = r.phases
-            print(f"  {setup:7s} {env}  copy={ph['copy']:7.1f} stat={ph['stat']:6.1f} "
-                  f"search={ph['search']:6.1f} compile={ph['compile']:8.1f} "
-                  f"wb={r.writeback_seconds:5.1f}", file=out)
-    elif name == "fig10":
-        print("Figure 10: Seismic phases, LAN + 40ms WAN", file=out)
-        for setup, rtt, kw in (
-            ("nfs-v3", 0.0, None), ("sgfs", 0.0, None),
-            ("nfs-v3", 0.040, None), ("sgfs", 0.040, {"disk_cache": True}),
-        ):
-            r = run_seismic(setup, rtt=rtt, setup_kwargs=kw)
-            env = "LAN" if rtt == 0 else "WAN"
-            ph = r.phases
-            print(f"  {setup:7s} {env}  p1={ph['phase1']:6.1f} p2={ph['phase2']:7.1f} "
-                  f"p3={ph['phase3']:5.1f} p4={ph['phase4']:6.1f} "
-                  f"wb={r.writeback_seconds:5.1f}", file=out)
+    print(figure_table(name, run_figure(name)), file=out)
     return 0
 
 
@@ -453,37 +361,27 @@ def _cmd_sweep(args, out) -> int:
         print(f"error: bad RTT list {args.rtts_ms!r}", file=out)
         return 2
     print(f"{args.workload}: {args.baseline} vs {args.setup}", file=out)
+    factory = WORKLOADS[args.workload]
+    cached = {"disk_cache": True} if args.setup in PROXY_CACHE_SETUPS else None
     for rtt_ms in rtts:
         rtt = rtt_ms / 1000.0
-        base = _run(args, out, args.baseline, rtt)
-        kw = {"disk_cache": True} if args.setup not in ("nfs-v3", "nfs-v4") else None
-        other = _run(args, out, args.setup, rtt, kw)
+        base = run_workload(args.baseline, factory, rtt=rtt)
+        other = run_workload(args.setup, factory, rtt=rtt, setup_kwargs=cached)
         print(f"  {rtt_ms:6.1f}ms  {base.total:10.2f}s  {other.total:10.2f}s  "
               f"{base.total / other.total:6.2f}x", file=out)
     return 0
 
 
-def _run_preset(args, out, **obs):
-    """Resolve the preset + run the workload; returns result or None."""
-    try:
-        setup, rtt, setup_kwargs = resolve_preset(args.setup)
-    except ValueError as exc:
-        print(f"error: {exc}", file=out)
-        return None
-    if args.rtt_ms is not None:
-        rtt = args.rtt_ms / 1000.0
-    return _run(args, out, setup, rtt, setup_kwargs, **obs)
-
-
 def _cmd_stats(args, out) -> int:
-    result = _run_preset(args, out, telemetry=True)
+    result = _run(args, out, telemetry=True)
     if result is None:
         return 2
     if args.json:
         print(json.dumps(result.stats, sort_keys=True, indent=2), file=out)
         return 0
+    label = "total" if args.clients == 1 else f"{args.clients}-client makespan"
     print(f"{args.workload} on {args.setup}: "
-          f"total={result.total:.3f}s virtual", file=out)
+          f"{label}={_seconds(args, result):.3f}s virtual", file=out)
     for component in sorted(k for k in result.stats
                             if isinstance(result.stats[k], dict)):
         print(f"  [{component}]", file=out)
@@ -509,14 +407,14 @@ def _cmd_trace(args, out) -> int:
         print(f"error: cannot write {args.out}: {exc}", file=out)
         return 2
     with fh:
-        result = _run_preset(args, out, telemetry=True, tracing=True)
+        result = _run(args, out, telemetry=True, tracing=True)
         if result is None:
             return 2
-        fh.write(result.trace_json(indent=None))
+        fh.write(result.tracer.to_json(indent=None))
     spans = len(result.tracer.spans)
     cats = ", ".join(sorted(result.tracer.categories()))
     print(f"wrote {args.out}: {spans} spans across [{cats}] "
-          f"({result.total:.3f}s virtual)", file=out)
+          f"({_seconds(args, result):.3f}s virtual)", file=out)
     print("open in https://ui.perfetto.dev or chrome://tracing", file=out)
     return 0
 
@@ -527,7 +425,7 @@ def _cmd_profile(args, out) -> int:
     profile_opts = {"top": args.top}
     if args.window is not None:
         profile_opts["window"] = args.window
-    result = _run_preset(args, out, profile=profile_opts)
+    result = _run(args, out, profile=profile_opts)
     if result is None:
         return 2
     report = result.profile

@@ -75,6 +75,9 @@ SUITES = {
     "sgfs-aes": "aes-256-cbc-sha1",
     "sgfs": "aes-256-cbc-sha1",
 }
+#: the setups whose client side is an SGFS proxy, which can keep its
+#: block cache on disk (the SFS daemon caches attributes only)
+PROXY_CACHE_SETUPS = ("gfs", "gfs-ssh", *SUITES)
 
 
 @dataclass

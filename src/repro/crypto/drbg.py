@@ -86,11 +86,3 @@ class Drbg:
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 bits of precision."""
         return self.getrandbits(53) / (1 << 53)
-
-    def expovariate(self, rate: float) -> float:
-        import math
-
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        u = self.random()
-        return -math.log(1.0 - u) / rate

@@ -3,13 +3,14 @@
 Used by the ``benchmarks/`` suite to regenerate every figure of the
 paper's evaluation, and usable directly::
 
-    from repro.harness import run_iozone_lan
-    table = run_iozone_lan(setups=["nfs-v3", "gfs", "sgfs-aes"])
+    from repro.harness import run_iozone
+    result = run_iozone("sgfs-aes", rtt=0.040, setup_kwargs={"disk_cache": True})
 """
 
 from repro.harness.fleet import FleetClientResult, FleetResult, run_fleet
 from repro.harness.runner import (
     ExperimentResult,
+    check_scenario,
     run_workload,
     run_iozone,
     run_iozone_wr,
@@ -17,12 +18,18 @@ from repro.harness.runner import (
     run_mab,
     run_seismic,
 )
-from repro.harness.tables import format_table, format_series, speedup
+from repro.harness.tables import (
+    figure_rows,
+    figure_table,
+    format_table,
+    run_figure,
+)
 
 __all__ = [
     "ExperimentResult",
     "FleetClientResult",
     "FleetResult",
+    "check_scenario",
     "run_fleet",
     "run_workload",
     "run_iozone",
@@ -30,7 +37,8 @@ __all__ = [
     "run_postmark",
     "run_mab",
     "run_seismic",
+    "run_figure",
+    "figure_rows",
+    "figure_table",
     "format_table",
-    "format_series",
-    "speedup",
 ]

@@ -62,7 +62,12 @@ from repro.gsi import (
     issue_proxy_certificate,
 )
 from repro.gsi.gridmap import UnmappedPolicy
-from repro.harness.runner import apply_fault_timeouts, collect, install_faults
+from repro.harness.runner import (
+    apply_fault_timeouts,
+    check_scenario,
+    collect,
+    install_faults,
+)
 from repro.nfs import protocol as pr
 from repro.nfs.protocol import FileHandle
 from repro.nfs.v4 import NFS_V4
@@ -269,7 +274,9 @@ def run_fleet(
     management account), or ``sgfs-sha`` / ``sgfs-rc`` / ``sgfs-aes`` /
     ``sgfs`` (proxied, per-client TLS sessions with per-client
     certificates and gridmap entries).  ``sfs`` and ``gfs-ssh`` are
-    single-session designs and raise ``ValueError``.
+    single-session designs and raise ``ValueError``, as does every option
+    below on a setup with no part for it
+    (:func:`repro.harness.runner.check_scenario`).
 
     ``workload_factory`` builds one workload per client; it may take
     zero arguments or the client index (for per-client workload mixes).
@@ -321,33 +328,20 @@ def run_fleet(
     delegation rather than a full RSA exchange.  Counters
     ``gsi.delegations`` / ``gsi.renewals`` record the churn.
     """
-    if clients < 1:
-        raise ValueError("fleet needs at least one client")
-    if setup in ("sfs", "gfs-ssh"):
-        raise ValueError(f"{setup} is a single-session design; fleets unsupported")
-    secure = setup in SUITES
-    proxied = secure or setup == "gfs"
-    if not proxied and setup not in ("nfs-v3", "nfs-v4"):
-        raise ValueError(f"unknown fleet setup {setup!r}")
-    if servers < 1:
-        raise ValueError("servers must be >= 1")
-    if not 1 <= replicas <= servers:
-        raise ValueError(f"replicas must be in [1, servers]; got {replicas}")
-    if streams < 1:
-        raise ValueError("streams must be >= 1")
-    grid = servers > 1
-    if grid and not proxied:
-        raise ValueError("sharded data plane (servers > 1) requires a proxied setup")
-    if delegation_lifetime is not None:
-        if not secure:
-            raise ValueError("delegation_lifetime requires a secure (sgfs*) setup")
-        if delegation_lifetime <= 0:
-            raise ValueError("delegation_lifetime must be positive")
     kw = dict(setup_kwargs or {})
     cache_bytes = kw.pop("cache_bytes", None)
     disk_cache = kw.pop("disk_cache", False)
     if kw:
         raise ValueError(f"unsupported fleet setup_kwargs: {sorted(kw)}")
+    check_scenario(
+        setup, clients, disk_cache=disk_cache, streams=streams, servers=servers,
+        replicas=replicas, stagger=stagger, session_tickets=session_tickets,
+        reconnect_interval=reconnect_interval,
+        delegation_lifetime=delegation_lifetime, fleet=True,
+    )
+    secure = setup in SUITES
+    proxied = secure or setup == "gfs"
+    grid = servers > 1
 
     if profile:
         telemetry = tracing = True

@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.core.setups import SETUP_BUILDERS, Mount
+from repro.core.setups import PROXY_CACHE_SETUPS, SETUP_BUILDERS, SUITES, Mount
 from repro.core.topology import Testbed
 from repro.faults import FaultPlan, resolve_fault_preset
-from repro.harness.presets import resolve_preset
 from repro.workloads.iozone import IOzoneReadReread
 from repro.workloads.mab import ModifiedAndrewBenchmark
 from repro.workloads.postmark import PostMark, PostMarkConfig
@@ -49,10 +48,6 @@ class ExperimentResult:
     #: bottleneck-attribution report (repro.obs.profile) when the run
     #: was profiled (profile=True)
     profile: Optional[Dict[str, object]] = None
-
-    @property
-    def total_with_writeback(self) -> float:
-        return self.total + self.writeback_seconds
 
     def trace_json(self, indent: Optional[int] = None) -> str:
         """The run's Chrome-trace export (requires ``tracing=True``)."""
@@ -136,6 +131,57 @@ def collect(result, tb: Testbed, plan: Optional[FaultPlan], tracing, profile,
     return result
 
 
+def check_scenario(setup: str, clients: int = 1, *, disk_cache: bool = False,
+                   streams: int = 1, servers: int = 1, replicas: int = 1,
+                   stagger: float = 0.0, session_tickets: bool = False,
+                   reconnect_interval: Optional[float] = None,
+                   delegation_lifetime: Optional[float] = None,
+                   fleet: bool = False) -> None:
+    """Raise ``ValueError`` unless this point of setup x options exists.
+
+    The one statement of what each setup supports, called by
+    :func:`run_workload` and :func:`repro.harness.fleet.run_fleet`
+    (``fleet=True``) before anything is built: an option the stack has
+    no part for is refused, never ignored."""
+    if setup not in SETUP_BUILDERS:
+        raise ValueError(
+            f"unknown setup {setup!r}; setups are {sorted(SETUP_BUILDERS)}")
+    if clients < 1:
+        raise ValueError("fleet needs at least one client")
+    if fleet and setup in ("sfs", "gfs-ssh"):
+        raise ValueError(f"{setup} is a single-session design; fleets unsupported")
+    secure = setup in SUITES
+    # the proxy pair with a dialed channel of its own: what sub-channels,
+    # session cycling and grid legs are made of
+    proxied = secure or setup == "gfs"
+    if servers < 1:
+        raise ValueError("servers must be >= 1")
+    if not 1 <= replicas <= servers:
+        raise ValueError(f"replicas must be in [1, servers]; got {replicas}")
+    if streams < 1:
+        raise ValueError("streams must be >= 1")
+    if streams > 1 and not proxied:
+        raise ValueError("streams applies only to proxied gfs/sgfs setups")
+    if disk_cache and setup not in PROXY_CACHE_SETUPS:
+        raise ValueError("disk_cache applies only to proxied setups")
+    if servers > 1 and not proxied:
+        raise ValueError("sharded data plane (servers > 1) requires a proxied setup")
+    if stagger < 0:
+        raise ValueError("stagger must be >= 0")
+    if session_tickets and not secure:
+        raise ValueError("session_tickets requires a secure (sgfs*) setup")
+    if reconnect_interval is not None:
+        if not proxied:
+            raise ValueError("reconnect_interval requires a proxied setup")
+        if reconnect_interval <= 0:
+            raise ValueError("reconnect_interval must be positive")
+    if delegation_lifetime is not None:
+        if not secure:
+            raise ValueError("delegation_lifetime requires a secure (sgfs*) setup")
+        if delegation_lifetime <= 0:
+            raise ValueError("delegation_lifetime must be positive")
+
+
 def run_workload(
     setup: str,
     workload_factory: Callable[[], object],
@@ -178,22 +224,10 @@ def run_workload(
     by ``fault_seed``, so same-seed runs are byte-identical.  The plan's
     packet statistics land in ``result.stats["faults"]``.
     """
-    if setup not in SETUP_BUILDERS:
-        # Accept the CLI's preset dialect too (lan-/wan- prefix, -cache
-        # suffix, the "nfs" alias) so both spellings work everywhere.
-        try:
-            setup, preset_rtt, preset_kwargs = resolve_preset(setup)
-        except ValueError as exc:
-            raise KeyError(
-                f"{exc}; CLI presets like 'lan-nfs' or 'wan-sgfs-cache' "
-                f"are accepted here as well"
-            ) from None
-        if rtt == 0.0:
-            rtt = preset_rtt
-        if preset_kwargs:
-            merged = dict(preset_kwargs)
-            merged.update(setup_kwargs or {})
-            setup_kwargs = merged
+    kw = setup_kwargs or {}
+    check_scenario(setup, disk_cache=kw.get("disk_cache", False),
+                   streams=kw.get("streams", 1),
+                   session_tickets=kw.get("session_tickets", False))
     if profile:
         telemetry = tracing = True
     tb = Testbed.build(rtt=rtt, cal=cal, telemetry=telemetry, tracing=tracing,
@@ -201,7 +235,7 @@ def run_workload(
     workload = workload_factory()
     if hasattr(workload, "prepare"):
         workload.prepare(tb)
-    mount: Mount = SETUP_BUILDERS[setup](tb, **(setup_kwargs or {}))
+    mount: Mount = SETUP_BUILDERS[setup](tb, **kw)
 
     # The mount comes first: faults are armed and the clock starts on a
     # mounted session (the paper reports runtimes without the mount).

@@ -86,8 +86,5 @@ class Host:
         yield done
         return local
 
-    def rtt_to(self, other: str) -> float:
-        return self.network.rtt(self.name, other)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Host {self.name}>"

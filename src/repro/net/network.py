@@ -77,13 +77,6 @@ class Link:
         #: hot loop never repeats the registry lookups.
         self._obs_metrics: Optional[tuple] = None
 
-    def other_end(self, node: str) -> str:
-        if node == self.a:
-            return self.b
-        if node == self.b:
-            return self.a
-        raise NetError(f"{node} is not an endpoint of {self.name}")
-
     def tx_lock(self, src: str, dst: str) -> Semaphore:
         return self._tx[(src, dst)]
 

@@ -1,7 +1,7 @@
-"""Compare two stats/perf JSON snapshots and emit regression verdicts.
+"""Compare two stats/bench JSON snapshots and emit regression verdicts.
 
-Works on any nested JSON the harness produces — ``BENCH_PERF.json``
-from :mod:`benchmarks.perf_wallclock`, a ``stats`` export from the CLI,
+Works on any nested JSON the harness produces — ``BENCH_SCALEOUT.json``
+from ``benchmarks/bench_scaleout.py``, a ``stats`` export from the CLI,
 or a profile report.  Both documents are flattened to dotted paths
 (dict keys joined with ``.``, list indices as ``[i]``) and compared
 metric by metric:

@@ -23,7 +23,6 @@ _U32 = struct.Struct(">I")
 _I32 = struct.Struct(">i")
 _U64 = struct.Struct(">Q")
 _I64 = struct.Struct(">q")
-_F32 = struct.Struct(">f")
 _F64 = struct.Struct(">d")
 
 
@@ -80,9 +79,6 @@ class Packer:
 
     def pack_enum(self, v: int) -> None:
         self.pack_int(v)
-
-    def pack_float(self, v: float) -> None:
-        self._parts.append(_F32.pack(v))
 
     def pack_double(self, v: float) -> None:
         self._parts.append(_F64.pack(v))
@@ -200,9 +196,6 @@ class Unpacker:
 
     def unpack_enum(self) -> int:
         return self.unpack_int()
-
-    def unpack_float(self) -> float:
-        return self.unpack_struct(_F32)[0]
 
     def unpack_double(self) -> float:
         return self.unpack_struct(_F64)[0]

@@ -12,8 +12,8 @@ were captured from the pre-fast-path tree with
 - a sha256 over the full :class:`repro.obs.Registry` snapshot,
   **excluding** the ``sim`` component: the kernel's own dispatch
   counters (``events_dispatched``, ``heap_pushes``, ``process_wakeups``)
-  are the quantity the fast path exists to reduce, and are tracked by
-  ``benchmarks/perf_wallclock.py`` instead.
+  are the quantity the fast path exists to reduce, and are pinned
+  exactly, for one scenario, by ``test_pinned_kernel_counters`` below.
 
 If one of these fails after a scheduler change, the change altered
 event *ordering*, not just dispatch cost — that is a correctness bug.
@@ -163,6 +163,19 @@ def test_streams_one_cached_wan_golden(label):
 @pytest.mark.parametrize("label", sorted(FAULT_GOLDEN))
 def test_fault_run_golden(label):
     assert fault_row(run_fault_case(label)) == FAULT_GOLDEN[label]
+
+
+def test_pinned_kernel_counters():
+    """What it costs the kernel to run one pinned scenario (sgfs-aes,
+    LAN, 2 MiB IOzone over a 1 MiB client cache), exactly.  A change that
+    moves these changed how much the simulator does per run: a kernel
+    optimisation re-captures this one line on purpose and shows the
+    virtual numbers above unmoved; anything else has a regression."""
+    r = run_iozone("sgfs-aes", rtt=0.0, file_size=2 * 1024 * 1024,
+                   setup_kwargs={"cache_bytes": 1024 * 1024}, telemetry=True)
+    assert r.stats["sim"] == {"events_dispatched": 9348, "heap_pushes": 4112,
+                              "process_wakeups": 7073}
+    assert r.total == float.fromhex("0x1.d3b6bc28e0767p-2")
 
 
 def test_golden_trace_export_identical():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main, resolve_preset
+from repro.cli import main
 from repro.core.topology import Testbed
 from repro.harness import run_iozone
 from repro.nfs.cache import CacheStats
@@ -345,37 +345,27 @@ def test_telemetry_disabled_run_matches_enabled_virtual_time():
     assert "sim" in obs.stats
 
 
-# -- CLI presets + commands ---------------------------------------------------
-
-
-def test_resolve_preset():
-    assert resolve_preset("wan-sgfs-cache") == ("sgfs", 0.040, {"disk_cache": True})
-    assert resolve_preset("lan-nfs") == ("nfs-v3", 0.0, None)
-    assert resolve_preset("sgfs") == ("sgfs", 0.0, None)
-    assert resolve_preset("wan-nfs") == ("nfs-v3", 0.040, None)
-    with pytest.raises(ValueError):
-        resolve_preset("lan-bogus")
-    with pytest.raises(ValueError):
-        resolve_preset("lan-nfs-cache")  # disk cache needs a proxy
+# -- CLI commands -------------------------------------------------------------
 
 
 def test_cli_stats_json(capsys_out=None):
     import io
 
     out = io.StringIO()
-    rc = main(["stats", "lan-nfs", "iozone", "--json"], out=out)
+    rc = main(["stats", "--setup", "nfs-v3", "--workload", "iozone", "--json"],
+              out=out)
     assert rc == 0
     doc = json.loads(out.getvalue())
     assert "rpc.client" in doc and "sim" in doc
 
 
-def test_cli_stats_rejects_unknown_preset():
-    import io
-
-    out = io.StringIO()
-    rc = main(["stats", "lan-bogus", "iozone"], out=out)
-    assert rc == 2
-    assert "unknown setup" in out.getvalue()
+def test_cli_stats_rejects_unknown_setup(capsys):
+    # the preset dialect is gone: a name outside SETUP_BUILDERS is an
+    # argparse error for stats exactly as it is for run
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "--setup", "lan-nfs", "--workload", "iozone"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'lan-nfs'" in capsys.readouterr().err
 
 
 def test_cli_trace_writes_chrome_json(tmp_path):
@@ -383,7 +373,8 @@ def test_cli_trace_writes_chrome_json(tmp_path):
 
     out_file = tmp_path / "trace.json"
     out = io.StringIO()
-    rc = main(["trace", "sgfs", "iozone", "--out", str(out_file)], out=out)
+    rc = main(["trace", "--setup", "sgfs", "--workload", "iozone",
+               "--out", str(out_file)], out=out)
     assert rc == 0
     doc = json.loads(out_file.read_text())
     xs = [e for e in doc["traceEvents"] if e["ph"] == "X"]

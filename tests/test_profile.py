@@ -429,7 +429,8 @@ def test_cli_profile_writes_flame_and_json(tmp_path):
     flame = tmp_path / "flame.txt"
     report = tmp_path / "report.json"
     out = io.StringIO()
-    rc = main(["profile", "sgfs", "iozone", "--file-size", "131072",
+    rc = main(["profile", "--setup", "sgfs", "--workload", "iozone",
+               "--file-size", "131072",
                "--flame", str(flame), "--json", str(report)], out=out)
     assert rc == 0
     assert "makespan" in out.getvalue()
