@@ -22,7 +22,7 @@ Two cost shapes appear:
 Crypto costs come from the cycles/byte in :mod:`repro.crypto.suites`
 (SHA1-HMAC 8 c/B, RC4 7 c/B, AES-256-CBC 46 c/B — 2007-class software
 numbers) divided by ``cpu_hz``, half charged as user CPU and half as
-latency (see ``repro.tls.channel.CRYPTO_CPU_FRACTION``).
+latency (see ``repro.crypto.suites.CRYPTO_CPU_FRACTION``).
 """
 
 from __future__ import annotations

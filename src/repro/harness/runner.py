@@ -83,7 +83,7 @@ def install_faults(tb: Testbed, faults, fault_seed: str,
     handlers = {"server": (tb.crash_nfs_server, tb.restart_nfs_server)}
     for b, proxy in enumerate(server_proxies):
         if b == 0:
-            if hasattr(proxy, "crash"):  # the SFS server daemon has none
+            if proxy is not None:  # native NFS mounts have no server proxy
                 handlers["server-proxy"] = (proxy.crash, proxy.restart)
             continue
 

@@ -37,6 +37,15 @@ from repro.sim.sync import Semaphore
 from repro.vfs.fs import Ftype, Status
 
 
+#: copy cost for page-cache hits (memcpy-class, ~1.6 GB/s)
+CACHE_HIT_COST_PER_BYTE = 6e-10
+
+#: first pause, and longest pause, of the hard-mount reconnect ladder
+#: (virtual seconds)
+RETRANS_BASE = 1.0
+RETRANS_CAP = 30.0
+
+
 class NfsClientError(Exception):
     """An NFS operation returned a non-OK status."""
 
@@ -85,17 +94,10 @@ class NfsClient:
         read_ahead_blocks: int = 2,
         write_behind: bool = True,
         max_async_io: int = 8,
-        dirty_flush_threshold: Optional[int] = None,
         ac_reg_min: float = 3.0,
         ac_reg_max: float = 60.0,
-        cache_hit_cost_per_byte: float = 6e-10,
         reconnect=None,
-        retrans_max: int = 5,
-        retrans_backoff: float = 1.1,
-        retrans_base: float = 1.0,
-        retrans_cap: float = 30.0,
         timeo: Optional[float] = None,
-        timeo_retrans: int = 3,
     ):
         """``reconnect`` (optional) is a process generator returning a
         fresh RpcClient; when set, transport failures are retried after
@@ -110,12 +112,13 @@ class NfsClient:
         self.sim = sim
         self.rpc = rpc
         self.reconnect = reconnect
-        self.retrans_max = retrans_max
-        self.retrans_backoff = retrans_backoff
-        self.retrans_base = retrans_base
-        self.retrans_cap = retrans_cap
+        #: hard-mount retry ladder: reconnect attempts per operation, and
+        #: the growth of the pause before each (RETRANS_BASE seconds
+        #: times this to the attempt's power, at most RETRANS_CAP)
+        self.retrans_max = 5
+        self.retrans_backoff = 1.1
         self.timeo = timeo
-        self.timeo_retrans = timeo_retrans
+        self.timeo_retrans = 3
         self.retransmissions = 0
         self.obs = sim.obs
         self.tracer = sim.tracer
@@ -133,15 +136,9 @@ class NfsClient:
         self.pages = PageCache(cache_bytes, block_size)
         self._io_slots = Semaphore(sim, max_async_io, name="biod")
         self._handles: Dict[int, FileHandle] = {1: root_fh}
-        self.dirty_flush_threshold = (
-            dirty_flush_threshold
-            if dirty_flush_threshold is not None
-            else max(cache_bytes // 4, block_size * 8)
-        )
+        self.dirty_flush_threshold = max(cache_bytes // 4, block_size * 8)
         self._dirty_bytes = 0
         self._flushers: List = []
-        #: copy cost for page-cache hits (memcpy-class, ~1.6 GB/s)
-        self.cache_hit_cost_per_byte = cache_hit_cost_per_byte
         #: (fileid, block) -> Event for fetches in flight (page lock)
         self._inflight: Dict[Tuple[int, int], object] = {}
         #: directory listing cache: dir fileid -> (mtime, entries)
@@ -191,10 +188,7 @@ class NfsClient:
                 if self.obs.enabled:
                     self.obs.counter("nfs.client", "retransmissions").inc()
                 yield self.sim.timeout(
-                    min(
-                        self.retrans_cap,
-                        self.retrans_base * self.retrans_backoff ** attempt,
-                    )
+                    min(RETRANS_CAP, RETRANS_BASE * self.retrans_backoff ** attempt)
                 )
                 try:
                     self.rpc = yield from self.reconnect()
@@ -597,7 +591,7 @@ class NfsClient:
         # the copy out of the page cache is not free, just cheap
         if self.rpc.cpu is not None and out:
             yield from self.rpc.cpu.consume(
-                len(out) * self.cache_hit_cost_per_byte, self.rpc.account
+                len(out) * CACHE_HIT_COST_PER_BYTE, self.rpc.account
             )
         return bytes(out)
 

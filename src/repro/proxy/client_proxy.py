@@ -32,7 +32,7 @@ from repro.proxy.block_cache import BlockCache, ProxyCacheConfig
 from repro.proxy.upstream import UpstreamSession
 from repro.rpc.auth import NULL_AUTH
 from repro.rpc.costs import CostProfile, FREE_PROFILE, charge_profile
-from repro.rpc.drc import DuplicateRequestCache, REPLAY, WAIT, drc_key
+from repro.rpc.drc import DuplicateRequestCache, drc_key
 from repro.rpc.messages import CallMessage, ReplyMessage
 from repro.rpc.transport import StreamTransport, Transport
 from repro.sim.core import Event, Simulator
@@ -304,37 +304,12 @@ class SgfsClientProxy:
             call = CallMessage.decode(record)
         except Exception:
             return
-        key = None
         if call.prog == pr.NFS_PROGRAM and call.proc in _NFS_NON_IDEMPOTENT:
-            key = drc_key(call)
-            state, value = self._drc.check(key)
-            if state == WAIT:
-                cached = yield value
-                if cached is not None:
-                    yield from self._reply_cached(transport, cpu, cached)
-                    return
-                # original execution aborted; we run the call ourselves
-            elif state == REPLAY:
-                yield from self._reply_cached(transport, cpu, value)
-                return
-        with self.tracer.span("proxy.serve", cat="proxy", prog=call.prog,
-                              proc=call.proc) if self.tracer.enabled else NULL_SPAN:
-            try:
-                reply = yield from self._handle(call)
-            except BaseException:
-                if key is not None:
-                    self._drc.abort(key)
-                raise
-        encoded = reply.encode()
-        if key is not None:
-            self._drc.complete(key, encoded)
-        yield from charge_profile(self.sim, cpu, self.cost, len(encoded), self.account)
-        try:
-            transport.send_record(encoded)
-        except Exception:
-            pass
-
-    def _reply_cached(self, transport: Transport, cpu, encoded: bytes):
+            encoded, _fresh = yield from self._drc.once(
+                drc_key(call), lambda: self._execute(call)
+            )
+        else:
+            encoded = yield from self._execute(call)
         yield from charge_profile(self.sim, cpu, self.cost, len(encoded), self.account)
         try:
             transport.send_record(encoded)
@@ -357,30 +332,32 @@ class SgfsClientProxy:
         for leg in self._up.legs:
             yield from leg.cycle()
 
-    def _handle(self, call: CallMessage):
+    def _execute(self, call: CallMessage):
+        """Process generator: answer one call (from the caches or
+        upstream); returns the encoded reply record."""
         if call.cred.flavor != 0:
             self._session_cred = call.cred
-        if call.prog != pr.NFS_PROGRAM or not self.cache.enabled:
-            return (yield from self._forward(call))
-        proc = call.proc
-        handler = {
-            int(Proc.GETATTR): self._h_getattr,
-            int(Proc.LOOKUP): self._h_lookup,
-            int(Proc.ACCESS): self._h_access,
-            int(Proc.READ): self._h_read,
-            int(Proc.WRITE): self._h_write,
-            int(Proc.COMMIT): self._h_commit,
-            int(Proc.SETATTR): self._h_setattr,
-            int(Proc.CREATE): self._h_create,
-            int(Proc.MKDIR): self._h_create,
-            int(Proc.SYMLINK): self._h_create,
-            int(Proc.REMOVE): self._h_remove,
-            int(Proc.RMDIR): self._h_remove,
-            int(Proc.RENAME): self._h_rename,
-        }.get(proc)
-        if handler is None:
-            return (yield from self._forward(call))
-        return (yield from handler(call))
+        handler = self._forward
+        if call.prog == pr.NFS_PROGRAM and self.cache.enabled:
+            handler = {
+                int(Proc.GETATTR): self._h_getattr,
+                int(Proc.LOOKUP): self._h_lookup,
+                int(Proc.ACCESS): self._h_access,
+                int(Proc.READ): self._h_read,
+                int(Proc.WRITE): self._h_write,
+                int(Proc.COMMIT): self._h_commit,
+                int(Proc.SETATTR): self._h_setattr,
+                int(Proc.CREATE): self._h_create,
+                int(Proc.MKDIR): self._h_create,
+                int(Proc.SYMLINK): self._h_create,
+                int(Proc.REMOVE): self._h_remove,
+                int(Proc.RMDIR): self._h_remove,
+                int(Proc.RENAME): self._h_rename,
+            }.get(call.proc, self._forward)
+        with self.tracer.span("proxy.serve", cat="proxy", prog=call.prog,
+                              proc=call.proc) if self.tracer.enabled else NULL_SPAN:
+            reply = yield from handler(call)
+        return reply.encode()
 
     # -- attribute & name procedures ---------------------------------------------------
 
@@ -720,7 +697,6 @@ class SgfsClientProxy:
                 xid=call.xid,
                 results=pr.pack_commit_res(NfsStatus.OK, attr, b"sgfsprox"),
             )
-            yield  # pragma: no cover
         items = yield from self._blocks.gather_dirty([fh.fileid])
         yield from self._writeback_window(items)
         reply = yield from self._forward(call)

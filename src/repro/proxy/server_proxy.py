@@ -39,7 +39,7 @@ from repro.rpc.auth import AUTH_SYS, AuthSys, OpaqueAuth
 from repro.rpc.client import RpcClient
 from repro.rpc.compound import COMPOUND_PROGRAM, pack_members, unpack_members
 from repro.rpc.costs import CostProfile, FREE_PROFILE, charge_profile
-from repro.rpc.drc import DuplicateRequestCache, REPLAY, WAIT, drc_key
+from repro.rpc.drc import DuplicateRequestCache, drc_key
 from repro.rpc.messages import (
     AUTH_REJECTEDCRED,
     AUTH_TOOWEAK,
@@ -47,7 +47,7 @@ from repro.rpc.messages import (
     ReplyMessage,
     denied_reply,
 )
-from repro.rpc.transport import StreamTransport, Transport
+from repro.rpc.transport import StreamTransport
 from repro.sim.core import Simulator
 from repro.tls.channel import (
     HandshakeError,
@@ -125,7 +125,6 @@ class SgfsServerProxy:
         self.stats = AuthzDecision()
         self.calls_forwarded = 0
         self._listener = None
-        self._reload_pending = False
         #: duplicate-request cache, keyed on the *pre-remap* credential
         #: (the client's identity).  It lives on the proxy object, not
         #: the session, modeling a reply cache that survives a proxy
@@ -198,13 +197,14 @@ class SgfsServerProxy:
 
     def reload(self, security: Optional[SecurityConfig] = None,
                gridmap: Optional[Gridmap] = None) -> None:
-        """Dynamic reconfiguration (§4.2): applies to new sessions and
-        signals established ones to renegotiate."""
+        """Dynamic reconfiguration (§4.2): sessions accepted from now
+        on handshake under the new ``security`` and are mapped by the
+        new ``gridmap``.  A live session keeps its keys until its client
+        proxy rekeys it (``reload_config(rekey=True)``)."""
         if security is not None:
             self.security = security
         if gridmap is not None:
             self.gridmap = gridmap
-        self._reload_pending = True
 
     def _accept_loop(self):
         while self._listener is not None and not self._listener.closed:
@@ -224,29 +224,36 @@ class SgfsServerProxy:
             if sock in self._session_socks:
                 self._session_socks.remove(sock)
 
+    def _accept(self, sock):
+        """Process generator: the accept side of a dial (the mirror of
+        :func:`repro.proxy.upstream.dialer`) — wrap the connected socket
+        in this proxy's transport and say who the peer is.  Returns
+        ``(transport, identity)``, or None when the peer is refused."""
+        if self.security is None:
+            return StreamTransport(sock), self.session_identity
+        try:
+            transport = yield from server_handshake(
+                self.sim, sock, self.security, cpu=self.host.cpu,
+                account=self.account, ticket_cache=self.tickets,
+            )
+        except HandshakeError:
+            if self.obs.enabled:
+                self.obs.counter("proxy.server", "handshake_failures").inc()
+            sock.abort()
+            return None
+        if self.obs.enabled:
+            self.obs.counter("proxy.server", "handshakes").inc()
+        # Pin this session's record crypto to one core of the pool.
+        transport.affinity = next(self._session_seq)
+        return transport, effective_identity(transport.peer_identity)
+
     def _session_body(self, sock):
-        cpu = self.host.cpu
         if self.obs.enabled:
             self.obs.counter("proxy.server", "sessions").inc()
-        if self.security is not None:
-            try:
-                transport: Transport = yield from server_handshake(
-                    self.sim, sock, self.security, cpu=cpu, account=self.account,
-                    ticket_cache=self.tickets,
-                )
-            except HandshakeError:
-                if self.obs.enabled:
-                    self.obs.counter("proxy.server", "handshake_failures").inc()
-                sock.abort()
-                return
-            if self.obs.enabled:
-                self.obs.counter("proxy.server", "handshakes").inc()
-            # Pin this session's record crypto to one core of the pool.
-            transport.affinity = next(self._session_seq)
-            identity = effective_identity(transport.peer_identity)
-        else:
-            transport = StreamTransport(sock)
-            identity = self.session_identity
+        accepted = yield from self._accept(sock)
+        if accepted is None:
+            return
+        transport, identity = accepted
         mapped = self._map_identity(identity)
 
         # Upstream connection to the kernel NFS server on localhost.
@@ -310,34 +317,27 @@ class SgfsServerProxy:
         returns the encoded reply record.  Transport charges stay with
         the caller — a compound envelope charges once for the whole
         batch, which is the round-trip amortization the engine is for."""
-        key = None
         if call.prog == pr.NFS_PROGRAM and call.proc in _NFS_NON_IDEMPOTENT:
             # keyed on the pre-remap credential: the duplicate carries
             # the same client identity/xid whichever session (or
             # sub-channel, or envelope) it rode in on
-            key = drc_key(call)
-            state, value = self._drc.check(key)
-            if state == WAIT:
-                cached = yield value
-                if cached is not None:
-                    return cached
-                # original executor died mid-call; we run it instead
-            elif state == REPLAY:
-                return value
-        try:
-            with self.tracer.span("proxy.authorize", cat="proxy", prog=call.prog,
-                                  proc=call.proc) if self.tracer.enabled else NULL_SPAN:
-                reply = yield from self._authorize_and_forward(
-                    upstream, call, identity, mapped
-                )
-        except BaseException:
-            if key is not None:
-                self._drc.abort(key)
-            raise
-        encoded = reply.encode()
-        if key is not None:
-            self._drc.complete(key, encoded)
-        return encoded
+            encoded, _fresh = yield from self._drc.once(
+                drc_key(call),
+                lambda: self._authorize(upstream, call, identity, mapped),
+            )
+            return encoded
+        return (yield from self._authorize(upstream, call, identity, mapped))
+
+    def _authorize(self, upstream: RpcClient, call: CallMessage,
+                   identity: Optional[DistinguishedName],
+                   mapped: Optional[Account]):
+        """Process generator: one execution of a call, encoded."""
+        with self.tracer.span("proxy.authorize", cat="proxy", prog=call.prog,
+                              proc=call.proc) if self.tracer.enabled else NULL_SPAN:
+            reply = yield from self._authorize_and_forward(
+                upstream, call, identity, mapped
+            )
+        return reply.encode()
 
     def _serve_compound(self, transport, upstream: RpcClient,
                         env: CallMessage,
@@ -379,8 +379,7 @@ class SgfsServerProxy:
 
     def _send_reply(self, transport, encoded: bytes):
         """Outbound path: charge the per-record seal, then send."""
-        if hasattr(transport, "charge"):
-            yield from transport.charge(len(encoded))
+        yield from transport.charge(len(encoded))
         try:
             transport.send_record(encoded)
         except Exception:
@@ -391,7 +390,6 @@ class SgfsServerProxy:
                                mapped: Optional[Account]):
         if call.prog != pr.NFS_PROGRAM:
             return denied_reply(call.xid, AUTH_TOOWEAK)
-            yield  # pragma: no cover
         if call.proc != Proc.NULL and mapped is None:
             # Authenticated but unmapped (and policy is deny), or an
             # insecure session with no assumed identity.

@@ -12,17 +12,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.nfs import protocol as pr
 from repro.rpc.compound import (
     COMPOUND_EXEC, COMPOUND_PROGRAM, COMPOUND_VERSION, pack_members, unpack_members,
 )
-from repro.rpc.errors import RpcError, RpcTimeout, RpcTransportError
+from repro.rpc.client import ReplyTable
+from repro.rpc.errors import RpcError, RpcTransportError
 from repro.rpc.messages import CallMessage, ReplyMessage
 from repro.rpc.transport import StreamTransport, Transport
 from repro.sim.core import Event, Simulator
-from repro.sim.process import all_of, any_of
+from repro.sim.process import all_of
 from repro.tls.channel import client_handshake
 
 #: bulk data procedures — the traffic round-robined across channels
@@ -58,108 +59,6 @@ def dialer(sim: Simulator, host, target: str, port: int, security=None):
     return dial
 
 
-class _CallRouter:
-    """Matches forwarded calls to upstream replies by our own xids.
-
-    The xids come from the owning session (one stream shared across
-    router generations and channels), so a call retried on a
-    replacement router keeps its original rewritten xid — which is what
-    lets the server-side proxy's duplicate-request cache recognize the
-    retry."""
-
-    def __init__(self, sim: Simulator, transport: Transport):
-        self.sim = sim
-        self.transport = transport
-        self._pending: Dict[int, Event] = {}
-        #: set when the pump dies; new forwards fail fast so the
-        #: recovery loop replaces the router instead of sending into a
-        #: connection nobody reads from anymore
-        self._dead: Optional[RpcError] = None
-        #: armed by quiesce(): fires when the pending table empties
-        self._drain_ev: Optional[Event] = None
-        sim.spawn(self._pump(), name="cproxy-pump")
-
-    def forward_record(self, xid: int, record: bytes,
-                       timeout: Optional[float] = None, retrans: int = 0):
-        """Send an already-encoded call and await the matching reply.
-
-        With ``timeout`` set, the identical record is retransmitted up
-        to ``retrans`` times on a doubling timer before
-        :class:`RpcTimeout` is raised."""
-        if self._dead is not None:
-            raise RpcTransportError(f"upstream is dead: {self._dead}")
-        ev = self.sim.event(name=f"fw:{xid}")
-        self._pending[xid] = ev
-        t = timeout
-        sent = 0
-        while True:
-            try:
-                if hasattr(self.transport, "charge"):
-                    yield from self.transport.charge(len(record))
-                self.transport.send_record(record)
-            except RpcError:
-                self._pending.pop(xid, None)
-                raise
-            except Exception as exc:
-                self._pending.pop(xid, None)
-                raise RpcTransportError(f"upstream send failed: {exc}") from exc
-            if t is None:
-                reply: ReplyMessage = yield ev
-                return reply
-            idx, value = yield any_of(self.sim, [ev, self.sim.timeout(t)])
-            if idx == 0:
-                return value
-            if sent >= retrans:
-                self._pending.pop(xid, None)
-                raise RpcTimeout(
-                    f"no upstream reply for xid={xid:#x} "
-                    f"after {sent + 1} transmissions"
-                )
-            sent += 1
-            t *= 2.0
-
-    def _pump(self):
-        try:
-            while True:
-                record = yield from self.transport.recv_record()
-                if record is None:
-                    break
-                try:
-                    reply = ReplyMessage.decode(record)
-                except RpcError:
-                    continue
-                ev = self._pending.pop(reply.xid, None)
-                if ev is not None:
-                    ev.succeed(reply)
-                if not self._pending and self._drain_ev is not None:
-                    self._drain_ev.succeed(None)
-        except Exception as exc:
-            self._fail_all(RpcError(f"upstream transport failed: {exc}"))
-            return
-        self._fail_all(RpcError("upstream closed"))
-
-    def _fail_all(self, err: RpcError) -> None:
-        self._dead = err
-        pending, self._pending = self._pending, {}
-        for ev in pending.values():
-            ev.fail(err)
-        if self._drain_ev is not None:
-            self._drain_ev.succeed(None)
-            self._drain_ev = None
-
-    def quiesce(self, timeout: float):
-        """Process generator: wait for in-flight calls to finish (bounded).
-
-        Used by graceful session replacement: the retiring connection
-        stays open until its outstanding replies arrive, so cycling a
-        healthy session does not turn live calls into retry storms."""
-        if not self._pending:
-            return
-        self._drain_ev = self.sim.event(name="rt-drain")
-        yield any_of(self.sim, [self._drain_ev, self.sim.timeout(timeout)])
-        self._drain_ev = None
-
-
 class _Channel:
     """One connection of a leg, with its own reconnect gate so a dead
     channel is replaced independently of its siblings."""
@@ -167,15 +66,16 @@ class _Channel:
     __slots__ = ("router", "reconnecting")
 
     def __init__(self) -> None:
-        self.router: Optional[_CallRouter] = None  # holds the transport
+        #: the current connection's reply table (it holds the transport)
+        self.router: Optional[ReplyTable] = None
         #: in-progress replacement dial (Event), if any
         self.reconnecting: Optional[Event] = None
 
 
-def _close_quietly(router: Optional[_CallRouter]) -> None:
+def _close_quietly(router: Optional[ReplyTable]) -> None:
     if router is not None:
         try:
-            router.transport.close()
+            router.close()
         except Exception:
             pass
 
@@ -254,7 +154,9 @@ class UpstreamSession:
         store, so channel k+1 resumes the keys channel k negotiated and
         the dial order — hence the whole run — stays deterministic."""
         for ch in self._channels:
-            ch.router = _CallRouter(self.sim, (yield from self.upstream_factory()))
+            ch.router = ReplyTable(
+                self.sim, (yield from self.upstream_factory()), name="cproxy-pump"
+            )
         return self
 
     def close(self) -> None:
@@ -301,7 +203,7 @@ class UpstreamSession:
         while True:
             router = self._channels[channel].router
             try:
-                return (yield from router.forward_record(
+                return (yield from router.exchange(
                     xid, record, timeout=self.timeo, retrans=self.retrans,
                 ))
             except RpcError:
@@ -410,17 +312,19 @@ class UpstreamSession:
             upstream = yield from self.upstream_factory()
         except Exception:
             return False
-        old, ch.router = ch.router, _CallRouter(self.sim, upstream)
+        old, ch.router = ch.router, ReplyTable(
+            self.sim, upstream, name="cproxy-pump"
+        )
         if drain:
             yield from old.quiesce(timeout=1.0)
         _close_quietly(old)
         if drain:
             # A locally-closed socket never wakes its own reader, so
             # the old pump can't fail the leftovers itself.
-            old._fail_all(RpcError("upstream session cycled"))
+            old._fail_all(RpcTransportError("upstream session cycled"))
         return True
 
-    def ensure(self, channel: int, failed_router: _CallRouter):
+    def ensure(self, channel: int, failed_router: ReplyTable):
         """Process generator: replace a dead channel's connection, at
         most one dial at a time per channel across all concurrent
         callers.

@@ -6,16 +6,22 @@ Layers, bottom to top:
   stream (fragment headers, reassembly).
 - :mod:`repro.rpc.transport` — the transport interface the stack runs
   on.  :class:`~repro.rpc.transport.StreamTransport` is the plain TCP
-  flavor; the TLS channel (:mod:`repro.tls`) and SSH tunnel
-  (:mod:`repro.sshtun`) provide drop-in secure flavors, which is exactly
-  how the paper's ``clnt_tli_ssl_create`` slots under unmodified RPC
-  code.
+  flavor and the only framing code;
+  :class:`~repro.rpc.transport.SealedTransport` seals records over one
+  (the SFS channel as is, the TLS channel of :mod:`repro.tls` by
+  extension), which is exactly how the paper's ``clnt_tli_ssl_create``
+  slots under unmodified RPC code.
 - :mod:`repro.rpc.auth` — AUTH_NONE / AUTH_SYS credentials.
 - :mod:`repro.rpc.messages` — CALL/REPLY message encode/decode.
 - :mod:`repro.rpc.client` / :mod:`repro.rpc.server` — endpoints.  The
-  client supports multiple outstanding calls matched by xid (the SFS
-  baseline pipelines; the SGFS prototype issues blocking calls — the
-  paper's stated reason it trails SFS by ~15 % under IOzone).
+  calling side of every hop is one :class:`~repro.rpc.client.ReplyTable`
+  (multiple outstanding calls matched by xid, same-record
+  retransmission): the SFS baseline pipelines; the SGFS prototype
+  issues blocking calls — the paper's stated reason it trails SFS by
+  ~15 % under IOzone.
+- :mod:`repro.rpc.drc` — the duplicate-request cache and the one
+  exactly-once step (:meth:`DuplicateRequestCache.once`) every serving
+  hop runs non-idempotent calls through.
 """
 
 from repro.rpc.errors import RpcError, RpcAuthError, RpcGarbageArgs, RpcProgUnavail, RpcProcUnavail

@@ -1,9 +1,11 @@
 """RPC client endpoint.
 
-Bound to one (program, version) over one transport, like a TI-RPC client
-handle.  Supports any number of outstanding calls: replies are matched
-to callers by xid, which is what lets the SFS baseline pipeline requests
-while the SGFS prototype's blocking callers simply await one at a time.
+:class:`RpcClient` is bound to one (program, version) over one
+transport, like a TI-RPC client handle.  It supports any number of
+outstanding calls: replies are matched to callers by xid — the job of
+:class:`ReplyTable`, the one reply table every calling hop shares —
+which is what lets the SFS baseline pipeline requests while the SGFS
+prototype's blocking callers simply await one at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +26,125 @@ from repro.sim.process import any_of
 _xid_counter = itertools.count(0x10_0000)
 
 
-class RpcClient:
+class ReplyTable:
+    """One connection's reply matching: the pending table, the pump
+    that fills it, and same-record retransmission.
+
+    This is the whole calling side of a hop.  :class:`RpcClient` builds
+    calls on top of it; a forwarder that already holds encoded records
+    under its own xids (:class:`repro.proxy.upstream.UpstreamSession`)
+    uses it directly — it registers no telemetry, so doing so adds
+    nothing to a run's registry snapshot.
+    """
+
+    def __init__(self, sim: Simulator, transport: Transport,
+                 name: str = "rpc-pump"):
+        self.sim = sim
+        self.transport = transport
+        self._pending: Dict[int, Event] = {}
+        #: set when the reply pump dies; new calls fail fast instead of
+        #: sending into a connection nobody reads from anymore
+        self._dead: Optional[RpcTransportError] = None
+        #: armed by quiesce(): fires when the pending table empties
+        self._drain_ev: Optional[Event] = None
+        self._pump = sim.spawn(self._reply_pump(), name=name)
+
+    def _require_alive(self) -> None:
+        if self._dead is not None:
+            raise RpcTransportError(f"transport is dead: {self._dead}")
+
+    def exchange(self, xid: int, record: bytes,
+                 timeout: Optional[float] = None, retrans: int = 0):
+        """Process generator: send an already-encoded call and await the
+        :class:`ReplyMessage` carrying its xid.
+
+        With ``timeout`` set, the identical record is retransmitted up
+        to ``retrans`` times on a doubling timer before
+        :class:`RpcTimeout` is raised.  The xid stays pending across
+        retransmissions, so whichever copy the server answers first
+        completes the call; the pump drops the later duplicates.  Every
+        transmission pays the transport's seal (``Transport.charge``)."""
+        self._require_alive()
+        ev = self.sim.event(name=f"rpc-reply:{xid}")
+        self._pending[xid] = ev
+        t = timeout
+        sent = 0
+        while True:
+            try:
+                yield from self.transport.charge(len(record))
+                self.transport.send_record(record)
+            except Exception as exc:
+                self._pending.pop(xid, None)
+                raise RpcTransportError(f"send failed: {exc}") from exc
+            if t is None:
+                return (yield ev)
+            idx, value = yield any_of(self.sim, [ev, self.sim.timeout(t)])
+            if idx == 0:
+                return value
+            if sent >= retrans:
+                self._pending.pop(xid, None)
+                raise RpcTimeout(
+                    f"no reply for xid={xid:#x} after {sent + 1} transmissions"
+                )
+            sent += 1
+            self._retransmitting()
+            t *= 2.0
+
+    def _retransmitting(self) -> None:
+        """Hook: the same record is about to go out again."""
+
+    @property
+    def outstanding(self) -> int:
+        return len(self._pending)
+
+    def _reply_pump(self):
+        try:
+            while True:
+                record = yield from self.transport.recv_record()
+                if record is None:
+                    break
+                try:
+                    reply = ReplyMessage.decode(record)
+                except RpcError:
+                    continue  # not a reply; ignore (robustness)
+                ev = self._pending.pop(reply.xid, None)
+                if ev is not None:
+                    ev.succeed(reply)
+                # else: duplicate/unsolicited reply — drop
+                if not self._pending and self._drain_ev is not None:
+                    self._drain_ev.succeed(None)
+                    self._drain_ev = None
+        except Exception as exc:
+            self._fail_all(RpcTransportError(f"transport failure: {exc}"))
+            return
+        self._fail_all(RpcTransportError("connection closed with calls outstanding"))
+
+    def _fail_all(self, exc: RpcTransportError) -> None:
+        self._dead = exc
+        pending, self._pending = self._pending, {}
+        for ev in pending.values():
+            ev.fail(exc)
+        if self._drain_ev is not None:
+            self._drain_ev.succeed(None)
+            self._drain_ev = None
+
+    def quiesce(self, timeout: float):
+        """Process generator: wait for in-flight calls to finish (bounded).
+
+        Used by graceful session replacement: the retiring connection
+        stays open until its outstanding replies arrive, so cycling a
+        healthy session does not turn live calls into retry storms."""
+        if not self._pending:
+            return
+        self._drain_ev = self.sim.event(name="rt-drain")
+        yield any_of(self.sim, [self._drain_ev, self.sim.timeout(timeout)])
+        self._drain_ev = None
+
+    def close(self) -> None:
+        self.transport.close()
+
+
+class RpcClient(ReplyTable):
     """Issues calls for one program/version over a transport."""
 
     def __init__(
@@ -37,8 +157,7 @@ class RpcClient:
         cost: EndpointCost = FREE,
         account: str = "rpc-client",
     ):
-        self.sim = sim
-        self.transport = transport
+        super().__init__(sim, transport, name=f"rpc-pump:{prog}/{vers}")
         self.prog = prog
         self.vers = vers
         self.cpu = cpu
@@ -53,11 +172,6 @@ class RpcClient:
         self._c_bytes_out = self.obs.counter("rpc.client", "bytes_out", account=account)
         self._c_bytes_in = self.obs.counter("rpc.client", "bytes_in", account=account)
         self._h_latency: Dict[int, Histogram] = {}  # by proc, bound on first use
-        self._pending: Dict[int, Event] = {}
-        #: set when the reply pump dies; new calls fail fast instead of
-        #: sending into a connection nobody reads from anymore
-        self._dead: Optional[RpcTransportError] = None
-        self._pump = sim.spawn(self._reply_pump(), name=f"rpc-pump:{prog}/{vers}")
 
     # -- calling ---------------------------------------------------------
 
@@ -83,10 +197,10 @@ class RpcClient:
         """Process generator: perform one call, return the result bytes.
 
         Raises an :class:`RpcError` subclass on a non-SUCCESS reply, and
-        :class:`RpcError` if the transport dies first.  With ``timeout``
-        set, the in-flight request is retransmitted (same xid, same
-        record) up to ``retrans`` times on a doubling timer before
-        :class:`RpcTimeout` is raised.
+        :class:`RpcTransportError` if the transport dies first.  With
+        ``timeout`` set, the in-flight request is retransmitted (same
+        xid, same record) up to ``retrans`` times on a doubling timer
+        before :class:`RpcTimeout` is raised.
         """
         reply = yield from self.call_detailed(
             proc, args, cred, xid=xid, timeout=timeout, retrans=retrans
@@ -104,8 +218,7 @@ class RpcClient:
         retrans: int = 0,
     ):
         """Like :meth:`call` but returns the full :class:`ReplyMessage`."""
-        if self._dead is not None:
-            raise RpcTransportError(f"transport is dead: {self._dead}")
+        self._require_alive()  # fail fast: before the call costs any CPU
         if xid is None:
             xid = next(_xid_counter)
         msg = CallMessage(xid, self.prog, self.vers, proc, cred=cred, args=args)
@@ -119,20 +232,10 @@ class RpcClient:
                               proc=proc) if self.tracer.enabled else NULL_SPAN:
             if self.cpu is not None:
                 yield from self.cpu.consume(self.cost.cost(len(record)), self.account)
-            ev = self.sim.event(name=f"rpc-reply:{xid}")
-            self._pending[xid] = ev
             self.calls_sent += 1
-            try:
-                self.transport.send_record(record)
-            except Exception as exc:
-                self._pending.pop(xid, None)
-                raise RpcTransportError(f"send failed: {exc}") from exc
-            if timeout is None:
-                reply: ReplyMessage = yield ev
-            else:
-                reply = yield from self._await_with_retrans(
-                    ev, xid, record, timeout, retrans
-                )
+            reply: ReplyMessage = yield from self.exchange(
+                xid, record, timeout, retrans
+            )
             if self.cpu is not None:
                 yield from self.cpu.consume(
                     self.cost.cost(len(reply.results)), self.account
@@ -147,71 +250,11 @@ class RpcClient:
             hist.observe(self.sim.now - start)
         return reply
 
-    def _await_with_retrans(
-        self, ev: Event, xid: int, record: bytes, timeout: float, retrans: int
-    ):
-        """Wait for the reply, retransmitting the same record on timeout.
-
-        The xid stays pending across retransmissions, so whichever copy
-        the server answers first completes the call; the reply pump
-        drops the later duplicates.
-        """
-        t = timeout
-        sent = 0
-        while True:
-            idx, value = yield any_of(self.sim, [ev, self.sim.timeout(t)])
-            if idx == 0:
-                return value
-            if sent >= retrans:
-                self._pending.pop(xid, None)
-                raise RpcTimeout(
-                    f"no reply for xid={xid:#x} after {sent + 1} transmissions"
+    def _retransmitting(self) -> None:
+        self.retransmissions += 1
+        if self.obs.enabled:
+            if self._c_retrans is None:
+                self._c_retrans = self.obs.counter(
+                    "rpc.client", "retransmissions", account=self.account
                 )
-            sent += 1
-            self.retransmissions += 1
-            if self.obs.enabled:
-                if self._c_retrans is None:
-                    self._c_retrans = self.obs.counter(
-                        "rpc.client", "retransmissions", account=self.account
-                    )
-                self._c_retrans.inc()
-            try:
-                self.transport.send_record(record)
-            except Exception as exc:
-                self._pending.pop(xid, None)
-                raise RpcTransportError(f"send failed: {exc}") from exc
-            t *= 2.0
-
-    @property
-    def outstanding(self) -> int:
-        return len(self._pending)
-
-    # -- reply pump --------------------------------------------------------
-
-    def _reply_pump(self):
-        try:
-            while True:
-                record = yield from self.transport.recv_record()
-                if record is None:
-                    break
-                try:
-                    reply = ReplyMessage.decode(record)
-                except RpcError:
-                    continue  # not a reply; ignore (robustness)
-                ev = self._pending.pop(reply.xid, None)
-                if ev is not None:
-                    ev.succeed(reply)
-                # else: duplicate/unsolicited reply — drop
-        except Exception as exc:
-            self._fail_all(RpcTransportError(f"transport failure: {exc}"))
-            return
-        self._fail_all(RpcTransportError("connection closed with calls outstanding"))
-
-    def _fail_all(self, exc: RpcTransportError) -> None:
-        self._dead = exc
-        pending, self._pending = self._pending, {}
-        for ev in pending.values():
-            ev.fail(exc)
-
-    def close(self) -> None:
-        self.transport.close()
+            self._c_retrans.inc()

@@ -17,9 +17,10 @@ This DRC implements both halves of that defence:
 
 Entries age out on the simulated clock and the table is bounded by an
 LRU cap (in-progress entries are never evicted).  The cache is a plain
-object so every serving hop — kernel NFS server, UDP server, and both
-SGFS proxies (which rewrite xids, defeating any end-to-end cache) — can
-own its own instance.
+object so every serving hop — the kernel NFS server and both SGFS
+proxies (which rewrite xids, defeating any end-to-end cache) — can own
+its own instance; each runs its non-idempotent calls through the one
+step that is the whole protocol, :meth:`DuplicateRequestCache.once`.
 """
 
 from __future__ import annotations
@@ -101,10 +102,40 @@ class DuplicateRequestCache:
 
     # -- core protocol ---------------------------------------------------
 
+    def once(self, key: Tuple, execute):
+        """Process generator: the whole duplicate-request protocol
+        around one call — the step every serving hop runs for a
+        non-idempotent procedure.
+
+        ``execute()`` is a process generator that runs the call and
+        returns its encoded reply.  Returns ``(encoded, fresh)``:
+        ``fresh`` is True when this caller executed, False when the
+        reply is a replay (of a completed call, or of the in-progress
+        original this duplicate parked behind).  If ``execute`` dies,
+        one parked duplicate is promoted to run it instead and the
+        failure propagates to this caller."""
+        state, value = self.check(key)
+        if state == REPLAY:
+            return value, False
+        if state == WAIT:
+            cached = yield value
+            if cached is not None:
+                return cached, False
+            # the original execution aborted; we were promoted to run
+            # the call ourselves (the entry stays in progress)
+        try:
+            encoded = yield from execute()
+        except BaseException:
+            self.abort(key)
+            raise
+        self.complete(key, encoded)
+        return encoded, True
+
     def check(self, key: Tuple):
         """Classify an incoming call.
 
-        Returns one of::
+        Returns one of (:meth:`once` is the one caller that acts on
+        them)::
 
             (MISS, None)     -- new call; caller must execute it and then
                                 call complete(key, encoded) or abort(key)

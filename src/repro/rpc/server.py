@@ -25,7 +25,7 @@ from typing import Callable, Deque, Dict, Optional, Tuple
 
 from repro.obs import NULL_SPAN, Histogram
 from repro.rpc.costs import EndpointCost, FREE
-from repro.rpc.drc import DuplicateRequestCache, REPLAY, WAIT, drc_key
+from repro.rpc.drc import DuplicateRequestCache, drc_key
 from repro.rpc.errors import RpcError
 from repro.rpc.messages import (
     CallMessage,
@@ -249,7 +249,7 @@ class RpcServer:
         if self.obs.enabled:
             self._c_calls.inc()
             self._c_bytes_in.inc(len(record))
-            start = self.sim.now
+        start = self.sim.now
         if self.cpu is not None:
             yield from self.cpu.consume(self.cost.cost(len(record)), self.account)
         try:
@@ -257,30 +257,28 @@ class RpcServer:
         except Exception:
             return  # undecodable header: drop, like a real server
         program = self._programs.get((call.prog, call.vers))
-        key = None
         if program is not None and call.proc in program.non_idempotent:
-            key = drc_key(call)
-            state, value = self.drc.check(key)
-            if state == WAIT:
-                cached = yield value
-                if cached is not None:
-                    self._send_silently(transport, cached)
-                    return
-                # Original execution aborted; we were promoted to
-                # run the call ourselves (entry stays in-progress).
-            elif state == REPLAY:
-                self._send_silently(transport, value)
-                return
+            encoded, fresh = yield from self.drc.once(
+                drc_key(call), lambda: self._execute(transport, call, start)
+            )
+        else:
+            encoded = yield from self._execute(transport, call, start)
+            fresh = True
+        try:
+            transport.send_record(encoded)
+        except Exception:
+            return  # peer went away; the retransmission loop covers it
+        if fresh:
+            self.calls_served += 1
+
+    def _execute(self, transport: Transport, call: CallMessage, start: float):
+        """Process generator: dispatch one call and charge its reply;
+        returns the encoded reply record."""
         with self.tracer.span(
             "rpc.serve", cat="rpc", server=self.name,
             prog=call.prog, proc=call.proc,
         ) if self.tracer.enabled else NULL_SPAN:
-            try:
-                reply = yield from self._dispatch(transport, call)
-            except BaseException:
-                if key is not None:
-                    self.drc.abort(key)
-                raise
+            reply = yield from self._dispatch(transport, call)
             if self.cpu is not None:
                 yield from self.cpu.consume(
                     self.cost.cost(len(reply.results)), self.account
@@ -293,21 +291,7 @@ class RpcServer:
                     "rpc.server", "service_time", server=self.name, proc=call.proc
                 )
             hist.observe(self.sim.now - start)
-        encoded = reply.encode()
-        if key is not None:
-            self.drc.complete(key, encoded)
-        try:
-            transport.send_record(encoded)
-        except Exception:
-            return  # peer went away while we processed
-        self.calls_served += 1
-
-    @staticmethod
-    def _send_silently(transport: Transport, record: bytes) -> None:
-        try:
-            transport.send_record(record)
-        except Exception:
-            pass  # peer went away; the retransmission loop covers it
+        return reply.encode()
 
     def _dispatch(self, transport: Transport, call: CallMessage):
         program = self._programs.get((call.prog, call.vers))

@@ -17,7 +17,7 @@ from typing import Callable, Dict, Iterable, Optional
 from repro.crypto.drbg import Drbg
 from repro.gsi.certs import Certificate, Credential
 from repro.gsi.names import DistinguishedName
-from repro.rpc.record import RecordReader, RecordWriter
+from repro.rpc.transport import StreamTransport
 from repro.services.soap import (
     SoapEnvelope,
     SoapFault,
@@ -103,14 +103,13 @@ class ServiceEndpoint:
     # -- request processing ----------------------------------------------------
 
     def _serve_connection(self, sock):
-        reader = RecordReader()
-        writer = RecordWriter(sock)
-        request = yield from _read_record(sock, reader)
+        stream = StreamTransport(sock)
+        request = yield from stream.recv_record()
         if request is None:
             return
         reply = yield from self._process(request)
         try:
-            writer.write(reply)
+            stream.send_record(reply)
         except Exception:
             pass
         sock.close()
@@ -194,10 +193,9 @@ class ServiceClient:
         )
         yield from self.host.cpu.consume(MESSAGE_SECURITY_CPU, "services")
         sock = yield from self.host.connect(dest_host, port)
-        writer = RecordWriter(sock)
-        reader = RecordReader()
-        writer.write(envelope.to_xml())
-        raw = yield from _read_record(sock, reader)
+        stream = StreamTransport(sock)
+        stream.send_record(envelope.to_xml())
+        raw = yield from stream.recv_record()
         sock.close()
         if raw is None:
             raise ServiceError(f"no reply from {dest_host}:{port}")
@@ -208,13 +206,3 @@ class ServiceClient:
             raise SoapFault(reply.body.get("code", "?"), reply.body.get("reason", "?"))
         return reply.body
 
-
-def _read_record(sock, reader: RecordReader):
-    while True:
-        rec = reader.next_record()
-        if rec is not None:
-            return rec
-        data = yield from sock.recv()
-        if data == b"":
-            return None
-        reader.feed(data)

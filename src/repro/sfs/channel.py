@@ -7,130 +7,43 @@ signature with a key the server's authserver already knows (modeled as
 an authorized-keys set).  Bulk protection approximates SFS's customized
 RC4 + SHA1-HMAC, which the paper likens to the sgfs-rc configuration.
 
-The channel object returned is a :class:`~repro.tls.channel.SecureChannel`
-work-alike built from the same record machinery, so the proxy/daemon
-layers treat both identically.
+The channel returned is a plain
+:class:`~repro.rpc.transport.SealedTransport` — the record layer the
+GSI/TLS channel extends — so the proxy/daemon layers treat both
+identically.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Set
 
 from repro.crypto.drbg import Drbg
-from repro.crypto.hmac import constant_time_equal, hmac_sha256
+from repro.crypto.hmac import hmac_sha256
 from repro.crypto.rsa import CryptoError, RsaKeyPair, RsaPublicKey
-from repro.crypto.suites import SUITE_RC4_SHA, CipherSuite, derive_key_block
-from repro.rpc.record import RecordReader, RecordWriter
-from repro.rpc.transport import Transport
+from repro.crypto.suites import SUITE_RC4_SHA, derive_directions
+from repro.rpc.transport import SealedTransport, StreamTransport
 from repro.sfs.paths import SelfCertifyingPath
 from repro.sim.core import Simulator
-from repro.tls.channel import CPU_HZ, CRYPTO_CPU_FRACTION
 from repro.xdr import Packer, Unpacker
 
 #: CPU for the public-key operations of an SFS connection setup.
 SFS_HANDSHAKE_CPU = 0.005
+
+#: SFS's one bulk protection — the paper likens it to sgfs-rc.
+SFS_SUITE = SUITE_RC4_SHA
 
 
 class SfsAuthError(Exception):
     """Server key does not match the HostID, or user key not authorized."""
 
 
-class SfsChannel(Transport):
-    """Record transport with RC4+SHA1-class protection."""
-
-    def __init__(self, sim: Simulator, sock, suite: CipherSuite, key_block: bytes,
-                 is_client: bool, cpu=None, account: str = "sfsd",
-                 fast: bool = True, peer_key: Optional[RsaPublicKey] = None):
-        self.sim = sim
-        self.sock = sock
-        self.suite = suite
-        self.cpu = cpu
-        self.account = account
-        #: optional core pin for multi-core CPUs (see repro.sim.cpu.CPU)
-        self.affinity = None
-        self.peer_key = peer_key
-        half = len(key_block) // 2
-        c2s, s2c = key_block[:half], key_block[half:]
-        mine, theirs = (c2s, s2c) if is_client else (s2c, c2s)
-
-        def make(material: bytes):
-            mac_key = material[: suite.mac.key_len]
-            ck = material[suite.mac.key_len : suite.mac.key_len + suite.cipher.key_len]
-            iv = material[suite.mac.key_len + suite.cipher.key_len :]
-            return suite.cipher.new_state(ck, iv[: suite.cipher.iv_len], fast), mac_key
-
-        self._enc, self._enc_mac = make(mine)
-        self._dec, self._dec_mac = make(theirs)
-        self._enc_seq = 0
-        self._dec_seq = 0
-        self._writer = RecordWriter(sock)
-        self._reader = RecordReader()
-        self._eof = False
-
-    def charge(self, nbytes: int, op: str = "seal"):
-        if nbytes <= 0:
-            return
-        cost = self.suite.cycles_per_byte * nbytes / CPU_HZ
-        if self.cpu is not None:
-            # Hierarchical sub-account: rolls up into self.account.
-            account = f"{self.account}/{op}:{self.suite.name}"
-            yield from self.cpu.consume(cost * CRYPTO_CPU_FRACTION, account,
-                                        affinity=self.affinity)
-            yield self.sim.timeout(cost * (1.0 - CRYPTO_CPU_FRACTION))
-        else:
-            yield self.sim.timeout(cost)
-
-    def send_record(self, record: bytes) -> None:
-        mac = self.suite.mac.compute(
-            self._enc_mac, self._enc_seq.to_bytes(8, "big") + record
-        )
-        self._enc_seq += 1
-        self._writer.write(self._enc.encrypt(record + mac))
-
-    def recv_record(self):
-        while True:
-            frame = self._reader.next_record()
-            if frame is not None:
-                plain = self._dec.decrypt(frame)
-                n = self.suite.mac.digest_len
-                if len(plain) < n:
-                    raise SfsAuthError("short SFS record")
-                record, mac = plain[:-n], plain[-n:]
-                expect = self.suite.mac.compute(
-                    self._dec_mac, self._dec_seq.to_bytes(8, "big") + record
-                )
-                if not constant_time_equal(mac, expect):
-                    raise SfsAuthError("SFS record MAC failure")
-                self._dec_seq += 1
-                yield from self.charge(len(record), op="open")
-                return record
-            if self._eof:
-                return None
-            chunk = yield from self.sock.recv()
-            if chunk == b"":
-                self._eof = True
-                if self._reader.pending == 0:
-                    return None
-            else:
-                self._reader.feed(chunk)
-
-    def close(self) -> None:
-        self.sock.close()
-
-    @property
-    def closed(self) -> bool:
-        return self.sock.closed
-
-
-def _read_frame(sock, reader: RecordReader):
-    while True:
-        frame = reader.next_record()
-        if frame is not None:
-            return frame
-        data = yield from sock.recv()
-        if data == b"":
-            return None
-        reader.feed(data)
+def _established(sim: Simulator, stream: StreamTransport, secret: bytes,
+                 is_client: bool, cpu, account: str, fast: bool) -> SealedTransport:
+    c2s, s2c = derive_directions(
+        SFS_SUITE, hmac_sha256(secret, b"sfs-session"), "sfs keys", fast
+    )
+    send, recv = (c2s, s2c) if is_client else (s2c, c2s)
+    return SealedTransport(sim, stream, SFS_SUITE, send, recv, cpu=cpu, account=account)
 
 
 def sfs_client_channel(
@@ -141,7 +54,6 @@ def sfs_client_channel(
     rng: Drbg,
     cpu=None,
     account: str = "sfsd",
-    suite: CipherSuite = SUITE_RC4_SHA,
     fast: bool = True,
 ):
     """Process generator: connect-side handshake.
@@ -151,11 +63,10 @@ def sfs_client_channel(
        its user public key and a signature binding both;
     3. both derive the key block.
     """
-    reader = RecordReader()
-    writer = RecordWriter(sock)
+    stream = StreamTransport(sock)
     if cpu is not None:
         yield from cpu.consume(SFS_HANDSHAKE_CPU, f"{account}/handshake")
-    frame = yield from _read_frame(sock, reader)
+    frame = yield from stream.recv_record()
     if frame is None:
         raise SfsAuthError("server closed during handshake")
     server_key = RsaPublicKey.from_bytes(frame)
@@ -170,15 +81,11 @@ def sfs_client_channel(
     p.pack_opaque(wrapped)
     p.pack_opaque(user_key.public.to_bytes())
     p.pack_opaque(sig)
-    writer.write(p.get_bytes())
-    frame = yield from _read_frame(sock, reader)
+    stream.send_record(p.get_bytes())
+    frame = yield from stream.recv_record()
     if frame != b"OK":
         raise SfsAuthError("server rejected user authentication")
-    key_block = derive_key_block(
-        hmac_sha256(secret, b"sfs-session"), "sfs keys", suite.key_material_len
-    )
-    return SfsChannel(sim, sock, suite, key_block, is_client=True, cpu=cpu,
-                      account=account, fast=fast, peer_key=server_key)
+    return _established(sim, stream, secret, True, cpu, account, fast)
 
 
 def sfs_server_channel(
@@ -188,7 +95,6 @@ def sfs_server_channel(
     authorized_users: Set[bytes],
     cpu=None,
     account: str = "sfssd",
-    suite: CipherSuite = SUITE_RC4_SHA,
     fast: bool = True,
 ):
     """Process generator: accept-side handshake.
@@ -196,10 +102,9 @@ def sfs_server_channel(
     ``authorized_users`` holds canonical public-key encodings the
     authserver vouches for.
     """
-    reader = RecordReader()
-    writer = RecordWriter(sock)
-    writer.write(server_key.public.to_bytes())
-    frame = yield from _read_frame(sock, reader)
+    stream = StreamTransport(sock)
+    stream.send_record(server_key.public.to_bytes())
+    frame = yield from stream.recv_record()
     if frame is None:
         raise SfsAuthError("client closed during handshake")
     if cpu is not None:
@@ -213,7 +118,7 @@ def sfs_server_channel(
         sock.abort()
         raise SfsAuthError("bad user signature")
     if user_key_bytes not in authorized_users:
-        writer.write(b"NO")
+        stream.send_record(b"NO")
         sock.close()
         raise SfsAuthError("user key not authorized")
     try:
@@ -221,9 +126,5 @@ def sfs_server_channel(
     except CryptoError as exc:
         sock.abort()
         raise SfsAuthError(f"bad key transport: {exc}") from None
-    writer.write(b"OK")
-    key_block = derive_key_block(
-        hmac_sha256(secret, b"sfs-session"), "sfs keys", suite.key_material_len
-    )
-    return SfsChannel(sim, sock, suite, key_block, is_client=False, cpu=cpu,
-                      account=account, fast=fast, peer_key=user_key)
+    stream.send_record(b"OK")
+    return _established(sim, stream, secret, False, cpu, account, fast)

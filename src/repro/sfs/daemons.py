@@ -90,7 +90,7 @@ class SfsServerDaemon(SgfsServerProxy):
         super().__init__(
             sim, host, listen_port, nfs_server_port,
             accounts=accounts, gridmap=gridmap, fs=fs,
-            security=None,              # SFS has its own handshake below
+            security=None,              # SFS has its own handshake: _accept
             cost=cost,
             account="sfssd",
             blocking=False,             # async on the server side too
@@ -101,34 +101,15 @@ class SfsServerDaemon(SgfsServerProxy):
         self.authorized_users = authorized_users
         self.fast_ciphers = fast_ciphers
 
-    def _session(self, sock):
-        """Override: SFS handshake instead of TLS, then serve as usual."""
+    def _accept(self, sock):
+        """SFS handshake instead of TLS: a registered user key admits
+        the peer as ``session_identity``.  Everything after accepting is
+        the server proxy's."""
         try:
             transport = yield from sfs_server_channel(
                 self.sim, sock, self.server_key, self.authorized_users,
                 cpu=self.host.cpu, account=self.account, fast=self.fast_ciphers,
             )
         except Exception:
-            return
-        identity = self.session_identity
-        mapped = self._map_identity(identity)
-        from repro.nfs import protocol as pr
-        from repro.rpc.client import RpcClient
-        from repro.rpc.transport import StreamTransport
-
-        upstream_sock = yield from self.host.connect(self.host.name, self.nfs_server_port)
-        upstream = RpcClient(
-            self.sim, StreamTransport(upstream_sock), pr.NFS_PROGRAM, pr.NFS_V3
-        )
-        try:
-            while True:
-                record = yield from transport.recv_record()
-                if record is None:
-                    return
-                self.sim.spawn(
-                    self._serve(transport, upstream, record, identity, mapped),
-                    name="sfs-call",
-                )
-        finally:
-            upstream.close()
-            transport.close()
+            return None
+        return transport, self.session_identity

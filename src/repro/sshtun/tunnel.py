@@ -1,11 +1,13 @@
 """Encrypted TCP port forwarding with a pre-shared session key.
 
 Wire protocol: after a nonce/HMAC key-confirmation handshake, each
-direction carries length-framed encrypted chunks (cipher + HMAC from a
-derived key block, AES-256-CBC + SHA1 by default — the paper's gfs-ssh
-configuration).  The tunnel is byte-transparent: whatever stream the
-inner protocol (RPC record marking) produces is reproduced at the far
-end.
+direction carries encrypted chunks, one per record of a
+:class:`~repro.rpc.transport.StreamTransport` on the tunnel socket,
+sealed by the shared record layer
+(:class:`repro.crypto.suites.Direction`) under AES-256-CBC + SHA1 — the
+paper's gfs-ssh configuration.  The tunnel is byte-transparent: whatever
+stream the inner protocol (RPC record marking) produces is reproduced at
+the far end.
 
 Every forwarded chunk charges the forwarding host's CPU both the
 user-level copy cost and the bulk-crypto cost — twice per side of the
@@ -15,97 +17,86 @@ exactly the double-forwarding penalty of §6.2.1.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.crypto.hmac import constant_time_equal, hmac_sha256
-from repro.crypto.suites import CipherSuite, SUITE_AES_SHA, derive_key_block
+from repro.crypto.suites import (
+    SUITE_AES_SHA, Direction, IntegrityError, charge_crypto, derive_directions,
+)
+from repro.net.errors import NetError
 from repro.rpc.costs import CostProfile, FREE_PROFILE, charge_profile
-from repro.rpc.record import RecordReader, RecordWriter
+from repro.rpc.transport import StreamTransport
 from repro.sim.core import Simulator
-from repro.tls.channel import CPU_HZ, CRYPTO_CPU_FRACTION
 
 #: CPU seconds for the tunnel handshake (key confirmation only — no
 #: public-key operations with a pre-shared key).
 TUNNEL_HANDSHAKE_CPU = 0.0005
 
+#: the paper's gfs-ssh configuration: AES-256-CBC + SHA1
+TUNNEL_SUITE = SUITE_AES_SHA
 
-class TunnelError(Exception):
-    """Tunnel handshake or framing failure."""
-
-
-class _TunnelCrypto:
-    """Per-connection cipher/MAC state for both directions."""
-
-    def __init__(self, key: bytes, suite: CipherSuite, is_client: bool, fast: bool):
-        block = derive_key_block(key, "ssh-tunnel", suite.key_material_len)
-        half = len(block) // 2
-        c2s, s2c = block[:half], block[half:]
-        mine, theirs = (c2s, s2c) if is_client else (s2c, c2s)
-
-        def make(material: bytes):
-            mac_key = material[: suite.mac.key_len]
-            ck = material[suite.mac.key_len : suite.mac.key_len + suite.cipher.key_len]
-            iv = material[
-                suite.mac.key_len + suite.cipher.key_len :
-                suite.mac.key_len + suite.cipher.key_len + suite.cipher.iv_len
-            ]
-            return suite.cipher.new_state(ck, iv, fast), mac_key
-
-        self.suite = suite
-        self.enc_state, self.enc_mac = make(mine)
-        self.dec_state, self.dec_mac = make(theirs)
-        self.enc_seq = 0
-        self.dec_seq = 0
-
-    def seal(self, data: bytes) -> bytes:
-        mac = self.suite.mac.compute(
-            self.enc_mac, self.enc_seq.to_bytes(8, "big") + data
-        )
-        self.enc_seq += 1
-        return self.enc_state.encrypt(data + mac)
-
-    def open(self, blob: bytes) -> bytes:
-        plain = self.dec_state.decrypt(blob)
-        n = self.suite.mac.digest_len
-        if len(plain) < n:
-            raise TunnelError("short tunnel frame")
-        data, mac = plain[:-n], plain[-n:]
-        expect = self.suite.mac.compute(
-            self.dec_mac, self.dec_seq.to_bytes(8, "big") + data
-        )
-        if not constant_time_equal(mac, expect):
-            raise TunnelError("tunnel MAC failure")
-        self.dec_seq += 1
-        return data
+#: the one failure the tunnel raises: a frame that fails its MAC
+TunnelError = IntegrityError
 
 
 class _TunnelEndpoint:
-    """Shared pumping machinery for both ends."""
+    """What both ends share: the accept loop and the pumps; each end
+    adds its side of the handshake as ``_session``."""
 
-    def __init__(self, sim: Simulator, host, key: bytes, suite: CipherSuite,
+    def __init__(self, sim: Simulator, host, listen_port: int, key: bytes,
                  cost: CostProfile, account: str, fast_ciphers: bool):
         self.sim = sim
         self.host = host
+        self.listen_port = listen_port
         self.key = key
-        self.suite = suite
         self.cost = cost
         self.account = account
         self.fast_ciphers = fast_ciphers
         self.chunks_forwarded = 0
         self.bytes_forwarded = 0
 
-    def _charge(self, nbytes: int):
-        yield from charge_profile(self.sim, self.host.cpu, self.cost, nbytes, self.account)
-        crypto = self.suite.cycles_per_byte * nbytes / CPU_HZ
-        if crypto > 0:
-            # Cipher work in a sub-account; copy cost stays on the parent.
-            yield from self.host.cpu.consume(
-                crypto * CRYPTO_CPU_FRACTION,
-                f"{self.account}/crypto:{self.suite.name}",
-            )
-            yield self.sim.timeout(crypto * (1.0 - CRYPTO_CPU_FRACTION))
+    def start(self) -> None:
+        listener = self.host.listen(self.listen_port)
 
-    def _pump_plain_to_tunnel(self, plain_sock, crypto: _TunnelCrypto, tunnel_writer):
+        def accept_loop():
+            while True:
+                try:
+                    sock = yield listener.accept()
+                except Exception:
+                    return
+                self.sim.spawn(self._session(sock), name=f"{self.account}-session")
+
+        self.sim.spawn(accept_loop(), name=f"{self.account}:{self.listen_port}")
+
+    def _directions(self, nonce_c: bytes, nonce_s: bytes):
+        """(client->server, server->client) under this connection's nonces."""
+        return derive_directions(
+            TUNNEL_SUITE, self.key + nonce_c + nonce_s, "ssh-tunnel",
+            self.fast_ciphers,
+        )
+
+    def _charge(self, nbytes: int):
+        # Copy cost on the parent account first, then the cipher work in
+        # a sub-account: the two are one float sum on the ledger, and
+        # the pinned gfs-ssh runtimes hold only in this order.
+        yield from charge_profile(self.sim, self.host.cpu, self.cost, nbytes, self.account)
+        yield from charge_crypto(
+            self.sim, self.host.cpu, TUNNEL_SUITE, nbytes,
+            f"{self.account}/crypto:{TUNNEL_SUITE.name}",
+        )
+
+    def _forward(self, plain_sock, tunnel: StreamTransport,
+                 send: Direction, recv: Direction):
+        """Process generator: pump both ways until the tunnel side ends,
+        then close both sockets."""
+        self.sim.spawn(
+            self._pump_plain_to_tunnel(plain_sock, send, tunnel),
+            name=f"{self.account}-up",
+        )
+        yield from self._pump_tunnel_to_plain(tunnel, recv, plain_sock)
+        plain_sock.close()
+        tunnel.close()
+
+    def _pump_plain_to_tunnel(self, plain_sock, send: Direction,
+                              tunnel: StreamTransport):
         """Read raw bytes locally, encrypt, frame into the tunnel."""
         while True:
             try:
@@ -118,28 +109,21 @@ class _TunnelEndpoint:
             self.chunks_forwarded += 1
             self.bytes_forwarded += len(chunk)
             try:
-                tunnel_writer.write(crypto.seal(chunk))
+                tunnel.send_record(send.seal(chunk))
             except Exception:
                 return
 
-    def _pump_tunnel_to_plain(self, tunnel_sock, tunnel_reader: RecordReader,
-                              crypto: _TunnelCrypto, plain_sock):
+    def _pump_tunnel_to_plain(self, tunnel: StreamTransport, recv: Direction,
+                              plain_sock):
         """Read framed encrypted chunks, decrypt, write raw bytes locally."""
         while True:
-            frame = tunnel_reader.next_record()
-            if frame is None:
-                try:
-                    data = yield from tunnel_sock.recv()
-                except Exception:
-                    return
-                if data == b"":
-                    return
-                tunnel_reader.feed(data)
-                continue
             try:
-                chunk = crypto.open(frame)
-            except TunnelError:
-                return
+                frame = yield from tunnel.recv_record()
+                if frame is None:
+                    return
+                chunk = recv.open(frame)
+            except (IntegrityError, NetError):
+                return  # nothing past a bad frame is ever forwarded
             yield from self._charge(len(chunk))
             self.chunks_forwarded += 1
             self.bytes_forwarded += len(chunk)
@@ -153,64 +137,29 @@ class SshTunnelServer(_TunnelEndpoint):
     """WAN-facing endpoint: decrypts and forwards to a local port."""
 
     def __init__(self, sim: Simulator, host, listen_port: int, target_port: int,
-                 key: bytes, suite: CipherSuite = SUITE_AES_SHA,
-                 cost: CostProfile = FREE_PROFILE, account: str = "sshd",
-                 fast_ciphers: bool = True):
-        super().__init__(sim, host, key, suite, cost, account, fast_ciphers)
-        self.listen_port = listen_port
+                 key: bytes, cost: CostProfile = FREE_PROFILE,
+                 account: str = "sshd", fast_ciphers: bool = True):
+        super().__init__(sim, host, listen_port, key, cost, account, fast_ciphers)
         self.target_port = target_port
 
-    def start(self) -> None:
-        listener = self.host.listen(self.listen_port)
-
-        def accept_loop():
-            while True:
-                try:
-                    sock = yield listener.accept()
-                except Exception:
-                    return
-                self.sim.spawn(self._session(sock), name="sshd-session")
-
-        self.sim.spawn(accept_loop(), name=f"sshd:{self.listen_port}")
-
     def _session(self, tunnel_sock):
-        reader = RecordReader()
-        writer = RecordWriter(tunnel_sock)
+        tunnel = StreamTransport(tunnel_sock)
         # --- handshake: nonce exchange, key confirmation -------------------
-        nonce_c = yield from self._read_frame(tunnel_sock, reader)
+        nonce_c = yield from tunnel.recv_record()
         if nonce_c is None:
             return
         yield from self.host.cpu.consume(TUNNEL_HANDSHAKE_CPU, f"{self.account}/handshake")
         nonce_s = hmac_sha256(self.key, b"server-nonce" + nonce_c)[:16]
         proof = hmac_sha256(self.key, b"confirm" + nonce_c + nonce_s)
-        writer.write(nonce_s + proof)
-        crypto = _TunnelCrypto(
-            self.key + nonce_c + nonce_s, self.suite, is_client=False,
-            fast=self.fast_ciphers,
-        )
+        tunnel.send_record(nonce_s + proof)
+        c2s, s2c = self._directions(nonce_c, nonce_s)
         # --- connect to the local target ------------------------------------
         try:
             plain_sock = yield from self.host.connect(self.host.name, self.target_port)
         except Exception:
             tunnel_sock.close()
             return
-        self.sim.spawn(
-            self._pump_plain_to_tunnel(plain_sock, crypto, writer), name="sshd-up"
-        )
-        yield from self._pump_tunnel_to_plain(tunnel_sock, reader, crypto, plain_sock)
-        plain_sock.close()
-        tunnel_sock.close()
-
-    @staticmethod
-    def _read_frame(sock, reader: RecordReader):
-        while True:
-            frame = reader.next_record()
-            if frame is not None:
-                return frame
-            data = yield from sock.recv()
-            if data == b"":
-                return None
-            reader.feed(data)
+        yield from self._forward(plain_sock, tunnel, send=s2c, recv=c2s)
 
 
 class SshTunnelClient(_TunnelEndpoint):
@@ -218,26 +167,11 @@ class SshTunnelClient(_TunnelEndpoint):
 
     def __init__(self, sim: Simulator, host, listen_port: int,
                  server_host: str, server_port: int, key: bytes,
-                 suite: CipherSuite = SUITE_AES_SHA,
                  cost: CostProfile = FREE_PROFILE, account: str = "ssh",
                  fast_ciphers: bool = True):
-        super().__init__(sim, host, key, suite, cost, account, fast_ciphers)
-        self.listen_port = listen_port
+        super().__init__(sim, host, listen_port, key, cost, account, fast_ciphers)
         self.server_host = server_host
         self.server_port = server_port
-
-    def start(self) -> None:
-        listener = self.host.listen(self.listen_port)
-
-        def accept_loop():
-            while True:
-                try:
-                    sock = yield listener.accept()
-                except Exception:
-                    return
-                self.sim.spawn(self._session(sock), name="ssh-session")
-
-        self.sim.spawn(accept_loop(), name=f"ssh:{self.listen_port}")
 
     def _session(self, plain_sock):
         try:
@@ -245,12 +179,11 @@ class SshTunnelClient(_TunnelEndpoint):
         except Exception:
             plain_sock.close()
             return
-        reader = RecordReader()
-        writer = RecordWriter(tunnel_sock)
+        tunnel = StreamTransport(tunnel_sock)
         yield from self.host.cpu.consume(TUNNEL_HANDSHAKE_CPU, f"{self.account}/handshake")
         nonce_c = hmac_sha256(self.key, b"client-nonce")[:16]
-        writer.write(nonce_c)
-        frame = yield from SshTunnelServer._read_frame(tunnel_sock, reader)
+        tunnel.send_record(nonce_c)
+        frame = yield from tunnel.recv_record()
         if frame is None or len(frame) < 48:
             plain_sock.close()
             tunnel_sock.close()
@@ -261,13 +194,5 @@ class SshTunnelClient(_TunnelEndpoint):
             plain_sock.close()
             tunnel_sock.abort()
             return
-        crypto = _TunnelCrypto(
-            self.key + nonce_c + nonce_s, self.suite, is_client=True,
-            fast=self.fast_ciphers,
-        )
-        self.sim.spawn(
-            self._pump_plain_to_tunnel(plain_sock, crypto, writer), name="ssh-up"
-        )
-        yield from self._pump_tunnel_to_plain(tunnel_sock, reader, crypto, plain_sock)
-        plain_sock.close()
-        tunnel_sock.close()
+        c2s, s2c = self._directions(nonce_c, nonce_s)
+        yield from self._forward(plain_sock, tunnel, send=c2s, recv=s2c)

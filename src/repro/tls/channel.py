@@ -1,14 +1,21 @@
 """Secure channel: handshake and record protection.
 
-Wire format: each protocol record is RM-framed (reusing the RPC record
-marking codec) and starts with a one-byte content type:
+Wire format: each protocol record travels as one record of the
+:class:`~repro.rpc.transport.StreamTransport` made from the socket (the
+handshake and the established channel share it) and starts with a
+one-byte content type:
 
 - HANDSHAKE — hello/key-exchange/finished messages, in the clear
   (their secrecy is not required; authenticity comes from Finished MACs
   over the transcript, like TLS),
-- DATA — application records: ``cipher(payload || HMAC(seq || payload))``
-  MAC-then-encrypt with per-direction 64-bit sequence numbers,
-- RENEG / RENEG_ACK — rekeying for long-lived sessions (§4.2).
+- DATA — application records,
+- RENEG / RENEG_ACK — rekeying for long-lived sessions (§4.2),
+- CLOSE_NOTIFY — authenticated end of stream.
+
+Every type but HANDSHAKE is sealed by the shared record layer
+(:class:`repro.crypto.suites.Direction`) with the type byte as its
+additional authenticated data:
+``cipher(payload || HMAC(seq || type || payload))``.
 
 The handshake (client-initiated, mutual authentication):
 
@@ -31,16 +38,14 @@ paper measures (Figs. 4–6) arises organically.
 
 from __future__ import annotations
 
-import struct
 from typing import Optional
 
 from repro.crypto.hmac import constant_time_equal, hmac_sha256
-from repro.crypto.suites import derive_key_block
+from repro.crypto.suites import Direction, IntegrityError, derive_directions
 from repro.gsi.certs import Certificate, ValidationError, validate_chain
 from repro.gsi.names import DistinguishedName
 from repro.net.socket import SimSocket
-from repro.rpc.record import RecordReader, RecordWriter
-from repro.rpc.transport import Transport
+from repro.rpc.transport import SealedTransport, StreamTransport
 from repro.sim.core import Simulator
 from repro.sim.cpu import CPU
 from repro.tls.config import SecurityConfig
@@ -52,6 +57,7 @@ DATA = 2
 RENEG = 3
 RENEG_ACK = 4
 CLOSE_NOTIFY = 5
+_HANDSHAKE = bytes((HANDSHAKE,))
 
 #: Nominal CPU seconds for the public-key operations of one handshake
 #: side (RSA-1024 class, 2007 hardware).  Once per session — negligible
@@ -64,18 +70,6 @@ HANDSHAKE_CPU_SECONDS = 0.004
 #: entire point of tickets on reconnect-heavy fleets.
 RESUME_CPU_SECONDS = 0.0004
 
-#: Virtual CPU frequency used to convert cycles/byte into seconds; the
-#: paper's testbed is 3.2 GHz Xeon.
-CPU_HZ = 3.2e9
-
-#: Fraction of bulk-crypto time visible as *user CPU* of the proxy
-#: process; the rest elapses as wall latency (memory stalls, kernel
-#: copies around the cipher, VM scheduling) that per-process user-time
-#: sampling does not attribute.  The paper's own numbers exhibit this
-#: split: sgfs-aes adds ~0.9 ms/op of runtime while the sampled proxy
-#: CPU accounts for only ~0.3 ms/op of it (Figs. 4–6).
-CRYPTO_CPU_FRACTION = 0.5
-
 
 class TlsError(Exception):
     """Secure channel protocol failure."""
@@ -85,8 +79,8 @@ class HandshakeError(TlsError):
     """Authentication or negotiation failure during the handshake."""
 
 
-class IntegrityError(TlsError):
-    """A record failed MAC verification or decryption."""
+# A record that fails its MAC or decryption raises the record layer's
+# :class:`repro.crypto.suites.IntegrityError`, re-exported here.
 
 
 class SessionTicketCache:
@@ -167,43 +161,9 @@ class ClientSessionStore:
         return state
 
 
-class _Direction:
-    """Keys and state for one direction of traffic."""
-
-    __slots__ = ("cipher_state", "mac_key", "seq")
-
-    def __init__(self, cipher_state, mac_key: bytes):
-        self.cipher_state = cipher_state
-        self.mac_key = mac_key
-        self.seq = 0
-
-
-def _derive_directions(config: SecurityConfig, master: bytes, is_client: bool):
-    """Split the key block into client->server and server->client states."""
-    suite = config.suite
-    block = derive_key_block(master, "key expansion", suite.key_material_len)
-    off = 0
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        out = block[off : off + n]
-        off += n
-        return out
-
-    c_mac = take(suite.mac.key_len)
-    s_mac = take(suite.mac.key_len)
-    c_key = take(suite.cipher.key_len)
-    s_key = take(suite.cipher.key_len)
-    c_iv = take(suite.cipher.iv_len)
-    s_iv = take(suite.cipher.iv_len)
-
-    c2s = _Direction(suite.cipher.new_state(c_key, c_iv, config.fast_ciphers), c_mac)
-    s2c = _Direction(suite.cipher.new_state(s_key, s_iv, config.fast_ciphers), s_mac)
-    return (c2s, s2c) if is_client else (c2s, s2c)
-
-
-class SecureChannel(Transport):
-    """An established secure channel implementing the Transport interface.
+class SecureChannel(SealedTransport):
+    """An established secure channel: the sealed record layer plus
+    content types, renegotiation and close-notify.
 
     Create via :func:`client_handshake` / :func:`server_handshake`.
     """
@@ -211,140 +171,79 @@ class SecureChannel(Transport):
     def __init__(
         self,
         sim: Simulator,
-        sock: SimSocket,
+        stream: StreamTransport,
         config: SecurityConfig,
         is_client: bool,
-        send_state: _Direction,
-        recv_state: _Direction,
         peer_certificate: Certificate,
         peer_identity: DistinguishedName,
         master_secret: bytes,
         cpu: Optional[CPU] = None,
         account: str = "tls",
     ):
-        self.sim = sim
-        self.sock = sock
         self.config = config
         self.is_client = is_client
-        self._send = send_state
-        self._recv = recv_state
+        super().__init__(sim, stream, config.suite,
+                         *self._new_states(master_secret), cpu=cpu, account=account)
         self.peer_certificate = peer_certificate
         self.peer_identity = peer_identity
         self._master = master_secret
-        self.cpu = cpu
-        self.account = account
-        #: pin this channel's bulk-crypto CPU charges to one core of a
-        #: multi-core CPU (the server proxy assigns a per-session value);
-        #: None lets the work float to any idle core.
-        self.affinity: Optional[int] = None
         #: True for channels established by an abbreviated handshake.
         self.resumed = False
         #: True when the session-ticket extension was on the wire.
         self.tickets = False
-        self._writer = RecordWriter(sock)
-        self._reader = RecordReader()
-        self._eof = False
+        #: the peer's close-notify arrived: nothing after it is read
+        self._peer_closed = False
         self.renegotiations = 0
-        self.bytes_protected = 0
         self.obs = sim.obs
         suite = config.suite.name
         self._c_records_out = self.obs.counter("tls", "records_out", suite=suite)
         self._c_records_in = self.obs.counter("tls", "records_in", suite=suite)
         self._c_bytes_sealed = self.obs.counter("tls", "bytes_sealed", suite=suite)
         self._c_bytes_opened = self.obs.counter("tls", "bytes_opened", suite=suite)
-        self._pending_recv_state: Optional[_Direction] = None
-        self._reneg_timer_handle = None
+        self._pending_recv_state: Optional[Direction] = None
         if config.renegotiate_interval:
             self._arm_reneg_timer()
 
-    # -- cost model --------------------------------------------------------
-
-    def _crypto_cost(self, nbytes: int) -> float:
-        return self.config.suite.cycles_per_byte * nbytes / CPU_HZ
-
-    def charge(self, nbytes: int, op: str = "seal"):
-        """Process generator: charge bulk-crypto work for nbytes.
-
-        Split between user CPU (visible in the utilization figures) and
-        wall latency per CRYPTO_CPU_FRACTION.  The CPU time lands in the
-        hierarchical sub-account ``<account>/<op>:<suite>`` so the
-        profiler can attribute cipher work per direction; ledger queries
-        for the bare account still include it (see
-        :class:`repro.sim.cpu.CpuLedger`).
-        """
-        if nbytes <= 0:
-            return
-        cost = self._crypto_cost(nbytes)
-        if cost <= 0:
-            return
-        if self.cpu is not None:
-            account = f"{self.account}/{op}:{self.config.suite.name}"
-            yield from self.cpu.consume(cost * CRYPTO_CPU_FRACTION, account,
-                                        affinity=self.affinity)
-            yield self.sim.timeout(cost * (1.0 - CRYPTO_CPU_FRACTION))
-        else:
-            yield self.sim.timeout(cost)
-
-    # -- record protection ---------------------------------------------------
-
-    def _protect(self, ctype: int, payload: bytes) -> bytes:
-        d = self._send
-        mac = self.config.suite.mac.compute(
-            d.mac_key, struct.pack(">QB", d.seq, ctype) + payload
+    def _new_states(self, master: bytes) -> tuple[Direction, Direction]:
+        """(send, receive) directions under ``master``."""
+        c2s, s2c = derive_directions(
+            self.config.suite, master, "key expansion", self.config.fast_ciphers
         )
-        d.seq += 1
-        body = d.cipher_state.encrypt(payload + mac)
-        return bytes([ctype]) + body
+        return (c2s, s2c) if self.is_client else (s2c, c2s)
 
-    def _unprotect(self, record: bytes) -> tuple[int, bytes]:
-        if not record:
-            raise IntegrityError("empty record")
-        ctype = record[0]
-        d = self._recv
-        try:
-            plain = d.cipher_state.decrypt(record[1:])
-        except Exception as exc:
-            raise IntegrityError(f"decryption failed: {exc}") from None
-        mac_len = self.config.suite.mac.digest_len
-        if mac_len:
-            if len(plain) < mac_len:
-                raise IntegrityError("record shorter than MAC")
-            payload, mac = plain[:-mac_len], plain[-mac_len:]
-            expect = self.config.suite.mac.compute(
-                d.mac_key, struct.pack(">QB", d.seq, ctype) + payload
-            )
-            if not constant_time_equal(mac, expect):
-                raise IntegrityError("MAC verification failed")
-        else:
-            payload = plain
-        d.seq += 1
-        return ctype, payload
+    def _send_typed(self, ctype: int, payload: bytes) -> None:
+        """Seal ``payload`` with the type byte authenticated beside it."""
+        aad = bytes((ctype,))
+        self._stream.send_record(aad + self._send.seal(payload, aad))
 
     # -- Transport interface ---------------------------------------------------
 
     def send_record(self, record: bytes) -> None:
         """Protect and transmit one application record.
 
-        Note: cost charging for the synchronous API happens lazily via
-        :meth:`charge` by callers that own a process context; the SGFS
-        proxy and RPC layers always do.
+        The seal's cost is charged by the sender through :meth:`charge`
+        before this call (a synchronous method cannot wait): the reply
+        table under every RPC caller and the server proxy's reply path
+        both do.
         """
-        self.bytes_protected += len(record)
         if self.obs.enabled:
             self._c_records_out.inc()
             self._c_bytes_sealed.inc(len(record))
-        self._writer.write(self._protect(DATA, record))
+        self._send_typed(DATA, record)
 
     def recv_record(self):
         """Process generator: next application record or None on EOF.
 
         Transparently services renegotiation control records.
         """
-        while True:
-            framed = yield from self._next_frame()
+        while not self._peer_closed:
+            framed = yield from self._stream.recv_record()
             if framed is None:
-                return None
-            ctype, payload = self._unprotect(framed)
+                break
+            if not framed:
+                raise IntegrityError("empty record")
+            ctype = framed[0]
+            payload = self._recv.open(framed[1:], framed[:1])
             if ctype == DATA:
                 if self.obs.enabled:
                     self._c_records_in.inc()
@@ -353,41 +252,21 @@ class SecureChannel(Transport):
                 return payload
             if ctype == RENEG:
                 self._handle_reneg(payload)
-                continue
-            if ctype == RENEG_ACK:
+            elif ctype == RENEG_ACK:
                 self._handle_reneg_ack(payload)
-                continue
-            if ctype == CLOSE_NOTIFY:
-                self._eof = True
-                return None
-            raise TlsError(f"unexpected content type {ctype}")
-
-    def _next_frame(self):
-        while True:
-            rec = self._reader.next_record()
-            if rec is not None:
-                return rec
-            if self._eof:
-                return None
-            chunk = yield from self.sock.recv()
-            if chunk == b"":
-                self._eof = True
-                if self._reader.pending == 0:
-                    return None
+            elif ctype == CLOSE_NOTIFY:
+                self._peer_closed = True
             else:
-                self._reader.feed(chunk)
+                raise TlsError(f"unexpected content type {ctype}")
+        return None
 
     def close(self) -> None:
         if not self.sock.closed:
             try:
-                self._writer.write(self._protect(CLOSE_NOTIFY, b""))
+                self._send_typed(CLOSE_NOTIFY, b"")
             except Exception:
                 pass
             self.sock.close()
-
-    @property
-    def closed(self) -> bool:
-        return self.sock.closed
 
     # -- renegotiation (§4.2) ----------------------------------------------------
 
@@ -407,7 +286,7 @@ class SecureChannel(Transport):
         p.pack_opaque(wrapped)
         new_master = hmac_sha256(self._master, b"reneg" + premaster)
         send_new, recv_new = self._new_states(new_master)
-        self._writer.write(self._protect(RENEG, p.get_bytes()))
+        self._send_typed(RENEG, p.get_bytes())
         self._send = send_new
         self._pending_recv_state = recv_new
         self._master = new_master
@@ -415,12 +294,6 @@ class SecureChannel(Transport):
         if self.obs.enabled:
             self.obs.counter("tls", "renegotiations",
                              suite=self.config.suite.name).inc()
-
-    def _new_states(self, master: bytes) -> tuple[_Direction, _Direction]:
-        c2s, s2c = _derive_directions(self.config, master, self.is_client)
-        if self.is_client:
-            return c2s, s2c
-        return s2c, c2s
 
     def _handle_reneg(self, payload: bytes) -> None:
         u = Unpacker(payload)
@@ -430,17 +303,16 @@ class SecureChannel(Transport):
         send_new, recv_new = self._new_states(new_master)
         # Peer already switched its send keys: our receive switches now.
         # Our ACK goes out under the OLD send keys, then we switch.
-        self._writer.write(self._protect(RENEG_ACK, b""))
+        self._send_typed(RENEG_ACK, b"")
         self._recv = recv_new
         self._send = send_new
         self._master = new_master
         self.renegotiations += 1
 
     def _handle_reneg_ack(self, _payload: bytes) -> None:
-        pending = getattr(self, "_pending_recv_state", None)
-        if pending is None:
+        if self._pending_recv_state is None:
             raise TlsError("unsolicited RENEG_ACK")
-        self._recv = pending
+        self._recv = self._pending_recv_state
         self._pending_recv_state = None
 
     def _arm_reneg_timer(self) -> None:
@@ -452,7 +324,7 @@ class SecureChannel(Transport):
             self.renegotiate()
             self._arm_reneg_timer()
 
-        self._reneg_timer_handle = self.sim.call_later(interval, tick)
+        self.sim.call_later(interval, tick)
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +348,16 @@ def _validate_peer(config: SecurityConfig, now: float, cert, chain) -> Distingui
         return validate_chain(cert, chain, config.trust_anchors, now)
     except ValidationError as exc:
         raise HandshakeError(f"peer certificate rejected: {exc}") from None
+
+
+def _read_handshake(stream: StreamTransport):
+    """Process generator: the body of the next handshake record."""
+    rec = yield from stream.recv_record()
+    if rec is None:
+        raise HandshakeError("connection closed during handshake")
+    if rec[0] != HANDSHAKE:
+        raise HandshakeError(f"expected handshake record, got type {rec[0]}")
+    return rec[1:]
 
 
 def client_handshake(
@@ -519,20 +401,7 @@ def _client_handshake(
     cpu: Optional[CPU],
     account: str,
 ):
-    writer = RecordWriter(sock)
-    reader = RecordReader()
-
-    def read_hs():
-        while True:
-            rec = reader.next_record()
-            if rec is not None:
-                if rec[0] != HANDSHAKE:
-                    raise HandshakeError(f"expected handshake record, got type {rec[0]}")
-                return rec[1:]
-            chunk = yield from sock.recv()
-            if chunk == b"":
-                raise HandshakeError("connection closed during handshake")
-            reader.feed(chunk)
+    stream = StreamTransport(sock)
 
     offer_tickets = config.session_tickets
     ticket = old_master = cached_cert = cached_identity = None
@@ -558,9 +427,9 @@ def _client_handshake(
         # Ticket extension: trailing opaque (empty = "send me a ticket").
         hello.pack_opaque(ticket or b"")
     transcript = hello.get_bytes()
-    writer.write(bytes([HANDSHAKE]) + transcript)
+    stream.send_record(_HANDSHAKE + transcript)
 
-    server_hello = yield from read_hs()
+    server_hello = yield from _read_handshake(stream)
     transcript_with_hello = transcript + server_hello
     u = Unpacker(server_hello)
     if offer_tickets:
@@ -587,17 +456,14 @@ def _client_handshake(
             reply.pack_opaque(
                 hmac_sha256(new_master, transcript + body + b"client")
             )
-            writer.write(bytes([HANDSHAKE]) + reply.get_bytes())
+            stream.send_record(_HANDSHAKE + reply.get_bytes())
             config.session_store.save(
                 new_ticket, new_master, cached_cert, cached_identity
             )
-            c2s, s2c = _derive_directions(config, new_master, is_client=True)
             channel = SecureChannel(
-                sim, sock, config, True, c2s, s2c,
-                cached_cert, cached_identity, new_master,
-                cpu=cpu, account=account,
+                sim, stream, config, True, cached_cert, cached_identity,
+                new_master, cpu=cpu, account=account,
             )
-            channel._reader = reader  # keep any early-arrived bytes
             channel.tickets = True
             channel.resumed = True
             return channel
@@ -624,20 +490,18 @@ def _client_handshake(
     kx_prefix = kx.get_bytes()  # the part both Finished MACs cover
     finished = hmac_sha256(master, transcript + kx_prefix)
     kx.pack_opaque(finished)
-    writer.write(bytes([HANDSHAKE]) + kx.get_bytes())
+    stream.send_record(_HANDSHAKE + kx.get_bytes())
 
-    server_finished = yield from read_hs()
+    server_finished = yield from _read_handshake(stream)
     expect = hmac_sha256(master, transcript + kx_prefix + b"server")
     su = Unpacker(server_finished)
     if not constant_time_equal(su.unpack_opaque(), expect):
         raise HandshakeError("server Finished MAC mismatch")
 
     channel = SecureChannel(
-        sim, sock, config, True,
-        *_derive_directions(config, master, is_client=True),
-        server_cert, peer_identity, master, cpu=cpu, account=account,
+        sim, stream, config, True, server_cert, peer_identity, master,
+        cpu=cpu, account=account,
     )
-    channel._reader = reader  # keep any early-arrived bytes
     if offer_tickets:
         channel.tickets = True
         # The server's Finished carries our new ticket (may be empty if
@@ -687,22 +551,9 @@ def _server_handshake(
     account: str,
     ticket_cache: Optional[SessionTicketCache] = None,
 ):
-    writer = RecordWriter(sock)
-    reader = RecordReader()
+    stream = StreamTransport(sock)
 
-    def read_hs():
-        while True:
-            rec = reader.next_record()
-            if rec is not None:
-                if rec[0] != HANDSHAKE:
-                    raise HandshakeError(f"expected handshake record, got type {rec[0]}")
-                return rec[1:]
-            chunk = yield from sock.recv()
-            if chunk == b"":
-                raise HandshakeError("connection closed during handshake")
-            reader.feed(chunk)
-
-    client_hello = yield from read_hs()
+    client_hello = yield from _read_handshake(stream)
     transcript = client_hello
     u = Unpacker(client_hello)
     client_random = u.unpack_opaque()
@@ -737,19 +588,17 @@ def _server_handshake(
         body_bytes = body.get_bytes()
         fin = Packer()
         fin.pack_opaque(hmac_sha256(new_master, transcript + body_bytes + b"server"))
-        writer.write(bytes([HANDSHAKE]) + body_bytes + fin.get_bytes())
+        stream.send_record(_HANDSHAKE + body_bytes + fin.get_bytes())
 
-        client_finished = yield from read_hs()
+        client_finished = yield from _read_handshake(stream)
         cu = Unpacker(client_finished)
         expect = hmac_sha256(new_master, transcript + body_bytes + b"client")
         if not constant_time_equal(cu.unpack_opaque(), expect):
             raise HandshakeError("abbreviated client Finished MAC mismatch")
-        s2c_pair = _derive_directions(config, new_master, is_client=False)
         channel = SecureChannel(
-            sim, sock, config, False, s2c_pair[1], s2c_pair[0],
-            peer_cert, peer_identity, new_master, cpu=cpu, account=account,
+            sim, stream, config, False, peer_cert, peer_identity, new_master,
+            cpu=cpu, account=account,
         )
-        channel._reader = reader  # client DATA may ride the same chunk
         channel.tickets = True
         channel.resumed = True
         return channel
@@ -769,10 +618,10 @@ def _server_handshake(
     hello.pack_string(config.suite.name)
     _pack_chain(hello, config.credential.certificate, config.credential.chain)
     hello_bytes = hello.get_bytes()
-    writer.write(bytes([HANDSHAKE]) + hello_bytes)
+    stream.send_record(_HANDSHAKE + hello_bytes)
     transcript += hello_bytes
 
-    kx_bytes = yield from read_hs()
+    kx_bytes = yield from _read_handshake(stream)
     ku = Unpacker(kx_bytes)
     wrapped = ku.unpack_opaque()
     kx_prefix_len = ku.position  # bytes covered by the client's Finished MAC
@@ -793,13 +642,11 @@ def _server_handshake(
             if ticket_cache is not None else b""
         )
         reply.pack_opaque(new_ticket)
-    writer.write(bytes([HANDSHAKE]) + reply.get_bytes())
+    stream.send_record(_HANDSHAKE + reply.get_bytes())
 
-    c2s, s2c = _derive_directions(config, master, is_client=False)
     channel = SecureChannel(
-        sim, sock, config, False, s2c, c2s,
-        client_cert, peer_identity, master, cpu=cpu, account=account,
+        sim, stream, config, False, client_cert, peer_identity, master,
+        cpu=cpu, account=account,
     )
-    channel._reader = reader  # keep any early-arrived bytes
     channel.tickets = offered
     return channel

@@ -156,37 +156,64 @@ def test_xml_parse_never_crashes(text):
         pass
 
 
+# -- the one record layer (repro.crypto.suites.Direction), attacked once ------
+
+#: how each protocol uses it — (suite, what travels beside the
+#: ciphertext and is authenticated with it): the TLS channel's DATA
+#: content-type byte; SFS and the SSH tunnel send the sealed record bare
+RECORD_CONVENTIONS = {
+    "tls": ("aes-256-cbc-sha1", b"\x02"),
+    "sfs": ("rc4-128-sha1", b""),
+    "sshtun": ("aes-256-cbc-sha1", b""),
+}
+
+
+def _fresh_directions(convention):
+    """(client->server, server->client) under the real ciphers, keyed
+    the same on every call: one call is the sender, another a receiver
+    whose cipher state no earlier attempt has advanced."""
+    from repro.crypto.suites import SUITES, derive_directions
+
+    suite, aad = RECORD_CONVENTIONS[convention]
+    return derive_directions(SUITES[suite], b"m" * 32, "attack", fast=False), aad
+
+
 @settings(max_examples=20)
 @given(st.binary(min_size=32, max_size=256), st.integers(min_value=0, max_value=10_000),
-       st.integers(min_value=0, max_value=7))
-def test_tls_record_bitflip_always_detected(payload, byte_index, bit):
-    """Flip any bit of a protected record: the receiver must reject it."""
-    from repro.crypto.suites import SUITE_AES_SHA, derive_key_block
-    from repro.tls.channel import IntegrityError, SecureChannel, _derive_directions
-    from repro.tls.config import SecurityConfig
+       st.integers(min_value=0, max_value=7), st.sampled_from(sorted(RECORD_CONVENTIONS)))
+def test_tls_record_bitflip_always_detected(payload, byte_index, bit, convention):
+    """Flip any bit of a record as it crosses the wire — the type byte
+    included: the receiver must reject it."""
+    from repro.tls import IntegrityError
 
-    cfg = SecurityConfig(
-        credential=ALICE, trust_anchors=(CA.certificate,),
-        suite=SUITE_AES_SHA, fast_ciphers=False,
-    )
-    master = b"m" * 32
-    c2s_a, _ = _derive_directions(cfg, master, True)
-    c2s_b, _ = _derive_directions(cfg, master, True)
-
-    # sender protects; attacker flips; receiver unprotects
-    class _Stub:
-        sim = None
-
-    sender = SecureChannel.__new__(SecureChannel)
-    sender.config = cfg
-    sender._send = c2s_a
-    receiver = SecureChannel.__new__(SecureChannel)
-    receiver.config = cfg
-    receiver._recv = c2s_b
-
-    record = sender._protect(2, payload)
-    mutated = bytearray(record)
-    idx = byte_index % (len(mutated) - 1) + 1  # keep the type byte
-    mutated[idx] ^= 1 << bit
+    (send, _), aad = _fresh_directions(convention)
+    (recv, _), _ = _fresh_directions(convention)
+    wire = bytearray(aad + send.seal(payload, aad))
+    wire[byte_index % len(wire)] ^= 1 << bit
     with pytest.raises(IntegrityError):
-        receiver._unprotect(bytes(mutated))
+        recv.open(bytes(wire[len(aad):]), bytes(wire[:len(aad)]))
+
+
+@pytest.mark.parametrize("convention", sorted(RECORD_CONVENTIONS))
+def test_sealed_record_truncated_replayed_swapped_or_reflected_is_rejected(convention):
+    from repro.crypto.suites import IntegrityError
+
+    (send, _), aad = _fresh_directions(convention)
+    first = send.seal(b"first record " * 3, aad)
+    second = send.seal(b"second record", aad)
+
+    for n in range(len(first)):  # truncation to every shorter length
+        (recv, _), _ = _fresh_directions(convention)
+        with pytest.raises(IntegrityError):
+            recv.open(first[:n], aad)
+
+    (recv, reverse), _ = _fresh_directions(convention)
+    with pytest.raises(IntegrityError):  # reflected back at its sender
+        reverse.open(first, aad)
+    assert recv.open(first, aad) == b"first record " * 3
+    with pytest.raises(IntegrityError):  # replayed: its sequence number is stale
+        recv.open(first, aad)
+
+    (recv, _), _ = _fresh_directions(convention)
+    with pytest.raises(IntegrityError):  # swapped with its successor
+        recv.open(second, aad)

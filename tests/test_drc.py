@@ -90,6 +90,48 @@ def test_abort_promotes_exactly_one_waiter():
     assert sorted(map(str, results)) == ["b'recovered'", "promoted"]
 
 
+def test_once_runs_the_whole_protocol_around_an_execution():
+    """The step every serving hop calls, through its four outcomes:
+    miss -> complete, park -> replay, replay, abort -> a promoted
+    duplicate executes."""
+    from repro.sim.process import ProcessDied
+
+    sim = Simulator()
+    drc = DuplicateRequestCache(sim)
+    runs = []
+
+    def caller(key, tag, dies=False):
+        def execute():
+            runs.append(tag)
+            yield sim.timeout(1.0)
+            if dies:
+                raise RuntimeError("executor died mid-call")
+            return b"reply of " + tag
+
+        return (yield from drc.once(key, execute))
+
+    first = sim.spawn(caller("k", b"first"))
+    parked = sim.spawn(caller("k", b"parked"))
+    sim.run()
+    assert first.result() == (b"reply of first", True)
+    assert parked.result() == (b"reply of first", False)
+    late = sim.spawn(caller("k", b"late"))
+    sim.run()
+    assert late.result() == (b"reply of first", False)
+    assert runs == [b"first"]
+
+    doomed = sim.spawn(caller("j", b"doomed", dies=True))
+    heir = sim.spawn(caller("j", b"heir"))
+    other = sim.spawn(caller("j", b"other"))
+    sim.run()
+    with pytest.raises(ProcessDied):
+        doomed.result()
+    assert heir.result() == (b"reply of heir", True)
+    assert other.result() == (b"reply of heir", False)
+    assert runs == [b"first", b"doomed", b"heir"]
+    assert (drc.misses, drc.replays, drc.parks) == (2, 1, 3)
+
+
 def test_lru_bound_and_eviction():
     sim = Simulator()
     drc = DuplicateRequestCache(sim, capacity=4)

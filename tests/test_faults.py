@@ -9,7 +9,7 @@ flap/crash machinery, and whole-workload determinism under faults.
 import pytest
 
 from repro.core import Testbed, setup_nfs_v3
-from repro.core.setups import setup_sgfs
+from repro.core.setups import setup_sfs, setup_sgfs
 from repro.faults import (
     FAULT_PRESETS,
     CrashEvent,
@@ -18,9 +18,10 @@ from repro.faults import (
     LinkFlap,
     resolve_fault_preset,
 )
-from repro.harness.runner import run_iozone
+from repro.harness.runner import run_iozone, run_postmark
 from repro.sim import Simulator
 from repro.vfs.fs import Credentials
+from repro.workloads.postmark import PostMarkConfig
 
 ROOT = Credentials(0, 0)
 PATH = ("client", "router", "server")
@@ -185,9 +186,9 @@ def test_nfs_server_crash_restart_rides_through():
     assert bytes(tb.fs.resolve("/b.bin", ROOT).data) == b"after the restart"
 
 
-def test_server_proxy_crash_restart_rides_through():
+def _server_proxy_crash_restart_rides_through(setup):
     tb = Testbed.build(rtt=0.02)
-    mount = setup_sgfs(tb)
+    mount = setup(tb)
     cl = mount.client
     sp = mount.server_proxy
 
@@ -203,6 +204,32 @@ def test_server_proxy_crash_restart_rides_through():
     assert tb.run(job()) == b"pre-crash"
     assert mount.client_proxy.stats.get("upstream_retries", 0) >= 1
     assert bytes(tb.fs.resolve("/b.bin", ROOT).data) == b"post-restart"
+
+
+def test_server_proxy_crash_restart_rides_through():
+    _server_proxy_crash_restart_rides_through(setup_sgfs)
+
+
+def test_sfs_server_daemon_crash_restart_rides_through():
+    """The SFS server daemon is a server proxy with another accept step:
+    ``crash()`` must sever its sessions too (it once kept a session loop
+    of its own that the crash bookkeeping never saw)."""
+    _server_proxy_crash_restart_rides_through(setup_sfs)
+
+
+def test_proxy_restart_preset_is_not_a_no_op_on_sfs():
+    """``--faults proxy-restart`` on ``sfs`` from the harness: the
+    session is severed and re-established, which costs time.  PostMark
+    ends by removing its root directory, which only succeeds if every
+    create and delete before it was applied exactly once."""
+    cfg = PostMarkConfig(directories=5, files=60, transactions=400)
+    clean = run_postmark("sfs", rtt=0.02, config=cfg)
+    r = run_postmark("sfs", rtt=0.02, config=cfg, faults="proxy-restart")
+    assert r.stats["faults"]["crashes"] == 1
+    assert r.stats["proxy.client"]["upstream_retries"] > 0
+    assert r.stats["proxy.server"]["sessions"] == 2
+    assert clean.stats["proxy.server"]["sessions"] == 1
+    assert r.total > clean.total
 
 
 def test_dirty_writeback_survives_server_proxy_restart():

@@ -25,7 +25,10 @@ program's ``nfs.server`` ``lock_waits`` now appear in single-client
 snapshots, and the legacy ``nfs_client`` / ``client_proxy`` /
 ``server_proxy`` aliases left ``ExperimentResult.stats`` (before that:
 the server proxy's ``authz_cache_*`` keys, the client proxy's
-``writeback_errors``, the ``sync`` component).  The ``total`` /
+``writeback_errors``, the ``sync`` component).  The two ``sfs`` hashes
+moved once more when the SFS server daemon stopped carrying its own
+session loop: its sessions are counted (``proxy.server`` ``sessions``,
+absent -> 1) like every other server proxy's.  The ``total`` /
 ``writeback`` bit patterns have never moved.
 """
 
@@ -58,7 +61,7 @@ GOLDEN = {
     "lan-nfs-v4": ("0x1.767a1650648d6p-6", "0x0.0p+0",
                    "234a3047ec8986b89e9f4a201c5157fba03e66aab2ca3d824e5b3a1b0adce097"),
     "lan-sfs": ("0x1.d0d9137b33b14p-5", "0x0.0p+0",
-                "bc8d7233a59168a960a3bad463f563686a3901264182efc90ce03bfaf723a0c6"),
+                "f85c03ce61b88f8e40ff06603070155081d42b0aa0c65dfcb30baab0da1a755a"),
     "lan-sgfs": ("0x1.ef9223b1f5828p-5", "0x0.0p+0",
                  "246162d77da2bbe65e97a90923b6c001d3ea3714ce6cd05aed78c2398f41d1f6"),
     "lan-sgfs-aes": ("0x1.ef9223b1f5828p-5", "0x0.0p+0",
@@ -76,7 +79,7 @@ GOLDEN = {
     "wan-nfs-v4": ("0x1.f5fde87e88beep-1", "0x0.0p+0",
                    "a6cbbeef78a808ec8719e81acd397f5b0e80ce3cf5af58891d353ee870d204da"),
     "wan-sfs": ("0x1.044957f80294ap+0", "0x0.0p+0",
-                "ef7e1fb4e7f372322698ddcd296b7ac55b507b9b4081f19ee13ae2e0ab8d86e4"),
+                "eedcd240ff790bbf153bafe938197fb89496d7dff801726b2e97b92668005c0e"),
     "wan-sgfs": ("0x1.a9162ab729484p+0", "0x0.0p+0",
                  "8cbafc50d0b9b27f7250c20b96fb05c25321c24509c53ab23d74eba6626e641d"),
     "wan-sgfs-aes": ("0x1.a9162ab729484p+0", "0x0.0p+0",

@@ -330,3 +330,46 @@ def test_endpoint_cost_charges_cpu():
     sim.run_until_complete(sim.spawn(build()))
     assert c.cpu.busy_total("cli") == pytest.approx(0.010)  # send + recv
     assert s.cpu.busy_total("srv") == pytest.approx(0.020)
+
+
+# -- the reply table: one exchange, retransmitted ---------------------------
+
+
+def _exchange_until_timeout(sim, transport, record):
+    from repro.rpc.client import ReplyTable
+    from repro.rpc.errors import RpcTimeout
+
+    table = ReplyTable(sim, transport)
+
+    def go():
+        with pytest.raises(RpcTimeout, match="3 transmissions"):
+            yield from table.exchange(7, record, timeout=1.0, retrans=2)
+        assert table.outstanding == 0
+
+    sim.run_until_complete(sim.spawn(go()))
+
+
+def test_retransmission_on_a_plain_transport_costs_no_event():
+    sim = Simulator()
+    wire = QueueTransport(sim)  # never fed: the far end stays silent
+    _exchange_until_timeout(sim, wire, b"the same record")
+    assert wire.sent == [b"the same record"] * 3
+    assert sim.now == 7.0  # 1 + 2 + 4: the doubling timer and nothing else
+    assert sim.heap_pushes == 3
+
+
+def test_retransmission_on_a_sealed_transport_repays_the_seal():
+    from repro.crypto.suites import CPU_HZ, SUITE_RC4_SHA, derive_directions
+    from repro.rpc.transport import SealedTransport
+
+    sim = Simulator()
+    wire = QueueTransport(sim)
+    wire.sock = None  # what a sealed transport exposes of its stream
+    c2s, s2c = derive_directions(SUITE_RC4_SHA, b"k" * 32, "t", fast=True)
+    sealed = SealedTransport(sim, wire, SUITE_RC4_SHA, c2s, s2c)
+    record = b"r" * 65536
+    _exchange_until_timeout(sim, sealed, record)
+    # each transmission is sealed anew, under the next sequence number
+    assert len(set(wire.sent)) == 3 == c2s.seq
+    seal = SUITE_RC4_SHA.cycles_per_byte * len(record) / CPU_HZ
+    assert sim.now - 7.0 == pytest.approx(3 * seal)

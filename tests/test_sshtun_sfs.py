@@ -16,6 +16,8 @@ from repro.sfs import (
 )
 from repro.sim import Simulator
 from repro.sshtun import SshTunnelClient, SshTunnelServer
+from repro.tls import IntegrityError
+from repro.vfs.fs import Credentials
 
 KEY_A = generate_keypair(768, Drbg("sfs-a"))
 KEY_B = generate_keypair(768, Drbg("sfs-b"))
@@ -29,6 +31,50 @@ def make_net():
     s = Host(sim, net, "s")
     net.connect("c", "s", latency=0.001)
     return sim, c, s
+
+
+class WanTap:
+    """Sits on every connection ``host`` opens to ``dest``.  Once
+    :meth:`arm`-ed, flips one bit in the middle of the n-th segment sent
+    there from then on (the middle: past the record-marking header, so
+    framing survives and the record layer is what has to notice)."""
+
+    def __init__(self, host, dest):
+        self._countdown = None
+        #: segments sent so far, per tapped connection (in dial order)
+        self.sent = {}
+        #: (connection, 1-based index on it) of the flipped segment
+        self.flipped = None
+        connect = host.connect
+
+        def tapped_connect(d, port):
+            sock = yield from connect(d, port)
+            if d == dest:
+                self._tap(sock)
+            return sock
+
+        host.connect = tapped_connect
+
+    def arm(self, nth: int) -> None:
+        self._countdown = nth
+
+    def _tap(self, sock) -> None:
+        send = sock.send
+        self.sent[sock] = 0
+
+        def flipping_send(data):
+            self.sent[sock] += 1
+            if self._countdown is not None:
+                self._countdown -= 1
+                if self._countdown == 0:
+                    self._countdown = None
+                    self.flipped = (sock, self.sent[sock])
+                    data = bytearray(data)
+                    data[len(data) // 2] ^= 0x10
+                    data = bytes(data)
+            send(data)
+
+        sock.send = flipping_send
 
 
 # -- SSH tunnel ------------------------------------------------------------------
@@ -129,6 +175,37 @@ def test_tunnel_wrong_key_refused():
     result = sim.run_until_complete(sim.spawn(client_app()))
     assert result == b""  # tunnel collapsed, no data came back
     assert not served or True
+
+
+def test_tunnel_frame_with_a_flipped_byte_ends_the_connection_there():
+    """One flipped WAN byte: the far end forwards what came before it
+    and closes — neither the damaged chunk nor anything behind it."""
+    sim, c, s = make_net()
+    tap = WanTap(c, "s")
+    tunnel_pair(sim, c, s)
+    got = bytearray()
+
+    def target_service():
+        lst = s.listen(7000)
+        sock = yield lst.accept()
+        while True:
+            chunk = yield from sock.recv()
+            if chunk == b"":
+                return "closed"
+            got.extend(chunk)
+
+    def client_app():
+        sock = yield from c.connect("c", 4423)
+        tap.arm(3)  # WAN segments: the nonce, then one frame per word
+        for word in (b"AAAA", b"BBBB", b"CCCC"):
+            sock.send(word)
+
+    tp = sim.spawn(target_service())
+    sim.spawn(client_app())
+    sim.run(until=10.0)
+    assert tp.result() == "closed"
+    assert bytes(got) == b"AAAA"
+    assert tap.flipped is not None and list(tap.sent.values()) == [4]
 
 
 def test_tunnel_charges_forwarding_cost():
@@ -286,6 +363,66 @@ def test_sfs_server_rejects_unauthorized_user():
     sp = sim.spawn(server_side())
     sim.spawn(client_side())
     assert sim.run_until_complete(sp) == "rejected"
+
+
+def test_sfs_record_with_a_flipped_byte_raises_the_integrity_error():
+    sim, c, s = make_net()
+    tap = WanTap(c, "s")
+    path = SelfCertifyingPath.for_server("s", KEY_A.public)
+    cch, sch = sfs_handshake(
+        sim, c, s, path, KEY_A, {USER.public.to_bytes()}, USER
+    )
+
+    def exchange():
+        tap.arm(2)
+        for record in (b"one", b"two", b"three"):
+            cch.send_record(record)
+        first = yield from sch.recv_record()
+        with pytest.raises(IntegrityError):
+            yield from sch.recv_record()
+        return first
+
+    assert sim.run_until_complete(sim.spawn(exchange())) == b"one"
+
+
+@pytest.mark.parametrize("setup", ["sfs", "gfs-ssh"])
+def test_mount_recovers_content_exact_from_a_flipped_wan_byte(setup):
+    """Inside an established session, one flipped WAN byte: the server
+    side serves the records before it and drops the connection, and the
+    client side redials and resends — never wrong data, never a hang."""
+    from repro.core import Testbed
+    from repro.core.setups import SETUP_BUILDERS
+
+    tb = Testbed.build(rtt=0.02)
+    tap = WanTap(tb.client, "server")
+    mount = SETUP_BUILDERS[setup](tb)
+    served = []  # the transport each record the server proxy took came in on
+    serve = mount.server_proxy._serve
+
+    def spying_serve(transport, *args):
+        served.append(transport)
+        return serve(transport, *args)
+
+    mount.server_proxy._serve = spying_serve
+    payload = bytes(range(256)) * 1024  # 256 KiB: several WRITEs in flight
+
+    def job():
+        tap.arm(5)  # past LOOKUP and CREATE: inside the burst of WRITEs
+        yield from mount.client.write_file("/big.bin", payload)
+        return (yield from mount.client.read_file("/big.bin"))
+
+    proc = tb.sim.spawn(job())
+    tb.sim.run(until=tb.sim.now + 300.0)
+    assert proc.result() == payload
+    assert bytes(tb.fs.resolve("/big.bin", Credentials(0, 0)).data) == payload
+    assert mount.client_proxy.stats["upstream_retries"] >= 1
+    # on the damaged connection the server side took exactly the records
+    # ahead of the flip (its first segment was the handshake's) ...
+    sock, flipped_at = tap.flipped
+    assert served.count(served[0]) == flipped_at - 2
+    assert len(set(map(id, served))) == 2 == len(tap.sent)
+    if setup == "sfs":  # ... though the pipelining daemon had sent more
+        assert tap.sent[sock] > flipped_at
 
 
 def test_sfs_end_to_end_mount():
