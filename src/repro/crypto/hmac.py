@@ -15,6 +15,7 @@ per-byte Python loop.
 from __future__ import annotations
 
 import hashlib
+from hmac import compare_digest
 from typing import Callable, Dict, Tuple
 
 #: XOR-by-constant translation tables for the padded key (RFC 2104).
@@ -38,12 +39,18 @@ def _digest(hash_name: str) -> Tuple[Callable, int]:
     return entry
 
 
-def hmac_digest(key: bytes, message: bytes, hash_name: str = "sha1") -> bytes:
-    """HMAC(key, message) with the named hashlib algorithm."""
+def _padded_key(key: bytes, hash_name: str) -> Tuple[Callable, bytes]:
+    """The hash constructor and the key as RFC 2104 uses it: hashed
+    first if longer than a block, then zero-padded to one."""
     h, block_size = _digest(hash_name)
     if len(key) > block_size:
         key = h(key).digest()
-    key = key.ljust(block_size, b"\x00")
+    return h, key.ljust(block_size, b"\x00")
+
+
+def hmac_digest(key: bytes, message: bytes, hash_name: str = "sha1") -> bytes:
+    """HMAC(key, message) with the named hashlib algorithm."""
+    h, key = _padded_key(key, hash_name)
     inner = h(key.translate(_IPAD_TABLE) + message).digest()
     return h(key.translate(_OPAD_TABLE) + inner).digest()
 
@@ -57,11 +64,33 @@ def hmac_sha256(key: bytes, message: bytes) -> bytes:
     return hmac_digest(key, message, "sha256")
 
 
+class KeyedHmac:
+    """HMAC under one key over many messages.
+
+    The padded key is absorbed once into an inner and an outer hash
+    context; each message copies the two and feeds its parts straight
+    into the copy — no key padding and no joined copy of the message
+    per call, which is what a sealed-record stream pays per record.
+    ``digest(a, b, c)`` equals ``hmac_digest(key, a + b + c)``.
+    """
+
+    __slots__ = ("_inner", "_outer")
+
+    def __init__(self, key: bytes, hash_name: str = "sha1"):
+        h, key = _padded_key(key, hash_name)
+        self._inner = h(key.translate(_IPAD_TABLE))
+        self._outer = h(key.translate(_OPAD_TABLE))
+
+    def digest(self, *parts: bytes) -> bytes:
+        inner = self._inner.copy()
+        for part in parts:
+            inner.update(part)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
+
+
 def constant_time_equal(a: bytes, b: bytes) -> bool:
-    """Length-then-accumulate comparison without early exit."""
-    if len(a) != len(b):
-        return False
-    acc = 0
-    for x, y in zip(a, b):
-        acc |= x ^ y
-    return acc == 0
+    """Equality without an early exit on the first differing byte;
+    inputs of different lengths are simply unequal."""
+    return len(a) == len(b) and compare_digest(a, b)

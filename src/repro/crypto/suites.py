@@ -21,13 +21,13 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.crypto.aes import AES
 from repro.crypto.rc4 import RC4
-from repro.crypto.hmac import constant_time_equal, hmac_digest
+from repro.crypto.hmac import KeyedHmac, constant_time_equal, hmac_digest
 from repro.crypto.padding import PaddingError, pkcs7_pad, pkcs7_unpad
 
 #: Virtual CPU frequency used to convert cycles/byte into seconds; the
@@ -185,6 +185,12 @@ class MacSpec:
         algo = self.name.split("-", 1)[1]  # "hmac-sha1" -> "sha1"
         return hmac_digest(key, message, algo)
 
+    def keyed(self, key: bytes) -> Optional[KeyedHmac]:
+        """The MAC with ``key`` absorbed, for a stream of messages."""
+        if self.name == "none":
+            return None
+        return KeyedHmac(key, self.name.split("-", 1)[1])
+
 
 NULL_CIPHER = CipherSpec("null", 0, 0, 0.0)
 RC4_128 = CipherSpec("rc4-128", 16, 0, 7.0)
@@ -246,19 +252,18 @@ class Direction:
     travels beside the ciphertext and must not be alterable (the TLS
     channel's content-type byte; nothing for SFS and the tunnel)."""
 
-    __slots__ = ("suite", "cipher_state", "mac_key", "seq")
+    __slots__ = ("suite", "cipher_state", "_mac", "seq")
 
     def __init__(self, suite: CipherSuite, cipher_state: CipherStateBase,
                  mac_key: bytes):
         self.suite = suite
         self.cipher_state = cipher_state
-        self.mac_key = mac_key
+        self._mac = suite.mac.keyed(mac_key)
         self.seq = 0
 
     def seal(self, payload: bytes, aad: bytes = b"") -> bytes:
-        mac = self.suite.mac.compute(
-            self.mac_key, _SEQ.pack(self.seq) + aad + payload
-        )
+        mac = b"" if self._mac is None else self._mac.digest(
+            _SEQ.pack(self.seq), aad, payload)
         self.seq += 1
         return self.cipher_state.encrypt(payload + mac)
 
@@ -275,9 +280,7 @@ class Direction:
             if len(plain) < mac_len:
                 raise IntegrityError("record shorter than MAC")
             payload, mac = plain[:-mac_len], plain[-mac_len:]
-            expect = self.suite.mac.compute(
-                self.mac_key, _SEQ.pack(self.seq) + aad + payload
-            )
+            expect = self._mac.digest(_SEQ.pack(self.seq), aad, payload)
             if not constant_time_equal(mac, expect):
                 raise IntegrityError("MAC verification failed")
         else:

@@ -220,12 +220,18 @@ class PageCache(_StatsMixin):
     Eviction returns dirty victims to the caller (which must write them
     back); clean pages are simply dropped — exactly the split a kernel
     page cache makes.
+
+    A per-file index (fileid -> block -> Page) moves with every touch
+    the LRU moves, so each file's blocks stay in LRU order restricted to
+    that file: ``dirty_pages(fileid)`` and ``drop_file`` visit one
+    file's pages, in the order a scan of the whole cache would.
     """
 
     def __init__(self, capacity_bytes: int, block_size: int):
         self.capacity_bytes = capacity_bytes
         self.block_size = block_size
         self._pages: "OrderedDict[Tuple[int, int], Page]" = OrderedDict()
+        self._by_file: "Dict[int, OrderedDict[int, Page]]" = {}
         self._bytes = 0
         self.stats = CacheStats()
 
@@ -243,6 +249,7 @@ class PageCache(_StatsMixin):
             self.stats.miss()
             return None
         self._pages.move_to_end(key)
+        self._by_file[fileid].move_to_end(block)
         self.stats.hit()
         return page
 
@@ -252,18 +259,25 @@ class PageCache(_StatsMixin):
     def put(self, fileid: int, block: int, page: Page) -> list[Tuple[int, int, Page]]:
         """Insert; returns a list of evicted *dirty* (fileid, block, page)."""
         key = (fileid, block)
+        blocks = self._by_file.get(fileid)
+        if blocks is None:
+            blocks = self._by_file[fileid] = OrderedDict()
         old = self._pages.pop(key, None)
         if old is not None:
             self._bytes -= len(old.data)
+            del blocks[block]
         self._pages[key] = page
+        blocks[block] = page
         self._bytes += len(page.data)
         victims: list[Tuple[int, int, Page]] = []
+        # The fresh insert is the newest of at least two pages, so the
+        # oldest is never it: an oversized page stays, alone.
         while self._bytes > self.capacity_bytes and len(self._pages) > 1:
             vkey, vpage = self._pages.popitem(last=False)
-            if vkey == key:  # never evict what we just inserted
-                self._pages[vkey] = vpage
-                self._pages.move_to_end(vkey, last=False)
-                break
+            vblocks = self._by_file[vkey[0]]
+            del vblocks[vkey[1]]
+            if not vblocks:
+                del self._by_file[vkey[0]]
             self._bytes -= len(vpage.data)
             self.stats.evict()
             if vpage.dirty:
@@ -271,16 +285,21 @@ class PageCache(_StatsMixin):
         return victims
 
     def dirty_pages(self, fileid: Optional[int] = None):
-        for (fid, block), page in list(self._pages.items()):
-            if page.dirty and (fileid is None or fid == fileid):
-                yield fid, block, page
+        if fileid is None:
+            for (fid, block), page in list(self._pages.items()):
+                if page.dirty:
+                    yield fid, block, page
+            return
+        for block, page in list(self._by_file.get(fileid, {}).items()):
+            if page.dirty:
+                yield fileid, block, page
 
     def drop_file(self, fileid: int) -> None:
-        stale = [k for k in self._pages if k[0] == fileid]
-        for k in stale:
-            self._bytes -= len(self._pages[k].data)
-            del self._pages[k]
+        for block, page in self._by_file.pop(fileid, {}).items():
+            self._bytes -= len(page.data)
+            del self._pages[(fileid, block)]
 
     def clear(self) -> None:
         self._pages.clear()
+        self._by_file.clear()
         self._bytes = 0

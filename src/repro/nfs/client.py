@@ -545,7 +545,8 @@ class NfsClient:
 
     def _spawn_flush(self, fh: FileHandle, fileid: int, block: int, data: bytes) -> None:
         def flusher():
-            yield self._io_slots.acquire()
+            if not self._io_slots.try_acquire():
+                yield self._io_slots.acquire()
             try:
                 with self.tracer.span("nfs.cache.flush", cat="nfs-cache",
                                       fileid=fileid,
@@ -603,7 +604,8 @@ class NfsClient:
                 continue
 
             def fetch(b=b):
-                yield self._io_slots.acquire()
+                if not self._io_slots.try_acquire():
+                    yield self._io_slots.acquire()
                 try:
                     if self.pages.peek(f.fileid, b) is None:
                         yield from self._fetch_block(f, b)
@@ -680,7 +682,8 @@ class NfsClient:
             page.dirty = False
 
             def do_write(block=block, data=data):
-                yield self._io_slots.acquire()
+                if not self._io_slots.try_acquire():
+                    yield self._io_slots.acquire()
                 try:
                     res = yield from self._call(
                         Proc.WRITE,

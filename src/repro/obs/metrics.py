@@ -24,6 +24,7 @@ wire protocol — this is a simulation, we just want the numbers).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -124,14 +125,8 @@ class Histogram:
             self.min = v
         if v > self.max:
             self.max = v
-        lo, hi = 0, len(self.bounds)
-        while lo < hi:  # first bucket whose upper edge admits v
-            mid = (lo + hi) // 2
-            if v <= self.bounds[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        self.counts[lo] += 1
+        # first bucket whose upper edge admits v
+        self.counts[bisect_left(self.bounds, v)] += 1
 
     @property
     def mean(self) -> float:

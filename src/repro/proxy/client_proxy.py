@@ -297,7 +297,8 @@ class SgfsClientProxy:
     # -- serving ------------------------------------------------------------------
 
     def _serve(self, transport: Transport, record: bytes):
-        yield self._serving.wait()
+        if not self._serving.is_open:
+            yield self._serving.wait()
         cpu = self.host.cpu
         yield from charge_profile(self.sim, cpu, self.cost, len(record), self.account)
         try:

@@ -191,6 +191,30 @@ class CpuLedger:
         return out
 
 
+class _Job(Event):
+    """One busy interval of one core, and the event its caller waits on.
+
+    The CPU schedules the job when it grants a core; firing books the
+    interval and passes the core on *before* the waiting process
+    resumes, so the core comes back whether or not anyone still waits.
+    """
+
+    __slots__ = ("cpu", "account", "seconds", "core", "start")
+
+    def __init__(self, cpu: "CPU", account: str, seconds: float):
+        super().__init__(cpu.sim, cpu._job_name)
+        self._value = None  # like a Timeout: certain to fire, carries nothing
+        self.cpu = cpu
+        self.account = account
+        self.seconds = seconds
+
+    def _fire(self) -> None:
+        cpu = self.cpu
+        cpu.ledger.record(self.account, self.start, self.sim.now, core=self.core)
+        cpu._release(self.core)
+        super()._fire()
+
+
 class CPU:
     """One or more cores that serialize and account simulated compute.
 
@@ -219,12 +243,12 @@ class CPU:
         self.ledger = CpuLedger()
         #: queued acquisitions (contention indicator, mirrors Semaphore)
         self.wait_count = 0
-        self._acq_name = f"acq:{name}.core"
+        self._job_name = f"busy:{name}.core"
         self._busy = [False] * cores
-        #: global FIFO of un-pinned waiters: (event, enqueued_at, seq)
-        self._run_queue: Deque[Tuple[Event, float, int]] = deque()
+        #: global FIFO of un-pinned waiters: (job, enqueued_at, seq)
+        self._run_queue: Deque[Tuple[_Job, float, int]] = deque()
         #: per-core FIFO lanes for affinity-pinned waiters
-        self._lanes: List[Deque[Tuple[Event, float, int]]] = [
+        self._lanes: List[Deque[Tuple[_Job, float, int]]] = [
             deque() for _ in range(cores)
         ]
         #: arrival ticket; with nondecreasing enqueue times this
@@ -239,39 +263,40 @@ class CPU:
         ``affinity`` pins the work to core ``affinity % cores``, so a
         session's cipher stream stays on one core while other sessions'
         work overlaps.
+
+        The CPU owns the interval, not the caller: one event, scheduled
+        the moment a core is granted, books the ledger and hands the
+        core on.  A caller interrupted while queued or running stops
+        waiting, but its interval still runs and is booked — work handed
+        to a core is not recalled, and the core always comes back.
         """
         if seconds < 0:
             raise SimError(f"negative CPU time: {seconds}")
-        scaled = seconds / self.speed
-        core = yield self._acquire(affinity)
-        start = self.sim.now
-        try:
-            yield self.sim.timeout(scaled)
-            self.ledger.record(account, start, self.sim.now, core=core)
-        finally:
-            self._release(core)
-
-    # -- dispatch -----------------------------------------------------------
-
-    def _acquire(self, affinity: Optional[int]) -> Event:
-        """An event that fires with the granted core's index."""
-        ev = Event(self.sim, self._acq_name)
+        job = _Job(self, account, seconds / self.speed)
         if affinity is not None:
             core = affinity % self.cores
             if not self._busy[core]:
-                self._busy[core] = True
-                ev.succeed(core)
+                self._start(job, core)
             else:
                 self._note_wait()
-                self._lanes[core].append((ev, self.sim.now, next(self._ticket)))
+                self._lanes[core].append((job, self.sim.now, next(self._ticket)))
         elif False in self._busy:
-            core = self._busy.index(False)  # lowest-numbered idle core
-            self._busy[core] = True
-            ev.succeed(core)
+            self._start(job, self._busy.index(False))  # lowest-numbered idle core
         else:
             self._note_wait()
-            self._run_queue.append((ev, self.sim.now, next(self._ticket)))
-        return ev
+            self._run_queue.append((job, self.sim.now, next(self._ticket)))
+        yield job
+
+    # -- dispatch -----------------------------------------------------------
+
+    def _start(self, job: _Job, core: int) -> None:
+        """Grant ``core`` to ``job`` now: its interval is scheduled at
+        the grant, so grants made in one instant — at a call or inside a
+        release — finish in the order they were made."""
+        self._busy[core] = True
+        job.core = core
+        job.start = self.sim.now
+        self.sim._schedule(job.seconds, job)
 
     def _release(self, core: int) -> None:
         """Hand the freed core to the earliest eligible waiter.
@@ -291,10 +316,10 @@ class CPU:
         else:
             self._busy[core] = False
             return
-        ev, enqueued_at, _seq = queue.popleft()
+        job, enqueued_at, _seq = queue.popleft()
         if self._h_wait is not None:
             self._h_wait.observe(self.sim.now - enqueued_at)
-        ev.succeed(core)
+        self._start(job, core)
 
     def _note_wait(self) -> None:
         """Count a queued acquisition, mirroring Semaphore's telemetry

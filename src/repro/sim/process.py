@@ -116,8 +116,7 @@ class Process:
         # reads sim.current, so the bookkeeping is skipped when tracing
         # is off — this is the hottest function in the simulator.
         sim = self.sim
-        if sim.obs.enabled:
-            sim._c_wakeups.inc()
+        sim.process_wakeups += 1
         tracing = sim.tracer.enabled
         if tracing:
             prev, sim.current = sim.current, self

@@ -74,7 +74,8 @@ class DiskModel:
             yield  # pragma: no cover
         with self.tracer.span("disk.read", cat="disk", disk=self.name,
                               bytes=nbytes) if self.tracer.enabled else NULL_SPAN:
-            yield self._spindle.acquire()
+            if not self._spindle.try_acquire():
+                yield self._spindle.acquire()
             try:
                 yield self.sim.timeout(
                     self.access_latency + nbytes / self.read_bandwidth
@@ -90,7 +91,8 @@ class DiskModel:
         self.bytes_written += nbytes
         with self.tracer.span("disk.write", cat="disk", disk=self.name,
                               bytes=nbytes, sync=sync) if self.tracer.enabled else NULL_SPAN:
-            yield self._spindle.acquire()
+            if not self._spindle.try_acquire():
+                yield self._spindle.acquire()
             try:
                 latency = self.access_latency
                 if not sync and self.sim.now - self._last_write_done < self.write_delay_window:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto import AES, RC4, PaddingError, hmac_sha1, hmac_sha256, pkcs7_pad, pkcs7_unpad
 from repro.crypto.hmac import constant_time_equal, hmac_digest
-from repro.crypto.suites import FastXorState
+from repro.crypto.suites import SUITES, Direction, FastXorState, NullCipherState
 
 
 # -- AES (FIPS-197 appendix C vectors) ------------------------------------------
@@ -148,10 +148,28 @@ def test_hmac_matches_stdlib(key, msg):
     ).digest()
 
 
+@pytest.mark.parametrize("suite", SUITES.values(), ids=lambda s: s.name)
+@given(key=st.binary(min_size=1, max_size=80), aad=st.binary(max_size=3),
+       payloads=st.lists(st.binary(max_size=200), min_size=1, max_size=3))
+def test_record_mac_is_hmac_of_seq_aad_payload(suite, key, aad, payloads):
+    """A direction's keyed MAC is HMAC(key, seq || aad || payload) for
+    every suite, record after record (under the null cipher the sealed
+    record is the payload followed by its MAC)."""
+    sender = Direction(suite, NullCipherState(), key)
+    receiver = Direction(suite, NullCipherState(), key)
+    for seq, payload in enumerate(payloads):
+        record = sender.seal(payload, aad)
+        assert record == payload + suite.mac.compute(
+            key, seq.to_bytes(8, "big") + aad + payload)
+        assert receiver.open(record, aad) == payload
+
+
 def test_constant_time_equal():
     assert constant_time_equal(b"same", b"same")
     assert not constant_time_equal(b"same", b"samx")
     assert not constant_time_equal(b"short", b"longer")
+    assert not constant_time_equal(b"", b"x")
+    assert constant_time_equal(b"", b"")
 
 
 # -- PKCS#7 -------------------------------------------------------------------------

@@ -176,8 +176,8 @@ def test_pinned_kernel_counters():
     virtual numbers above unmoved; anything else has a regression."""
     r = run_iozone("sgfs-aes", rtt=0.0, file_size=2 * 1024 * 1024,
                    setup_kwargs={"cache_bytes": 1024 * 1024}, telemetry=True)
-    assert r.stats["sim"] == {"events_dispatched": 9348, "heap_pushes": 4112,
-                              "process_wakeups": 7073}
+    assert r.stats["sim"] == {"events_dispatched": 7133, "heap_pushes": 4112,
+                              "process_wakeups": 4858}
     assert r.total == float.fromhex("0x1.d3b6bc28e0767p-2")
 
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from repro.nfs.cache import AccessCache, AttrCache, NameCache, Page, PageCache
 from repro.nfs.protocol import Fattr3, FileHandle
 
@@ -202,3 +204,39 @@ def test_page_cache_dirty_pages_iterator():
     assert {(f, b) for f, b, _p in all_dirty} == {(1, 0), (2, 0)}
     only_1 = list(cache.dirty_pages(1))
     assert {(f, b) for f, b, _p in only_1} == {(1, 0)}
+
+
+_page_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("get"), st.integers(1, 3), st.integers(0, 5)),
+        st.tuples(st.just("put"), st.integers(1, 3), st.integers(0, 5),
+                  st.integers(1, 120), st.booleans()),
+        st.tuples(st.just("drop"), st.integers(1, 3)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_page_ops)
+def test_page_cache_file_index_matches_whole_scan(ops):
+    """The per-file index is the LRU order restricted to one file: after
+    any get/put/drop sequence ``dirty_pages(f)`` is what filtering a scan
+    of the whole cache gives, order included (it is the write-back
+    order), and ``used_bytes`` is the sum of the cached page sizes."""
+    cache = PageCache(capacity_bytes=400, block_size=100)
+    for op in ops:
+        if op[0] == "get":
+            cache.get(op[1], op[2])
+        elif op[0] == "put":
+            cache.put(op[1], op[2], Page(data=bytes(op[3]), dirty=op[4]))
+        else:
+            cache.drop_file(op[1])
+        scan = list(cache.dirty_pages())
+        for f in (1, 2, 3):
+            assert list(cache.dirty_pages(f)) == [row for row in scan if row[0] == f]
+        assert cache.used_bytes == sum(len(p.data) for p in cache._pages.values())
+        # clean pages too: a page may be dirtied in place later
+        assert {f: list(blocks) for f, blocks in cache._by_file.items()} == {
+            f: [b for fid, b in cache._pages if fid == f]
+            for f in {fid for fid, _b in cache._pages}}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import CPU, Simulator
+from repro.sim import CPU, Interrupt, Simulator
 from repro.sim.core import SimError
 from repro.sim.cpu import CpuLedger
 
@@ -316,3 +316,115 @@ def test_multicore_wait_telemetry_mirrors_semaphore():
 def test_zero_cores_rejected():
     with pytest.raises(SimError):
         CPU(Simulator(), cores=0)
+
+
+# -- the CPU owns the busy interval --------------------------------------------
+
+
+def _kernel_cost(n_procs, consumes):
+    """(events dispatched, process wake-ups) of ``n_procs`` processes
+    that each ``consume`` ``consumes`` times on one single-core CPU."""
+    sim = Simulator()
+    cpu = CPU(sim)
+
+    def worker():
+        for _ in range(consumes):
+            yield from cpu.consume(1.0, "w")
+
+    for _ in range(n_procs):
+        sim.spawn(worker())
+    sim.run()
+    return sim.events_dispatched, sim.process_wakeups
+
+
+def test_uncontended_consume_costs_one_event_and_one_wakeup():
+    idle_events, idle_wakeups = _kernel_cost(1, consumes=0)  # kick + completion
+    events, wakeups = _kernel_cost(1, consumes=1)
+    assert (events - idle_events, wakeups - idle_wakeups) == (1, 1)
+
+
+def test_contended_consume_costs_one_event_and_one_wakeup_each():
+    n = 5
+    idle_events, idle_wakeups = _kernel_cost(n, consumes=0)
+    events, wakeups = _kernel_cost(n, consumes=1)  # n - 1 of them queue
+    assert (events - idle_events, wakeups - idle_wakeups) == (n, n)
+
+
+def test_same_instant_grants_finish_in_grant_order():
+    """Per-core ledger captured from the two-event kernel this replaced.
+    At t=1 core 0 passes from ``a`` to its queued pinned waiter ``b``,
+    and ``a``, resuming in the same instant, takes an idle core
+    un-pinned.  ``b`` was granted first, so ``b`` finishes first at t=2
+    and is ahead of ``a`` for core 3 — a kernel that schedules the idle
+    grant at the call but the hand-over a queue round trip later swaps
+    them."""
+    sim = Simulator()
+    cpu = CPU(sim, cores=4)
+
+    def worker(tag, affinities):
+        for aff in affinities:
+            yield from cpu.consume(1.0, tag, affinity=aff)
+
+    for tag, affinities in [("a", (0, None, 3)), ("b", (0, 3)), ("c", (None, None)),
+                            ("d", (1, None)), ("e", (None, 3))]:
+        sim.spawn(worker(tag, affinities), name=tag)
+    sim.run()
+    by_core = {}
+    for account in cpu.ledger.accounts():
+        for core, ivs in cpu.ledger._intervals[account].items():
+            by_core.setdefault(core, []).extend((s, e, account) for s, e in ivs)
+    assert {core: sorted(rows) for core, rows in by_core.items()} == {
+        0: [(0.0, 1.0, "a"), (1.0, 2.0, "b"), (2.0, 3.0, "d")],
+        1: [(0.0, 1.0, "c"), (1.0, 2.0, "d")],
+        2: [(0.0, 1.0, "e"), (1.0, 2.0, "c")],
+        3: [(1.0, 2.0, "a"), (2.0, 3.0, "e"), (3.0, 4.0, "b"), (4.0, 5.0, "a")],
+    }
+
+
+def _interrupt_victim_at(when, victim_work):
+    """A holder runs 1 s; a victim queues behind it (or, with the holder
+    gone, runs) and is interrupted at ``when``; a third process arrives
+    at t=5.  Returns (cpu, log)."""
+    sim = Simulator()
+    cpu = CPU(sim)
+    log = []
+
+    def holder():
+        yield from cpu.consume(1.0, "holder")
+
+    def victim():
+        try:
+            yield from cpu.consume(victim_work, "victim")
+            log.append(("victim-done", sim.now))
+        except Interrupt:
+            log.append(("victim-interrupted", sim.now))
+
+    def late():
+        yield sim.timeout(5.0)
+        yield from cpu.consume(1.0, "late")
+        log.append(("late-done", sim.now))
+
+    sim.spawn(holder())
+    v = sim.spawn(victim())
+    sim.spawn(late())
+    sim.call_at(when, v.interrupt)
+    sim.run()
+    assert cpu._busy == [False]
+    return cpu, log
+
+
+def test_interrupt_while_queued_does_not_leak_the_core():
+    """The two-event kernel leaked the core here for ever: the victim's
+    grant went to nobody and no later ``consume`` completed."""
+    cpu, log = _interrupt_victim_at(0.5, victim_work=1.0)
+    assert log == [("victim-interrupted", 0.5), ("late-done", 6.0)]
+    # The abandoned interval still ran, after the holder's, and is booked.
+    assert cpu.ledger._intervals["victim"] == {0: [(1.0, 2.0)]}
+
+
+def test_interrupt_while_running_books_the_whole_interval():
+    cpu, log = _interrupt_victim_at(2.0, victim_work=3.0)
+    assert log == [("victim-interrupted", 2.0), ("late-done", 6.0)]
+    # Work handed to a core is not recalled: the core is busy until t=4,
+    # so the late arrival (t=5) is not delayed, and the ledger shows it.
+    assert cpu.ledger._intervals["victim"] == {0: [(1.0, 4.0)]}

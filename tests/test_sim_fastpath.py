@@ -5,14 +5,22 @@ delays and a FIFO deque for entries firing "now".  These tests pin the
 lane-selection rules and the Event semantics that the rest of the stack
 leans on: callback registration after firing, interrupting a process
 while its resume is already queued, and the ordering of failures
-relative to successes triggered at the same instant.
+relative to successes triggered at the same instant.  The last section
+pins what the data path owes the kernel in return: no event round trip
+for a wait that is already satisfied, and dispatch counters that cost
+an integer add whether or not anyone reads them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.harness import run_postmark
 from repro.sim.core import Event, Interrupt, SimError, Simulator
+from repro.sim.process import Process
+from repro.workloads.postmark import PostMarkConfig
 
 
 # -- lane selection and cross-lane ordering -----------------------------------
@@ -214,3 +222,38 @@ def test_run_until_event_raises_failure():
     sim.call_later(0.0, lambda: ev.fail(RuntimeError("kapow")))
     with pytest.raises(RuntimeError, match="kapow"):
         sim.run_until_event(ev)
+
+
+# -- satisfied waits and the kernel's own counters -----------------------------
+
+SMALL_POSTMARK = PostMarkConfig(directories=5, files=25, transactions=50)
+
+
+def test_no_process_waits_on_an_already_satisfied_acquire(monkeypatch):
+    """An idle core, a free spindle or I/O slot and an open gate are
+    taken synchronously: across a whole sgfs-aes PostMark no process
+    parks on an ``acq:*`` / ``wait:*`` event that had already triggered
+    (a queue round trip each — a fifth of this workload's events before
+    the CPU owned its intervals)."""
+    satisfied = Counter()
+    add_callback = Event.add_callback
+
+    def spy(self, fn):
+        if (isinstance(fn, Process) and self.triggered
+                and self.name.startswith(("acq:", "wait:"))):
+            satisfied[self.name] += 1
+        add_callback(self, fn)
+
+    monkeypatch.setattr(Event, "add_callback", spy)
+    run_postmark("sgfs-aes", config=SMALL_POSTMARK)
+    assert not satisfied
+
+
+def test_kernel_counters_are_exported_only_by_a_live_registry():
+    off = run_postmark("sgfs-aes", config=SMALL_POSTMARK, telemetry=False)
+    on = run_postmark("sgfs-aes", config=SMALL_POSTMARK, telemetry=True)
+    assert off.stats == {}
+    assert set(on.stats["sim"]) == {"events_dispatched", "heap_pushes",
+                                    "process_wakeups"}
+    assert all(type(v) is int and v > 0 for v in on.stats["sim"].values())
+    assert off.total == on.total
