@@ -51,7 +51,7 @@ from repro.proxy.accounts import Account
 from repro.proxy.block_cache import ProxyCacheConfig
 from repro.proxy.client_proxy import SgfsClientProxy
 from repro.proxy.server_proxy import SgfsServerProxy
-from repro.proxy.upstream import dialer
+from repro.proxy.upstream import UpstreamSession, dialer
 from repro.rpc.auth import AuthSys
 from repro.rpc.client import RpcClient
 from repro.rpc.transport import StreamTransport
@@ -213,14 +213,14 @@ def serve_proxy(tb: Testbed, gridmap: Gridmap,
     return proxy
 
 
-def client_proxy(tb: Testbed, seat: Seat, dial=None, grid=None,
-                 streams: int = 1, disk_cache: bool = False,
+def client_proxy(tb: Testbed, seat: Seat, upstream, disk_cache: bool = False,
                  write_back: bool = True,
                  cache_capacity: Optional[int] = None, blocking: bool = True,
                  cryptor=None) -> SgfsClientProxy:
-    """The seat's client-side proxy, not yet started.  Its upstream is
-    one leg made by ``dial`` (see :func:`repro.proxy.upstream.dialer`)
-    or a :class:`repro.grid.GridRouter` over several."""
+    """The seat's client-side proxy, not yet started.  ``upstream`` is
+    one :class:`~repro.proxy.upstream.UpstreamSession` leg (its dial: see
+    :func:`repro.proxy.upstream.dialer`) or a
+    :class:`repro.grid.GridRouter` over several."""
     cal = tb.cal
     capacity = {} if cache_capacity is None else {"capacity_bytes": cache_capacity}
     disk = None
@@ -232,12 +232,11 @@ def client_proxy(tb: Testbed, seat: Seat, dial=None, grid=None,
             write_bandwidth=cal.cache_disk_write_bw,
         )
     return SgfsClientProxy(
-        tb.sim, seat.host, CLIENT_PROXY_PORT, upstream_factory=dial,
+        tb.sim, seat.host, CLIENT_PROXY_PORT, upstream,
         cost=cal.proxy_cost, account="proxy",
         cache=ProxyCacheConfig(enabled=disk_cache, write_back=write_back,
                                block_size=cal.block_size, **capacity),
-        disk=disk, blocking=blocking, cryptor=cryptor, streams=streams,
-        grid=grid,
+        disk=disk, blocking=blocking, cryptor=cryptor,
     )
 
 
@@ -323,14 +322,17 @@ def setup_nfs_v4(tb: Testbed, cache_bytes: Optional[int] = None) -> Mount:
 def _paper_session(tb: Testbed, label: str, dial,
                    server_security: Optional[SecurityConfig] = None,
                    cache_bytes: Optional[int] = None, blocking: bool = True,
-                   acl_cache_enabled: bool = True, **proxy_kw) -> Mount:
+                   acl_cache_enabled: bool = True, streams: int = 1,
+                   **proxy_kw) -> Mount:
     """One session for the paper's seat: server proxy on the home
-    server, client proxy dialing it through ``dial``, kernel mount."""
+    server, client proxy dialing it through ``dial`` over ``streams``
+    channels, kernel mount."""
     seat = paper_seat(tb)
     server_proxy = serve_proxy(tb, _session_gridmap(), server_security,
                                blocking=blocking,
                                acl_cache_enabled=acl_cache_enabled)
-    proxy = client_proxy(tb, seat, dial, blocking=blocking, **proxy_kw)
+    proxy = client_proxy(tb, seat, UpstreamSession(tb.sim, dial, streams=streams),
+                         blocking=blocking, **proxy_kw)
 
     def build():
         yield from proxy.start()

@@ -1,8 +1,8 @@
 """Client-side striping router: fan block I/O out across backends.
 
-The :class:`GridRouter` plugs into
-:class:`repro.proxy.client_proxy.SgfsClientProxy` (its ``grid=``
-argument) and takes over upstream forwarding:
+The :class:`GridRouter` is the ``upstream`` a
+:class:`repro.proxy.client_proxy.SgfsClientProxy` is handed in place of
+a single leg, and takes over upstream forwarding:
 
 - **namespace operations** (LOOKUP, GETATTR, ACCESS, READDIR, …) go to
   the *home* server (backend 0) — the single namespace authority;
@@ -51,6 +51,7 @@ carried each call.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.nfs import protocol as pr
@@ -105,6 +106,15 @@ class GridRouter:
         #: service after the join (in backend order)
         self._pending_dead: Set[int] = set()
         self._cred = None
+        #: NFS procedure -> how it is routed; anything else goes home
+        self._routes = {
+            int(Proc.READ): self._h_read, int(Proc.WRITE): self._h_write,
+            int(Proc.COMMIT): self._h_commit, int(Proc.CREATE): self._h_create,
+            int(Proc.MKDIR): self._h_create, int(Proc.REMOVE): self._h_remove,
+            int(Proc.RMDIR): self._h_remove, int(Proc.RENAME): self._h_rename,
+            int(Proc.SETATTR): self._h_setattr, int(Proc.GETATTR): self._h_getattr,
+            int(Proc.LOOKUP): self._h_lookup,
+        }
         self.stats = {
             "striped_reads": 0,
             "striped_writes": 0,
@@ -193,6 +203,23 @@ class GridRouter:
                 pass
         self._pending_dead.clear()
 
+    def _mirror(self, share):
+        """Process generator: repeat on every live backend but home, in
+        backend order, a namespace change home has accepted.
+        ``share(b)`` is backend ``b``'s part (resolve its twin handles,
+        forward the call) and returns whether there was anything to do
+        there.  A backend that fails its part is marked dead; the
+        failures are reported once the loop is through."""
+        for b in range(1, self.layout.width):
+            if b in self._dead:
+                continue
+            try:
+                if (yield from share(b)):
+                    self.stats["mirrored_ops"] += 1
+            except RpcError:
+                self._fail_backend(b)
+        yield from self._report_dead()
+
     def _shadow(self, b: int, fileid: int, template: CallMessage,
                 create: bool = False):
         """Process generator: resolve (and optionally create) the
@@ -217,14 +244,11 @@ class GridRouter:
             return fh
         if not create:
             return None
-        if fileid in self._is_dir:
-            args = pr.pack_mkdir_args(dir_fh, name, Sattr3(mode=0o755))
-            reply = yield from leg.forward(
-                self._call(Proc.MKDIR, args, template))
-        else:
-            args = pr.pack_create_args(dir_fh, name, Sattr3(mode=0o644))
-            reply = yield from leg.forward(
-                self._call(Proc.CREATE, args, template))
+        proc, pack, mode = (
+            (Proc.MKDIR, pr.pack_mkdir_args, 0o755) if fileid in self._is_dir
+            else (Proc.CREATE, pr.pack_create_args, 0o644))
+        reply = yield from leg.forward(self._call(
+            proc, pack(dir_fh, name, Sattr3(mode=mode)), template))
         status, fh, _attr, _dir_after = pr.unpack_create_res(reply.results)
         if status == NfsStatus.OK and fh is not None:
             self._shadows[(b, fileid)] = fh
@@ -266,13 +290,7 @@ class GridRouter:
         tracked = self._sizes.get(attr.fileid)
         if tracked is None or tracked <= attr.size:
             return attr
-        return Fattr3(
-            ftype=attr.ftype, mode=attr.mode, nlink=attr.nlink,
-            uid=attr.uid, gid=attr.gid, size=tracked,
-            used=max(attr.used, tracked), fsid=attr.fsid,
-            fileid=attr.fileid, atime=attr.atime, mtime=attr.mtime,
-            ctime=attr.ctime,
-        )
+        return replace(attr, size=tracked, used=max(attr.used, tracked))
 
     def _size_of(self, fileid: int) -> int:
         return max(self._sizes.get(fileid, 0), self._home_sizes.get(fileid, 0))
@@ -305,99 +323,66 @@ class GridRouter:
             return (yield from self.legs[0].forward(call))
         if call.cred is not None and getattr(call.cred, "flavor", 0) != 0:
             self._cred = call.cred
-        proc = call.proc
-        if proc == int(Proc.READ):
-            return (yield from self._h_read(call))
-        if proc == int(Proc.WRITE):
-            return (yield from self._h_write(call))
-        if proc == int(Proc.COMMIT):
-            return (yield from self._h_commit(call))
-        if proc == int(Proc.CREATE):
-            return (yield from self._h_create(call))
-        if proc == int(Proc.MKDIR):
-            return (yield from self._h_mkdir(call))
-        if proc in (int(Proc.REMOVE), int(Proc.RMDIR)):
-            return (yield from self._h_remove(call))
-        if proc == int(Proc.RENAME):
-            return (yield from self._h_rename(call))
-        if proc == int(Proc.SETATTR):
-            return (yield from self._h_setattr(call))
-        if proc == int(Proc.GETATTR):
-            return (yield from self._h_getattr(call))
-        if proc == int(Proc.LOOKUP):
-            return (yield from self._h_lookup(call))
-        return (yield from self.legs[0].forward(call))
+        handler = self._routes.get(call.proc, self.legs[0].forward)
+        return (yield from handler(call))
 
     # -- namespace procedures -------------------------------------------------
 
     def _h_getattr(self, call: CallMessage):
         reply = yield from self.legs[0].forward(call)
-        try:
-            status, attr = pr.unpack_getattr_res(reply.results)
-            if status == NfsStatus.OK:
-                self._note_home_attr(attr)
-                patched = self._patched_attr(attr)
-                if patched is not attr:
-                    reply.results = pr.pack_getattr_res(status, patched)
-        except Exception:
-            pass
+        res = pr.read_ok(reply, pr.unpack_getattr_res)
+        if res is None:
+            return reply
+        status, attr = res
+        self._note_home_attr(attr)
+        patched = self._patched_attr(attr)
+        if patched is not attr:
+            reply.results = pr.pack_getattr_res(status, patched)
         return reply
 
     def _h_lookup(self, call: CallMessage):
         dir_fh, name = pr.unpack_lookup_args(call.args)
         reply = yield from self.legs[0].forward(call)
-        try:
-            status, fh, attr, dir_attr = pr.unpack_lookup_res(reply.results)
-            if status == NfsStatus.OK and fh is not None and attr is not None:
-                self._record_child(dir_fh.fileid, name, attr.fileid,
-                                  attr.is_dir)
-                self._note_home_attr(attr)
-                patched = self._patched_attr(attr)
-                if patched is not attr:
-                    reply.results = pr.pack_lookup_res(
-                        status, fh, patched, dir_attr)
-        except Exception:
-            pass
+        res = pr.read_ok(reply, pr.unpack_lookup_res)
+        if res is None:
+            return reply
+        status, fh, attr, dir_attr = res
+        if fh is not None and attr is not None:
+            self._record_child(dir_fh.fileid, name, attr.fileid, attr.is_dir)
+            self._note_home_attr(attr)
+            patched = self._patched_attr(attr)
+            if patched is not attr:
+                reply.results = pr.pack_lookup_res(status, fh, patched, dir_attr)
         return reply
 
     def _h_create(self, call: CallMessage):
+        """CREATE and MKDIR: made at home first; then a file is
+        registered as striped, a directory mirrored onto every backend."""
         dir_fh, name = pr.unpack_diropargs_prefix(call.args)
         reply = yield from self.legs[0].forward(call)
-        try:
-            status, fh, attr, _dir_after = pr.unpack_create_res(reply.results)
-        except Exception:
+        res = pr.read_ok(reply, pr.unpack_create_res)
+        if res is None:
             return reply
-        if status == NfsStatus.OK and fh is not None and attr is not None:
-            self._record_child(dir_fh.fileid, name, attr.fileid, False)
-            self._shadows[(0, attr.fileid)] = fh
+        _status, fh, attr, _dir_after = res
+        if fh is None or attr is None:
+            return reply
+        is_dir = call.proc == int(Proc.MKDIR)
+        self._record_child(dir_fh.fileid, name, attr.fileid, is_dir)
+        self._shadows[(0, attr.fileid)] = fh
+        if is_dir:
+            # eager mirror: stripe files need a parent on every backend
+            def make(b):
+                yield from self._shadow(b, attr.fileid, call, create=True)
+                return True
+
+            yield from self._mirror(make)
+        else:
             # new files created through a grid session are striped
             view = yield from self.meta.register(attr.fileid)
             self._note_view(view)
             self._layouts[attr.fileid] = True
             self._sizes[attr.fileid] = attr.size
             self._home_sizes[attr.fileid] = attr.size
-        return reply
-
-    def _h_mkdir(self, call: CallMessage):
-        dir_fh, name, _sattr = pr.unpack_mkdir_args(call.args)
-        reply = yield from self.legs[0].forward(call)
-        try:
-            status, fh, attr, _dir_after = pr.unpack_create_res(reply.results)
-        except Exception:
-            return reply
-        if status == NfsStatus.OK and fh is not None and attr is not None:
-            self._record_child(dir_fh.fileid, name, attr.fileid, True)
-            self._shadows[(0, attr.fileid)] = fh
-            # eager mirror: stripe files need a parent on every backend
-            for b in range(1, self.layout.width):
-                if b in self._dead:
-                    continue
-                try:
-                    yield from self._shadow(b, attr.fileid, call, create=True)
-                    self.stats["mirrored_ops"] += 1
-                except RpcError:
-                    self._fail_backend(b)
-            yield from self._report_dead()
         return reply
 
     def _h_remove(self, call: CallMessage):
@@ -407,28 +392,20 @@ class GridRouter:
         if fileid is not None:
             striped = yield from self._is_striped(fileid)
         reply = yield from self.legs[0].forward(call)
-        try:
-            status, _dir_after = pr.unpack_remove_res(reply.results)
-        except Exception:
-            return reply
-        if status != NfsStatus.OK:
+        if pr.read_ok(reply, pr.unpack_remove_res) is None:
             return reply
         if striped or call.proc == int(Proc.RMDIR):
             # mirror by (backend dir, name); NOENT is fine — the file
             # may never have materialized there
-            for b in range(1, self.layout.width):
-                if b in self._dead:
-                    continue
-                try:
-                    bdir = yield from self._shadow(b, dir_fh.fileid, call)
-                    if bdir is None:
-                        continue
-                    yield from self.legs[b].forward(self._call(
-                        call.proc, pr.pack_remove_args(bdir, name), call))
-                    self.stats["mirrored_ops"] += 1
-                except RpcError:
-                    self._fail_backend(b)
-            yield from self._report_dead()
+            def remove(b):
+                bdir = yield from self._shadow(b, dir_fh.fileid, call)
+                if bdir is None:
+                    return False
+                yield from self.legs[b].forward(self._call(
+                    call.proc, pr.pack_remove_args(bdir, name), call))
+                return True
+
+            yield from self._mirror(remove)
         if fileid is not None and striped:
             view = yield from self.meta.forget(fileid)
             self._note_view(view)
@@ -442,29 +419,21 @@ class GridRouter:
         if fileid is not None:
             striped = yield from self._is_striped(fileid)
         reply = yield from self.legs[0].forward(call)
-        try:
-            status, _f_after, _t_after = pr.unpack_rename_res(reply.results)
-        except Exception:
-            return reply
-        if status != NfsStatus.OK:
+        if pr.read_ok(reply, pr.unpack_rename_res) is None:
             return reply
         if striped:
-            for b in range(1, self.layout.width):
-                if b in self._dead:
-                    continue
-                try:
-                    f_b = yield from self._shadow(b, f_dir.fileid, call)
-                    t_b = yield from self._shadow(b, t_dir.fileid, call,
-                                                  create=True)
-                    if f_b is None or t_b is None:
-                        continue
-                    yield from self.legs[b].forward(self._call(
-                        Proc.RENAME,
-                        pr.pack_rename_args(f_b, f_name, t_b, t_name), call))
-                    self.stats["mirrored_ops"] += 1
-                except RpcError:
-                    self._fail_backend(b)
-            yield from self._report_dead()
+            def rename(b):
+                f_b = yield from self._shadow(b, f_dir.fileid, call)
+                t_b = yield from self._shadow(b, t_dir.fileid, call,
+                                              create=True)
+                if f_b is None or t_b is None:
+                    return False
+                yield from self.legs[b].forward(self._call(
+                    Proc.RENAME,
+                    pr.pack_rename_args(f_b, f_name, t_b, t_name), call))
+                return True
+
+            yield from self._mirror(rename)
         # rewire local naming state
         self._forget_child(t_dir.fileid, t_name)
         if fileid is not None:
@@ -483,21 +452,16 @@ class GridRouter:
             self._sizes[fh.fileid] = sattr.size
             self._home_sizes[fh.fileid] = sattr.size
             # truncate the stripes too (where the file exists)
-            for b in range(1, self.layout.width):
-                if b in self._dead:
-                    continue
-                try:
-                    bfh = yield from self._shadow(b, fh.fileid, call)
-                    if bfh is None:
-                        continue
-                    yield from self.legs[b].forward(self._call(
-                        Proc.SETATTR,
-                        pr.pack_setattr_args(bfh, Sattr3(size=sattr.size)),
-                        call))
-                    self.stats["mirrored_ops"] += 1
-                except RpcError:
-                    self._fail_backend(b)
-            yield from self._report_dead()
+            def truncate(b):
+                bfh = yield from self._shadow(b, fh.fileid, call)
+                if bfh is None:
+                    return False
+                yield from self.legs[b].forward(self._call(
+                    Proc.SETATTR,
+                    pr.pack_setattr_args(bfh, Sattr3(size=sattr.size)), call))
+                return True
+
+            yield from self._mirror(truncate)
         return reply
 
     # -- data procedures -------------------------------------------------------
@@ -680,22 +644,18 @@ class GridRouter:
             reply = yield from self.legs[0].forward(self._call(
                 Proc.SETATTR,
                 pr.pack_setattr_args(fh, Sattr3(size=tracked)), call))
-            try:
-                status, after = pr.unpack_setattr_res(reply.results)
-                if status == NfsStatus.OK:
-                    self._note_home_attr(after)
-            except Exception:
-                pass
+            res = pr.read_ok(reply, pr.unpack_setattr_res)
+            if res is not None:
+                self._note_home_attr(res[1])
         reply = yield from self.legs[0].forward(call)
-        try:
-            status, after, verf = pr.unpack_commit_res(reply.results)
-            if status == NfsStatus.OK:
-                self._note_home_attr(after)
-                patched = self._patched_attr(after)
-                if patched is not after:
-                    reply.results = pr.pack_commit_res(status, patched, verf)
-        except Exception:
-            pass
+        res = pr.read_ok(reply, pr.unpack_commit_res)
+        if res is None:
+            return reply
+        status, after, verf = res
+        self._note_home_attr(after)
+        patched = self._patched_attr(after)
+        if patched is not after:
+            reply.results = pr.pack_commit_res(status, patched, verf)
         return reply
 
     def _commit_backend(self, call: CallMessage, b: int, bfh: FileHandle):

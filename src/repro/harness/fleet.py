@@ -442,11 +442,9 @@ def run_fleet(
             start = sim.now
             proxy = None
             if proxied:
-                router = grid_router(seat, dials[i]) if grid else None
-                proxy = client_proxy(
-                    tb, seat, None if grid else dials[i]("server"), grid=router,
-                    streams=streams, disk_cache=disk_cache,
-                )
+                upstream = grid_router(seat, dials[i]) if grid else \
+                    UpstreamSession(sim, dials[i]("server"), streams=streams)
+                proxy = client_proxy(tb, seat, upstream, disk_cache=disk_cache)
                 yield from proxy.start()
                 if reconnect_interval:
                     # Spawned between the proxy's start and the kernel

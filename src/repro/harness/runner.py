@@ -25,6 +25,7 @@ from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.core.setups import PROXY_CACHE_SETUPS, SETUP_BUILDERS, SUITES, Mount
 from repro.core.topology import Testbed
 from repro.faults import FaultPlan, resolve_fault_preset
+from repro.sim import ProcessDied
 from repro.workloads.iozone import IOzoneReadReread
 from repro.workloads.mab import ModifiedAndrewBenchmark
 from repro.workloads.postmark import PostMark, PostMarkConfig
@@ -117,7 +118,12 @@ def collect(result, tb: Testbed, plan: Optional[FaultPlan], tracing, profile,
             t0: float, t_end: float):
     """Fill a run's result with what the testbed observed: the registry
     snapshot, the fault plan's packet statistics, the tracer, and the
-    bottleneck-attribution report over ``[t0, t_end]``."""
+    bottleneck-attribution report over ``[t0, t_end]``.
+
+    A run in which some process died of an exception nobody observed
+    has no result: :class:`~repro.sim.ProcessDied` names the first."""
+    for proc in tb.sim.unobserved_deaths():
+        raise ProcessDied(proc.name) from proc.completion.exception
     result.stats.update(tb.obs.snapshot())
     if plan is not None:
         result.stats["faults"] = dict(plan.stats)

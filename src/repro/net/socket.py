@@ -195,8 +195,19 @@ class Listener:
         self.closed = False
 
     def accept(self) -> Event:
-        """Event firing with the next accepted :class:`SimSocket`."""
+        """Event firing with the next accepted :class:`SimSocket`, or
+        failing with :class:`ChannelClosed` once the listener is closed."""
         return self._backlog.get()
+
+    def serve(self, session):
+        """Process generator — the accept loop every server runs: call
+        ``session(sock)`` for each connection until the listener closes."""
+        while True:
+            try:
+                sock = yield self.accept()
+            except ChannelClosed:
+                return
+            session(sock)
 
     def _enqueue(self, sock: SimSocket) -> None:
         self._backlog.put(sock)

@@ -31,6 +31,7 @@ from repro.obs import NULL_SPAN, Histogram
 from repro.rpc.auth import AuthSys
 from repro.rpc.client import RpcClient
 from repro.rpc.errors import RpcTransportError
+from repro.rpc.transport import DIAL_ERRORS
 from repro.sim.core import Simulator
 from repro.sim.process import all_of
 from repro.sim.sync import Semaphore
@@ -192,7 +193,7 @@ class NfsClient:
                 )
                 try:
                     self.rpc = yield from self.reconnect()
-                except Exception:
+                except DIAL_ERRORS:
                     # Server still down (connection refused): the next
                     # call on the dead client fails fast and we retry
                     # within the same attempt budget.
@@ -705,8 +706,6 @@ class NfsClient:
             yield all_of(self.sim, procs)
         else:
             self._flushers.extend(procs)
-        return
-        yield  # pragma: no cover
 
     def fsync(self, f: OpenFile):
         """Flush dirty pages and COMMIT."""

@@ -174,6 +174,15 @@ class Fattr3:
     _LAYOUT = "iIIIIQQIIQQIIIIII"
     _WIRE = struct.Struct(">" + _LAYOUT)
 
+    @classmethod
+    def of(cls, node, fsid: int) -> "Fattr3":
+        """The attributes of a :class:`repro.vfs.fs.Inode`."""
+        return cls(
+            int(node.ftype), node.mode, node.nlink, node.uid, node.gid,
+            node.size, node.used_bytes(), fsid, node.fileid,
+            node.atime, node.mtime, node.ctime,
+        )
+
     def _words(self) -> tuple:
         """The 17 wire values, in ``_LAYOUT`` order."""
         return (
@@ -315,6 +324,21 @@ def unpack_diropargs_prefix(data: bytes) -> Tuple[FileHandle, str]:
     """
     u = Unpacker(data)
     return unpack_diropargs(u)
+
+
+def read_ok(reply, unpack, **kwargs):
+    """The one way a hop reads an upstream reply it relays: the
+    ``unpack_*_res`` tuple when ``reply`` is an accepted SUCCESS whose
+    results parse and report ``NFS3_OK``; else None (also for the None a
+    burst returns for an unanswered member), and the hop passes a reply
+    that taught it nothing on untouched."""
+    if reply is None or not reply.ok:
+        return None
+    try:
+        res = unpack(reply.results, **kwargs)
+    except XdrError:
+        return None
+    return res if res[0] == NfsStatus.OK else None
 
 
 # GETATTR ------------------------------------------------------------------

@@ -86,20 +86,7 @@ class NfsServerProgram(RpcProgram):
         return node
 
     def _attr(self, node: Inode) -> Fattr3:
-        return Fattr3(
-            ftype=int(node.ftype),
-            mode=node.mode,
-            nlink=node.nlink,
-            uid=node.uid,
-            gid=node.gid,
-            size=node.size,
-            used=node.used_bytes(),
-            fsid=self.fs.fsid,
-            fileid=node.fileid,
-            atime=node.atime,
-            mtime=node.mtime,
-            ctime=node.ctime,
-        )
+        return Fattr3.of(node, self.fs.fsid)
 
     @staticmethod
     def _cred(call: CallMessage) -> Credentials:

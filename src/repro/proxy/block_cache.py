@@ -34,9 +34,6 @@ class ProxyCacheConfig:
     write_back: bool = True
     block_size: int = 32768
     capacity_bytes: int = 4 << 30
-    #: background flush of dirty blocks older than this (None = only on
-    #: COMMIT/eviction/teardown)
-    flush_age: Optional[float] = None
     #: cache-consistency protocol overlaying NFS's (the paper defers
     #: multi-user sharing to the authors' application-tailored
     #: consistency work [46]):
@@ -57,7 +54,6 @@ class ProxyCacheConfig:
 class _Block:
     data: bytes
     dirty: bool = False
-    dirtied_at: float = 0.0
 
 
 class BlockCache:
@@ -82,14 +78,10 @@ class BlockCache:
     def disk_read(self, nbytes: int):
         if self.disk is not None:
             yield from self.disk.read(nbytes, cached=False)
-        return
-        yield  # pragma: no cover
 
     def disk_write(self, nbytes: int):
         if self.disk is not None:
             yield from self.disk.write(nbytes, sync=False)
-        return
-        yield  # pragma: no cover
 
     # -- lookup and insert -------------------------------------------------
 
@@ -117,7 +109,7 @@ class BlockCache:
             self.bytes -= len(old.data)
             if old.dirty:
                 dirty = True
-        self._blocks[key] = _Block(data, dirty, self.sim.now)
+        self._blocks[key] = _Block(data, dirty)
         self.bytes += len(data)
         if dirty:
             self.dirty.setdefault(fileid, set()).add(block)
@@ -188,26 +180,6 @@ class BlockCache:
                 yield from self.disk_read(len(entry.data))
                 items.append((fileid, block, entry.data))
         return items
-
-    def aged_dirty(self, fileid: int, cutoff: float) -> List[int]:
-        """Dirty blocks of ``fileid`` last written at or before
-        ``cutoff``, ascending — candidates for the background flusher,
-        which claims each with :meth:`take_dirty` as it gets to it."""
-        return sorted(
-            b for b in self.dirty.get(fileid, ())
-            if (fileid, b) in self._blocks
-            and self._blocks[(fileid, b)].dirtied_at <= cutoff
-        )
-
-    def take_dirty(self, fileid: int, block: int) -> Optional[bytes]:
-        """Mark one block clean and return its data, or None when it is
-        no longer dirty (flushed or dropped since it was listed)."""
-        entry = self._blocks.get((fileid, block))
-        if entry is None or not entry.dirty:
-            return None
-        entry.dirty = False
-        self.dirty.get(fileid, set()).discard(block)
-        return entry.data
 
     @property
     def dirty_bytes(self) -> int:

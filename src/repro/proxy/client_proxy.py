@@ -23,18 +23,18 @@ consistency protocols of [46] (out of scope, see DESIGN.md).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, Optional, Tuple
 
 from repro.nfs import protocol as pr
 from repro.obs import NULL_SPAN
 from repro.nfs.protocol import Fattr3, FileHandle, NfsStatus, Proc
 from repro.proxy.block_cache import BlockCache, ProxyCacheConfig
-from repro.proxy.upstream import UpstreamSession
 from repro.rpc.auth import NULL_AUTH
 from repro.rpc.costs import CostProfile, FREE_PROFILE, charge_profile
 from repro.rpc.drc import DuplicateRequestCache, drc_key
-from repro.rpc.messages import CallMessage, ReplyMessage
-from repro.rpc.transport import StreamTransport, Transport
+from repro.rpc.messages import DECODE_ERRORS, CallMessage, ReplyMessage
+from repro.rpc.transport import TRANSPORT_ERRORS, StreamTransport, Transport
 from repro.sim.core import Event, Simulator
 from repro.sim.sync import Gate
 from repro.vfs.disk import DiskModel
@@ -51,37 +51,29 @@ class SgfsClientProxy:
         sim: Simulator,
         host,
         listen_port: int,
-        upstream_factory: Optional[Callable[[], "object"]] = None,
+        upstream,
         cost: CostProfile = FREE_PROFILE,
         account: str = "proxy",
         cache: Optional[ProxyCacheConfig] = None,
         disk: Optional[DiskModel] = None,
         blocking: bool = True,
         cryptor=None,
-        streams: int = 1,
-        grid=None,
     ):
-        """``upstream_factory()`` is a process generator returning a
-        connected Transport to the server-side proxy (this is where the
-        gfs / sgfs / gfs-ssh variants differ).
+        """``upstream`` is where forwarded calls go: an
+        :class:`~repro.proxy.upstream.UpstreamSession` (one recoverable
+        leg to the server-side proxy; its dial is where the gfs / sgfs /
+        gfs-ssh variants differ) or a :class:`repro.grid.GridRouter`
+        over one such leg per backend — anything with their
+        ``legs``/``forward``/``burst``/``connect`` surface.  The proxy's
+        ``_upstream``/``upstream_timeo`` views refer to leg 0, the only
+        leg of a plain mount and the home (namespace) leg of a grid.
 
         ``cryptor`` (a :class:`repro.proxy.cryptofs.BlockCryptor`)
         enables at-rest protection: every block is sealed before it
         leaves the session and verified+opened when fetched back, so the
         file server only ever stores ciphertext (§7 future work).
         Requires ``cache.enabled`` with ``write_back`` — the block cache
-        is what aligns all data movement to sealable units.
-
-        ``streams`` is the channel count of the single upstream leg
-        (see :class:`UpstreamSession`; 1 is the paper's proxy).
-
-        ``grid`` (a :class:`repro.grid.GridRouter`) replaces the single
-        upstream leg with a striped multi-backend data plane: the router
-        owns one :class:`UpstreamSession` per backend server (each with
-        its own channel count) and fans block I/O out according to the
-        metadata service's layout.  The proxy's ``_upstream``/
-        ``upstream_timeo`` views then refer to the home (namespace)
-        leg."""
+        is what aligns all data movement to sealable units."""
         self.sim = sim
         self.host = host
         self.listen_port = listen_port
@@ -90,18 +82,11 @@ class SgfsClientProxy:
         self.cache = cache or ProxyCacheConfig()
         self.blocking = blocking
         self.cryptor = cryptor
-        if cryptor is not None and not (
-            (cache or ProxyCacheConfig()).enabled
-            and (cache or ProxyCacheConfig()).write_back
-        ):
+        if cryptor is not None and not (self.cache.enabled and self.cache.write_back):
             raise ValueError(
                 "at-rest protection requires the disk cache with write-back"
             )
-        #: the one upstream object: a lone leg, or the grid router over
-        #: its per-backend legs — same forward/burst/connect/legs surface
-        self._up = grid if grid is not None else UpstreamSession(
-            sim, upstream_factory, streams=streams,
-        )
+        self._up = upstream
         #: blocks currently being fetched by a read window, so a second
         #: reader coalesces onto the in-flight fetch instead of
         #: duplicating it (keyed (fileid, block))
@@ -186,9 +171,11 @@ class SgfsClientProxy:
         """Process generator: connect upstream, then start accepting."""
         yield from self._up.connect()
         self._listener = self.host.listen(self.listen_port)
-        self.sim.spawn(self._accept_loop(), name=f"sgfs-cproxy:{self.listen_port}")
-        if self.cache.enabled and self.cache.flush_age is not None:
-            self.sim.spawn(self._age_flusher(), name="cproxy-flush")
+        self.sim.spawn(
+            self._listener.serve(lambda sock: self.sim.spawn(
+                self._connection(sock), name="cproxy-conn")),
+            name=f"sgfs-cproxy:{self.listen_port}",
+        )
         return self
 
     def stop(self) -> None:
@@ -196,20 +183,12 @@ class SgfsClientProxy:
             self._listener.close()
             self._listener = None
 
-    def _accept_loop(self):
-        while self._listener is not None and not self._listener.closed:
-            try:
-                sock = yield self._listener.accept()
-            except Exception:
-                return
-            self.sim.spawn(self._connection(sock), name="cproxy-conn")
-
     def _connection(self, sock):
         transport = StreamTransport(sock)
         while True:
             try:
                 record = yield from transport.recv_record()
-            except Exception:
+            except TRANSPORT_ERRORS:
                 return
             if record is None:
                 return
@@ -228,13 +207,10 @@ class SgfsClientProxy:
             # size/mtime is stale by design.  Keep the shadow values.
             old = self._attrs.get(attr.fileid)
             if old is not None:
-                attr = Fattr3(
-                    ftype=attr.ftype, mode=attr.mode, nlink=attr.nlink,
-                    uid=attr.uid, gid=attr.gid,
+                attr = replace(
+                    attr,
                     size=max(old.size, attr.size),
                     used=max(old.used, attr.used),
-                    fsid=attr.fsid, fileid=attr.fileid,
-                    atime=attr.atime,
                     mtime=max(old.mtime, attr.mtime),
                     ctime=max(old.ctime, attr.ctime),
                 )
@@ -275,13 +251,13 @@ class SgfsClientProxy:
         )
         self.stats["revalidations"] += 1
         reply = yield from self._up.forward(call)
-        try:
-            status, fresh = pr.unpack_getattr_res(reply.results)
-        except Exception:
-            return attr
-        if status != NfsStatus.OK or fresh is None:
+        res = pr.read_ok(reply, pr.unpack_getattr_res)
+        if res is None:
+            # whatever the server said instead, the entry is not known
+            # good any more: the caller forwards and relays the answer
             self._attrs.pop(fh.fileid, None)
             return None
+        fresh = res[1]
         if fresh.mtime != attr.mtime or fresh.size != attr.size:
             # someone else changed the file: drop our stale data
             self.stats["revalidation_drops"] += 1
@@ -303,7 +279,7 @@ class SgfsClientProxy:
         yield from charge_profile(self.sim, cpu, self.cost, len(record), self.account)
         try:
             call = CallMessage.decode(record)
-        except Exception:
+        except DECODE_ERRORS:
             return
         if call.prog == pr.NFS_PROGRAM and call.proc in _NFS_NON_IDEMPOTENT:
             encoded, _fresh = yield from self._drc.once(
@@ -314,8 +290,8 @@ class SgfsClientProxy:
         yield from charge_profile(self.sim, cpu, self.cost, len(encoded), self.account)
         try:
             transport.send_record(encoded)
-        except Exception:
-            pass
+        except TRANSPORT_ERRORS:
+            pass  # the kernel client went away; it redials and retries
 
     def _forward(self, call: CallMessage):
         """Forward upstream with retry/reconnect (see
@@ -324,6 +300,15 @@ class SgfsClientProxy:
         self.stats["forwarded"] += 1
         reply = yield from self._up.forward(call)
         reply.xid = call.xid
+        return reply
+
+    def _forward_noting(self, call: CallMessage, fh: FileHandle, unpack):
+        """Forward a call whose OK result is ``(status, post-op attributes
+        of fh, ...)`` and remember those attributes."""
+        reply = yield from self._forward(call)
+        res = pr.read_ok(reply, unpack)
+        if res is not None:
+            self._remember_attr(fh, res[1])
         return reply
 
     def cycle_upstream(self):
@@ -373,17 +358,15 @@ class SgfsClientProxy:
                 xid=call.xid, results=pr.pack_getattr_res(NfsStatus.OK, attr)
             )
         reply = yield from self._forward(call)
-        if reply.results:
-            try:
-                status, got = pr.unpack_getattr_res(reply.results)
-                if status == NfsStatus.OK:
-                    self._remember_attr(fh, got)
-                    merged = self._attrs.get(fh.fileid)
-                    if merged is not None and merged is not got:
-                        # dirty file: answer with the shadow view
-                        reply.results = pr.pack_getattr_res(status, merged)
-            except Exception:
-                pass
+        res = pr.read_ok(reply, pr.unpack_getattr_res)
+        if res is None:
+            return reply
+        status, got = res
+        self._remember_attr(fh, got)
+        merged = self._attrs.get(fh.fileid)
+        if merged is not None and merged is not got:
+            # dirty file: answer with the shadow view
+            reply.results = pr.pack_getattr_res(status, merged)
         return reply
 
     def _h_lookup(self, call: CallMessage):
@@ -401,19 +384,19 @@ class SgfsClientProxy:
                     results=pr.pack_lookup_res(NfsStatus.OK, fh, attr, dir_attr),
                 )
         reply = yield from self._forward(call)
-        try:
-            status, fh, attr, dir_attr = pr.unpack_lookup_res(reply.results)
-            if status == NfsStatus.OK and fh is not None and attr is not None:
-                self._remember_attr(fh, attr)
-                self._remember_attr(dir_fh, dir_attr)
-                self._lookups[(dir_fh.fileid, name)] = (fh, attr.fileid)
-                merged = self._attrs.get(attr.fileid)
-                if merged is not None and merged is not attr:
-                    reply.results = pr.pack_lookup_res(
-                        status, fh, merged, self._attrs.get(dir_fh.fileid) or dir_attr
-                    )
-        except Exception:
-            pass
+        res = pr.read_ok(reply, pr.unpack_lookup_res)
+        if res is None:
+            return reply
+        status, fh, attr, dir_attr = res
+        if fh is not None and attr is not None:
+            self._remember_attr(fh, attr)
+            self._remember_attr(dir_fh, dir_attr)
+            self._lookups[(dir_fh.fileid, name)] = (fh, attr.fileid)
+            merged = self._attrs.get(attr.fileid)
+            if merged is not None and merged is not attr:
+                reply.results = pr.pack_lookup_res(
+                    status, fh, merged, self._attrs.get(dir_fh.fileid) or dir_attr
+                )
         return reply
 
     def _h_access(self, call: CallMessage):
@@ -429,21 +412,17 @@ class SgfsClientProxy:
                     results=pr.pack_access_res(NfsStatus.OK, attr, cached & want),
                 )
         # Ask for all bits so one round trip answers future queries too.
-        full = CallMessage(
-            call.xid, call.prog, call.vers, call.proc, call.cred, call.verf,
-            pr.pack_access_args(fh, pr.ACCESS_ALL),
-        )
+        full = replace(call, args=pr.pack_access_args(fh, pr.ACCESS_ALL))
         reply = yield from self._forward(full)
-        try:
-            status, attr, granted = pr.unpack_access_res(reply.results)
-            if status == NfsStatus.OK:
-                self._remember_attr(fh, attr)
-                if self.cache.cache_access:
-                    self._access[(fh.fileid, 0)] = granted
-                merged = self._attrs.get(fh.fileid) or attr
-                reply.results = pr.pack_access_res(status, merged, granted & want)
-        except Exception:
-            pass
+        res = pr.read_ok(reply, pr.unpack_access_res)
+        if res is None:
+            return reply
+        status, attr, granted = res
+        self._remember_attr(fh, attr)
+        if self.cache.cache_access:
+            self._access[(fh.fileid, 0)] = granted
+        merged = self._attrs.get(fh.fileid) or attr
+        reply.results = pr.pack_access_res(status, merged, granted & want)
         return reply
 
     # -- data procedures -------------------------------------------------------------
@@ -527,18 +506,12 @@ class SgfsClientProxy:
         try:
             replies = yield from self._up.burst(fetches)
             for b, reply in zip(wanted, replies):
-                if reply is None:
-                    continue
                 if b == block:
-                    demanded_reply = reply
-                try:
-                    status, rattr, data, eof = pr.unpack_read_res(reply.results)
-                except Exception:
+                    demanded_reply = reply  # None: the member went unanswered
+                res = pr.read_ok(reply, pr.unpack_read_res)
+                if res is None:
                     continue
-                if status != NfsStatus.OK:
-                    if b == block:
-                        demanded = (status, rattr, b"", False)
-                    continue
+                status, rattr, data, eof = res
                 if self.cryptor is not None and data:
                     from repro.proxy.cryptofs import AtRestIntegrityError
 
@@ -570,7 +543,7 @@ class SgfsClientProxy:
                 results=pr.pack_read_res(status, rattr, data[:count], eof),
             )
         if demanded_reply is not None:
-            # an unparseable upstream reply is passed through unmodified
+            # an error, or a reply that does not parse: passed through
             demanded_reply.xid = call.xid
             return demanded_reply
         # the burst produced no reply for the demanded block (a compound
@@ -580,8 +553,7 @@ class SgfsClientProxy:
     def _writeback_window(self, items):
         """Process generator: write back ``(fileid, block, data)`` items
         in bursts of one pipeline window (the write-behind half of the
-        data path; eviction, COMMIT, the age flusher and teardown all
-        end here).
+        data path; eviction, COMMIT and teardown all end here).
 
         Items are sealed and issued in list order; statuses are
         consumed in the same order, so accounting is independent of
@@ -613,15 +585,10 @@ class SgfsClientProxy:
                 continue
             replies = yield from self._up.burst(calls)
             for reply in replies:
-                try:
-                    status, _after, nwritten, _cm, _v = pr.unpack_write_res(
-                        reply.results
-                    )
-                except Exception:
-                    status, nwritten = -1, 0
-                if status == NfsStatus.OK:
+                res = pr.read_ok(reply, pr.unpack_write_res)
+                if res is not None:
                     self.stats["writeback_blocks"] += 1
-                    self.stats["writeback_bytes"] += nwritten
+                    self.stats["writeback_bytes"] += res[2]
                 else:
                     self.stats["writeback_errors"] += 1
 
@@ -629,14 +596,7 @@ class SgfsClientProxy:
         fh, offset, stable, payload = pr.unpack_write_args(call.args)
         bs = self.cache.block_size
         if not self.cache.write_back:
-            reply = yield from self._forward(call)
-            try:
-                status, after, _c, _cm, _v = pr.unpack_write_res(reply.results)
-                if status == NfsStatus.OK:
-                    self._remember_attr(fh, after)
-            except Exception:
-                pass
-            return reply
+            return (yield from self._forward_noting(call, fh, pr.unpack_write_res))
         # Absorb at any offset: split the payload into block spans and
         # merge each over whatever the cache already holds.
         pos = offset
@@ -675,10 +635,8 @@ class SgfsClientProxy:
                 fsid=fh.fsid, fileid=fh.fileid, atime=self.sim.now,
                 mtime=self.sim.now, ctime=self.sim.now,
             )
-        new = Fattr3(
-            ftype=attr.ftype, mode=attr.mode, nlink=attr.nlink, uid=attr.uid,
-            gid=attr.gid, size=max(attr.size, end), used=max(attr.used, end),
-            fsid=attr.fsid, fileid=attr.fileid, atime=attr.atime,
+        new = replace(
+            attr, size=max(attr.size, end), used=max(attr.used, end),
             mtime=self.sim.now, ctime=self.sim.now,
         )
         self._attrs[fh.fileid] = new
@@ -700,38 +658,24 @@ class SgfsClientProxy:
             )
         items = yield from self._blocks.gather_dirty([fh.fileid])
         yield from self._writeback_window(items)
-        reply = yield from self._forward(call)
-        try:
-            status, after, _verf = pr.unpack_commit_res(reply.results)
-            if status == NfsStatus.OK:
-                self._remember_attr(fh, after)
-        except Exception:
-            pass
-        return reply
+        return (yield from self._forward_noting(call, fh, pr.unpack_commit_res))
 
     def _h_setattr(self, call: CallMessage):
         fh, sattr = pr.unpack_setattr_args(call.args)
         if sattr.size is not None:
             self._drop_file(fh.fileid)
-        reply = yield from self._forward(call)
-        try:
-            status, after = pr.unpack_setattr_res(reply.results)
-            if status == NfsStatus.OK:
-                self._remember_attr(fh, after)
-        except Exception:
-            pass
-        return reply
+        return (yield from self._forward_noting(call, fh, pr.unpack_setattr_res))
 
     def _h_create(self, call: CallMessage):
+        dir_fh, name = pr.unpack_diropargs_prefix(call.args)
         reply = yield from self._forward(call)
-        try:
-            status, fh, attr, _dir_after = pr.unpack_create_res(reply.results)
-            if status == NfsStatus.OK and fh is not None and attr is not None:
-                self._remember_attr(fh, attr)
-                dir_fh, name = pr.unpack_diropargs_prefix(call.args)
-                self._lookups[(dir_fh.fileid, name)] = (fh, attr.fileid)
-        except Exception:
-            pass
+        res = pr.read_ok(reply, pr.unpack_create_res)
+        if res is None:
+            return reply
+        _status, fh, attr, _dir_after = res
+        if fh is not None and attr is not None:
+            self._remember_attr(fh, attr)
+            self._lookups[(dir_fh.fileid, name)] = (fh, attr.fileid)
         return reply
 
     def _h_remove(self, call: CallMessage):
@@ -807,19 +751,3 @@ class SgfsClientProxy:
     @property
     def dirty_bytes(self) -> int:
         return self._blocks.dirty_bytes
-
-    def _age_flusher(self):
-        age = self.cache.flush_age
-        while self._listener is not None:
-            yield self.sim.timeout(age)
-            cutoff = self.sim.now - age
-            for fileid in list(self._blocks.dirty):
-                if fileid not in self._handles:
-                    continue
-                for block in self._blocks.aged_dirty(fileid, cutoff):
-                    # re-checked per block: each write-back yields, and
-                    # the block may have been flushed or dropped since
-                    data = self._blocks.take_dirty(fileid, block)
-                    if data is not None:
-                        yield from self._writeback_window(
-                            [(fileid, block, data)])

@@ -29,6 +29,7 @@ from typing import Callable, Optional
 from repro.gsi.gridmap import Gridmap
 from repro.gsi.names import DistinguishedName
 from repro.gsi.proxy import effective_identity
+from repro.net.errors import NetError
 from repro.nfs import protocol as pr
 from repro.obs import NULL_SPAN
 from repro.nfs.protocol import Fattr3, NfsStatus, Proc
@@ -40,22 +41,21 @@ from repro.rpc.client import RpcClient
 from repro.rpc.compound import COMPOUND_PROGRAM, pack_members, unpack_members
 from repro.rpc.costs import CostProfile, FREE_PROFILE, charge_profile
 from repro.rpc.drc import DuplicateRequestCache, drc_key
+from repro.rpc.errors import RpcTransportError
 from repro.rpc.messages import (
     AUTH_REJECTEDCRED,
     AUTH_TOOWEAK,
+    DECODE_ERRORS,
     CallMessage,
     ReplyMessage,
     denied_reply,
 )
-from repro.rpc.transport import StreamTransport
+from repro.rpc.transport import DIAL_ERRORS, TRANSPORT_ERRORS, StreamTransport
 from repro.sim.core import Simulator
-from repro.tls.channel import (
-    HandshakeError,
-    SessionTicketCache,
-    server_handshake,
-)
+from repro.tls.channel import SessionTicketCache, server_handshake
 from repro.tls.config import SecurityConfig
-from repro.vfs.fs import VirtualFS
+from repro.vfs.fs import VfsError, VirtualFS
+from repro.xdr import XdrError
 
 #: NFS procedures that must not re-execute on a duplicate request.
 _NFS_NON_IDEMPOTENT = frozenset(int(p) for p in pr.NON_IDEMPOTENT_PROCS)
@@ -169,7 +169,11 @@ class SgfsServerProxy:
 
     def start(self) -> None:
         self._listener = self.host.listen(self.listen_port)
-        self.sim.spawn(self._accept_loop(), name=f"sgfs-srvproxy:{self.listen_port}")
+        self.sim.spawn(
+            self._listener.serve(lambda sock: self.sim.spawn(
+                self._session(sock), name="sgfs-session")),
+            name=f"sgfs-srvproxy:{self.listen_port}",
+        )
 
     def stop(self) -> None:
         if self._listener is not None:
@@ -186,10 +190,7 @@ class SgfsServerProxy:
             self.tickets.flush()
         socks, self._session_socks = self._session_socks, []
         for sock in socks:
-            try:
-                sock.abort()
-            except Exception:
-                pass
+            sock.abort()
 
     def restart(self) -> None:
         """Come back up after :meth:`crash` — rebind and accept again."""
@@ -205,14 +206,6 @@ class SgfsServerProxy:
             self.security = security
         if gridmap is not None:
             self.gridmap = gridmap
-
-    def _accept_loop(self):
-        while self._listener is not None and not self._listener.closed:
-            try:
-                sock = yield self._listener.accept()
-            except Exception:
-                return
-            self.sim.spawn(self._session(sock), name="sgfs-session")
 
     # -- per-session ---------------------------------------------------------
 
@@ -236,7 +229,7 @@ class SgfsServerProxy:
                 self.sim, sock, self.security, cpu=self.host.cpu,
                 account=self.account, ticket_cache=self.tickets,
             )
-        except HandshakeError:
+        except DIAL_ERRORS:
             if self.obs.enabled:
                 self.obs.counter("proxy.server", "handshake_failures").inc()
             sock.abort()
@@ -257,13 +250,21 @@ class SgfsServerProxy:
         mapped = self._map_identity(identity)
 
         # Upstream connection to the kernel NFS server on localhost.
-        upstream_sock = yield from self.host.connect(self.host.name, self.nfs_server_port)
+        try:
+            upstream_sock = yield from self.host.connect(
+                self.host.name, self.nfs_server_port)
+        except NetError:
+            transport.close()  # nfsd is down: the client redials later
+            return
         upstream = RpcClient(
             self.sim, StreamTransport(upstream_sock), pr.NFS_PROGRAM, pr.NFS_V3
         )
         try:
-            while True:
-                record = yield from transport.recv_record()
+            while not transport.closed:
+                try:
+                    record = yield from transport.recv_record()
+                except TRANSPORT_ERRORS:
+                    return  # reset, or a record that failed its MAC
                 if record is None:
                     return
                 if self.blocking:
@@ -274,6 +275,7 @@ class SgfsServerProxy:
                         name="sgfs-call",
                     )
         finally:
+            # however it ends, closed: the client proxy redials and retries
             upstream.close()
             transport.close()
 
@@ -299,16 +301,26 @@ class SgfsServerProxy:
         yield from charge_profile(self.sim, cpu, self.cost, len(record), self.account)
         try:
             call = CallMessage.decode(record)
-        except Exception:
+        except DECODE_ERRORS:
             return  # garbage on the wire: drop
-        if call.prog == COMPOUND_PROGRAM:
-            yield from self._serve_compound(
-                transport, upstream, call, identity, mapped
-            )
+        execute = (self._execute_compound if call.prog == COMPOUND_PROGRAM
+                   else self._execute_call)
+        try:
+            encoded = yield from execute(upstream, call, identity, mapped)
+        except RpcTransportError:
+            # nfsd went away under the call and this session's connection
+            # to it with it: end the session; the client redials
+            transport.close()
             return
-        encoded = yield from self._execute_call(upstream, call, identity, mapped)
+        if encoded is None:
+            return  # garbage envelope: drop (the client retransmits)
+        # Outbound: the user-level processing, the per-record seal, send.
         yield from charge_profile(self.sim, cpu, self.cost, len(encoded), self.account)
-        yield from self._send_reply(transport, encoded)
+        yield from transport.charge(len(encoded))
+        try:
+            transport.send_record(encoded)
+        except TRANSPORT_ERRORS:
+            pass  # peer vanished
 
     def _execute_call(self, upstream: RpcClient, call: CallMessage,
                       identity: Optional[DistinguishedName],
@@ -339,12 +351,12 @@ class SgfsServerProxy:
             )
         return reply.encode()
 
-    def _serve_compound(self, transport, upstream: RpcClient,
-                        env: CallMessage,
-                        identity: Optional[DistinguishedName],
-                        mapped: Optional[Account]):
-        """Execute a compound envelope's members strictly in list order
-        and answer with a single envelope reply.
+    def _execute_compound(self, upstream: RpcClient, env: CallMessage,
+                          identity: Optional[DistinguishedName],
+                          mapped: Optional[Account]):
+        """Execute a compound envelope's members strictly in list order;
+        returns the single envelope reply, encoded (None for an envelope
+        that does not parse).
 
         Each member runs through the same DRC/authorize path as a bare
         call (so a retransmitted envelope replays its non-idempotent
@@ -352,11 +364,10 @@ class SgfsServerProxy:
         record charge — that amortization is what the envelope buys.
         An undecodable member becomes an empty opaque in the reply so
         its siblings still land."""
-        cpu = self.host.cpu
         try:
             members = unpack_members(env.args)
-        except Exception:
-            return  # garbage envelope: drop (the client retransmits)
+        except XdrError:
+            return None
         if self.obs.enabled:
             self.obs.counter("proxy.server", "compound_envelopes").inc()
             self.obs.counter("proxy.server", "compound_members").inc(len(members))
@@ -364,7 +375,7 @@ class SgfsServerProxy:
         for record in members:
             try:
                 call = CallMessage.decode(record)
-            except Exception:
+            except DECODE_ERRORS:
                 out.append(b"")
                 continue
             if call.prog == COMPOUND_PROGRAM:
@@ -373,17 +384,7 @@ class SgfsServerProxy:
             out.append(
                 (yield from self._execute_call(upstream, call, identity, mapped))
             )
-        encoded = ReplyMessage(xid=env.xid, results=pack_members(out)).encode()
-        yield from charge_profile(self.sim, cpu, self.cost, len(encoded), self.account)
-        yield from self._send_reply(transport, encoded)
-
-    def _send_reply(self, transport, encoded: bytes):
-        """Outbound path: charge the per-record seal, then send."""
-        yield from transport.charge(len(encoded))
-        try:
-            transport.send_record(encoded)
-        except Exception:
-            pass  # peer vanished
+        return ReplyMessage(xid=env.xid, results=pack_members(out)).encode()
 
     def _authorize_and_forward(self, upstream: RpcClient, call: CallMessage,
                                identity: Optional[DistinguishedName],
@@ -445,7 +446,7 @@ class SgfsServerProxy:
         if remapped is None:
             try:
                 auth = AuthSys.from_opaque(cred)
-            except Exception:
+            except XdrError:
                 return cred
             remapped = AuthSys(
                 stamp=auth.stamp,
@@ -476,7 +477,7 @@ class SgfsServerProxy:
                 f_dir, f_name, t_dir, t_name = pr.unpack_rename_args(call.args)
                 if is_acl_name(f_name) or is_acl_name(t_name):
                     return self._local_error(call, NfsStatus.ACCES)
-        except Exception:
+        except XdrError:
             return None  # undecodable: let the server reject it
         return None
 
@@ -492,29 +493,20 @@ class SgfsServerProxy:
         try:
             fh, want = pr.unpack_access_args(call.args)
             node = self.fs.inode(fh.fileid)
-        except Exception:
-            return None
+        except (XdrError, VfsError):
+            return None  # undecodable or stale: let the server say so
         bits = self.acls.evaluate(node.fileid, identity)
         if bits is None:
             return None  # no ACL in force: UNIX fallback upstream
-        attr = Fattr3(
-            ftype=int(node.ftype), mode=node.mode, nlink=node.nlink,
-            uid=node.uid, gid=node.gid, size=node.size, used=node.used_bytes(),
-            fsid=self.fs.fsid, fileid=node.fileid,
-            atime=node.atime, mtime=node.mtime, ctime=node.ctime,
-        )
+        attr = Fattr3.of(node, self.fs.fsid)
         body = pr.pack_access_res(NfsStatus.OK, attr, bits & want)
         return ReplyMessage(xid=call.xid, results=body)
 
     def _filter_readdir(self, reply: ReplyMessage, plus: bool) -> ReplyMessage:
-        if reply.results == b"":
+        res = pr.read_ok(reply, pr.unpack_readdir_res, plus=plus)
+        if res is None:
             return reply
-        try:
-            status, dir_attr, entries, eof = pr.unpack_readdir_res(reply.results, plus=plus)
-        except Exception:
-            return reply
-        if status != NfsStatus.OK:
-            return reply
+        status, dir_attr, entries, eof = res
         visible = [e for e in entries if not is_acl_name(e.name)]
         if len(visible) == len(entries):
             return reply

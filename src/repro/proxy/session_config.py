@@ -92,7 +92,6 @@ class SessionConfig:
             write_back=get_bool("cache.write_back", True),
             block_size=get_int("cache.block_size", 32768),
             capacity_bytes=get_int("cache.capacity", 4 << 30),
-            flush_age=float(kv["cache.flush_age"]) if "cache.flush_age" in kv else None,
         )
         return cls(
             suite=kv.get("suite", "aes-256-cbc-sha1"),

@@ -20,8 +20,8 @@ from repro.rpc.compound import (
 )
 from repro.rpc.client import ReplyTable
 from repro.rpc.errors import RpcError, RpcTransportError
-from repro.rpc.messages import CallMessage, ReplyMessage
-from repro.rpc.transport import StreamTransport, Transport
+from repro.rpc.messages import DECODE_ERRORS, CallMessage, ReplyMessage
+from repro.rpc.transport import DIAL_ERRORS, StreamTransport, Transport
 from repro.sim.core import Event, Simulator
 from repro.sim.process import all_of
 from repro.tls.channel import client_handshake
@@ -70,14 +70,6 @@ class _Channel:
         self.router: Optional[ReplyTable] = None
         #: in-progress replacement dial (Event), if any
         self.reconnecting: Optional[Event] = None
-
-
-def _close_quietly(router: Optional[ReplyTable]) -> None:
-    if router is not None:
-        try:
-            router.close()
-        except Exception:
-            pass
 
 
 class UpstreamSession:
@@ -158,10 +150,6 @@ class UpstreamSession:
                 self.sim, (yield from self.upstream_factory()), name="cproxy-pump"
             )
         return self
-
-    def close(self) -> None:
-        for ch in self._channels:
-            _close_quietly(ch.router)
 
     def _observe_rtt(self, bulk: bool, sample: float) -> None:
         prev = self.srtt_bulk if bulk else self.srtt_small
@@ -274,7 +262,7 @@ class UpstreamSession:
                 continue
             try:
                 out.append(ReplyMessage.decode(record))
-            except RpcError:
+            except DECODE_ERRORS:
                 out.append(None)
         return out
 
@@ -302,7 +290,10 @@ class UpstreamSession:
     def _replace(self, ch: _Channel, drain: bool):
         """Process generator: dial a fresh connection, make it ``ch``'s
         current one, retire the old.  Returns False — ``ch`` untouched —
-        when the server proxy is unreachable.
+        when the dial fails (:data:`~repro.rpc.transport.DIAL_ERRORS`:
+        the server proxy is unreachable or refuses us).  Nothing else is
+        caught: an :class:`~repro.sim.Interrupt` thrown into the dial
+        stops the caller, it does not read as a failed dial.
 
         ``drain`` is for replacing a *healthy* connection: the new one
         handshakes before the old one closes, in-flight replies get a
@@ -310,14 +301,14 @@ class UpstreamSession:
         unanswered then fails over through its normal retry path."""
         try:
             upstream = yield from self.upstream_factory()
-        except Exception:
+        except DIAL_ERRORS:
             return False
         old, ch.router = ch.router, ReplyTable(
             self.sim, upstream, name="cproxy-pump"
         )
         if drain:
             yield from old.quiesce(timeout=1.0)
-        _close_quietly(old)
+        old.close()
         if drain:
             # A locally-closed socket never wakes its own reader, so
             # the old pump can't fail the leftovers itself.

@@ -16,9 +16,9 @@ from typing import Dict, Optional
 from repro.obs import NULL_SPAN, Histogram
 from repro.rpc.auth import NULL_AUTH, OpaqueAuth
 from repro.rpc.costs import EndpointCost, FREE
-from repro.rpc.errors import RpcError, RpcTimeout, RpcTransportError
-from repro.rpc.messages import CallMessage, ReplyMessage
-from repro.rpc.transport import Transport
+from repro.rpc.errors import RpcTimeout, RpcTransportError
+from repro.rpc.messages import DECODE_ERRORS, CallMessage, ReplyMessage
+from repro.rpc.transport import TRANSPORT_ERRORS, Transport
 from repro.sim.core import Event, Simulator
 from repro.sim.cpu import CPU
 from repro.sim.process import any_of
@@ -73,7 +73,7 @@ class ReplyTable:
             try:
                 yield from self.transport.charge(len(record))
                 self.transport.send_record(record)
-            except Exception as exc:
+            except TRANSPORT_ERRORS as exc:
                 self._pending.pop(xid, None)
                 raise RpcTransportError(f"send failed: {exc}") from exc
             if t is None:
@@ -98,25 +98,25 @@ class ReplyTable:
         return len(self._pending)
 
     def _reply_pump(self):
-        try:
-            while True:
+        while True:
+            try:
                 record = yield from self.transport.recv_record()
-                if record is None:
-                    break
-                try:
-                    reply = ReplyMessage.decode(record)
-                except RpcError:
-                    continue  # not a reply; ignore (robustness)
-                ev = self._pending.pop(reply.xid, None)
-                if ev is not None:
-                    ev.succeed(reply)
-                # else: duplicate/unsolicited reply — drop
-                if not self._pending and self._drain_ev is not None:
-                    self._drain_ev.succeed(None)
-                    self._drain_ev = None
-        except Exception as exc:
-            self._fail_all(RpcTransportError(f"transport failure: {exc}"))
-            return
+            except TRANSPORT_ERRORS as exc:
+                self._fail_all(RpcTransportError(f"transport failure: {exc}"))
+                return
+            if record is None:
+                break
+            try:
+                reply = ReplyMessage.decode(record)
+            except DECODE_ERRORS:
+                continue  # not a reply; ignore (robustness)
+            ev = self._pending.pop(reply.xid, None)
+            if ev is not None:
+                ev.succeed(reply)
+            # else: duplicate/unsolicited reply — drop
+            if not self._pending and self._drain_ev is not None:
+                self._drain_ev.succeed(None)
+                self._drain_ev = None
         self._fail_all(RpcTransportError("connection closed with calls outstanding"))
 
     def _fail_all(self, exc: RpcTransportError) -> None:

@@ -32,6 +32,7 @@ from typing import Deque, Optional, Tuple
 from repro.rpc.auth import AUTH_SYS, AuthSys
 from repro.rpc.messages import CallMessage
 from repro.sim.core import Event, Simulator
+from repro.xdr import XdrError
 
 #: check() states
 MISS = "miss"
@@ -51,7 +52,7 @@ def drc_key(call: CallMessage) -> Tuple:
         try:
             sys = AuthSys.from_opaque(call.cred)
             ident: Tuple = (sys.machinename, sys.uid)
-        except Exception:
+        except XdrError:
             ident = ("-", call.cred.flavor)
     else:
         ident = ("-", call.cred.flavor)

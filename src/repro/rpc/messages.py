@@ -53,6 +53,10 @@ AUTH_REJECTEDCRED = 2
 AUTH_BADVERF = 3
 AUTH_TOOWEAK = 5
 
+#: what ``CallMessage.decode`` / ``ReplyMessage.decode`` raise on a
+#: record that is not one: a bad field, or not enough bytes
+DECODE_ERRORS = (RpcError, XdrError)
+
 # Fixed layouts, one struct call each.
 _CALL_HEADER = struct.Struct(">IiIIII")  # xid, CALL, rpcvers, prog, vers, proc
 _REPLY_HEADER = struct.Struct(">Iii")  # xid, REPLY, reply_stat
@@ -188,14 +192,19 @@ class ReplyMessage:
             raise RpcError(f"bad reply_stat {reply_stat}")
         return msg
 
+    @property
+    def ok(self) -> bool:
+        """An accepted SUCCESS — the only reply that carries results."""
+        return self.reply_stat == MSG_ACCEPTED and self.accept_stat == SUCCESS
+
     def raise_for_status(self) -> None:
         """Raise the matching RpcError subclass unless SUCCESS."""
+        if self.ok:
+            return
         if self.reply_stat == MSG_DENIED:
             if self.reject_stat == RPC_MISMATCH:
                 raise RpcError("RPC version rejected by server")
             raise RpcAuthError(self.auth_stat)
-        if self.accept_stat == SUCCESS:
-            return
         if self.accept_stat == PROG_UNAVAIL:
             raise RpcProgUnavail("program unavailable")
         if self.accept_stat == PROG_MISMATCH:

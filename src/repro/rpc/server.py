@@ -29,6 +29,7 @@ from repro.rpc.drc import DuplicateRequestCache, drc_key
 from repro.rpc.errors import RpcError
 from repro.rpc.messages import (
     CallMessage,
+    DECODE_ERRORS,
     GARBAGE_ARGS,
     PROC_UNAVAIL,
     PROG_MISMATCH,
@@ -38,10 +39,11 @@ from repro.rpc.messages import (
     error_reply,
     success_reply,
 )
-from repro.rpc.transport import Transport
+from repro.rpc.transport import TRANSPORT_ERRORS, StreamTransport, Transport
 from repro.sim.core import Simulator
 from repro.sim.cpu import CPU
 from repro.sim.sync import Channel
+from repro.xdr import XdrError
 
 #: Size of every server's worker pool (the nfsd thread count).
 WORKERS = 8
@@ -75,11 +77,6 @@ class CallContext:
     def __init__(self, transport: Transport, server: "RpcServer"):
         self.transport = transport
         self.server = server
-
-    @property
-    def peer_certificate(self):
-        """The authenticated peer certificate, if the transport has one."""
-        return getattr(self.transport, "peer_certificate", None)
 
 
 class ProcUnavailable(RpcError):
@@ -149,18 +146,11 @@ class RpcServer:
     # -- serving -------------------------------------------------------------
 
     def serve_listener(self, listener) -> None:
-        """Accept plain-socket connections from a Listener forever."""
-        from repro.rpc.transport import StreamTransport
-
-        def acceptor():
-            while True:
-                try:
-                    sock = yield listener.accept()
-                except Exception:
-                    return
-                self.serve_transport(StreamTransport(sock))
-
-        self.sim.spawn(acceptor(), name=f"{self.name}.accept")
+        """Accept plain-socket connections from a Listener until it closes."""
+        self.sim.spawn(
+            listener.serve(lambda sock: self.serve_transport(StreamTransport(sock))),
+            name=f"{self.name}.accept",
+        )
 
     def serve_transport(self, transport: Transport) -> None:
         """Serve RPC calls arriving on an established transport."""
@@ -171,25 +161,17 @@ class RpcServer:
         """Tear down every active connection (crash injection)."""
         transports, self._transports = self._transports, []
         for transport in transports:
-            sock = getattr(transport, "sock", None)
-            if sock is not None and hasattr(sock, "abort"):
-                sock.abort()
-            else:
-                try:
-                    transport.close()
-                except Exception:
-                    pass
+            transport.sock.abort()
 
     def _connection_loop(self, transport: Transport):
         try:
             while True:
-                try:
-                    record = yield from transport.recv_record()
-                except Exception:
-                    return
+                record = yield from transport.recv_record()
                 if record is None:
                     return
                 self._enqueue(transport, record)
+        except TRANSPORT_ERRORS:
+            return
         finally:
             if transport in self._transports:
                 self._transports.remove(transport)
@@ -254,7 +236,7 @@ class RpcServer:
             yield from self.cpu.consume(self.cost.cost(len(record)), self.account)
         try:
             call = CallMessage.decode(record)
-        except Exception:
+        except DECODE_ERRORS:
             return  # undecodable header: drop, like a real server
         program = self._programs.get((call.prog, call.vers))
         if program is not None and call.proc in program.non_idempotent:
@@ -266,7 +248,7 @@ class RpcServer:
             fresh = True
         try:
             transport.send_record(encoded)
-        except Exception:
+        except TRANSPORT_ERRORS:
             return  # peer went away; the retransmission loop covers it
         if fresh:
             self.calls_served += 1
@@ -307,11 +289,11 @@ class RpcServer:
             results = yield from program.handle(call.proc, call.args, call, ctx)
         except ProcUnavailable:
             return error_reply(call.xid, PROC_UNAVAIL)
-        except Exception as exc:
-            from repro.xdr import XdrError
-
-            if isinstance(exc, XdrError):
-                return error_reply(call.xid, GARBAGE_ARGS)
+        except XdrError:
+            return error_reply(call.xid, GARBAGE_ARGS)
+        except Exception:
+            # one of the two catch-alls in the tree: whatever a program
+            # raises, its caller is answered with a protocol error
             return error_reply(call.xid, SYSTEM_ERR)
         if isinstance(results, ReplyMessage):
             return results  # handler built a full reply (proxies do this)

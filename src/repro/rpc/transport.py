@@ -12,15 +12,38 @@ stream too.  All speak the same interface, so the RPC client/server and
 the SGFS proxies are agnostic to which one they ride on.  This mirrors
 the paper's secure-RPC library, where ``clnt_tli_ssl_create`` swaps the
 transport under unmodified RPC code.
+
+The interface includes its failures.  ``recv_record``/``send_record``
+raise only :data:`TRANSPORT_ERRORS`, on which whoever serves or pumps
+the transport ends the session *normally* (closed — not a dead
+process); establishing one raises only :data:`DIAL_ERRORS`.  Anything
+else that escapes a hop is a bug, and is left to escape.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.crypto.suites import CipherSuite, Direction, charge_crypto
+from repro.crypto.suites import CipherSuite, Direction, IntegrityError, charge_crypto
+from repro.net.errors import NetError
 from repro.net.socket import SimSocket
+from repro.rpc.errors import RpcError
 from repro.rpc.record import RecordReader, RecordWriter, DEFAULT_FRAGMENT_SIZE
+from repro.xdr import XdrError
+
+
+class HandshakeError(Exception):
+    """Establishing a transport failed: the peer was refused (identity,
+    proof, negotiation) or its handshake messages made no sense."""
+
+
+#: Everything ``recv_record``/``send_record`` may raise: the connection
+#: is gone, a record failed its MAC, or what the peer framed (a record
+#: mark, a control message) does not parse.
+TRANSPORT_ERRORS = (NetError, IntegrityError, XdrError, RpcError)
+
+#: Everything a dial (connect, then handshake) may raise.
+DIAL_ERRORS = (NetError, HandshakeError, RpcError)
 
 
 class Transport:
@@ -88,11 +111,6 @@ class StreamTransport(Transport):
     @property
     def closed(self) -> bool:
         return self.sock.closed
-
-    @property
-    def peer_certificate(self) -> Optional[object]:
-        """Plain transports carry no authentication."""
-        return None
 
 
 class SealedTransport(Transport):

@@ -17,7 +17,7 @@ from typing import Callable, Dict, Iterable, Optional
 from repro.crypto.drbg import Drbg
 from repro.gsi.certs import Certificate, Credential
 from repro.gsi.names import DistinguishedName
-from repro.rpc.transport import StreamTransport
+from repro.rpc.transport import TRANSPORT_ERRORS, StreamTransport
 from repro.services.soap import (
     SoapEnvelope,
     SoapFault,
@@ -84,16 +84,11 @@ class ServiceEndpoint:
 
     def start(self) -> None:
         self._listener = self.host.listen(self.port)
-
-        def accept_loop():
-            while True:
-                try:
-                    sock = yield self._listener.accept()
-                except Exception:
-                    return
-                self.sim.spawn(self._serve_connection(sock), name=f"{self.name}-req")
-
-        self.sim.spawn(accept_loop(), name=f"{self.name}:{self.port}")
+        self.sim.spawn(
+            self._listener.serve(lambda sock: self.sim.spawn(
+                self._serve_connection(sock), name=f"{self.name}-req")),
+            name=f"{self.name}:{self.port}",
+        )
 
     def stop(self) -> None:
         if self._listener is not None:
@@ -104,14 +99,13 @@ class ServiceEndpoint:
 
     def _serve_connection(self, sock):
         stream = StreamTransport(sock)
-        request = yield from stream.recv_record()
-        if request is None:
-            return
-        reply = yield from self._process(request)
         try:
-            stream.send_record(reply)
-        except Exception:
-            pass
+            request = yield from stream.recv_record()
+            if request is None:
+                return
+            stream.send_record((yield from self._process(request)))
+        except TRANSPORT_ERRORS:
+            pass  # the caller went away; it asks again if it still cares
         sock.close()
 
     def _process(self, raw: bytes):
@@ -147,6 +141,8 @@ class ServiceEndpoint:
             self.faults_returned += 1
             return self._signed_reply(fault_envelope(fault.code, fault.reason))
         except Exception as exc:
+            # one of the two catch-alls in the tree: whatever a handler
+            # raises, its caller is answered with a SOAP fault
             self.faults_returned += 1
             return self._signed_reply(fault_envelope("Server", str(exc)))
         self.requests_served += 1

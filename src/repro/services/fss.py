@@ -17,19 +17,23 @@ from typing import Dict, Iterable, Optional
 
 from repro.crypto.drbg import Drbg
 from repro.crypto.hybrid import open_sealed
-from repro.gsi.certs import Certificate, Credential
+from repro.crypto.rsa import CryptoError
+from repro.gsi.certs import (
+    CertError, Certificate, Credential, ValidationError, validate_chain,
+)
 from repro.gsi.gridmap import Gridmap
 from repro.gsi.proxy import is_limited_proxy
 from repro.proxy.accounts import AccountsDb
 from repro.proxy.block_cache import ProxyCacheConfig
 from repro.proxy.client_proxy import SgfsClientProxy
 from repro.proxy.server_proxy import SgfsServerProxy
-from repro.proxy.upstream import dialer
+from repro.proxy.upstream import UpstreamSession, dialer
 from repro.services.endpoint import ServiceEndpoint
 from repro.services.soap import SoapFault
 from repro.sim.core import Simulator
 from repro.tls import SecurityConfig
 from repro.vfs.fs import VirtualFS
+from repro.xdr import XdrError
 
 _session_ids = itertools.count(100)
 
@@ -150,14 +154,12 @@ class FileSystemService(ServiceEndpoint):
         try:
             blob = open_sealed(base64.b64decode(blob_b64), self.credential.keypair)
             user_cred = Credential.from_bytes(blob)
-        except Exception as exc:
+        except (ValueError, CryptoError, XdrError, CertError) as exc:
             raise SoapFault("Security", f"cannot unwrap credential: {exc}") from None
         # Possession of a delegated credential is the authority (GSI
         # semantics): validate its chain up to a trusted CA.  The caller
         # may be the user directly, or the DSS acting on the user's
         # behalf (§3.2).
-        from repro.gsi.certs import ValidationError, validate_chain
-
         try:
             validate_chain(
                 user_cred.certificate, user_cred.chain, self.trust_anchors, self.sim.now
@@ -187,7 +189,8 @@ class FileSystemService(ServiceEndpoint):
             disk = self.cache_disk_factory()
         proxy = SgfsClientProxy(
             sim, host, port,
-            upstream_factory=dialer(sim, host, server_host, server_port, client_cfg),
+            UpstreamSession(
+                sim, dialer(sim, host, server_host, server_port, client_cfg)),
             cost=self.proxy_cost if self.proxy_cost is not None else _default_cost(),
             cache=ProxyCacheConfig(enabled=disk_cache),
             disk=disk,

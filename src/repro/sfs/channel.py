@@ -21,10 +21,10 @@ from repro.crypto.drbg import Drbg
 from repro.crypto.hmac import hmac_sha256
 from repro.crypto.rsa import CryptoError, RsaKeyPair, RsaPublicKey
 from repro.crypto.suites import SUITE_RC4_SHA, derive_directions
-from repro.rpc.transport import SealedTransport, StreamTransport
+from repro.rpc.transport import HandshakeError, SealedTransport, StreamTransport
 from repro.sfs.paths import SelfCertifyingPath
 from repro.sim.core import Simulator
-from repro.xdr import Packer, Unpacker
+from repro.xdr import Packer, Unpacker, XdrError
 
 #: CPU for the public-key operations of an SFS connection setup.
 SFS_HANDSHAKE_CPU = 0.005
@@ -33,8 +33,9 @@ SFS_HANDSHAKE_CPU = 0.005
 SFS_SUITE = SUITE_RC4_SHA
 
 
-class SfsAuthError(Exception):
-    """Server key does not match the HostID, or user key not authorized."""
+class SfsAuthError(HandshakeError):
+    """Server key does not match the HostID, user key not authorized, or
+    a key-exchange message that does not parse."""
 
 
 def _established(sim: Simulator, stream: StreamTransport, secret: bytes,
@@ -69,7 +70,10 @@ def sfs_client_channel(
     frame = yield from stream.recv_record()
     if frame is None:
         raise SfsAuthError("server closed during handshake")
-    server_key = RsaPublicKey.from_bytes(frame)
+    try:
+        server_key = RsaPublicKey.from_bytes(frame)
+    except CryptoError as exc:
+        raise SfsAuthError(f"malformed server key: {exc}") from None
     if not path.verify_key(server_key):
         raise SfsAuthError(
             f"server key does not match HostID {path.host_id} — refusing"
@@ -109,11 +113,15 @@ def sfs_server_channel(
         raise SfsAuthError("client closed during handshake")
     if cpu is not None:
         yield from cpu.consume(SFS_HANDSHAKE_CPU, f"{account}/handshake")
-    u = Unpacker(frame)
-    wrapped = u.unpack_opaque()
-    user_key_bytes = u.unpack_opaque()
-    sig = u.unpack_opaque()
-    user_key = RsaPublicKey.from_bytes(user_key_bytes)
+    try:
+        u = Unpacker(frame)
+        wrapped = u.unpack_opaque()
+        user_key_bytes = u.unpack_opaque()
+        sig = u.unpack_opaque()
+        user_key = RsaPublicKey.from_bytes(user_key_bytes)
+    except (XdrError, CryptoError) as exc:
+        sock.abort()
+        raise SfsAuthError(f"malformed key exchange: {exc}") from None
     if not user_key.verify(b"sfs-auth:" + wrapped, sig):
         sock.abort()
         raise SfsAuthError("bad user signature")

@@ -22,7 +22,9 @@ from repro.crypto.rsa import RsaKeyPair
 from repro.proxy.block_cache import ProxyCacheConfig
 from repro.proxy.client_proxy import SgfsClientProxy
 from repro.proxy.server_proxy import SgfsServerProxy
+from repro.proxy.upstream import UpstreamSession
 from repro.rpc.costs import CostProfile
+from repro.rpc.transport import DIAL_ERRORS
 from repro.sfs.channel import sfs_client_channel, sfs_server_channel
 from repro.sfs.paths import SelfCertifyingPath
 from repro.sim.core import Simulator
@@ -43,7 +45,7 @@ class SfsClientDaemon(SgfsClientProxy):
         cost: CostProfile,
         fast_ciphers: bool = True,
     ):
-        def upstream_factory():
+        def dial():
             sock = yield from host.connect(path.location, server_port)
             channel = yield from sfs_client_channel(
                 sim, sock, path, user_key, rng,
@@ -53,7 +55,7 @@ class SfsClientDaemon(SgfsClientProxy):
 
         super().__init__(
             sim, host, listen_port,
-            upstream_factory=upstream_factory,
+            UpstreamSession(sim, dial),
             cost=cost,
             account="sfsd",
             cache=ProxyCacheConfig(
@@ -110,6 +112,6 @@ class SfsServerDaemon(SgfsServerProxy):
                 self.sim, sock, self.server_key, self.authorized_users,
                 cpu=self.host.cpu, account=self.account, fast=self.fast_ciphers,
             )
-        except Exception:
+        except DIAL_ERRORS:
             return None
         return transport, self.session_identity

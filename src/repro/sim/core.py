@@ -241,6 +241,8 @@ class Simulator:
         self.profile = False
         #: the Process currently executing (span causality tracks)
         self.current = None
+        #: every process that ended with an uncaught exception, in order
+        self.died: list = []
         if self.obs.enabled:
             self.obs.add_collector("sim", lambda: {
                 "events_dispatched": self.events_dispatched,
@@ -296,6 +298,12 @@ class Simulator:
         from repro.sim.process import Process
 
         return Process(self, generator, name=name)
+
+    def unobserved_deaths(self) -> list:
+        """The dead processes whose exception nobody has seen: none was
+        waiting on the completion, and none joined it, called
+        ``result()`` or read ``completion.exception`` since."""
+        return [p for p in self.died if not p.completion.observed]
 
     # -- execution -----------------------------------------------------
 

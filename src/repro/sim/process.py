@@ -12,10 +12,12 @@ may yield:
   events at the current instant run first.
 
 A process's ``completion`` event fires with the generator's return value,
-or fails with its uncaught exception.  Uncaught failures with no one
-joining are re-raised at the end of :func:`Simulator.run` would be ideal,
-but to keep the kernel small we instead surface them the first time
-anything joins the process, and :class:`ProcessDied` marks the condition.
+or fails with its uncaught exception.  A failure reaches whoever joins
+the process; the simulator keeps every process that died of one
+(``Simulator.died``) and :meth:`Simulator.unobserved_deaths` names those
+nobody looked at — no waiter, no later join, no ``result()`` or
+``completion.exception`` read — so a run can refuse to end quietly over
+them (:func:`repro.harness.runner.collect` raises :class:`ProcessDied`).
 
 Scheduling is allocation-lean: a process is itself a valid queue entry
 (``_when``/``_seq``/``_fire``) *and* a valid event callback (it is
@@ -33,7 +35,24 @@ from repro.sim.core import Event, Interrupt, SimError, Simulator, _PENDING
 
 
 class ProcessDied(SimError):
-    """Joining a process that already failed re-raises its error wrapped here."""
+    """A process ended with an uncaught exception (its ``__cause__``):
+    raised by :meth:`Process.result`, and by the harness for a death
+    nobody observed."""
+
+
+class _Completion(Event):
+    """A process's completion event; remembers whether anyone looked."""
+
+    __slots__ = ("observed",)
+
+    def add_callback(self, fn) -> None:
+        self.observed = True
+        Event.add_callback(self, fn)
+
+    @property
+    def exception(self) -> Optional[BaseException]:
+        self.observed = True
+        return self._exc
 
 
 class Process:
@@ -57,7 +76,8 @@ class Process:
         self.trace_ns: Optional[str] = getattr(sim.current, "trace_ns", None)
         self.name = name or getattr(generator, "__name__", "proc")
         self.generator = generator
-        self.completion: Event = sim.event(name=f"completion:{self.name}")
+        self.completion: Event = _Completion(sim, f"completion:{self.name}")
+        self.completion.observed = False
         self._waiting_on: Optional[Event] = None
         self._started = False
         # Start the process at the current instant, after pending events.
@@ -133,6 +153,7 @@ class Process:
             return
         except BaseException as exc:
             self.completion.fail(exc)
+            sim.died.append(self)
             return
         finally:
             if tracing:
@@ -158,6 +179,7 @@ class Process:
             return
         except BaseException as err:
             self.completion.fail(err)
+            sim.died.append(self)
             return
         finally:
             if tracing:

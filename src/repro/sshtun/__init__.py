@@ -15,6 +15,6 @@ the server-side proxy.  Authentication uses a pre-shared session key
 nonce/HMAC exchange.
 """
 
-from repro.sshtun.tunnel import SshTunnelClient, SshTunnelServer, TunnelError
+from repro.sshtun.tunnel import SshTunnelClient, SshTunnelServer
 
-__all__ = ["SshTunnelClient", "SshTunnelServer", "TunnelError"]
+__all__ = ["SshTunnelClient", "SshTunnelServer"]

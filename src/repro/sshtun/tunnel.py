@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from repro.crypto.hmac import constant_time_equal, hmac_sha256
 from repro.crypto.suites import (
-    SUITE_AES_SHA, Direction, IntegrityError, charge_crypto, derive_directions,
+    SUITE_AES_SHA, Direction, charge_crypto, derive_directions,
 )
 from repro.net.errors import NetError
 from repro.rpc.costs import CostProfile, FREE_PROFILE, charge_profile
-from repro.rpc.transport import StreamTransport
+from repro.rpc.transport import TRANSPORT_ERRORS, StreamTransport
 from repro.sim.core import Simulator
 
 #: CPU seconds for the tunnel handshake (key confirmation only — no
@@ -32,9 +32,6 @@ TUNNEL_HANDSHAKE_CPU = 0.0005
 
 #: the paper's gfs-ssh configuration: AES-256-CBC + SHA1
 TUNNEL_SUITE = SUITE_AES_SHA
-
-#: the one failure the tunnel raises: a frame that fails its MAC
-TunnelError = IntegrityError
 
 
 class _TunnelEndpoint:
@@ -54,17 +51,11 @@ class _TunnelEndpoint:
         self.bytes_forwarded = 0
 
     def start(self) -> None:
-        listener = self.host.listen(self.listen_port)
-
-        def accept_loop():
-            while True:
-                try:
-                    sock = yield listener.accept()
-                except Exception:
-                    return
-                self.sim.spawn(self._session(sock), name=f"{self.account}-session")
-
-        self.sim.spawn(accept_loop(), name=f"{self.account}:{self.listen_port}")
+        self.sim.spawn(
+            self.host.listen(self.listen_port).serve(lambda sock: self.sim.spawn(
+                self._session(sock), name=f"{self.account}-session")),
+            name=f"{self.account}:{self.listen_port}",
+        )
 
     def _directions(self, nonce_c: bytes, nonce_s: bytes):
         """(client->server, server->client) under this connection's nonces."""
@@ -97,40 +88,37 @@ class _TunnelEndpoint:
 
     def _pump_plain_to_tunnel(self, plain_sock, send: Direction,
                               tunnel: StreamTransport):
-        """Read raw bytes locally, encrypt, frame into the tunnel."""
-        while True:
-            try:
+        """Read raw bytes locally, encrypt, frame into the tunnel —
+        until either socket is gone."""
+        try:
+            while True:
                 chunk = yield from plain_sock.recv()
-            except Exception:
-                return
-            if chunk == b"":
-                return
-            yield from self._charge(len(chunk))
-            self.chunks_forwarded += 1
-            self.bytes_forwarded += len(chunk)
-            try:
+                if chunk == b"":
+                    return
+                yield from self._charge(len(chunk))
+                self.chunks_forwarded += 1
+                self.bytes_forwarded += len(chunk)
                 tunnel.send_record(send.seal(chunk))
-            except Exception:
-                return
+        except NetError:
+            return
 
     def _pump_tunnel_to_plain(self, tunnel: StreamTransport, recv: Direction,
                               plain_sock):
-        """Read framed encrypted chunks, decrypt, write raw bytes locally."""
-        while True:
-            try:
+        """Read framed encrypted chunks, decrypt, write raw bytes
+        locally — until either socket is gone or a frame fails its MAC:
+        nothing past a bad frame is ever forwarded."""
+        try:
+            while True:
                 frame = yield from tunnel.recv_record()
                 if frame is None:
                     return
                 chunk = recv.open(frame)
-            except (IntegrityError, NetError):
-                return  # nothing past a bad frame is ever forwarded
-            yield from self._charge(len(chunk))
-            self.chunks_forwarded += 1
-            self.bytes_forwarded += len(chunk)
-            try:
+                yield from self._charge(len(chunk))
+                self.chunks_forwarded += 1
+                self.bytes_forwarded += len(chunk)
                 plain_sock.send(chunk)
-            except Exception:
-                return
+        except TRANSPORT_ERRORS:
+            return
 
 
 class SshTunnelServer(_TunnelEndpoint):
@@ -145,7 +133,10 @@ class SshTunnelServer(_TunnelEndpoint):
     def _session(self, tunnel_sock):
         tunnel = StreamTransport(tunnel_sock)
         # --- handshake: nonce exchange, key confirmation -------------------
-        nonce_c = yield from tunnel.recv_record()
+        try:
+            nonce_c = yield from tunnel.recv_record()
+        except TRANSPORT_ERRORS:
+            return
         if nonce_c is None:
             return
         yield from self.host.cpu.consume(TUNNEL_HANDSHAKE_CPU, f"{self.account}/handshake")
@@ -156,7 +147,7 @@ class SshTunnelServer(_TunnelEndpoint):
         # --- connect to the local target ------------------------------------
         try:
             plain_sock = yield from self.host.connect(self.host.name, self.target_port)
-        except Exception:
+        except NetError:
             tunnel_sock.close()
             return
         yield from self._forward(plain_sock, tunnel, send=s2c, recv=c2s)
@@ -176,14 +167,17 @@ class SshTunnelClient(_TunnelEndpoint):
     def _session(self, plain_sock):
         try:
             tunnel_sock = yield from self.host.connect(self.server_host, self.server_port)
-        except Exception:
+        except NetError:
             plain_sock.close()
             return
         tunnel = StreamTransport(tunnel_sock)
         yield from self.host.cpu.consume(TUNNEL_HANDSHAKE_CPU, f"{self.account}/handshake")
         nonce_c = hmac_sha256(self.key, b"client-nonce")[:16]
         tunnel.send_record(nonce_c)
-        frame = yield from tunnel.recv_record()
+        try:
+            frame = yield from tunnel.recv_record()
+        except TRANSPORT_ERRORS:
+            frame = None
         if frame is None or len(frame) < 48:
             plain_sock.close()
             tunnel_sock.close()

@@ -18,7 +18,6 @@ from repro.tls.config import SecurityConfig
 from repro.tls.channel import (
     SecureChannel,
     SessionTicketCache,
-    TlsError,
     HandshakeError,
     IntegrityError,
     client_handshake,
@@ -29,7 +28,6 @@ __all__ = [
     "SecurityConfig",
     "SecureChannel",
     "SessionTicketCache",
-    "TlsError",
     "HandshakeError",
     "IntegrityError",
     "client_handshake",

@@ -42,14 +42,15 @@ from typing import Optional
 
 from repro.crypto.hmac import constant_time_equal, hmac_sha256
 from repro.crypto.suites import Direction, IntegrityError, derive_directions
-from repro.gsi.certs import Certificate, ValidationError, validate_chain
-from repro.gsi.names import DistinguishedName
+from repro.crypto.rsa import CryptoError
+from repro.gsi.certs import CertError, Certificate, ValidationError, validate_chain
+from repro.gsi.names import DistinguishedName, DnError
 from repro.net.socket import SimSocket
-from repro.rpc.transport import SealedTransport, StreamTransport
+from repro.rpc.transport import HandshakeError, SealedTransport, StreamTransport
 from repro.sim.core import Simulator
 from repro.sim.cpu import CPU
 from repro.tls.config import SecurityConfig
-from repro.xdr import Packer, Unpacker
+from repro.xdr import Packer, Unpacker, XdrError
 
 # content types
 HANDSHAKE = 1
@@ -71,16 +72,13 @@ HANDSHAKE_CPU_SECONDS = 0.004
 RESUME_CPU_SECONDS = 0.0004
 
 
-class TlsError(Exception):
-    """Secure channel protocol failure."""
+# The channel's two failures are re-exported here: a handshake that
+# refuses the peer raises :class:`repro.rpc.transport.HandshakeError`;
+# a record that fails its MAC, its decryption or the protocol's order
+# raises the record layer's :class:`repro.crypto.suites.IntegrityError`.
 
-
-class HandshakeError(TlsError):
-    """Authentication or negotiation failure during the handshake."""
-
-
-# A record that fails its MAC or decryption raises the record layer's
-# :class:`repro.crypto.suites.IntegrityError`, re-exported here.
+#: what decoding a hostile handshake message can raise
+_MALFORMED = (XdrError, CertError, CryptoError, DnError)
 
 
 class SessionTicketCache:
@@ -257,15 +255,12 @@ class SecureChannel(SealedTransport):
             elif ctype == CLOSE_NOTIFY:
                 self._peer_closed = True
             else:
-                raise TlsError(f"unexpected content type {ctype}")
+                raise IntegrityError(f"unexpected content type {ctype}")
         return None
 
     def close(self) -> None:
         if not self.sock.closed:
-            try:
-                self._send_typed(CLOSE_NOTIFY, b"")
-            except Exception:
-                pass
+            self._send_typed(CLOSE_NOTIFY, b"")
             self.sock.close()
 
     # -- renegotiation (§4.2) ----------------------------------------------------
@@ -311,7 +306,7 @@ class SecureChannel(SealedTransport):
 
     def _handle_reneg_ack(self, _payload: bytes) -> None:
         if self._pending_recv_state is None:
-            raise TlsError("unsolicited RENEG_ACK")
+            raise IntegrityError("unsolicited RENEG_ACK")
         self._recv = self._pending_recv_state
         self._pending_recv_state = None
 
@@ -355,8 +350,8 @@ def _read_handshake(stream: StreamTransport):
     rec = yield from stream.recv_record()
     if rec is None:
         raise HandshakeError("connection closed during handshake")
-    if rec[0] != HANDSHAKE:
-        raise HandshakeError(f"expected handshake record, got type {rec[0]}")
+    if rec[:1] != _HANDSHAKE:
+        raise HandshakeError(f"expected handshake record, got {rec[:1]!r}")
     return rec[1:]
 
 
@@ -373,25 +368,29 @@ def client_handshake(
     (if any) and the handshake resumes abbreviated when the server still
     remembers the session — skipping the RSA key exchange entirely.
     """
-    with sim.tracer.span(
-        "tls.handshake", cat="tls", role="client", suite=config.suite.name
-    ):
-        channel = yield from _client_handshake(sim, sock, config, cpu, account)
+    return _handshake(sim, "client", config,
+                      _client_handshake(sim, sock, config, cpu, account))
+
+
+def _handshake(sim: Simulator, role: str, config: SecurityConfig, steps):
+    """Process generator: run one side's ``steps`` traced and counted.
+    A message that does not parse refuses the peer like a failed proof:
+    a handshake raises :class:`HandshakeError` or a transport error."""
+    suite = config.suite.name
+    with sim.tracer.span("tls.handshake", cat="tls", role=role, suite=suite):
+        try:
+            channel = yield from steps
+        except _MALFORMED as exc:
+            raise HandshakeError(f"malformed handshake message: {exc}") from exc
     if sim.obs.enabled:
-        sim.obs.counter("tls", "handshakes", role="client",
-                        suite=config.suite.name).inc()
-        _count_handshake_kind(sim, channel, "client")
+        sim.obs.counter("tls", "handshakes", role=role, suite=suite).inc()
+        # resumptions / full_handshakes split, counted only for sessions
+        # that negotiated the ticket extension — telemetry of runs
+        # without tickets (all goldens) is unchanged
+        if channel.tickets:
+            kind = "resumptions" if channel.resumed else "full_handshakes"
+            sim.obs.counter("tls", kind, role=role, suite=suite).inc()
     return channel
-
-
-def _count_handshake_kind(sim: Simulator, channel: SecureChannel, role: str) -> None:
-    """resumptions / full_handshakes split, counted only for sessions
-    that negotiated the ticket extension — telemetry of runs without
-    tickets (all goldens) is unchanged."""
-    if not channel.tickets:
-        return
-    kind = "resumptions" if channel.resumed else "full_handshakes"
-    sim.obs.counter("tls", kind, role=role, suite=channel.config.suite.name).inc()
 
 
 def _client_handshake(
@@ -530,17 +529,8 @@ def server_handshake(
     presented ticket that is still live runs the abbreviated handshake
     (no RSA, no chain validation — identity comes from the cache).
     """
-    with sim.tracer.span(
-        "tls.handshake", cat="tls", role="server", suite=config.suite.name
-    ):
-        channel = yield from _server_handshake(
-            sim, sock, config, cpu, account, ticket_cache
-        )
-    if sim.obs.enabled:
-        sim.obs.counter("tls", "handshakes", role="server",
-                        suite=config.suite.name).inc()
-        _count_handshake_kind(sim, channel, "server")
-    return channel
+    return _handshake(sim, "server", config, _server_handshake(
+        sim, sock, config, cpu, account, ticket_cache))
 
 
 def _server_handshake(

@@ -217,3 +217,49 @@ def test_sealed_record_truncated_replayed_swapped_or_reflected_is_rejected(conve
     (recv, _), _ = _fresh_directions(convention)
     with pytest.raises(IntegrityError):  # swapped with its successor
         recv.open(second, aad)
+
+
+def test_tampered_record_ends_the_sgfs_session_normally_and_the_mount_recovers():
+    """One flipped WAN byte inside an established sgfs-aes session is a
+    *refusal*, not an accident: the server proxy's session process reads
+    a record that fails its MAC, closes the channel and ends — it does
+    not die of ``IntegrityError`` with nobody told — and the client
+    proxy goes through its ordinary reconnect-and-retry path to a second
+    session, content exact."""
+    from repro.core import Testbed
+    from repro.core.setups import SETUP_BUILDERS
+    from repro.vfs.fs import Credentials
+    from tests.test_sshtun_sfs import WanTap
+
+    tb = Testbed.build(rtt=0.02)
+    tap = WanTap(tb.client, "server")
+    sessions = []  # the server proxy's per-session processes, in accept order
+    spawn = tb.sim.spawn
+
+    def recording_spawn(generator, name=""):
+        proc = spawn(generator, name=name)
+        if name == "sgfs-session":
+            sessions.append(proc)
+        return proc
+
+    tb.sim.spawn = recording_spawn
+    mount = SETUP_BUILDERS["sgfs-aes"](tb)
+    first_channel = mount.client_proxy._upstream
+    payload = bytes(range(256)) * 1024
+
+    def job():
+        tap.arm(5)  # past LOOKUP and CREATE: inside the WRITEs
+        yield from mount.client.write_file("/big.bin", payload)
+        return (yield from mount.client.read_file("/big.bin"))
+
+    proc = tb.sim.spawn(job())
+    tb.sim.run(until=tb.sim.now + 300.0)
+    assert proc.result() == payload
+    assert bytes(tb.fs.resolve("/big.bin", Credentials(0, 0)).data) == payload
+    assert tap.flipped is not None and len(sessions) == 2
+    refused, current = sessions
+    assert not refused.alive and not refused.completion.failed
+    assert current.alive
+    assert first_channel.closed and mount.client_proxy._upstream is not first_channel
+    assert mount.client_proxy.stats["upstream_retries"] >= 1
+    assert tb.sim.died == []

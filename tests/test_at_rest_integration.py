@@ -85,6 +85,7 @@ def test_at_rest_requires_write_back_cache():
     from repro.crypto.drbg import Drbg
     from repro.proxy.client_proxy import ProxyCacheConfig, SgfsClientProxy
     from repro.proxy.cryptofs import BlockCryptor
+    from repro.proxy.upstream import UpstreamSession
     from repro.sim import Simulator
     from repro.net import Host, Network
 
@@ -93,7 +94,7 @@ def test_at_rest_requires_write_back_cache():
     host = Host(sim, net, "h")
     with pytest.raises(ValueError, match="write-back"):
         SgfsClientProxy(
-            sim, host, 1234, upstream_factory=lambda: None,
+            sim, host, 1234, UpstreamSession(sim, lambda: None),
             cache=ProxyCacheConfig(enabled=False),
             cryptor=BlockCryptor(Drbg("k").randbytes(32)),
         )

@@ -24,6 +24,7 @@ from repro.gsi import CertificateAuthority
 from repro.proxy.block_cache import ProxyCacheConfig
 from repro.proxy.client_proxy import SgfsClientProxy
 from repro.proxy.server_proxy import SgfsServerProxy
+from repro.proxy.upstream import UpstreamSession
 from repro.rpc.auth import AuthSys
 from repro.tls import SecurityConfig
 from repro.tls.channel import client_handshake
@@ -59,7 +60,7 @@ def build_shared(consistency: str, ttl: float = 2.0):
             return (yield from client_handshake(sim, sock, cfg))
 
         cproxy = SgfsClientProxy(
-            sim, tb.client, 4900 + i, upstream_factory,
+            sim, tb.client, 4900 + i, UpstreamSession(sim, upstream_factory),
             cache=ProxyCacheConfig(
                 enabled=True, consistency=consistency, consistency_ttl=ttl,
             ),

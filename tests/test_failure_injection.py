@@ -14,8 +14,10 @@ import pytest
 from repro.core import Testbed, setup_nfs_v3
 from repro.core.setups import setup_sgfs
 from repro.faults import FAULT_PRESETS, FaultPlan, FaultSpec
+from repro.harness import run_fleet, run_workload
 from repro.nfs.client import NfsClientError
 from repro.rpc.errors import RpcError, RpcTransportError
+from repro.sim import ProcessDied
 from repro.vfs.fs import Credentials
 
 ROOT = Credentials(0, 0)
@@ -241,3 +243,46 @@ def test_evicted_dirty_block_redirtied_during_writeback_not_lost():
     assert flushed == [(fid, 0)]  # the hook saw the eviction write-back
     # the mid-flight re-dirty survives the eviction
     assert 0 in dirty.get(fid, set())
+
+
+# -- an unobserved process death fails the run ---------------------------------
+
+
+class _Stray:
+    """A workload that spawns a helper which raises; ``observe`` says how
+    (or whether) anyone ever looks at the helper again."""
+
+    def __init__(self, observe=None):
+        self.observe = observe
+
+    def run(self, mount):
+        sim = mount.tb.sim
+
+        def helper():
+            yield sim.timeout(0.001)
+            raise ValueError("a bug in a helper")
+
+        proc = sim.spawn(helper(), name="stray-helper")
+        yield from mount.client.write_file("/f", b"the workload itself is fine")
+        if self.observe == "join":
+            with pytest.raises(ValueError):
+                yield proc
+        elif self.observe == "result":
+            with pytest.raises(ProcessDied):
+                proc.result()
+
+
+@pytest.mark.parametrize("run", [
+    lambda factory: run_workload("sgfs-sha", factory),
+    lambda factory: run_fleet("sgfs-sha", factory, clients=2),
+], ids=["run_workload", "run_fleet"])
+def test_a_process_that_dies_unobserved_fails_the_run(run):
+    """Nothing joins the helper, so its exception used to vanish and the
+    run to report success.  Both harness loops end in the one ``collect``
+    step, which refuses to produce a result over an unobserved death."""
+    with pytest.raises(ProcessDied, match="stray-helper") as caught:
+        run(_Stray)
+    assert isinstance(caught.value.__cause__, ValueError)
+    # a death somebody looked at is that somebody's business
+    run(lambda: _Stray(observe="join"))
+    run(lambda: _Stray(observe="result"))

@@ -36,6 +36,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,3 +209,32 @@ def test_golden_mab_gfs_ssh():
     r = run_mab("gfs-ssh", rtt=0.020)
     assert r.total == float.fromhex("0x1.520ee11d04967p+8")
     assert r.writeback_seconds == float.fromhex("0x0.0p+0")
+
+
+def test_golden_runs_do_not_depend_on_the_hash_seed():
+    """``str`` and ``bytes`` hashes are salted per interpreter, so a set
+    or a dict keyed by names whose iteration order leaked into a run
+    would make it differ between processes — which no single-process
+    suite can see.  Two golden runs (a WAN session with telemetry, a
+    grid fleet under a fault plan) in two interpreters with different
+    salts print the pinned values."""
+    code = (
+        "import tests.test_golden_runtimes as g\n"
+        "r = g.run_iozone('sgfs-aes', rtt=g.WAN_RTT, file_size=g.FILE_SIZE,\n"
+        "                 setup_kwargs={'cache_bytes': g.CACHE_BYTES}, telemetry=True)\n"
+        "print(r.total.hex(), g._snapshot_sha256(r))\n"
+        "print(g.json.dumps(g.fault_row(g.run_fault_case('grid-fleet-lossy-wan')),\n"
+        "                   sort_keys=True))\n"
+    )
+    root = Path(__file__).resolve().parent.parent
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", code], cwd=root, check=True, text=True,
+            capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    total_hex, _writeback, snap = GOLDEN["wan-sgfs-aes"]
+    fault = json.dumps(FAULT_GOLDEN["grid-fleet-lossy-wan"], sort_keys=True)
+    expected = f"{total_hex} {snap}\n{fault}\n"
+    assert outputs == [expected, expected]

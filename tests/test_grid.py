@@ -6,7 +6,10 @@ import pytest
 from repro.faults import CrashEvent, FaultSpec
 from repro.grid import GridLayout, GridMetadataService
 from repro.harness import run_fleet
+from repro.nfs.protocol import Sattr3
 from repro.workloads.iozone import IOzoneWriteRead
+from repro.workloads.mab import ModifiedAndrewBenchmark
+from repro.workloads.postmark import PostMark, PostMarkConfig
 
 FS = 256 * 1024
 GRID_KW = dict(grid_block_size=32 * 1024,
@@ -179,3 +182,87 @@ def test_replicated_crash_fleet_bit_identical_same_seed():
     a = run_fleet("sgfs-sha", _wr, **kw)
     b = run_fleet("sgfs-sha", _wr, **kw)
     assert _fingerprint(a) == _fingerprint(b)
+
+
+# -- namespace traffic through the router ---------------------------------------
+# Every fleet above runs IOzoneWriteRead, which never makes a directory,
+# removes, renames or truncates: these run the router's MKDIR / REMOVE /
+# RENAME / SETATTR mirroring and its burst path.  Counts were captured
+# before the four mirroring loops were folded into ``_mirror``.
+
+
+def _pm():
+    return PostMark(PostMarkConfig(files=20, transactions=80, directories=3))
+
+
+class _RenameTruncate:
+    """Write a striped file, move it to another directory, cut it short;
+    read it back whole after each step."""
+
+    def run(self, mount):
+        cl = mount.client
+        yield from cl.mkdir("/a")
+        yield from cl.mkdir("/b")
+        data = bytes(range(256)) * 800
+        yield from cl.write_file("/a/f", data)
+        yield from cl.rename("/a/f", "/b/g")
+        assert (yield from cl.read_file("/b/g")) == data
+        yield from cl.setattr("/b/g", Sattr3(size=70000))
+        assert (yield from cl.read_file("/b/g")) == data[:70000]
+
+
+@pytest.mark.parametrize("kw, mirrored, degraded, bumps", [
+    (dict(servers=2), 132, 0, 0),
+    (dict(servers=3, replicas=2), 264, 0, 0),
+    (dict(servers=3, replicas=2, faults=CRASH, fault_seed="grid-ci"), 135, 125, 1),
+], ids=["2x1", "3x2", "3x2-crash"])
+def test_postmark_fleet_mirrors_namespace_ops(kw, mirrored, degraded, bumps):
+    kw = dict(clients=2, **kw, **GRID_KW)
+    r = run_fleet("sgfs-sha", _pm, **kw)
+    assert all("deletion" in c.phases for c in r.per_client)
+    g, meta = r.stats["grid"], r.stats["grid.meta"]
+    assert g["hole_spans"] == 0
+    assert g["mirrored_ops"] == mirrored
+    assert g["degraded_writes"] == degraded
+    assert meta["epoch_bumps"] == bumps
+    # every file PostMark made it also deleted: nothing stays registered
+    assert meta["registrations"] == meta["forgets"] == 116
+    assert _fingerprint(run_fleet("sgfs-sha", _pm, **kw)) == _fingerprint(r)
+
+
+def test_mab_fleet_mirrors_its_source_tree():
+    r = run_fleet("sgfs-sha", lambda: ModifiedAndrewBenchmark(), clients=1,
+                  servers=2, **GRID_KW)
+    assert "compile" in r.per_client[0].phases
+    g, meta = r.stats["grid"], r.stats["grid.meta"]
+    assert g["hole_spans"] == 0
+    assert g["mirrored_ops"] == 27  # 13 source directories + the build tree
+    assert (meta["registrations"], meta["forgets"]) == (655, 0)
+
+
+@pytest.mark.parametrize("kw, mirrored", [
+    (dict(servers=2), 8),
+    (dict(servers=3, replicas=2), 16),
+], ids=["2x1", "3x2"])
+def test_rename_and_truncate_reach_every_backend(kw, mirrored):
+    kw = dict(clients=2, **kw, **GRID_KW)
+    r = run_fleet("sgfs-sha", _RenameTruncate, **kw)
+    g = r.stats["grid"]
+    # per client: 2 MKDIRs, 1 RENAME, 1 SETATTR, each on every other backend
+    assert g["mirrored_ops"] == mirrored
+    assert g["hole_spans"] == 0 and g["dead_marks"] == 0
+    assert _fingerprint(run_fleet("sgfs-sha", _RenameTruncate, **kw)) == _fingerprint(r)
+
+
+def test_write_behind_bursts_through_the_router():
+    kw = dict(clients=2, servers=2, streams=4, grid_block_size=32 * 1024,
+              setup_kwargs={"disk_cache": True})
+    r = run_fleet("sgfs-sha", _wr, **kw)
+    assert all(c.bytes_moved == 3 * FS for c in r.per_client)
+    # the disk cache absorbs every write and flushes them as bursts the
+    # router stripes: 8 blocks per client, all landed
+    assert r.stats["proxy.client"]["writeback_blocks"] == 16
+    assert r.stats["proxy.client"]["writeback_errors"] == 0
+    g = r.stats["grid"]
+    assert (g["striped_writes"], g["hole_spans"], g["mirrored_ops"]) == (16, 0, 0)
+    assert _fingerprint(run_fleet("sgfs-sha", _wr, **kw)) == _fingerprint(r)

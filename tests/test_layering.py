@@ -3,7 +3,8 @@
 A structure guard, not a behaviour test: it walks the source with
 ``ast`` and fails when a second copy of framing, the crypto cost split,
 the exactly-once protocol or the reply table appears (DESIGN.md § One
-transport stack, one hop)."""
+transport stack, one hop), or when a hop starts catching what it cannot
+name (DESIGN.md § Failure vocabulary)."""
 
 import ast
 from pathlib import Path
@@ -50,3 +51,63 @@ def test_charge_is_part_of_the_transport_interface():
               if name == "hasattr" and len(node.args) == 2
               and getattr(node.args[1], "value", None) == "charge"]
     assert probes == []
+
+
+# -- failure vocabulary ---------------------------------------------------------
+
+
+def _handlers():
+    """(path, innermost enclosing function, caught names) per ``except``."""
+    found = []
+
+    def visit(node, path, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type
+            if isinstance(caught, ast.Tuple):
+                names = [ast.unparse(e) for e in caught.elts]
+            else:
+                names = [] if caught is None else [ast.unparse(caught)]
+            found.append((path, fn, names))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, fn)
+
+    for path, tree in TREES.items():
+        visit(tree, path, None)
+    return found
+
+
+def test_two_catch_alls_and_each_answers_its_caller():
+    """``except Exception`` (or a bare ``except``) exists where a
+    protocol error goes back to the caller instead — SYSTEM_ERR from the
+    RPC dispatcher, a SOAP fault from the service endpoint — and nowhere
+    else: every other handler names what it means to survive."""
+    catch_alls = [(path, fn) for path, fn, names in _handlers()
+                  if not names or "Exception" in names]
+    assert catch_alls == [("rpc/server.py", "_dispatch"),
+                          ("services/endpoint.py", "_process")]
+
+
+def test_base_exception_is_caught_only_to_be_handed_on():
+    """Five handlers see ``BaseException``, and each passes it on: the
+    two that end a process fail its completion with it, the DRC and the
+    block fetch re-raise after releasing what they hold, a fleet client
+    records it for ``run_fleet`` to raise."""
+    assert sorted((path, fn) for path, fn, names in _handlers()
+                  if "BaseException" in names) == [
+        ("harness/fleet.py", "client_proc"),
+        ("nfs/client.py", "_fetch_block"),
+        ("rpc/drc.py", "once"),
+        ("sim/process.py", "_resume"),
+        ("sim/process.py", "_throw"),
+    ]
+
+
+def test_no_named_error_set_can_swallow_an_interrupt():
+    from repro.rpc.messages import DECODE_ERRORS
+    from repro.rpc.transport import DIAL_ERRORS, TRANSPORT_ERRORS
+    from repro.sim import Interrupt
+
+    for vocabulary in (TRANSPORT_ERRORS, DIAL_ERRORS, DECODE_ERRORS):
+        assert not any(issubclass(Interrupt, t) for t in vocabulary)

@@ -17,6 +17,7 @@ from repro.proxy.accounts import Account
 from repro.proxy.block_cache import ProxyCacheConfig
 from repro.proxy.client_proxy import SgfsClientProxy
 from repro.proxy.server_proxy import SgfsServerProxy
+from repro.proxy.upstream import UpstreamSession
 from repro.rpc.auth import AuthSys
 from repro.rpc.transport import StreamTransport
 from repro.tls import SecurityConfig
@@ -67,7 +68,7 @@ def build_two_sessions():
             return channel
 
         cproxy = SgfsClientProxy(
-            sim, tb.client, 4800 + i, upstream_factory,
+            sim, tb.client, 4800 + i, UpstreamSession(sim, upstream_factory),
             cache=ProxyCacheConfig(enabled=False),
         )
 

@@ -59,7 +59,6 @@ cache = on
 cache.write_back = on
 cache.block_size = 16384
 cache.capacity = 1048576
-cache.flush_age = 60
 """
 
 
@@ -72,7 +71,6 @@ def test_config_parse_full():
     assert cfg.cache.enabled and cfg.cache.write_back
     assert cfg.cache.block_size == 16384
     assert cfg.cache.capacity_bytes == 1048576
-    assert cfg.cache.flush_age == 60.0
 
 
 def test_config_defaults():

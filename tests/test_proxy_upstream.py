@@ -152,6 +152,29 @@ def test_cycle_while_cycling_waits_instead_of_dialing():
     assert len(dialer.dials) == 2 + 2
 
 
+def test_interrupt_during_a_cycle_dial_stops_the_cycler():
+    """A fleet interrupts each client's session cycler when its workload
+    ends.  An interrupt that lands while the replacement dial is in
+    flight must end the cycler there and then — it used to read as a
+    failed dial, and the cycler went on cycling a finished session."""
+    from types import SimpleNamespace
+
+    from repro.harness.fleet import _session_cycler
+
+    sim, dialer, up = _session()
+    proxy = SimpleNamespace(cycle_upstream=up.cycle)
+    cycler = sim.spawn(_session_cycler(sim, proxy, interval=5.0))
+    mid_dial = sim.now + 5.0 + DIAL_SECONDS / 2
+    sim.run(until=mid_dial)
+    assert cycler.alive and up._channels[0].reconnecting is not None
+    cycler.interrupt("client workload complete")
+    sim.run(until=mid_dial)  # no time passes: just the interrupt's delivery
+    assert not cycler.alive and not cycler.completion.failed
+    assert up._channels[0].reconnecting is None  # the cycle's gate is released
+    sim.run(until=60.0)
+    assert len(dialer.dials) == 1  # the session's own connect; nothing since
+
+
 def test_retried_call_keeps_xid_and_record_across_connections():
     # connection 1 swallows the call and then dies; connection 2 answers
     sim, dialer, up = _session(script=[False, True])

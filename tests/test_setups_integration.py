@@ -204,7 +204,7 @@ def test_two_hand_built_seats_share_one_server_proxy():
     from repro.gsi.gridmap import UnmappedPolicy
     from repro.nfs.protocol import FileHandle
     from repro.proxy.accounts import Account
-    from repro.proxy.upstream import dialer
+    from repro.proxy.upstream import UpstreamSession, dialer
 
     tb = Testbed.build()
     pki = SessionPki(tb, "two-seats", "null-sha1")
@@ -225,8 +225,8 @@ def test_two_hand_built_seats_share_one_server_proxy():
     server_proxy = serve_proxy(tb, gridmap, pki.server_config())
 
     def session(seat):
-        proxy = client_proxy(tb, seat, dialer(
-            tb.sim, seat.host, "server", SERVER_PROXY_PORT, pki.client_config(seat)))
+        proxy = client_proxy(tb, seat, UpstreamSession(tb.sim, dialer(
+            tb.sim, seat.host, "server", SERVER_PROXY_PORT, pki.client_config(seat))))
         yield from proxy.start()
         client = yield from mount_through_proxy(tb, seat)
         yield from client.write_file("/mine.txt", seat.name.encode())

@@ -208,3 +208,42 @@ def test_nested_yield_from_helpers():
 
     assert sim.run_until_complete(sim.spawn(outer())) == 6
     assert sim.now == 3.0
+
+
+def test_simulator_names_the_deaths_nobody_observed():
+    """A process that dies of an exception is kept; it stops being
+    *unobserved* once anyone waits on it, joins it afterwards, asks for
+    its ``result()`` or reads ``completion.exception``."""
+    sim = Simulator()
+
+    def dies(what):
+        yield sim.timeout(1.0)
+        raise ValueError(what)
+
+    def joiner(proc):
+        try:
+            yield proc
+        except ValueError:
+            pass
+
+    lonely = sim.spawn(dies("lonely"), name="lonely")
+    awaited = sim.spawn(dies("awaited"), name="awaited")
+    sim.spawn(joiner(awaited))  # a waiter at the time of death
+    late, asked, read = (sim.spawn(dies(n), name=n) for n in ("late", "asked", "read"))
+    fine = sim.spawn(_returns(sim), name="fine")
+    sim.run()
+    assert [p.name for p in sim.died] == ["lonely", "awaited", "late", "asked", "read"]
+    assert sim.unobserved_deaths() == [lonely, late, asked, read]
+    assert lonely.completion.failed  # looking at the flag is not observing
+    sim.spawn(joiner(late))  # a join after the fact
+    sim.run()
+    with pytest.raises(ProcessDied):
+        asked.result()
+    assert isinstance(read.completion.exception, ValueError)
+    assert sim.unobserved_deaths() == [lonely]
+    assert fine.result() == "ok"
+
+
+def _returns(sim):
+    yield sim.timeout(0.5)
+    return "ok"
