@@ -57,7 +57,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.nfs import protocol as pr
 from repro.nfs.protocol import Fattr3, FileHandle, NfsStatus, Proc, Sattr3
 from repro.rpc.errors import RpcError
-from repro.rpc.messages import CallMessage, ReplyMessage
+from repro.rpc.messages import DECODE_ERRORS, CallMessage, ReplyMessage
 from repro.sim.process import all_of
 
 #: WRITE/COMMIT verifier of grid-assembled replies
@@ -238,10 +238,10 @@ class GridRouter:
         leg = self.legs[b]
         reply = yield from leg.forward(self._call(
             Proc.LOOKUP, pr.pack_lookup_args(dir_fh, name), template))
-        status, fh, _attr, _dattr = pr.unpack_lookup_res(reply.results)
-        if status == NfsStatus.OK and fh is not None:
-            self._shadows[(b, fileid)] = fh
-            return fh
+        res = pr.read_ok(reply, pr.unpack_lookup_res)
+        if res is not None and res[1] is not None:
+            self._shadows[(b, fileid)] = res[1]
+            return res[1]
         if not create:
             return None
         proc, pack, mode = (
@@ -249,10 +249,10 @@ class GridRouter:
             else (Proc.CREATE, pr.pack_create_args, 0o644))
         reply = yield from leg.forward(self._call(
             proc, pack(dir_fh, name, Sattr3(mode=mode)), template))
-        status, fh, _attr, _dir_after = pr.unpack_create_res(reply.results)
-        if status == NfsStatus.OK and fh is not None:
-            self._shadows[(b, fileid)] = fh
-            return fh
+        res = pr.read_ok(reply, pr.unpack_create_res)
+        if res is not None and res[1] is not None:
+            self._shadows[(b, fileid)] = res[1]
+            return res[1]
         return None
 
     def _record_child(self, dir_fid: int, name: str, fileid: int,
@@ -477,10 +477,13 @@ class GridRouter:
         Returns the span bytes (zero-padded to ``length``); a span whose
         file legitimately doesn't exist on any live replica reads as a
         hole of zeros; ``None`` means every replica is dead or errored —
-        genuine data loss the caller surfaces as an IO reply.  Workers
-        never raise: the joiner consumes results in span order and
-        decides, so a failure can't abort the fan-out early and leave
-        stragglers racing."""
+        genuine data loss the caller surfaces as an IO reply.  A replica
+        that answers without serving the read (an RPC error such as
+        SYSTEM_ERR, or results that do not parse) is passed over for the
+        next owner but not marked dead: it is up.  Workers never raise:
+        the joiner consumes results in span order and decides, so a
+        failure can't abort the fan-out early and leave stragglers
+        racing."""
         saw_absent = False
         for idx, b in enumerate(self.layout.owners(fileid, block)):
             if b in self._dead:
@@ -494,9 +497,16 @@ class GridRouter:
                     continue
                 reply = yield from self.legs[b].forward(self._call(
                     Proc.READ, pr.pack_read_args(fh, abs_off, length), call))
-                status, _attr, data, _eof = pr.unpack_read_res(reply.results)
             except RpcError:
                 self._fail_backend(b)
+                continue
+            if not reply.ok:
+                continue
+            try:
+                # NOENT is a hole, not a failure: read the status here
+                # rather than through read_ok, which cannot tell them apart
+                status, _attr, data, _eof = pr.unpack_read_res(reply.results)
+            except DECODE_ERRORS:
                 continue
             if status == NfsStatus.OK:
                 if len(data) < length:
@@ -557,11 +567,11 @@ class GridRouter:
             reply = yield from self.legs[b].forward(self._call(
                 Proc.WRITE, pr.pack_write_args(bfh, abs_off, payload, stable),
                 call))
-            status, _after, count, _cm, _v = pr.unpack_write_res(reply.results)
         except RpcError:
             self._fail_backend(b)
             return None
-        if status == NfsStatus.OK and count == len(payload):
+        res = pr.read_ok(reply, pr.unpack_write_res)
+        if res is not None and res[2] == len(payload):
             return b
         return None
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, List, Optional, Sequence
 
 from repro.crypto.drbg import Drbg
@@ -47,9 +48,20 @@ class Certificate:
     signature: bytes = b""
 
     # -- canonical encoding -------------------------------------------------
+    # Built once per certificate object: every handshake that presents
+    # the same chain reuses them.  A certificate parsed off the wire is a
+    # new object, so what a receiver verifies is re-encoded from the
+    # fields it parsed.
 
     def tbs_bytes(self) -> bytes:
         """The to-be-signed canonical encoding."""
+        return self._tbs
+
+    def to_bytes(self) -> bytes:
+        return self._encoded
+
+    @cached_property
+    def _tbs(self) -> bytes:
         p = Packer()
         p.pack_string(str(self.subject))
         p.pack_string(str(self.issuer))
@@ -61,9 +73,10 @@ class Certificate:
         p.pack_bool(self.is_proxy)
         return p.get_bytes()
 
-    def to_bytes(self) -> bytes:
+    @cached_property
+    def _encoded(self) -> bytes:
         p = Packer()
-        p.pack_opaque(self.tbs_bytes())
+        p.pack_opaque(self._tbs)
         p.pack_opaque(self.signature)
         return p.get_bytes()
 

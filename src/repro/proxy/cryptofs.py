@@ -16,13 +16,13 @@ the server itself is the adversary.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.crypto.hmac import constant_time_equal, hmac_sha256
+from repro.crypto.suites import draw_pad, pad_source
 
 
 class AtRestIntegrityError(Exception):
@@ -43,11 +43,8 @@ class BlockCryptor:
     # -- keystream -------------------------------------------------------
 
     def _pad(self, fileid: int, block: int, n: int) -> np.ndarray:
-        seed = hashlib.sha256(
-            self._key + struct.pack(">QQ", fileid, block)
-        ).digest()
-        rng = np.random.Generator(np.random.PCG64(int.from_bytes(seed[:8], "big")))
-        return rng.integers(0, 256, size=n, dtype=np.uint8)
+        source = pad_source(self._key + struct.pack(">QQ", fileid, block))
+        return draw_pad(source, n)[:n]
 
     def _xor(self, fileid: int, block: int, data: bytes) -> bytes:
         pad = self._pad(fileid, block, len(data))

@@ -38,7 +38,7 @@ from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.sim.core import Event, SimError, Simulator
-from repro.sim.sync import lock_group
+from repro.sim.sync import wait_instruments
 
 
 class CpuLedger:
@@ -254,7 +254,8 @@ class CPU:
         #: arrival ticket; with nondecreasing enqueue times this
         #: totally orders waiters by (ready-time, seq)
         self._ticket = itertools.count()
-        self._h_wait = None  # sync/sem_wait histogram, resolved lazily
+        # sync/sem_wait histogram and sync/sem_waits counter, bound lazily
+        self._h_wait = self._c_wait = None
 
     def consume(self, seconds: float, account: str = "other",
                 affinity: Optional[int] = None):
@@ -327,10 +328,10 @@ class CPU:
         self.wait_count += 1
         obs = self.sim.obs
         if obs.enabled:
-            group = lock_group(f"{self.name}.core")
-            if self._h_wait is None:
-                self._h_wait = obs.histogram("sync", "sem_wait", lock=group)
-            obs.counter("sync", "sem_waits", lock=group).inc()
+            if self._c_wait is None:
+                self._h_wait, self._c_wait = wait_instruments(
+                    obs, "sem", f"{self.name}.core")
+            self._c_wait.inc()
 
     def busy_total(self, account: str) -> float:
         return self.ledger.total(account)

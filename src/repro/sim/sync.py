@@ -44,6 +44,16 @@ def lock_group(name: str) -> str:
     return _DIGITS.sub("*", name)
 
 
+def wait_instruments(obs, family: str, name: str):
+    """The ``sync`` instruments a lock named ``name`` reports queued
+    acquisitions through: the ``{family}_wait`` histogram and the
+    ``{family}_waits`` counter of its group.  Bound at the lock's first
+    queued acquisition, so later ones skip the name rewrite and lookup."""
+    group = lock_group(name)
+    return (obs.histogram("sync", f"{family}_wait", lock=group),
+            obs.counter("sync", f"{family}_waits", lock=group))
+
+
 class Channel:
     """Unbounded FIFO message queue.
 
@@ -171,7 +181,7 @@ class Semaphore:
     """
 
     __slots__ = ("sim", "name", "_acq_name", "capacity", "_in_use", "_waiters",
-                 "wait_count", "_h_wait")
+                 "wait_count", "_h_wait", "_c_wait")
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = "sem"):
         if capacity < 1:
@@ -185,7 +195,8 @@ class Semaphore:
         self._waiters: Deque[tuple[Event, float]] = deque()
         #: total acquisitions that had to queue (contention indicator)
         self.wait_count = 0
-        self._h_wait = None  # sync/sem_wait histogram, resolved lazily
+        # sync/sem_wait histogram and sync/sem_waits counter, bound lazily
+        self._h_wait = self._c_wait = None
 
     @property
     def in_use(self) -> int:
@@ -204,11 +215,10 @@ class Semaphore:
             self.wait_count += 1
             obs = self.sim.obs
             if obs.enabled:
-                if self._h_wait is None:
-                    group = lock_group(self.name)
-                    self._h_wait = obs.histogram("sync", "sem_wait", lock=group)
-                obs.counter("sync", "sem_waits",
-                            lock=lock_group(self.name)).inc()
+                if self._c_wait is None:
+                    self._h_wait, self._c_wait = wait_instruments(
+                        obs, "sem", self.name)
+                self._c_wait.inc()
             self._waiters.append((ev, self.sim.now))
         return ev
 
@@ -262,7 +272,7 @@ class RwLock:
     """
 
     __slots__ = ("sim", "name", "_acq_name", "_readers", "_writer",
-                 "_waiters", "wait_count", "_h_wait")
+                 "_waiters", "wait_count", "_h_wait", "_c_wait")
 
     def __init__(self, sim: Simulator, name: str = "rwlock"):
         self.sim = sim
@@ -274,17 +284,18 @@ class RwLock:
         self._waiters: Deque[tuple[Event, bool, float]] = deque()
         #: total acquisitions that had to queue (contention indicator)
         self.wait_count = 0
-        self._h_wait = None  # sync/rwlock_wait histogram, resolved lazily
+        # sync/rwlock_wait histogram and sync/rwlock_waits counter, bound lazily
+        self._h_wait = self._c_wait = None
 
     def _note_queued(self) -> None:
         """Count a queued acquisition and export it to the registry."""
         self.wait_count += 1
         obs = self.sim.obs
         if obs.enabled:
-            group = lock_group(self.name)
-            if self._h_wait is None:
-                self._h_wait = obs.histogram("sync", "rwlock_wait", lock=group)
-            obs.counter("sync", "rwlock_waits", lock=group).inc()
+            if self._c_wait is None:
+                self._h_wait, self._c_wait = wait_instruments(
+                    obs, "rwlock", self.name)
+            self._c_wait.inc()
 
     @property
     def readers(self) -> int:

@@ -1,6 +1,8 @@
 """Crypto primitives against published vectors plus property tests."""
 
+import hashlib
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto import AES, RC4, PaddingError, hmac_sha1, hmac_sha256, pkcs7_pad, pkcs7_unpad
 from repro.crypto.hmac import constant_time_equal, hmac_digest
-from repro.crypto.suites import SUITES, Direction, FastXorState, NullCipherState
+from repro.crypto.suites import SUITES, Direction, FastXorState, NullCipherState, draw_pad
+from repro.proxy.cryptofs import BlockCryptor
 
 
 # -- AES (FIPS-197 appendix C vectors) ------------------------------------------
@@ -206,8 +209,23 @@ def test_pkcs7_roundtrip_property(data, block):
 # -- FastXorState: the benchmark stand-in's keystream -----------------------------
 
 
-def _tiled_xor(pad, data, off):
-    """The reference: the whole pad tiled over the record, then sliced."""
+PAD_LEN = FastXorState.PAD_LEN
+KEY, IV = b"k" * 32, b"i" * 16
+
+
+def _reference_pad(material: bytes, n: int = PAD_LEN):
+    """The keyed pad as ``Generator.integers`` draws it, independent of
+    how the state draws its own: PCG64 seeded with SHA-256(material)'s
+    first 8 bytes, big-endian."""
+    seed = int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
+    return np.random.Generator(np.random.PCG64(seed)).integers(0, 256, n, np.uint8)
+
+
+REFERENCE = _reference_pad(KEY + IV)
+
+
+def _tiled_xor(data, off, pad=REFERENCE):
+    """The reference keystream: the whole pad tiled over the record."""
     n = len(data)
     start = off % len(pad)
     reps = (start + n + len(pad) - 1) // len(pad)
@@ -216,29 +234,89 @@ def _tiled_xor(pad, data, off):
 
 
 def test_fast_xor_keystream_equals_tiled_pad_at_every_wrap():
-    state = FastXorState(b"k" * 32, b"i" * 16)
-    pad_len = FastXorState.PAD_LEN
-    lengths = [0, 1, pad_len - 1, pad_len, pad_len + 1, 3 * pad_len + 7]
-    offsets = [0, 1, pad_len - 1, pad_len, pad_len + 1, 5 * pad_len - 3, 7 * pad_len + 12345]
-    for n in lengths:
-        data = bytes(i * 31 % 251 for i in range(n))
-        for off in offsets:  # every pairing: ends before, at, and past the pad's end
-            out, new_off = state._xor(data, off)
-            assert out == _tiled_xor(state._pad, data, off), (n, off)
-            assert new_off == off + n
-    assert len(state._pad) == pad_len  # no second copy of the pad kept per state
+    lengths = [0, 1, PAD_LEN - 1, PAD_LEN, PAD_LEN + 1, 3 * PAD_LEN + 7]
+    offsets = [0, 1, PAD_LEN - 1, PAD_LEN, PAD_LEN + 1, 5 * PAD_LEN - 3, 7 * PAD_LEN + 12345]
+    for fresh in (False, True):  # one state that has grown, and one per pairing
+        state = FastXorState(KEY, IV)
+        for n in lengths:
+            data = bytes(i * 31 % 251 for i in range(n))
+            for off in offsets:  # every pairing: ends before, at, and past the pad's end
+                if fresh:
+                    state = FastXorState(KEY, IV)
+                out, new_off = state._xor(data, off)
+                assert out == _tiled_xor(data, off), (n, off, fresh)
+                assert new_off == off + n
 
 
 def test_fast_xor_streams_stay_in_step_over_mixed_records():
-    sender = FastXorState(b"k" * 32, b"i" * 16)
-    receiver = FastXorState(b"k" * 32, b"i" * 16)
+    sender = FastXorState(KEY, IV)
+    receiver = FastXorState(KEY, IV)
     rng = random.Random(17)
-    sizes = [0, 1, 100, 4096, 32 * 1024 + 20, FastXorState.PAD_LEN, 3 * FastXorState.PAD_LEN + 7]
+    sizes = [0, 1, 100, 4096, 32 * 1024 + 20, PAD_LEN, 3 * PAD_LEN + 7]
     off = 0
     for _ in range(1000):
         record = rng.randbytes(rng.choice(sizes) if rng.random() < 0.3 else rng.randrange(300))
         sealed = sender.encrypt(record)
-        assert sealed == _tiled_xor(sender._pad, record, off)
+        assert sealed == _tiled_xor(record, off)
         assert receiver.decrypt(sealed) == record
         off += len(record)
     assert sender._enc_off == receiver._dec_off == off
+
+
+_RECORD_SIZES = st.one_of(
+    st.integers(0, 64),
+    st.integers(0, 3 * PAD_LEN),
+    st.sampled_from([7, 8, 9, PAD_LEN - 1, PAD_LEN, PAD_LEN + 1]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_RECORD_SIZES, max_size=12))
+def test_fast_xor_keystream_equals_reference_across_growth_and_wrap(sizes):
+    """Sealing zeros exposes the keystream: whatever sequence of records
+    makes the pad grow (from nothing, to twice what they reach) and wrap,
+    each one is keyed by the reference pad at its offset."""
+    state = FastXorState(KEY, IV)
+    off = 0
+    for n in sizes:
+        assert state.encrypt(bytes(n)) == _tiled_xor(bytes(n), off), (sizes, n, off)
+        off += n
+
+
+def test_fast_xor_draws_nothing_until_it_seals_and_never_past_one_pad(monkeypatch):
+    from repro.crypto import suites
+
+    drawn = []
+
+    def counting(source, nbytes):
+        pad = draw_pad(source, nbytes)
+        drawn.append(len(pad))
+        return pad
+
+    monkeypatch.setattr(suites, "draw_pad", counting)
+    c2s, s2c = suites.derive_directions(SUITES["aes-256-cbc-sha1"], b"secret",
+                                        "label", fast=True)
+    c2s.cipher_state.encrypt(b"")
+    assert drawn == []  # a session that seals nothing pays for no pad
+    c2s.seal(b"x" * 19)  # 19 bytes + a 20-byte MAC: twice that, in whole words
+    assert drawn == [80]
+    c2s.seal(b"y")  # 60 bytes reached: inside the spare
+    assert drawn == [80]
+    c2s.seal(b"z" * 30)  # 110 reached: drawn out to 220, 224 in whole words
+    assert drawn == [80, 144]
+    for _ in range(100):
+        c2s.seal(b"z" * 5000)
+    assert sum(drawn) == PAD_LEN  # whole once, then only reused
+    c2s.seal(b"w" * 3 * PAD_LEN)  # wraps the whole pad
+    s2c.cipher_state.decrypt(b"")  # the other direction opens nothing
+    assert sum(drawn) == PAD_LEN
+
+
+def test_block_cryptor_pads_equal_the_reference_at_any_length():
+    key = b"s" * 32
+    cryptor = BlockCryptor(key)
+    for n in (1, 7, 9, 13, 4095, 32767, 32769):
+        for fileid, block in ((1, 0), (42, 3)):
+            material = key + struct.pack(">QQ", fileid, block)
+            assert cryptor.seal(fileid, block, bytes(n)) == \
+                _reference_pad(material, n).tobytes(), (n, fileid, block)

@@ -1,8 +1,11 @@
 """Sharded data plane: placement math, metadata epochs, striped fleets,
 replicated crash failover."""
 
+import itertools
+
 import pytest
 
+from repro.core.topology import Testbed
 from repro.faults import CrashEvent, FaultSpec
 from repro.grid import GridLayout, GridMetadataService
 from repro.harness import run_fleet
@@ -172,6 +175,47 @@ def test_replicated_fleet_survives_backend_crash():
     # replication worked: no span was ever unrecoverable
     assert g["hole_spans"] == 0
     assert r.stats["grid.meta"]["epoch_bumps"] == 1
+
+
+def _raising_once(monkeypatch, backend: int, op: str) -> None:
+    """Make every testbed built from here on give backend ``backend``'s
+    nfsd an ``op`` handler that raises on its first call — answered
+    SYSTEM_ERR by the RPC dispatcher — and works after that."""
+    build = Testbed.build
+
+    def build_then_break(*args, **kwargs):
+        tb = build(*args, **kwargs)
+        program = tb.backends[backend].nfs_program
+        handler, calls = getattr(program, op), itertools.count()
+
+        def once(args, cred):
+            if next(calls) == 0:
+                raise RuntimeError(f"{op} fault injected")
+            return (yield from handler(args, cred))
+
+        setattr(program, op, once)
+        return tb
+
+    monkeypatch.setattr(Testbed, "build", build_then_break)
+
+
+@pytest.mark.parametrize("op, failovers, degraded", [
+    ("_op_read", 1, 0),    # the span is read from the next owner
+    ("_op_write", 0, 1),   # the span lands on its other replica only
+    ("_op_lookup", 0, 0),  # an unanswered twin lookup: the twin is created
+    ("_op_create", 0, 1),  # no twin on backend 1 for this write: degraded
+], ids=["read", "write", "lookup", "create"])
+def test_backend_error_reply_fails_over_without_killing_a_worker(
+        monkeypatch, op, failovers, degraded):
+    """A reply that is not an accepted SUCCESS is read like any failed
+    one: the router's workers never raise it (a ProcessDied here), and a
+    backend that answered is not marked dead."""
+    _raising_once(monkeypatch, 1, op)
+    r = run_fleet("sgfs-sha", _wr, clients=1, servers=3, replicas=2, **GRID_KW)
+    assert r.per_client[0].bytes_moved == 3 * FS  # read back and checked
+    g = r.stats["grid"]
+    assert (g["read_failovers"], g["degraded_writes"]) == (failovers, degraded)
+    assert g["dead_marks"] == 0 and g["hole_spans"] == 0
 
 
 def test_replicated_crash_fleet_bit_identical_same_seed():

@@ -83,6 +83,20 @@ def test_certificate_serialization_roundtrip():
     assert back == ALICE.certificate
 
 
+def test_certificate_encodings_built_once_per_object():
+    cert = ALICE.certificate
+    assert cert.to_bytes() is cert.to_bytes()
+    assert cert.tbs_bytes() is cert.tbs_bytes()
+    # a parsed copy encodes its own fields, to the same bytes
+    back = Certificate.from_bytes(cert.to_bytes())
+    assert back.tbs_bytes() is not cert.tbs_bytes()
+    assert back.tbs_bytes() == cert.tbs_bytes()
+    # an edited copy is a new object: its encoding follows the edit
+    forged = replace(cert, not_after=1e15)
+    assert forged.tbs_bytes() != cert.tbs_bytes()
+    assert not forged.verify_signature(CA.keypair.public)
+
+
 def test_validation_rejects_expired():
     with pytest.raises(ValidationError, match="expired"):
         validate_chain(ALICE.certificate, ALICE.chain, [CA.certificate], now=1e12)

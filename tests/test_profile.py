@@ -251,6 +251,41 @@ def test_rwlock_contention_exports_wait_histogram():
     assert hist["sum"] == pytest.approx(2.0)  # queued t=1 .. granted t=3
 
 
+#: ``sync`` of the contended run below, captured before each lock bound
+#: its wait counter once: per group, the counter and the histogram's
+#: (count, sum, max).  Semaphores (biod slots, links), per-inode RwLocks
+#: and CPU cores all queue in it.
+CONTENDED_SYNC = {
+    "rwlock_waits{lock=ino*}": (21, 0.08722954250000037, 0.007951472204545562),
+    "sem_waits{lock=biod}": (24, 2.2511787159499956, 0.22892702765909073),
+    "sem_waits{lock=client<->router:client->router}":
+        (23, 0.01804921374999939, 0.001640351250000005),
+    "sem_waits{lock=cpu:client.core}":
+        (53, 0.019492215249999223, 0.0019609239999999195),
+    "sem_waits{lock=cpu:server.core}":
+        (21, 0.004969686749999647, 0.00023665174999998317),
+}
+
+
+def test_contended_run_exports_the_same_sync_series():
+    from repro.harness import run_workload
+    from repro.workloads.iozone import IOzoneWriteRead
+
+    size = 1024 * 1024
+    r = run_workload("sgfs-aes", lambda: IOzoneWriteRead(file_size=size), rtt=0.02,
+                     setup_kwargs=dict(disk_cache=True, streams=4,
+                                       cache_capacity=size // 4))
+    sync = r.stats["sync"]
+    got = {}
+    for key, count in sync.items():
+        if "_waits{" in key:
+            hist = sync[key.replace("_waits{", "_wait{")]
+            assert hist["count"] == count
+            got[key] = (count, hist["sum"], hist["max"])
+    assert got == CONTENDED_SYNC
+    assert len(sync) == 2 * len(CONTENDED_SYNC)
+
+
 # -- fleet span namespacing ---------------------------------------------------
 
 

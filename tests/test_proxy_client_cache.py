@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import Testbed, setup_sgfs
 from repro.core.topology import SERVER_PROXY_PORT
+from repro.nfs.protocol import Proc
 from repro.vfs.fs import Credentials
 
 ROOT = Credentials(0, 0)
@@ -43,6 +44,27 @@ def test_writeback_delivers_data_to_server():
     assert wb_seconds > 0
     node = tb.fs.resolve("/w.bin", ROOT)
     assert bytes(node.data) == b"e" * 65536
+
+
+def test_writeback_keeps_dirty_blocks_of_files_it_has_no_handle_for():
+    """A dirty block of a file whose handle the session never saw cannot
+    be written: teardown flushes the rest, sends nothing for it, and
+    leaves its dirty mark for a later session to act on."""
+    tb, mount = cached_mount()
+    proxy = mount.client_proxy
+    unseen = 10_000_000  # no fileid the server has handed out
+
+    def job():
+        yield from mount.client.write_file("/w.bin", b"e" * 65536)
+        yield from proxy._blocks.put(unseen, 3, b"u" * 100, dirty=True)
+
+    tb.run(job())
+    _wb, blocks, nbytes = tb.run(mount.finish())
+    assert (blocks, nbytes) == (2, 65536)  # the seen file's blocks only
+    assert proxy.stats["writeback_errors"] == 0
+    assert tb.nfs_program.ops[Proc.WRITE] == 2  # nothing went out for it
+    assert proxy._blocks.dirty == {unseen: {3}}
+    assert proxy.dirty_bytes == 100
 
 
 def test_read_after_local_write_hits_cache():

@@ -11,9 +11,11 @@ from repro.nfs import protocol as pr
 from repro.proxy.upstream import UpstreamSession
 from repro.rpc.compound import COMPOUND_PROGRAM, pack_members, unpack_members
 from repro.rpc.messages import CallMessage, ReplyMessage
+from repro.rpc.transport import HandshakeError
 from repro.sim import Simulator
 
 DIAL_SECONDS = 1.0
+REFUSED = "refused"
 
 
 class ScriptedTransport:
@@ -67,7 +69,8 @@ def _reply_to(record: bytes) -> bytes:
 class Dialer:
     """An ``upstream_factory`` that takes DIAL_SECONDS per connection
     and logs (start, end) of every dial; ``script`` lists, per dial,
-    whether that connection's far end answers."""
+    whether that connection's far end answers, or ``REFUSED`` for a
+    dial whose handshake the server refuses."""
 
     def __init__(self, sim, script=()):
         self.sim = sim
@@ -80,6 +83,8 @@ class Dialer:
         yield self.sim.timeout(DIAL_SECONDS)
         answers = self.script.pop(0) if self.script else True
         self.dials.append((start, self.sim.now))
+        if answers is REFUSED:
+            raise HandshakeError("refused")
         self.transports.append(ScriptedTransport(self.sim, answers))
         return self.transports[-1]
 
@@ -141,6 +146,24 @@ def test_cycle_dials_channels_strictly_in_index_order():
     assert _transports(up) == dialer.transports[3:]
     assert all(t.closed for t in old)
     assert up._channels[0].reconnecting is None
+
+
+def test_cycle_stops_at_the_first_failed_dial_and_keeps_the_rest():
+    """The server proxy refuses channel 1's replacement: channel 0 has
+    already moved to its new connection, channels 1 and 2 keep the
+    sessions they had, and channel 2 is not dialed at all."""
+    sim, dialer, up = _session(streams=3, script=[True] * 4 + [REFUSED])
+    old = _transports(up)
+    sim.run_until_complete(sim.spawn(up.cycle()))
+    assert len(dialer.dials) == 3 + 2
+    assert _transports(up) == [dialer.transports[3], old[1], old[2]]
+    assert old[0].closed and not old[1].closed and not old[2].closed
+    assert up._channels[0].reconnecting is None
+    # the kept channels still carry calls
+    replies = sim.run_until_complete(sim.spawn(
+        up.burst([_read_call(i * 32768) for i in range(3)])))
+    assert all(r is not None for r in replies)
+    assert [len(t.sent) for t in _transports(up)] == [1, 1, 1]
 
 
 def test_cycle_while_cycling_waits_instead_of_dialing():
