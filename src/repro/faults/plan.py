@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.crypto.drbg import Drbg
+from repro.obs.schema import zeros
 
 
 @dataclass(frozen=True)
@@ -106,17 +107,7 @@ class FaultPlan:
         self._rng = root.fork("packets")
         self._flaps = spec.all_flaps()
         self._net = None
-        self.stats: Dict[str, int] = {
-            "packets": 0,
-            "dropped": 0,
-            "corrupted": 0,
-            "duplicated": 0,
-            "delayed": 0,
-            "retransmits": 0,
-            "flap_drops": 0,
-            "crashes": 0,
-        }
-        self._counters: Dict[str, object] = {}
+        self.stats: Dict[str, int] = zeros("faults")
 
     # -- lifecycle -------------------------------------------------------
 
@@ -148,7 +139,7 @@ class FaultPlan:
 
     def _crash_proc(self, ev: CrashEvent, crash_fn, restart_fn):
         yield self.sim.timeout(ev.at)
-        self._count("crashes")
+        self.stats["crashes"] += 1
         crash_fn()
         yield self.sim.timeout(ev.down_for)
         restart_fn()
@@ -165,7 +156,7 @@ class FaultPlan:
         now = self.sim.now
         for flap in self._flaps:
             if flap.start <= now < flap.start + flap.duration:
-                self._count("flap_drops")
+                self.stats["flap_drops"] += 1
                 return ("drop", 0.0)
             if now < flap.start:
                 break
@@ -175,19 +166,19 @@ class FaultPlan:
         u = self._rng.random()
         edge = spec.drop_rate
         if u < edge:
-            self._count("dropped")
+            self.stats["dropped"] += 1
             return ("drop", 0.0)
         edge += spec.corrupt_rate
         if u < edge:
-            self._count("corrupted")
+            self.stats["corrupted"] += 1
             return ("corrupt", 0.0)
         edge += spec.duplicate_rate
         if u < edge:
-            self._count("duplicated")
+            self.stats["duplicated"] += 1
             return ("duplicate", 0.0)
         edge += spec.delay_rate
         if u < edge:
-            self._count("delayed")
+            self.stats["delayed"] += 1
             extra = spec.delay_min + self._rng.random() * (
                 spec.delay_max - spec.delay_min
             )
@@ -199,15 +190,4 @@ class FaultPlan:
         return min(self.spec.rto_max, self.spec.rto_base * (2.0 ** attempt))
 
     def note_retransmit(self) -> None:
-        self._count("retransmits")
-
-    # -- accounting ------------------------------------------------------
-
-    def _count(self, name: str) -> None:
-        self.stats[name] += 1
-        obs = self.sim.obs
-        if obs.enabled:
-            c = self._counters.get(name)
-            if c is None:
-                c = self._counters[name] = obs.counter("faults", name)
-            c.inc()
+        self.stats["retransmits"] += 1

@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Optional, Set, Tuple
 
 from repro.grid.layout import DEFAULT_BLOCK_SIZE, GridLayout
+from repro.obs.schema import zeros
 from repro.rpc.server import RpcProgram
 from repro.xdr import Packer, Unpacker
 
@@ -92,15 +93,9 @@ class GridMetadataService:
         self.files: Set[int] = set()
         self.dead: Set[int] = set()
         self.epoch = 1
-        self.stats = {
-            "lookups": 0,
-            "registrations": 0,
-            "forgets": 0,
-            "dead_marks": 0,
-            "epoch_bumps": 0,
-        }
-        if obs is not None and getattr(obs, "enabled", False):
-            obs.add_collector("grid.meta", lambda: dict(self.stats))
+        self.stats = zeros("grid.meta")
+        if obs is not None:
+            obs.add_collector("grid.meta", self.stats.copy)
 
     def _view(self, striped: bool) -> LayoutView:
         return LayoutView(

@@ -56,6 +56,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.nfs import protocol as pr
 from repro.nfs.protocol import Fattr3, FileHandle, NfsStatus, Proc, Sattr3
+from repro.obs.schema import zeros
 from repro.rpc.errors import RpcError
 from repro.rpc.messages import DECODE_ERRORS, CallMessage, ReplyMessage
 from repro.sim.process import all_of
@@ -115,30 +116,13 @@ class GridRouter:
             int(Proc.SETATTR): self._h_setattr, int(Proc.GETATTR): self._h_getattr,
             int(Proc.LOOKUP): self._h_lookup,
         }
-        self.stats = {
-            "striped_reads": 0,
-            "striped_writes": 0,
-            "spans_read": 0,
-            "spans_written": 0,
-            "replica_writes": 0,
-            "read_failovers": 0,
-            "degraded_writes": 0,
-            "dead_marks": 0,
-            "hole_spans": 0,
-            "layout_lookups": 0,
-            "layout_invalidations": 0,
-            "mirrored_ops": 0,
-            "size_pushes": 0,
-        }
-        if obs is not None and getattr(obs, "enabled", False):
+        self.stats = zeros("grid")
+        if obs is not None:
             obs.add_collector("grid", self._export_stats)
 
     def _export_stats(self) -> dict:
-        out = dict(self.stats)
-        # level-style gauges (merged by max across fleet collectors)
-        out["layout_cache_entries"] = len(self._layouts)
-        out["shadow_handles"] = len(self._shadows)
-        return out
+        return {**self.stats, "layout_cache_entries": len(self._layouts),
+                "shadow_handles": len(self._shadows)}
 
     # -- wiring ------------------------------------------------------------
 

@@ -105,7 +105,7 @@ class FleetResult:
     ``makespan`` is launch-to-last-finish in virtual seconds (staggered
     starts included); ``per_client`` is ordered by client index.
     ``stats`` is the merged cross-layer registry snapshot — colliding
-    per-session collector names are summed, see
+    per-session keys merge by their declared kind, see
     :func:`repro.obs.merge_metric`.
     """
 

@@ -94,9 +94,7 @@ class Network:
         self._adj: Dict[str, List[str]] = {}
         self._route_cache: Dict[Tuple[str, str], List[str]] = {}
         self.obs = sim.obs
-        # Lazily created so runs with no loopback traffic snapshot
-        # exactly as before (no spurious zero-valued counter).
-        self._c_loopback = None
+        self._c_loopback = self.obs.counter("net", "loopback_bytes")
         #: Installed FaultPlan (repro.faults), or None for a clean network.
         self.fault_plan = None
         #: Profiling: when True, every transmission records its busy
@@ -339,11 +337,7 @@ class _Delivery:
         path = self.path
         if len(path) == 1:
             # Loopback: kernel-only round trip, no wire.
-            if net.obs.enabled:
-                c = net._c_loopback
-                if c is None:
-                    c = net._c_loopback = net.obs.counter("net", "loopback_bytes")
-                c.inc(self.nbytes)
+            net._c_loopback.inc(self.nbytes)
             self.state = _PROPAGATED
             net.sim.timeout(LOOPBACK_LATENCY).add_callback(self)
             return

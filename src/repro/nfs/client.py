@@ -120,8 +120,8 @@ class NfsClient:
         self.retrans_backoff = 1.1
         self.timeo = timeo
         self.timeo_retrans = 3
-        self.retransmissions = 0
         self.obs = sim.obs
+        self._c_retrans = self.obs.counter("nfs.client", "retransmissions")
         self.tracer = sim.tracer
         self._h_latency: Dict[str, Histogram] = {}  # by proc name, bound on first use
         self.root_fh = root_fh
@@ -144,11 +144,10 @@ class NfsClient:
         self._inflight: Dict[Tuple[int, int], object] = {}
         #: directory listing cache: dir fileid -> (mtime, entries)
         self._dir_cache: Dict[int, Tuple[float, List[pr.DirEntry]]] = {}
-        if self.obs.enabled:
-            self.attrs.stats.register(self.obs, "nfs.cache", "attr")
-            self.names.stats.register(self.obs, "nfs.cache", "name")
-            self.access_cache.stats.register(self.obs, "nfs.cache", "access")
-            self.pages.stats.register(self.obs, "nfs.cache", "page")
+        self.attrs.stats.register(self.obs, "nfs.cache", "attr")
+        self.names.stats.register(self.obs, "nfs.cache", "name")
+        self.access_cache.stats.register(self.obs, "nfs.cache", "access")
+        self.pages.stats.register(self.obs, "nfs.cache", "page")
 
     # ------------------------------------------------------------------
     # low-level call helper
@@ -185,9 +184,7 @@ class NfsClient:
                 if attempt >= self.retrans_max:
                     raise
                 attempt += 1
-                self.retransmissions += 1
-                if self.obs.enabled:
-                    self.obs.counter("nfs.client", "retransmissions").inc()
+                self._c_retrans.inc()
                 yield self.sim.timeout(
                     min(RETRANS_CAP, RETRANS_BASE * self.retrans_backoff ** attempt)
                 )
@@ -749,20 +746,3 @@ class NfsClient:
         self._flushers = []
         if pending:
             yield all_of(self.sim, pending)
-
-    def cache_stats(self) -> dict:
-        """All client caches under one consistent naming scheme.
-
-        Each cache exports the same ``hits``/``misses``/``evictions``
-        triple (from its :class:`~repro.nfs.cache.CacheStats`), keyed by
-        the cache's short name — matching the ``nfs.cache`` component in
-        :meth:`repro.obs.Registry.snapshot`.
-        """
-        return {
-            "attr": self.attrs.stats.export(),
-            "name": self.names.stats.export(),
-            "access": self.access_cache.stats.export(),
-            "page": self.pages.stats.export(),
-            "rpc_calls": self.rpc.calls_sent,
-            "retransmissions": self.retransmissions,
-        }

@@ -64,6 +64,7 @@ class NfsServerProgram(RpcProgram):
         #: per-fileid reader/writer locks (allocated lazily)
         self._locks: Dict[int, RwLock] = {}
         self._c_lock_waits = sim.obs.counter("nfs.server", "lock_waits")
+        self._h_lock_wait = sim.obs.histogram("nfs.server", "lock_wait")
 
     # -- helpers -----------------------------------------------------------
 
@@ -107,13 +108,9 @@ class NfsServerProgram(RpcProgram):
         free = lock.try_acquire_write() if write else lock.try_acquire_read()
         if not free:
             t0 = self.sim.now
-            if self.sim.obs.enabled:
-                self._c_lock_waits.inc()
+            self._c_lock_waits.inc()
             yield lock.acquire_write() if write else lock.acquire_read()
-            if self.sim.obs.enabled:
-                self.sim.obs.histogram("nfs.server", "lock_wait").observe(
-                    self.sim.now - t0
-                )
+            self._h_lock_wait.observe(self.sim.now - t0)
         return lock
 
     @staticmethod

@@ -3,8 +3,9 @@
 Two pillars (see DESIGN.md "Observability"):
 
 - :class:`Registry` — named counters, gauges and streaming histograms
-  with ``component/name`` keys and labels; ``snapshot()`` exports a
-  nested dict.  :data:`NULL_REGISTRY` is the zero-cost disabled variant.
+  with ``component/name`` keys and labels, every key declared once in
+  :mod:`repro.obs.schema`; ``snapshot()`` exports a nested dict.
+  :data:`NULL_REGISTRY` is the zero-cost disabled variant.
 - :class:`SpanTracer` — virtual-clock spans with per-process causal
   nesting, ring-buffered, exportable as Chrome-trace/Perfetto JSON.
   :data:`NULL_TRACER` is the disabled variant.
@@ -24,7 +25,6 @@ from repro.obs.metrics import (
     NULL_REGISTRY,
     NullRegistry,
     Registry,
-    GAUGE_METRICS,
     merge_metric,
     percentile,
 )
@@ -53,7 +53,6 @@ __all__ = [
     "Histogram",
     "LATENCY_BOUNDS",
     "NULL_REGISTRY",
-    "GAUGE_METRICS",
     "merge_metric",
     "NullRegistry",
     "Registry",

@@ -12,20 +12,21 @@ byte counts.  Design rules:
   surface but every instrument it hands out is a shared no-op; hot call
   sites additionally guard on ``registry.enabled`` (a single attribute
   check) so the disabled path does no dictionary lookups at all.
-- **Nested snapshot.**  :meth:`Registry.snapshot` exports everything as
-  a nested ``{component: {metric_key: value}}`` dict, sorted, ready for
-  ``json.dumps``.
-
-Keys are ``component/name`` plus optional labels, rendered as
-``name{label=value,...}`` in snapshots (Prometheus-flavored, but with no
-wire protocol — this is a simulation, we just want the numbers).
+- **Declared.**  Every key is declared once in :mod:`repro.obs.schema`,
+  with its kind and label names; :meth:`Registry.snapshot` exports a
+  nested ``{component: {key: value}}`` dict over exactly those keys,
+  sorted, ready for ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
+
+from repro.obs.schema import (
+    CACHE, COUNTER, GAUGE, HISTOGRAM, SCHEMA, declared, metric_key, parse_key, zero,
+)
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -196,80 +197,31 @@ class _NullInstrument:
 NULL_INSTRUMENT = _NullInstrument()
 
 
-#: Base metric names (label suffixes stripped) with **gauge** semantics:
-#: they report a *level*, not an accumulated count, so summing colliding
-#: reports is wrong — ``queue_depth`` 3 and 5 across two sessions is a
-#: worst case of 5, not a fleet-wide depth of 8.  Colliding gauges merge
-#: by max, which is order-independent and therefore deterministic no
-#: matter which collector registered first.
-GAUGE_METRICS = frozenset(
-    {
-        "queue_depth",
-        "sessions_queued",
-        "layout_cache_entries",
-        "shadow_handles",
-        "dirty_bytes",
-    }
-)
-
-
-def _base_name(name: str) -> str:
-    brace = name.find("{")
-    return name if brace < 0 else name[:brace]
-
-
-def merge_metric(old, new, name: str = ""):
-    """Combine two exported metric values reported under one name.
-
-    With a fleet of N clients, every session's caches and proxies report
-    through the same component/metric names; :meth:`Registry.snapshot`
-    used to keep whichever collector ran last (last-writer-wins), which
-    silently under-reported every per-session counter.  Merging rules:
-
-    - two numbers **sum** when the name has counter semantics (the
-      overwhelming case), but merge by **max** when ``name`` (labels
-      stripped) is in :data:`GAUGE_METRICS` — gauges report levels, and
-      summing levels across sessions fabricates a depth no queue ever
-      had,
-    - two dicts merge recursively key-by-key (cache-stats triples),
-      passing each key down as the name for the gauge check,
-    - anything else keeps the newer value (non-summable payloads).
-
-    Booleans are deliberately *not* summed: ``True + True == 2`` would
-    corrupt flag-like exports, so flags also keep the newer value.
-    """
-    if isinstance(old, bool) or isinstance(new, bool):
-        return new
-    if isinstance(old, (int, float)) and isinstance(new, (int, float)):
-        if _base_name(name) in GAUGE_METRICS:
-            return max(old, new)
-        return old + new
-    if isinstance(old, dict) and isinstance(new, dict):
-        merged = dict(old)
-        for k, v in new.items():
-            merged[k] = merge_metric(merged[k], v, name=k) if k in merged else v
-        return merged
-    return new
-
-
-def _key(name: str, labels: Dict[str, object]) -> str:
-    if not labels:
-        return name
-    inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
-    return f"{name}{{{inner}}}"
+def merge_metric(old, new, kind: str = COUNTER):
+    """Combine two values reported under one declared key — an N-client
+    fleet's sessions report through the same names.  ``kind`` is the
+    key's declared kind: gauges report levels and merge by max (two
+    6-deep queues are not a 12-deep one, and max does not depend on
+    which collector ran first); counters sum; cache triples sum field by
+    field."""
+    if kind == GAUGE:
+        return max(old, new)
+    if kind == CACHE:
+        return {field: old[field] + new[field] for field in old}
+    return old + new
 
 
 class Registry:
-    """Named instruments grouped by component, plus pull collectors.
+    """Named instruments grouped by component, plus pull collectors, over
+    the keys :mod:`repro.obs.schema` declares.
 
     Instruments are get-or-create: the first ``counter("rpc.client",
-    "bytes_out")`` creates it, later calls return the same object, so
-    call sites never need to pre-declare anything.
-
-    Components that already keep their own counters (the proxy ``stats``
-    dict, :class:`~repro.obs.metrics.Histogram`-free caches) register a
-    *collector* — a callable returning a flat ``{name: value}`` dict —
-    and are polled only at snapshot time.
+    "bytes_out", account="a")`` checks the declaration and creates it,
+    later calls return the same object.  Components that keep their own
+    counts (the proxy ``stats`` dict, the client caches) register a
+    *collector* — a callable returning ``{key: value}`` — polled only at
+    snapshot time, where its keys are checked.  Neither check runs per
+    increment.
     """
 
     enabled = True
@@ -280,18 +232,20 @@ class Registry:
 
     # -- instruments ---------------------------------------------------
 
-    def _get(self, factory, component: str, name: str, labels: Dict[str, object]):
-        key = (component, _key(name, labels))
+    def _get(self, factory, kind: str, component: str, name: str,
+             labels: Dict[str, object]):
+        key = (component, metric_key(name, labels))
         inst = self._metrics.get(key)
         if inst is None:
+            declared(component, name, labels, kind)
             inst = self._metrics[key] = factory()
         return inst
 
     def counter(self, component: str, name: str, **labels) -> Counter:
-        return self._get(Counter, component, name, labels)
+        return self._get(Counter, COUNTER, component, name, labels)
 
     def gauge(self, component: str, name: str, **labels) -> Gauge:
-        return self._get(Gauge, component, name, labels)
+        return self._get(Gauge, GAUGE, component, name, labels)
 
     def histogram(
         self,
@@ -300,31 +254,43 @@ class Registry:
         bounds: Sequence[float] = LATENCY_BOUNDS,
         **labels,
     ) -> Histogram:
-        return self._get(lambda: Histogram(bounds), component, name, labels)
+        return self._get(lambda: Histogram(bounds), HISTOGRAM, component, name, labels)
 
     def add_collector(self, component: str, fn: Callable[[], Dict[str, object]]) -> None:
         self._collectors.append((component, fn))
 
+    def add_fields(self, component: str, read: Callable[[str], object], **labels) -> None:
+        """Collect ``read(name)`` for every declared counter and gauge of
+        ``component`` whose label names are those of ``labels`` — the one
+        collector of a component that keeps its own counts (``read`` is
+        usually its bound ``__getattribute__``)."""
+        keys = [(name, metric_key(name, labels))
+                for name, decl in SCHEMA[component].items()
+                if decl.kind in (COUNTER, GAUGE) and decl.labels == tuple(sorted(labels))]
+        self.add_collector(component, lambda: {key: read(name) for name, key in keys})
+
     # -- export --------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """Nested ``{component: {metric: value}}`` view of everything.
+        """Nested ``{component: {key: value}}`` view of everything, sorted.
 
-        Collector outputs that collide on ``component/name`` — e.g. the
-        per-session cache stats of an N-client fleet — are **merged**
-        via :func:`merge_metric` (numbers sum, dicts merge recursively)
-        instead of last-writer-wins.
+        Collector keys that collide — the per-session caches of an
+        N-client fleet — merge by their declared kind
+        (:func:`merge_metric`); every declared unlabelled key of a
+        component present is filled in at zero if nothing reported it.
         """
         out: Dict[str, Dict[str, object]] = {}
         for (component, key), inst in self._metrics.items():
             out.setdefault(component, {})[key] = inst.export()
         for component, fn in self._collectors:
             bucket = out.setdefault(component, {})
-            for name, value in fn().items():
-                if name in bucket:
-                    bucket[name] = merge_metric(bucket[name], value, name=name)
-                else:
-                    bucket[name] = value
+            for key, value in fn().items():
+                kind = declared(component, *parse_key(key)).kind
+                bucket[key] = merge_metric(bucket[key], value, kind) if key in bucket else value
+        for component, metrics in out.items():
+            for name, decl in SCHEMA[component].items():
+                if not decl.labels and name not in metrics:
+                    metrics[name] = zero(decl.kind)
         return {c: dict(sorted(m.items())) for c, m in sorted(out.items())}
 
 
@@ -337,7 +303,7 @@ class NullRegistry(Registry):
     def __init__(self) -> None:
         pass
 
-    def _get(self, factory, component, name, labels):
+    def _get(self, factory, kind, component, name, labels):
         return NULL_INSTRUMENT
 
     def add_collector(self, component, fn) -> None:

@@ -331,8 +331,8 @@ def build_report(
 
     # -- WAN transfer engine: per-sub-channel traffic -----------------------
     # The client proxy labels per-channel bulk traffic as
-    # ``stream_calls{leg=...,ch=...}`` / ``stream_bytes{...}`` in its
-    # stats collector; surface one row per (leg, channel).
+    # ``stream_calls{ch=...,leg=...}`` / ``stream_bytes{...}`` in its
+    # stats collector; surface one row per (channel, leg).
     streams: Dict[str, Any] = {}
     for key, value in snap.get("proxy.client", {}).items():
         if not key.startswith(("stream_calls{", "stream_bytes{")):

@@ -31,7 +31,7 @@ User-level loop-back proxies interposed on the NFS RPC path:
 from repro.proxy.accounts import AccountsDb, Account
 from repro.proxy.acl import AclStore, AclEntry, parse_acl_text, ACL_SUFFIX_FMT, acl_name_for
 from repro.proxy.authz import AuthzCache
-from repro.proxy.server_proxy import SgfsServerProxy, AuthzDecision
+from repro.proxy.server_proxy import SgfsServerProxy
 from repro.proxy.block_cache import ProxyCacheConfig
 from repro.proxy.client_proxy import SgfsClientProxy
 from repro.proxy.session_config import SessionConfig
@@ -46,7 +46,6 @@ __all__ = [
     "acl_name_for",
     "AuthzCache",
     "SgfsServerProxy",
-    "AuthzDecision",
     "SgfsClientProxy",
     "ProxyCacheConfig",
     "SessionConfig",

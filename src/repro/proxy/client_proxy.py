@@ -28,6 +28,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.nfs import protocol as pr
 from repro.obs import NULL_SPAN
+from repro.obs.schema import zeros
 from repro.nfs.protocol import Fattr3, FileHandle, NfsStatus, Proc
 from repro.proxy.block_cache import BlockCache, ProxyCacheConfig
 from repro.rpc.auth import NULL_AUTH
@@ -115,25 +116,10 @@ class SgfsClientProxy:
         # --- statistics ----------------------------------------------------
         self.obs = sim.obs
         self.tracer = sim.tracer
-        if self.obs.enabled:
-            # the stats dict stays the source of truth; the registry
-            # polls it at snapshot time (pull collector, zero hot-path cost)
-            self.obs.add_collector("proxy.client", lambda: dict(self.stats))
-        self.stats = {
-            "local_replies": 0,
-            "forwarded": 0,
-            "data_hits": 0,
-            "data_misses": 0,
-            "attr_hits": 0,
-            "writes_absorbed": 0,
-            "writeback_blocks": 0,
-            "writeback_bytes": 0,
-            "writeback_errors": 0,
-            "blocks_sealed": 0,
-            "blocks_opened": 0,
-            "revalidations": 0,
-            "revalidation_drops": 0,
-        }
+        #: the source of truth (``writeback()`` reads it); the registry
+        #: polls a copy at snapshot time, at zero hot-path cost
+        self.stats = zeros("proxy.client")
+        self.obs.add_collector("proxy.client", self.stats.copy)
         for leg in self._up.legs:
             leg.stats = self.stats
 

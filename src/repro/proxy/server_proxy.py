@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 from repro.gsi.gridmap import Gridmap
@@ -32,6 +33,7 @@ from repro.gsi.proxy import effective_identity
 from repro.net.errors import NetError
 from repro.nfs import protocol as pr
 from repro.obs import NULL_SPAN
+from repro.obs.schema import zeros
 from repro.nfs.protocol import Fattr3, NfsStatus, Proc
 from repro.proxy.accounts import Account, AccountsDb
 from repro.proxy.acl import AclStore, is_acl_name
@@ -67,16 +69,6 @@ _NAME_PROCS = frozenset({
 
 #: distinct inbound credentials one session may keep a remapping for
 _REMAP_MEMO_MAX = 64
-
-
-class AuthzDecision:
-    """Statistics bucket for authorization outcomes."""
-
-    def __init__(self) -> None:
-        self.granted = 0
-        self.denied = 0
-        self.acl_answers = 0
-        self.unix_fallbacks = 0
 
 
 class SgfsServerProxy:
@@ -122,8 +114,8 @@ class SgfsServerProxy:
         #: via :meth:`reload`) invalidate them correctly — population
         #: scale without a gridmap walk per returning session.
         self.authz = AuthzCache(accounts)
-        self.stats = AuthzDecision()
-        self.calls_forwarded = 0
+        #: session and authorization counts (read with telemetry off too)
+        self.stats = SimpleNamespace(**zeros("proxy.server"))
         self._listener = None
         #: duplicate-request cache, keyed on the *pre-remap* credential
         #: (the client's identity).  It lives on the proxy object, not
@@ -150,20 +142,12 @@ class SgfsServerProxy:
             )
         self.obs = sim.obs
         self.tracer = sim.tracer
-        if self.obs.enabled:
-            self.obs.add_collector(
-                "proxy.server",
-                lambda: {
-                    "granted": self.stats.granted,
-                    "denied": self.stats.denied,
-                    "acl_answers": self.stats.acl_answers,
-                    "unix_fallbacks": self.stats.unix_fallbacks,
-                    "calls_forwarded": self.calls_forwarded,
-                    "authz_cache_hits": self.authz.hits,
-                    "authz_cache_misses": self.authz.misses,
-                    "authz_cache_stale": self.authz.stale,
-                },
-            )
+        self.obs.add_fields("proxy.server", self._stat)
+
+    def _stat(self, name: str) -> int:
+        """One proxy.server count; the authz cache keeps its own three."""
+        cached = name.partition("authz_cache_")[2]
+        return getattr(self.authz, cached) if cached else getattr(self.stats, name)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -230,19 +214,16 @@ class SgfsServerProxy:
                 account=self.account, ticket_cache=self.tickets,
             )
         except DIAL_ERRORS:
-            if self.obs.enabled:
-                self.obs.counter("proxy.server", "handshake_failures").inc()
+            self.stats.handshake_failures += 1
             sock.abort()
             return None
-        if self.obs.enabled:
-            self.obs.counter("proxy.server", "handshakes").inc()
+        self.stats.handshakes += 1
         # Pin this session's record crypto to one core of the pool.
         transport.affinity = next(self._session_seq)
         return transport, effective_identity(transport.peer_identity)
 
     def _session_body(self, sock):
-        if self.obs.enabled:
-            self.obs.counter("proxy.server", "sessions").inc()
+        self.stats.sessions += 1
         accepted = yield from self._accept(sock)
         if accepted is None:
             return
@@ -368,9 +349,8 @@ class SgfsServerProxy:
             members = unpack_members(env.args)
         except XdrError:
             return None
-        if self.obs.enabled:
-            self.obs.counter("proxy.server", "compound_envelopes").inc()
-            self.obs.counter("proxy.server", "compound_members").inc(len(members))
+        self.stats.compound_envelopes += 1
+        self.stats.compound_members += len(members)
         out = []
         for record in members:
             try:
@@ -421,7 +401,7 @@ class SgfsServerProxy:
         # -- identity mapping + forward ---------------------------------------
         cred = self._remap_credentials(upstream, call.cred, mapped)
         self.stats.granted += 1
-        self.calls_forwarded += 1
+        self.stats.calls_forwarded += 1
         reply = yield from upstream.call_detailed(int(proc), call.args, cred)
         reply.xid = call.xid
         # -- screen directory listings -----------------------------------------

@@ -15,6 +15,7 @@ import math
 from typing import Callable, List, Optional
 
 from repro.nfs import protocol as pr
+from repro.obs.schema import metric_key
 from repro.rpc.compound import (
     COMPOUND_EXEC, COMPOUND_PROGRAM, COMPOUND_VERSION, pack_members, unpack_members,
 )
@@ -118,6 +119,12 @@ class UpstreamSession:
         self.streams = max(1, int(streams))
         self.name = name
         self._channels = [_Channel() for _ in range(self.streams)]
+        #: per-channel (calls, bytes) keys of the proxy.client collector
+        self._stream_keys = [
+            tuple(metric_key(m, {"leg": name, "ch": ch})
+                  for m in ("stream_calls", "stream_bytes"))
+            for ch in range(self.streams)
+        ]
         #: a lone leg is its own leg list (a grid router has several)
         self.legs: List["UpstreamSession"] = [self]
         #: round-robin cursor for bulk READ/WRITE traffic
@@ -176,8 +183,9 @@ class UpstreamSession:
         return max(1, min(MAX_WINDOW, math.ceil(self.srtt_small / service)))
 
     def _note_stream(self, channel: int, nbytes: int) -> None:
-        self._count(f"stream_calls{{leg={self.name},ch={channel}}}")
-        self._count(f"stream_bytes{{leg={self.name},ch={channel}}}", nbytes)
+        calls, volume = self._stream_keys[channel]
+        self._count(calls)
+        self._count(volume, nbytes)
 
     def _send(self, xid: int, record: bytes, channel: int):
         """Process generator: the leg's one send-with-retry ladder.

@@ -164,13 +164,13 @@ class RpcClient(ReplyTable):
         self.cost = cost
         self.account = account
         self.calls_sent = 0
-        self.retransmissions = 0
-        self._c_retrans = None
         self.obs = sim.obs
         self.tracer = sim.tracer
         self._c_calls = self.obs.counter("rpc.client", "calls", account=account)
         self._c_bytes_out = self.obs.counter("rpc.client", "bytes_out", account=account)
         self._c_bytes_in = self.obs.counter("rpc.client", "bytes_in", account=account)
+        self._c_retrans = self.obs.counter("rpc.client", "retransmissions",
+                                           account=account)
         self._h_latency: Dict[int, Histogram] = {}  # by proc, bound on first use
 
     # -- calling ---------------------------------------------------------
@@ -251,10 +251,4 @@ class RpcClient(ReplyTable):
         return reply
 
     def _retransmitting(self) -> None:
-        self.retransmissions += 1
-        if self.obs.enabled:
-            if self._c_retrans is None:
-                self._c_retrans = self.obs.counter(
-                    "rpc.client", "retransmissions", account=self.account
-                )
-            self._c_retrans.inc()
+        self._c_retrans.inc()

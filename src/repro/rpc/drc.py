@@ -82,9 +82,8 @@ class DuplicateRequestCache:
         self.capacity = capacity
         self.max_age = max_age
         self.name = name
-        # Plain attributes, not obs counters: misses happen on every
-        # non-idempotent call of a fault-free run and eager registration
-        # would perturb the golden registry snapshots.
+        # Plain attributes; replays and parks reach the registry through
+        # the one rpc.drc collector below.
         self.misses = 0
         self.replays = 0
         self.parks = 0
@@ -95,8 +94,7 @@ class DuplicateRequestCache:
         #: back, so stale entries are a prefix of this queue; the LRU
         #: dict above is reordered by replays and cannot serve as one.
         self._completed: Deque[Tuple[Tuple, float]] = deque()
-        self._c_replays = None
-        self._c_parks = None
+        sim.obs.add_fields("rpc.drc", self.__getattribute__, cache=name)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -154,21 +152,9 @@ class DuplicateRequestCache:
             return (MISS, None)
         if entry.reply is not None:
             self.replays += 1
-            if self.sim.obs.enabled:
-                if self._c_replays is None:
-                    self._c_replays = self.sim.obs.counter(
-                        "rpc.drc", "replays", cache=self.name
-                    )
-                self._c_replays.inc()
             self._entries.move_to_end(key)
             return (REPLAY, entry.reply)
         self.parks += 1
-        if self.sim.obs.enabled:
-            if self._c_parks is None:
-                self._c_parks = self.sim.obs.counter(
-                    "rpc.drc", "parks", cache=self.name
-                )
-            self._c_parks.inc()
         ev = self.sim.event(name=f"drc-park:{self.name}")
         entry.waiters.append(ev)
         return (WAIT, ev)

@@ -88,16 +88,11 @@ class CredentialPortal(ServiceEndpoint):
         self.renewals = 0
         self.denials = 0
         self.register("IssueProxy", self._issue_proxy)
-        if sim.obs.enabled:
-            sim.obs.add_collector(
-                "portal",
-                lambda: {
-                    "proxies_issued": self.proxies_issued,
-                    "renewals": self.renewals,
-                    "denials": self.denials,
-                    "enrolled_users": len(self._users),
-                },
-            )
+        sim.obs.add_fields("portal", self.__getattribute__)
+
+    @property
+    def enrolled_users(self) -> int:
+        return len(self._users)
 
     # -- administration (local API) ----------------------------------------
 

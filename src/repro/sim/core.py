@@ -243,12 +243,7 @@ class Simulator:
         self.current = None
         #: every process that ended with an uncaught exception, in order
         self.died: list = []
-        if self.obs.enabled:
-            self.obs.add_collector("sim", lambda: {
-                "events_dispatched": self.events_dispatched,
-                "heap_pushes": self.heap_pushes,
-                "process_wakeups": self.process_wakeups,
-            })
+        self.obs.add_fields("sim", self.__getattribute__)
 
     # -- scheduling ----------------------------------------------------
 

@@ -198,6 +198,7 @@ class SecureChannel(SealedTransport):
         self._c_records_in = self.obs.counter("tls", "records_in", suite=suite)
         self._c_bytes_sealed = self.obs.counter("tls", "bytes_sealed", suite=suite)
         self._c_bytes_opened = self.obs.counter("tls", "bytes_opened", suite=suite)
+        self._c_renegotiations = self.obs.counter("tls", "renegotiations", suite=suite)
         self._pending_recv_state: Optional[Direction] = None
         if config.renegotiate_interval:
             self._arm_reneg_timer()
@@ -286,9 +287,7 @@ class SecureChannel(SealedTransport):
         self._pending_recv_state = recv_new
         self._master = new_master
         self.renegotiations += 1
-        if self.obs.enabled:
-            self.obs.counter("tls", "renegotiations",
-                             suite=self.config.suite.name).inc()
+        self._c_renegotiations.inc()
 
     def _handle_reneg(self, payload: bytes) -> None:
         u = Unpacker(payload)

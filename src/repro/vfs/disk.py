@@ -50,18 +50,7 @@ class DiskModel:
         self.bytes_read = 0
         self.bytes_written = 0
         self.tracer = sim.tracer
-        if sim.obs.enabled:
-            sim.obs.add_collector(
-                "disk",
-                lambda: {
-                    self.name: {
-                        "reads": self.reads,
-                        "writes": self.writes,
-                        "bytes_read": self.bytes_read,
-                        "bytes_written": self.bytes_written,
-                    }
-                },
-            )
+        sim.obs.add_fields("disk", self.__getattribute__, disk=name)
 
     def read(self, nbytes: int, cached: bool = True):
         """Process generator: one read of nbytes (cached=in page cache)."""

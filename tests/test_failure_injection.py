@@ -24,7 +24,7 @@ ROOT = Credentials(0, 0)
 
 
 def test_hard_mount_survives_connection_abort():
-    tb = Testbed.build()
+    tb = Testbed.build(telemetry=True)
     mount = setup_nfs_v3(tb)
     cl = mount.client
 
@@ -39,7 +39,7 @@ def test_hard_mount_survives_connection_abort():
         return data
 
     assert tb.run(job()) == b"before the cut"
-    assert cl.retransmissions >= 1
+    assert tb.obs.snapshot()["nfs.client"]["retransmissions"] >= 1
     assert bytes(tb.fs.resolve("/post.bin", ROOT).data) == b"after the cut"
 
 

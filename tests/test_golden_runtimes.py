@@ -9,26 +9,25 @@ were captured from the pre-fast-path tree with
 
 - ``total`` / ``writeback`` virtual seconds as exact float bit patterns
   (``float.hex()`` — no tolerance),
-- a sha256 over the full :class:`repro.obs.Registry` snapshot,
-  **excluding** the ``sim`` component: the kernel's own dispatch
-  counters (``events_dispatched``, ``heap_pushes``, ``process_wakeups``)
-  are the quantity the fast path exists to reduce, and are pinned
-  exactly, for one scenario, by ``test_pinned_kernel_counters`` below.
+- a sha256 over the :class:`repro.obs.Registry` snapshot projected onto
+  the keys :mod:`repro.obs.schema` declared at ``GOLDEN_SCHEMA_VERSION``
+  (``tests/_capture_goldens.py``), **excluding** the ``sim`` component:
+  the kernel's own dispatch counters (``events_dispatched``,
+  ``heap_pushes``, ``process_wakeups``) are the quantity the fast path
+  exists to reduce, and are pinned exactly, for one scenario, by
+  ``test_pinned_kernel_counters`` below.
 
 If one of these fails after a scheduler change, the change altered
 event *ordering*, not just dispatch cost — that is a correctness bug.
 
-Snapshot hashes were last re-captured when every run began building the
-fleet's server: the nfsd worker pool's ``rpc.server``
-``queue_depth`` / ``queue_wait`` / ``sessions_queued`` and the NFS
-program's ``nfs.server`` ``lock_waits`` now appear in single-client
-snapshots, and the legacy ``nfs_client`` / ``client_proxy`` /
-``server_proxy`` aliases left ``ExperimentResult.stats`` (before that:
-the server proxy's ``authz_cache_*`` keys, the client proxy's
-``writeback_errors``, the ``sync`` component).  The two ``sfs`` hashes
-moved once more when the SFS server daemon stopped carrying its own
-session loop: its sessions are counted (``proxy.server`` ``sessions``,
-absent -> 1) like every other server proxy's.  The ``total`` /
+The snapshot hashes are schema-stable.  Every key a run can report is
+declared once, with the version that added it; a snapshot holds every
+declared unlabelled key of each component present (zero if untouched),
+so the key set depends on what was built, not on what a run happened
+to do.  A new metric is one schema row at ``since=SCHEMA_VERSION + 1``:
+the projection at the pinned version leaves it out, so it moves no hash
+here (``tests/test_stats_schema.py`` checks exactly that).  A hash moves
+only when the value of a declared key does.  The ``total`` /
 ``writeback`` bit patterns have never moved.
 """
 
@@ -47,51 +46,51 @@ from repro.core.setups import SETUP_BUILDERS
 from repro.harness import run_iozone, run_mab, run_postmark
 from repro.workloads.postmark import PostMarkConfig
 from tests._capture_goldens import (
-    fault_row, run_fault_case, run_s1_cache_case, s1_cache_row,
+    fault_row, run_fault_case, run_s1_cache_case, s1_cache_row, snapshot_sha256,
 )
 
 FILE_SIZE = 256 * 1024
 CACHE_BYTES = 128 * 1024
 WAN_RTT = 0.080
 
-#: label -> (total.hex(), writeback.hex(), snapshot sha256 sans "sim").
+#: label -> (total.hex(), writeback.hex(), v1 snapshot sha256 sans "sim").
 GOLDEN = {
     "lan-gfs": ("0x1.587f0540471d1p-5", "0x0.0p+0",
-                "5e21036323bde4e1c541220ee883883518390ef1bdce0dad285021388dc35dd6"),
+                "0aef9e55823631c239c749c09f5e83ba939b215c3ed0d6b03323ba4ef5450d3f"),
     "lan-gfs-ssh": ("0x1.ebf6972ae74dap-3", "0x0.0p+0",
-                    "8e0fc7f10a880b002294bda9745190cc6ef38195b224bc0372eaed56bcb4cc0b"),
+                    "0c31dd6b157c178546a491af86610a9f6592079b033bdd219ce06214a6b2903b"),
     "lan-nfs-v3": ("0x1.3b3084cf7f7c0p-6", "0x0.0p+0",
-                   "8c367006c30b1420dda2204d32b4d79bb2fbea1b064ee0d4bb5e534b9c6493db"),
+                   "3915a99834b603287de9fd7f37d34fcd3c393e0d6dddb8cc4abc3d2f9d6f6812"),
     "lan-nfs-v4": ("0x1.767a1650648d6p-6", "0x0.0p+0",
-                   "234a3047ec8986b89e9f4a201c5157fba03e66aab2ca3d824e5b3a1b0adce097"),
+                   "1685c415703ed75394682f0f09bbb5f754c1b991c65520cb0731b507e736047c"),
     "lan-sfs": ("0x1.d0d9137b33b14p-5", "0x0.0p+0",
-                "f85c03ce61b88f8e40ff06603070155081d42b0aa0c65dfcb30baab0da1a755a"),
+                "487ce6552fbc15ff16410ab1a6c2cc9d7e7a48fbd6487a74c32cfcd44c4828aa"),
     "lan-sgfs": ("0x1.ef9223b1f5828p-5", "0x0.0p+0",
-                 "246162d77da2bbe65e97a90923b6c001d3ea3714ce6cd05aed78c2398f41d1f6"),
+                 "c6685e1d85b9b558ee1efcaa27c289f0bf49c086fc9c2571c578cbaaedb6586d"),
     "lan-sgfs-aes": ("0x1.ef9223b1f5828p-5", "0x0.0p+0",
-                     "246162d77da2bbe65e97a90923b6c001d3ea3714ce6cd05aed78c2398f41d1f6"),
+                     "c6685e1d85b9b558ee1efcaa27c289f0bf49c086fc9c2571c578cbaaedb6586d"),
     "lan-sgfs-rc": ("0x1.85f7038585342p-5", "0x0.0p+0",
-                    "3ce4d78a137ed4f47a87e92786db5bbb5884ffc3bea287efdd692dae88766ab6"),
+                    "e222f0866ba5c5b72034f9abb51fba1db7ce26dafbd23e6aea0ba8af48f82a7b"),
     "lan-sgfs-sha": ("0x1.73028e2835f84p-5", "0x0.0p+0",
-                     "9fc9a3336c708d6f0e93ad467f25eb6e3fbe8d36aaa088f6752965c9094656d4"),
+                     "1e881eccd1428bc9c6faa1c2577a1ec2e3acfd30078190904e6da245e1df3a46"),
     "wan-gfs": ("0x1.a45d91c39bd36p+0", "0x0.0p+0",
-                "0bd0dfe4f3e26f16242a255af3d4aac5e1a77d5b0ff6dd3d4f0cdd49a48222ae"),
+                "dfa2689e5c93ba913b15783120adf6e1c474c0ef11d321eecd5210ee0b85363d"),
     "wan-gfs-ssh": ("0x1.000717872956ep+1", "0x0.0p+0",
-                    "12da5adb3797d9f45173f80f4b0fb21be12743c6483a05c92d158090244ed9b3"),
+                    "c0399dba1bb53890d305bf762af242b1b5f90ce3ba43cf1187b4303254296b7c"),
     "wan-nfs-v3": ("0x1.f417d00c6496ap-1", "0x0.0p+0",
-                   "d440dbe9035729a83e171c2eb726e5f4aec00576540e4481969cfd3cabc76eaf"),
+                   "1ebdcbe52035198f250ea8d65659e58735df7e04965455c19729ad0141f5cef9"),
     "wan-nfs-v4": ("0x1.f5fde87e88beep-1", "0x0.0p+0",
-                   "a6cbbeef78a808ec8719e81acd397f5b0e80ce3cf5af58891d353ee870d204da"),
+                   "385dd5c790cd8fca09661d5e1698d7b34f7951079cf59d2d22ff5aa598422e09"),
     "wan-sfs": ("0x1.044957f80294ap+0", "0x0.0p+0",
-                "eedcd240ff790bbf153bafe938197fb89496d7dff801726b2e97b92668005c0e"),
+                "917d79b6f2ac0eb8dc76f304e0e0f9ba7fb8964b65c32e516d2e08239375a7c3"),
     "wan-sgfs": ("0x1.a9162ab729484p+0", "0x0.0p+0",
-                 "8cbafc50d0b9b27f7250c20b96fb05c25321c24509c53ab23d74eba6626e641d"),
+                 "d28459f6ed50975f87fe91c84489aa78a47bef14475793ef5e939384593f021e"),
     "wan-sgfs-aes": ("0x1.a9162ab729484p+0", "0x0.0p+0",
-                     "8cbafc50d0b9b27f7250c20b96fb05c25321c24509c53ab23d74eba6626e641d"),
+                     "d28459f6ed50975f87fe91c84489aa78a47bef14475793ef5e939384593f021e"),
     "wan-sgfs-rc": ("0x1.a5c951b5c5c52p+0", "0x0.0p+0",
-                    "d9b87cfb1f8659112ba87808275b5d7886272b76132af0773073eebb5ed96f27"),
+                    "f2b115f23f5dff5da95141c9d050d98b1188353b74376f949eedbd178a9e4aac"),
     "wan-sgfs-sha": ("0x1.a531ae0adb48cp+0", "0x0.0p+0",
-                     "806f8c22325236c08dc95432a1d0ca8f340364d0b99d2285d4f6a73534db5095"),
+                     "e8eee9e67318a7399ea34d7ef95f4eee7242c28bf4579d07e19237aec0f37582"),
 }
 
 
@@ -136,13 +135,6 @@ FAULT_GOLDEN = {
 }
 
 
-def _snapshot_sha256(result) -> str:
-    stats = {k: v for k, v in result.stats.items() if k != "sim"}
-    return hashlib.sha256(
-        json.dumps(stats, sort_keys=True, default=repr).encode()
-    ).hexdigest()
-
-
 def test_golden_table_covers_every_setup():
     expected = {f"{env}-{s}" for s in SETUP_BUILDERS for env in ("lan", "wan")}
     assert set(GOLDEN) == expected
@@ -158,7 +150,7 @@ def test_iozone_golden_runtime(label):
     assert r.total == float.fromhex(total_hex), (
         f"{label}: virtual runtime drifted: {r.total.hex()} != {total_hex}")
     assert r.writeback_seconds == float.fromhex(writeback_hex)
-    assert _snapshot_sha256(r) == snap, (
+    assert snapshot_sha256(r) == snap, (
         f"{label}: telemetry snapshot (sans 'sim') changed")
 
 
@@ -222,7 +214,7 @@ def test_golden_runs_do_not_depend_on_the_hash_seed():
         "import tests.test_golden_runtimes as g\n"
         "r = g.run_iozone('sgfs-aes', rtt=g.WAN_RTT, file_size=g.FILE_SIZE,\n"
         "                 setup_kwargs={'cache_bytes': g.CACHE_BYTES}, telemetry=True)\n"
-        "print(r.total.hex(), g._snapshot_sha256(r))\n"
+        "print(r.total.hex(), g.snapshot_sha256(r))\n"
         "print(g.json.dumps(g.fault_row(g.run_fault_case('grid-fleet-lossy-wan')),\n"
         "                   sort_keys=True))\n"
     )

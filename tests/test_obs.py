@@ -137,26 +137,27 @@ def test_latency_bounds_strictly_increasing():
 
 def test_registry_get_or_create_and_labels():
     reg = Registry()
-    c1 = reg.counter("rpc.client", "bytes", account="alice")
-    c2 = reg.counter("rpc.client", "bytes", account="alice")
-    c3 = reg.counter("rpc.client", "bytes", account="bob")
+    c1 = reg.counter("rpc.client", "bytes_out", account="alice")
+    c2 = reg.counter("rpc.client", "bytes_out", account="alice")
+    c3 = reg.counter("rpc.client", "bytes_out", account="bob")
     assert c1 is c2 and c1 is not c3
     c1.inc(10)
     c3.inc(1)
     snap = reg.snapshot()
-    assert snap["rpc.client"]["bytes{account=alice}"] == 10
-    assert snap["rpc.client"]["bytes{account=bob}"] == 1
+    assert snap["rpc.client"]["bytes_out{account=alice}"] == 10
+    assert snap["rpc.client"]["bytes_out{account=bob}"] == 1
 
 
 def test_registry_snapshot_nested_sorted_and_collectors():
     reg = Registry()
-    reg.counter("b.comp", "z").inc()
-    reg.counter("b.comp", "a").inc(2)
-    reg.add_collector("a.comp", lambda: {"pulled": 7})
+    reg.counter("sim", "process_wakeups").inc()
+    reg.counter("sim", "events_dispatched").inc(2)
+    reg.add_collector("gsi", lambda: {"renewals": 7})
     snap = reg.snapshot()
-    assert list(snap) == ["a.comp", "b.comp"]
-    assert list(snap["b.comp"]) == ["a", "z"]
-    assert snap["a.comp"]["pulled"] == 7
+    assert list(snap) == ["gsi", "sim"]
+    assert snap["sim"] == {"events_dispatched": 2, "heap_pushes": 0,
+                           "process_wakeups": 1}
+    assert snap["gsi"] == {"delegations": 0, "renewals": 7}
     # snapshot is json-serializable as-is
     json.dumps(snap)
 
@@ -288,7 +289,7 @@ def test_cache_stats_register_feeds_registry():
 def test_nfs_client_cache_stats_keys_are_uniform():
     from repro.core import setup_nfs_v3
 
-    tb = Testbed.build()
+    tb = Testbed.build(telemetry=True)
     mount = setup_nfs_v3(tb)
 
     def job():
@@ -296,9 +297,10 @@ def test_nfs_client_cache_stats_keys_are_uniform():
         yield from mount.client.read_file("/f")
 
     tb.run(job())
-    stats = mount.client.cache_stats()
-    for cache in ("attr", "name", "access", "page"):
-        assert set(stats[cache]) == {"hits", "misses", "evictions"}
+    stats = tb.obs.snapshot()["nfs.cache"]
+    assert set(stats) == {"attr", "name", "access", "page"}
+    for cache in stats.values():
+        assert set(cache) == {"hits", "misses", "evictions"}
 
 
 # -- end-to-end determinism + layer coverage ----------------------------------
@@ -384,18 +386,15 @@ def test_cli_trace_writes_chrome_json(tmp_path):
 
 def test_merge_metric_rules():
     from repro.obs import merge_metric
+    from repro.obs.schema import CACHE, COUNTER
 
     assert merge_metric(2, 3) == 5
-    assert merge_metric(1.5, 2) == 3.5
-    # flags keep the newer value, never sum
-    assert merge_metric(True, True) is True
-    assert merge_metric(3, True) is True
-    # dicts merge recursively
+    assert merge_metric(1.5, 2, COUNTER) == 3.5
+    # cache triples sum field by field
     assert merge_metric(
-        {"hits": 1, "inner": {"a": 2}}, {"hits": 4, "inner": {"a": 3, "b": 1}}
-    ) == {"hits": 5, "inner": {"a": 5, "b": 1}}
-    # non-summable payloads keep the newer value
-    assert merge_metric("x", "y") == "y"
+        {"hits": 1, "misses": 2, "evictions": 0},
+        {"hits": 4, "misses": 3, "evictions": 1}, CACHE,
+    ) == {"hits": 5, "misses": 5, "evictions": 1}
 
 
 def test_registry_snapshot_merges_colliding_collectors():
@@ -403,31 +402,27 @@ def test_registry_snapshot_merges_colliding_collectors():
     last-writer-win (the fleet regression this guards)."""
     reg = Registry()
     for hits in (3, 4):
-        reg.add_collector("nfs.cache", lambda hits=hits: {"hits": hits})
+        reg.add_collector("nfs.cache", lambda hits=hits: {
+            "page": {"hits": hits, "misses": 1, "evictions": 0}})
     snap = reg.snapshot()
-    assert snap["nfs.cache"]["hits"] == 7
+    assert snap["nfs.cache"]["page"] == {"hits": 7, "misses": 2, "evictions": 0}
 
 
 def test_merge_metric_gauges_take_max_not_sum():
     """Level-style metrics (queue depths, cache entry counts) from N
     colliding collectors must merge by max: summing two snapshots of a
     6-deep queue does not make it 12 deep (the gauge regression this
-    guards)."""
-    from repro.obs import GAUGE_METRICS, merge_metric
+    guards).  The kind is the key's declaration, not a list of names."""
+    from repro.obs import merge_metric
+    from repro.obs.schema import COUNTER, GAUGE, declared
 
-    assert "queue_depth" in GAUGE_METRICS
-    assert merge_metric(6, 4, name="queue_depth") == 6
-    assert merge_metric(4, 6, name="queue_depth") == 6
-    # labelled spellings strip to the base name
-    assert merge_metric(6, 4, name="queue_depth{server=nfsd}") == 6
-    # counters still sum, even with labels
-    assert merge_metric(6, 4, name="queue_wait{server=nfsd}") == 10
-    # the gauge rule applies through nested dict merges
-    merged = merge_metric(
-        {"queue_depth": 6, "calls": 10},
-        {"queue_depth": 4, "calls": 7},
-    )
-    assert merged == {"queue_depth": 6, "calls": 17}
+    assert merge_metric(6, 4, GAUGE) == 6
+    assert merge_metric(4, 6, GAUGE) == 6
+    assert merge_metric(6, 4, COUNTER) == 10
+    kind = declared("rpc.server", "sessions_queued", ("server",)).kind
+    assert merge_metric(6, 4, kind) == 6
+    kind = declared("grid", "layout_cache_entries").kind
+    assert merge_metric(6, 4, kind) == 6
 
 
 def test_registry_snapshot_merges_gauges_by_max():
@@ -436,10 +431,10 @@ def test_registry_snapshot_merges_gauges_by_max():
         reg.add_collector(
             "rpc.server",
             lambda depth=depth, calls=calls: {
-                "queue_depth{server=nfsd}": depth,
-                "calls": calls,
+                "sessions_queued{server=nfsd}": depth,
+                "calls{server=nfsd}": calls,
             },
         )
     snap = reg.snapshot()
-    assert snap["rpc.server"]["queue_depth{server=nfsd}"] == 6
-    assert snap["rpc.server"]["calls"] == 17
+    assert snap["rpc.server"]["sessions_queued{server=nfsd}"] == 6
+    assert snap["rpc.server"]["calls{server=nfsd}"] == 17

@@ -181,7 +181,7 @@ def test_proxy_forward_counters():
         yield from mount.client.read_file("/f")
 
     tb.run(job())
-    assert mount.server_proxy.calls_forwarded > 0
+    assert mount.server_proxy.stats.calls_forwarded > 0
     assert mount.server_proxy.stats.granted > 0
     assert mount.server_proxy.stats.denied == 0
 
