@@ -41,7 +41,7 @@ def _throughput_curve(setup: str) -> dict:
             clients=n, cal=FAT_LAN,
         )
         curve[n] = {
-            "throughput": r.aggregate_throughput(2 * FILE_SIZE) / 1e6,
+            "throughput": r.aggregate_throughput() / 1e6,
             "per_client_mean": r.mean_client_seconds,
         }
     return curve
@@ -163,7 +163,7 @@ def test_multicore_table():
         row = []
         for n in counts:
             r = aes_fleet(n, cores)
-            row.append(r.aggregate_throughput(2 * FILE_SIZE) / 1e6)
+            row.append(r.aggregate_throughput() / 1e6)
         print(f"{cores:<8d}" + "".join(f"{v:>9.1f}" for v in row))
 
 

@@ -404,19 +404,18 @@ def setup_sgfs(tb: Testbed, suite: str = "aes-256-cbc-sha1",
 
 
 def setup_gfs_ssh(tb: Testbed, disk_cache: bool = False,
-                  cache_bytes: Optional[int] = None,
-                  fast_ciphers: bool = True) -> Mount:
+                  cache_bytes: Optional[int] = None) -> Mount:
     """gfs-ssh [45]: plain proxies, but the proxy-to-proxy leg rides an
     SSH tunnel — two extra user-level forwarders on the data path."""
     session_key = Drbg("gfs-ssh-session-key").randbytes(32)
     tunnel_server = SshTunnelServer(
         tb.sim, tb.server, SSH_TUNNEL_PORT, SERVER_PROXY_PORT, session_key,
-        cost=tb.cal.ssh_cost, fast_ciphers=fast_ciphers,
+        cost=tb.cal.ssh_cost,
     )
     tunnel_server.start()
     tunnel_client = SshTunnelClient(
         tb.sim, tb.client, SSH_LOCAL_PORT, "server", SSH_TUNNEL_PORT, session_key,
-        cost=tb.cal.ssh_cost, fast_ciphers=fast_ciphers,
+        cost=tb.cal.ssh_cost,
     )
     tunnel_client.start()
 
@@ -431,8 +430,7 @@ def setup_gfs_ssh(tb: Testbed, disk_cache: bool = False,
     return mount
 
 
-def setup_sfs(tb: Testbed, cache_bytes: Optional[int] = None,
-              fast_ciphers: bool = True) -> Mount:
+def setup_sfs(tb: Testbed, cache_bytes: Optional[int] = None) -> Mount:
     """SFS [34]: self-certifying pathname, async daemons, metadata caching."""
     rng = Drbg("sfs-session")
     from repro.crypto.rsa import generate_keypair
@@ -447,14 +445,12 @@ def setup_sfs(tb: Testbed, cache_bytes: Optional[int] = None,
         authorized_users={user_key.public.to_bytes()},
         accounts=tb.server_accounts, gridmap=_session_gridmap(), fs=tb.fs,
         cost=tb.cal.sfs_cost, session_identity=USER_DN,
-        fast_ciphers=fast_ciphers,
     )
     server_daemon.start()
 
     client_daemon = SfsClientDaemon(
         tb.sim, tb.client, CLIENT_PROXY_PORT, path, SFS_PORT,
         user_key=user_key, rng=rng.fork("client"), cost=tb.cal.sfs_cost,
-        fast_ciphers=fast_ciphers,
     )
 
     def build():

@@ -122,32 +122,19 @@ class FleetResult:
     #: exports keep the N clients apart
     tracer: Optional[object] = None
 
-    def aggregate_throughput(self, bytes_per_client: Optional[int] = None) -> float:
-        """Fleet-wide rate in bytes per virtual second.
-
-        With no argument, computes the rate from the **actual** bytes
+    def aggregate_throughput(self) -> float:
+        """Fleet-wide rate in bytes per virtual second, from the bytes
         each client reported moving (``per_client[i].bytes_moved``) —
         correct for mixed workloads and runs where some clients moved
-        fewer bytes than planned (e.g. under fault schedules).
-
-        Passing ``bytes_per_client`` keeps the historical convenience
-        estimate ``clients * bytes_per_client / makespan``, which
-        **over-reports** whenever clients don't all move exactly that
-        many bytes; use it only for uniform workloads that don't report
-        ``bytes_moved``.
+        fewer bytes than planned (e.g. under fault schedules).  A fleet
+        whose workload reports no byte counts has no rate: ``ValueError``.
         """
         if self.makespan <= 0.0:
             return 0.0
-        if bytes_per_client is None:
-            counts = [c.bytes_moved for c in self.per_client]
-            if any(b is None for b in counts):
-                missing = [c.name for c in self.per_client if c.bytes_moved is None]
-                raise ValueError(
-                    f"clients {missing} did not report bytes_moved; pass "
-                    f"bytes_per_client for the per-client estimate instead"
-                )
-            return sum(counts) / self.makespan
-        return self.clients * bytes_per_client / self.makespan
+        missing = [c.name for c in self.per_client if c.bytes_moved is None]
+        if missing:
+            raise ValueError(f"clients {missing} did not report bytes_moved")
+        return sum(c.bytes_moved for c in self.per_client) / self.makespan
 
     @property
     def mean_client_seconds(self) -> float:

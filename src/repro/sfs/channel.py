@@ -39,9 +39,9 @@ class SfsAuthError(HandshakeError):
 
 
 def _established(sim: Simulator, stream: StreamTransport, secret: bytes,
-                 is_client: bool, cpu, account: str, fast: bool) -> SealedTransport:
+                 is_client: bool, cpu, account: str) -> SealedTransport:
     c2s, s2c = derive_directions(
-        SFS_SUITE, hmac_sha256(secret, b"sfs-session"), "sfs keys", fast
+        SFS_SUITE, hmac_sha256(secret, b"sfs-session"), "sfs keys", fast=True
     )
     send, recv = (c2s, s2c) if is_client else (s2c, c2s)
     return SealedTransport(sim, stream, SFS_SUITE, send, recv, cpu=cpu, account=account)
@@ -55,7 +55,6 @@ def sfs_client_channel(
     rng: Drbg,
     cpu=None,
     account: str = "sfsd",
-    fast: bool = True,
 ):
     """Process generator: connect-side handshake.
 
@@ -89,7 +88,7 @@ def sfs_client_channel(
     frame = yield from stream.recv_record()
     if frame != b"OK":
         raise SfsAuthError("server rejected user authentication")
-    return _established(sim, stream, secret, True, cpu, account, fast)
+    return _established(sim, stream, secret, True, cpu, account)
 
 
 def sfs_server_channel(
@@ -99,7 +98,6 @@ def sfs_server_channel(
     authorized_users: Set[bytes],
     cpu=None,
     account: str = "sfssd",
-    fast: bool = True,
 ):
     """Process generator: accept-side handshake.
 
@@ -135,4 +133,4 @@ def sfs_server_channel(
         sock.abort()
         raise SfsAuthError(f"bad key transport: {exc}") from None
     stream.send_record(b"OK")
-    return _established(sim, stream, secret, False, cpu, account, fast)
+    return _established(sim, stream, secret, False, cpu, account)

@@ -43,13 +43,12 @@ class SfsClientDaemon(SgfsClientProxy):
         user_key: RsaKeyPair,
         rng: Drbg,
         cost: CostProfile,
-        fast_ciphers: bool = True,
     ):
         def dial():
             sock = yield from host.connect(path.location, server_port)
             channel = yield from sfs_client_channel(
                 sim, sock, path, user_key, rng,
-                cpu=host.cpu, account="sfsd", fast=fast_ciphers,
+                cpu=host.cpu, account="sfsd",
             )
             return channel
 
@@ -87,7 +86,6 @@ class SfsServerDaemon(SgfsServerProxy):
         fs,
         cost: CostProfile,
         session_identity,
-        fast_ciphers: bool = True,
     ):
         super().__init__(
             sim, host, listen_port, nfs_server_port,
@@ -101,7 +99,6 @@ class SfsServerDaemon(SgfsServerProxy):
         )
         self.server_key = server_key
         self.authorized_users = authorized_users
-        self.fast_ciphers = fast_ciphers
 
     def _accept(self, sock):
         """SFS handshake instead of TLS: a registered user key admits
@@ -110,7 +107,7 @@ class SfsServerDaemon(SgfsServerProxy):
         try:
             transport = yield from sfs_server_channel(
                 self.sim, sock, self.server_key, self.authorized_users,
-                cpu=self.host.cpu, account=self.account, fast=self.fast_ciphers,
+                cpu=self.host.cpu, account=self.account,
             )
         except DIAL_ERRORS:
             return None

@@ -21,7 +21,7 @@ a pure function of its inputs.
 
 from repro.sim.core import Event, Simulator, SimError, Interrupt
 from repro.sim.process import Process, ProcessDied
-from repro.sim.sync import Channel, Store, Semaphore, RwLock, Gate
+from repro.sim.sync import Channel, Semaphore, RwLock, Gate
 from repro.sim.cpu import CPU, CpuLedger
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "Process",
     "ProcessDied",
     "Channel",
-    "Store",
     "Semaphore",
     "RwLock",
     "Gate",

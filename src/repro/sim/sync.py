@@ -4,8 +4,6 @@ These are the building blocks the network and RPC layers are made of:
 
 - :class:`Channel` — an unbounded FIFO of messages with blocking ``get``;
   the basic mailbox between simulated processes.
-- :class:`Store` — a bounded buffer with blocking ``put`` and ``get``
-  (used to model bounded socket buffers / flow control).
 - :class:`Semaphore` — counted resource with FIFO queuing (link
   directions, disk spindles, the NFS client's async-I/O slots).
 - :class:`RwLock` — shared/exclusive lock with strict arrival-order
@@ -97,12 +95,6 @@ class Channel:
             self._getters.append(ev)
         return ev
 
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking get: (True, item) or (False, None)."""
-        if self._items:
-            return True, self._items.popleft()
-        return False, None
-
     def close(self) -> None:
         """Close the channel; queued items are still deliverable."""
         self._closed = True
@@ -113,59 +105,6 @@ class Channel:
 
 class ChannelClosed(SimError):
     """Raised by Channel.get when the channel was closed."""
-
-
-class Store:
-    """Bounded buffer with blocking put and get (FIFO fairness)."""
-
-    __slots__ = ("sim", "name", "_get_name", "_put_name", "capacity",
-                 "_items", "_getters", "_putters")
-
-    def __init__(self, sim: Simulator, capacity: int, name: str = "store"):
-        if capacity < 1:
-            raise SimError("Store capacity must be >= 1")
-        self.sim = sim
-        self.name = name
-        self._get_name = f"get:{name}"
-        self._put_name = f"put:{name}"
-        self.capacity = capacity
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> Event:
-        ev = Event(self.sim, self._put_name)
-        if self._getters:
-            self._getters.popleft().succeed(item)
-            ev.succeed()
-        elif len(self._items) < self.capacity:
-            self._items.append(item)
-            ev.succeed()
-        else:
-            self._putters.append((ev, item))
-        return ev
-
-    def get(self) -> Event:
-        ev = Event(self.sim, self._get_name)
-        if self._items:
-            ev.succeed(self._items.popleft())
-            self._admit_putter()
-        elif self._putters:
-            put_ev, item = self._putters.popleft()
-            put_ev.succeed()
-            ev.succeed(item)
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def _admit_putter(self) -> None:
-        if self._putters and len(self._items) < self.capacity:
-            put_ev, item = self._putters.popleft()
-            self._items.append(item)
-            put_ev.succeed()
 
 
 class Semaphore:

@@ -39,14 +39,13 @@ class _TunnelEndpoint:
     adds its side of the handshake as ``_session``."""
 
     def __init__(self, sim: Simulator, host, listen_port: int, key: bytes,
-                 cost: CostProfile, account: str, fast_ciphers: bool):
+                 cost: CostProfile, account: str):
         self.sim = sim
         self.host = host
         self.listen_port = listen_port
         self.key = key
         self.cost = cost
         self.account = account
-        self.fast_ciphers = fast_ciphers
         self.chunks_forwarded = 0
         self.bytes_forwarded = 0
 
@@ -60,8 +59,7 @@ class _TunnelEndpoint:
     def _directions(self, nonce_c: bytes, nonce_s: bytes):
         """(client->server, server->client) under this connection's nonces."""
         return derive_directions(
-            TUNNEL_SUITE, self.key + nonce_c + nonce_s, "ssh-tunnel",
-            self.fast_ciphers,
+            TUNNEL_SUITE, self.key + nonce_c + nonce_s, "ssh-tunnel", fast=True,
         )
 
     def _charge(self, nbytes: int):
@@ -126,8 +124,8 @@ class SshTunnelServer(_TunnelEndpoint):
 
     def __init__(self, sim: Simulator, host, listen_port: int, target_port: int,
                  key: bytes, cost: CostProfile = FREE_PROFILE,
-                 account: str = "sshd", fast_ciphers: bool = True):
-        super().__init__(sim, host, listen_port, key, cost, account, fast_ciphers)
+                 account: str = "sshd"):
+        super().__init__(sim, host, listen_port, key, cost, account)
         self.target_port = target_port
 
     def _session(self, tunnel_sock):
@@ -158,9 +156,8 @@ class SshTunnelClient(_TunnelEndpoint):
 
     def __init__(self, sim: Simulator, host, listen_port: int,
                  server_host: str, server_port: int, key: bytes,
-                 cost: CostProfile = FREE_PROFILE, account: str = "ssh",
-                 fast_ciphers: bool = True):
-        super().__init__(sim, host, listen_port, key, cost, account, fast_ciphers)
+                 cost: CostProfile = FREE_PROFILE, account: str = "ssh"):
+        super().__init__(sim, host, listen_port, key, cost, account)
         self.server_host = server_host
         self.server_port = server_port
 

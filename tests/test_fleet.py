@@ -72,7 +72,7 @@ def test_fleet_throughput_scales_and_contends():
     one = run_fleet("nfs-v3", _iozone, clients=1)
     four = run_fleet("nfs-v3", _iozone, clients=4)
     # More clients move more aggregate bytes per virtual second...
-    assert four.aggregate_throughput(2 * FS) > one.aggregate_throughput(2 * FS)
+    assert four.aggregate_throughput() > one.aggregate_throughput()
     # ...but each client individually slows down under contention.
     assert four.mean_client_seconds > one.mean_client_seconds
 
@@ -192,19 +192,15 @@ def test_aggregate_throughput_measured_vs_estimate():
     from repro.workloads.iozone import IOzoneWriteRead
 
     r = run_fleet("sgfs-sha", lambda: IOzoneWriteRead(file_size=FS), clients=2)
-    # Every client reports its actual byte total...
+    # Every client reports its actual byte total, and the rate is
+    # measured from those totals.
     assert all(c.bytes_moved == 3 * FS for c in r.per_client)
-    # ...and the no-argument form measures from those totals, matching
-    # the legacy per-client estimate only when the estimate is honest.
     assert r.aggregate_throughput() == (2 * 3 * FS) / r.makespan
-    assert r.aggregate_throughput(3 * FS) == r.aggregate_throughput()
-    # An inflated per-client guess over-reports; the measured form can't.
-    assert r.aggregate_throughput(4 * FS) > r.aggregate_throughput()
 
 
 def test_aggregate_throughput_measured_requires_byte_counts():
     # Workloads that don't report bytes_moved can't be silently scored
-    # as zero throughput -- the measured form refuses instead.
+    # as zero throughput -- the rate refuses instead.
     from repro.harness import FleetClientResult, FleetResult
 
     r = FleetResult(
@@ -216,7 +212,6 @@ def test_aggregate_throughput_measured_requires_byte_counts():
     )
     with pytest.raises(ValueError, match="c1"):
         r.aggregate_throughput()
-    assert r.aggregate_throughput(4096) == 2 * 4096 / 2.0
 
 
 def test_reconnect_cyclers_stop_at_client_completion(monkeypatch):

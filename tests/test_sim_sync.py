@@ -1,8 +1,8 @@
-"""Channels, stores, semaphores, gates."""
+"""Channels, semaphores, gates."""
 
 import pytest
 
-from repro.sim import Channel, Gate, Semaphore, Simulator, Store
+from repro.sim import Channel, Gate, Semaphore, Simulator
 from repro.sim.core import SimError
 from repro.sim.sync import ChannelClosed
 
@@ -53,14 +53,6 @@ def test_channel_fifo_across_waiters():
     assert got == [("first", 1), ("second", 2)]
 
 
-def test_channel_try_get():
-    sim = Simulator()
-    ch = Channel(sim)
-    assert ch.try_get() == (False, None)
-    ch.put("x")
-    assert ch.try_get() == (True, "x")
-
-
 def test_channel_close_fails_waiters_and_future_gets():
     sim = Simulator()
     ch = Channel(sim)
@@ -76,51 +68,6 @@ def test_channel_close_fails_waiters_and_future_gets():
     assert sim.run_until_complete(p) == "closed"
     with pytest.raises(ChannelClosed):
         ch.put("after")
-
-
-# -- Store --------------------------------------------------------------------
-
-
-def test_store_put_blocks_at_capacity():
-    sim = Simulator()
-    st = Store(sim, capacity=2)
-    timeline = []
-
-    def producer():
-        for i in range(4):
-            yield st.put(i)
-            timeline.append((sim.now, f"put{i}"))
-
-    def consumer():
-        yield sim.timeout(5.0)
-        for _ in range(4):
-            v = yield st.get()
-            timeline.append((sim.now, f"got{v}"))
-
-    sim.spawn(producer())
-    sim.spawn(consumer())
-    sim.run()
-    # puts 0 and 1 at t=0; 2 and 3 wait for the consumer at t=5
-    assert timeline[0] == (0.0, "put0") and timeline[1] == (0.0, "put1")
-    assert all(t == 5.0 for t, _tag in timeline[2:])
-
-
-def test_store_capacity_must_be_positive():
-    with pytest.raises(SimError):
-        Store(Simulator(), capacity=0)
-
-
-def test_store_handoff_to_waiting_getter():
-    sim = Simulator()
-    st = Store(sim, capacity=1)
-
-    def getter():
-        v = yield st.get()
-        return v
-
-    p = sim.spawn(getter())
-    sim.call_later(1.0, lambda: st.put("direct"))
-    assert sim.run_until_complete(p) == "direct"
 
 
 # -- Semaphore --------------------------------------------------------------------
