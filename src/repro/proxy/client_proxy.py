@@ -23,20 +23,23 @@ consistency protocols of [46] (out of scope, see DESIGN.md).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.nfs import protocol as pr
 from repro.obs import NULL_SPAN
 from repro.obs.schema import zeros
 from repro.nfs.protocol import Fattr3, FileHandle, NfsStatus, Proc
 from repro.proxy.block_cache import BlockCache, ProxyCacheConfig
+from repro.proxy.upstream import WINDOWS_IN_FLIGHT
 from repro.rpc.auth import NULL_AUTH
 from repro.rpc.costs import CostProfile, FREE_PROFILE, charge_profile
 from repro.rpc.drc import DuplicateRequestCache, drc_key
 from repro.rpc.messages import DECODE_ERRORS, CallMessage, ReplyMessage
 from repro.rpc.transport import TRANSPORT_ERRORS, StreamTransport, Transport
 from repro.sim.core import Event, Simulator
+from repro.sim.process import Process
 from repro.sim.sync import Gate
 from repro.vfs.disk import DiskModel
 
@@ -88,10 +91,26 @@ class SgfsClientProxy:
                 "at-rest protection requires the disk cache with write-back"
             )
         self._up = upstream
-        #: blocks currently being fetched by a read window, so a second
-        #: reader coalesces onto the in-flight fetch instead of
-        #: duplicating it (keyed (fileid, block))
+        #: blocks currently being fetched by a demand or read-ahead
+        #: window, so a reader coalesces onto the in-flight fetch instead
+        #: of duplicating it (keyed (fileid, block))
         self._inflight_reads: Dict[Tuple[int, int], Event] = {}
+        #: per file, the first block past the windows already fetched or
+        #: in flight ahead of its reader (the read-ahead cursor)
+        self._ahead: Dict[int, int] = {}
+        #: in-flight read-ahead bursts, keyed (fileid, serial number)
+        self._prefetches: Dict[Tuple[int, int], Process] = {}
+        self._serial = itertools.count()
+        #: evicted dirty blocks whose write-back WRITE is in flight: a
+        #: victim stays readable here until its reply lands
+        self._writing: Dict[Tuple[int, int], bytes] = {}
+        #: in-flight write-behind bursts, oldest first, keyed by the
+        #: (fileid, block) keys each one carries
+        self._write_bursts: Dict[FrozenSet[Tuple[int, int]], Process] = {}
+        #: windows kept in flight: one (stop-and-wait) unless a leg is
+        #: multi-stream
+        self._depth = (WINDOWS_IN_FLIGHT
+                       if any(leg.streams > 1 for leg in upstream.legs) else 1)
         self._listener = None
         #: duplicate-request cache for the kernel client's leg: the
         #: proxy rewrites xids upstream, so each serving hop needs its
@@ -185,10 +204,16 @@ class SgfsClientProxy:
 
     # -- cache bookkeeping --------------------------------------------------------
 
+    def _unflushed(self, fileid: int) -> bool:
+        """Whether the file has local writes the server has not applied:
+        dirty blocks in the cache or victims on their way upstream."""
+        return bool(self._blocks.dirty.get(fileid)) or any(
+            f == fileid for keys in self._write_bursts for f, _b in keys)
+
     def _remember_attr(self, fh: Optional[FileHandle], attr: Optional[Fattr3]) -> None:
         if attr is None or not self.cache.cache_attrs:
             return
-        if self._blocks.dirty.get(attr.fileid):
+        if self._unflushed(attr.fileid):
             # The file has unflushed local writes: the server's view of
             # size/mtime is stale by design.  Keep the shadow values.
             old = self._attrs.get(attr.fileid)
@@ -206,12 +231,18 @@ class SgfsClientProxy:
             self._handles[attr.fileid] = fh
 
     def _block_put(self, fileid: int, block: int, data: bytes, dirty: bool):
-        """Process generator: cache a block, then write back whatever
-        dirty blocks the insert pushed out (one RTT-sized burst per
-        pipeline window — the write-behind half of the data path)."""
+        """Process generator: cache a block; the dirty blocks the insert
+        pushed out leave through write-behind (:meth:`_write_behind`)."""
         yield from self._blocks.put(fileid, block, data, dirty)
         victims = self._blocks.evict((fileid, block), self._window())
-        yield from self._writeback_window(victims)
+        if victims:
+            yield from self._write_behind(victims)
+
+    def _cached(self, fileid: int, block: int):
+        """Process generator: the block's bytes — from the cache, else
+        from a write-back still in flight — or None."""
+        data = yield from self._blocks.get(fileid, block)
+        return data if data is not None else self._writing.get((fileid, block))
 
     def _maybe_revalidate(self, fh: FileHandle):
         """Process generator: under "poll" consistency, refresh a stale
@@ -225,7 +256,7 @@ class SgfsClientProxy:
         attr = self._attrs.get(fh.fileid)
         if attr is None or self.cache.consistency != "poll":
             return attr
-        if self._blocks.dirty.get(fh.fileid):
+        if self._unflushed(fh.fileid):
             return attr
         age = self.sim.now - self._attr_time.get(fh.fileid, -1e18)
         if age <= self.cache.consistency_ttl:
@@ -255,6 +286,7 @@ class SgfsClientProxy:
     def _drop_file(self, fileid: int) -> None:
         self._blocks.drop_file(fileid)
         self._attrs.pop(fileid, None)
+        self._ahead.pop(fileid, None)
 
     # -- serving ------------------------------------------------------------------
 
@@ -420,12 +452,15 @@ class SgfsClientProxy:
             return (yield from self._forward(call))
         block = offset // bs
         yield from self._maybe_revalidate(fh)
-        data = yield from self._blocks.get(fh.fileid, block)
+        data = yield from self._cached(fh.fileid, block)
         if data is not None:
             self.stats["data_hits"] += 1
-            return self._local_read_reply(call, fh, offset, data, count)
-        self.stats["data_misses"] += 1
-        return (yield from self._read_window(call, fh, block, count))
+            reply = self._local_read_reply(call, fh, offset, data, count)
+        else:
+            self.stats["data_misses"] += 1
+            reply = yield from self._read_window(call, fh, block, count)
+        self._read_ahead(call, fh, block)
+        return reply
 
     def _local_read_reply(self, call: CallMessage, fh: FileHandle,
                           offset: int, data: bytes, count: int) -> ReplyMessage:
@@ -441,80 +476,164 @@ class SgfsClientProxy:
         )
 
     # -- read window and write-behind: the one upstream data path.  A
-    # single-stream leg runs it at window 1 — one block per round trip,
-    # the paper's proxy; a multi-stream leg widens the window to the RTT.
+    # single-stream leg runs it at window 1 with one window in flight —
+    # one block per round trip, the paper's proxy; a multi-stream leg
+    # widens the window to the RTT and keeps WINDOWS_IN_FLIGHT of them
+    # in flight, ahead of the reader and behind the writer.
 
     def _window(self) -> int:
         return max(leg.window() for leg in self._up.legs)
 
+    def _absent(self, fileid: int, block: int) -> bool:
+        """Neither cached, nor being fetched, nor being written back."""
+        key = (fileid, block)
+        return (key not in self._blocks and key not in self._inflight_reads
+                and key not in self._writing)
+
     def _read_window(self, call: CallMessage, fh: FileHandle, block: int,
                      count: int):
-        """Process generator: windowed read-ahead for a block-cache miss.
+        """Process generator: the demand fetch for a block-cache miss.
 
         Fetches the demanded block — always whole, regardless of the
         requested count — plus up to window-1 sequential successors in
-        one burst.  Determinism rules: target blocks are chosen in
-        ascending order, fetches are issued in that order (how a burst
-        is spread over legs and channels is the upstream's business:
-        :meth:`UpstreamSession.burst`, :meth:`GridRouter.burst`), and
-        results are installed in ascending block order — reply arrival
-        order never influences cache state."""
+        one burst, and moves the file's read-ahead cursor past them."""
         bs = self.cache.block_size
         pending = self._inflight_reads.get((fh.fileid, block))
         if pending is not None:
-            # another reader's window already has this block in flight
-            # (this READ stays the miss _h_read counted it as)
+            # another window already has this block in flight (this
+            # READ stays the miss _h_read counted it as)
             yield pending
-            data = yield from self._blocks.get(fh.fileid, block)
+            data = yield from self._cached(fh.fileid, block)
             if data is not None:
                 return self._local_read_reply(call, fh, block * bs, data, count)
         wanted = [block]
         attr = self._attrs.get(fh.fileid)
         if attr is not None:
-            last_block = (attr.size + bs - 1) // bs - 1
-            for nxt in range(block + 1, min(block + self._window(),
-                                            last_block + 1)):
-                key = (fh.fileid, nxt)
-                if key not in self._blocks and key not in self._inflight_reads:
-                    wanted.append(nxt)
-        fetches = []
-        for b in wanted:
-            self._inflight_reads[(fh.fileid, b)] = self.sim.event(
-                name=f"rdwin:{fh.fileid}:{b}"
+            end = min(block + self._window(), (attr.size + bs - 1) // bs)
+            wanted += [b for b in range(block + 1, end)
+                       if self._absent(fh.fileid, b)]
+            self._ahead[fh.fileid] = end
+        self._claim(fh.fileid, wanted)
+        results = yield from self._fetch(call, fh, wanted)
+        reply, res = results[0]
+        if res is not None:
+            status, rattr, data, eof = res  # data is b"" unless OK
+            return ReplyMessage(
+                xid=call.xid,
+                results=pr.pack_read_res(status, rattr, data[:count], eof),
             )
-            fetches.append(CallMessage(
-                call.xid, call.prog, call.vers, call.proc, call.cred,
-                call.verf, pr.pack_read_args(fh, b * bs, bs),
-            ))
-        demanded = None        # parsed (status, attr, data, eof) for `block`
-        demanded_reply = None  # raw ReplyMessage for `block`
-        self.stats["forwarded"] += len(fetches)
-        try:
-            replies = yield from self._up.burst(fetches)
-            for b, reply in zip(wanted, replies):
-                if b == block:
-                    demanded_reply = reply  # None: the member went unanswered
-                res = pr.read_ok(reply, pr.unpack_read_res)
-                if res is None:
-                    continue
-                status, rattr, data, eof = res
-                if self.cryptor is not None and data:
-                    from repro.proxy.cryptofs import AtRestIntegrityError
+        if reply is not None:
+            # an error, or a reply that does not parse: passed through
+            reply.xid = call.xid
+            return reply
+        # the burst produced no reply for the demanded block (a compound
+        # member the server could not answer): forward it on its own
+        return (yield from self._forward(
+            replace(call, args=pr.pack_read_args(fh, block * bs, bs))))
 
-                    try:
-                        data = self.cryptor.open(fh.fileid, b, data)
-                        self.stats["blocks_opened"] += 1
-                    except AtRestIntegrityError:
-                        # server-side tampering: surface an I/O error
-                        if b == block:
-                            demanded = (NfsStatus.IO, rattr, b"", False)
-                        continue
-                self._remember_attr(fh, rattr)
-                if data:
-                    yield from self._block_put(fh.fileid, b, data, dirty=False)
-                if b == block:
-                    demanded = (status, self._attrs.get(fh.fileid) or rattr,
-                                data, eof)
+    def _read_ahead(self, call: CallMessage, fh: FileHandle, block: int) -> None:
+        """Keep the reader's window and ``depth`` more after a READ at
+        ``block`` cached or in flight: each *full* window of the blocks
+        ``block + 1`` … ``block + (depth + 1) * window`` not yet fetched
+        or in flight gets one background burst (:meth:`_prefetch`) for
+        its absent blocks, claimed before it is spawned, so demand
+        misses and writes wait for it.  The per-file cursor makes this
+        O(1) per READ; nothing runs ahead on a single-stream leg."""
+        depth = self._depth
+        attr = self._attrs.get(fh.fileid)
+        if depth == 1 or attr is None:
+            return
+        window = self._window()
+        bs = self.cache.block_size
+        nblocks = (attr.size + bs - 1) // bs
+        end = min(block + 1 + (depth + 1) * window, nblocks)
+        nxt = self._ahead.get(fh.fileid, 0)
+        if not block < nxt <= end:
+            nxt = block + 1  # the reader moved: start again behind it
+        # a window the end of the file cuts short counts as full
+        while nxt + window <= end or nxt < end == nblocks:
+            stop = min(nxt + window, end)
+            wanted = [b for b in range(nxt, stop) if self._absent(fh.fileid, b)]
+            if wanted:
+                self._claim(fh.fileid, wanted)
+                key = (fh.fileid, next(self._serial))
+                self._prefetches[key] = self.sim.spawn(
+                    self._prefetch(key, call, fh, wanted), name="cproxy-readahead")
+            nxt = stop
+        self._ahead[fh.fileid] = nxt
+
+    def _prefetch(self, key, call: CallMessage, fh: FileHandle, wanted):
+        """Process: one read-ahead burst, registered in ``_prefetches``
+        under ``key`` until it ends.  A burst that fails caches nothing
+        (see :meth:`_fetch`).  Any other error — a failed write-behind
+        burst that caching the blocks joined — ends the process and
+        leaves it registered, for the next drain of its file to raise."""
+        yield from self._fetch(call, fh, wanted, ahead=True)
+        del self._prefetches[key]
+
+    def _claim(self, fileid: int, wanted) -> None:
+        """Register the blocks ``wanted`` as being fetched, before the
+        fetch is issued, so no other call sees them absent meanwhile;
+        :meth:`_fetch` releases them."""
+        for b in wanted:
+            self._inflight_reads[(fileid, b)] = self.sim.event(
+                name=f"rdwin:{fileid}:{b}"
+            )
+
+    def _fetch(self, call: CallMessage, fh: FileHandle, wanted,
+               ahead: bool = False):
+        """Process generator: fetch the whole blocks ``wanted``
+        (ascending, claimed by :meth:`_claim`) in one burst and cache
+        them.  Returns, per block, ``(reply, parsed)``: ``parsed`` is
+        ``(status, attr, data, eof)`` for an OK reply (an I/O error for
+        one that fails at-rest verification), else None.
+
+        A read-ahead burst (``ahead``) that fails returns None and
+        caches nothing: the READ that reaches those blocks fetches them
+        itself and reports the error.  Only the burst's own failure is
+        absorbed — caching the blocks may evict, and an eviction that
+        joins a failed write-behind burst raises.
+
+        Determinism rules: fetches are issued in ascending block order
+        (how a burst is spread over legs and channels is the upstream's
+        business: :meth:`UpstreamSession.burst`,
+        :meth:`GridRouter.burst`), and results are installed in that
+        order — reply arrival order never influences cache state."""
+        bs = self.cache.block_size
+        fetches = [
+            CallMessage(call.xid, call.prog, call.vers, call.proc, call.cred,
+                        call.verf, pr.pack_read_args(fh, b * bs, bs))
+            for b in wanted
+        ]
+        self.stats["forwarded"] += len(fetches)
+        results = []
+        try:
+            try:
+                replies = yield from self._up.burst(fetches)
+            except TRANSPORT_ERRORS:
+                if ahead:
+                    return None
+                raise
+            for b, reply in zip(wanted, replies):
+                res = pr.read_ok(reply, pr.unpack_read_res)
+                if res is not None:
+                    status, rattr, data, eof = res
+                    if self.cryptor is not None and data:
+                        from repro.proxy.cryptofs import AtRestIntegrityError
+
+                        try:
+                            data = self.cryptor.open(fh.fileid, b, data)
+                            self.stats["blocks_opened"] += 1
+                        except AtRestIntegrityError:
+                            # server-side tampering: surface an I/O error
+                            results.append(
+                                (reply, (NfsStatus.IO, rattr, b"", False)))
+                            continue
+                    self._remember_attr(fh, rattr)
+                    if data:
+                        yield from self._block_put(fh.fileid, b, data, dirty=False)
+                    res = (status, self._attrs.get(fh.fileid) or rattr, data, eof)
+                results.append((reply, res))
         finally:
             # waiters always wake, even when the fetch failed — they
             # re-check the cache and fall back to their own fetch
@@ -522,24 +641,84 @@ class SgfsClientProxy:
                 ev = self._inflight_reads.pop((fh.fileid, b), None)
                 if ev is not None and not ev.triggered:
                     ev.succeed(None)
-        if demanded is not None:
-            status, rattr, data, eof = demanded  # data is b"" unless OK
-            return ReplyMessage(
-                xid=call.xid,
-                results=pr.pack_read_res(status, rattr, data[:count], eof),
-            )
-        if demanded_reply is not None:
-            # an error, or a reply that does not parse: passed through
-            demanded_reply.xid = call.xid
-            return demanded_reply
-        # the burst produced no reply for the demanded block (a compound
-        # member the server could not answer): forward it on its own
-        return (yield from self._forward(fetches[0]))
+        return results
+
+    def _write_behind(self, victims):
+        """Process generator: hand eviction victims to write-behind, one
+        background burst (:meth:`_write_burst`) per pipeline window.
+
+        Each victim stays readable in ``_writing`` until its WRITE reply
+        lands, and a newer eviction of the same block supersedes it.  A
+        victim whose earlier write is still in flight waits for that
+        write first, so two writes of one block never race on different
+        channels.  The evicting call blocks only while ``depth`` bursts
+        are already in flight — and at one window in flight (a
+        single-stream leg) it waits for its own burst: stop-and-wait."""
+        for fileid, blk, data in victims:
+            self._writing[(fileid, blk)] = data
+        window = self._window()
+        for start in range(0, len(victims), window):
+            while True:
+                items = [(fileid, blk, data)
+                         for fileid, blk, data in victims[start:start + window]
+                         if self._writing.get((fileid, blk)) is data]
+                keys = frozenset((fileid, blk) for fileid, blk, _data in items)
+                older = [carried for carried in self._write_bursts
+                         if not keys.isdisjoint(carried)]
+                if not older and len(self._write_bursts) < self._depth:
+                    break
+                yield from self._join(self._write_bursts,
+                                      older[0] if older else next(iter(self._write_bursts)))
+            if not items:
+                continue
+            self._write_bursts[keys] = self.sim.spawn(
+                self._write_burst(items, keys), name="cproxy-writebehind")
+            if self._depth == 1:
+                yield from self._join(self._write_bursts, keys)
+
+    def _write_burst(self, victims, keys):
+        """Process: write back one window of eviction victims (``keys``
+        are their blocks).  Once the replies land, reads stop finding
+        the victims in ``_writing`` and the burst leaves
+        ``_write_bursts``; a burst that fails stays there, for the next
+        call that joins it to raise."""
+        try:
+            yield from self._writeback_window(victims)
+        finally:
+            for fileid, blk, data in victims:
+                if self._writing.get((fileid, blk)) is data:
+                    del self._writing[(fileid, blk)]
+        del self._write_bursts[keys]
+
+    @staticmethod
+    def _join(table, key):
+        """Process generator: wait for the background process
+        ``table[key]``, if it is still registered, and unregister it; one
+        that failed raises here."""
+        proc = table.get(key)
+        if proc is None:
+            return
+        try:
+            yield proc
+        finally:
+            if table.get(key) is proc:
+                del table[key]
+
+    def _drain(self, fileid: Optional[int] = None):
+        """Process generator: join the in-flight read-ahead, then the
+        write-behind, of ``fileid`` — of every file when None.  Read-
+        ahead goes first: the blocks it caches may evict more victims."""
+        for key in list(self._prefetches):
+            if fileid is None or key[0] == fileid:
+                yield from self._join(self._prefetches, key)
+        for keys in list(self._write_bursts):
+            if fileid is None or any(f == fileid for f, _b in keys):
+                yield from self._join(self._write_bursts, keys)
 
     def _writeback_window(self, items):
         """Process generator: write back ``(fileid, block, data)`` items
-        in bursts of one pipeline window (the write-behind half of the
-        data path; eviction, COMMIT and teardown all end here).
+        in bursts of one pipeline window (write-behind, COMMIT and
+        teardown all end here).
 
         Items are sealed and issued in list order; statuses are
         consumed in the same order, so accounting is independent of
@@ -591,7 +770,12 @@ class SgfsClientProxy:
             block = pos // bs
             inner = pos - block * bs
             take = min(bs - inner, view.nbytes)
-            existing = yield from self._blocks.get(fh.fileid, block)
+            pending = self._inflight_reads.get((fh.fileid, block))
+            if pending is not None:
+                # a fetch of this block is landing: merge over it, never
+                # under it (its clean copy must not replace these bytes)
+                yield pending
+            existing = yield from self._cached(fh.fileid, block)
             if existing is None and inner > 0:
                 # partial block with unknown prefix: zero-fill (the kernel
                 # client only produces this beyond the old EOF)
@@ -642,6 +826,7 @@ class SgfsClientProxy:
                 xid=call.xid,
                 results=pr.pack_commit_res(NfsStatus.OK, attr, b"sgfsprox"),
             )
+        yield from self._drain(fh.fileid)
         items = yield from self._blocks.gather_dirty([fh.fileid])
         yield from self._writeback_window(items)
         return (yield from self._forward_noting(call, fh, pr.unpack_commit_res))
@@ -649,6 +834,8 @@ class SgfsClientProxy:
     def _h_setattr(self, call: CallMessage):
         fh, sattr = pr.unpack_setattr_args(call.args)
         if sattr.size is not None:
+            # nothing in flight may land on the far side of the truncate
+            yield from self._drain(fh.fileid)
             self._drop_file(fh.fileid)
         return (yield from self._forward_noting(call, fh, pr.unpack_setattr_res))
 
@@ -667,6 +854,9 @@ class SgfsClientProxy:
     def _h_remove(self, call: CallMessage):
         dir_fh, name = pr.unpack_remove_args(call.args)
         hit = self._lookups.pop((dir_fh.fileid, name), None)
+        # writes already on their way must land before the file goes
+        # (every file's, when the name's file is not known here)
+        yield from self._drain(hit[1] if hit is not None else None)
         if hit is not None:
             # Dirty data of a deleted file is never written back — the
             # Seismic §6.3.2 "only final results cross the WAN" effect.
@@ -679,7 +869,10 @@ class SgfsClientProxy:
     def _h_rename(self, call: CallMessage):
         f_dir, f_name, t_dir, t_name = pr.unpack_rename_args(call.args)
         self._lookups.pop((f_dir.fileid, f_name), None)
-        self._lookups.pop((t_dir.fileid, t_name), None)
+        # as for REMOVE: the target, if any, is replaced (the source
+        # keeps its fileid and handle, so its writes in flight stay good)
+        hit = self._lookups.pop((t_dir.fileid, t_name), None)
+        yield from self._drain(hit[1] if hit is not None else None)
         self._attrs.pop(f_dir.fileid, None)
         self._attrs.pop(t_dir.fileid, None)
         return (yield from self._forward(call))
@@ -687,7 +880,8 @@ class SgfsClientProxy:
     # -- write-back ---------------------------------------------------------------------
 
     def writeback(self):
-        """Flush every dirty block — session teardown.
+        """Flush every dirty block — session teardown — once the
+        in-flight read-ahead and write-behind have ended.
 
         Returns (blocks, bytes) written back; the harness times this to
         reproduce the paper's separately-reported write-back cost.
@@ -696,11 +890,13 @@ class SgfsClientProxy:
         before_bytes = self.stats["writeback_bytes"]
         with self.tracer.span("proxy.writeback",
                               cat="proxy") if self.tracer.enabled else NULL_SPAN:
-            # One windowed flush across files, not one per file:
+            # No read-ahead or write-behind outlives the session.  Then
+            # one windowed flush across files, not one per file:
             # teardown after a many-small-files workload (PostMark, MAB)
             # is otherwise one WAN round trip per file.  Only files whose
             # handle the session has seen can be written; any other
             # stays dirty.
+            yield from self._drain()
             flushable = [f for f in list(self._blocks.dirty)
                          if f in self._handles]
             items = yield from self._blocks.gather_dirty(flushable)

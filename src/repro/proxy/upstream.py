@@ -38,6 +38,9 @@ _RTT_ALPHA = 0.125
 _RTT_FLOOR = 1e-4
 #: ceiling on the RTT-sized pipeline window of a multi-stream leg
 MAX_WINDOW = 64
+#: windows a multi-stream leg keeps in flight: read-ahead ahead of the
+#: reader, write-behind behind the writer (a single-stream leg keeps one)
+WINDOWS_IN_FLIGHT = 2
 
 
 def dialer(sim: Simulator, host, target: str, port: int, security=None):
@@ -131,10 +134,12 @@ class UpstreamSession:
         self._rr_bulk = 0
         #: smoothed RTT estimators (virtual seconds, deterministic):
         #: small control RPCs approximate the raw round trip, bulk block
-        #: RPCs add the per-block service time — their gap sizes the
-        #: pipeline window (see :meth:`window`)
+        #: RPCs that cross alone add the per-block service time — their
+        #: gap sizes the pipeline window (see :meth:`window`)
         self.srtt_small: Optional[float] = None
         self.srtt_bulk: Optional[float] = None
+        #: bursts in flight on the leg (see :meth:`burst`)
+        self._bursting = 0
 
     @property
     def transport(self) -> Optional[Transport]:
@@ -211,12 +216,14 @@ class UpstreamSession:
                 yield self.sim.timeout(min(self.retry_cap, backoff))
                 yield from self.ensure(channel, router)
 
-    def forward(self, call: CallMessage, channel: Optional[int] = None):
+    def forward(self, call: CallMessage, channel: Optional[int] = None,
+                sample: bool = True):
         """Forward upstream, surviving timeouts and transport death
         (see :meth:`_send`).  ``channel`` pins the call to a specific
         channel; by default bulk READ/WRITE round-robins across the
         channels in issue order and everything else (the metadata
-        stream, whose ordering matters) stays on channel 0."""
+        stream, whose ordering matters) stays on channel 0.  ``sample``
+        False keeps the round trip out of the RTT estimators."""
         bulk = call.prog == pr.NFS_PROGRAM and call.proc in _BULK_PROCS
         if channel is None:
             channel = 0
@@ -229,7 +236,8 @@ class UpstreamSession:
         ).encode()
         started = self.sim.now
         reply = yield from self._send(xid, record, channel)
-        self._observe_rtt(bulk, self.sim.now - started)
+        if sample:
+            self._observe_rtt(bulk, self.sim.now - started)
         if self.streams > 1:
             self._note_stream(channel, len(record))
         return reply
@@ -242,9 +250,10 @@ class UpstreamSession:
         Returns one ``Optional[ReplyMessage]`` per member, in call order
         (``None`` when the server could not decode or answer it)."""
         if len(calls) == 1:
-            # a single call needs no envelope (and single calls are what
-            # feeds the bulk RTT estimator)
-            return [(yield from self.forward(calls[0], channel=channel))]
+            # a single call needs no envelope; whether its round trip is
+            # an RTT sample is for the burst to say (see :meth:`burst`)
+            return [(yield from self.forward(calls[0], channel=channel,
+                                             sample=False))]
         members = [
             CallMessage(
                 self._next_xid(), call.prog, call.vers, call.proc,
@@ -281,14 +290,29 @@ class UpstreamSession:
         The striping policy: call ``i`` rides channel ``i % streams``,
         each channel's share as one :meth:`forward_batch`, spawned in
         channel order and joined in spawn order — completion order
-        never leaks into the result."""
+        never leaks into the result.
+
+        Only a burst that *is* one call, issued while no other burst is
+        in flight on the leg, feeds the bulk RTT estimator.  The one-call
+        share of a wider burst (the ragged tail: 5 calls over 4 channels
+        ride as 2, 1, 1, 1), or a lone call issued behind another burst,
+        shares the link, so its round trip carries that traffic's
+        queueing, not one block's service time."""
         n = self.streams
+        alone = len(calls) == 1 and not self._bursting
+        self._bursting += 1
+        started = self.sim.now
         procs = [
             self.sim.spawn(self.forward_batch(calls[ch::n], channel=ch),
                            name=f"bulk-ch{ch}")
             for ch in range(min(n, len(calls)))
         ]
-        results = yield all_of(self.sim, procs)
+        try:
+            results = yield all_of(self.sim, procs)
+        finally:
+            self._bursting -= 1
+        if alone:
+            self._observe_rtt(True, self.sim.now - started)
         replies: List[Optional[ReplyMessage]] = [None] * len(calls)
         for ch, share in enumerate(results):
             for i, reply in zip(range(ch, len(calls), n), share):

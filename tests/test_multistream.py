@@ -12,7 +12,9 @@ goldens in ``test_golden_runtimes.py``).  These tests pin:
   single-server mount and a 2-backend grid fleet,
 - exactly-once server-side application when sub-channel traffic is
   dropped mid-READ / mid-WRITE (retry ladder + duplicate request cache),
-- the WAN throughput win the engine exists for.
+- the WAN throughput win the engine exists for,
+- that background read-ahead and write-behind end with the session, and
+  a failed read-ahead leaves its blocks to the demand READ.
 """
 
 import pytest
@@ -269,3 +271,196 @@ def test_compound_batches_fire_on_windowed_flush():
     assert stats["compound_envelopes"] >= 1
     assert stats["compound_members"] >= 2
     assert bytes(tb.fs.resolve("/c.bin", ROOT).data) == payload
+
+
+# -- read-ahead and write-behind run in the background, and end ---------------
+
+
+def test_no_read_ahead_or_write_behind_outlives_the_session():
+    """A cached 4-stream run through a cache a quarter of the file: both
+    background kinds run, and after teardown none is alive and no
+    process died unobserved."""
+    tb = Testbed.build(rtt=0.04)
+    mount = setup_sgfs(tb, disk_cache=True, streams=4, cache_capacity=8 * BS)
+    spawned = []
+    spawn = tb.sim.spawn
+
+    def recording_spawn(generator, name=""):
+        spawned.append(spawn(generator, name=name))
+        return spawned[-1]
+
+    tb.sim.spawn = recording_spawn
+    payload = _pattern(32 * BS)
+    cl = mount.client
+
+    def job():
+        yield from cl.write_file("/q.bin", payload)
+        cl.pages.clear()
+        data = yield from cl.read_file("/q.bin")
+        yield from mount.finish()
+        return data
+
+    assert tb.run(job()) == payload
+    background = [p for p in spawned
+                  if p.name in ("cproxy-readahead", "cproxy-writebehind")]
+    assert {p.name for p in background} == {"cproxy-readahead", "cproxy-writebehind"}
+    assert not any(p.alive for p in background)
+    assert tb.sim.unobserved_deaths() == []
+    proxy = mount.client_proxy
+    assert not proxy._prefetches and not proxy._write_bursts and not proxy._writing
+    assert proxy.stats["writeback_errors"] == 0
+
+
+@pytest.mark.parametrize("failures", [1, None])
+def test_failed_prefetch_leaves_its_blocks_to_the_demand_read(failures):
+    """A read-ahead burst that fails caches nothing: the READ that
+    reaches those blocks fetches them itself — and, when that fetch
+    fails too, the error reaches the READ's caller."""
+    from repro.nfs import protocol as pr
+    from repro.rpc.errors import RpcTransportError
+    from repro.rpc.messages import CallMessage, ReplyMessage
+
+    tb = Testbed.build(rtt=0.04)
+    mount = setup_sgfs(tb, disk_cache=True, streams=4)
+    payload = _pattern(16 * BS)
+    _seed_server_file(tb, "r.bin", payload)
+    proxy = mount.client_proxy
+    leg = proxy._up.legs[0]
+    burst, left = leg.burst, [failures]
+
+    def failing_burst(calls):
+        # bursts for the second half of the file fail (``failures`` times)
+        if pr.unpack_read_args(calls[0].args)[1] >= 8 * BS and left[0] != 0:
+            left[0] = None if left[0] is None else left[0] - 1
+            yield tb.sim.timeout(0.05)
+            raise RpcTransportError("upstream lost")
+        return (yield from burst(calls))
+
+    leg.burst = failing_burst
+
+    def read(fh, b):
+        call = CallMessage(1, pr.NFS_PROGRAM, pr.NFS_V3, int(pr.Proc.READ),
+                           cred=proxy._session_cred,
+                           args=pr.pack_read_args(fh, b * BS, BS))
+        reply = ReplyMessage.decode((yield from proxy._execute(call)))
+        return pr.unpack_read_res(reply.results)[2]
+
+    def job():
+        fh, _attr = yield from mount.client.resolve("/r.bin")
+        leg.srtt_small, leg.srtt_bulk = 0.040, 0.050  # a 4-block window
+        got = []
+        for b in range(16):
+            got.append((yield from read(fh, b)))
+            if b == 7:
+                # the window [8, 12) was read ahead, and failed
+                assert not any((fh.fileid, k) in proxy._blocks for k in range(8, 12))
+        return b"".join(got)
+
+    if failures is None:
+        with pytest.raises(RpcTransportError):
+            tb.run(job())
+    else:
+        assert tb.run(job()) == payload
+    assert tb.sim.unobserved_deaths() == []
+
+
+def _read_block(proxy, fh, b):
+    """Process generator: one whole-block READ answered by the proxy."""
+    from repro.nfs import protocol as pr
+    from repro.rpc.messages import CallMessage, ReplyMessage
+
+    call = CallMessage(1, pr.NFS_PROGRAM, pr.NFS_V3, int(pr.Proc.READ),
+                       cred=proxy._session_cred,
+                       args=pr.pack_read_args(fh, b * BS, BS))
+    reply = ReplyMessage.decode((yield from proxy._execute(call)))
+    return pr.unpack_read_res(reply.results)[2]
+
+
+def _write_block(proxy, fh, b, data):
+    """Process generator: one whole-block WRITE answered by the proxy."""
+    from repro.nfs import protocol as pr
+    from repro.rpc.messages import CallMessage
+
+    call = CallMessage(1, pr.NFS_PROGRAM, pr.NFS_V3, int(pr.Proc.WRITE),
+                       cred=proxy._session_cred,
+                       args=pr.pack_write_args(fh, b * BS, data, pr.UNSTABLE))
+    yield from proxy._execute(call)
+
+
+def test_write_in_the_instant_read_ahead_starts_is_not_overwritten():
+    """The READ that spawns a read-ahead burst claims its blocks before
+    the burst runs: a WRITE to one of them in the same instant waits for
+    the fetch and lands on top of it, instead of being replaced by the
+    server's older bytes when the fetch lands."""
+    tb = Testbed.build(rtt=0.04)
+    mount = setup_sgfs(tb, disk_cache=True, streams=4)
+    payload = _pattern(16 * BS)
+    _seed_server_file(tb, "a.bin", payload)
+    proxy = mount.client_proxy
+    leg = proxy._up.legs[0]
+    newer = b"\x5a" * BS
+
+    def job():
+        fh, _attr = yield from mount.client.resolve("/a.bin")
+        leg.srtt_small, leg.srtt_bulk = 0.040, 0.050  # a 4-block window
+        # fetches blocks 0-3 and spawns read-ahead of 4-7 and 8-11 ...
+        yield from _read_block(proxy, fh, 0)
+        # ... which has not run yet when this WRITE arrives
+        assert (fh.fileid, 5) in proxy._inflight_reads
+        yield from _write_block(proxy, fh, 5, newer)
+        got = yield from _read_block(proxy, fh, 5)
+        yield from mount.finish()
+        return got
+
+    assert tb.run(job()) == newer
+    expected = payload[:5 * BS] + newer + payload[6 * BS:]
+    assert bytes(tb.fs.resolve("/a.bin", ROOT).data) == expected
+    assert proxy.stats["writeback_errors"] == 0
+    assert tb.sim.unobserved_deaths() == []
+
+
+def test_read_ahead_never_swallows_a_failed_write_behind():
+    """Write-behind fails for good while a read-ahead burst evicts: the
+    eviction joins the failed burst, and its error reaches teardown
+    instead of ending with the read-ahead process."""
+    from repro.nfs import protocol as pr
+    from repro.rpc.errors import RpcTransportError
+
+    tb = Testbed.build(rtt=0.04)
+    mount = setup_sgfs(tb, disk_cache=True, streams=4, cache_capacity=4 * BS)
+    _seed_server_file(tb, "r.bin", _pattern(16 * BS))
+    proxy = mount.client_proxy
+    leg = proxy._up.legs[0]
+    burst = leg.burst
+
+    def writes_fail(calls):
+        if calls[0].proc == int(pr.Proc.WRITE):
+            yield tb.sim.timeout(0.05)
+            raise RpcTransportError("upstream lost")
+        return (yield from burst(calls))
+
+    leg.burst = writes_fail
+
+    def job():
+        rfh, _attr = yield from mount.client.resolve("/r.bin")
+        w = yield from mount.client.open("/w.bin", create=True)
+        leg.srtt_small, leg.srtt_bulk = 0.040, 0.050  # a 4-block window
+        for b in range(5):
+            # the fifth block evicts blocks 0-2: their burst fails
+            yield from _write_block(proxy, w.fh, b, bytes([b + 1]) * BS)
+        yield from _write_block(proxy, w.fh, 0, b"\x09" * BS)
+        yield tb.sim.timeout(0.1)
+        (failed,) = proxy._write_bursts.values()
+        assert failed.completion.failed
+        # r's block 0 is cached (LRU: w3 w4 w0 r0): a hit, then read-ahead
+        # of r's blocks 1-12, whose first insert evicts w3 w4 w0 — and
+        # block 0 must wait for the failed burst that carried its write
+        yield from proxy._blocks.put(rfh.fileid, 0, _pattern(BS), dirty=False)
+        yield from _read_block(proxy, rfh, 0)
+        yield tb.sim.timeout(1.0)
+        assert not proxy._write_bursts  # the read-ahead joined it
+        yield from mount.finish()
+
+    with pytest.raises(RpcTransportError):
+        tb.run(job())
+    assert tb.sim.unobserved_deaths() == []

@@ -4,7 +4,9 @@ import pytest
 
 from repro.core import Testbed, setup_sgfs
 from repro.core.topology import SERVER_PROXY_PORT
+from repro.nfs import protocol as pr
 from repro.nfs.protocol import Proc
+from repro.rpc.messages import CallMessage, ReplyMessage
 from repro.vfs.fs import Credentials
 
 ROOT = Credentials(0, 0)
@@ -193,3 +195,155 @@ def test_rename_invalidates_proxy_lookup_cache():
 
     data, exists = tb.run(job())
     assert data == b"o" * 100 and not exists
+
+
+# -- write-behind hazards ------------------------------------------------------
+# A multi-stream leg writes eviction victims back in the background, so a
+# victim's WRITE is still on the wire when the next call arrives.  These
+# drive the proxy directly with NFS calls: four 32 KB blocks of cache and
+# a warm leg (40 ms round trips, 5 ms per block: an 8-block window, so an
+# eviction drains to half the cache and its victims ride several
+# channels at once).
+
+BS = 32768
+
+
+def _block(i):
+    return bytes([i + 1]) * BS
+
+
+def write_behind_mount():
+    tb = Testbed.build(rtt=0.040)
+    mount = setup_sgfs(tb, disk_cache=True, streams=4, cache_capacity=4 * BS)
+    leg = mount.client_proxy._up.legs[0]
+    leg.srtt_small, leg.srtt_bulk = 0.040, 0.045
+    return tb, mount, mount.client_proxy
+
+
+def _nfs(proxy, proc, args):
+    """Process generator: one NFS call answered by the proxy; returns
+    its result bytes."""
+    call = CallMessage(1, pr.NFS_PROGRAM, pr.NFS_V3, int(proc),
+                       cred=proxy._session_cred, args=args)
+    reply = ReplyMessage.decode((yield from proxy._execute(call)))
+    return reply.results
+
+
+def _evict_first_three(mount, proxy):
+    """Process generator: create /v.bin and write blocks 0-5 through the
+    proxy; the fifth insert evicts blocks 0-2, whose WRITEs are then in
+    flight.  Returns the file handle."""
+    f = yield from mount.client.open("/v.bin", create=True)
+    for b in range(6):
+        yield from _nfs(proxy, Proc.WRITE,
+                        pr.pack_write_args(f.fh, b * BS, _block(b), pr.UNSTABLE))
+    assert [(f.fileid, b) in proxy._writing for b in range(4)] == [True] * 3 + [False]
+    assert (f.fileid, 0) not in proxy._blocks
+    return f.fh
+
+
+def _server_bytes(tb):
+    return bytes(tb.fs.resolve("/v.bin", ROOT).data)
+
+
+def test_victim_is_read_back_while_its_write_is_in_flight():
+    tb, mount, proxy = write_behind_mount()
+
+    def job():
+        fh = yield from _evict_first_three(mount, proxy)
+        forwarded = proxy.stats["forwarded"]
+        res = yield from _nfs(proxy, Proc.READ, pr.pack_read_args(fh, 0, BS))
+        assert (fh.fileid, 0) in proxy._writing  # still on the wire
+        assert proxy.stats["forwarded"] == forwarded  # answered locally
+        return pr.unpack_read_res(res)[2]
+
+    assert tb.run(job()) == _block(0)
+    tb.run(mount.finish())
+    assert _server_bytes(tb) == b"".join(_block(b) for b in range(6))
+    assert proxy.stats["writeback_errors"] == 0
+
+
+def test_unaligned_write_over_an_in_flight_victim_keeps_its_prefix():
+    tb, mount, proxy = write_behind_mount()
+    patch = b"\xee" * 50
+
+    def job():
+        fh = yield from _evict_first_three(mount, proxy)
+        yield from _nfs(proxy, Proc.WRITE,
+                        pr.pack_write_args(fh, 100, patch, pr.UNSTABLE))
+
+    tb.run(job())
+    tb.run(mount.finish())
+    first = _block(0)[:100] + patch + _block(0)[150:]
+    assert _server_bytes(tb) == first + b"".join(_block(b) for b in range(1, 6))
+    assert proxy.stats["writeback_errors"] == 0
+
+
+def test_block_re_evicted_mid_write_waits_and_ends_with_the_newer_bytes():
+    tb, mount, proxy = write_behind_mount()
+    newer = b"\x77" * BS
+
+    def job():
+        fh = yield from _evict_first_three(mount, proxy)
+        (older,) = proxy._write_bursts.values()
+        yield from _nfs(proxy, Proc.WRITE,
+                        pr.pack_write_args(fh, 0, newer, pr.UNSTABLE))
+        for b in (4, 5):  # LRU order is now 3, 0, 4, 5
+            yield from _nfs(proxy, Proc.READ, pr.pack_read_args(fh, b * BS, BS))
+        assert older.alive
+        # evicts 3, 0, 4: block 0's second write waits for its first
+        yield from _nfs(proxy, Proc.WRITE,
+                        pr.pack_write_args(fh, 6 * BS, _block(6), pr.UNSTABLE))
+        assert not older.alive
+        assert len(proxy._write_bursts) == 1
+        assert proxy._writing[(fh.fileid, 0)] == newer
+
+    tb.run(job())
+    tb.run(mount.finish())
+    assert _server_bytes(tb) == newer + b"".join(_block(b) for b in range(1, 7))
+    assert proxy.stats["writeback_errors"] == 0
+
+
+def test_remove_right_after_an_eviction_waits_for_its_writes():
+    tb, mount, proxy = write_behind_mount()
+
+    def job():
+        yield from _evict_first_three(mount, proxy)
+        yield from mount.client.unlink("/v.bin")
+        assert not proxy._write_bursts and not proxy._writing
+
+    tb.run(job())
+    tb.run(mount.finish())
+    assert proxy.stats["writeback_errors"] == 0
+    assert proxy.stats["writeback_blocks"] == 3
+
+
+def test_victim_superseded_while_waiting_is_never_written_after_the_newer():
+    """An eviction can wait for a write-behind slot while a newer
+    eviction of the same block goes out (read-ahead evicts in the
+    background): the older bytes are dropped, not written last."""
+    tb, mount, proxy = write_behind_mount()
+    leg = proxy._up.legs[0]
+    burst = leg.burst
+
+    def first_eviction_lands_last(calls):
+        if pr.unpack_write_args(calls[0].args)[1] == 0:
+            yield tb.sim.timeout(1.0)
+        return (yield from burst(calls))
+
+    leg.burst = first_eviction_lands_last
+    older, newer = b"\x01" * BS, b"\x02" * BS
+
+    def job():
+        fh = yield from _evict_first_three(mount, proxy)
+        yield from proxy._write_behind([(fh.fileid, 8, _block(8))])
+        # two bursts in flight: this eviction waits for the oldest
+        waiting = tb.sim.spawn(proxy._write_behind([(fh.fileid, 7, older)]))
+        yield tb.sim.timeout(0.5)  # the younger burst has landed
+        yield from proxy._write_behind([(fh.fileid, 7, newer)])
+        yield waiting
+
+    tb.run(job())
+    tb.run(mount.finish())
+    assert _server_bytes(tb)[7 * BS:8 * BS] == newer
+    assert proxy.stats["writeback_errors"] == 0

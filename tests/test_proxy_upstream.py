@@ -248,6 +248,20 @@ def test_burst_places_call_i_on_channel_i_mod_streams():
                       [c.args for c in calls[1::2]]]
 
 
+def test_only_a_burst_of_one_call_feeds_the_bulk_estimator():
+    """4 calls over 4 channels ride as four lone shares, each sharing the
+    link with its siblings: none of them times one block's service, so
+    the bulk estimator keeps its value.  A burst that is one call moves it."""
+    sim, dialer, up = _session(streams=4)
+    up.srtt_small, up.srtt_bulk = 0.080, 0.085
+    sim.run_until_complete(sim.spawn(
+        up.burst([_read_call(i * 32768) for i in range(4)])))
+    assert [len(t.sent) for t in dialer.transports] == [1, 1, 1, 1]
+    assert up.srtt_bulk == 0.085
+    sim.run_until_complete(sim.spawn(up.burst([_read_call()])))
+    assert up.srtt_bulk < 0.085  # the scripted far end answers at once
+
+
 # -- dialer(): the one connect-then-handshake, on a real two-host network ------
 
 
