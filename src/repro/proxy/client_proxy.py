@@ -23,9 +23,8 @@ consistency protocols of [46] (out of scope, see DESIGN.md).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import replace
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.nfs import protocol as pr
 from repro.obs import NULL_SPAN
@@ -39,7 +38,6 @@ from repro.rpc.drc import DuplicateRequestCache, drc_key
 from repro.rpc.messages import DECODE_ERRORS, CallMessage, ReplyMessage
 from repro.rpc.transport import TRANSPORT_ERRORS, StreamTransport, Transport
 from repro.sim.core import Event, Simulator
-from repro.sim.process import Process
 from repro.sim.sync import Gate
 from repro.vfs.disk import DiskModel
 
@@ -91,22 +89,6 @@ class SgfsClientProxy:
                 "at-rest protection requires the disk cache with write-back"
             )
         self._up = upstream
-        #: blocks currently being fetched by a demand or read-ahead
-        #: window, so a reader coalesces onto the in-flight fetch instead
-        #: of duplicating it (keyed (fileid, block))
-        self._inflight_reads: Dict[Tuple[int, int], Event] = {}
-        #: per file, the first block past the windows already fetched or
-        #: in flight ahead of its reader (the read-ahead cursor)
-        self._ahead: Dict[int, int] = {}
-        #: in-flight read-ahead bursts, keyed (fileid, serial number)
-        self._prefetches: Dict[Tuple[int, int], Process] = {}
-        self._serial = itertools.count()
-        #: evicted dirty blocks whose write-back WRITE is in flight: a
-        #: victim stays readable here until its reply lands
-        self._writing: Dict[Tuple[int, int], bytes] = {}
-        #: in-flight write-behind bursts, oldest first, keyed by the
-        #: (fileid, block) keys each one carries
-        self._write_bursts: Dict[FrozenSet[Tuple[int, int]], Process] = {}
         #: windows kept in flight: one (stop-and-wait) unless a leg is
         #: multi-stream
         self._depth = (WINDOWS_IN_FLIGHT
@@ -127,6 +109,8 @@ class SgfsClientProxy:
         self._handles: Dict[int, FileHandle] = {}
         self._lookups: Dict[Tuple[int, str], Tuple[FileHandle, int]] = {}
         self._access: Dict[Tuple[int, int], int] = {}
+        #: every block's state, and the read-ahead and write-behind
+        #: processes in flight (see repro.proxy.block_cache)
         self._blocks = BlockCache(sim, self.cache, disk)
         #: the session's AUTH_SYS credential, captured from client calls
         #: and reused for write-back WRITEs the proxy originates itself
@@ -204,16 +188,10 @@ class SgfsClientProxy:
 
     # -- cache bookkeeping --------------------------------------------------------
 
-    def _unflushed(self, fileid: int) -> bool:
-        """Whether the file has local writes the server has not applied:
-        dirty blocks in the cache or victims on their way upstream."""
-        return bool(self._blocks.dirty.get(fileid)) or any(
-            f == fileid for keys in self._write_bursts for f, _b in keys)
-
     def _remember_attr(self, fh: Optional[FileHandle], attr: Optional[Fattr3]) -> None:
         if attr is None or not self.cache.cache_attrs:
             return
-        if self._unflushed(attr.fileid):
+        if self._blocks.unflushed(attr.fileid):
             # The file has unflushed local writes: the server's view of
             # size/mtime is stale by design.  Keep the shadow values.
             old = self._attrs.get(attr.fileid)
@@ -231,18 +209,14 @@ class SgfsClientProxy:
             self._handles[attr.fileid] = fh
 
     def _block_put(self, fileid: int, block: int, data: bytes, dirty: bool):
-        """Process generator: cache a block; the dirty blocks the insert
-        pushed out leave through write-behind (:meth:`_write_behind`)."""
-        yield from self._blocks.put(fileid, block, data, dirty)
+        """Process generator: cache a block — fetched, or written when
+        ``dirty``; the dirty blocks the insert pushed out leave through
+        write-behind (:meth:`_write_behind`)."""
+        yield from (self._blocks.write if dirty else self._blocks.fill)(
+            fileid, block, data)
         victims = self._blocks.evict((fileid, block), self._window())
         if victims:
             yield from self._write_behind(victims)
-
-    def _cached(self, fileid: int, block: int):
-        """Process generator: the block's bytes — from the cache, else
-        from a write-back still in flight — or None."""
-        data = yield from self._blocks.get(fileid, block)
-        return data if data is not None else self._writing.get((fileid, block))
 
     def _maybe_revalidate(self, fh: FileHandle):
         """Process generator: under "poll" consistency, refresh a stale
@@ -256,7 +230,7 @@ class SgfsClientProxy:
         attr = self._attrs.get(fh.fileid)
         if attr is None or self.cache.consistency != "poll":
             return attr
-        if self._unflushed(fh.fileid):
+        if self._blocks.unflushed(fh.fileid):
             return attr
         age = self.sim.now - self._attr_time.get(fh.fileid, -1e18)
         if age <= self.cache.consistency_ttl:
@@ -283,10 +257,19 @@ class SgfsClientProxy:
         self._attr_time[fh.fileid] = self.sim.now
         return fresh
 
-    def _drop_file(self, fileid: int) -> None:
+    def _unlinked(self, fileid: int) -> None:
+        """A name of the file went (REMOVE, or RENAME over it).  Unless
+        the cached attrs say another link remains, its dirty data is
+        never written back — the Seismic §6.3.2 "only final results
+        cross the WAN" effect."""
+        attr = self._attrs.get(fileid)
+        if attr is not None and not attr.is_dir and attr.nlink > 1:
+            self._attrs[fileid] = replace(attr, nlink=attr.nlink - 1)
+            return
         self._blocks.drop_file(fileid)
         self._attrs.pop(fileid, None)
-        self._ahead.pop(fileid, None)
+        if self.cryptor is not None:
+            self.cryptor.forget_file(fileid)
 
     # -- serving ------------------------------------------------------------------
 
@@ -357,6 +340,7 @@ class SgfsClientProxy:
                 int(Proc.REMOVE): self._h_remove,
                 int(Proc.RMDIR): self._h_remove,
                 int(Proc.RENAME): self._h_rename,
+                int(Proc.LINK): self._h_link,
             }.get(call.proc, self._forward)
         with self.tracer.span("proxy.serve", cat="proxy", prog=call.prog,
                               proc=call.proc) if self.tracer.enabled else NULL_SPAN:
@@ -370,11 +354,7 @@ class SgfsClientProxy:
         attr = yield from self._maybe_revalidate(fh)
         if attr is not None:
             self.stats["attr_hits"] += 1
-            self.stats["local_replies"] += 1
-            yield from self._blocks.disk_read(256)  # attrs live in the disk cache
-            return ReplyMessage(
-                xid=call.xid, results=pr.pack_getattr_res(NfsStatus.OK, attr)
-            )
+            return (yield from self._local(call, pr.pack_getattr_res(NfsStatus.OK, attr), 256))
         reply = yield from self._forward(call)
         res = pr.read_ok(reply, pr.unpack_getattr_res)
         if res is None:
@@ -395,12 +375,8 @@ class SgfsClientProxy:
             attr = self._attrs.get(fileid)
             dir_attr = self._attrs.get(dir_fh.fileid)
             if attr is not None:
-                self.stats["local_replies"] += 1
-                yield from self._blocks.disk_read(256)
-                return ReplyMessage(
-                    xid=call.xid,
-                    results=pr.pack_lookup_res(NfsStatus.OK, fh, attr, dir_attr),
-                )
+                return (yield from self._local(
+                    call, pr.pack_lookup_res(NfsStatus.OK, fh, attr, dir_attr), 256))
         reply = yield from self._forward(call)
         res = pr.read_ok(reply, pr.unpack_lookup_res)
         if res is None:
@@ -423,12 +399,8 @@ class SgfsClientProxy:
             cached = self._access.get((fh.fileid, 0))
             if cached is not None:
                 attr = self._attrs.get(fh.fileid)
-                self.stats["local_replies"] += 1
-                yield from self._blocks.disk_read(128)
-                return ReplyMessage(
-                    xid=call.xid,
-                    results=pr.pack_access_res(NfsStatus.OK, attr, cached & want),
-                )
+                return (yield from self._local(
+                    call, pr.pack_access_res(NfsStatus.OK, attr, cached & want), 128))
         # Ask for all bits so one round trip answers future queries too.
         full = replace(call, args=pr.pack_access_args(fh, pr.ACCESS_ALL))
         reply = yield from self._forward(full)
@@ -452,28 +424,31 @@ class SgfsClientProxy:
             return (yield from self._forward(call))
         block = offset // bs
         yield from self._maybe_revalidate(fh)
-        data = yield from self._cached(fh.fileid, block)
-        if data is not None:
-            self.stats["data_hits"] += 1
-            reply = self._local_read_reply(call, fh, offset, data, count)
-        else:
-            self.stats["data_misses"] += 1
+        got = yield from self._blocks.read(fh.fileid, block)
+        self.stats["data_hits" if isinstance(got, bytes) else "data_misses"] += 1
+        while isinstance(got, Event):
+            # another window has this block in flight: a miss that
+            # coalesces onto it
+            yield got
+            got = yield from self._blocks.read(fh.fileid, block)
+        if got is None:
             reply = yield from self._read_window(call, fh, block, count)
+        else:
+            attr = self._attrs.get(fh.fileid)
+            size = attr.size if attr is not None else offset + len(got)
+            chunk = got[:count]
+            reply = yield from self._local(call, pr.pack_read_res(
+                NfsStatus.OK, attr, chunk, offset + len(chunk) >= size))
         self._read_ahead(call, fh, block)
         return reply
 
-    def _local_read_reply(self, call: CallMessage, fh: FileHandle,
-                          offset: int, data: bytes, count: int) -> ReplyMessage:
+    def _local(self, call: CallMessage, results: bytes, disk: int = 0):
+        """Process generator: a reply the proxy answers itself, after
+        reading ``disk`` bytes of its disk cache (where attrs live)."""
         self.stats["local_replies"] += 1
-        attr = self._attrs.get(fh.fileid)
-        size = attr.size if attr is not None else offset + len(data)
-        chunk = data[:count]
-        return ReplyMessage(
-            xid=call.xid,
-            results=pr.pack_read_res(
-                NfsStatus.OK, attr, chunk, offset + len(chunk) >= size
-            ),
-        )
+        if disk:
+            yield from self._blocks.disk_read(disk)
+        return ReplyMessage(xid=call.xid, results=results)
 
     # -- read window and write-behind: the one upstream data path.  A
     # single-stream leg runs it at window 1 with one window in flight —
@@ -484,36 +459,21 @@ class SgfsClientProxy:
     def _window(self) -> int:
         return max(leg.window() for leg in self._up.legs)
 
-    def _absent(self, fileid: int, block: int) -> bool:
-        """Neither cached, nor being fetched, nor being written back."""
-        key = (fileid, block)
-        return (key not in self._blocks and key not in self._inflight_reads
-                and key not in self._writing)
-
     def _read_window(self, call: CallMessage, fh: FileHandle, block: int,
                      count: int):
-        """Process generator: the demand fetch for a block-cache miss.
+        """Process generator: the demand fetch for an absent block.
 
         Fetches the demanded block — always whole, regardless of the
         requested count — plus up to window-1 sequential successors in
         one burst, and moves the file's read-ahead cursor past them."""
         bs = self.cache.block_size
-        pending = self._inflight_reads.get((fh.fileid, block))
-        if pending is not None:
-            # another window already has this block in flight (this
-            # READ stays the miss _h_read counted it as)
-            yield pending
-            data = yield from self._cached(fh.fileid, block)
-            if data is not None:
-                return self._local_read_reply(call, fh, block * bs, data, count)
-        wanted = [block]
+        blocks = self._blocks
+        wanted = blocks.claim(fh.fileid, [block])
         attr = self._attrs.get(fh.fileid)
         if attr is not None:
             end = min(block + self._window(), (attr.size + bs - 1) // bs)
-            wanted += [b for b in range(block + 1, end)
-                       if self._absent(fh.fileid, b)]
-            self._ahead[fh.fileid] = end
-        self._claim(fh.fileid, wanted)
+            wanted += blocks.claim(fh.fileid, range(block + 1, end))
+            blocks.ahead[fh.fileid] = end
         results = yield from self._fetch(call, fh, wanted)
         reply, res = results[0]
         if res is not None:
@@ -535,64 +495,47 @@ class SgfsClientProxy:
         """Keep the reader's window and ``depth`` more after a READ at
         ``block`` cached or in flight: each *full* window of the blocks
         ``block + 1`` … ``block + (depth + 1) * window`` not yet fetched
-        or in flight gets one background burst (:meth:`_prefetch`) for
-        its absent blocks, claimed before it is spawned, so demand
-        misses and writes wait for it.  The per-file cursor makes this
-        O(1) per READ; nothing runs ahead on a single-stream leg."""
+        or in flight gets one background burst for its absent blocks,
+        claimed before it is spawned, so demand misses and writes wait
+        for it.  The per-file cursor makes this O(1) per READ; nothing
+        runs ahead on a single-stream leg."""
         depth = self._depth
         attr = self._attrs.get(fh.fileid)
         if depth == 1 or attr is None:
             return
+        blocks = self._blocks
         window = self._window()
         bs = self.cache.block_size
         nblocks = (attr.size + bs - 1) // bs
         end = min(block + 1 + (depth + 1) * window, nblocks)
-        nxt = self._ahead.get(fh.fileid, 0)
+        nxt = blocks.ahead.get(fh.fileid, 0)
         if not block < nxt <= end:
             nxt = block + 1  # the reader moved: start again behind it
         # a window the end of the file cuts short counts as full
         while nxt + window <= end or nxt < end == nblocks:
             stop = min(nxt + window, end)
-            wanted = [b for b in range(nxt, stop) if self._absent(fh.fileid, b)]
+            wanted = blocks.claim(fh.fileid, range(nxt, stop))
             if wanted:
-                self._claim(fh.fileid, wanted)
-                key = (fh.fileid, next(self._serial))
-                self._prefetches[key] = self.sim.spawn(
-                    self._prefetch(key, call, fh, wanted), name="cproxy-readahead")
+                proc = self.sim.spawn(self._fetch(call, fh, wanted, ahead=True),
+                                      name="cproxy-readahead")
+                blocks.track(proc, [(fh.fileid, b) for b in wanted], writes=False)
             nxt = stop
-        self._ahead[fh.fileid] = nxt
-
-    def _prefetch(self, key, call: CallMessage, fh: FileHandle, wanted):
-        """Process: one read-ahead burst, registered in ``_prefetches``
-        under ``key`` until it ends.  A burst that fails caches nothing
-        (see :meth:`_fetch`).  Any other error — a failed write-behind
-        burst that caching the blocks joined — ends the process and
-        leaves it registered, for the next drain of its file to raise."""
-        yield from self._fetch(call, fh, wanted, ahead=True)
-        del self._prefetches[key]
-
-    def _claim(self, fileid: int, wanted) -> None:
-        """Register the blocks ``wanted`` as being fetched, before the
-        fetch is issued, so no other call sees them absent meanwhile;
-        :meth:`_fetch` releases them."""
-        for b in wanted:
-            self._inflight_reads[(fileid, b)] = self.sim.event(
-                name=f"rdwin:{fileid}:{b}"
-            )
+        blocks.ahead[fh.fileid] = nxt
 
     def _fetch(self, call: CallMessage, fh: FileHandle, wanted,
                ahead: bool = False):
         """Process generator: fetch the whole blocks ``wanted``
-        (ascending, claimed by :meth:`_claim`) in one burst and cache
-        them.  Returns, per block, ``(reply, parsed)``: ``parsed`` is
-        ``(status, attr, data, eof)`` for an OK reply (an I/O error for
-        one that fails at-rest verification), else None.
+        (ascending, claimed) in one burst and cache them.  Returns, per
+        block, ``(reply, parsed)``: ``parsed`` is ``(status, attr, data,
+        eof)`` for an OK reply (an I/O error for one that fails at-rest
+        verification), else None.
 
         A read-ahead burst (``ahead``) that fails returns None and
         caches nothing: the READ that reaches those blocks fetches them
         itself and reports the error.  Only the burst's own failure is
         absorbed — caching the blocks may evict, and an eviction that
-        joins a failed write-behind burst raises.
+        joins a failed write-behind burst raises, in a process the table
+        keeps listed for the next drain of its file to join.
 
         Determinism rules: fetches are issued in ascending block order
         (how a burst is spread over legs and channels is the upstream's
@@ -636,84 +579,35 @@ class SgfsClientProxy:
                 results.append((reply, res))
         finally:
             # waiters always wake, even when the fetch failed — they
-            # re-check the cache and fall back to their own fetch
-            for b in wanted:
-                ev = self._inflight_reads.pop((fh.fileid, b), None)
-                if ev is not None and not ev.triggered:
-                    ev.succeed(None)
+            # ask again and fall back to their own fetch
+            self._blocks.landed(fh.fileid, wanted)
         return results
 
     def _write_behind(self, victims):
-        """Process generator: hand eviction victims to write-behind, one
-        background burst (:meth:`_write_burst`) per pipeline window.
-
-        Each victim stays readable in ``_writing`` until its WRITE reply
-        lands, and a newer eviction of the same block supersedes it.  A
-        victim whose earlier write is still in flight waits for that
-        write first, so two writes of one block never race on different
-        channels.  The evicting call blocks only while ``depth`` bursts
-        are already in flight — and at one window in flight (a
-        single-stream leg) it waits for its own burst: stop-and-wait."""
-        for fileid, blk, data in victims:
-            self._writing[(fileid, blk)] = data
+        """Process generator: hand eviction victims (writing, in the
+        table) to write-behind, one background burst per pipeline window
+        (see :meth:`BlockCache.slot` for when each may go).  The evicting
+        call blocks only while ``depth`` bursts are already in flight —
+        and at one window in flight (a single-stream leg) it waits for
+        its own burst: stop-and-wait."""
+        blocks = self._blocks
         window = self._window()
-        for start in range(0, len(victims), window):
-            while True:
-                items = [(fileid, blk, data)
-                         for fileid, blk, data in victims[start:start + window]
-                         if self._writing.get((fileid, blk)) is data]
-                keys = frozenset((fileid, blk) for fileid, blk, _data in items)
-                older = [carried for carried in self._write_bursts
-                         if not keys.isdisjoint(carried)]
-                if not older and len(self._write_bursts) < self._depth:
-                    break
-                yield from self._join(self._write_bursts,
-                                      older[0] if older else next(iter(self._write_bursts)))
-            if not items:
-                continue
-            self._write_bursts[keys] = self.sim.spawn(
-                self._write_burst(items, keys), name="cproxy-writebehind")
-            if self._depth == 1:
-                yield from self._join(self._write_bursts, keys)
-
-    def _write_burst(self, victims, keys):
-        """Process: write back one window of eviction victims (``keys``
-        are their blocks).  Once the replies land, reads stop finding
-        the victims in ``_writing`` and the burst leaves
-        ``_write_bursts``; a burst that fails stays there, for the next
-        call that joins it to raise."""
+        start = 0
         try:
-            yield from self._writeback_window(victims)
+            for start in range(0, len(victims), window):
+                items = yield from blocks.slot(victims[start:start + window], self._depth)
+                if not items:
+                    continue
+                proc = self.sim.spawn(self._writeback_window(items),
+                                      name="cproxy-writebehind")
+                blocks.track(proc, [v[:2] for v in items], writes=True)
+                if self._depth == 1:
+                    yield from blocks.join(proc)
+            start = len(victims)
         finally:
-            for fileid, blk, data in victims:
-                if self._writing.get((fileid, blk)) is data:
-                    del self._writing[(fileid, blk)]
-        del self._write_bursts[keys]
-
-    @staticmethod
-    def _join(table, key):
-        """Process generator: wait for the background process
-        ``table[key]``, if it is still registered, and unregister it; one
-        that failed raises here."""
-        proc = table.get(key)
-        if proc is None:
-            return
-        try:
-            yield proc
-        finally:
-            if table.get(key) is proc:
-                del table[key]
-
-    def _drain(self, fileid: Optional[int] = None):
-        """Process generator: join the in-flight read-ahead, then the
-        write-behind, of ``fileid`` — of every file when None.  Read-
-        ahead goes first: the blocks it caches may evict more victims."""
-        for key in list(self._prefetches):
-            if fileid is None or key[0] == fileid:
-                yield from self._join(self._prefetches, key)
-        for keys in list(self._write_bursts):
-            if fileid is None or any(f == fileid for f, _b in keys):
-                yield from self._join(self._write_bursts, keys)
+            # victims a failed burst kept from going out are lost with
+            # the error it raises here
+            blocks.written(victims[start:])
 
     def _writeback_window(self, items):
         """Process generator: write back ``(fileid, block, data)`` items
@@ -722,40 +616,44 @@ class SgfsClientProxy:
 
         Items are sealed and issued in list order; statuses are
         consumed in the same order, so accounting is independent of
-        reply arrival."""
-        start = 0
-        while start < len(items):
-            # re-sized per burst: the first burst of a cold session runs
-            # at window 1 and seeds the bulk RTT estimator, widening the
-            # bursts that follow it
-            burst = items[start:start + self._window()]
-            start += len(burst)
-            calls = []
-            for fileid, blk, data in burst:
-                fh = self._handles.get(fileid)
-                if fh is None:
+        reply arrival.  Once their replies land, or the write fails,
+        eviction victims among them leave the writing state."""
+        try:
+            start = 0
+            while start < len(items):
+                # re-sized per burst: the first burst of a cold session runs
+                # at window 1 and seeds the bulk RTT estimator, widening the
+                # bursts that follow it
+                burst = items[start:start + self._window()]
+                start += len(burst)
+                calls = []
+                for fileid, blk, data in burst:
+                    fh = self._handles.get(fileid)
+                    if fh is None:
+                        continue
+                    if self.cryptor is not None and data:
+                        data = self.cryptor.seal(fileid, blk, data)
+                        self.stats["blocks_sealed"] += 1
+                    calls.append(CallMessage(
+                        0, pr.NFS_PROGRAM, pr.NFS_V3, int(Proc.WRITE),
+                        cred=(self._session_cred
+                              if self._session_cred is not None else NULL_AUTH),
+                        args=pr.pack_write_args(
+                            fh, blk * self.cache.block_size, data, pr.FILE_SYNC
+                        ),
+                    ))
+                if not calls:
                     continue
-                if self.cryptor is not None and data:
-                    data = self.cryptor.seal(fileid, blk, data)
-                    self.stats["blocks_sealed"] += 1
-                calls.append(CallMessage(
-                    0, pr.NFS_PROGRAM, pr.NFS_V3, int(Proc.WRITE),
-                    cred=(self._session_cred
-                          if self._session_cred is not None else NULL_AUTH),
-                    args=pr.pack_write_args(
-                        fh, blk * self.cache.block_size, data, pr.FILE_SYNC
-                    ),
-                ))
-            if not calls:
-                continue
-            replies = yield from self._up.burst(calls)
-            for reply in replies:
-                res = pr.read_ok(reply, pr.unpack_write_res)
-                if res is not None:
-                    self.stats["writeback_blocks"] += 1
-                    self.stats["writeback_bytes"] += res[2]
-                else:
-                    self.stats["writeback_errors"] += 1
+                replies = yield from self._up.burst(calls)
+                for reply in replies:
+                    res = pr.read_ok(reply, pr.unpack_write_res)
+                    if res is not None:
+                        self.stats["writeback_blocks"] += 1
+                        self.stats["writeback_bytes"] += res[2]
+                    else:
+                        self.stats["writeback_errors"] += 1
+        finally:
+            self._blocks.written(items)
 
     def _h_write(self, call: CallMessage):
         fh, offset, stable, payload = pr.unpack_write_args(call.args)
@@ -770,16 +668,17 @@ class SgfsClientProxy:
             block = pos // bs
             inner = pos - block * bs
             take = min(bs - inner, view.nbytes)
-            pending = self._inflight_reads.get((fh.fileid, block))
-            if pending is not None:
-                # a fetch of this block is landing: merge over it, never
-                # under it (its clean copy must not replace these bytes)
-                yield pending
-            existing = yield from self._cached(fh.fileid, block)
-            if existing is None and inner > 0:
-                # partial block with unknown prefix: zero-fill (the kernel
-                # client only produces this beyond the old EOF)
-                existing = b""
+            # merge over a fetch of this block that is landing, never
+            # under it (its clean copy must not replace these bytes)
+            existing = yield from self._blocks.current(fh.fileid, block)
+            attr = self._attrs.get(fh.fileid)
+            extent = min(bs, (attr.size if attr is not None else 0) - block * bs)
+            if existing is None and extent > 0 and (inner or take < extent):
+                # a partial write over bytes only the server holds: fetch
+                # them first (read-modify-write); past them is a hole
+                read = replace(call, proc=int(Proc.READ))
+                yield from self._fetch(read, fh, self._blocks.claim(fh.fileid, [block]))
+                existing = yield from self._blocks.current(fh.fileid, block)
             merged = bytearray(existing or b"")
             if len(merged) < inner + take:
                 merged.extend(b"\x00" * (inner + take - len(merged)))
@@ -788,14 +687,9 @@ class SgfsClientProxy:
             pos += take
             view = view[take:]
         self.stats["writes_absorbed"] += 1
-        self.stats["local_replies"] += 1
         attr = self._shadow_write_attr(fh, offset + len(payload))
-        return ReplyMessage(
-            xid=call.xid,
-            results=pr.pack_write_res(
-                NfsStatus.OK, attr, len(payload), pr.FILE_SYNC, b"sgfsprox"
-            ),
-        )
+        return (yield from self._local(call, pr.pack_write_res(
+            NfsStatus.OK, attr, len(payload), pr.FILE_SYNC, b"sgfsprox")))
 
     def _shadow_write_attr(self, fh: FileHandle, end: int) -> Optional[Fattr3]:
         attr = self._attrs.get(fh.fileid)
@@ -820,13 +714,10 @@ class SgfsClientProxy:
             # server on eviction/teardown, not at every client COMMIT —
             # the single-user-session relaxation the paper's WAN results
             # (and its separately-reported write-back times) rest on.
-            self.stats["local_replies"] += 1
             attr = self._attrs.get(fh.fileid)
-            return ReplyMessage(
-                xid=call.xid,
-                results=pr.pack_commit_res(NfsStatus.OK, attr, b"sgfsprox"),
-            )
-        yield from self._drain(fh.fileid)
+            return (yield from self._local(
+                call, pr.pack_commit_res(NfsStatus.OK, attr, b"sgfsprox")))
+        yield from self._blocks.drain(fh.fileid)
         items = yield from self._blocks.gather_dirty([fh.fileid])
         yield from self._writeback_window(items)
         return (yield from self._forward_noting(call, fh, pr.unpack_commit_res))
@@ -834,9 +725,11 @@ class SgfsClientProxy:
     def _h_setattr(self, call: CallMessage):
         fh, sattr = pr.unpack_setattr_args(call.args)
         if sattr.size is not None:
-            # nothing in flight may land on the far side of the truncate
-            yield from self._drain(fh.fileid)
-            self._drop_file(fh.fileid)
+            # nothing in flight may land on the far side of the truncate;
+            # the server's post-op size replaces the shadow one
+            yield from self._blocks.drain(fh.fileid)
+            self._blocks.truncate(fh.fileid, sattr.size)
+            self._attrs.pop(fh.fileid, None)
         return (yield from self._forward_noting(call, fh, pr.unpack_setattr_res))
 
     def _h_create(self, call: CallMessage):
@@ -856,26 +749,40 @@ class SgfsClientProxy:
         hit = self._lookups.pop((dir_fh.fileid, name), None)
         # writes already on their way must land before the file goes
         # (every file's, when the name's file is not known here)
-        yield from self._drain(hit[1] if hit is not None else None)
+        yield from self._blocks.drain(hit[1] if hit is not None else None)
         if hit is not None:
-            # Dirty data of a deleted file is never written back — the
-            # Seismic §6.3.2 "only final results cross the WAN" effect.
-            self._drop_file(hit[1])
-            if self.cryptor is not None:
-                self.cryptor.forget_file(hit[1])
+            self._unlinked(hit[1])
         self._attrs.pop(dir_fh.fileid, None)
         return (yield from self._forward(call))
 
     def _h_rename(self, call: CallMessage):
         f_dir, f_name, t_dir, t_name = pr.unpack_rename_args(call.args)
-        self._lookups.pop((f_dir.fileid, f_name), None)
+        src = self._lookups.get((f_dir.fileid, f_name))
         # as for REMOVE: the target, if any, is replaced (the source
         # keeps its fileid and handle, so its writes in flight stay good)
-        hit = self._lookups.pop((t_dir.fileid, t_name), None)
-        yield from self._drain(hit[1] if hit is not None else None)
+        hit = self._lookups.get((t_dir.fileid, t_name))
+        yield from self._blocks.drain(hit[1] if hit is not None else None)
         self._attrs.pop(f_dir.fileid, None)
         self._attrs.pop(t_dir.fileid, None)
-        return (yield from self._forward(call))
+        reply = yield from self._forward(call)
+        moved = pr.read_ok(reply, pr.unpack_rename_res) is not None
+        if moved and (src is None or hit is None or src[1] != hit[1]):
+            # (two links of one file: a no-op)
+            self._lookups.pop((f_dir.fileid, f_name), None)
+            self._lookups.pop((t_dir.fileid, t_name), None)
+            if hit is not None:
+                self._unlinked(hit[1])
+            if src is not None:
+                self._lookups[(t_dir.fileid, t_name)] = src
+        return reply
+
+    def _h_link(self, call: CallMessage):
+        fh, dir_fh, name = pr.unpack_link_args(call.args)
+        # the cached nlink stays current, and REMOVE and RENAME know the name
+        reply = yield from self._forward_noting(call, fh, pr.unpack_link_res)
+        if pr.read_ok(reply, pr.unpack_link_res) is not None:
+            self._lookups[(dir_fh.fileid, name)] = (fh, fh.fileid)
+        return reply
 
     # -- write-back ---------------------------------------------------------------------
 
@@ -896,7 +803,7 @@ class SgfsClientProxy:
             # is otherwise one WAN round trip per file.  Only files whose
             # handle the session has seen can be written; any other
             # stays dirty.
-            yield from self._drain()
+            yield from self._blocks.drain()
             flushable = [f for f in list(self._blocks.dirty)
                          if f in self._handles]
             items = yield from self._blocks.gather_dirty(flushable)

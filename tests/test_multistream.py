@@ -307,7 +307,10 @@ def test_no_read_ahead_or_write_behind_outlives_the_session():
     assert not any(p.alive for p in background)
     assert tb.sim.unobserved_deaths() == []
     proxy = mount.client_proxy
-    assert not proxy._prefetches and not proxy._write_bursts and not proxy._writing
+    blocks = proxy._blocks
+    assert not blocks.background() and not blocks.background(writes=True)
+    fileid = tb.fs.resolve("/q.bin", ROOT).fileid
+    assert {blocks.state(fileid, b) for b in range(32)} <= {"absent", "clean"}
     assert proxy.stats["writeback_errors"] == 0
 
 
@@ -406,7 +409,7 @@ def test_write_in_the_instant_read_ahead_starts_is_not_overwritten():
         # fetches blocks 0-3 and spawns read-ahead of 4-7 and 8-11 ...
         yield from _read_block(proxy, fh, 0)
         # ... which has not run yet when this WRITE arrives
-        assert (fh.fileid, 5) in proxy._inflight_reads
+        assert proxy._blocks.state(fh.fileid, 5) == "fetching"
         yield from _write_block(proxy, fh, 5, newer)
         got = yield from _read_block(proxy, fh, 5)
         yield from mount.finish()
@@ -450,15 +453,15 @@ def test_read_ahead_never_swallows_a_failed_write_behind():
             yield from _write_block(proxy, w.fh, b, bytes([b + 1]) * BS)
         yield from _write_block(proxy, w.fh, 0, b"\x09" * BS)
         yield tb.sim.timeout(0.1)
-        (failed,) = proxy._write_bursts.values()
+        (failed,) = proxy._blocks.background(writes=True)
         assert failed.completion.failed
         # r's block 0 is cached (LRU: w3 w4 w0 r0): a hit, then read-ahead
         # of r's blocks 1-12, whose first insert evicts w3 w4 w0 — and
         # block 0 must wait for the failed burst that carried its write
-        yield from proxy._blocks.put(rfh.fileid, 0, _pattern(BS), dirty=False)
+        yield from proxy._blocks.fill(rfh.fileid, 0, _pattern(BS))
         yield from _read_block(proxy, rfh, 0)
         yield tb.sim.timeout(1.0)
-        assert not proxy._write_bursts  # the read-ahead joined it
+        assert not proxy._blocks.background(writes=True)  # the read-ahead joined it
         yield from mount.finish()
 
     with pytest.raises(RpcTransportError):

@@ -58,7 +58,7 @@ def test_writeback_keeps_dirty_blocks_of_files_it_has_no_handle_for():
 
     def job():
         yield from mount.client.write_file("/w.bin", b"e" * 65536)
-        yield from proxy._blocks.put(unseen, 3, b"u" * 100, dirty=True)
+        yield from proxy._blocks.write(unseen, 3, b"u" * 100)
 
     tb.run(job())
     _wb, blocks, nbytes = tb.run(mount.finish())
@@ -163,6 +163,63 @@ def test_setattr_truncate_drops_cached_blocks():
     assert tb.run(job()) == 0
 
 
+_PAYLOAD = bytes(range(256)) * 256  # 64 KiB: two blocks
+
+
+@pytest.mark.parametrize("size", [40000, 100000])
+def test_setattr_size_keeps_the_absorbed_writes_below_it(size):
+    """SETATTR(size > 0) cuts the cached file at the new size; the
+    absorbed writes below it still reach the server, and the server's
+    size stands (shrunk, or grown with a hole)."""
+    tb, mount = cached_mount()
+
+    def job():
+        yield from mount.client.write_file("/s.bin", _PAYLOAD)
+        yield from mount.client.setattr("/s.bin", pr.Sattr3(size=size))
+
+    tb.run(job())
+    _wb, blocks, nbytes = tb.run(mount.finish())
+    kept = min(size, len(_PAYLOAD))
+    assert (blocks, nbytes) == (2, kept)
+    node = tb.fs.resolve("/s.bin", ROOT)
+    assert bytes(node.data) == _PAYLOAD[:kept] + bytes(size - kept)
+    assert node.size == size
+    assert mount.client_proxy.stats["writeback_errors"] == 0
+
+
+def test_rename_over_a_cached_file_drops_the_replaced_files_blocks():
+    """The replaced target's dirty blocks go with it, as on REMOVE: no
+    WRITE is sent to its dead handle."""
+    tb, mount = cached_mount()
+
+    def job():
+        yield from mount.client.write_file("/a.bin", _PAYLOAD)
+        yield from mount.client.write_file("/b.bin", b"b" * len(_PAYLOAD))
+        yield from mount.client.rename("/a.bin", "/b.bin")
+
+    tb.run(job())
+    _wb, blocks, _nbytes = tb.run(mount.finish())
+    assert blocks == 2
+    assert mount.client_proxy.stats["writeback_errors"] == 0
+    assert bytes(tb.fs.resolve("/b.bin", ROOT).data) == _PAYLOAD
+
+
+def test_unlinking_one_of_two_hard_links_keeps_the_files_data():
+    """REMOVE drops a file's blocks only when its cached attrs say the
+    name was the last link (LINK refreshes them)."""
+    tb, mount = cached_mount()
+
+    def job():
+        yield from mount.client.write_file("/a.bin", _PAYLOAD)
+        yield from mount.client.link("/a.bin", "/keep.bin")
+        yield from mount.client.unlink("/a.bin")
+
+    tb.run(job())
+    _wb, blocks, _nbytes = tb.run(mount.finish())
+    assert blocks == 2
+    assert bytes(tb.fs.resolve("/keep.bin", ROOT).data) == _PAYLOAD
+
+
 def test_disk_cache_charges_disk_time():
     tb, mount = cached_mount()
 
@@ -212,9 +269,9 @@ def _block(i):
     return bytes([i + 1]) * BS
 
 
-def write_behind_mount():
+def write_behind_mount(streams=4):
     tb = Testbed.build(rtt=0.040)
-    mount = setup_sgfs(tb, disk_cache=True, streams=4, cache_capacity=4 * BS)
+    mount = setup_sgfs(tb, disk_cache=True, streams=streams, cache_capacity=4 * BS)
     leg = mount.client_proxy._up.legs[0]
     leg.srtt_small, leg.srtt_bulk = 0.040, 0.045
     return tb, mount, mount.client_proxy
@@ -237,7 +294,8 @@ def _evict_first_three(mount, proxy):
     for b in range(6):
         yield from _nfs(proxy, Proc.WRITE,
                         pr.pack_write_args(f.fh, b * BS, _block(b), pr.UNSTABLE))
-    assert [(f.fileid, b) in proxy._writing for b in range(4)] == [True] * 3 + [False]
+    states = [proxy._blocks.state(f.fileid, b) for b in range(4)]
+    assert states == ["writing"] * 3 + ["dirty"]
     assert (f.fileid, 0) not in proxy._blocks
     return f.fh
 
@@ -253,7 +311,7 @@ def test_victim_is_read_back_while_its_write_is_in_flight():
         fh = yield from _evict_first_three(mount, proxy)
         forwarded = proxy.stats["forwarded"]
         res = yield from _nfs(proxy, Proc.READ, pr.pack_read_args(fh, 0, BS))
-        assert (fh.fileid, 0) in proxy._writing  # still on the wire
+        assert proxy._blocks.state(fh.fileid, 0) == "writing"  # still on the wire
         assert proxy.stats["forwarded"] == forwarded  # answered locally
         return pr.unpack_read_res(res)[2]
 
@@ -285,7 +343,7 @@ def test_block_re_evicted_mid_write_waits_and_ends_with_the_newer_bytes():
 
     def job():
         fh = yield from _evict_first_three(mount, proxy)
-        (older,) = proxy._write_bursts.values()
+        (older,) = proxy._blocks.background(writes=True)
         yield from _nfs(proxy, Proc.WRITE,
                         pr.pack_write_args(fh, 0, newer, pr.UNSTABLE))
         for b in (4, 5):  # LRU order is now 3, 0, 4, 5
@@ -295,8 +353,9 @@ def test_block_re_evicted_mid_write_waits_and_ends_with_the_newer_bytes():
         yield from _nfs(proxy, Proc.WRITE,
                         pr.pack_write_args(fh, 6 * BS, _block(6), pr.UNSTABLE))
         assert not older.alive
-        assert len(proxy._write_bursts) == 1
-        assert proxy._writing[(fh.fileid, 0)] == newer
+        assert len(proxy._blocks.background(writes=True)) == 1
+        assert proxy._blocks.state(fh.fileid, 0) == "writing"
+        assert (yield from proxy._blocks.read(fh.fileid, 0)) == newer
 
     tb.run(job())
     tb.run(mount.finish())
@@ -308,9 +367,10 @@ def test_remove_right_after_an_eviction_waits_for_its_writes():
     tb, mount, proxy = write_behind_mount()
 
     def job():
-        yield from _evict_first_three(mount, proxy)
+        fh = yield from _evict_first_three(mount, proxy)
         yield from mount.client.unlink("/v.bin")
-        assert not proxy._write_bursts and not proxy._writing
+        assert not proxy._blocks.background(writes=True)
+        assert {proxy._blocks.state(fh.fileid, b) for b in range(6)} == {"absent"}
 
     tb.run(job())
     tb.run(mount.finish())
@@ -320,8 +380,9 @@ def test_remove_right_after_an_eviction_waits_for_its_writes():
 
 def test_victim_superseded_while_waiting_is_never_written_after_the_newer():
     """An eviction can wait for a write-behind slot while a newer
-    eviction of the same block goes out (read-ahead evicts in the
-    background): the older bytes are dropped, not written last."""
+    eviction of the same block goes out (a call served meanwhile — or
+    read-ahead — evicts in the background): the older bytes are dropped,
+    not written last."""
     tb, mount, proxy = write_behind_mount()
     leg = proxy._up.legs[0]
     burst = leg.burst
@@ -333,17 +394,30 @@ def test_victim_superseded_while_waiting_is_never_written_after_the_newer():
 
     leg.burst = first_eviction_lands_last
     older, newer = b"\x01" * BS, b"\x02" * BS
+    blocks = [_block(b) for b in range(13)]
+    blocks[7] = newer
+
+    def write(fh, b, data):
+        return _nfs(proxy, Proc.WRITE,
+                    pr.pack_write_args(fh, b * BS, data, pr.UNSTABLE))
 
     def job():
-        fh = yield from _evict_first_three(mount, proxy)
-        yield from proxy._write_behind([(fh.fileid, 8, _block(8))])
-        # two bursts in flight: this eviction waits for the oldest
-        waiting = tb.sim.spawn(proxy._write_behind([(fh.fileid, 7, older)]))
-        yield tb.sim.timeout(0.5)  # the younger burst has landed
-        yield from proxy._write_behind([(fh.fileid, 7, newer)])
+        fh = yield from _evict_first_three(mount, proxy)  # cached: 3 4 5
+        yield from write(fh, 6, blocks[6])
+        yield from write(fh, 7, older)  # evicts 3 4 5: a second burst
+        for b in (8, 9):
+            yield from write(fh, b, blocks[b])
+        # two bursts in flight: this eviction of 6 7 8 waits for the oldest
+        waiting = tb.sim.spawn(write(fh, 10, blocks[10]))
+        yield tb.sim.timeout(0.5)  # the second burst has landed
+        assert proxy._blocks.state(fh.fileid, 7) == "writing"
+        yield from write(fh, 7, newer)
+        assert proxy._blocks.state(fh.fileid, 7) == "writing-and-dirty"
+        for b in (11, 12):  # evicts 9 10 7: block 7's newer bytes go out
+            yield from write(fh, b, blocks[b])
         yield waiting
 
     tb.run(job())
     tb.run(mount.finish())
-    assert _server_bytes(tb)[7 * BS:8 * BS] == newer
+    assert _server_bytes(tb) == b"".join(blocks)
     assert proxy.stats["writeback_errors"] == 0
