@@ -20,11 +20,7 @@ Commands:
   RPC queue depth, and the virtual-time critical path.  ``--clients N``
   profiles an N-client fleet; ``--flame FILE`` writes a collapsed-stack
   flame graph (flamegraph.pl / speedscope compatible); ``--json FILE``
-  writes the full report as JSON,
-- ``bench-diff`` — compare two stats/bench JSON snapshots (e.g. a fresh
-  ``BENCH_SCALEOUT.json`` against the committed one) and report
-  per-metric regression verdicts; exits non-zero only if something
-  regressed.
+  writes the full report as JSON.
 
 ``run``, ``stats``, ``trace`` and ``profile`` spell their scenario with
 the same flags (one parent parser): ``--setup``, ``--workload``,
@@ -203,26 +199,6 @@ def _parser() -> argparse.ArgumentParser:
     prof_p.add_argument("--json", dest="json_out", default=None, metavar="FILE",
                         help="write the full attribution report to FILE as "
                              "JSON (deterministic: same seed => same bytes)")
-
-    bd_p = sub.add_parser(
-        "bench-diff",
-        help="compare two stats/perf JSON snapshots; exit non-zero on "
-             "regression",
-    )
-    bd_p.add_argument("baseline", help="baseline JSON file")
-    bd_p.add_argument("current", help="current JSON file to judge")
-    bd_p.add_argument("--tolerance", type=float, default=0.05,
-                      help="relative change treated as noise "
-                           "(default: 0.05 = 5%%)")
-    bd_p.add_argument("--only", action="append", default=[], metavar="GLOB",
-                      help="compare only dotted paths matching GLOB "
-                           "(repeatable)")
-    bd_p.add_argument("--ignore", action="append", default=[], metavar="GLOB",
-                      help="skip dotted paths matching GLOB (repeatable)")
-    bd_p.add_argument("--json", action="store_true",
-                      help="emit the diff as JSON")
-    bd_p.add_argument("--show-ok", action="store_true",
-                      help="also list metrics within tolerance")
     return parser
 
 
@@ -451,28 +427,6 @@ def _cmd_profile(args, out) -> int:
     return 0
 
 
-def _cmd_bench_diff(args, out) -> int:
-    from repro.obs.benchdiff import (
-        bench_diff, diff_json, format_diff, has_regression,
-    )
-
-    docs = []
-    for path in (args.baseline, args.current):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                docs.append(json.load(fh))
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read {path}: {exc}", file=out)
-            return 2
-    entries = bench_diff(docs[0], docs[1], tolerance=args.tolerance,
-                         only=args.only, ignore=args.ignore)
-    if args.json:
-        print(json.dumps(diff_json(entries), indent=2), file=out)
-    else:
-        print(format_diff(entries, show_ok=args.show_ok), file=out)
-    return 1 if has_regression(entries) else 0
-
-
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = _parser().parse_args(argv)
@@ -492,8 +446,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         return _cmd_trace(args, out)
     if args.command == "profile":
         return _cmd_profile(args, out)
-    if args.command == "bench-diff":
-        return _cmd_bench_diff(args, out)
     return 2  # pragma: no cover
 
 

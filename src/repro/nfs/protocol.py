@@ -3,15 +3,18 @@
 Both endpoints and the SGFS proxies share these codecs.  The proxies
 decode just enough of a message to authorize and rewrite it (procedure
 number, directory handles, credentials) — the ability to do that on real
-encoded messages is the essence of NFS virtualization.
+encoded messages is the essence of NFS virtualization.  Most of the
+``pack_*``/``unpack_*`` functions are compiled at import from the codec
+table, ``ROWS``.
 """
 
 from __future__ import annotations
 
 import enum
+import linecache
 import struct
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.vfs.fs import Ftype, Status
 from repro.xdr import Packer, Unpacker, XdrError
@@ -292,30 +295,6 @@ class DirEntry:
     handle: Optional[FileHandle] = None
 
 
-# ---------------------------------------------------------------------------
-# Argument/result codecs.  Names follow <PROC>_args / <PROC>_res.
-# Results decode into (status, payload...) tuples.
-# ---------------------------------------------------------------------------
-
-# Runs of fixed-size fields that travel together, one struct call each.
-_FH_WORD = struct.Struct(">" + FileHandle._LAYOUT + "I")  # ACCESS args
-_FH_OFFSET_COUNT = struct.Struct(">" + FileHandle._LAYOUT + "QI")  # READ, COMMIT args
-_WRITE_ARGS = struct.Struct(">" + FileHandle._LAYOUT + "QIiI")  # ..., stable, data length
-_STATUS_ATTR = struct.Struct(">i" + Fattr3._LAYOUT)  # GETATTR OK
-_STATUS_FH = struct.Struct(">i" + FileHandle._LAYOUT)  # LOOKUP OK, up to the attrs
-_READ_OK_TAIL = struct.Struct(">III")  # count, eof, data length
-_WRITE_OK_TAIL = struct.Struct(">Ii")  # count, committed (the verifier follows)
-
-
-def pack_diropargs(p: Packer, dir_fh: FileHandle, name: str) -> None:
-    dir_fh.pack(p)
-    p.pack_string(name)
-
-
-def unpack_diropargs(u: Unpacker) -> Tuple[FileHandle, str]:
-    return FileHandle.unpack(u), u.unpack_string(max_len=255)
-
-
 def unpack_diropargs_prefix(data: bytes) -> Tuple[FileHandle, str]:
     """The (dir handle, name) prefix shared by CREATE/MKDIR/SYMLINK args.
 
@@ -323,7 +302,7 @@ def unpack_diropargs_prefix(data: bytes) -> Tuple[FileHandle, str]:
     structure of every create-family procedure.
     """
     u = Unpacker(data)
-    return unpack_diropargs(u)
+    return FileHandle.unpack(u), u.unpack_string(max_len=255)
 
 
 def read_ok(reply, unpack, **kwargs):
@@ -341,267 +320,266 @@ def read_ok(reply, unpack, **kwargs):
     return res if res[0] == NfsStatus.OK else None
 
 
-# GETATTR ------------------------------------------------------------------
-
-def pack_getattr_args(fh: FileHandle) -> bytes:
-    p = Packer()
-    fh.pack(p)
-    return p.get_bytes()
-
-
-def unpack_getattr_args(data: bytes) -> FileHandle:
-    u = Unpacker(data)
-    fh = FileHandle.unpack(u)
-    u.assert_done()
-    return fh
+# ---------------------------------------------------------------------------
+# The codec table.  Each procedure's arguments and result are declared
+# once, as fields in wire order (ROWS); at import the table is compiled
+# into the module's pack_<proc>_args, unpack_<proc>_args, pack_<proc>_res
+# and unpack_<proc>_res functions.  Results decode into (status, ...)
+# tuples.  The bodies the table cannot express are hand-written below it.
+# ---------------------------------------------------------------------------
 
 
-def pack_getattr_res(status: int, attr: Optional[Fattr3]) -> bytes:
-    p = Packer()
-    if status == NfsStatus.OK:
-        assert attr is not None
-        p.pack_struct(_STATUS_ATTR, status, *attr._words())
-    else:
-        p.pack_enum(status)
-    return p.get_bytes()
+@dataclass(frozen=True, eq=False)
+class Kind:
+    """How a field travels.  ``fmt`` holds the struct letters of its
+    fixed part: the fixed parts of adjacent fields fuse into one
+    ``struct.Struct``.  ``words`` turns the value ``{v}`` into those
+    words and ``value`` turns the words ``{w}`` back.  ``pack`` and
+    ``unpack`` are the statements for what follows the fixed part (when
+    ``unpack`` runs, ``{v}`` holds the fixed part's value)."""
+
+    fmt: str = ""
+    words: str = "{v}"
+    value: str = "{w}"
+    pack: str = ""
+    unpack: str = ""
 
 
-def unpack_getattr_res(data: bytes) -> Tuple[int, Optional[Fattr3]]:
-    u = Unpacker(data)
-    status = u.unpack_enum()
-    attr = Fattr3.unpack(u) if status == NfsStatus.OK else None
-    return status, attr
+STATUS, U32, I32, U64 = Kind("i"), Kind("I"), Kind("i"), Kind("Q")
+BOOL = Kind("I", "bool({v})", "check_bool({w})")
+FH = Kind(FileHandle._LAYOUT, "*{v}._words()", "FileHandle._from_words(*{w})")
+ATTR = Kind(Fattr3._LAYOUT, "*{v}._words()", "Fattr3._from_words({w})")
+POST_OP_ATTR = Kind(pack="pack_post_op_attr(p, {v})", unpack="{v} = unpack_post_op_attr(u)")
+WCC_DATA = Kind(pack="pack_wcc_data(p, {v})", unpack="{v} = unpack_wcc_data(u)")
+POST_OP_FH = Kind(pack="p.pack_optional({v}, lambda fh: fh.pack(p))",
+                  unpack="{v} = u.unpack_optional(lambda: FileHandle.unpack(u))")
+NAME = Kind(pack="p.pack_string({v})", unpack="{v} = u.unpack_string(max_len=255)")
+PATH = Kind(pack="p.pack_string({v})", unpack="{v} = u.unpack_string()")
+VERF = Kind(pack="p.pack_fopaque(8, {v})", unpack="{v} = u.unpack_fopaque(8)")
+SATTR = Kind(pack="{v}.pack(p)", unpack="{v} = Sattr3.unpack(u)")
+#: sattrguard3: never sent; a ctime check that arrives is read and ignored
+GUARD = Kind(pack="p.pack_bool(False)", unpack="if u.unpack_bool(): _unpack_time(u)")
+#: READ's and WRITE's count word: the length of the row's ``data``, ...
+COUNT = Kind("I", "len(data)")
+#: ... whose own length word must agree with it
+DATA = Kind("I", "len({v})", pack="p.pack_fopaque(len({v}), {v})", unpack=(
+    "{v} = u.unpack_fopaque({v})\n"
+    "if len({v}) != _count: raise XdrError('count word and data length disagree')"))
 
 
-# SETATTR --------------------------------------------------------------------
+@dataclass(frozen=True)
+class Field:
+    """A named field.  One whose name starts with ``_`` travels but is
+    neither a parameter nor returned.  ``fail`` is what the decoder of a
+    failed result returns for a field only the OK arm carries."""
 
-def pack_setattr_args(fh: FileHandle, sattr: Sattr3) -> bytes:
-    p = Packer()
-    fh.pack(p)
-    sattr.pack(p)
-    p.pack_bool(False)  # guard: no ctime check
-    return p.get_bytes()
-
-
-def unpack_setattr_args(data: bytes) -> Tuple[FileHandle, Sattr3]:
-    u = Unpacker(data)
-    fh = FileHandle.unpack(u)
-    sattr = Sattr3.unpack(u)
-    if u.unpack_bool():
-        _unpack_time(u)
-    u.assert_done()
-    return fh, sattr
+    name: str
+    kind: Kind
+    fail: object = None
 
 
-def pack_setattr_res(status: int, after: Optional[Fattr3]) -> bytes:
-    p = Packer()
-    p.pack_enum(status)
-    pack_wcc_data(p, after)
-    return p.get_bytes()
+@dataclass(frozen=True)
+class Row:
+    """One procedure's arguments or result (a ``*_res`` name).
+
+    ``fields`` are the arguments, or the fields every arm of the result
+    carries.  A result starts with its status and the OK-only
+    ``prefix``, and ends with the OK-only ``suffix``.  ``sig`` and
+    ``ret`` are the pack parameters and the decoded order where they are
+    not the wire order.  A ``hand`` result's OK arm is hand-written: only
+    its failure arm comes from the table."""
+
+    name: str
+    fields: Tuple[Field, ...] = ()
+    prefix: Tuple[Field, ...] = ()
+    suffix: Tuple[Field, ...] = ()
+    sig: str = ""
+    ret: str = ""
+    hand: bool = False
+
+    @property
+    def wire(self) -> Tuple[Field, ...]:
+        status = (_F("status", STATUS),) if self.name.endswith("_res") else ()
+        return status + self.prefix + self.fields + self.suffix
 
 
-def unpack_setattr_res(data: bytes) -> Tuple[int, Optional[Fattr3]]:
-    u = Unpacker(data)
-    status = u.unpack_enum()
-    return status, unpack_wcc_data(u)
+_F = Field
+_DIROPARGS = (_F("dir_fh", FH), _F("name", NAME))
+_POST_OP = _F("attr", POST_OP_ATTR)
+
+ROWS = (
+    Row("getattr_args", (_F("fh", FH),)),
+    Row("getattr_res", prefix=(_F("attr", ATTR),)),
+    Row("setattr_args", (_F("fh", FH), _F("sattr", SATTR), _F("_guard", GUARD))),
+    Row("setattr_res", (_F("after", WCC_DATA),)),
+    Row("lookup_args", _DIROPARGS),
+    Row("lookup_res", (_F("dir_attr", POST_OP_ATTR),), prefix=(_F("fh", FH), _POST_OP)),
+    Row("access_args", (_F("fh", FH), _F("access", U32))),
+    Row("access_res", (_POST_OP,), suffix=(_F("access", U32, 0),)),
+    Row("readlink_args", (_F("fh", FH),)),
+    Row("readlink_res", (_POST_OP,), suffix=(_F("target", PATH, ""),)),
+    Row("read_args", (_F("fh", FH), _F("offset", U64), _F("count", U32))),
+    Row("read_res", (_POST_OP,), suffix=(
+        _F("_count", COUNT), _F("eof", BOOL, False), _F("data", DATA, b"")),
+        sig='status, attr, data=b"", eof=False', ret="status, attr, data, eof"),
+    Row("write_args", (_F("fh", FH), _F("offset", U64), _F("_count", COUNT),
+                       _F("stable", I32), _F("data", DATA)),
+        sig="fh, offset, data, stable=FILE_SYNC"),
+    Row("write_res", (_F("after", WCC_DATA),), suffix=(
+        _F("count", U32, 0), _F("committed", I32, 0), _F("verf", VERF, b"")),
+        sig="status, after, count=0, committed=FILE_SYNC, verf=bytes(8)"),
+    # CREATE's arguments are hand-written; its result is MKDIR's and SYMLINK's
+    Row("create_res", (_F("dir_after", WCC_DATA),),
+        prefix=(_F("fh", POST_OP_FH), _POST_OP)),
+    Row("mkdir_args", (*_DIROPARGS, _F("sattr", SATTR))),
+    Row("symlink_args", (*_DIROPARGS, _F("sattr", SATTR), _F("target", PATH)),
+        sig="dir_fh, name, target, sattr"),
+    Row("remove_args", _DIROPARGS),  # REMOVE's and RMDIR's
+    Row("remove_res", (_F("dir_after", WCC_DATA),)),
+    Row("rename_args", (_F("from_dir", FH), _F("from_name", NAME),
+                        _F("to_dir", FH), _F("to_name", NAME))),
+    Row("rename_res", (_F("from_after", WCC_DATA), _F("to_after", WCC_DATA))),
+    Row("link_args", (_F("fh", FH), *_DIROPARGS)),
+    Row("link_res", (_POST_OP, _F("dir_after", WCC_DATA))),
+    Row("readdir_res", (_F("dir_attr", POST_OP_ATTR),), hand=True),  # and READDIRPLUS's
+    Row("fsstat_res", (_POST_OP,), hand=True),
+    Row("fsinfo_res", (_POST_OP,), hand=True),
+    Row("pathconf_res", (_POST_OP,), suffix=(
+        _F("linkmax", U32, 0), _F("name_max", U32, 0), _F("no_trunc", BOOL, False),
+        _F("chown_restricted", BOOL, False), _F("case_insensitive", BOOL, False),
+        _F("case_preserving", BOOL, False))),
+    Row("commit_args", (_F("fh", FH), _F("offset", U64), _F("count", U32)),
+        sig="fh, offset=0, count=0"),
+    Row("commit_res", (_F("after", WCC_DATA),), suffix=(_F("verf", VERF, b""),),
+        sig="status, after, verf=bytes(8)"),
+)
+
+#: procedures that share another's result
+_SAME_RESULT = {Proc.MKDIR: Proc.CREATE, Proc.SYMLINK: Proc.CREATE, Proc.MKNOD: Proc.CREATE,
+                Proc.RMDIR: Proc.REMOVE, Proc.READDIRPLUS: Proc.READDIR}
 
 
-# LOOKUP --------------------------------------------------------------------
+# -- the table compiler -------------------------------------------------------
 
-def pack_lookup_args(dir_fh: FileHandle, name: str) -> bytes:
-    p = Packer()
-    pack_diropargs(p, dir_fh, name)
-    return p.get_bytes()
+_STRUCTS: Dict[str, str] = {}  # struct letters -> the name of their Struct here
 
 
-def unpack_lookup_args(data: bytes) -> Tuple[FileHandle, str]:
-    u = Unpacker(data)
-    out = unpack_diropargs(u)
-    u.assert_done()
+def _struct(fmt: str) -> str:
+    if fmt not in _STRUCTS:
+        _STRUCTS[fmt] = f"_S{len(_STRUCTS)}"
+        globals()[_STRUCTS[fmt]] = struct.Struct(">" + fmt)
+    return _STRUCTS[fmt]
+
+
+def _pack(fields) -> List[str]:
+    """Statements packing ``fields`` into ``p``."""
+    out, run = [], []
+
+    def flush():
+        if run:
+            words = ", ".join(f.kind.words.format(v=f.name) for f in run)
+            out.append(f"p.pack_struct({_struct(''.join(f.kind.fmt for f in run))}, {words})")
+            run.clear()
+
+    for f in fields:
+        if f.kind.fmt:
+            run.append(f)
+        if f.kind.pack:
+            flush()
+            out.append(f.kind.pack.format(v=f.name))
+    flush()
     return out
 
 
-def pack_lookup_res(
-    status: int, fh: Optional[FileHandle], attr: Optional[Fattr3],
-    dir_attr: Optional[Fattr3],
-) -> bytes:
-    p = Packer()
-    if status == NfsStatus.OK:
-        assert fh is not None
-        p.pack_struct(_STATUS_FH, status, *fh._words())
-        pack_post_op_attr(p, attr)
-    else:
-        p.pack_enum(status)
-    pack_post_op_attr(p, dir_attr)
-    return p.get_bytes()
+def _unpack(fields) -> List[str]:
+    """Statements reading ``fields`` from ``u`` into locals of their names."""
+    out, run = [], []
+
+    def flush():
+        if run:
+            out.append(f"w = u.unpack_struct({_struct(''.join(f.kind.fmt for f in run))})")
+            i = 0
+            for f in run:
+                n = len(f.kind.fmt)
+                w = f"w[{i}]" if n == 1 else "w" if len(run) == 1 else f"w[{i}:{i + n}]"
+                out.append(f"{f.name} = " + f.kind.value.format(w=w))
+                i += n
+            run.clear()
+
+    for f in fields:
+        if f.kind.fmt:
+            run.append(f)
+        if f.kind.unpack:
+            flush()
+            out += f.kind.unpack.format(v=f.name).split("\n")
+    flush()
+    return out
 
 
-def unpack_lookup_res(
-    data: bytes,
-) -> Tuple[int, Optional[FileHandle], Optional[Fattr3], Optional[Fattr3]]:
-    u = Unpacker(data)
-    status = u.unpack_enum()
-    if status == NfsStatus.OK:
-        fh = FileHandle.unpack(u)
-        attr = unpack_post_op_attr(u)
-        dir_attr = unpack_post_op_attr(u)
-        return status, fh, attr, dir_attr
-    return status, None, None, unpack_post_op_attr(u)
+def _def(name: str, params: str, body: List[str]) -> str:
+    return "\n    ".join([f"def {name}({params}):", *body]) + "\n\n"
 
 
-# ACCESS --------------------------------------------------------------------
-
-def pack_access_args(fh: FileHandle, access: int) -> bytes:
-    p = Packer()
-    p.pack_struct(_FH_WORD, *fh._words(), access)
-    return p.get_bytes()
+def _ok_only(test: str, body: List[str]) -> List[str]:
+    return [f"if status {test} {int(NfsStatus.OK)}:", *("    " + line for line in body)]
 
 
-def unpack_access_args(data: bytes) -> Tuple[FileHandle, int]:
-    u = Unpacker(data)
-    *handle, access = u.unpack_struct(_FH_WORD)
-    u.assert_done()
-    return FileHandle._from_words(*handle), access
+def _source(row: Row) -> str:
+    """The Python source of ``row``'s functions."""
+    names = [f.name for f in row.wire if not f.name.startswith("_")]
+    sig, ret = row.sig or ", ".join(names), row.ret or ", ".join(names)
+    if not row.name.endswith("_res"):
+        return _def(f"pack_{row.name}", sig, ["p = Packer()", *_pack(row.fields),
+                                              "return p.get_bytes()"]) + \
+            _def(f"unpack_{row.name}", "data", ["u = Unpacker(data)", *_unpack(row.fields),
+                                                "u.assert_done()", f"return {ret}"])
+    status = (_F("status", STATUS),)
+    # a failed call's result: the status, then the fields every arm carries, empty
+    src = _def(f"_failed_{row.name}", "status", [
+        "p = Packer()", *(f"{f.name} = None" for f in row.fields),
+        *_pack(status + row.fields), "return p.get_bytes()"])
+    if row.hand:
+        return src
+    pack, unpack = _pack(status), _unpack(status)
+    if row.prefix:
+        pack = [*_ok_only("==", _pack(status + row.prefix)), "else:", *("    " + s for s in pack)]
+        unpack += [*_ok_only("==", _unpack(row.prefix)),
+                   "else:", "    " + " = ".join(f.name for f in row.prefix) + " = None"]
+    pack += _pack(row.fields)
+    unpack += _unpack(row.fields)
+    if row.suffix:
+        pack += _ok_only("==", _pack(row.suffix))
+        fail = {f.name: repr(f.fail) for f in row.suffix}
+        failed = ", ".join(fail.get(n, n) for n in ret.split(", "))
+        unpack += [*_ok_only("!=", [f"return {failed}"]), *_unpack(row.suffix)]
+    return src + \
+        _def(f"pack_{row.name}", sig, ["p = Packer()", *pack, "return p.get_bytes()"]) + \
+        _def(f"unpack_{row.name}", "data", ["u = Unpacker(data)", *unpack, f"return {ret}"])
 
 
-def pack_access_res(status: int, attr: Optional[Fattr3], access: int) -> bytes:
-    p = Packer()
-    p.pack_enum(status)
-    pack_post_op_attr(p, attr)
-    if status == NfsStatus.OK:
-        p.pack_uint(access)
-    return p.get_bytes()
+_SOURCE = "\n".join(_source(row) for row in ROWS)
+_FILENAME = f"{__file__}<codec table>"
+linecache.cache[_FILENAME] = (len(_SOURCE), None, _SOURCE.splitlines(True), _FILENAME)
+exec(compile(_SOURCE, _FILENAME, "exec"), globals())
+
+_FAILED = {proc: globals()[f"_failed_{_SAME_RESULT.get(proc, proc).name.lower()}_res"]
+           for proc in Proc if proc != Proc.NULL}
 
 
-def unpack_access_res(data: bytes) -> Tuple[int, Optional[Fattr3], int]:
-    u = Unpacker(data)
-    status = u.unpack_enum()
-    attr = unpack_post_op_attr(u)
-    access = u.unpack_uint() if status == NfsStatus.OK else 0
-    return status, attr, access
+def error_result(proc: Proc, status: int) -> bytes:
+    """The result of a ``proc`` call that failed with ``status``."""
+    return _FAILED[proc](status)
 
 
-# READLINK ------------------------------------------------------------------
-
-def pack_readlink_args(fh: FileHandle) -> bytes:
-    return pack_getattr_args(fh)
-
-
-def unpack_readlink_args(data: bytes) -> FileHandle:
-    return unpack_getattr_args(data)
-
-
-def pack_readlink_res(status: int, attr: Optional[Fattr3], target: str) -> bytes:
-    p = Packer()
-    p.pack_enum(status)
-    pack_post_op_attr(p, attr)
-    if status == NfsStatus.OK:
-        p.pack_string(target)
-    return p.get_bytes()
-
-
-def unpack_readlink_res(data: bytes) -> Tuple[int, Optional[Fattr3], str]:
-    u = Unpacker(data)
-    status = u.unpack_enum()
-    attr = unpack_post_op_attr(u)
-    target = u.unpack_string() if status == NfsStatus.OK else ""
-    return status, attr, target
-
-
-# READ ----------------------------------------------------------------------
-
-def pack_read_args(fh: FileHandle, offset: int, count: int) -> bytes:
-    p = Packer()
-    p.pack_struct(_FH_OFFSET_COUNT, *fh._words(), offset, count)
-    return p.get_bytes()
-
-
-def unpack_read_args(data: bytes) -> Tuple[FileHandle, int, int]:
-    u = Unpacker(data)
-    *handle, offset, count = u.unpack_struct(_FH_OFFSET_COUNT)
-    u.assert_done()
-    return FileHandle._from_words(*handle), offset, count
-
-
-def pack_read_res(
-    status: int, attr: Optional[Fattr3], data: bytes = b"", eof: bool = False
-) -> bytes:
-    p = Packer()
-    p.pack_enum(status)
-    pack_post_op_attr(p, attr)
-    if status == NfsStatus.OK:
-        p.pack_struct(_READ_OK_TAIL, len(data), bool(eof), len(data))
-        p.pack_fopaque(len(data), data)
-    return p.get_bytes()
-
-
-def unpack_read_res(data: bytes) -> Tuple[int, Optional[Fattr3], bytes, bool]:
-    u = Unpacker(data)
-    status = u.unpack_enum()
-    attr = unpack_post_op_attr(u)
-    if status != NfsStatus.OK:
-        return status, attr, b"", False
-    count, eof, n = u.unpack_struct(_READ_OK_TAIL)
-    eof = check_bool(eof)
-    payload = u.unpack_fopaque(n)
-    if n != count:
-        raise XdrError("READ reply count mismatch")
-    return status, attr, payload, eof
-
-
-# WRITE ---------------------------------------------------------------------
-
-def pack_write_args(
-    fh: FileHandle, offset: int, data: bytes, stable: int = FILE_SYNC
-) -> bytes:
-    p = Packer()
-    p.pack_struct(_WRITE_ARGS, *fh._words(), offset, len(data), stable, len(data))
-    p.pack_fopaque(len(data), data)
-    return p.get_bytes()
-
-
-def unpack_write_args(data: bytes) -> Tuple[FileHandle, int, int, bytes]:
-    u = Unpacker(data)
-    *handle, offset, count, stable, n = u.unpack_struct(_WRITE_ARGS)
-    fh = FileHandle._from_words(*handle)
-    payload = u.unpack_fopaque(n)
-    if n != count:
-        raise XdrError("WRITE args count mismatch")
-    u.assert_done()
-    return fh, offset, stable, payload
-
-
-def pack_write_res(
-    status: int, after: Optional[Fattr3], count: int = 0,
-    committed: int = FILE_SYNC, verf: bytes = b"\x00" * 8,
-) -> bytes:
-    p = Packer()
-    p.pack_enum(status)
-    pack_wcc_data(p, after)
-    if status == NfsStatus.OK:
-        p.pack_struct(_WRITE_OK_TAIL, count, committed)
-        p.pack_fopaque(8, verf)
-    return p.get_bytes()
-
-
-def unpack_write_res(data: bytes) -> Tuple[int, Optional[Fattr3], int, int, bytes]:
-    u = Unpacker(data)
-    status = u.unpack_enum()
-    after = unpack_wcc_data(u)
-    if status != NfsStatus.OK:
-        return status, after, 0, 0, b""
-    count, committed = u.unpack_struct(_WRITE_OK_TAIL)
-    verf = u.unpack_fopaque(8)
-    return status, after, count, committed, verf
-
-
-# CREATE / MKDIR ----------------------------------------------------------------
+# -- the bodies the table cannot express ---------------------------------------
 
 def pack_create_args(
     dir_fh: FileHandle, name: str, sattr: Sattr3, mode: int = UNCHECKED
 ) -> bytes:
+    """createhow3 is a union: attributes, or an exclusive-create verifier."""
     p = Packer()
-    pack_diropargs(p, dir_fh, name)
+    dir_fh.pack(p)
+    p.pack_string(name)
     p.pack_enum(mode)
     if mode in (UNCHECKED, GUARDED):
         sattr.pack(p)
@@ -612,7 +590,7 @@ def pack_create_args(
 
 def unpack_create_args(data: bytes) -> Tuple[FileHandle, str, int, Sattr3]:
     u = Unpacker(data)
-    dir_fh, name = unpack_diropargs(u)
+    dir_fh, name = FileHandle.unpack(u), u.unpack_string(max_len=255)
     mode = u.unpack_enum()
     if mode in (UNCHECKED, GUARDED):
         sattr = Sattr3.unpack(u)
@@ -623,173 +601,18 @@ def unpack_create_args(data: bytes) -> Tuple[FileHandle, str, int, Sattr3]:
     return dir_fh, name, mode, sattr
 
 
-def pack_mkdir_args(dir_fh: FileHandle, name: str, sattr: Sattr3) -> bytes:
-    p = Packer()
-    pack_diropargs(p, dir_fh, name)
-    sattr.pack(p)
-    return p.get_bytes()
-
-
-def unpack_mkdir_args(data: bytes) -> Tuple[FileHandle, str, Sattr3]:
-    u = Unpacker(data)
-    dir_fh, name = unpack_diropargs(u)
-    sattr = Sattr3.unpack(u)
-    u.assert_done()
-    return dir_fh, name, sattr
-
-
-def pack_create_res(
-    status: int, fh: Optional[FileHandle], attr: Optional[Fattr3],
-    dir_after: Optional[Fattr3],
-) -> bytes:
-    """Shared by CREATE, MKDIR, SYMLINK."""
-    p = Packer()
-    p.pack_enum(status)
-    if status == NfsStatus.OK:
-        p.pack_optional(fh, lambda f: f.pack(p))
-        pack_post_op_attr(p, attr)
-    pack_wcc_data(p, dir_after)
-    return p.get_bytes()
-
-
-def unpack_create_res(
-    data: bytes,
-) -> Tuple[int, Optional[FileHandle], Optional[Fattr3], Optional[Fattr3]]:
-    u = Unpacker(data)
-    status = u.unpack_enum()
-    if status == NfsStatus.OK:
-        fh = u.unpack_optional(lambda: FileHandle.unpack(u))
-        attr = unpack_post_op_attr(u)
-        dir_after = unpack_wcc_data(u)
-        return status, fh, attr, dir_after
-    return status, None, None, unpack_wcc_data(u)
-
-
-# SYMLINK ----------------------------------------------------------------------
-
-def pack_symlink_args(dir_fh: FileHandle, name: str, target: str, sattr: Sattr3) -> bytes:
-    p = Packer()
-    pack_diropargs(p, dir_fh, name)
-    sattr.pack(p)
-    p.pack_string(target)
-    return p.get_bytes()
-
-
-def unpack_symlink_args(data: bytes) -> Tuple[FileHandle, str, Sattr3, str]:
-    u = Unpacker(data)
-    dir_fh, name = unpack_diropargs(u)
-    sattr = Sattr3.unpack(u)
-    target = u.unpack_string()
-    u.assert_done()
-    return dir_fh, name, sattr, target
-
-
-# REMOVE / RMDIR --------------------------------------------------------------
-
-def pack_remove_args(dir_fh: FileHandle, name: str) -> bytes:
-    return pack_lookup_args(dir_fh, name)
-
-
-def unpack_remove_args(data: bytes) -> Tuple[FileHandle, str]:
-    return unpack_lookup_args(data)
-
-
-def pack_remove_res(status: int, dir_after: Optional[Fattr3]) -> bytes:
-    p = Packer()
-    p.pack_enum(status)
-    pack_wcc_data(p, dir_after)
-    return p.get_bytes()
-
-
-def unpack_remove_res(data: bytes) -> Tuple[int, Optional[Fattr3]]:
-    u = Unpacker(data)
-    status = u.unpack_enum()
-    return status, unpack_wcc_data(u)
-
-
-# RENAME -----------------------------------------------------------------------
-
-def pack_rename_args(
-    from_dir: FileHandle, from_name: str, to_dir: FileHandle, to_name: str
-) -> bytes:
-    p = Packer()
-    pack_diropargs(p, from_dir, from_name)
-    pack_diropargs(p, to_dir, to_name)
-    return p.get_bytes()
-
-
-def unpack_rename_args(data: bytes) -> Tuple[FileHandle, str, FileHandle, str]:
-    u = Unpacker(data)
-    from_dir, from_name = unpack_diropargs(u)
-    to_dir, to_name = unpack_diropargs(u)
-    u.assert_done()
-    return from_dir, from_name, to_dir, to_name
-
-
-def pack_rename_res(
-    status: int, from_after: Optional[Fattr3], to_after: Optional[Fattr3]
-) -> bytes:
-    p = Packer()
-    p.pack_enum(status)
-    pack_wcc_data(p, from_after)
-    pack_wcc_data(p, to_after)
-    return p.get_bytes()
-
-
-def unpack_rename_res(data: bytes) -> Tuple[int, Optional[Fattr3], Optional[Fattr3]]:
-    u = Unpacker(data)
-    status = u.unpack_enum()
-    return status, unpack_wcc_data(u), unpack_wcc_data(u)
-
-
-# LINK -------------------------------------------------------------------------
-
-def pack_link_args(fh: FileHandle, dir_fh: FileHandle, name: str) -> bytes:
-    p = Packer()
-    fh.pack(p)
-    pack_diropargs(p, dir_fh, name)
-    return p.get_bytes()
-
-
-def unpack_link_args(data: bytes) -> Tuple[FileHandle, FileHandle, str]:
-    u = Unpacker(data)
-    fh = FileHandle.unpack(u)
-    dir_fh, name = unpack_diropargs(u)
-    u.assert_done()
-    return fh, dir_fh, name
-
-
-def pack_link_res(
-    status: int, attr: Optional[Fattr3], dir_after: Optional[Fattr3]
-) -> bytes:
-    p = Packer()
-    p.pack_enum(status)
-    pack_post_op_attr(p, attr)
-    pack_wcc_data(p, dir_after)
-    return p.get_bytes()
-
-
-def unpack_link_res(data: bytes) -> Tuple[int, Optional[Fattr3], Optional[Fattr3]]:
-    u = Unpacker(data)
-    status = u.unpack_enum()
-    return status, unpack_post_op_attr(u), unpack_wcc_data(u)
-
-
-# READDIR ----------------------------------------------------------------------
-
 def pack_readdir_args(
     dir_fh: FileHandle, cookie: int = 0, cookieverf: bytes = b"\x00" * 8,
     count: int = 8192, plus: bool = False, maxcount: int = 32768,
 ) -> bytes:
+    """READDIR's arguments, or with ``plus`` READDIRPLUS's (one more count)."""
     p = Packer()
     dir_fh.pack(p)
     p.pack_uhyper(cookie)
     p.pack_fopaque(8, cookieverf)
+    p.pack_uint(count)
     if plus:
-        p.pack_uint(count)
         p.pack_uint(maxcount)
-    else:
-        p.pack_uint(count)
     return p.get_bytes()
 
 
@@ -809,6 +632,8 @@ def pack_readdir_res(
     status: int, dir_attr: Optional[Fattr3], entries: List[DirEntry],
     eof: bool, plus: bool = False, cookieverf: bytes = b"\x00" * 8,
 ) -> bytes:
+    """The entries are an XDR linked list, each with attributes and a
+    handle only under ``plus``."""
     p = Packer()
     p.pack_enum(status)
     pack_post_op_attr(p, dir_attr)
@@ -855,22 +680,21 @@ def unpack_readdir_res(
     return status, dir_attr, entries, eof
 
 
-# FSSTAT / FSINFO / PATHCONF / COMMIT --------------------------------------------
+_FSSTAT_OK = struct.Struct(">QQQQQQI")  # t/f/a bytes, t/f/a files, invarsec
+_FSINFO_OK = struct.Struct(">IIIIIIIQIII")  # rt, wt, dt sizes, maxfilesize, delta, properties
+_FSSTAT_SIZES, _FSINFO_SIZES = struct.Struct(">QQQQ"), struct.Struct(">IIII")  # the prefixes read
+
 
 def pack_fsstat_res(
     status: int, attr: Optional[Fattr3], tbytes: int, fbytes: int, files: int
 ) -> bytes:
+    """Sent: free bytes as available too (no reservation), one count as
+    all three file counts.  Decoded: what the client asks about."""
     p = Packer()
     p.pack_enum(status)
     pack_post_op_attr(p, attr)
     if status == NfsStatus.OK:
-        p.pack_uhyper(tbytes)
-        p.pack_uhyper(fbytes)
-        p.pack_uhyper(fbytes)  # abytes == fbytes (no reservation)
-        p.pack_uhyper(files)
-        p.pack_uhyper(files)
-        p.pack_uhyper(files)
-        p.pack_uint(0)  # invarsec
+        p.pack_struct(_FSSTAT_OK, tbytes, fbytes, fbytes, files, files, files, 0)
     return p.get_bytes()
 
 
@@ -880,28 +704,20 @@ def unpack_fsstat_res(data: bytes) -> Tuple[int, int, int, int]:
     unpack_post_op_attr(u)
     if status != NfsStatus.OK:
         return status, 0, 0, 0
-    tbytes = u.unpack_uhyper()
-    fbytes = u.unpack_uhyper()
-    u.unpack_uhyper()
-    files = u.unpack_uhyper()
+    tbytes, fbytes, _abytes, files = u.unpack_struct(_FSSTAT_SIZES)
     return status, tbytes, fbytes, files
 
 
 def pack_fsinfo_res(status: int, attr: Optional[Fattr3], rtmax: int, wtmax: int) -> bytes:
+    """Sent: each transfer size as its maximum and preferred size, and
+    constants.  Decoded: the two maxima."""
     p = Packer()
     p.pack_enum(status)
     pack_post_op_attr(p, attr)
     if status == NfsStatus.OK:
-        p.pack_uint(rtmax)
-        p.pack_uint(rtmax)
-        p.pack_uint(4096)
-        p.pack_uint(wtmax)
-        p.pack_uint(wtmax)
-        p.pack_uint(4096)
-        p.pack_uint(rtmax)  # dtpref
-        p.pack_uhyper(2**63 - 1)  # maxfilesize
-        _pack_time(p, 0.001)  # time_delta
-        p.pack_uint(0x1B)  # properties: LINK|SYMLINK|HOMOGENEOUS|CANSETTIME
+        # properties: LINK|SYMLINK|HOMOGENEOUS|CANSETTIME
+        p.pack_struct(_FSINFO_OK, rtmax, rtmax, 4096, wtmax, wtmax, 4096, rtmax,
+                      2**63 - 1, *_time_words(0.001), 0x1B)
     return p.get_bytes()
 
 
@@ -911,33 +727,5 @@ def unpack_fsinfo_res(data: bytes) -> Tuple[int, int, int]:
     unpack_post_op_attr(u)
     if status != NfsStatus.OK:
         return status, 0, 0
-    rtmax = u.unpack_uint()
-    u.unpack_uint()
-    u.unpack_uint()
-    wtmax = u.unpack_uint()
+    rtmax, _rtpref, _rtmult, wtmax = u.unpack_struct(_FSINFO_SIZES)
     return status, rtmax, wtmax
-
-
-def pack_commit_args(fh: FileHandle, offset: int = 0, count: int = 0) -> bytes:
-    return pack_read_args(fh, offset, count)  # the same layout
-
-
-def unpack_commit_args(data: bytes) -> Tuple[FileHandle, int, int]:
-    return unpack_read_args(data)
-
-
-def pack_commit_res(status: int, after: Optional[Fattr3], verf: bytes = b"\x00" * 8) -> bytes:
-    p = Packer()
-    p.pack_enum(status)
-    pack_wcc_data(p, after)
-    if status == NfsStatus.OK:
-        p.pack_fopaque(8, verf)
-    return p.get_bytes()
-
-
-def unpack_commit_res(data: bytes) -> Tuple[int, Optional[Fattr3], bytes]:
-    u = Unpacker(data)
-    status = u.unpack_enum()
-    after = unpack_wcc_data(u)
-    verf = u.unpack_fopaque(8) if status == NfsStatus.OK else b""
-    return status, after, verf

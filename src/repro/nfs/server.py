@@ -26,7 +26,7 @@ from repro.sim.core import Simulator
 from repro.sim.sync import RwLock
 from repro.vfs.disk import DiskModel
 from repro.vfs.fs import Credentials, Ftype, Inode, Status, VfsError, VirtualFS
-from repro.xdr import Packer, Unpacker, XdrError
+from repro.xdr import XdrError
 
 #: Preferred/maximum transfer sizes (the paper uses 32 KB blocks).
 RTMAX = 32768
@@ -150,43 +150,10 @@ class NfsServerProgram(RpcProgram):
         try:
             result = yield from method(args, cred)
         except VfsError as exc:
-            result = self._error_result(proc, exc.status)
+            result = pr.error_result(proc, exc.status)
         except XdrError:
             raise  # GARBAGE_ARGS at the RPC layer
         return result
-
-    @staticmethod
-    def _error_result(proc: Proc, status: Status) -> bytes:
-        """Minimal well-formed error encodings per procedure family."""
-        if proc in (Proc.GETATTR,):
-            return pr.pack_getattr_res(status, None)
-        if proc in (Proc.SETATTR,):
-            return pr.pack_setattr_res(status, None)
-        if proc in (Proc.LOOKUP,):
-            return pr.pack_lookup_res(status, None, None, None)
-        if proc in (Proc.ACCESS,):
-            return pr.pack_access_res(status, None, 0)
-        if proc in (Proc.READLINK,):
-            return pr.pack_readlink_res(status, None, "")
-        if proc in (Proc.READ,):
-            return pr.pack_read_res(status, None)
-        if proc in (Proc.WRITE,):
-            return pr.pack_write_res(status, None)
-        if proc in (Proc.CREATE, Proc.MKDIR, Proc.SYMLINK, Proc.MKNOD):
-            return pr.pack_create_res(status, None, None, None)
-        if proc in (Proc.REMOVE, Proc.RMDIR):
-            return pr.pack_remove_res(status, None)
-        if proc in (Proc.RENAME,):
-            return pr.pack_rename_res(status, None, None)
-        if proc in (Proc.LINK,):
-            return pr.pack_link_res(status, None, None)
-        if proc in (Proc.READDIR, Proc.READDIRPLUS):
-            return pr.pack_readdir_res(status, None, [], True)
-        if proc in (Proc.COMMIT,):
-            return pr.pack_commit_res(status, None)
-        p = Packer()
-        p.pack_enum(status)
-        return p.get_bytes()
 
     # -- procedures ------------------------------------------------------------
 
@@ -442,16 +409,9 @@ class NfsServerProgram(RpcProgram):
     def _op_pathconf(self, args: bytes, cred: Credentials):
         fh = pr.unpack_getattr_args(args)
         node = self._resolve(fh)
-        p = Packer()
-        p.pack_enum(NfsStatus.OK)
-        pr.pack_post_op_attr(p, self._attr(node))
-        p.pack_uint(32)  # linkmax
-        p.pack_uint(255)  # name_max
-        p.pack_bool(True)  # no_trunc
-        p.pack_bool(False)  # chown_restricted
-        p.pack_bool(False)  # case_insensitive
-        p.pack_bool(True)  # case_preserving
-        return p.get_bytes()
+        return pr.pack_pathconf_res(
+            NfsStatus.OK, self._attr(node), linkmax=32, name_max=255, no_trunc=True,
+            chown_restricted=False, case_insensitive=False, case_preserving=True)
         yield  # pragma: no cover
 
     def _op_commit(self, args: bytes, cred: Credentials):

@@ -28,14 +28,7 @@ from repro.obs.metrics import (
     merge_metric,
     percentile,
 )
-from repro.obs.benchdiff import (
-    DiffEntry,
-    bench_diff,
-    diff_json,
-    flatten,
-    format_diff,
-    has_regression,
-)
+from repro.obs.benchdiff import flatten
 from repro.obs.profile import (
     build_report,
     collapsed_stacks,
@@ -61,12 +54,7 @@ __all__ = [
     "NullTracer",
     "Span",
     "SpanTracer",
-    "DiffEntry",
-    "bench_diff",
-    "diff_json",
     "flatten",
-    "format_diff",
-    "has_regression",
     "build_report",
     "collapsed_stacks",
     "critical_path",

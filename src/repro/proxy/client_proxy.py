@@ -421,6 +421,10 @@ class SgfsClientProxy:
         fh, offset, count = pr.unpack_read_args(call.args)
         bs = self.cache.block_size
         if not self.cache.cache_data or offset % bs or count > bs:
+            if self._blocks.unflushed(fh.fileid):
+                # only the server answers a READ that is not one block:
+                # it must hold the writes absorbed here first
+                yield from self._flush(fh.fileid)
             return (yield from self._forward(call))
         block = offset // bs
         yield from self._maybe_revalidate(fh)
@@ -436,7 +440,8 @@ class SgfsClientProxy:
         else:
             attr = self._attrs.get(fh.fileid)
             size = attr.size if attr is not None else offset + len(got)
-            chunk = got[:count]
+            # a block written short before the file grew past it: zeros follow
+            chunk = got[:count].ljust(min(count, size - offset), b"\0")
             reply = yield from self._local(call, pr.pack_read_res(
                 NfsStatus.OK, attr, chunk, offset + len(chunk) >= size))
         self._read_ahead(call, fh, block)
@@ -573,9 +578,15 @@ class SgfsClientProxy:
                                 (reply, (NfsStatus.IO, rattr, b"", False)))
                             continue
                     self._remember_attr(fh, rattr)
+                    shadow = self._attrs.get(fh.fileid)
+                    if shadow is not None and len(data) < min(bs, shadow.size - b * bs):
+                        # below the session's size, what the server lacks
+                        # (a hole under writes not yet written back) is zeros
+                        data = data.ljust(min(bs, shadow.size - b * bs), b"\0")
+                        eof = b * bs + len(data) >= shadow.size
                     if data:
                         yield from self._block_put(fh.fileid, b, data, dirty=False)
-                    res = (status, self._attrs.get(fh.fileid) or rattr, data, eof)
+                    res = (status, shadow or rattr, data, eof)
                 results.append((reply, res))
         finally:
             # waiters always wake, even when the fetch failed — they
@@ -717,10 +728,14 @@ class SgfsClientProxy:
             attr = self._attrs.get(fh.fileid)
             return (yield from self._local(
                 call, pr.pack_commit_res(NfsStatus.OK, attr, b"sgfsprox")))
-        yield from self._blocks.drain(fh.fileid)
-        items = yield from self._blocks.gather_dirty([fh.fileid])
-        yield from self._writeback_window(items)
+        yield from self._flush(fh.fileid)
         return (yield from self._forward_noting(call, fh, pr.unpack_commit_res))
+
+    def _flush(self, fileid: int):
+        """Process generator: write back every unflushed block of the file."""
+        yield from self._blocks.drain(fileid)
+        items = yield from self._blocks.gather_dirty([fileid])
+        yield from self._writeback_window(items)
 
     def _h_setattr(self, call: CallMessage):
         fh, sattr = pr.unpack_setattr_args(call.args)

@@ -463,9 +463,7 @@ class SgfsServerProxy:
 
     @staticmethod
     def _local_error(call: CallMessage, status: NfsStatus) -> ReplyMessage:
-        from repro.nfs.server import NfsServerProgram
-
-        body = NfsServerProgram._error_result(Proc(call.proc), status)
+        body = pr.error_result(Proc(call.proc), status)
         return ReplyMessage(xid=call.xid, results=body)
 
     def _answer_access(self, call: CallMessage, identity: DistinguishedName):

@@ -1,9 +1,11 @@
 """The field-at-a-time codec as it stood before the compiled layouts.
 
 These are the method bodies of ``repro.xdr.codec``, ``repro.rpc.auth``,
-``repro.rpc.messages`` and ``repro.nfs.protocol`` at the commit before
-PR 17, kept verbatim (one 4-byte field per call, a fresh slice per read)
-as the reference the differential tests in ``test_xdr.py``,
+``repro.rpc.messages`` and ``repro.nfs.protocol`` from before the codec
+was compiled — the RPC headers and the READ/WRITE/GETATTR/LOOKUP/ACCESS
+bodies from before the fused layouts, the other NFS bodies from before
+the codec table — kept verbatim (one field per call, a fresh slice per
+read) as the reference the differential tests in ``test_xdr.py``,
 ``test_rpc_messages.py`` and ``test_nfs_protocol.py`` compare the
 compiled codecs against: same bytes out, same values in, same exception
 class on every malformed input.  The program never imports this module.
@@ -11,7 +13,9 @@ class on every malformed input.  The program never imports this module.
 
 import struct
 
-from repro.nfs.protocol import Fattr3, FileHandle, NfsStatus
+from repro.nfs.protocol import (
+    GUARDED, UNCHECKED, DirEntry, Fattr3, FileHandle, NfsStatus, Proc, Sattr3,
+)
 from repro.rpc.auth import AUTH_SYS, MAX_AUTH_BODY, AuthSys, OpaqueAuth
 from repro.rpc.errors import RpcError
 from repro.rpc.messages import (
@@ -88,6 +92,12 @@ class RefPacker:
             self.pack_bool(True)
             pack_item(value)
 
+    def pack_list(self, items, pack_item):
+        for item in items:
+            self.pack_bool(True)
+            pack_item(item)
+        self.pack_bool(False)
+
 
 class RefUnpacker:
     def __init__(self, data):
@@ -154,6 +164,14 @@ class RefUnpacker:
 
     def unpack_optional(self, unpack_item):
         return unpack_item() if self.unpack_bool() else None
+
+    def unpack_list(self, unpack_item, max_len=1_000_000):
+        out = []
+        while self.unpack_bool():
+            out.append(unpack_item())
+            if len(out) > max_len:
+                raise XdrError("XDR list exceeds sanity limit")
+        return out
 
 
 def outcome(fn, *args):
@@ -284,7 +302,7 @@ def decode_reply(record):
     return msg
 
 
-# -- nfs: nfs_fh3, fattr3, and the READ/WRITE/GETATTR/LOOKUP/ACCESS codecs ------
+# -- nfs: nfs_fh3, fattr3, sattr3, and every procedure's codec ----------------
 
 
 def pack_fh(p, fh):
@@ -365,6 +383,43 @@ def unpack_wcc_data(u):
         _unpack_time(u)
         _unpack_time(u)
     return unpack_post_op_attr(u)
+
+
+def pack_sattr3(p, s):
+    p.pack_optional(s.mode, p.pack_uint)
+    p.pack_optional(s.uid, p.pack_uint)
+    p.pack_optional(s.gid, p.pack_uint)
+    p.pack_optional(s.size, p.pack_uhyper)
+    # set_atime/set_mtime: 0 = don't change, 2 = set to client time
+    if s.atime is None:
+        p.pack_enum(0)
+    else:
+        p.pack_enum(2)
+        _pack_time(p, s.atime)
+    if s.mtime is None:
+        p.pack_enum(0)
+    else:
+        p.pack_enum(2)
+        _pack_time(p, s.mtime)
+
+
+def unpack_sattr3(u):
+    mode = u.unpack_optional(u.unpack_uint)
+    uid = u.unpack_optional(u.unpack_uint)
+    gid = u.unpack_optional(u.unpack_uint)
+    size = u.unpack_optional(u.unpack_uhyper)
+    atime = _unpack_time(u) if u.unpack_enum() == 2 else None
+    mtime = _unpack_time(u) if u.unpack_enum() == 2 else None
+    return Sattr3(mode, uid, gid, size, atime, mtime)
+
+
+def pack_diropargs(p, dir_fh, name):
+    pack_fh(p, dir_fh)
+    p.pack_string(name)
+
+
+def unpack_diropargs(u):
+    return unpack_fh(u), u.unpack_string(max_len=255)
 
 
 def pack_getattr_args(fh):
@@ -547,3 +602,437 @@ def unpack_write_res(data):
     committed = u.unpack_enum()
     verf = u.unpack_fopaque(8)
     return status, after, count, committed, verf
+
+
+def pack_setattr_args(fh, sattr):
+    p = RefPacker()
+    pack_fh(p, fh)
+    pack_sattr3(p, sattr)
+    p.pack_bool(False)  # guard: no ctime check
+    return p.get_bytes()
+
+
+def unpack_setattr_args(data):
+    u = RefUnpacker(data)
+    fh = unpack_fh(u)
+    sattr = unpack_sattr3(u)
+    if u.unpack_bool():
+        _unpack_time(u)
+    u.assert_done()
+    return fh, sattr
+
+
+def pack_setattr_res(status, after):
+    p = RefPacker()
+    p.pack_enum(status)
+    pack_wcc_data(p, after)
+    return p.get_bytes()
+
+
+def unpack_setattr_res(data):
+    u = RefUnpacker(data)
+    status = u.unpack_enum()
+    return status, unpack_wcc_data(u)
+
+
+def pack_readlink_args(fh):
+    return pack_getattr_args(fh)
+
+
+def unpack_readlink_args(data):
+    return unpack_getattr_args(data)
+
+
+def pack_readlink_res(status, attr, target):
+    p = RefPacker()
+    p.pack_enum(status)
+    pack_post_op_attr(p, attr)
+    if status == NfsStatus.OK:
+        p.pack_string(target)
+    return p.get_bytes()
+
+
+def unpack_readlink_res(data):
+    u = RefUnpacker(data)
+    status = u.unpack_enum()
+    attr = unpack_post_op_attr(u)
+    target = u.unpack_string() if status == NfsStatus.OK else ""
+    return status, attr, target
+
+
+def pack_create_args(dir_fh, name, sattr, mode=UNCHECKED):
+    p = RefPacker()
+    pack_diropargs(p, dir_fh, name)
+    p.pack_enum(mode)
+    if mode in (UNCHECKED, GUARDED):
+        pack_sattr3(p, sattr)
+    else:
+        p.pack_fopaque(8, b"\x00" * 8)  # exclusive createverf
+    return p.get_bytes()
+
+
+def unpack_create_args(data):
+    u = RefUnpacker(data)
+    dir_fh, name = unpack_diropargs(u)
+    mode = u.unpack_enum()
+    if mode in (UNCHECKED, GUARDED):
+        sattr = unpack_sattr3(u)
+    else:
+        u.unpack_fopaque(8)
+        sattr = Sattr3()
+    u.assert_done()
+    return dir_fh, name, mode, sattr
+
+
+def pack_mkdir_args(dir_fh, name, sattr):
+    p = RefPacker()
+    pack_diropargs(p, dir_fh, name)
+    pack_sattr3(p, sattr)
+    return p.get_bytes()
+
+
+def unpack_mkdir_args(data):
+    u = RefUnpacker(data)
+    dir_fh, name = unpack_diropargs(u)
+    sattr = unpack_sattr3(u)
+    u.assert_done()
+    return dir_fh, name, sattr
+
+
+def pack_create_res(status, fh, attr, dir_after):
+    """Shared by CREATE, MKDIR, SYMLINK."""
+    p = RefPacker()
+    p.pack_enum(status)
+    if status == NfsStatus.OK:
+        p.pack_optional(fh, lambda f: pack_fh(p, f))
+        pack_post_op_attr(p, attr)
+    pack_wcc_data(p, dir_after)
+    return p.get_bytes()
+
+
+def unpack_create_res(data):
+    u = RefUnpacker(data)
+    status = u.unpack_enum()
+    if status == NfsStatus.OK:
+        fh = u.unpack_optional(lambda: unpack_fh(u))
+        attr = unpack_post_op_attr(u)
+        dir_after = unpack_wcc_data(u)
+        return status, fh, attr, dir_after
+    return status, None, None, unpack_wcc_data(u)
+
+
+def pack_symlink_args(dir_fh, name, target, sattr):
+    p = RefPacker()
+    pack_diropargs(p, dir_fh, name)
+    pack_sattr3(p, sattr)
+    p.pack_string(target)
+    return p.get_bytes()
+
+
+def unpack_symlink_args(data):
+    u = RefUnpacker(data)
+    dir_fh, name = unpack_diropargs(u)
+    sattr = unpack_sattr3(u)
+    target = u.unpack_string()
+    u.assert_done()
+    return dir_fh, name, sattr, target
+
+
+def pack_remove_args(dir_fh, name):
+    return pack_lookup_args(dir_fh, name)
+
+
+def unpack_remove_args(data):
+    return unpack_lookup_args(data)
+
+
+def pack_remove_res(status, dir_after):
+    p = RefPacker()
+    p.pack_enum(status)
+    pack_wcc_data(p, dir_after)
+    return p.get_bytes()
+
+
+def unpack_remove_res(data):
+    u = RefUnpacker(data)
+    status = u.unpack_enum()
+    return status, unpack_wcc_data(u)
+
+
+def pack_rename_args(from_dir, from_name, to_dir, to_name):
+    p = RefPacker()
+    pack_diropargs(p, from_dir, from_name)
+    pack_diropargs(p, to_dir, to_name)
+    return p.get_bytes()
+
+
+def unpack_rename_args(data):
+    u = RefUnpacker(data)
+    from_dir, from_name = unpack_diropargs(u)
+    to_dir, to_name = unpack_diropargs(u)
+    u.assert_done()
+    return from_dir, from_name, to_dir, to_name
+
+
+def pack_rename_res(status, from_after, to_after):
+    p = RefPacker()
+    p.pack_enum(status)
+    pack_wcc_data(p, from_after)
+    pack_wcc_data(p, to_after)
+    return p.get_bytes()
+
+
+def unpack_rename_res(data):
+    u = RefUnpacker(data)
+    status = u.unpack_enum()
+    return status, unpack_wcc_data(u), unpack_wcc_data(u)
+
+
+def pack_link_args(fh, dir_fh, name):
+    p = RefPacker()
+    pack_fh(p, fh)
+    pack_diropargs(p, dir_fh, name)
+    return p.get_bytes()
+
+
+def unpack_link_args(data):
+    u = RefUnpacker(data)
+    fh = unpack_fh(u)
+    dir_fh, name = unpack_diropargs(u)
+    u.assert_done()
+    return fh, dir_fh, name
+
+
+def pack_link_res(status, attr, dir_after):
+    p = RefPacker()
+    p.pack_enum(status)
+    pack_post_op_attr(p, attr)
+    pack_wcc_data(p, dir_after)
+    return p.get_bytes()
+
+
+def unpack_link_res(data):
+    u = RefUnpacker(data)
+    status = u.unpack_enum()
+    return status, unpack_post_op_attr(u), unpack_wcc_data(u)
+
+
+def pack_readdir_args(dir_fh, cookie=0, cookieverf=b"\x00" * 8, count=8192, plus=False,
+                      maxcount=32768):
+    p = RefPacker()
+    pack_fh(p, dir_fh)
+    p.pack_uhyper(cookie)
+    p.pack_fopaque(8, cookieverf)
+    if plus:
+        p.pack_uint(count)
+        p.pack_uint(maxcount)
+    else:
+        p.pack_uint(count)
+    return p.get_bytes()
+
+
+def unpack_readdir_args(data, plus=False):
+    u = RefUnpacker(data)
+    fh = unpack_fh(u)
+    cookie = u.unpack_uhyper()
+    verf = u.unpack_fopaque(8)
+    count = u.unpack_uint()
+    if plus:
+        u.unpack_uint()
+    u.assert_done()
+    return fh, cookie, verf, count
+
+
+def pack_readdir_res(status, dir_attr, entries, eof, plus=False, cookieverf=b"\x00" * 8):
+    p = RefPacker()
+    p.pack_enum(status)
+    pack_post_op_attr(p, dir_attr)
+    if status != NfsStatus.OK:
+        return p.get_bytes()
+    p.pack_fopaque(8, cookieverf)
+
+    def pack_entry(e):
+        p.pack_uhyper(e.fileid)
+        p.pack_string(e.name)
+        p.pack_uhyper(e.cookie)
+        if plus:
+            pack_post_op_attr(p, e.attr)
+            p.pack_optional(e.handle, lambda f: pack_fh(p, f))
+
+    p.pack_list(entries, pack_entry)
+    p.pack_bool(eof)
+    return p.get_bytes()
+
+
+def unpack_readdir_res(data, plus=False):
+    u = RefUnpacker(data)
+    status = u.unpack_enum()
+    dir_attr = unpack_post_op_attr(u)
+    if status != NfsStatus.OK:
+        return status, dir_attr, [], True
+    u.unpack_fopaque(8)
+
+    def unpack_entry():
+        fileid = u.unpack_uhyper()
+        name = u.unpack_string(max_len=255)
+        cookie = u.unpack_uhyper()
+        attr = None
+        handle = None
+        if plus:
+            attr = unpack_post_op_attr(u)
+            handle = u.unpack_optional(lambda: unpack_fh(u))
+        return DirEntry(fileid, name, cookie, attr, handle)
+
+    entries = u.unpack_list(unpack_entry, max_len=100_000)
+    eof = u.unpack_bool()
+    return status, dir_attr, entries, eof
+
+
+def pack_fsstat_res(status, attr, tbytes, fbytes, files):
+    p = RefPacker()
+    p.pack_enum(status)
+    pack_post_op_attr(p, attr)
+    if status == NfsStatus.OK:
+        p.pack_uhyper(tbytes)
+        p.pack_uhyper(fbytes)
+        p.pack_uhyper(fbytes)  # abytes == fbytes (no reservation)
+        p.pack_uhyper(files)
+        p.pack_uhyper(files)
+        p.pack_uhyper(files)
+        p.pack_uint(0)  # invarsec
+    return p.get_bytes()
+
+
+def unpack_fsstat_res(data):
+    u = RefUnpacker(data)
+    status = u.unpack_enum()
+    unpack_post_op_attr(u)
+    if status != NfsStatus.OK:
+        return status, 0, 0, 0
+    tbytes = u.unpack_uhyper()
+    fbytes = u.unpack_uhyper()
+    u.unpack_uhyper()
+    files = u.unpack_uhyper()
+    return status, tbytes, fbytes, files
+
+
+def pack_fsinfo_res(status, attr, rtmax, wtmax):
+    p = RefPacker()
+    p.pack_enum(status)
+    pack_post_op_attr(p, attr)
+    if status == NfsStatus.OK:
+        p.pack_uint(rtmax)
+        p.pack_uint(rtmax)
+        p.pack_uint(4096)
+        p.pack_uint(wtmax)
+        p.pack_uint(wtmax)
+        p.pack_uint(4096)
+        p.pack_uint(rtmax)  # dtpref
+        p.pack_uhyper(2**63 - 1)  # maxfilesize
+        _pack_time(p, 0.001)  # time_delta
+        p.pack_uint(0x1B)  # properties: LINK|SYMLINK|HOMOGENEOUS|CANSETTIME
+    return p.get_bytes()
+
+
+def unpack_fsinfo_res(data):
+    u = RefUnpacker(data)
+    status = u.unpack_enum()
+    unpack_post_op_attr(u)
+    if status != NfsStatus.OK:
+        return status, 0, 0
+    rtmax = u.unpack_uint()
+    u.unpack_uint()
+    u.unpack_uint()
+    wtmax = u.unpack_uint()
+    return status, rtmax, wtmax
+
+
+def pack_pathconf_res(status, attr, linkmax, name_max, no_trunc, chown_restricted,
+                      case_insensitive, case_preserving):
+    """The OK arm as nfsd packed it field by field; a failure carries the
+    status and the attributes, as every other result does."""
+    p = RefPacker()
+    p.pack_enum(status)
+    pack_post_op_attr(p, attr)
+    if status == NfsStatus.OK:
+        p.pack_uint(linkmax)
+        p.pack_uint(name_max)
+        p.pack_bool(no_trunc)
+        p.pack_bool(chown_restricted)
+        p.pack_bool(case_insensitive)
+        p.pack_bool(case_preserving)
+    return p.get_bytes()
+
+
+def unpack_pathconf_res(data):
+    u = RefUnpacker(data)
+    status = u.unpack_enum()
+    attr = unpack_post_op_attr(u)
+    if status != NfsStatus.OK:
+        return status, attr, 0, 0, False, False, False, False
+    linkmax = u.unpack_uint()
+    name_max = u.unpack_uint()
+    bools = [u.unpack_bool() for _ in range(4)]
+    return (status, attr, linkmax, name_max, *bools)
+
+
+def pack_commit_args(fh, offset=0, count=0):
+    return pack_read_args(fh, offset, count)  # the same layout
+
+
+def unpack_commit_args(data):
+    return unpack_read_args(data)
+
+
+def pack_commit_res(status, after, verf=b"\x00" * 8):
+    p = RefPacker()
+    p.pack_enum(status)
+    pack_wcc_data(p, after)
+    if status == NfsStatus.OK:
+        p.pack_fopaque(8, verf)
+    return p.get_bytes()
+
+
+def unpack_commit_res(data):
+    u = RefUnpacker(data)
+    status = u.unpack_enum()
+    after = unpack_wcc_data(u)
+    verf = u.unpack_fopaque(8) if status == NfsStatus.OK else b""
+    return status, after, verf
+
+
+def error_result(proc, status):
+    """nfsd's per-family error encodings.  FSSTAT, FSINFO and PATHCONF
+    carry their attributes too: a bare status is not a result their
+    decoders read."""
+    if proc in (Proc.GETATTR,):
+        return pack_getattr_res(status, None)
+    if proc in (Proc.SETATTR,):
+        return pack_setattr_res(status, None)
+    if proc in (Proc.LOOKUP,):
+        return pack_lookup_res(status, None, None, None)
+    if proc in (Proc.ACCESS,):
+        return pack_access_res(status, None, 0)
+    if proc in (Proc.READLINK,):
+        return pack_readlink_res(status, None, "")
+    if proc in (Proc.READ,):
+        return pack_read_res(status, None)
+    if proc in (Proc.WRITE,):
+        return pack_write_res(status, None, 0, 0, b"")
+    if proc in (Proc.CREATE, Proc.MKDIR, Proc.SYMLINK, Proc.MKNOD):
+        return pack_create_res(status, None, None, None)
+    if proc in (Proc.REMOVE, Proc.RMDIR):
+        return pack_remove_res(status, None)
+    if proc in (Proc.RENAME,):
+        return pack_rename_res(status, None, None)
+    if proc in (Proc.LINK,):
+        return pack_link_res(status, None, None)
+    if proc in (Proc.READDIR, Proc.READDIRPLUS):
+        return pack_readdir_res(status, None, [], True)
+    if proc in (Proc.COMMIT,):
+        return pack_commit_res(status, None)
+    if proc in (Proc.FSSTAT,):
+        return pack_fsstat_res(status, None, 0, 0, 0)
+    if proc in (Proc.FSINFO,):
+        return pack_fsinfo_res(status, None, 0, 0)
+    return pack_pathconf_res(status, None, 0, 0, False, False, False, False)

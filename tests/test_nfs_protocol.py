@@ -1,10 +1,12 @@
 """NFSv3 wire codecs: roundtrips for every procedure's args/results."""
 
+import inspect
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.nfs import protocol as pr
-from repro.nfs.protocol import Fattr3, FileHandle, NfsStatus, Sattr3
+from repro.nfs.protocol import DirEntry, Fattr3, FileHandle, NfsStatus, Proc, Sattr3
 from repro.xdr import Packer, Unpacker, XdrError
 from tests import _reference_codec as ref
 from tests._reference_codec import RefPacker, RefUnpacker, outcome
@@ -414,13 +416,109 @@ def test_write_res_verifier_must_be_eight_bytes():
             == ("error", XdrError)
 
 
+# -- the codec table, row by row, against the reference ------------------------
+
+# short names, and names past NAME's 255-byte decode limit (PATH has none)
+NAMES = st.one_of(st.text(max_size=20),
+                  st.text(alphabet="\U0001f600", min_size=64, max_size=70))
+MAYBE = lambda strategy: st.one_of(st.none(), strategy)  # noqa: E731
+SATTRS = st.builds(Sattr3, MAYBE(U32), MAYBE(U32), MAYBE(U32), MAYBE(U64),
+                   MAYBE(TIMES), MAYBE(TIMES))
+VERFS = st.binary(min_size=8, max_size=8)
+#: one strategy per field kind
+KIND_STRATEGIES = {
+    pr.STATUS: STATUSES, pr.U32: U32, pr.I32: I32, pr.U64: U64, pr.BOOL: st.booleans(),
+    pr.FH: HANDLES, pr.ATTR: ATTRS, pr.POST_OP_ATTR: MAYBE_ATTRS,
+    pr.WCC_DATA: MAYBE_ATTRS, pr.POST_OP_FH: MAYBE(HANDLES), pr.NAME: NAMES,
+    pr.PATH: NAMES, pr.VERF: VERFS, pr.SATTR: SATTRS, pr.DATA: PAYLOADS,
+}
+#: decoders that take a flag, each way
+FLAGGED = {"readdir_args": ({"plus": False}, {"plus": True}),
+           "readdir_res": ({"plus": False}, {"plus": True})}
+#: the bodies written by hand, with their arguments' strategies
+HAND = {
+    "create_args": (HANDLES, NAMES, SATTRS,
+                    st.one_of(st.sampled_from([pr.UNCHECKED, pr.GUARDED, pr.EXCLUSIVE]), I32)),
+    "readdir_args": (HANDLES, U64, VERFS, U32, st.booleans(), U32),
+    "readdir_res": (STATUSES, MAYBE_ATTRS, st.lists(st.builds(
+        DirEntry, U64, NAMES, U64, MAYBE_ATTRS, MAYBE(HANDLES)), max_size=3),
+        st.booleans(), st.booleans(), VERFS),
+    "fsstat_res": (STATUSES, MAYBE_ATTRS, U64, U64, U64),
+    "fsinfo_res": (STATUSES, MAYBE_ATTRS, U32, U32),
+}
+DECODERS = [(row.name, kw) for row in pr.ROWS for kw in FLAGGED.get(row.name, ({},))] \
+    + [(name, kw) for name in ("create_args", "readdir_args")
+       for kw in FLAGGED.get(name, ({},))]
+
+
+#: what :func:`_same` writes over one word of an encoding
+WORDS = st.sampled_from([0, 1, 2, 8, 255, 256, 2**31, 2**32 - 1])
+#: a quarter of the profile's examples per row: 25 under the default
+#: profile (tier-1), 250 under ``--hypothesis-profile=wide`` (CI)
+PER_ROW = settings(max_examples=max(settings.default.max_examples // 4, 1))
+
+
+def _same(name, args, word):
+    """The encoder's outcome is the reference's; so is the decoder's, on
+    the bytes, on every prefix of them, and with ``word`` written over
+    each of their words in turn."""
+    new_pack, ref_pack = getattr(pr, "pack_" + name), getattr(ref, "pack_" + name)
+    assert outcome(new_pack, *args) == outcome(ref_pack, *args)
+    data = ref_pack(*args)
+    word = word.to_bytes(4, "big")
+    samples = [data[:k] for k in range(len(data) + 1)]
+    samples += [data[:i] + word + data[i + 4:] for i in range(0, len(data), 4)]
+    for kw in FLAGGED.get(name, ({},)):
+        new_unpack = lambda b: getattr(pr, "unpack_" + name)(b, **kw)  # noqa: E731
+        ref_unpack = lambda b: getattr(ref, "unpack_" + name)(b, **kw)  # noqa: E731
+        for sample in samples:
+            assert outcome(new_unpack, sample) == outcome(ref_unpack, sample), (kw, sample)
+
+
+def test_every_row_has_a_reference_and_a_strategy():
+    for row in pr.ROWS:
+        assert callable(getattr(ref, "pack_" + row.name)), row.name
+        assert callable(getattr(ref, "unpack_" + row.name)), row.name
+        for field in row.wire:
+            assert field.name.startswith("_") or field.kind in KIND_STRATEGIES, \
+                (row.name, field.name)
+    assert {row.name for row in pr.ROWS if row.hand} <= set(HAND)
+
+
+@pytest.mark.parametrize("row", [r for r in pr.ROWS if not r.hand], ids=lambda r: r.name)
+@PER_ROW
+@given(data=st.data(), word=WORDS)
+def test_row_matches_reference(row, data, word):
+    """Each parameter of the row's encoder drawn by its field's kind."""
+    kinds = {f.name: f.kind for f in row.wire}
+    params = inspect.signature(getattr(pr, "pack_" + row.name)).parameters
+    args = [data.draw(KIND_STRATEGIES[kinds[p]], label=p) for p in params]
+    _same(row.name, args, word)
+
+
+@pytest.mark.parametrize("name", sorted(HAND))
+@PER_ROW
+@given(data=st.data(), word=WORDS)
+def test_hand_written_body_matches_reference(name, data, word):
+    _same(name, [data.draw(s) for s in HAND[name]], word)
+
+
+@pytest.mark.parametrize("proc", [p for p in Proc if p != Proc.NULL], ids=lambda p: p.name)
+def test_error_result_is_the_failure_arm_its_decoder_reads(proc):
+    """Every procedure's failure arm — FSSTAT, FSINFO and PATHCONF with
+    the attributes their decoders read, as RFC 1813 lays them out."""
+    decode = getattr(pr, f"unpack_{pr._SAME_RESULT.get(proc, proc).name.lower()}_res")
+    for status in (NfsStatus.NOENT, NfsStatus.STALE, NfsStatus.NOTSUPP):
+        body = pr.error_result(proc, status)
+        assert body == ref.error_result(proc, status)
+        assert decode(body)[0] == status
+
+
 @given(st.binary(max_size=200))
 def test_decoders_match_reference_on_garbage(data):
-    for name in ("getattr_args", "getattr_res", "lookup_args", "lookup_res",
-                 "access_args", "access_res", "read_args", "read_res",
-                 "write_args", "write_res"):
+    for name, kw in DECODERS:
         new, old = getattr(pr, "unpack_" + name), getattr(ref, "unpack_" + name)
-        assert outcome(new, data) == outcome(old, data), name
+        assert outcome(lambda b: new(b, **kw), data) == outcome(lambda b: old(b, **kw), data), name
 
 
 @given(ATTRS, st.binary(max_size=12))

@@ -1,9 +1,9 @@
-"""Bottleneck attribution (repro.obs.profile) and bench-diff.
+"""Bottleneck attribution (repro.obs.profile) and snapshot flattening.
 
 Covers the span geometry (self-segments, critical path), the flame
 export, the full report on a profiled run (including byte-identical
 determinism), the sync-layer lock-wait export, fleet span namespacing,
-and the bench-diff comparator + its CLI.
+and the dotted-path flattening of stats snapshots.
 """
 
 from __future__ import annotations
@@ -17,13 +17,7 @@ import pytest
 from repro.cli import main
 from repro.harness import run_iozone
 from repro.obs import Registry, SpanTracer
-from repro.obs.benchdiff import (
-    bench_diff,
-    direction_of,
-    flatten,
-    format_diff,
-    has_regression,
-)
+from repro.obs.benchdiff import flatten
 from repro.obs.profile import (
     build_report,
     collapsed_stacks,
@@ -392,7 +386,7 @@ def test_profile_not_attached_unless_requested():
     assert r.profile is None
 
 
-# -- bench-diff ---------------------------------------------------------------
+# -- flatten ------------------------------------------------------------------
 
 
 def test_flatten_paths_dicts_and_lists():
@@ -400,63 +394,7 @@ def test_flatten_paths_dicts_and_lists():
     assert flatten(doc) == {"a": 3, "b[0]": 1, "b[1].c": 2}
 
 
-def test_direction_heuristics():
-    assert direction_of("fleet.events_per_sec") == 1  # beats 'events...'
-    assert direction_of("rpc.latency.p99") == -1
-    assert direction_of("cache.hits") == 1
-    assert direction_of("something.odd") == 0
-
-
-def test_bench_diff_verdicts():
-    base = {"lat_p50": 1.0, "hits": 10, "odd": 5.0, "gone": 1,
-            "same": "x", "kind": "a"}
-    cur = {"lat_p50": 2.0, "hits": 20, "odd": 6.0, "new": 2,
-           "same": "x", "kind": "b"}
-    by_path = {e.path: e for e in bench_diff(base, cur)}
-    assert by_path["lat_p50"].verdict == "regressed"
-    assert by_path["hits"].verdict == "improved"
-    assert by_path["odd"].verdict == "changed"  # unknown direction
-    assert by_path["gone"].verdict == "removed"
-    assert by_path["new"].verdict == "added"
-    assert by_path["same"].verdict == "ok"
-    assert by_path["kind"].verdict == "changed"
-    assert has_regression(by_path.values())
-
-
-def test_bench_diff_tolerance_and_globs():
-    base = {"a_seconds": 100.0, "b_seconds": 100.0}
-    cur = {"a_seconds": 104.0, "b_seconds": 120.0}
-    entries = bench_diff(base, cur)
-    assert [e.verdict for e in entries] == ["ok", "regressed"]
-    assert [e.path for e in bench_diff(base, cur, only=["a_*"])] == ["a_seconds"]
-    assert not has_regression(bench_diff(base, cur, ignore=["b_*"]))
-    assert not has_regression(bench_diff(base, cur, tolerance=0.5))
-
-
-def test_format_diff_header_and_lines():
-    text = format_diff(bench_diff({"x_seconds": 1.0}, {"x_seconds": 10.0}))
-    assert text.startswith("bench-diff: 1 metrics compared")
-    assert "regressed" in text and "+900.0%" in text
-
-
 # -- CLI ----------------------------------------------------------------------
-
-
-def test_cli_bench_diff_exit_codes(tmp_path):
-    import io
-
-    base = tmp_path / "b.json"
-    cur = tmp_path / "c.json"
-    base.write_text(json.dumps({"x": {"wall_seconds": 1.0}}))
-    cur.write_text(json.dumps({"x": {"wall_seconds": 2.0}}))
-    out = io.StringIO()
-    assert main(["bench-diff", str(base), str(cur)], out=out) == 1
-    assert "regressed" in out.getvalue()
-    out = io.StringIO()
-    assert main(["bench-diff", str(base), str(cur),
-                 "--ignore", "*wall*"], out=out) == 0
-    out = io.StringIO()
-    assert main(["bench-diff", str(base), "/nonexistent.json"], out=out) == 2
 
 
 def test_cli_profile_writes_flame_and_json(tmp_path):

@@ -421,3 +421,59 @@ def test_victim_superseded_while_waiting_is_never_written_after_the_newer():
     tb.run(mount.finish())
     assert _server_bytes(tb) == b"".join(blocks)
     assert proxy.stats["writeback_errors"] == 0
+
+
+def test_unaligned_read_sees_the_writes_absorbed_before_it():
+    """Only the server answers a READ that is not one whole block, so the
+    file's absorbed writes are written back first."""
+    tb, mount = cached_mount()
+    proxy = mount.client_proxy
+
+    def job():
+        f = yield from mount.client.open("/u.bin", create=True)
+        yield from _nfs(proxy, Proc.WRITE, pr.pack_write_args(f.fh, 0, _block(0), pr.UNSTABLE))
+        res = yield from _nfs(proxy, Proc.READ, pr.pack_read_args(f.fh, 100, 1000))
+        return pr.unpack_read_res(res)
+
+    status, _attr, got, eof = tb.run(job())
+    assert (status, got, eof) == (pr.NfsStatus.OK, _block(0)[100:1100], False)
+    assert proxy.stats["writeback_blocks"] == 1
+
+
+def test_a_hole_below_the_absorbed_writes_reads_as_zeros():
+    """The server holds nothing of a file written past its end until
+    write-back; a block below the session's size that it returns short
+    is zeros up to that size."""
+    tb, mount = cached_mount()
+    proxy = mount.client_proxy
+
+    def job():
+        f = yield from mount.client.open("/h.bin", create=True)
+        yield from _nfs(proxy, Proc.WRITE,
+                        pr.pack_write_args(f.fh, 2 * BS, _block(2), pr.UNSTABLE))
+        res = yield from _nfs(proxy, Proc.READ, pr.pack_read_args(f.fh, BS, BS))
+        return f.fileid, pr.unpack_read_res(res)
+
+    fileid, (status, attr, got, eof) = tb.run(job())
+    assert (status, got, eof, attr.size) == (pr.NfsStatus.OK, bytes(BS), False, 3 * BS)
+    assert proxy._blocks.state(fileid, 1) == "clean"
+    tb.run(mount.finish())
+    assert bytes(tb.fs.resolve("/h.bin", ROOT).data) == bytes(2 * BS) + _block(2)
+
+
+def test_a_cached_block_written_short_reads_as_zeros_up_to_the_size():
+    """The same hole, over a block cached short: a write past it grew the
+    file, so the READ of the block is whole, not short and not at EOF."""
+    tb, mount = cached_mount()
+    proxy = mount.client_proxy
+
+    def job():
+        f = yield from mount.client.open("/s.bin", create=True)
+        for offset in (0, 3 * BS):
+            yield from _nfs(proxy, Proc.WRITE,
+                            pr.pack_write_args(f.fh, offset, b"x" * 100, pr.UNSTABLE))
+        res = yield from _nfs(proxy, Proc.READ, pr.pack_read_args(f.fh, 0, BS))
+        return pr.unpack_read_res(res)
+
+    status, _attr, got, eof = tb.run(job())
+    assert (status, got, eof) == (pr.NfsStatus.OK, b"x" * 100 + bytes(BS - 100), False)

@@ -6,10 +6,10 @@ or three, so small files evict and are read ahead) and keeps an
 in-memory byte oracle of every file beside it; ``/a`` starts as six
 blocks the server holds:
 
-- READ (at block boundaries, whole or short — the kernel client's
-  pattern; an unaligned READ is forwarded as is) and WRITE (aligned and
-  unaligned, starting at or before EOF), COMMIT, REMOVE, SETATTR(size),
-  RENAME, LINK and ``writeback()``;
+- READ (mostly at block boundaries, whole or short — the kernel
+  client's pattern — and unaligned, which only the server answers) and
+  WRITE (aligned and unaligned, also past EOF, leaving holes), COMMIT,
+  REMOVE, SETATTR(size), RENAME, LINK and ``writeback()``;
 - calls are queued and run back to back, so several start in one
   virtual instant (a WRITE right after the READ that spawned
   read-ahead, say);
@@ -134,7 +134,7 @@ class ProxyModel(RuleBasedStateMachine):
     def write(self, name, block, inner, length, aligned):
         self.create(name)
         fileid, fh, data = self._file(name)
-        start = min(block * BS + (0 if aligned else inner), len(data))
+        start = block * BS + (0 if aligned else inner)
         if aligned:
             start, length = start - start % BS, length - length % BS or BS
         self.writes += 1  # every write's bytes differ from the last's
@@ -147,17 +147,19 @@ class ProxyModel(RuleBasedStateMachine):
 
     @when("read")
     @rule(name=names, first=blocks, n=st.sampled_from([1, 3, 6]),
-          count=st.sampled_from([BS, 1000]))
-    def read(self, name, first, n, count):
-        """READs of ``n`` blocks in a row (read-ahead follows a reader)."""
+          count=st.sampled_from([BS, 1000]), inner=st.sampled_from([0, 0, 100, BS - 1]))
+    def read(self, name, first, n, count, inner=0):
+        """READs of ``n`` blocks in a row (read-ahead follows a reader),
+        each ``inner`` bytes into its block."""
         fileid, fh, data = self._file(name)
         for block in range(first, first + n) if fileid is not None else ():
-            want = bytes(data[block * BS:block * BS + count])
+            start = block * BS + inner
+            want = bytes(data[start:start + count])
 
-            def check(res, block=block, want=want):
+            def check(res, start=start, want=want):
                 status, _attr, got, _eof = pr.unpack_read_res(res)
-                assert status == NfsStatus.OK and got == want, (name, block, count)
-            self._call(Proc.READ, pr.pack_read_args(fh, block * BS, count), check)
+                assert status == NfsStatus.OK and got == want, (name, start, count)
+            self._call(Proc.READ, pr.pack_read_args(fh, start, count), check)
 
     @when("read")
     @rule(name=names, first=st.sampled_from(range(4)), ahead=st.sampled_from(range(4)),
