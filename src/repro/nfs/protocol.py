@@ -305,6 +305,22 @@ def unpack_diropargs_prefix(data: bytes) -> Tuple[FileHandle, str]:
     return FileHandle.unpack(u), u.unpack_string(max_len=255)
 
 
+#: where a WRITE's stable_how word sits in its arguments: after the
+#: handle (always its 20 wire bytes), the offset and the count
+_WRITE_STABLE_AT = FileHandle._WIRE.size + 12
+_UNSTABLE_WORD = struct.pack(">i", UNSTABLE)
+
+
+def unstable_write_args(args: bytes) -> Tuple[FileHandle, bytes]:
+    """A WRITE's file handle, and its arguments re-marked UNSTABLE.
+
+    The stable_how word is patched, not the arguments re-encoded, so the
+    payload is copied once and never unpacked."""
+    fh = FileHandle.unpack(Unpacker(args))
+    at = _WRITE_STABLE_AT
+    return fh, b"".join((args[:at], _UNSTABLE_WORD, memoryview(args)[at + 4:]))
+
+
 def read_ok(reply, unpack, **kwargs):
     """The one way a hop reads an upstream reply it relays: the
     ``unpack_*_res`` tuple when ``reply`` is an accepted SUCCESS whose

@@ -134,14 +134,15 @@ class BlockCache:
 
     def _bytes(self, key: Tuple[int, int]):
         row = self._rows.get(key)
+        if row is not None and row.data is not None:
+            self._rows.move_to_end(key)
+            yield from self.disk_read(len(row.data))
+            # the bytes as they stand after the read: a write served
+            # meanwhile (a non-blocking proxy) is in them
+            row = self._rows.get(key)
         if row is None:
             return None
-        data = row.data
-        if data is None:
-            return row.wire
-        self._rows.move_to_end(key)
-        yield from self.disk_read(len(data))
-        return data
+        return row.wire if row.data is None else row.data
 
     def read(self, fileid: int, block: int):
         """Process generator — READ's question: the block's bytes (cached,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from typing import Callable, List, Optional
 
 from repro.nfs import protocol as pr
@@ -29,6 +30,7 @@ from repro.tls.channel import client_handshake
 
 #: bulk data procedures — the traffic round-robined across channels
 _BULK_PROCS = frozenset((int(pr.Proc.READ), int(pr.Proc.WRITE)))
+_WRITE, _COMMIT = int(pr.Proc.WRITE), int(pr.Proc.COMMIT)
 
 #: EWMA gain for the per-session RTT estimators (RFC 6298's 1/8)
 _RTT_ALPHA = 0.125
@@ -61,6 +63,21 @@ def dialer(sim: Simulator, host, target: str, port: int, security=None):
         ))
 
     return dial
+
+
+def _committed(handles, replies, files) -> bool:
+    """Whether a two-phase batch is durable: each file's COMMIT (the
+    replies past the WRITEs', in ``files`` order) is OK, with the
+    verifier of every WRITE to it that succeeded (``handles`` names
+    each WRITE's file)."""
+    verf = {}
+    for fh, reply in zip(files, replies[len(handles):]):
+        res = pr.read_ok(reply, pr.unpack_commit_res)
+        if res is None:
+            return False
+        verf[fh] = res[2]
+    writes = (pr.read_ok(reply, pr.unpack_write_res) for reply in replies)
+    return all(res is None or res[4] == verf.get(fh) for fh, res in zip(handles, writes))
 
 
 class _Channel:
@@ -244,16 +261,44 @@ class UpstreamSession:
 
     def forward_batch(self, calls: List[CallMessage], channel: int = 0):
         """Process generator: many calls, one compound round trip
-        (:mod:`repro.rpc.compound`).  Member xids and records are fixed
-        *before* the envelope first goes out, so a retransmitted
-        envelope replays byte-identical members to the server-side DRC.
-        Returns one ``Optional[ReplyMessage]`` per member, in call order
-        (``None`` when the server could not decode or answer it)."""
+        (:mod:`repro.rpc.compound`).  Returns one
+        ``Optional[ReplyMessage]`` per call, in call order (``None`` when
+        the server could not decode or answer it).  A batch of WRITEs
+        is written in two phases (:meth:`_write_batch`)."""
         if len(calls) == 1:
             # a single call needs no envelope; whether its round trip is
             # an RTT sample is for the burst to say (see :meth:`burst`)
             return [(yield from self.forward(calls[0], channel=channel,
                                              sample=False))]
+        if all(c.prog == pr.NFS_PROGRAM and c.proc == _WRITE for c in calls):
+            return (yield from self._write_batch(calls, channel))
+        return (yield from self._envelope(calls, channel))
+
+    def _write_batch(self, calls: List[CallMessage], channel: int):
+        """Process generator: WRITEs in two phases (RFC 1813 §3.3.21), in
+        one envelope: the WRITEs UNSTABLE, then one COMMIT per file.  The
+        server proxy runs members in list order, so each COMMIT covers
+        the WRITEs before it.  Their replies are returned only if every
+        COMMIT is OK with the verifier of its file's WRITEs; otherwise
+        the server may have lost them (a reboot in between) and the
+        calls are sent again as given, ``FILE_SYNC``."""
+        handles, unstable, files = [], [], {}
+        for call in calls:
+            fh, args = pr.unstable_write_args(call.args)
+            handles.append(fh)
+            unstable.append(replace(call, args=args))
+            if fh not in files:
+                files[fh] = replace(call, proc=_COMMIT, args=pr.pack_commit_args(fh))
+        replies = yield from self._envelope(unstable + list(files.values()), channel)
+        if _committed(handles, replies, files):
+            return replies[:len(calls)]
+        return (yield from self._envelope(calls, channel))
+
+    def _envelope(self, calls: List[CallMessage], channel: int):
+        """Process generator: the calls as one compound envelope.  Member
+        xids and records are fixed *before* the envelope first goes
+        out, so a retransmitted envelope replays byte-identical members
+        to the server-side DRC."""
         members = [
             CallMessage(
                 self._next_xid(), call.prog, call.vers, call.proc,

@@ -241,6 +241,59 @@ def test_drop_mid_read_same_seed_bit_identical():
     assert a.stats["faults"]["dropped"] > 0
 
 
+# -- two-phase write-back: durable when the burst lands ----------------------
+
+
+@pytest.mark.parametrize("servers", [1, 2])
+def test_landed_write_back_leaves_nothing_uncommitted(monkeypatch, servers):
+    """A 4-stream cached IOzone write/read, on one server (the file four
+    times the cache, so write-behind runs) and as a 2-server grid fleet:
+    whenever no write-back is in flight, and at teardown, no nfsd holds
+    UNSTABLE data a COMMIT has not covered.  The single mount writes in
+    two phases; the grid's per-call legs write only FILE_SYNC."""
+    from repro.harness import run_workload
+    from repro.nfs import protocol as pr
+    from repro.nfs.server import NfsServerProgram
+    from repro.proxy.client_proxy import SgfsClientProxy
+    from repro.workloads.iozone import IOzoneWriteRead
+
+    nfsds, stables, checks = set(), [], []
+    in_flight = [0]
+    op_write, window = NfsServerProgram._op_write, SgfsClientProxy._writeback_window
+
+    def uncommitted():
+        return any(any(nfsd._dirty.values()) for nfsd in nfsds)
+
+    def recording_write(self, args, cred):
+        nfsds.add(self)
+        stables.append(pr.unpack_write_args(args)[2])
+        return (yield from op_write(self, args, cred))
+
+    def checked_window(self, items):
+        in_flight[0] += 1
+        try:
+            yield from window(self, items)
+        finally:
+            in_flight[0] -= 1
+        if not in_flight[0]:
+            checks.append(uncommitted())
+
+    monkeypatch.setattr(NfsServerProgram, "_op_write", recording_write)
+    monkeypatch.setattr(SgfsClientProxy, "_writeback_window", checked_window)
+    if servers == 1:
+        run_workload("sgfs-aes", lambda: IOzoneWriteRead(file_size=64 * BS),
+                     rtt=0.04, setup_kwargs={"disk_cache": True, "streams": 4,
+                                             "cache_capacity": 16 * BS})
+        assert pr.UNSTABLE in stables
+    else:
+        run_fleet("sgfs-aes", lambda: IOzoneWriteRead(file_size=16 * BS),
+                  clients=2, rtt=0.04, servers=2, streams=4,
+                  setup_kwargs={"disk_cache": True})
+        assert stables and pr.UNSTABLE not in stables
+    assert checks and not any(checks)
+    assert not uncommitted()
+
+
 # -- the engine actually pays its way ----------------------------------------
 
 
@@ -420,6 +473,40 @@ def test_write_in_the_instant_read_ahead_starts_is_not_overwritten():
     assert bytes(tb.fs.resolve("/a.bin", ROOT).data) == expected
     assert proxy.stats["writeback_errors"] == 0
     assert tb.sim.unobserved_deaths() == []
+
+
+def test_concurrent_unaligned_writes_to_one_block_both_survive():
+    """Two 10-byte WRITEs into one cached block, served at once by a
+    non-blocking proxy: each merges over the block's bytes as they stand
+    after its cache-disk read, so the second keeps the first's bytes."""
+    from repro.nfs import protocol as pr
+    from repro.rpc.messages import CallMessage
+
+    tb = Testbed.build(rtt=0.04)
+    mount = setup_sgfs(tb, disk_cache=True, streams=4, blocking=False)
+    proxy = mount.client_proxy
+
+    def write(fh, offset, data):
+        call = CallMessage(1, pr.NFS_PROGRAM, pr.NFS_V3, int(pr.Proc.WRITE),
+                           cred=proxy._session_cred,
+                           args=pr.pack_write_args(fh, offset, data, pr.UNSTABLE))
+        yield from proxy._execute(call)
+
+    def job():
+        f = yield from mount.client.open("/u.bin", create=True)
+        yield from write(f.fh, 0, b"A" * BS)
+        both = [tb.sim.spawn(write(f.fh, 10, b"B" * 10)),
+                tb.sim.spawn(write(f.fh, 100, b"C" * 10))]
+        for proc in both:
+            yield proc
+        got = yield from _read_block(proxy, f.fh, 0)
+        yield from mount.finish()
+        return got
+
+    expected = bytearray(b"A" * BS)
+    expected[10:20], expected[100:110] = b"B" * 10, b"C" * 10
+    assert tb.run(job()) == expected
+    assert bytes(tb.fs.resolve("/u.bin", ROOT).data) == expected
 
 
 def test_read_ahead_never_swallows_a_failed_write_behind():

@@ -20,11 +20,14 @@ REFUSED = "refused"
 
 class ScriptedTransport:
     """One fake connection.  ``answers`` decides whether the far end
-    replies; :meth:`die` makes the reader see the peer close."""
+    replies, ``far`` (a :class:`FarNfs`, else every call is answered
+    ``b"ok"``) what it replies; :meth:`die` makes the reader see the
+    peer close."""
 
-    def __init__(self, sim, answers=True):
+    def __init__(self, sim, answers=True, far=None):
         self.sim = sim
         self.answers = answers
+        self.far = far
         self.sent = []
         self.closed = False
         self._inbox = []
@@ -36,7 +39,7 @@ class ScriptedTransport:
     def send_record(self, record):
         self.sent.append(record)
         if self.answers:
-            self._deliver(_reply_to(record))
+            self._deliver(_reply_to(record, self.far))
 
     def recv_record(self):
         while not self._inbox:
@@ -56,14 +59,57 @@ class ScriptedTransport:
             self._waiter.succeed(None)
 
 
-def _reply_to(record: bytes) -> bytes:
+def _reply_to(record: bytes, far=None) -> bytes:
+    def results(call):
+        return b"ok" if far is None else far.execute(call)
+
     call = CallMessage.decode(record)
     if call.prog != COMPOUND_PROGRAM:
-        return ReplyMessage(xid=call.xid, results=b"ok").encode()
+        return ReplyMessage(xid=call.xid, results=results(call)).encode()
+    # members run in list order, as the server proxy runs them
     members = [CallMessage.decode(m) for m in unpack_members(call.args)]
     return ReplyMessage(xid=call.xid, results=pack_members(
-        [ReplyMessage(xid=m.xid, results=b"ok").encode() for m in members]
+        [ReplyMessage(xid=m.xid, results=results(m)).encode() for m in members]
     )).encode()
+
+
+class FarNfs:
+    """A far end that runs WRITE and COMMIT over in-memory files.
+
+    UNSTABLE data is applied at once but stays volatile until a COMMIT;
+    each COMMIT answers the next of ``reboots``' verifiers if any is
+    left — a reboot in between: the volatile data is lost first — else
+    :data:`VERF`, the verifier every WRITE carries.  ``log`` records
+    each call run as ``(proc, stable or None, fileid, offset)``."""
+
+    VERF = b"bootone0"
+
+    def __init__(self, reboots=()):
+        self.files = {}
+        self.volatile = {}  # fileid -> the bytes before its uncommitted writes
+        self.reboots = list(reboots)
+        self.log = []
+
+    def execute(self, call) -> bytes:
+        if call.proc == int(pr.Proc.WRITE):
+            fh, offset, stable, data = pr.unpack_write_args(call.args)
+            self.log.append(("WRITE", stable, fh.fileid, offset))
+            store = self.files.setdefault(fh.fileid, bytearray())
+            if stable == pr.UNSTABLE:
+                self.volatile.setdefault(fh.fileid, bytes(store))
+            store[len(store):offset] = bytes(max(0, offset - len(store)))
+            store[offset:offset + len(data)] = data
+            return pr.pack_write_res(pr.NfsStatus.OK, None, len(data), stable, self.VERF)
+        fh, _offset, _count = pr.unpack_commit_args(call.args)
+        self.log.append(("COMMIT", None, fh.fileid, 0))
+        verf = self.VERF
+        if self.reboots:
+            verf = self.reboots.pop(0)
+            for fileid, before in self.volatile.items():
+                self.files[fileid] = bytearray(before)
+            self.volatile.clear()
+        self.volatile.pop(fh.fileid, None)
+        return pr.pack_commit_res(pr.NfsStatus.OK, None, verf)
 
 
 class Dialer:
@@ -72,9 +118,10 @@ class Dialer:
     whether that connection's far end answers, or ``REFUSED`` for a
     dial whose handshake the server refuses."""
 
-    def __init__(self, sim, script=()):
+    def __init__(self, sim, script=(), far=None):
         self.sim = sim
         self.script = list(script)
+        self.far = far
         self.dials = []
         self.transports = []
 
@@ -85,13 +132,13 @@ class Dialer:
         self.dials.append((start, self.sim.now))
         if answers is REFUSED:
             raise HandshakeError("refused")
-        self.transports.append(ScriptedTransport(self.sim, answers))
+        self.transports.append(ScriptedTransport(self.sim, answers, self.far))
         return self.transports[-1]
 
 
-def _session(streams=1, script=()):
+def _session(streams=1, script=(), far=None):
     sim = Simulator()
-    dialer = Dialer(sim, script)
+    dialer = Dialer(sim, script, far)
     up = UpstreamSession(sim, dialer, streams=streams, retry_base=0.25)
     sim.run_until_complete(sim.spawn(up.connect()))
     return sim, dialer, up
@@ -260,6 +307,119 @@ def test_only_a_burst_of_one_call_feeds_the_bulk_estimator():
     assert up.srtt_bulk == 0.085
     sim.run_until_complete(sim.spawn(up.burst([_read_call()])))
     assert up.srtt_bulk < 0.085  # the scripted far end answers at once
+
+
+# -- two-phase write-back: a share of WRITEs is UNSTABLE + COMMIT ------------
+
+BS = 32768
+
+
+def _write_call(fileid, block, fill):
+    fh = pr.FileHandle(fsid=1, fileid=fileid, generation=0)
+    return CallMessage(0x99, pr.NFS_PROGRAM, pr.NFS_V3, int(pr.Proc.WRITE),
+                       args=pr.pack_write_args(fh, block * BS, bytes([fill]) * BS,
+                                               pr.FILE_SYNC))
+
+
+def _sent_calls(record):
+    """The calls one sent record carries: an envelope's members, or itself."""
+    call = CallMessage.decode(record)
+    if call.prog != COMPOUND_PROGRAM:
+        return [call]
+    return [CallMessage.decode(m) for m in unpack_members(call.args)]
+
+
+def _as(call, stable):
+    fh, offset, _stable, data = pr.unpack_write_args(call.args)
+    return pr.pack_write_args(fh, offset, data, stable)
+
+
+def test_a_share_of_writes_is_unstable_members_then_a_commit_per_file():
+    """Call i rides channel i % 2: channel 0's share writes file 5 only,
+    channel 1's files 6 then 5.  Each share is one envelope: its WRITEs
+    re-marked UNSTABLE, payloads untouched, then one COMMIT per file in
+    first-write order."""
+    far = FarNfs()
+    sim, dialer, up = _session(streams=2, far=far)
+    calls = [_write_call(5, 0, 1), _write_call(6, 0, 2), _write_call(5, 1, 3),
+             _write_call(6, 1, 4), _write_call(5, 2, 5), _write_call(5, 3, 6)]
+    replies = sim.run_until_complete(sim.spawn(up.burst(calls)))
+    shares = [_sent_calls(record) for t in dialer.transports for record in t.sent]
+    assert len(shares) == 2  # one envelope per channel, no re-send
+    for share, mine in zip(shares, (calls[0::2], calls[1::2])):
+        writes, commits = share[:len(mine)], share[len(mine):]
+        assert [w.args for w in writes] == [_as(c, pr.UNSTABLE) for c in mine]
+        files = list(dict.fromkeys(
+            pr.unpack_write_args(c.args)[0].fileid for c in mine))
+        assert [c.proc for c in commits] == [int(pr.Proc.COMMIT)] * len(files)
+        assert [pr.unpack_commit_args(c.args)[0].fileid for c in commits] == files
+    # the WRITE replies come back, in call order, and the data is durable
+    assert [pr.unpack_write_res(r.results)[2] for r in replies] == [BS] * 6
+    assert far.volatile == {}
+    assert bytes(far.files[5]) == b"".join(bytes([f]) * BS for f in (1, 3, 5, 6))
+    assert up.stats["compound_members"] == 4 + 1 + 2 + 2
+
+
+def test_a_one_call_share_is_a_bare_file_sync_write():
+    """A lone WRITE, and the one-call shares of a ragged burst (5 calls
+    over 4 channels ride as 2, 1, 1, 1), go out as the caller built
+    them: FILE_SYNC, no envelope, no COMMIT."""
+    far = FarNfs()
+    sim, dialer, up = _session(streams=4, far=far)
+    lone = _write_call(5, 0, 1)
+    sim.run_until_complete(sim.spawn(up.burst([lone])))
+    assert [len(t.sent) for t in dialer.transports] == [1, 0, 0, 0]
+    assert dialer.transports[0].sent[0] == CallMessage(
+        0x7000_0001, lone.prog, lone.vers, lone.proc, args=lone.args).encode()
+    calls = [_write_call(5, b, b) for b in range(1, 6)]
+    sim.run_until_complete(sim.spawn(up.burst(calls)))
+    for t, call in zip(dialer.transports[1:], calls[1:4]):
+        (record,) = t.sent
+        (sent,) = _sent_calls(record)
+        assert CallMessage.decode(record).prog == pr.NFS_PROGRAM
+        assert sent.args == call.args  # still FILE_SYNC
+    assert [p for p, *_rest in far.log].count("COMMIT") == 1  # channel 0's pair
+    assert far.volatile == {}
+
+
+def test_a_commit_with_another_verifier_resends_the_share_file_sync():
+    """The server reboots between the WRITEs and the COMMIT: its COMMIT
+    answers a new verifier and the UNSTABLE data is gone.  The share is
+    sent again FILE_SYNC, and the burst — hence every victim it carries,
+    which leaves the writing state only when the burst returns — ends
+    only once that re-send is answered."""
+    far = FarNfs(reboots=[b"boottwo0"])
+    sim, dialer, up = _session(streams=1, far=far)
+    calls = [_write_call(5, b, b + 1) for b in range(3)]
+    replies = sim.run_until_complete(sim.spawn(up.burst(calls)))
+    first, again = [_sent_calls(r) for r in dialer.transports[0].sent]
+    assert [c.proc for c in first] == [int(pr.Proc.WRITE)] * 3 + [int(pr.Proc.COMMIT)]
+    assert [c.args for c in again] == [c.args for c in calls]
+    assert [stable for _p, stable, *_rest in far.log] == \
+        [pr.UNSTABLE] * 3 + [None] + [pr.FILE_SYNC] * 3
+    # what the burst returns are the FILE_SYNC re-send's replies
+    assert [pr.unpack_write_res(r.results)[3] for r in replies] == [pr.FILE_SYNC] * 3
+    assert bytes(far.files[5]) == b"".join(bytes([b + 1]) * BS for b in range(3))
+
+
+def test_a_dropped_envelope_is_resent_whole_and_applied_once():
+    """Connection 1 swallows the envelope and dies; connection 2 gets
+    the same record — UNSTABLE WRITEs and their COMMIT — and the far
+    end runs each WRITE once and ends with the exact bytes."""
+    far = FarNfs()
+    sim, dialer, up = _session(script=[False, True], far=far)
+    first = dialer.transports[0]
+    calls = [_write_call(5, b, b + 1) for b in range(3)]
+    proc = sim.spawn(up.burst(calls))
+    sim.run(until=sim.now + 0.5)
+    assert len(first.sent) == 1 and far.log == []
+    first.die()
+    sim.run_until_complete(proc)
+    assert dialer.transports[1].sent == first.sent
+    assert far.log == [("WRITE", pr.UNSTABLE, 5, b * BS) for b in range(3)] + \
+        [("COMMIT", None, 5, 0)]
+    assert bytes(far.files[5]) == b"".join(bytes([b + 1]) * BS for b in range(3))
+    assert far.volatile == {}
 
 
 # -- dialer(): the one connect-then-handshake, on a real two-host network ------
