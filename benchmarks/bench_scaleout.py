@@ -21,6 +21,11 @@ gated on it:
   server core; striping spreads block I/O (and its sealing) across the
   backends, and ``grid_ratio_4s_vs_1s`` (must be >= 1.8) is the
   scale-out acceptance number;
+- ``grid-12c-4s-s4`` — ``bench/``'s ``grid-fleet-wr`` geometry (12
+  clients, 4 backends, 2 replicas, 4 streams, 512 KB files): a mount of
+  4 legs x 4 channels, dialed one leg per backend at once, must pay
+  exactly one full handshake per client and backend
+  (``tls_full_handshakes`` == 48);
 - ``authz-1e6`` — the population-scale identity layer: hashed-gridmap
   lookup cost probed at 10^3 and 10^6 entries.  The wall-clock times
   are printed but **not** recorded (they are not virtual-time); what is
@@ -101,6 +106,10 @@ SUITE = "aes-256-cbc-sha1"
 GRID_CLIENTS = 24
 GRID_FILE_SIZE = 1024 * 1024  # per client, written + read + reread
 GRID_BLOCK = 32 * 1024
+#: per-client file of the multi-stream grid row (``bench/``'s
+#: ``grid-fleet-wr`` geometry), small enough that mounting 4 legs x 4
+#: channels is a large share of the makespan
+GRID_S4_FILE_SIZE = 512 * 1024
 
 # WAN transfer engine scenarios: a single large-file session through the
 # caching proxy (prepared server-side, so the first read pass crosses
@@ -204,8 +213,9 @@ def scenarios():
              "mean_client_seconds": operator.attrgetter("mean_client_seconds")}
     tls = {f"tls_{name}": stat("tls", name, role="server", suite=SUITE)
            for name in ("handshakes", "full_handshakes", "resumptions")}
-    aes = {**fleet, "tls_full_handshakes": tls["tls_full_handshakes"],
-           "tls_resumptions": tls["tls_resumptions"]}
+    tls_split = {f"tls_{name}": tls[f"tls_{name}"]
+               for name in ("full_handshakes", "resumptions")}
+    aes = {**fleet, **tls_split}
     grid = {**fleet, **{f"striped_{rw}": stat("grid", f"striped_{rw}")
                         for rw in ("reads", "writes")}}
     churn = {"makespan_virtual_seconds": makespan, **tls,
@@ -228,6 +238,15 @@ def scenarios():
     def aes_row(label, clients, cores, **recorded):
         return (label, run_fleet, "sgfs-aes", _aes_keywords(clients, cores, **recorded),
                 {"clients": clients, "server_cores": cores, **recorded}, aes)
+
+    def grid_row(label, clients, servers, file_size, fields, **recorded):
+        return (label, run_fleet, "sgfs-aes",
+                dict(workload_factory=lambda: IOzoneWriteRead(file_size=file_size),
+                     clients=clients, cal=FAT_LAN, server_cores=1, servers=servers,
+                     grid_block_size=GRID_BLOCK,
+                     setup_kwargs={"cache_bytes": 64 * 1024}, **recorded),
+                {"clients": clients, "servers": servers, "server_cores": 1,
+                 **recorded}, fields)
 
     def churn_row(mode, tickets, **recorded):
         churning = dict(
@@ -271,12 +290,10 @@ def scenarios():
         aes_row("base-8c-1core", 8, 1),
         aes_row("wide-16c-4core", 16, 4),
         aes_row("resume-8c-4core", 8, 4, session_tickets=True, reconnect_interval=0.01),
-        *[(f"grid-24c-{n}s", run_fleet, "sgfs-aes",
-           dict(workload_factory=lambda: IOzoneWriteRead(file_size=GRID_FILE_SIZE),
-                clients=GRID_CLIENTS, cal=FAT_LAN, server_cores=1, servers=n,
-                grid_block_size=GRID_BLOCK, setup_kwargs={"cache_bytes": 64 * 1024}),
-           {"clients": GRID_CLIENTS, "servers": n, "server_cores": 1}, grid)
+        *[grid_row(f"grid-24c-{n}s", GRID_CLIENTS, n, GRID_FILE_SIZE, grid)
           for n in (1, 2, 4)],
+        grid_row("grid-12c-4s-s4", 12, 4, GRID_S4_FILE_SIZE, {**grid, **tls_split},
+                 replicas=2, streams=4),
         ("authz-1e6", authz_probe, (AUTHZ_SMALL, AUTHZ_LARGE), {},
          {"small_entries": AUTHZ_SMALL, "large_entries": AUTHZ_LARGE,
           "probes_per_round": AUTHZ_PROBES, "rounds": AUTHZ_ROUNDS},
@@ -316,6 +333,9 @@ RATIOS = [
 CONDITIONS = [
     *[(f"grid-24c-{n}s", f"striped_{rw}", ">", 0)
       for n in (2, 4) for rw in ("reads", "writes")],
+    # one full handshake per (client, backend): every leg's channels
+    # 1..3 resume, although a client dials its four legs at once
+    ("grid-12c-4s-s4", "tls_full_handshakes", "==", 48),
     ("resume-8c-4core", "tls_resumptions", ">", 0),
     ("resume-8c-4core", "tls_full_handshakes", "==", 8),
     (f"wan-80ms-16m-s{WAN_STREAMS}", "stream_bulk_calls", ">", 0),

@@ -59,6 +59,7 @@ from repro.nfs.protocol import Fattr3, FileHandle, NfsStatus, Proc, Sattr3
 from repro.obs.schema import zeros
 from repro.rpc.errors import RpcError
 from repro.rpc.messages import DECODE_ERRORS, CallMessage, ReplyMessage
+from repro.rpc.transport import DIAL_ERRORS
 from repro.sim.process import all_of
 
 #: WRITE/COMMIT verifier of grid-assembled replies
@@ -134,12 +135,35 @@ class GridRouter:
         self._is_dir.add(home_fileid)
 
     def connect(self):
-        """Process generator: dial every backend leg (in index order)
-        and the metadata service."""
-        for leg in self.legs:
-            yield from leg.connect()
+        """Process generator: dial every backend leg at once, then the
+        metadata service.
+
+        The legs' dials run as one joined fan-out (spawned in index
+        order, joined in spawn order), so a mount costs its slowest leg,
+        not the sum of its legs; each leg still dials its own channels
+        one after another, resuming from its own server's ticket slot
+        (:class:`repro.tls.channel.ClientSessionStore`).  A failed dial
+        (:data:`~repro.rpc.transport.DIAL_ERRORS`) is raised only once
+        every sibling dial has finished — the failure of the
+        lowest-indexed leg, as a serial dial would raise it — so no dial
+        outlives this call."""
+        failures = yield from self._fan_out(
+            (f"dial{b}", self._dial(leg)) for b, leg in enumerate(self.legs))
+        for exc in failures:
+            if exc is not None:
+                raise exc
         yield from self.meta.connect()
         return self
+
+    @staticmethod
+    def _dial(leg):
+        """Worker: connect one leg; returns its failure (None on success)
+        for :meth:`connect` to raise after the join."""
+        try:
+            yield from leg.connect()
+        except DIAL_ERRORS as exc:
+            return exc
+        return None
 
     # -- layout cache -------------------------------------------------------
 

@@ -268,7 +268,10 @@ def run_fleet(
     ``workload_factory`` builds one workload per client; it may take
     zero arguments or the client index (for per-client workload mixes).
     ``stagger`` spaces client starts that many virtual seconds apart
-    (0 = synchronized start).
+    (0 = synchronized start).  ``setup_kwargs`` takes the keys of
+    :func:`repro.harness.runner.run_workload`'s that a fleet has a part
+    for: ``cache_bytes`` (kernel page cache), ``disk_cache`` and
+    ``cache_capacity`` (each client proxy's disk cache and its size).
 
     Returns a :class:`FleetResult`; all reported times are virtual
     seconds.  Two calls with identical arguments produce bit-identical
@@ -318,11 +321,13 @@ def run_fleet(
     kw = dict(setup_kwargs or {})
     cache_bytes = kw.pop("cache_bytes", None)
     disk_cache = kw.pop("disk_cache", False)
+    cache_capacity = kw.pop("cache_capacity", None)
     if kw:
         raise ValueError(f"unsupported fleet setup_kwargs: {sorted(kw)}")
     check_scenario(
-        setup, clients, disk_cache=disk_cache, streams=streams, servers=servers,
-        replicas=replicas, stagger=stagger, session_tickets=session_tickets,
+        setup, clients, disk_cache=disk_cache, cache_capacity=cache_capacity,
+        streams=streams, servers=servers, replicas=replicas, stagger=stagger,
+        session_tickets=session_tickets,
         reconnect_interval=reconnect_interval,
         delegation_lifetime=delegation_lifetime, fleet=True,
     )
@@ -431,7 +436,8 @@ def run_fleet(
             if proxied:
                 upstream = grid_router(seat, dials[i]) if grid else \
                     UpstreamSession(sim, dials[i]("server"), streams=streams)
-                proxy = client_proxy(tb, seat, upstream, disk_cache=disk_cache)
+                proxy = client_proxy(tb, seat, upstream, disk_cache=disk_cache,
+                                     cache_capacity=cache_capacity)
                 yield from proxy.start()
                 if reconnect_interval:
                     # Spawned between the proxy's start and the kernel

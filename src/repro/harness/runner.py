@@ -138,7 +138,8 @@ def collect(result, tb: Testbed, plan: Optional[FaultPlan], tracing, profile,
 
 
 def check_scenario(setup: str, clients: int = 1, *, disk_cache: bool = False,
-                   streams: int = 1, servers: int = 1, replicas: int = 1,
+                   cache_capacity: Optional[int] = None, streams: int = 1,
+                   servers: int = 1, replicas: int = 1,
                    stagger: float = 0.0, session_tickets: bool = False,
                    reconnect_interval: Optional[float] = None,
                    delegation_lifetime: Optional[float] = None,
@@ -170,6 +171,8 @@ def check_scenario(setup: str, clients: int = 1, *, disk_cache: bool = False,
         raise ValueError("streams applies only to proxied gfs/sgfs setups")
     if disk_cache and setup not in PROXY_CACHE_SETUPS:
         raise ValueError("disk_cache applies only to proxied setups")
+    if cache_capacity is not None and not proxied:
+        raise ValueError("cache_capacity applies only to proxied gfs/sgfs setups")
     if servers > 1 and not proxied:
         raise ValueError("sharded data plane (servers > 1) requires a proxied setup")
     if stagger < 0:
@@ -232,6 +235,7 @@ def run_workload(
     """
     kw = setup_kwargs or {}
     check_scenario(setup, disk_cache=kw.get("disk_cache", False),
+                   cache_capacity=kw.get("cache_capacity"),
                    streams=kw.get("streams", 1),
                    session_tickets=kw.get("session_tickets", False))
     if profile:

@@ -171,9 +171,12 @@ class UpstreamSession:
         """Process generator: establish the channel(s), start the pumps.
 
         Channels dial strictly one after another: each handshake
-        deposits a fresh session ticket in the client's single-slot
-        store, so channel k+1 resumes the keys channel k negotiated and
-        the dial order — hence the whole run — stays deterministic."""
+        deposits a fresh session ticket in the client's slot for this
+        leg's server, so channel k+1 resumes the keys channel k
+        negotiated and the dial order — hence the whole run — stays
+        deterministic.  A grid router dials its legs concurrently (see
+        :meth:`repro.grid.GridRouter.connect`); the per-server slots keep
+        each leg's chain to itself."""
         for ch in self._channels:
             ch.router = ReplyTable(
                 self.sim, (yield from self.upstream_factory()), name="cproxy-pump"

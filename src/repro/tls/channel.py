@@ -131,32 +131,29 @@ class SessionTicketCache:
 
 
 class ClientSessionStore:
-    """Client-side slot for the latest resumable session (one upstream).
+    """Client-side slots for resumable sessions, one per server.
 
-    ``take()`` pops the stored state — tickets are single-use on the
-    wire, so the client never offers the same one twice; a successful
-    handshake (resumed or full) saves the replacement ticket.
+    A ticket is good only at the server that issued it, so the slot is
+    keyed by the dialed peer (the socket's ``peer_host_name``): one seat
+    dialing several servers — a grid mount's legs, dialed at once or
+    redialed later — never offers one server another's ticket.
+    ``take(peer)`` pops that server's state — tickets are single-use on
+    the wire, so the client never offers the same one twice; a
+    successful handshake (resumed or full) saves the replacement with
+    ``save(peer, ...)``.
     """
 
     def __init__(self):
-        self.ticket: Optional[bytes] = None
-        self.master: Optional[bytes] = None
-        self.server_certificate = None
-        self.server_identity = None
+        #: peer host name -> (ticket, master, server cert, server identity)
+        self._slots: dict = {}
 
-    def save(self, ticket: bytes, master: bytes, certificate, identity) -> None:
+    def save(self, peer: str, ticket: bytes, master: bytes, certificate,
+             identity) -> None:
         if ticket:
-            self.ticket = ticket
-            self.master = master
-            self.server_certificate = certificate
-            self.server_identity = identity
+            self._slots[peer] = (ticket, master, certificate, identity)
 
-    def take(self):
-        state = (self.ticket, self.master, self.server_certificate,
-                 self.server_identity)
-        self.ticket = self.master = None
-        self.server_certificate = self.server_identity = None
-        return state
+    def take(self, peer: str):
+        return self._slots.pop(peer, (None, None, None, None))
 
 
 class SecureChannel(SealedTransport):
@@ -407,7 +404,7 @@ def _client_handshake(
         if config.session_store is None:
             config.session_store = ClientSessionStore()
         ticket, old_master, cached_cert, cached_identity = (
-            config.session_store.take()
+            config.session_store.take(sock.peer_host_name)
         )
     attempting_resume = bool(offer_tickets and ticket)
 
@@ -456,7 +453,8 @@ def _client_handshake(
             )
             stream.send_record(_HANDSHAKE + reply.get_bytes())
             config.session_store.save(
-                new_ticket, new_master, cached_cert, cached_identity
+                sock.peer_host_name, new_ticket, new_master, cached_cert,
+                cached_identity,
             )
             channel = SecureChannel(
                 sim, stream, config, True, cached_cert, cached_identity,
@@ -505,7 +503,8 @@ def _client_handshake(
         # The server's Finished carries our new ticket (may be empty if
         # the server does not issue them).
         new_ticket = su.unpack_opaque()
-        config.session_store.save(new_ticket, master, server_cert, peer_identity)
+        config.session_store.save(sock.peer_host_name, new_ticket, master,
+                                  server_cert, peer_identity)
     return channel
 
 

@@ -39,8 +39,9 @@ class SecurityConfig:
     #: Ticket validity in virtual seconds; expired tickets silently fall
     #: back to a full handshake.
     ticket_lifetime: float = 3600.0
-    #: Client-side slot for the most recent (ticket, master, cert);
-    #: created lazily on the first full handshake that yields a ticket.
+    #: Client-side :class:`~repro.tls.channel.ClientSessionStore`: the
+    #: most recent (ticket, master, cert) per server; created lazily on
+    #: the first handshake that offers a ticket.
     session_store: Optional[object] = None
     #: Entropy source for randoms/premaster (deterministic per seed).
     rng: Drbg = field(default_factory=lambda: Drbg("tls-default"))

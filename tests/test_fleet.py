@@ -248,3 +248,33 @@ def test_reconnect_cyclers_stop_at_client_completion(monkeypatch):
     # The short-lived clients really did stop early while c0 ran on.
     assert any(host != "c0" for host, _ in cycles)
     assert max(t for h, t in cycles if h != "c0") < ends["c0"]
+
+
+def test_fleet_proxies_take_the_cache_capacity(monkeypatch):
+    """``setup_kwargs`` spells the proxy disk cache's size as
+    ``run_workload`` does: a cache smaller than the file makes each
+    client's proxy write dirty blocks behind, and every block lands."""
+    from repro.core.topology import Testbed
+    from repro.workloads.iozone import IOzoneWriteRead
+
+    names = []
+    build = Testbed.build
+
+    def recording_build(*args, **kwargs):
+        tb = build(*args, **kwargs)
+        spawn = tb.sim.spawn
+
+        def recording_spawn(generator, name=""):
+            names.append(name)
+            return spawn(generator, name=name)
+
+        tb.sim.spawn = recording_spawn
+        return tb
+
+    monkeypatch.setattr(Testbed, "build", recording_build)
+    r = run_fleet("sgfs-sha", lambda: IOzoneWriteRead(file_size=4 * FS), clients=2,
+                  streams=2, setup_kwargs={"disk_cache": True, "cache_capacity": FS})
+    assert all(c.bytes_moved == 12 * FS for c in r.per_client)  # read back, checked
+    pc = r.stats["proxy.client"]
+    assert pc["writeback_blocks"] > 0 and pc["writeback_errors"] == 0
+    assert "cproxy-writebehind" in names

@@ -7,9 +7,13 @@ import pytest
 
 from repro.core.topology import Testbed
 from repro.faults import CrashEvent, FaultSpec
-from repro.grid import GridLayout, GridMetadataService
+from repro.grid import GridLayout, GridMetadataService, GridRouter
 from repro.harness import run_fleet
+from repro.net.errors import ConnectionRefused
 from repro.nfs.protocol import Sattr3
+from repro.sim.core import Simulator
+from repro.tls import HandshakeError
+from repro.workloads.churn import SessionChurn
 from repro.workloads.iozone import IOzoneWriteRead
 from repro.workloads.mab import ModifiedAndrewBenchmark
 from repro.workloads.postmark import PostMark, PostMarkConfig
@@ -258,7 +262,8 @@ class _RenameTruncate:
 @pytest.mark.parametrize("kw, mirrored, degraded, bumps", [
     (dict(servers=2), 132, 0, 0),
     (dict(servers=3, replicas=2), 264, 0, 0),
-    (dict(servers=3, replicas=2, faults=CRASH, fault_seed="grid-ci"), 135, 125, 1),
+    # the mounts, legs dialed at once, end before the crash at 0.05 s
+    (dict(servers=3, replicas=2, faults=CRASH, fault_seed="grid-ci"), 137, 125, 1),
 ], ids=["2x1", "3x2", "3x2-crash"])
 def test_postmark_fleet_mirrors_namespace_ops(kw, mirrored, degraded, bumps):
     kw = dict(clients=2, **kw, **GRID_KW)
@@ -310,3 +315,104 @@ def test_write_behind_bursts_through_the_router():
     g = r.stats["grid"]
     assert (g["striped_writes"], g["hole_spans"], g["mirrored_ops"]) == (16, 0, 0)
     assert _fingerprint(run_fleet("sgfs-sha", _wr, **kw)) == _fingerprint(r)
+
+
+# -- mounting: every leg dialed at once ------------------------------------------
+
+SUITE = "aes-256-cbc-sha1"
+
+
+def _handshakes(r, kind, role="server"):
+    return r.stats["tls"].get(f"{kind}{{role={role},suite={SUITE}}}", 0)
+
+
+def test_concurrent_leg_dials_keep_one_full_handshake_per_server():
+    """Each client pays one full handshake per backend and resumes the
+    other three channels of each leg, with every leg dialed at once;
+    and one client's four channel-0 handshakes overlap in virtual time."""
+    r = run_fleet("sgfs-aes", _wr, clients=3, servers=4, replicas=2, streams=4,
+                  tracing=True, **GRID_KW)
+    assert _handshakes(r, "full_handshakes") == 12
+    assert _handshakes(r, "resumptions") == 36
+    tracer = r.tracer
+    names = tracer.track_names()
+    legs = {}
+    for s in tracer.spans:
+        if s.name == "tls.handshake" and s.args["role"] == "client" \
+                and names[s.tid].startswith("c0:"):
+            legs.setdefault(s.tid, []).append(s)
+    assert len(legs) == 4 and all(len(spans) == 4 for spans in legs.values())
+    first = [min(spans, key=lambda s: s.start) for spans in legs.values()]
+    assert max(s.start for s in first) < min(s.end for s in first)
+
+
+class _Leg:
+    """A leg whose dial takes ``delay`` virtual seconds, then fails with
+    ``error`` (when given) or succeeds."""
+
+    def __init__(self, sim, delay, error=None):
+        self.sim, self.delay, self.error = sim, delay, error
+
+    def connect(self):
+        yield self.sim.timeout(self.delay)
+        if self.error is not None:
+            raise self.error
+        return self
+
+
+class _Meta:
+    dialed = False
+
+    def connect(self):
+        self.dialed = True
+        return
+        yield
+
+
+def test_failed_leg_dial_raises_lowest_index_after_every_sibling():
+    """Legs 1 and 2 fail (2 first); leg 3 is the slowest.  The mount
+    raises leg 1's failure, as the serial dial did, once leg 3 is done,
+    never dials the metadata service and leaves no dial process alive."""
+    sim = Simulator()
+    spawned = []
+    spawn = sim.spawn
+
+    def recording_spawn(generator, name=""):
+        spawned.append(spawn(generator, name=name))
+        return spawned[-1]
+
+    sim.spawn = recording_spawn
+    legs = [_Leg(sim, 0.003), _Leg(sim, 0.002, ConnectionRefused("leg 1")),
+            _Leg(sim, 0.001, HandshakeError("leg 2")), _Leg(sim, 0.005)]
+    meta = _Meta()
+    router = GridRouter(sim, legs, meta, width=4)
+    seen = {}
+
+    def mount():
+        try:
+            yield from router.connect()
+        except ConnectionRefused as exc:
+            seen["error"], seen["at"] = str(exc), sim.now
+            seen["alive"] = [p.name for p in spawned if p.alive]
+
+    spawn(mount(), name="mount")
+    sim.run()
+    assert [p.name for p in spawned] == [f"grid-fan:dial{b}" for b in range(4)]
+    assert seen == {"error": "leg 1", "at": 0.005, "alive": []}
+    assert not meta.dialed
+    assert sim.unobserved_deaths() == []
+
+
+def test_leg_down_at_mount_raises_what_the_serial_dial_raised():
+    down = FaultSpec(crashes=tuple(
+        CrashEvent(at=0.0, target=f"backend{b}", down_for=100.0) for b in (1, 3)))
+    with pytest.raises(ConnectionRefused, match="^s1:4444 refused"):
+        run_fleet("sgfs-sha", _wr, clients=1, servers=4, faults=down, **GRID_KW)
+
+
+def test_reconnecting_grid_legs_resume_at_their_own_servers():
+    """Each leg's redial offers the ticket its own server issued: one
+    full handshake per (client, backend), every cycle after resumes."""
+    r = run_fleet("sgfs-aes", lambda: SessionChurn(duration=4, period=0.5, io_size=4096),
+                  clients=2, servers=3, session_tickets=True, reconnect_interval=1.5)
+    assert (_handshakes(r, "full_handshakes"), _handshakes(r, "resumptions")) == (6, 12)

@@ -12,15 +12,21 @@ from repro.harness import run_fleet, run_workload
 from repro.workloads.iozone import IOzoneReadReread
 
 
+FS = 64 * 1024
+
+
 def _iozone():
-    return IOzoneReadReread(file_size=64 * 1024)
+    return IOzoneReadReread(file_size=FS)
 
 
 def _fleet(setup, **options):
-    """``options`` in run_fleet's spelling, except that ``disk_cache`` may
-    be given flat (it travels in ``setup_kwargs`` there)."""
-    if "disk_cache" in options:
-        options["setup_kwargs"] = {"disk_cache": options.pop("disk_cache")}
+    """``options`` in run_fleet's spelling, except that ``disk_cache`` and
+    ``cache_capacity`` may be given flat (they travel in ``setup_kwargs``
+    there)."""
+    flat = {k: options.pop(k) for k in ("disk_cache", "cache_capacity")
+            if k in options}
+    if flat:
+        options["setup_kwargs"] = flat
     return run_fleet(setup, _iozone, **{"clients": 2, **options})
 
 
@@ -92,6 +98,7 @@ def test_unsupported_point_is_refused_by_every_entry_point(
 @pytest.mark.parametrize("option, supported", [
     ({"disk_cache": True}, PROXY_CACHE_SETUPS),
     ({"streams": 2}, ("gfs", *SUITES)),
+    ({"cache_capacity": FS}, ("gfs", *SUITES)),
 ])
 def test_every_setup_runs_or_refuses_an_option(setup, option, supported):
     runs = [_single] + ([] if setup in ("sfs", "gfs-ssh") else [_fleet])
