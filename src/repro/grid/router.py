@@ -7,8 +7,12 @@ a single leg, and takes over upstream forwarding:
 - **namespace operations** (LOOKUP, GETATTR, ACCESS, READDIR, …) go to
   the *home* server (backend 0) — the single namespace authority;
 - **CREATE** goes home, then registers the new file with the metadata
-  service, making it striped; directories (MKDIR) are mirrored eagerly
-  onto every backend so stripe files always have a parent to live in;
+  service, making it striped.  The namespace lives only at home: each
+  backend keeps one object per striped file, named by its home fileid
+  — home's is the file itself, backend b > 0's the file
+  ``str(fileid)`` in the seat's directory there — so MKDIR, RMDIR and
+  RENAME change home only; REMOVE, or a RENAME over a striped file,
+  removes the replaced file's objects and forgets its catalog entry;
 - **READ/WRITE** of striped files are split into grid-block spans
   (:meth:`repro.grid.layout.GridLayout.spans`) and fanned out to the
   owning backends in parallel; unstriped (out-of-band) files pass
@@ -69,9 +73,9 @@ GRID_VERF = b"gridplne"
 class GridRouter:
     """Striped data plane of one client session."""
 
-    def __init__(self, sim, legs: List[object], meta, width: int,
-                 replicas: int = 1, block_size: int = 4 * 1024 * 1024,
-                 obs=None):
+    def __init__(self, sim, legs: List[object], meta,
+                 roots: Dict[int, FileHandle], width: int, replicas: int = 1,
+                 block_size: int = 4 * 1024 * 1024, obs=None):
         from repro.grid.layout import GridLayout
 
         if len(legs) != width:
@@ -81,6 +85,9 @@ class GridRouter:
         #: leg 0 is the home (namespace) leg
         self.legs = legs
         self.meta = meta
+        #: backend index -> the seat's directory there, which holds the
+        #: backend's objects
+        self._roots = roots
         self.layout = GridLayout(width, replicas, block_size)
         #: layout epoch last seen from the metadata service; any reply
         #: carrying a newer one flushes the striped/unstriped cache
@@ -90,14 +97,11 @@ class GridRouter:
         #: locally-known dead backends (superset of the server's view
         #: until the post-join mark_dead report lands)
         self._dead: Set[int] = set()
-        #: (backend, home_fileid) -> backend file handle
+        #: (backend > 0, home_fileid) -> handle of that backend's object
         self._shadows: Dict[Tuple[int, int], FileHandle] = {}
-        #: home_fileid -> (home_dir_fileid, name), for lazy per-backend
-        #: path resolution; roots are seeded by :meth:`add_root`
-        self._parents: Dict[int, Tuple[int, str]] = {}
-        #: (home_dir_fileid, name) -> home fileid (rename/remove upkeep)
+        #: (home_dir_fileid, name) -> home fileid of a file (not a
+        #: directory) there, for REMOVE and RENAME upkeep
         self._names: Dict[Tuple[int, str], int] = {}
-        self._is_dir: Set[int] = set()
         #: session-authoritative sizes of striped files we wrote
         self._sizes: Dict[int, int] = {}
         #: sizes the home server is known to have (COMMIT pushes ours)
@@ -112,8 +116,7 @@ class GridRouter:
         self._routes = {
             int(Proc.READ): self._h_read, int(Proc.WRITE): self._h_write,
             int(Proc.COMMIT): self._h_commit, int(Proc.CREATE): self._h_create,
-            int(Proc.MKDIR): self._h_create, int(Proc.REMOVE): self._h_remove,
-            int(Proc.RMDIR): self._h_remove, int(Proc.RENAME): self._h_rename,
+            int(Proc.REMOVE): self._h_remove, int(Proc.RENAME): self._h_rename,
             int(Proc.SETATTR): self._h_setattr, int(Proc.GETATTR): self._h_getattr,
             int(Proc.LOOKUP): self._h_lookup,
         }
@@ -126,13 +129,6 @@ class GridRouter:
                 "shadow_handles": len(self._shadows)}
 
     # -- wiring ------------------------------------------------------------
-
-    def add_root(self, home_fileid: int, handles: Dict[int, FileHandle]) -> None:
-        """Seed the per-backend handles of one shared directory (the
-        client's mount root): backend index -> that backend's handle."""
-        for b, fh in handles.items():
-            self._shadows[(b, home_fileid)] = fh
-        self._is_dir.add(home_fileid)
 
     def connect(self):
         """Process generator: dial every backend leg at once, then the
@@ -213,11 +209,12 @@ class GridRouter:
 
     def _mirror(self, share):
         """Process generator: repeat on every live backend but home, in
-        backend order, a namespace change home has accepted.
-        ``share(b)`` is backend ``b``'s part (resolve its twin handles,
-        forward the call) and returns whether there was anything to do
-        there.  A backend that fails its part is marked dead; the
-        failures are reported once the loop is through."""
+        backend order, a change to a striped file's objects that home
+        has accepted (a remove, a truncate).  ``share(b)`` is backend
+        ``b``'s part (resolve its object, forward the call) and returns
+        whether there was anything to do there.  A backend that fails
+        its part is marked dead; the failures are reported once the loop
+        is through."""
         for b in range(1, self.layout.width):
             if b in self._dead:
                 continue
@@ -228,60 +225,53 @@ class GridRouter:
                 self._fail_backend(b)
         yield from self._report_dead()
 
-    def _shadow(self, b: int, fileid: int, template: CallMessage,
+    def _shadow(self, b: int, fh: FileHandle, template: CallMessage,
                 create: bool = False):
-        """Process generator: resolve (and optionally create) the
-        backend-``b`` twin of home file ``fileid``.  Returns the backend
-        handle, or None when the path doesn't exist there."""
-        fh = self._shadows.get((b, fileid))
-        if fh is not None:
+        """Process generator: resolve (and optionally create) backend
+        ``b``'s object of the home file ``fh``: the file itself at home,
+        the file ``str(fh.fileid)`` in the seat's directory elsewhere.
+        Returns the backend handle, or None when there is no object."""
+        if b == 0:
             return fh
-        parent = self._parents.get(fileid)
-        if parent is None:
-            return None
-        dir_fid, name = parent
-        dir_fh = yield from self._shadow(b, dir_fid, template, create=create)
-        if dir_fh is None:
-            return None
-        leg = self.legs[b]
+        obj = self._shadows.get((b, fh.fileid))
+        if obj is not None:
+            return obj
+        leg, root, name = self.legs[b], self._roots[b], str(fh.fileid)
         reply = yield from leg.forward(self._call(
-            Proc.LOOKUP, pr.pack_lookup_args(dir_fh, name), template))
+            Proc.LOOKUP, pr.pack_lookup_args(root, name), template))
         res = pr.read_ok(reply, pr.unpack_lookup_res)
-        if res is not None and res[1] is not None:
-            self._shadows[(b, fileid)] = res[1]
-            return res[1]
-        if not create:
+        if (res is None or res[1] is None) and create:
+            reply = yield from leg.forward(self._call(
+                Proc.CREATE,
+                pr.pack_create_args(root, name, Sattr3(mode=0o644)), template))
+            res = pr.read_ok(reply, pr.unpack_create_res)
+        if res is None or res[1] is None:
             return None
-        proc, pack, mode = (
-            (Proc.MKDIR, pr.pack_mkdir_args, 0o755) if fileid in self._is_dir
-            else (Proc.CREATE, pr.pack_create_args, 0o644))
-        reply = yield from leg.forward(self._call(
-            proc, pack(dir_fh, name, Sattr3(mode=mode)), template))
-        res = pr.read_ok(reply, pr.unpack_create_res)
-        if res is not None and res[1] is not None:
-            self._shadows[(b, fileid)] = res[1]
-            return res[1]
-        return None
+        self._shadows[(b, fh.fileid)] = res[1]
+        return res[1]
 
-    def _record_child(self, dir_fid: int, name: str, fileid: int,
-                      is_dir: bool) -> None:
-        self._parents[fileid] = (dir_fid, name)
-        self._names[(dir_fid, name)] = fileid
-        if is_dir:
-            self._is_dir.add(fileid)
+    def _drop(self, fileid: int, template: CallMessage):
+        """Process generator: home no longer names file ``fileid`` (a
+        REMOVE, or a RENAME over it).  If it is striped, remove its
+        objects on the other backends (NOENT is fine: a span may never
+        have landed there) and forget it in the catalog."""
+        if (yield from self._is_striped(fileid)):
+            def remove(b):
+                yield from self.legs[b].forward(self._call(
+                    Proc.REMOVE, pr.pack_remove_args(self._roots[b], str(fileid)),
+                    template))
+                return True
 
-    def _forget_child(self, dir_fid: int, name: str) -> None:
-        fileid = self._names.pop((dir_fid, name), None)
-        if fileid is None:
-            return
-        self._parents.pop(fileid, None)
-        self._is_dir.discard(fileid)
-        self._sizes.pop(fileid, None)
-        self._home_sizes.pop(fileid, None)
-        self._dirty.pop(fileid, None)
-        self._layouts.pop(fileid, None)
-        for key in [k for k in self._shadows if k[1] == fileid]:
-            del self._shadows[key]
+            yield from self._mirror(remove)
+            view = yield from self.meta.forget(fileid)
+            self._note_view(view)
+        self._forget(fileid)
+
+    def _forget(self, fileid: int) -> None:
+        for table in (self._sizes, self._home_sizes, self._dirty, self._layouts):
+            table.pop(fileid, None)
+        for b in range(1, self.layout.width):
+            self._shadows.pop((b, fileid), None)
 
     def _note_home_attr(self, attr: Optional[Fattr3]) -> None:
         if attr is None:
@@ -356,7 +346,8 @@ class GridRouter:
             return reply
         status, fh, attr, dir_attr = res
         if fh is not None and attr is not None:
-            self._record_child(dir_fh.fileid, name, attr.fileid, attr.is_dir)
+            if not attr.is_dir:
+                self._names[(dir_fh.fileid, name)] = attr.fileid
             self._note_home_attr(attr)
             patched = self._patched_attr(attr)
             if patched is not attr:
@@ -364,8 +355,7 @@ class GridRouter:
         return reply
 
     def _h_create(self, call: CallMessage):
-        """CREATE and MKDIR: made at home first; then a file is
-        registered as striped, a directory mirrored onto every backend."""
+        """CREATE: made at home, then registered as striped."""
         dir_fh, name = pr.unpack_diropargs_prefix(call.args)
         reply = yield from self.legs[0].forward(call)
         res = pr.read_ok(reply, pr.unpack_create_res)
@@ -374,80 +364,37 @@ class GridRouter:
         _status, fh, attr, _dir_after = res
         if fh is None or attr is None:
             return reply
-        is_dir = call.proc == int(Proc.MKDIR)
-        self._record_child(dir_fh.fileid, name, attr.fileid, is_dir)
-        self._shadows[(0, attr.fileid)] = fh
-        if is_dir:
-            # eager mirror: stripe files need a parent on every backend
-            def make(b):
-                yield from self._shadow(b, attr.fileid, call, create=True)
-                return True
-
-            yield from self._mirror(make)
-        else:
-            # new files created through a grid session are striped
-            view = yield from self.meta.register(attr.fileid)
-            self._note_view(view)
-            self._layouts[attr.fileid] = True
-            self._sizes[attr.fileid] = attr.size
-            self._home_sizes[attr.fileid] = attr.size
+        self._names[(dir_fh.fileid, name)] = attr.fileid
+        view = yield from self.meta.register(attr.fileid)
+        self._note_view(view)
+        self._layouts[attr.fileid] = True
+        self._sizes[attr.fileid] = attr.size
+        self._home_sizes[attr.fileid] = attr.size
         return reply
 
     def _h_remove(self, call: CallMessage):
         dir_fh, name = pr.unpack_remove_args(call.args)
-        fileid = self._names.get((dir_fh.fileid, name))
-        striped = False
-        if fileid is not None:
-            striped = yield from self._is_striped(fileid)
         reply = yield from self.legs[0].forward(call)
         if pr.read_ok(reply, pr.unpack_remove_res) is None:
             return reply
-        if striped or call.proc == int(Proc.RMDIR):
-            # mirror by (backend dir, name); NOENT is fine — the file
-            # may never have materialized there
-            def remove(b):
-                bdir = yield from self._shadow(b, dir_fh.fileid, call)
-                if bdir is None:
-                    return False
-                yield from self.legs[b].forward(self._call(
-                    call.proc, pr.pack_remove_args(bdir, name), call))
-                return True
-
-            yield from self._mirror(remove)
-        if fileid is not None and striped:
-            view = yield from self.meta.forget(fileid)
-            self._note_view(view)
-        self._forget_child(dir_fh.fileid, name)
+        fileid = self._names.pop((dir_fh.fileid, name), None)
+        if fileid is not None:
+            yield from self._drop(fileid, call)
         return reply
 
     def _h_rename(self, call: CallMessage):
+        """RENAME changes home only; the router moves its name entry and
+        drops the file the rename replaced, if it knew one there."""
         f_dir, f_name, t_dir, t_name = pr.unpack_rename_args(call.args)
-        fileid = self._names.get((f_dir.fileid, f_name))
-        striped = False
-        if fileid is not None:
-            striped = yield from self._is_striped(fileid)
         reply = yield from self.legs[0].forward(call)
         if pr.read_ok(reply, pr.unpack_rename_res) is None:
             return reply
-        if striped:
-            def rename(b):
-                f_b = yield from self._shadow(b, f_dir.fileid, call)
-                t_b = yield from self._shadow(b, t_dir.fileid, call,
-                                              create=True)
-                if f_b is None or t_b is None:
-                    return False
-                yield from self.legs[b].forward(self._call(
-                    Proc.RENAME,
-                    pr.pack_rename_args(f_b, f_name, t_b, t_name), call))
-                return True
-
-            yield from self._mirror(rename)
-        # rewire local naming state
-        self._forget_child(t_dir.fileid, t_name)
+        fileid = self._names.pop((f_dir.fileid, f_name), None)
+        replaced = self._names.pop((t_dir.fileid, t_name), None)
         if fileid is not None:
-            self._names.pop((f_dir.fileid, f_name), None)
-            self._record_child(t_dir.fileid, t_name, fileid,
-                              fileid in self._is_dir)
+            self._names[(t_dir.fileid, t_name)] = fileid
+        if replaced is not None and replaced != fileid:
+            yield from self._drop(replaced, call)
         return reply
 
     def _h_setattr(self, call: CallMessage):
@@ -461,7 +408,7 @@ class GridRouter:
             self._home_sizes[fh.fileid] = sattr.size
             # truncate the stripes too (where the file exists)
             def truncate(b):
-                bfh = yield from self._shadow(b, fh.fileid, call)
+                bfh = yield from self._shadow(b, fh, call)
                 if bfh is None:
                     return False
                 yield from self.legs[b].forward(self._call(
@@ -478,7 +425,7 @@ class GridRouter:
         return [b for b in self.layout.owners(fileid, block)
                 if b not in self._dead]
 
-    def _read_span(self, call: CallMessage, fileid: int, block: int,
+    def _read_span(self, call: CallMessage, fh: FileHandle, block: int,
                    abs_off: int, length: int):
         """Worker: read one span, failing over along the owner list.
 
@@ -493,18 +440,18 @@ class GridRouter:
         failure can't abort the fan-out early and leave stragglers
         racing."""
         saw_absent = False
-        for idx, b in enumerate(self.layout.owners(fileid, block)):
+        for idx, b in enumerate(self.layout.owners(fh.fileid, block)):
             if b in self._dead:
                 continue
             if idx > 0:
                 self.stats["read_failovers"] += 1
             try:
-                fh = yield from self._shadow(b, fileid, call)
-                if fh is None:
+                bfh = yield from self._shadow(b, fh, call)
+                if bfh is None:
                     saw_absent = True
                     continue
                 reply = yield from self.legs[b].forward(self._call(
-                    Proc.READ, pr.pack_read_args(fh, abs_off, length), call))
+                    Proc.READ, pr.pack_read_args(bfh, abs_off, length), call))
             except RpcError:
                 self._fail_backend(b)
                 continue
@@ -547,13 +494,12 @@ class GridRouter:
         if len(spans) == 1:
             block, abs_off, length = spans[0]
             chunks = [
-                (yield from self._read_span(call, fh.fileid, block,
-                                            abs_off, length))
+                (yield from self._read_span(call, fh, block, abs_off, length))
             ]
         else:
             chunks = yield from self._fan_out([
                 (f"r{block}",
-                 self._read_span(call, fh.fileid, block, abs_off, length))
+                 self._read_span(call, fh, block, abs_off, length))
                 for block, abs_off, length in spans
             ])
         yield from self._report_dead()
@@ -601,8 +547,7 @@ class GridRouter:
             chunk = payload[rel:rel + length]
             for b in self._live_owners(fh.fileid, block):
                 try:
-                    bfh = yield from self._shadow(b, fh.fileid, call,
-                                                  create=True)
+                    bfh = yield from self._shadow(b, fh, call, create=True)
                 except RpcError:
                     self._fail_backend(b)
                     continue
@@ -644,7 +589,7 @@ class GridRouter:
         for b in dirty:
             if b in self._dead:
                 continue
-            bfh = yield from self._shadow(b, fh.fileid, call)
+            bfh = yield from self._shadow(b, fh, call)
             if bfh is None:
                 continue
             jobs.append((

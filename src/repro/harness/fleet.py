@@ -418,12 +418,10 @@ def run_fleet(
             for b in tb.backends
         ]
         meta = GridMetadataClient(sim, seat.host, "server", GRID_META_PORT)
-        router = GridRouter(
-            sim, legs, meta, width=servers, replicas=replicas,
+        return GridRouter(
+            sim, legs, meta, seat.roots, width=servers, replicas=replicas,
             block_size=grid_block_size, obs=tb.obs,
         )
-        router.add_root(seat.roots[0].fileid, seat.roots)
-        return router
 
     def client_proc(i: int):
         seat, workload = seats[i], workloads[i]

@@ -593,10 +593,7 @@ def _server_handshake(
 
     if cpu is not None:
         yield from cpu.consume(HANDSHAKE_CPU_SECONDS, f"{account}/handshake")
-    if config.require_peer_cert:
-        peer_identity = _validate_peer(config, sim.now, client_cert, client_chain)
-    else:
-        peer_identity = client_cert.subject
+    peer_identity = _validate_peer(config, sim.now, client_cert, client_chain)
 
     server_random = config.rng.randbytes(32)
     hello = Packer()

@@ -26,8 +26,6 @@ class SecurityConfig:
     #: Use the fast keyed-XOR bulk transform (benchmarks) instead of the
     #: bit-exact ciphers (tests).  CPU cost charged is identical.
     fast_ciphers: bool = True
-    #: Refuse peers that present no certificate (always true for SGFS).
-    require_peer_cert: bool = True
     #: Automatic rekey interval in virtual seconds; None disables.
     renegotiate_interval: Optional[float] = None
     #: Offer/issue session tickets (RFC-5077 style): the server hands the

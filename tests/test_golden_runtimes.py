@@ -137,7 +137,7 @@ FAULT_GOLDEN = {
     "single-chaos-wan-4-streams": ("0x1.b180b7fd9f4cap+0",
                                    _faults(27, 1, delayed=2), 0),
     "fleet-lossy-wan": ("0x1.7aac811cb304dp+0", _faults(97, 3), 0),
-    "grid-fleet-lossy-wan": ("0x1.0d3ed8c4d874cp+3", _faults(526, 21), 0),
+    "grid-fleet-lossy-wan": ("0x1.0d3ed6c406c49p+3", _faults(526, 21), 0),
 }
 
 

@@ -235,8 +235,9 @@ def test_replicated_crash_fleet_bit_identical_same_seed():
 # -- namespace traffic through the router ---------------------------------------
 # Every fleet above runs IOzoneWriteRead, which never makes a directory,
 # removes, renames or truncates: these run the router's MKDIR / REMOVE /
-# RENAME / SETATTR mirroring and its burst path.  Counts were captured
-# before the four mirroring loops were folded into ``_mirror``.
+# RENAME / SETATTR handling and its burst path.  MKDIR, RMDIR and RENAME
+# change home only; ``mirrored_ops`` counts the stripe-object REMOVEs and
+# truncates sent to the other backends.
 
 
 def _pm():
@@ -260,10 +261,10 @@ class _RenameTruncate:
 
 
 @pytest.mark.parametrize("kw, mirrored, degraded, bumps", [
-    (dict(servers=2), 132, 0, 0),
-    (dict(servers=3, replicas=2), 264, 0, 0),
+    (dict(servers=2), 116, 0, 0),
+    (dict(servers=3, replicas=2), 232, 0, 0),
     # the mounts, legs dialed at once, end before the crash at 0.05 s
-    (dict(servers=3, replicas=2, faults=CRASH, fault_seed="grid-ci"), 137, 125, 1),
+    (dict(servers=3, replicas=2, faults=CRASH, fault_seed="grid-ci"), 116, 117, 1),
 ], ids=["2x1", "3x2", "3x2-crash"])
 def test_postmark_fleet_mirrors_namespace_ops(kw, mirrored, degraded, bumps):
     kw = dict(clients=2, **kw, **GRID_KW)
@@ -279,28 +280,56 @@ def test_postmark_fleet_mirrors_namespace_ops(kw, mirrored, degraded, bumps):
     assert _fingerprint(run_fleet("sgfs-sha", _pm, **kw)) == _fingerprint(r)
 
 
-def test_mab_fleet_mirrors_its_source_tree():
+def test_mab_fleet_keeps_its_source_tree_at_home():
     r = run_fleet("sgfs-sha", lambda: ModifiedAndrewBenchmark(), clients=1,
                   servers=2, **GRID_KW)
     assert "compile" in r.per_client[0].phases
     g, meta = r.stats["grid"], r.stats["grid.meta"]
     assert g["hole_spans"] == 0
-    assert g["mirrored_ops"] == 27  # 13 source directories + the build tree
+    # its 13 source directories and the build tree are made at home only
+    assert g["mirrored_ops"] == 0
     assert (meta["registrations"], meta["forgets"]) == (655, 0)
 
 
 @pytest.mark.parametrize("kw, mirrored", [
-    (dict(servers=2), 8),
-    (dict(servers=3, replicas=2), 16),
+    (dict(servers=2), 2),
+    (dict(servers=3, replicas=2), 4),
 ], ids=["2x1", "3x2"])
-def test_rename_and_truncate_reach_every_backend(kw, mirrored):
+def test_rename_stays_at_home_and_truncate_reaches_every_backend(kw, mirrored):
     kw = dict(clients=2, **kw, **GRID_KW)
     r = run_fleet("sgfs-sha", _RenameTruncate, **kw)
     g = r.stats["grid"]
-    # per client: 2 MKDIRs, 1 RENAME, 1 SETATTR, each on every other backend
+    # MKDIR and RENAME change home only; per client, 1 SETATTR on every
+    # other backend
     assert g["mirrored_ops"] == mirrored
     assert g["hole_spans"] == 0 and g["dead_marks"] == 0
     assert _fingerprint(run_fleet("sgfs-sha", _RenameTruncate, **kw)) == _fingerprint(r)
+
+
+class _RenameOver:
+    """Write ``/t`` whole, write only the last of three blocks of ``/s``,
+    rename ``/s`` over ``/t``: ``/t`` must read back as ``/s``, whose
+    first two blocks are a hole."""
+
+    def run(self, mount):
+        cl = mount.client
+        block = GRID_KW["grid_block_size"]
+        yield from cl.write_file("/t", b"T" * (3 * block))
+        fh = yield from cl.open("/s", create=True)
+        yield from cl.write(fh, 2 * block, b"S" * block)
+        yield from cl.close(fh)
+        yield from cl.rename("/s", "/t")
+        assert (yield from cl.read_file("/t")) == \
+            b"\x00" * (2 * block) + b"S" * block
+
+
+@pytest.mark.parametrize("kw", [
+    dict(servers=2), dict(servers=3, replicas=2),
+], ids=["2x1", "3x2"])
+def test_rename_over_a_striped_file_drops_its_objects(kw):
+    r = run_fleet("sgfs-sha", _RenameOver, clients=1, **kw, **GRID_KW)
+    meta = r.stats["grid.meta"]
+    assert (meta["registrations"], meta["forgets"]) == (2, 1)
 
 
 def test_write_behind_bursts_through_the_router():
@@ -385,7 +414,7 @@ def test_failed_leg_dial_raises_lowest_index_after_every_sibling():
     legs = [_Leg(sim, 0.003), _Leg(sim, 0.002, ConnectionRefused("leg 1")),
             _Leg(sim, 0.001, HandshakeError("leg 2")), _Leg(sim, 0.005)]
     meta = _Meta()
-    router = GridRouter(sim, legs, meta, width=4)
+    router = GridRouter(sim, legs, meta, {}, width=4)
     seen = {}
 
     def mount():
