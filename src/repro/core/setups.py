@@ -40,6 +40,7 @@ from repro.core.topology import (
     Testbed,
 )
 from repro.crypto.drbg import Drbg
+from repro.grid.router import GridRouter
 from repro.gsi import CertificateAuthority, DistinguishedName, Gridmap
 from repro.gsi.gridmap import UnmappedPolicy
 from repro.net import Host
@@ -218,9 +219,9 @@ def client_proxy(tb: Testbed, seat: Seat, upstream, disk_cache: bool = False,
                  cache_capacity: Optional[int] = None, blocking: bool = True,
                  cryptor=None) -> SgfsClientProxy:
     """The seat's client-side proxy, not yet started.  ``upstream`` is
-    one :class:`~repro.proxy.upstream.UpstreamSession` leg (its dial: see
-    :func:`repro.proxy.upstream.dialer`) or a
-    :class:`repro.grid.GridRouter` over several."""
+    its :class:`repro.grid.GridRouter`, over one
+    :class:`~repro.proxy.upstream.UpstreamSession` leg per backend (their
+    dial: see :func:`repro.proxy.upstream.dialer`)."""
     cal = tb.cal
     capacity = {} if cache_capacity is None else {"capacity_bytes": cache_capacity}
     disk = None
@@ -331,8 +332,8 @@ def _paper_session(tb: Testbed, label: str, dial,
     server_proxy = serve_proxy(tb, _session_gridmap(), server_security,
                                blocking=blocking,
                                acl_cache_enabled=acl_cache_enabled)
-    proxy = client_proxy(tb, seat, UpstreamSession(tb.sim, dial, streams=streams),
-                         blocking=blocking, **proxy_kw)
+    legs = [UpstreamSession(tb.sim, dial, streams=streams)]
+    proxy = client_proxy(tb, seat, GridRouter(tb.sim, legs), blocking=blocking, **proxy_kw)
 
     def build():
         yield from proxy.start()

@@ -1,8 +1,8 @@
-"""Client-side striping router: fan block I/O out across backends.
+"""Client-side upstream of every proxied mount: one leg per backend.
 
-The :class:`GridRouter` is the ``upstream`` a
-:class:`repro.proxy.client_proxy.SgfsClientProxy` is handed in place of
-a single leg, and takes over upstream forwarding:
+Every :class:`repro.proxy.client_proxy.SgfsClientProxy` sends through a
+:class:`GridRouter`.  Over one backend (a plain mount) every object is
+the home file and the router passes calls to its one leg.  Over several:
 
 - **namespace operations** (LOOKUP, GETATTR, ACCESS, READDIR, …) go to
   the *home* server (backend 0) — the single namespace authority;
@@ -13,10 +13,10 @@ a single leg, and takes over upstream forwarding:
   ``str(fileid)`` in the seat's directory there — so MKDIR, RMDIR and
   RENAME change home only; REMOVE, or a RENAME over a striped file,
   removes the replaced file's objects and forgets its catalog entry;
-- **READ/WRITE** of striped files are split into grid-block spans
-  (:meth:`repro.grid.layout.GridLayout.spans`) and fanned out to the
-  owning backends in parallel; unstriped (out-of-band) files pass
-  through to home untouched;
+- **READ/WRITE** of striped files are split into grid-block spans sent
+  to their owners in parallel: a lone call span by span, a proxy
+  window's burst as one :meth:`UpstreamSession.burst` per leg;
+  unstriped (out-of-band) files pass through to home untouched;
 - **COMMIT** fans out to every backend the session dirtied, then
   pushes the tracked file size to the home server (SETATTR) so future
   sessions see the correct length in home GETATTRs.
@@ -24,15 +24,15 @@ a single leg, and takes over upstream forwarding:
 Determinism rules (same-seed reruns are bit-identical, also under
 crash schedules):
 
-- fan-out processes are spawned in ascending (span, replica) order and
-  **joined in spawn order** — completion order never influences
-  results;
+- fan-out processes are spawned in ascending (span, replica) — or leg
+  — order and **joined in spawn order**: completion order never
+  influences results;
 - replica placement depends only on (fileid, block, width, replicas),
   never on liveness; a read tries its owner list strictly in placement
   order, skipping backends known dead;
-- a backend that fails a data call is marked dead locally at once and
-  reported to the metadata service *after* the fan-out join, in
-  backend order; dead backends stay dead for the whole run.
+- a backend that fails a data call is marked dead locally and reported
+  to the metadata service *after* the fan-out join, in backend order;
+  dead backends stay dead for the whole run.
 
 Correctness details worth knowing:
 
@@ -44,13 +44,6 @@ Correctness details worth knowing:
   file it writes and patches home GETATTR/LOOKUP replies with it — the
   single-writer-session relaxation the SGFS proxy cache already relies
   on.
-
-Multi-stream legs: the router itself is stream-agnostic — each
-:class:`~repro.proxy.upstream.UpstreamSession` leg may be built
-with ``streams=N`` and round-robins the bulk calls the router forwards
-across its own channels; determinism is preserved because the
-router joins fan-outs in spawn order regardless of which channel
-carried each call.
 """
 
 from __future__ import annotations
@@ -70,25 +63,32 @@ from repro.sim.process import all_of
 GRID_VERF = b"gridplne"
 
 
-class GridRouter:
-    """Striped data plane of one client session."""
+class _Piece:
+    """One backend's part of a routed call, and its reply once back."""
 
-    def __init__(self, sim, legs: List[object], meta,
-                 roots: Dict[int, FileHandle], width: int, replicas: int = 1,
+    __slots__ = ("b", "call", "tag", "reply")
+
+    def __init__(self, b: int, call: CallMessage, tag: str = ""):
+        self.b, self.call, self.tag, self.reply = b, call, tag, None
+
+
+class GridRouter:
+    """The upstream of one client session: one leg per backend."""
+
+    def __init__(self, sim, legs: List[object], meta=None,
+                 roots: Optional[Dict[int, FileHandle]] = None, replicas: int = 1,
                  block_size: int = 4 * 1024 * 1024, obs=None):
+        """One :class:`repro.proxy.upstream.UpstreamSession` leg per
+        backend, leg 0 the home one.  Over several, files are striped by
+        ``meta`` (the metadata service's client) into objects in
+        ``roots`` (backend -> the seat's directory there)."""
         from repro.grid.layout import GridLayout
 
-        if len(legs) != width:
-            raise ValueError(f"need one leg per backend: {len(legs)} != {width}")
         self.sim = sim
-        #: per-backend :class:`repro.proxy.upstream.UpstreamSession`;
-        #: leg 0 is the home (namespace) leg
         self.legs = legs
         self.meta = meta
-        #: backend index -> the seat's directory there, which holds the
-        #: backend's objects
         self._roots = roots
-        self.layout = GridLayout(width, replicas, block_size)
+        self.layout = GridLayout(len(legs), replicas, block_size)
         #: layout epoch last seen from the metadata service; any reply
         #: carrying a newer one flushes the striped/unstriped cache
         self._epoch = 0
@@ -111,18 +111,20 @@ class GridRouter:
         #: failures detected mid-fan-out, reported to the metadata
         #: service after the join (in backend order)
         self._pending_dead: Set[int] = set()
-        self._cred = None
-        #: NFS procedure -> how it is routed; anything else goes home
-        self._routes = {
-            int(Proc.READ): self._h_read, int(Proc.WRITE): self._h_write,
-            int(Proc.COMMIT): self._h_commit, int(Proc.CREATE): self._h_create,
-            int(Proc.REMOVE): self._h_remove, int(Proc.RENAME): self._h_rename,
-            int(Proc.SETATTR): self._h_setattr, int(Proc.GETATTR): self._h_getattr,
-            int(Proc.LOOKUP): self._h_lookup,
-        }
+        #: NFS procedure -> how it is routed; anything else (everything,
+        #: over one backend) goes home as it is
+        self._routes = {}
         self.stats = zeros("grid")
-        if obs is not None:
-            obs.add_collector("grid", self._export_stats)
+        if len(legs) > 1:
+            self._routes = {
+                int(Proc.READ): self._h_data, int(Proc.WRITE): self._h_data,
+                int(Proc.COMMIT): self._h_commit, int(Proc.CREATE): self._h_create,
+                int(Proc.REMOVE): self._h_remove, int(Proc.RENAME): self._h_rename,
+                int(Proc.SETATTR): self._h_setattr,
+                int(Proc.GETATTR): self._h_getattr, int(Proc.LOOKUP): self._h_lookup,
+            }
+            if obs is not None:
+                obs.add_collector("grid", self._export_stats)
 
     def _export_stats(self) -> dict:
         return {**self.stats, "layout_cache_entries": len(self._layouts),
@@ -131,35 +133,29 @@ class GridRouter:
     # -- wiring ------------------------------------------------------------
 
     def connect(self):
-        """Process generator: dial every backend leg at once, then the
-        metadata service.
-
-        The legs' dials run as one joined fan-out (spawned in index
-        order, joined in spawn order), so a mount costs its slowest leg,
-        not the sum of its legs; each leg still dials its own channels
-        one after another, resuming from its own server's ticket slot
-        (:class:`repro.tls.channel.ClientSessionStore`).  A failed dial
-        (:data:`~repro.rpc.transport.DIAL_ERRORS`) is raised only once
-        every sibling dial has finished — the failure of the
-        lowest-indexed leg, as a serial dial would raise it — so no dial
-        outlives this call."""
-        failures = yield from self._fan_out(
-            (f"dial{b}", self._dial(leg)) for b, leg in enumerate(self.legs))
-        for exc in failures:
-            if exc is not None:
-                raise exc
-        yield from self.meta.connect()
+        """Process generator: dial every leg at once (a lone leg inline),
+        then the metadata service: a mount costs its slowest leg.  A
+        failed dial (:data:`~repro.rpc.transport.DIAL_ERRORS`) is raised
+        once every sibling dial has finished — the lowest-indexed leg's,
+        as a serial dial would raise it — so no dial outlives this call."""
+        results = yield from self._fan_out(
+            ((f"dial{b}", self._caught(leg.connect(), DIAL_ERRORS))
+             for b, leg in enumerate(self.legs)), inline=True)
+        for result in results:
+            if isinstance(result, BaseException):
+                raise result
+        if self.meta is not None:
+            yield from self.meta.connect()
         return self
 
     @staticmethod
-    def _dial(leg):
-        """Worker: connect one leg; returns its failure (None on success)
-        for :meth:`connect` to raise after the join."""
+    def _caught(gen, errors=RpcError):
+        """Worker: run ``gen``; returns its result, or the ``errors``
+        exception it raised, for the joiner to act on after the join."""
         try:
-            yield from leg.connect()
-        except DIAL_ERRORS as exc:
+            return (yield from gen)
+        except errors as exc:
             return exc
-        return None
 
     # -- layout cache -------------------------------------------------------
 
@@ -273,56 +269,88 @@ class GridRouter:
         for b in range(1, self.layout.width):
             self._shadows.pop((b, fileid), None)
 
-    def _note_home_attr(self, attr: Optional[Fattr3]) -> None:
-        if attr is None:
-            return
-        self._home_sizes[attr.fileid] = attr.size
-        if attr.size > self._sizes.get(attr.fileid, -1) and \
-                attr.fileid in self._sizes:
-            self._sizes[attr.fileid] = attr.size
-
-    def _patched_attr(self, attr: Optional[Fattr3]) -> Optional[Fattr3]:
-        """Raise home-reported size to the session-tracked one."""
+    def _home_attr(self, attr: Optional[Fattr3]) -> Optional[Fattr3]:
+        """Note an attr home reported; returns it with its size raised
+        to the session-tracked one."""
         if attr is None:
             return None
+        self._home_sizes[attr.fileid] = attr.size
         tracked = self._sizes.get(attr.fileid)
         if tracked is None or tracked <= attr.size:
+            if tracked is not None:
+                self._sizes[attr.fileid] = attr.size
             return attr
         return replace(attr, size=tracked, used=max(attr.used, tracked))
 
     def _size_of(self, fileid: int) -> int:
         return max(self._sizes.get(fileid, 0), self._home_sizes.get(fileid, 0))
 
-    def _fan_out(self, gens_with_labels):
-        """Spawn workers in order; join in spawn order (never completion
-        order).  Workers must catch their own per-replica failures; an
-        escaped exception fails the whole aggregate."""
-        procs = [
-            self.sim.spawn(gen, name=f"grid-fan:{label}")
-            for label, gen in gens_with_labels
-        ]
-        results = yield all_of(self.sim, procs)
-        return results
+    def _fan_out(self, gens_with_labels, inline: bool = False):
+        """Spawn workers in order, join in spawn order (never completion
+        order) — or, ``inline``, run a lone one in the caller.  Workers
+        catch their own per-replica failures: one escaping fails all."""
+        jobs = list(gens_with_labels)
+        if inline and len(jobs) < 2:
+            return [(yield from jobs[0][1])] if jobs else []
+        procs = [self.sim.spawn(gen, name=f"grid-fan:{label}") for label, gen in jobs]
+        return (yield all_of(self.sim, procs))
 
     # -- dispatch ------------------------------------------------------------
 
     def burst(self, calls: List[CallMessage]):
-        """Process generator: a burst of bulk calls from the proxy's
-        read window or write-behind, one reply per call in issue order.
-        Each call is routed on its own (it may stripe over several
-        backends); the legs' channels round-robin what reaches them."""
-        return (yield from self._fan_out(
-            (f"bulk{i}", self.forward(call)) for i, call in enumerate(calls)
-        ))
+        """Process generator: a burst of bulk calls from the proxy's read
+        window or write-behind, one reply per call in issue order.  The
+        calls are planned into pieces in issue order, and each leg sends
+        its pieces as one :meth:`UpstreamSession.burst` (its channels, its
+        two-phase WRITEs); legs are spawned in index order and joined in
+        spawn order, a burst on one leg inline."""
+        plans, shares = [], [[] for _ in self.legs]
+        for call in calls:
+            pieces, finish = yield from self._plan(call)
+            for piece in pieces:
+                shares[piece.b].append(piece)
+            plans.append((pieces, finish))
+        busy = [(b, share) for b, share in enumerate(shares) if share]
+        results = yield from self._fan_out((
+            (f"leg{b}", self._caught(self.legs[b].burst([p.call for p in share])))
+            for b, share in busy), inline=True)
+        for (b, share), replies in zip(busy, results):
+            if isinstance(replies, RpcError):
+                if any(p.tag == "home" for p in share):
+                    raise replies
+                self._fail_backend(b)
+                replies = [None] * len(share)
+            for piece, reply in zip(share, replies):
+                piece.reply = reply
+        replies = []
+        for pieces, finish in plans:
+            replies.append(pieces[0].reply if finish is None else (yield from finish()))
+        yield from self._report_dead()
+        return replies
+
+    def _plan(self, call: CallMessage, burst: bool = True):
+        """Process generator: a call's pieces, and the process generator
+        making its reply of theirs — None for a call home takes whole
+        (whose leg's failure is its caller's)."""
+        plan = None
+        if self._routes and call.prog == pr.NFS_PROGRAM and \
+                call.proc in (Proc.READ, Proc.WRITE):
+            plan = yield from (self._plan_read if call.proc == Proc.READ
+                               else self._plan_write)(call, burst)
+        return plan or ([_Piece(0, call, tag="home")], None)
+
+    def _deliver(self, piece: _Piece):
+        """Worker: send one piece on its own.  A backend that fails it
+        is marked dead at once, and the reply stays None.  Never raises."""
+        try:
+            piece.reply = yield from self.legs[piece.b].forward(piece.call)
+        except RpcError:
+            self._fail_backend(piece.b)
 
     def forward(self, call: CallMessage):
         """Process generator: route one upstream call; returns the reply."""
-        if call.prog != pr.NFS_PROGRAM:
-            return (yield from self.legs[0].forward(call))
-        if call.cred is not None and getattr(call.cred, "flavor", 0) != 0:
-            self._cred = call.cred
-        handler = self._routes.get(call.proc, self.legs[0].forward)
-        return (yield from handler(call))
+        handler = self._routes.get(call.proc) if call.prog == pr.NFS_PROGRAM else None
+        return (yield from (handler or self.legs[0].forward)(call))
 
     # -- namespace procedures -------------------------------------------------
 
@@ -332,8 +360,7 @@ class GridRouter:
         if res is None:
             return reply
         status, attr = res
-        self._note_home_attr(attr)
-        patched = self._patched_attr(attr)
+        patched = self._home_attr(attr)
         if patched is not attr:
             reply.results = pr.pack_getattr_res(status, patched)
         return reply
@@ -348,8 +375,7 @@ class GridRouter:
         if fh is not None and attr is not None:
             if not attr.is_dir:
                 self._names[(dir_fh.fileid, name)] = attr.fileid
-            self._note_home_attr(attr)
-            patched = self._patched_attr(attr)
+            patched = self._home_attr(attr)
             if patched is not attr:
                 reply.results = pr.pack_lookup_res(status, fh, patched, dir_attr)
         return reply
@@ -421,41 +447,37 @@ class GridRouter:
 
     # -- data procedures -------------------------------------------------------
 
-    def _live_owners(self, fileid: int, block: int) -> List[int]:
-        return [b for b in self.layout.owners(fileid, block)
-                if b not in self._dead]
-
     def _read_span(self, call: CallMessage, fh: FileHandle, block: int,
-                   abs_off: int, length: int):
-        """Worker: read one span, failing over along the owner list.
-
-        Returns the span bytes (zero-padded to ``length``); a span whose
-        file legitimately doesn't exist on any live replica reads as a
-        hole of zeros; ``None`` means every replica is dead or errored —
-        genuine data loss the caller surfaces as an IO reply.  A replica
-        that answers without serving the read (an RPC error such as
-        SYSTEM_ERR, or results that do not parse) is passed over for the
-        next owner but not marked dead: it is up.  Workers never raise:
-        the joiner consumes results in span order and decides, so a
-        failure can't abort the fan-out early and leave stragglers
-        racing."""
+                   abs_off: int, length: int, piece: Optional[_Piece] = None):
+        """Worker: read one span, failing over along the owner list (past
+        ``piece``'s backend, once the reply a burst got for it is judged).
+        Returns the span bytes, zero-padded to ``length``: zeros for a
+        span no live replica has (a hole), None if every one is dead or
+        errored (data loss, an IO reply).  A replica that answers without
+        serving the read is passed over, not marked dead: it is up.
+        Never raises, so no failure leaves fan-out stragglers racing."""
         saw_absent = False
         for idx, b in enumerate(self.layout.owners(fh.fileid, block)):
-            if b in self._dead:
-                continue
-            if idx > 0:
-                self.stats["read_failovers"] += 1
-            try:
-                bfh = yield from self._shadow(b, fh, call)
-                if bfh is None:
-                    saw_absent = True
+            if piece is not None:
+                if b != piece.b:
                     continue
-                reply = yield from self.legs[b].forward(self._call(
-                    Proc.READ, pr.pack_read_args(bfh, abs_off, length), call))
-            except RpcError:
-                self._fail_backend(b)
+                reply, piece = piece.reply, None
+            elif b in self._dead:
                 continue
-            if not reply.ok:
+            else:
+                if idx > 0:
+                    self.stats["read_failovers"] += 1
+                try:
+                    bfh = yield from self._shadow(b, fh, call)
+                    if bfh is None:
+                        saw_absent = True
+                        continue
+                    reply = yield from self.legs[b].forward(self._call(
+                        Proc.READ, pr.pack_read_args(bfh, abs_off, length), call))
+                except RpcError:
+                    self._fail_backend(b)
+                    continue
+            if reply is None or not reply.ok:
                 continue
             try:
                 # NOENT is a hole, not a failure: read the status here
@@ -464,9 +486,7 @@ class GridRouter:
             except DECODE_ERRORS:
                 continue
             if status == NfsStatus.OK:
-                if len(data) < length:
-                    data = data + b"\x00" * (length - len(data))
-                return data[:length]
+                return data.ljust(length, b"\x00")[:length]
             if status == NfsStatus.NOENT:
                 saw_absent = True
                 continue
@@ -478,111 +498,108 @@ class GridRouter:
             return b"\x00" * length
         return None
 
-    def _h_read(self, call: CallMessage):
-        fh, offset, count = pr.unpack_read_args(call.args)
-        striped = yield from self._is_striped(fh.fileid)
-        if not striped:
+    def _h_data(self, call: CallMessage):
+        """READ or WRITE on its own: each span sent by itself."""
+        _pieces, finish = yield from self._plan(call, burst=False)
+        if finish is None:
             return (yield from self.legs[0].forward(call))
+        return (yield from finish())
+
+    def _plan_read(self, call: CallMessage, burst: bool = True):
+        """Process generator: a striped READ's pieces and the process
+        generator reading its spans (below the session's file size) into
+        the reply, one :meth:`_read_span` each; in a burst a span has a
+        piece on its first live owner whose object is known there."""
+        fh, offset, count = pr.unpack_read_args(call.args)
+        if not (yield from self._is_striped(fh.fileid)):
+            return None
         self.stats["striped_reads"] += 1
         size = self._size_of(fh.fileid)
-        count = max(0, min(count, size - offset))
-        if count == 0:
-            return ReplyMessage(xid=call.xid, results=pr.pack_read_res(
-                NfsStatus.OK, None, b"", True))
-        spans = self.layout.spans(offset, count)
+        spans = self.layout.spans(offset, max(0, min(count, size - offset)))
         self.stats["spans_read"] += len(spans)
-        if len(spans) == 1:
-            block, abs_off, length = spans[0]
-            chunks = [
-                (yield from self._read_span(call, fh, block, abs_off, length))
-            ]
-        else:
-            chunks = yield from self._fan_out([
-                (f"r{block}",
-                 self._read_span(call, fh, block, abs_off, length))
-                for block, abs_off, length in spans
-            ])
-        yield from self._report_dead()
-        if any(c is None for c in chunks):
-            # a span with no live replica: surface the loss loudly
-            return ReplyMessage(xid=call.xid,
-                                results=pr.pack_read_res(NfsStatus.IO, None))
-        data = b"".join(chunks)
-        eof = offset + len(data) >= size
-        return ReplyMessage(xid=call.xid, results=pr.pack_read_res(
-            NfsStatus.OK, None, data, eof))
+        pieces = []  # per span: its piece, or None
+        for block, abs_off, length in spans:
+            owners = self.layout.owners(fh.fileid, block)
+            b = next((b for b in owners if b not in self._dead), None)
+            bfh = fh if b == 0 else self._shadows.get((b, fh.fileid))
+            pieces.append(None if bfh is None or not burst else _Piece(b, self._call(
+                Proc.READ, pr.pack_read_args(bfh, abs_off, length), call)))
+            if pieces[-1] is not None and b != owners[0]:
+                self.stats["read_failovers"] += 1
 
-    def _write_replica(self, call: CallMessage, b: int, bfh: FileHandle,
-                       abs_off: int, payload: bytes, stable: int):
-        """Worker: write one span copy to one backend.  Returns the
-        backend index on success, None on failure (caller decides
-        whether the span is degraded or lost).  Never raises."""
-        try:
-            reply = yield from self.legs[b].forward(self._call(
-                Proc.WRITE, pr.pack_write_args(bfh, abs_off, payload, stable),
-                call))
-        except RpcError:
-            self._fail_backend(b)
-            return None
-        res = pr.read_ok(reply, pr.unpack_write_res)
-        if res is not None and res[2] == len(payload):
-            return b
-        return None
+        def finish():
+            chunks = yield from self._fan_out((
+                (f"r{block}", self._read_span(call, fh, block, abs_off, length, piece))
+                for (block, abs_off, length), piece in zip(spans, pieces)), inline=True)
+            if spans:
+                yield from self._report_dead()
+            if any(c is None for c in chunks):
+                # a span with no live replica: surface the loss loudly
+                return ReplyMessage(xid=call.xid,
+                                    results=pr.pack_read_res(NfsStatus.IO, None))
+            data = b"".join(chunks)
+            return ReplyMessage(xid=call.xid, results=pr.pack_read_res(
+                NfsStatus.OK, None, data, not spans or offset + len(data) >= size))
 
-    def _h_write(self, call: CallMessage):
+        return [piece for piece in pieces if piece is not None], finish
+
+    def _plan_write(self, call: CallMessage, burst: bool = True):
+        """Process generator: a striped WRITE's pieces — each span on
+        every live owner — and the process generator judging them into
+        the reply (out of a burst, sending them first).  Objects are
+        resolved (created on demand) one by one before any piece goes
+        out: two spans on one backend must not race duplicate CREATEs."""
         fh, offset, stable, payload = pr.unpack_write_args(call.args)
-        striped = yield from self._is_striped(fh.fileid)
-        if not striped:
-            return (yield from self.legs[0].forward(call))
+        if not (yield from self._is_striped(fh.fileid)):
+            return None
         self.stats["striped_writes"] += 1
         spans = self.layout.spans(offset, len(payload))
         self.stats["spans_written"] += len(spans)
-        # resolve (creating on demand) every target's backend handle
-        # *sequentially before* the fan-out: two concurrent spans on the
-        # same backend must not race duplicate CREATEs
-        jobs = []
-        plan = []  # (span_index, backend) per job, in spawn order
+        pieces = []  # (span index, piece), in spawn order
         for si, (block, abs_off, length) in enumerate(spans):
-            rel = abs_off - offset
-            chunk = payload[rel:rel + length]
-            for b in self._live_owners(fh.fileid, block):
+            chunk = payload[abs_off - offset:abs_off - offset + length]
+            for b in self.layout.owners(fh.fileid, block):
+                if b in self._dead:
+                    continue
                 try:
                     bfh = yield from self._shadow(b, fh, call, create=True)
                 except RpcError:
                     self._fail_backend(b)
                     continue
-                if bfh is None:
-                    continue
-                plan.append((si, b))
-                jobs.append((
-                    f"w{block}.{b}",
-                    self._write_replica(call, b, bfh, abs_off, chunk, stable),
-                ))
-        outcomes = yield from self._fan_out(jobs)
-        yield from self._report_dead()
-        landed = [0] * len(spans)
-        dirtied = self._dirty.setdefault(fh.fileid, set())
-        for (si, _b), ok in zip(plan, outcomes):
-            if ok is not None:
-                landed[si] += 1
-                dirtied.add(ok)
-                self.stats["replica_writes"] += 1
-        if any(n == 0 for n in landed):
-            # a span with no surviving copy is a hard failure
+                if bfh is not None:
+                    pieces.append((si, _Piece(b, self._call(
+                        Proc.WRITE, pr.pack_write_args(bfh, abs_off, chunk, stable),
+                        call), tag=f"w{block}.{b}")))
+
+        def finish():
+            if not burst:
+                yield from self._fan_out((p.tag, self._deliver(p)) for _si, p in pieces)
+                yield from self._report_dead()
+            landed = [0] * len(spans)
+            dirtied = self._dirty.setdefault(fh.fileid, set())
+            for si, piece in pieces:
+                res = pr.read_ok(piece.reply, pr.unpack_write_res)
+                if res is not None and res[2] == spans[si][2]:
+                    landed[si] += 1
+                    dirtied.add(piece.b)
+                    self.stats["replica_writes"] += 1
+            if any(n == 0 for n in landed):
+                # a span with no surviving copy is a hard failure
+                return ReplyMessage(xid=call.xid, results=pr.pack_write_res(
+                    NfsStatus.IO, None, 0, stable, GRID_VERF))
+            if any(n < self.layout.replicas for n in landed):
+                self.stats["degraded_writes"] += 1
+            end = offset + len(payload)
+            if end > self._sizes.get(fh.fileid, 0):
+                self._sizes[fh.fileid] = end
             return ReplyMessage(xid=call.xid, results=pr.pack_write_res(
-                NfsStatus.IO, None, 0, stable, GRID_VERF))
-        if any(n < self.layout.replicas for n in landed):
-            self.stats["degraded_writes"] += 1
-        end = offset + len(payload)
-        if end > self._sizes.get(fh.fileid, 0):
-            self._sizes[fh.fileid] = end
-        return ReplyMessage(xid=call.xid, results=pr.pack_write_res(
-            NfsStatus.OK, None, len(payload), stable, GRID_VERF))
+                NfsStatus.OK, None, len(payload), stable, GRID_VERF))
+
+        return [piece for _si, piece in pieces], finish
 
     def _h_commit(self, call: CallMessage):
         fh, _off, _cnt = pr.unpack_commit_args(call.args)
-        striped = yield from self._is_striped(fh.fileid)
-        if not striped:
+        if not (yield from self._is_striped(fh.fileid)):
             return (yield from self.legs[0].forward(call))
         dirty = sorted(self._dirty.get(fh.fileid, ()))
         jobs = []
@@ -590,12 +607,9 @@ class GridRouter:
             if b in self._dead:
                 continue
             bfh = yield from self._shadow(b, fh, call)
-            if bfh is None:
-                continue
-            jobs.append((
-                f"c{b}",
-                self._commit_backend(call, b, bfh),
-            ))
+            if bfh is not None:
+                jobs.append((f"c{b}", self._deliver(_Piece(b, self._call(
+                    Proc.COMMIT, pr.pack_commit_args(bfh), call)))))
         if jobs:
             yield from self._fan_out(jobs)
         yield from self._report_dead()
@@ -609,22 +623,13 @@ class GridRouter:
                 pr.pack_setattr_args(fh, Sattr3(size=tracked)), call))
             res = pr.read_ok(reply, pr.unpack_setattr_res)
             if res is not None:
-                self._note_home_attr(res[1])
+                self._home_attr(res[1])
         reply = yield from self.legs[0].forward(call)
         res = pr.read_ok(reply, pr.unpack_commit_res)
         if res is None:
             return reply
         status, after, verf = res
-        self._note_home_attr(after)
-        patched = self._patched_attr(after)
+        patched = self._home_attr(after)
         if patched is not after:
             reply.results = pr.pack_commit_res(status, patched, verf)
         return reply
-
-    def _commit_backend(self, call: CallMessage, b: int, bfh: FileHandle):
-        try:
-            yield from self.legs[b].forward(self._call(
-                Proc.COMMIT, pr.pack_commit_args(bfh), call))
-        except RpcError:
-            self._fail_backend(b)
-        return b

@@ -333,7 +333,6 @@ def run_fleet(
     )
     secure = setup in SUITES
     proxied = secure or setup == "gfs"
-    grid = servers > 1
 
     if profile:
         telemetry = tracing = True
@@ -386,7 +385,7 @@ def run_fleet(
             serve_proxy(tb, gridmap, pki.server_config(b) if secure else None, b)
             for b in range(servers)
         ]
-    if grid:
+    if servers > 1:  # a catalogue of striped files
         grid_service = GridMetadataService(
             width=servers, replicas=replicas, block_size=grid_block_size,
             obs=tb.obs,
@@ -410,18 +409,18 @@ def run_fleet(
         # Leg 0 (home/namespace) keeps the patient hard-mount retry
         # budget; data legs fail fast so a crashed backend surfaces as
         # an RpcError the router can fail over from, instead of minutes
-        # of backoff.
+        # of backoff.  A lone leg keeps the name of a plain mount's.
         fail_fast = dict(retry_max=2, retry_base=0.25, retry_cap=2.0)
         legs = [
             UpstreamSession(sim, dial(b.name), streams=streams,
-                            name=f"leg{b.index}", **(fail_fast if b.index else {}))
+                            name=f"leg{b.index}" if servers > 1 else "up",
+                            **(fail_fast if b.index else {}))
             for b in tb.backends
         ]
-        meta = GridMetadataClient(sim, seat.host, "server", GRID_META_PORT)
-        return GridRouter(
-            sim, legs, meta, seat.roots, width=servers, replicas=replicas,
-            block_size=grid_block_size, obs=tb.obs,
-        )
+        meta = (GridMetadataClient(sim, seat.host, "server", GRID_META_PORT)
+                if servers > 1 else None)
+        return GridRouter(sim, legs, meta, seat.roots, replicas=replicas,
+                          block_size=grid_block_size, obs=tb.obs)
 
     def client_proc(i: int):
         seat, workload = seats[i], workloads[i]
@@ -432,9 +431,8 @@ def run_fleet(
             start = sim.now
             proxy = None
             if proxied:
-                upstream = grid_router(seat, dials[i]) if grid else \
-                    UpstreamSession(sim, dials[i]("server"), streams=streams)
-                proxy = client_proxy(tb, seat, upstream, disk_cache=disk_cache,
+                proxy = client_proxy(tb, seat, grid_router(seat, dials[i]),
+                                     disk_cache=disk_cache,
                                      cache_capacity=cache_capacity)
                 yield from proxy.start()
                 if reconnect_interval:

@@ -61,14 +61,9 @@ class SgfsClientProxy:
         blocking: bool = True,
         cryptor=None,
     ):
-        """``upstream`` is where forwarded calls go: an
-        :class:`~repro.proxy.upstream.UpstreamSession` (one recoverable
-        leg to the server-side proxy; its dial is where the gfs / sgfs /
-        gfs-ssh variants differ) or a :class:`repro.grid.GridRouter`
-        over one such leg per backend — anything with their
-        ``legs``/``forward``/``burst``/``connect`` surface.  The proxy's
-        ``_upstream``/``upstream_timeo`` views refer to leg 0, the only
-        leg of a plain mount and the home (namespace) leg of a grid.
+        """``upstream`` is the :class:`repro.grid.GridRouter` calls are
+        forwarded through, one leg per backend; the ``_upstream`` and
+        ``upstream_timeo`` views read leg 0, the home leg.
 
         ``cryptor`` (a :class:`repro.proxy.cryptofs.BlockCryptor`)
         enables at-rest protection: every block is sealed before it
@@ -127,10 +122,8 @@ class SgfsClientProxy:
             leg.stats = self.stats
 
     # -- upstream leg views --------------------------------------------------
-    # The recovery machinery lives in UpstreamSession; these properties
-    # are the surface tests and the fault harness use (they read
-    # _upstream and set upstream_timeo / upstream_retrans directly).
-    # Leg 0 is the only leg of a plain mount and the home leg of a grid.
+    # The recovery machinery lives in UpstreamSession; tests and the
+    # fault harness read _upstream, set upstream_timeo/upstream_retrans.
 
     @property
     def _upstream(self) -> Optional[Transport]:
@@ -295,9 +288,8 @@ class SgfsClientProxy:
             pass  # the kernel client went away; it redials and retries
 
     def _forward(self, call: CallMessage):
-        """Forward upstream with retry/reconnect (see
-        :class:`UpstreamSession`; grid-routed when the striped data
-        plane is attached)."""
+        """Forward upstream through the router (retry and reconnect:
+        :class:`~repro.proxy.upstream.UpstreamSession`)."""
         self.stats["forwarded"] += 1
         reply = yield from self._up.forward(call)
         reply.xid = call.xid
@@ -314,8 +306,8 @@ class SgfsClientProxy:
 
     def cycle_upstream(self):
         """Process generator: proactively tear down and re-establish the
-        upstream session(s) — every backend leg in index order when the
-        grid data plane is attached (see :meth:`UpstreamSession.cycle`)."""
+        upstream session of every backend leg, in index order (see
+        :meth:`UpstreamSession.cycle`)."""
         for leg in self._up.legs:
             yield from leg.cycle()
 
@@ -543,10 +535,8 @@ class SgfsClientProxy:
         keeps listed for the next drain of its file to join.
 
         Determinism rules: fetches are issued in ascending block order
-        (how a burst is spread over legs and channels is the upstream's
-        business: :meth:`UpstreamSession.burst`,
-        :meth:`GridRouter.burst`), and results are installed in that
-        order — reply arrival order never influences cache state."""
+        (:meth:`GridRouter.burst` spreads them over legs and channels),
+        and results are installed in that order, never arrival order."""
         bs = self.cache.block_size
         fetches = [
             CallMessage(call.xid, call.prog, call.vers, call.proc, call.cred,
@@ -847,8 +837,9 @@ class SgfsClientProxy:
                 if not cache.enabled or not cache.write_back:
                     yield from self.writeback()
                 self.cache = self._blocks.config = cache
-            if rekey and hasattr(self._upstream, "renegotiate"):
-                self._upstream.renegotiate()
+            if rekey:
+                for leg in self._up.legs:
+                    leg.renegotiate()
         finally:
             self._serving.open()
 

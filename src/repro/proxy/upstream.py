@@ -1,10 +1,10 @@
 """The client proxy's upstream leg: channels, retry ladder, striping.
 
-One :class:`UpstreamSession` is one recoverable proxy-to-server leg —
-the only leg of an ordinary mount, or one of the per-backend legs a
-:class:`repro.grid.GridRouter` fans out over.  It owns *how* a call
-crosses the WAN (xids, connections and their replacement, backoff, the
-RTT-sized window, burst placement on channels);
+One :class:`UpstreamSession` is one recoverable proxy-to-server leg,
+one per backend of the :class:`repro.grid.GridRouter` a client proxy
+sends through.  It owns *how* a call crosses the WAN (xids,
+connections and their replacement, backoff, the RTT-sized window,
+burst placement on channels);
 :class:`repro.proxy.client_proxy.SgfsClientProxy` decides *what* to send.
 """
 
@@ -26,7 +26,7 @@ from repro.rpc.messages import DECODE_ERRORS, CallMessage, ReplyMessage
 from repro.rpc.transport import DIAL_ERRORS, StreamTransport, Transport
 from repro.sim.core import Event, Simulator
 from repro.sim.process import all_of
-from repro.tls.channel import client_handshake
+from repro.tls.channel import SecureChannel, client_handshake
 
 #: bulk data procedures — the traffic round-robined across channels
 _BULK_PROCS = frozenset((int(pr.Proc.READ), int(pr.Proc.WRITE)))
@@ -145,8 +145,6 @@ class UpstreamSession:
                   for m in ("stream_calls", "stream_bytes"))
             for ch in range(self.streams)
         ]
-        #: a lone leg is its own leg list (a grid router has several)
-        self.legs: List["UpstreamSession"] = [self]
         #: round-robin cursor for bulk READ/WRITE traffic
         self._rr_bulk = 0
         #: smoothed RTT estimators (virtual seconds, deterministic):
@@ -174,9 +172,8 @@ class UpstreamSession:
         deposits a fresh session ticket in the client's slot for this
         leg's server, so channel k+1 resumes the keys channel k
         negotiated and the dial order — hence the whole run — stays
-        deterministic.  A grid router dials its legs concurrently (see
-        :meth:`repro.grid.GridRouter.connect`); the per-server slots keep
-        each leg's chain to itself."""
+        deterministic.  A router dials its legs at once; the per-server
+        slots keep each leg's chain to itself."""
         for ch in self._channels:
             ch.router = ReplyTable(
                 self.sim, (yield from self.upstream_factory()), name="cproxy-pump"
@@ -417,6 +414,13 @@ class UpstreamSession:
         finally:
             ch.reconnecting = None
             gate.succeed(None)
+
+    def renegotiate(self) -> None:
+        """Rekey every channel that is a secure channel (a reload's
+        rekey signal, see :meth:`SecureChannel.renegotiate`)."""
+        for ch in self._channels:
+            if isinstance(ch.router.transport, SecureChannel):
+                ch.router.transport.renegotiate()
 
     def cycle(self):
         """Process generator: proactively tear down and re-establish the

@@ -18,6 +18,7 @@ from typing import Dict, Iterable, Optional
 from repro.crypto.drbg import Drbg
 from repro.crypto.hybrid import open_sealed
 from repro.crypto.rsa import CryptoError
+from repro.grid.router import GridRouter
 from repro.gsi.certs import (
     CertError, Certificate, Credential, ValidationError, validate_chain,
 )
@@ -189,8 +190,8 @@ class FileSystemService(ServiceEndpoint):
             disk = self.cache_disk_factory()
         proxy = SgfsClientProxy(
             sim, host, port,
-            UpstreamSession(
-                sim, dialer(sim, host, server_host, server_port, client_cfg)),
+            GridRouter(sim, [UpstreamSession(
+                sim, dialer(sim, host, server_host, server_port, client_cfg))]),
             cost=self.proxy_cost if self.proxy_cost is not None else _default_cost(),
             cache=ProxyCacheConfig(enabled=disk_cache),
             disk=disk,

@@ -19,6 +19,7 @@ from typing import Set
 
 from repro.crypto.drbg import Drbg
 from repro.crypto.rsa import RsaKeyPair
+from repro.grid.router import GridRouter
 from repro.proxy.block_cache import ProxyCacheConfig
 from repro.proxy.client_proxy import SgfsClientProxy
 from repro.proxy.server_proxy import SgfsServerProxy
@@ -54,7 +55,7 @@ class SfsClientDaemon(SgfsClientProxy):
 
         super().__init__(
             sim, host, listen_port,
-            UpstreamSession(sim, dial),
+            GridRouter(sim, [UpstreamSession(sim, dial)]),
             cost=cost,
             account="sfsd",
             cache=ProxyCacheConfig(

@@ -83,6 +83,7 @@ def test_tampering_on_server_detected_as_io_error():
 
 def test_at_rest_requires_write_back_cache():
     from repro.crypto.drbg import Drbg
+    from repro.grid import GridRouter
     from repro.proxy.client_proxy import ProxyCacheConfig, SgfsClientProxy
     from repro.proxy.cryptofs import BlockCryptor
     from repro.proxy.upstream import UpstreamSession
@@ -94,7 +95,7 @@ def test_at_rest_requires_write_back_cache():
     host = Host(sim, net, "h")
     with pytest.raises(ValueError, match="write-back"):
         SgfsClientProxy(
-            sim, host, 1234, UpstreamSession(sim, lambda: None),
+            sim, host, 1234, GridRouter(sim, [UpstreamSession(sim, lambda: None)]),
             cache=ProxyCacheConfig(enabled=False),
             cryptor=BlockCryptor(Drbg("k").randbytes(32)),
         )

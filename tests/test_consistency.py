@@ -20,6 +20,7 @@ from repro.core.setups import (
 )
 from repro.core.topology import NFS_PORT, Testbed
 from repro.crypto.drbg import Drbg
+from repro.grid import GridRouter
 from repro.gsi import CertificateAuthority
 from repro.proxy.block_cache import ProxyCacheConfig
 from repro.proxy.client_proxy import SgfsClientProxy
@@ -60,7 +61,8 @@ def build_shared(consistency: str, ttl: float = 2.0):
             return (yield from client_handshake(sim, sock, cfg))
 
         cproxy = SgfsClientProxy(
-            sim, tb.client, 4900 + i, UpstreamSession(sim, upstream_factory),
+            sim, tb.client, 4900 + i,
+            GridRouter(sim, [UpstreamSession(sim, upstream_factory)]),
             cache=ProxyCacheConfig(
                 enabled=True, consistency=consistency, consistency_ttl=ttl,
             ),

@@ -410,14 +410,21 @@ def test_limited_proxy_cannot_grant_or_revoke_access():
                     "server", 5002, action,
                     {"filesystem": "/GFS/ming", "dn": friend, "account": "ming"},
                 )
-        # The unrestricted proxy of the very same user may share.
+        # The unrestricted proxy of the very same user may share, and
+        # take the share back.
         yield from reg.call(
             "server", 5002, "GrantAccess",
             {"filesystem": "/GFS/ming", "dn": friend, "account": "ming"},
         )
-        return dss.gridmap_for("/GFS/ming").dump()
+        granted = dss.gridmap_for("/GFS/ming").dump()
+        yield from reg.call(
+            "server", 5002, "RevokeAccess", {"filesystem": "/GFS/ming", "dn": friend},
+        )
+        return granted, dss.gridmap_for("/GFS/ming").dump()
 
-    assert friend in tb.run(scenario())
+    granted, revoked = tb.run(scenario())
+    assert friend in granted
+    assert friend not in revoked
 
 
 # -- delegated fleet: expiry, renewal, ticket composition ----------------------

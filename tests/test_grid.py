@@ -129,8 +129,8 @@ def test_striped_fleet_bit_identical_same_seed():
 
 
 def test_single_server_run_has_no_grid_plane():
-    # servers=1 must take the exact legacy path: no router, no metadata
-    # service, no grid stats -- and identical results to the default.
+    # servers=1 is a width-1 router: no metadata service, no grid stats
+    # -- and identical results to the default.
     legacy = run_fleet("sgfs-sha", _wr, clients=2,
                        setup_kwargs=GRID_KW["setup_kwargs"])
     one = run_fleet("sgfs-sha", _wr, clients=2, servers=1, **GRID_KW)
@@ -220,6 +220,27 @@ def test_backend_error_reply_fails_over_without_killing_a_worker(
     g = r.stats["grid"]
     assert (g["read_failovers"], g["degraded_writes"]) == (failovers, degraded)
     assert g["dead_marks"] == 0 and g["hole_spans"] == 0
+
+
+def test_cached_grid_writes_back_through_a_backend_crash():
+    """The disk cache's bursts ride each leg's engine, in two-phase
+    envelopes, across the crash of backend 1 mid-write (at 40 ms RTT,
+    through a cache a quarter of the file, so write-behind and
+    re-fetches reach the backends): the read-back is exact, the writes
+    that missed backend 1 are degraded, none fails, and a same-seed
+    rerun is bit-identical."""
+    crash = FaultSpec(crashes=(CrashEvent(at=0.45, target="backend1", down_for=10.0),))
+    kw = dict(clients=2, servers=3, replicas=2, streams=4, rtt=0.04, faults=crash,
+              fault_seed="grid-ci", grid_block_size=32 * 1024,
+              setup_kwargs={"cache_bytes": 64 * 1024, "disk_cache": True,
+                            "cache_capacity": FS // 2})
+    workload = lambda: IOzoneWriteRead(file_size=2 * FS)
+    r = run_fleet("sgfs-sha", workload, **kw)
+    assert all(c.bytes_moved == 6 * FS for c in r.per_client)  # read back, checked
+    g, pc = r.stats["grid"], r.stats["proxy.client"]
+    assert g["degraded_writes"] > 0 and g["dead_marks"] > 0
+    assert pc["writeback_errors"] == 0 and pc["compound_envelopes"] > 0
+    assert _fingerprint(run_fleet("sgfs-sha", workload, **kw)) == _fingerprint(r)
 
 
 def test_replicated_crash_fleet_bit_identical_same_seed():
@@ -414,7 +435,7 @@ def test_failed_leg_dial_raises_lowest_index_after_every_sibling():
     legs = [_Leg(sim, 0.003), _Leg(sim, 0.002, ConnectionRefused("leg 1")),
             _Leg(sim, 0.001, HandshakeError("leg 2")), _Leg(sim, 0.005)]
     meta = _Meta()
-    router = GridRouter(sim, legs, meta, {}, width=4)
+    router = GridRouter(sim, legs, meta, {})
     seen = {}
 
     def mount():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import Testbed, setup_sgfs
+from repro.harness import run_fleet
 from repro.proxy.block_cache import ProxyCacheConfig
 from repro.vfs.fs import Credentials
 
@@ -43,6 +44,28 @@ def test_reload_rekey_under_live_io():
     a, b, renegs = tb.run(job())
     assert (a, b) == (b"before", b"after")
     assert renegs == 1
+
+
+class _Rekeying:
+    """Writes a file, rekeys its live session, then writes another and
+    reads both back."""
+
+    def run(self, mount):
+        cl = mount.client
+        yield from cl.write_file("/a.bin", b"before")
+        yield from mount.client_proxy.reload_config(rekey=True)
+        yield from cl.write_file("/b.bin", b"after")
+        assert (yield from cl.read_file("/a.bin")) == b"before"
+        assert (yield from cl.read_file("/b.bin")) == b"after"
+
+
+@pytest.mark.parametrize("servers, streams", [(1, 4), (2, 1)],
+                         ids=["4-stream", "2x1-grid"])
+def test_reload_rekeys_every_channel_of_every_leg(servers, streams):
+    r = run_fleet("sgfs-sha", _Rekeying, clients=1, servers=servers,
+                  streams=streams)
+    renegs = r.stats["tls"]["renegotiations{suite=null-sha1}"]
+    assert renegs == servers * streams
 
 
 def test_reload_gate_blocks_new_calls_until_done():

@@ -11,6 +11,7 @@ from repro.core.setups import (
 )
 from repro.core.topology import NFS_PORT, Testbed
 from repro.crypto.drbg import Drbg
+from repro.grid import GridRouter
 from repro.gsi import CertificateAuthority, DistinguishedName, Gridmap
 from repro.nfs.client import NfsClientError
 from repro.proxy.accounts import Account
@@ -68,7 +69,8 @@ def build_two_sessions():
             return channel
 
         cproxy = SgfsClientProxy(
-            sim, tb.client, 4800 + i, UpstreamSession(sim, upstream_factory),
+            sim, tb.client, 4800 + i,
+            GridRouter(sim, [UpstreamSession(sim, upstream_factory)]),
             cache=ProxyCacheConfig(enabled=False),
         )
 

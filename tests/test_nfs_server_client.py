@@ -4,11 +4,15 @@ import pytest
 
 from repro.net import Host, Network
 from repro.nfs import NfsClient, NfsClientError, NfsServerProgram, NFS_PROGRAM, NFS_V3
-from repro.nfs.protocol import Proc, Sattr3
+from repro.nfs import protocol as pr
+from repro.nfs.protocol import FileHandle, NfsStatus, Proc, Sattr3
 from repro.rpc import RpcClient, RpcServer, StreamTransport
 from repro.rpc.auth import AuthSys
+from repro.rpc.messages import CallMessage
 from repro.sim import Simulator
 from repro.vfs import DiskModel, Status, VirtualFS
+from repro.vfs.fs import Credentials
+from tests import _reference_codec as ref
 
 
 def build(cache_bytes=1 << 20, read_ahead=2, write_behind=True, uid=1000):
@@ -403,3 +407,34 @@ def test_nfsv4_flavor_serves_same_semantics():
         return (yield from cl.read_file("/v4file"))
 
     assert sim.run_until_complete(sim.spawn(main())) == b"compound"
+
+
+@pytest.mark.parametrize("proc, unpack, expected", [
+    (Proc.FSSTAT, pr.unpack_fsstat_res,
+     lambda fs: (fs.capacity_bytes, fs.capacity_bytes - fs.used_bytes(), 1_000_000)),
+    (Proc.FSINFO, pr.unpack_fsinfo_res, lambda fs: (32768, 32768)),
+    (Proc.PATHCONF, pr.unpack_pathconf_res,
+     lambda fs: (32, 255, True, False, False, True)),
+], ids=["fsstat", "fsinfo", "pathconf"])
+def test_fs_information_procedures_on_live_and_stale_handles(proc, unpack, expected):
+    """FSSTAT, FSINFO and PATHCONF through nfsd: a live handle is
+    answered OK with the export's values; the handle of a removed file
+    STALE, encoded byte for byte as the reference codec's error result."""
+    sim = Simulator()
+    fs = VirtualFS(clock=lambda: sim.now, root_uid=1000, root_gid=1000)
+    prog = NfsServerProgram(sim, fs, DiskModel(sim))
+    owner = Credentials(1000, 1000)
+    node = fs.create(fs.root.fileid, "f", owner)
+    fs.write(node.fileid, 0, b"x" * 5000, owner)
+    fh = FileHandle(fs.fsid, node.fileid, node.generation)
+    call = CallMessage(1, NFS_PROGRAM, NFS_V3, int(proc),
+                       AuthSys(uid=1000, gid=1000).to_opaque())
+
+    def ask():
+        return (yield from prog.handle(int(proc), pr.pack_getattr_args(fh), call, None))
+
+    live = unpack(run(sim, ask()))
+    assert live[0] == NfsStatus.OK
+    assert live[-len(expected(fs)):] == expected(fs)
+    fs.remove(fs.root.fileid, "f", owner)
+    assert run(sim, ask()) == ref.error_result(proc, NfsStatus.STALE)

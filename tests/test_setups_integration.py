@@ -200,6 +200,7 @@ def test_two_hand_built_seats_share_one_server_proxy():
         Seat, SessionPki, admit, client_proxy, mount_through_proxy, serve_proxy,
     )
     from repro.core.topology import SERVER_PROXY_PORT
+    from repro.grid import GridRouter
     from repro.gsi import DistinguishedName, Gridmap
     from repro.gsi.gridmap import UnmappedPolicy
     from repro.nfs.protocol import FileHandle
@@ -225,8 +226,9 @@ def test_two_hand_built_seats_share_one_server_proxy():
     server_proxy = serve_proxy(tb, gridmap, pki.server_config())
 
     def session(seat):
-        proxy = client_proxy(tb, seat, UpstreamSession(tb.sim, dialer(
-            tb.sim, seat.host, "server", SERVER_PROXY_PORT, pki.client_config(seat))))
+        leg = UpstreamSession(tb.sim, dialer(
+            tb.sim, seat.host, "server", SERVER_PROXY_PORT, pki.client_config(seat)))
+        proxy = client_proxy(tb, seat, GridRouter(tb.sim, [leg]))
         yield from proxy.start()
         client = yield from mount_through_proxy(tb, seat)
         yield from client.write_file("/mine.txt", seat.name.encode())
