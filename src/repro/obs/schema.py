@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Tuple
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 COUNTER, GAUGE, HISTOGRAM, CACHE = "counter", "gauge", "histogram", "cache"
 
@@ -65,6 +65,7 @@ _ROWS = (
                               "revalidation_drops upstream_retries compound_envelopes "
                               "compound_members", ""),
     ("proxy.client", COUNTER, "stream_calls stream_bytes", "ch leg"),
+    ("proxy.client", COUNTER, "prefetch_evicted_unread", "", 2),
     ("proxy.server", COUNTER, "granted denied acl_answers unix_fallbacks calls_forwarded "
                               "authz_cache_hits authz_cache_misses authz_cache_stale "
                               "sessions handshakes handshake_failures compound_envelopes "

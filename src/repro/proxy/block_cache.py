@@ -6,7 +6,8 @@ File data is cached in fixed-size blocks on the proxy's disk (§6.1).
 - *absent* — no row;
 - *fetching(event)* — a fetch carries it and has not landed; readers and
   writers wait on the event (its bytes may be filled in already);
-- *clean* / *dirty* — cached bytes, in LRU order;
+- *clean* / *dirty* — cached bytes, in LRU order (a clean block read
+  ahead is *unread* until a READ touches it);
 - *writing(bytes, burst)* — evicted dirty bytes whose WRITE has not
   landed, still readable; the burst carrying them is listed in
   :meth:`background` (none yet while they wait for a slot);
@@ -63,12 +64,14 @@ class ProxyCacheConfig:
 
 @dataclass(slots=True)
 class _Row:
-    """One block: cached ``data`` (``dirty`` or clean), the ``fetch``
-    event of a fetch not yet landed, the ``wire`` bytes of a write-back
-    not yet landed.  A row with none of the three is absent."""
+    """One block: cached ``data`` (``dirty`` or clean, and ``unread``
+    when read ahead and not yet read), the ``fetch`` event of a fetch
+    not yet landed, the ``wire`` bytes of a write-back not yet landed.
+    A row with none of the three is absent."""
 
     data: Optional[bytes] = None
     dirty: bool = False
+    unread: bool = False
     fetch: Optional[Event] = None
     wire: Optional[bytes] = None
 
@@ -81,10 +84,12 @@ class BlockCache:
     ``config``) takes effect at the next insert."""
 
     def __init__(self, sim: Simulator, config: ProxyCacheConfig,
-                 disk: Optional[DiskModel] = None):
+                 disk: Optional[DiskModel] = None, stats: Optional[dict] = None):
         self.sim = sim
         self.config = config
         self.disk = disk
+        #: counter sink (the owning proxy's ``proxy.client`` counts)
+        self.stats = {"prefetch_evicted_unread": 0} if stats is None else stats
         #: every row; the ones holding data are in LRU order among themselves
         self._rows: "OrderedDict[Tuple[int, int], _Row]" = OrderedDict()
         self.bytes = 0
@@ -136,6 +141,7 @@ class BlockCache:
         row = self._rows.get(key)
         if row is not None and row.data is not None:
             self._rows.move_to_end(key)
+            row.unread = False
             yield from self.disk_read(len(row.data))
             # the bytes as they stand after the read: a write served
             # meanwhile (a non-blocking proxy) is in them
@@ -190,11 +196,12 @@ class BlockCache:
                 row.fetch = None
                 self._settle((fileid, b), row)
 
-    def _put(self, key: Tuple[int, int], data: bytes, dirty: bool):
+    def _put(self, key: Tuple[int, int], data: bytes, dirty: bool,
+             unread: bool = False):
         row = self._row(key)
         if row.data is not None:
             self.bytes -= len(row.data)
-        row.data = data
+        row.data, row.unread = data, unread
         self.bytes += len(data)
         self._rows.move_to_end(key)
         if dirty and not row.dirty:
@@ -202,17 +209,27 @@ class BlockCache:
             self.dirty.setdefault(key[0], set()).add(key[1])
         yield from self.disk_write(len(data))
 
-    def fill(self, fileid: int, block: int, data: bytes):
-        """Process generator: cache fetched bytes as clean — never over
-        unflushed ones (dirty or writing), which are the only copy."""
+    def fill(self, fileid: int, block: int, data: bytes, unread: bool = False):
+        """Process generator: cache fetched bytes as clean (``unread``:
+        read ahead of the reader) — never over unflushed ones (dirty or
+        writing), which are the only copy."""
         row = self._rows.get((fileid, block))
         if row is None or not (row.dirty or row.wire is not None):
-            yield from self._put((fileid, block), data, dirty=False)
+            yield from self._put((fileid, block), data, dirty=False, unread=unread)
 
     def write(self, fileid: int, block: int, data: bytes):
         """Process generator: the block's bytes are now ``data``, dirty
         (over a victim still on the wire: writing-and-dirty)."""
         yield from self._put((fileid, block), data, dirty=True)
+
+    def consumed(self, fileid: int, block: int) -> None:
+        """cached -> first in LRU order: the reader has read the block
+        to its end and will not be back for it (drop-behind, Linux's
+        used-once rule), so an eviction takes it before the blocks read
+        ahead of the reader and not yet read."""
+        row = self._rows.get((fileid, block))
+        if row is not None and row.data is not None:
+            self._rows.move_to_end((fileid, block), last=False)
 
     def low_water(self, window: int) -> int:
         """Bytes to evict down to once over capacity: capacity minus
@@ -242,6 +259,8 @@ class BlockCache:
                 break
             row = rows[key]
             self.bytes -= len(row.data)
+            if row.unread:
+                self.stats["prefetch_evicted_unread"] += 1
             if row.dirty:
                 self.dirty[key[0]].discard(key[1])
                 self._on_wire[key[0]] += row.wire is None

@@ -104,9 +104,6 @@ class SgfsClientProxy:
         self._handles: Dict[int, FileHandle] = {}
         self._lookups: Dict[Tuple[int, str], Tuple[FileHandle, int]] = {}
         self._access: Dict[Tuple[int, int], int] = {}
-        #: every block's state, and the read-ahead and write-behind
-        #: processes in flight (see repro.proxy.block_cache)
-        self._blocks = BlockCache(sim, self.cache, disk)
         #: the session's AUTH_SYS credential, captured from client calls
         #: and reused for write-back WRITEs the proxy originates itself
         self._session_cred = None
@@ -120,6 +117,9 @@ class SgfsClientProxy:
         self.obs.add_collector("proxy.client", self.stats.copy)
         for leg in self._up.legs:
             leg.stats = self.stats
+        #: every block's state, and the read-ahead and write-behind
+        #: processes in flight (see repro.proxy.block_cache)
+        self._blocks = BlockCache(sim, self.cache, disk, self.stats)
 
     # -- upstream leg views --------------------------------------------------
     # The recovery machinery lives in UpstreamSession; tests and the
@@ -201,12 +201,16 @@ class SgfsClientProxy:
         if fh is not None:
             self._handles[attr.fileid] = fh
 
-    def _block_put(self, fileid: int, block: int, data: bytes, dirty: bool):
-        """Process generator: cache a block — fetched, or written when
-        ``dirty``; the dirty blocks the insert pushed out leave through
-        write-behind (:meth:`_write_behind`)."""
-        yield from (self._blocks.write if dirty else self._blocks.fill)(
-            fileid, block, data)
+    def _block_put(self, fileid: int, block: int, data: bytes, dirty: bool,
+                   unread: bool = False):
+        """Process generator: cache a block — fetched (``unread``: ahead
+        of the reader), or written when ``dirty``; the dirty blocks the
+        insert pushed out leave through write-behind
+        (:meth:`_write_behind`)."""
+        if dirty:
+            yield from self._blocks.write(fileid, block, data)
+        else:
+            yield from self._blocks.fill(fileid, block, data, unread)
         victims = self._blocks.evict((fileid, block), self._window())
         if victims:
             yield from self._write_behind(victims)
@@ -436,6 +440,9 @@ class SgfsClientProxy:
             chunk = got[:count].ljust(min(count, size - offset), b"\0")
             reply = yield from self._local(call, pr.pack_read_res(
                 NfsStatus.OK, attr, chunk, offset + len(chunk) >= size))
+        if count == bs and self._depth > 1:
+            # drop-behind: the reader is past this block
+            self._blocks.consumed(fh.fileid, block)
         self._read_ahead(call, fh, block)
         return reply
 
@@ -453,8 +460,17 @@ class SgfsClientProxy:
     # widens the window to the RTT and keeps WINDOWS_IN_FLIGHT of them
     # in flight, ahead of the reader and behind the writer.
 
-    def _window(self) -> int:
-        return max(leg.window() for leg in self._up.legs)
+    def _window(self, read: bool = False) -> int:
+        """The widest leg's window (:meth:`UpstreamSession.window`).  It
+        grows by delivered rate only up to ``cap`` blocks, and a
+        ``read`` window is never wider: the read-ahead span, ``depth +
+        1`` windows, then fits under the low-water mark of eviction
+        (:meth:`BlockCache.low_water`), so no block read ahead is evicted
+        before the reader gets to it."""
+        cap = max(1, self.cache.capacity_bytes // self.cache.block_size
+                  // (self._depth + 2))
+        window = max(leg.window(cap) for leg in self._up.legs)
+        return min(window, cap) if read else window
 
     def _read_window(self, call: CallMessage, fh: FileHandle, block: int,
                      count: int):
@@ -468,7 +484,7 @@ class SgfsClientProxy:
         wanted = blocks.claim(fh.fileid, [block])
         attr = self._attrs.get(fh.fileid)
         if attr is not None:
-            end = min(block + self._window(), (attr.size + bs - 1) // bs)
+            end = min(block + self._window(read=True), (attr.size + bs - 1) // bs)
             wanted += blocks.claim(fh.fileid, range(block + 1, end))
             blocks.ahead[fh.fileid] = end
         results = yield from self._fetch(call, fh, wanted)
@@ -501,7 +517,7 @@ class SgfsClientProxy:
         if depth == 1 or attr is None:
             return
         blocks = self._blocks
-        window = self._window()
+        window = self._window(read=True)
         bs = self.cache.block_size
         nblocks = (attr.size + bs - 1) // bs
         end = min(block + 1 + (depth + 1) * window, nblocks)
@@ -575,7 +591,8 @@ class SgfsClientProxy:
                         data = data.ljust(min(bs, shadow.size - b * bs), b"\0")
                         eof = b * bs + len(data) >= shadow.size
                     if data:
-                        yield from self._block_put(fh.fileid, b, data, dirty=False)
+                        yield from self._block_put(fh.fileid, b, data, dirty=False,
+                                                   unread=ahead or b != wanted[0])
                     res = (status, shadow or rattr, data, eof)
                 results.append((reply, res))
         finally:

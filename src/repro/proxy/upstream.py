@@ -155,6 +155,11 @@ class UpstreamSession:
         self.srtt_bulk: Optional[float] = None
         #: bursts in flight on the leg (see :meth:`burst`)
         self._bursting = 0
+        #: blocks the leg's bursts have delivered, and the highest rate
+        #: (blocks per virtual second) a burst has seen them delivered
+        #: at: a max filter over the bursts' delivery-rate samples
+        self._delivered = 0
+        self.rate = 0.0
 
     @property
     def transport(self) -> Optional[Transport]:
@@ -188,21 +193,26 @@ class UpstreamSession:
         else:
             self.srtt_small = srtt
 
-    def window(self) -> int:
+    def window(self, cap: int = MAX_WINDOW) -> int:
         """How many bulk blocks this leg should keep in flight.
 
         A single-stream leg is the paper's proxy: one block per round
         trip.  A multi-stream leg hides one round trip (GridFTP-style
-        pipelining, window = RTT / per-block service time, at most
-        :data:`MAX_WINDOW`).  Both estimators are virtual-time EWMAs fed
-        by the leg's own forwarded calls, so the same seed always sizes
-        the same windows; until both have a sample the window is 1."""
+        pipelining): at least the one-block estimate, RTT / per-block
+        service time, and as many blocks as the leg delivers in a round
+        trip at its best delivery rate (:meth:`burst`) — that growth only
+        up to ``cap``, and all at most :data:`MAX_WINDOW`.  The
+        estimators are virtual-time figures fed by the leg's own calls,
+        so the same seed always sizes the same windows; until both RTTs
+        have a sample the window is 1."""
         if self.streams == 1:
             return 1
         if self.srtt_small is None or self.srtt_bulk is None:
             return 1
         service = max(self.srtt_bulk - self.srtt_small, _RTT_FLOOR)
-        return max(1, min(MAX_WINDOW, math.ceil(self.srtt_small / service)))
+        one = math.ceil(self.srtt_small / service)
+        delivered = min(math.ceil(self.srtt_small * self.rate), cap)
+        return max(1, min(MAX_WINDOW, max(one, delivered)))
 
     def _note_stream(self, channel: int, nbytes: int) -> None:
         calls, volume = self._stream_keys[channel]
@@ -342,11 +352,17 @@ class UpstreamSession:
         share of a wider burst (the ragged tail: 5 calls over 4 channels
         ride as 2, 1, 1, 1), or a lone call issued behind another burst,
         shares the link, so its round trip carries that traffic's
-        queueing, not one block's service time."""
+        queueing, not one block's service time.
+
+        Every burst that lands takes a delivery-rate sample, as BBR
+        does: the blocks the leg delivered while it was out — its own
+        and those of bursts that overlapped it, counted as each burst
+        lands — over the time it was out.  :attr:`rate` keeps the
+        highest."""
         n = self.streams
         alone = len(calls) == 1 and not self._bursting
         self._bursting += 1
-        started = self.sim.now
+        started, delivered = self.sim.now, self._delivered
         procs = [
             self.sim.spawn(self.forward_batch(calls[ch::n], channel=ch),
                            name=f"bulk-ch{ch}")
@@ -356,8 +372,12 @@ class UpstreamSession:
             results = yield all_of(self.sim, procs)
         finally:
             self._bursting -= 1
+        self._delivered += len(calls)
+        elapsed = self.sim.now - started
+        if elapsed > 0:
+            self.rate = max(self.rate, (self._delivered - delivered) / elapsed)
         if alone:
-            self._observe_rtt(True, self.sim.now - started)
+            self._observe_rtt(True, elapsed)
         replies: List[Optional[ReplyMessage]] = [None] * len(calls)
         for ch, share in enumerate(results):
             for i, reply in zip(range(ch, len(calls), n), share):

@@ -11,6 +11,7 @@ from repro.grid import GridLayout, GridMetadataService, GridRouter
 from repro.harness import run_fleet
 from repro.net.errors import ConnectionRefused
 from repro.nfs.protocol import Sattr3
+from repro.proxy.upstream import WINDOWS_IN_FLIGHT
 from repro.sim.core import Simulator
 from repro.tls import HandshakeError
 from repro.workloads.churn import SessionChurn
@@ -228,19 +229,41 @@ def test_cached_grid_writes_back_through_a_backend_crash():
     through a cache a quarter of the file, so write-behind and
     re-fetches reach the backends): the read-back is exact, the writes
     that missed backend 1 are degraded, none fails, and a same-seed
-    rerun is bit-identical."""
+    rerun is bit-identical.  The cache holds 16 blocks, so a read
+    window may span 4 (a 4-block cache caps it at 1: no envelopes)."""
     crash = FaultSpec(crashes=(CrashEvent(at=0.45, target="backend1", down_for=10.0),))
     kw = dict(clients=2, servers=3, replicas=2, streams=4, rtt=0.04, faults=crash,
               fault_seed="grid-ci", grid_block_size=32 * 1024,
               setup_kwargs={"cache_bytes": 64 * 1024, "disk_cache": True,
-                            "cache_capacity": FS // 2})
-    workload = lambda: IOzoneWriteRead(file_size=2 * FS)
+                            "cache_capacity": 2 * FS})
+    workload = lambda: IOzoneWriteRead(file_size=8 * FS)
     r = run_fleet("sgfs-sha", workload, **kw)
-    assert all(c.bytes_moved == 6 * FS for c in r.per_client)  # read back, checked
+    assert all(c.bytes_moved == 24 * FS for c in r.per_client)  # read back, checked
     g, pc = r.stats["grid"], r.stats["proxy.client"]
     assert g["degraded_writes"] > 0 and g["dead_marks"] > 0
     assert pc["writeback_errors"] == 0 and pc["compound_envelopes"] > 0
     assert _fingerprint(run_fleet("sgfs-sha", workload, **kw)) == _fingerprint(r)
+
+
+@pytest.mark.parametrize("servers, replicas", [(3, 2), (1, 1)], ids=["3x2", "1x1"])
+def test_wan_read_ahead_stays_inside_a_small_cache(servers, replicas):
+    """Two 4-stream clients read a 1 MiB file through a 256 KiB cache at
+    40 ms.  Read-ahead that ran further ahead than the cache holds had
+    its blocks evicted unread and fetched again (619 calls forwarded on
+    3x2).  Now a read window is at most a share of the cache: every
+    block is fetched about once, and no more than one window is wasted."""
+    cache = 8 * 32 * 1024
+    r = run_fleet("sgfs-sha", lambda: IOzoneWriteRead(file_size=4 * FS), clients=2,
+                  servers=servers, replicas=replicas, streams=4, rtt=0.04,
+                  grid_block_size=32 * 1024,
+                  setup_kwargs={"cache_bytes": 64 * 1024, "disk_cache": True,
+                                "cache_capacity": cache})
+    assert all(c.bytes_moved == 12 * FS for c in r.per_client)  # read back, checked
+    pc = r.stats["proxy.client"]
+    window = 8 // (WINDOWS_IN_FLIGHT + 2)  # the read window's cap, in blocks
+    assert pc["forwarded"] <= pc["data_hits"] + pc["data_misses"] + 2 * window
+    assert pc["prefetch_evicted_unread"] <= window
+    assert pc["writeback_errors"] == 0
 
 
 def test_replicated_crash_fleet_bit_identical_same_seed():

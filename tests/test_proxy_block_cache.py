@@ -131,3 +131,25 @@ def test_truncate_cuts_the_boundary_block_and_keeps_dirty_blocks_below():
     cache.truncate(1, 2 * BS)  # grown: the cut block is zero-extended
     assert do(cache.read(1, 1)) == bytes([1]) * 10 + bytes(BS - 10)
     assert cache.bytes == 2 * BS and cache.dirty[1] == {0, 1}
+
+
+def test_a_consumed_block_is_evicted_before_unread_read_ahead():
+    """Drop-behind: a block the reader is done with goes first, ahead of
+    older blocks read ahead and not yet read; an unread block evicted
+    counts as wasted read-ahead, one a READ touched does not."""
+    cache, do = _cache(blocks=4)
+    for b in range(4):
+        do(cache.fill(1, b, bytes([b]) * BS, unread=b > 0))  # 0 demanded, 1-3 ahead
+    cache.consumed(1, 0)
+    do(cache.read(1, 1))
+    cache.consumed(1, 1)  # LRU order is now 1, 0, 2, 3
+    cache.consumed(1, 7)  # not cached: nothing to move
+    do(cache.fill(1, 4, b"x" * BS, unread=True))
+    do(cache.fill(1, 5, b"y" * BS, unread=True))
+    assert cache.evict((1, 5), window=1) == []
+    assert [cache.state(1, b) for b in range(6)] == ["absent"] * 2 + ["clean"] * 4
+    assert cache.stats["prefetch_evicted_unread"] == 0
+    do(cache.fill(1, 6, b"z" * BS))
+    cache.evict((1, 6), window=1)  # block 2, read ahead and never read
+    assert cache.state(1, 2) == "absent"
+    assert cache.stats["prefetch_evicted_unread"] == 1

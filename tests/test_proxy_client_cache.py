@@ -347,7 +347,8 @@ def test_block_re_evicted_mid_write_waits_and_ends_with_the_newer_bytes():
         yield from _nfs(proxy, Proc.WRITE,
                         pr.pack_write_args(fh, 0, newer, pr.UNSTABLE))
         for b in (4, 5):  # LRU order is now 3, 0, 4, 5
-            yield from _nfs(proxy, Proc.READ, pr.pack_read_args(fh, b * BS, BS))
+            yield from _nfs(proxy, Proc.WRITE,
+                            pr.pack_write_args(fh, b * BS, _block(b), pr.UNSTABLE))
         assert older.alive
         # evicts 3, 0, 4: block 0's second write waits for its first
         yield from _nfs(proxy, Proc.WRITE,

@@ -1,10 +1,11 @@
 """Stateful model of the client proxy's block table.
 
 Hypothesis drives NFS calls straight into a caching client proxy
-(``write_behind_mount``, cut to two blocks of cache and a window of two
-or three, so small files evict and are read ahead) and keeps an
-in-memory byte oracle of every file beside it; ``/a`` starts as six
-blocks the server holds:
+(``write_behind_mount``, cut to two or eight blocks of cache and a
+window of two or three, so small files evict and are read ahead — read
+windows are capped at a share of the cache, so more than one block
+wide only in the larger one) and keeps an in-memory byte oracle of
+every file beside it; ``/a`` starts as six blocks the server holds:
 
 - READ (mostly at block boundaries, whole or short — the kernel
   client's pattern — and unaligned, which only the server answers) and
@@ -23,6 +24,8 @@ ahead and write-behind in the background) it checks that
 
 - a READ returns the oracle's bytes, and after ``writeback()`` the
   server holds them, with no WRITE sent to a dead handle;
+- a whole-block READ at depth 2 leaves its block, if cached, first in
+  LRU order (drop-behind);
 - a failed write-back burst's error reaches a caller or ``writeback()``,
   never nobody (and no process dies unobserved);
 - at quiescence no block is fetching or writing and no background
@@ -61,15 +64,17 @@ def when(kind):
 
 class ProxyModel(RuleBasedStateMachine):
     @initialize(streams=st.sampled_from([1, 4]), window=st.sampled_from([2, 3]),
-                failures=st.booleans(),
+                capacity=st.sampled_from([2, 8]), failures=st.booleans(),
                 kinds=st.sets(st.sampled_from(KINDS), min_size=1, max_size=4))
-    def mount(self, streams, window, failures, kinds):
+    def mount(self, streams, window, capacity, failures, kinds):
         self.kinds = kinds
         self.tb, self.mount, self.proxy = write_behind_mount(streams)
         leg = self.proxy._up.legs[0]
+        self.streams = streams
         if streams > 1:  # windows that small files outrun: read-ahead runs
-            leg.window = lambda: window
-        self.proxy.cache.capacity_bytes = 2 * BS  # and most writes evict
+            leg.window = lambda cap: window
+        # many writes evict; at 8 blocks a read window is 2 blocks wide
+        self.proxy.cache.capacity_bytes = capacity * BS
         self.root = self.mount.client.root_fh
         self.tb.run(self.mount.client.access("/", 1))  # the session's credential
         self.names = {}   # name -> fileid
@@ -156,9 +161,12 @@ class ProxyModel(RuleBasedStateMachine):
             start = block * BS + inner
             want = bytes(data[start:start + count])
 
-            def check(res, start=start, want=want):
+            def check(res, start=start, want=want, key=(fileid, block)):
                 status, _attr, got, _eof = pr.unpack_read_res(res)
                 assert status == NfsStatus.OK and got == want, (name, start, count)
+                cache = self.proxy._blocks
+                if self.streams > 1 and count == BS and not inner and key in cache:
+                    assert next(k for k, r in cache._rows.items() if r.data is not None) == key
             self._call(Proc.READ, pr.pack_read_args(fh, start, count), check)
 
     @when("read")

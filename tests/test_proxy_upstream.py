@@ -8,7 +8,7 @@ connection died when and reads back exactly what was sent on which.
 import pytest
 
 from repro.nfs import protocol as pr
-from repro.proxy.upstream import UpstreamSession
+from repro.proxy.upstream import MAX_WINDOW, UpstreamSession
 from repro.rpc.compound import COMPOUND_PROGRAM, pack_members, unpack_members
 from repro.rpc.messages import CallMessage, ReplyMessage
 from repro.rpc.transport import HandshakeError
@@ -21,13 +21,14 @@ REFUSED = "refused"
 class ScriptedTransport:
     """One fake connection.  ``answers`` decides whether the far end
     replies, ``far`` (a :class:`FarNfs`, else every call is answered
-    ``b"ok"``) what it replies; :meth:`die` makes the reader see the
-    peer close."""
+    ``b"ok"``) what it replies, ``rtt`` after how long (at once when 0);
+    :meth:`die` makes the reader see the peer close."""
 
-    def __init__(self, sim, answers=True, far=None):
+    def __init__(self, sim, answers=True, far=None, rtt=0.0):
         self.sim = sim
         self.answers = answers
         self.far = far
+        self.rtt = rtt
         self.sent = []
         self.closed = False
         self._inbox = []
@@ -38,8 +39,14 @@ class ScriptedTransport:
 
     def send_record(self, record):
         self.sent.append(record)
-        if self.answers:
+        if self.answers and self.rtt:
+            self.sim.spawn(self._late(_reply_to(record, self.far)))
+        elif self.answers:
             self._deliver(_reply_to(record, self.far))
+
+    def _late(self, reply):
+        yield self.sim.timeout(self.rtt)
+        self._deliver(reply)
 
     def recv_record(self):
         while not self._inbox:
@@ -118,10 +125,11 @@ class Dialer:
     whether that connection's far end answers, or ``REFUSED`` for a
     dial whose handshake the server refuses."""
 
-    def __init__(self, sim, script=(), far=None):
+    def __init__(self, sim, script=(), far=None, rtt=0.0):
         self.sim = sim
         self.script = list(script)
         self.far = far
+        self.rtt = rtt
         self.dials = []
         self.transports = []
 
@@ -132,13 +140,13 @@ class Dialer:
         self.dials.append((start, self.sim.now))
         if answers is REFUSED:
             raise HandshakeError("refused")
-        self.transports.append(ScriptedTransport(self.sim, answers, self.far))
+        self.transports.append(ScriptedTransport(self.sim, answers, self.far, self.rtt))
         return self.transports[-1]
 
 
-def _session(streams=1, script=(), far=None):
+def _session(streams=1, script=(), far=None, rtt=0.0):
     sim = Simulator()
-    dialer = Dialer(sim, script, far)
+    dialer = Dialer(sim, script, far, rtt)
     up = UpstreamSession(sim, dialer, streams=streams, retry_base=0.25)
     sim.run_until_complete(sim.spawn(up.connect()))
     return sim, dialer, up
@@ -307,6 +315,68 @@ def test_only_a_burst_of_one_call_feeds_the_bulk_estimator():
     assert up.srtt_bulk == 0.085
     sim.run_until_complete(sim.spawn(up.burst([_read_call()])))
     assert up.srtt_bulk < 0.085  # the scripted far end answers at once
+
+
+# -- the delivered-rate window ------------------------------------------------
+# Every record of a paced far end is answered one RTT after it is sent,
+# whatever it carries: a burst of n blocks over 4 channels lands one RTT
+# later, a delivery rate of n / RTT, so a window of n blocks covers it.
+
+RTT = 0.0625  # a power of two: rates and windows come out exact
+
+
+def _paced(streams=4):
+    far = FarNfs()
+    sim, _dialer, up = _session(streams=streams, far=far, rtt=RTT)
+    up.srtt_small, up.srtt_bulk = RTT, RTT + RTT / 8  # a one-block estimate of 8
+    return sim, up, far
+
+
+def _burst(sim, up, n, first=0):
+    return sim.spawn(up.burst([_write_call(7, first + b, b % 251) for b in range(n)]))
+
+
+@pytest.mark.parametrize("n, window", [(4, 8), (12, 12), (24, 24), (200, MAX_WINDOW)])
+def test_the_window_grows_with_the_delivered_rate_up_to_max_window(n, window):
+    """Past the one-block estimate, the window is what the leg delivers
+    in a round trip: a 4-block burst leaves the estimate standing, wider
+    ones widen the window, never past MAX_WINDOW."""
+    sim, up, far = _paced()
+    sim.run_until_complete(_burst(sim, up, n))
+    assert up.rate == n / RTT
+    assert up.window() == window
+    assert len(far.files[7]) == n * BS  # the leg delivered every block
+
+
+def test_the_rate_sample_counts_blocks_of_overlapping_bursts():
+    """Two 8-block bursts half a round trip apart: the second's sample
+    counts the first's blocks, landed while it was out, as well."""
+    sim, up, _far = _paced()
+    first = _burst(sim, up, 8)
+    sim.run(until=sim.now + RTT / 2)
+    second = _burst(sim, up, 8, first=8)
+    sim.run_until_complete(first)
+    assert up.rate == 8 / RTT
+    sim.run_until_complete(second)
+    assert up.rate == 16 / RTT and up.window() == 16
+    # the max filter: a slower burst later leaves the window as it was
+    sim.run_until_complete(_burst(sim, up, 2, first=16))
+    assert up.rate == 16 / RTT and up.window() == 16
+
+
+def test_growth_past_the_one_block_estimate_stops_at_the_cap():
+    sim, up, _far = _paced()
+    sim.run_until_complete(_burst(sim, up, 24))
+    assert [up.window(cap) for cap in (1, 8, 12, 24, 32)] == [8, 8, 12, 24, 24]
+    up.srtt_bulk = RTT + RTT / 32  # a one-block estimate of 32 stands above any cap
+    assert up.window(12) == 32
+
+
+def test_a_single_stream_leg_keeps_a_window_of_one():
+    sim, up, _far = _paced(streams=1)
+    sim.run_until_complete(_burst(sim, up, 24))
+    assert up.rate == 24 / RTT
+    assert up.window() == up.window(MAX_WINDOW) == 1
 
 
 # -- two-phase write-back: a share of WRITEs is UNSTABLE + COMMIT ------------
