@@ -4,7 +4,7 @@
 Demonstrates the full management plane:
 
 1. a grid deployment with a CA, a DSS, and FSS services on the client
-   and server hosts, all speaking WS-Security-signed SOAP;
+   and server hosts, all exchanging signed envelopes over ONC RPC;
 2. a user delegates a proxy credential and asks the DSS for a session;
 3. the DSS authorizes the user against its per-filesystem ACL database,
    generates a gridmap, and drives both FSSs to stand up the proxies;
@@ -24,7 +24,7 @@ from repro.rpc.auth import AuthSys
 from repro.services import DataSchedulerService, FileSystemService
 from repro.services.dss import seal_credential_for
 from repro.services.endpoint import ServiceClient
-from repro.services.soap import SoapFault
+from repro.services.envelope import ServiceFault
 
 COLLABORATOR_DN = DistinguishedName.parse("/C=US/O=UFL/OU=HCS/CN=Collaborator")
 
@@ -110,7 +110,7 @@ def main() -> None:
                  "credential": mblob},
             )
             raise AssertionError("unauthorized session was created!")
-        except SoapFault as fault:
+        except ServiceFault as fault:
             print(f"Mallory refused, as expected: {fault}")
 
         yield from me.call(

@@ -1,7 +1,7 @@
 """Hybrid public-key encryption for small blobs.
 
 Used by the management services to move delegated credentials over the
-(signed but not otherwise encrypted) SOAP channel: RSA-wrap a fresh
+(signed but not otherwise encrypted) service channel: RSA-wrap a fresh
 content key to the recipient's public key, then encrypt-and-MAC the
 payload with it (SHA-256 counter keystream + HMAC-SHA256, an
 encrypt-then-MAC construction).

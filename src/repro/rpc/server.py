@@ -292,8 +292,9 @@ class RpcServer:
         except XdrError:
             return error_reply(call.xid, GARBAGE_ARGS)
         except Exception:
-            # one of the two catch-alls in the tree: whatever a program
-            # raises, its caller is answered with a protocol error
+            # the one catch-all in the tree: whatever a program (an RPC
+            # service, a management service's handler) raises, its
+            # caller is answered with a protocol error
             return error_reply(call.xid, SYSTEM_ERR)
         if isinstance(results, ReplyMessage):
             return results  # handler built a full reply (proxies do this)

@@ -1,18 +1,18 @@
 """Secure management services (paper §3.2, §4.4).
 
-The service plane of SGFS: WSRF-style web services exchanging SOAP
-messages protected with WS-Security-style XML signatures over X.509/GSI
-certificates (the original used WSRF::Lite).  Message-level security is
-expensive but off the data path — these services run only when sessions
-are created, reconfigured, or destroyed.
+The service plane of SGFS: the original ran WSRF-style web services
+(WSRF::Lite) whose messages carry WS-Security signatures over
+X.509/GSI certificates.  Here every message is a signed XDR envelope
+carried as one ONC RPC call — the protection is the signature, not the
+encoding.  Message-level security is expensive but off the data path —
+these services run only when sessions are created, reconfigured, or
+destroyed.
 
-- :mod:`repro.services.xmlmini` — a minimal XML document model with a
-  canonical serialization (what gets signed),
-- :mod:`repro.services.soap` — SOAP-like envelopes and the WS-Security
-  header: body signature, binary security token (the sender's cert
-  chain), timestamp and nonce,
-- :mod:`repro.services.endpoint` — service endpoints over the simulated
-  network: verify, authorize, dispatch, reply signed,
+- :mod:`repro.services.envelope` — the signed envelope: action and
+  parameters, the sender's certificate chain as the security token,
+  timestamp, nonce and signature,
+- :mod:`repro.services.endpoint` — services as an RPC program: verify,
+  authorize, dispatch, reply signed; and the calling client,
 - :mod:`repro.services.fss` — the File System Service on every client
   and server, controlling the local proxies,
 - :mod:`repro.services.dss` — the Data Scheduler Service: session
@@ -24,18 +24,15 @@ are created, reconfigured, or destroyed.
   enrolled long-term identities (see docs/CONTROL_PLANE.md).
 """
 
-from repro.services.xmlmini import XmlElement, XmlError
-from repro.services.soap import SoapEnvelope, SoapFault, sign_envelope, verify_envelope
+from repro.services.envelope import Envelope, ServiceFault, sign_envelope, verify_envelope
 from repro.services.endpoint import ServiceEndpoint, ServiceClient, ServiceError
 from repro.services.fss import FileSystemService
 from repro.services.dss import DataSchedulerService, SessionHandle
 from repro.services.portal import CredentialPortal, MAX_PORTAL_LIFETIME
 
 __all__ = [
-    "XmlElement",
-    "XmlError",
-    "SoapEnvelope",
-    "SoapFault",
+    "Envelope",
+    "ServiceFault",
     "sign_envelope",
     "verify_envelope",
     "ServiceEndpoint",

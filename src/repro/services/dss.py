@@ -2,8 +2,8 @@
 
 The DSS coordinates SGFS sessions across the grid:
 
-- it authenticates requesting users (their SOAP messages are signed
-  with GSI proxy certificates, which resolve to the base identity),
+- it authenticates requesting users (their envelopes are signed with
+  GSI proxy certificates, which resolve to the base identity),
 - it authorizes them against its **per-filesystem ACL database**, from
   which it *generates the gridmap files* the server-side proxies
   enforce,
@@ -29,10 +29,8 @@ from repro.gsi.gridmap import Gridmap
 from repro.gsi.names import DistinguishedName
 from repro.gsi.proxy import is_limited_proxy
 from repro.services.endpoint import ServiceClient, ServiceEndpoint
-from repro.services.soap import SoapFault
+from repro.services.envelope import ServiceFault
 from repro.sim.core import Simulator
-
-_session_counter = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -40,6 +38,8 @@ class SessionHandle:
     """What a user needs to mount an established session."""
 
     session_id: str
+    #: the registered filesystem whose FSS holds the server session
+    filesystem: str
     client_host: str
     client_port: int
     server_session_id: str
@@ -103,6 +103,7 @@ class DataSchedulerService(ServiceEndpoint):
         self.filesystems: Dict[str, _FilesystemRecord] = {}
         self.client_fss = dict(client_fss)
         self.sessions: Dict[str, SessionHandle] = {}
+        self._session_ids = itertools.count(1)
         self._svc_client = ServiceClient(sim, host, credential, trust_anchors)
         self.register("CreateSession", self._create_session)
         self.register("DestroySession", self._destroy_session)
@@ -139,7 +140,7 @@ class DataSchedulerService(ServiceEndpoint):
         # Only already-authorized users may share further (simplified
         # owner model: any mapped user can grant).
         if str(identity) not in fs.acl:
-            raise SoapFault("Security", f"{identity} has no rights on {fs.name}")
+            raise ServiceFault("Security", f"{identity} has no rights on {fs.name}")
         fs.acl[params["dn"]] = params["account"]
         return {"granted": params["dn"]}
 
@@ -147,7 +148,7 @@ class DataSchedulerService(ServiceEndpoint):
         """Remove ``dn`` from a filesystem's ACL database (idempotent)."""
         fs = self._fs(params)
         if str(identity) not in fs.acl:
-            raise SoapFault("Security", f"{identity} has no rights on {fs.name}")
+            raise ServiceFault("Security", f"{identity} has no rights on {fs.name}")
         fs.acl.pop(params.get("dn", ""), None)
         return {"revoked": params.get("dn", "")}
 
@@ -155,30 +156,30 @@ class DataSchedulerService(ServiceEndpoint):
         name = params.get("filesystem", "")
         record = self.filesystems.get(name)
         if record is None:
-            raise SoapFault("Client", f"unknown filesystem {name!r}")
+            raise ServiceFault("Client", f"unknown filesystem {name!r}")
         return record
 
     def _create_session(self, identity, params):
         """Orchestrate a session: server proxy, then client proxy.
 
-        Two sequential FSS calls (each a full signed SOAP exchange —
+        Two sequential FSS calls (each a full signed exchange —
         the dominant virtual-time cost of session establishment besides
         the data channel's TLS handshake).
         """
         record = self._fs(params)
         account = record.acl.get(str(identity))
         if account is None:
-            raise SoapFault(
+            raise ServiceFault(
                 "Security", f"{identity} is not authorized on {record.name}"
             )
         client_host = params.get("client_host", "")
         if client_host not in self.client_fss:
-            raise SoapFault("Client", f"no FSS registered for host {client_host!r}")
+            raise ServiceFault("Client", f"no FSS registered for host {client_host!r}")
         suite = params.get("suite", "aes-256-cbc-sha1")
         disk_cache = params.get("disk_cache", "off")
         credential_blob = params.get("credential", "")
         if not credential_blob:
-            raise SoapFault("Client", "missing delegated credential")
+            raise ServiceFault("Client", "missing delegated credential")
 
         def orchestrate():
             # 1. server side: start the proxy with the generated gridmap.
@@ -203,9 +204,10 @@ class DataSchedulerService(ServiceEndpoint):
                     "disk_cache": disk_cache,
                 },
             )
-            session_id = f"sgfs-session-{next(_session_counter)}"
+            session_id = f"sgfs-session-{next(self._session_ids)}"
             handle = SessionHandle(
                 session_id=session_id,
+                filesystem=record.name,
                 client_host=client_reply["host"],
                 client_port=int(client_reply["port"]),
                 server_session_id=server_reply["session_id"],
@@ -225,7 +227,7 @@ class DataSchedulerService(ServiceEndpoint):
         session_id = params.get("session_id", "")
         handle = self.sessions.pop(session_id, None)
         if handle is None:
-            raise SoapFault("Client", f"unknown session {session_id!r}")
+            raise ServiceFault("Client", f"unknown session {session_id!r}")
 
         def orchestrate():
             fss_host, fss_port, _cert = self.client_fss[handle.client_host]
@@ -233,14 +235,11 @@ class DataSchedulerService(ServiceEndpoint):
                 fss_host, fss_port, "DestroySession",
                 {"session_id": handle.client_session_id},
             )
-            record = next(
-                (f for f in self.filesystems.values()), None
+            record = self.filesystems[handle.filesystem]
+            yield from self._svc_client.call(
+                record.server_host, record.fss_port, "DestroySession",
+                {"session_id": handle.server_session_id},
             )
-            if record is not None:
-                yield from self._svc_client.call(
-                    record.server_host, record.fss_port, "DestroySession",
-                    {"session_id": handle.server_session_id},
-                )
             return {"destroyed": session_id}
 
         return orchestrate()

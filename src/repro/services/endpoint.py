@@ -1,8 +1,15 @@
 """Service endpoints and clients over the simulated network.
 
-Messages are canonical-XML envelopes carried as single records (RM
-framing) over a TCP connection per request.  Message-level security
-costs real (virtual) CPU — XML canonicalization plus an RSA sign/verify
+Every management message is one signed :class:`Envelope` carried as the
+argument (request) or result (reply) of an ONC RPC call to procedure
+:data:`INVOKE` of :data:`SERVICE_PROGRAM`, one call per TCP connection.
+A service is an :class:`~repro.rpc.server.RpcProgram` that
+:class:`~repro.rpc.server.RpcServer` serves, so the transport, the
+worker pool and the error replies are the RPC layer's: a malformed
+envelope is ``GARBAGE_ARGS``, a handler bug ``SYSTEM_ERR``.  Security
+refusals and unknown actions stay signed fault envelopes.
+
+Message-level security costs real (virtual) CPU — an RSA sign or verify
 per message — which is why the architecture keeps services off the data
 path (§3.2): "the use of more expensive security mechanisms does not
 hurt an established SGFS session's I/O performance".
@@ -10,28 +17,28 @@ hurt an established SGFS session's I/O performance".
 
 from __future__ import annotations
 
-import inspect
 import itertools
 from typing import Callable, Dict, Iterable, Optional
 
 from repro.crypto.drbg import Drbg
 from repro.gsi.certs import Certificate, Credential
 from repro.gsi.names import DistinguishedName
-from repro.rpc.transport import TRANSPORT_ERRORS, StreamTransport
-from repro.services.soap import (
-    SoapEnvelope,
-    SoapFault,
-    fault_envelope,
-    sign_envelope,
-    verify_envelope,
-)
+from repro.rpc.messages import CallMessage, ReplyMessage
+from repro.rpc.server import ProcUnavailable, RpcProgram, RpcServer
+from repro.rpc.transport import StreamTransport
+from repro.services.envelope import Envelope, ServiceFault, sign_envelope, verify_envelope
 from repro.sim.core import Simulator
 
-#: CPU seconds per message for XML processing + RSA sign or verify —
-#: deliberately much heavier than transport-level security per message.
+#: CPU seconds per message for RSA sign or verify plus message handling
+#: — deliberately much heavier than transport-level security per message.
 MESSAGE_SECURITY_CPU = 0.012
 
-_nonce_counter = itertools.count(1)
+#: program number of the management services (a private program, like
+#: the grid metadata service's)
+SERVICE_PROGRAM = 400200
+SERVICE_VERSION = 1
+#: the one procedure: signed request envelope in, signed reply out
+INVOKE = 1
 
 
 class ServiceError(Exception):
@@ -42,9 +49,17 @@ class ServiceError(Exception):
 #: function or a process generator.
 Handler = Callable[[DistinguishedName, Dict[str, str]], object]
 
+#: authorizer(identity, action, request envelope) -> allowed?  The
+#: envelope carries the presented certificate, which is how a service
+#: refuses privileged actions to *limited* proxies.
+Authorizer = Callable[[DistinguishedName, str, Envelope], bool]
 
-class ServiceEndpoint:
+
+class ServiceEndpoint(RpcProgram):
     """A WSRF-like service bound to (host, port)."""
+
+    prog = SERVICE_PROGRAM
+    vers = SERVICE_VERSION
 
     def __init__(
         self,
@@ -54,7 +69,7 @@ class ServiceEndpoint:
         credential: Credential,
         trust_anchors: Iterable[Certificate],
         name: str = "service",
-        authorizer: Optional[Callable[[DistinguishedName, str], bool]] = None,
+        authorizer: Optional[Authorizer] = None,
     ):
         self.sim = sim
         self.host = host
@@ -63,16 +78,11 @@ class ServiceEndpoint:
         self.trust_anchors = tuple(trust_anchors)
         self.name = name
         self.authorizer = authorizer
-        # Restriction-aware authorizers take (identity, action, envelope)
-        # — the envelope carries the presented certificate, which is how
-        # a service refuses privileged actions to *limited* proxies.
-        # Two-argument authorizers keep working unchanged.
-        self._authorizer_wants_envelope = (
-            authorizer is not None
-            and len(inspect.signature(authorizer).parameters) >= 3
-        )
         self._handlers: Dict[str, Handler] = {}
         self._seen_nonces: set = set()
+        self._nonces = itertools.count(1)
+        self._server = RpcServer(sim, name=f"{name}:{port}")
+        self._server.register(self)
         self._listener = None
         self.requests_served = 0
         self.faults_returned = 0
@@ -84,11 +94,7 @@ class ServiceEndpoint:
 
     def start(self) -> None:
         self._listener = self.host.listen(self.port)
-        self.sim.spawn(
-            self._listener.serve(lambda sock: self.sim.spawn(
-                self._serve_connection(sock), name=f"{self.name}-req")),
-            name=f"{self.name}:{self.port}",
-        )
+        self._server.serve_listener(self._listener)
 
     def stop(self) -> None:
         if self._listener is not None:
@@ -97,66 +103,42 @@ class ServiceEndpoint:
 
     # -- request processing ----------------------------------------------------
 
-    def _serve_connection(self, sock):
-        stream = StreamTransport(sock)
-        try:
-            request = yield from stream.recv_record()
-            if request is None:
-                return
-            stream.send_record((yield from self._process(request)))
-        except TRANSPORT_ERRORS:
-            pass  # the caller went away; it asks again if it still cares
-        sock.close()
-
-    def _process(self, raw: bytes):
+    def handle(self, proc: int, args: bytes, call, ctx):
+        if proc != INVOKE:
+            raise ProcUnavailable(proc)
         yield from self.host.cpu.consume(MESSAGE_SECURITY_CPU, "services")
+        request = Envelope.decode(args)
         try:
-            envelope = SoapEnvelope.from_xml(raw)
-            identity = verify_envelope(
-                envelope, self.trust_anchors, self.sim.now, self._seen_nonces
-            )
-        except SoapFault as fault:
+            reply = yield from self._serve(request)
+            self.requests_served += 1
+        except ServiceFault as fault:
             self.faults_returned += 1
-            return self._signed_reply(fault_envelope(fault.code, fault.reason))
-        if self.authorizer is not None and not (
-            self.authorizer(identity, envelope.action, envelope)
-            if self._authorizer_wants_envelope
-            else self.authorizer(identity, envelope.action)
-        ):
-            self.faults_returned += 1
-            return self._signed_reply(
-                fault_envelope("Security", f"{identity} not authorized for {envelope.action}")
-            )
-        handler = self._handlers.get(envelope.action)
-        if handler is None:
-            self.faults_returned += 1
-            return self._signed_reply(
-                fault_envelope("Client", f"unknown action {envelope.action!r}")
-            )
-        try:
-            result = handler(identity, dict(envelope.body))
-            if hasattr(result, "send"):  # handler is a process generator
-                result = yield from result
-        except SoapFault as fault:
-            self.faults_returned += 1
-            return self._signed_reply(fault_envelope(fault.code, fault.reason))
-        except Exception as exc:
-            # one of the two catch-alls in the tree: whatever a handler
-            # raises, its caller is answered with a SOAP fault
-            self.faults_returned += 1
-            return self._signed_reply(fault_envelope("Server", str(exc)))
-        self.requests_served += 1
-        reply = SoapEnvelope(
-            action=envelope.action + "Response",
-            body={k: str(v) for k, v in (result or {}).items()},
-        )
-        return self._signed_reply(reply)
-
-    def _signed_reply(self, envelope: SoapEnvelope) -> bytes:
+            reply = fault.envelope()
         sign_envelope(
-            envelope, self.credential, self.sim.now, f"srv-nonce-{next(_nonce_counter)}"
+            reply, self.credential, self.sim.now, f"srv-nonce-{next(self._nonces)}"
         )
-        return envelope.to_xml()
+        return reply.encode()
+
+    def _serve(self, request: Envelope):
+        identity = verify_envelope(
+            request, self.trust_anchors, self.sim.now, self._seen_nonces
+        )
+        if self.authorizer is not None and not self.authorizer(
+            identity, request.action, request
+        ):
+            raise ServiceFault(
+                "Security", f"{identity} not authorized for {request.action}"
+            )
+        handler = self._handlers.get(request.action)
+        if handler is None:
+            raise ServiceFault("Client", f"unknown action {request.action!r}")
+        result = handler(identity, dict(request.params))
+        if hasattr(result, "send"):  # handler is a process generator
+            result = yield from result
+        return Envelope(
+            request.action + "Response",
+            {k: str(v) for k, v in (result or {}).items()},
+        )
 
 
 class ServiceClient:
@@ -179,26 +161,31 @@ class ServiceClient:
     def call(self, dest_host: str, port: int, action: str, params: Dict[str, str]):
         """Process generator: one signed request/response exchange.
 
-        Returns the reply parameter dict; raises :class:`SoapFault` if
-        the service returned a fault, or on a bad reply signature.
+        Returns the reply parameter dict; raises :class:`ServiceFault` if
+        the service returned a fault or the reply fails verification,
+        and the :class:`~repro.rpc.errors.RpcError` of a reply that is
+        not a success.
         """
-        envelope = SoapEnvelope(action=action, body=dict(params))
-        sign_envelope(
-            envelope, self.credential, self.sim.now,
+        request = sign_envelope(
+            Envelope(action, dict(params)), self.credential, self.sim.now,
             f"cli-{self.rng.randbytes(8).hex()}",
         )
         yield from self.host.cpu.consume(MESSAGE_SECURITY_CPU, "services")
         sock = yield from self.host.connect(dest_host, port)
         stream = StreamTransport(sock)
-        stream.send_record(envelope.to_xml())
+        # one call per connection: the xid only has to match its reply
+        call = CallMessage(1, SERVICE_PROGRAM, SERVICE_VERSION, INVOKE,
+                           args=request.encode())
+        stream.send_record(call.encode())
         raw = yield from stream.recv_record()
         sock.close()
         if raw is None:
             raise ServiceError(f"no reply from {dest_host}:{port}")
+        rpc_reply = ReplyMessage.decode(raw)
+        rpc_reply.raise_for_status()
         yield from self.host.cpu.consume(MESSAGE_SECURITY_CPU, "services")
-        reply = SoapEnvelope.from_xml(raw)
+        reply = Envelope.decode(rpc_reply.results)
         verify_envelope(reply, self.trust_anchors, self.sim.now)
         if reply.action == "Fault":
-            raise SoapFault(reply.body.get("code", "?"), reply.body.get("reason", "?"))
-        return reply.body
-
+            raise ServiceFault(reply.params.get("code", "?"), reply.params.get("reason", "?"))
+        return reply.params

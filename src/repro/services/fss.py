@@ -25,18 +25,17 @@ from repro.gsi.certs import (
 from repro.gsi.gridmap import Gridmap
 from repro.gsi.proxy import is_limited_proxy
 from repro.proxy.accounts import AccountsDb
+from repro.proxy.acl import AclStore, parse_acl_text
 from repro.proxy.block_cache import ProxyCacheConfig
 from repro.proxy.client_proxy import SgfsClientProxy
 from repro.proxy.server_proxy import SgfsServerProxy
 from repro.proxy.upstream import UpstreamSession, dialer
 from repro.services.endpoint import ServiceEndpoint
-from repro.services.soap import SoapFault
+from repro.services.envelope import ServiceFault
 from repro.sim.core import Simulator
 from repro.tls import SecurityConfig
 from repro.vfs.fs import VirtualFS
 from repro.xdr import XdrError
-
-_session_ids = itertools.count(100)
 
 
 class FileSystemService(ServiceEndpoint):
@@ -46,7 +45,7 @@ class FileSystemService(ServiceEndpoint):
     ``nfs_port``, ``host_credential``) or client-side wiring (or both;
     a host can play both roles).
 
-    Authorization is two-layered: WS-Security signature verification
+    Authorization is two-layered: envelope signature verification
     establishes the *base* identity (proxy chains collapse to the
     long-term DN), then the authorizer applies action policy — ACL
     management needs an admin DN, and a **limited** proxy (the
@@ -57,7 +56,9 @@ class FileSystemService(ServiceEndpoint):
     envelope; the only virtual time charged is the per-message
     :data:`~repro.services.endpoint.MESSAGE_SECURITY_CPU` (seconds) and
     whatever the started proxies consume.  Same-seed runs produce
-    bit-identical session ports, decisions, and schedules.
+    bit-identical session ports, decisions, and schedules: session
+    ports come from this FSS's own sequence, skipping any port another
+    listener on the host holds.
     """
 
     def __init__(
@@ -107,6 +108,7 @@ class FileSystemService(ServiceEndpoint):
         self.max_delegation_lifetime = max_delegation_lifetime
         self.server_sessions: Dict[str, SgfsServerProxy] = {}
         self.client_sessions: Dict[str, SgfsClientProxy] = {}
+        self._session_ids = itertools.count(100)
 
         self.register("CreateServerSession", self._create_server_session)
         self.register("CreateClientSession", self._create_client_session)
@@ -119,13 +121,13 @@ class FileSystemService(ServiceEndpoint):
 
     def _create_server_session(self, identity, params):
         if self.fs is None or self.accounts is None or self.host_credential is None:
-            raise SoapFault("Server", "this FSS has no server-side wiring")
+            raise ServiceFault("Server", "this FSS has no server-side wiring")
         suite = params.get("suite", "aes-256-cbc-sha1")
         gridmap = Gridmap.parse(params.get("gridmap", ""))
-        port = int(params.get("port", 0)) or (24000 + next(_session_ids))
+        port = int(params.get("port", 0)) or self._session_port(24000)
         security = SecurityConfig.for_session(
             self.host_credential, self.trust_anchors, suite,
-            rng=Drbg(f"fss-server-session-{port}"),
+            rng=Drbg(f"{self.name}:{self.port}/server-session-{port}"),
         )
         proxy = SgfsServerProxy(
             self.sim, self.host, port, self.nfs_port,
@@ -151,12 +153,12 @@ class FileSystemService(ServiceEndpoint):
         """
         blob_b64 = params.get("credential")
         if not blob_b64:
-            raise SoapFault("Client", "missing delegated credential")
+            raise ServiceFault("Client", "missing delegated credential")
         try:
             blob = open_sealed(base64.b64decode(blob_b64), self.credential.keypair)
             user_cred = Credential.from_bytes(blob)
         except (ValueError, CryptoError, XdrError, CertError) as exc:
-            raise SoapFault("Security", f"cannot unwrap credential: {exc}") from None
+            raise ServiceFault("Security", f"cannot unwrap credential: {exc}") from None
         # Possession of a delegated credential is the authority (GSI
         # semantics): validate its chain up to a trusted CA.  The caller
         # may be the user directly, or the DSS acting on the user's
@@ -166,11 +168,11 @@ class FileSystemService(ServiceEndpoint):
                 user_cred.certificate, user_cred.chain, self.trust_anchors, self.sim.now
             )
         except ValidationError as exc:
-            raise SoapFault("Security", f"delegated credential invalid: {exc}") from None
+            raise ServiceFault("Security", f"delegated credential invalid: {exc}") from None
         if self.max_delegation_lifetime is not None:
             remaining = user_cred.certificate.not_after - self.sim.now
             if remaining > self.max_delegation_lifetime:
-                raise SoapFault(
+                raise ServiceFault(
                     "Security",
                     f"delegated credential lives {remaining:g}s, "
                     f"limit is {self.max_delegation_lifetime:g}s",
@@ -178,11 +180,11 @@ class FileSystemService(ServiceEndpoint):
         suite = params.get("suite", "aes-256-cbc-sha1")
         server_host = params["server_host"]
         server_port = int(params["server_port"])
-        port = int(params.get("port", 0)) or (25000 + next(_session_ids))
+        port = int(params.get("port", 0)) or self._session_port(25000)
         disk_cache = params.get("disk_cache", "off") == "on"
         client_cfg = SecurityConfig.for_session(
             user_cred, self.trust_anchors, suite,
-            rng=Drbg(f"fss-client-session-{port}"),
+            rng=Drbg(f"{self.name}:{self.port}/client-session-{port}"),
         )
         sim, host = self.sim, self.host
         disk = None
@@ -205,6 +207,14 @@ class FileSystemService(ServiceEndpoint):
 
         return handler_body()
 
+    def _session_port(self, base: int) -> int:
+        """The next port of this FSS's sequence that is free on its host
+        (two FSSs may share one)."""
+        port = base + next(self._session_ids)
+        while port in self.host._ports:
+            port = base + next(self._session_ids)
+        return port
+
     # -- lifecycle ----------------------------------------------------------------
 
     def _destroy_session(self, identity, params):
@@ -222,14 +232,14 @@ class FileSystemService(ServiceEndpoint):
                 return {"destroyed": session_id}
 
             return drain()
-        raise SoapFault("Client", f"unknown session {session_id!r}")
+        raise ServiceFault("Client", f"unknown session {session_id!r}")
 
     def _reconfigure_session(self, identity, params):
         """Dynamic reconfiguration (§4.2): reload gridmap / rekey."""
         session_id = params.get("session_id", "")
         proxy = self.server_sessions.get(session_id)
         if proxy is None:
-            raise SoapFault("Client", f"unknown session {session_id!r}")
+            raise ServiceFault("Client", f"unknown session {session_id!r}")
         if "gridmap" in params:
             proxy.reload(gridmap=Gridmap.parse(params["gridmap"]))
         return {"reconfigured": session_id}
@@ -237,34 +247,30 @@ class FileSystemService(ServiceEndpoint):
     # -- fine-grained ACL management (§4.4) -------------------------------------------
 
     def _set_acl(self, identity, params):
-        if self.fs is None:
-            raise SoapFault("Server", "no server-side wiring")
-        from repro.proxy.acl import AclStore, parse_acl_text
-
-        path = params.get("path", "")
-        entries = parse_acl_text(params.get("acl", ""))
-        node = self.fs.resolve(path.rpartition("/")[0] or "/")
-        name = path.rpartition("/")[2]
-        store = self._acl_store()
-        store.set_acl(node.fileid, name, entries)
-        return {"acl_set": path}
+        store, dir_id, name = self._acl_target(params)
+        store.set_acl(dir_id, name, parse_acl_text(params.get("acl", "")))
+        self._invalidate_sessions()
+        return {"acl_set": params.get("path", "")}
 
     def _remove_acl(self, identity, params):
+        store, dir_id, name = self._acl_target(params)
+        store.remove_acl(dir_id, name)
+        self._invalidate_sessions()
+        return {"acl_removed": params.get("path", "")}
+
+    def _acl_target(self, params):
+        """(a store over the export, directory fileid, name) of ``path``."""
         if self.fs is None:
-            raise SoapFault("Server", "no server-side wiring")
-        path = params.get("path", "")
-        node = self.fs.resolve(path.rpartition("/")[0] or "/")
-        self._acl_store().remove_acl(node.fileid, path.rpartition("/")[2])
-        return {"acl_removed": path}
+            raise ServiceFault("Server", "no server-side wiring")
+        parent, _, name = params.get("path", "").rpartition("/")
+        return AclStore(self.fs), self.fs.resolve(parent or "/").fileid, name
 
-    def _acl_store(self):
-        # Use the live proxy's store when a session exists (keeps its
-        # in-memory ACL cache coherent), else a fresh one.
+    def _invalidate_sessions(self) -> None:
+        # Every live server proxy over this export caches ACLs: each one
+        # drops its cache and bumps its epoch, so a revoked DN stops
+        # authorising in every session at once.
         for proxy in self.server_sessions.values():
-            return proxy.acls
-        from repro.proxy.acl import AclStore
-
-        return AclStore(self.fs)
+            proxy.acls.invalidate()
 
 
 def _default_cost():

@@ -8,11 +8,11 @@ expired session costs one cheap re-delegation instead of a new
 enrollment.
 
 :class:`CredentialPortal` is a :class:`~repro.services.endpoint.ServiceEndpoint`
-with one SOAP action:
+with one action:
 
 ``IssueProxy``
-    The caller's signed envelope proves the identity (WS-Security, like
-    every management call).  The portal looks up the enrolled long-term
+    The caller's signed envelope proves the identity (like every
+    management call).  The portal looks up the enrolled long-term
     credential for that identity, issues a proxy certificate with the
     requested (capped) lifetime, optionally **limited** (restricted:
     no ACL/grant management, no further delegation), seals the fresh
@@ -42,7 +42,7 @@ from repro.gsi.proxy import (
     issue_proxy_certificate,
 )
 from repro.services.endpoint import ServiceEndpoint
-from repro.services.soap import SoapFault
+from repro.services.envelope import ServiceFault
 from repro.sim.core import Simulator
 
 #: Hard ceiling on the lifetime a portal will delegate, regardless of
@@ -111,18 +111,18 @@ class CredentialPortal(ServiceEndpoint):
         user = self._users.get(dn_text)
         if user is None:
             self.denials += 1
-            raise SoapFault("Security", f"{identity} is not enrolled")
+            raise ServiceFault("Security", f"{identity} is not enrolled")
         recipient_name = params.get("recipient", "")
         recipient = self._recipients.get(recipient_name)
         if recipient is None:
             self.denials += 1
-            raise SoapFault(
+            raise ServiceFault(
                 "Client", f"unknown recipient service {recipient_name!r}"
             )
         lifetime = float(params.get("lifetime", self.default_lifetime))
         if lifetime <= 0:
             self.denials += 1
-            raise SoapFault("Client", f"bad lifetime {lifetime!r}")
+            raise ServiceFault("Client", f"bad lifetime {lifetime!r}")
         lifetime = min(lifetime, self.max_lifetime)
         limited = params.get("limited", "no") == "yes"
         n = self._issued.get(dn_text, 0)

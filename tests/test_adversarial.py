@@ -2,7 +2,7 @@
 
 A user-level security proxy lives on untrusted input.  These property
 tests require that arbitrary garbage and targeted bit-flips produce
-typed errors (XdrError, RpcError, IntegrityError, SoapFault, ...) —
+typed errors (XdrError, RpcError, IntegrityError, ServiceFault, ...) —
 never unhandled exceptions, hangs, or silent acceptance.
 """
 
@@ -18,8 +18,7 @@ from repro.nfs import protocol as pr
 from repro.rpc.errors import RpcError
 from repro.rpc.messages import CallMessage, ReplyMessage
 from repro.rpc.record import RecordReader
-from repro.services.soap import SoapEnvelope, SoapFault
-from repro.services.xmlmini import XmlError, parse
+from repro.services.envelope import Envelope, ServiceFault, sign_envelope, verify_envelope
 from repro.xdr import Unpacker, XdrError
 
 CA = CertificateAuthority(
@@ -140,20 +139,49 @@ def test_hmac_bitflip_always_detected(message, byte_index, bit):
         assert hmac_sha1(key, bytes(mutated)) != mac
 
 
-@given(st.binary(max_size=400))
-def test_soap_from_xml_never_crashes(data):
-    try:
-        SoapEnvelope.from_xml(data)
-    except (SoapFault, XmlError, Exception) as exc:
-        assert isinstance(exc, (SoapFault, XmlError, ValueError, CertError, XdrError))
+# -- the management services' signed envelope ------------------------------
 
 
-@given(st.text(max_size=300))
-def test_xml_parse_never_crashes(text):
+def _signed_request() -> bytes:
+    """A request signed by a proxy of ALICE: the token carries a chain."""
+    from repro.gsi import issue_proxy_certificate
+
+    proxy = issue_proxy_certificate(ALICE, now=5.0, rng=Drbg("fuzz-px"), key_bits=768)
+    envelope = Envelope("CreateSession", {"filesystem": "/GFS/x", "suite": "null-sha1"})
+    return sign_envelope(envelope, proxy, 10.0, "n-1").encode()
+
+
+SIGNED_REQUEST = _signed_request()
+
+
+@given(st.one_of(
+    st.binary(max_size=400),
+    # a real request with a stretch overwritten: decoding gets deep
+    st.tuples(st.integers(min_value=0, max_value=len(SIGNED_REQUEST)),
+              st.binary(min_size=1, max_size=16)).map(
+        lambda cut: SIGNED_REQUEST[:cut[0]] + cut[1]
+        + SIGNED_REQUEST[cut[0] + len(cut[1]):]),
+))
+def test_envelope_decode_never_crashes(data):
     try:
-        parse(text)
-    except XmlError:
+        Envelope.decode(data)
+    except (ServiceFault, XdrError, CertError):
         pass
+
+
+def test_envelope_bitflip_never_verifies():
+    """Every single-bit flip of a signed request, one at a time: each
+    fails to decode or fails verification — none verifies."""
+    assert verify_envelope(Envelope.decode(SIGNED_REQUEST), [CA.certificate], 11.0)
+    for i in range(len(SIGNED_REQUEST) * 8):
+        wire = bytearray(SIGNED_REQUEST)
+        wire[i // 8] ^= 1 << (i % 8)
+        try:
+            envelope = Envelope.decode(bytes(wire))
+        except XdrError:
+            continue
+        with pytest.raises(ServiceFault):
+            verify_envelope(envelope, [CA.certificate], now=11.0)
 
 
 # -- the one record layer (repro.crypto.suites.Direction), attacked once ------

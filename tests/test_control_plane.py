@@ -26,7 +26,7 @@ from repro.services import (
     DataSchedulerService,
     FileSystemService,
     MAX_PORTAL_LIFETIME,
-    SoapFault,
+    ServiceFault,
 )
 from repro.services.dss import seal_credential_for
 from repro.services.endpoint import ServiceClient
@@ -249,7 +249,7 @@ def test_portal_denies_unenrolled_identity():
     me = ServiceClient(tb.sim, tb.client, outsider, anchors, rng=rng.fork("out"))
 
     def scenario():
-        with pytest.raises(SoapFault, match="not enrolled"):
+        with pytest.raises(ServiceFault, match="not enrolled"):
             yield from me.call("server", 5100, "IssueProxy", {"recipient": "fss"})
         return True
 
@@ -262,9 +262,9 @@ def test_portal_rejects_unknown_recipient_and_bad_lifetime():
     me = ServiceClient(tb.sim, tb.client, user, anchors, rng=rng.fork("me"))
 
     def scenario():
-        with pytest.raises(SoapFault, match="unknown recipient"):
+        with pytest.raises(ServiceFault, match="unknown recipient"):
             yield from me.call("server", 5100, "IssueProxy", {"recipient": "ghost"})
-        with pytest.raises(SoapFault, match="lifetime"):
+        with pytest.raises(ServiceFault, match="lifetime"):
             yield from me.call(
                 "server", 5100, "IssueProxy",
                 {"recipient": "fss", "lifetime": "-5"},
@@ -287,9 +287,9 @@ def test_portal_issuance_is_deterministic():
         ))
         times.append(float(reply["not_after"]))
     # Same seed -> bit-identical issuance time, subject, and keys.
-    # (Certificate serials and reply nonces come from process-global
-    # counters, so raw bytes differ across two deployments in one
-    # process; fleet-level bit-identity is asserted below instead.)
+    # (Certificate serials come from a process-global counter, so raw
+    # bytes differ across two deployments in one process; fleet-level
+    # bit-identity is asserted below instead.)
     assert times[0] == times[1]
     a, b = (c.certificate for c in creds)
     assert (a.subject, a.not_before, a.not_after) == (b.subject, b.not_before, b.not_after)
@@ -369,7 +369,7 @@ def test_fss_rejects_overlong_delegation():
     tb, rng, anchors, user, ids, fss_server, dss = services_deploy(
         max_delegation_lifetime=900.0
     )
-    with pytest.raises(SoapFault, match="limit"):
+    with pytest.raises(ServiceFault, match="limit"):
         _create_session(tb, rng, anchors, user, ids, lifetime=3600.0)
 
 
@@ -381,7 +381,7 @@ def test_limited_proxy_cannot_manage_acls():
     me = ServiceClient(tb.sim, tb.client, limited, anchors, rng=rng.fork("me"))
 
     def scenario():
-        with pytest.raises(SoapFault, match="not authorized"):
+        with pytest.raises(ServiceFault, match="not authorized"):
             yield from me.call(
                 "server", 5000, "SetAcl",
                 {"path": "/", "name": "data", "acl": f'"{user.dn}" r'},
@@ -405,7 +405,7 @@ def test_limited_proxy_cannot_grant_or_revoke_access():
 
     def scenario():
         for action in ("GrantAccess", "RevokeAccess"):
-            with pytest.raises(SoapFault, match="not authorized"):
+            with pytest.raises(ServiceFault, match="not authorized"):
                 yield from lim.call(
                     "server", 5002, action,
                     {"filesystem": "/GFS/ming", "dn": friend, "account": "ming"},

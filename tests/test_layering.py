@@ -78,15 +78,14 @@ def _handlers():
     return found
 
 
-def test_two_catch_alls_and_each_answers_its_caller():
+def test_one_catch_all_and_it_answers_its_caller():
     """``except Exception`` (or a bare ``except``) exists where a
     protocol error goes back to the caller instead — SYSTEM_ERR from the
-    RPC dispatcher, a SOAP fault from the service endpoint — and nowhere
-    else: every other handler names what it means to survive."""
+    RPC dispatcher, which serves the management services too — and
+    nowhere else: every other handler names what it means to survive."""
     catch_alls = [(path, fn) for path, fn, names in _handlers()
                   if not names or "Exception" in names]
-    assert catch_alls == [("rpc/server.py", "_dispatch"),
-                          ("services/endpoint.py", "_process")]
+    assert catch_alls == [("rpc/server.py", "_dispatch")]
 
 
 def test_base_exception_is_caught_only_to_be_handed_on():

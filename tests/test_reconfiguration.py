@@ -12,7 +12,7 @@ from repro.core import Testbed, setup_sgfs
 from repro.core.setups import USER_DN
 from repro.gsi import DistinguishedName, Gridmap
 from repro.proxy.session_config import SessionConfig
-from repro.services.soap import SoapFault
+from repro.services.envelope import ServiceFault
 
 
 def test_config_reload_detects_certificate_rotation():
@@ -123,7 +123,7 @@ def test_fss_reconfigure_action_updates_gridmap():
              "gridmap": '"/C=US/O=UFL/CN=Someone Else" nobody'},
         )
         assert proxy.gridmap.lookup(USER_DN) is None
-        with pytest.raises(SoapFault):
+        with pytest.raises(ServiceFault):
             yield from me.call(
                 "server", 5000, "ReconfigureSession",
                 {"session_id": "nope", "gridmap": ""},
@@ -183,7 +183,7 @@ def test_fss_set_acl_action_enforced_by_proxy():
         store = AclStore(tb.fs)
         assert store.evaluate(node.fileid, USER_DN) is not None
         # non-admins may not manage ACLs
-        with pytest.raises(SoapFault, match="not authorized"):
+        with pytest.raises(ServiceFault, match="not authorized"):
             yield from outsider_client.call(
                 "server", 5000, "SetAcl",
                 {"path": "/guarded.txt", "acl": '"/C=US/O=Else/CN=user" rwx'},

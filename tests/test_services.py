@@ -1,4 +1,4 @@
-"""Management services: XML, SOAP/WS-Security, FSS/DSS orchestration."""
+"""Management services: signed envelopes, FSS/DSS orchestration."""
 
 import pytest
 
@@ -9,58 +9,17 @@ from repro.gsi import CertificateAuthority, DistinguishedName, issue_proxy_certi
 from repro.rpc.auth import AuthSys
 from repro.services import (
     DataSchedulerService,
+    Envelope,
     FileSystemService,
-    SoapEnvelope,
-    SoapFault,
-    XmlElement,
-    XmlError,
+    ServiceFault,
     sign_envelope,
     verify_envelope,
 )
 from repro.services.dss import seal_credential_for
 from repro.services.endpoint import ServiceClient
-from repro.services.xmlmini import parse
 
 
-# -- XML -----------------------------------------------------------------------
-
-
-def test_xml_canonical_roundtrip():
-    root = XmlElement("Envelope")
-    root.element("Child", "text & <markup>", attr="va'l")
-    sub = root.element("Nested")
-    sub.element("Deep", "x")
-    data = root.canonical()
-    back = parse(data)
-    assert back.tag == "Envelope"
-    assert back.find("Child").text == "text & <markup>"
-    assert back.find("Child").attrs["attr"] == "va'l"
-    assert back.find("Nested").find("Deep").text == "x"
-    assert back.canonical() == data
-
-
-def test_xml_canonical_sorts_attributes():
-    a = XmlElement("t", attrs={"b": "2", "a": "1"})
-    b = XmlElement("t", attrs={"a": "1", "b": "2"})
-    assert a.canonical() == b.canonical()
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [b"<unclosed>", b"<a></b>", b"not xml", b"<a></a>trailing",
-     b"<a x=unquoted></a>"],
-)
-def test_xml_malformed_rejected(bad):
-    with pytest.raises(XmlError):
-        parse(bad)
-
-
-def test_xml_bad_tag_rejected():
-    with pytest.raises(XmlError):
-        XmlElement("has space")
-
-
-# -- SOAP / WS-Security -------------------------------------------------------------
+# -- signed envelopes ---------------------------------------------------------------
 
 CA = CertificateAuthority(CA_DN, rng=Drbg("svc-ca"), key_bits=768)
 ALICE = CA.issue_identity(
@@ -75,63 +34,63 @@ MALLORY = ROGUE_CA.issue_identity(
 
 
 def signed(action="DoThing", body=None, cred=ALICE, now=10.0, nonce="n1"):
-    env = SoapEnvelope(action=action, body=body or {"k": "v"})
+    env = Envelope(action, body or {"k": "v"})
     return sign_envelope(env, cred, now, nonce)
 
 
-def test_envelope_xml_roundtrip():
-    env = signed()
-    back = SoapEnvelope.from_xml(env.to_xml())
+def test_envelope_roundtrip():
+    env = signed(body={"k": "v", "a": "first"})
+    back = Envelope.decode(env.encode())
     assert back.action == "DoThing"
-    assert back.body == {"k": "v"}
+    assert back.params == {"a": "first", "k": "v"}
     assert back.signature == env.signature
     assert back.certificate == ALICE.certificate
 
 
 def test_verify_accepts_valid_and_returns_identity():
-    env = SoapEnvelope.from_xml(signed().to_xml())
+    env = Envelope.decode(signed().encode())
     identity = verify_envelope(env, [CA.certificate], now=11.0)
     assert str(identity) == "/C=US/O=Lab/CN=Alice"
 
 
 def test_verify_rejects_tampered_body():
-    env = SoapEnvelope.from_xml(signed().to_xml())
-    env.body["k"] = "tampered"
-    with pytest.raises(SoapFault, match="signature"):
+    env = Envelope.decode(signed().encode())
+    env.params["k"] = "tampered"
+    with pytest.raises(ServiceFault, match="signature"):
         verify_envelope(env, [CA.certificate], now=11.0)
 
 
 def test_verify_rejects_untrusted_ca():
-    env = SoapEnvelope.from_xml(signed(cred=MALLORY).to_xml())
-    with pytest.raises(SoapFault, match="certificate"):
+    env = Envelope.decode(signed(cred=MALLORY).encode())
+    with pytest.raises(ServiceFault, match="certificate"):
         verify_envelope(env, [CA.certificate], now=11.0)
 
 
 def test_verify_rejects_unsigned():
-    env = SoapEnvelope(action="X", body={})
+    env = Envelope("X")
     env.certificate = ALICE.certificate
-    with pytest.raises(SoapFault, match="unsigned"):
+    with pytest.raises(ServiceFault, match="unsigned"):
         verify_envelope(env, [CA.certificate], now=11.0)
 
 
 def test_verify_rejects_stale_timestamp():
-    env = SoapEnvelope.from_xml(signed(now=10.0).to_xml())
-    with pytest.raises(SoapFault, match="freshness"):
+    env = Envelope.decode(signed(now=10.0).encode())
+    with pytest.raises(ServiceFault, match="freshness"):
         verify_envelope(env, [CA.certificate], now=10_000.0)
 
 
 def test_verify_rejects_replayed_nonce():
-    env1 = SoapEnvelope.from_xml(signed(nonce="same").to_xml())
-    env2 = SoapEnvelope.from_xml(signed(nonce="same").to_xml())
+    env1 = Envelope.decode(signed(nonce="same").encode())
+    env2 = Envelope.decode(signed(nonce="same").encode())
     seen = set()
     verify_envelope(env1, [CA.certificate], now=11.0, seen_nonces=seen)
-    with pytest.raises(SoapFault, match="replay"):
+    with pytest.raises(ServiceFault, match="replay"):
         verify_envelope(env2, [CA.certificate], now=11.0, seen_nonces=seen)
 
 
 def test_proxy_signed_message_resolves_to_user():
     proxy = issue_proxy_certificate(ALICE, now=5.0, rng=Drbg("px"), key_bits=768)
-    env = SoapEnvelope.from_xml(signed(cred=proxy, now=6.0).to_xml())
+    env = Envelope.decode(signed(cred=proxy, now=6.0).encode())
     identity = verify_envelope(env, [CA.certificate], now=7.0)
     assert str(identity) == "/C=US/O=Lab/CN=Alice"
 
@@ -215,7 +174,7 @@ def test_unauthorized_user_cannot_create_session():
     blob = seal_credential_for(proxy_cred, ids["fss-client"].certificate, rng.fork("os"))
 
     def scenario():
-        with pytest.raises(SoapFault, match="not authorized"):
+        with pytest.raises(ServiceFault, match="not authorized"):
             yield from client.call(
                 "server", 5002, "CreateSession",
                 {"filesystem": "/GFS/ming", "client_host": "client",
@@ -250,7 +209,7 @@ def test_unknown_action_faults():
     me = ServiceClient(sim, tb.client, user, anchors, rng=rng.fork("me"))
 
     def scenario():
-        with pytest.raises(SoapFault, match="unknown action"):
+        with pytest.raises(ServiceFault, match="unknown action"):
             yield from me.call("server", 5002, "NoSuchAction", {})
         return True
 
@@ -262,7 +221,7 @@ def test_unknown_filesystem_faults():
     me = ServiceClient(tb.sim, tb.client, user, anchors, rng=rng.fork("me"))
 
     def scenario():
-        with pytest.raises(SoapFault, match="unknown filesystem"):
+        with pytest.raises(ServiceFault, match="unknown filesystem"):
             yield from me.call(
                 "server", 5002, "CreateSession",
                 {"filesystem": "/GFS/ghost", "client_host": "client",
@@ -278,9 +237,161 @@ def test_service_cpu_charged_for_message_security():
     me = ServiceClient(tb.sim, tb.client, user, anchors, rng=rng.fork("me"))
 
     def scenario():
-        with pytest.raises(SoapFault):
+        with pytest.raises(ServiceFault):
             yield from me.call("server", 5002, "NoSuchAction", {})
 
     tb.run(scenario())
     assert tb.client.cpu.busy_total("services") > 0
     assert tb.server.cpu.busy_total("services") > 0
+
+
+# -- the envelope on the wire ---------------------------------------------------------
+
+
+def test_envelope_decode_refuses_unsorted_params():
+    from repro.xdr import Packer, XdrError
+
+    p = Packer()
+    p.pack_string("DoThing")
+    p.pack_uint(2)
+    for key in ("k", "a"):  # the signer's encoding sorts them
+        p.pack_string(key)
+        p.pack_string("v")
+    with pytest.raises(XdrError, match="out of order"):
+        Envelope.decode(p.get_bytes())
+
+
+def test_malformed_envelope_is_garbage_args():
+    from repro.rpc.messages import GARBAGE_ARGS, CallMessage, ReplyMessage
+    from repro.rpc.transport import StreamTransport
+    from repro.services.endpoint import INVOKE, SERVICE_PROGRAM, SERVICE_VERSION
+
+    tb, *_ = deploy()
+
+    def scenario():
+        sock = yield from tb.client.connect("server", 5002)
+        stream = StreamTransport(sock)
+        stream.send_record(CallMessage(
+            7, SERVICE_PROGRAM, SERVICE_VERSION, INVOKE,
+            args=b"\x00\x00\x00\x09not an envelope").encode())
+        raw = yield from stream.recv_record()
+        sock.close()
+        return ReplyMessage.decode(raw)
+
+    assert tb.run(scenario()).accept_stat == GARBAGE_ARGS
+
+
+def test_handler_bug_is_the_rpc_servers_system_err():
+    from repro.rpc.errors import RpcSystemError
+
+    tb, rng, ca, anchors, user, ids, fss_client, fss_server, dss = deploy()
+
+    def broken(identity, params):
+        raise KeyError("a handler bug")
+
+    dss.register("Broken", broken)
+    me = ServiceClient(tb.sim, tb.client, user, anchors, rng=rng.fork("me"))
+
+    def scenario():
+        with pytest.raises(RpcSystemError):
+            yield from me.call("server", 5002, "Broken", {})
+        return True
+
+    assert tb.run(scenario())
+    assert dss.requests_served == dss.faults_returned == 0
+
+
+# -- state that must not leak or cross ------------------------------------------------
+
+
+def _create_and_destroy():
+    tb, rng, ca, anchors, user, ids, fss_client, fss_server, dss = deploy()
+    proxy_cred = issue_proxy_certificate(
+        user, now=tb.sim.now, rng=rng.fork("px"), key_bits=768)
+    me = ServiceClient(tb.sim, tb.client, proxy_cred, anchors, rng=rng.fork("me"))
+    blob = seal_credential_for(proxy_cred, ids["fss-client"].certificate, rng.fork("seal"))
+
+    def scenario():
+        created = yield from me.call(
+            "server", 5002, "CreateSession",
+            {"filesystem": "/GFS/ming", "client_host": "client", "credential": blob},
+        )
+        destroyed = yield from me.call(
+            "server", 5002, "DestroySession", {"session_id": created["session_id"]}
+        )
+        return created, destroyed
+
+    return tb.run(scenario()), tb.sim.now
+
+
+def test_same_seed_lifecycles_in_one_process_are_identical():
+    """Session ids, session ports and reply nonces are per instance, so
+    a second deployment in the same process replays the first."""
+    assert _create_and_destroy() == _create_and_destroy()
+
+
+def test_destroy_session_reaches_the_filesystems_own_fss():
+    tb, rng, ca, anchors, user, ids, fss_client, fss_server, dss = deploy()
+    fss_other = FileSystemService(
+        tb.sim, tb.server, 5003, ids["fss-server"], anchors,
+        fs=tb.fs, accounts=tb.server_accounts, nfs_port=NFS_PORT,
+        host_credential=fss_server.host_credential,
+    )
+    fss_other.start()
+    dss.register_filesystem(
+        "/GFS/other", "server", 5003, acl={str(USER_DN): FILE_ACCOUNT.name}
+    )
+    proxy_cred = issue_proxy_certificate(
+        user, now=tb.sim.now, rng=rng.fork("px"), key_bits=768)
+    me = ServiceClient(tb.sim, tb.client, proxy_cred, anchors, rng=rng.fork("me"))
+    blob = seal_credential_for(proxy_cred, ids["fss-client"].certificate, rng.fork("seal"))
+
+    def scenario():
+        sessions = []
+        for fs_name in ("/GFS/ming", "/GFS/other"):
+            sessions.append((yield from me.call(
+                "server", 5002, "CreateSession",
+                {"filesystem": fs_name, "client_host": "client", "credential": blob},
+            ))["session_id"])
+        yield from me.call("server", 5002, "DestroySession", {"session_id": sessions[1]})
+        return sessions
+
+    tb.run(scenario())
+    assert not fss_other.server_sessions
+    # two FSSs on one host: the surviving session holds its own port
+    (kept,) = fss_server.server_sessions
+    assert kept == "srv-24100" and len(fss_client.client_sessions) == 1
+
+
+def test_set_acl_reaches_every_live_session_of_the_export():
+    from repro.vfs.fs import Credentials
+
+    tb, rng, ca, anchors, user, ids, fss_client, fss_server, dss = deploy()
+    node = tb.fs.create(1, "guarded.txt", Credentials(tb.fs.root.uid, tb.fs.root.gid))
+    me = ServiceClient(tb.sim, tb.client, user, anchors, rng=rng.fork("me"))
+
+    def scenario():
+        yield from me.call(
+            "server", 5000, "SetAcl", {"path": "/guarded.txt", "acl": f'"{USER_DN}" 29'}
+        )
+        for _ in range(2):
+            yield from me.call(
+                "server", 5000, "CreateServerSession",
+                {"gridmap": f'"{USER_DN}" {FILE_ACCOUNT.name}'},
+            )
+        stores = [p.acls for p in fss_server.server_sessions.values()]
+        granted = [s.evaluate(node.fileid, USER_DN) for s in stores]
+        epochs = [s.epoch for s in stores]
+        yield from me.call(
+            "server", 5000, "SetAcl", {"path": "/guarded.txt", "acl": f'deny "{USER_DN}"'}
+        )
+        revoked = [s.evaluate(node.fileid, USER_DN) for s in stores]
+        bumped = [s.epoch > e for s, e in zip(stores, epochs)]
+        yield from me.call("server", 5000, "RemoveAcl", {"path": "/guarded.txt"})
+        removed = [s.evaluate(node.fileid, USER_DN) for s in stores]
+        return granted, revoked, bumped, removed
+
+    granted, revoked, bumped, removed = tb.run(scenario())
+    assert granted == [29, 29]
+    assert revoked == [0, 0] and bumped == [True, True]
+    assert removed == [None, None]
