@@ -13,21 +13,13 @@ hosts, the configured emulation delay for a :class:`DelayRouter`).
 Per-connection ordering is preserved because the per-direction link
 queues are FIFO and all segments of a connection follow the same path.
 
-Two delivery engines implement those semantics:
-
-- the **callback chain** (:class:`_Delivery`) — one small reusable state
-  object per segment that walks the hops by chaining timeout callbacks.
-  It is used while every hop's transmit lock is free (the overwhelmingly
-  common case) and allocates no generator, no process, and no
-  per-hop closure;
-- the **generator fallback** (:meth:`Network._carry_rest`) — the
-  classic process-based walk, entered the moment a hop finds its link
-  contended.  The blocking ``acquire()`` is issued *before* spawning so
-  the segment keeps its exact FIFO position in the link queue.
-
-Both paths fire the same transmit/propagation timeouts at the same
-virtual instants, so results are identical whichever engine carries a
-segment.
+One engine carries every segment: :class:`_Delivery`, a small state
+object per segment that walks the hops by chaining event callbacks.  An
+uncontended hop takes its link's transmit lock on the spot; a contended
+one queues ``acquire()`` with the delivery itself as the callback, so
+the segment keeps its FIFO place in the link queue and resumes the same
+transmit step when the lock is handed over.  No generator, process or
+per-hop closure is allocated.
 """
 
 from __future__ import annotations
@@ -194,10 +186,7 @@ class Network:
         """Carry a segment of ``nbytes`` from src to dst; call ``on_arrival``.
 
         The segment starts its first hop at the current instant, after
-        already-queued events (the same position the spawned carrier
-        process historically started from), then walks the route via
-        the callback chain, dropping to the generator fallback if a
-        hop's transmit lock is contended.
+        already-queued events, then walks the route hop by hop.
 
         ``kind`` classifies the packet for fault injection: ``"stream"``
         segments belong to a reliable transport (loss is recovered by RTO
@@ -211,7 +200,7 @@ class Network:
         if plan is not None and len(path) > 1:
             self._deliver_faulted(path, nbytes, on_arrival, kind, 0)
             return
-        self.sim._schedule_now(_Delivery(self, path, nbytes, on_arrival))
+        self._launch(path, nbytes, on_arrival)
 
     def _launch(self, path, nbytes, on_arrival) -> None:
         self.sim._schedule_now(_Delivery(self, path, nbytes, on_arrival))
@@ -246,77 +235,27 @@ class Network:
             return
         self._launch(path, nbytes, on_arrival)
 
-    def _carry_rest(self, d: "_Delivery", acquire_ev):
-        """Generator fallback: finish a delivery whose hop ``d.i`` found
-        its link contended.
 
-        ``acquire_ev`` is the already-issued (queued) acquire for hop
-        ``d.i`` — issuing it *before* the spawn keeps the segment's FIFO
-        position in the link queue exactly where the historical
-        all-generator engine put it.
-        """
-        sim = self.sim
-        record = self.obs.enabled
-        path, nbytes = d.path, d.nbytes
-        i, cut, queued_at = d.i, d.cut, sim.now
-        last = len(path) - 1
-        while i < last:
-            u, v = path[i], path[i + 1]
-            link = self.link_between(u, v)
-            lock = link.tx_lock(u, v)
-            if acquire_ev is None:
-                queued_at = sim.now
-                acquire_ev = lock.acquire()
-            yield acquire_ev
-            acquire_ev = None
-            try:
-                if record:
-                    c_bytes, g_busy, h_queue = self._metrics_for(link)
-                    c_bytes.inc(nbytes)
-                    h_queue.observe(sim.now - queued_at)
-                # A cut-through router forwards as bits arrive, so the
-                # segment pays serialization only once on the path.
-                if not cut:
-                    tx = link.transmit_time(nbytes)
-                    if record:
-                        g_busy.add(tx)
-                        if self.record_occupancy:
-                            self.link_ledger.record(
-                                f"{u}->{v}", sim.now, sim.now + tx
-                            )
-                    yield sim.timeout(tx)
-            finally:
-                lock.release()
-            yield sim.timeout(link.latency)
-            # Intermediate node adds its forwarding/emulation delay.
-            if i + 1 < last:
-                node = self.nodes[v]
-                if node.forward_delay > 0:
-                    yield sim.timeout(node.forward_delay)
-                if getattr(node, "cut_through", False):
-                    cut = True
-            i += 1
-        d.on_arrival()
-
-
-#: _Delivery chain states: which timeout the next __call__ answers.
-_TX_DONE = 1       # transmission finished: release the lock, propagate
-_PROPAGATED = 2    # propagation finished: arrive or forward
-_FORWARDED = 3     # router forward delay finished: start the next hop
+#: _Delivery chain states: which event the next __call__ answers.
+_GRANTED = 1       # the contended transmit lock was handed over: transmit
+_TX_DONE = 2       # transmission finished: release the lock, propagate
+_PROPAGATED = 3    # propagation finished: arrive or forward
+_FORWARDED = 4     # router forward delay finished: start the next hop
 
 
 class _Delivery:
     """Callback-chained hop walker — one reusable object per segment.
 
     The object is its own zero-delay queue entry (``_fire`` starts hop
-    0 at the segment's FIFO position) and its own timeout callback
+    0 at the segment's FIFO position) and its own event callback
     (``__call__`` advances the chain by ``state``), so carrying a
-    segment over an uncontended path allocates only the unavoidable
-    transmit/propagation :class:`~repro.sim.core.Timeout` events.
+    segment allocates only the unavoidable transmit/propagation
+    :class:`~repro.sim.core.Timeout` events, plus one acquire event per
+    hop that finds its link busy.
     """
 
     __slots__ = ("_when", "_seq", "net", "path", "nbytes", "on_arrival",
-                 "i", "cut", "state", "link", "lock")
+                 "i", "cut", "state", "link", "lock", "queued_at")
 
     def __init__(self, net: Network, path: List[str], nbytes: int,
                  on_arrival: Callable[[], None]):
@@ -329,6 +268,7 @@ class _Delivery:
         self.state = 0
         self.link: Optional[Link] = None
         self.lock = None
+        self.queued_at = 0.0  # when a contended hop queued for its lock
 
     # -- queue-entry hook ----------------------------------------------
 
@@ -346,33 +286,41 @@ class _Delivery:
     # -- chain ---------------------------------------------------------
 
     def _start_hop(self) -> None:
-        net = self.net
         i = self.i
         u, v = self.path[i], self.path[i + 1]
-        link = self.link = net.link_between(u, v)
+        link = self.link = self.net.link_between(u, v)
         lock = self.lock = link.tx_lock(u, v)
-        if not lock.try_acquire():
-            # Contended: queue for the lock *now* (preserving FIFO
-            # order) and let the generator engine finish the walk.
-            net.sim.spawn(net._carry_rest(self, lock.acquire()),
-                          name=f"pkt:{self.path[0]}->{self.path[-1]}")
+        if lock.try_acquire():
+            self._transmit(0.0)
             return
+        # Contended: queue for the lock now, keeping the segment's FIFO
+        # place; the hand-over resumes the chain at _GRANTED.
+        self.queued_at = self.net.sim.now
+        self.state = _GRANTED
+        lock.acquire().add_callback(self)
+
+    def _transmit(self, waited: float) -> None:
+        """Hop ``i`` holds its link's lock, after ``waited`` seconds in
+        the queue: serialize the segment, then propagate."""
+        net = self.net
         sim = net.sim
+        link = self.link
         tx = 0.0 if self.cut else link.transmit_time(self.nbytes)
         if net.obs.enabled:
             c_bytes, g_busy, h_queue = net._metrics_for(link)
             c_bytes.inc(self.nbytes)
-            h_queue.observe(0.0)  # try_acquire succeeded: no queueing
+            h_queue.observe(waited)
             if not self.cut:
                 g_busy.add(tx)
                 if net.record_occupancy:
+                    u, v = self.path[self.i], self.path[self.i + 1]
                     net.link_ledger.record(f"{u}->{v}", sim.now, sim.now + tx)
         if not self.cut:
             self.state = _TX_DONE
             sim.timeout(tx).add_callback(self)
         else:
             # Cut-through: serialization was already paid upstream.
-            lock.release()
+            self.lock.release()
             self.state = _PROPAGATED
             sim.timeout(link.latency).add_callback(self)
 
@@ -395,6 +343,9 @@ class _Delivery:
                 self.net.sim.timeout(node.forward_delay).add_callback(self)
                 return
             self._next_hop(node)
+            return
+        if state == _GRANTED:
+            self._transmit(self.net.sim.now - self.queued_at)
             return
         # _FORWARDED
         self._next_hop(self.net.nodes[self.path[self.i + 1]])

@@ -41,8 +41,6 @@ class ProxyCacheConfig:
 
     enabled: bool = False
     cache_data: bool = True
-    cache_attrs: bool = True
-    cache_access: bool = True
     write_back: bool = True
     block_size: int = 32768
     capacity_bytes: int = 4 << 30

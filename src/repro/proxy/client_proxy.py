@@ -182,7 +182,7 @@ class SgfsClientProxy:
     # -- cache bookkeeping --------------------------------------------------------
 
     def _remember_attr(self, fh: Optional[FileHandle], attr: Optional[Fattr3]) -> None:
-        if attr is None or not self.cache.cache_attrs:
+        if attr is None:
             return
         if self._blocks.unflushed(attr.fileid):
             # The file has unflushed local writes: the server's view of
@@ -391,12 +391,11 @@ class SgfsClientProxy:
 
     def _h_access(self, call: CallMessage):
         fh, want = pr.unpack_access_args(call.args)
-        if self.cache.cache_access:
-            cached = self._access.get((fh.fileid, 0))
-            if cached is not None:
-                attr = self._attrs.get(fh.fileid)
-                return (yield from self._local(
-                    call, pr.pack_access_res(NfsStatus.OK, attr, cached & want), 128))
+        cached = self._access.get((fh.fileid, 0))
+        if cached is not None:
+            attr = self._attrs.get(fh.fileid)
+            return (yield from self._local(
+                call, pr.pack_access_res(NfsStatus.OK, attr, cached & want), 128))
         # Ask for all bits so one round trip answers future queries too.
         full = replace(call, args=pr.pack_access_args(fh, pr.ACCESS_ALL))
         reply = yield from self._forward(full)
@@ -405,8 +404,7 @@ class SgfsClientProxy:
             return reply
         status, attr, granted = res
         self._remember_attr(fh, attr)
-        if self.cache.cache_access:
-            self._access[(fh.fileid, 0)] = granted
+        self._access[(fh.fileid, 0)] = granted
         merged = self._attrs.get(fh.fileid) or attr
         reply.results = pr.pack_access_res(status, merged, granted & want)
         return reply

@@ -87,8 +87,6 @@ class SessionConfig:
         cache = ProxyCacheConfig(
             enabled=get_bool("cache", False),
             cache_data=get_bool("cache.data", True),
-            cache_attrs=get_bool("cache.attrs", True),
-            cache_access=get_bool("cache.access", True),
             write_back=get_bool("cache.write_back", True),
             block_size=get_int("cache.block_size", 32768),
             capacity_bytes=get_int("cache.capacity", 4 << 30),

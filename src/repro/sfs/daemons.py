@@ -61,8 +61,6 @@ class SfsClientDaemon(SgfsClientProxy):
             cache=ProxyCacheConfig(
                 enabled=True,
                 cache_data=False,      # SFS caches metadata, not data blocks
-                cache_attrs=True,
-                cache_access=True,
                 write_back=False,
                 block_size=32768,
             ),

@@ -5,6 +5,7 @@ import pytest
 from repro.net import ConnectionRefused, ConnectionReset, DelayRouter, Host, Network
 from repro.net.errors import NetError, NoRoute
 from repro.net.network import LOOPBACK_LATENCY
+from repro.obs import Registry
 from repro.sim import Simulator
 
 
@@ -94,6 +95,53 @@ def test_link_fifo_serialization():
     # FIFO: the small message waits for the big one's transmission
     assert arrivals[0][0] == "big"
     assert arrivals[1] == ("small", pytest.approx(1.1))
+    # The contended segment waits inside the delivery chain: no process.
+    assert sim.process_wakeups == 0
+
+
+@pytest.mark.parametrize("cut_through", [False, True],
+                         ids=["store-and-forward", "cut-through"])
+def test_contended_hops_through_router(cut_through):
+    """Two hosts send two segments each through a router to one server in
+    the same instant.  Each host's second segment queues on its own link;
+    store-and-forward also queues all four, in arrival order, on the
+    router->server link, where cut-through holds it for no time."""
+    sim = Simulator(obs=Registry())
+    net = Network(sim)
+    for name in ("c1", "c2", "server"):
+        Host(sim, net, name)
+    router = DelayRouter(sim, net, "router", one_way_delay=0.5)
+    router.cut_through = cut_through
+    for name in ("c1", "c2"):
+        net.connect(name, "router", latency=0.1, bandwidth=1000.0)
+    net.connect("router", "server", latency=0.1, bandwidth=1000.0)
+    arrivals = {}
+    for seg in ("A", "B"):
+        for src in ("c1", "c2"):
+            tag = src + seg
+            net.deliver(src, "server", 1000,
+                        lambda tag=tag: arrivals.setdefault(tag, sim.now))
+    sim.run()
+
+    def waits(link):
+        h = sim.obs.histogram("net", "queue_delay", link=link)
+        return h.count, pytest.approx(h.total), pytest.approx(h.max)
+
+    # First hop: A transmits over [0, 1] s, B waits 1 s for the link.
+    # Both reach the router's out-link at 1 + 0.1 + 0.5 + (B: 1) s.
+    at_router = {"c1A": 1.6, "c2A": 1.6, "c1B": 2.6, "c2B": 2.6}
+    if cut_through:
+        expected = {tag: t + 0.1 for tag, t in at_router.items()}
+        bottleneck = (4, 0.0, 0.0)
+    else:
+        # FIFO behind one 1 s transmission each: c1A, c2A, c1B, c2B.
+        expected = {"c1A": 2.7, "c2A": 3.7, "c1B": 4.7, "c2B": 5.7}
+        bottleneck = (4, 0.0 + 1.0 + 1.0 + 2.0, 2.0)
+    assert arrivals == {tag: pytest.approx(t) for tag, t in expected.items()}
+    assert waits("c1<->router") == (2, 1.0, 1.0)
+    assert waits("c2<->router") == (2, 1.0, 1.0)
+    assert waits("router<->server") == bottleneck
+    assert sim.process_wakeups == 0
 
 
 def test_directions_do_not_contend():
