@@ -19,19 +19,22 @@ sfs     kernel client ─ SFS client daemon ─(RC4ish)─ SFS server
 
 The proxied stacks are the paper's **session** (§3.2: server-side
 proxy, client-side proxy, per-session security configuration, gridmap),
-assembled from the parts below for one :class:`Seat`.  The ``setup_*``
-functions compose them for the paper's one user (:func:`paper_seat`);
-:func:`repro.harness.fleet.run_fleet` composes the same parts over N.
+assembled by the code below for a list of seats (:class:`Seat`) — its
+server side by :func:`serve_sessions`, each seat's client side by
+:func:`client_proxy`.  The ``setup_*`` functions apply it to the
+paper's one user (:func:`paper_seat`);
+:func:`repro.harness.fleet.run_fleet` applies it to N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.topology import (
     CLIENT_PROXY_PORT,
     EXPORT_OWNER,
+    GRID_META_PORT,
     NFS_PORT,
     SERVER_PROXY_PORT,
     SFS_PORT,
@@ -40,7 +43,13 @@ from repro.core.topology import (
     Testbed,
 )
 from repro.crypto.drbg import Drbg
-from repro.grid.router import GridRouter
+from repro.grid import (
+    GridMetadataClient,
+    GridMetadataProgram,
+    GridMetadataService,
+    GridRouter,
+)
+from repro.grid.layout import DEFAULT_BLOCK_SIZE
 from repro.gsi import CertificateAuthority, DistinguishedName, Gridmap
 from repro.gsi.gridmap import UnmappedPolicy
 from repro.net import Host
@@ -55,6 +64,7 @@ from repro.proxy.server_proxy import SgfsServerProxy
 from repro.proxy.upstream import UpstreamSession, dialer
 from repro.rpc.auth import AuthSys
 from repro.rpc.client import RpcClient
+from repro.rpc.server import RpcServer
 from repro.rpc.transport import StreamTransport
 from repro.sfs import SelfCertifyingPath, SfsClientDaemon, SfsServerDaemon
 from repro.sshtun import SshTunnelClient, SshTunnelServer
@@ -180,6 +190,19 @@ class SessionPki:
         )
 
 
+def session_pki(tb: Testbed, seed: str, suite: Optional[str], streams: int = 1,
+                session_tickets: bool = False,
+                fast_ciphers: bool = True) -> Optional[SessionPki]:
+    """The PKI of sessions negotiating ``suite``; None (no suite) is a
+    plain gfs session.  ``streams > 1`` forces session tickets on, so
+    sub-channels 1..N-1 of a leg resume the keys channel 0 negotiated
+    instead of paying N full RSA handshakes."""
+    if suite is None:
+        return None
+    return SessionPki(tb, seed, suite, fast_ciphers=fast_ciphers,
+                      session_tickets=session_tickets or streams > 1)
+
+
 def admit(tb: Testbed, gridmap: Gridmap, seat: Seat) -> None:
     """Enter the seat in the session's gridmap, and its account in the
     file servers' account database if it is new there."""
@@ -188,15 +211,15 @@ def admit(tb: Testbed, gridmap: Gridmap, seat: Seat) -> None:
         tb.server_accounts.add(seat.account)
 
 
-def _session_gridmap() -> Gridmap:
-    gm = Gridmap(unmapped=UnmappedPolicy.DENY)
-    gm.add(USER_DN, FILE_ACCOUNT.name)
-    return gm
+def _session_gridmap(tb: Testbed, seats: List[Seat]) -> Gridmap:
+    gridmap = Gridmap(unmapped=UnmappedPolicy.DENY)
+    for seat in seats:
+        admit(tb, gridmap, seat)
+    return gridmap
 
 
 def serve_proxy(tb: Testbed, gridmap: Gridmap,
                 security: Optional[SecurityConfig] = None, backend: int = 0,
-                blocking: bool = True,
                 acl_cache_enabled: bool = True) -> SgfsServerProxy:
     """Start the server-side proxy in front of backend ``backend``'s
     kernel NFS server.  Without ``security`` the channel is plain and
@@ -206,7 +229,6 @@ def serve_proxy(tb: Testbed, gridmap: Gridmap,
         tb.sim, b.host, SERVER_PROXY_PORT, NFS_PORT,
         accounts=tb.server_accounts, gridmap=gridmap, fs=b.fs,
         security=security, cost=tb.cal.proxy_cost, account="proxy",
-        blocking=blocking,
         session_identity=USER_DN if security is None else None,
         acl_cache_enabled=acl_cache_enabled, acl_disk=b.disk,
     )
@@ -214,30 +236,77 @@ def serve_proxy(tb: Testbed, gridmap: Gridmap,
     return proxy
 
 
-def client_proxy(tb: Testbed, seat: Seat, upstream, disk_cache: bool = False,
-                 write_back: bool = True,
-                 cache_capacity: Optional[int] = None, blocking: bool = True,
+def serve_sessions(tb: Testbed, seats: List[Seat], pki: Optional[SessionPki] = None,
+                   replicas: int = 1, block_size: int = DEFAULT_BLOCK_SIZE,
+                   acl_cache_enabled: bool = True) -> List[SgfsServerProxy]:
+    """The server side of the ``seats``' sessions, started: one gridmap
+    that admits every seat and denies everyone else, then one server
+    proxy per backend (``pki`` None: plain channels, gfs), then — over
+    several backends — the grid catalogue on the home server, striping
+    ``block_size`` ranges over ``replicas`` backends each."""
+    gridmap = _session_gridmap(tb, seats)
+    proxies = [
+        serve_proxy(tb, gridmap, None if pki is None else pki.server_config(b), b,
+                    acl_cache_enabled)
+        for b in range(len(tb.backends))
+    ]
+    if len(tb.backends) > 1:
+        service = GridMetadataService(width=len(tb.backends), replicas=replicas,
+                                      block_size=block_size, obs=tb.obs)
+        rpc = RpcServer(tb.sim, cpu=tb.server.cpu, cost=tb.cal.kernel_server_cost,
+                        account="grid-meta", name="grid-meta")
+        rpc.register(GridMetadataProgram(service))
+        rpc.serve_listener(tb.server.listen(GRID_META_PORT))
+    return proxies
+
+
+def seat_dial(tb: Testbed, seat: Seat, security: Optional[SecurityConfig] = None):
+    """The seat's dial: ``target`` -> the :func:`dialer` of the server
+    proxy on host ``target`` (a TLS handshake iff ``security``)."""
+    return lambda target: dialer(tb.sim, seat.host, target, SERVER_PROXY_PORT, security)
+
+
+def client_proxy(tb: Testbed, seat: Seat, dial, streams: int = 1, replicas: int = 1,
+                 block_size: int = DEFAULT_BLOCK_SIZE, disk_cache: bool = False,
+                 write_back: bool = True, cache_capacity: Optional[int] = None,
                  cryptor=None) -> SgfsClientProxy:
-    """The seat's client-side proxy, not yet started.  ``upstream`` is
-    its :class:`repro.grid.GridRouter`, over one
-    :class:`~repro.proxy.upstream.UpstreamSession` leg per backend (their
-    dial: see :func:`repro.proxy.upstream.dialer`)."""
-    cal = tb.cal
+    """The seat's client-side proxy, not yet started.  Its upstream is a
+    :class:`~repro.grid.GridRouter` over one
+    :class:`~repro.proxy.upstream.UpstreamSession` leg of ``streams``
+    channels per backend, each leg dialed by ``dial(backend host name)``
+    (see :func:`seat_dial`); over several backends, a client of the
+    catalogue :func:`serve_sessions` started places the stripes."""
+    sim, cal = tb.sim, tb.cal
+    grid = len(tb.backends) > 1
+    # Leg 0 (home/namespace) keeps the patient hard-mount retry budget;
+    # data legs fail fast so a crashed backend surfaces as an RpcError
+    # the router can fail over from, instead of minutes of backoff.  A
+    # lone leg keeps the name of a plain mount's.
+    fail_fast = dict(retry_max=2, retry_base=0.25, retry_cap=2.0)
+    legs = [
+        UpstreamSession(sim, dial(b.name), streams=streams,
+                        name=f"leg{b.index}" if grid else "up",
+                        **(fail_fast if b.index else {}))
+        for b in tb.backends
+    ]
+    meta = GridMetadataClient(sim, seat.host, "server", GRID_META_PORT) if grid else None
+    upstream = GridRouter(sim, legs, meta, seat.roots, replicas=replicas,
+                          block_size=block_size, obs=tb.obs)
     capacity = {} if cache_capacity is None else {"capacity_bytes": cache_capacity}
     disk = None
     if disk_cache:
         disk = DiskModel(
-            tb.sim, name="proxy-cache-disk",
+            sim, name="proxy-cache-disk",
             access_latency=cal.cache_disk_access,
             read_bandwidth=cal.cache_disk_read_bw,
             write_bandwidth=cal.cache_disk_write_bw,
         )
     return SgfsClientProxy(
-        tb.sim, seat.host, CLIENT_PROXY_PORT, upstream,
+        sim, seat.host, CLIENT_PROXY_PORT, upstream,
         cost=cal.proxy_cost, account="proxy",
         cache=ProxyCacheConfig(enabled=disk_cache, write_back=write_back,
                                block_size=cal.block_size, **capacity),
-        disk=disk, blocking=blocking, cryptor=cryptor,
+        disk=disk, cryptor=cryptor,
     )
 
 
@@ -320,28 +389,17 @@ def setup_nfs_v4(tb: Testbed, cache_bytes: Optional[int] = None) -> Mount:
     return Mount("nfs-v4", tb, client)
 
 
-def _paper_session(tb: Testbed, label: str, dial,
-                   server_security: Optional[SecurityConfig] = None,
-                   cache_bytes: Optional[int] = None, blocking: bool = True,
-                   acl_cache_enabled: bool = True, streams: int = 1,
-                   **proxy_kw) -> Mount:
-    """One session for the paper's seat: server proxy on the home
-    server, client proxy dialing it through ``dial`` over ``streams``
-    channels, kernel mount."""
-    seat = paper_seat(tb)
-    server_proxy = serve_proxy(tb, _session_gridmap(), server_security,
-                               blocking=blocking,
-                               acl_cache_enabled=acl_cache_enabled)
-    legs = [UpstreamSession(tb.sim, dial, streams=streams)]
-    proxy = client_proxy(tb, seat, GridRouter(tb.sim, legs), blocking=blocking, **proxy_kw)
+def _paper_mount(tb: Testbed, label: str, proxy, server_proxy,
+                 cache_bytes: Optional[int]) -> Mount:
+    """Start the paper's seat's client proxy (or daemon), then mount its
+    kernel client through it."""
 
     def build():
         yield from proxy.start()
-        return (yield from mount_through_proxy(tb, seat, cache_bytes))
+        return (yield from mount_through_proxy(tb, paper_seat(tb), cache_bytes))
 
     client = tb.run(build(), name=f"mount-{label}")
-    return Mount(label, tb, client, client_proxy=proxy,
-                 server_proxy=server_proxy)
+    return Mount(label, tb, client, client_proxy=proxy, server_proxy=server_proxy)
 
 
 def setup_gfs(tb: Testbed, disk_cache: bool = False,
@@ -350,34 +408,30 @@ def setup_gfs(tb: Testbed, disk_cache: bool = False,
               cache_capacity: Optional[int] = None) -> Mount:
     """The basic (insecure) grid file system [16]: user-level proxies
     with credential mapping, no channel protection."""
-    return _paper_session(
-        tb, "gfs", dialer(tb.sim, tb.client, "server", SERVER_PROXY_PORT),
-        disk_cache=disk_cache, cache_bytes=cache_bytes, streams=streams,
-        cache_capacity=cache_capacity,
-    )
+    seat = paper_seat(tb)
+    server_proxy, = serve_sessions(tb, [seat])
+    proxy = client_proxy(tb, seat, seat_dial(tb, seat), streams=streams,
+                         disk_cache=disk_cache, cache_capacity=cache_capacity)
+    return _paper_mount(tb, "gfs", proxy, server_proxy, cache_bytes)
 
 
 def setup_sgfs(tb: Testbed, suite: str = "aes-256-cbc-sha1",
                disk_cache: bool = False, cache_bytes: Optional[int] = None,
                fast_ciphers: bool = True,
                renegotiate_interval: Optional[float] = None,
-               blocking: bool = True, write_back: bool = True,
+               write_back: bool = True,
                acl_cache_enabled: bool = True, at_rest: bool = False,
                streams: int = 1, session_tickets: bool = False,
                cache_capacity: Optional[int] = None) -> Mount:
     """SGFS: the paper's contribution.  ``suite`` picks the per-session
     security configuration — "null-sha1" (sgfs-sha), "rc4-128-sha1"
-    (sgfs-rc) or "aes-256-cbc-sha1" (sgfs-aes).
-
-    ``streams > 1`` opens that many parallel proxy-to-proxy
-    sub-channels; session tickets are forced on so channels 1..N-1
-    resume the keys channel 0 negotiated instead of paying N full RSA
-    handshakes."""
-    pki = SessionPki(tb, "sgfs-session", suite, fast_ciphers=fast_ciphers,
-                     session_tickets=session_tickets or streams > 1)
-    client_cfg = pki.client_config(
-        paper_seat(tb), renegotiate_interval=renegotiate_interval)
-    server_cfg = pki.server_config()
+    (sgfs-rc) or "aes-256-cbc-sha1" (sgfs-aes).  ``streams > 1`` opens
+    that many parallel proxy-to-proxy sub-channels (see
+    :func:`session_pki` for their keys)."""
+    seat = paper_seat(tb)
+    pki = session_pki(tb, "sgfs-session", suite, streams, session_tickets,
+                      fast_ciphers=fast_ciphers)
+    client_cfg = pki.client_config(seat, renegotiate_interval=renegotiate_interval)
     cryptor = None
     if at_rest:
         from repro.proxy.cryptofs import BlockCryptor
@@ -387,18 +441,14 @@ def setup_sgfs(tb: Testbed, suite: str = "aes-256-cbc-sha1",
 
     label = next((name for name, s in SUITES.items() if s == suite),
                  f"sgfs-{suite}")
-    mount = _paper_session(
-        tb, label,
-        dialer(tb.sim, tb.client, "server", SERVER_PROXY_PORT, client_cfg),
-        server_security=server_cfg,
-        disk_cache=disk_cache, cache_bytes=cache_bytes,
-        blocking=blocking, write_back=write_back,
-        acl_cache_enabled=acl_cache_enabled,
-        cryptor=cryptor, streams=streams,
-        cache_capacity=cache_capacity,
-    )
+    server_proxy, = serve_sessions(tb, [seat], pki,
+                                   acl_cache_enabled=acl_cache_enabled)
+    proxy = client_proxy(tb, seat, seat_dial(tb, seat, client_cfg), streams=streams,
+                         disk_cache=disk_cache, write_back=write_back,
+                         cache_capacity=cache_capacity, cryptor=cryptor)
+    mount = _paper_mount(tb, label, proxy, server_proxy, cache_bytes)
     mount.extras["client_security"] = client_cfg
-    mount.extras["server_security"] = server_cfg
+    mount.extras["server_security"] = server_proxy.security
     if cryptor is not None:
         mount.extras["cryptor"] = cryptor
     return mount
@@ -420,12 +470,12 @@ def setup_gfs_ssh(tb: Testbed, disk_cache: bool = False,
     )
     tunnel_client.start()
 
+    seat = paper_seat(tb)
+    server_proxy, = serve_sessions(tb, [seat])
     # The client proxy dials the local tunnel entrance.
-    mount = _paper_session(
-        tb, "gfs-ssh",
-        dialer(tb.sim, tb.client, tb.client.name, SSH_LOCAL_PORT),
-        disk_cache=disk_cache, cache_bytes=cache_bytes,
-    )
+    tunnel = dialer(tb.sim, tb.client, tb.client.name, SSH_LOCAL_PORT)
+    proxy = client_proxy(tb, seat, lambda _target: tunnel, disk_cache=disk_cache)
+    mount = _paper_mount(tb, "gfs-ssh", proxy, server_proxy, cache_bytes)
     mount.extras["tunnel_client"] = tunnel_client
     mount.extras["tunnel_server"] = tunnel_server
     return mount
@@ -444,7 +494,8 @@ def setup_sfs(tb: Testbed, cache_bytes: Optional[int] = None) -> Mount:
         tb.sim, tb.server, SFS_PORT, NFS_PORT,
         server_key=server_key,
         authorized_users={user_key.public.to_bytes()},
-        accounts=tb.server_accounts, gridmap=_session_gridmap(), fs=tb.fs,
+        accounts=tb.server_accounts,
+        gridmap=_session_gridmap(tb, [paper_seat(tb)]), fs=tb.fs,
         cost=tb.cal.sfs_cost, session_identity=USER_DN,
     )
     server_daemon.start()
@@ -453,14 +504,7 @@ def setup_sfs(tb: Testbed, cache_bytes: Optional[int] = None) -> Mount:
         tb.sim, tb.client, CLIENT_PROXY_PORT, path, SFS_PORT,
         user_key=user_key, rng=rng.fork("client"), cost=tb.cal.sfs_cost,
     )
-
-    def build():
-        yield from client_daemon.start()
-        return (yield from mount_through_proxy(tb, paper_seat(tb), cache_bytes))
-
-    client = tb.run(build(), name="mount-sfs")
-    mount = Mount("sfs", tb, client, client_proxy=client_daemon,
-                  server_proxy=server_daemon)
+    mount = _paper_mount(tb, "sfs", client_daemon, server_daemon, cache_bytes)
     mount.extras["path"] = path
     return mount
 

@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.core.setups import (
+    DEFAULT_BLOCK_SIZE,
     FILE_ACCOUNT,
     SUITES,
     USER_DN,
@@ -45,23 +46,17 @@ from repro.core.setups import (
     client_proxy,
     mount_kernel_server,
     mount_through_proxy,
-    serve_proxy,
+    seat_dial,
+    serve_sessions,
+    session_pki,
 )
-from repro.core.topology import GRID_META_PORT, SERVER_PROXY_PORT, Testbed
-from repro.grid import (
-    GridMetadataClient,
-    GridMetadataProgram,
-    GridMetadataService,
-    GridRouter,
-)
-from repro.grid.layout import DEFAULT_BLOCK_SIZE
+from repro.core.topology import Testbed
 from repro.gsi import (
     DELEGATION_CPU_SECONDS,
     DistinguishedName,
     Gridmap,
     issue_proxy_certificate,
 )
-from repro.gsi.gridmap import UnmappedPolicy
 from repro.harness.runner import (
     apply_fault_timeouts,
     check_scenario,
@@ -72,8 +67,6 @@ from repro.nfs import protocol as pr
 from repro.nfs.protocol import FileHandle
 from repro.nfs.v4 import NFS_V4
 from repro.proxy.accounts import Account
-from repro.proxy.upstream import UpstreamSession, dialer
-from repro.rpc.server import RpcServer
 from repro.sim import Interrupt
 from repro.sim.sync import Channel
 from repro.vfs.fs import ROOT_CRED
@@ -182,10 +175,10 @@ def _fleet_seat(tb: Testbed, i: int, secure: bool) -> Seat:
 
 
 def _delegating(tb: Testbed, pki: SessionPki, gridmap: Gridmap, seat: Seat,
-                cfg, lifetime: float):
+                cfg, lifetime: float, dial):
     """SSO: make ``cfg`` present a short-lived *limited* proxy delegated
     from its long-term identity (the "login") instead of the identity
-    itself.  Returns the wrapper that makes a dial renew it when due."""
+    itself.  Returns ``dial`` made to renew it when due."""
     sim, base = tb.sim, cfg.credential
     delegations = tb.obs.counter("gsi", "delegations")
     renewals = tb.obs.counter("gsi", "renewals")
@@ -200,7 +193,9 @@ def _delegating(tb: Testbed, pki: SessionPki, gridmap: Gridmap, seat: Seat,
 
     delegate(next(issued))
 
-    def renewing(dial):
+    def renewing(target):
+        inner = dial(target)
+
         def dial_renewed():
             if cfg.credential.certificate.not_after <= sim.now:
                 # Delegation expired: re-delegate before the handshake
@@ -212,7 +207,7 @@ def _delegating(tb: Testbed, pki: SessionPki, gridmap: Gridmap, seat: Seat,
                 delegate(n)
                 admit(tb, gridmap, seat)
                 renewals.inc()
-            return (yield from dial())
+            return (yield from inner())
 
         return dial_renewed
 
@@ -356,46 +351,23 @@ def run_fleet(
         seats.append(seat)
         workloads.append(workload)
 
-    # -- the sessions' server side: policy, PKI, one proxy per backend ------
+    # -- the sessions' server side, then each seat's dial ---------------------
     # Spawn order decides ties: server proxies, then the grid metadata
     # service, then the client processes in index order.
     server_proxies: list = []
     dials: List[Callable] = []
     if proxied:
-        gridmap = Gridmap(unmapped=UnmappedPolicy.DENY)
-        pki = None
-        if secure:
-            # sub-channels 1..N-1 of a leg resume channel 0's session keys
-            pki = SessionPki(tb, session_seed, SUITES[setup],
-                             session_tickets=session_tickets or streams > 1)
+        pki = session_pki(tb, session_seed, SUITES.get(setup), streams,
+                          session_tickets)
+        server_proxies = serve_sessions(tb, seats, pki, replicas=replicas,
+                                        block_size=grid_block_size)
         for seat in seats:
-            admit(tb, gridmap, seat)
-            cfg = pki.client_config(seat) if secure else None
-            renewing = None
+            cfg = None if pki is None else pki.client_config(seat)
+            dial = seat_dial(tb, seat, cfg)
             if delegation_lifetime is not None:
-                renewing = _delegating(tb, pki, gridmap, seat, cfg,
-                                       delegation_lifetime)
-
-            def dial(target, seat=seat, cfg=cfg, renewing=renewing):
-                d = dialer(sim, seat.host, target, SERVER_PROXY_PORT, cfg)
-                return renewing(d) if renewing else d
-
+                dial = _delegating(tb, pki, server_proxies[0].gridmap, seat, cfg,
+                                   delegation_lifetime, dial)
             dials.append(dial)
-        server_proxies = [
-            serve_proxy(tb, gridmap, pki.server_config(b) if secure else None, b)
-            for b in range(servers)
-        ]
-    if servers > 1:  # a catalogue of striped files
-        grid_service = GridMetadataService(
-            width=servers, replicas=replicas, block_size=grid_block_size,
-            obs=tb.obs,
-        )
-        meta_rpc = RpcServer(
-            sim, cpu=tb.server.cpu, cost=cal.kernel_server_cost,
-            account="grid-meta", name="grid-meta",
-        )
-        meta_rpc.register(GridMetadataProgram(grid_service))
-        meta_rpc.serve_listener(tb.server.listen(GRID_META_PORT))
 
     # Faults are armed and the clock starts *before* any session opens:
     # a fleet's makespan includes its mounts and handshakes.
@@ -404,23 +376,6 @@ def run_fleet(
     results: List[Optional[FleetClientResult]] = [None] * clients
     errors: List[BaseException] = []
     done = Channel(sim, name="fleet-done")
-
-    def grid_router(seat: Seat, dial) -> GridRouter:
-        # Leg 0 (home/namespace) keeps the patient hard-mount retry
-        # budget; data legs fail fast so a crashed backend surfaces as
-        # an RpcError the router can fail over from, instead of minutes
-        # of backoff.  A lone leg keeps the name of a plain mount's.
-        fail_fast = dict(retry_max=2, retry_base=0.25, retry_cap=2.0)
-        legs = [
-            UpstreamSession(sim, dial(b.name), streams=streams,
-                            name=f"leg{b.index}" if servers > 1 else "up",
-                            **(fail_fast if b.index else {}))
-            for b in tb.backends
-        ]
-        meta = (GridMetadataClient(sim, seat.host, "server", GRID_META_PORT)
-                if servers > 1 else None)
-        return GridRouter(sim, legs, meta, seat.roots, replicas=replicas,
-                          block_size=grid_block_size, obs=tb.obs)
 
     def client_proc(i: int):
         seat, workload = seats[i], workloads[i]
@@ -431,7 +386,8 @@ def run_fleet(
             start = sim.now
             proxy = None
             if proxied:
-                proxy = client_proxy(tb, seat, grid_router(seat, dials[i]),
+                proxy = client_proxy(tb, seat, dials[i], streams=streams,
+                                     replicas=replicas, block_size=grid_block_size,
                                      disk_cache=disk_cache,
                                      cache_capacity=cache_capacity)
                 yield from proxy.start()

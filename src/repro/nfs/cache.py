@@ -63,24 +63,6 @@ class CacheStats:
         registry.add_collector(component, lambda: {name: self.export()})
 
 
-class _StatsMixin:
-    """Back-compat attribute views over :class:`CacheStats`."""
-
-    stats: CacheStats
-
-    @property
-    def hits(self) -> int:
-        return self.stats.hits
-
-    @property
-    def misses(self) -> int:
-        return self.stats.misses
-
-    @property
-    def evictions(self) -> int:
-        return self.stats.evictions
-
-
 @dataclass
 class AttrEntry:
     attr: Fattr3
@@ -88,7 +70,7 @@ class AttrEntry:
     timeout: float
 
 
-class AttrCache(_StatsMixin):
+class AttrCache:
     """fileid -> attributes with kernel-style adaptive timeouts."""
 
     def __init__(
@@ -141,7 +123,7 @@ class AttrCache(_StatsMixin):
         self._entries.clear()
 
 
-class NameCache(_StatsMixin):
+class NameCache:
     """(dir_fileid, name) -> (FileHandle, fileid); invalidated on mutation."""
 
     def __init__(self, capacity: int = 65536):
@@ -179,7 +161,7 @@ class NameCache(_StatsMixin):
         self._entries.clear()
 
 
-class AccessCache(_StatsMixin):
+class AccessCache:
     """(fileid, uid) -> granted-bits, valid as long as the attrs are."""
 
     def __init__(self, clock, timeout: float = 30.0):
@@ -214,7 +196,7 @@ class Page:
     dirty: bool = False
 
 
-class PageCache(_StatsMixin):
+class PageCache:
     """Bounded LRU of (fileid, block) -> Page.
 
     Eviction returns dirty victims to the caller (which must write them

@@ -17,6 +17,7 @@ from repro.core.setups import (
     USER_DN,
     _kernel_client,
     _session_gridmap,
+    paper_seat,
 )
 from repro.core.topology import NFS_PORT, Testbed
 from repro.crypto.drbg import Drbg
@@ -51,7 +52,7 @@ def build_shared(consistency: str, ttl: float = 2.0):
         )
         sproxy = SgfsServerProxy(
             sim, tb.server, 4600 + i, NFS_PORT,
-            accounts=tb.server_accounts, gridmap=_session_gridmap(), fs=tb.fs,
+            accounts=tb.server_accounts, gridmap=_session_gridmap(tb, [paper_seat(tb)]), fs=tb.fs,
             security=server_cfg,
         )
         sproxy.start()

@@ -390,6 +390,23 @@ def test_write_behind_bursts_through_the_router():
     assert _fingerprint(run_fleet("sgfs-sha", _wr, **kw)) == _fingerprint(r)
 
 
+@pytest.mark.parametrize("setup", ["sgfs-sha", "gfs"])
+def test_cached_grid_bursts_ride_each_legs_engine(setup):
+    """Two 4-stream clients over 2 backends x 2 replicas at 40 ms, through
+    the disk cache: the bursts go out as compound envelopes, every block
+    is written back and read back exact, and a same-seed rerun is
+    bit-identical — over TLS and over gfs's plain channel alike, since
+    both are assembled by the same session code."""
+    kw = dict(clients=2, servers=2, replicas=2, streams=4, rtt=0.04,
+              setup_kwargs={"disk_cache": True})
+    r = run_fleet(setup, _wr, **kw)
+    assert all(c.bytes_moved == 3 * FS for c in r.per_client)  # read back, checked
+    pc = r.stats["proxy.client"]
+    assert r.stats["grid"]["hole_spans"] == 0
+    assert pc["writeback_errors"] == 0 and pc["compound_envelopes"] > 0
+    assert _fingerprint(run_fleet(setup, _wr, **kw)) == _fingerprint(r)
+
+
 # -- mounting: every leg dialed at once ------------------------------------------
 
 SUITE = "aes-256-cbc-sha1"

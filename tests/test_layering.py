@@ -3,10 +3,12 @@
 A structure guard, not a behaviour test: it walks the source with
 ``ast`` and fails when a second copy of framing, the crypto cost split,
 the exactly-once protocol or the reply table appears (DESIGN.md § One
-transport stack, one hop), or when a hop starts catching what it cannot
-name (DESIGN.md § Failure vocabulary)."""
+transport stack, one hop), when a hop starts catching what it cannot
+name (DESIGN.md § Failure vocabulary), or when a session is assembled
+outside ``core/setups`` (DESIGN.md § One session builder)."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -110,3 +112,38 @@ def test_no_named_error_set_can_swallow_an_interrupt():
 
     for vocabulary in (TRANSPORT_ERRORS, DIAL_ERRORS, DECODE_ERRORS):
         assert not any(issubclass(Interrupt, t) for t in vocabulary)
+
+
+# -- one session assembly -------------------------------------------------------
+
+SESSION_PARTS = ("UpstreamSession", "GridRouter", "GridMetadataService",
+                 "GridMetadataClient", "SessionPki")
+
+
+def test_sessions_are_assembled_only_in_core_setups():
+    """The legs, the router, the catalogue and the PKI are built in
+    ``core/setups`` and, for their own one-leg sessions, by the SFS
+    daemons and the FSS; inside ``core`` + ``harness`` each part, and
+    each of the two proxies, is built in exactly one place."""
+    built = {(path, name) for path, tree in TREES.items()
+             for _node, name in _calls(tree) if name in SESSION_PARTS}
+    one_leg = {(path, name) for path in ("services/fss.py", "sfs/daemons.py")
+               for name in ("UpstreamSession", "GridRouter")}
+    assert built == {("core/setups.py", name) for name in SESSION_PARTS} | one_leg
+    proxies = ("SgfsServerProxy", "SgfsClientProxy")
+    calls = Counter(name for path, tree in TREES.items()
+                    if path.startswith(("core/", "harness/"))
+                    for _node, name in _calls(tree) if name in SESSION_PARTS + proxies)
+    assert calls == Counter(SESSION_PARTS + proxies)
+
+
+def test_the_harness_runs_sessions_and_does_not_build_them():
+    imported = []
+    for path in [p for p in TREES if p.startswith("harness/")]:
+        for node in ast.walk(TREES[path]):
+            if isinstance(node, ast.ImportFrom):
+                imported.append((path, node.module or ""))
+            elif isinstance(node, ast.Import):
+                imported += [(path, alias.name) for alias in node.names]
+    assert [(path, module) for path, module in imported
+            if (module + ".").startswith(("repro.grid.", "repro.proxy.upstream."))] == []

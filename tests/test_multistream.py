@@ -189,7 +189,8 @@ def test_every_cached_read_counted_exactly_once(blocking):
     in flight (only possible when the proxy serves calls concurrently)
     is a miss that coalesces — not a miss *and* a hit."""
     tb = Testbed.build(rtt=0.04)
-    mount = setup_sgfs(tb, disk_cache=True, streams=4, blocking=blocking)
+    mount = setup_sgfs(tb, disk_cache=True, streams=4)
+    mount.client_proxy.blocking = mount.server_proxy.blocking = blocking
     payload = _pattern(16 * BS)
     _seed_server_file(tb, "r.bin", payload)
     cl = mount.client
@@ -482,8 +483,9 @@ def test_concurrent_unaligned_writes_to_one_block_both_survive():
     from repro.rpc.messages import CallMessage
 
     tb = Testbed.build(rtt=0.04)
-    mount = setup_sgfs(tb, disk_cache=True, streams=4, blocking=False)
+    mount = setup_sgfs(tb, disk_cache=True, streams=4)
     proxy = mount.client_proxy
+    proxy.blocking = mount.server_proxy.blocking = False
 
     def write(fh, offset, data):
         call = CallMessage(1, pr.NFS_PROGRAM, pr.NFS_V3, int(pr.Proc.WRITE),

@@ -27,7 +27,7 @@ def test_attr_cache_hit_within_timeout():
     assert cache.get(1) is not None
     t[0] = 3.1
     assert cache.get(1) is None
-    assert cache.hits == 1 and cache.misses == 1
+    assert cache.stats.hits == 1 and cache.stats.misses == 1
 
 
 def test_attr_cache_timeout_doubles_when_stable():
@@ -159,7 +159,7 @@ def test_page_cache_put_get_lru():
     cache.put(1, 3, Page(data=bytes(100)))  # evicts block 1 (LRU)
     assert cache.peek(1, 0) is not None
     assert cache.peek(1, 1) is None
-    assert cache.evictions == 1
+    assert cache.stats.evictions == 1
 
 
 def test_page_cache_returns_dirty_victims():

@@ -208,7 +208,7 @@ def test_lru_eviction_under_small_cache():
         yield from cl.drain()
         data = yield from cl.read_file("/f")
         assert data == payload
-        return cl.pages.evictions
+        return cl.pages.stats.evictions
 
     assert run(sim, main()) > 0
 

@@ -197,15 +197,13 @@ def test_two_hand_built_seats_share_one_server_proxy():
     testbed: one gridmap, one server proxy, each seat mapped to its own
     account — what ``run_fleet`` does for N."""
     from repro.core.setups import (
-        Seat, SessionPki, admit, client_proxy, mount_through_proxy, serve_proxy,
+        Seat, SessionPki, admit, client_proxy, mount_through_proxy, seat_dial,
+        serve_proxy,
     )
-    from repro.core.topology import SERVER_PROXY_PORT
-    from repro.grid import GridRouter
     from repro.gsi import DistinguishedName, Gridmap
     from repro.gsi.gridmap import UnmappedPolicy
     from repro.nfs.protocol import FileHandle
     from repro.proxy.accounts import Account
-    from repro.proxy.upstream import UpstreamSession, dialer
 
     tb = Testbed.build()
     pki = SessionPki(tb, "two-seats", "null-sha1")
@@ -226,9 +224,7 @@ def test_two_hand_built_seats_share_one_server_proxy():
     server_proxy = serve_proxy(tb, gridmap, pki.server_config())
 
     def session(seat):
-        leg = UpstreamSession(tb.sim, dialer(
-            tb.sim, seat.host, "server", SERVER_PROXY_PORT, pki.client_config(seat)))
-        proxy = client_proxy(tb, seat, GridRouter(tb.sim, [leg]))
+        proxy = client_proxy(tb, seat, seat_dial(tb, seat, pki.client_config(seat)))
         yield from proxy.start()
         client = yield from mount_through_proxy(tb, seat)
         yield from client.write_file("/mine.txt", seat.name.encode())
