@@ -58,7 +58,7 @@ from repro.nfs.client import NfsClient
 from repro.nfs.protocol import FileHandle
 from repro.nfs.v4 import NFS_V4
 from repro.proxy.accounts import Account
-from repro.proxy.block_cache import ProxyCacheConfig
+from repro.proxy.session_config import ProxyCacheConfig
 from repro.proxy.client_proxy import SgfsClientProxy
 from repro.proxy.server_proxy import SgfsServerProxy
 from repro.proxy.upstream import UpstreamSession, dialer

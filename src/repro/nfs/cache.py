@@ -1,4 +1,4 @@
-"""Client-side memory caches: attributes, names, access bits, pages.
+"""Client-side caches: attributes, names, access bits, and the block table.
 
 These model the Linux kernel NFS client's caching machinery the paper's
 baselines rely on:
@@ -7,18 +7,23 @@ baselines rely on:
   the timeout doubles while the file is observed unchanged),
 - a dentry (name lookup) cache,
 - an ACCESS-result cache,
-- a bounded LRU page cache holding clean and dirty file blocks; the
-  paper's IOzone setup is sized so the *sequential* read of a file
-  twice the cache size defeats LRU exactly as it does in the kernel.
+- :class:`BlockCache`, the one table of cached file blocks.  The kernel
+  client keeps it in memory as its page cache, bounded LRU (the paper's
+  IOzone setup is sized so the *sequential* read of a file twice the
+  cache size defeats LRU exactly as it does in the kernel); the client
+  proxy keeps it on disk (§6.1).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.nfs.protocol import Fattr3, FileHandle
+from repro.sim.core import Event, Simulator
+from repro.sim.process import Process
+from repro.vfs.disk import DiskModel
 
 
 @dataclass
@@ -190,98 +195,417 @@ class AccessCache:
         self._entries.clear()
 
 
+
+
+# ---------------------------------------------------------------------------
+# the block table
+# ---------------------------------------------------------------------------
+
+#: a dirty block on its way to the server: (fileid, block index, data)
+DirtyItem = Tuple[int, int, bytes]
+
+
+@dataclass
+class CacheSize:
+    """What a :class:`BlockCache` reads of its configuration: the kernel
+    client's.  The client proxy's configuration section
+    (``ProxyCacheConfig``) carries the same two fields."""
+
+    block_size: int
+    capacity_bytes: int
+
+
+@dataclass(slots=True)
+class _Row:
+    """One block: cached ``data`` (``dirty`` or clean, and ``unread``
+    when read ahead and not yet read), the ``fetch`` event of a fetch
+    not yet landed, the ``wire`` bytes of a write-back not yet landed.
+    A row with none of the three is absent."""
+
+    data: Optional[bytes] = None
+    dirty: bool = False
+    unread: bool = False
+    fetch: Optional[Event] = None
+    wire: Optional[bytes] = None
+
+
+class BlockCache:
+    """Each cached block's life, in one place, keyed ``(fileid, block)``:
+
+    - *absent* — no row;
+    - *fetching(event)* — a fetch carries it and has not landed; readers
+      and writers wait on the event (its bytes may be filled in already);
+    - *clean* / *dirty* — cached bytes, in LRU order (a clean block read
+      ahead is *unread* until a READ touches it);
+    - *writing(bytes, process)* — evicted dirty bytes whose WRITE has not
+      landed, still readable; the process carrying them is listed in
+      :meth:`background` (none yet while they wait for a slot);
+    - *writing-and-dirty* — newer dirty bytes over such a victim.
+
+    It also owns the per-file read-ahead cursor, the dirty-byte count,
+    and the background processes its owner hands it.  Each transition and
+    each of the owner's questions is one method.  It charges ``disk``
+    (the client proxy's; the kernel client's table has none) for what it
+    touches but never talks to the network: evicted and flushed dirty
+    blocks are *returned* to the owner, which writes them back.
+
+    Of ``config`` only ``block_size`` and ``capacity_bytes`` are read,
+    on every use, so a live configuration reload (which swaps
+    ``config``) takes effect at the next insert."""
+
+    def __init__(self, sim: Optional[Simulator], config,
+                 disk: Optional[DiskModel] = None, stats: Optional[dict] = None):
+        self.sim = sim
+        self.config = config
+        self.disk = disk
+        #: counter sink (the client proxy's ``proxy.client`` counts)
+        self.stats = {"prefetch_evicted_unread": 0} if stats is None else stats
+        #: hits and misses of :meth:`get`, and evictions
+        self.counts = CacheStats()
+        #: every row; the ones holding data are in LRU order among themselves
+        self._rows: "OrderedDict[Tuple[int, int], _Row]" = OrderedDict()
+        #: fileid -> block -> row: one file's rows, for per-file work
+        self._files: Dict[int, Dict[int, _Row]] = {}
+        self.bytes = 0
+        #: fileid -> set of dirty block indexes, and their bytes in total
+        self.dirty: Dict[int, Set[int]] = {}
+        self.dirty_bytes = 0
+        #: fileid -> how many of its blocks are writing
+        self._on_wire: Counter = Counter()
+        #: fileid -> the read-ahead cursor: the first block past the
+        #: windows already fetched or in flight ahead of its reader
+        self.ahead: Dict[int, int] = {}
+        #: read-ahead and write-back processes, oldest first -> (whether
+        #: it writes, the blocks it carries); one that failed stays until joined
+        self._procs: Dict[Process, Tuple[bool, FrozenSet[Tuple[int, int]]]] = {}
+        self._listed = 8  # how long the list may grow before it is pruned
+
+    def disk_read(self, nbytes: int):
+        if self.disk is not None:
+            yield from self.disk.read(nbytes, cached=False)
+
+    # -- questions ---------------------------------------------------------
+
+    def __contains__(self, key: Tuple[int, int]) -> bool:
+        """Whether the block's bytes are cached (clean or dirty)."""
+        row = self._rows.get(key)
+        return row is not None and row.data is not None
+
+    def state(self, fileid: int, block: int) -> str:
+        row = self._rows.get((fileid, block))
+        if row is None:
+            return "absent"
+        if row.fetch is not None:
+            return "fetching"
+        cached = None if row.data is None else "dirty" if row.dirty else "clean"
+        if row.wire is None:
+            return cached
+        return "writing" if cached is None else f"writing-and-{cached}"
+
+    def unflushed(self, fileid: int) -> bool:
+        """Whether the file has local writes the server has not applied:
+        dirty blocks, or victims whose WRITE has not landed."""
+        return bool(self.dirty.get(fileid)) or self._on_wire[fileid] > 0
+
+    def peek(self, fileid: int, block: int):
+        """The block's bytes (cached, else on the wire), else the event of
+        the fetch carrying it, else None; touches nothing."""
+        row = self._rows.get((fileid, block))
+        if row is None:
+            return None
+        if row.data is not None:
+            return row.data
+        return row.fetch if row.wire is None else row.wire
+
+    def get(self, fileid: int, block: int):
+        """:meth:`peek`, counted as a hit when it finds the bytes; cached
+        ones move to the LRU end and are read."""
+        row = self._rows.get((fileid, block))
+        if row is not None and row.data is not None:
+            self._rows.move_to_end((fileid, block))
+            row.unread = False
+            self.counts.hits += 1
+            return row.data
+        got = self.peek(fileid, block)
+        if isinstance(got, bytes):
+            self.counts.hits += 1
+        else:
+            self.counts.misses += 1
+        return got
+
+    def read(self, fileid: int, block: int):
+        """Process generator — READ's question: :meth:`get`, paying the
+        disk read of cached bytes; the answer is the block as it stands
+        after that read (a write served meanwhile is in it)."""
+        got = self.get(fileid, block)
+        if self.disk is not None and (fileid, block) in self:
+            yield from self.disk.read(len(got), cached=False)
+            return self.peek(fileid, block)
+        return got
+
+    def current(self, fileid: int, block: int):
+        """Process generator — WRITE's merge question: the block's bytes
+        once a fetch carrying it has landed, or None."""
+        row = self._rows.get((fileid, block))
+        if row is not None and row.fetch is not None:
+            yield row.fetch
+        got = yield from self.read(fileid, block)
+        return got if isinstance(got, bytes) else None
+
+    # -- transitions -------------------------------------------------------
+
+    def _row(self, key: Tuple[int, int]) -> _Row:
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = _Row()
+            self._files.setdefault(key[0], {})[key[1]] = row
+        return row
+
+    def _settle(self, key: Tuple[int, int], row: _Row) -> None:
+        if row.data is None and row.fetch is None and row.wire is None:
+            del self._rows[key]
+            rows = self._files[key[0]]
+            del rows[key[1]]
+            if not rows:
+                del self._files[key[0]]
+
+    def claim(self, fileid: int, blocks: Iterable[int]) -> List[int]:
+        """absent -> fetching, before the fetch is issued, so no other
+        call sees the blocks absent meanwhile; returns those claimed."""
+        claimed = [b for b in blocks if (fileid, b) not in self._rows]
+        for b in claimed:
+            self._row((fileid, b)).fetch = self.sim.event(name=f"rdwin:{fileid}:{b}")
+        return claimed
+
+    def landed(self, fileid: int, blocks: Iterable[int]) -> None:
+        """fetching -> cached or absent: the fetch has landed (or failed).
+        Its waiters wake with the block's bytes, or None: then they ask
+        again."""
+        for b in blocks:
+            row = self._rows.get((fileid, b))
+            if row is not None and row.fetch is not None:
+                row.fetch.succeed(row.wire if row.data is None else row.data)
+                row.fetch = None
+                self._settle((fileid, b), row)
+
+    def _put(self, key: Tuple[int, int], data: bytes, dirty: bool,
+             unread: bool = False):
+        row = self._row(key)
+        if row.data is not None:
+            self.bytes -= len(row.data)
+            if row.dirty:
+                self.dirty_bytes -= len(row.data)
+        row.data, row.unread = data, unread
+        self.bytes += len(data)
+        self._rows.move_to_end(key)
+        if dirty and not row.dirty:
+            row.dirty = True
+            self.dirty.setdefault(key[0], set()).add(key[1])
+        if row.dirty:
+            self.dirty_bytes += len(data)
+        if self.disk is not None:
+            yield from self.disk.write(len(data), sync=False)
+
+    def fill(self, fileid: int, block: int, data: bytes, unread: bool = False):
+        """Process generator: cache fetched bytes as clean (``unread``:
+        read ahead of the reader) — never over unflushed ones (dirty or
+        writing), which are the only copy."""
+        row = self._rows.get((fileid, block))
+        if row is None or not (row.dirty or row.wire is not None):
+            yield from self._put((fileid, block), data, dirty=False, unread=unread)
+
+    def write(self, fileid: int, block: int, data: bytes):
+        """Process generator: the block's bytes are now ``data``, dirty
+        (over a victim still on the wire: writing-and-dirty)."""
+        yield from self._put((fileid, block), data, dirty=True)
+
+    def consumed(self, fileid: int, block: int) -> None:
+        """cached -> first in LRU order: the reader has read the block
+        to its end and will not be back for it (drop-behind, Linux's
+        used-once rule), so an eviction takes it before the blocks read
+        ahead of the reader and not yet read."""
+        row = self._rows.get((fileid, block))
+        if row is not None and row.data is not None:
+            self._rows.move_to_end((fileid, block), last=False)
+
+    def low_water(self, window: int) -> int:
+        """Bytes to evict down to once over capacity: capacity minus
+        one pipeline window of blocks (never below half), so dirty
+        victims accumulate into one RTT-sized burst instead of one WAN
+        round trip per inserted block.  At window 1 this is the
+        capacity itself — plain LRU."""
+        capacity = self.config.capacity_bytes
+        spare = (window - 1) * self.config.block_size
+        return max(capacity - spare, capacity // 2)
+
+    def evict(self, keep: Tuple[int, int], window: int) -> List[DirtyItem]:
+        """Drop least-recently-used cached bytes (never ``keep``'s, the
+        block just inserted) while over capacity.  Clean victims go;
+        dirty ones become *writing* — out of the dirty set before the
+        caller yields to the (slow) write-back, so a re-dirty while the
+        WRITE is in flight is a new dirty block — and are returned in
+        eviction order for the caller to write back."""
+        victims: List[DirtyItem] = []
+        if self.bytes <= self.config.capacity_bytes:
+            return victims
+        target = self.low_water(window)
+        rows = self._rows
+        while self.bytes > target:
+            key = next((k for k, r in rows.items() if r.data is not None), keep)
+            if key == keep:
+                break
+            row = rows[key]
+            self.bytes -= len(row.data)
+            self.counts.evictions += 1
+            if row.unread:
+                self.stats["prefetch_evicted_unread"] += 1
+            if row.dirty:
+                self.dirty[key[0]].discard(key[1])
+                self.dirty_bytes -= len(row.data)
+                self._on_wire[key[0]] += row.wire is None
+                row.wire = row.data
+                victims.append((key[0], key[1], row.data))
+                rows.move_to_end(key)
+            row.data, row.dirty = None, False
+            self._settle(key, row)
+        return victims
+
+    def written(self, victims: Iterable[DirtyItem]) -> None:
+        """writing -> absent (or dirty, or newer bytes still writing):
+        the victims' WRITE landed, failed, or will never be sent."""
+        for fileid, block, data in victims:
+            row = self._rows.get((fileid, block))
+            if row is not None and row.wire is data:
+                row.wire = None
+                self._on_wire[fileid] -= 1
+                self._settle((fileid, block), row)
+
+    def drop_file(self, fileid: int, keep_dirty: bool = False) -> None:
+        """Forget a file's cached bytes — all of them (remove), or only
+        the clean ones (a revalidation found the file changed under us;
+        unflushed local writes stay).  Fetches and writes in flight end
+        by themselves."""
+        self.truncate(fileid, 0, keep_dirty)
+
+    def truncate(self, fileid: int, size: int, keep_dirty: bool = False) -> None:
+        """SETATTR(size): blocks wholly past ``size`` go and the one
+        holding it is cut (or zero-extended) to it; dirty blocks below
+        stay dirty (all of them, with ``keep_dirty``).  Visits only the
+        file's own rows."""
+        bs = self.config.block_size
+        for block, row in list(self._files.get(fileid, {}).items()):
+            if row.data is None or keep_dirty and row.dirty:
+                continue
+            n = min(max(size - block * bs, 0), bs)
+            self.bytes += n - len(row.data)
+            if row.dirty:
+                self.dirty_bytes += n - len(row.data)
+            if n:
+                row.data = row.data[:n].ljust(n, b"\0")
+                continue
+            if row.dirty:
+                self.dirty[fileid].discard(block)
+            row.data, row.dirty = None, False
+            self._settle((fileid, block), row)
+        if not (keep_dirty or self.dirty.get(fileid)):
+            self.dirty.pop(fileid, None)
+            self.ahead.pop(fileid, None)
+
+    def gather_dirty(self, fileids: Iterable[int]):
+        """Process generator: take every dirty block of ``fileids`` for
+        write-back — files in the order given, blocks ascending.  Each
+        taken block is marked clean and *writing* until :meth:`written`
+        (evicted meanwhile, it stays readable), read off the cache disk,
+        and returned as a :data:`DirtyItem`; the blocks stay cached."""
+        items: List[DirtyItem] = []
+        for fileid in fileids:
+            for block in sorted(self.dirty.pop(fileid, ())):
+                row = self._rows.get((fileid, block))
+                if row is None or not row.dirty:
+                    continue
+                data = row.data
+                row.dirty = False
+                self.dirty_bytes -= len(data)
+                self._on_wire[fileid] += row.wire is None
+                row.wire = data
+                yield from self.disk_read(len(data))
+                items.append((fileid, block, data))
+        return items
+
+    # -- background processes ----------------------------------------------
+
+    def track(self, proc: Process, keys: Iterable[Tuple[int, int]],
+              writes: bool) -> None:
+        """List a read-ahead (or, ``writes``, write-back) process and
+        the blocks it carries, until it ends — or, failed, is joined."""
+        if len(self._procs) >= self._listed:
+            self._prune()  # amortized: the list at most doubles in between
+        self._procs[proc] = (writes, frozenset(keys))
+
+    def _prune(self) -> None:
+        # an ended process leaves the list (and frees what it returned)
+        for proc in [p for p in self._procs if not p.alive and not p.completion.failed]:
+            del self._procs[proc]
+        self._listed = 2 * len(self._procs) + 8
+
+    def background(self, fileid: Optional[int] = None,
+                   writes: bool = False) -> List[Process]:
+        """The listed read-ahead (or write-back) processes carrying a
+        block of ``fileid`` (of any file when None), oldest first."""
+        self._prune()
+        return [p for p, (w, keys) in self._procs.items() if w == writes
+                and (fileid is None or any(f == fileid for f, _b in keys))]
+
+    def join(self, proc: Process):
+        """Process generator: wait for a process still listed; one that
+        failed raises here, once."""
+        if proc in self._procs and (proc.alive or proc.completion.failed):
+            try:
+                yield proc
+            finally:
+                self._procs.pop(proc, None)
+
+    def drain(self, fileid: Optional[int] = None):
+        """Process generator: join the listed read-ahead, then the write-
+        back, of ``fileid`` (of every file when None).  Read-ahead goes
+        first: the blocks it caches may evict more victims."""
+        for writes in (False, True):
+            for proc in self.background(fileid, writes):
+                yield from self.join(proc)
+
+    def slot(self, victims: List[DirtyItem], depth: int):
+        """Process generator: the victims no newer eviction of their block
+        superseded, once no earlier write of their blocks and fewer than
+        ``depth`` write-behind bursts are in flight — joining the oldest
+        such burst, never whichever finishes first, while there are."""
+        while True:
+            items = [v for v in victims
+                     if getattr(self._rows.get(v[:2]), "wire", None) is v[2]]
+            keys = {v[:2] for v in items}
+            bursts = self.background(writes=True)
+            older = [p for p in bursts if not keys.isdisjoint(self._procs[p][1])]
+            if not older and len(bursts) < depth:
+                return items
+            yield from self.join((older or bursts)[0])
+
+
 @dataclass
 class Page:
+    """A block as ``bench/micro.py`` hands one to :class:`PageCache`."""
+
     data: bytes
     dirty: bool = False
 
 
-class PageCache:
-    """Bounded LRU of (fileid, block) -> Page.
-
-    Eviction returns dirty victims to the caller (which must write them
-    back); clean pages are simply dropped — exactly the split a kernel
-    page cache makes.
-
-    A per-file index (fileid -> block -> Page) moves with every touch
-    the LRU moves, so each file's blocks stay in LRU order restricted to
-    that file: ``dirty_pages(fileid)`` and ``drop_file`` visit one
-    file's pages, in the order a scan of the whole cache would.
-    """
+class PageCache(BlockCache):
+    """The kernel client's table built the way ``bench/micro.py`` builds
+    it (that benchmark file is kept as it is): its ``get`` is the page
+    cache hit the client makes."""
 
     def __init__(self, capacity_bytes: int, block_size: int):
-        self.capacity_bytes = capacity_bytes
-        self.block_size = block_size
-        self._pages: "OrderedDict[Tuple[int, int], Page]" = OrderedDict()
-        self._by_file: "Dict[int, OrderedDict[int, Page]]" = {}
-        self._bytes = 0
-        self.stats = CacheStats()
+        super().__init__(None, CacheSize(block_size, capacity_bytes))
 
-    def __len__(self) -> int:
-        return len(self._pages)
-
-    @property
-    def used_bytes(self) -> int:
-        return self._bytes
-
-    def get(self, fileid: int, block: int) -> Optional[Page]:
-        key = (fileid, block)
-        page = self._pages.get(key)
-        if page is None:
-            self.stats.miss()
-            return None
-        self._pages.move_to_end(key)
-        self._by_file[fileid].move_to_end(block)
-        self.stats.hit()
-        return page
-
-    def peek(self, fileid: int, block: int) -> Optional[Page]:
-        return self._pages.get((fileid, block))
-
-    def put(self, fileid: int, block: int, page: Page) -> list[Tuple[int, int, Page]]:
-        """Insert; returns a list of evicted *dirty* (fileid, block, page)."""
-        key = (fileid, block)
-        blocks = self._by_file.get(fileid)
-        if blocks is None:
-            blocks = self._by_file[fileid] = OrderedDict()
-        old = self._pages.pop(key, None)
-        if old is not None:
-            self._bytes -= len(old.data)
-            del blocks[block]
-        self._pages[key] = page
-        blocks[block] = page
-        self._bytes += len(page.data)
-        victims: list[Tuple[int, int, Page]] = []
-        # The fresh insert is the newest of at least two pages, so the
-        # oldest is never it: an oversized page stays, alone.
-        while self._bytes > self.capacity_bytes and len(self._pages) > 1:
-            vkey, vpage = self._pages.popitem(last=False)
-            vblocks = self._by_file[vkey[0]]
-            del vblocks[vkey[1]]
-            if not vblocks:
-                del self._by_file[vkey[0]]
-            self._bytes -= len(vpage.data)
-            self.stats.evict()
-            if vpage.dirty:
-                victims.append((vkey[0], vkey[1], vpage))
-        return victims
-
-    def dirty_pages(self, fileid: Optional[int] = None):
-        if fileid is None:
-            for (fid, block), page in list(self._pages.items()):
-                if page.dirty:
-                    yield fid, block, page
-            return
-        for block, page in list(self._by_file.get(fileid, {}).items()):
-            if page.dirty:
-                yield fileid, block, page
-
-    def drop_file(self, fileid: int) -> None:
-        for block, page in self._by_file.pop(fileid, {}).items():
-            self._bytes -= len(page.data)
-            del self._pages[(fileid, block)]
-
-    def clear(self) -> None:
-        self._pages.clear()
-        self._by_file.clear()
-        self._bytes = 0
+    def put(self, fileid: int, block: int, page: Page) -> List[DirtyItem]:
+        for _ in (self.write if page.dirty else self.fill)(fileid, block, page.data):
+            pass
+        return self.evict((fileid, block), 1)

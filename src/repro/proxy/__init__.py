@@ -11,10 +11,10 @@ User-level loop-back proxies interposed on the NFS RPC path:
   unmodified kernel client's RPCs to the server-side proxy over a plain,
   SSL-secured, or SSH-tunneled transport, optionally through a disk
   cache with write-back (the WAN story of §6.2.2–6.3).
-- :mod:`repro.proxy.block_cache` / :mod:`repro.proxy.upstream` — the
-  client proxy's two halves below the NFS handlers: the disk block
-  cache (LRU, dirty set, eviction choice) and the recoverable upstream
-  leg (channels, retry ladder, RTT-sized window, burst striping).
+- :mod:`repro.proxy.upstream` — the client proxy's recoverable
+  upstream leg (channels, retry ladder, RTT-sized window, burst
+  striping); its disk block cache is the kernel client's block table
+  (:class:`repro.nfs.cache.BlockCache`) on the proxy's disk.
 - :mod:`repro.proxy.acl` — grid-style ACL files (``.filename.acl``)
   with directory inheritance and in-memory caching (§4.3).
 - :mod:`repro.proxy.authz` — the epoch-stamped identity→account cache
@@ -32,9 +32,8 @@ from repro.proxy.accounts import AccountsDb, Account
 from repro.proxy.acl import AclStore, AclEntry, parse_acl_text, ACL_SUFFIX_FMT, acl_name_for
 from repro.proxy.authz import AuthzCache
 from repro.proxy.server_proxy import SgfsServerProxy
-from repro.proxy.block_cache import ProxyCacheConfig
 from repro.proxy.client_proxy import SgfsClientProxy
-from repro.proxy.session_config import SessionConfig
+from repro.proxy.session_config import ProxyCacheConfig, SessionConfig
 
 __all__ = [
     "AccountsDb",

@@ -29,8 +29,9 @@ from typing import Dict, Optional, Tuple
 from repro.nfs import protocol as pr
 from repro.obs import NULL_SPAN
 from repro.obs.schema import zeros
+from repro.nfs.cache import BlockCache
 from repro.nfs.protocol import Fattr3, FileHandle, NfsStatus, Proc
-from repro.proxy.block_cache import BlockCache, ProxyCacheConfig
+from repro.proxy.session_config import ProxyCacheConfig
 from repro.proxy.upstream import WINDOWS_IN_FLIGHT
 from repro.rpc.auth import NULL_AUTH
 from repro.rpc.costs import CostProfile, FREE_PROFILE, charge_profile
@@ -118,7 +119,7 @@ class SgfsClientProxy:
         for leg in self._up.legs:
             leg.stats = self.stats
         #: every block's state, and the read-ahead and write-behind
-        #: processes in flight (see repro.proxy.block_cache)
+        #: processes in flight (see repro.nfs.cache.BlockCache)
         self._blocks = BlockCache(sim, self.cache, disk, self.stats)
 
     # -- upstream leg views --------------------------------------------------

@@ -26,7 +26,32 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
-from repro.proxy.block_cache import ProxyCacheConfig
+
+@dataclass
+class ProxyCacheConfig:
+    """The cache section of a proxy configuration file (§4.2).  Its
+    ``block_size`` and ``capacity_bytes`` size the client proxy's
+    :class:`repro.nfs.cache.BlockCache`."""
+
+    enabled: bool = False
+    cache_data: bool = True
+    write_back: bool = True
+    block_size: int = 32768
+    capacity_bytes: int = 4 << 30
+    #: cache-consistency protocol overlaying NFS's (the paper defers
+    #: multi-user sharing to the authors' application-tailored
+    #: consistency work [46]):
+    #:   "session" — aggressive: entries valid for the session lifetime
+    #:               (the paper's single-user/job assumption, default),
+    #:   "poll"    — entries older than ``consistency_ttl`` revalidate
+    #:               against the server (GETATTR; mtime change drops
+    #:               cached data) — bounded staleness for shared data.
+    consistency: str = "session"
+    consistency_ttl: float = 5.0
+
+    def __post_init__(self) -> None:
+        if self.consistency not in ("session", "poll"):
+            raise ValueError(f"unknown consistency mode {self.consistency!r}")
 
 
 class ConfigError(Exception):

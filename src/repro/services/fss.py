@@ -26,7 +26,7 @@ from repro.gsi.gridmap import Gridmap
 from repro.gsi.proxy import is_limited_proxy
 from repro.proxy.accounts import AccountsDb
 from repro.proxy.acl import AclStore, parse_acl_text
-from repro.proxy.block_cache import ProxyCacheConfig
+from repro.proxy.session_config import ProxyCacheConfig
 from repro.proxy.client_proxy import SgfsClientProxy
 from repro.proxy.server_proxy import SgfsServerProxy
 from repro.proxy.upstream import UpstreamSession, dialer

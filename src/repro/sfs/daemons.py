@@ -20,7 +20,7 @@ from typing import Set
 from repro.crypto.drbg import Drbg
 from repro.crypto.rsa import RsaKeyPair
 from repro.grid.router import GridRouter
-from repro.proxy.block_cache import ProxyCacheConfig
+from repro.proxy.session_config import ProxyCacheConfig
 from repro.proxy.client_proxy import SgfsClientProxy
 from repro.proxy.server_proxy import SgfsServerProxy
 from repro.proxy.upstream import UpstreamSession

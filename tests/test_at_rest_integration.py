@@ -47,9 +47,9 @@ def test_read_back_decrypts_transparently():
     tb.run(job())
     tb.run(mount.finish())
     # drop every client-side copy so reads come back from the server
-    mount.client.pages.clear()
-    mount.client_proxy._blocks.drop_file(
-        tb.fs.resolve("/vault.bin", ROOT).fileid)
+    fileid = tb.fs.resolve("/vault.bin", ROOT).fileid
+    mount.client.pages.drop_file(fileid)
+    mount.client_proxy._blocks.drop_file(fileid)
 
     def job2():
         return (yield from mount.client.read_file("/vault.bin"))
@@ -69,9 +69,9 @@ def test_tampering_on_server_detected_as_io_error():
     # a malicious administrator flips a byte in the stored ciphertext
     node = tb.fs.resolve("/vault.bin", ROOT)
     node.data[100] ^= 0x5A
-    mount.client.pages.clear()
-    mount.client_proxy._blocks.drop_file(
-        tb.fs.resolve("/vault.bin", ROOT).fileid)
+    fileid = tb.fs.resolve("/vault.bin", ROOT).fileid
+    mount.client.pages.drop_file(fileid)
+    mount.client_proxy._blocks.drop_file(fileid)
 
     def job2():
         with pytest.raises(NfsClientError) as e:

@@ -23,7 +23,7 @@ from repro.core.topology import NFS_PORT, Testbed
 from repro.crypto.drbg import Drbg
 from repro.grid import GridRouter
 from repro.gsi import CertificateAuthority
-from repro.proxy.block_cache import ProxyCacheConfig
+from repro.proxy.session_config import ProxyCacheConfig
 from repro.proxy.client_proxy import SgfsClientProxy
 from repro.proxy.server_proxy import SgfsServerProxy
 from repro.proxy.upstream import UpstreamSession
@@ -94,7 +94,7 @@ def write_then_flush(tb, writer_client, writer_proxy, path, data):
 def read_via(tb, client, path, drop_kernel_cache=True):
     def go():
         if drop_kernel_cache:
-            client.pages.clear()
+            client.pages.drop_file(tb.fs.resolve(path).fileid)
             client.attrs.clear()
         return (yield from client.read_file(path))
 
@@ -146,9 +146,9 @@ def test_poll_keeps_own_dirty_files_authoritative():
     (writer, wproxy), _ = mounts
 
     def go():
-        yield from writer.write_file("/mine.txt", b"locally dirty")
+        f = yield from writer.write_file("/mine.txt", b"locally dirty")
         yield tb.sim.timeout(1.0)  # TTL expires while dirty
-        writer.pages.clear()
+        writer.pages.drop_file(f.fileid)
         writer.attrs.clear()
         return (yield from writer.read_file("/mine.txt"))
 

@@ -4,8 +4,9 @@ A structure guard, not a behaviour test: it walks the source with
 ``ast`` and fails when a second copy of framing, the crypto cost split,
 the exactly-once protocol or the reply table appears (DESIGN.md § One
 transport stack, one hop), when a hop starts catching what it cannot
-name (DESIGN.md § Failure vocabulary), or when a session is assembled
-outside ``core/setups`` (DESIGN.md § One session builder)."""
+name (DESIGN.md § Failure vocabulary), when a session is assembled
+outside ``core/setups`` (DESIGN.md § One session builder), or when the
+NFS layer reaches up into the proxies above it."""
 
 import ast
 from collections import Counter
@@ -46,6 +47,18 @@ def test_one_reply_table_and_one_crypto_cost_split():
     assert [fn.name for _path, fn in functions
             if any(isinstance(n, ast.Name) and n.id == "CRYPTO_CPU_FRACTION"
                    for n in ast.walk(fn))] == ["charge_crypto"]
+
+
+def test_the_nfs_layer_imports_nothing_of_the_proxies():
+    """The block table lives in ``nfs/cache.py`` and the client proxy
+    imports it from there: ``repro.nfs`` sits below ``repro.proxy``."""
+    imports = [(path, name) for path, tree in TREES.items() if path.startswith("nfs/")
+               for node in ast.walk(tree)
+               for name in ([a.name for a in node.names] if isinstance(node, ast.Import)
+                            else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                            else [])
+               if name == "repro.proxy" or name.startswith("repro.proxy.")]
+    assert imports == []
 
 
 def test_charge_is_part_of_the_transport_interface():
@@ -91,14 +104,13 @@ def test_one_catch_all_and_it_answers_its_caller():
 
 
 def test_base_exception_is_caught_only_to_be_handed_on():
-    """Five handlers see ``BaseException``, and each passes it on: the
-    two that end a process fail its completion with it, the DRC and the
-    block fetch re-raise after releasing what they hold, a fleet client
-    records it for ``run_fleet`` to raise."""
+    """Four handlers see ``BaseException``, and each passes it on: the
+    two that end a process fail its completion with it, the DRC
+    re-raises after releasing what it holds, a fleet client records it
+    for ``run_fleet`` to raise."""
     assert sorted((path, fn) for path, fn, names in _handlers()
                   if "BaseException" in names) == [
         ("harness/fleet.py", "client_proc"),
-        ("nfs/client.py", "_fetch_block"),
         ("rpc/drc.py", "once"),
         ("sim/process.py", "_resume"),
         ("sim/process.py", "_throw"),

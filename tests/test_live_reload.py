@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import Testbed, setup_sgfs
 from repro.harness import run_fleet
-from repro.proxy.block_cache import ProxyCacheConfig
+from repro.proxy.session_config import ProxyCacheConfig
 from repro.vfs.fs import Credentials
 
 ROOT = Credentials(0, 0)

@@ -15,7 +15,7 @@ from repro.grid import GridRouter
 from repro.gsi import CertificateAuthority, DistinguishedName, Gridmap
 from repro.nfs.client import NfsClientError
 from repro.proxy.accounts import Account
-from repro.proxy.block_cache import ProxyCacheConfig
+from repro.proxy.session_config import ProxyCacheConfig
 from repro.proxy.client_proxy import SgfsClientProxy
 from repro.proxy.server_proxy import SgfsServerProxy
 from repro.proxy.upstream import UpstreamSession
@@ -163,8 +163,8 @@ def test_tracer_records_and_summarizes():
 
     def job():
         yield from mount.client.mkdir("/t")
-        yield from mount.client.write_file("/t/f", b"z" * 70000)
-        mount.client.pages.clear()  # force the read back over RPC
+        f = yield from mount.client.write_file("/t/f", b"z" * 70000)
+        mount.client.pages.drop_file(f.fileid)  # force the read back over RPC
         yield from mount.client.read_file("/t/f")
         yield from mount.client.drain()
 

@@ -347,8 +347,8 @@ def test_no_read_ahead_or_write_behind_outlives_the_session():
     cl = mount.client
 
     def job():
-        yield from cl.write_file("/q.bin", payload)
-        cl.pages.clear()
+        f = yield from cl.write_file("/q.bin", payload)
+        cl.pages.drop_file(f.fileid)
         data = yield from cl.read_file("/q.bin")
         yield from mount.finish()
         return data

@@ -1,13 +1,16 @@
 """BlockCache on its own: LRU order, the low-water mark, dirty marks.
 
-No Testbed and no disk model — eviction and flush choices are pure
-functions of the put/get history, so the tests state that history and
-read the choice back.
+The one block table of the kernel client's page cache and the client
+proxy's disk cache.  No Testbed and no disk model — eviction and flush
+choices are pure functions of the put/get history, so the tests state
+that history and read the choice back.
 """
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from repro.proxy.block_cache import BlockCache, ProxyCacheConfig
+from repro.nfs.cache import BlockCache, CacheSize
 from repro.sim import Simulator
 
 BS = 100
@@ -15,8 +18,7 @@ BS = 100
 
 def _cache(blocks: int):
     sim = Simulator()
-    cache = BlockCache(sim, ProxyCacheConfig(enabled=True, block_size=BS,
-                                             capacity_bytes=blocks * BS))
+    cache = BlockCache(sim, CacheSize(block_size=BS, capacity_bytes=blocks * BS))
 
     def do(gen):
         return sim.run_until_complete(sim.spawn(gen))
@@ -40,9 +42,9 @@ def test_victims_leave_in_lru_order_and_reads_refresh_it():
     assert [(f, b) for f, b, _data in victims] == [(1, 1), (1, 2)]
     assert victims[0][2] == bytes([1]) * BS
     assert (1, 0) in cache and (1, 1) not in cache and (1, 2) not in cache
-    assert cache.bytes == 4 * BS
+    assert cache.bytes == 4 * BS and cache.counts.evictions == 2
     # the victims' dirty marks are already gone when evict() returns
-    assert cache.dirty[1] == {0, 3}
+    assert cache.dirty[1] == {0, 3} and cache.dirty_bytes == 2 * BS
 
 
 def test_clean_victims_are_dropped_silently():
@@ -99,6 +101,23 @@ def test_gather_dirty_takes_named_files_blocks_ascending():
     assert do(cache.gather_dirty([2, 1])) == []
 
 
+def test_a_reput_replaces_the_bytes():
+    cache, do = _cache(blocks=10)
+    do(cache.fill(1, 0, bytes(100)))
+    do(cache.fill(1, 0, bytes(40)))
+    assert cache.bytes == 40 and cache.peek(1, 0) == bytes(40)
+    assert cache.evict((1, 0), window=1) == [] and cache.counts.evictions == 0
+
+
+def test_drop_file_forgets_that_file_only():
+    cache, do = _cache(blocks=10)
+    _fill(cache, do, 1, (0, 1), dirty=True)
+    _fill(cache, do, 2, (0,), dirty=True)
+    cache.drop_file(1)
+    assert [(1, 0) in cache, (1, 1) in cache, (2, 0) in cache] == [False, False, True]
+    assert cache.bytes == cache.dirty_bytes == BS and cache.dirty == {2: {0}}
+
+
 def test_drop_file_keep_dirty_spares_unflushed_blocks():
     cache, do = _cache(blocks=16)
     _fill(cache, do, 1, (0, 1), dirty=False)
@@ -153,3 +172,54 @@ def test_a_consumed_block_is_evicted_before_unread_read_ahead():
     cache.evict((1, 6), window=1)  # block 2, read ahead and never read
     assert cache.state(1, 2) == "absent"
     assert cache.stats["prefetch_evicted_unread"] == 1
+
+
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("get"), st.integers(1, 3), st.integers(0, 5)),
+        st.tuples(st.sampled_from(["fill", "write"]), st.integers(1, 3),
+                  st.integers(0, 5), st.integers(0, BS)),
+        st.tuples(st.just("evict"), st.integers(1, 3), st.integers(0, 5),
+                  st.integers(1, 3)),
+        st.tuples(st.just("written"), st.integers(0, 3)),
+        st.tuples(st.sampled_from(["drop", "keep"]), st.integers(1, 3)),
+        st.tuples(st.just("truncate"), st.integers(1, 3), st.integers(0, 6 * BS)),
+        st.tuples(st.just("gather"), st.integers(1, 3)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_ops)
+def test_file_index_and_byte_counts_match_a_whole_scan(ops):
+    """After any sequence of transitions the per-file index holds each
+    file's rows, ``bytes`` is the sum of the cached blocks and
+    ``dirty_bytes`` that of the dirty ones — what a scan of the whole
+    table gives, so per-file work and the dirty threshold can skip it."""
+    cache, do = _cache(blocks=4)
+    wire = []
+    for op in ops:
+        if op[0] == "get":
+            cache.get(op[1], op[2])
+        elif op[0] in ("fill", "write"):
+            do(getattr(cache, op[0])(op[1], op[2], bytes([op[2]]) * op[3]))
+        elif op[0] == "evict":
+            wire += cache.evict((op[1], op[2]), window=op[3])
+        elif op[0] == "written":
+            cache.written(wire[:op[1]])
+            del wire[:op[1]]
+        elif op[0] in ("drop", "keep"):
+            cache.drop_file(op[1], keep_dirty=op[0] == "keep")
+        elif op[0] == "truncate":
+            cache.truncate(op[1], op[2])
+        else:
+            do(cache.gather_dirty([op[1]]))
+        rows = cache._rows
+        assert {f: set(blocks) for f, blocks in cache._files.items()} == {
+            f: {b for fid, b in rows if fid == f} for f, _b in rows}
+        assert all(cache._files[f][b] is row for (f, b), row in rows.items())
+        assert cache.bytes == sum(len(r.data) for r in rows.values() if r.data is not None)
+        assert cache.dirty_bytes == sum(len(r.data) for r in rows.values() if r.dirty)
+        assert {(f, b) for f, blocks in cache.dirty.items() for b in blocks} == {
+            key for key, r in rows.items() if r.dirty}

@@ -74,8 +74,8 @@ def test_read_after_local_write_hits_cache():
 
     def job():
         cl = mount.client
-        yield from cl.write_file("/f.bin", b"f" * 65536)
-        cl.pages.clear()  # defeat the kernel page cache
+        f = yield from cl.write_file("/f.bin", b"f" * 65536)
+        cl.pages.drop_file(f.fileid)  # defeat the kernel page cache
         data = yield from cl.read_file("/f.bin")
         return data
 
@@ -225,9 +225,9 @@ def test_disk_cache_charges_disk_time():
 
     def job():
         cl = mount.client
-        yield from cl.write_file("/d.bin", b"d" * 32768)
+        f = yield from cl.write_file("/d.bin", b"d" * 32768)
         yield from cl.read_file("/d.bin")  # prime ACCESS caches (1 WAN trip)
-        cl.pages.clear()
+        cl.pages.drop_file(f.fileid)
         t0 = tb.sim.now
         yield from cl.read_file("/d.bin")
         return tb.sim.now - t0
