@@ -236,7 +236,8 @@ class BlockCache:
     - *fetching(event)* — a fetch carries it and has not landed; readers
       and writers wait on the event (its bytes may be filled in already);
     - *clean* / *dirty* — cached bytes, in LRU order (a clean block read
-      ahead is *unread* until a READ touches it);
+      ahead is *unread* until a READ touches it, and that READ skips the
+      disk);
     - *writing(bytes, process)* — evicted dirty bytes whose WRITE has not
       landed, still readable; the process carrying them is listed in
       :meth:`background` (none yet while they wait for a slot);
@@ -336,9 +337,13 @@ class BlockCache:
     def read(self, fileid: int, block: int):
         """Process generator — READ's question: :meth:`get`, paying the
         disk read of cached bytes; the answer is the block as it stands
-        after that read (a write served meanwhile is in it)."""
+        after that read (a write served meanwhile is in it).  A block a
+        fetch filled that nothing has read yet (*unread*) is answered
+        from the memory the fetch brought it in, once: later reads pay
+        the disk."""
+        unread = getattr(self._rows.get((fileid, block)), "unread", False)
         got = self.get(fileid, block)
-        if self.disk is not None and (fileid, block) in self:
+        if self.disk is not None and not unread and (fileid, block) in self:
             yield from self.disk.read(len(got), cached=False)
             return self.peek(fileid, block)
         return got
@@ -556,10 +561,14 @@ class BlockCache:
         return [p for p, (w, keys) in self._procs.items() if w == writes
                 and (fileid is None or any(f == fileid for f, _b in keys))]
 
+    def _joinable(self, proc: Process) -> bool:
+        # listed, and alive or failed with its error not yet raised
+        return proc in self._procs and (proc.alive or proc.completion.failed)
+
     def join(self, proc: Process):
         """Process generator: wait for a process still listed; one that
         failed raises here, once."""
-        if proc in self._procs and (proc.alive or proc.completion.failed):
+        if self._joinable(proc):
             try:
                 yield proc
             finally:
@@ -568,10 +577,37 @@ class BlockCache:
     def drain(self, fileid: Optional[int] = None):
         """Process generator: join the listed read-ahead, then the write-
         back, of ``fileid`` (of every file when None).  Read-ahead goes
-        first: the blocks it caches may evict more victims."""
+        first: the blocks it caches may evict more victims.  Each group
+        is joined oldest first, as :meth:`join` one by one would, but
+        the drainer wakes once for it (see :meth:`_joined`)."""
         for writes in (False, True):
-            for proc in self.background(fileid, writes):
-                yield from self.join(proc)
+            procs = self.background(fileid, writes)
+            if any(map(self._joinable, procs)):
+                yield self._joined(procs)
+
+    def _joined(self, procs: List[Process]) -> Event:
+        """An event that fires once ``procs`` are joined in order, each
+        when the one before has ended — or that fails, at the first found
+        failed, with its error (raised once: it leaves the list; the
+        later ones are not joined).  The waits chain on the processes'
+        completions, so no process wakes in between."""
+        done = self.sim.event(name="drain")
+        todo = iter(procs)
+
+        def step(ended: Optional[Process] = None) -> None:
+            if ended is not None:
+                self._procs.pop(ended, None)
+                if ended.completion.failed:
+                    done.fail(ended.completion.exception)
+                    return
+            for proc in todo:
+                if self._joinable(proc):
+                    proc.completion.add_callback(lambda _ev, p=proc: step(p))
+                    return
+            done.succeed()
+
+        step()
+        return done
 
     def slot(self, victims: List[DirtyItem], depth: int):
         """Process generator: the victims no newer eviction of their block

@@ -316,15 +316,23 @@ class NfsClient:
         return (yield from self._setattr(fh, sattr, "SETATTR"))
 
     def _setattr(self, fh: FileHandle, sattr: Sattr3, what: str):
-        res = yield from self._call(Proc.SETATTR, pr.pack_setattr_args(fh, sattr))
-        status, after = pr.unpack_setattr_res(res)
-        _check(status, what)
         if sattr.size is not None:
             # before the revalidation below drops the clean blocks: the
             # dirty ones under the new size stay, cut to it
-            self.pages.truncate(fh.fileid, sattr.size)
+            yield from self._cut(fh.fileid, sattr.size)
+        res = yield from self._call(Proc.SETATTR, pr.pack_setattr_args(fh, sattr))
+        status, after = pr.unpack_setattr_res(res)
+        _check(status, what)
         self._remember(fh, after)
         return after
+
+    def _cut(self, fileid: int, size: int):
+        """Process generator: drop the file's cached bytes past ``size``,
+        then wait for the write-backs already carrying any of them, so no
+        WRITE past ``size`` is in flight or can start later (an insert of
+        another file evicts this file's dirty blocks at any time)."""
+        self.pages.truncate(fileid, size)
+        yield from self.pages.drain(fileid)
 
     # ------------------------------------------------------------------
     # namespace operations
@@ -498,7 +506,7 @@ class NfsClient:
             after = yield from self._setattr(fh, Sattr3(size=0), f"O_TRUNC {path}")
             attr = after if after is not None else attr
         elif truncate:  # the server's file is empty; local writes go too
-            self.pages.truncate(fh.fileid, 0)
+            yield from self._cut(fh.fileid, 0)
         return OpenFile(fh=fh, fileid=attr.fileid, path=path, size=attr.size)
 
     def _fetch_block(self, f: OpenFile, block: int, got=None):

@@ -505,12 +505,14 @@ class SgfsClientProxy:
 
     def _read_ahead(self, call: CallMessage, fh: FileHandle, block: int) -> None:
         """Keep the reader's window and ``depth`` more after a READ at
-        ``block`` cached or in flight: each *full* window of the blocks
-        ``block + 1`` … ``block + (depth + 1) * window`` not yet fetched
-        or in flight gets one background burst for its absent blocks,
-        claimed before it is spawned, so demand misses and writes wait
-        for it.  The per-file cursor makes this O(1) per READ; nothing
-        runs ahead on a single-stream leg."""
+        ``block`` cached or in flight: the blocks ``block + 1`` …
+        ``block + (depth + 1) * window`` not yet fetched or in flight go
+        out in background bursts of at most a window, as soon as half a
+        window of them is free — a burst that waited for a whole window
+        would let a reader served from memory catch the ones in flight.
+        Each burst's absent blocks are claimed before it is spawned, so
+        demand misses and writes wait for it.  The per-file cursor makes
+        this O(1) per READ; nothing runs ahead on a single-stream leg."""
         depth = self._depth
         attr = self._attrs.get(fh.fileid)
         if depth == 1 or attr is None:
@@ -523,8 +525,9 @@ class SgfsClientProxy:
         nxt = blocks.ahead.get(fh.fileid, 0)
         if not block < nxt <= end:
             nxt = block + 1  # the reader moved: start again behind it
-        # a window the end of the file cuts short counts as full
-        while nxt + window <= end or nxt < end == nblocks:
+        # half a window free is enough, and so is whatever the end of
+        # the file leaves
+        while 2 * (end - nxt) >= window or nxt < end == nblocks:
             stop = min(nxt + window, end)
             wanted = blocks.claim(fh.fileid, range(nxt, stop))
             if wanted:

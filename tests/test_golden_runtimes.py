@@ -134,7 +134,7 @@ def _faults(packets, dropped, delayed=0):
 #: packet against this seed's loss schedule.
 FAULT_GOLDEN = {
     "single-lossy-wan": ("0x1.9d6f11484e616p+3", _faults(184, 6), 0),
-    "single-chaos-wan-4-streams": ("0x1.b180b7fd9f4cap+0",
+    "single-chaos-wan-4-streams": ("0x1.978b0dc1f6fe2p+0",
                                    _faults(27, 1, delayed=2), 0),
     "fleet-lossy-wan": ("0x1.7aac811cb304dp+0", _faults(97, 3), 0),
     "grid-fleet-lossy-wan": ("0x1.0d3ed6c406c49p+3", _faults(526, 21), 0),

@@ -555,3 +555,51 @@ def test_read_ahead_never_swallows_a_failed_write_behind():
     with pytest.raises(RpcTransportError):
         tb.run(job())
     assert tb.sim.unobserved_deaths() == []
+
+
+def test_read_ahead_goes_out_at_half_a_window_and_stays_in_its_span():
+    """Read-ahead issues the span's unclaimed tail once half a window of
+    it is free, instead of waiting for a whole window while the reader
+    closes in on the bursts in flight; no READ at ``block`` claims a
+    block at or past ``block + 1 + (depth + 1) * window``."""
+    from repro.proxy.upstream import WINDOWS_IN_FLIGHT as depth
+
+    tb = Testbed.build(rtt=0.04)
+    mount = setup_sgfs(tb, disk_cache=True, streams=4)
+    nblocks, window = 32, 4
+    payload = _pattern(nblocks * BS)
+    _seed_server_file(tb, "h.bin", payload)
+    proxy = mount.client_proxy
+    proxy._up.legs[0].window = lambda cap: window
+    blocks = proxy._blocks
+    claim, reading, claimed = blocks.claim, [0], []
+
+    def claim_noting(fileid, wanted):
+        got = claim(fileid, wanted)
+        claimed.extend((reading[0], b) for b in got)
+        return got
+
+    blocks.claim = claim_noting
+
+    def job():
+        fh, _attr = yield from mount.client.resolve("/h.bin")
+        got = []
+        for b in range(nblocks):
+            reading[0] = b
+            got.append((yield from _read_block(proxy, fh, b)))
+            span_end = b + 1 + (depth + 1) * window
+            if b == 0:
+                # the demand window 0-3, then whole windows up to the one
+                # block left: less than half a window stays unclaimed
+                assert blocks.ahead[fh.fileid] == span_end - 1
+            if b == 1:
+                # two blocks free are half a window: they go out
+                assert blocks.ahead[fh.fileid] == span_end
+                assert blocks.state(fh.fileid, span_end - 1) != "absent"
+        yield from mount.finish()
+        return b"".join(got)
+
+    assert tb.run(job()) == payload
+    assert sorted(b for _r, b in claimed) == list(range(nblocks))  # each once
+    assert all(b < r + 1 + (depth + 1) * window for r, b in claimed)
+    assert tb.sim.unobserved_deaths() == []

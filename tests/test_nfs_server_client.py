@@ -285,6 +285,33 @@ def test_setattr_size_keeps_the_dirty_bytes_below_it():
     run(sim, main())
 
 
+def test_setattr_size_is_not_undone_by_an_eviction_while_it_is_sent():
+    """A dirty block past the new size is gone before the SETATTR goes
+    out: an insert of another file in that round trip cannot evict it
+    to a WRITE that lands after the SETATTR and regrows the file."""
+    sim, fs, prog, cl = build(cache_bytes=8192, read_ahead=0)
+    a, b = (run(sim, cl.open(f"/{name}", create=True)) for name in "ab")
+    run(sim, cl.write(a, 0, b"A" * 4096))
+    call, inserts = cl._call, []
+
+    def call_and_insert(proc, args):
+        if proc == Proc.SETATTR:
+            # two blocks of /b fill the cache while the SETATTR is on the
+            # wire: /a's dirty block, if still cached, is their victim
+            inserts.append(sim.spawn(cl.write(b, 0, b"B" * 8192)))
+        return (yield from call(proc, args))
+
+    cl._call = call_and_insert
+    run(sim, cl.setattr("/a", Sattr3(size=0)))
+    cl._call = call
+    sim.run_until_complete(inserts[0])
+    for f in (a, b):
+        run(sim, cl.close(f))
+    run(sim, cl.drain())
+    assert fs.resolve("/a").size == 0
+    assert run(sim, cl.read_file("/a")) == b""
+
+
 def test_an_evicted_dirty_block_reads_back_while_its_write_is_in_flight():
     """A READ right after a dirty block's eviction gets the written
     bytes, not the server's older ones, and nothing stale stays cached."""

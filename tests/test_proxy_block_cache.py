@@ -1,9 +1,10 @@
 """BlockCache on its own: LRU order, the low-water mark, dirty marks.
 
 The one block table of the kernel client's page cache and the client
-proxy's disk cache.  No Testbed and no disk model — eviction and flush
-choices are pure functions of the put/get history, so the tests state
-that history and read the choice back.
+proxy's disk cache.  No Testbed, and a disk model only where a test
+counts its reads — eviction and flush choices are pure functions of the
+put/get history, so the tests state that history and read the choice
+back.
 """
 
 import hypothesis.strategies as st
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 
 from repro.nfs.cache import BlockCache, CacheSize
 from repro.sim import Simulator
+from repro.vfs.disk import DiskModel
 
 BS = 100
 
@@ -172,6 +174,78 @@ def test_a_consumed_block_is_evicted_before_unread_read_ahead():
     cache.evict((1, 6), window=1)  # block 2, read ahead and never read
     assert cache.state(1, 2) == "absent"
     assert cache.stats["prefetch_evicted_unread"] == 1
+
+
+def test_a_fetched_block_answers_its_first_read_from_memory():
+    """A block a fetch filled and no READ has touched is answered
+    without the cache disk, once; its fill still goes to the disk, and
+    every later read of it pays a disk read."""
+    sim = Simulator()
+    disk = DiskModel(sim, "cache-disk")
+    cache = BlockCache(sim, CacheSize(block_size=BS, capacity_bytes=4 * BS), disk)
+
+    def do(gen):
+        return sim.run_until_complete(sim.spawn(gen))
+
+    do(cache.fill(1, 0, b"a" * BS, unread=True))
+    do(cache.fill(1, 1, b"b" * BS))  # the demand block: its reply is answered
+    assert (disk.writes, disk.reads) == (2, 0)
+    assert do(cache.read(1, 0)) == b"a" * BS
+    assert disk.reads == 0
+    assert do(cache.read(1, 0)) == b"a" * BS
+    assert disk.reads == 1
+    assert do(cache.read(1, 1)) == b"b" * BS
+    assert disk.reads == 2
+
+
+def _failing(sim, delay):
+    def proc():
+        yield sim.timeout(delay)
+        raise RuntimeError(f"failed at {delay}")
+    return sim.spawn(proc(), name="cproxy-writebehind")
+
+
+def _ending(sim, delay):
+    def proc():
+        yield sim.timeout(delay)
+    return sim.spawn(proc(), name="cproxy-readahead")
+
+
+def test_drain_wakes_once_and_raises_the_oldest_failure_once():
+    """``drain`` joins its processes oldest first without waking between
+    them; a failure surfaces once, the oldest first, and no later than
+    joining one by one would raise it."""
+    sim = Simulator()
+    cache = BlockCache(sim, CacheSize(block_size=BS, capacity_bytes=4 * BS))
+    ahead = [_ending(sim, d) for d in (1.0, 2.0, 3.0)]
+    for b, proc in enumerate(ahead):
+        cache.track(proc, [(1, b)], writes=False)
+    late, early = _failing(sim, 5.0), _failing(sim, 4.0)
+    cache.track(late, [(1, 7)], writes=True)
+    cache.track(early, [(1, 8)], writes=True)
+    seen = []
+
+    def drainer():
+        woken = sim.process_wakeups
+        try:
+            yield from cache.drain(1)
+        except RuntimeError as exc:
+            seen.append((str(exc), sim.now, sim.process_wakeups - woken))
+        try:
+            yield from cache.drain(1)
+        except RuntimeError as exc:
+            seen.append((str(exc), sim.now))
+        yield from cache.drain(1)  # nothing left to raise
+
+    sim.run_until_complete(sim.spawn(drainer()))
+    # the older write-back is raised first, when it ends (the younger one
+    # failed before it).  Each of the five processes woke once, at its
+    # timeout; the drainer once per group, at 3.0 and at 5.0 (joined one
+    # by one, also at 1.0 and 2.0)
+    assert seen[0] == ("failed at 5.0", 5.0, 5 + 2)
+    assert seen[1] == ("failed at 4.0", 5.0)
+    assert not cache.background(1) and not cache.background(1, writes=True)
+    assert sim.unobserved_deaths() == []
 
 
 _ops = st.lists(
