@@ -11,16 +11,19 @@ Demonstrates the full management plane:
 4. the user's job mounts the returned loopback port and does I/O;
 5. the user *shares* the filesystem with a collaborator via the DSS
    (one ACL entry -> regenerated gridmap on the next session);
-6. an unauthorized user's request is refused.
+6. an unauthorized user's request is refused;
+7. the user destroys the session, and the mount made through it is
+   refused from then on.
 
 Run:  python examples/managed_sessions.py
 """
 
 from repro.core.setups import CA_DN, FILE_ACCOUNT, JOB_ACCOUNT, SERVER_DN, USER_DN, _kernel_client
-from repro.core.topology import NFS_PORT, Testbed
+from repro.core.topology import Testbed
 from repro.crypto.drbg import Drbg
 from repro.gsi import CertificateAuthority, DistinguishedName, issue_proxy_certificate
 from repro.rpc.auth import AuthSys
+from repro.rpc.errors import RpcTransportError
 from repro.services import DataSchedulerService, FileSystemService
 from repro.services.dss import seal_credential_for
 from repro.services.endpoint import ServiceClient
@@ -53,7 +56,7 @@ def main() -> None:
     # --- services ------------------------------------------------------
     fss_server = FileSystemService(
         sim, tb.server, 5000, fss_server_id, anchors,
-        fs=tb.fs, accounts=tb.server_accounts, nfs_port=NFS_PORT,
+        fs=tb.fs, accounts=tb.server_accounts,
         host_credential=host_id,
     )
     fss_server.start()
@@ -117,6 +120,13 @@ def main() -> None:
             "server", 5002, "DestroySession", {"session_id": reply["session_id"]}
         )
         print("session destroyed (dirty data written back by the client FSS)")
+
+        # the destroyed session's authority is gone: the old mount is refused
+        try:
+            yield from cl.write_file("/late.dat", b"after the destroy")
+            raise AssertionError("a destroyed session still served its mount!")
+        except RpcTransportError as refused:
+            print(f"old mount refused after the destroy, as expected: {refused}")
 
     tb.run(scenario())
     print(f"total virtual time: {sim.now:.3f} s")

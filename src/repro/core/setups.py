@@ -23,7 +23,8 @@ assembled by the code below for a list of seats (:class:`Seat`) — its
 server side by :func:`serve_sessions`, each seat's client side by
 :func:`client_proxy`.  The ``setup_*`` functions apply it to the
 paper's one user (:func:`paper_seat`);
-:func:`repro.harness.fleet.run_fleet` applies it to N.
+:func:`repro.harness.fleet.run_fleet` applies it to N, and the FSS
+(:mod:`repro.services.fss`) to each session it is asked for.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from repro.core.calibration import Calibration
 from repro.core.topology import (
     CLIENT_PROXY_PORT,
     EXPORT_OWNER,
@@ -57,7 +59,7 @@ from repro.nfs import protocol as pr
 from repro.nfs.client import NfsClient
 from repro.nfs.protocol import FileHandle
 from repro.nfs.v4 import NFS_V4
-from repro.proxy.accounts import Account
+from repro.proxy.accounts import Account, AccountsDb
 from repro.proxy.session_config import ProxyCacheConfig
 from repro.proxy.client_proxy import SgfsClientProxy
 from repro.proxy.server_proxy import SgfsServerProxy
@@ -66,10 +68,10 @@ from repro.rpc.auth import AuthSys
 from repro.rpc.client import RpcClient
 from repro.rpc.server import RpcServer
 from repro.rpc.transport import StreamTransport
-from repro.sfs import SelfCertifyingPath, SfsClientDaemon, SfsServerDaemon
+from repro.sfs import SelfCertifyingPath, SfsClientDaemon, SfsServerDaemon, sfs_dialer
 from repro.sshtun import SshTunnelClient, SshTunnelServer
 from repro.tls import SecurityConfig
-from repro.vfs import DiskModel
+from repro.vfs import DiskModel, VirtualFS
 
 #: The canonical grid identities of the examples and experiments.
 USER_DN = DistinguishedName.parse("/C=US/O=UFL/OU=ACIS/CN=Ming Zhao")
@@ -218,19 +220,19 @@ def _session_gridmap(tb: Testbed, seats: List[Seat]) -> Gridmap:
     return gridmap
 
 
-def serve_proxy(tb: Testbed, gridmap: Gridmap,
-                security: Optional[SecurityConfig] = None, backend: int = 0,
+def serve_proxy(host: Host, port: int, fs: VirtualFS, disk: Optional[DiskModel],
+                accounts: AccountsDb, gridmap: Gridmap, cal: Calibration,
+                security: Optional[SecurityConfig] = None,
                 acl_cache_enabled: bool = True) -> SgfsServerProxy:
-    """Start the server-side proxy in front of backend ``backend``'s
-    kernel NFS server.  Without ``security`` the channel is plain and
-    every session is taken to be the management user's (gfs)."""
-    b = tb.backends[backend]
+    """Start the server-side proxy on ``host:port`` in front of the
+    kernel NFS server exporting ``fs`` on the same host; ACL reads pay
+    ``disk`` (None: free).  Without ``security`` the channel is plain
+    and every session is taken to be the management user's (gfs)."""
     proxy = SgfsServerProxy(
-        tb.sim, b.host, SERVER_PROXY_PORT, NFS_PORT,
-        accounts=tb.server_accounts, gridmap=gridmap, fs=b.fs,
-        security=security, cost=tb.cal.proxy_cost, account="proxy",
+        host.sim, host, port, NFS_PORT, accounts=accounts, gridmap=gridmap, fs=fs,
+        security=security, cost=cal.proxy_cost, account="proxy",
         session_identity=USER_DN if security is None else None,
-        acl_cache_enabled=acl_cache_enabled, acl_disk=b.disk,
+        acl_cache_enabled=acl_cache_enabled, acl_disk=disk,
     )
     proxy.start()
     return proxy
@@ -246,9 +248,10 @@ def serve_sessions(tb: Testbed, seats: List[Seat], pki: Optional[SessionPki] = N
     ``block_size`` ranges over ``replicas`` backends each."""
     gridmap = _session_gridmap(tb, seats)
     proxies = [
-        serve_proxy(tb, gridmap, None if pki is None else pki.server_config(b), b,
+        serve_proxy(b.host, SERVER_PROXY_PORT, b.fs, b.disk, tb.server_accounts,
+                    gridmap, tb.cal, None if pki is None else pki.server_config(b.index),
                     acl_cache_enabled)
-        for b in range(len(tb.backends))
+        for b in tb.backends
     ]
     if len(tb.backends) > 1:
         service = GridMetadataService(width=len(tb.backends), replicas=replicas,
@@ -260,49 +263,54 @@ def serve_sessions(tb: Testbed, seats: List[Seat], pki: Optional[SessionPki] = N
     return proxies
 
 
-def seat_dial(tb: Testbed, seat: Seat, security: Optional[SecurityConfig] = None):
-    """The seat's dial: ``target`` -> the :func:`dialer` of the server
-    proxy on host ``target`` (a TLS handshake iff ``security``)."""
-    return lambda target: dialer(tb.sim, seat.host, target, SERVER_PROXY_PORT, security)
+def proxy_dial(host: Host, port: int, security: Optional[SecurityConfig] = None):
+    """``host``'s dial: ``target`` -> the :func:`dialer` of the server
+    proxy listening on ``target:port`` (a TLS handshake iff ``security``)."""
+    return lambda target: dialer(host.sim, host, target, port, security)
 
 
-def client_proxy(tb: Testbed, seat: Seat, dial, streams: int = 1, replicas: int = 1,
-                 block_size: int = DEFAULT_BLOCK_SIZE, disk_cache: bool = False,
-                 write_back: bool = True, cache_capacity: Optional[int] = None,
-                 cryptor=None) -> SgfsClientProxy:
-    """The seat's client-side proxy, not yet started.  Its upstream is a
+def session_router(host: Host, backends: List[str], dial,
+                   roots: Optional[Dict[int, FileHandle]] = None, streams: int = 1,
+                   replicas: int = 1, block_size: int = DEFAULT_BLOCK_SIZE) -> GridRouter:
+    """The upstream of a session whose client side runs on ``host``: a
     :class:`~repro.grid.GridRouter` over one
     :class:`~repro.proxy.upstream.UpstreamSession` leg of ``streams``
     channels per backend, each leg dialed by ``dial(backend host name)``
-    (see :func:`seat_dial`); over several backends, a client of the
-    catalogue :func:`serve_sessions` started places the stripes."""
-    sim, cal = tb.sim, tb.cal
-    grid = len(tb.backends) > 1
+    (see :func:`proxy_dial`); over several backends, a client of the
+    catalogue :func:`serve_sessions` started on the home one places the
+    stripes in ``roots`` (backend index -> the directory there)."""
+    sim = host.sim
+    grid = len(backends) > 1
     # Leg 0 (home/namespace) keeps the patient hard-mount retry budget;
     # data legs fail fast so a crashed backend surfaces as an RpcError
     # the router can fail over from, instead of minutes of backoff.  A
     # lone leg keeps the name of a plain mount's.
     fail_fast = dict(retry_max=2, retry_base=0.25, retry_cap=2.0)
     legs = [
-        UpstreamSession(sim, dial(b.name), streams=streams,
-                        name=f"leg{b.index}" if grid else "up",
-                        **(fail_fast if b.index else {}))
-        for b in tb.backends
+        UpstreamSession(sim, dial(name), streams=streams,
+                        name=f"leg{b}" if grid else "up", **(fail_fast if b else {}))
+        for b, name in enumerate(backends)
     ]
-    meta = GridMetadataClient(sim, seat.host, "server", GRID_META_PORT) if grid else None
-    upstream = GridRouter(sim, legs, meta, seat.roots, replicas=replicas,
-                          block_size=block_size, obs=tb.obs)
+    meta = GridMetadataClient(sim, host, backends[0], GRID_META_PORT) if grid else None
+    return GridRouter(sim, legs, meta, roots, replicas=replicas,
+                      block_size=block_size, obs=sim.obs)
+
+
+def client_proxy(host: Host, port: int, backends: List[str], dial, cal: Calibration,
+                 roots: Optional[Dict[int, FileHandle]] = None, streams: int = 1,
+                 replicas: int = 1, block_size: int = DEFAULT_BLOCK_SIZE,
+                 disk_cache: bool = False, write_back: bool = True,
+                 cache_capacity: Optional[int] = None, cryptor=None) -> SgfsClientProxy:
+    """The client-side proxy on ``host:port``, not yet started, over the
+    :func:`session_router` of ``backends`` (cache and cache disk included)."""
     capacity = {} if cache_capacity is None else {"capacity_bytes": cache_capacity}
-    disk = None
-    if disk_cache:
-        disk = DiskModel(
-            sim, name="proxy-cache-disk",
-            access_latency=cal.cache_disk_access,
-            read_bandwidth=cal.cache_disk_read_bw,
-            write_bandwidth=cal.cache_disk_write_bw,
-        )
+    disk = DiskModel(
+        host.sim, name="proxy-cache-disk", access_latency=cal.cache_disk_access,
+        read_bandwidth=cal.cache_disk_read_bw, write_bandwidth=cal.cache_disk_write_bw,
+    ) if disk_cache else None
     return SgfsClientProxy(
-        sim, seat.host, CLIENT_PROXY_PORT, upstream,
+        host.sim, host, port,
+        session_router(host, backends, dial, roots, streams, replicas, block_size),
         cost=cal.proxy_cost, account="proxy",
         cache=ProxyCacheConfig(enabled=disk_cache, write_back=write_back,
                                block_size=cal.block_size, **capacity),
@@ -389,6 +397,13 @@ def setup_nfs_v4(tb: Testbed, cache_bytes: Optional[int] = None) -> Mount:
     return Mount("nfs-v4", tb, client)
 
 
+def _paper_proxy(tb: Testbed, dial, **options) -> SgfsClientProxy:
+    """The paper's seat's client proxy, over every backend of ``tb``."""
+    seat = paper_seat(tb)
+    return client_proxy(seat.host, CLIENT_PROXY_PORT, [b.name for b in tb.backends],
+                        dial, tb.cal, seat.roots, **options)
+
+
 def _paper_mount(tb: Testbed, label: str, proxy, server_proxy,
                  cache_bytes: Optional[int]) -> Mount:
     """Start the paper's seat's client proxy (or daemon), then mount its
@@ -410,7 +425,7 @@ def setup_gfs(tb: Testbed, disk_cache: bool = False,
     with credential mapping, no channel protection."""
     seat = paper_seat(tb)
     server_proxy, = serve_sessions(tb, [seat])
-    proxy = client_proxy(tb, seat, seat_dial(tb, seat), streams=streams,
+    proxy = _paper_proxy(tb, proxy_dial(seat.host, SERVER_PROXY_PORT), streams=streams,
                          disk_cache=disk_cache, cache_capacity=cache_capacity)
     return _paper_mount(tb, "gfs", proxy, server_proxy, cache_bytes)
 
@@ -443,8 +458,8 @@ def setup_sgfs(tb: Testbed, suite: str = "aes-256-cbc-sha1",
                  f"sgfs-{suite}")
     server_proxy, = serve_sessions(tb, [seat], pki,
                                    acl_cache_enabled=acl_cache_enabled)
-    proxy = client_proxy(tb, seat, seat_dial(tb, seat, client_cfg), streams=streams,
-                         disk_cache=disk_cache, write_back=write_back,
+    proxy = _paper_proxy(tb, proxy_dial(seat.host, SERVER_PROXY_PORT, client_cfg),
+                         streams=streams, disk_cache=disk_cache, write_back=write_back,
                          cache_capacity=cache_capacity, cryptor=cryptor)
     mount = _paper_mount(tb, label, proxy, server_proxy, cache_bytes)
     mount.extras["client_security"] = client_cfg
@@ -474,7 +489,7 @@ def setup_gfs_ssh(tb: Testbed, disk_cache: bool = False,
     server_proxy, = serve_sessions(tb, [seat])
     # The client proxy dials the local tunnel entrance.
     tunnel = dialer(tb.sim, tb.client, tb.client.name, SSH_LOCAL_PORT)
-    proxy = client_proxy(tb, seat, lambda _target: tunnel, disk_cache=disk_cache)
+    proxy = _paper_proxy(tb, lambda _target: tunnel, disk_cache=disk_cache)
     mount = _paper_mount(tb, "gfs-ssh", proxy, server_proxy, cache_bytes)
     mount.extras["tunnel_client"] = tunnel_client
     mount.extras["tunnel_server"] = tunnel_server
@@ -491,18 +506,18 @@ def setup_sfs(tb: Testbed, cache_bytes: Optional[int] = None) -> Mount:
     path = SelfCertifyingPath.for_server("server", server_key.public)
 
     server_daemon = SfsServerDaemon(
-        tb.sim, tb.server, SFS_PORT, NFS_PORT,
-        server_key=server_key,
-        authorized_users={user_key.public.to_bytes()},
-        accounts=tb.server_accounts,
+        tb.server, SFS_PORT, NFS_PORT, accounts=tb.server_accounts,
         gridmap=_session_gridmap(tb, [paper_seat(tb)]), fs=tb.fs,
-        cost=tb.cal.sfs_cost, session_identity=USER_DN,
+        cost=tb.cal.sfs_cost, session_identity=USER_DN, server_key=server_key,
+        authorized_users={user_key.public.to_bytes()},
     )
     server_daemon.start()
 
+    dial = sfs_dialer(tb.client, path, SFS_PORT, user_key, rng.fork("client"))
     client_daemon = SfsClientDaemon(
-        tb.sim, tb.client, CLIENT_PROXY_PORT, path, SFS_PORT,
-        user_key=user_key, rng=rng.fork("client"), cost=tb.cal.sfs_cost,
+        tb.client, CLIENT_PROXY_PORT,
+        session_router(tb.client, [path.location], lambda _target: dial),
+        tb.cal.sfs_cost,
     )
     mount = _paper_mount(tb, "sfs", client_daemon, server_daemon, cache_bytes)
     mount.extras["path"] = path

@@ -46,11 +46,11 @@ from repro.core.setups import (
     client_proxy,
     mount_kernel_server,
     mount_through_proxy,
-    seat_dial,
+    proxy_dial,
     serve_sessions,
     session_pki,
 )
-from repro.core.topology import Testbed
+from repro.core.topology import CLIENT_PROXY_PORT, SERVER_PROXY_PORT, Testbed
 from repro.gsi import (
     DELEGATION_CPU_SECONDS,
     DistinguishedName,
@@ -363,7 +363,7 @@ def run_fleet(
                                         block_size=grid_block_size)
         for seat in seats:
             cfg = None if pki is None else pki.client_config(seat)
-            dial = seat_dial(tb, seat, cfg)
+            dial = proxy_dial(seat.host, SERVER_PROXY_PORT, cfg)
             if delegation_lifetime is not None:
                 dial = _delegating(tb, pki, server_proxies[0].gridmap, seat, cfg,
                                    delegation_lifetime, dial)
@@ -386,7 +386,9 @@ def run_fleet(
             start = sim.now
             proxy = None
             if proxied:
-                proxy = client_proxy(tb, seat, dials[i], streams=streams,
+                proxy = client_proxy(seat.host, CLIENT_PROXY_PORT,
+                                     [b.name for b in tb.backends], dials[i], tb.cal,
+                                     seat.roots, streams=streams,
                                      replicas=replicas, block_size=grid_block_size,
                                      disk_cache=disk_cache,
                                      cache_capacity=cache_capacity)

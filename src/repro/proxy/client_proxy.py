@@ -90,6 +90,9 @@ class SgfsClientProxy:
         self._depth = (WINDOWS_IN_FLIGHT
                        if any(leg.streams > 1 for leg in upstream.legs) else 1)
         self._listener = None
+        #: the kernel client connections accepted and still open, in
+        #: accept order (a teardown closes them in a fixed order)
+        self._connections: list = []
         #: duplicate-request cache for the kernel client's leg: the
         #: proxy rewrites xids upstream, so each serving hop needs its
         #: own DRC for exactly-once semantics of non-idempotent calls
@@ -162,23 +165,33 @@ class SgfsClientProxy:
         return self
 
     def stop(self) -> None:
+        """End the session: stop accepting, close the kernel connections
+        and the legs.  :meth:`writeback` first, or dirty blocks are lost."""
         if self._listener is not None:
             self._listener.close()
             self._listener = None
+        for transport in list(self._connections):
+            transport.close()
+        for leg in self._up.legs:
+            leg.close()
 
     def _connection(self, sock):
         transport = StreamTransport(sock)
-        while True:
-            try:
-                record = yield from transport.recv_record()
-            except TRANSPORT_ERRORS:
-                return
-            if record is None:
-                return
-            if self.blocking:
-                yield from self._serve(transport, record)
-            else:
-                self.sim.spawn(self._serve(transport, record), name="cproxy-call")
+        self._connections.append(transport)
+        try:
+            while True:
+                try:
+                    record = yield from transport.recv_record()
+                except TRANSPORT_ERRORS:
+                    return
+                if record is None:
+                    return
+                if self.blocking:
+                    yield from self._serve(transport, record)
+                else:
+                    self.sim.spawn(self._serve(transport, record), name="cproxy-call")
+        finally:
+            self._connections.remove(transport)
 
     # -- cache bookkeeping --------------------------------------------------------
 

@@ -435,6 +435,12 @@ class UpstreamSession:
             ch.reconnecting = None
             gate.succeed(None)
 
+    def close(self) -> None:
+        """End the leg (session teardown): close every channel."""
+        for ch in self._channels:
+            if ch.router is not None:
+                ch.router.close()
+
     def renegotiate(self) -> None:
         """Rekey every channel that is a secure channel (a reload's
         rekey signal, see :meth:`SecureChannel.renegotiate`)."""

@@ -15,10 +15,11 @@ import base64
 import itertools
 from typing import Dict, Iterable, Optional
 
+from repro.core.calibration import DEFAULT_CALIBRATION
+from repro.core.setups import client_proxy, proxy_dial, serve_proxy
 from repro.crypto.drbg import Drbg
 from repro.crypto.hybrid import open_sealed
 from repro.crypto.rsa import CryptoError
-from repro.grid.router import GridRouter
 from repro.gsi.certs import (
     CertError, Certificate, Credential, ValidationError, validate_chain,
 )
@@ -26,10 +27,8 @@ from repro.gsi.gridmap import Gridmap
 from repro.gsi.proxy import is_limited_proxy
 from repro.proxy.accounts import AccountsDb
 from repro.proxy.acl import AclStore, parse_acl_text
-from repro.proxy.session_config import ProxyCacheConfig
 from repro.proxy.client_proxy import SgfsClientProxy
 from repro.proxy.server_proxy import SgfsServerProxy
-from repro.proxy.upstream import UpstreamSession, dialer
 from repro.services.endpoint import ServiceEndpoint
 from repro.services.envelope import ServiceFault
 from repro.sim.core import Simulator
@@ -41,9 +40,11 @@ from repro.xdr import XdrError
 class FileSystemService(ServiceEndpoint):
     """One host's FSS.
 
-    Construct with either server-side wiring (``fs``, ``accounts``,
-    ``nfs_port``, ``host_credential``) or client-side wiring (or both;
-    a host can play both roles).
+    Construct with either server-side wiring (``fs``, the export the
+    host's kernel NFS server serves, ``accounts``, ``host_credential``)
+    or client-side wiring (or both; a host can play both roles).  The
+    sessions it starts are the ones :mod:`repro.core.setups` assembles,
+    under :data:`~repro.core.calibration.DEFAULT_CALIBRATION`.
 
     Authorization is two-layered: envelope signature verification
     establishes the *base* identity (proxy chains collapse to the
@@ -71,11 +72,8 @@ class FileSystemService(ServiceEndpoint):
         # server-side wiring
         fs: Optional[VirtualFS] = None,
         accounts: Optional[AccountsDb] = None,
-        nfs_port: int = 2049,
         host_credential: Optional[Credential] = None,
         # shared
-        proxy_cost=None,
-        cache_disk_factory=None,
         authorized_admins: Optional[set] = None,
         max_delegation_lifetime: Optional[float] = None,
     ):
@@ -98,10 +96,7 @@ class FileSystemService(ServiceEndpoint):
         )
         self.fs = fs
         self.accounts = accounts
-        self.nfs_port = nfs_port
         self.host_credential = host_credential
-        self.proxy_cost = proxy_cost
-        self.cache_disk_factory = cache_disk_factory
         #: refuse delegated credentials valid longer than this many
         #: virtual seconds (None = no ceiling) — long-lived delegation
         #: defeats the point of short-lived SSO proxies
@@ -129,13 +124,8 @@ class FileSystemService(ServiceEndpoint):
             self.host_credential, self.trust_anchors, suite,
             rng=Drbg(f"{self.name}:{self.port}/server-session-{port}"),
         )
-        proxy = SgfsServerProxy(
-            self.sim, self.host, port, self.nfs_port,
-            accounts=self.accounts, gridmap=gridmap, fs=self.fs,
-            security=security,
-            cost=self.proxy_cost if self.proxy_cost is not None else _default_cost(),
-        )
-        proxy.start()
+        proxy = serve_proxy(self.host, port, self.fs, None, self.accounts, gridmap,
+                            DEFAULT_CALIBRATION, security)
         session_id = f"srv-{port}"
         self.server_sessions[session_id] = proxy
         return {"session_id": session_id, "port": str(port), "host": self.host.name}
@@ -181,29 +171,20 @@ class FileSystemService(ServiceEndpoint):
         server_host = params["server_host"]
         server_port = int(params["server_port"])
         port = int(params.get("port", 0)) or self._session_port(25000)
-        disk_cache = params.get("disk_cache", "off") == "on"
         client_cfg = SecurityConfig.for_session(
             user_cred, self.trust_anchors, suite,
             rng=Drbg(f"{self.name}:{self.port}/client-session-{port}"),
         )
-        sim, host = self.sim, self.host
-        disk = None
-        if disk_cache and self.cache_disk_factory is not None:
-            disk = self.cache_disk_factory()
-        proxy = SgfsClientProxy(
-            sim, host, port,
-            GridRouter(sim, [UpstreamSession(
-                sim, dialer(sim, host, server_host, server_port, client_cfg))]),
-            cost=self.proxy_cost if self.proxy_cost is not None else _default_cost(),
-            cache=ProxyCacheConfig(enabled=disk_cache),
-            disk=disk,
-        )
+        proxy = client_proxy(self.host, port, [server_host],
+                             proxy_dial(self.host, server_port, client_cfg),
+                             DEFAULT_CALIBRATION,
+                             disk_cache=params.get("disk_cache", "off") == "on")
 
         def handler_body():
             yield from proxy.start()
             session_id = f"cli-{port}"
             self.client_sessions[session_id] = proxy
-            return {"session_id": session_id, "port": str(port), "host": host.name}
+            return {"session_id": session_id, "port": str(port), "host": self.host.name}
 
         return handler_body()
 
@@ -221,14 +202,16 @@ class FileSystemService(ServiceEndpoint):
         session_id = params.get("session_id", "")
         proxy = self.server_sessions.pop(session_id, None)
         if proxy is not None:
-            proxy.stop()
+            # the session's authority ends: stop accepting and sever
+            # every session the proxy accepted, as a crash does
+            proxy.crash()
             return {"destroyed": session_id}
         cproxy = self.client_sessions.pop(session_id, None)
         if cproxy is not None:
 
             def drain():
                 yield from cproxy.writeback()
-                cproxy.stop()
+                cproxy.stop()  # the mount's connections and the legs too
                 return {"destroyed": session_id}
 
             return drain()
@@ -271,9 +254,3 @@ class FileSystemService(ServiceEndpoint):
         # authorising in every session at once.
         for proxy in self.server_sessions.values():
             proxy.acls.invalidate()
-
-
-def _default_cost():
-    from repro.core.calibration import DEFAULT_CALIBRATION
-
-    return DEFAULT_CALIBRATION.proxy_cost

@@ -17,7 +17,7 @@ Three properties matter to the evaluation and are modeled faithfully:
 
 from repro.sfs.paths import SelfCertifyingPath, host_id_for_key, SfsPathError
 from repro.sfs.channel import sfs_client_channel, sfs_server_channel, SfsAuthError
-from repro.sfs.daemons import SfsClientDaemon, SfsServerDaemon
+from repro.sfs.daemons import SfsClientDaemon, SfsServerDaemon, sfs_dialer
 
 __all__ = [
     "SelfCertifyingPath",
@@ -28,4 +28,5 @@ __all__ = [
     "SfsAuthError",
     "SfsClientDaemon",
     "SfsServerDaemon",
+    "sfs_dialer",
 ]

@@ -1,7 +1,8 @@
 """SFS client/server daemons.
 
-Built from the same interposition machinery as the SGFS proxies, with
-SFS's distinguishing knobs:
+Subclasses of the SGFS proxies (the client daemon's upstream is a
+:func:`repro.core.setups.session_router`), with SFS's distinguishing
+knobs — and the handshake, :func:`sfs_dialer` and ``_accept``:
 
 - the client daemon caches attributes and access permissions **in
   memory** aggressively (no data caching, no write-back),
@@ -19,52 +20,39 @@ from typing import Set
 
 from repro.crypto.drbg import Drbg
 from repro.crypto.rsa import RsaKeyPair
-from repro.grid.router import GridRouter
 from repro.proxy.session_config import ProxyCacheConfig
 from repro.proxy.client_proxy import SgfsClientProxy
 from repro.proxy.server_proxy import SgfsServerProxy
-from repro.proxy.upstream import UpstreamSession
 from repro.rpc.costs import CostProfile
 from repro.rpc.transport import DIAL_ERRORS
 from repro.sfs.channel import sfs_client_channel, sfs_server_channel
 from repro.sfs.paths import SelfCertifyingPath
-from repro.sim.core import Simulator
+
+
+def sfs_dialer(host, path: SelfCertifyingPath, port: int, user_key: RsaKeyPair,
+               rng: Drbg):
+    """The client daemon's dial: a process generator that connects
+    ``host`` to the server ``path`` names and returns the channel its
+    SFS handshake yields (the server is authenticated by the HostID in
+    ``path``, the user by ``user_key``)."""
+
+    def dial():
+        sock = yield from host.connect(path.location, port)
+        return (yield from sfs_client_channel(
+            host.sim, sock, path, user_key, rng, cpu=host.cpu, account="sfsd"))
+
+    return dial
 
 
 class SfsClientDaemon(SgfsClientProxy):
-    """The SFS client daemon: async + in-memory metadata caching."""
+    """The SFS client daemon: async + in-memory metadata caching, over
+    an ``upstream`` router whose leg dials with :func:`sfs_dialer`."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        host,
-        listen_port: int,
-        path: SelfCertifyingPath,
-        server_port: int,
-        user_key: RsaKeyPair,
-        rng: Drbg,
-        cost: CostProfile,
-    ):
-        def dial():
-            sock = yield from host.connect(path.location, server_port)
-            channel = yield from sfs_client_channel(
-                sim, sock, path, user_key, rng,
-                cpu=host.cpu, account="sfsd",
-            )
-            return channel
-
+    def __init__(self, host, listen_port: int, upstream, cost: CostProfile):
         super().__init__(
-            sim, host, listen_port,
-            GridRouter(sim, [UpstreamSession(sim, dial)]),
-            cost=cost,
-            account="sfsd",
-            cache=ProxyCacheConfig(
-                enabled=True,
-                cache_data=False,      # SFS caches metadata, not data blocks
-                write_back=False,
-                block_size=32768,
-            ),
-            disk=None,                  # memory-resident caches
+            host.sim, host, listen_port, upstream, cost=cost, account="sfsd",
+            # SFS caches metadata, not data blocks, in memory
+            cache=ProxyCacheConfig(enabled=True, cache_data=False, write_back=False),
             blocking=False,             # asynchronous RPCs — SFS's edge
         )
 
@@ -72,26 +60,13 @@ class SfsClientDaemon(SgfsClientProxy):
 class SfsServerDaemon(SgfsServerProxy):
     """The SFS server daemon: authenticates users by registered key."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        host,
-        listen_port: int,
-        nfs_server_port: int,
-        server_key: RsaKeyPair,
-        authorized_users: Set[bytes],
-        accounts,
-        gridmap,
-        fs,
-        cost: CostProfile,
-        session_identity,
-    ):
+    def __init__(self, host, listen_port: int, nfs_server_port: int, accounts,
+                 gridmap, fs, cost: CostProfile, session_identity,
+                 server_key: RsaKeyPair, authorized_users: Set[bytes]):
         super().__init__(
-            sim, host, listen_port, nfs_server_port,
-            accounts=accounts, gridmap=gridmap, fs=fs,
+            host.sim, host, listen_port, nfs_server_port, accounts=accounts,
+            gridmap=gridmap, fs=fs, cost=cost, account="sfssd",
             security=None,              # SFS has its own handshake: _accept
-            cost=cost,
-            account="sfssd",
             blocking=False,             # async on the server side too
             enable_acls=False,          # SFS uses its own group ACLs, not grid ACLs
             session_identity=session_identity,

@@ -5,7 +5,7 @@ import base64
 import pytest
 
 from repro.core.setups import CA_DN, FILE_ACCOUNT, SERVER_DN, USER_DN
-from repro.core.topology import NFS_PORT, Testbed
+from repro.core.topology import Testbed
 from repro.crypto.drbg import Drbg
 from repro.crypto.hybrid import open_sealed
 from repro.gsi import (
@@ -317,7 +317,7 @@ def services_deploy(max_delegation_lifetime=None):
     host_id = ca.issue_identity(SERVER_DN, rng=rng.fork("host"), key_bits=768)
     fss_server = FileSystemService(
         sim, tb.server, 5000, ids["fss-server"], anchors,
-        fs=tb.fs, accounts=tb.server_accounts, nfs_port=NFS_PORT,
+        fs=tb.fs, accounts=tb.server_accounts,
         host_credential=host_id,
     )
     fss_server.start()

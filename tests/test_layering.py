@@ -129,33 +129,46 @@ def test_no_named_error_set_can_swallow_an_interrupt():
 # -- one session assembly -------------------------------------------------------
 
 SESSION_PARTS = ("UpstreamSession", "GridRouter", "GridMetadataService",
-                 "GridMetadataClient", "SessionPki")
+                 "GridMetadataProgram", "GridMetadataClient", "SessionPki")
+PROXIES = ("SgfsServerProxy", "SgfsClientProxy")
 
 
-def test_sessions_are_assembled_only_in_core_setups():
-    """The legs, the router, the catalogue and the PKI are built in
-    ``core/setups`` and, for their own one-leg sessions, by the SFS
-    daemons and the FSS; inside ``core`` + ``harness`` each part, and
-    each of the two proxies, is built in exactly one place."""
-    built = {(path, name) for path, tree in TREES.items()
-             for _node, name in _calls(tree) if name in SESSION_PARTS}
-    one_leg = {(path, name) for path in ("services/fss.py", "sfs/daemons.py")
-               for name in ("UpstreamSession", "GridRouter")}
-    assert built == {("core/setups.py", name) for name in SESSION_PARTS} | one_leg
-    proxies = ("SgfsServerProxy", "SgfsClientProxy")
-    calls = Counter(name for path, tree in TREES.items()
-                    if path.startswith(("core/", "harness/"))
-                    for _node, name in _calls(tree) if name in SESSION_PARTS + proxies)
-    assert calls == Counter(SESSION_PARTS + proxies)
-
-
-def test_the_harness_runs_sessions_and_does_not_build_them():
+def _session_imports(prefixes):
+    """(path, module) of every import of ``repro.grid`` or
+    ``repro.proxy.upstream`` in the files under ``prefixes``."""
     imported = []
-    for path in [p for p in TREES if p.startswith("harness/")]:
+    for path in [p for p in TREES if p.startswith(prefixes)]:
         for node in ast.walk(TREES[path]):
             if isinstance(node, ast.ImportFrom):
                 imported.append((path, node.module or ""))
             elif isinstance(node, ast.Import):
                 imported += [(path, alias.name) for alias in node.names]
-    assert [(path, module) for path, module in imported
-            if (module + ".").startswith(("repro.grid.", "repro.proxy.upstream."))] == []
+    return [(path, module) for path, module in imported
+            if (module + ".").startswith(("repro.grid.", "repro.proxy.upstream."))]
+
+
+def test_sessions_are_assembled_only_in_core_setups():
+    """The legs, the router, the catalogue and the PKI are built in
+    ``core/setups`` and nowhere else; inside ``core`` + ``harness`` each
+    part, and each of the two proxies, is built in exactly one place."""
+    built = {(path, name) for path, tree in TREES.items()
+             for _node, name in _calls(tree) if name in SESSION_PARTS}
+    assert built == {("core/setups.py", name) for name in SESSION_PARTS}
+    calls = Counter(name for path, tree in TREES.items()
+                    if path.startswith(("core/", "harness/"))
+                    for _node, name in _calls(tree) if name in SESSION_PARTS + PROXIES)
+    assert calls == Counter(SESSION_PARTS + PROXIES)
+
+
+def test_the_harness_runs_sessions_and_does_not_build_them():
+    assert _session_imports("harness/") == []
+
+
+def test_the_services_and_sfs_get_their_sessions_from_core_setups():
+    """The FSS and the SFS daemons import no session part and call
+    neither proxy's constructor (the daemons subclass the proxies; a
+    subclass's ``super().__init__`` is not such a call)."""
+    assert _session_imports(("services/", "sfs/")) == []
+    assert [(path, name) for path, tree in TREES.items()
+            if path.startswith(("services/", "sfs/"))
+            for _node, name in _calls(tree) if name in PROXIES] == []

@@ -84,7 +84,6 @@ def test_gridmap_reload_revokes_new_sessions_only():
 
 def test_fss_reconfigure_action_updates_gridmap():
     from repro.core.setups import CA_DN, FILE_ACCOUNT, SERVER_DN
-    from repro.core.topology import NFS_PORT
     from repro.crypto.drbg import Drbg
     from repro.gsi import CertificateAuthority
     from repro.services import FileSystemService
@@ -102,7 +101,7 @@ def test_fss_reconfigure_action_updates_gridmap():
     user = ca.issue_identity(USER_DN, rng=rng.fork("user"), key_bits=768)
     fss = FileSystemService(
         sim, tb.server, 5000, fss_id, anchors,
-        fs=tb.fs, accounts=tb.server_accounts, nfs_port=NFS_PORT,
+        fs=tb.fs, accounts=tb.server_accounts,
         host_credential=host_id,
     )
     fss.start()
@@ -139,7 +138,6 @@ def test_fss_reconfigure_action_updates_gridmap():
 
 def test_fss_set_acl_action_enforced_by_proxy():
     from repro.core.setups import CA_DN, FILE_ACCOUNT, SERVER_DN
-    from repro.core.topology import NFS_PORT
     from repro.crypto.drbg import Drbg
     from repro.gsi import CertificateAuthority
     from repro.services import FileSystemService
@@ -162,7 +160,7 @@ def test_fss_set_acl_action_enforced_by_proxy():
     host_id = ca.issue_identity(SERVER_DN, rng=rng.fork("host"), key_bits=768)
     fss = FileSystemService(
         sim, tb.server, 5000, fss_id, anchors,
-        fs=tb.fs, accounts=tb.server_accounts, nfs_port=NFS_PORT,
+        fs=tb.fs, accounts=tb.server_accounts,
         host_credential=host_id,
         authorized_admins={str(admin_dn)},
     )

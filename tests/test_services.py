@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.setups import CA_DN, FILE_ACCOUNT, JOB_ACCOUNT, SERVER_DN, USER_DN, _kernel_client
-from repro.core.topology import NFS_PORT, Testbed
+from repro.core.topology import Testbed
 from repro.crypto.drbg import Drbg
 from repro.gsi import CertificateAuthority, DistinguishedName, issue_proxy_certificate
 from repro.rpc.auth import AuthSys
@@ -115,7 +115,7 @@ def deploy():
     host_id = ca.issue_identity(SERVER_DN, rng=rng.fork("host"), key_bits=768)
     fss_server = FileSystemService(
         sim, tb.server, 5000, ids["fss-server"], anchors,
-        fs=tb.fs, accounts=tb.server_accounts, nfs_port=NFS_PORT,
+        fs=tb.fs, accounts=tb.server_accounts,
         host_credential=host_id,
     )
     fss_server.start()
@@ -133,6 +133,15 @@ def deploy():
 
 
 def test_full_session_lifecycle_through_services():
+    """Create a session with the disk cache on, mount it, write, destroy
+    it.  The session's proxy caches on the cache disk ``setup_sgfs``
+    gives one; the destroy writes back, then ends the session's
+    authority: the old mount's next call fails within the kernel
+    client's hard-mount ladder and nothing it writes reaches the server."""
+    from repro.nfs.client import RETRANS_BASE, RETRANS_CAP
+    from repro.rpc.errors import RpcTransportError
+    from repro.vfs.fs import VfsError
+
     tb, rng, ca, anchors, user, ids, fss_client, fss_server, dss = deploy()
     sim = tb.sim
     proxy_cred = issue_proxy_certificate(user, now=sim.now, rng=rng.fork("px"), key_bits=768)
@@ -143,8 +152,9 @@ def test_full_session_lifecycle_through_services():
         reply = yield from me.call(
             "server", 5002, "CreateSession",
             {"filesystem": "/GFS/ming", "client_host": "client",
-             "suite": "rc4-128-sha1", "credential": blob},
+             "suite": "rc4-128-sha1", "credential": blob, "disk_cache": "on"},
         )
+        (proxy,) = fss_client.client_sessions.values()
         cl = yield from _kernel_client(
             tb, "client", int(reply["client_port"]),
             AuthSys(uid=JOB_ACCOUNT.uid, gid=JOB_ACCOUNT.gid), None,
@@ -154,12 +164,23 @@ def test_full_session_lifecycle_through_services():
         out = yield from me.call(
             "server", 5002, "DestroySession", {"session_id": reply["session_id"]}
         )
-        return data, out
+        t0 = sim.now
+        with pytest.raises(RpcTransportError):
+            yield from cl.write_file("/after.txt", b"after the destroy")
+        return proxy, cl, data, out, sim.now - t0
 
-    data, out = tb.run(scenario())
+    proxy, cl, data, out, refused_after = tb.run(scenario())
     assert data == b"through the service plane"
     assert "destroyed" in out
     assert not dss.sessions
+    disk = proxy._blocks.disk
+    assert disk.name == "proxy-cache-disk" and disk.writes > 0
+    assert bytes(tb.fs.resolve("/svc.txt").data) == b"through the service plane"
+    ladder = sum(min(RETRANS_CAP, RETRANS_BASE * cl.retrans_backoff ** k)
+                 for k in range(1, cl.retrans_max + 1))
+    assert refused_after < ladder + 0.1
+    with pytest.raises(VfsError):
+        tb.fs.resolve("/after.txt")
 
 
 def test_unauthorized_user_cannot_create_session():
@@ -334,7 +355,7 @@ def test_destroy_session_reaches_the_filesystems_own_fss():
     tb, rng, ca, anchors, user, ids, fss_client, fss_server, dss = deploy()
     fss_other = FileSystemService(
         tb.sim, tb.server, 5003, ids["fss-server"], anchors,
-        fs=tb.fs, accounts=tb.server_accounts, nfs_port=NFS_PORT,
+        fs=tb.fs, accounts=tb.server_accounts,
         host_credential=fss_server.host_credential,
     )
     fss_other.start()

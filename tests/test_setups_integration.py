@@ -197,9 +197,10 @@ def test_two_hand_built_seats_share_one_server_proxy():
     testbed: one gridmap, one server proxy, each seat mapped to its own
     account — what ``run_fleet`` does for N."""
     from repro.core.setups import (
-        Seat, SessionPki, admit, client_proxy, mount_through_proxy, seat_dial,
+        Seat, SessionPki, admit, client_proxy, mount_through_proxy, proxy_dial,
         serve_proxy,
     )
+    from repro.core.topology import CLIENT_PROXY_PORT, SERVER_PROXY_PORT
     from repro.gsi import DistinguishedName, Gridmap
     from repro.gsi.gridmap import UnmappedPolicy
     from repro.nfs.protocol import FileHandle
@@ -221,10 +222,12 @@ def test_two_hand_built_seats_share_one_server_proxy():
         )
         admit(tb, gridmap, seat)
         seats.append(seat)
-    server_proxy = serve_proxy(tb, gridmap, pki.server_config())
+    server_proxy = serve_proxy(tb.server, SERVER_PROXY_PORT, tb.fs, tb.server_disk,
+                               tb.server_accounts, gridmap, tb.cal, pki.server_config())
 
     def session(seat):
-        proxy = client_proxy(tb, seat, seat_dial(tb, seat, pki.client_config(seat)))
+        dial = proxy_dial(seat.host, SERVER_PROXY_PORT, pki.client_config(seat))
+        proxy = client_proxy(seat.host, CLIENT_PROXY_PORT, ["server"], dial, tb.cal)
         yield from proxy.start()
         client = yield from mount_through_proxy(tb, seat)
         yield from client.write_file("/mine.txt", seat.name.encode())
