@@ -7,7 +7,10 @@ Semantics implemented (the subset the RPC stack needs, faithfully):
   segment, so message boundaries are *not* guaranteed to the receiver
   and the RPC record-marking layer genuinely has to reassemble,
 - graceful close via FIN (reader drains buffered data, then sees EOF),
-- abortive teardown surfaces :class:`ConnectionReset` to blocked readers.
+- abortive teardown surfaces :class:`ConnectionReset` to blocked readers,
+- either kind of close also ends the closing side's own reads: after a
+  close it sees EOF once what had arrived is read, after an abort a
+  reset.
 
 Segments of one connection traverse the same route through FIFO link
 queues, so on a fault-free network they arrive in order.  Each segment
@@ -141,10 +144,13 @@ class SimSocket:
     # -- teardown ------------------------------------------------------
 
     def close(self) -> None:
-        """Orderly close: peer sees EOF after draining in-flight data."""
+        """Orderly close: peer sees EOF after draining in-flight data, and
+        so does a reader of this side, after what had arrived."""
         if self.closed:
             return
         self.closed = True
+        if not self._rx.closed:
+            self._rx.put(_FIN)
         peer = self.peer
         if peer is not None and not peer.closed:
             seq = self._tx_seq
@@ -158,10 +164,12 @@ class SimSocket:
             )
 
     def abort(self) -> None:
-        """Abortive close: blocked/future reads on the peer raise reset."""
+        """Abortive close: blocked/future reads on the peer raise reset,
+        and so do those on this side."""
         if self.closed:
             return
         self.closed = True
+        self._rx.close()
         peer = self.peer
         if peer is not None and not peer.closed:
             self.host.network.deliver(

@@ -590,23 +590,27 @@ class BlockCache:
         when the one before has ended — or that fails, at the first found
         failed, with its error (raised once: it leaves the list; the
         later ones are not joined).  The waits chain on the processes'
-        completions, so no process wakes in between."""
+        completions, so no process wakes in between, and the event fires
+        in the last completion's dispatch, not one of its own."""
         done = self.sim.event(name="drain")
         todo = iter(procs)
 
-        def step(ended: Optional[Process] = None) -> None:
-            if ended is not None:
-                self._procs.pop(ended, None)
-                if ended.completion.failed:
-                    done.fail(ended.completion.exception)
-                    return
+        def step(ended: Process) -> None:
+            self._procs.pop(ended, None)
+            if ended.completion.failed:
+                done.fire_now(exc=ended.completion.exception)
+            elif not wait():
+                done.fire_now()
+
+        def wait() -> bool:
             for proc in todo:
                 if self._joinable(proc):
                     proc.completion.add_callback(lambda _ev, p=proc: step(p))
-                    return
-            done.succeed()
+                    return True
+            return False
 
-        step()
+        if not wait():
+            done.succeed()
         return done
 
     def slot(self, victims: List[DirtyItem], depth: int):

@@ -32,7 +32,6 @@ from repro.obs.schema import zeros
 from repro.nfs.cache import BlockCache
 from repro.nfs.protocol import Fattr3, FileHandle, NfsStatus, Proc
 from repro.proxy.session_config import ProxyCacheConfig
-from repro.proxy.upstream import WINDOWS_IN_FLIGHT
 from repro.rpc.auth import NULL_AUTH
 from repro.rpc.costs import CostProfile, FREE_PROFILE, charge_profile
 from repro.rpc.drc import DuplicateRequestCache, drc_key
@@ -85,10 +84,11 @@ class SgfsClientProxy:
                 "at-rest protection requires the disk cache with write-back"
             )
         self._up = upstream
-        #: windows kept in flight: one (stop-and-wait) unless a leg is
-        #: multi-stream
-        self._depth = (WINDOWS_IN_FLIGHT
-                       if any(leg.streams > 1 for leg in upstream.legs) else 1)
+        #: the widest leg's channels: one is the paper's stop-and-wait proxy
+        self._streams = max(leg.streams for leg in upstream.legs)
+        #: the (pipe, cache blocks) :meth:`_pipeline` last sized for, and
+        #: its (burst, depth, read burst)
+        self._sized: Tuple[Tuple[int, int], Tuple[int, int, int]] = ((0, 0), (1, 1, 1))
         self._listener = None
         #: the kernel client connections accepted and still open, in
         #: accept order (a teardown closes them in a fixed order)
@@ -225,7 +225,7 @@ class SgfsClientProxy:
             yield from self._blocks.write(fileid, block, data)
         else:
             yield from self._blocks.fill(fileid, block, data, unread)
-        victims = self._blocks.evict((fileid, block), self._window())
+        victims = self._blocks.evict((fileid, block), self._pipeline()[0])
         if victims:
             yield from self._write_behind(victims)
 
@@ -452,7 +452,7 @@ class SgfsClientProxy:
             chunk = got[:count].ljust(min(count, size - offset), b"\0")
             reply = yield from self._local(call, pr.pack_read_res(
                 NfsStatus.OK, attr, chunk, offset + len(chunk) >= size))
-        if count == bs and self._depth > 1:
+        if count == bs and self._streams > 1:
             # drop-behind: the reader is past this block
             self._blocks.consumed(fh.fileid, block)
         self._read_ahead(call, fh, block)
@@ -467,22 +467,56 @@ class SgfsClientProxy:
         return ReplyMessage(xid=call.xid, results=results)
 
     # -- read window and write-behind: the one upstream data path.  A
-    # single-stream leg runs it at window 1 with one window in flight —
-    # one block per round trip, the paper's proxy; a multi-stream leg
-    # widens the window to the RTT and keeps WINDOWS_IN_FLIGHT of them
-    # in flight, ahead of the reader and behind the writer.
+    # single-stream leg runs it at one block, one burst in flight — one
+    # block per round trip, the paper's proxy; a multi-stream leg keeps
+    # the pipe's worth in flight, in bursts sized by :meth:`_pipeline`,
+    # ahead of the reader and behind the writer.
 
-    def _window(self, read: bool = False) -> int:
-        """The widest leg's window (:meth:`UpstreamSession.window`).  It
-        grows by delivered rate only up to ``cap`` blocks, and a
-        ``read`` window is never wider: the read-ahead span, ``depth +
-        1`` windows, then fits under the low-water mark of eviction
-        (:meth:`BlockCache.low_water`), so no block read ahead is evicted
-        before the reader gets to it."""
-        cap = max(1, self.cache.capacity_bytes // self.cache.block_size
-                  // (self._depth + 2))
-        window = max(leg.window(cap) for leg in self._up.legs)
-        return min(window, cap) if read else window
+    def _pipeline(self, read: bool = False) -> Tuple[int, int]:
+        """``(burst, depth)``: the blocks one upstream burst carries and
+        how many bursts ride at once.
+
+        ``pipe`` is the widest leg's estimate of the blocks its round
+        trip holds (:meth:`UpstreamSession.window`).  The cache holds
+        ``depth + 2`` bursts: ``depth`` in flight, the reader's window,
+        and one burst of eviction hysteresis
+        (:meth:`BlockCache.low_water`).  A burst is no wider than the
+        pipe or its share of the cache, but once the pipe holds more than
+        one block it gives every channel a share of at least two blocks
+        (a two-phase WRITE batch, :meth:`UpstreamSession.forward_batch`).
+        ``depth`` grows from two, and the burst shrinks with its share,
+        until twice the pipe is in flight — the delivered-rate estimate
+        only grows while more than it is out — or, where the cache cannot
+        hold that, the pipe and two bursts more: the bursts whose replies
+        are landing do not fill it.  It stops too where a smaller burst
+        would give a channel a one-block share.  A ``read`` burst is never
+        wider than its share: the read-ahead span, ``depth + 1`` of them,
+        then fits under the low-water mark and no block read ahead is
+        evicted unread (a cache too small for two-block shares reads
+        ahead in narrower bursts than it writes behind)."""
+        if self._streams == 1:
+            return 1, 1
+        pipe = max(leg.window() for leg in self._up.legs)
+        blocks = self.cache.capacity_bytes // self.cache.block_size
+        if (pipe, blocks) != self._sized[0]:
+            floor = 2 * self._streams if pipe > 1 else 1
+
+            def size(headroom):
+                depth = 2
+                while True:
+                    burst = max(floor, min(blocks // (depth + 2), pipe))
+                    if depth * burst >= pipe + headroom(burst) or \
+                            blocks // (depth + 3) < floor:
+                        return burst, depth
+                    depth += 1
+
+            burst, depth = size(lambda burst: pipe)
+            if depth * burst < 2 * pipe:  # the cache cannot hold twice the pipe
+                burst, depth = size(lambda burst: 2 * burst)
+            share = max(1, min(burst, blocks // (depth + 2)))
+            self._sized = ((pipe, blocks), (burst, depth, share))
+        burst, depth, share = self._sized[1]
+        return (share if read else burst), depth
 
     def _read_window(self, call: CallMessage, fh: FileHandle, block: int,
                      count: int):
@@ -496,7 +530,7 @@ class SgfsClientProxy:
         wanted = blocks.claim(fh.fileid, [block])
         attr = self._attrs.get(fh.fileid)
         if attr is not None:
-            end = min(block + self._window(read=True), (attr.size + bs - 1) // bs)
+            end = min(block + self._pipeline(read=True)[0], (attr.size + bs - 1) // bs)
             wanted += blocks.claim(fh.fileid, range(block + 1, end))
             blocks.ahead[fh.fileid] = end
         results = yield from self._fetch(call, fh, wanted)
@@ -518,20 +552,20 @@ class SgfsClientProxy:
 
     def _read_ahead(self, call: CallMessage, fh: FileHandle, block: int) -> None:
         """Keep the reader's window and ``depth`` more after a READ at
-        ``block`` cached or in flight: the blocks ``block + 1`` …
-        ``block + (depth + 1) * window`` not yet fetched or in flight go
-        out in background bursts of at most a window, as soon as half a
-        window of them is free — a burst that waited for a whole window
-        would let a reader served from memory catch the ones in flight.
-        Each burst's absent blocks are claimed before it is spawned, so
-        demand misses and writes wait for it.  The per-file cursor makes
-        this O(1) per READ; nothing runs ahead on a single-stream leg."""
-        depth = self._depth
+        ``block`` cached or in flight (:meth:`_pipeline`): the blocks
+        ``block + 1`` … ``block + (depth + 1) * window`` not yet fetched
+        or in flight go out in background bursts of at most a window, as
+        soon as half a window of them is free — a burst that waited for
+        a whole window would let a reader served from memory catch the
+        ones in flight.  Each burst's absent blocks are claimed before it
+        is spawned, so demand misses and writes wait for it.  The
+        per-file cursor makes this O(1) per READ; nothing runs ahead on a
+        single-stream leg."""
         attr = self._attrs.get(fh.fileid)
-        if depth == 1 or attr is None:
+        if self._streams == 1 or attr is None:
             return
         blocks = self._blocks
-        window = self._window(read=True)
+        window, depth = self._pipeline(read=True)
         bs = self.cache.block_size
         nblocks = (attr.size + bs - 1) // bs
         end = min(block + 1 + (depth + 1) * window, nblocks)
@@ -620,21 +654,21 @@ class SgfsClientProxy:
         """Process generator: hand eviction victims (writing, in the
         table) to write-behind, one background burst per pipeline window
         (see :meth:`BlockCache.slot` for when each may go).  The evicting
-        call blocks only while ``depth`` bursts are already in flight —
-        and at one window in flight (a single-stream leg) it waits for
-        its own burst: stop-and-wait."""
+        call blocks only while ``depth`` bursts are already in flight
+        (:meth:`_pipeline`) — and at one in flight (a single-stream leg)
+        it waits for its own burst: stop-and-wait."""
         blocks = self._blocks
-        window = self._window()
+        window, depth = self._pipeline()
         start = 0
         try:
             for start in range(0, len(victims), window):
-                items = yield from blocks.slot(victims[start:start + window], self._depth)
+                items = yield from blocks.slot(victims[start:start + window], depth)
                 if not items:
                     continue
                 proc = self.sim.spawn(self._writeback_window(items),
                                       name="cproxy-writebehind")
                 blocks.track(proc, [v[:2] for v in items], writes=True)
-                if self._depth == 1:
+                if depth == 1:
                     yield from blocks.join(proc)
             start = len(victims)
         finally:
@@ -657,7 +691,7 @@ class SgfsClientProxy:
                 # re-sized per burst: the first burst of a cold session runs
                 # at window 1 and seeds the bulk RTT estimator, widening the
                 # bursts that follow it
-                burst = items[start:start + self._window()]
+                burst = items[start:start + self._pipeline()[0]]
                 start += len(burst)
                 calls = []
                 for fileid, blk, data in burst:

@@ -136,6 +136,18 @@ class Event:
         self.sim._schedule_now(self)
         return self
 
+    def fire_now(self, value: Any = None,
+                 exc: Optional[BaseException] = None) -> None:
+        """Succeed with ``value`` (fail with ``exc``) and run the callbacks
+        at once, inline: for a callback of another event that finishes
+        this one, so its waiters resume in that event's dispatch instead
+        of a second one at the same instant."""
+        if self._value is not _PENDING or self._exc is not None:
+            raise SimError(f"event {self.name!r} already triggered")
+        self._value = None if exc is not None else value
+        self._exc = exc
+        self._fire()
+
     # -- callbacks -----------------------------------------------------
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:

@@ -89,6 +89,74 @@ NAME_MAX = 255
 DIRENT_BYTES = 32
 
 
+class FileData:
+    """A regular file's bytes, held in pages of :attr:`PAGE` bytes (the
+    last one short) rather than one buffer.  A file that grows a write
+    at a time never reallocates, or copies, what it already holds; one
+    buffer grown to tens of MB is moved through the heap on each
+    reallocation, and how often that happens — and so the peak RSS of a
+    run — depends on the allocator's state, not on the file system.
+    ``bytes(data)`` is the whole file and ``data[i]`` one byte of it."""
+
+    PAGE = 1 << 16
+    __slots__ = ("_pages", "_size")
+
+    def __init__(self) -> None:
+        self._pages: List[bytearray] = []
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __bytes__(self) -> bytes:
+        return b"".join(self._pages)
+
+    def __getitem__(self, index: int) -> int:
+        page, at = divmod(range(self._size)[index], self.PAGE)
+        return self._pages[page][at]
+
+    def __setitem__(self, index: int, value: int) -> None:
+        page, at = divmod(range(self._size)[index], self.PAGE)
+        self._pages[page][at] = value
+
+    def read(self, offset: int, count: int) -> bytes:
+        """Up to ``count`` bytes from ``offset`` (fewer past the end)."""
+        end = min(offset + count, self._size)
+        parts = []
+        while offset < end:
+            page, at = divmod(offset, self.PAGE)
+            n = min(self.PAGE - at, end - offset)
+            parts.append(memoryview(self._pages[page])[at:at + n])
+            offset += n
+        return bytes(parts[0]) if len(parts) == 1 else b"".join(parts)  # b"" past the end
+
+    def write(self, offset: int, data: bytes) -> None:
+        """Overwrite ``len(data)`` bytes from ``offset``, all below the size."""
+        view = memoryview(data)
+        while view.nbytes:
+            page, at = divmod(offset, self.PAGE)
+            n = min(self.PAGE - at, view.nbytes)
+            self._pages[page][at:at + n] = view[:n]
+            view = view[n:]
+            offset += n
+
+    def resize(self, size: int) -> None:
+        """Cut the file to ``size`` bytes, or zero-fill it up to them."""
+        pages, full = self._pages, self.PAGE
+        if size > self._size:
+            if pages:
+                last = pages[-1]
+                last.extend(bytes(min(full, size - (len(pages) - 1) * full) - len(last)))
+            while len(pages) * full < size:
+                pages.append(bytearray(min(full, size - len(pages) * full)))
+        else:
+            keep = -(-size // full)
+            del pages[keep:]
+            if pages:
+                del pages[-1][size - (keep - 1) * full:]
+        self._size = size
+
+
 @dataclass
 class Inode:
     """One filesystem object."""
@@ -104,7 +172,7 @@ class Inode:
     mtime: float = 0.0
     ctime: float = 0.0
     generation: int = 0
-    data: bytearray = field(default_factory=bytearray)
+    data: FileData = field(default_factory=FileData)
     entries: Dict[str, int] = field(default_factory=dict)  # dirs only
     symlink_target: str = ""
 
@@ -294,12 +362,9 @@ class VirtualFS:
         if size < 0:
             raise VfsError(Status.INVAL, "negative size")
         grow = size - len(node.data)
-        if grow > 0:
-            if self.used_bytes() + grow > self.capacity_bytes:
-                raise VfsError(Status.NOSPC)
-            node.data.extend(b"\x00" * grow)
-        else:
-            del node.data[size:]
+        if grow > 0 and self.used_bytes() + grow > self.capacity_bytes:
+            raise VfsError(Status.NOSPC)
+        node.data.resize(size)
         self._used += grow
         node.size = size
 
@@ -492,7 +557,7 @@ class VirtualFS:
         self._require(node, cred, 4)
         if offset < 0 or count < 0:
             raise VfsError(Status.INVAL)
-        data = bytes(node.data[offset : offset + count])
+        data = node.data.read(offset, count)
         eof = offset + len(data) >= node.size
         self._touch(node, a=True)
         self.read_ops += 1
@@ -510,7 +575,7 @@ class VirtualFS:
         end = offset + len(data)
         if end > len(node.data):
             self._resize(node, end)  # zero-fills, or refuses with NOSPC
-        node.data[offset:end] = data
+        node.data.write(offset, data)
         node.size = len(node.data)
         self._touch(node, m=True, c=True)
         self.write_ops += 1

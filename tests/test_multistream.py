@@ -294,6 +294,35 @@ def test_landed_write_back_leaves_nothing_uncommitted(monkeypatch, servers):
     assert not uncommitted()
 
 
+# -- the streams sweep ---------------------------------------------------------
+# A 16 MiB IOzone write/read through a 6 MiB proxy cache, streams 1, 2,
+# 4 and 8.  When the write-behind window was sized by delivered rate
+# alone, an 8-stream leg at 20 ms wrote at half the 4-stream speed: the
+# window stuck below the channel count, each channel's share was one
+# FILE_SYNC WRITE, and the slow sync writes kept the rate estimate down.
+
+
+@pytest.mark.parametrize("rtt", [0.02, 0.08], ids=["20ms", "80ms"])
+def test_more_streams_never_write_slower(rtt):
+    """Writes never slow down as streams rise, and no block read ahead is
+    evicted unread.  Reads at 20 ms never slow down either; at 80 ms the
+    read pass is not monotone in streams (see CHANGES.md)."""
+    from repro.harness import run_workload
+    from repro.workloads.iozone import IOzoneWriteRead
+
+    size = 16 * MB
+    rows = []
+    for streams in (1, 2, 4, 8):
+        r = run_workload("sgfs-aes", lambda: IOzoneWriteRead(file_size=size), rtt=rtt,
+                         setup_kwargs={"disk_cache": True, "streams": streams,
+                                       "cache_capacity": 6 * MB})
+        assert r.stats["proxy.client"]["prefetch_evicted_unread"] == 0
+        rows.append((streams, size / r.phases["write"], size / r.phases["read"]))
+    for (_s, write, read), (_t, wider_write, wider_read) in zip(rows, rows[1:]):
+        assert wider_write >= write, rows
+        assert wider_read >= read or rtt > 0.02, rows
+
+
 # -- the engine actually pays its way ----------------------------------------
 
 
@@ -458,18 +487,19 @@ def test_write_in_the_instant_read_ahead_starts_is_not_overwritten():
 
     def job():
         fh, _attr = yield from mount.client.resolve("/a.bin")
-        leg.srtt_small, leg.srtt_bulk = 0.040, 0.050  # a 4-block window
-        # fetches blocks 0-3 and spawns read-ahead of 4-7 and 8-11 ...
+        # a 4-block pipe: 8-block bursts, two blocks a channel
+        leg.srtt_small, leg.srtt_bulk = 0.040, 0.050
+        # fetches blocks 0-7 and spawns read-ahead of 8-15 ...
         yield from _read_block(proxy, fh, 0)
         # ... which has not run yet when this WRITE arrives
-        assert proxy._blocks.state(fh.fileid, 5) == "fetching"
-        yield from _write_block(proxy, fh, 5, newer)
-        got = yield from _read_block(proxy, fh, 5)
+        assert proxy._blocks.state(fh.fileid, 9) == "fetching"
+        yield from _write_block(proxy, fh, 9, newer)
+        got = yield from _read_block(proxy, fh, 9)
         yield from mount.finish()
         return got
 
     assert tb.run(job()) == newer
-    expected = payload[:5 * BS] + newer + payload[6 * BS:]
+    expected = payload[:9 * BS] + newer + payload[10 * BS:]
     assert bytes(tb.fs.resolve("/a.bin", ROOT).data) == expected
     assert proxy.stats["writeback_errors"] == 0
     assert tb.sim.unobserved_deaths() == []
@@ -562,15 +592,13 @@ def test_read_ahead_goes_out_at_half_a_window_and_stays_in_its_span():
     it is free, instead of waiting for a whole window while the reader
     closes in on the bursts in flight; no READ at ``block`` claims a
     block at or past ``block + 1 + (depth + 1) * window``."""
-    from repro.proxy.upstream import WINDOWS_IN_FLIGHT as depth
-
     tb = Testbed.build(rtt=0.04)
     mount = setup_sgfs(tb, disk_cache=True, streams=4)
-    nblocks, window = 32, 4
+    nblocks, window, depth = 32, 4, 2
     payload = _pattern(nblocks * BS)
     _seed_server_file(tb, "h.bin", payload)
     proxy = mount.client_proxy
-    proxy._up.legs[0].window = lambda cap: window
+    proxy._pipeline = lambda read=False: (window, depth)
     blocks = proxy._blocks
     claim, reading, claimed = blocks.claim, [0], []
 

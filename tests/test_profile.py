@@ -249,16 +249,18 @@ def test_rwlock_contention_exports_wait_histogram():
 #: histogram's (count, sum, max).  Semaphores (biod slots, links),
 #: per-inode RwLocks and CPU cores all queue in it.  Re-captured when
 #: the proxy's write-behind stopped blocking the evicting WRITE on its
-#: own burst: the biod wait sum fell from 2.25 to 1.01 virtual seconds.
+#: own burst: the biod wait sum fell from 2.25 to 1.01 virtual seconds;
+#: and again when the proxy kept twice the pipe in flight in two-block
+#: channel shares (8-block bursts where it had sent 4-block ones).
 CONTENDED_SYNC = {
-    "rwlock_waits{lock=ino*}": (21, 0.10966404861363799, 0.007951472204545562),
-    "sem_waits{lock=biod}": (24, 1.005554691137873, 0.10225544185909063),
+    "rwlock_waits{lock=ino*}": (23, 0.07206620870454622, 0.007951472204545562),
+    "sem_waits{lock=biod}": (24, 0.93566023411363, 0.08111513974393897),
     "sem_waits{lock=client<->router:client->router}":
-        (23, 0.02297026750000007, 0.001640351250000005),
+        (20, 0.03210185249999996, 0.002743542500000029),
     "sem_waits{lock=cpu:client.core}":
-        (62, 0.02874973224999766, 0.0019609239999999195),
+        (58, 0.031630921749998486, 0.0019609239999999195),
     "sem_waits{lock=cpu:server.core}":
-        (21, 0.004969686749999647, 0.00023665174999998317),
+        (38, 0.004873080749999592, 0.00027218774999993034),
 }
 
 

@@ -72,7 +72,7 @@ class ProxyModel(RuleBasedStateMachine):
         leg = self.proxy._up.legs[0]
         self.streams = streams
         if streams > 1:  # windows that small files outrun: read-ahead runs
-            leg.window = lambda cap: window
+            leg.window = lambda: window
         # many writes evict; at 8 blocks a read window is 2 blocks wide
         self.proxy.cache.capacity_bytes = capacity * BS
         self.root = self.mount.client.root_fh

@@ -364,19 +364,55 @@ def test_the_rate_sample_counts_blocks_of_overlapping_bursts():
     assert up.rate == 16 / RTT and up.window() == 16
 
 
-def test_growth_past_the_one_block_estimate_stops_at_the_cap():
+def test_growth_past_the_one_block_estimate_stops_at_max_window():
+    """The leg's window is its pipe: what it delivers in a round trip,
+    past the one-block estimate, up to MAX_WINDOW; what the cache holds
+    is the client proxy's to size (:meth:`SgfsClientProxy._pipeline`)."""
     sim, up, _far = _paced()
     sim.run_until_complete(_burst(sim, up, 24))
-    assert [up.window(cap) for cap in (1, 8, 12, 24, 32)] == [8, 8, 12, 24, 24]
-    up.srtt_bulk = RTT + RTT / 32  # a one-block estimate of 32 stands above any cap
-    assert up.window(12) == 32
+    assert up.window() == 24
+    up.srtt_bulk = RTT + RTT / 32  # a one-block estimate of 32
+    assert up.window() == 32
+    up.srtt_bulk = RTT + RTT / 128
+    assert up.window() == MAX_WINDOW
+
+
+@pytest.mark.parametrize("streams, pipe, blocks, burst, depth, read", [
+    (1, 40, 128, 1, 1, 1),          # one stream: stop-and-wait
+    (4, 1, 128, 1, 2, 1),           # a one-block pipe: bursts of one
+    (4, 64, 1 << 17, 64, 2, 64),    # a cache that does not bind: two pipes
+    (4, 40, 128, 21, 4, 21),        # 2 x 40 in flight takes four sixths
+    (4, 64, 128, 16, 6, 16),        # no room for 2 x 64: 64 and two bursts
+    (8, 64, 128, 16, 6, 16),
+    (8, 6, 128, 16, 2, 16),         # never a one-block share
+    (4, 8, 4, 8, 2, 1),             # too small for two-block shares:
+    (4, 3, 8, 8, 2, 2),             # read ahead in a quarter of the cache
+])
+def test_the_proxy_keeps_twice_the_pipe_in_flight_in_bursts_the_cache_holds(
+        streams, pipe, blocks, burst, depth, read):
+    from types import SimpleNamespace
+
+    from repro.proxy.client_proxy import SgfsClientProxy
+    from repro.proxy.session_config import ProxyCacheConfig
+
+    proxy = SimpleNamespace(
+        _streams=streams, _up=SimpleNamespace(legs=[SimpleNamespace(window=lambda: pipe)]),
+        cache=ProxyCacheConfig(capacity_bytes=blocks * BS), _sized=((0, 0), (1, 1, 1)))
+    assert SgfsClientProxy._pipeline(proxy) == (burst, depth)
+    assert SgfsClientProxy._pipeline(proxy, read=True) == (read, depth)
+    if pipe > 1 and streams > 1:
+        assert burst >= 2 * streams  # each channel's share is two-phase
+        # the read-ahead span and one burst of hysteresis fit the cache
+        assert (depth + 1) * read + burst - 1 <= blocks or blocks < 8 * streams
+        covered = depth * burst >= min(2 * pipe, pipe + 2 * burst)
+        assert covered or blocks // (depth + 3) < 2 * streams
 
 
 def test_a_single_stream_leg_keeps_a_window_of_one():
     sim, up, _far = _paced(streams=1)
     sim.run_until_complete(_burst(sim, up, 24))
     assert up.rate == 24 / RTT
-    assert up.window() == up.window(MAX_WINDOW) == 1
+    assert up.window() == 1
 
 
 # -- two-phase write-back: a share of WRITEs is UNSTABLE + COMMIT ------------
