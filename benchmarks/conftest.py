@@ -7,9 +7,14 @@ seconds), attaches them to pytest-benchmark's ``extra_info``, and
 asserts the paper's *shape* claims — who wins, by roughly what factor,
 where crossovers fall.  Absolute virtual times are calibration-dependent
 and are not asserted beyond coarse sanity.
+
+Every benchmark ends under the tests' teardown rule
+(:mod:`tests.quiescence`).
 """
 
 from __future__ import annotations
+
+pytest_plugins = ["tests.quiescence"]
 
 
 def within_factor(value: float, target: float, tolerance: float) -> bool:

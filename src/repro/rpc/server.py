@@ -42,7 +42,7 @@ from repro.rpc.messages import (
 from repro.rpc.transport import TRANSPORT_ERRORS, StreamTransport, Transport
 from repro.sim.core import Simulator
 from repro.sim.cpu import CPU
-from repro.sim.sync import Channel
+from repro.sim.sync import Channel, ChannelClosed
 from repro.xdr import XdrError
 
 #: Size of every server's worker pool (the nfsd thread count).
@@ -99,7 +99,6 @@ class RpcServer:
         cost: EndpointCost = FREE,
         account: str = "rpc-server",
         name: str = "rpc-server",
-        drc: Optional[DuplicateRequestCache] = None,
     ):
         self.sim = sim
         self.cpu = cpu
@@ -118,7 +117,7 @@ class RpcServer:
         self._h_service_time: Dict[int, Histogram] = {}  # by proc
         self._programs: Dict[Tuple[int, int], RpcProgram] = {}
         self._versions: Dict[int, Tuple[int, int]] = {}
-        self.drc = drc if drc is not None else DuplicateRequestCache(sim, name=name)
+        self.drc = DuplicateRequestCache(sim, name=name)
         self._transports: list = []
         #: per-session FIFO of (record, enqueued_at); insertion-ordered
         self._session_q: Dict[Transport, Deque[Tuple[bytes, float]]] = {}
@@ -157,6 +156,14 @@ class RpcServer:
         self._transports.append(transport)
         self.sim.spawn(self._connection_loop(transport), name=f"{self.name}.conn")
 
+    def stop(self) -> None:
+        """Shut down: close every connection, and end the worker pool
+        once it has taken what is queued.  A request read after this is
+        dropped."""
+        for transport in list(self._transports):
+            transport.close()
+        self._work.close()
+
     def disconnect_all(self) -> None:
         """Tear down every active connection (crash injection)."""
         transports, self._transports = self._transports, []
@@ -170,7 +177,7 @@ class RpcServer:
                 if record is None:
                     return
                 self._enqueue(transport, record)
-        except TRANSPORT_ERRORS:
+        except (*TRANSPORT_ERRORS, ChannelClosed):  # a read after stop()
             return
         finally:
             if transport in self._transports:
@@ -208,7 +215,10 @@ class RpcServer:
         """One pool worker: take the next session in the rotation, serve
         one of its requests, rotate it to the back."""
         while True:
-            yield self._work.get()
+            try:
+                yield self._work.get()
+            except ChannelClosed:
+                return  # stopped, and the queue is drained
             transport = self._rr.popleft()
             q = self._session_q[transport]
             record, enqueued_at = q.popleft()

@@ -97,9 +97,11 @@ class ServiceEndpoint(RpcProgram):
         self._server.serve_listener(self._listener)
 
     def stop(self) -> None:
+        """Refuse new calls, close open ones, end the workers."""
         if self._listener is not None:
             self._listener.close()
             self._listener = None
+        self._server.stop()
 
     # -- request processing ----------------------------------------------------
 

@@ -22,7 +22,8 @@ class ScriptedTransport:
     """One fake connection.  ``answers`` decides whether the far end
     replies, ``far`` (a :class:`FarNfs`, else every call is answered
     ``b"ok"``) what it replies, ``rtt`` after how long (at once when 0);
-    :meth:`die` makes the reader see the peer close."""
+    :meth:`die` makes the reader see the peer close, and :meth:`close`
+    makes it see EOF, as a socket's own reader does."""
 
     def __init__(self, sim, answers=True, far=None, rtt=0.0):
         self.sim = sim
@@ -58,7 +59,9 @@ class ScriptedTransport:
         self._deliver(None)
 
     def close(self):
-        self.closed = True
+        if not self.closed:
+            self.closed = True
+            self._deliver(None)
 
     def _deliver(self, item):
         self._inbox.append(item)
@@ -144,11 +147,24 @@ class Dialer:
         return self.transports[-1]
 
 
+#: the sessions :func:`_session` opened in the running test
+OPENED = []
+
+
+@pytest.fixture(autouse=True)
+def close_sessions():
+    """A test's sessions end with it: each channel's pump sees EOF."""
+    yield
+    while OPENED:
+        OPENED.pop().close()
+
+
 def _session(streams=1, script=(), far=None, rtt=0.0):
     sim = Simulator()
     dialer = Dialer(sim, script, far, rtt)
     up = UpstreamSession(sim, dialer, streams=streams, retry_base=0.25)
     sim.run_until_complete(sim.spawn(up.connect()))
+    OPENED.append(up)
     return sim, dialer, up
 
 

@@ -179,6 +179,23 @@ def pool(sessions):
     return sim, server, program, transports
 
 
+def test_a_stopped_server_drops_a_late_request_and_ends_its_processes(made):
+    """``stop()`` closes the sessions and the work channel: a request the
+    connection reads after it is dropped, not a dead process, and the
+    workers and the connection's reader end."""
+    from repro.sim.process import Process
+
+    sim, server, program, (t,) = pool(1)
+    t.feed(b"early")
+    sim.run()
+    t.feed(b"late")  # delivered to the reader, which has not run yet
+    server.stop()
+    sim.run()
+    assert program.order == [b"early"] and server.calls_served == 1
+    assert sim.died == []
+    assert not [p.name for p in made[Process] if p.alive]
+
+
 def test_pool_serves_one_session_fifo_with_at_most_eight_overlapping():
     sim, server, program, (t,) = pool(1)
     tags = [b"a%02d" % i for i in range(2 * WORKERS + 4)]
@@ -347,6 +364,7 @@ def _exchange_until_timeout(sim, transport, record):
         assert table.outstanding == 0
 
     sim.run_until_complete(sim.spawn(go()))
+    transport.close()  # and the table's pump ends with it
 
 
 def test_retransmission_on_a_plain_transport_costs_no_event():

@@ -266,6 +266,36 @@ def test_service_cpu_charged_for_message_security():
     assert tb.server.cpu.busy_total("services") > 0
 
 
+def test_a_stopped_service_ends_its_processes_and_refuses_calls(made):
+    """``stop()`` ends everything the endpoint runs — its accept loop,
+    its worker pool and a connection still open — with nothing else
+    closed, and the next call is refused."""
+    from repro.net.errors import ConnectionRefused
+    from repro.sim.process import Process
+
+    tb, rng, ca, anchors, user, ids, fss_client, fss_server, dss = deploy()
+    me = ServiceClient(tb.sim, tb.client, user, anchors, rng=rng.fork("me"))
+    friend = {"filesystem": "/GFS/ming", "dn": "/C=US/O=UFL/CN=Friend",
+              "account": "ming"}
+
+    def scenario():
+        yield from me.call("server", 5002, "GrantAccess", friend)
+        idle = yield from tb.client.connect("server", 5002)  # sends nothing
+        yield tb.sim.timeout(0.1)
+        dss.stop()
+        eof = yield from idle.recv()
+        yield tb.sim.timeout(0.1)
+        with pytest.raises(ConnectionRefused):
+            yield from me.call("server", 5002, "GrantAccess", friend)
+        return eof
+
+    assert tb.run(scenario()) == b""
+    mine = [p for p in made[Process] if p.name.startswith("dss:5002.")]
+    assert {p.name for p in mine} >= {"dss:5002.accept", "dss:5002.conn",
+                                      "dss:5002.worker7"}
+    assert not [p.name for p in mine if p.alive]
+
+
 # -- the envelope on the wire ---------------------------------------------------------
 
 

@@ -124,13 +124,18 @@ def test_peek_reports_next_event_time():
 
 def test_max_events_guard():
     sim = Simulator()
+    armed = [True]
 
     def rearm():
-        sim.call_later(0.001, rearm)
+        if armed:
+            sim.call_later(0.001, rearm)
 
     rearm()
     with pytest.raises(SimError, match="max_events"):
         sim.run(max_events=100)
+    armed.clear()  # the timer now fires once more and stops
+    sim.run()
+    assert sim.peek() == float("inf")
 
 
 def test_deterministic_replay():

@@ -204,6 +204,8 @@ def test_rwlock_shared_readers_exclusive_writer():
     assert not lock.try_acquire_read()
     lock.release_write()
     assert lock.try_acquire_read()
+    lock.release_read()
+    assert lock.readers == 0
 
 
 def test_rwlock_fifo_no_reader_barging():
