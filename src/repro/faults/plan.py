@@ -124,14 +124,17 @@ class FaultPlan:
     def schedule(self, handlers: Dict[str, Tuple]) -> None:
         """Spawn crash/restart processes for this plan's CrashEvents.
 
-        ``handlers`` maps target name -> ``(crash_fn, restart_fn)``;
-        events naming an unregistered target are skipped.
+        ``handlers`` maps target name -> ``(crash_fn, restart_fn)``.  An
+        event naming a target with no handler raises ``ValueError``
+        before anything is spawned: a crash aimed at nothing would run
+        clean and say nothing.
         """
+        missing = sorted({ev.target for ev in self.spec.crashes} - handlers.keys())
+        if missing:
+            raise ValueError(f"no crash target named {', '.join(missing)}; "
+                             f"this run has {', '.join(sorted(handlers))}")
         for ev in self.spec.crashes:
-            pair = handlers.get(ev.target)
-            if pair is None:
-                continue
-            crash_fn, restart_fn = pair
+            crash_fn, restart_fn = handlers[ev.target]
             self.sim.spawn(
                 self._crash_proc(ev, crash_fn, restart_fn),
                 name=f"fault-crash:{ev.target}",

@@ -74,13 +74,14 @@ def install_faults(tb: Testbed, faults, fault_seed: str,
                    server_proxies) -> Optional[FaultPlan]:
     """Arm ``faults`` (preset name, spec or None) on a built testbed and
     return the plan, if any.  Its crash events may name ``server`` (the
-    home nfsd), ``server-proxy`` (``server_proxies[0]``) or ``backendN``
-    (backend N's nfsd and ``server_proxies[N]``, down together)."""
+    home nfsd), ``server-proxy`` (``server_proxies[0]``, where the setup
+    has one) or ``backendN`` (backend N's nfsd and ``server_proxies[N]``,
+    down together); an event naming any other target raises
+    ``ValueError`` before the run (:meth:`FaultPlan.schedule`)."""
     spec = resolve_fault_preset(faults)
     if spec is None:
         return None
     plan = FaultPlan(tb.sim, spec, seed=fault_seed)
-    plan.install(tb.net)
     handlers = {"server": (tb.crash_nfs_server, tb.restart_nfs_server)}
     for b, proxy in enumerate(server_proxies):
         if b == 0:
@@ -98,7 +99,7 @@ def install_faults(tb: Testbed, faults, fault_seed: str,
 
         handlers[f"backend{b}"] = (crash, restart)
     plan.schedule(handlers)
-    return plan
+    return plan.install(tb.net)
 
 
 def apply_fault_timeouts(plan: Optional[FaultPlan], mount: Mount) -> None:

@@ -217,14 +217,16 @@ class CacheSize:
 
 @dataclass(slots=True)
 class _Row:
-    """One block: cached ``data`` (``dirty`` or clean, and ``unread``
-    when read ahead and not yet read), the ``fetch`` event of a fetch
-    not yet landed, the ``wire`` bytes of a write-back not yet landed.
-    A row with none of the three is absent."""
+    """One block: cached ``data`` (``dirty`` or clean; ``unread`` when
+    read ahead and not yet read, ``staged`` when read off the disk in an
+    earlier block's run and not yet read), the ``fetch`` event of a
+    fetch not yet landed, the ``wire`` bytes of a write-back not yet
+    landed.  A row with none of the three is absent."""
 
     data: Optional[bytes] = None
     dirty: bool = False
     unread: bool = False
+    staged: bool = False
     fetch: Optional[Event] = None
     wire: Optional[bytes] = None
 
@@ -324,7 +326,7 @@ class BlockCache:
         row = self._rows.get((fileid, block))
         if row is not None and row.data is not None:
             self._rows.move_to_end((fileid, block))
-            row.unread = False
+            row.unread = row.staged = False
             self.counts.hits += 1
             return row.data
         got = self.peek(fileid, block)
@@ -334,19 +336,35 @@ class BlockCache:
             self.counts.misses += 1
         return got
 
-    def read(self, fileid: int, block: int):
+    def read(self, fileid: int, block: int, window: int = 1):
         """Process generator — READ's question: :meth:`get`, paying the
         disk read of cached bytes; the answer is the block as it stands
         after that read (a write served meanwhile is in it).  A block a
         fetch filled that nothing has read yet (*unread*) is answered
         from the memory the fetch brought it in, once: later reads pay
-        the disk."""
-        unread = getattr(self._rows.get((fileid, block)), "unread", False)
+        the disk.
+
+        The disk access that reads a block also reads the cached blocks
+        after it, up to ``window`` blocks in all, in one run that stops
+        at the first block absent, in flight or already in memory.  Each
+        block of the run is *staged*: its next read is answered from
+        memory, as an unread block's is."""
+        row = self._rows.get((fileid, block))
+        in_memory = row is not None and (row.unread or row.staged)
         got = self.get(fileid, block)
-        if self.disk is not None and not unread and (fileid, block) in self:
-            yield from self.disk.read(len(got), cached=False)
-            return self.peek(fileid, block)
-        return got
+        if self.disk is None or in_memory or row is None or row.data is None:
+            return got
+        nbytes = len(got)
+        rows = self._files[fileid]
+        for b in range(block + 1, block + window):
+            nxt = rows.get(b)
+            if nxt is None or nxt.data is None or nxt.fetch is not None \
+                    or nxt.unread or nxt.staged:
+                break
+            nxt.staged = True
+            nbytes += len(nxt.data)
+        yield from self.disk.read(nbytes, cached=False)
+        return self.peek(fileid, block)
 
     def current(self, fileid: int, block: int):
         """Process generator — WRITE's merge question: the block's bytes
@@ -400,7 +418,7 @@ class BlockCache:
             self.bytes -= len(row.data)
             if row.dirty:
                 self.dirty_bytes -= len(row.data)
-        row.data, row.unread = data, unread
+        row.data, row.unread, row.staged = data, unread, False
         self.bytes += len(data)
         self._rows.move_to_end(key)
         if dirty and not row.dirty:

@@ -477,8 +477,14 @@ class NfsClient:
     # ------------------------------------------------------------------
 
     def open(self, path: str, create: bool = False, truncate: bool = False,
-             mode: int = 0o644):
-        """Open with close-to-open semantics: revalidate on every open."""
+             mode: int = 0o644, write: bool = False):
+        """Open with close-to-open semantics: revalidate on every open.
+
+        As Linux's ``nfs_may_open``, the open is checked against the
+        ACCESS bits: a read open needs READ, a write open (``write``,
+        ``create`` or ``truncate``) MODIFY or EXTEND; else it fails with
+        ``ACCES``.  Only the open is checked: a revoke reaches an open
+        file's later calls no sooner than the access cache's timeout."""
         try:
             fh, attr = yield from self.resolve(path)
         except NfsClientError as exc:
@@ -493,15 +499,21 @@ class NfsClient:
         # Close-to-open: force a fresh GETATTR, dropping stale pages.
         attr = yield from self.getattr_fh(fh, force=True)
         # Kernel open() also permission-checks via ACCESS (cached).
-        if self.access_cache.get(fh.fileid, self.cred.uid) is None:
+        granted = self.access_cache.get(fh.fileid, self.cred.uid)
+        if granted is None:
             res = yield from self._call(
                 Proc.ACCESS, pr.pack_access_args(fh, pr.ACCESS_ALL)
             )
-            status, a_attr, granted = pr.unpack_access_res(res)
+            status, a_attr, bits = pr.unpack_access_res(res)
             if status == NfsStatus.OK:
                 if a_attr is not None:
                     self.attrs.put(a_attr)
-                self.access_cache.put(fh.fileid, self.cred.uid, granted)
+                self.access_cache.put(fh.fileid, self.cred.uid, bits)
+                granted = bits
+        need = (pr.ACCESS_MODIFY | pr.ACCESS_EXTEND if write or create or truncate
+                else pr.ACCESS_READ)
+        if granted is not None and not granted & need:
+            raise NfsClientError(Status.ACCES, f"open {path}")
         if truncate and attr.size:
             after = yield from self._setattr(fh, Sattr3(size=0), f"O_TRUNC {path}")
             attr = after if after is not None else attr

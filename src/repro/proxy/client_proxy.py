@@ -436,13 +436,15 @@ class SgfsClientProxy:
             return (yield from self._forward(call))
         block = offset // bs
         yield from self._maybe_revalidate(fh)
-        got = yield from self._blocks.read(fh.fileid, block)
+        # the cache disk reads a run of cached blocks, one read window
+        window = self._pipeline(read=True)[0]
+        got = yield from self._blocks.read(fh.fileid, block, window)
         self.stats["data_hits" if isinstance(got, bytes) else "data_misses"] += 1
         while isinstance(got, Event):
             # another window has this block in flight: a miss that
             # coalesces onto it
             yield got
-            got = yield from self._blocks.read(fh.fileid, block)
+            got = yield from self._blocks.read(fh.fileid, block, window)
         if got is None:
             reply = yield from self._read_window(call, fh, block, count)
         else:

@@ -106,7 +106,7 @@ class PostMark:
                     pass
             else:
                 try:
-                    f = yield from cl.open(path)
+                    f = yield from cl.open(path, write=True)
                     extra = rng.randint(cfg.min_size, cfg.max_size // 4)
                     yield from cl.write(f, f.size, self._content(extra))
                     yield from cl.close(f)

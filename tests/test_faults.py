@@ -18,7 +18,8 @@ from repro.faults import (
     LinkFlap,
     resolve_fault_preset,
 )
-from repro.harness.runner import run_iozone, run_postmark
+from repro.harness.fleet import run_fleet
+from repro.harness.runner import run_iozone, run_postmark, run_workload
 from repro.sim import Simulator
 from repro.vfs.fs import Credentials
 from repro.workloads.postmark import PostMarkConfig
@@ -230,6 +231,37 @@ def test_proxy_restart_preset_is_not_a_no_op_on_sfs():
     assert r.stats["proxy.server"]["sessions"] == 2
     assert clean.stats["proxy.server"]["sessions"] == 1
     assert r.total > clean.total
+
+
+class _Untouched:
+    """A workload that records whether it ever started."""
+
+    started = False
+
+    def run(self, mount):
+        self.started = True
+        yield from ()
+
+
+@pytest.mark.parametrize("setup, target", [
+    ("nfs-v3", "server-proxy"),  # the proxy-restart preset's target
+    ("sgfs-aes", "backend3"),
+])
+def test_a_crash_aimed_at_no_target_is_refused(setup, target):
+    """A crash naming a target the run does not have raises before the
+    workload starts, instead of running clean with no crash."""
+    spec = FaultSpec(crashes=(CrashEvent(at=0.5, target=target, down_for=0.3),))
+    faults = "proxy-restart" if target == "server-proxy" else spec
+    workload = _Untouched()
+    with pytest.raises(ValueError, match=target):
+        run_workload(setup, lambda: workload, faults=faults)
+    assert not workload.started
+
+
+def test_a_fleet_crash_aimed_at_no_target_is_refused():
+    spec = FaultSpec(crashes=(CrashEvent(at=0.5, target="backend3", down_for=0.3),))
+    with pytest.raises(ValueError, match="backend3"):
+        run_fleet("sgfs-aes", _Untouched, clients=2, servers=2, faults=spec)
 
 
 def test_dirty_writeback_survives_server_proxy_restart():

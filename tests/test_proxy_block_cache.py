@@ -176,17 +176,22 @@ def test_a_consumed_block_is_evicted_before_unread_read_ahead():
     assert cache.stats["prefetch_evicted_unread"] == 1
 
 
-def test_a_fetched_block_answers_its_first_read_from_memory():
-    """A block a fetch filled and no READ has touched is answered
-    without the cache disk, once; its fill still goes to the disk, and
-    every later read of it pays a disk read."""
+def _disk_cache(blocks: int):
     sim = Simulator()
     disk = DiskModel(sim, "cache-disk")
-    cache = BlockCache(sim, CacheSize(block_size=BS, capacity_bytes=4 * BS), disk)
+    cache = BlockCache(sim, CacheSize(block_size=BS, capacity_bytes=blocks * BS), disk)
 
     def do(gen):
         return sim.run_until_complete(sim.spawn(gen))
 
+    return cache, disk, do
+
+
+def test_a_fetched_block_answers_its_first_read_from_memory():
+    """A block a fetch filled and no READ has touched is answered
+    without the cache disk, once; its fill still goes to the disk, and
+    every later read of it pays a disk read."""
+    cache, disk, do = _disk_cache(4)
     do(cache.fill(1, 0, b"a" * BS, unread=True))
     do(cache.fill(1, 1, b"b" * BS))  # the demand block: its reply is answered
     assert (disk.writes, disk.reads) == (2, 0)
@@ -195,6 +200,67 @@ def test_a_fetched_block_answers_its_first_read_from_memory():
     assert do(cache.read(1, 0)) == b"a" * BS
     assert disk.reads == 1
     assert do(cache.read(1, 1)) == b"b" * BS
+    assert disk.reads == 2
+
+
+def test_a_read_pays_one_disk_access_for_its_run():
+    """The access that reads a cached block reads the cached blocks after
+    it too, one window in all; each answers its next read from memory,
+    and a read after that pays the disk again."""
+    cache, disk, do = _disk_cache(16)
+    _fill(cache, do, 1, range(8), dirty=True)
+    reads, nbytes = disk.reads, disk.bytes_read
+    assert do(cache.read(1, 0, window=4)) == bytes([0]) * BS
+    assert (disk.reads - reads, disk.bytes_read - nbytes) == (1, 4 * BS)
+    for b in (1, 2, 3):
+        assert do(cache.read(1, b, window=4)) == bytes([b]) * BS
+    assert (disk.reads - reads, disk.bytes_read - nbytes) == (1, 4 * BS)
+    assert do(cache.read(1, 4, window=4)) == bytes([4]) * BS
+    assert (disk.reads - reads, disk.bytes_read - nbytes) == (2, 8 * BS)
+    do(cache.read(1, 1, window=4))  # read once already: the disk again
+    assert disk.reads - reads == 3
+
+
+def _hole(cache, do):
+    """Block 3 is never cached."""
+
+
+def _in_flight(cache, do):
+    cache.claim(1, [3])
+    do(cache.fill(1, 3, bytes([3]) * BS))  # filled, its fetch not landed
+
+
+def _unread(cache, do):
+    do(cache.fill(1, 3, bytes([3]) * BS, unread=True))
+
+
+def _staged(cache, do):
+    do(cache.fill(1, 3, bytes([3]) * BS))
+    do(cache.read(1, 2, window=2))  # its run puts 3 in memory
+
+
+@pytest.mark.parametrize("block3", [_hole, _in_flight, _unread, _staged])
+def test_a_run_stops_at_a_block_not_to_read_off_the_disk(block3):
+    """Blocks 0-2 and 4-5 cached; block 3 absent, in flight, read ahead
+    and unread, or staged by an earlier run: the run from block 0 reads
+    blocks 0-2 only, and block 4's read pays an access of its own."""
+    cache, disk, do = _disk_cache(16)
+    _fill(cache, do, 1, [0, 1, 2, 4, 5], dirty=False)
+    block3(cache, do)
+    reads, nbytes = disk.reads, disk.bytes_read
+    do(cache.read(1, 0, window=6))
+    assert (disk.reads - reads, disk.bytes_read - nbytes) == (1, 3 * BS)
+    do(cache.read(1, 4, window=1))
+    assert disk.reads - reads == 2
+    cache.landed(1, [3])
+
+
+def test_a_run_stops_at_the_window():
+    cache, disk, do = _disk_cache(16)
+    _fill(cache, do, 1, range(6), dirty=False)
+    do(cache.read(1, 0, window=3))
+    assert (disk.reads, disk.bytes_read) == (1, 3 * BS)
+    do(cache.read(1, 3, window=1))
     assert disk.reads == 2
 
 

@@ -16,10 +16,11 @@ from repro.core.topology import Testbed
 from repro.gsi import DistinguishedName
 from repro.gsi.gridmap import Gridmap, UnmappedPolicy
 from repro.nfs.client import NfsClientError
+from repro.nfs.protocol import ACCESS_LOOKUP, ACCESS_READ
 from repro.proxy.accounts import Account
 from repro.proxy.acl import AclEntry
 from repro.rpc.auth import AuthSys, OpaqueAuth
-from repro.vfs.fs import Credentials
+from repro.vfs.fs import Credentials, Status
 
 
 def test_identity_mapping_rewrites_uid():
@@ -84,6 +85,58 @@ def test_access_answered_from_acl():
 
     assert tb.run(job()) == 0
     assert mount.server_proxy.stats.acl_answers >= 1
+
+
+def _guarded(bits: int, deny: bool = False):
+    """A mount whose user's ACL entry on ``/guarded.txt`` (holding
+    ``secret``) grants ``bits``, or denies them; the client's access
+    cache is cleared, so the next open asks."""
+    tb = Testbed.build()
+    mount = setup_sgfs(tb)
+
+    def job():
+        yield from mount.client.write_file("/guarded.txt", b"secret")
+
+    tb.run(job())
+    mount.server_proxy.acls.set_acl(
+        tb.fs.root.fileid, "guarded.txt", [AclEntry(str(USER_DN), bits, deny=deny)])
+    mount.client.access_cache.clear()
+    return tb, mount
+
+
+def _refused(tb, op) -> bool:
+    def job():
+        try:
+            yield from op
+        except NfsClientError as exc:
+            assert exc.status == Status.ACCES
+            return True
+        return False
+
+    return tb.run(job())
+
+
+@pytest.mark.parametrize("deny", [True, False])
+def test_a_deny_refuses_the_open(deny):
+    """A deny entry (or one that grants nothing) refuses both opens with
+    ``ACCES``, and the server's bytes stay as they were."""
+    tb, mount = _guarded(0, deny=deny)
+    cl = mount.client
+    assert _refused(tb, cl.read_file("/guarded.txt"))
+    assert _refused(tb, cl.write_file("/guarded.txt", b"EVIL!!"))
+    assert _refused(tb, cl.open("/guarded.txt", write=True))
+    assert bytes(tb.fs.resolve("/guarded.txt", Credentials(0, 0)).data) == b"secret"
+
+
+def test_read_only_acl_opens_for_read_and_refuses_a_write():
+    """READ alone opens for reading; an append (a write open) and a
+    truncating write are refused."""
+    tb, mount = _guarded(ACCESS_READ | ACCESS_LOOKUP)
+    cl = mount.client
+    assert tb.run(cl.read_file("/guarded.txt")) == b"secret"
+    assert _refused(tb, cl.open("/guarded.txt", write=True))
+    assert _refused(tb, cl.write_file("/guarded.txt", b"EVIL!!"))
+    assert bytes(tb.fs.resolve("/guarded.txt", Credentials(0, 0)).data) == b"secret"
 
 
 def test_access_unix_fallback_when_no_acl():
