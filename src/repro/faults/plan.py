@@ -27,10 +27,12 @@ not the host's own kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.drbg import Drbg
 from repro.obs.schema import zeros
+from repro.sim.core import Interrupt
+from repro.sim.process import Process, all_of
 
 
 @dataclass(frozen=True)
@@ -107,6 +109,8 @@ class FaultPlan:
         self._rng = root.fork("packets")
         self._flaps = spec.all_flaps()
         self._net = None
+        #: the crash/restart processes :meth:`schedule` spawned
+        self._procs: List[Process] = []
         self.stats: Dict[str, int] = zeros("faults")
 
     # -- lifecycle -------------------------------------------------------
@@ -116,7 +120,15 @@ class FaultPlan:
         self._net = net
         return self
 
-    def uninstall(self) -> None:
+    def close(self):
+        """Process generator: the run is over.  Each crash/restart process
+        still waiting stops where it is (a target it crashed stays down)
+        and its timer leaves the queue; then the plan leaves the network."""
+        live = [proc for proc in self._procs if proc.alive]
+        for proc in live:
+            proc.interrupt("the run ended")
+        if live:
+            yield all_of(self.sim, live)
         if self._net is not None and self._net.fault_plan is self:
             self._net.fault_plan = None
         self._net = None
@@ -133,19 +145,23 @@ class FaultPlan:
         if missing:
             raise ValueError(f"no crash target named {', '.join(missing)}; "
                              f"this run has {', '.join(sorted(handlers))}")
-        for ev in self.spec.crashes:
-            crash_fn, restart_fn = handlers[ev.target]
-            self.sim.spawn(
-                self._crash_proc(ev, crash_fn, restart_fn),
-                name=f"fault-crash:{ev.target}",
-            )
+        self._procs = [
+            self.sim.spawn(self._crash_proc(ev, *handlers[ev.target]),
+                           name=f"fault-crash:{ev.target}")
+            for ev in self.spec.crashes
+        ]
 
     def _crash_proc(self, ev: CrashEvent, crash_fn, restart_fn):
-        yield self.sim.timeout(ev.at)
-        self.stats["crashes"] += 1
-        crash_fn()
-        yield self.sim.timeout(ev.down_for)
-        restart_fn()
+        timer = self.sim.timeout(ev.at)
+        try:
+            yield timer
+            self.stats["crashes"] += 1
+            crash_fn()
+            timer = self.sim.timeout(ev.down_for)
+            yield timer
+            restart_fn()
+        except Interrupt:  # :meth:`close`
+            self.sim.cancel(timer)
 
     # -- per-packet decision ---------------------------------------------
 

@@ -439,7 +439,7 @@ def run_fleet(
 
     sim.run_until_complete(sim.spawn(supervisor(), name="fleet-join"))
     if plan is not None:
-        plan.uninstall()
+        tb.run(plan.close(), name="faults-close")
     if errors:
         raise errors[0]
 

@@ -258,7 +258,7 @@ def run_workload(
     wb_seconds, _wb_blocks, wb_bytes = tb.run(mount.finish(), name="finish")
     t_end = tb.sim.now
     if plan is not None:
-        plan.uninstall()
+        tb.run(plan.close(), name="faults-close")
 
     result = ExperimentResult(
         setup=setup,

@@ -276,7 +276,8 @@ class BlockCache:
         #: fileid -> how many of its blocks are writing
         self._on_wire: Counter = Counter()
         #: fileid -> the read-ahead cursor: the first block past the
-        #: windows already fetched or in flight ahead of its reader
+        #: windows already fetched or in flight ahead of its reader, or
+        #: the lowest block evicted below them since
         self.ahead: Dict[int, int] = {}
         #: read-ahead and write-back processes, oldest first -> (whether
         #: it writes, the blocks it carries); one that failed stays until joined
@@ -467,7 +468,10 @@ class BlockCache:
         dirty ones become *writing* — out of the dirty set before the
         caller yields to the (slow) write-back, so a re-dirty while the
         WRITE is in flight is a new dirty block — and are returned in
-        eviction order for the caller to write back."""
+        eviction order for the caller to write back.  A victim below its
+        file's read-ahead cursor pulls the cursor back to it: the cursor
+        may have passed it while it was cached, and the next read-ahead
+        claims it again instead of its reader missing it."""
         victims: List[DirtyItem] = []
         if self.bytes <= self.config.capacity_bytes:
             return victims
@@ -480,6 +484,8 @@ class BlockCache:
             row = rows[key]
             self.bytes -= len(row.data)
             self.counts.evictions += 1
+            if key[1] < self.ahead.get(key[0], 0):
+                self.ahead[key[0]] = key[1]
             if row.unread:
                 self.stats["prefetch_evicted_unread"] += 1
             if row.dirty:

@@ -457,7 +457,7 @@ class SgfsClientProxy:
         if count == bs and self._streams > 1:
             # drop-behind: the reader is past this block
             self._blocks.consumed(fh.fileid, block)
-        self._read_ahead(call, fh, block)
+        self._read_ahead(call, fh, block + 1)
         return reply
 
     def _local(self, call: CallMessage, results: bytes, disk: int = 0):
@@ -526,7 +526,12 @@ class SgfsClientProxy:
 
         Fetches the demanded block — always whole, regardless of the
         requested count — plus up to window-1 sequential successors in
-        one burst, and moves the file's read-ahead cursor past them."""
+        one burst, and moves the file's read-ahead cursor past them.  The
+        read-ahead span leaves in the same instant, behind the demand
+        burst, not a round trip later (:meth:`_spans_with_demand` says
+        when): the demand window, ``block`` too, is the reader's window
+        of that span (:meth:`_read_ahead` from ``block``), unread until
+        it lands."""
         bs = self.cache.block_size
         blocks = self._blocks
         wanted = blocks.claim(fh.fileid, [block])
@@ -535,7 +540,12 @@ class SgfsClientProxy:
             end = min(block + self._pipeline(read=True)[0], (attr.size + bs - 1) // bs)
             wanted += blocks.claim(fh.fileid, range(block + 1, end))
             blocks.ahead[fh.fileid] = end
-        results = yield from self._fetch(call, fh, wanted)
+        if not self._spans_with_demand():
+            results = yield from self._fetch(call, fh, wanted)
+        else:
+            demand = self.sim.spawn(self._fetch(call, fh, wanted), name="cproxy-demand")
+            self._read_ahead(call, fh, block)
+            results = yield demand
         reply, res = results[0]
         if res is not None:
             status, rattr, data, eof = res  # data is b"" unless OK
@@ -552,16 +562,33 @@ class SgfsClientProxy:
         return (yield from self._forward(
             replace(call, args=pr.pack_read_args(fh, block * bs, bs))))
 
-    def _read_ahead(self, call: CallMessage, fh: FileHandle, block: int) -> None:
-        """Keep the reader's window and ``depth`` more after a READ at
-        ``block`` cached or in flight (:meth:`_pipeline`): the blocks
-        ``block + 1`` … ``block + (depth + 1) * window`` not yet fetched
-        or in flight go out in background bursts of at most a window, as
+    def _spans_with_demand(self) -> bool:
+        """Whether a demand miss sends the read-ahead span with it: once
+        the read window is wider than a block and the span, demand window
+        included, fits under the cache's low-water mark
+        (:meth:`BlockCache.low_water`).  A one-block window is a
+        single-stream leg's, or a pipe not yet measured: the demand burst
+        is its first bulk sample, and the span waits to be sized by it.
+        In a cache under eight blocks a stream (:meth:`_pipeline`) a span
+        landing at once on the blocks still cached would evict some of
+        itself unread."""
+        window, depth = self._pipeline(read=True)
+        low = self._blocks.low_water(self._pipeline()[0])
+        return window > 1 and (depth + 1) * window * self.cache.block_size <= low
+
+    def _read_ahead(self, call: CallMessage, fh: FileHandle, first: int) -> None:
+        """Keep the reader's window and ``depth`` more cached or in flight
+        from ``first``, the first block the reader has not read
+        (:meth:`_pipeline`): the blocks ``first`` … ``first - 1 + (depth +
+        1) * window`` not yet fetched or in flight go out in background
+        bursts of at most a window, as
         soon as half a window of them is free — a burst that waited for
         a whole window would let a reader served from memory catch the
         ones in flight.  Each burst's absent blocks are claimed before it
         is spawned, so demand misses and writes wait for it.  The
-        per-file cursor makes this O(1) per READ; nothing runs ahead on a
+        per-file cursor makes this O(1) per READ but after an eviction
+        behind it (:meth:`BlockCache.evict` pulls it back, and the span
+        is claimed again from ``first``); nothing runs ahead on a
         single-stream leg."""
         attr = self._attrs.get(fh.fileid)
         if self._streams == 1 or attr is None:
@@ -570,10 +597,10 @@ class SgfsClientProxy:
         window, depth = self._pipeline(read=True)
         bs = self.cache.block_size
         nblocks = (attr.size + bs - 1) // bs
-        end = min(block + 1 + (depth + 1) * window, nblocks)
+        end = min(first + (depth + 1) * window, nblocks)
         nxt = blocks.ahead.get(fh.fileid, 0)
-        if not block < nxt <= end:
-            nxt = block + 1  # the reader moved: start again behind it
+        if not first <= nxt <= end:
+            nxt = first  # the reader moved: start again behind it
         # half a window free is enough, and so is whatever the end of
         # the file leaves
         while 2 * (end - nxt) >= window or nxt < end == nblocks:

@@ -31,6 +31,9 @@ from repro.tls.channel import SecureChannel, client_handshake
 #: bulk data procedures — the traffic round-robined across channels
 _BULK_PROCS = frozenset((int(pr.Proc.READ), int(pr.Proc.WRITE)))
 _WRITE, _COMMIT = int(pr.Proc.WRITE), int(pr.Proc.COMMIT)
+#: small calls that make nfsd flush before it answers, as a FILE_SYNC
+#: WRITE does: the namespace and attribute mutations
+_SYNC_PROCS = frozenset(int(p) for p in pr.NON_IDEMPOTENT_PROCS)
 
 #: EWMA gain for the per-session RTT estimators (RFC 6298's 1/8)
 _RTT_ALPHA = 0.125
@@ -147,8 +150,10 @@ class UpstreamSession:
         #: smoothed RTT estimators (virtual seconds, deterministic):
         #: small control RPCs approximate the raw round trip, bulk block
         #: RPCs that cross alone add the per-block service time — their
-        #: gap sizes the pipeline window (see :meth:`window`)
+        #: gap sizes the pipeline window (see :meth:`window`).  Small
+        #: mutations, which make nfsd flush, keep an estimator of their own
         self.srtt_small: Optional[float] = None
+        self.srtt_sync: Optional[float] = None
         self.srtt_bulk: Optional[float] = None
         #: bursts in flight on the leg (see :meth:`burst`)
         self._bursting = 0
@@ -182,13 +187,18 @@ class UpstreamSession:
             )
         return self
 
-    def _observe_rtt(self, bulk: bool, sample: float) -> None:
-        prev = self.srtt_bulk if bulk else self.srtt_small
-        srtt = sample if prev is None else prev + _RTT_ALPHA * (sample - prev)
-        if bulk:
-            self.srtt_bulk = srtt
-        else:
-            self.srtt_small = srtt
+    def _observe_rtt(self, bulk: bool, sample: float, sync: bool = False) -> None:
+        """Feed one round trip to its estimator.  ``sync``: the call made
+        nfsd flush before it answered.  A small one feeds
+        :attr:`srtt_sync`; a bulk one (a lone FILE_SYNC WRITE) is measured
+        against those calls, like with like: it feeds :attr:`srtt_bulk`
+        less their flush, what the same block costs a burst member
+        (UNSTABLE, one COMMIT per share) that does not flush alone."""
+        if bulk and sync and self.srtt_sync is not None and self.srtt_small is not None:
+            sample -= self.srtt_sync - self.srtt_small
+        attr = "srtt_bulk" if bulk else "srtt_sync" if sync else "srtt_small"
+        prev = getattr(self, attr)
+        setattr(self, attr, sample if prev is None else prev + _RTT_ALPHA * (sample - prev))
 
     def window(self) -> int:
         """How many bulk blocks this leg's round trip holds: its pipe.
@@ -262,7 +272,8 @@ class UpstreamSession:
         started = self.sim.now
         reply = yield from self._send(xid, record, channel)
         if sample:
-            self._observe_rtt(bulk, self.sim.now - started)
+            self._observe_rtt(bulk, self.sim.now - started,
+                              call.prog == pr.NFS_PROGRAM and call.proc in _SYNC_PROCS)
         if self.streams > 1:
             self._note_stream(channel, len(record))
         return reply
@@ -382,7 +393,8 @@ class UpstreamSession:
         if elapsed > 0:
             self.rate = max(self.rate, (self._delivered - delivered) / elapsed)
         if alone:
-            self._observe_rtt(True, elapsed)
+            # a lone WRITE goes as given, FILE_SYNC: it flushes
+            self._observe_rtt(True, elapsed, calls[0].proc == _WRITE)
         replies: List[Optional[ReplyMessage]] = [None] * len(calls)
         for ch, share in enumerate(results):
             for i, reply in zip(range(ch, len(calls), n), share):

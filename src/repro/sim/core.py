@@ -300,6 +300,19 @@ class Simulator:
         ev.add_callback(lambda _e: fn())
         return ev
 
+    def cancel(self, timeout: Timeout) -> None:
+        """Take a timeout off the queue before it fires: it never will.
+        A scan of the queue — for teardown, not for hot paths."""
+        if timeout in self._fifo:
+            self._fifo.remove(timeout)
+            return
+        for i, (_when, _seq, entry) in enumerate(self._heap):
+            if entry is timeout:
+                self._heap[i] = self._heap[-1]
+                self._heap.pop()
+                heapq.heapify(self._heap)
+                return
+
     def spawn(self, generator, name: str = "") -> "Any":
         """Start a new process from a generator (see repro.sim.process)."""
         from repro.sim.process import Process

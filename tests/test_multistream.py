@@ -131,6 +131,96 @@ def test_window_floor_when_bulk_equals_small():
     assert up.window() == MAX_WINDOW  # floored divisor -> capped
 
 
+@pytest.mark.parametrize("streams", [4, 1])
+def test_a_lone_write_behind_is_measured_against_the_calls_that_flush(streams):
+    """A write pass's first bulk sample is a lone FILE_SYNC WRITE, and
+    nfsd flushes before it answers, as it does for a CREATE; burst
+    members (UNSTABLE, one COMMIT a share) do not.  Measured against the
+    small mutations, that sample seeds a 4-stream 80 ms leg's pipe past
+    16 blocks (16 when it was measured against every small call).  A
+    single-stream leg sends the WRITE bare, FILE_SYNC, at a window of one."""
+    from repro.nfs import protocol as pr
+
+    tb = Testbed.build(rtt=0.080)
+    mount = setup_sgfs(tb, disk_cache=True, streams=streams, cache_capacity=4 * BS)
+    proxy = mount.client_proxy
+    leg = proxy._up.legs[0]
+    burst, first = leg.burst, []
+
+    def noting(calls):
+        replies = yield from burst(calls)
+        if not first:
+            first.append((len(calls), pr.unpack_write_args(calls[0].args)[2],
+                          proxy.stats["compound_envelopes"], leg.window()))
+        return replies
+
+    leg.burst = noting
+
+    def job():
+        yield from mount.client.write_file("/w.bin", _pattern(16 * BS))
+        yield from mount.finish()
+
+    tb.run(job())
+    lone, stable, envelopes, window = first[0]
+    assert (lone, stable, envelopes) == (1, pr.FILE_SYNC, 0)
+    assert window > 16 if streams > 1 else window == 1
+
+
+def test_a_demand_miss_sends_the_read_ahead_span_with_it():
+    """The first READ of a file misses; its demand burst and the
+    read-ahead span behind it leave in the same instant, so when the
+    demand burst leaves, the span's blocks past its window are already
+    in flight — not a round trip later, after the demand lands.  The
+    span, demand window included, is the one a READ keeps ahead."""
+    tb = Testbed.build(rtt=0.04)
+    mount = setup_sgfs(tb, disk_cache=True, streams=4)
+    payload = _pattern(32 * BS)
+    fileid = _seed_server_file(tb, "d.bin", payload).fileid
+    proxy = mount.client_proxy
+    window, depth = 4, 2
+    proxy._pipeline = lambda read=False: (window, depth)
+    leg = proxy._up.legs[0]
+    burst, seen = leg.burst, []
+
+    def noting(calls):
+        if not seen:
+            seen.append([proxy._blocks.state(fileid, b) for b in range(32)])
+        return (yield from burst(calls))
+
+    leg.burst = noting
+    assert tb.run(mount.client.read_file("/d.bin")) == payload
+    span = (depth + 1) * window
+    assert seen[0][window:span] == ["fetching"] * (span - window)
+    assert seen[0][span:] == ["absent"] * (32 - span)
+
+
+@pytest.mark.parametrize("streams", [2, 8])
+def test_a_read_pass_demand_misses_only_its_first_block(monkeypatch, streams):
+    """16 MiB through a 6 MiB cache at 80 ms: the read-ahead cursor
+    passes blocks the write left cached, and some are evicted before the
+    reader gets there.  Each eviction below the cursor pulls it back, so
+    read-ahead claims them again and each read pass demand-misses only
+    its first block (the first pass's reader missed block 383 itself at
+    8 streams when the pipe started at one block, and block 405 at 2
+    streams when the cursor stayed where it was)."""
+    from repro.harness import run_workload
+    from repro.proxy.client_proxy import SgfsClientProxy
+    from repro.workloads.iozone import IOzoneWriteRead
+
+    read_window, demanded = SgfsClientProxy._read_window, []
+
+    def noting(self, call, fh, block, count):
+        demanded.append(block)
+        return (yield from read_window(self, call, fh, block, count))
+
+    monkeypatch.setattr(SgfsClientProxy, "_read_window", noting)
+    r = run_workload("sgfs-aes", lambda: IOzoneWriteRead(file_size=16 * MB), rtt=0.08,
+                     setup_kwargs={"disk_cache": True, "streams": streams,
+                                   "cache_capacity": 6 * MB})
+    assert demanded == [0, 0]  # the read pass's, then the reread's
+    assert r.stats["proxy.client"]["prefetch_evicted_unread"] == 0
+
+
 # -- satellite: writeback_errors is pre-seeded -------------------------------
 
 

@@ -122,6 +122,19 @@ def test_peek_reports_next_event_time():
     assert sim.peek() == float("inf")
 
 
+def test_a_cancelled_timeout_never_fires():
+    sim = Simulator()
+    fired = []
+    timers = [sim.timeout(delay) for delay in (0.0, 1.0, 2.0, 3.0)]
+    for timer in timers:
+        timer.add_callback(lambda ev: fired.append(sim.now))
+    sim.cancel(timers[0])  # the zero-delay lane
+    sim.cancel(timers[2])  # the heap
+    assert sim.run() == 3.0
+    assert fired == [1.0, 3.0]
+    assert sim.peek() == float("inf")
+
+
 def test_max_events_guard():
     sim = Simulator()
     armed = [True]
