@@ -641,7 +641,10 @@ class BlockCache:
         """Process generator: the victims no newer eviction of their block
         superseded, once no earlier write of their blocks and fewer than
         ``depth`` write-behind bursts are in flight — joining the oldest
-        such burst, never whichever finishes first, while there are."""
+        such burst, never whichever finishes first, while there are.
+        Each listed write-back process carries one burst, sent whole
+        when it starts, so the one joined left no later than the wait
+        began."""
         while True:
             items = [v for v in victims
                      if getattr(self._rows.get(v[:2]), "wire", None) is v[2]]

@@ -682,10 +682,13 @@ class SgfsClientProxy:
     def _write_behind(self, victims):
         """Process generator: hand eviction victims (writing, in the
         table) to write-behind, one background burst per pipeline window
-        (see :meth:`BlockCache.slot` for when each may go).  The evicting
-        call blocks only while ``depth`` bursts are already in flight
-        (:meth:`_pipeline`) — and at one in flight (a single-stream leg)
-        it waits for its own burst: stop-and-wait."""
+        (see :meth:`BlockCache.slot` for when each may go).  A window
+        the slot admitted leaves whole, one process's one burst
+        (:meth:`_writeback_window`), even if :meth:`_pipeline` has
+        re-sized since, so ``depth`` bounds the bursts in flight.  The
+        evicting call blocks only while ``depth`` are — and at one in
+        flight (a single-stream leg) it waits for its own burst:
+        stop-and-wait."""
         blocks = self._blocks
         window, depth = self._pipeline()
         start = 0
@@ -707,49 +710,58 @@ class SgfsClientProxy:
 
     def _writeback_window(self, items):
         """Process generator: write back ``(fileid, block, data)`` items
-        in bursts of one pipeline window (write-behind, COMMIT and
-        teardown all end here).
+        in one upstream burst — a write-behind process's whole work, and
+        each burst of :meth:`_writeback`.
 
         Items are sealed and issued in list order; statuses are
         consumed in the same order, so accounting is independent of
         reply arrival.  Once their replies land, or the write fails,
-        eviction victims among them leave the writing state."""
+        they leave the writing state."""
         try:
-            start = 0
-            while start < len(items):
-                # re-sized per burst: the first burst of a cold session runs
-                # at window 1 and seeds the bulk RTT estimator, widening the
-                # bursts that follow it
-                burst = items[start:start + self._pipeline()[0]]
-                start += len(burst)
-                calls = []
-                for fileid, blk, data in burst:
-                    fh = self._handles.get(fileid)
-                    if fh is None:
-                        continue
-                    if self.cryptor is not None and data:
-                        data = self.cryptor.seal(fileid, blk, data)
-                        self.stats["blocks_sealed"] += 1
-                    calls.append(CallMessage(
-                        0, pr.NFS_PROGRAM, pr.NFS_V3, int(Proc.WRITE),
-                        cred=(self._session_cred
-                              if self._session_cred is not None else NULL_AUTH),
-                        args=pr.pack_write_args(
-                            fh, blk * self.cache.block_size, data, pr.FILE_SYNC
-                        ),
-                    ))
-                if not calls:
+            calls = []
+            for fileid, blk, data in items:
+                fh = self._handles.get(fileid)
+                if fh is None:
                     continue
-                replies = yield from self._up.burst(calls)
-                for reply in replies:
-                    res = pr.read_ok(reply, pr.unpack_write_res)
-                    if res is not None:
-                        self.stats["writeback_blocks"] += 1
-                        self.stats["writeback_bytes"] += res[2]
-                    else:
-                        self.stats["writeback_errors"] += 1
+                if self.cryptor is not None and data:
+                    data = self.cryptor.seal(fileid, blk, data)
+                    self.stats["blocks_sealed"] += 1
+                calls.append(CallMessage(
+                    0, pr.NFS_PROGRAM, pr.NFS_V3, int(Proc.WRITE),
+                    cred=(self._session_cred
+                          if self._session_cred is not None else NULL_AUTH),
+                    args=pr.pack_write_args(
+                        fh, blk * self.cache.block_size, data, pr.FILE_SYNC
+                    ),
+                ))
+            if not calls:
+                return
+            replies = yield from self._up.burst(calls)
+            for reply in replies:
+                res = pr.read_ok(reply, pr.unpack_write_res)
+                if res is not None:
+                    self.stats["writeback_blocks"] += 1
+                    self.stats["writeback_bytes"] += res[2]
+                else:
+                    self.stats["writeback_errors"] += 1
         finally:
             self._blocks.written(items)
+
+    def _writeback(self, items):
+        """Process generator: write back items that may fill more than
+        one window — a COMMIT's flush and teardown — one burst after
+        another, each sized by :meth:`_pipeline` when it leaves: the
+        first burst of a cold session runs at window 1 and seeds the
+        bulk RTT estimator, widening the bursts that follow it."""
+        start = 0
+        try:
+            while start < len(items):
+                burst = items[start:start + self._pipeline()[0]]
+                start += len(burst)
+                yield from self._writeback_window(burst)
+        finally:
+            # items a failed burst kept from going out
+            self._blocks.written(items[start:])
 
     def _h_write(self, call: CallMessage):
         fh, offset, stable, payload = pr.unpack_write_args(call.args)
@@ -820,7 +832,7 @@ class SgfsClientProxy:
         """Process generator: write back every unflushed block of the file."""
         yield from self._blocks.drain(fileid)
         items = yield from self._blocks.gather_dirty([fileid])
-        yield from self._writeback_window(items)
+        yield from self._writeback(items)
 
     def _h_setattr(self, call: CallMessage):
         fh, sattr = pr.unpack_setattr_args(call.args)
@@ -907,7 +919,7 @@ class SgfsClientProxy:
             flushable = [f for f in list(self._blocks.dirty)
                          if f in self._handles]
             items = yield from self._blocks.gather_dirty(flushable)
-            yield from self._writeback_window(items)
+            yield from self._writeback(items)
         return (
             self.stats["writeback_blocks"] - before_blocks,
             self.stats["writeback_bytes"] - before_bytes,

@@ -194,6 +194,73 @@ def test_a_demand_miss_sends_the_read_ahead_span_with_it():
     assert seen[0][span:] == ["absent"] * (32 - span)
 
 
+def test_a_write_behind_window_leaves_as_one_burst():
+    """The window of victims ``slot`` admits leaves as one burst, even
+    when the pipe shrinks between the eviction and the send: each
+    ``cproxy-writebehind`` process calls ``leg.burst`` once, with every
+    block it was admitted with, and no writer waiting in ``slot`` joins a
+    burst that left after its wait began (a window re-sized in the
+    process went out as 4 + 4, its tail a round trip later)."""
+    from repro.nfs import protocol as pr
+
+    tb = Testbed.build(rtt=0.04)
+    mount = setup_sgfs(tb, disk_cache=True, streams=4, cache_capacity=16 * BS)
+    proxy, sim = mount.client_proxy, tb.sim
+    pipeline = [(8, 2)]
+    proxy._pipeline = lambda read=False: pipeline[0]
+    blocks, leg = proxy._blocks, proxy._up.legs[0]
+    write, track, slot, join = blocks.write, blocks.track, blocks.slot, blocks.join
+    burst = leg.burst
+    admitted, sent, waits, slotted = {}, {}, [], []
+
+    def writing(fileid, block, data):
+        pipeline[0] = (8, 2)  # each eviction admits a window of 8 ...
+        return (yield from write(fileid, block, data))
+
+    def tracking(proc, keys, writes):
+        if writes:
+            admitted[proc] = frozenset(keys)
+            pipeline[0] = (4, 2)  # ... and the pipe shrinks before it leaves
+        track(proc, keys, writes)
+
+    def noting(calls):
+        keys = set()
+        for call in calls:
+            fh, offset = pr.unpack_write_args(call.args)[:2]
+            keys.add((fh.fileid, offset // BS))
+        proc = next((p for p in reversed(admitted) if keys <= admitted[p]), None)
+        if proc is not None:
+            sent.setdefault(proc, []).append((sim.now, keys))
+        return (yield from burst(calls))
+
+    def slotting(victims, depth):
+        slotted.append(sim.now)
+        try:
+            return (yield from slot(victims, depth))
+        finally:
+            slotted.pop()
+
+    def joining(proc):
+        if slotted:
+            waits.append((slotted[-1], proc))
+        yield from join(proc)
+
+    blocks.write, blocks.track, blocks.slot, blocks.join = writing, tracking, slotting, joining
+    leg.burst = noting
+    payload = _pattern(64 * BS)
+
+    def job():
+        yield from mount.client.write_file("/w.bin", payload)
+        yield from mount.finish()
+
+    tb.run(job())
+    assert len(admitted) > 2 and waits
+    assert {p: [keys for _t, keys in out] for p, out in sent.items()} == \
+        {p: [keys] for p, keys in admitted.items()}
+    assert all(t <= began for began, p in waits for t, _keys in sent[p])
+    assert bytes(tb.fs.resolve("/w.bin", ROOT).data) == payload
+
+
 @pytest.mark.parametrize("streams", [2, 8])
 def test_a_read_pass_demand_misses_only_its_first_block(monkeypatch, streams):
     """16 MiB through a 6 MiB cache at 80 ms: the read-ahead cursor
