@@ -245,7 +245,8 @@ def serve_sessions(tb: Testbed, seats: List[Seat], pki: Optional[SessionPki] = N
     that admits every seat and denies everyone else, then one server
     proxy per backend (``pki`` None: plain channels, gfs), then — over
     several backends — the grid catalogue on the home server, striping
-    ``block_size`` ranges over ``replicas`` backends each."""
+    ``block_size`` ranges over ``replicas`` backends each.  Proxy N
+    joins nfsd N's name, ``server-proxy`` for N = 0."""
     gridmap = _session_gridmap(tb, seats)
     proxies = [
         serve_proxy(b.host, SERVER_PROXY_PORT, b.fs, b.disk, tb.server_accounts,
@@ -253,6 +254,8 @@ def serve_sessions(tb: Testbed, seats: List[Seat], pki: Optional[SessionPki] = N
                     acl_cache_enabled)
         for b in tb.backends
     ]
+    for b, proxy in zip(tb.backends, proxies):
+        tb.register(f"backend{b.index}" if b.index else "server-proxy", proxy)
     if len(tb.backends) > 1:
         service = GridMetadataService(width=len(tb.backends), replicas=replicas,
                                       block_size=block_size, obs=tb.obs)
@@ -260,6 +263,7 @@ def serve_sessions(tb: Testbed, seats: List[Seat], pki: Optional[SessionPki] = N
                         account="grid-meta", name="grid-meta")
         rpc.register(GridMetadataProgram(service))
         rpc.serve_listener(tb.server.listen(GRID_META_PORT))
+        tb.register("grid-meta", rpc)
     return proxies
 
 
@@ -406,8 +410,9 @@ def _paper_proxy(tb: Testbed, dial, **options) -> SgfsClientProxy:
 
 def _paper_mount(tb: Testbed, label: str, proxy, server_proxy,
                  cache_bytes: Optional[int]) -> Mount:
-    """Start the paper's seat's client proxy (or daemon), then mount its
-    kernel client through it."""
+    """Start the paper's seat's client proxy (or daemon), registered as
+    ``client-proxy:client``, then mount its kernel client through it."""
+    tb.register(f"client-proxy:{paper_seat(tb).name}", proxy)
 
     def build():
         yield from proxy.start()
@@ -487,12 +492,12 @@ def setup_gfs_ssh(tb: Testbed, disk_cache: bool = False,
 
     seat = paper_seat(tb)
     server_proxy, = serve_sessions(tb, [seat])
+    tb.register("ssh-server", tunnel_server)
+    tb.register("ssh-client", tunnel_client)
     # The client proxy dials the local tunnel entrance.
     tunnel = dialer(tb.sim, tb.client, tb.client.name, SSH_LOCAL_PORT)
     proxy = _paper_proxy(tb, lambda _target: tunnel, disk_cache=disk_cache)
     mount = _paper_mount(tb, "gfs-ssh", proxy, server_proxy, cache_bytes)
-    mount.extras["tunnel_client"] = tunnel_client
-    mount.extras["tunnel_server"] = tunnel_server
     return mount
 
 
@@ -512,6 +517,7 @@ def setup_sfs(tb: Testbed, cache_bytes: Optional[int] = None) -> Mount:
         authorized_users={user_key.public.to_bytes()},
     )
     server_daemon.start()
+    tb.register("server-proxy", server_daemon)
 
     dial = sfs_dialer(tb.client, path, SFS_PORT, user_key, rng.fork("client"))
     client_daemon = SfsClientDaemon(

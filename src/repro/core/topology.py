@@ -3,12 +3,15 @@
 ``Testbed.build(rtt=...)`` assembles the simulator, the three network
 nodes (compute client, NIST-Net-style delay router, file server), the
 exported VirtualFS with its disk, the kernel NFS server, and the account
-databases — everything the eight setups build on.
+databases — everything the eight setups build on — and knows the run's
+daemons by name (:meth:`Testbed.register`) until :meth:`Testbed.close`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Dict
 
 from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.net import DelayRouter, Host, Network
@@ -17,7 +20,7 @@ from repro.nfs.v4 import NfsV4ServerProgram
 from repro.obs import NULL_REGISTRY, NULL_TRACER, Registry, SpanTracer
 from repro.proxy.accounts import Account, AccountsDb
 from repro.rpc.server import RpcServer
-from repro.sim import Simulator
+from repro.sim import SimError, Simulator
 from repro.vfs import DiskModel, VirtualFS
 
 #: Well-known ports on the simulated hosts.
@@ -50,9 +53,8 @@ class Backend:
     fs: VirtualFS
     disk: DiskModel
     nfs_program: NfsServerProgram
+    #: the kernel NFS server, and its daemon (``stop``/``crash``/``restart``)
     rpc_server: RpcServer
-    #: the kernel NFS server's listener; None while crashed
-    listener: object = None
 
 
 @dataclass
@@ -74,6 +76,8 @@ class Testbed:
     #: The null singletons when the testbed was built without telemetry.
     obs: "Registry" = NULL_REGISTRY
     tracer: "SpanTracer" = NULL_TRACER
+    #: name -> the daemons registered under it (:meth:`register`)
+    daemons: Dict[str, list] = field(default_factory=dict)
 
     # The home server's parts, by their historical names.
     server = property(lambda self: self.backends[0].host)
@@ -174,12 +178,10 @@ class Testbed:
                     NfsV4ServerProgram(sim, fs, disk,
                                        compound_overhead=cal.v4_compound_overhead)
                 )
-            listener = host.listen(NFS_PORT)
-            rpc_server.serve_listener(listener)
+            rpc_server.serve_listener(host.listen(NFS_PORT))
             backends.append(Backend(
                 index=i, name=name, host=host, fs=fs, disk=disk,
                 nfs_program=nfs_program, rpc_server=rpc_server,
-                listener=listener,
             ))
 
         server_accounts = AccountsDb()
@@ -188,7 +190,45 @@ class Testbed:
             sim=sim, net=net, client=client, router=router,
             server_accounts=server_accounts, cal=cal, backends=backends,
             obs=sim.obs, tracer=sim.tracer,
+            daemons={f"backend{b.index}" if b.index else "server": [b.rpc_server]
+                     for b in backends},
         )
+
+    # -- the run's daemons ---------------------------------------------------------
+
+    def register(self, name: str, daemon) -> None:
+        """Enter ``daemon`` (``stop()``, and ``crash()``/``restart()`` if
+        it can die) under ``name``, the target a fault's crash names.
+        ``backendN`` holds nfsd N and its server proxy: they go down
+        together."""
+        self.daemons.setdefault(name, []).append(daemon)
+
+    def __enter__(self) -> "Testbed":
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        try:
+            self.close()
+        except SimError:
+            if exc is None:  # a run that raised keeps its own error
+                raise
+
+    def close(self) -> None:
+        """End the run: close the fault plan, stop every daemon — the
+        last registered first, so client proxies go before the servers
+        they talk to — and drain.  Raises ``SimError`` naming what is
+        left unless no process is alive and no event pending."""
+        if self.net.fault_plan is not None:
+            self.net.fault_plan.close()
+        for group in reversed(self.daemons.values()):
+            for daemon in reversed(group):
+                daemon.stop()
+        self.sim.run()
+        alive = Counter(proc.name for proc in self.sim.processes)
+        if alive or self.sim.peek() != float("inf"):
+            raise SimError(f"the closed run is not empty: processes alive "
+                           f"{dict(sorted(alive.items()))}, next event at "
+                           f"{self.sim.peek()}")
 
     # -- conveniences ------------------------------------------------------------
 
@@ -213,31 +253,6 @@ class Testbed:
     @property
     def measured_rtt(self) -> float:
         return self.net.rtt("client", "server")
-
-    def crash_backend(self, index: int) -> None:
-        """Crash injection: backend ``index``'s kernel NFS server stops
-        listening and severs all connections.  Its DRC survives,
-        modeling the stable reply cache of a restarting nfsd."""
-        backend = self.backends[index]
-        if backend.listener is not None:
-            backend.listener.close()
-            backend.listener = None
-        backend.rpc_server.disconnect_all()
-
-    def restart_backend(self, index: int) -> None:
-        """Come back up after :meth:`crash_backend`."""
-        backend = self.backends[index]
-        if backend.listener is None:
-            backend.listener = backend.host.listen(NFS_PORT)
-            backend.rpc_server.serve_listener(backend.listener)
-
-    def crash_nfs_server(self) -> None:
-        """Crash the home server's kernel NFS server."""
-        self.crash_backend(0)
-
-    def restart_nfs_server(self) -> None:
-        """Come back up after :meth:`crash_nfs_server`."""
-        self.restart_backend(0)
 
     def run(self, generator, name: str = "workload"):
         """Spawn a process and run the simulation until it completes."""

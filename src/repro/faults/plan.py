@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.crypto.drbg import Drbg
 from repro.obs.schema import zeros
 from repro.sim.core import Interrupt
-from repro.sim.process import Process, all_of
+from repro.sim.process import Process
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,8 @@ class LinkFlap:
 class CrashEvent:
     """Take ``target`` down at virtual time ``at`` for ``down_for`` seconds.
 
-    ``target`` names a crash/restart handler pair registered with
-    :meth:`FaultPlan.schedule` — e.g. ``"server"`` or ``"server-proxy"``.
+    ``target`` names daemons registered on the run's testbed — e.g.
+    ``"server"``, ``"server-proxy"`` or ``"backend1"``.
     """
 
     at: float
@@ -120,46 +120,48 @@ class FaultPlan:
         self._net = net
         return self
 
-    def close(self):
-        """Process generator: the run is over.  Each crash/restart process
-        still waiting stops where it is (a target it crashed stays down)
-        and its timer leaves the queue; then the plan leaves the network."""
-        live = [proc for proc in self._procs if proc.alive]
-        for proc in live:
+    def close(self) -> None:
+        """The run is over: the plan leaves the network, and each
+        crash/restart process still waiting is interrupted, to stop where
+        it is (a target it crashed stays down) and take its timer off the
+        queue as it resumes."""
+        for proc in self._procs:
             proc.interrupt("the run ended")
-        if live:
-            yield all_of(self.sim, live)
         if self._net is not None and self._net.fault_plan is self:
             self._net.fault_plan = None
         self._net = None
 
-    def schedule(self, handlers: Dict[str, Tuple]) -> None:
+    def schedule(self, daemons: Dict[str, List]) -> None:
         """Spawn crash/restart processes for this plan's CrashEvents.
 
-        ``handlers`` maps target name -> ``(crash_fn, restart_fn)``.  An
-        event naming a target with no handler raises ``ValueError``
-        before anything is spawned: a crash aimed at nothing would run
-        clean and say nothing.
+        ``daemons`` is ``Testbed.daemons``: an event takes down every
+        daemon of its target's name.  An event naming no target whose
+        daemons can all crash raises ``ValueError`` before anything is
+        spawned: a crash aimed at nothing would run clean, saying nothing.
         """
-        missing = sorted({ev.target for ev in self.spec.crashes} - handlers.keys())
+        crashable = {name for name, group in daemons.items()
+                     if all(hasattr(d, "crash") for d in group)}
+        missing = sorted({ev.target for ev in self.spec.crashes} - crashable)
         if missing:
             raise ValueError(f"no crash target named {', '.join(missing)}; "
-                             f"this run has {', '.join(sorted(handlers))}")
+                             f"this run has {', '.join(sorted(crashable))}")
         self._procs = [
-            self.sim.spawn(self._crash_proc(ev, *handlers[ev.target]),
+            self.sim.spawn(self._crash_proc(ev, daemons[ev.target]),
                            name=f"fault-crash:{ev.target}")
             for ev in self.spec.crashes
         ]
 
-    def _crash_proc(self, ev: CrashEvent, crash_fn, restart_fn):
+    def _crash_proc(self, ev: CrashEvent, group: List):
         timer = self.sim.timeout(ev.at)
         try:
             yield timer
             self.stats["crashes"] += 1
-            crash_fn()
+            for daemon in group:
+                daemon.crash()
             timer = self.sim.timeout(ev.down_for)
             yield timer
-            restart_fn()
+            for daemon in group:
+                daemon.restart()
         except Interrupt:  # :meth:`close`
             self.sim.cancel(timer)
 

@@ -268,8 +268,8 @@ def run_fleet(
     for: ``cache_bytes`` (kernel page cache), ``disk_cache`` and
     ``cache_capacity`` (each client proxy's disk cache and its size).
 
-    Returns a :class:`FleetResult`; all reported times are virtual
-    seconds.  Two calls with identical arguments produce bit-identical
+    Returns a :class:`FleetResult` once :meth:`Testbed.close` has ended
+    the run; all reported times are virtual seconds.  Two calls with identical arguments produce bit-identical
     results (same ``makespan``, ``per_client``, and ``stats``).
 
     ``profile=True`` (or a dict of ``build_report`` keyword arguments)
@@ -335,115 +335,115 @@ def run_fleet(
         rtt=rtt, cal=cal, telemetry=telemetry, tracing=tracing,
         profile=profile, server_cores=server_cores, servers=servers,
     )
-    sim = tb.sim
+    with tb:
+        sim = tb.sim
 
-    # -- seats, and each one's workload prepared inside its namespace ------
-    seats: List[Seat] = []
-    workloads = []
-    takes_index = bool(inspect.signature(workload_factory).parameters)
-    for i in range(clients):
-        seat = _fleet_seat(tb, i, secure)
-        workload = workload_factory(i) if takes_index else workload_factory()
-        if hasattr(workload, "prepare"):
-            home = tb.backends[0]
-            scoped = _ScopedFs(home.fs, home.fs.inode(seat.roots[0].fileid))
-            workload.prepare(replace(tb, backends=[replace(home, fs=scoped)]))
-        seats.append(seat)
-        workloads.append(workload)
+        # -- seats, and each one's workload prepared inside its namespace --
+        seats: List[Seat] = []
+        workloads = []
+        takes_index = bool(inspect.signature(workload_factory).parameters)
+        for i in range(clients):
+            seat = _fleet_seat(tb, i, secure)
+            workload = workload_factory(i) if takes_index else workload_factory()
+            if hasattr(workload, "prepare"):
+                home = tb.backends[0]
+                scoped = _ScopedFs(home.fs, home.fs.inode(seat.roots[0].fileid))
+                workload.prepare(replace(tb, backends=[replace(home, fs=scoped)]))
+            seats.append(seat)
+            workloads.append(workload)
 
-    # -- the sessions' server side, then each seat's dial ---------------------
-    # Spawn order decides ties: server proxies, then the grid metadata
-    # service, then the client processes in index order.
-    server_proxies: list = []
-    dials: List[Callable] = []
-    if proxied:
-        pki = session_pki(tb, session_seed, SUITES.get(setup), streams,
-                          session_tickets)
-        server_proxies = serve_sessions(tb, seats, pki, replicas=replicas,
-                                        block_size=grid_block_size)
-        for seat in seats:
-            cfg = None if pki is None else pki.client_config(seat)
-            dial = proxy_dial(seat.host, SERVER_PROXY_PORT, cfg)
-            if delegation_lifetime is not None:
-                dial = _delegating(tb, pki, server_proxies[0].gridmap, seat, cfg,
-                                   delegation_lifetime, dial)
-            dials.append(dial)
+        # -- the sessions' server side, then each seat's dial -----------------
+        # Spawn order decides ties: server proxies, then the grid metadata
+        # service, then the client processes in index order.
+        server_proxies: list = []
+        dials: List[Callable] = []
+        if proxied:
+            pki = session_pki(tb, session_seed, SUITES.get(setup), streams,
+                              session_tickets)
+            server_proxies = serve_sessions(tb, seats, pki, replicas=replicas,
+                                            block_size=grid_block_size)
+            for seat in seats:
+                cfg = None if pki is None else pki.client_config(seat)
+                dial = proxy_dial(seat.host, SERVER_PROXY_PORT, cfg)
+                if delegation_lifetime is not None:
+                    dial = _delegating(tb, pki, server_proxies[0].gridmap, seat, cfg,
+                                       delegation_lifetime, dial)
+                dials.append(dial)
 
-    # Faults are armed and the clock starts *before* any session opens:
-    # a fleet's makespan includes its mounts and handshakes.
-    plan = install_faults(tb, faults, fault_seed, server_proxies)
-    t0 = sim.now
-    results: List[Optional[FleetClientResult]] = [None] * clients
-    errors: List[BaseException] = []
-    done = Channel(sim, name="fleet-done")
+        # Faults are armed and the clock starts *before* any session opens:
+        # a fleet's makespan includes its mounts and handshakes.
+        plan = install_faults(tb, faults, fault_seed)
+        t0 = sim.now
+        results: List[Optional[FleetClientResult]] = [None] * clients
+        errors: List[BaseException] = []
+        done = Channel(sim, name="fleet-done")
 
-    def client_proc(i: int):
-        seat, workload = seats[i], workloads[i]
-        cycler = None
-        try:
-            if stagger and i:
-                yield sim.timeout(stagger * i)
-            start = sim.now
-            proxy = None
-            if proxied:
-                proxy = client_proxy(seat.host, CLIENT_PROXY_PORT,
-                                     [b.name for b in tb.backends], dials[i], tb.cal,
-                                     seat.roots, streams=streams,
-                                     replicas=replicas, block_size=grid_block_size,
-                                     disk_cache=disk_cache,
-                                     cache_capacity=cache_capacity)
-                yield from proxy.start()
-                if reconnect_interval:
-                    # Spawned between the proxy's start and the kernel
-                    # client's dial (the order is pinned), and stopped by
-                    # the finally below when this client's workload ends.
-                    cycler = sim.spawn(
-                        _session_cycler(sim, proxy, reconnect_interval),
-                        name=f"session-cycler:{seat.name}",
+        def client_proc(i: int):
+            seat, workload = seats[i], workloads[i]
+            cycler = None
+            try:
+                if stagger and i:
+                    yield sim.timeout(stagger * i)
+                start = sim.now
+                proxy = None
+                if proxied:
+                    proxy = client_proxy(seat.host, CLIENT_PROXY_PORT,
+                                         [b.name for b in tb.backends], dials[i], tb.cal,
+                                         seat.roots, streams=streams,
+                                         replicas=replicas, block_size=grid_block_size,
+                                         disk_cache=disk_cache,
+                                         cache_capacity=cache_capacity)
+                    tb.register(f"client-proxy:{seat.name}", proxy)
+                    yield from proxy.start()
+                    if reconnect_interval:
+                        # Spawned between the proxy's start and the kernel
+                        # client's dial (the order is pinned), and stopped by
+                        # the finally below when this client's workload ends.
+                        cycler = sim.spawn(
+                            _session_cycler(sim, proxy, reconnect_interval),
+                            name=f"session-cycler:{seat.name}",
+                        )
+                    client = yield from mount_through_proxy(tb, seat, cache_bytes)
+                else:
+                    client = yield from mount_kernel_server(
+                        tb, seat, cache_bytes,
+                        vers=NFS_V4 if setup == "nfs-v4" else pr.NFS_V3,
                     )
-                client = yield from mount_through_proxy(tb, seat, cache_bytes)
-            else:
-                client = yield from mount_kernel_server(
-                    tb, seat, cache_bytes,
-                    vers=NFS_V4 if setup == "nfs-v4" else pr.NFS_V3,
+                mount = Mount(f"{setup}:{seat.name}", tb, client, client_proxy=proxy,
+                              server_proxy=server_proxies[0] if proxied else None)
+                apply_fault_timeouts(plan, mount)
+                yield from workload.run(mount)
+                yield from mount.finish()
+                results[i] = FleetClientResult(
+                    name=seat.name, start=start, end=sim.now,
+                    phases=dict(getattr(workload, "results", {})),
+                    bytes_moved=getattr(workload, "bytes_moved", None),
                 )
-            mount = Mount(f"{setup}:{seat.name}", tb, client, client_proxy=proxy,
-                          server_proxy=server_proxies[0] if proxied else None)
-            apply_fault_timeouts(plan, mount)
-            yield from workload.run(mount)
-            yield from mount.finish()
-            results[i] = FleetClientResult(
-                name=seat.name, start=start, end=sim.now,
-                phases=dict(getattr(workload, "results", {})),
-                bytes_moved=getattr(workload, "bytes_moved", None),
-            )
-        except BaseException as exc:  # surfaced after the join below
-            errors.append(exc)
-        finally:
-            # Tear the session cycler down *before* signaling completion:
-            # a cycle firing after the workload finished would quiesce a
-            # session nothing will use again and perturb shutdown order.
-            if cycler is not None and cycler.alive:
-                cycler.interrupt("client workload complete")
-            done.put(i)
+            except BaseException as exc:  # surfaced after the join below
+                errors.append(exc)
+            finally:
+                # Tear the session cycler down *before* signaling completion:
+                # a cycle firing after the workload finished would quiesce a
+                # session nothing will use again and perturb shutdown order.
+                if cycler is not None and cycler.alive:
+                    cycler.interrupt("client workload complete")
+                done.put(i)
 
-    for i, seat in enumerate(seats):
-        proc = sim.spawn(client_proc(i), name=f"fleet-{seat.name}")
-        # Namespace the client's span tracks: every process spawned
-        # inside the subtree inherits this via sim.current.
-        proc.trace_ns = seat.name
+        for i, seat in enumerate(seats):
+            proc = sim.spawn(client_proc(i), name=f"fleet-{seat.name}")
+            # Namespace the client's span tracks: every process spawned
+            # inside the subtree inherits this via sim.current.
+            proc.trace_ns = seat.name
 
-    def supervisor():
-        for _ in range(clients):
-            yield done.get()
+        def supervisor():
+            for _ in range(clients):
+                yield done.get()
 
-    sim.run_until_complete(sim.spawn(supervisor(), name="fleet-join"))
-    if plan is not None:
-        tb.run(plan.close(), name="faults-close")
-    if errors:
-        raise errors[0]
+        sim.run_until_complete(sim.spawn(supervisor(), name="fleet-join"))
+        if errors:
+            raise errors[0]
 
-    t_end = max(r.end for r in results)
-    result = FleetResult(setup=setup, clients=clients, makespan=t_end - t0,
-                         per_client=list(results))
-    return collect(result, tb, plan, tracing, profile, t0, t_end)
+        t_end = max(r.end for r in results)
+        result = FleetResult(setup=setup, clients=clients, makespan=t_end - t0,
+                             per_client=list(results))
+        return collect(result, tb, plan, tracing, profile, t0, t_end)

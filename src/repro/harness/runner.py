@@ -70,35 +70,15 @@ _CPU_ACCOUNTS = ("proxy", "sfsd", "sfssd", "ssh", "sshd", "kernel-nfs", "app")
 _CPU_WINDOW = 5.0
 
 
-def install_faults(tb: Testbed, faults, fault_seed: str,
-                   server_proxies) -> Optional[FaultPlan]:
+def install_faults(tb: Testbed, faults, fault_seed: str) -> Optional[FaultPlan]:
     """Arm ``faults`` (preset name, spec or None) on a built testbed and
-    return the plan, if any.  Its crash events may name ``server`` (the
-    home nfsd), ``server-proxy`` (``server_proxies[0]``, where the setup
-    has one) or ``backendN`` (backend N's nfsd and ``server_proxies[N]``,
-    down together); an event naming any other target raises
-    ``ValueError`` before the run (:meth:`FaultPlan.schedule`)."""
+    return the plan, if any.  A crash event naming no daemon of
+    ``tb.daemons`` that can crash raises ``ValueError`` before the run."""
     spec = resolve_fault_preset(faults)
     if spec is None:
         return None
     plan = FaultPlan(tb.sim, spec, seed=fault_seed)
-    handlers = {"server": (tb.crash_nfs_server, tb.restart_nfs_server)}
-    for b, proxy in enumerate(server_proxies):
-        if b == 0:
-            if proxy is not None:  # native NFS mounts have no server proxy
-                handlers["server-proxy"] = (proxy.crash, proxy.restart)
-            continue
-
-        def crash(b=b, proxy=proxy):
-            tb.crash_backend(b)
-            proxy.crash()
-
-        def restart(b=b, proxy=proxy):
-            tb.restart_backend(b)
-            proxy.restart()
-
-        handlers[f"backend{b}"] = (crash, restart)
-    plan.schedule(handlers)
+    plan.schedule(tb.daemons)
     return plan.install(tb.net)
 
 
@@ -233,6 +213,9 @@ def run_workload(
     :class:`repro.faults.FaultSpec`.  The schedule is fully determined
     by ``fault_seed``, so same-seed runs are byte-identical.  The plan's
     packet statistics land in ``result.stats["faults"]``.
+
+    The call returns once :meth:`Testbed.close` has ended the run: no
+    process of it alive, no event pending.
     """
     kw = setup_kwargs or {}
     check_scenario(setup, disk_cache=kw.get("disk_cache", False),
@@ -243,39 +226,38 @@ def run_workload(
         telemetry = tracing = True
     tb = Testbed.build(rtt=rtt, cal=cal, telemetry=telemetry, tracing=tracing,
                        profile=profile)
-    workload = workload_factory()
-    if hasattr(workload, "prepare"):
-        workload.prepare(tb)
-    mount: Mount = SETUP_BUILDERS[setup](tb, **kw)
+    with tb:
+        workload = workload_factory()
+        if hasattr(workload, "prepare"):
+            workload.prepare(tb)
+        mount: Mount = SETUP_BUILDERS[setup](tb, **kw)
 
-    # The mount comes first: faults are armed and the clock starts on a
-    # mounted session (the paper reports runtimes without the mount).
-    plan = install_faults(tb, faults, fault_seed, [mount.server_proxy])
-    apply_fault_timeouts(plan, mount)
-    t0 = tb.sim.now
-    tb.run(workload.run(mount), name=f"{setup}-workload")
-    total = tb.sim.now - t0
-    wb_seconds, _wb_blocks, wb_bytes = tb.run(mount.finish(), name="finish")
-    t_end = tb.sim.now
-    if plan is not None:
-        tb.run(plan.close(), name="faults-close")
+        # The mount comes first: faults are armed and the clock starts on
+        # a mounted session (the paper reports runtimes without the mount).
+        plan = install_faults(tb, faults, fault_seed)
+        apply_fault_timeouts(plan, mount)
+        t0 = tb.sim.now
+        tb.run(workload.run(mount), name=f"{setup}-workload")
+        total = tb.sim.now - t0
+        wb_seconds, _wb_blocks, wb_bytes = tb.run(mount.finish(), name="finish")
+        t_end = tb.sim.now
 
-    result = ExperimentResult(
-        setup=setup,
-        rtt=rtt,
-        total=total,
-        phases=dict(getattr(workload, "results", {})),
-        writeback_seconds=wb_seconds,
-        writeback_bytes=wb_bytes,
-    )
-    for account in _CPU_ACCOUNTS:
-        cl = tb.client.cpu.ledger.utilization_series(account, t_end, _CPU_WINDOW)
-        sv = tb.server.cpu.ledger.utilization_series(account, t_end, _CPU_WINDOW)
-        if any(pct for _t, pct in cl):
-            result.client_cpu[account] = cl
-        if any(pct for _t, pct in sv):
-            result.server_cpu[account] = sv
-    return collect(result, tb, plan, tracing, profile, 0.0, t_end)
+        result = ExperimentResult(
+            setup=setup,
+            rtt=rtt,
+            total=total,
+            phases=dict(getattr(workload, "results", {})),
+            writeback_seconds=wb_seconds,
+            writeback_bytes=wb_bytes,
+        )
+        for account in _CPU_ACCOUNTS:
+            cl = tb.client.cpu.ledger.utilization_series(account, t_end, _CPU_WINDOW)
+            sv = tb.server.cpu.ledger.utilization_series(account, t_end, _CPU_WINDOW)
+            if any(pct for _t, pct in cl):
+                result.client_cpu[account] = cl
+            if any(pct for _t, pct in sv):
+                result.server_cpu[account] = sv
+        return collect(result, tb, plan, tracing, profile, 0.0, t_end)
 
 
 # -- canned experiments ------------------------------------------------------

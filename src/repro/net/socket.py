@@ -221,9 +221,10 @@ class Listener:
         self._backlog.put(sock)
 
     def close(self) -> None:
-        self.closed = True
-        self.host._unbind(self.port)
-        self._backlog.close()
+        if not self.closed:
+            self.closed = True
+            self.host._unbind(self.port)
+            self._backlog.close()
 
 
 class HostLike:

@@ -160,25 +160,30 @@ class SgfsServerProxy:
         )
 
     def stop(self) -> None:
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
+        """End the proxy: stop accepting and close every live session,
+        which closes its connection to nfsd as it ends."""
+        self._end_sessions(lambda sock: sock.close())
 
     def crash(self) -> None:
-        """Crash injection: stop accepting and sever every live session.
+        """Crash injection: what :meth:`stop` does, but each session's
+        socket is reset, and the session tickets are lost.
 
         The DRC and authorization state survive (the reply cache models
         stable storage); clients reconnect and retried calls replay."""
-        self.stop()
+        self._end_sessions(lambda sock: sock.abort())
         if self.tickets is not None:
             self.tickets.flush()
+
+    def _end_sessions(self, end) -> None:
+        if self._listener is not None:
+            self._listener.close()
+            self._listener = None
         socks, self._session_socks = self._session_socks, []
         for sock in socks:
-            sock.abort()
+            end(sock)
 
-    def restart(self) -> None:
-        """Come back up after :meth:`crash` — rebind and accept again."""
-        self.start()
+    #: come back up after :meth:`crash`: rebind and accept again
+    restart = start
 
     def reload(self, security: Optional[SecurityConfig] = None,
                gridmap: Optional[Gridmap] = None) -> None:

@@ -118,6 +118,7 @@ class RpcServer:
         self._programs: Dict[Tuple[int, int], RpcProgram] = {}
         self._versions: Dict[int, Tuple[int, int]] = {}
         self.drc = DuplicateRequestCache(sim, name=name)
+        self._listeners: list = []  # what serve_listener accepts on
         self._transports: list = []
         #: per-session FIFO of (record, enqueued_at); insertion-ordered
         self._session_q: Dict[Transport, Deque[Tuple[bytes, float]]] = {}
@@ -146,6 +147,7 @@ class RpcServer:
 
     def serve_listener(self, listener) -> None:
         """Accept plain-socket connections from a Listener until it closes."""
+        self._listeners.append(listener)
         self.sim.spawn(
             listener.serve(lambda sock: self.serve_transport(StreamTransport(sock))),
             name=f"{self.name}.accept",
@@ -157,18 +159,29 @@ class RpcServer:
         self.sim.spawn(self._connection_loop(transport), name=f"{self.name}.conn")
 
     def stop(self) -> None:
-        """Shut down: close every connection, and end the worker pool
-        once it has taken what is queued.  A request read after this is
-        dropped."""
+        """Shut down: stop accepting, close every connection, and end
+        the worker pool once it has taken what is queued.  A request
+        read after this is dropped."""
+        for listener in self._listeners:
+            listener.close()
         for transport in list(self._transports):
             transport.close()
         self._work.close()
 
-    def disconnect_all(self) -> None:
-        """Tear down every active connection (crash injection)."""
+    def crash(self) -> None:
+        """Stop accepting and reset every connection.  The DRC survives:
+        a restarting server's stable reply cache."""
+        for listener in self._listeners:
+            listener.close()
         transports, self._transports = self._transports, []
         for transport in transports:
             transport.sock.abort()
+
+    def restart(self) -> None:
+        """Come back up after :meth:`crash`: listen on the same ports."""
+        for old in [lst for lst in self._listeners if lst.closed]:
+            self._listeners.remove(old)
+            self.serve_listener(old.host.listen(old.port))
 
     def _connection_loop(self, transport: Transport):
         try:

@@ -83,7 +83,6 @@ class ServiceEndpoint(RpcProgram):
         self._nonces = itertools.count(1)
         self._server = RpcServer(sim, name=f"{name}:{port}")
         self._server.register(self)
-        self._listener = None
         self.requests_served = 0
         self.faults_returned = 0
 
@@ -93,14 +92,10 @@ class ServiceEndpoint(RpcProgram):
         self._handlers[action] = handler
 
     def start(self) -> None:
-        self._listener = self.host.listen(self.port)
-        self._server.serve_listener(self._listener)
+        self._server.serve_listener(self.host.listen(self.port))
 
     def stop(self) -> None:
         """Refuse new calls, close open ones, end the workers."""
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
         self._server.stop()
 
     # -- request processing ----------------------------------------------------

@@ -198,13 +198,19 @@ class FileSystemService(ServiceEndpoint):
 
     # -- lifecycle ----------------------------------------------------------------
 
+    def stop(self) -> None:
+        """Stop every session this FSS started, then the service itself."""
+        for proxy in [*self.client_sessions.values(), *self.server_sessions.values()]:
+            proxy.stop()
+        super().stop()
+
     def _destroy_session(self, identity, params):
         session_id = params.get("session_id", "")
         proxy = self.server_sessions.pop(session_id, None)
         if proxy is not None:
-            # the session's authority ends: stop accepting and sever
-            # every session the proxy accepted, as a crash does
-            proxy.crash()
+            # the session's authority ends: stop accepting and close
+            # every session the proxy accepted
+            proxy.stop()
             return {"destroyed": session_id}
         cproxy = self.client_sessions.pop(session_id, None)
         if cproxy is not None:

@@ -255,6 +255,8 @@ class Simulator:
         self.current = None
         #: every process that ended with an uncaught exception, in order
         self.died: list = []
+        #: the processes started and not yet ended
+        self.processes: set = set()
         self.obs.add_fields("sim", self.__getattribute__)
 
     # -- scheduling ----------------------------------------------------

@@ -82,6 +82,7 @@ class Process:
         self._started = False
         # Start the process at the current instant, after pending events.
         # The process is its own queue entry: no kick Timeout needed.
+        sim.processes.add(self)
         sim._schedule_now(self)
 
     # -- status --------------------------------------------------------
@@ -149,9 +150,11 @@ class Process:
             else:
                 target = self.generator.throw(event._exc)
         except StopIteration as stop:
+            sim.processes.discard(self)
             self.completion.succeed(stop.value)
             return
         except BaseException as exc:
+            sim.processes.discard(self)
             self.completion.fail(exc)
             sim.died.append(self)
             return
@@ -175,9 +178,11 @@ class Process:
         try:
             target = self.generator.throw(exc)
         except StopIteration as stop:
+            sim.processes.discard(self)
             self.completion.succeed(stop.value)
             return
         except BaseException as err:
+            sim.processes.discard(self)
             self.completion.fail(err)
             sim.died.append(self)
             return

@@ -48,13 +48,21 @@ class _TunnelEndpoint:
         self.account = account
         self.chunks_forwarded = 0
         self.bytes_forwarded = 0
+        self._listener = None
 
     def start(self) -> None:
+        self._listener = self.host.listen(self.listen_port)
         self.sim.spawn(
-            self.host.listen(self.listen_port).serve(lambda sock: self.sim.spawn(
+            self._listener.serve(lambda sock: self.sim.spawn(
                 self._session(sock), name=f"{self.account}-session")),
             name=f"{self.account}:{self.listen_port}",
         )
+
+    def stop(self) -> None:
+        """Stop accepting.  A connection ends when its local side closes:
+        the tunnel carries the close across (:meth:`_pump_plain_to_tunnel`)."""
+        if self._listener is not None:
+            self._listener.close()
 
     def _directions(self, nonce_c: bytes, nonce_s: bytes):
         """(client->server, server->client) under this connection's nonces."""
@@ -87,11 +95,13 @@ class _TunnelEndpoint:
     def _pump_plain_to_tunnel(self, plain_sock, send: Direction,
                               tunnel: StreamTransport):
         """Read raw bytes locally, encrypt, frame into the tunnel —
-        until either socket is gone."""
+        until either socket is gone; the local side's close closes the
+        tunnel, and so the far end's local socket."""
         try:
             while True:
                 chunk = yield from plain_sock.recv()
                 if chunk == b"":
+                    tunnel.close()
                     return
                 yield from self._charge(len(chunk))
                 self.chunks_forwarded += 1

@@ -3,10 +3,12 @@
 After every test, each listener, socket and RPC server the test made is
 closed and each simulator it made runs until its queue drains
 (``Simulator.run``'s ``max_events`` guard turns a timer that re-arms
-forever into a failure), and again while a drain opens more (a crashed
-server's restart timer fires).  The test then fails unless no process
-is alive, no event is pending and no semaphore or reader/writer lock is
-held; the failure names what is left.
+forever into a failure).  The test then fails unless no process is
+alive, no event is pending and no semaphore or reader/writer lock is
+held; the failure names what is left.  The harness's runs end empty by
+themselves (``Testbed.close``); a test whose simulation opens more
+while it drains (a crashed server's restart timer) closes its testbed
+the same way.
 
 What a test makes is listed by wrapping constructors for the whole
 session, so a module-scoped fixture's simulators are held to the rule
@@ -50,15 +52,8 @@ def _held(lock) -> bool:
     return lock.readers > 0 or lock.write_locked or lock.queued > 0
 
 
-def _close_listener(listener):
-    if not listener.closed:
-        listener.close()
-
-
 #: what the rule closes, in this order, and how
-CLOSE = ((Listener, _close_listener), (RpcServer, RpcServer.stop), (SimSocket, SimSocket.close))
-#: closes and drains before a simulation that keeps opening is a failure
-ROUNDS = 10
+CLOSE = ((Listener, Listener.close), (RpcServer, RpcServer.stop), (SimSocket, SimSocket.close))
 
 
 @pytest.fixture(autouse=True)
@@ -66,22 +61,14 @@ def closed_simulation_is_empty(made):
     yield
     problems = []
     try:
-        closed = {cls: 0 for cls, _ in CLOSE}
-        for _ in range(ROUNDS):
-            for cls, close in CLOSE:
-                opened, closed[cls] = made[cls][closed[cls]:], len(made[cls])
-                for obj in opened:
-                    close(obj)
-            try:
-                for sim in made[Simulator]:
-                    sim.run()
-            except SimError as err:
-                problems.append(f"the drain did not end: {err}")
-                break
-            if all(len(made[cls]) == closed[cls] for cls, _ in CLOSE):
-                break
-        else:
-            problems.append(f"still opening after {ROUNDS} closes and drains")
+        for cls, close in CLOSE:
+            for obj in made[cls]:
+                close(obj)
+        try:
+            for sim in made[Simulator]:
+                sim.run()
+        except SimError as err:
+            problems.append(f"the drain did not end: {err}")
         alive = Counter(p.name for p in made[Process] if p.alive)
         if alive:
             problems.append(f"{sum(alive.values())} processes alive: {dict(alive)}")

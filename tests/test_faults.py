@@ -173,7 +173,7 @@ def test_nfs_server_crash_restart_rides_through():
     cl = mount.client
     spec = FaultSpec(crashes=(CrashEvent(at=0.5, target="server", down_for=0.3),))
     plan = FaultPlan(tb.sim, spec).install(tb.net)
-    plan.schedule({"server": (tb.crash_nfs_server, tb.restart_nfs_server)})
+    plan.schedule(tb.daemons)
 
     def job():
         yield from cl.write_file("/a.bin", b"before the crash")
@@ -246,6 +246,7 @@ class _Untouched:
 @pytest.mark.parametrize("setup, target", [
     ("nfs-v3", "server-proxy"),  # the proxy-restart preset's target
     ("sgfs-aes", "backend3"),
+    ("sgfs-aes", "client-proxy:client"),  # registered, but it cannot crash
 ])
 def test_a_crash_aimed_at_no_target_is_refused(setup, target):
     """A crash naming a target the run does not have raises before the
@@ -262,23 +263,6 @@ def test_a_fleet_crash_aimed_at_no_target_is_refused():
     spec = FaultSpec(crashes=(CrashEvent(at=0.5, target="backend3", down_for=0.3),))
     with pytest.raises(ValueError, match="backend3"):
         run_fleet("sgfs-aes", _Untouched, clients=2, servers=2, faults=spec)
-
-
-def test_a_run_ends_its_crash_and_restart_processes(made):
-    """A restart due after the workload has ended goes with the run: the
-    fleet returns with no crash/restart process alive and nothing of the
-    plan left on the queue, and the crash it made stays counted."""
-    from repro.sim.process import Process
-    from repro.workloads.iozone import IOzoneWriteRead
-
-    spec = FaultSpec(crashes=(CrashEvent(at=0.05, target="backend1", down_for=100.0),))
-    r = run_fleet("sgfs-sha", lambda: IOzoneWriteRead(file_size=256 * 1024), clients=2,
-                  servers=3, replicas=2, grid_block_size=32 * 1024,
-                  setup_kwargs={"cache_bytes": 64 * 1024}, faults=spec)
-    assert r.stats["faults"]["crashes"] == 1
-    assert not [p.name for p in made[Process]
-                if p.alive and p.name.startswith("fault-crash:")]
-    assert all(sim.peek() == float("inf") for sim in made[Simulator])
 
 
 def test_dirty_writeback_survives_server_proxy_restart():

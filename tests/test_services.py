@@ -132,12 +132,14 @@ def deploy():
     return tb, rng, ca, anchors, user, ids, fss_client, fss_server, dss
 
 
-def test_full_session_lifecycle_through_services():
+def test_full_session_lifecycle_through_services(made):
     """Create a session with the disk cache on, mount it, write, destroy
     it.  The session's proxy caches on the cache disk ``setup_sgfs``
     gives one; the destroy writes back, then ends the session's
     authority: the old mount's next call fails within the kernel
-    client's hard-mount ladder and nothing it writes reaches the server."""
+    client's hard-mount ladder, nothing it writes reaches the server,
+    and no process of the session is left once the simulation drains."""
+    from repro.sim.process import Process
     from repro.nfs.client import RETRANS_BASE, RETRANS_CAP
     from repro.rpc.errors import RpcTransportError
     from repro.vfs.fs import VfsError
@@ -181,6 +183,27 @@ def test_full_session_lifecycle_through_services():
     assert refused_after < ladder + 0.1
     with pytest.raises(VfsError):
         tb.fs.resolve("/after.txt")
+    tb.sim.run()
+    # what is alive is the services' and nfsd's, waiting for calls
+    assert {p.name.partition(".")[0] for p in made[Process] if p.alive} == {
+        "nfsd", "fss:server:5000", "fss:client:5001", "dss:5002"}
+
+
+def test_services_registered_on_the_testbed_close_with_their_sessions():
+    """An FSS's ``stop()`` ends the sessions it started: a testbed whose
+    services are registered closes empty with a live session."""
+    tb, rng, ca, anchors, user, ids, fss_client, fss_server, dss = deploy()
+    for name, service in (("fss:server", fss_server), ("fss:client", fss_client),
+                          ("dss", dss)):
+        tb.register(name, service)
+    proxy_cred = issue_proxy_certificate(
+        user, now=tb.sim.now, rng=rng.fork("px"), key_bits=768)
+    me = ServiceClient(tb.sim, tb.client, proxy_cred, anchors, rng=rng.fork("me"))
+    blob = seal_credential_for(proxy_cred, ids["fss-client"].certificate, rng.fork("seal"))
+    tb.run(me.call("server", 5002, "CreateSession",
+                   {"filesystem": "/GFS/ming", "client_host": "client", "credential": blob}))
+    assert fss_client.client_sessions and fss_server.server_sessions
+    tb.close()
 
 
 def test_unauthorized_user_cannot_create_session():

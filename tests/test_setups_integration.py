@@ -150,7 +150,7 @@ def test_every_backend_has_its_own_server_and_only_home_speaks_v4():
 
     tb = Testbed.build(servers=3)
     assert [b.name for b in tb.backends] == ["server", "s1", "s2"]
-    for part in ("host", "fs", "disk", "nfs_program", "rpc_server", "listener"):
+    for part in ("host", "fs", "disk", "nfs_program", "rpc_server"):
         assert len({id(getattr(b, part)) for b in tb.backends}) == 3, part
     # the historical names are views of backend 0, not copies
     home = tb.backends[0]
@@ -175,18 +175,21 @@ def test_every_backend_has_its_own_server_and_only_home_speaks_v4():
 
 
 def test_home_server_crash_and_restart_are_backend_zero():
-    tb = Testbed.build()
+    from repro.core.topology import NFS_PORT
+    from repro.net.errors import NetError
+
+    tb = Testbed.build(servers=2)
     mount = SETUP_BUILDERS["nfs-v3"](tb)
     tb.run(mount.client.write_file("/before.txt", b"1"))
-    for crash, restart in (
-        (tb.crash_nfs_server, lambda: tb.restart_backend(0)),
-        (lambda: tb.crash_backend(0), tb.restart_nfs_server),
-    ):
-        crash()
-        assert tb.backends[0].listener is None
-        restart()
-        assert tb.backends[0].listener is not None
-        restart()  # idempotent: the port is bound once
+    (nfsd,) = tb.daemons["server"]
+    assert nfsd is tb.backends[0].rpc_server
+    assert tb.daemons["backend1"] == [tb.backends[1].rpc_server]
+    for _ in range(2):
+        nfsd.crash()
+        with pytest.raises(NetError):  # nothing listens while it is down
+            tb.run(tb.client.connect("server", NFS_PORT))
+        nfsd.restart()
+        nfsd.restart()  # idempotent: the port is bound once
         # the hard-mounted client reconnects to the restarted server
         tb.run(mount.client.write_file("/after.txt", b"2"))
     assert bytes(tb.fs.resolve("/after.txt", ROOT).data) == b"2"
