@@ -540,12 +540,13 @@ class BlockCache:
             self.dirty.pop(fileid, None)
             self.ahead.pop(fileid, None)
 
-    def gather_dirty(self, fileids: Iterable[int]):
-        """Process generator: take every dirty block of ``fileids`` for
-        write-back — files in the order given, blocks ascending.  Each
-        taken block is marked clean and *writing* until :meth:`written`
-        (evicted meanwhile, it stays readable), read off the cache disk,
-        and returned as a :data:`DirtyItem`; the blocks stay cached."""
+    def gather_dirty(self, fileids: Iterable[int]) -> List[DirtyItem]:
+        """Take every dirty block of ``fileids`` for write-back — files in
+        the order given, blocks ascending.  Each taken block is marked
+        clean and *writing* until :meth:`written` (evicted meanwhile, it
+        stays readable) and returned as a :data:`DirtyItem`; the blocks
+        stay cached.  Their bytes are read off the cache disk as they
+        leave (:meth:`read_runs`)."""
         items: List[DirtyItem] = []
         for fileid in fileids:
             for block in sorted(self.dirty.pop(fileid, ())):
@@ -557,9 +558,23 @@ class BlockCache:
                 self.dirty_bytes -= len(data)
                 self._on_wire[fileid] += row.wire is None
                 row.wire = data
-                yield from self.disk_read(len(data))
                 items.append((fileid, block, data))
         return items
+
+    def read_runs(self, items: List[DirtyItem]):
+        """Process generator: read gathered items off the cache disk, each
+        run of one file's consecutive blocks in one access, as
+        :meth:`read` reads cached blocks for READs: one access per block
+        when no two are consecutive."""
+        if self.disk is None:
+            return
+        nbytes = 0
+        for i, (fileid, block, data) in enumerate(items):
+            nbytes += len(data)
+            nxt = items[i + 1][:2] if i + 1 < len(items) else None
+            if nxt != (fileid, block + 1):
+                yield from self.disk.read(nbytes, cached=False)
+                nbytes = 0
 
     # -- background processes ----------------------------------------------
 

@@ -670,13 +670,13 @@ class NfsClient:
         f.size = max(f.size, offset + len(data))
         f.uncommitted += 1
         if self.pages.dirty_bytes > self.dirty_flush_threshold:
-            self._write_back((yield from self.pages.gather_dirty([f.fileid])), note=True)
+            self._write_back(self.pages.gather_dirty([f.fileid]), note=True)
         return len(data)
 
     def fsync(self, f: OpenFile):
         """Write back the file's dirty blocks, wait for every read-ahead
         and write of it in flight, then COMMIT."""
-        self._write_back((yield from self.pages.gather_dirty([f.fileid])), note=True)
+        self._write_back(self.pages.gather_dirty([f.fileid]), note=True)
         yield from self.pages.drain(f.fileid)
         if f.uncommitted:
             res = yield from self._call(Proc.COMMIT, pr.pack_commit_args(f.fh))

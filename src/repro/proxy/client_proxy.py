@@ -32,6 +32,7 @@ from repro.obs.schema import zeros
 from repro.nfs.cache import BlockCache
 from repro.nfs.protocol import Fattr3, FileHandle, NfsStatus, Proc
 from repro.proxy.session_config import ProxyCacheConfig
+from repro.proxy.upstream import MAX_WINDOW
 from repro.rpc.auth import NULL_AUTH
 from repro.rpc.costs import CostProfile, FREE_PROFILE, charge_profile
 from repro.rpc.drc import DuplicateRequestCache, drc_key
@@ -86,9 +87,9 @@ class SgfsClientProxy:
         self._up = upstream
         #: the widest leg's channels: one is the paper's stop-and-wait proxy
         self._streams = max(leg.streams for leg in upstream.legs)
-        #: the (pipe, cache blocks) :meth:`_pipeline` last sized for, and
-        #: its (burst, depth, read burst)
-        self._sized: Tuple[Tuple[int, int], Tuple[int, int, int]] = ((0, 0), (1, 1, 1))
+        #: the (pipe, cache blocks, startup) :meth:`_pipeline` last sized
+        #: for, and its write and read (burst, depth)
+        self._sized = ((0, 0, False), ((1, 1), (1, 1)))
         self._listener = None
         #: the kernel client connections accepted and still open, in
         #: accept order (a teardown closes them in a fixed order)
@@ -495,12 +496,19 @@ class SgfsClientProxy:
         wider than its share: the read-ahead span, ``depth + 1`` of them,
         then fits under the low-water mark and no block read ahead is
         evicted unread (a cache too small for two-block shares reads
-        ahead in narrower bursts than it writes behind)."""
+        ahead in narrower bursts than it writes behind).
+
+        While the widest leg is in startup (:attr:`UpstreamSession.growing`)
+        write-behind keeps three pipes in flight, where ``depth + 2``
+        bursts that carry them fit the cache: BBR's startup gain, since
+        the rate only grows by what is out.  It never aims past twice
+        :data:`MAX_WINDOW`, the most the steady rule keeps at the widest
+        pipe.  Reads are sized as in steady state."""
         if self._streams == 1:
             return 1, 1
-        pipe = max(leg.window() for leg in self._up.legs)
+        pipe, growing = max((leg.window(), leg.growing) for leg in self._up.legs)
         blocks = self.cache.capacity_bytes // self.cache.block_size
-        if (pipe, blocks) != self._sized[0]:
+        if (pipe, blocks, growing) != self._sized[0]:
             floor = 2 * self._streams if pipe > 1 else 1
 
             def size(headroom):
@@ -516,9 +524,15 @@ class SgfsClientProxy:
             if depth * burst < 2 * pipe:  # the cache cannot hold twice the pipe
                 burst, depth = size(lambda burst: 2 * burst)
             share = max(1, min(burst, blocks // (depth + 2)))
-            self._sized = ((pipe, blocks), (burst, depth, share))
-        burst, depth, share = self._sized[1]
-        return (share if read else burst), depth
+            write = burst, depth
+            if growing and pipe > 1:
+                lead = min(3 * pipe, 2 * MAX_WINDOW)
+                ramp = size(lambda burst: lead - pipe)
+                if ramp[0] * ramp[1] >= lead:
+                    write = ramp
+            self._sized = ((pipe, blocks, growing), (write, (share, depth)))
+        write, read_sizing = self._sized[1]
+        return read_sizing if read else write
 
     def _read_window(self, call: CallMessage, fh: FileHandle, block: int,
                      count: int):
@@ -679,22 +693,31 @@ class SgfsClientProxy:
             self._blocks.landed(fh.fileid, wanted)
         return results
 
-    def _write_behind(self, victims):
-        """Process generator: hand eviction victims (writing, in the
-        table) to write-behind, one background burst per pipeline window
-        (see :meth:`BlockCache.slot` for when each may go).  A window
-        the slot admitted leaves whole, one process's one burst
-        (:meth:`_writeback_window`), even if :meth:`_pipeline` has
-        re-sized since, so ``depth`` bounds the bursts in flight.  The
-        evicting call blocks only while ``depth`` are — and at one in
-        flight (a single-stream leg) it waits for its own burst:
-        stop-and-wait."""
+    def _write_behind(self, victims, on_disk: bool = False):
+        """Process generator: hand dirty items (writing, in the table) to
+        write-behind, one background burst per pipeline window (see
+        :meth:`BlockCache.slot` for when each may go): eviction victims,
+        or (``on_disk``) the blocks a COMMIT's flush or teardown gathered,
+        each window read off the cache disk in runs
+        (:meth:`BlockCache.read_runs`) before it waits for its slot.
+        Each window is sized by :meth:`_pipeline` when its turn comes, so
+        a cold session's first one-block window seeds the bulk RTT
+        estimator and widens the windows behind it.  A window the slot admitted
+        leaves whole, one process's one burst (:meth:`_writeback_window`),
+        even if :meth:`_pipeline` has re-sized since, so ``depth`` bounds
+        the bursts in flight.  The caller blocks only while ``depth``
+        are — and at one in flight (a single-stream leg) it waits for its
+        own burst: stop-and-wait."""
         blocks = self._blocks
-        window, depth = self._pipeline()
         start = 0
         try:
-            for start in range(0, len(victims), window):
-                items = yield from blocks.slot(victims[start:start + window], depth)
+            while start < len(victims):
+                window, depth = self._pipeline()
+                cut = victims[start:start + window]
+                if on_disk:
+                    yield from blocks.read_runs(cut)
+                items = yield from blocks.slot(cut, depth)
+                start += window
                 if not items:
                     continue
                 proc = self.sim.spawn(self._writeback_window(items),
@@ -702,7 +725,6 @@ class SgfsClientProxy:
                 blocks.track(proc, [v[:2] for v in items], writes=True)
                 if depth == 1:
                     yield from blocks.join(proc)
-            start = len(victims)
         finally:
             # victims a failed burst kept from going out are lost with
             # the error it raises here
@@ -710,8 +732,7 @@ class SgfsClientProxy:
 
     def _writeback_window(self, items):
         """Process generator: write back ``(fileid, block, data)`` items
-        in one upstream burst — a write-behind process's whole work, and
-        each burst of :meth:`_writeback`.
+        in one upstream burst — a write-behind process's whole work.
 
         Items are sealed and issued in list order; statuses are
         consumed in the same order, so accounting is independent of
@@ -746,22 +767,6 @@ class SgfsClientProxy:
                     self.stats["writeback_errors"] += 1
         finally:
             self._blocks.written(items)
-
-    def _writeback(self, items):
-        """Process generator: write back items that may fill more than
-        one window — a COMMIT's flush and teardown — one burst after
-        another, each sized by :meth:`_pipeline` when it leaves: the
-        first burst of a cold session runs at window 1 and seeds the
-        bulk RTT estimator, widening the bursts that follow it."""
-        start = 0
-        try:
-            while start < len(items):
-                burst = items[start:start + self._pipeline()[0]]
-                start += len(burst)
-                yield from self._writeback_window(burst)
-        finally:
-            # items a failed burst kept from going out
-            self._blocks.written(items[start:])
 
     def _h_write(self, call: CallMessage):
         fh, offset, stable, payload = pr.unpack_write_args(call.args)
@@ -831,8 +836,8 @@ class SgfsClientProxy:
     def _flush(self, fileid: int):
         """Process generator: write back every unflushed block of the file."""
         yield from self._blocks.drain(fileid)
-        items = yield from self._blocks.gather_dirty([fileid])
-        yield from self._writeback(items)
+        yield from self._write_behind(self._blocks.gather_dirty([fileid]), on_disk=True)
+        yield from self._blocks.drain(fileid)
 
     def _h_setattr(self, call: CallMessage):
         fh, sattr = pr.unpack_setattr_args(call.args)
@@ -918,8 +923,9 @@ class SgfsClientProxy:
             yield from self._blocks.drain()
             flushable = [f for f in list(self._blocks.dirty)
                          if f in self._handles]
-            items = yield from self._blocks.gather_dirty(flushable)
-            yield from self._writeback(items)
+            yield from self._write_behind(self._blocks.gather_dirty(flushable),
+                                          on_disk=True)
+            yield from self._blocks.drain()
         return (
             self.stats["writeback_blocks"] - before_blocks,
             self.stats["writeback_bytes"] - before_bytes,

@@ -43,6 +43,11 @@ _RTT_ALPHA = 0.125
 _RTT_FLOOR = 1e-4
 #: ceiling on the RTT-sized pipeline window of a multi-stream leg
 MAX_WINDOW = 64
+#: startup (BBR's): a delivery-rate sample this many times the leg's
+#: rate when its burst left has found the rate still growing; this many
+#: samples in a row that have not end startup
+_STARTUP_GROWTH = 1.25
+_STARTUP_ROUNDS = 3
 
 
 def dialer(sim: Simulator, host, target: str, port: int, security=None):
@@ -162,6 +167,9 @@ class UpstreamSession:
         #: at: a max filter over the bursts' delivery-rate samples
         self._delivered = 0
         self.rate = 0.0
+        #: delivery-rate samples in a row that found :attr:`rate` flat
+        #: (see :attr:`growing`)
+        self._flat = 0
 
     @property
     def transport(self) -> Optional[Transport]:
@@ -221,6 +229,14 @@ class UpstreamSession:
         one = math.ceil(self.srtt_small / service)
         delivered = math.ceil(self.srtt_small * self.rate)
         return max(1, min(MAX_WINDOW, max(one, delivered)))
+
+    @property
+    def growing(self) -> bool:
+        """Whether the leg is in startup, as BBR's is: until
+        :data:`_STARTUP_ROUNDS` delivery-rate samples in a row
+        (:meth:`burst`) come in under :data:`_STARTUP_GROWTH` times the
+        rate their burst left at.  Startup then ends for the session."""
+        return self._flat < _STARTUP_ROUNDS
 
     def _note_stream(self, channel: int, nbytes: int) -> None:
         calls, volume = self._stream_keys[channel]
@@ -374,11 +390,12 @@ class UpstreamSession:
         does: the blocks the leg delivered while it was out — its own
         and those of bursts that overlapped it, counted as each burst
         lands — over the time it was out.  :attr:`rate` keeps the
-        highest."""
+        highest, and the sample counts toward the end of startup
+        (:attr:`growing`)."""
         n = self.streams
         alone = len(calls) == 1 and not self._bursting
         self._bursting += 1
-        started, delivered = self.sim.now, self._delivered
+        started, delivered, rate = self.sim.now, self._delivered, self.rate
         procs = [
             self.sim.spawn(self.forward_batch(calls[ch::n], channel=ch),
                            name=f"bulk-ch{ch}")
@@ -391,7 +408,10 @@ class UpstreamSession:
         self._delivered += len(calls)
         elapsed = self.sim.now - started
         if elapsed > 0:
-            self.rate = max(self.rate, (self._delivered - delivered) / elapsed)
+            sample = (self._delivered - delivered) / elapsed
+            if self.growing:
+                self._flat = 0 if sample >= _STARTUP_GROWTH * rate else self._flat + 1
+            self.rate = max(self.rate, sample)
         if alone:
             # a lone WRITE goes as given, FILE_SYNC: it flushes
             self._observe_rtt(True, elapsed, calls[0].proc == _WRITE)

@@ -261,6 +261,85 @@ def test_a_write_behind_window_leaves_as_one_burst():
     assert bytes(tb.fs.resolve("/w.bin", ROOT).data) == payload
 
 
+def _logged_bursts(mount):
+    """Wrap the mount's home leg's ``burst``: returns the list it fills
+    with one ``(blocks, bursts landed before it, bursts in flight
+    beside it, the proxy's write sizing)`` per burst, in issue order."""
+    proxy = mount.client_proxy
+    leg = proxy._up.legs[0]
+    burst, log, landed = leg.burst, [], [0]
+
+    def noting(calls):
+        log.append((len(calls), landed[0], leg._bursting, proxy._pipeline()))
+        try:
+            return (yield from burst(calls))
+        finally:
+            landed[0] += 1
+
+    leg.burst = noting
+    return log
+
+
+def test_write_behind_reaches_its_cache_bound_sizing_in_seven_landed_bursts():
+    """12 MiB written through a 4 MiB cache at 80 ms: write-behind starts
+    with two lone WRITEs, the first bulk sample, and bursts of the
+    sizing a cache of 128 blocks gives the widest pipe, (16, 6), from
+    the seventh burst landed after that sample on.  Startup keeps three
+    pipes in flight while the rate grows (bursts of 18, five deep, at
+    the first measured pipe of 29); keeping two took nine landed bursts
+    (29 two deep, then 21 four deep)."""
+    tb = Testbed.build(rtt=0.08)
+    mount = setup_sgfs(tb, disk_cache=True, streams=4, cache_capacity=4 * MB)
+    log = _logged_bursts(mount)
+    payload = _pattern(12 * MB)
+
+    def job():
+        yield from mount.client.write_file("/w.bin", payload)
+        yield from mount.finish()
+
+    tb.run(job())
+    assert [n for n, *_ in log[:2]] == [1, 1]
+    assert log[2][3] == (18, 5)
+    steady = next(landed for _n, landed, _beside, sizing in log if sizing == (16, 6))
+    assert steady - 1 <= 7
+    assert all(sizing == (16, 6) for _n, landed, _b, sizing in log if landed >= steady)
+    assert bytes(tb.fs.resolve("/w.bin", ROOT).data) == payload
+
+
+@pytest.mark.parametrize("streams", [4, 1])
+def test_teardown_writes_back_in_windows_read_off_the_disk_in_runs(streams):
+    """2 MiB written into a cache that holds it, then teardown: a 4-stream
+    leg writes it back through write-behind's windows, more than one
+    burst in flight, each window read off the cache disk in one access.
+    A single-stream leg writes back as the paper's proxy does: one block
+    per burst, one burst in flight, one disk access per block."""
+    tb = Testbed.build(rtt=0.08)
+    mount = setup_sgfs(tb, disk_cache=True, streams=streams)
+    disk = mount.client_proxy._blocks.disk
+    log = _logged_bursts(mount)
+    payload = _pattern(2 * MB)
+    nblocks = len(payload) // BS
+
+    def job():
+        yield from mount.client.write_file("/t.bin", payload)
+        reads = disk.reads
+        del log[:]
+        yield from mount.finish()
+        return disk.reads - reads
+
+    reads = tb.run(job())
+    stats = mount.client_proxy.stats
+    assert stats["writeback_blocks"] == nblocks and stats["writeback_errors"] == 0
+    assert sum(n for n, *_ in log) == nblocks
+    if streams == 1:
+        assert log == [(1, landed, 0, (1, 1)) for landed in range(nblocks)]
+        assert reads == nblocks
+    else:
+        assert max(beside for _n, _l, beside, _s in log) >= 2
+        assert reads == len(log) < nblocks
+    assert bytes(tb.fs.resolve("/t.bin", ROOT).data) == payload
+
+
 @pytest.mark.parametrize("streams", [2, 8])
 def test_a_read_pass_demand_misses_only_its_first_block(monkeypatch, streams):
     """16 MiB through a 6 MiB cache at 80 ms: the read-ahead cursor

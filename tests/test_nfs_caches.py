@@ -2,7 +2,6 @@
 
 from repro.nfs.cache import AccessCache, AttrCache, NameCache, Page, PageCache
 from repro.nfs.protocol import Fattr3, FileHandle
-from repro.sim import Simulator
 
 
 def attr(fileid=1, mtime=0.0, is_dir=False, size=100):
@@ -186,7 +185,6 @@ def test_page_cache_dirty_pages_iterator():
     cache.put(1, 1, Page(data=bytes(100)))
     cache.put(2, 0, Page(data=bytes(100), dirty=True))
     assert cache.dirty == {1: {0}, 2: {0}} and cache.dirty_bytes == 200
-    sim = Simulator()
-    items = sim.run_until_complete(sim.spawn(cache.gather_dirty([1])))
+    items = cache.gather_dirty([1])
     assert [(f, b) for f, b, _data in items] == [(1, 0)]
     assert cache.dirty == {2: {0}} and cache.dirty_bytes == 100

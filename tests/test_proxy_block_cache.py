@@ -87,7 +87,7 @@ def test_clean_reput_over_dirty_block_keeps_it_dirty():
     do(cache.fill(1, 0, b"refetched" * 10))  # e.g. a read-ahead
     assert 0 in cache.dirty[1]
     assert cache.dirty_bytes == 30
-    items = do(cache.gather_dirty([1]))
+    items = cache.gather_dirty([1])
     assert items == [(1, 0, b"new" * 10)]
     assert cache.dirty_bytes == 0 and (1, 0) in cache  # flushed, still cached
 
@@ -97,10 +97,10 @@ def test_gather_dirty_takes_named_files_blocks_ascending():
     _fill(cache, do, 2, (3, 1), dirty=True)
     _fill(cache, do, 1, (2, 0), dirty=True)
     _fill(cache, do, 3, (5,), dirty=True)
-    items = do(cache.gather_dirty([2, 1]))
+    items = cache.gather_dirty([2, 1])
     assert [(f, b) for f, b, _d in items] == [(2, 1), (2, 3), (1, 0), (1, 2)]
     assert set(cache.dirty) == {3}  # file 3 was not asked for
-    assert do(cache.gather_dirty([2, 1])) == []
+    assert cache.gather_dirty([2, 1]) == []
 
 
 def test_a_reput_replaces_the_bytes():
@@ -354,7 +354,7 @@ def test_file_index_and_byte_counts_match_a_whole_scan(ops):
         elif op[0] == "truncate":
             cache.truncate(op[1], op[2])
         else:
-            do(cache.gather_dirty([op[1]]))
+            cache.gather_dirty([op[1]])
         rows = cache._rows
         assert {f: set(blocks) for f, blocks in cache._files.items()} == {
             f: {b for fid, b in rows if fid == f} for f, _b in rows}

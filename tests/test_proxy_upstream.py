@@ -380,6 +380,20 @@ def test_the_rate_sample_counts_blocks_of_overlapping_bursts():
     assert up.rate == 16 / RTT and up.window() == 16
 
 
+def test_startup_ends_after_three_samples_that_find_the_rate_flat():
+    """A sample at least 1.25 times the rate its burst left at keeps the
+    leg in startup; three in a row below that end it, for good."""
+    sim, up, _far = _paced()
+    assert up.growing  # no sample yet
+    for n in (8, 16, 19, 20):  # 16 -> 19 is under a quarter's growth
+        sim.run_until_complete(_burst(sim, up, n))
+        assert up.growing
+    sim.run_until_complete(_burst(sim, up, 24))  # the third flat sample
+    assert not up.growing and up.rate == 24 / RTT
+    sim.run_until_complete(_burst(sim, up, 48))  # growth no longer counts
+    assert not up.growing and up.rate == 48 / RTT
+
+
 def test_growth_past_the_one_block_estimate_stops_at_max_window():
     """The leg's window is its pipe: what it delivers in a round trip,
     past the one-block estimate, up to MAX_WINDOW; what the cache holds
@@ -406,14 +420,9 @@ def test_growth_past_the_one_block_estimate_stops_at_max_window():
 ])
 def test_the_proxy_keeps_twice_the_pipe_in_flight_in_bursts_the_cache_holds(
         streams, pipe, blocks, burst, depth, read):
-    from types import SimpleNamespace
-
     from repro.proxy.client_proxy import SgfsClientProxy
-    from repro.proxy.session_config import ProxyCacheConfig
 
-    proxy = SimpleNamespace(
-        _streams=streams, _up=SimpleNamespace(legs=[SimpleNamespace(window=lambda: pipe)]),
-        cache=ProxyCacheConfig(capacity_bytes=blocks * BS), _sized=((0, 0), (1, 1, 1)))
+    proxy = _sizing(streams, pipe, blocks, growing=False)
     assert SgfsClientProxy._pipeline(proxy) == (burst, depth)
     assert SgfsClientProxy._pipeline(proxy, read=True) == (read, depth)
     if pipe > 1 and streams > 1:
@@ -422,6 +431,41 @@ def test_the_proxy_keeps_twice_the_pipe_in_flight_in_bursts_the_cache_holds(
         assert (depth + 1) * read + burst - 1 <= blocks or blocks < 8 * streams
         covered = depth * burst >= min(2 * pipe, pipe + 2 * burst)
         assert covered or blocks // (depth + 3) < 2 * streams
+
+
+def _sizing(streams, pipe, blocks, growing):
+    """What :meth:`SgfsClientProxy._pipeline` reads of a proxy: one leg
+    with this pipe, in startup or not, and a cache of ``blocks``."""
+    from types import SimpleNamespace
+
+    from repro.proxy.session_config import ProxyCacheConfig
+
+    leg = SimpleNamespace(window=lambda: pipe, growing=growing)
+    return SimpleNamespace(
+        _streams=streams, _up=SimpleNamespace(legs=[leg]),
+        cache=ProxyCacheConfig(capacity_bytes=blocks * BS),
+        _sized=((0, 0, False), ((1, 1), (1, 1))))
+
+
+@pytest.mark.parametrize("streams, pipe, blocks, burst, depth", [
+    (4, 29, 128, 18, 5),    # the bench's first measured pipe: 3 x 29 in flight
+    (4, 58, 192, 32, 4),    # 3 x 58 > 2 x MAX_WINDOW: the steady sizing's
+    (4, 39, 128, 21, 4),    # no room for 3 x 39: the steady sizing
+    (4, 1, 128, 1, 2),      # a one-block pipe keeps its bursts of one
+    (1, 40, 128, 1, 1),     # one stream: stop-and-wait
+])
+def test_a_leg_in_startup_keeps_three_pipes_in_flight(streams, pipe, blocks, burst, depth):
+    """While the leg's rate grows, write-behind keeps three pipes in
+    flight where the cache holds them (and never more than the steady
+    rule keeps at MAX_WINDOW); read-ahead is sized as in steady state."""
+    from repro.proxy.client_proxy import SgfsClientProxy
+
+    startup = _sizing(streams, pipe, blocks, growing=True)
+    steady = _sizing(streams, pipe, blocks, growing=False)
+    assert SgfsClientProxy._pipeline(startup) == (burst, depth)
+    assert (depth + 2) * burst <= blocks
+    assert SgfsClientProxy._pipeline(startup, read=True) == \
+        SgfsClientProxy._pipeline(steady, read=True)
 
 
 def test_a_single_stream_leg_keeps_a_window_of_one():
