@@ -1,10 +1,10 @@
 """Scale-out benchmark — the server-crypto ceiling, before and after.
 
 Runs pinned sgfs-aes scenarios and writes ``BENCH_SCALEOUT.json``.  The
-benchmark is one table (:func:`scenarios`, in the ``(label, runner,
-setup, keywords)`` form of :func:`repro.harness.tables.figures`), plus
-the ratios (:data:`RATIOS`) and the conditions (:data:`CONDITIONS`)
-gated on it:
+benchmark is one table (:func:`scenarios`: each row a label and the run
+that measures it, mostly ``run(Scenario(...), factory)``), plus the
+ratios (:data:`RATIOS`) and the conditions (:data:`CONDITIONS`) gated
+on it:
 
 - ``base-8c-1core``  — the saturated single-core baseline: 8 clients
   against one serialized server CPU on the widened (8x) LAN, aggregate
@@ -81,14 +81,16 @@ import json
 import operator
 import sys
 import timeit
+from functools import partial
 from pathlib import Path
 
 from repro.core.calibration import DEFAULT_CALIBRATION
 from repro.gsi import Gridmap
-from repro.harness import run_fleet, run_iozone, run_iozone_wr, run_postmark
+from repro.harness import Scenario, run
 from repro.obs.schema import metric_key, parse_key
 from repro.workloads.churn import SessionChurn
 from repro.workloads.iozone import IOzoneReadReread, IOzoneWriteRead
+from repro.workloads.postmark import PostMark
 
 #: the committed snapshot ``--check`` holds a fresh run to
 COMMITTED = Path(__file__).resolve().parent.parent / "BENCH_SCALEOUT.json"
@@ -148,15 +150,15 @@ CHURN_RECONNECT = 1.5
 CHURN_DELEGATION = 4.0
 
 
-def _aes_keywords(clients: int, cores: int, **kw) -> dict:
-    return dict(workload_factory=lambda: IOzoneReadReread(file_size=FILE_SIZE),
-                clients=clients, cal=FAT_LAN, server_cores=cores, **kw)
+def aes_fleet(clients: int, cores: int = 1, **fields) -> Scenario:
+    """The sgfs-aes fleet of the ``base``/``wide``/``resume`` rows (and of
+    ``benchmarks/test_scaleout.py``), which runs :func:`client_iozone`."""
+    return Scenario("sgfs-aes", clients=clients, cal=FAT_LAN, server_cores=cores,
+                    **fields)
 
 
-def aes_fleet(clients: int, cores: int = 1, **kw):
-    """The read/reread sgfs-aes fleet of the ``base``/``wide``/``resume``
-    rows (and of ``benchmarks/test_scaleout.py``)."""
-    return run_fleet("sgfs-aes", **_aes_keywords(clients, cores, **kw))
+def client_iozone():
+    return IOzoneReadReread(file_size=FILE_SIZE)
 
 
 def authz_probe(sizes) -> dict:
@@ -203,9 +205,9 @@ def stat_sum(component: str, name: str):
 
 
 def scenarios():
-    """Every scenario as data, in run order: (label, runner, setup,
-    keywords, the constant fields it records, its measured fields as
-    name -> function of the runner's result).  Built per call."""
+    """Every scenario as data, in run order: (label, the run that
+    measures it, the constant fields it records, its measured fields as
+    name -> function of the run's result).  Built per call."""
     makespan, total = operator.attrgetter("makespan"), operator.attrgetter("total")
     fleet = {"makespan_virtual_seconds": makespan,
              # measured from per-client byte totals
@@ -236,43 +238,44 @@ def scenarios():
                    for name in ("writeback_blocks", "compound_envelopes")}}
 
     def aes_row(label, clients, cores, **recorded):
-        return (label, run_fleet, "sgfs-aes", _aes_keywords(clients, cores, **recorded),
+        return (label, partial(run, aes_fleet(clients, cores, **recorded), client_iozone),
                 {"clients": clients, "server_cores": cores, **recorded}, aes)
 
     def grid_row(label, clients, servers, file_size, fields, **recorded):
-        return (label, run_fleet, "sgfs-aes",
-                dict(workload_factory=lambda: IOzoneWriteRead(file_size=file_size),
-                     clients=clients, cal=FAT_LAN, server_cores=1, servers=servers,
-                     grid_block_size=GRID_BLOCK,
-                     setup_kwargs={"cache_bytes": 64 * 1024}, **recorded),
+        grid_fleet = Scenario("sgfs-aes", clients=clients, cal=FAT_LAN, server_cores=1,
+                              servers=servers, grid_block_size=GRID_BLOCK,
+                              cache_bytes=64 * 1024, **recorded)
+        return (label, partial(run, grid_fleet, lambda: IOzoneWriteRead(file_size=file_size)),
                 {"clients": clients, "servers": servers, "server_cores": 1,
                  **recorded}, fields)
 
     def churn_row(mode, tickets, **recorded):
-        churning = dict(
-            workload_factory=lambda: SessionChurn(duration=CHURN_DURATION, period=CHURN_PERIOD),
-            clients=CHURN_CLIENTS, cal=FAT_LAN, server_cores=1, stagger=CHURN_STAGGER,
-            reconnect_interval=CHURN_RECONNECT, session_tickets=tickets, **recorded)
-        return (f"churn-8c-{mode}", run_fleet, "sgfs-aes", churning,
+        churning = Scenario(
+            "sgfs-aes", clients=CHURN_CLIENTS, cal=FAT_LAN, server_cores=1,
+            stagger=CHURN_STAGGER, reconnect_interval=CHURN_RECONNECT,
+            session_tickets=tickets, **recorded)
+        return (f"churn-8c-{mode}",
+                partial(run, churning, lambda: SessionChurn(duration=CHURN_DURATION,
+                                                            period=CHURN_PERIOD)),
                 {"mode": mode, "clients": CHURN_CLIENTS, "duration": CHURN_DURATION,
                  "reconnect_interval": CHURN_RECONNECT, **recorded}, churn)
 
     def wan_row(label, rtt, streams):
-        return (label, run_iozone, "sgfs-aes",
-                dict(rtt=rtt, file_size=WAN_FILE_SIZE,
-                     setup_kwargs={"disk_cache": True, "streams": streams}),
+        return (label, partial(run, Scenario("sgfs-aes", rtt=rtt, disk_cache=True,
+                                             streams=streams),
+                               lambda: IOzoneReadReread(file_size=WAN_FILE_SIZE)),
                 {"rtt": rtt, "streams": streams, "file_size": WAN_FILE_SIZE}, wan)
 
     def engine_row(records):
         size = records * ENGINE_RECORD
-        setup = {"disk_cache": True, "streams": WAN_STREAMS,
-                 "cache_capacity": ENGINE_CACHE}
+        engine = Scenario("sgfs-aes", rtt=WAN_RTT, disk_cache=True, streams=WAN_STREAMS,
+                          cache_capacity=ENGINE_CACHE)
 
         def mb_per_sec(phase):
             return lambda r: round(size / r.phases[phase] / 1e6, 3)
 
-        return (f"wan-engine-{records}", run_iozone_wr, "sgfs-aes",
-                dict(rtt=WAN_RTT, file_size=size, setup_kwargs=setup),
+        return (f"wan-engine-{records}",
+                partial(run, engine, lambda: IOzoneWriteRead(file_size=size)),
                 {"rtt": WAN_RTT, "records": records, "streams": WAN_STREAMS,
                  "cache_capacity": ENGINE_CACHE},
                 {"virtual_seconds": total,
@@ -282,8 +285,9 @@ def scenarios():
 
     def postmark_row(streams):
         cache = {"streams": streams, "cache_capacity": PM_CACHE_CAPACITY}
-        return (f"wan-80ms-postmark-s{streams}", run_postmark, "sgfs-aes",
-                dict(rtt=WAN_RTT, setup_kwargs={"disk_cache": True, **cache}),
+        return (f"wan-80ms-postmark-s{streams}",
+                partial(run, Scenario("sgfs-aes", rtt=WAN_RTT, disk_cache=True, **cache),
+                        PostMark),
                 {"rtt": WAN_RTT, **cache}, postmark)
 
     return [
@@ -294,7 +298,7 @@ def scenarios():
           for n in (1, 2, 4)],
         grid_row("grid-12c-4s-s4", 12, 4, GRID_S4_FILE_SIZE, {**grid, **tls_split},
                  replicas=2, streams=4),
-        ("authz-1e6", authz_probe, (AUTHZ_SMALL, AUTHZ_LARGE), {},
+        ("authz-1e6", partial(authz_probe, (AUTHZ_SMALL, AUTHZ_LARGE)),
          {"small_entries": AUTHZ_SMALL, "large_entries": AUTHZ_LARGE,
           "probes_per_round": AUTHZ_PROBES, "rounds": AUTHZ_ROUNDS},
          {k: operator.itemgetter(k) for k in ("o1_lookup", "lookups_resolved")}),
@@ -376,8 +380,8 @@ def run_benchmarks() -> dict:
            "setup": "sgfs-aes", "file_size": FILE_SIZE,
            "lan_bandwidth_multiplier": 8, "scenarios": {}}
     rows = out["scenarios"]
-    for label, runner, setup, keywords, constants, fields in scenarios():
-        rows[label] = measure(runner(setup, **keywords), constants, fields)
+    for label, job, constants, fields in scenarios():
+        rows[label] = measure(job(), constants, fields)
         show(label, {k: rows[label][k] for k in fields})
     for name, field, num, den, test, floor in RATIOS:
         out[name] = round(rows[num][field] / rows[den][field], 3)

@@ -15,14 +15,16 @@ Not figures from the paper — these isolate the mechanisms behind them:
 
 from repro.core import Testbed, setup_sgfs
 from repro.core.setups import USER_DN
-from repro.harness import run_iozone, run_postmark, run_seismic
+from repro.harness import Scenario, run
 from repro.harness.tables import IOZONE_CACHE, IOZONE_FILE
 from repro.proxy.acl import AclEntry
 from repro.workloads.iozone import IOzoneReadReread
+from repro.workloads.postmark import PostMark
+from repro.workloads.seismic import Seismic
 
 
 def _iozone_async_total() -> float:
-    """``run_iozone("sgfs-rc")``'s LAN run with both proxies serving
+    """The ``sgfs-rc`` IOzone LAN run with both proxies serving
     calls concurrently instead of one at a time."""
     tb = Testbed.build()
     wl = IOzoneReadReread(file_size=IOZONE_FILE)
@@ -38,32 +40,19 @@ def run_all_ablations():
     out = {}
 
     # 1. blocking vs async proxies (IOzone LAN)
-    out["blocking"] = run_iozone(
-        "sgfs-rc", rtt=0.0, file_size=IOZONE_FILE,
-        setup_kwargs={"cache_bytes": IOZONE_CACHE},
-    ).total
+    iozone = lambda: IOzoneReadReread(file_size=IOZONE_FILE)
+    out["blocking"] = run(Scenario("sgfs-rc", cache_bytes=IOZONE_CACHE), iozone).total
     out["async"] = _iozone_async_total()
-    out["sfs"] = run_iozone(
-        "sfs", rtt=0.0, file_size=IOZONE_FILE,
-        setup_kwargs={"cache_bytes": IOZONE_CACHE},
-    ).total
+    out["sfs"] = run(Scenario("sfs", cache_bytes=IOZONE_CACHE), iozone).total
 
     # 2. disk cache on/off at 40ms (PostMark)
-    out["wan_cache_on"] = run_postmark(
-        "sgfs", rtt=0.040, setup_kwargs={"disk_cache": True}
-    ).total
-    out["wan_cache_off"] = run_postmark(
-        "sgfs", rtt=0.040, setup_kwargs={"disk_cache": False}
-    ).total
+    out["wan_cache_on"] = run(Scenario("sgfs", rtt=0.040, disk_cache=True), PostMark).total
+    out["wan_cache_off"] = run(Scenario("sgfs", rtt=0.040), PostMark).total
 
     # 3. write-back vs write-through at 40ms (Seismic: absorbed temporaries)
-    out["wb_writeback"] = run_seismic(
-        "sgfs", rtt=0.040, setup_kwargs={"disk_cache": True}
-    ).total
-    out["wb_writethrough"] = run_seismic(
-        "sgfs", rtt=0.040,
-        setup_kwargs={"disk_cache": True, "write_back": False},
-    ).total
+    out["wb_writeback"] = run(Scenario("sgfs", rtt=0.040, disk_cache=True), Seismic).total
+    out["wb_writethrough"] = run(
+        Scenario("sgfs", rtt=0.040, disk_cache=True, write_back=False), Seismic).total
 
     return out
 

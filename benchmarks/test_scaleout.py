@@ -23,10 +23,9 @@ what we are after, and it is CPU-, not network-, bound.
 from __future__ import annotations
 
 import pytest
-from bench_scaleout import FAT_LAN, FILE_SIZE, aes_fleet
+from bench_scaleout import FAT_LAN, aes_fleet, client_iozone
 
-from repro.harness import run_fleet
-from repro.workloads.iozone import IOzoneReadReread
+from repro.harness import Scenario, run
 
 SETUPS = ("nfs-v3", "gfs", "sgfs-aes")
 CLIENT_COUNTS = (1, 2, 4, 8, 16, 32)
@@ -36,10 +35,7 @@ def _throughput_curve(setup: str) -> dict:
     """client count -> aggregate MB/s (and per-client seconds)."""
     curve = {}
     for n in CLIENT_COUNTS:
-        r = run_fleet(
-            setup, lambda: IOzoneReadReread(file_size=FILE_SIZE),
-            clients=n, cal=FAT_LAN,
-        )
+        r = run(Scenario(setup, clients=n, cal=FAT_LAN), client_iozone)
         curve[n] = {
             "throughput": r.aggregate_throughput() / 1e6,
             "per_client_mean": r.mean_client_seconds,
@@ -106,7 +102,7 @@ def test_profile_attributes_flattening_to_crypto():
     the profiler must attribute the majority of server-side CPU to
     crypto, with concrete percentages — the computed explanation for
     why the AES curve flattens in the table above."""
-    report = aes_fleet(8, profile=True).profile
+    report = run(aes_fleet(8), client_iozone, profile=True).profile
     server = report["cpu"]["server"]
     print("\n=== 8-client sgfs-aes server CPU attribution ===")
     print(f"busy {server['busy_pct_of_makespan']:.1f}% of makespan; "
@@ -127,8 +123,8 @@ def test_profile_attributes_flattening_to_crypto():
 def test_profile_report_byte_identical_same_seed():
     from repro.obs.profile import report_json
 
-    a = aes_fleet(8, profile=True)
-    b = aes_fleet(8, profile=True)
+    a = run(aes_fleet(8), client_iozone, profile=True)
+    b = run(aes_fleet(8), client_iozone, profile=True)
     assert report_json(a.profile) == report_json(b.profile)
     from repro.obs.profile import collapsed_stacks
 
@@ -136,8 +132,8 @@ def test_profile_report_byte_identical_same_seed():
 
 
 def test_fleet_bit_identical_same_seed():
-    a = aes_fleet(8)
-    b = aes_fleet(8)
+    a = run(aes_fleet(8), client_iozone)
+    b = run(aes_fleet(8), client_iozone)
     assert a.makespan == b.makespan
     for ca, cb in zip(a.per_client, b.per_client):
         assert (ca.name, ca.start, ca.end, ca.phases) == (
@@ -162,13 +158,14 @@ def test_multicore_table():
     for cores in cores_list:
         row = []
         for n in counts:
-            r = aes_fleet(n, cores)
+            r = run(aes_fleet(n, cores), client_iozone)
             row.append(r.aggregate_throughput() / 1e6)
         print(f"{cores:<8d}" + "".join(f"{v:>9.1f}" for v in row))
 
 
 def test_multicore_profile_reports_per_core_rows():
-    server = aes_fleet(16, 4, profile=True).profile["cpu"]["server"]
+    server = run(aes_fleet(16, 4), client_iozone,
+                 profile=True).profile["cpu"]["server"]
     assert server["cores"] == 4
     assert set(server["per_core"]) == {"0", "1", "2", "3"}
     # Affinity spreads 16 sessions over 4 cores: every core does real
@@ -181,8 +178,8 @@ def test_multicore_profile_reports_per_core_rows():
 
 
 def test_multicore_scaleout_bit_identical():
-    a = aes_fleet(16, 4)
-    b = aes_fleet(16, 4)
+    a = run(aes_fleet(16, 4), client_iozone)
+    b = run(aes_fleet(16, 4), client_iozone)
     assert a.makespan == b.makespan
     assert a.stats == b.stats
 

@@ -25,10 +25,11 @@ Commands:
 ``run``, ``stats``, ``trace`` and ``profile`` spell their scenario with
 the same flags (one parent parser): ``--setup``, ``--workload``,
 ``--rtt-ms``, ``--disk-cache``, ``--streams``, ``--clients`` and the fleet
-options, ``--faults``.  They build their workload from :data:`WORKLOADS`
-and go through :func:`_run` — one session or, with ``--clients N``, a
-fleet.  Which setup supports which option is the harness's decision
-(:func:`repro.harness.runner.check_scenario`); the CLI prints its refusal.
+options, ``--faults``.  :func:`_run` makes them one
+:class:`~repro.harness.Scenario` — the paper's seat or, with ``--clients
+N``, a fleet — and runs the workload from :data:`WORKLOADS` there.  Which
+setup supports which option is the harness's decision
+(:meth:`repro.harness.Scenario.check`); the CLI prints its refusal.
 
 Everything prints virtual-time seconds from the deterministic simulation.
 """
@@ -44,7 +45,7 @@ from repro.core.calibration import DEFAULT_CALIBRATION
 from repro.core.setups import PROXY_CACHE_SETUPS, SETUP_BUILDERS
 from repro.crypto.suites import SUITES
 from repro.faults import FAULT_PRESETS
-from repro.harness import figure_table, run_figure, run_fleet, run_workload
+from repro.harness import Scenario, figure_table, run, run_figure
 from repro.harness.tables import figures
 from repro.workloads.churn import SessionChurn
 from repro.workloads.iozone import IOzoneReadReread, IOzoneWriteRead
@@ -64,18 +65,9 @@ WORKLOADS = {
 #: workloads that make sense for one client (churn needs a fleet)
 SINGLE_WORKLOADS = sorted(set(WORKLOADS) - {"churn"})
 
-#: options that configure a fleet and are an error without one
-#: (``--clients 1``): flag, args attribute, its "not given" value, and
-#: the run_fleet keyword it feeds (``*_ms`` ones as virtual seconds)
-_FLEET_OPTIONS = (
-    ("--stagger-ms", "stagger_ms", 0.0, "stagger"),
-    ("--server-cores", "server_cores", 1, "server_cores"),
-    ("--session-tickets", "session_tickets", False, "session_tickets"),
-    ("--reconnect-ms", "reconnect_ms", None, "reconnect_interval"),
-    ("--servers", "servers", 1, "servers"),
-    ("--replicas", "replicas", 1, "replicas"),
-    ("--delegation-ms", "delegation_ms", None, "delegation_lifetime"),
-)
+def _ms(text: str) -> float:
+    """A ``*-ms`` flag's value as the virtual seconds its field holds."""
+    return float(text) / 1000.0
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -118,34 +110,42 @@ def _parser() -> argparse.ArgumentParser:
     scenario.add_argument("--clients", type=int, default=1,
                           help="fleet size: run N concurrent clients against "
                                "one server (default: 1 = classic single run)")
-    scenario.add_argument("--stagger-ms", type=float, default=0.0,
-                          help="virtual milliseconds between fleet client "
-                               "starts (default: 0 = synchronized)")
-    scenario.add_argument("--server-cores", type=int, default=1,
-                          help="server CPU cores for fleet runs; distinct "
-                               "sessions pin to distinct cores and profile "
-                               "reports gain per-core rows (default: 1)")
-    scenario.add_argument("--session-tickets", action="store_true",
-                          help="enable TLS session tickets so reconnecting "
-                               "fleet clients use abbreviated handshakes")
-    scenario.add_argument("--reconnect-ms", type=float, default=None,
-                          help="cycle each fleet client's upstream session "
-                               "every N virtual milliseconds (exercises "
-                               "resumption)")
-    scenario.add_argument("--delegation-ms", type=float, default=None,
-                          help="SSO mode: fleet clients authenticate with "
-                               "short-lived limited proxy credentials valid N "
-                               "virtual milliseconds; expiry forces "
-                               "re-delegation on the next reconnect (secure "
-                               "sgfs* setups only)")
-    scenario.add_argument("--servers", type=int, default=1,
-                          help="shard the data plane across N backend NFS "
-                               "servers; grid-created files stripe their "
-                               "blocks round-robin (default: 1 = unsharded)")
-    scenario.add_argument("--replicas", type=int, default=1,
-                          help="write each grid block to N consecutive "
-                               "backends so reads survive a backend crash "
-                               "(default: 1 = no replication)")
+    # Each flag of the group sets the Scenario field of its dest; at one
+    # client every one of them is an error (_run).
+    fleet = scenario.add_argument_group("fleet options (--clients >= 2)")
+    scenario.set_defaults(fleet_flags=[
+        fleet.add_argument("--stagger-ms", dest="stagger", type=_ms, default=0.0,
+                           metavar="MS",
+                           help="virtual milliseconds between fleet client "
+                                "starts (default: 0 = synchronized)"),
+        fleet.add_argument("--server-cores", type=int, default=1, metavar="N",
+                           help="server CPU cores for fleet runs; distinct "
+                                "sessions pin to distinct cores and profile "
+                                "reports gain per-core rows (default: 1)"),
+        fleet.add_argument("--session-tickets", action="store_true",
+                           help="enable TLS session tickets so reconnecting "
+                                "fleet clients use abbreviated handshakes"),
+        fleet.add_argument("--reconnect-ms", dest="reconnect_interval", type=_ms,
+                           default=None, metavar="MS",
+                           help="cycle each fleet client's upstream session "
+                                "every N virtual milliseconds (exercises "
+                                "resumption)"),
+        fleet.add_argument("--delegation-ms", dest="delegation_lifetime", type=_ms,
+                           default=None, metavar="MS",
+                           help="SSO mode: fleet clients authenticate with "
+                                "short-lived limited proxy credentials valid N "
+                                "virtual milliseconds; expiry forces "
+                                "re-delegation on the next reconnect (secure "
+                                "sgfs* setups only)"),
+        fleet.add_argument("--servers", type=int, default=1, metavar="N",
+                           help="shard the data plane across N backend NFS "
+                                "servers; grid-created files stripe their "
+                                "blocks round-robin (default: 1 = unsharded)"),
+        fleet.add_argument("--replicas", type=int, default=1, metavar="N",
+                           help="write each grid block to N consecutive "
+                                "backends so reads survive a backend crash "
+                                "(default: 1 = no replication)"),
+    ])
 
     run_p = sub.add_parser("run", parents=[scenario],
                            help="run one workload on one setup")
@@ -249,35 +249,25 @@ def _run(args, out, **obs):
         print("error: the churn workload requires a fleet run "
               "(--clients >= 2)", file=out)
         return None
-    fleet = {}
-    for flag, attr, unset, keyword in _FLEET_OPTIONS:
-        value = getattr(args, attr)
-        if args.clients == 1 and value != unset:
-            print(f"error: {flag} requires a fleet run (--clients >= 2)",
-                  file=out)
-            return None
-        if attr.endswith("_ms") and value is not None:
-            value /= 1000.0
-        fleet[keyword] = value
+    fleet = {flag.dest: getattr(args, flag.dest) for flag in args.fleet_flags}
+    if args.clients == 1:
+        for flag in args.fleet_flags:
+            if fleet[flag.dest] != flag.default:
+                print(f"error: {flag.option_strings[0]} requires a fleet run "
+                      "(--clients >= 2)", file=out)
+                return None
     workload_kw = {}
     if args.file_size is not None and args.workload.startswith("iozone"):
         workload_kw["file_size"] = args.file_size
-    # zero-argument on purpose: run_fleet passes the client index to a
+    # zero-argument on purpose: a fleet passes the client index to a
     # factory that takes a parameter
     factory = lambda: WORKLOADS[args.workload](**workload_kw)
-    setup_kwargs = {"disk_cache": True} if args.disk_cache else {}
-    if args.clients == 1 and args.streams != 1:
-        # for a single run streams is a builder keyword, which not
-        # every builder has
-        setup_kwargs["streams"] = args.streams
-    common = dict(rtt=args.rtt_ms / 1000.0, faults=args.faults,
-                  fault_seed=args.fault_seed,
-                  setup_kwargs=setup_kwargs or None, **obs)
+    scenario = Scenario(args.setup, rtt=args.rtt_ms / 1000.0, faults=args.faults,
+                        fault_seed=args.fault_seed, disk_cache=args.disk_cache,
+                        streams=args.streams,
+                        clients=None if args.clients == 1 else args.clients, **fleet)
     try:
-        if args.clients == 1:
-            return run_workload(args.setup, factory, **common)
-        return run_fleet(args.setup, factory, clients=args.clients,
-                         streams=args.streams, **fleet, **common)
+        return run(scenario, factory, **obs)
     except ValueError as exc:  # the harness refused the scenario
         print(f"error: {exc}", file=out)
         return None
@@ -338,11 +328,11 @@ def _cmd_sweep(args, out) -> int:
         return 2
     print(f"{args.workload}: {args.baseline} vs {args.setup}", file=out)
     factory = WORKLOADS[args.workload]
-    cached = {"disk_cache": True} if args.setup in PROXY_CACHE_SETUPS else None
+    cached = args.setup in PROXY_CACHE_SETUPS
     for rtt_ms in rtts:
         rtt = rtt_ms / 1000.0
-        base = run_workload(args.baseline, factory, rtt=rtt)
-        other = run_workload(args.setup, factory, rtt=rtt, setup_kwargs=cached)
+        base = run(Scenario(args.baseline, rtt=rtt), factory)
+        other = run(Scenario(args.setup, rtt=rtt, disk_cache=cached), factory)
         print(f"  {rtt_ms:6.1f}ms  {base.total:10.2f}s  {other.total:10.2f}s  "
               f"{base.total / other.total:6.2f}x", file=out)
     return 0

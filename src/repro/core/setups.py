@@ -23,7 +23,7 @@ assembled by the code below for a list of seats (:class:`Seat`) — its
 server side by :func:`serve_sessions`, each seat's client side by
 :func:`client_proxy`.  The ``setup_*`` functions apply it to the
 paper's one user (:func:`paper_seat`);
-:func:`repro.harness.fleet.run_fleet` applies it to N, and the FSS
+:func:`repro.harness.fleet.fleet_run` applies it to N, and the FSS
 (:mod:`repro.services.fss`) to each session it is asked for.
 """
 

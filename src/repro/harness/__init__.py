@@ -1,23 +1,18 @@
 """Experiment harness: builds testbeds, runs workloads, formats results.
 
-Used by the ``benchmarks/`` suite to regenerate every figure of the
-paper's evaluation, and usable directly::
+One experiment is one :class:`Scenario` value and one call of
+:func:`run`; the ``benchmarks/`` suite regenerates every figure of the
+paper's evaluation through it::
 
-    from repro.harness import run_iozone
-    result = run_iozone("sgfs-aes", rtt=0.040, setup_kwargs={"disk_cache": True})
+    from repro.harness import Scenario, run
+    from repro.workloads.iozone import IOzoneReadReread
+    result = run(Scenario("sgfs-aes", rtt=0.040, disk_cache=True), IOzoneReadReread)
 """
 
-from repro.harness.fleet import FleetClientResult, FleetResult, run_fleet
-from repro.harness.runner import (
-    ExperimentResult,
-    check_scenario,
-    run_workload,
-    run_iozone,
-    run_iozone_wr,
-    run_postmark,
-    run_mab,
-    run_seismic,
-)
+from repro.harness.fleet import FleetClientResult, FleetResult
+from repro.harness.keywords import run_fleet, run_workload
+from repro.harness.runner import ExperimentResult
+from repro.harness.scenario import Scenario, run
 from repro.harness.tables import (
     figure_rows,
     figure_table,
@@ -29,14 +24,10 @@ __all__ = [
     "ExperimentResult",
     "FleetClientResult",
     "FleetResult",
-    "check_scenario",
+    "Scenario",
+    "run",
     "run_fleet",
     "run_workload",
-    "run_iozone",
-    "run_iozone_wr",
-    "run_postmark",
-    "run_mab",
-    "run_seismic",
     "run_figure",
     "figure_rows",
     "figure_table",

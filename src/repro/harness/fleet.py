@@ -2,8 +2,9 @@
 
 The paper evaluates SGFS with one client per session, but the system's
 point is *grid-wide* sharing — many users mounting one server through
-per-user secured sessions.  :func:`run_fleet` builds that scenario on a
-single deterministic simulation:
+per-user secured sessions.  :func:`fleet_run` (``run(Scenario(...,
+clients=N), ...)``) builds that scenario on a single deterministic
+simulation:
 
 - one server (kernel NFS + one shared server-side proxy for the proxied
   setups) — the same :class:`~repro.core.topology.Testbed` server every
@@ -21,7 +22,7 @@ Determinism: client processes are spawned in index order, every queue in
 the stack is FIFO, and all randomness flows from ``session_seed``
 through forked DRBG streams — two same-seed runs are bit-identical,
 including under ``faults=`` (packet-level fault schedules are seeded by
-``fault_seed`` exactly as in :func:`repro.harness.runner.run_workload`).
+``fault_seed`` exactly as for the paper's seat).
 
 All times are **virtual seconds**; all sizes are **bytes**.
 """
@@ -33,9 +34,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
-from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.core.setups import (
-    DEFAULT_BLOCK_SIZE,
     FILE_ACCOUNT,
     SUITES,
     USER_DN,
@@ -57,12 +56,7 @@ from repro.gsi import (
     Gridmap,
     issue_proxy_certificate,
 )
-from repro.harness.runner import (
-    apply_fault_timeouts,
-    check_scenario,
-    collect,
-    install_faults,
-)
+from repro.harness.runner import apply_fault_timeouts, collect, install_faults
 from repro.nfs import protocol as pr
 from repro.nfs.protocol import FileHandle
 from repro.nfs.v4 import NFS_V4
@@ -225,115 +219,20 @@ def _session_cycler(sim, proxy, interval: float):
         return
 
 
-def run_fleet(
-    setup: str,
-    workload_factory: Callable[..., object],
-    clients: int = 4,
-    rtt: float = 0.0,
-    cal: Calibration = DEFAULT_CALIBRATION,
-    stagger: float = 0.0,
-    setup_kwargs: Optional[dict] = None,
-    telemetry: bool = True,
-    tracing: bool = False,
-    profile: bool = False,
-    faults=None,
-    fault_seed: str = "faults",
-    session_seed: str = "fleet",
-    server_cores: int = 1,
-    session_tickets: bool = False,
-    reconnect_interval: Optional[float] = None,
-    servers: int = 1,
-    replicas: int = 1,
-    grid_block_size: int = DEFAULT_BLOCK_SIZE,
-    streams: int = 1,
-    delegation_lifetime: Optional[float] = None,
-) -> FleetResult:
-    """Run ``clients`` concurrent workload instances against one server.
-
-    ``setup`` is a :data:`~repro.core.setups.SETUP_BUILDERS` family:
-    ``nfs-v3`` / ``nfs-v4`` (kernel clients straight at the server),
-    ``gfs`` (proxied, plain channel, every session mapped to the
-    management account), or ``sgfs-sha`` / ``sgfs-rc`` / ``sgfs-aes`` /
-    ``sgfs`` (proxied, per-client TLS sessions with per-client
-    certificates and gridmap entries).  ``sfs`` and ``gfs-ssh`` are
-    single-session designs and raise ``ValueError``, as does every option
-    below on a setup with no part for it
-    (:func:`repro.harness.runner.check_scenario`).
-
-    ``workload_factory`` builds one workload per client; it may take
-    zero arguments or the client index (for per-client workload mixes).
-    ``stagger`` spaces client starts that many virtual seconds apart
-    (0 = synchronized start).  ``setup_kwargs`` takes the keys of
-    :func:`repro.harness.runner.run_workload`'s that a fleet has a part
-    for: ``cache_bytes`` (kernel page cache), ``disk_cache`` and
-    ``cache_capacity`` (each client proxy's disk cache and its size).
-
-    Returns a :class:`FleetResult` once :meth:`Testbed.close` has ended
-    the run; all reported times are virtual seconds.  Two calls with identical arguments produce bit-identical
-    results (same ``makespan``, ``per_client``, and ``stats``).
-
-    ``profile=True`` (or a dict of ``build_report`` keyword arguments)
-    attaches the fleet-wide bottleneck-attribution report to
-    ``result.profile`` and the namespaced span tracer to
-    ``result.tracer``; neither affects virtual-time results.
-
-    Scale-out knobs (all default to the paper's single-core behavior):
-    ``server_cores=N`` gives the server host N deterministic cores, with
-    each secure session's record crypto pinned to one of them;
-    ``session_tickets=True`` turns on TLS session resumption between the
-    proxies; ``reconnect_interval=T`` makes every client cycle its
-    upstream session every T virtual seconds (exercising resumption).
-
-    ``servers=N`` (with N > 1) shards the data plane: N backend NFS
-    servers each behind their own server-side proxy, one metadata
-    service on the home server mapping each grid-created file's
-    ``grid_block_size`` block ranges round-robin across them, and every
-    client striping block I/O over N upstream sessions
-    (:mod:`repro.grid`).  ``replicas=K`` writes each block to K
-    consecutive backends, so a crashed backend's blocks stay readable.
-
-    ``streams=N`` opens N parallel proxy-to-proxy channels per upstream
-    leg: bulk block traffic round-robins across them and the proxy
-    cache's read-ahead/write-behind windows grow to the measured RTT
-    (at most 64 blocks).  Secure setups with N > 1 force session
-    tickets on so channels resume rather than repeat the full
-    handshake.  ``streams=1`` is the degenerate configuration of the
-    same code — one channel, a window of one block: the paper's
-    stop-and-wait proxy.
-
-    ``delegation_lifetime=T`` (secure setups only) switches every client
-    to SSO-style **delegated credentials**: each session authenticates
-    with a short-lived *limited* proxy certificate (lifetime T virtual
-    seconds) delegated from the client's long-term identity instead of
-    the identity itself.  A reconnect after expiry first re-delegates —
-    charging :data:`~repro.gsi.proxy.DELEGATION_CPU_SECONDS` and
-    re-entering the gridmap (bumping its epoch, so the server proxy's
-    authz cache revalidates) — then handshakes; with session tickets on,
-    that handshake still resumes abbreviated, so renewal costs one
-    delegation rather than a full RSA exchange.  Counters
-    ``gsi.delegations`` / ``gsi.renewals`` record the churn.
-    """
-    kw = dict(setup_kwargs or {})
-    cache_bytes = kw.pop("cache_bytes", None)
-    disk_cache = kw.pop("disk_cache", False)
-    cache_capacity = kw.pop("cache_capacity", None)
-    if kw:
-        raise ValueError(f"unsupported fleet setup_kwargs: {sorted(kw)}")
-    check_scenario(
-        setup, clients, disk_cache=disk_cache, cache_capacity=cache_capacity,
-        streams=streams, servers=servers, replicas=replicas, stagger=stagger,
-        session_tickets=session_tickets,
-        reconnect_interval=reconnect_interval,
-        delegation_lifetime=delegation_lifetime, fleet=True,
-    )
+def fleet_run(s, workload_factory: Callable[..., object], telemetry: bool,
+              tracing: bool, profile) -> FleetResult:
+    """:func:`repro.harness.run` for a fleet: ``s.clients`` seats, each
+    running the workload ``workload_factory`` builds (given the seat's
+    index, when it takes a parameter), against one server.  Faults are
+    armed and the clock starts before any session opens, so the makespan
+    includes the mounts and handshakes."""
+    setup, clients = s.setup, s.clients
     secure = setup in SUITES
     proxied = secure or setup == "gfs"
 
-    if profile:
-        telemetry = tracing = True
     tb = Testbed.build(
-        rtt=rtt, cal=cal, telemetry=telemetry, tracing=tracing,
-        profile=profile, server_cores=server_cores, servers=servers,
+        rtt=s.rtt, cal=s.cal, telemetry=telemetry, tracing=tracing,
+        profile=profile, server_cores=s.server_cores, servers=s.servers,
     )
     with tb:
         sim = tb.sim
@@ -358,21 +257,21 @@ def run_fleet(
         server_proxies: list = []
         dials: List[Callable] = []
         if proxied:
-            pki = session_pki(tb, session_seed, SUITES.get(setup), streams,
-                              session_tickets)
-            server_proxies = serve_sessions(tb, seats, pki, replicas=replicas,
-                                            block_size=grid_block_size)
+            pki = session_pki(tb, s.session_seed, SUITES.get(setup), s.streams,
+                              s.session_tickets)
+            server_proxies = serve_sessions(tb, seats, pki, replicas=s.replicas,
+                                            block_size=s.grid_block_size)
             for seat in seats:
                 cfg = None if pki is None else pki.client_config(seat)
                 dial = proxy_dial(seat.host, SERVER_PROXY_PORT, cfg)
-                if delegation_lifetime is not None:
+                if s.delegation_lifetime is not None:
                     dial = _delegating(tb, pki, server_proxies[0].gridmap, seat, cfg,
-                                       delegation_lifetime, dial)
+                                       s.delegation_lifetime, dial)
                 dials.append(dial)
 
         # Faults are armed and the clock starts *before* any session opens:
         # a fleet's makespan includes its mounts and handshakes.
-        plan = install_faults(tb, faults, fault_seed)
+        plan = install_faults(tb, s.faults, s.fault_seed)
         t0 = sim.now
         results: List[Optional[FleetClientResult]] = [None] * clients
         errors: List[BaseException] = []
@@ -382,31 +281,31 @@ def run_fleet(
             seat, workload = seats[i], workloads[i]
             cycler = None
             try:
-                if stagger and i:
-                    yield sim.timeout(stagger * i)
+                if s.stagger and i:
+                    yield sim.timeout(s.stagger * i)
                 start = sim.now
                 proxy = None
                 if proxied:
                     proxy = client_proxy(seat.host, CLIENT_PROXY_PORT,
                                          [b.name for b in tb.backends], dials[i], tb.cal,
-                                         seat.roots, streams=streams,
-                                         replicas=replicas, block_size=grid_block_size,
-                                         disk_cache=disk_cache,
-                                         cache_capacity=cache_capacity)
+                                         seat.roots, streams=s.streams,
+                                         replicas=s.replicas, block_size=s.grid_block_size,
+                                         disk_cache=s.disk_cache,
+                                         cache_capacity=s.cache_capacity)
                     tb.register(f"client-proxy:{seat.name}", proxy)
                     yield from proxy.start()
-                    if reconnect_interval:
+                    if s.reconnect_interval:
                         # Spawned between the proxy's start and the kernel
                         # client's dial (the order is pinned), and stopped by
                         # the finally below when this client's workload ends.
                         cycler = sim.spawn(
-                            _session_cycler(sim, proxy, reconnect_interval),
+                            _session_cycler(sim, proxy, s.reconnect_interval),
                             name=f"session-cycler:{seat.name}",
                         )
-                    client = yield from mount_through_proxy(tb, seat, cache_bytes)
+                    client = yield from mount_through_proxy(tb, seat, s.cache_bytes)
                 else:
                     client = yield from mount_kernel_server(
-                        tb, seat, cache_bytes,
+                        tb, seat, s.cache_bytes,
                         vers=NFS_V4 if setup == "nfs-v4" else pr.NFS_V3,
                     )
                 mount = Mount(f"{setup}:{seat.name}", tb, client, client_proxy=proxy,

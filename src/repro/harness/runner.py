@@ -1,8 +1,8 @@
-"""Experiment runner.
+"""The paper's seat's run, and what every run collects.
 
-Every run builds a **fresh** testbed (cold caches — the paper unmounts
-and flushes between runs), mounts one setup, executes one workload, and
-collects:
+A run of the paper's seat (:func:`paper_seat_run`, reached through
+:func:`repro.harness.run`) builds a **fresh** testbed, mounts one setup,
+executes one workload, and collects:
 
 - per-phase and total virtual runtimes,
 - the end-of-run write-back time (reported separately, like the paper),
@@ -21,15 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.core.setups import PROXY_CACHE_SETUPS, SETUP_BUILDERS, SUITES, Mount
+from repro.core.setups import SETUP_BUILDERS, Mount
 from repro.core.topology import Testbed
 from repro.faults import FaultPlan, resolve_fault_preset
 from repro.sim import ProcessDied
-from repro.workloads.iozone import IOzoneReadReread
-from repro.workloads.mab import ModifiedAndrewBenchmark
-from repro.workloads.postmark import PostMark, PostMarkConfig
-from repro.workloads.seismic import Seismic, SeismicConfig
 
 
 @dataclass
@@ -118,133 +113,33 @@ def collect(result, tb: Testbed, plan: Optional[FaultPlan], tracing, profile,
     return result
 
 
-def check_scenario(setup: str, clients: int = 1, *, disk_cache: bool = False,
-                   cache_capacity: Optional[int] = None, streams: int = 1,
-                   servers: int = 1, replicas: int = 1,
-                   stagger: float = 0.0, session_tickets: bool = False,
-                   reconnect_interval: Optional[float] = None,
-                   delegation_lifetime: Optional[float] = None,
-                   fleet: bool = False) -> None:
-    """Raise ``ValueError`` unless this point of setup x options exists.
-
-    The one statement of what each setup supports, called by
-    :func:`run_workload` and :func:`repro.harness.fleet.run_fleet`
-    (``fleet=True``) before anything is built: an option the stack has
-    no part for is refused, never ignored."""
-    if setup not in SETUP_BUILDERS:
-        raise ValueError(
-            f"unknown setup {setup!r}; setups are {sorted(SETUP_BUILDERS)}")
-    if clients < 1:
-        raise ValueError("fleet needs at least one client")
-    if fleet and setup in ("sfs", "gfs-ssh"):
-        raise ValueError(f"{setup} is a single-session design; fleets unsupported")
-    secure = setup in SUITES
-    # the proxy pair with a dialed channel of its own: what sub-channels,
-    # session cycling and grid legs are made of
-    proxied = secure or setup == "gfs"
-    if servers < 1:
-        raise ValueError("servers must be >= 1")
-    if not 1 <= replicas <= servers:
-        raise ValueError(f"replicas must be in [1, servers]; got {replicas}")
-    if streams < 1:
-        raise ValueError("streams must be >= 1")
-    if streams > 1 and not proxied:
-        raise ValueError("streams applies only to proxied gfs/sgfs setups")
-    if disk_cache and setup not in PROXY_CACHE_SETUPS:
-        raise ValueError("disk_cache applies only to proxied setups")
-    if cache_capacity is not None and not proxied:
-        raise ValueError("cache_capacity applies only to proxied gfs/sgfs setups")
-    if servers > 1 and not proxied:
-        raise ValueError("sharded data plane (servers > 1) requires a proxied setup")
-    if stagger < 0:
-        raise ValueError("stagger must be >= 0")
-    if session_tickets and not secure:
-        raise ValueError("session_tickets requires a secure (sgfs*) setup")
-    if reconnect_interval is not None:
-        if not proxied:
-            raise ValueError("reconnect_interval requires a proxied setup")
-        if reconnect_interval <= 0:
-            raise ValueError("reconnect_interval must be positive")
-    if delegation_lifetime is not None:
-        if not secure:
-            raise ValueError("delegation_lifetime requires a secure (sgfs*) setup")
-        if delegation_lifetime <= 0:
-            raise ValueError("delegation_lifetime must be positive")
-
-
-def run_workload(
-    setup: str,
-    workload_factory: Callable[[], object],
-    rtt: float = 0.0,
-    cal: Calibration = DEFAULT_CALIBRATION,
-    setup_kwargs: Optional[dict] = None,
-    telemetry: bool = True,
-    tracing: bool = False,
-    profile: bool = False,
-    faults=None,
-    fault_seed: str = "faults",
-) -> ExperimentResult:
-    """Build testbed + mount + run one workload; return the result.
-
-    Units: every duration in the result (``total``, ``phases``,
-    ``writeback_seconds``, ``rtt``) is **virtual seconds** from the
-    deterministic simulation — wall-clock time plays no part — and every
-    size (``writeback_bytes``, byte counters in ``stats``) is bytes.
-
-    Determinism: the run is a pure function of its arguments.  Two
-    calls with identical arguments produce bit-identical results —
-    same virtual times, same stats, same fault schedule — because all
-    randomness flows from seeded DRBG streams and every queue in the
-    stack is FIFO.  For N concurrent clients, see
-    :func:`repro.harness.fleet.run_fleet`.
-
-    ``telemetry`` (default on) populates ``result.stats`` from the
-    cross-layer metrics registry; ``tracing`` additionally records
-    causal spans (``result.tracer`` / ``result.trace_json()``).
-    ``profile=True`` implies both and attaches the bottleneck
-    attribution report (``result.profile``, see
-    :func:`repro.obs.profile.build_report`); passing a dict instead of
-    ``True`` forwards it as keyword arguments to ``build_report``
-    (e.g. ``profile={"window": 2.0, "top": 5}``).  None of the three
-    affects virtual-time results.
-
-    ``faults`` turns the network adversarial: a preset name from
-    :data:`repro.faults.FAULT_PRESETS` (e.g. ``"lossy-wan"``) or a
-    :class:`repro.faults.FaultSpec`.  The schedule is fully determined
-    by ``fault_seed``, so same-seed runs are byte-identical.  The plan's
-    packet statistics land in ``result.stats["faults"]``.
-
-    The call returns once :meth:`Testbed.close` has ended the run: no
-    process of it alive, no event pending.
-    """
-    kw = setup_kwargs or {}
-    check_scenario(setup, disk_cache=kw.get("disk_cache", False),
-                   cache_capacity=kw.get("cache_capacity"),
-                   streams=kw.get("streams", 1),
-                   session_tickets=kw.get("session_tickets", False))
-    if profile:
-        telemetry = tracing = True
-    tb = Testbed.build(rtt=rtt, cal=cal, telemetry=telemetry, tracing=tracing,
+def paper_seat_run(s, workload_factory: Callable[[], object], options: dict,
+                   telemetry: bool, tracing: bool, profile) -> ExperimentResult:
+    """:func:`repro.harness.run` for the paper's seat: build the testbed,
+    mount ``s.setup`` on host ``client`` through its
+    :data:`SETUP_BUILDERS` builder, given ``options``, and run one
+    workload."""
+    tb = Testbed.build(rtt=s.rtt, cal=s.cal, telemetry=telemetry, tracing=tracing,
                        profile=profile)
     with tb:
         workload = workload_factory()
         if hasattr(workload, "prepare"):
             workload.prepare(tb)
-        mount: Mount = SETUP_BUILDERS[setup](tb, **kw)
+        mount: Mount = SETUP_BUILDERS[s.setup](tb, **options)
 
         # The mount comes first: faults are armed and the clock starts on
         # a mounted session (the paper reports runtimes without the mount).
-        plan = install_faults(tb, faults, fault_seed)
+        plan = install_faults(tb, s.faults, s.fault_seed)
         apply_fault_timeouts(plan, mount)
         t0 = tb.sim.now
-        tb.run(workload.run(mount), name=f"{setup}-workload")
+        tb.run(workload.run(mount), name=f"{s.setup}-workload")
         total = tb.sim.now - t0
         wb_seconds, _wb_blocks, wb_bytes = tb.run(mount.finish(), name="finish")
         t_end = tb.sim.now
 
         result = ExperimentResult(
-            setup=setup,
-            rtt=rtt,
+            setup=s.setup,
+            rtt=s.rtt,
             total=total,
             phases=dict(getattr(workload, "results", {})),
             writeback_seconds=wb_seconds,
@@ -258,60 +153,3 @@ def run_workload(
             if any(pct for _t, pct in sv):
                 result.server_cpu[account] = sv
         return collect(result, tb, plan, tracing, profile, 0.0, t_end)
-
-
-# -- canned experiments ------------------------------------------------------
-
-
-def run_iozone(setup: str, rtt: float = 0.0, file_size: int = 16 * 1024 * 1024,
-               cal: Calibration = DEFAULT_CALIBRATION,
-               setup_kwargs: Optional[dict] = None,
-               **obs_kwargs) -> ExperimentResult:
-    return run_workload(
-        setup, lambda: IOzoneReadReread(file_size=file_size), rtt=rtt, cal=cal,
-        setup_kwargs=setup_kwargs, **obs_kwargs,
-    )
-
-
-def run_iozone_wr(setup: str, rtt: float = 0.0, file_size: int = 256 * 1024,
-                  cal: Calibration = DEFAULT_CALIBRATION,
-                  setup_kwargs: Optional[dict] = None,
-                  **obs_kwargs) -> ExperimentResult:
-    from repro.workloads.iozone import IOzoneWriteRead
-
-    return run_workload(
-        setup, lambda: IOzoneWriteRead(file_size=file_size), rtt=rtt, cal=cal,
-        setup_kwargs=setup_kwargs, **obs_kwargs,
-    )
-
-
-def run_postmark(setup: str, rtt: float = 0.0,
-                 config: Optional[PostMarkConfig] = None,
-                 cal: Calibration = DEFAULT_CALIBRATION,
-                 setup_kwargs: Optional[dict] = None,
-                 **obs_kwargs) -> ExperimentResult:
-    return run_workload(
-        setup, lambda: PostMark(config), rtt=rtt, cal=cal,
-        setup_kwargs=setup_kwargs, **obs_kwargs,
-    )
-
-
-def run_mab(setup: str, rtt: float = 0.0,
-            cal: Calibration = DEFAULT_CALIBRATION,
-            setup_kwargs: Optional[dict] = None,
-            **obs_kwargs) -> ExperimentResult:
-    return run_workload(
-        setup, ModifiedAndrewBenchmark, rtt=rtt, cal=cal,
-        setup_kwargs=setup_kwargs, **obs_kwargs,
-    )
-
-
-def run_seismic(setup: str, rtt: float = 0.0,
-                config: Optional[SeismicConfig] = None,
-                cal: Calibration = DEFAULT_CALIBRATION,
-                setup_kwargs: Optional[dict] = None,
-                **obs_kwargs) -> ExperimentResult:
-    return run_workload(
-        setup, lambda: Seismic(config), rtt=rtt, cal=cal,
-        setup_kwargs=setup_kwargs, **obs_kwargs,
-    )

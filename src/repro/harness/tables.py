@@ -4,13 +4,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.harness.runner import (
-    ExperimentResult,
-    run_iozone,
-    run_mab,
-    run_postmark,
-    run_seismic,
-)
+from repro.harness.runner import ExperimentResult
+from repro.harness.scenario import Scenario, run
+from repro.workloads.iozone import IOzoneReadReread
+from repro.workloads.mab import ModifiedAndrewBenchmark
+from repro.workloads.postmark import PostMark
+from repro.workloads.seismic import Seismic
 
 #: IOzone scale of the figures and ablations: the paper's 512 MB file over
 #: a 256 MB client cache, scaled down — the defining ratio (file = 2 x
@@ -21,22 +20,22 @@ IOZONE_CACHE = 2 * 1024 * 1024
 
 def figures():
     """The paper's figures (§6) as data, name -> (title, the unit and
-    columns of its table, its runs as (label, runner, setup, keywords)).
-    Built per call, so importing the harness pays nothing for it."""
-    iozone = dict(file_size=IOZONE_FILE,
-                  setup_kwargs={"cache_bytes": IOZONE_CACHE})
-    wan = dict(rtt=0.040, setup_kwargs={"disk_cache": True})
-    user_level = [(s, run_iozone, s, iozone)
+    columns of its table, its runs as (label, scenario, workload
+    factory)).  Built per call, so importing the harness pays nothing for
+    it."""
+    iozone = lambda: IOzoneReadReread(file_size=IOZONE_FILE)
+    user_level = [(s, Scenario(s, cache_bytes=IOZONE_CACHE), iozone)
                   for s in ("gfs", "sgfs-sha", "sgfs-rc", "sgfs-aes", "sfs")]
 
-    def lan_and_wan(run):
-        return [("nfs-v3-lan", run, "nfs-v3", {}), ("sgfs-lan", run, "sgfs", {}),
-                ("nfs-v3-wan", run, "nfs-v3", {"rtt": 0.040}),
-                ("sgfs-wan", run, "sgfs", wan)]
+    def lan_and_wan(factory):
+        return [("nfs-v3-lan", Scenario("nfs-v3"), factory),
+                ("sgfs-lan", Scenario("sgfs"), factory),
+                ("nfs-v3-wan", Scenario("nfs-v3", rtt=0.040), factory),
+                ("sgfs-wan", Scenario("sgfs", rtt=0.040, disk_cache=True), factory)]
 
     return {
         "fig4": ("Figure 4: IOzone runtime, LAN", "s", ["total"],
-                 [(s, run_iozone, s, iozone)
+                 [(s, Scenario(s, cache_bytes=IOZONE_CACHE), iozone)
                   for s in ("nfs-v3", "nfs-v4", "sfs", "gfs", "sgfs-sha",
                             "sgfs-rc", "sgfs-aes", "gfs-ssh")]),
         "fig5": ("Figure 5: IOzone client-side user-level CPU", "%",
@@ -45,25 +44,26 @@ def figures():
                  ["server-cpu"], user_level),
         "fig7": ("Figure 7: PostMark phases, LAN", "s",
                  ["creation", "transaction", "deletion", "total"],
-                 [(s, run_postmark, s, {})
+                 [(s, Scenario(s), PostMark)
                   for s in ("nfs-v3", "nfs-v4", "sfs", "sgfs", "gfs-ssh")]),
         "fig8": ("Figure 8: PostMark total vs RTT", "s", ["total"],
-                 [(f"{s}-{ms}ms", run_postmark, s, {**kw, "rtt": ms / 1000.0})
+                 [(f"{s}-{ms}ms", Scenario(s, rtt=ms / 1000.0, disk_cache=cached),
+                   PostMark)
                   for ms in (5, 10, 20, 40, 80)
-                  for s, kw in (("nfs-v3", {}), ("sgfs", wan))]),
+                  for s, cached in (("nfs-v3", False), ("sgfs", True))]),
         "fig9": ("Figure 9: MAB phases, LAN + 40ms WAN", "s",
                  ["copy", "stat", "search", "compile", "total", "write-back"],
-                 lan_and_wan(run_mab)),
+                 lan_and_wan(ModifiedAndrewBenchmark)),
         "fig10": ("Figure 10: Seismic phases, LAN + 40ms WAN", "s",
                   ["phase1", "phase2", "phase3", "phase4", "total", "write-back"],
-                  lan_and_wan(run_seismic)),
+                  lan_and_wan(Seismic)),
     }
 
 
 def run_figure(name: str) -> Dict[str, ExperimentResult]:
     """Run every experiment of figure ``name``: label -> result."""
     *_table, runs = figures()[name]
-    return {label: run(setup, **kw) for label, run, setup, kw in runs}
+    return {label: run(scenario, factory) for label, scenario, factory in runs}
 
 
 def figure_rows(results: Dict[str, ExperimentResult]):

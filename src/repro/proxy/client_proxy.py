@@ -875,20 +875,23 @@ class SgfsClientProxy:
     def _h_rename(self, call: CallMessage):
         f_dir, f_name, t_dir, t_name = pr.unpack_rename_args(call.args)
         src = self._lookups.get((f_dir.fileid, f_name))
-        # as for REMOVE: the target, if any, is replaced (the source
-        # keeps its fileid and handle, so its writes in flight stay good)
+        # as for REMOVE: the target, if any, is replaced, and forgotten
+        # before the RENAME goes out, so write-behind sends none of its
+        # blocks to the handle the reply makes stale (the source keeps its
+        # fileid and handle, so its writes in flight stay good)
         hit = self._lookups.get((t_dir.fileid, t_name))
+        # (two links of one file: a no-op)
+        replaces = src is None or hit is None or src[1] != hit[1]
         yield from self._blocks.drain(hit[1] if hit is not None else None)
+        if hit is not None and replaces:
+            self._unlinked(hit[1])
         self._attrs.pop(f_dir.fileid, None)
         self._attrs.pop(t_dir.fileid, None)
         reply = yield from self._forward(call)
         moved = pr.read_ok(reply, pr.unpack_rename_res) is not None
-        if moved and (src is None or hit is None or src[1] != hit[1]):
-            # (two links of one file: a no-op)
+        if moved and replaces:
             self._lookups.pop((f_dir.fileid, f_name), None)
             self._lookups.pop((t_dir.fileid, t_name), None)
-            if hit is not None:
-                self._unlinked(hit[1])
             if src is not None:
                 self._lookups[(t_dir.fileid, t_name)] = src
         return reply

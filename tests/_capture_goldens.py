@@ -9,13 +9,13 @@ must reproduce these numbers byte-identically.
 
 import hashlib
 import json
+from dataclasses import replace
 
 from repro.core.setups import SETUP_BUILDERS
-from repro.harness import run_fleet, run_iozone, run_postmark
-from repro.harness.runner import run_iozone_wr
+from repro.harness import Scenario, run
 from repro.obs.schema import project
 from repro.workloads.iozone import IOzoneReadReread, IOzoneWriteRead
-from repro.workloads.postmark import PostMarkConfig
+from repro.workloads.postmark import PostMark, PostMarkConfig
 
 FILE_SIZE = 256 * 1024
 CACHE_BYTES = 128 * 1024
@@ -29,21 +29,21 @@ def run_s1_cache_case(label: str):
     proxy) whose proxy cache is smaller than its working set — shared
     with ``tests/test_golden_runtimes.py`` so capture and check can
     never run different scenarios."""
-    kw = {"disk_cache": True, "cache_capacity": SMALL_PROXY_CACHE}
+    cached = Scenario("sgfs", rtt=WAN_RTT, disk_cache=True,
+                      cache_capacity=SMALL_PROXY_CACHE)
+    iozone_wr = lambda: IOzoneWriteRead(file_size=512 * 1024)
     if label == "postmark-evict":
         # many small files: dirty evictions interleaved with read misses
         cfg = PostMarkConfig(directories=5, files=60, transactions=100)
-        return run_postmark("sgfs", rtt=WAN_RTT, config=cfg, setup_kwargs=kw)
+        return run(cached, lambda: PostMark(cfg))
     if label == "iozone-wr-evict-teardown":
         # 512 KB written through a 256 KB cache: half the blocks leave by
         # eviction mid-run, the rest in the teardown flush
-        return run_iozone_wr("sgfs", rtt=WAN_RTT, file_size=512 * 1024,
-                             setup_kwargs=kw)
+        return run(cached, iozone_wr)
     if label == "iozone-wr-evict-refetch":
         # a kernel cache too small to absorb the read passes, so evicted
         # blocks are fetched back and evict the remaining dirty ones
-        return run_iozone_wr("sgfs", rtt=WAN_RTT, file_size=512 * 1024,
-                             setup_kwargs=dict(kw, cache_bytes=64 * 1024))
+        return run(replace(cached, cache_bytes=64 * 1024), iozone_wr)
     raise KeyError(label)
 
 
@@ -63,23 +63,21 @@ def run_fault_case(label: str):
     the cases above.  These pin the *values* of a fault run (the
     determinism gates only compare a seed with itself)."""
     if label == "single-lossy-wan":
-        return run_iozone("sgfs-aes", rtt=0.08, file_size=1 << 20,
-                          setup_kwargs={"cache_bytes": 512 * 1024},
-                          faults="lossy-wan", fault_seed="ci")
+        return run(Scenario("sgfs-aes", rtt=0.08, cache_bytes=512 * 1024,
+                            faults="lossy-wan", fault_seed="ci"),
+                   lambda: IOzoneReadReread(file_size=1 << 20))
     if label == "single-chaos-wan-4-streams":
-        return run_iozone("sgfs-aes", rtt=0.08, file_size=4 << 20,
-                          setup_kwargs={"disk_cache": True, "streams": 4},
-                          faults="chaos-wan", fault_seed="ci-chaos")
+        return run(Scenario("sgfs-aes", rtt=0.08, disk_cache=True, streams=4,
+                            faults="chaos-wan", fault_seed="ci-chaos"),
+                   lambda: IOzoneReadReread(file_size=4 << 20))
     if label == "fleet-lossy-wan":
-        return run_fleet("sgfs-aes",
-                         lambda: IOzoneReadReread(file_size=128 * 1024),
-                         clients=4, rtt=0.04,
-                         faults="lossy-wan", fault_seed="fleet-ci")
+        return run(Scenario("sgfs-aes", clients=4, rtt=0.04,
+                            faults="lossy-wan", fault_seed="fleet-ci"),
+                   lambda: IOzoneReadReread(file_size=128 * 1024))
     if label == "grid-fleet-lossy-wan":
-        return run_fleet("sgfs-sha",
-                         lambda: IOzoneWriteRead(file_size=256 * 1024),
-                         clients=4, servers=3, replicas=2, streams=2, rtt=0.02,
-                         faults="lossy-wan", fault_seed="g")
+        return run(Scenario("sgfs-sha", clients=4, servers=3, replicas=2, streams=2,
+                            rtt=0.02, faults="lossy-wan", fault_seed="g"),
+                   lambda: IOzoneWriteRead(file_size=256 * 1024))
     raise KeyError(label)
 
 
@@ -116,9 +114,8 @@ def capture():
     out = {}
     for setup in sorted(SETUP_BUILDERS):
         for label, rtt in (("lan", 0.0), ("wan", 0.080)):
-            r = run_iozone(setup, rtt=rtt, file_size=FILE_SIZE,
-                           setup_kwargs={"cache_bytes": CACHE_BYTES},
-                           telemetry=True)
+            r = run(Scenario(setup, rtt=rtt, cache_bytes=CACHE_BYTES),
+                    lambda: IOzoneReadReread(file_size=FILE_SIZE), telemetry=True)
             out[f"{label}-{setup}"] = {
                 "total": r.total.hex(),
                 "writeback": r.writeback_seconds.hex(),

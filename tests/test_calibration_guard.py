@@ -10,7 +10,8 @@ import pytest
 
 from repro.core import Testbed, setup_nfs_v3
 from repro.core.calibration import DEFAULT_CALIBRATION
-from repro.harness import run_iozone
+from repro.harness import Scenario, run
+from repro.workloads.iozone import IOzoneReadReread
 
 MB = 1024 * 1024
 
@@ -29,8 +30,8 @@ def test_wan_rtt_configured_exactly():
 def test_nfs_bulk_throughput_anchor():
     """Kernel NFS sequential read ≈ 35–42 MB/s (the paper's ~38 MB/s
     VMware-era ceiling)."""
-    r = run_iozone("nfs-v3", rtt=0.0, file_size=4 * MB,
-                   setup_kwargs={"cache_bytes": 2 * MB})
+    r = run(Scenario("nfs-v3", cache_bytes=2 * MB),
+            lambda: IOzoneReadReread(file_size=4 * MB))
     throughput = 8 * MB / r.total  # reads the file twice
     assert 33e6 < throughput < 45e6, f"{throughput / 1e6:.1f} MB/s"
 

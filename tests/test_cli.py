@@ -123,7 +123,7 @@ def test_profile_fleet_offers_every_workload_the_parser_does():
 
 
 def test_fleet_factories_take_no_arguments(monkeypatch):
-    """run_fleet passes the client index to a factory that takes a
+    """A fleet passes the client index to a factory that takes a
     parameter — ``--workload mab --clients 2`` once handed it the bare
     class, which took the index for its source tree."""
     import inspect
@@ -132,11 +132,12 @@ def test_fleet_factories_take_no_arguments(monkeypatch):
 
     seen = []
 
-    def recording_run_fleet(setup, factory, **kw):
+    def recording_run(scenario, factory, **kw):
+        assert scenario.clients == 2
         seen.append(factory)
         raise ValueError("recorded")
 
-    monkeypatch.setattr("repro.cli.run_fleet", recording_run_fleet)
+    monkeypatch.setattr("repro.cli.run", recording_run)
     for name, cls in WORKLOADS.items():
         code, text = run_cli("run", "--workload", name, "--setup", "gfs",
                              "--clients", "2")
@@ -272,10 +273,11 @@ def test_positional_preset_form_is_gone():
 def test_stats_is_the_harness_run_it_spells():
     import json
 
-    from repro.harness import run_iozone
+    from repro.harness import Scenario, run
+    from repro.workloads.iozone import IOzoneReadReread
 
     code, text = run_cli("stats", "--setup", "sgfs", "--workload", "iozone",
                          "--rtt-ms", "40", "--disk-cache", "--json")
-    direct = run_iozone("sgfs", rtt=0.040, setup_kwargs={"disk_cache": True})
+    direct = run(Scenario("sgfs", rtt=0.040, disk_cache=True), IOzoneReadReread)
     assert code == 0
     assert text == json.dumps(direct.stats, sort_keys=True, indent=2) + "\n"

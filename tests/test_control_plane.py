@@ -1,6 +1,7 @@
 """Population-scale control plane: authz cache, SSO delegation, churn."""
 
 import base64
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.gsi import (
 )
 from repro.gsi.certs import Credential, validate_chain
 from repro.gsi.gridmap import UnmappedPolicy
-from repro.harness import run_fleet
+from repro.harness import Scenario, run
 from repro.proxy.accounts import AccountsDb
 from repro.proxy.authz import AuthzCache
 from repro.services import (
@@ -442,15 +443,15 @@ def _fingerprint(result):
     )
 
 
-DELEGATED_KW = dict(
-    clients=4, stagger=0.25, session_tickets=True,
+DELEGATED = Scenario(
+    "sgfs-aes", clients=4, stagger=0.25, session_tickets=True,
     reconnect_interval=3.0, delegation_lifetime=6.0,
 )
 
 
 def test_delegated_fleet_bit_identical_same_seed():
-    a = run_fleet("sgfs-aes", _churn, **DELEGATED_KW)
-    b = run_fleet("sgfs-aes", _churn, **DELEGATED_KW)
+    a = run(DELEGATED, _churn)
+    b = run(DELEGATED, _churn)
     assert _fingerprint(a) == _fingerprint(b)
 
 
@@ -458,12 +459,12 @@ def test_delegated_fleet_identical_with_cold_and_warm_key_memo(monkeypatch):
     from repro.crypto import rsa
 
     monkeypatch.setattr(rsa, "_KEYPAIR_MEMO", {})
-    cold = run_fleet("sgfs-aes", _churn, **DELEGATED_KW)  # every key searched
+    cold = run(DELEGATED, _churn)  # every key searched
     searched = len(rsa._KEYPAIR_MEMO)
     # CA + server + 4 users + one proxy key per delegation, none shared
     assert searched == 6 + cold.stats["gsi"]["delegations"]
     assert len({k.public.n for k, _ in rsa._KEYPAIR_MEMO.values()}) == searched
-    warm = run_fleet("sgfs-aes", _churn, **DELEGATED_KW)  # every key a memo hit
+    warm = run(DELEGATED, _churn)  # every key a memo hit
     assert len(rsa._KEYPAIR_MEMO) == searched
     assert _fingerprint(warm) == _fingerprint(cold)  # makespan, per-client, stats
 
@@ -476,7 +477,7 @@ def test_churn_pattern_is_the_byte_ramp(io_size):
 
 
 def test_delegated_fleet_expiry_forces_renewal():
-    r = run_fleet("sgfs-aes", _churn, **DELEGATED_KW)
+    r = run(DELEGATED, _churn)
     gsi = r.stats["gsi"]
     # 20 s sessions on 6 s delegations: every client renews mid-run.
     assert gsi["renewals"] > 0
@@ -487,7 +488,7 @@ def test_delegated_fleet_expiry_forces_renewal():
 
 
 def test_delegation_composes_with_session_tickets():
-    r = run_fleet("sgfs-aes", _churn, **DELEGATED_KW)
+    r = run(DELEGATED, _churn)
     tls = r.stats["tls"]
     suite = "aes-256-cbc-sha1"
     full = tls[f"full_handshakes{{role=server,suite={suite}}}"]
@@ -499,8 +500,7 @@ def test_delegation_composes_with_session_tickets():
 
 
 def test_long_delegation_never_renews():
-    kw = dict(DELEGATED_KW, delegation_lifetime=10_000.0)
-    r = run_fleet("sgfs-aes", _churn, **kw)
+    r = run(replace(DELEGATED, delegation_lifetime=10_000.0), _churn)
     gsi = r.stats["gsi"]
     assert gsi["renewals"] == 0
     assert gsi["delegations"] == r.clients
@@ -508,6 +508,6 @@ def test_long_delegation_never_renews():
 
 def test_delegation_requires_secure_setup():
     with pytest.raises(ValueError, match="secure"):
-        run_fleet("nfs-v3", _churn, clients=2, delegation_lifetime=5.0)
+        run(Scenario("nfs-v3", clients=2, delegation_lifetime=5.0), _churn)
     with pytest.raises(ValueError):
-        run_fleet("sgfs-aes", _churn, clients=2, delegation_lifetime=0.0)
+        run(Scenario("sgfs-aes", clients=2, delegation_lifetime=0.0), _churn)

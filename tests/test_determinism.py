@@ -6,15 +6,15 @@ experiments twice and require bit-identical outcomes.
 """
 
 from repro.core import SETUP_BUILDERS, Testbed
-from repro.harness import run_iozone, run_postmark
-from repro.workloads.postmark import PostMarkConfig
+from repro.harness import Scenario, run
+from repro.workloads.iozone import IOzoneReadReread
+from repro.workloads.postmark import PostMark, PostMarkConfig
 
 
 def test_iozone_run_is_bit_identical():
-    a = run_iozone("sgfs-aes", rtt=0.0, file_size=1 << 20,
-                   setup_kwargs={"cache_bytes": 1 << 19})
-    b = run_iozone("sgfs-aes", rtt=0.0, file_size=1 << 20,
-                   setup_kwargs={"cache_bytes": 1 << 19})
+    s = Scenario("sgfs-aes", cache_bytes=1 << 19)
+    iozone = lambda: IOzoneReadReread(file_size=1 << 20)
+    a, b = run(s, iozone), run(s, iozone)
     assert a.total == b.total
     assert a.phases == b.phases
     assert a.client_cpu == b.client_cpu
@@ -23,10 +23,8 @@ def test_iozone_run_is_bit_identical():
 
 def test_postmark_wan_run_is_bit_identical():
     cfg = PostMarkConfig(directories=5, files=25, transactions=50)
-    a = run_postmark("sgfs", rtt=0.040, config=cfg,
-                     setup_kwargs={"disk_cache": True})
-    b = run_postmark("sgfs", rtt=0.040, config=cfg,
-                     setup_kwargs={"disk_cache": True})
+    s = Scenario("sgfs", rtt=0.040, disk_cache=True)
+    a, b = run(s, lambda: PostMark(cfg)), run(s, lambda: PostMark(cfg))
     assert a.total == b.total
     assert a.phases == b.phases
     assert a.writeback_seconds == b.writeback_seconds
@@ -56,7 +54,8 @@ def test_secure_session_traffic_is_deterministic():
 
 def test_different_rtts_differ_but_each_replays():
     cfg = PostMarkConfig(directories=3, files=10, transactions=10)
-    r20a = run_postmark("nfs-v3", rtt=0.020, config=cfg).total
-    r20b = run_postmark("nfs-v3", rtt=0.020, config=cfg).total
-    r40 = run_postmark("nfs-v3", rtt=0.040, config=cfg).total
+    postmark = lambda: PostMark(cfg)
+    r20a = run(Scenario("nfs-v3", rtt=0.020), postmark).total
+    r20b = run(Scenario("nfs-v3", rtt=0.020), postmark).total
+    r40 = run(Scenario("nfs-v3", rtt=0.040), postmark).total
     assert r20a == r20b != r40

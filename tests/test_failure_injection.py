@@ -14,7 +14,7 @@ import pytest
 from repro.core import Testbed, setup_nfs_v3
 from repro.core.setups import setup_sgfs
 from repro.faults import FAULT_PRESETS, FaultPlan, FaultSpec
-from repro.harness import run_fleet, run_workload
+from repro.harness import Scenario, run
 from repro.nfs.client import NfsClientError
 from repro.rpc.errors import RpcError, RpcTransportError
 from repro.sim import ProcessDied
@@ -273,12 +273,12 @@ class _Stray:
 
 
 @pytest.mark.parametrize("run", [
-    lambda factory: run_workload("sgfs-sha", factory),
-    lambda factory: run_fleet("sgfs-sha", factory, clients=2),
+    lambda factory: run(Scenario("sgfs-sha"), factory),
+    lambda factory: run(Scenario("sgfs-sha", clients=2), factory),
 ], ids=["run_workload", "run_fleet"])
 def test_a_process_that_dies_unobserved_fails_the_run(run):
     """Nothing joins the helper, so its exception used to vanish and the
-    run to report success.  Both harness loops end in the one ``collect``
+    run to report success.  The paper's seat and a fleet end in the one ``collect``
     step, which refuses to produce a result over an unobserved death."""
     with pytest.raises(ProcessDied, match="stray-helper") as caught:
         run(_Stray)

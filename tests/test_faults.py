@@ -6,6 +6,8 @@ virtual-time results.  These tests pin the plan's draw discipline, the
 flap/crash machinery, and whole-workload determinism under faults.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import Testbed, setup_nfs_v3
@@ -18,11 +20,11 @@ from repro.faults import (
     LinkFlap,
     resolve_fault_preset,
 )
-from repro.harness.fleet import run_fleet
-from repro.harness.runner import run_iozone, run_postmark, run_workload
+from repro.harness import Scenario, run
 from repro.sim import Simulator
 from repro.vfs.fs import Credentials
-from repro.workloads.postmark import PostMarkConfig
+from repro.workloads.iozone import IOzoneReadReread
+from repro.workloads.postmark import PostMark, PostMarkConfig
 
 ROOT = Credentials(0, 0)
 PATH = ("client", "router", "server")
@@ -132,11 +134,9 @@ def test_resolve_preset():
 
 
 def _small_iozone(fault_seed):
-    return run_iozone(
-        "nfs-v3", rtt=0.04, file_size=256 * 1024,
-        setup_kwargs={"cache_bytes": 128 * 1024},
-        faults="lossy-wan", fault_seed=fault_seed,
-    )
+    return run(Scenario("nfs-v3", rtt=0.04, cache_bytes=128 * 1024,
+                        faults="lossy-wan", fault_seed=fault_seed),
+               lambda: IOzoneReadReread(file_size=256 * 1024))
 
 
 def test_same_fault_seed_is_bit_identical():
@@ -156,10 +156,10 @@ def test_different_fault_seed_changes_the_schedule():
 
 
 def test_faults_off_matches_clean_run():
-    clean = run_iozone("nfs-v3", rtt=0.04, file_size=256 * 1024,
-                       setup_kwargs={"cache_bytes": 128 * 1024})
-    off = run_iozone("nfs-v3", rtt=0.04, file_size=256 * 1024,
-                     setup_kwargs={"cache_bytes": 128 * 1024}, faults=None)
+    s = Scenario("nfs-v3", rtt=0.04, cache_bytes=128 * 1024)
+    iozone = lambda: IOzoneReadReread(file_size=256 * 1024)
+    clean = run(s, iozone)
+    off = run(replace(s, faults=None), iozone)
     assert clean.total == off.total
     assert "faults" not in off.stats
 
@@ -224,8 +224,9 @@ def test_proxy_restart_preset_is_not_a_no_op_on_sfs():
     ends by removing its root directory, which only succeeds if every
     create and delete before it was applied exactly once."""
     cfg = PostMarkConfig(directories=5, files=60, transactions=400)
-    clean = run_postmark("sfs", rtt=0.02, config=cfg)
-    r = run_postmark("sfs", rtt=0.02, config=cfg, faults="proxy-restart")
+    s = Scenario("sfs", rtt=0.02)
+    clean = run(s, lambda: PostMark(cfg))
+    r = run(replace(s, faults="proxy-restart"), lambda: PostMark(cfg))
     assert r.stats["faults"]["crashes"] == 1
     assert r.stats["proxy.client"]["upstream_retries"] > 0
     assert r.stats["proxy.server"]["sessions"] == 2
@@ -255,14 +256,14 @@ def test_a_crash_aimed_at_no_target_is_refused(setup, target):
     faults = "proxy-restart" if target == "server-proxy" else spec
     workload = _Untouched()
     with pytest.raises(ValueError, match=target):
-        run_workload(setup, lambda: workload, faults=faults)
+        run(Scenario(setup, faults=faults), lambda: workload)
     assert not workload.started
 
 
 def test_a_fleet_crash_aimed_at_no_target_is_refused():
     spec = FaultSpec(crashes=(CrashEvent(at=0.5, target="backend3", down_for=0.3),))
     with pytest.raises(ValueError, match="backend3"):
-        run_fleet("sgfs-aes", _Untouched, clients=2, servers=2, faults=spec)
+        run(Scenario("sgfs-aes", clients=2, servers=2, faults=spec), _Untouched)
 
 
 def test_dirty_writeback_survives_server_proxy_restart():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness import run_fleet
+from repro.harness import Scenario, run
 from repro.workloads.iozone import IOzoneReadReread
 
 FS = 64 * 1024
@@ -21,33 +21,33 @@ def _fingerprint(result):
 
 
 def test_eight_client_fleet_bit_identical():
-    a = run_fleet("sgfs-sha", _iozone, clients=8)
-    b = run_fleet("sgfs-sha", _iozone, clients=8)
+    a = run(Scenario("sgfs-sha", clients=8), _iozone)
+    b = run(Scenario("sgfs-sha", clients=8), _iozone)
     assert _fingerprint(a) == _fingerprint(b)
     assert a.clients == 8 and len(a.per_client) == 8
 
 
 def test_eight_client_fleet_bit_identical_under_lossy_faults():
     kw = dict(clients=8, rtt=0.04, faults="lossy-wan", fault_seed="fleet-ci")
-    a = run_fleet("sgfs-sha", _iozone, **kw)
-    b = run_fleet("sgfs-sha", _iozone, **kw)
+    a = run(Scenario("sgfs-sha", **kw), _iozone)
+    b = run(Scenario("sgfs-sha", **kw), _iozone)
     assert _fingerprint(a) == _fingerprint(b)
     assert a.stats["faults"]["dropped"] > 0
 
 
 def test_fleet_makespan_and_stagger():
-    sync = run_fleet("nfs-v3", _iozone, clients=4)
+    sync = run(Scenario("nfs-v3", clients=4), _iozone)
     assert all(c.start == 0.0 for c in sync.per_client)
     assert sync.makespan == max(c.end for c in sync.per_client)
 
-    staggered = run_fleet("nfs-v3", _iozone, clients=4, stagger=0.5)
+    staggered = run(Scenario("nfs-v3", clients=4, stagger=0.5), _iozone)
     starts = [c.start for c in staggered.per_client]
     assert starts == [0.0, 0.5, 1.0, 1.5]
     assert staggered.makespan > sync.makespan
 
 
 def test_fleet_per_session_enforcement_and_metrics():
-    r = run_fleet("sgfs-aes", _iozone, clients=3)
+    r = run(Scenario("sgfs-aes", clients=3), _iozone)
     ps = r.stats["proxy.server"]
     # One TLS session per client, all authorized through the gridmap.
     assert ps["sessions"] == 3
@@ -59,8 +59,8 @@ def test_fleet_per_session_enforcement_and_metrics():
 
 
 def test_fleet_merges_per_session_cache_stats():
-    solo = run_fleet("nfs-v3", _iozone, clients=1)
-    duo = run_fleet("nfs-v3", _iozone, clients=2)
+    solo = run(Scenario("nfs-v3", clients=1), _iozone)
+    duo = run(Scenario("nfs-v3", clients=2), _iozone)
     # Identical per-client workloads: merged per-session counters double.
     solo_hits = solo.stats["nfs.cache"]["page"]["hits"]
     duo_hits = duo.stats["nfs.cache"]["page"]["hits"]
@@ -69,8 +69,8 @@ def test_fleet_merges_per_session_cache_stats():
 
 
 def test_fleet_throughput_scales_and_contends():
-    one = run_fleet("nfs-v3", _iozone, clients=1)
-    four = run_fleet("nfs-v3", _iozone, clients=4)
+    one = run(Scenario("nfs-v3", clients=1), _iozone)
+    four = run(Scenario("nfs-v3", clients=4), _iozone)
     # More clients move more aggregate bytes per virtual second...
     assert four.aggregate_throughput() > one.aggregate_throughput()
     # ...but each client individually slows down under contention.
@@ -79,11 +79,11 @@ def test_fleet_throughput_scales_and_contends():
 
 def test_fleet_rejects_single_session_designs():
     with pytest.raises(ValueError):
-        run_fleet("sfs", _iozone, clients=2)
+        run(Scenario("sfs", clients=2), _iozone)
     with pytest.raises(ValueError):
-        run_fleet("gfs-ssh", _iozone, clients=2)
+        run(Scenario("gfs-ssh", clients=2), _iozone)
     with pytest.raises(ValueError):
-        run_fleet("nfs-v3", _iozone, clients=0)
+        run(Scenario("nfs-v3", clients=0), _iozone)
 
 
 @pytest.mark.parametrize("streams", [0, -3])
@@ -91,7 +91,7 @@ def test_fleet_rejects_nonpositive_streams(streams):
     """Like ``servers=0`` and ``replicas=0``: an error, not a silent
     run with one stream."""
     with pytest.raises(ValueError, match="streams must be >= 1"):
-        run_fleet("sgfs-sha", _iozone, clients=2, streams=streams)
+        run(Scenario("sgfs-sha", clients=2, streams=streams), _iozone)
 
 
 # -- multi-core server, session tickets ---------------------------------------
@@ -99,31 +99,29 @@ def test_fleet_rejects_nonpositive_streams(streams):
 
 def test_multicore_fleet_bit_identical():
     kw = dict(clients=8, server_cores=4)
-    a = run_fleet("sgfs-aes", _iozone, **kw)
-    b = run_fleet("sgfs-aes", _iozone, **kw)
+    a = run(Scenario("sgfs-aes", **kw), _iozone)
+    b = run(Scenario("sgfs-aes", **kw), _iozone)
     assert _fingerprint(a) == _fingerprint(b)
 
 
 def test_multicore_fleet_faster_than_single_core():
-    one = run_fleet("sgfs-aes", _iozone, clients=8)
-    four = run_fleet("sgfs-aes", _iozone, clients=8, server_cores=4)
+    one = run(Scenario("sgfs-aes", clients=8), _iozone)
+    four = run(Scenario("sgfs-aes", clients=8, server_cores=4), _iozone)
     assert four.makespan < one.makespan
 
 
 def test_single_client_unchanged_by_core_count_knob():
     # cores=1 is the legacy semaphore path; a lone session also cannot
     # exploit parallelism, so its virtual-time results are identical.
-    legacy = run_fleet("sgfs-aes", _iozone, clients=1)
-    multi = run_fleet("sgfs-aes", _iozone, clients=1, server_cores=4)
+    legacy = run(Scenario("sgfs-aes", clients=1), _iozone)
+    multi = run(Scenario("sgfs-aes", clients=1, server_cores=4), _iozone)
     assert legacy.makespan == multi.makespan
     assert legacy.per_client[0].phases == multi.per_client[0].phases
 
 
 def test_reconnecting_fleet_resumes_sessions():
-    r = run_fleet(
-        "sgfs-aes", _iozone, clients=4,
-        session_tickets=True, reconnect_interval=0.005,
-    )
+    r = run(Scenario("sgfs-aes", clients=4, session_tickets=True,
+                     reconnect_interval=0.005), _iozone)
     tls = r.stats["tls"]
     suite = "aes-256-cbc-sha1"
     resumed = tls.get(f"resumptions{{role=server,suite={suite}}}", 0)
@@ -135,8 +133,8 @@ def test_reconnecting_fleet_resumes_sessions():
 
 def test_reconnecting_fleet_bit_identical_same_seed():
     kw = dict(clients=4, session_tickets=True, reconnect_interval=0.005)
-    a = run_fleet("sgfs-aes", _iozone, **kw)
-    b = run_fleet("sgfs-aes", _iozone, **kw)
+    a = run(Scenario("sgfs-aes", **kw), _iozone)
+    b = run(Scenario("sgfs-aes", **kw), _iozone)
     assert _fingerprint(a) == _fingerprint(b)
 
 
@@ -145,8 +143,8 @@ def test_tickets_with_lossy_faults_bit_identical():
         clients=4, rtt=0.04, faults="lossy-wan", fault_seed="fleet-ci",
         session_tickets=True, reconnect_interval=0.05,
     )
-    a = run_fleet("sgfs-sha", _iozone, **kw)
-    b = run_fleet("sgfs-sha", _iozone, **kw)
+    a = run(Scenario("sgfs-sha", **kw), _iozone)
+    b = run(Scenario("sgfs-sha", **kw), _iozone)
     assert _fingerprint(a) == _fingerprint(b)
     assert a.stats["faults"]["dropped"] > 0
 
@@ -164,11 +162,9 @@ def test_server_crash_flushes_tickets():
         rto_base=0.05,
         rto_max=0.2,
     )
-    r = run_fleet(
-        "sgfs-aes", lambda: IOzoneReadReread(file_size=4 * FS), clients=4,
-        faults=spec, fault_seed="fleet-ci",
-        session_tickets=True, reconnect_interval=0.01,
-    )
+    r = run(Scenario("sgfs-aes", clients=4, faults=spec, fault_seed="fleet-ci",
+                     session_tickets=True, reconnect_interval=0.01),
+            lambda: IOzoneReadReread(file_size=4 * FS))
     tls = r.stats["tls"]
     suite = "aes-256-cbc-sha1"
     full = tls[f"full_handshakes{{role=server,suite={suite}}}"]
@@ -180,7 +176,7 @@ def test_server_crash_flushes_tickets():
 
 def test_ticketless_fleet_stats_unchanged():
     # The resumption counters only exist when tickets are on the wire.
-    r = run_fleet("sgfs-aes", _iozone, clients=2)
+    r = run(Scenario("sgfs-aes", clients=2), _iozone)
     assert not any("resumptions" in k for k in r.stats.get("tls", {}))
     assert not any("full_handshakes" in k for k in r.stats.get("tls", {}))
 
@@ -191,7 +187,7 @@ def test_ticketless_fleet_stats_unchanged():
 def test_aggregate_throughput_measured_vs_estimate():
     from repro.workloads.iozone import IOzoneWriteRead
 
-    r = run_fleet("sgfs-sha", lambda: IOzoneWriteRead(file_size=FS), clients=2)
+    r = run(Scenario("sgfs-sha", clients=2), lambda: IOzoneWriteRead(file_size=FS))
     # Every client reports its actual byte total, and the rate is
     # measured from those totals.
     assert all(c.bytes_moved == 3 * FS for c in r.per_client)
@@ -233,10 +229,8 @@ def test_reconnect_cyclers_stop_at_client_completion(monkeypatch):
         # client 0 moves 8x the bytes of the others -> finishes last
         return IOzoneReadReread(file_size=(8 * FS if i == 0 else FS))
 
-    r = run_fleet(
-        "sgfs-aes", staggered, clients=3,
-        session_tickets=True, reconnect_interval=0.005,
-    )
+    r = run(Scenario("sgfs-aes", clients=3, session_tickets=True,
+                     reconnect_interval=0.005), staggered)
     ends = {c.name: c.end for c in r.per_client}
     assert max(ends.values()) == ends["c0"]
     assert cycles, "reconnect fleet never cycled"
@@ -251,8 +245,8 @@ def test_reconnect_cyclers_stop_at_client_completion(monkeypatch):
 
 
 def test_fleet_proxies_take_the_cache_capacity(monkeypatch):
-    """``setup_kwargs`` spells the proxy disk cache's size as
-    ``run_workload`` does: a cache smaller than the file makes each
+    """``cache_capacity`` sizes each seat's proxy disk cache as it does
+    the paper's seat's: a cache smaller than the file makes each
     client's proxy write dirty blocks behind, and every block lands."""
     from repro.core.topology import Testbed
     from repro.workloads.iozone import IOzoneWriteRead
@@ -272,8 +266,8 @@ def test_fleet_proxies_take_the_cache_capacity(monkeypatch):
         return tb
 
     monkeypatch.setattr(Testbed, "build", recording_build)
-    r = run_fleet("sgfs-sha", lambda: IOzoneWriteRead(file_size=4 * FS), clients=2,
-                  streams=2, setup_kwargs={"disk_cache": True, "cache_capacity": FS})
+    r = run(Scenario("sgfs-sha", clients=2, streams=2, disk_cache=True,
+                     cache_capacity=FS), lambda: IOzoneWriteRead(file_size=4 * FS))
     assert all(c.bytes_moved == 12 * FS for c in r.per_client)  # read back, checked
     pc = r.stats["proxy.client"]
     assert pc["writeback_blocks"] > 0 and pc["writeback_errors"] == 0

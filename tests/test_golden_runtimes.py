@@ -43,8 +43,10 @@ from pathlib import Path
 import pytest
 
 from repro.core.setups import SETUP_BUILDERS
-from repro.harness import run_iozone, run_mab, run_postmark
-from repro.workloads.postmark import PostMarkConfig
+from repro.harness import Scenario, run
+from repro.workloads.iozone import IOzoneReadReread
+from repro.workloads.mab import ModifiedAndrewBenchmark
+from repro.workloads.postmark import PostMark, PostMarkConfig
 from tests._capture_goldens import (
     fault_row, run_fault_case, run_s1_cache_case, s1_cache_row, snapshot_sha256,
 )
@@ -125,7 +127,7 @@ def _faults(packets, dropped, delayed=0):
 #: plan sees) cannot pass by being wrong twice.  A pinned value is also
 #: a repeatable one, and ``dropped > 0`` is pinned with it.  Captured
 #: with ``tests/_capture_goldens.py`` at the last commit where
-#: ``run_workload`` and ``run_fleet`` each wired faults by hand, except
+#: the paper's seat and a fleet each wired faults by hand, except
 #: the 4-stream total: it was re-captured (2.041 -> 1.693 virtual
 #: seconds, the same faults) when the engine began keeping two
 #: read-ahead windows in flight, and again (1.592 -> 1.590) when the
@@ -152,8 +154,8 @@ def test_golden_table_covers_every_setup():
 def test_iozone_golden_runtime(label):
     env, _, setup = label.partition("-")
     rtt = WAN_RTT if env == "wan" else 0.0
-    r = run_iozone(setup, rtt=rtt, file_size=FILE_SIZE,
-                   setup_kwargs={"cache_bytes": CACHE_BYTES}, telemetry=True)
+    r = run(Scenario(setup, rtt=rtt, cache_bytes=CACHE_BYTES),
+            lambda: IOzoneReadReread(file_size=FILE_SIZE), telemetry=True)
     total_hex, writeback_hex, snap = GOLDEN[label]
     assert r.total == float.fromhex(total_hex), (
         f"{label}: virtual runtime drifted: {r.total.hex()} != {total_hex}")
@@ -178,8 +180,8 @@ def test_pinned_kernel_counters():
     moves these changed how much the simulator does per run: a kernel
     optimisation re-captures this one line on purpose and shows the
     virtual numbers above unmoved; anything else has a regression."""
-    r = run_iozone("sgfs-aes", rtt=0.0, file_size=2 * 1024 * 1024,
-                   setup_kwargs={"cache_bytes": 1024 * 1024}, telemetry=True)
+    r = run(Scenario("sgfs-aes", cache_bytes=1024 * 1024),
+            lambda: IOzoneReadReread(file_size=2 * 1024 * 1024), telemetry=True)
     assert r.stats["sim"] == {"events_dispatched": 7133, "heap_pushes": 4112,
                               "process_wakeups": 4858}
     assert r.total == float.fromhex("0x1.d3b6bc28e0767p-2")
@@ -188,9 +190,9 @@ def test_pinned_kernel_counters():
 def test_golden_trace_export_identical():
     """The Chrome-trace export is part of the determinism contract: the
     span stream must not move when dispatch internals change."""
-    r = run_iozone("sgfs", rtt=0.0, file_size=512 * 1024,
-                   setup_kwargs={"cache_bytes": 256 * 1024, "disk_cache": True},
-                   telemetry=True, tracing=True)
+    r = run(Scenario("sgfs", cache_bytes=256 * 1024, disk_cache=True),
+            lambda: IOzoneReadReread(file_size=512 * 1024), telemetry=True,
+            tracing=True)
     assert r.total == float.fromhex("0x1.b697846f8c496p-4")
     trace_sha = hashlib.sha256(r.trace_json().encode()).hexdigest()
     assert trace_sha == ("d41ba04e87699b170e34f7c20e2cc913a"
@@ -199,14 +201,13 @@ def test_golden_trace_export_identical():
 
 def test_golden_postmark_wan_cache():
     cfg = PostMarkConfig(directories=5, files=25, transactions=50)
-    r = run_postmark("sgfs", rtt=0.040, config=cfg,
-                     setup_kwargs={"disk_cache": True})
+    r = run(Scenario("sgfs", rtt=0.040, disk_cache=True), lambda: PostMark(cfg))
     assert r.total == float.fromhex("0x1.0badf8e1baf9fp+3")
     assert r.writeback_seconds == float.fromhex("0x0.0p+0")
 
 
 def test_golden_mab_gfs_ssh():
-    r = run_mab("gfs-ssh", rtt=0.020)
+    r = run(Scenario("gfs-ssh", rtt=0.020), ModifiedAndrewBenchmark)
     assert r.total == float.fromhex("0x1.520ee11d04967p+8")
     assert r.writeback_seconds == float.fromhex("0x0.0p+0")
 
@@ -220,8 +221,8 @@ def test_golden_runs_do_not_depend_on_the_hash_seed():
     salts print the pinned values."""
     code = (
         "import tests.test_golden_runtimes as g\n"
-        "r = g.run_iozone('sgfs-aes', rtt=g.WAN_RTT, file_size=g.FILE_SIZE,\n"
-        "                 setup_kwargs={'cache_bytes': g.CACHE_BYTES}, telemetry=True)\n"
+        "r = g.run(g.Scenario('sgfs-aes', rtt=g.WAN_RTT, cache_bytes=g.CACHE_BYTES),\n"
+        "          lambda: g.IOzoneReadReread(file_size=g.FILE_SIZE), telemetry=True)\n"
         "print(r.total.hex(), g.snapshot_sha256(r))\n"
         "print(g.json.dumps(g.fault_row(g.run_fault_case('grid-fleet-lossy-wan')),\n"
         "                   sort_keys=True))\n"

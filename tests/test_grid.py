@@ -8,7 +8,7 @@ import pytest
 from repro.core.topology import Testbed
 from repro.faults import CrashEvent, FaultSpec
 from repro.grid import GridLayout, GridMetadataService, GridRouter
-from repro.harness import run_fleet
+from repro.harness import Scenario, run
 from repro.net.errors import ConnectionRefused
 from repro.nfs.protocol import Sattr3
 from repro.sim.core import Simulator
@@ -19,8 +19,7 @@ from repro.workloads.mab import ModifiedAndrewBenchmark
 from repro.workloads.postmark import PostMark, PostMarkConfig
 
 FS = 256 * 1024
-GRID_KW = dict(grid_block_size=32 * 1024,
-               setup_kwargs={"cache_bytes": 64 * 1024})
+GRID_KW = dict(grid_block_size=32 * 1024, cache_bytes=64 * 1024)
 
 
 def _wr():
@@ -109,7 +108,7 @@ def test_metadata_epoch_semantics():
 
 
 def test_striped_fleet_completes_and_reports_grid_stats():
-    r = run_fleet("sgfs-sha", _wr, clients=2, servers=2, **GRID_KW)
+    r = run(Scenario("sgfs-sha", clients=2, servers=2, **GRID_KW), _wr)
     assert all(c.bytes_moved == 3 * FS for c in r.per_client)
     g = r.stats["grid"]
     assert g["striped_reads"] > 0 and g["striped_writes"] > 0
@@ -123,23 +122,23 @@ def test_striped_fleet_completes_and_reports_grid_stats():
 
 def test_striped_fleet_bit_identical_same_seed():
     kw = dict(clients=2, servers=2, **GRID_KW)
-    a = run_fleet("sgfs-sha", _wr, **kw)
-    b = run_fleet("sgfs-sha", _wr, **kw)
+    a = run(Scenario("sgfs-sha", **kw), _wr)
+    b = run(Scenario("sgfs-sha", **kw), _wr)
     assert _fingerprint(a) == _fingerprint(b)
 
 
 def test_single_server_run_has_no_grid_plane():
     # servers=1 is a width-1 router: no metadata service, no grid stats
     # -- and identical results to the default.
-    legacy = run_fleet("sgfs-sha", _wr, clients=2,
-                       setup_kwargs=GRID_KW["setup_kwargs"])
-    one = run_fleet("sgfs-sha", _wr, clients=2, servers=1, **GRID_KW)
+    legacy = run(Scenario("sgfs-sha", clients=2, cache_bytes=GRID_KW["cache_bytes"]),
+                 _wr)
+    one = run(Scenario("sgfs-sha", clients=2, servers=1, **GRID_KW), _wr)
     assert "grid" not in one.stats and "grid.meta" not in one.stats
     assert _fingerprint(one) == _fingerprint(legacy)
 
 
 def test_striping_spreads_load_across_backends():
-    r = run_fleet("sgfs-aes", _wr, clients=4, servers=2, **GRID_KW)
+    r = run(Scenario("sgfs-aes", clients=4, servers=2, **GRID_KW), _wr)
     rpc = r.stats["rpc.server"]
     calls = {s: rpc.get(f"calls{{server={s}}}", 0) for s in ("nfsd", "nfsd-s1")}
     assert calls["nfsd-s1"] > 0, f"backend s1 served nothing: {rpc}"
@@ -147,12 +146,12 @@ def test_striping_spreads_load_across_backends():
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        run_fleet("sgfs-sha", _wr, clients=2, servers=0)
+        run(Scenario("sgfs-sha", clients=2, servers=0), _wr)
     with pytest.raises(ValueError):
-        run_fleet("sgfs-sha", _wr, clients=2, servers=2, replicas=3)
+        run(Scenario("sgfs-sha", clients=2, servers=2, replicas=3), _wr)
     with pytest.raises(ValueError):
         # the grid data plane needs the proxy stack
-        run_fleet("nfs-v3", _wr, clients=2, servers=2)
+        run(Scenario("nfs-v3", clients=2, servers=2), _wr)
 
 
 # -- replication and crash failover --------------------------------------------
@@ -163,10 +162,8 @@ CRASH = FaultSpec(
 
 
 def test_replicated_fleet_survives_backend_crash():
-    r = run_fleet(
-        "sgfs-sha", _wr, clients=2, servers=3, replicas=2,
-        faults=CRASH, fault_seed="grid-ci", **GRID_KW,
-    )
+    r = run(Scenario("sgfs-sha", clients=2, servers=3, replicas=2, faults=CRASH,
+                     fault_seed="grid-ci", **GRID_KW), _wr)
     # every client still moved every byte, verified by the workload's
     # read-back pattern checks
     assert all(c.bytes_moved == 3 * FS for c in r.per_client)
@@ -215,7 +212,7 @@ def test_backend_error_reply_fails_over_without_killing_a_worker(
     one: the router's workers never raise it (a ProcessDied here), and a
     backend that answered is not marked dead."""
     _raising_once(monkeypatch, 1, op)
-    r = run_fleet("sgfs-sha", _wr, clients=1, servers=3, replicas=2, **GRID_KW)
+    r = run(Scenario("sgfs-sha", clients=1, servers=3, replicas=2, **GRID_KW), _wr)
     assert r.per_client[0].bytes_moved == 3 * FS  # read back and checked
     g = r.stats["grid"]
     assert (g["read_failovers"], g["degraded_writes"]) == (failovers, degraded)
@@ -233,15 +230,14 @@ def test_cached_grid_writes_back_through_a_backend_crash():
     crash = FaultSpec(crashes=(CrashEvent(at=0.45, target="backend1", down_for=10.0),))
     kw = dict(clients=2, servers=3, replicas=2, streams=4, rtt=0.04, faults=crash,
               fault_seed="grid-ci", grid_block_size=32 * 1024,
-              setup_kwargs={"cache_bytes": 64 * 1024, "disk_cache": True,
-                            "cache_capacity": 2 * FS})
+              cache_bytes=64 * 1024, disk_cache=True, cache_capacity=2 * FS)
     workload = lambda: IOzoneWriteRead(file_size=8 * FS)
-    r = run_fleet("sgfs-sha", workload, **kw)
+    r = run(Scenario("sgfs-sha", **kw), workload)
     assert all(c.bytes_moved == 24 * FS for c in r.per_client)  # read back, checked
     g, pc = r.stats["grid"], r.stats["proxy.client"]
     assert g["degraded_writes"] > 0 and g["dead_marks"] > 0
     assert pc["writeback_errors"] == 0 and pc["compound_envelopes"] > 0
-    assert _fingerprint(run_fleet("sgfs-sha", workload, **kw)) == _fingerprint(r)
+    assert _fingerprint(run(Scenario("sgfs-sha", **kw), workload)) == _fingerprint(r)
 
 
 @pytest.mark.parametrize("servers, replicas", [(3, 2), (1, 1)], ids=["3x2", "1x1"])
@@ -252,11 +248,10 @@ def test_wan_read_ahead_stays_inside_a_small_cache(servers, replicas):
     3x2).  Now the read-ahead span fits the cache: every block is
     fetched about once, and no more than one burst is wasted."""
     cache = 8 * 32 * 1024
-    r = run_fleet("sgfs-sha", lambda: IOzoneWriteRead(file_size=4 * FS), clients=2,
-                  servers=servers, replicas=replicas, streams=4, rtt=0.04,
-                  grid_block_size=32 * 1024,
-                  setup_kwargs={"cache_bytes": 64 * 1024, "disk_cache": True,
-                                "cache_capacity": cache})
+    r = run(Scenario("sgfs-sha", clients=2, servers=servers, replicas=replicas,
+                     streams=4, rtt=0.04, grid_block_size=32 * 1024,
+                     cache_bytes=64 * 1024, disk_cache=True, cache_capacity=cache),
+            lambda: IOzoneWriteRead(file_size=4 * FS))
     assert all(c.bytes_moved == 12 * FS for c in r.per_client)  # read back, checked
     pc = r.stats["proxy.client"]
     # an 8-block cache holds four 2-block bursts: two in flight, the
@@ -271,8 +266,8 @@ def test_replicated_crash_fleet_bit_identical_same_seed():
         clients=2, servers=3, replicas=2,
         faults=CRASH, fault_seed="grid-ci", **GRID_KW,
     )
-    a = run_fleet("sgfs-sha", _wr, **kw)
-    b = run_fleet("sgfs-sha", _wr, **kw)
+    a = run(Scenario("sgfs-sha", **kw), _wr)
+    b = run(Scenario("sgfs-sha", **kw), _wr)
     assert _fingerprint(a) == _fingerprint(b)
 
 
@@ -312,7 +307,7 @@ class _RenameTruncate:
 ], ids=["2x1", "3x2", "3x2-crash"])
 def test_postmark_fleet_mirrors_namespace_ops(kw, mirrored, degraded, bumps):
     kw = dict(clients=2, **kw, **GRID_KW)
-    r = run_fleet("sgfs-sha", _pm, **kw)
+    r = run(Scenario("sgfs-sha", **kw), _pm)
     assert all("deletion" in c.phases for c in r.per_client)
     g, meta = r.stats["grid"], r.stats["grid.meta"]
     assert g["hole_spans"] == 0
@@ -321,12 +316,12 @@ def test_postmark_fleet_mirrors_namespace_ops(kw, mirrored, degraded, bumps):
     assert meta["epoch_bumps"] == bumps
     # every file PostMark made it also deleted: nothing stays registered
     assert meta["registrations"] == meta["forgets"] == 116
-    assert _fingerprint(run_fleet("sgfs-sha", _pm, **kw)) == _fingerprint(r)
+    assert _fingerprint(run(Scenario("sgfs-sha", **kw), _pm)) == _fingerprint(r)
 
 
 def test_mab_fleet_keeps_its_source_tree_at_home():
-    r = run_fleet("sgfs-sha", lambda: ModifiedAndrewBenchmark(), clients=1,
-                  servers=2, **GRID_KW)
+    r = run(Scenario("sgfs-sha", clients=1, servers=2, **GRID_KW),
+            lambda: ModifiedAndrewBenchmark())
     assert "compile" in r.per_client[0].phases
     g, meta = r.stats["grid"], r.stats["grid.meta"]
     assert g["hole_spans"] == 0
@@ -341,13 +336,14 @@ def test_mab_fleet_keeps_its_source_tree_at_home():
 ], ids=["2x1", "3x2"])
 def test_rename_stays_at_home_and_truncate_reaches_every_backend(kw, mirrored):
     kw = dict(clients=2, **kw, **GRID_KW)
-    r = run_fleet("sgfs-sha", _RenameTruncate, **kw)
+    r = run(Scenario("sgfs-sha", **kw), _RenameTruncate)
     g = r.stats["grid"]
     # MKDIR and RENAME change home only; per client, 1 SETATTR on every
     # other backend
     assert g["mirrored_ops"] == mirrored
     assert g["hole_spans"] == 0 and g["dead_marks"] == 0
-    assert _fingerprint(run_fleet("sgfs-sha", _RenameTruncate, **kw)) == _fingerprint(r)
+    again = run(Scenario("sgfs-sha", **kw), _RenameTruncate)
+    assert _fingerprint(again) == _fingerprint(r)
 
 
 class _RenameOver:
@@ -371,15 +367,15 @@ class _RenameOver:
     dict(servers=2), dict(servers=3, replicas=2),
 ], ids=["2x1", "3x2"])
 def test_rename_over_a_striped_file_drops_its_objects(kw):
-    r = run_fleet("sgfs-sha", _RenameOver, clients=1, **kw, **GRID_KW)
+    r = run(Scenario("sgfs-sha", clients=1, **kw, **GRID_KW), _RenameOver)
     meta = r.stats["grid.meta"]
     assert (meta["registrations"], meta["forgets"]) == (2, 1)
 
 
 def test_write_behind_bursts_through_the_router():
     kw = dict(clients=2, servers=2, streams=4, grid_block_size=32 * 1024,
-              setup_kwargs={"disk_cache": True})
-    r = run_fleet("sgfs-sha", _wr, **kw)
+              disk_cache=True)
+    r = run(Scenario("sgfs-sha", **kw), _wr)
     assert all(c.bytes_moved == 3 * FS for c in r.per_client)
     # the disk cache absorbs every write and flushes them as bursts the
     # router stripes: 8 blocks per client, all landed
@@ -387,7 +383,7 @@ def test_write_behind_bursts_through_the_router():
     assert r.stats["proxy.client"]["writeback_errors"] == 0
     g = r.stats["grid"]
     assert (g["striped_writes"], g["hole_spans"], g["mirrored_ops"]) == (16, 0, 0)
-    assert _fingerprint(run_fleet("sgfs-sha", _wr, **kw)) == _fingerprint(r)
+    assert _fingerprint(run(Scenario("sgfs-sha", **kw), _wr)) == _fingerprint(r)
 
 
 @pytest.mark.parametrize("setup", ["sgfs-sha", "gfs"])
@@ -398,13 +394,13 @@ def test_cached_grid_bursts_ride_each_legs_engine(setup):
     bit-identical — over TLS and over gfs's plain channel alike, since
     both are assembled by the same session code."""
     kw = dict(clients=2, servers=2, replicas=2, streams=4, rtt=0.04,
-              setup_kwargs={"disk_cache": True})
-    r = run_fleet(setup, _wr, **kw)
+              disk_cache=True)
+    r = run(Scenario(setup, **kw), _wr)
     assert all(c.bytes_moved == 3 * FS for c in r.per_client)  # read back, checked
     pc = r.stats["proxy.client"]
     assert r.stats["grid"]["hole_spans"] == 0
     assert pc["writeback_errors"] == 0 and pc["compound_envelopes"] > 0
-    assert _fingerprint(run_fleet(setup, _wr, **kw)) == _fingerprint(r)
+    assert _fingerprint(run(Scenario(setup, **kw), _wr)) == _fingerprint(r)
 
 
 # -- mounting: every leg dialed at once ------------------------------------------
@@ -420,8 +416,8 @@ def test_concurrent_leg_dials_keep_one_full_handshake_per_server():
     """Each client pays one full handshake per backend and resumes the
     other three channels of each leg, with every leg dialed at once;
     and one client's four channel-0 handshakes overlap in virtual time."""
-    r = run_fleet("sgfs-aes", _wr, clients=3, servers=4, replicas=2, streams=4,
-                  tracing=True, **GRID_KW)
+    r = run(Scenario("sgfs-aes", clients=3, servers=4, replicas=2, streams=4,
+                     **GRID_KW), _wr, tracing=True)
     assert _handshakes(r, "full_handshakes") == 12
     assert _handshakes(r, "resumptions") == 36
     tracer = r.tracer
@@ -497,12 +493,13 @@ def test_leg_down_at_mount_raises_what_the_serial_dial_raised():
     down = FaultSpec(crashes=tuple(
         CrashEvent(at=0.0, target=f"backend{b}", down_for=100.0) for b in (1, 3)))
     with pytest.raises(ConnectionRefused, match="^s1:4444 refused"):
-        run_fleet("sgfs-sha", _wr, clients=1, servers=4, faults=down, **GRID_KW)
+        run(Scenario("sgfs-sha", clients=1, servers=4, faults=down, **GRID_KW), _wr)
 
 
 def test_reconnecting_grid_legs_resume_at_their_own_servers():
     """Each leg's redial offers the ticket its own server issued: one
     full handshake per (client, backend), every cycle after resumes."""
-    r = run_fleet("sgfs-aes", lambda: SessionChurn(duration=4, period=0.5, io_size=4096),
-                  clients=2, servers=3, session_tickets=True, reconnect_interval=1.5)
+    r = run(Scenario("sgfs-aes", clients=2, servers=3, session_tickets=True,
+                     reconnect_interval=1.5),
+            lambda: SessionChurn(duration=4, period=0.5, io_size=4096))
     assert (_handshakes(r, "full_handshakes"), _handshakes(r, "resumptions")) == (6, 12)

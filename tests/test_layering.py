@@ -5,10 +5,12 @@ A structure guard, not a behaviour test: it walks the source with
 the exactly-once protocol or the reply table appears (DESIGN.md § One
 transport stack, one hop), when a hop starts catching what it cannot
 name (DESIGN.md § Failure vocabulary), when a session is assembled
-outside ``core/setups`` (DESIGN.md § One session builder), or when the
-NFS layer reaches up into the proxies above it."""
+outside ``core/setups`` (DESIGN.md § One session builder), when the
+NFS layer reaches up into the proxies above it, or when an experiment is
+spelled other than ``run(Scenario(...), factory)`` outside ``bench/``."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -107,7 +109,7 @@ def test_base_exception_is_caught_only_to_be_handed_on():
     """Four handlers see ``BaseException``, and each passes it on: the
     two that end a process fail its completion with it, the DRC
     re-raises after releasing what it holds, a fleet client records it
-    for ``run_fleet`` to raise."""
+    for ``fleet_run`` to raise."""
     assert sorted((path, fn) for path, fn, names in _handlers()
                   if "BaseException" in names) == [
         ("harness/fleet.py", "client_proc"),
@@ -172,3 +174,45 @@ def test_the_services_and_sfs_get_their_sessions_from_core_setups():
     assert [(path, name) for path, tree in TREES.items()
             if path.startswith(("services/", "sfs/"))
             for _node, name in _calls(tree) if name in PROXIES] == []
+
+
+# -- one experiment value ---------------------------------------------------------
+
+ROOT = SRC.parent.parent
+#: where the program, its tests, benchmarks, examples and tools live;
+#: ``bench/`` (the benchmark's frozen driver) is the one other caller
+PROGRAM = ("src", "tests", "benchmarks", "examples", "tools")
+#: ``bench/``'s two keyword spellings of a run, and where they live
+KEYWORD_RUNS = ("run_workload", "run_fleet")
+ADAPTERS = "src/repro/harness/keywords.py"
+
+
+def _program_files():
+    return [p for d in PROGRAM for p in sorted((ROOT / d).rglob("*.py"))]
+
+
+def test_only_bench_calls_the_keyword_spellings():
+    """Everything but ``bench/`` runs ``run(Scenario(...), factory)``."""
+    callers = [(p.relative_to(ROOT).as_posix(), name) for p in _program_files()
+               for _node, name in _calls(ast.parse(p.read_text())) if name in KEYWORD_RUNS]
+    assert callers == []
+
+
+def test_the_old_spellings_are_gone():
+    """The free-form builder dict (but for the adapters, which take it from
+    ``bench/``), the separate validator and the five canned wrappers."""
+    gone = re.compile(r"\b(setup_kwargs|check_scenario|run_iozone|run_iozone_wr"
+                      r"|run_postmark|run_mab|run_seismic)\b")
+    found = sorted({(p.relative_to(ROOT).as_posix(), m.group(1)) for p in _program_files()
+                    if p.name != "test_layering.py"
+                    for m in gone.finditer(p.read_text())})
+    assert found == [(ADAPTERS, "setup_kwargs")]
+
+
+def test_ci_runs_bench_through_the_adapters():
+    """CI's ``pytest bench -q`` job runs ``bench/``, whose calls are the
+    adapters' only ones."""
+    assert "python -m pytest bench -q" in (ROOT / ".github/workflows/ci.yml").read_text()
+    called = {name for p in sorted((ROOT / "bench").glob("*.py"))
+              for _node, name in _calls(ast.parse(p.read_text())) if name in KEYWORD_RUNS}
+    assert called == set(KEYWORD_RUNS)

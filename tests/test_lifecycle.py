@@ -1,7 +1,7 @@
 """One daemon lifecycle: every harness run returns with its simulation empty.
 
 The testbed knows each daemon of a run by name (``Testbed.register``),
-and ``run_workload``/``run_fleet`` end with ``Testbed.close()``: the
+and every ``repro.harness.run`` ends with ``Testbed.close()``: the
 fault plan closes, every daemon stops, the simulation drains, and the
 call raises while a process is alive or an event pending.  These tests
 read what a run made from the ``made`` fixture (``tests/quiescence.py``),
@@ -13,8 +13,7 @@ import pytest
 from repro.core import Testbed
 from repro.core.setups import SETUP_BUILDERS
 from repro.faults import CrashEvent, FaultSpec
-from repro.harness.fleet import run_fleet
-from repro.harness.runner import run_workload
+from repro.harness import Scenario, run
 from repro.sim import SimError, Simulator
 from repro.sim.process import Process
 from repro.workloads.iozone import IOzoneWriteRead
@@ -30,7 +29,7 @@ def _left(made):
 @pytest.mark.parametrize("setup", sorted(SETUP_BUILDERS))
 def test_every_setup_run_ends_empty(setup, made):
     cfg = PostMarkConfig(directories=3, files=10, transactions=20)
-    run_workload(setup, lambda: PostMark(cfg))
+    run(Scenario(setup), lambda: PostMark(cfg))
     assert _left(made) == ([], [])
 
 
@@ -48,9 +47,9 @@ FLEETS = {
 @pytest.mark.parametrize("case", sorted(FLEETS))
 def test_every_fleet_run_ends_empty(case, made):
     options, crashes = FLEETS[case]
-    r = run_fleet("sgfs-sha", lambda: IOzoneWriteRead(file_size=256 * 1024), clients=2,
-                  servers=3, replicas=2, grid_block_size=32 * 1024,
-                  setup_kwargs={"cache_bytes": 64 * 1024}, **options)
+    r = run(Scenario("sgfs-sha", clients=2, servers=3, replicas=2,
+                     grid_block_size=32 * 1024, cache_bytes=64 * 1024, **options),
+            lambda: IOzoneWriteRead(file_size=256 * 1024))
     assert r.stats["faults"]["crashes"] == crashes
     assert _left(made) == ([], [])
 

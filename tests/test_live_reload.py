@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import Testbed, setup_sgfs
-from repro.harness import run_fleet
+from repro.harness import Scenario, run
 from repro.proxy.session_config import ProxyCacheConfig
 from repro.vfs.fs import Credentials
 
@@ -62,8 +62,8 @@ class _Rekeying:
 @pytest.mark.parametrize("servers, streams", [(1, 4), (2, 1)],
                          ids=["4-stream", "2x1-grid"])
 def test_reload_rekeys_every_channel_of_every_leg(servers, streams):
-    r = run_fleet("sgfs-sha", _Rekeying, clients=1, servers=servers,
-                  streams=streams)
+    r = run(Scenario("sgfs-sha", clients=1, servers=servers, streams=streams),
+            _Rekeying)
     renegs = r.stats["tls"]["renegotiations{suite=null-sha1}"]
     assert renegs == servers * streams
 

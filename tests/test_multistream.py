@@ -22,8 +22,7 @@ import pytest
 from repro.core import Testbed
 from repro.core.setups import setup_sgfs
 from repro.faults import FAULT_PRESETS, FaultPlan
-from repro.harness import run_fleet
-from repro.harness.runner import run_iozone
+from repro.harness import Scenario, run
 from repro.proxy.upstream import MAX_WINDOW, UpstreamSession
 from repro.rpc.compound import MAX_MEMBERS, pack_members, unpack_members
 from repro.sim import Simulator
@@ -349,7 +348,6 @@ def test_a_read_pass_demand_misses_only_its_first_block(monkeypatch, streams):
     its first block (the first pass's reader missed block 383 itself at
     8 streams when the pipe started at one block, and block 405 at 2
     streams when the cursor stayed where it was)."""
-    from repro.harness import run_workload
     from repro.proxy.client_proxy import SgfsClientProxy
     from repro.workloads.iozone import IOzoneWriteRead
 
@@ -360,9 +358,9 @@ def test_a_read_pass_demand_misses_only_its_first_block(monkeypatch, streams):
         return (yield from read_window(self, call, fh, block, count))
 
     monkeypatch.setattr(SgfsClientProxy, "_read_window", noting)
-    r = run_workload("sgfs-aes", lambda: IOzoneWriteRead(file_size=16 * MB), rtt=0.08,
-                     setup_kwargs={"disk_cache": True, "streams": streams,
-                                   "cache_capacity": 6 * MB})
+    r = run(Scenario("sgfs-aes", rtt=0.08, disk_cache=True, streams=streams,
+                     cache_capacity=6 * MB),
+            lambda: IOzoneWriteRead(file_size=16 * MB))
     assert demanded == [0, 0]  # the read pass's, then the reread's
     assert r.stats["proxy.client"]["prefetch_evicted_unread"] == 0
 
@@ -371,8 +369,7 @@ def test_a_read_pass_demand_misses_only_its_first_block(monkeypatch, streams):
 
 
 def test_clean_run_reports_zero_writeback_errors():
-    r = run_iozone("sgfs-aes", rtt=0.0, file_size=FS,
-                   setup_kwargs={"disk_cache": True})
+    r = run(Scenario("sgfs-aes", disk_cache=True), _iozone)
     # the key must exist (pre-seeded at init), not appear lazily on the
     # first error
     assert r.stats["proxy.client"]["writeback_errors"] == 0
@@ -383,16 +380,14 @@ def test_clean_run_reports_zero_writeback_errors():
 
 @pytest.mark.parametrize("streams", [1, 2, 4])
 def test_same_seed_bit_identical_single_server(streams):
-    kw = dict(rtt=0.04, file_size=FS,
-              setup_kwargs={"disk_cache": True, "streams": streams})
-    assert _fp(run_iozone("sgfs-aes", **kw)) == _fp(run_iozone("sgfs-aes", **kw))
+    s = Scenario("sgfs-aes", rtt=0.04, disk_cache=True, streams=streams)
+    assert _fp(run(s, _iozone)) == _fp(run(s, _iozone))
 
 
 @pytest.mark.parametrize("streams", [1, 2, 4])
 def test_same_seed_bit_identical_grid_fleet(streams):
-    kw = dict(clients=2, rtt=0.04, servers=2, streams=streams)
-    a = run_fleet("sgfs-aes", _iozone, **kw)
-    b = run_fleet("sgfs-aes", _iozone, **kw)
+    s = Scenario("sgfs-aes", clients=2, rtt=0.04, servers=2, streams=streams)
+    a, b = run(s, _iozone), run(s, _iozone)
     assert _fleet_fp(a) == _fleet_fp(b)
 
 
@@ -466,14 +461,12 @@ def test_drop_mid_write_exactly_once_server_side():
 
 
 def test_drop_mid_read_same_seed_bit_identical():
-    def run():
-        return run_iozone(
-            "sgfs-aes", rtt=0.04, file_size=256 * KB,
-            setup_kwargs={"disk_cache": True, "streams": 4},
-            faults="lossy-wan", fault_seed="ms-determinism",
-        )
+    def once():
+        return run(Scenario("sgfs-aes", rtt=0.04, disk_cache=True, streams=4,
+                            faults="lossy-wan", fault_seed="ms-determinism"),
+                   lambda: IOzoneReadReread(file_size=256 * KB))
 
-    a, b = run(), run()
+    a, b = once(), once()
     assert _fp(a) == _fp(b)
     assert a.stats["faults"]["dropped"] > 0
 
@@ -488,7 +481,6 @@ def test_landed_write_back_leaves_nothing_uncommitted(monkeypatch, servers):
     whenever no write-back is in flight, and at teardown, no nfsd holds
     UNSTABLE data a COMMIT has not covered.  Both write in two phases:
     the grid's burst rides each leg's engine."""
-    from repro.harness import run_workload
     from repro.nfs import protocol as pr
     from repro.nfs.server import NfsServerProgram
     from repro.proxy.client_proxy import SgfsClientProxy
@@ -518,13 +510,13 @@ def test_landed_write_back_leaves_nothing_uncommitted(monkeypatch, servers):
     monkeypatch.setattr(NfsServerProgram, "_op_write", recording_write)
     monkeypatch.setattr(SgfsClientProxy, "_writeback_window", checked_window)
     if servers == 1:
-        run_workload("sgfs-aes", lambda: IOzoneWriteRead(file_size=64 * BS),
-                     rtt=0.04, setup_kwargs={"disk_cache": True, "streams": 4,
-                                             "cache_capacity": 16 * BS})
+        run(Scenario("sgfs-aes", rtt=0.04, disk_cache=True, streams=4,
+                     cache_capacity=16 * BS),
+            lambda: IOzoneWriteRead(file_size=64 * BS))
     else:
-        run_fleet("sgfs-aes", lambda: IOzoneWriteRead(file_size=16 * BS),
-                  clients=2, rtt=0.04, servers=2, streams=4,
-                  setup_kwargs={"disk_cache": True})
+        run(Scenario("sgfs-aes", clients=2, rtt=0.04, servers=2, streams=4,
+                     disk_cache=True),
+            lambda: IOzoneWriteRead(file_size=16 * BS))
     assert pr.UNSTABLE in stables
     assert checks and not any(checks)
     assert not uncommitted()
@@ -542,15 +534,14 @@ def test_landed_write_back_leaves_nothing_uncommitted(monkeypatch, servers):
 def test_more_streams_never_write_slower(rtt):
     """Neither writes nor reads slow down as streams rise, and no block
     read ahead is evicted unread."""
-    from repro.harness import run_workload
     from repro.workloads.iozone import IOzoneWriteRead
 
     size = 16 * MB
     rows = []
     for streams in (1, 2, 4, 8):
-        r = run_workload("sgfs-aes", lambda: IOzoneWriteRead(file_size=size), rtt=rtt,
-                         setup_kwargs={"disk_cache": True, "streams": streams,
-                                       "cache_capacity": 6 * MB})
+        r = run(Scenario("sgfs-aes", rtt=rtt, disk_cache=True, streams=streams,
+                         cache_capacity=6 * MB),
+                lambda: IOzoneWriteRead(file_size=size))
         assert r.stats["proxy.client"]["prefetch_evicted_unread"] == 0
         rows.append((streams, size / r.phases["write"], size / r.phases["read"]))
     for (_s, write, read), (_t, wider_write, wider_read) in zip(rows, rows[1:]):
@@ -590,10 +581,9 @@ def test_the_cache_disk_reads_a_cached_file_in_runs_of_a_read_window(streams):
 
 
 def test_wan_read_throughput_gain():
-    kw = dict(rtt=0.080, file_size=4 * MB)
-    s1 = run_iozone("sgfs-aes", setup_kwargs={"disk_cache": True}, **kw)
-    s4 = run_iozone("sgfs-aes",
-                    setup_kwargs={"disk_cache": True, "streams": 4}, **kw)
+    iozone = lambda: IOzoneReadReread(file_size=4 * MB)
+    s1 = run(Scenario("sgfs-aes", rtt=0.080, disk_cache=True), iozone)
+    s4 = run(Scenario("sgfs-aes", rtt=0.080, disk_cache=True, streams=4), iozone)
     # RTT-sized windows across 4 sub-channels: at least 4x on the
     # serial one-block-per-RTT read phase
     assert s4.phases["read"] * 4 < s1.phases["read"]

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.topology import Testbed
-from repro.harness import run_iozone
+from repro.harness import Scenario, run
 from repro.nfs.cache import CacheStats
 from repro.obs import (
     Histogram,
@@ -18,6 +18,7 @@ from repro.obs import (
     percentile,
 )
 from repro.obs.metrics import NULL_INSTRUMENT
+from repro.workloads.iozone import IOzoneReadReread
 
 
 # -- percentile (the one shared definition) ----------------------------------
@@ -310,11 +311,9 @@ def _traced_run():
     # disk_cache=True so the proxy's cache disk shows up in the trace
     # (the IOzone file is preloaded server-side, so the server disk
     # alone would stay idle on this read-only workload)
-    return run_iozone(
-        "sgfs", rtt=0.0, file_size=512 * 1024,
-        setup_kwargs={"cache_bytes": 256 * 1024, "disk_cache": True},
-        telemetry=True, tracing=True,
-    )
+    return run(Scenario("sgfs", cache_bytes=256 * 1024, disk_cache=True),
+               lambda: IOzoneReadReread(file_size=512 * 1024),
+               telemetry=True, tracing=True)
 
 
 def test_identical_runs_export_identically():
@@ -338,10 +337,9 @@ def test_traced_sgfs_run_covers_the_stack():
 
 
 def test_telemetry_disabled_run_matches_enabled_virtual_time():
-    base = run_iozone("nfs-v3", rtt=0.0, file_size=256 * 1024,
-                      telemetry=False)
-    obs = run_iozone("nfs-v3", rtt=0.0, file_size=256 * 1024,
-                     telemetry=True, tracing=True)
+    iozone = lambda: IOzoneReadReread(file_size=256 * 1024)
+    base = run(Scenario("nfs-v3"), iozone, telemetry=False)
+    obs = run(Scenario("nfs-v3"), iozone, telemetry=True, tracing=True)
     assert base.total == obs.total
     assert base.stats.get("sim") is None  # no registry when disabled
     assert "sim" in obs.stats

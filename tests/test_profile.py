@@ -15,7 +15,7 @@ from typing import Optional
 import pytest
 
 from repro.cli import main
-from repro.harness import run_iozone
+from repro.harness import Scenario, run
 from repro.obs import Registry, SpanTracer
 from repro.obs.benchdiff import flatten
 from repro.obs.profile import (
@@ -29,6 +29,7 @@ from repro.obs.profile import (
 )
 from repro.sim.core import Simulator
 from repro.sim.sync import RwLock, Semaphore, lock_group
+from repro.workloads.iozone import IOzoneReadReread
 
 
 # -- synthetic span fixtures --------------------------------------------------
@@ -265,13 +266,12 @@ CONTENDED_SYNC = {
 
 
 def test_contended_run_exports_the_same_sync_series():
-    from repro.harness import run_workload
     from repro.workloads.iozone import IOzoneWriteRead
 
     size = 1024 * 1024
-    r = run_workload("sgfs-aes", lambda: IOzoneWriteRead(file_size=size), rtt=0.02,
-                     setup_kwargs=dict(disk_cache=True, streams=4,
-                                       cache_capacity=size // 4))
+    r = run(Scenario("sgfs-aes", rtt=0.02, disk_cache=True, streams=4,
+                     cache_capacity=size // 4),
+            lambda: IOzoneWriteRead(file_size=size))
     sync = r.stats["sync"]
     got = {}
     for key, count in sync.items():
@@ -330,8 +330,8 @@ def test_trace_ns_defaults_to_none_outside_fleets():
 
 
 def _profiled_run(**kw):
-    return run_iozone("sgfs-aes", rtt=0.0, file_size=128 * 1024,
-                      profile=kw.pop("profile", True), **kw)
+    return run(Scenario("sgfs-aes"), lambda: IOzoneReadReread(file_size=128 * 1024),
+               profile=kw.pop("profile", True), **kw)
 
 
 def test_build_report_sections_and_crypto_attribution():
@@ -383,8 +383,8 @@ def test_format_report_renders_every_section():
 
 
 def test_profile_not_attached_unless_requested():
-    r = run_iozone("sgfs", rtt=0.0, file_size=128 * 1024,
-                   telemetry=True, tracing=True)
+    r = run(Scenario("sgfs"), lambda: IOzoneReadReread(file_size=128 * 1024),
+            telemetry=True, tracing=True)
     assert r.profile is None
 
 

@@ -315,3 +315,19 @@ TestProxyModel.settings = settings(
     max_examples=max(settings.default.max_examples // 10, 1),
     stateful_step_count=60, deadline=None,
 )
+
+
+def test_a_rename_over_a_file_with_dirty_blocks_sends_none_of_them():
+    """RENAME ``/a`` over ``/b`` while ``/b``'s block 3 is dirty: ``/b``
+    is forgotten before the RENAME goes out, so write-behind, evicting
+    for ``/a``'s writes during the round trip, sends no WRITE to the
+    handle the reply makes stale (``writeback_errors`` was 1)."""
+    state = ProxyModel()
+    state.mount(streams=4, window=2, capacity=8, failures=True,
+                kinds={"read", "rename"})
+    state.rename(src="a", dst="b")
+    state.read_and_write(name="a", first=0, ahead=3, n=1, read_first=False)
+    state.rename(src="a", dst="b")
+    state.read_and_write(name="a", first=1, ahead=3, n=3, read_first=False)
+    state.rename(src="a", dst="b")
+    state.teardown()

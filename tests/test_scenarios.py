@@ -1,14 +1,15 @@
-"""The one scenario validator (``repro.harness.runner.check_scenario``):
-a setup x option point the stack has no part for is a ``ValueError`` with
-the same message from ``run_fleet`` and ``run_workload`` — never a
-``TypeError`` from a builder, never an option silently ignored."""
+"""The one scenario validator (``Scenario.check``): a setup x option point
+the stack has no part for is a ``ValueError`` with the same message for
+the paper's seat and for a fleet — never a ``TypeError`` from a builder,
+never an option silently ignored — and a field at its default is never
+refused."""
 
 import re
 
 import pytest
 
 from repro.core.setups import PROXY_CACHE_SETUPS, SETUP_BUILDERS, SUITES
-from repro.harness import run_fleet, run_workload
+from repro.harness import Scenario, run
 from repro.workloads.iozone import IOzoneReadReread
 
 
@@ -20,23 +21,16 @@ def _iozone():
 
 
 def _fleet(setup, **options):
-    """``options`` in run_fleet's spelling, except that ``disk_cache`` and
-    ``cache_capacity`` may be given flat (they travel in ``setup_kwargs``
-    there)."""
-    flat = {k: options.pop(k) for k in ("disk_cache", "cache_capacity")
-            if k in options}
-    if flat:
-        options["setup_kwargs"] = flat
-    return run_fleet(setup, _iozone, **{"clients": 2, **options})
+    return run(Scenario(setup, **{"clients": 2, **options}), _iozone)
 
 
 def _single(setup, **options):
-    return run_workload(setup, _iozone, setup_kwargs=options)
+    return run(Scenario(setup, **options), _iozone)
 
 
-#: points only a fleet can spell (setup, run_fleet options, message)
+#: points only a fleet can spell (setup, Scenario fields, message)
 FLEET_ONLY = [
-    # -- refused by run_fleet before there was a validator; wording pinned
+    # -- refused by the fleet runner before there was a validator; wording pinned
     ("nfs-v3", dict(clients=0), "fleet needs at least one client"),
     ("sfs", dict(clients=2), "sfs is a single-session design; fleets unsupported"),
     ("gfs-ssh", dict(clients=1),
@@ -49,12 +43,9 @@ FLEET_ONLY = [
     ("gfs", dict(delegation_lifetime=1.0),
      "delegation_lifetime requires a secure (sgfs*) setup"),
     ("sgfs", dict(delegation_lifetime=0.0), "delegation_lifetime must be positive"),
-    ("sgfs", dict(setup_kwargs={"at_rest": True}),
-     "unsupported fleet setup_kwargs: ['at_rest']"),
-    # a fleet spells streams at top level: the spelling error wins over
-    # what nfs-v3 could do with them
-    ("nfs-v3", dict(setup_kwargs={"streams": 2}),
-     "unsupported fleet setup_kwargs: ['streams']"),
+    # a fleet seat's proxy always writes back
+    ("sgfs", dict(write_back=False), "unsupported on a fleet: write_back=False"),
+    ("nfs-v3", dict(write_back=False), "unsupported on a fleet: write_back=False"),
     # -- ignored or mis-reported before
     ("nfs-v3", dict(reconnect_interval=0.01),
      "reconnect_interval requires a proxied setup"),
@@ -74,10 +65,22 @@ BOTH = [
     ("nfs-v3", dict(session_tickets=True),
      "session_tickets requires a secure (sgfs*) setup"),
 ]
-#: the single-session setups' own points (as fleets they are refused whole)
+#: the paper's seat's own points (as fleets the single-session setups
+#: are refused whole); a builder's TypeError or a silent drop before
 SINGLE_ONLY = [
     ("gfs-ssh", dict(streams=2), "streams applies only to proxied gfs/sgfs setups"),
     ("sfs", dict(disk_cache=True), "disk_cache applies only to proxied setups"),
+    ("gfs", dict(write_back=False), "write_back applies only to sgfs setups"),
+    ("nfs-v3", dict(write_back=False), "write_back applies only to sgfs setups"),
+    ("gfs-ssh", dict(session_tickets=True),
+     "session_tickets requires a secure (sgfs*) setup"),
+    ("sfs", dict(cache_capacity=FS),
+     "cache_capacity applies only to proxied gfs/sgfs setups"),
+    *[("sgfs", {name: value}, f"{name} requires a fleet (clients=N)")
+      for name, value in (("stagger", 0.5), ("session_seed", "other"),
+                          ("server_cores", 2), ("reconnect_interval", 1.0),
+                          ("servers", 2), ("replicas", 2),
+                          ("grid_block_size", 4096), ("delegation_lifetime", 1.0))],
 ]
 
 
@@ -108,6 +111,18 @@ def test_every_setup_runs_or_refuses_an_option(setup, option, supported):
         else:
             with pytest.raises(ValueError, match="applies only to proxied"):
                 run(setup, **dict(option))
+
+
+@pytest.mark.parametrize("setup, options", [
+    ("gfs-ssh", dict(session_tickets=False)),
+    ("nfs-v3", dict(write_back=True)),
+    ("sfs", dict(cache_capacity=None)),
+    ("gfs", dict(write_back=True, streams=1, servers=1, stagger=0.0)),
+])
+def test_a_field_at_its_default_is_never_refused(setup, options):
+    """Each of these reached a builder that has no such keyword
+    (``TypeError``) before the one value."""
+    assert _single(setup, **options).stats["nfs.client"]
 
 
 def test_proxy_cache_setups_are_the_proxied_stacks():

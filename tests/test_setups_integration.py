@@ -198,7 +198,7 @@ def test_home_server_crash_and_restart_are_backend_zero():
 def test_two_hand_built_seats_share_one_server_proxy():
     """The public session parts, composed by hand for two users on one
     testbed: one gridmap, one server proxy, each seat mapped to its own
-    account — what ``run_fleet`` does for N."""
+    account — what a fleet (``Scenario(..., clients=N)``) does for N."""
     from repro.core.setups import (
         Seat, SessionPki, admit, client_proxy, mount_through_proxy, proxy_dial,
         serve_proxy,

@@ -17,10 +17,10 @@ from collections import Counter
 
 import pytest
 
-from repro.harness import run_postmark
+from repro.harness import Scenario, run
 from repro.sim.core import Event, Interrupt, SimError, Simulator
 from repro.sim.process import Process
-from repro.workloads.postmark import PostMarkConfig
+from repro.workloads.postmark import PostMark, PostMarkConfig
 
 
 # -- lane selection and cross-lane ordering -----------------------------------
@@ -245,13 +245,14 @@ def test_no_process_waits_on_an_already_satisfied_acquire(monkeypatch):
         add_callback(self, fn)
 
     monkeypatch.setattr(Event, "add_callback", spy)
-    run_postmark("sgfs-aes", config=SMALL_POSTMARK)
+    run(Scenario("sgfs-aes"), lambda: PostMark(SMALL_POSTMARK))
     assert not satisfied
 
 
 def test_kernel_counters_are_exported_only_by_a_live_registry():
-    off = run_postmark("sgfs-aes", config=SMALL_POSTMARK, telemetry=False)
-    on = run_postmark("sgfs-aes", config=SMALL_POSTMARK, telemetry=True)
+    postmark = lambda: PostMark(SMALL_POSTMARK)
+    off = run(Scenario("sgfs-aes"), postmark, telemetry=False)
+    on = run(Scenario("sgfs-aes"), postmark, telemetry=True)
     assert off.stats == {}
     assert set(on.stats["sim"]) == {"events_dispatched", "heap_pushes",
                                     "process_wakeups"}

@@ -19,14 +19,14 @@ import pytest
 
 from repro.core.setups import SETUP_BUILDERS
 from repro.grid.router import GridRouter
-from repro.harness import run_fleet, run_iozone
+from repro.harness import Scenario, run
 from repro.nfs.client import NfsClient
 from repro.obs import Registry
 from repro.obs.schema import (
     COUNTER, SCHEMA, SCHEMA_VERSION, Decl, check, metric_key, parse_key, project,
 )
 from repro.proxy.client_proxy import SgfsClientProxy
-from repro.workloads import IOzoneWriteRead, SessionChurn
+from repro.workloads import IOzoneReadReread, IOzoneWriteRead, SessionChurn
 from tests._capture_goldens import snapshot_sha256
 from tests.test_golden_runtimes import CACHE_BYTES, FILE_SIZE, GOLDEN
 
@@ -34,29 +34,27 @@ ROOT = Path(__file__).resolve().parent.parent
 KB = 1024
 
 
-def _grid_fleet():
-    return run_fleet("sgfs-aes", lambda: IOzoneWriteRead(file_size=128 * KB),
-                     clients=3, servers=2, replicas=2, rtt=0.02,
-                     faults="lossy-wan", fault_seed="g")
-
-
+#: label -> (scenario, workload factory)
 _SCENARIOS = {
-    **{f"lan-{setup}": (lambda setup=setup: run_iozone(setup, file_size=256 * KB))
+    **{f"lan-{setup}": (Scenario(setup), lambda: IOzoneReadReread(file_size=256 * KB))
        for setup in SETUP_BUILDERS},
-    "wan-4-streams-disk-cache": lambda: run_iozone(
-        "sgfs-aes", rtt=0.08, file_size=512 * KB,
-        setup_kwargs={"disk_cache": True, "streams": 4}),
-    "grid-fleet-lossy": _grid_fleet,
-    "delegated-churn-fleet": lambda: run_fleet(
-        "sgfs-aes", lambda: SessionChurn(duration=3.0, period=0.5), clients=2,
-        stagger=0.25, reconnect_interval=1.5, session_tickets=True,
-        delegation_lifetime=4.0),
+    "wan-4-streams-disk-cache": (
+        Scenario("sgfs-aes", rtt=0.08, disk_cache=True, streams=4),
+        lambda: IOzoneReadReread(file_size=512 * KB)),
+    "grid-fleet-lossy": (
+        Scenario("sgfs-aes", clients=3, servers=2, replicas=2, rtt=0.02,
+                 faults="lossy-wan", fault_seed="g"),
+        lambda: IOzoneWriteRead(file_size=128 * KB)),
+    "delegated-churn-fleet": (
+        Scenario("sgfs-aes", clients=2, stagger=0.25, reconnect_interval=1.5,
+                 session_tickets=True, delegation_lifetime=4.0),
+        lambda: SessionChurn(duration=3.0, period=0.5)),
 }
 
 
 @lru_cache(maxsize=None)
 def _stats(label: str) -> dict:
-    return _SCENARIOS[label]().stats
+    return run(*_SCENARIOS[label]).stats
 
 
 @pytest.mark.parametrize("label", sorted(_SCENARIOS))
@@ -126,8 +124,8 @@ def test_a_later_version_key_leaves_the_pinned_hash_unchanged(monkeypatch):
         return call(self, proc, args)
 
     monkeypatch.setattr(NfsClient, "_call", counted)
-    r = run_iozone("nfs-v3", rtt=0.0, file_size=FILE_SIZE,
-                   setup_kwargs={"cache_bytes": CACHE_BYTES}, telemetry=True)
+    r = run(Scenario("nfs-v3", cache_bytes=CACHE_BYTES),
+            lambda: IOzoneReadReread(file_size=FILE_SIZE), telemetry=True)
     assert r.stats["nfs.server"]["probe_calls"] > 0
     assert "probe_calls" not in project(r.stats, SCHEMA_VERSION)["nfs.server"]
     assert snapshot_sha256(r) == GOLDEN["lan-nfs-v3"][2]
@@ -140,7 +138,7 @@ def test_fleet_merges_follow_the_declared_kinds(monkeypatch):
             _init(self, *args, **kwargs)
             _instances.append(self)
         monkeypatch.setattr(cls, "__init__", init)
-    stats = _grid_fleet().stats
+    stats = run(*_SCENARIOS["grid-fleet-lossy"]).stats
     routers, proxies = made[GridRouter], made[SgfsClientProxy]
     assert len(routers) == len(proxies) == 3
     # a gauge reports a level: the fleet's is the largest, not the sum

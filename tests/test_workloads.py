@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import Testbed, setup_nfs_v3
-from repro.harness import run_iozone, run_postmark, format_table
+from repro.harness import Scenario, format_table, run
 from repro.vfs.fs import Credentials
 from repro.workloads import (
     IOzoneReadReread,
@@ -129,8 +129,8 @@ def test_seismic_phases_and_preserved_outputs():
 
 
 def test_harness_run_collects_cpu_and_stats():
-    r = run_iozone("sgfs-aes", rtt=0.0, file_size=1 << 20,
-                   setup_kwargs={"cache_bytes": 1 << 19})
+    r = run(Scenario("sgfs-aes", cache_bytes=1 << 19),
+            lambda: IOzoneReadReread(file_size=1 << 20))
     assert r.total > 0
     assert r.cpu_mean("client", "proxy") > 0
     assert "nfs.cache" in r.stats and "proxy.client" in r.stats
@@ -139,7 +139,7 @@ def test_harness_run_collects_cpu_and_stats():
 
 def test_harness_unknown_setup_rejected():
     with pytest.raises(ValueError, match="unknown setup 'no-such-setup'"):
-        run_iozone("no-such-setup")
+        run(Scenario("no-such-setup"), IOzoneReadReread)
 
 
 def test_harness_formatting_helpers():
@@ -152,7 +152,7 @@ def test_harness_formatting_helpers():
 def test_postmark_wan_rtt_increases_runtime_monotonically():
     cfg = PostMarkConfig(directories=3, files=10, transactions=20)
     totals = [
-        run_postmark("nfs-v3", rtt=rtt, config=cfg).total
+        run(Scenario("nfs-v3", rtt=rtt), lambda: PostMark(cfg)).total
         for rtt in (0.0, 0.010, 0.040)
     ]
     assert totals[0] < totals[1] < totals[2]
