@@ -8,7 +8,8 @@ targets, and verifies each remaining target exists relative to the
 linking file (anchors and query strings stripped).  Every ``repro.x.y``
 name inside a backticked span must import or resolve (as a module, or
 as attributes of one) against ``src/`` — except in the files that are
-history and plans (:data:`SYMBOL_SKIP`).  Exits non-zero listing every
+history and plans (:data:`SYMBOL_SKIP`, and any file with an open
+``- [ ]`` task list).  Exits non-zero listing every
 dangling link and unresolved name — the CI docs gate.
 
 Usage: python tools/check_links.py [root]
@@ -30,7 +31,9 @@ SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "node_modules"}
 SPAN_RE = re.compile(r"`([^`]+)`")
 SYMBOL_RE = re.compile(r"(?<![\w./-])repro(?:\.[A-Za-z_]\w*)+")
 #: history and plans: they name what was, or what is to come
-SYMBOL_SKIP = {"CHANGES.md", "ROADMAP.md", "ISSUE.md"}
+SYMBOL_SKIP = {"CHANGES.md", "ROADMAP.md"}
+#: an open task-list item marks a plan: it names what is yet to come
+OPEN_TASK_RE = re.compile(r"^\s*[-*] \[ \]", re.MULTILINE)
 
 
 def resolves(name: str) -> bool:
@@ -57,8 +60,8 @@ def iter_markdown(root: Path):
 
 def check_file(md: Path, root: Path) -> list:
     problems = []
-    symbols = md.name not in SYMBOL_SKIP
     text = md.read_text(encoding="utf-8")
+    symbols = md.name not in SYMBOL_SKIP and not OPEN_TASK_RE.search(text)
     in_fence = False
     for lineno, line in enumerate(text.splitlines(), 1):
         if line.lstrip().startswith("```"):
