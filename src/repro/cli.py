@@ -107,6 +107,10 @@ def _parser() -> argparse.ArgumentParser:
     scenario.add_argument("--fault-seed", default="faults",
                           help="seed for the fault schedule; same seed => "
                                "identical drop schedule (default: 'faults')")
+    scenario.add_argument("--session-tickets", action="store_true",
+                          help="enable TLS session tickets between the "
+                               "proxies (sgfs* setups), so a reconnecting "
+                               "session resumes with an abbreviated handshake")
     scenario.add_argument("--clients", type=int, default=1,
                           help="fleet size: run N concurrent clients against "
                                "one server (default: 1 = classic single run)")
@@ -122,9 +126,6 @@ def _parser() -> argparse.ArgumentParser:
                            help="server CPU cores for fleet runs; distinct "
                                 "sessions pin to distinct cores and profile "
                                 "reports gain per-core rows (default: 1)"),
-        fleet.add_argument("--session-tickets", action="store_true",
-                           help="enable TLS session tickets so reconnecting "
-                                "fleet clients use abbreviated handshakes"),
         fleet.add_argument("--reconnect-ms", dest="reconnect_interval", type=_ms,
                            default=None, metavar="MS",
                            help="cycle each fleet client's upstream session "
@@ -264,7 +265,7 @@ def _run(args, out, **obs):
     factory = lambda: WORKLOADS[args.workload](**workload_kw)
     scenario = Scenario(args.setup, rtt=args.rtt_ms / 1000.0, faults=args.faults,
                         fault_seed=args.fault_seed, disk_cache=args.disk_cache,
-                        streams=args.streams,
+                        streams=args.streams, session_tickets=args.session_tickets,
                         clients=None if args.clients == 1 else args.clients, **fleet)
     try:
         return run(scenario, factory, **obs)

@@ -500,14 +500,21 @@ class BlockCache:
         return victims
 
     def written(self, victims: Iterable[DirtyItem]) -> None:
-        """writing -> absent (or dirty, or newer bytes still writing):
-        the victims' WRITE landed, failed, or will never be sent."""
+        """writing -> absent (or cached, or newer bytes still writing):
+        the victims' WRITE landed, failed, or will never be sent.  A row
+        left absent below its file's read-ahead cursor pulls the cursor
+        back to it, as an eviction does: read-ahead skipped it while it
+        was writing, and claims it again instead of its reader missing
+        it."""
         for fileid, block, data in victims:
             row = self._rows.get((fileid, block))
             if row is not None and row.wire is data:
                 row.wire = None
                 self._on_wire[fileid] -= 1
                 self._settle((fileid, block), row)
+                if (row.data is None and row.fetch is None
+                        and block < self.ahead.get(fileid, 0)):
+                    self.ahead[fileid] = block
 
     def drop_file(self, fileid: int, keep_dirty: bool = False) -> None:
         """Forget a file's cached bytes — all of them (remove), or only
@@ -551,15 +558,27 @@ class BlockCache:
         for fileid in fileids:
             for block in sorted(self.dirty.pop(fileid, ())):
                 row = self._rows.get((fileid, block))
-                if row is None or not row.dirty:
-                    continue
-                data = row.data
-                row.dirty = False
-                self.dirty_bytes -= len(data)
-                self._on_wire[fileid] += row.wire is None
-                row.wire = data
-                items.append((fileid, block, data))
+                if row is not None and row.dirty:
+                    items.append(self._taken(fileid, block, row))
         return items
+
+    def take(self, fileid: int, block: int) -> List[DirtyItem]:
+        """:meth:`gather_dirty` of one block: dirty -> clean and
+        *writing*, returned as a one-item list (empty when the block is
+        not dirty)."""
+        row = self._rows.get((fileid, block))
+        if row is None or not row.dirty:
+            return []
+        self.dirty[fileid].discard(block)
+        return [self._taken(fileid, block, row)]
+
+    def _taken(self, fileid: int, block: int, row: _Row) -> DirtyItem:
+        data = row.data
+        row.dirty = False
+        self.dirty_bytes -= len(data)
+        self._on_wire[fileid] += row.wire is None
+        row.wire = data
+        return fileid, block, data
 
     def read_runs(self, items: List[DirtyItem]):
         """Process generator: read gathered items off the cache disk, each

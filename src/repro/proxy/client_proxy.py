@@ -221,14 +221,32 @@ class SgfsClientProxy:
         """Process generator: cache a block — fetched (``unread``: ahead
         of the reader), or written when ``dirty``; the dirty blocks the
         insert pushed out leave through write-behind
-        (:meth:`_write_behind`)."""
+        (:meth:`_write_behind`).
+
+        While no leg of a multi-stream session has a bulk RTT sample, a
+        dirty block that pushes nothing out leaves at once, alone, as
+        the probe that takes one (:meth:`UpstreamSession.burst`), when
+        no write-behind burst is in flight.  It stays cached, clean and
+        *writing*.  The probe lands while the cache fills, so the first
+        eviction's window is sized from a measured pipe."""
         if dirty:
             yield from self._blocks.write(fileid, block, data)
         else:
             yield from self._blocks.fill(fileid, block, data, unread)
         victims = self._blocks.evict((fileid, block), self._pipeline()[0])
+        if not victims and dirty and self._probe_due(fileid):
+            victims = self._blocks.take(fileid, block)
         if victims:
             yield from self._write_behind(victims)
+
+    def _probe_due(self, fileid: int) -> bool:
+        """Whether a dirty block of ``fileid`` goes out now as the lone
+        WRITE that measures the pipe (see :meth:`_block_put`).  Once a
+        leg has its sample this costs one attribute read per leg."""
+        return (self._streams > 1
+                and all(leg.srtt_bulk is None for leg in self._up.legs)
+                and fileid in self._handles
+                and not self._blocks.background(writes=True))
 
     def _maybe_revalidate(self, fh: FileHandle):
         """Process generator: under "poll" consistency, refresh a stale
@@ -492,7 +510,11 @@ class SgfsClientProxy:
         only grows while more than it is out — or, where the cache cannot
         hold that, the pipe and two bursts more: the bursts whose replies
         are landing do not fill it.  It stops too where a smaller burst
-        would give a channel a one-block share.  A ``read`` burst is never
+        would give a channel a one-block share.  Until a leg has a bulk
+        sample its pipe is one block, sized ``(1, 2)``; a write pass
+        takes that sample with its first dirty block (the probe,
+        :meth:`_block_put`) before the cache fills, so its first
+        eviction is sized from a measured pipe.  A ``read`` burst is never
         wider than its share: the read-ahead span, ``depth + 1`` of them,
         then fits under the low-water mark and no block read ahead is
         evicted unread (a cache too small for two-block shares reads
@@ -697,12 +719,13 @@ class SgfsClientProxy:
         """Process generator: hand dirty items (writing, in the table) to
         write-behind, one background burst per pipeline window (see
         :meth:`BlockCache.slot` for when each may go): eviction victims,
-        or (``on_disk``) the blocks a COMMIT's flush or teardown gathered,
-        each window read off the cache disk in runs
-        (:meth:`BlockCache.read_runs`) before it waits for its slot.
-        Each window is sized by :meth:`_pipeline` when its turn comes, so
-        a cold session's first one-block window seeds the bulk RTT
-        estimator and widens the windows behind it.  A window the slot admitted
+        the probe's one block (:meth:`_block_put`), or (``on_disk``) the
+        blocks a COMMIT's flush or teardown gathered, each window read
+        off the cache disk in runs (:meth:`BlockCache.read_runs`) before
+        it waits for its slot.  Each window is sized by :meth:`_pipeline`
+        when its turn comes, so a cold session's first one-block window
+        — the probe, or a flush's first — seeds the bulk RTT estimator
+        and widens the windows behind it.  A window the slot admitted
         leaves whole, one process's one burst (:meth:`_writeback_window`),
         even if :meth:`_pipeline` has re-sized since, so ``depth`` bounds
         the bursts in flight.  The caller blocks only while ``depth``

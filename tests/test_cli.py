@@ -147,14 +147,24 @@ def test_fleet_factories_take_no_arguments(monkeypatch):
 
 
 @pytest.mark.parametrize("flag", [
-    ("--stagger-ms", "5"), ("--server-cores", "2"), ("--session-tickets",),
-    ("--reconnect-ms", "5"), ("--delegation-ms", "5"), ("--servers", "2"),
-    ("--replicas", "2"),
+    ("--stagger-ms", "5"), ("--server-cores", "2"), ("--reconnect-ms", "5"),
+    ("--delegation-ms", "5"), ("--servers", "2"), ("--replicas", "2"),
 ])
 def test_fleet_only_flags_are_refused_for_one_client(flag):
     code, text = run_cli("run", "--workload", "iozone", "--setup", "sgfs", *flag)
     assert code == 2
     assert text == f"error: {flag[0]} requires a fleet run (--clients >= 2)\n"
+
+
+def test_session_tickets_run_at_one_client():
+    """The paper's seat takes session tickets, as ``run(Scenario("sgfs",
+    session_tickets=True), ...)`` does: the flag is not a fleet's."""
+    import json
+
+    code, text = run_cli("stats", *SMALL, "--setup", "sgfs", "--session-tickets",
+                         "--json")
+    assert code == 0
+    assert json.loads(text)["proxy.server"]["sessions"] == 1
 
 
 def test_profile_refuses_server_cores_for_one_client_like_run():

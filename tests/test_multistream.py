@@ -281,12 +281,14 @@ def _logged_bursts(mount):
 
 def test_write_behind_reaches_its_cache_bound_sizing_in_seven_landed_bursts():
     """12 MiB written through a 4 MiB cache at 80 ms: write-behind starts
-    with two lone WRITEs, the first bulk sample, and bursts of the
-    sizing a cache of 128 blocks gives the widest pipe, (16, 6), from
-    the seventh burst landed after that sample on.  Startup keeps three
-    pipes in flight while the rate grows (bursts of 18, five deep, at
-    the first measured pipe of 29); keeping two took nine landed bursts
-    (29 two deep, then 21 four deep)."""
+    with one lone WRITE, the probe the first dirty block sends while the
+    cache fills, which takes the first bulk sample, and reaches the
+    sizing a cache of 128 blocks gives the widest pipe, (16, 6), by the
+    seventh burst landed after that sample.  Startup keeps three pipes
+    in flight while the rate grows (bursts of 18, five deep, at the
+    first measured pipe of 29); keeping two took nine landed bursts (29
+    two deep, then 21 four deep).  The first eviction's window carries
+    17 blocks: the probe's, clean once taken, leaves without a WRITE."""
     tb = Testbed.build(rtt=0.08)
     mount = setup_sgfs(tb, disk_cache=True, streams=4, cache_capacity=4 * MB)
     log = _logged_bursts(mount)
@@ -297,8 +299,7 @@ def test_write_behind_reaches_its_cache_bound_sizing_in_seven_landed_bursts():
         yield from mount.finish()
 
     tb.run(job())
-    assert [n for n, *_ in log[:2]] == [1, 1]
-    assert log[2][3] == (18, 5)
+    assert [(n, sizing) for n, _l, _b, sizing in log[:2]] == [(1, (1, 2)), (17, (18, 5))]
     steady = next(landed for _n, landed, _beside, sizing in log if sizing == (16, 6))
     assert steady - 1 <= 7
     assert all(sizing == (16, 6) for _n, landed, _b, sizing in log if landed >= steady)
@@ -309,9 +310,11 @@ def test_write_behind_reaches_its_cache_bound_sizing_in_seven_landed_bursts():
 def test_teardown_writes_back_in_windows_read_off_the_disk_in_runs(streams):
     """2 MiB written into a cache that holds it, then teardown: a 4-stream
     leg writes it back through write-behind's windows, more than one
-    burst in flight, each window read off the cache disk in one access.
-    A single-stream leg writes back as the paper's proxy does: one block
-    per burst, one burst in flight, one disk access per block."""
+    burst in flight, each window read off the cache disk in one access;
+    only the first block left before, alone, as the probe that measured
+    the pipe.  A single-stream leg writes back as the paper's proxy does:
+    one block per burst, one burst in flight, one disk access per
+    block."""
     tb = Testbed.build(rtt=0.08)
     mount = setup_sgfs(tb, disk_cache=True, streams=streams)
     disk = mount.client_proxy._blocks.disk
@@ -322,18 +325,22 @@ def test_teardown_writes_back_in_windows_read_off_the_disk_in_runs(streams):
     def job():
         yield from mount.client.write_file("/t.bin", payload)
         reads = disk.reads
+        probes.extend(log)
         del log[:]
         yield from mount.finish()
         return disk.reads - reads
 
+    probes = []
     reads = tb.run(job())
     stats = mount.client_proxy.stats
     assert stats["writeback_blocks"] == nblocks and stats["writeback_errors"] == 0
-    assert sum(n for n, *_ in log) == nblocks
+    assert sum(n for n, *_ in probes + log) == nblocks
     if streams == 1:
+        assert probes == []
         assert log == [(1, landed, 0, (1, 1)) for landed in range(nblocks)]
         assert reads == nblocks
     else:
+        assert probes == [(1, 0, 0, (1, 2))]
         assert max(beside for _n, _l, beside, _s in log) >= 2
         assert reads == len(log) < nblocks
     assert bytes(tb.fs.resolve("/t.bin", ROOT).data) == payload

@@ -143,6 +143,27 @@ def test_a_dirty_victim_is_writing_until_its_write_lands():
     assert cache.state(1, 0) == "dirty" and cache.dirty[1] == {0, 1}
 
 
+def test_a_write_that_lands_behind_the_read_ahead_cursor_pulls_it_back():
+    """Read-ahead skips a block that is writing (it is present), so its
+    cursor passes it; once the WRITE lands and the row goes, the cursor
+    comes back to it, and the next read-ahead claims it instead of its
+    reader missing it.  A block that stays cached moves nothing."""
+    cache, do = _cache(blocks=2)
+    _fill(cache, do, 1, range(3), dirty=True)
+    (victim,) = cache.evict((1, 2), window=1)
+    assert victim[:2] == (1, 0) and cache.state(1, 0) == "writing"
+    assert cache.claim(1, range(5)) == [3, 4]
+    cache.ahead[1] = 5
+    cache.written([victim])
+    assert cache.state(1, 0) == "absent" and cache.ahead[1] == 0
+    assert cache.claim(1, [0]) == [0]
+    (kept,) = cache.take(1, 2)
+    assert cache.state(1, 2) == "writing-and-clean"
+    cache.ahead[1] = 5
+    cache.written([kept])
+    assert cache.state(1, 2) == "clean" and cache.ahead[1] == 5
+
+
 def test_truncate_cuts_the_boundary_block_and_keeps_dirty_blocks_below():
     cache, do = _cache(blocks=8)
     _fill(cache, do, 1, range(3), dirty=True)

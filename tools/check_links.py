@@ -7,10 +7,12 @@ Walks all tracked ``*.md`` files, extracts inline links and images
 targets, and verifies each remaining target exists relative to the
 linking file (anchors and query strings stripped).  Every ``repro.x.y``
 name inside a backticked span must import or resolve (as a module, or
-as attributes of one) against ``src/`` — except in the files that are
-history and plans (:data:`SYMBOL_SKIP`, and any file with an open
-``- [ ]`` task list).  Exits non-zero listing every
-dangling link and unresolved name — the CI docs gate.
+as attributes of one) against ``src/``, and so must every name a
+``import repro…`` or ``from repro… import a, b`` line of a fenced Python
+block imports — except in the files that are history and plans
+(:data:`SYMBOL_SKIP`, and any file with an open ``- [ ]`` task list).
+Links inside fenced blocks are not checked.  Exits non-zero listing
+every dangling link and unresolved name — the CI docs gate.
 
 Usage: python tools/check_links.py [root]
 """
@@ -34,6 +36,10 @@ SYMBOL_RE = re.compile(r"(?<![\w./-])repro(?:\.[A-Za-z_]\w*)+")
 SYMBOL_SKIP = {"CHANGES.md", "ROADMAP.md"}
 #: an open task-list item marks a plan: it names what is yet to come
 OPEN_TASK_RE = re.compile(r"^\s*[-*] \[ \]", re.MULTILINE)
+#: an import statement of a ``repro`` module in a fenced Python block,
+#: and what it imports
+IMPORT_RE = re.compile(r"^\s*import\s+(repro\b.*)$")
+FROM_RE = re.compile(r"^\s*from\s+(repro(?:\.\w+)*)\s+import\s+(.*)$")
 
 
 def resolves(name: str) -> bool:
@@ -52,6 +58,22 @@ def resolves(name: str) -> bool:
     return False
 
 
+def imported(statement: str) -> list:
+    """The dotted names an ``import repro…`` / ``from repro… import …``
+    statement (one logical line) binds, aliases dropped; [] for any
+    other line."""
+    statement = statement.split("#", 1)[0].strip()
+    match = IMPORT_RE.match(statement)
+    if match:
+        return [part.split()[0] for part in match.group(1).split(",") if part.strip()]
+    match = FROM_RE.match(statement)
+    if match:
+        names = match.group(2).strip("() ")
+        return [f"{match.group(1)}.{part.split()[0]}"
+                for part in names.split(",") if part.strip() and part.strip() != "*"]
+    return []
+
+
 def iter_markdown(root: Path):
     for path in sorted(root.rglob("*.md")):
         if not SKIP_DIRS.intersection(p.name for p in path.parents):
@@ -62,29 +84,39 @@ def check_file(md: Path, root: Path) -> list:
     problems = []
     text = md.read_text(encoding="utf-8")
     symbols = md.name not in SYMBOL_SKIP and not OPEN_TASK_RE.search(text)
-    in_fence = False
+    in_fence = python = False
+    pending = ""  # a parenthesized ``from … import (`` still open
     for lineno, line in enumerate(text.splitlines(), 1):
         if line.lstrip().startswith("```"):
             in_fence = not in_fence
+            python = in_fence and line.strip()[3:].strip() == "python"
+            pending = ""
             continue
         if in_fence:
-            continue
-        for match in LINK_RE.finditer(line):
-            target = match.group(1)
-            if target.startswith(SKIP_PREFIXES) or "://" in target:
+            if not (python and symbols):
                 continue
-            # `<https://...>` autolinks don't match; bare anchors skipped above.
-            plain = target.split("#", 1)[0].split("?", 1)[0]
-            if not plain:
+            pending = f"{pending} {line.strip()}" if pending else line
+            if FROM_RE.match(pending.strip()) and "(" in pending and ")" not in pending:
                 continue
-            resolved = (md.parent / plain).resolve()
-            if not resolved.exists():
-                problems.append((md.relative_to(root), lineno, "dangling link", target))
-        for span in SPAN_RE.finditer(line) if symbols else ():
-            for name in SYMBOL_RE.findall(span.group(1)):
-                if not resolves(name):
-                    problems.append((md.relative_to(root), lineno, "unresolved name",
-                                     name))
+            names, pending = imported(pending), ""
+        else:
+            for match in LINK_RE.finditer(line):
+                target = match.group(1)
+                if target.startswith(SKIP_PREFIXES) or "://" in target:
+                    continue
+                # `<https://...>` autolinks don't match; bare anchors skipped above.
+                plain = target.split("#", 1)[0].split("?", 1)[0]
+                if not plain:
+                    continue
+                resolved = (md.parent / plain).resolve()
+                if not resolved.exists():
+                    problems.append((md.relative_to(root), lineno, "dangling link",
+                                     target))
+            names = [name for span in SPAN_RE.finditer(line) if symbols
+                     for name in SYMBOL_RE.findall(span.group(1))]
+        for name in names:
+            if not resolves(name):
+                problems.append((md.relative_to(root), lineno, "unresolved name", name))
     return problems
 
 
