@@ -16,9 +16,9 @@ baselines rely on:
 
 from __future__ import annotations
 
-from collections import Counter, OrderedDict
+from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Deque, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.nfs.protocol import Fattr3, FileHandle
 from repro.sim.core import Event, Simulator
@@ -250,7 +250,11 @@ class BlockCache:
     each of the owner's questions is one method.  It charges ``disk``
     (the client proxy's; the kernel client's table has none) for what it
     touches but never talks to the network: evicted and flushed dirty
-    blocks are *returned* to the owner, which writes them back.
+    blocks are *returned* to the owner, which writes them back.  A
+    fetched block's disk write is paid by the caller that caches it; a
+    written block's goes behind the caller, through the disk's one
+    writer process, in the order the blocks were written (:meth:`write`,
+    :meth:`synced`).
 
     Of ``config`` only ``block_size`` and ``capacity_bytes`` are read,
     on every use, so a live configuration reload (which swaps
@@ -283,6 +287,16 @@ class BlockCache:
         #: it writes, the blocks it carries); one that failed stays until joined
         self._procs: Dict[Process, Tuple[bool, FrozenSet[Tuple[int, int]]]] = {}
         self._listed = 8  # how long the list may grow before it is pruned
+        #: written blocks' disk writes not yet landed, oldest first:
+        #: (fileid, ticket, bytes); tickets count the writes queued
+        self._unsynced: Deque[Tuple[int, int, int]] = deque()
+        self._tickets = 0
+        #: fileid -> the ticket of its newest disk write not yet landed
+        self._newest: Dict[int, int] = {}
+        #: ticket -> the event its waiters wake on when it lands
+        self._sync_waits: Dict[int, Event] = {}
+        #: the process writing ``_unsynced`` out; it ends once it is empty
+        self._writer: Optional[Process] = None
 
     def disk_read(self, nbytes: int):
         if self.disk is not None:
@@ -305,6 +319,11 @@ class BlockCache:
         if row.wire is None:
             return cached
         return "writing" if cached is None else f"writing-and-{cached}"
+
+    def unsynced(self, fileid: Optional[int] = None) -> bool:
+        """Whether a written block of ``fileid`` (of any file when None)
+        waits for its cache-disk write."""
+        return bool(self._unsynced) if fileid is None else fileid in self._newest
 
     def unflushed(self, fileid: int) -> bool:
         """Whether the file has local writes the server has not applied:
@@ -413,7 +432,7 @@ class BlockCache:
                 self._settle((fileid, b), row)
 
     def _put(self, key: Tuple[int, int], data: bytes, dirty: bool,
-             unread: bool = False):
+             unread: bool = False) -> None:
         row = self._row(key)
         if row.data is not None:
             self.bytes -= len(row.data)
@@ -427,21 +446,64 @@ class BlockCache:
             self.dirty.setdefault(key[0], set()).add(key[1])
         if row.dirty:
             self.dirty_bytes += len(data)
-        if self.disk is not None:
-            yield from self.disk.write(len(data), sync=False)
 
     def fill(self, fileid: int, block: int, data: bytes, unread: bool = False):
         """Process generator: cache fetched bytes as clean (``unread``:
         read ahead of the reader) — never over unflushed ones (dirty or
-        writing), which are the only copy."""
+        writing), which are the only copy — and pay their disk write."""
         row = self._rows.get((fileid, block))
         if row is None or not (row.dirty or row.wire is not None):
-            yield from self._put((fileid, block), data, dirty=False, unread=unread)
+            self._put((fileid, block), data, dirty=False, unread=unread)
+            if self.disk is not None:
+                yield from self.disk.write(len(data), sync=False)
 
     def write(self, fileid: int, block: int, data: bytes):
-        """Process generator: the block's bytes are now ``data``, dirty
-        (over a victim still on the wire: writing-and-dirty)."""
-        yield from self._put((fileid, block), data, dirty=True)
+        """Process generator, one that never waits: the block's bytes are
+        now ``data``, dirty (over a victim still on the wire: writing-and-
+        dirty).  Its disk write is queued behind the caller for the
+        disk's writer; :meth:`synced` waits for it."""
+        self._put((fileid, block), data, dirty=True)
+        if self.disk is not None:
+            self._tickets += 1
+            self._newest[fileid] = self._tickets
+            self._unsynced.append((fileid, self._tickets, len(data)))
+            if self._writer is None:
+                self._writer = self.sim.spawn(self._write_out(),
+                                              name=f"{self.disk.name}.writer")
+        return
+        yield  # pragma: no cover
+
+    def _write_out(self):
+        """Process generator — the disk's one writer: write the queued
+        blocks out one access each, oldest first, waking the callers
+        :meth:`synced` holds as each lands; end once none is left."""
+        try:
+            while self._unsynced:
+                fileid, ticket, nbytes = self._unsynced[0]
+                yield from self.disk.write(nbytes, sync=False)
+                self._unsynced.popleft()
+                if self._newest.get(fileid) == ticket:
+                    del self._newest[fileid]
+                waiters = self._sync_waits.pop(ticket, None)
+                if waiters is not None:
+                    waiters.succeed()
+        finally:
+            self._writer = None
+
+    def synced(self, fileid: Optional[int] = None):
+        """Process generator: wait until the disk writes of ``fileid``'s
+        written blocks (of every file's, when None) queued before the
+        call have landed — and so every write queued before them: the
+        writer lands them in order.  The owner's durability point."""
+        if fileid is None:
+            ticket = self._tickets if self._unsynced else None
+        else:
+            ticket = self._newest.get(fileid)
+        if ticket is not None:
+            waiters = self._sync_waits.get(ticket)
+            if waiters is None:
+                waiters = self._sync_waits[ticket] = self.sim.event(name="synced")
+            yield waiters
 
     def consumed(self, fileid: int, block: int) -> None:
         """cached -> first in LRU order: the reader has read the block

@@ -11,10 +11,13 @@ forwards each RPC to the server-side proxy over a pluggable transport
 - file data is cached in 32 KB blocks on the proxy's disk; hits pay the
   local disk instead of the WAN round trip,
 - writes are absorbed **write-back**: the proxy answers WRITE locally,
-  keeps the dirty blocks, and writes back on COMMIT, on eviction, and
-  at session teardown (:meth:`SgfsClientProxy.writeback`) — which is
-  how Seismic's temporary files never cross the WAN (§6.3.2) and why
-  the paper reports the end-of-run write-back time separately.
+  keeps the dirty blocks, and writes back on eviction and at session
+  teardown (:meth:`SgfsClientProxy.writeback`) — which is how
+  Seismic's temporary files never cross the WAN (§6.3.2) and why the
+  paper reports the end-of-run write-back time separately.  An
+  UNSTABLE WRITE is answered from memory, its cache-disk write queued
+  behind the reply; a stable WRITE and a COMMIT wait for the cache
+  disk, NFSv3's UNSTABLE/COMMIT contract (RFC 1813 §3.3.7, §3.3.21).
 
 This write-back relaxation is safe precisely because an SGFS session is
 dedicated to a single user/job; multi-writer sharing uses the overlay
@@ -44,6 +47,9 @@ from repro.vfs.disk import DiskModel
 
 #: NFS procedures that must not re-execute on a duplicate request.
 _NFS_NON_IDEMPOTENT = frozenset(int(p) for p in pr.NON_IDEMPOTENT_PROCS)
+
+#: the write verifier of every WRITE and COMMIT the proxy answers itself
+WRITE_VERF = b"sgfsprox"
 
 
 class SgfsClientProxy:
@@ -167,7 +173,9 @@ class SgfsClientProxy:
 
     def stop(self) -> None:
         """End the session: stop accepting, close the kernel connections
-        and the legs.  :meth:`writeback` first, or dirty blocks are lost."""
+        and the legs.  :meth:`writeback` first, or dirty blocks are lost.
+        The cache disk's writer is not cut short: it ends by itself once
+        every absorbed block is on the disk."""
         if self._listener is not None:
             self._listener.close()
             self._listener = None
@@ -227,8 +235,8 @@ class SgfsClientProxy:
         dirty block that pushes nothing out leaves at once, alone, as
         the probe that takes one (:meth:`UpstreamSession.burst`), when
         no write-behind burst is in flight.  It stays cached, clean and
-        *writing*.  The probe lands while the cache fills, so the first
-        eviction's window is sized from a measured pipe."""
+        *writing*.  The evictions behind it are sized from the probe's
+        sample once it lands."""
         if dirty:
             yield from self._blocks.write(fileid, block, data)
         else:
@@ -513,8 +521,7 @@ class SgfsClientProxy:
         would give a channel a one-block share.  Until a leg has a bulk
         sample its pipe is one block, sized ``(1, 2)``; a write pass
         takes that sample with its first dirty block (the probe,
-        :meth:`_block_put`) before the cache fills, so its first
-        eviction is sized from a measured pipe.  A ``read`` burst is never
+        :meth:`_block_put`).  A ``read`` burst is never
         wider than its share: the read-ahead span, ``depth + 1`` of them,
         then fits under the low-water mark and no block read ahead is
         evicted unread (a cache too small for two-block shares reads
@@ -824,8 +831,11 @@ class SgfsClientProxy:
             view = view[take:]
         self.stats["writes_absorbed"] += 1
         attr = self._shadow_write_attr(fh, offset + len(payload))
+        if stable != pr.UNSTABLE:
+            # a stable WRITE is answered once its blocks are on the cache disk
+            yield from self._blocks.synced(fh.fileid)
         return (yield from self._local(call, pr.pack_write_res(
-            NfsStatus.OK, attr, len(payload), pr.FILE_SYNC, b"sgfsprox")))
+            NfsStatus.OK, attr, len(payload), stable, WRITE_VERF)))
 
     def _shadow_write_attr(self, fh: FileHandle, end: int) -> Optional[Fattr3]:
         attr = self._attrs.get(fh.fileid)
@@ -846,13 +856,16 @@ class SgfsClientProxy:
     def _h_commit(self, call: CallMessage):
         fh, _off, _cnt = pr.unpack_commit_args(call.args)
         if self.cache.write_back:
-            # Write-back absorbs durability: the data ages out to the
-            # server on eviction/teardown, not at every client COMMIT —
-            # the single-user-session relaxation the paper's WAN results
-            # (and its separately-reported write-back times) rest on.
+            # The durability point is the cache disk: the COMMIT waits
+            # for every absorbed block of the file to be on it.  The data
+            # ages out to the server on eviction/teardown, not at every
+            # client COMMIT — the single-user-session relaxation the
+            # paper's WAN results (and its separately-reported
+            # write-back times) rest on.
+            yield from self._blocks.synced(fh.fileid)
             attr = self._attrs.get(fh.fileid)
             return (yield from self._local(
-                call, pr.pack_commit_res(NfsStatus.OK, attr, b"sgfsprox")))
+                call, pr.pack_commit_res(NfsStatus.OK, attr, WRITE_VERF)))
         yield from self._flush(fh.fileid)
         return (yield from self._forward_noting(call, fh, pr.unpack_commit_res))
 
@@ -931,7 +944,8 @@ class SgfsClientProxy:
 
     def writeback(self):
         """Flush every dirty block — session teardown — once the
-        in-flight read-ahead and write-behind have ended.
+        in-flight read-ahead and write-behind have ended; return once
+        the cache disk's writer has ended too.
 
         Returns (blocks, bytes) written back; the harness times this to
         reproduce the paper's separately-reported write-back cost.
@@ -952,6 +966,8 @@ class SgfsClientProxy:
             yield from self._write_behind(self._blocks.gather_dirty(flushable),
                                           on_disk=True)
             yield from self._blocks.drain()
+            # nor does the cache disk's writer
+            yield from self._blocks.synced()
         return (
             self.stats["writeback_blocks"] - before_blocks,
             self.stats["writeback_bytes"] - before_bytes,

@@ -103,12 +103,15 @@ GOLDEN = {
 #: separate stop-and-wait code path beside the windowed one; they pin
 #: that running the one remaining path at window 1 *is* that proxy:
 #: same dirty evictions mid-run, same refetches, same teardown flush.
+#: The totals were re-captured when an UNSTABLE WRITE began to be
+#: answered before its cache-disk write (41.331 -> 41.213, 0.964 ->
+#: 0.945 and 4.382 -> 4.364 virtual seconds); the write-backs did not move.
 S1_CACHE_GOLDEN = {
-    "postmark-evict": ("0x1.4aa58866a95dep+5", "0x0.0p+0",
+    "postmark-evict": ("0x1.49b5255641f67p+5", "0x0.0p+0",
                        89, 795074, 402),
-    "iozone-wr-evict-teardown": ("0x1.ed54644669096p-1",
+    "iozone-wr-evict-teardown": ("0x1.e3f0c6a0899f8p-1",
                                  "0x1.67d64c2a6d900p-1", 16, 524288, 3),
-    "iozone-wr-evict-refetch": ("0x1.18763656b1ea9p+2", "0x0.0p+0",
+    "iozone-wr-evict-refetch": ("0x1.1749c2a1f5fd5p+2", "0x0.0p+0",
                                 16, 524288, 35),
 }
 
@@ -200,9 +203,11 @@ def test_golden_trace_export_identical():
 
 
 def test_golden_postmark_wan_cache():
+    # re-captured (8.365 -> 8.343 virtual seconds) when an UNSTABLE WRITE
+    # began to be answered before its cache-disk write
     cfg = PostMarkConfig(directories=5, files=25, transactions=50)
     r = run(Scenario("sgfs", rtt=0.040, disk_cache=True), lambda: PostMark(cfg))
-    assert r.total == float.fromhex("0x1.0badf8e1baf9fp+3")
+    assert r.total == float.fromhex("0x1.0afa6dbe079fcp+3")
     assert r.writeback_seconds == float.fromhex("0x0.0p+0")
 
 

@@ -6,6 +6,7 @@ from repro.core import Testbed, setup_sgfs
 from repro.core.topology import SERVER_PROXY_PORT
 from repro.nfs import protocol as pr
 from repro.nfs.protocol import Proc
+from repro.proxy.client_proxy import WRITE_VERF
 from repro.rpc.messages import CallMessage, ReplyMessage
 from repro.vfs.fs import Credentials
 
@@ -478,3 +479,96 @@ def test_a_cached_block_written_short_reads_as_zeros_up_to_the_size():
 
     status, _attr, got, eof = tb.run(job())
     assert (status, got, eof) == (pr.NfsStatus.OK, b"x" * 100 + bytes(BS - 100), False)
+
+
+# -- the cache disk's write contract ------------------------------------------
+# NFSv3's UNSTABLE/COMMIT contract, at the proxy's cache disk: an UNSTABLE
+# WRITE is answered from memory with its disk write queued behind the
+# reply; a FILE_SYNC WRITE and a COMMIT are answered once the file's
+# absorbed blocks are on the disk.
+
+
+def _write(proxy, fh, block, stable):
+    """Process generator: one whole-block WRITE through the proxy; returns
+    (status, count, committed, verf)."""
+    res = yield from _nfs(proxy, Proc.WRITE,
+                          pr.pack_write_args(fh, block * BS, _block(block), stable))
+    status, _attr, count, committed, verf = pr.unpack_write_res(res)
+    return status, count, committed, verf
+
+
+def test_an_unstable_write_is_answered_before_its_cache_disk_write():
+    tb, mount = cached_mount()
+    proxy = mount.client_proxy
+
+    def job():
+        f = yield from mount.client.open("/u.bin", create=True)
+        t0 = tb.sim.now
+        reply = yield from _write(proxy, f.fh, 0, pr.UNSTABLE)
+        return reply, tb.sim.now - t0, proxy._blocks.unsynced(f.fileid)
+
+    reply, elapsed, pending = tb.run(job())
+    assert reply == (pr.NfsStatus.OK, BS, pr.UNSTABLE, WRITE_VERF)
+    assert pending and elapsed == 0.0
+    tb.run(proxy.writeback())
+    assert not proxy._blocks.unsynced() and proxy._blocks.disk.bytes_written == BS
+
+
+def test_a_file_sync_write_is_answered_once_its_block_is_on_the_cache_disk():
+    tb, mount = cached_mount()
+    proxy = mount.client_proxy
+    disk = proxy._blocks.disk
+
+    def job():
+        f = yield from mount.client.open("/s.bin", create=True)
+        yield from _write(proxy, f.fh, 0, pr.UNSTABLE)
+        t0 = tb.sim.now
+        reply = yield from _write(proxy, f.fh, 1, pr.FILE_SYNC)
+        return reply, tb.sim.now - t0, proxy._blocks.unsynced(f.fileid)
+
+    reply, elapsed, pending = tb.run(job())
+    assert reply == (pr.NfsStatus.OK, BS, pr.FILE_SYNC, WRITE_VERF)
+    assert not pending and disk.bytes_written == 2 * BS
+    assert elapsed >= 2 * BS / disk.write_bandwidth  # both blocks, in order
+
+
+def test_a_commit_is_answered_once_no_block_of_its_file_waits_for_the_cache_disk():
+    tb, mount = cached_mount()
+    proxy = mount.client_proxy
+
+    def job():
+        f = yield from mount.client.open("/c.bin", create=True)
+        forwarded = proxy.stats["forwarded"]
+        for b in range(4):
+            yield from _write(proxy, f.fh, b, pr.UNSTABLE)
+        pending = proxy._blocks.unsynced(f.fileid)
+        res = yield from _nfs(proxy, Proc.COMMIT, pr.pack_commit_args(f.fh))
+        assert proxy.stats["forwarded"] == forwarded  # nothing crossed the WAN
+        return pending, pr.unpack_commit_res(res), proxy._blocks.unsynced(f.fileid)
+
+    before, (status, _attr, verf), after = tb.run(job())
+    assert before and not after
+    assert (status, verf) == (pr.NfsStatus.OK, WRITE_VERF)
+    assert proxy._blocks.disk.bytes_written == 4 * BS
+
+
+@pytest.mark.parametrize("writeback", [True, False])
+def test_a_session_torn_down_with_cache_disk_writes_pending_ends_empty(writeback):
+    """The disk's writer outlives neither ``writeback()`` nor the
+    session; what it writes is every absorbed byte."""
+    tb, mount = cached_mount()
+    proxy = mount.client_proxy
+
+    def job():
+        f = yield from mount.client.open("/t.bin", create=True)
+        for b in range(6):
+            yield from _write(proxy, f.fh, b, pr.UNSTABLE)
+        assert proxy._blocks.unsynced(f.fileid)
+        if writeback:
+            yield from proxy.writeback()
+            assert not proxy._blocks.unsynced()
+
+    tb.run(job())
+    tb.close()  # stops the proxy, drains, and raises unless nothing is left
+    assert proxy._blocks.disk.bytes_written == 6 * BS
+    assert proxy.stats["writeback_bytes"] == (6 * BS if writeback else 0)

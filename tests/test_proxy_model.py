@@ -22,8 +22,11 @@ every file beside it; ``/a`` starts as six blocks the server holds:
 At depth 1 (one stream: stop-and-wait) and depth 2 (four streams: read-
 ahead and write-behind in the background) it checks that
 
-- a READ returns the oracle's bytes, and after ``writeback()`` the
+- a READ returns the oracle's bytes — also while the blocks it reads
+  wait for their cache-disk writes — and after ``writeback()`` the
   server holds them, with no WRITE sent to a dead handle;
+- a COMMIT's reply leaves no block of its file waiting for the cache
+  disk (its durability point), failed bursts or not;
 - a whole-block READ at depth 2 leaves its block, if cached, first in
   LRU order (drop-behind);
 - a failed write-back burst's error reaches a caller or ``writeback()``,
@@ -187,8 +190,13 @@ class ProxyModel(RuleBasedStateMachine):
     @rule(name=names)
     def commit(self, name):
         fileid, fh, _data = self._file(name)
-        if fileid is not None:
-            self._call(Proc.COMMIT, pr.pack_commit_args(fh))
+        if fileid is None:
+            return
+
+        def run():
+            yield from _nfs(self.proxy, Proc.COMMIT, pr.pack_commit_args(fh))
+            assert not self.proxy._blocks.unsynced(fileid), name
+        self.queue.append(run)
 
     @when("setattr")
     @rule(name=names, size=sizes)
@@ -281,6 +289,7 @@ class ProxyModel(RuleBasedStateMachine):
         states = {k: blocks.state(*k) for k in blocks._rows}
         assert not [k for k, s in states.items() if s == "fetching" or "writing" in s]
         assert not any(p.alive for p in blocks.background() + blocks.background(writes=True))
+        assert not blocks.unsynced()
 
     def teardown(self):
         if not hasattr(self, "tb"):
