@@ -175,7 +175,7 @@ class Testbed:
             rpc_server.register(nfs_program)
             if i == 0:
                 rpc_server.register(
-                    NfsV4ServerProgram(sim, fs, disk,
+                    NfsV4ServerProgram(sim, fs, disk, cpu=host.cpu,
                                        compound_overhead=cal.v4_compound_overhead)
                 )
             rpc_server.serve_listener(host.listen(NFS_PORT))

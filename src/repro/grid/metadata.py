@@ -24,11 +24,11 @@ RPC round trips are what cost simulated time.
 
 from __future__ import annotations
 
-from typing import Optional, Set, Tuple
+from typing import Set, Tuple
 
 from repro.grid.layout import DEFAULT_BLOCK_SIZE, GridLayout
 from repro.obs.schema import zeros
-from repro.rpc.server import RpcProgram
+from repro.rpc.server import ProcUnavailable, RpcProgram
 from repro.xdr import Packer, Unpacker
 
 #: program number of the grid metadata service (outside any IANA range,
@@ -141,10 +141,11 @@ class GridMetadataProgram(RpcProgram):
     def __init__(self, service: GridMetadataService):
         self.service = service
 
-    def handle(self, proc: int, args: bytes, call, ctx):
+    def handle(self, call):
+        proc = call.proc
         if proc == NULLPROC:
             return b""
-        u = Unpacker(args)
+        u = Unpacker(call.args)
         if proc == GET_LAYOUT:
             view = self.service.get_layout(u.unpack_uhyper())
         elif proc == REGISTER:
@@ -154,8 +155,6 @@ class GridMetadataProgram(RpcProgram):
         elif proc == MARK_DEAD:
             view = self.service.mark_dead(u.unpack_uint())
         else:
-            from repro.rpc.server import ProcUnavailable
-
             raise ProcUnavailable(proc)
         u.assert_done()
         return view.pack()

@@ -59,19 +59,12 @@ NfsStatus = Status
 #: mutation, so servers must answer duplicates from a reply cache
 #: (repro.rpc.drc).  WRITE/COMMIT are idempotent by offset; SETATTR is
 #: included because size/time updates can be guarded (ctime check).
-NON_IDEMPOTENT_PROCS = frozenset(
-    {
-        Proc.SETATTR,
-        Proc.CREATE,
-        Proc.MKDIR,
-        Proc.SYMLINK,
-        Proc.MKNOD,
-        Proc.REMOVE,
-        Proc.RMDIR,
-        Proc.RENAME,
-        Proc.LINK,
-    }
-)
+#: Plain ints, the numbers ``CallMessage.proc`` carries: the set every
+#: serving hop hands to ``DuplicateRequestCache.answer``.
+NON_IDEMPOTENT_PROCS = frozenset(int(p) for p in (
+    Proc.SETATTR, Proc.CREATE, Proc.MKDIR, Proc.SYMLINK, Proc.MKNOD,
+    Proc.REMOVE, Proc.RMDIR, Proc.RENAME, Proc.LINK,
+))
 
 # ACCESS bits (RFC 1813 §3.3.4)
 ACCESS_READ = 0x0001

@@ -21,11 +21,11 @@ from repro.nfs import protocol as pr
 from repro.nfs.protocol import FileHandle, Fattr3, NfsStatus, Proc
 from repro.rpc.auth import AUTH_SYS, AuthSys
 from repro.rpc.messages import CallMessage
-from repro.rpc.server import CallContext, RpcProgram
+from repro.rpc.server import ProcUnavailable, RpcProgram
 from repro.sim.core import Simulator
 from repro.sim.sync import RwLock
 from repro.vfs.disk import DiskModel
-from repro.vfs.fs import Credentials, Ftype, Inode, Status, VfsError, VirtualFS
+from repro.vfs.fs import Credentials, Inode, Status, VfsError, VirtualFS
 from repro.xdr import XdrError
 
 #: Preferred/maximum transfer sizes (the paper uses 32 KB blocks).
@@ -38,7 +38,7 @@ class NfsServerProgram(RpcProgram):
 
     prog = pr.NFS_PROGRAM
     vers = pr.NFS_V3
-    non_idempotent = frozenset(int(p) for p in pr.NON_IDEMPOTENT_PROCS)
+    non_idempotent = pr.NON_IDEMPOTENT_PROCS
 
     def __init__(
         self,
@@ -137,18 +137,16 @@ class NfsServerProgram(RpcProgram):
 
     # -- dispatch -----------------------------------------------------------
 
-    def handle(self, proc: int, args: bytes, call: CallMessage, ctx: CallContext):
+    def handle(self, call: CallMessage):
         try:
-            proc = Proc(proc)
+            proc = Proc(call.proc)
         except ValueError:
-            from repro.rpc.server import ProcUnavailable
-
-            raise ProcUnavailable(f"NFSv3 has no procedure {proc}")
+            raise ProcUnavailable(f"NFSv3 has no procedure {call.proc}")
         self.ops[proc] += 1
         cred = self._cred(call)
         method = getattr(self, f"_op_{proc.name.lower()}")
         try:
-            result = yield from method(args, cred)
+            result = yield from method(call.args, cred)
         except VfsError as exc:
             result = pr.error_result(proc, exc.status)
         except XdrError:

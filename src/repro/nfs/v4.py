@@ -20,6 +20,7 @@ from typing import Optional
 from repro.nfs.protocol import NFS_PROGRAM
 from repro.nfs.server import NfsServerProgram
 from repro.sim.core import Simulator
+from repro.sim.cpu import CPU
 from repro.vfs.disk import DiskModel
 from repro.vfs.fs import VirtualFS
 
@@ -41,14 +42,17 @@ class NfsV4ServerProgram(NfsServerProgram):
         sim: Simulator,
         fs: VirtualFS,
         disk: Optional[DiskModel] = None,
+        cpu: Optional[CPU] = None,
         compound_overhead: float = DEFAULT_COMPOUND_OVERHEAD,
     ):
+        """``cpu`` is the server host's, which pays the COMPOUND
+        overhead (none without one)."""
         super().__init__(sim, fs, disk)
+        self.cpu = cpu
         self.compound_overhead = compound_overhead
 
-    def handle(self, proc, args, call, ctx):
+    def handle(self, call):
         # COMPOUND wrapping: PUTFH + <op> + GETATTR parsing/assembly.
-        if ctx.server.cpu is not None:
-            yield from ctx.server.cpu.consume(self.compound_overhead, "kernel-nfs")
-        result = yield from super().handle(proc, args, call, ctx)
-        return result
+        if self.cpu is not None:
+            yield from self.cpu.consume(self.compound_overhead, "kernel-nfs")
+        return (yield from super().handle(call))

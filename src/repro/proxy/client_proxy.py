@@ -38,15 +38,13 @@ from repro.proxy.session_config import ProxyCacheConfig
 from repro.proxy.upstream import MAX_WINDOW
 from repro.rpc.auth import NULL_AUTH
 from repro.rpc.costs import CostProfile, FREE_PROFILE, charge_profile
-from repro.rpc.drc import DuplicateRequestCache, drc_key
+from repro.rpc.drc import DuplicateRequestCache
 from repro.rpc.messages import DECODE_ERRORS, CallMessage, ReplyMessage
+from repro.rpc.server import serve_records
 from repro.rpc.transport import TRANSPORT_ERRORS, StreamTransport, Transport
 from repro.sim.core import Event, Simulator
 from repro.sim.sync import Gate
 from repro.vfs.disk import DiskModel
-
-#: NFS procedures that must not re-execute on a duplicate request.
-_NFS_NON_IDEMPOTENT = frozenset(int(p) for p in pr.NON_IDEMPOTENT_PROCS)
 
 #: the write verifier of every WRITE and COMMIT the proxy answers itself
 WRITE_VERF = b"sgfsprox"
@@ -54,6 +52,10 @@ WRITE_VERF = b"sgfsprox"
 
 class SgfsClientProxy:
     """The client-side proxy process."""
+
+    #: serve each record before reading the next (the paper's blocking
+    #: prototype); the SFS client daemon forwards asynchronously
+    blocking = True
 
     def __init__(
         self,
@@ -65,7 +67,6 @@ class SgfsClientProxy:
         account: str = "proxy",
         cache: Optional[ProxyCacheConfig] = None,
         disk: Optional[DiskModel] = None,
-        blocking: bool = True,
         cryptor=None,
     ):
         """``upstream`` is the :class:`repro.grid.GridRouter` calls are
@@ -84,7 +85,6 @@ class SgfsClientProxy:
         self.cost = cost
         self.account = account
         self.cache = cache or ProxyCacheConfig()
-        self.blocking = blocking
         self.cryptor = cryptor
         if cryptor is not None and not (self.cache.enabled and self.cache.write_back):
             raise ValueError(
@@ -188,17 +188,7 @@ class SgfsClientProxy:
         transport = StreamTransport(sock)
         self._connections.append(transport)
         try:
-            while True:
-                try:
-                    record = yield from transport.recv_record()
-                except TRANSPORT_ERRORS:
-                    return
-                if record is None:
-                    return
-                if self.blocking:
-                    yield from self._serve(transport, record)
-                else:
-                    self.sim.spawn(self._serve(transport, record), name="cproxy-call")
+            yield from serve_records(self, transport, "cproxy-call")
         finally:
             self._connections.remove(transport)
 
@@ -320,12 +310,10 @@ class SgfsClientProxy:
             call = CallMessage.decode(record)
         except DECODE_ERRORS:
             return
-        if call.prog == pr.NFS_PROGRAM and call.proc in _NFS_NON_IDEMPOTENT:
-            encoded, _fresh = yield from self._drc.once(
-                drc_key(call), lambda: self._execute(call)
-            )
-        else:
-            encoded = yield from self._execute(call)
+        encoded, _fresh = yield from self._drc.answer(
+            call, pr.NON_IDEMPOTENT_PROCS if call.prog == pr.NFS_PROGRAM else (),
+            lambda: self._execute(call),
+        )
         yield from charge_profile(self.sim, cpu, self.cost, len(encoded), self.account)
         try:
             transport.send_record(encoded)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from types import SimpleNamespace
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.gsi.gridmap import Gridmap
 from repro.gsi.names import DistinguishedName
@@ -42,7 +42,7 @@ from repro.rpc.auth import AUTH_SYS, AuthSys, OpaqueAuth
 from repro.rpc.client import RpcClient
 from repro.rpc.compound import COMPOUND_PROGRAM, pack_members, unpack_members
 from repro.rpc.costs import CostProfile, FREE_PROFILE, charge_profile
-from repro.rpc.drc import DuplicateRequestCache, drc_key
+from repro.rpc.drc import DuplicateRequestCache
 from repro.rpc.errors import RpcTransportError
 from repro.rpc.messages import (
     AUTH_REJECTEDCRED,
@@ -52,15 +52,13 @@ from repro.rpc.messages import (
     ReplyMessage,
     denied_reply,
 )
+from repro.rpc.server import serve_records
 from repro.rpc.transport import DIAL_ERRORS, TRANSPORT_ERRORS, StreamTransport
 from repro.sim.core import Simulator
 from repro.tls.channel import SessionTicketCache, server_handshake
 from repro.tls.config import SecurityConfig
 from repro.vfs.fs import VfsError, VirtualFS
 from repro.xdr import XdrError
-
-#: NFS procedures that must not re-execute on a duplicate request.
-_NFS_NON_IDEMPOTENT = frozenset(int(p) for p in pr.NON_IDEMPOTENT_PROCS)
 
 #: procedures whose arguments start with (directory handle, name)
 _NAME_PROCS = frozenset({
@@ -74,6 +72,13 @@ _REMAP_MEMO_MAX = 64
 class SgfsServerProxy:
     """One exported filesystem's server-side proxy."""
 
+    #: serve each record before reading the next (the paper's blocking
+    #: prototype); the SFS server daemon serves asynchronously
+    blocking = True
+    #: grid ACLs (§4.3): answer ACCESS from ``.name.acl`` files and hide
+    #: them; the SFS server daemon has its own group ACLs instead
+    enable_acls = True
+
     def __init__(
         self,
         sim: Simulator,
@@ -86,8 +91,6 @@ class SgfsServerProxy:
         security: Optional[SecurityConfig] = None,
         cost: CostProfile = FREE_PROFILE,
         account: str = "proxy",
-        blocking: bool = True,
-        enable_acls: bool = True,
         session_identity: Optional[DistinguishedName] = None,
         acl_cache_enabled: bool = True,
         acl_disk=None,
@@ -102,8 +105,6 @@ class SgfsServerProxy:
         self.security = security
         self.cost = cost
         self.account = account
-        self.blocking = blocking
-        self.enable_acls = enable_acls
         #: identity assumed for *insecure* (plain GFS) sessions, standing
         #: in for the session-key authentication of the prior system.
         self.session_identity = session_identity
@@ -246,20 +247,8 @@ class SgfsServerProxy:
             self.sim, StreamTransport(upstream_sock), pr.NFS_PROGRAM, pr.NFS_V3
         )
         try:
-            while not transport.closed:
-                try:
-                    record = yield from transport.recv_record()
-                except TRANSPORT_ERRORS:
-                    return  # reset, or a record that failed its MAC
-                if record is None:
-                    return
-                if self.blocking:
-                    yield from self._serve(transport, upstream, record, identity, mapped)
-                else:
-                    self.sim.spawn(
-                        self._serve(transport, upstream, record, identity, mapped),
-                        name="sgfs-call",
-                    )
+            yield from serve_records(self, transport, "sgfs-call",
+                                     upstream, identity, mapped)
         finally:
             # however it ends, closed: the client proxy redials and retries
             upstream.close()
@@ -279,7 +268,7 @@ class SgfsServerProxy:
 
     # -- per-call --------------------------------------------------------------
 
-    def _serve(self, transport, upstream: RpcClient, record: bytes,
+    def _serve(self, transport, record: bytes, upstream: RpcClient,
                identity: Optional[DistinguishedName], mapped: Optional[Account]):
         cpu = self.host.cpu
         # Inbound crypto cost was charged inside transport.recv_record();
@@ -311,31 +300,26 @@ class SgfsServerProxy:
     def _execute_call(self, upstream: RpcClient, call: CallMessage,
                       identity: Optional[DistinguishedName],
                       mapped: Optional[Account]):
-        """Process generator: DRC + authorize + forward exactly one call;
-        returns the encoded reply record.  Transport charges stay with
-        the caller — a compound envelope charges once for the whole
-        batch, which is the round-trip amortization the engine is for."""
-        if call.prog == pr.NFS_PROGRAM and call.proc in _NFS_NON_IDEMPOTENT:
-            # keyed on the pre-remap credential: the duplicate carries
-            # the same client identity/xid whichever session (or
-            # sub-channel, or envelope) it rode in on
-            encoded, _fresh = yield from self._drc.once(
-                drc_key(call),
-                lambda: self._authorize(upstream, call, identity, mapped),
-            )
-            return encoded
-        return (yield from self._authorize(upstream, call, identity, mapped))
+        """Process generator: authorize and forward exactly one call;
+        returns the encoded reply record.  The DRC keys on the pre-remap
+        credential: a duplicate carries the same client identity and xid
+        whichever session (or sub-channel, or envelope) it rode in on.
+        Transport charges stay with the caller — a compound envelope
+        charges once for the whole batch, which is the round-trip
+        amortization the engine is for."""
+        def execute():
+            with self.tracer.span("proxy.authorize", cat="proxy", prog=call.prog,
+                                  proc=call.proc) if self.tracer.enabled else NULL_SPAN:
+                reply = yield from self._authorize_and_forward(
+                    upstream, call, identity, mapped
+                )
+            return reply.encode()
 
-    def _authorize(self, upstream: RpcClient, call: CallMessage,
-                   identity: Optional[DistinguishedName],
-                   mapped: Optional[Account]):
-        """Process generator: one execution of a call, encoded."""
-        with self.tracer.span("proxy.authorize", cat="proxy", prog=call.prog,
-                              proc=call.proc) if self.tracer.enabled else NULL_SPAN:
-            reply = yield from self._authorize_and_forward(
-                upstream, call, identity, mapped
-            )
-        return reply.encode()
+        encoded, _fresh = yield from self._drc.answer(
+            call, pr.NON_IDEMPOTENT_PROCS if call.prog == pr.NFS_PROGRAM else (),
+            execute,
+        )
+        return encoded
 
     def _execute_compound(self, upstream: RpcClient, env: CallMessage,
                           identity: Optional[DistinguishedName],
@@ -461,6 +445,10 @@ class SgfsServerProxy:
             elif proc == Proc.RENAME:
                 f_dir, f_name, t_dir, t_name = pr.unpack_rename_args(call.args)
                 if is_acl_name(f_name) or is_acl_name(t_name):
+                    return self._local_error(call, NfsStatus.ACCES)
+            elif proc == Proc.LINK:
+                _fh, _dir, name = pr.unpack_link_args(call.args)
+                if is_acl_name(name):
                     return self._local_error(call, NfsStatus.ACCES)
         except XdrError:
             return None  # undecodable: let the server reject it

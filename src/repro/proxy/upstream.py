@@ -31,9 +31,6 @@ from repro.tls.channel import SecureChannel, client_handshake
 #: bulk data procedures — the traffic round-robined across channels
 _BULK_PROCS = frozenset((int(pr.Proc.READ), int(pr.Proc.WRITE)))
 _WRITE, _COMMIT = int(pr.Proc.WRITE), int(pr.Proc.COMMIT)
-#: small calls that make nfsd flush before it answers, as a FILE_SYNC
-#: WRITE does: the namespace and attribute mutations
-_SYNC_PROCS = frozenset(int(p) for p in pr.NON_IDEMPOTENT_PROCS)
 
 #: EWMA gain for the per-session RTT estimators (RFC 6298's 1/8)
 _RTT_ALPHA = 0.125
@@ -288,8 +285,10 @@ class UpstreamSession:
         started = self.sim.now
         reply = yield from self._send(xid, record, channel)
         if sample:
-            self._observe_rtt(bulk, self.sim.now - started,
-                              call.prog == pr.NFS_PROGRAM and call.proc in _SYNC_PROCS)
+            # a namespace or attribute mutation makes nfsd flush before
+            # it answers, as a FILE_SYNC WRITE does
+            sync = call.prog == pr.NFS_PROGRAM and call.proc in pr.NON_IDEMPOTENT_PROCS
+            self._observe_rtt(bulk, self.sim.now - started, sync)
         if self.streams > 1:
             self._note_stream(channel, len(record))
         return reply

@@ -19,8 +19,10 @@ Entries age out on the simulated clock and the table is bounded by an
 LRU cap (in-progress entries are never evicted).  The cache is a plain
 object so every serving hop — the kernel NFS server and both SGFS
 proxies (which rewrite xids, defeating any end-to-end cache) — can own
-its own instance; each runs its non-idempotent calls through the one
-step that is the whole protocol, :meth:`DuplicateRequestCache.once`.
+its own instance; each serves every call it reads through one step,
+:meth:`DuplicateRequestCache.answer`, which runs an idempotent call and
+hands a non-idempotent one to the whole protocol,
+:meth:`DuplicateRequestCache.once`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Deque, Optional, Tuple
 
 from repro.rpc.auth import AUTH_SYS, AuthSys
 from repro.rpc.messages import CallMessage
-from repro.sim.core import Event, Simulator
+from repro.sim.core import Simulator
 from repro.xdr import XdrError
 
 #: check() states
@@ -101,10 +103,21 @@ class DuplicateRequestCache:
 
     # -- core protocol ---------------------------------------------------
 
+    def answer(self, call: CallMessage, non_idempotent, execute):
+        """Process generator: the serving step of every hop — run
+        ``call`` exactly once and return ``(encoded, fresh)``.
+
+        ``non_idempotent`` holds the procedure numbers of ``call.prog``
+        that must not run twice; those go through :meth:`once` under
+        :func:`drc_key`, and any other call runs ``execute()`` directly
+        (always fresh)."""
+        if call.proc in non_idempotent:
+            return (yield from self.once(drc_key(call), execute))
+        return (yield from execute()), True
+
     def once(self, key: Tuple, execute):
         """Process generator: the whole duplicate-request protocol
-        around one call — the step every serving hop runs for a
-        non-idempotent procedure.
+        around one non-idempotent call (:meth:`answer` is its caller).
 
         ``execute()`` is a process generator that runs the call and
         returns its encoded reply.  Returns ``(encoded, fresh)``:

@@ -16,16 +16,20 @@ exported through :mod:`repro.obs` (``rpc.server/queue_depth``,
 Dispatch is deterministic: queues are strictly FIFO, the round-robin
 order is the session-arrival order, and all state lives in
 insertion-ordered containers.
+
+The forwarding hops keep the paper's blocking or spawn-per-record
+discipline in :func:`serve_records`.  Every hop serves a call through
+one step, :meth:`repro.rpc.drc.DuplicateRequestCache.answer`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.obs import NULL_SPAN, Histogram
 from repro.rpc.costs import EndpointCost, FREE
-from repro.rpc.drc import DuplicateRequestCache, drc_key
+from repro.rpc.drc import DuplicateRequestCache
 from repro.rpc.errors import RpcError
 from repro.rpc.messages import (
     CallMessage,
@@ -35,7 +39,6 @@ from repro.rpc.messages import (
     PROG_MISMATCH,
     PROG_UNAVAIL,
     SYSTEM_ERR,
-    ReplyMessage,
     error_reply,
     success_reply,
 )
@@ -54,9 +57,8 @@ class RpcProgram:
 
     Subclasses set ``prog``/``vers`` and implement :meth:`handle` as a
     process generator returning the XDR-encoded result bytes.  Raising
-    :class:`GarbageArgsError`-ish conditions is signalled by raising
-    ``repro.xdr.XdrError`` (mapped to GARBAGE_ARGS) or any other
-    exception (mapped to SYSTEM_ERR).
+    :class:`ProcUnavailable` maps to PROC_UNAVAIL, ``repro.xdr.XdrError``
+    to GARBAGE_ARGS and any other exception to SYSTEM_ERR.
     """
 
     prog: int = 0
@@ -65,18 +67,8 @@ class RpcProgram:
     #: duplicate-request cache (non-idempotent operations).
     non_idempotent: frozenset = frozenset()
 
-    def handle(self, proc: int, args: bytes, call: CallMessage, ctx: "CallContext"):
+    def handle(self, call: CallMessage):
         raise NotImplementedError  # pragma: no cover - interface
-
-
-class CallContext:
-    """Per-call context handed to program handlers."""
-
-    __slots__ = ("transport", "server")
-
-    def __init__(self, transport: Transport, server: "RpcServer"):
-        self.transport = transport
-        self.server = server
 
 
 class ProcUnavailable(RpcError):
@@ -262,13 +254,10 @@ class RpcServer:
         except DECODE_ERRORS:
             return  # undecodable header: drop, like a real server
         program = self._programs.get((call.prog, call.vers))
-        if program is not None and call.proc in program.non_idempotent:
-            encoded, fresh = yield from self.drc.once(
-                drc_key(call), lambda: self._execute(transport, call, start)
-            )
-        else:
-            encoded = yield from self._execute(transport, call, start)
-            fresh = True
+        encoded, fresh = yield from self.drc.answer(
+            call, () if program is None else program.non_idempotent,
+            lambda: self._execute(program, call, start),
+        )
         try:
             transport.send_record(encoded)
         except TRANSPORT_ERRORS:
@@ -276,14 +265,14 @@ class RpcServer:
         if fresh:
             self.calls_served += 1
 
-    def _execute(self, transport: Transport, call: CallMessage, start: float):
+    def _execute(self, program: Optional[RpcProgram], call: CallMessage, start: float):
         """Process generator: dispatch one call and charge its reply;
         returns the encoded reply record."""
         with self.tracer.span(
             "rpc.serve", cat="rpc", server=self.name,
             prog=call.prog, proc=call.proc,
         ) if self.tracer.enabled else NULL_SPAN:
-            reply = yield from self._dispatch(transport, call)
+            reply = yield from self._dispatch(program, call)
             if self.cpu is not None:
                 yield from self.cpu.consume(
                     self.cost.cost(len(reply.results)), self.account
@@ -298,8 +287,7 @@ class RpcServer:
             hist.observe(self.sim.now - start)
         return reply.encode()
 
-    def _dispatch(self, transport: Transport, call: CallMessage):
-        program = self._programs.get((call.prog, call.vers))
+    def _dispatch(self, program: Optional[RpcProgram], call: CallMessage):
         if program is None:
             if call.prog in self._versions:
                 low, high = self._versions[call.prog]
@@ -307,9 +295,8 @@ class RpcServer:
                 reply.mismatch_low, reply.mismatch_high = low, high
                 return reply
             return error_reply(call.xid, PROG_UNAVAIL)
-        ctx = CallContext(transport, self)
         try:
-            results = yield from program.handle(call.proc, call.args, call, ctx)
+            results = yield from program.handle(call)
         except ProcUnavailable:
             return error_reply(call.xid, PROC_UNAVAIL)
         except XdrError:
@@ -319,6 +306,24 @@ class RpcServer:
             # service, a management service's handler) raises, its
             # caller is answered with a protocol error
             return error_reply(call.xid, SYSTEM_ERR)
-        if isinstance(results, ReplyMessage):
-            return results  # handler built a full reply (proxies do this)
         return success_reply(call.xid, results)
+
+
+def serve_records(hop, transport: Transport, name: str, *context):
+    """Process generator: the one session loop of the forwarding hops
+    (both proxies, and the SFS daemons through them).  Serves each record
+    with ``hop._serve(transport, record, *context)``: in this process
+    while ``hop.blocking`` (read per record, so a live mount can flip
+    it), else in a process of its own named ``name``.  Returns on EOF,
+    a transport error, or a closed transport."""
+    while not transport.closed:
+        try:
+            record = yield from transport.recv_record()
+        except TRANSPORT_ERRORS:
+            return  # reset, or a record that failed its MAC
+        if record is None:
+            return
+        if hop.blocking:
+            yield from hop._serve(transport, record, *context)
+        else:
+            hop.sim.spawn(hop._serve(transport, record, *context), name=name)

@@ -100,11 +100,11 @@ class ServiceEndpoint(RpcProgram):
 
     # -- request processing ----------------------------------------------------
 
-    def handle(self, proc: int, args: bytes, call, ctx):
-        if proc != INVOKE:
-            raise ProcUnavailable(proc)
+    def handle(self, call):
+        if call.proc != INVOKE:
+            raise ProcUnavailable(call.proc)
         yield from self.host.cpu.consume(MESSAGE_SECURITY_CPU, "services")
-        request = Envelope.decode(args)
+        request = Envelope.decode(call.args)
         try:
             reply = yield from self._serve(request)
             self.requests_served += 1

@@ -48,17 +48,21 @@ class SfsClientDaemon(SgfsClientProxy):
     """The SFS client daemon: async + in-memory metadata caching, over
     an ``upstream`` router whose leg dials with :func:`sfs_dialer`."""
 
+    blocking = False  # asynchronous RPCs — SFS's edge
+
     def __init__(self, host, listen_port: int, upstream, cost: CostProfile):
         super().__init__(
             host.sim, host, listen_port, upstream, cost=cost, account="sfsd",
             # SFS caches metadata, not data blocks, in memory
             cache=ProxyCacheConfig(enabled=True, cache_data=False, write_back=False),
-            blocking=False,             # asynchronous RPCs — SFS's edge
         )
 
 
 class SfsServerDaemon(SgfsServerProxy):
     """The SFS server daemon: authenticates users by registered key."""
+
+    blocking = False  # async on the server side too
+    enable_acls = False  # SFS uses its own group ACLs, not grid ACLs
 
     def __init__(self, host, listen_port: int, nfs_server_port: int, accounts,
                  gridmap, fs, cost: CostProfile, session_identity,
@@ -67,8 +71,6 @@ class SfsServerDaemon(SgfsServerProxy):
             host.sim, host, listen_port, nfs_server_port, accounts=accounts,
             gridmap=gridmap, fs=fs, cost=cost, account="sfssd",
             security=None,              # SFS has its own handshake: _accept
-            blocking=False,             # async on the server side too
-            enable_acls=False,          # SFS uses its own group ACLs, not grid ACLs
             session_identity=session_identity,
         )
         self.server_key = server_key

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import Testbed, setup_nfs_v3
-from repro.core.setups import setup_gfs, setup_sgfs
+from repro.core.setups import setup_gfs, setup_sfs, setup_sgfs
 from repro.nfs.protocol import Proc
 from repro.rpc.auth import AuthSys
 from repro.rpc.drc import MISS, REPLAY, WAIT, DuplicateRequestCache, drc_key
@@ -276,10 +276,10 @@ def _count_executions(program, proc):
     counts = []
     orig = program.handle
 
-    def wrapped(p, args, call, ctx):
-        if int(p) == int(proc):
-            counts.append(p)
-        return orig(p, args, call, ctx)
+    def wrapped(call):
+        if call.proc == int(proc):
+            counts.append(call.proc)
+        return orig(call)
 
     program.handle = wrapped
     return counts
@@ -348,10 +348,11 @@ def test_nfs_retransmitted_call_executes_exactly_once(op):
     _check_op_effect(tb, op)
 
 
-@pytest.mark.parametrize("builder", [setup_gfs, setup_sgfs],
-                         ids=["gfs", "sgfs"])
+@pytest.mark.parametrize("builder", [setup_gfs, setup_sgfs, setup_sfs],
+                         ids=["gfs", "sgfs", "sfs"])
 def test_client_proxy_drc_absorbs_client_retransmissions(builder):
-    """SGFS/GFS: the kernel client retransmits into the *client* proxy;
+    """SGFS/GFS/SFS: the kernel client retransmits into the *client*
+    proxy (the SFS daemon serves each record in a process of its own);
     its DRC must dedup before the call is ever forwarded twice."""
     tb = Testbed.build(rtt=0.08)
     mount = builder(tb)
@@ -364,7 +365,7 @@ def test_client_proxy_drc_absorbs_client_retransmissions(builder):
         counts = _count_executions(tb.nfs_program, Proc.REMOVE)
         yield from cl.unlink("/victim.bin")
         cl.timeo = None
-        # let the (blocking) proxy session drain the queued duplicates
+        # let the proxy session drain the queued duplicates
         yield tb.sim.timeout(1.0)
         return counts
 
@@ -374,11 +375,11 @@ def test_client_proxy_drc_absorbs_client_retransmissions(builder):
     assert drc.replays + drc.parks >= 1
 
 
-@pytest.mark.parametrize("builder", [setup_gfs, setup_sgfs],
-                         ids=["gfs", "sgfs"])
+@pytest.mark.parametrize("builder", [setup_gfs, setup_sgfs, setup_sfs],
+                         ids=["gfs", "sgfs", "sfs"])
 def test_server_proxy_drc_absorbs_proxy_retransmissions(builder):
-    """SGFS/GFS: the client proxy's upstream forwarding retransmits over
-    the WAN; the *server* proxy's DRC must dedup."""
+    """SGFS/GFS/SFS: the client proxy's upstream forwarding retransmits
+    over the WAN; the *server* proxy's DRC must dedup."""
     tb = Testbed.build(rtt=0.08)
     mount = builder(tb)
     cl = mount.client
@@ -391,7 +392,7 @@ def test_server_proxy_drc_absorbs_proxy_retransmissions(builder):
         counts = _count_executions(tb.nfs_program, Proc.REMOVE)
         yield from cl.unlink("/victim.bin")
         cp.upstream_timeo = None
-        # let the (blocking) proxy session drain the queued duplicates
+        # let the proxy session drain the queued duplicates
         yield tb.sim.timeout(1.0)
         return counts
 

@@ -2,7 +2,8 @@
 
 A structure guard, not a behaviour test: it walks the source with
 ``ast`` and fails when a second copy of framing, the crypto cost split,
-the exactly-once protocol or the reply table appears (DESIGN.md § One
+the exactly-once protocol, the proxies' session loop or the reply table
+appears (DESIGN.md § One
 transport stack, one hop), when a hop starts catching what it cannot
 name (DESIGN.md § Failure vocabulary), when a session is assembled
 outside ``core/setups`` (DESIGN.md § One session builder), when the
@@ -37,9 +38,18 @@ def test_framing_is_the_stream_transports():
 def test_exactly_once_is_the_drcs():
     outside = [(path, name) for path, tree in TREES.items() if path != "rpc/drc.py"
                for node, name in _calls(tree)
-               if name in ("check", "complete", "abort")
+               if name in ("once", "check", "complete", "abort")
                and ast.unparse(node.func.value).endswith("drc")]
     assert outside == []
+
+
+def test_the_forwarding_hops_share_one_session_loop():
+    """The proxies and the SFS daemons read a session's records only
+    through ``rpc.server.serve_records``."""
+    readers = [path for path, tree in TREES.items()
+               if path.startswith("proxy/") or path == "sfs/daemons.py"
+               for _node, name in _calls(tree) if name == "recv_record"]
+    assert readers == []
 
 
 def test_one_reply_table_and_one_crypto_cost_split():

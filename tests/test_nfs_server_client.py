@@ -463,7 +463,7 @@ def test_nfsv4_flavor_serves_same_semantics():
     fs = VirtualFS(clock=lambda: sim.now, root_uid=1000, root_gid=1000)
     from repro.nfs.v4 import NFS_V4, NfsV4ServerProgram
 
-    prog = NfsV4ServerProgram(sim, fs, DiskModel(sim))
+    prog = NfsV4ServerProgram(sim, fs, DiskModel(sim), cpu=s.cpu)
     server = RpcServer(sim, cpu=s.cpu)
     server.register(prog)
     server.serve_listener(s.listen(2049))
@@ -497,10 +497,11 @@ def test_fs_information_procedures_on_live_and_stale_handles(proc, unpack, expec
     fs.write(node.fileid, 0, b"x" * 5000, owner)
     fh = FileHandle(fs.fsid, node.fileid, node.generation)
     call = CallMessage(1, NFS_PROGRAM, NFS_V3, int(proc),
-                       AuthSys(uid=1000, gid=1000).to_opaque())
+                       AuthSys(uid=1000, gid=1000).to_opaque(),
+                       args=pr.pack_getattr_args(fh))
 
     def ask():
-        return (yield from prog.handle(int(proc), pr.pack_getattr_args(fh), call, None))
+        return (yield from prog.handle(call))
 
     live = unpack(run(sim, ask()))
     assert live[0] == NfsStatus.OK

@@ -207,9 +207,16 @@ def test_acl_file_mutation_refused():
         yield from cl.write_file("/real.txt", b"x")
         with pytest.raises(NfsClientError, match="ACCES"):
             yield from cl.rename("/real.txt", "/.real.txt.acl")
+        # a hard link is a new name too: no ACL may appear through one
+        yield from cl.write_file("/mine.txt", f'deny "{USER_DN}"\n'.encode())
+        with pytest.raises(NfsClientError, match="ACCES"):
+            yield from cl.link("/mine.txt", "/.real.txt.acl")
+        assert b"x" == (yield from cl.read_file("/real.txt"))
         return True
 
     assert tb.run(job())
+    real = tb.fs.resolve("/real.txt", Credentials(0, 0))
+    assert mount.server_proxy.acls.evaluate(real.fileid, USER_DN) is None
 
 
 def test_gfs_session_has_no_channel_security_but_maps_identity():

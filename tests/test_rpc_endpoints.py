@@ -32,17 +32,17 @@ class Echo(RpcProgram):
         self.sim = sim
         self.seen_uids = []
 
-    def handle(self, proc, args, call, ctx):
-        if proc == 99:
+    def handle(self, call):
+        if call.proc == 99:
             raise ProcUnavailable()
-        if proc == 98:
+        if call.proc == 98:
             raise XdrError("cannot decode")
-        if proc == 97:
+        if call.proc == 97:
             raise RuntimeError("handler crash")
         if call.cred.flavor == 1:
             self.seen_uids.append(AuthSys.from_opaque(call.cred).uid)
         yield self.sim.timeout(0.001)
-        u = Unpacker(args)
+        u = Unpacker(call.args)
         p = Packer()
         p.pack_string(u.unpack_string()[::-1])
         return p.get_bytes()
@@ -159,13 +159,13 @@ class Slow(RpcProgram):
         self.order = []
         self.active = self.peak = 0
 
-    def handle(self, proc, args, call, ctx):
-        self.order.append(args)
+    def handle(self, call):
+        self.order.append(call.args)
         self.active += 1
         self.peak = max(self.peak, self.active)
         yield self.sim.timeout(0.001)
         self.active -= 1
-        return args
+        return call.args
 
 
 def pool(sessions):
